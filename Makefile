@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race chaos fuzz fuzz-wire bench bench-index bench-serve bench-replica bench-mvcc bench-mask bench-storage benchgo
+.PHONY: check build vet staticcheck test race chaos fuzz fuzz-wire bench benchgo
 
 check: build vet staticcheck race
 
@@ -46,47 +46,12 @@ fuzz:
 fuzz-wire:
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 30s
 
-# Reproducible throughput/latency harnesses: concurrent masked retrieval
-# (BENCH_parallel.json, cmd/authdb/bench.go) and index-accelerated
-# evaluation (BENCH_index.json, cmd/authdb/bench_index.go).
+# The repository's benchmark: four workloads over the masked-retrieve
+# path, each in a process of its own, with the correctness gate on
+# (bench/README.md describes the workloads, the metrics and the
+# committed baseline).
 bench:
-	$(GO) run ./cmd/authdb bench
-	$(GO) run ./cmd/authdb bench-index
-
-# The index/pushdown workloads alone.
-bench-index:
-	$(GO) run ./cmd/authdb bench-index
-
-# End-to-end network-server throughput/latency at 1/16/64 concurrent
-# client connections, reads plus durable writes with and without group
-# commit (BENCH_serve.json, cmd/authdb/benchserve.go).
-bench-serve:
-	$(GO) run ./cmd/authdb bench-serve
-
-# Replicated read scaling: masked-read qps against 0/2/4 replicas
-# under a steady primary write load, with observed replication lag
-# (BENCH_replica.json, cmd/authdb/benchreplica.go).
-bench-replica:
-	$(GO) run ./cmd/authdb bench-replica
-
-# MVCC read-scaling matrix: the bench-serve read mix and the replicated
-# topology rerun at GOMAXPROCS 1/4/16, each level stamped with its
-# effective GOMAXPROCS (BENCH_mvcc.json, cmd/authdb/benchmvcc.go).
-bench-mvcc:
-	$(GO) run ./cmd/authdb bench-mvcc
-
-# Materialized mask closure latency profile: cold (no cache, no
-# closure) vs warm (resident closure) vs permit-churn recovery, at
-# GOMAXPROCS 1/4 (BENCH_mask.json, cmd/authdb/benchmask.go).
-bench-mask:
-	$(GO) run ./cmd/authdb bench-mask
-
-# Paged vs memory storage backend: insert, full and incremental
-# checkpoint, point reads, and reopen at 10x/100x scale; the 100x paged
-# cell runs with its resident set over the buffer-cache budget
-# (BENCH_storage.json, cmd/authdb/benchstorage.go).
-bench-storage:
-	$(GO) run ./cmd/authdb bench-storage
+	$(GO) run ./bench run
 
 # Go testing.B micro-benchmarks.
 benchgo:

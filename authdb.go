@@ -34,6 +34,7 @@ import (
 	"authdb/internal/metrics"
 	"authdb/internal/relation"
 	"authdb/internal/value"
+	"authdb/internal/wire"
 )
 
 // ErrCanceled reports that a statement's context was canceled or its
@@ -89,8 +90,10 @@ func (l Limits) internal() guard.Limits {
 	}
 }
 
-// Options selects the refinements of the paper's §4.2 and the execution
-// strategy; see DESIGN.md. DefaultOptions enables everything.
+// Options selects the refinements of the paper's §4.2, the mask closure,
+// and the durable storage backend; see DESIGN.md. Queries always run on
+// the optimized executor with mask-predicate pushdown — neither changes
+// an answer, so neither is an option. DefaultOptions enables everything.
 type Options struct {
 	// Padding keeps subviews of each product operand alive across
 	// projections removing the other operand's attributes.
@@ -103,15 +106,6 @@ type Options struct {
 	SelfJoins bool
 	// Subsume drops mask tuples covered by another mask tuple.
 	Subsume bool
-	// OptimizedExec answers queries with pushdown and hash joins rather
-	// than the naive product–selection–projection order.
-	OptimizedExec bool
-	// MaskPushdown prunes, before materialization, answer rows the
-	// compiled mask provably withholds entirely, by conjoining the
-	// mask-derived necessary delivery condition with the query plan.
-	// The delivered rows, permit statements, and grant/deny outcomes
-	// are unchanged; only wasted intermediate work is avoided.
-	MaskPushdown bool
 	// ExtendedMasks enables the paper's §6(3) extension: masks may be
 	// "expressed with additional attributes", so a view's conditions on
 	// columns the query did not request still admit the permitted rows
@@ -138,12 +132,12 @@ type Options struct {
 	CachePages int
 }
 
-// DefaultOptions enables every refinement, the optimized executor,
-// mask-predicate pushdown, and the materialized mask closure.
+// DefaultOptions enables every refinement and the materialized mask
+// closure.
 func DefaultOptions() Options {
 	return Options{
 		Padding: true, FourCase: true, SelfJoins: true, Subsume: true,
-		OptimizedExec: true, MaskPushdown: true, MaskClosure: true,
+		MaskClosure: true,
 	}
 }
 
@@ -153,8 +147,10 @@ func (o Options) internal() core.Options {
 	opt.FourCase = o.FourCase
 	opt.SelfJoins = o.SelfJoins
 	opt.Subsume = o.Subsume
-	opt.OptimizedExec = o.OptimizedExec
-	opt.MaskPushdown = o.MaskPushdown
+	// The execution switches are not options here: core.DefaultOptions
+	// selects the optimized, indexed executor, and pushdown (off at the
+	// core layer, where Certify and the experiments need it off) is on.
+	opt.MaskPushdown = true
 	opt.ExtendedMasks = o.ExtendedMasks
 	opt.MaskClosure = o.MaskClosure
 	return opt
@@ -354,6 +350,13 @@ type Table struct {
 // String renders the table in the paper's figure style.
 func (t *Table) String() string {
 	var b strings.Builder
+	relation.RenderTable(&b, "", t.Columns, t.cellText(), false)
+	return b.String()
+}
+
+// cellText returns the rows as cell text, withheld cells as "-": the
+// form the wire carries and the renderer prints.
+func (t *Table) cellText() [][]string {
 	rows := make([][]string, len(t.Rows))
 	for i, r := range t.Rows {
 		rows[i] = make([]string, len(r))
@@ -361,8 +364,7 @@ func (t *Table) String() string {
 			rows[i][j] = c.String()
 		}
 	}
-	relation.RenderTable(&b, "", t.Columns, rows, false)
-	return b.String()
+	return rows
 }
 
 func tableOf(r *relation.Relation) *Table {
@@ -399,29 +401,28 @@ type Result struct {
 
 // Render renders the result exactly as the REPL prints it: the text,
 // then the table followed by its authorization footer (the outcome line
-// or the inferred permit statements). The network server sends the same
-// rendering so every front end shows identical output.
+// or the inferred permit statements). Network clients render the reply
+// they receive with the same function, so every front end shows
+// identical output.
 func (r *Result) Render() string {
-	var b strings.Builder
-	if r.Text != "" {
-		b.WriteString(r.Text)
-		b.WriteByte('\n')
+	return r.Wire(0).Render()
+}
+
+// Wire converts the result to the reply the network server sends for
+// request id, stringifying each cell once. Like DB.Engine, it serves
+// in-process subsystems and is not part of the stable embedding surface.
+func (r *Result) Wire(id uint64) wire.Response {
+	resp := wire.Response{
+		ID:              id,
+		Text:            r.Text,
+		Permits:         r.Permits,
+		FullyAuthorized: r.FullyAuthorized,
+		Denied:          r.Denied,
 	}
 	if r.Table != nil {
-		b.WriteString(r.Table.String())
-		switch {
-		case r.FullyAuthorized:
-			b.WriteString("(entire answer delivered)\n")
-		case r.Denied:
-			b.WriteString("(no portion of the answer is permitted)\n")
-		default:
-			for _, p := range r.Permits {
-				b.WriteString(p)
-				b.WriteByte('\n')
-			}
-		}
+		resp.Table = &wire.Table{Columns: r.Table.Columns, Rows: r.Table.cellText()}
 	}
-	return b.String()
+	return resp
 }
 
 func resultOf(r *engine.Result) *Result {

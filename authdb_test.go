@@ -1,10 +1,13 @@
 package authdb_test
 
 import (
+	"bufio"
+	"bytes"
 	"strings"
 	"testing"
 
 	"authdb"
+	"authdb/internal/wire"
 	"authdb/internal/workload"
 )
 
@@ -92,6 +95,53 @@ func TestPaperExample1ViaFacade(t *testing.T) {
 	}
 	if len(res.Permits) != 1 || !strings.Contains(res.Permits[0], "SPONSOR = Acme") {
 		t.Fatalf("permits = %v", res.Permits)
+	}
+}
+
+// TestRenderPaperExamples pins the one result renderer
+// (wire.Response.Render) on the paper's three §5 examples: what the REPL
+// prints (Result.Render) and what a network client prints from the
+// reply frame (Result.Wire, then Render on the receiving side) are the
+// same text.
+func TestRenderPaperExamples(t *testing.T) {
+	db := paperDB(t)
+	for _, tc := range []struct{ user, query, want string }{
+		{"Brown", workload.Example1Query, "" +
+			"| NUMBER | SPONSOR |\n" +
+			"| ------ | ------- |\n" +
+			"| bq-45  | Acme    |\n" +
+			"permit (NUMBER, SPONSOR) where SPONSOR = Acme\n"},
+		{"Klein", workload.Example2Query, "" +
+			"| NAME  | SALARY |\n" +
+			"| ----- | ------ |\n" +
+			"| Brown | -      |\n" +
+			"permit (NAME)\n"},
+		{"Brown", workload.Example3Query, "" +
+			"| NAME:1 | SALARY:1 | NAME:2 | SALARY:2 |\n" +
+			"| ------ | -------- | ------ | -------- |\n" +
+			"| Brown  | 32000    | Brown  | 32000    |\n" +
+			"| Jones  | 26000    | Jones  | 26000    |\n" +
+			"| Smith  | 22000    | Smith  | 22000    |\n" +
+			"(entire answer delivered)\n"},
+	} {
+		res, err := db.Session(tc.user).Exec(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Render(); got != tc.want {
+			t.Errorf("%s, Result.Render:\n%s\nwant:\n%s", tc.user, got, tc.want)
+		}
+		var frame bytes.Buffer
+		if err := wire.WriteMsg(&frame, res.Wire(1)); err != nil {
+			t.Fatal(err)
+		}
+		var reply wire.Response
+		if err := wire.ReadMsg(bufio.NewReader(&frame), &reply); err != nil {
+			t.Fatal(err)
+		}
+		if got := reply.Render(); got != tc.want {
+			t.Errorf("%s, rendered from the reply frame:\n%s\nwant:\n%s", tc.user, got, tc.want)
+		}
 	}
 }
 

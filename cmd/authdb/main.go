@@ -27,8 +27,8 @@
 //
 // Subcommands: `authdb serve` runs the database as a network server
 // (see cmd/authdb/serve.go and DESIGN.md §11); `authdb promote` flips a
-// replica into the serving primary (DESIGN.md §13); `authdb bench` and
-// `authdb bench-serve` are the measurement harnesses.
+// replica into the serving primary (DESIGN.md §13). Any other
+// positional argument is a usage error.
 //
 // Everything else is a statement; end statements with ';' or a newline.
 package main
@@ -38,6 +38,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -48,37 +49,31 @@ import (
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
-		case "bench":
-			os.Exit(runBench(os.Args[2:]))
-		case "bench-index":
-			os.Exit(runBenchIndex(os.Args[2:]))
-		case "bench-serve":
-			os.Exit(runBenchServe(os.Args[2:]))
-		case "bench-replica":
-			os.Exit(runBenchReplica(os.Args[2:]))
-		case "bench-mvcc":
-			os.Exit(runBenchMVCC(os.Args[2:]))
-		case "bench-mask":
-			os.Exit(runBenchMask(os.Args[2:]))
-		case "bench-storage":
-			os.Exit(runBenchStorage(os.Args[2:]))
 		case "serve":
 			os.Exit(runServe(os.Args[2:]))
 		case "promote":
 			os.Exit(runPromote(os.Args[2:]))
 		}
 	}
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdin))
 }
 
-func run() int {
-	user := flag.String("user", "", "open the session as this (unprivileged) user; empty means administrator")
-	load := flag.String("load", "", "execute this statement script before the prompt")
-	dbdir := flag.String("db", "", "open (or create) a durable database directory")
-	storage := flag.String("storage", "", "durable storage backend: memory (CSV snapshots) or paged (B+Trees, incremental checkpoints); empty: AUTHDB_STORAGE, then the directory's existing format")
-	cachePages := flag.Int("cache-pages", 0, "paged backend's buffer-cache budget in 4KiB pages (0: 4096)")
-	paper := flag.Bool("paper", false, "preload the paper's Figure 1 example database")
-	flag.Parse()
+// run is the REPL: statements from stdin under the given flags. A
+// positional argument is a mistyped subcommand, not input: it is
+// refused, or a script would get a prompt on its stdin and exit 0.
+func run(args []string, stdin io.Reader) int {
+	fs := flag.NewFlagSet("authdb", flag.ExitOnError)
+	user := fs.String("user", "", "open the session as this (unprivileged) user; empty means administrator")
+	load := fs.String("load", "", "execute this statement script before the prompt")
+	dbdir := fs.String("db", "", "open (or create) a durable database directory")
+	storage := fs.String("storage", "", "durable storage backend: memory (CSV snapshots) or paged (B+Trees, incremental checkpoints); empty: AUTHDB_STORAGE, then the directory's existing format")
+	cachePages := fs.Int("cache-pages", 0, "paged backend's buffer-cache budget in 4KiB pages (0: 4096)")
+	paper := fs.Bool("paper", false, "preload the paper's Figure 1 example database")
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "authdb: unexpected argument %q\nusage: authdb [flags] | authdb serve [flags] | authdb promote [flags]\n", fs.Arg(0))
+		return 2
+	}
 
 	var db *authdb.DB
 	if *dbdir != "" {
@@ -117,7 +112,7 @@ func run() int {
 		who = *user
 	}
 
-	in := bufio.NewScanner(os.Stdin)
+	in := bufio.NewScanner(stdin)
 	// Statements (bulk inserts, generated scripts) can exceed bufio's
 	// 64KiB default line limit.
 	in.Buffer(make([]byte, 1<<20), 1<<20)
@@ -204,9 +199,10 @@ func execFile(admin *authdb.Session, file string) error {
 	return nil
 }
 
-// exec runs one statement (or \stats) through Session.Dispatch and
-// prints Result.Render — the same dispatch and rendering path the
-// network server uses, so both front ends show identical output.
+// exec runs one statement (or \stats) through Session.Dispatch — the
+// dispatch path the network server uses — and prints Result.Render,
+// the rendering network clients apply to the reply, so both front ends
+// show identical output.
 func exec(session *authdb.Session, stmt string) {
 	stmt = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(stmt), ";"))
 	if stmt == "" {

@@ -12,7 +12,7 @@ type ExecOptions struct {
 	// stats-informed greedy join ordering. Off, EvalPSJ is the plain
 	// pushdown + hash-join evaluator (the PR-2 strategy minus index
 	// lookups), kept as the comparison baseline for the differential
-	// tests and the bench harness.
+	// tests.
 	UseIndexes bool
 }
 

@@ -36,7 +36,12 @@ func RenderTable(w io.Writer, title string, attrs []string, rows [][]string, sho
 	line := func(cells []string) {
 		parts := make([]string, len(cells))
 		for i, c := range cells {
-			parts[i] = c + strings.Repeat(" ", widths[i]-len(c))
+			// A row wider than the header (a malformed reply rendered
+			// by a network client) prints its extra cells unpadded.
+			if i < len(widths) {
+				c += strings.Repeat(" ", widths[i]-len(c))
+			}
+			parts[i] = c
 		}
 		fmt.Fprintln(w, "| "+strings.Join(parts, " | ")+" |")
 	}

@@ -628,7 +628,7 @@ func (s *Server) execute(sess *authdb.Session, admin bool, req wire.Request) wir
 		s.met.Counter("authdb_server_errors_total", "code", we.Code).Inc()
 		return wire.Response{ID: req.ID, Error: we}
 	}
-	return responseOf(req.ID, res)
+	return res.Wire(req.ID)
 }
 
 // executePromote serves the admin-only \promote statement.
@@ -642,30 +642,5 @@ func (s *Server) executePromote(ctx context.Context, admin bool, id uint64) wire
 		return wire.Response{ID: id, Error: wire.ErrorFor(err)}
 	}
 	text := fmt.Sprintf("promoted to primary (epoch %d)", epoch)
-	return wire.Response{ID: id, Text: text, Rendered: text + "\n"}
-}
-
-// responseOf converts a session result to its wire form, including the
-// REPL-identical rendering.
-func responseOf(id uint64, res *authdb.Result) wire.Response {
-	resp := wire.Response{
-		ID:              id,
-		Text:            res.Text,
-		Rendered:        res.Render(),
-		Permits:         res.Permits,
-		FullyAuthorized: res.FullyAuthorized,
-		Denied:          res.Denied,
-	}
-	if res.Table != nil {
-		wt := &wire.Table{Columns: res.Table.Columns}
-		for _, row := range res.Table.Rows {
-			cells := make([]string, len(row))
-			for i, c := range row {
-				cells[i] = c.String()
-			}
-			wt.Rows = append(wt.Rows, cells)
-		}
-		resp.Table = wt
-	}
-	return resp
+	return wire.Response{ID: id, Text: text}
 }

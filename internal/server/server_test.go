@@ -8,6 +8,7 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -68,9 +69,56 @@ func exec(t *testing.T, c *client.Client, stmt string) *client.Result {
 	return res
 }
 
+// rawConn speaks the wire protocol directly, so a test can look at the
+// reply frames as the server sent them.
+type rawConn struct {
+	nc net.Conn
+	br *bufio.Reader
+	id uint64
+}
+
+func dialRaw(t *testing.T, addr string, hello wire.Hello) *rawConn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	r := &rawConn{nc: nc, br: bufio.NewReader(nc)}
+	if err := wire.WriteMsg(nc, hello); err != nil {
+		t.Fatal(err)
+	}
+	var reply wire.HelloReply
+	if err := wire.ReadMsg(r.br, &reply); err != nil || !reply.OK {
+		t.Fatalf("raw handshake as %s: %+v, %v", hello.User, reply, err)
+	}
+	return r
+}
+
+// replyFields sends stmt and returns the top-level JSON fields of the
+// reply frame.
+func (r *rawConn) replyFields(t *testing.T, stmt string) map[string]json.RawMessage {
+	t.Helper()
+	r.id++
+	if err := wire.WriteMsg(r.nc, wire.Request{ID: r.id, Stmt: stmt}); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.ReadFrame(r.br)
+	if err != nil {
+		t.Fatalf("%s: %v", stmt, err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(frame, &fields); err != nil {
+		t.Fatalf("%s: reply %q: %v", stmt, frame, err)
+	}
+	return fields
+}
+
 // TestServeMatchesLocalPerUser is the core authorization property over
 // the network: each connection's answers are exactly what a local
-// session for that principal gets — same masks, same rendering.
+// session for that principal gets — same masks, same rendering — and
+// the reply frame carries the answer once, structured, with the text
+// rendered by the client.
 func TestServeMatchesLocalPerUser(t *testing.T) {
 	db := paperDB(t)
 	s := startServer(t, db, server.Config{})
@@ -82,21 +130,64 @@ func TestServeMatchesLocalPerUser(t *testing.T) {
 		"retrieve (PROJECT.NUMBER, PROJECT.SPONSOR, PROJECT.BUDGET)",
 		"retrieve (EMPLOYEE.NAME, PROJECT.NUMBER) where EMPLOYEE.NAME = ASSIGNMENT.E_NAME and PROJECT.NUMBER = ASSIGNMENT.P_NO",
 	}
-	for _, user := range []string{"Brown", "Klein", "Nobody"} {
-		c := dial(t, addr, client.WithUser(user))
-		for _, q := range queries {
+	// Every reply shape must come up: seen counts them.
+	seen := map[string]int{}
+	for _, p := range []struct {
+		user  string
+		admin bool
+		stmts []string
+	}{
+		{"Brown", false, queries},
+		{"Klein", false, queries},
+		{"Nobody", false, queries},
+		{"root", true, []string{queries[0], "show permissions", `\stats`}},
+	} {
+		opt := client.WithUser(p.user)
+		if p.admin {
+			opt = client.WithAdmin(p.user, "")
+		}
+		c := dial(t, addr, opt)
+		raw := dialRaw(t, addr, wire.Hello{Proto: wire.ProtoVersion, User: p.user, Admin: p.admin})
+		local := db.SessionFor(p.user, p.admin)
+		for _, q := range p.stmts {
 			got := exec(t, c, q)
-			want, err := db.Session(user).Exec(q)
+			want, err := local.Dispatch(context.Background(), q)
 			if err != nil {
-				t.Fatalf("local %s for %s: %v", q, user, err)
+				t.Fatalf("local %s for %s: %v", q, p.user, err)
+			}
+			// \stats prints counters that move with every request, so
+			// two executions never agree; its text is checked against
+			// itself.
+			if q == `\stats` {
+				want.Text = got.Text
 			}
 			if got.Rendered != want.Render() {
-				t.Errorf("user %s, %s:\nserver:\n%s\nlocal:\n%s", user, q, got.Rendered, want.Render())
+				t.Errorf("user %s, %s:\nserver:\n%s\nlocal:\n%s", p.user, q, got.Rendered, want.Render())
 			}
 			if got.Denied != want.Denied || got.FullyAuthorized != want.FullyAuthorized {
 				t.Errorf("user %s, %s: flags (denied %v, full %v) want (%v, %v)",
-					user, q, got.Denied, got.FullyAuthorized, want.Denied, want.FullyAuthorized)
+					p.user, q, got.Denied, got.FullyAuthorized, want.Denied, want.FullyAuthorized)
 			}
+			fields := raw.replyFields(t, q)
+			if _, ok := fields["rendered"]; ok {
+				t.Errorf("user %s, %s: reply frame carries rendered text: %s", p.user, q, fields["rendered"])
+			}
+			_, hasTable := fields["table"]
+			switch {
+			case !hasTable && got.Text != "":
+				seen["text"]++
+			case got.FullyAuthorized:
+				seen["full"]++
+			case got.Denied:
+				seen["denied"]++
+			case len(got.Permits) > 0:
+				seen["partial"]++
+			}
+		}
+	}
+	for _, shape := range []string{"text", "full", "denied", "partial"} {
+		if seen[shape] == 0 {
+			t.Errorf("no %s reply among the statements: %v", shape, seen)
 		}
 	}
 
@@ -223,21 +314,24 @@ func TestHandshakeRejections(t *testing.T) {
 	s := startServer(t, db, server.Config{AdminToken: "s3cret"})
 	addr := s.Addr().String()
 
-	// Wrong protocol version, spoken raw.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.WriteMsg(nc, wire.Hello{Proto: 99, User: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	var reply wire.HelloReply
-	if err := wire.ReadMsg(bufio.NewReader(nc), &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.OK || reply.Error == nil || reply.Error.Code != wire.CodeProtocol {
-		t.Errorf("version-mismatch reply = %+v, want %s", reply, wire.CodeProtocol)
+	// Wrong protocol version, spoken raw: an unknown one, and the
+	// previous one, whose replies carried rendered text.
+	for _, proto := range []int{99, 1} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if err := wire.WriteMsg(nc, wire.Hello{Proto: proto, User: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		var reply wire.HelloReply
+		if err := wire.ReadMsg(bufio.NewReader(nc), &reply); err != nil {
+			t.Fatal(err)
+		}
+		if reply.OK || reply.Error == nil || reply.Error.Code != wire.CodeProtocol {
+			t.Errorf("proto %d reply = %+v, want %s", proto, reply, wire.CodeProtocol)
+		}
 	}
 
 	if _, err := client.Dial(addr, client.WithUser("two words")); err == nil {

@@ -23,8 +23,8 @@ func seedFrames(tb testing.TB) [][]byte {
 		frame(Hello{Proto: ProtoVersion, User: "Brown", Admin: true, Token: "t"}),
 		frame(HelloReply{OK: true, Server: "authdb"}),
 		frame(Request{ID: 9, Stmt: "retrieve (EMPLOYEE.NAME)", TimeoutMS: 100}),
-		frame(Response{ID: 9, Rendered: "…", Permits: []string{"permit (NAME)"},
-			Error: &Error{Code: CodeExec, Message: "nope"}}),
+		frame(Response{ID: 9, Table: &Table{Columns: []string{"NAME"}, Rows: [][]string{{"Brown"}, {"-"}}},
+			Permits: []string{"permit (NAME)"}, Error: &Error{Code: CodeExec, Message: "nope"}}),
 		frame(ReplHello{Kind: KindReplHello, Proto: ProtoVersion, Token: "t", From: 41, Name: "r1",
 			Epoch: 3, Leader: "127.0.0.1:4100"}),
 		frame(ReplHelloReply{OK: true, Mode: ReplModeSnapshot,
@@ -38,6 +38,8 @@ func seedFrames(tb testing.TB) [][]byte {
 		frame(ReplFence{Kind: KindReplFence, Epoch: 5, Leader: "127.0.0.1:4100"}),
 		frame(Response{ID: 3, Error: &Error{Code: CodeStalePrimary,
 			Message: "fenced at epoch 5", Leader: "127.0.0.1:4100"}}),
+		// A reply whose rows disagree with its columns still renders.
+		frame(Response{ID: 4, Table: &Table{Columns: []string{"A"}, Rows: [][]string{{"x", "y"}, {}}}}),
 		// Two frames back to back.
 		append(frame(ReplBatch{Kind: KindReplBatch, From: 1, Stmts: []string{"a"}}),
 			frame(ReplAck{Kind: KindReplAck, Applied: 1})...),
@@ -53,7 +55,8 @@ func seedFrames(tb testing.TB) [][]byte {
 
 // FuzzDecode feeds arbitrary bytes through the frame reader and the
 // kind-probed message decoding exactly the way a server connection
-// does, checking nothing panics and limits hold.
+// does, and renders every reply the way a client does, checking nothing
+// panics and limits hold.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range seedFrames(f) {
 		f.Add(seed)
@@ -122,6 +125,7 @@ func decodeStream(t *testing.T, data []byte) {
 			_ = json.Unmarshal(payload, &req)
 			var resp Response
 			_ = json.Unmarshal(payload, &resp)
+			_ = resp.Render()
 			var hr ReplHelloReply
 			_ = json.Unmarshal(payload, &hr)
 		}

@@ -11,7 +11,8 @@
 // A frame larger than the agreed maximum is a protocol error and closes
 // the connection. Within one connection, requests execute strictly in
 // order and every request produces exactly one response carrying the
-// request's ID.
+// request's ID. A response carries a result once, in structured form;
+// Response.Render, run by whoever prints it, is the only renderer.
 package wire
 
 import (
@@ -20,11 +21,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
+
+	"authdb/internal/relation"
 )
 
 // ProtoVersion identifies the protocol; the handshake rejects mismatches
-// so both sides fail loudly instead of mis-parsing frames.
-const ProtoVersion = 1
+// so both sides fail loudly instead of mis-parsing frames. Version 2
+// replies carry the structured result only; the receiver renders it
+// (Response.Render).
+const ProtoVersion = 2
 
 // MaxFrame bounds one frame's payload (requests and responses): larger
 // length words are treated as a protocol error rather than allocated.
@@ -109,23 +115,21 @@ type Request struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// Table is a delivered relation: display column names and rendered cell
-// values, withheld cells as "-" — the same canonical rendering the REPL
-// prints.
+// Table is a delivered relation: display column names and cell values
+// as text, withheld cells as "-" — the same cell text the REPL prints.
 type Table struct {
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows"`
 }
 
-// Response answers one request: the rendered result (what the REPL
-// would print), the structured pieces for programmatic use, or a coded
-// error.
+// Response answers one request: the structured result — text, or a
+// table with its permits and outcome flags — or a coded error. Render
+// turns a result into what the REPL prints.
 type Response struct {
 	ID uint64 `json:"id"`
 	// Text carries acknowledgements and show/meta-command output.
 	Text string `json:"text,omitempty"`
-	// Rendered is the complete human-readable result, identical to the
-	// REPL's output for the same statement.
+	// Rendered is never sent; only bench/trace.go's reply mirror sets it.
 	Rendered string `json:"rendered,omitempty"`
 	// Table is the delivered relation of a retrieve.
 	Table *Table `json:"table,omitempty"`
@@ -137,6 +141,34 @@ type Response struct {
 	Denied          bool `json:"denied,omitempty"`
 	// Error is set instead of the result fields when execution failed.
 	Error *Error `json:"error,omitempty"`
+}
+
+// Render renders a result exactly as the REPL prints it: the text, then
+// the table followed by its authorization footer (the outcome line or
+// the inferred permit statements). It is the only renderer of a
+// statement's result: authdb.Result.Render and pkg/client both call it,
+// so every front end shows identical output.
+func (r Response) Render() string {
+	var b strings.Builder
+	if r.Text != "" {
+		b.WriteString(r.Text)
+		b.WriteByte('\n')
+	}
+	if r.Table != nil {
+		relation.RenderTable(&b, "", r.Table.Columns, r.Table.Rows, false)
+		switch {
+		case r.FullyAuthorized:
+			b.WriteString("(entire answer delivered)\n")
+		case r.Denied:
+			b.WriteString("(no portion of the answer is permitted)\n")
+		default:
+			for _, p := range r.Permits {
+				b.WriteString(p)
+				b.WriteByte('\n')
+			}
+		}
+	}
+	return b.String()
 }
 
 // Error is a structured statement failure. Code is stable and

@@ -19,7 +19,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	msgs := []any{
 		Hello{Proto: ProtoVersion, User: "Brown"},
 		Request{ID: 7, Stmt: "retrieve (EMPLOYEE.NAME)", TimeoutMS: 250},
-		Response{ID: 7, Rendered: "table…", Permits: []string{"permit (NAME)"}},
+		Response{ID: 7, Table: &Table{Columns: []string{"NAME", "SALARY"}, Rows: [][]string{{"Brown", "-"}}},
+			Permits: []string{"permit (NAME)"}},
 	}
 	for _, m := range msgs {
 		if err := WriteMsg(&buf, m); err != nil {
@@ -36,7 +37,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("request round trip = %+v, %v", req, err)
 	}
 	var resp Response
-	if err := ReadMsg(r, &resp); err != nil || resp.ID != 7 || len(resp.Permits) != 1 {
+	if err := ReadMsg(r, &resp); err != nil || resp.ID != 7 || len(resp.Permits) != 1 ||
+		resp.Table == nil || len(resp.Table.Rows) != 1 || resp.Table.Rows[0][1] != "-" {
 		t.Fatalf("response round trip = %+v, %v", resp, err)
 	}
 }

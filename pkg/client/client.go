@@ -1,7 +1,9 @@
 // Package client is the Go client for the authdb network server: it
 // dials the wire protocol (internal/wire), authenticates as a
 // principal, and executes statements with per-call contexts. The
-// server's own end-to-end tests drive it.
+// server's own end-to-end tests drive it. A reply carries the answer
+// once, structured; Result.Rendered — the text the REPL would print —
+// is produced here, by the renderer the REPL itself uses.
 //
 // A Client owns one TCP connection and serializes calls on it (the
 // protocol is strictly request/response). When the connection breaks —
@@ -69,7 +71,8 @@ type Result struct {
 	// Text carries acknowledgements and show/meta-command output.
 	Text string
 	// Rendered is the complete human-readable result, byte-identical to
-	// what the REPL prints for the same statement.
+	// what the REPL prints for the same statement; the client renders
+	// it from the structured reply (wire.Response.Render).
 	Rendered string
 	// Columns and Rows carry the delivered relation of a retrieve
 	// (rendered cell values, withheld cells as "-"); nil otherwise.
@@ -433,7 +436,7 @@ func (c *Client) roundTrip(ctx context.Context, stmt string) (res *Result, sent 
 	}
 	res = &Result{
 		Text:            resp.Text,
-		Rendered:        resp.Rendered,
+		Rendered:        resp.Render(),
 		Permits:         resp.Permits,
 		FullyAuthorized: resp.FullyAuthorized,
 		Denied:          resp.Denied,
