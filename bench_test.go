@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper's artifacts and the EXPERIMENTS.md
 // measurements: one benchmark per reproduced table/figure (E1–E5), the
 // baseline comparisons (E6–E7), the §4.2 refinement ablations (E8), the
-// overhead and executor sweeps (E9), the §4.2 four-case walkthrough
+// overhead and executor sweeps and the cold authorization on the
+// benchmark's 28-view fixture (E9), the §4.2 four-case walkthrough
 // (E10), and the §6(3) extension (E11).
 //
 // Run with: go test -bench=. -benchmem
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"authdb"
+	"authdb/bench/fixture"
 	"authdb/internal/algebra"
 	"authdb/internal/core"
 	"authdb/internal/cview"
@@ -54,6 +56,30 @@ func BenchmarkExample2(b *testing.B) { benchExample(b, "Klein", workload.Example
 // BenchmarkExample3 measures E4: Brown's self-product with the SAE ⋈ EST
 // self-join inference and a full grant.
 func BenchmarkExample3(b *testing.B) { benchExample(b, "Brown", workload.Example3Query) }
+
+// BenchmarkColdAuthorize measures an authorization nothing is cached
+// for (no mask cache, no closure) on the benchmark's 28-view paper
+// fixture with the Figure 1 rows alone, so the meta side — instantiate,
+// plan, compile the mask — is all of the cost.
+func BenchmarkColdAuthorize(b *testing.B) {
+	f := workload.NewFixture()
+	f.MustExec(fixture.PaperScript(fixture.PaperScale{}))
+	auth := core.NewAuthorizer(f.Store, f.Source, core.DefaultOptions())
+	for _, c := range []struct{ name, user, query string }{
+		{"ex2_brown", "Brown", workload.Example2Query},
+		{"ex2_klein", "Klein", workload.Example2Query},
+		{"ex3_brown", "Brown", workload.Example3Query},
+	} {
+		def := workload.MustQuery(c.query)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := auth.Retrieve(c.user, def); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkCommuteCheck measures E5: evaluating a mask meta-tuple as a
 // view of the answer (the Figure 2 commutation check used by the

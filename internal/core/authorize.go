@@ -56,6 +56,9 @@ type Decision struct {
 	// into the actual-side plan for this retrieval.
 	Pushdown        []algebra.Atom
 	PushdownApplied bool
+	// MetaTuples is MaskPlan.MetaTuples when this retrieval recomputed the
+	// plan, zero when the mask cache or the closure supplied it.
+	MetaTuples int
 }
 
 // MaskPlan is the meta-side half of a Decision: everything the
@@ -91,6 +94,9 @@ type MaskPlan struct {
 	// Intermediates holds the per-phase meta-relations when
 	// Options.CollectIntermediates is set (such plans bypass the cache).
 	Intermediates []Snapshot
+	// MetaTuples counts the meta-tuples the scans and products of this
+	// plan's computation materialized — the meta side's unit of work.
+	MetaTuples int
 }
 
 // Authorizer binds a database scheme, its relation instances, and an
@@ -137,7 +143,7 @@ func (a *Authorizer) Retrieve(user string, def *cview.Def) (*Decision, error) {
 // RetrievePlan runs the dual pipelines for an already-compiled plan.
 // The meta side is obtained as a MaskPlan — from the cache when one is
 // attached and holds a plan stamped with the store's current definition
-// generations, recomputed by maskPlanFor otherwise — and the actual side
+// generations, recomputed by MaskPlanFor otherwise — and the actual side
 // is then evaluated and masked by it.
 func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, error) {
 	if len(psj.Scans) == 0 {
@@ -170,12 +176,14 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 	if cache != nil {
 		mp = cache.Get(a.Store, user, psj, a.Opt)
 	}
+	metaTuples := 0
 	if mp == nil {
 		var err error
-		mp, err = a.maskPlanFor(user, psj)
+		mp, err = a.MaskPlanFor(user, psj)
 		if err != nil {
 			return nil, err
 		}
+		metaTuples = mp.MetaTuples
 		if cache != nil {
 			cache.Put(a.Store, user, psj, a.Opt, mp)
 		}
@@ -191,6 +199,7 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 		Denied:          mp.Denied,
 		Intermediates:   mp.Intermediates,
 		Pushdown:        mp.Pushdown,
+		MetaTuples:      metaTuples,
 	}
 
 	// Fuse the mask-derived necessary delivery condition into the actual
@@ -259,11 +268,22 @@ func (a *Authorizer) scanRevs(psj *algebra.PSJ) []*relation.Relation {
 	return revs
 }
 
-// maskPlanFor runs the meta-side pipeline alone: instantiate the user's
-// permitted views, mirror the query's products, selections, and (unless
-// extended) projection over the meta-relations, and compile the result
-// into a mask plus its derived outcome flags and permit statements.
-func (a *Authorizer) maskPlanFor(user string, psj *algebra.PSJ) (*MaskPlan, error) {
+// MaskPlanFor runs the meta-side pipeline alone, bypassing the cache and
+// the closure: instantiate the user's permitted views, mirror the query's
+// products, selections, and (unless extended) projection over the
+// meta-relations, and compile the result into a mask plus its derived
+// outcome flags and permit statements.
+//
+// The products run in one of two ways that yield the same mask, tuple for
+// tuple. The planner (plannedProduct) never builds a combination the
+// pruning step, a selection or the projection is certain to discard. The
+// reference multiplies every scan in full and prunes afterwards — §4.1's
+// order verbatim; it is what CollectIntermediates displays, it serves the
+// Options the planner does not cover, and the planner is tested against it.
+func (a *Authorizer) MaskPlanFor(user string, psj *algebra.PSJ) (*MaskPlan, error) {
+	if len(psj.Scans) == 0 {
+		return nil, fmt.Errorf("query scans no relations")
+	}
 	mp := &MaskPlan{}
 	if a.Opt.ExtendedMasks {
 		wideAttrs, err := psj.Attrs(a.Store.Schema())
@@ -298,28 +318,44 @@ func (a *Authorizer) maskPlanFor(user string, psj *algebra.PSJ) (*MaskPlan, erro
 		}
 	}
 
+	sels := groupSelections(psj.Preds)
+	var mr *MetaRel
 	var err error
-	mr := inst.MetaRelFor(psj.Scans[0].Rel, psj.Scans[0].Alias)
-	snap("scan "+psj.Scans[0].Alias, mr)
-	for _, s := range psj.Scans[1:] {
-		next := inst.MetaRelFor(s.Rel, s.Alias)
-		snap("scan "+s.Alias, next)
-		mr, err = MetaProductGuarded(mr, next, a.Opt.Padding, a.Guard)
+	if a.Opt.plansMetaSide() {
+		mr, mp.MetaTuples, err = a.plannedProduct(inst, psj, sels)
 		if err != nil {
 			return nil, err
 		}
-	}
-	if len(psj.Scans) > 1 {
-		snap("product", mr)
-	}
-	if a.Opt.PruneDangling {
-		mr.PruneDangling(inst)
 		mr.DedupeLoose()
+	} else {
+		// The reference: §4.1's order verbatim, every product in full.
+		mr = inst.MetaRelFor(psj.Scans[0].Rel, psj.Scans[0].Alias)
+		mp.MetaTuples = len(mr.Tuples)
+		snap("scan "+psj.Scans[0].Alias, mr)
+		for _, s := range psj.Scans[1:] {
+			next := inst.MetaRelFor(s.Rel, s.Alias)
+			snap("scan "+s.Alias, next)
+			mp.MetaTuples += len(next.Tuples) + len(mr.Tuples)*len(next.Tuples)
+			if a.Opt.Padding {
+				mp.MetaTuples += len(mr.Tuples) + len(next.Tuples)
+			}
+			mr, err = MetaProductGuarded(mr, next, a.Opt.Padding, a.Guard)
+			if err != nil {
+				return nil, err
+			}
+		}
 		if len(psj.Scans) > 1 {
-			snap("pruned", mr)
+			snap("product", mr)
+		}
+		if a.Opt.PruneDangling {
+			mr.PruneDangling(inst)
+			mr.DedupeLoose()
+			if len(psj.Scans) > 1 {
+				snap("pruned", mr)
+			}
 		}
 	}
-	for _, sel := range groupSelections(psj.Preds) {
+	for _, sel := range sels {
 		if sel.isConst {
 			mr, err = MetaSelectConst(mr, sel.attr, sel.lam, inst, a.Opt.FourCase)
 		} else {
@@ -417,6 +453,290 @@ func groupSelections(preds []algebra.Atom) []selection {
 		})
 	}
 	return out
+}
+
+// plansMetaSide reports whether MaskPlanFor plans the products. The
+// planner works by leaving out what pruning would discard, so it needs
+// PruneDangling; the per-phase display wants every phase in full.
+func (o Options) plansMetaSide() bool {
+	return o.PruneDangling && !o.CollectIntermediates
+}
+
+// planTuple is a meta-tuple of the planned product together with the
+// stored tuples its variables mention but its provenance lacks. It dangles
+// until a later scan supplies every one of them.
+type planTuple struct {
+	t    *MetaTuple
+	need []CompRef
+}
+
+// plannedProduct returns what the reference's products followed by
+// PruneDangling return, less the meta-tuples a selection or the projection
+// discards whatever else happens to them, in the reference's order. It
+// walks the reference's enumeration — per scan: every pair, then the left
+// tuples padded, then the right tuples padded, replications removed — and
+// leaves out:
+//
+//   - base tuples and paddings with a cell that fails its cellFilter,
+//     before they enter any product;
+//   - combinations lacking a stored tuple one of their variables mentions
+//     when no scan still to come is over that tuple's relation: every
+//     extension of such a combination dangles.
+//
+// Both tests depend only on what the replication keys already tell apart
+// (cell contents; the provenance set, which fixes the variables), so
+// leaving a tuple out never lets through a later one that a first-wins
+// removal would have dropped in its favour. The second result counts the
+// meta-tuples materialized.
+func (a *Authorizer) plannedProduct(inst *Instance, psj *algebra.PSJ, sels []selection) (*MetaRel, int, error) {
+	n := len(psj.Scans)
+	off := make([]int, n+1)
+	var attrs []string
+	for k, s := range psj.Scans {
+		if rs := a.Store.Schema().Lookup(s.Rel); rs != nil {
+			attrs = append(attrs, relation.QualifyAttrs(s.Alias, rs.Attrs)...)
+		}
+		off[k+1] = len(attrs)
+	}
+	out := &MetaRel{Attrs: attrs}
+	filters, err := a.cellFilters(out, psj, sels)
+	if err != nil {
+		return nil, 0, err
+	}
+
+	// toCome counts the scans after the current one per relation; refRel
+	// maps each stored tuple to the relation it is a row of R' for, since
+	// only a scan of that relation can supply it. (Local, not a field of
+	// Instance: plans are cached with their instance.)
+	toCome := make(map[string]int, n)
+	refRel := make(map[CompRef]string)
+	for _, s := range psj.Scans {
+		toCome[s.Rel]++
+		for _, t := range inst.byRel[s.Rel] {
+			for _, c := range t.Comps {
+				refRel[c] = s.Rel
+			}
+		}
+	}
+	// deferred appends to acc the references of need that has does not
+	// supply, and reports whether a scan still to come can supply them all.
+	deferred := func(acc, need []CompRef, has *MetaTuple) ([]CompRef, bool) {
+		for _, c := range need {
+			if has != nil && has.hasComp(c) || hasRef(acc, c) {
+				continue
+			}
+			if toCome[refRel[c]] == 0 {
+				return nil, false
+			}
+			acc = append(acc, c)
+		}
+		return acc, true
+	}
+
+	produced := 0
+	var left []planTuple
+	var parts productParts
+	var key []byte
+	padDead := false // some scan so far has a padding no selection keeps
+	for k, s := range psj.Scans {
+		if err := a.Guard.Check(); err != nil {
+			return nil, 0, err
+		}
+		toCome[s.Rel]--
+		f := filters[off[k]:off[k+1]]
+		var right []planTuple
+	base:
+		for _, t := range inst.byRel[s.Rel] {
+			for i := range t.Cells {
+				if f[i].discards(&t.Cells[i], a.Opt.FourCase) {
+					continue base
+				}
+			}
+			if n == 1 {
+				t = t.clone() // it becomes a mask tuple; products copy
+			}
+			right = append(right, planTuple{t: t, need: inst.needs(t)})
+		}
+		produced += len(right)
+		pad, leftPad := blanks(len(f)), blanks(off[k])
+		rightPadDead := false
+		for i := range pad {
+			rightPadDead = rightPadDead || f[i].discards(&pad[i], a.Opt.FourCase)
+		}
+
+		var next []planTuple
+		if k == 0 {
+			for _, r := range right {
+				if need, ok := deferred(nil, r.need, nil); ok {
+					next = append(next, planTuple{r.t, need})
+				}
+			}
+		} else {
+			// The last product feeds DedupeLoose directly (nothing it lets
+			// through dangles), and strict-then-loose removal of
+			// replications is loose removal.
+			last := k == n-1
+			seen := make(map[string]struct{})
+			add := func(l, r *planTuple, need []CompRef) error {
+				if err := a.Guard.Add(1); err != nil {
+					return err
+				}
+				produced++
+				var lt, rt *MetaTuple
+				lc, rc := leftPad, pad
+				if l != nil {
+					lt, lc = l.t, l.t.Cells
+				}
+				if r != nil {
+					rt, rc = r.t, r.t.Cells
+				}
+				parts.of(lt, rt)
+				key = appendCanonicalKey(key[:0], lc, rc, parts.views, parts.cmps)
+				if !last {
+					key = appendProvenance(key, parts.comps)
+				}
+				if _, dup := seen[string(key)]; !dup {
+					seen[string(key)] = struct{}{}
+					next = append(next, planTuple{parts.tuple(lc, rc), need})
+				}
+				return nil
+			}
+			for i := range left {
+				l := &left[i]
+				if err := a.Guard.Check(); err != nil {
+					return nil, 0, err
+				}
+				for j := range right {
+					r := &right[j]
+					need, ok := deferred(nil, l.need, r.t)
+					if ok {
+						need, ok = deferred(need, r.need, l.t)
+					}
+					if !ok {
+						continue
+					}
+					if err := add(l, r, need); err != nil {
+						return nil, 0, err
+					}
+				}
+			}
+			if a.Opt.Padding && !rightPadDead {
+				for i := range left {
+					if need, ok := deferred(nil, left[i].need, nil); ok {
+						if err := add(&left[i], nil, need); err != nil {
+							return nil, 0, err
+						}
+					}
+				}
+			}
+			if a.Opt.Padding && !padDead {
+				for j := range right {
+					if need, ok := deferred(nil, right[j].need, nil); ok {
+						if err := add(nil, &right[j], need); err != nil {
+							return nil, 0, err
+						}
+					}
+				}
+			}
+		}
+		left = next
+		padDead = padDead || rightPadDead
+	}
+	for _, l := range left {
+		out.Tuples = append(out.Tuples, l.t)
+	}
+	return out, produced, nil
+}
+
+// cellFilter records, for one attribute of the product, which later
+// operators read the cell there. A cell it discards is one of those
+// operators' certain discards in every combination the cell enters,
+// decided by the cell as the views store it: its star, which no operator
+// changes, and — only where no operator can rewrite them first — its
+// constraint and its lack of a variable.
+type cellFilter struct {
+	// needStar: an attribute–attribute predicate selects on the attribute;
+	// Definition 2 keeps only starred cells.
+	needStar bool
+	// lam is the first constant selection on the attribute, nil if none.
+	lam *interval.Interval
+	// unread: no predicate selects on the attribute and the projection
+	// removes it; Definition 3 keeps only blank cells.
+	unread bool
+}
+
+func (f cellFilter) discards(c *Cell, fourCase bool) bool {
+	if f.needStar && !c.Star {
+		return true
+	}
+	if f.lam != nil {
+		switch {
+		case !c.Star && !fourCase:
+			return true
+		case c.Var != 0 || !fourCase:
+			// A selection on another occurrence of the variable may narrow
+			// or clear the constraint first; leave it to selectAttrConst.
+		case !c.Star:
+			// Kept only when μ ⇒ λ. Nothing rewrites an unstarred cell
+			// without a variable.
+			if !c.Cons.Implies(*f.lam) {
+				return true
+			}
+		default:
+			// Contradiction. An equality predicate may narrow a starred
+			// cell before λ applies, which keeps λ ∧ μ empty.
+			if interval.Intersect(c.Cons, *f.lam).IsEmpty() {
+				return true
+			}
+		}
+	}
+	// A variable is never cleared from a cell no selection is applied to,
+	// and a constraint without one is never touched.
+	return f.unread && !c.IsBlank()
+}
+
+// cellFilters resolves the selections and the projection against the
+// product's attributes, reporting the resolution error the operators
+// themselves would report.
+func (a *Authorizer) cellFilters(product *MetaRel, psj *algebra.PSJ, sels []selection) ([]cellFilter, error) {
+	filters := make([]cellFilter, len(product.Attrs))
+	read := make([]bool, len(product.Attrs))
+	for i := range sels {
+		sel := &sels[i]
+		if sel.isConst {
+			p, err := product.attrIndex(sel.attr)
+			if err != nil {
+				return nil, err
+			}
+			read[p] = true
+			if filters[p].lam == nil {
+				filters[p].lam = &sel.lam
+			}
+			continue
+		}
+		for _, attr := range [2]string{sel.atom.L, sel.atom.R.Attr} {
+			p, err := product.attrIndex(attr)
+			if err != nil {
+				return nil, err
+			}
+			read[p] = true
+			filters[p].needStar = true
+		}
+	}
+	if a.Opt.ExtendedMasks {
+		return filters, nil // §6(3) skips the projection
+	}
+	for _, c := range psj.Cols {
+		p, err := product.attrIndex(c)
+		if err != nil {
+			return nil, err
+		}
+		read[p] = true
+	}
+	for p := range filters {
+		filters[p].unread = !read[p]
+	}
+	return filters, nil
 }
 
 // fullGrant reports whether some mask tuple grants every attribute

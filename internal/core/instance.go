@@ -26,7 +26,9 @@ type Options struct {
 	// PruneDangling removes, after the products, meta-tuples that
 	// reference stored meta-tuples outside the combination (the
 	// theorem's pruning step). Disabling it is only safe for display;
-	// the selection pass re-checks provenance before clearing.
+	// the selection pass re-checks provenance before clearing. The
+	// meta-side planner works by not building what this step discards,
+	// so without it the products run in full.
 	PruneDangling bool
 	// Subsume drops final mask tuples whose reveal is covered by another
 	// mask tuple.
@@ -63,7 +65,8 @@ type Options struct {
 	// model stops where Definition 3 stops.
 	ExtendedMasks bool
 	// CollectIntermediates records the meta-relation after each phase
-	// (for the paper's worked examples and debugging).
+	// (for the paper's worked examples and debugging); the phases are
+	// those of §4.1's order run verbatim, not of the planner.
 	CollectIntermediates bool
 	// ViewCopies caps how many fresh instantiations of one view are made
 	// when the query scans a relation more often than the view mentions
@@ -246,21 +249,45 @@ func (inst *Instance) dangling(v VarID, m *MetaTuple) bool {
 // hasDangling reports whether any variable of m — in a cell or in a
 // symbolic comparison — dangles.
 func (inst *Instance) hasDangling(m *MetaTuple) bool {
-	seen := make(map[VarID]bool)
-	check := func(v VarID) bool {
-		if v == 0 || seen[v] {
-			return false
-		}
-		seen[v] = true
-		return inst.dangling(v, m)
-	}
 	for _, c := range m.Cells {
-		if check(c.Var) {
+		if c.Var != 0 && inst.dangling(c.Var, m) {
 			return true
 		}
 	}
 	for _, c := range m.Cmps {
-		if check(c.X) || check(c.Y) {
+		if inst.dangling(c.X, m) || inst.dangling(c.Y, m) {
+			return true
+		}
+	}
+	return false
+}
+
+// needs lists the stored tuples m's variables mention that its own
+// provenance lacks: m dangles until a combination supplies every one.
+func (inst *Instance) needs(m *MetaTuple) []CompRef {
+	var out []CompRef
+	add := func(v VarID) {
+		for _, ref := range inst.occs[v] {
+			if !m.hasComp(ref) && !hasRef(out, ref) {
+				out = append(out, ref)
+			}
+		}
+	}
+	for _, c := range m.Cells {
+		if c.Var != 0 {
+			add(c.Var)
+		}
+	}
+	for _, c := range m.Cmps {
+		add(c.X)
+		add(c.Y)
+	}
+	return out
+}
+
+func hasRef(refs []CompRef, c CompRef) bool {
+	for _, x := range refs {
+		if x == c {
 			return true
 		}
 	}

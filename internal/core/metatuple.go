@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
+	"authdb/internal/interval"
 	"authdb/internal/relation"
 	"authdb/internal/value"
 )
@@ -57,14 +60,7 @@ func (m *MetaTuple) clone() *MetaTuple {
 }
 
 // hasComp reports provenance membership.
-func (m *MetaTuple) hasComp(c CompRef) bool {
-	for _, x := range m.Comps {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}
+func (m *MetaTuple) hasComp(c CompRef) bool { return hasRef(m.Comps, c) }
 
 // lockedVar reports whether v participates in one of the tuple's symbolic
 // comparisons; such variables are never cleared or folded away, since the
@@ -78,32 +74,40 @@ func (m *MetaTuple) lockedVar(v VarID) bool {
 	return false
 }
 
-// varOccurrences returns the cell indices holding v.
-func (m *MetaTuple) varOccurrences(v VarID) []int {
-	var out []int
-	for i, c := range m.Cells {
-		if c.Var == v {
-			out = append(out, i)
+// varOccurrences counts the cells holding v.
+func (m *MetaTuple) varOccurrences(v VarID) int {
+	n := 0
+	for i := range m.Cells {
+		if m.Cells[i].Var == v {
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // mergeViews returns the sorted union of two view-name lists.
 func mergeViews(a, b []string) []string {
-	set := make(map[string]bool, len(a)+len(b))
-	for _, v := range a {
-		set[v] = true
+	return appendViewUnion(make([]string, 0, len(a)+len(b)), a, b)
+}
+
+// appendViewUnion appends the sorted union of a and b to the empty dst.
+func appendViewUnion(dst, a, b []string) []string {
+	for _, list := range [2][]string{a, b} {
+	next:
+		for _, v := range list {
+			at := len(dst)
+			for at > 0 && dst[at-1] >= v {
+				if dst[at-1] == v {
+					continue next
+				}
+				at--
+			}
+			dst = append(dst, "")
+			copy(dst[at+1:], dst[at:])
+			dst[at] = v
+		}
 	}
-	for _, v := range b {
-		set[v] = true
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	return dst
 }
 
 // MetaRel is a meta-relation (or an intermediate/final meta-answer): an
@@ -152,52 +156,141 @@ func (r *MetaRel) clone() *MetaRel {
 	return out
 }
 
-// canonicalKey builds a structural identity for replication removal:
-// cells (with variables renumbered by first occurrence so that combos
-// differing only in variable identity collapse) plus the view set.
-func (m *MetaTuple) canonicalKey() string {
-	var b strings.Builder
-	ren := make(map[VarID]int)
-	for _, c := range m.Cells {
-		if c.Star {
-			b.WriteByte('*')
-		}
-		if c.Var != 0 {
-			id, ok := ren[c.Var]
-			if !ok {
-				id = len(ren) + 1
-				ren[c.Var] = id
-			}
-			fmt.Fprintf(&b, "v%d", id)
-		}
-		b.WriteString(c.Cons.String())
-		b.WriteByte('|')
-	}
-	b.WriteByte('#')
-	for _, v := range m.Views {
-		b.WriteString(v)
-		b.WriteByte(',')
-	}
-	cmps := make([]string, 0, len(m.Cmps))
-	for _, c := range m.Cmps {
-		cmps = append(cmps, fmt.Sprintf("v%d%sv%d", ren[c.X], c.Op, ren[c.Y]))
-	}
-	sort.Strings(cmps)
-	b.WriteByte('#')
-	b.WriteString(strings.Join(cmps, ","))
-	return b.String()
+// appendCanonicalKey appends the tuple's structural identity for
+// replication removal: cells (with variables renumbered by first
+// occurrence so that combos differing only in variable identity
+// collapse), the view set, and the symbolic comparisons over the
+// renumbered variables in sorted order. The encoding is injective —
+// values carry their kind, strings their length — so two tuples share a
+// key only when they are structurally equal.
+func (m *MetaTuple) appendCanonicalKey(b []byte) []byte {
+	return appendCanonicalKey(b, m.Cells, nil, m.Views, m.Cmps)
 }
 
-// provenanceKey appends the sorted provenance set, so strict deduplication
-// never merges combinations built from different membership tuples — they
-// are not interchangeable under the dangling-reference pruning rule.
-func (m *MetaTuple) provenanceKey() string {
-	refs := make([]string, 0, len(m.Comps))
-	for _, c := range m.Comps {
-		refs = append(refs, fmt.Sprintf("%s/%d", c.View, c.Idx))
+// appendCanonicalKey keys the tuple whose cells are lc followed by rc.
+func appendCanonicalKey(b []byte, lc, rc []Cell, views []string, tupleCmps []VarCmp) []byte {
+	var renBuf [8]VarID
+	ren := renBuf[:0]
+	for _, cells := range [2][]Cell{lc, rc} {
+		for i := range cells {
+			c := &cells[i] // a Cell is 136 bytes; do not copy it per key
+			if c.Star {
+				b = append(b, '*')
+			}
+			if c.Var != 0 {
+				id := varNumber(ren, c.Var)
+				if id == 0 {
+					ren = append(ren, c.Var)
+					id = len(ren)
+				}
+				b = append(b, 'v')
+				b = strconv.AppendInt(b, int64(id), 10)
+			}
+			b = appendInterval(b, &c.Cons)
+			b = append(b, '|')
+		}
 	}
-	sort.Strings(refs)
-	return m.canonicalKey() + "@" + strings.Join(refs, ",")
+	b = append(b, '#')
+	for _, v := range views {
+		b = append(b, v...)
+		b = append(b, ',')
+	}
+	b = append(b, '#')
+	// A comparison's variable that no cell holds renumbers to 0.
+	var cmpBuf [4]VarCmp
+	cmps := cmpBuf[:0]
+	for _, c := range tupleCmps {
+		cmps = append(cmps, VarCmp{X: VarID(varNumber(ren, c.X)), Op: c.Op, Y: VarID(varNumber(ren, c.Y))})
+	}
+	slices.SortFunc(cmps, func(a, b VarCmp) int {
+		return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Op, b.Op), cmp.Compare(a.Y, b.Y))
+	})
+	for _, c := range cmps {
+		b = strconv.AppendInt(b, int64(c.X), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(c.Op), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(c.Y), 10)
+		b = append(b, ',')
+	}
+	return b
+}
+
+// varNumber returns v's 1-based position in ren, 0 when absent.
+func varNumber(ren []VarID, v VarID) int {
+	for i, x := range ren {
+		if x == v {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// appendInterval encodes a cell constraint; the blank encodes as nothing.
+func appendInterval(b []byte, iv *interval.Interval) []byte {
+	if iv.IsFull() {
+		return b
+	}
+	b = appendBound(b, &iv.Lo, '[', '(')
+	b = append(b, ',')
+	b = appendBound(b, &iv.Hi, ']', ')')
+	for _, n := range iv.Excluded() {
+		b = append(b, '\\')
+		b = appendValue(b, n)
+	}
+	return b
+}
+
+func appendBound(b []byte, bd *interval.Bound, closed, open byte) []byte {
+	switch {
+	case !bd.Bounded:
+		return append(b, '~')
+	case bd.Open:
+		b = append(b, open)
+	default:
+		b = append(b, closed)
+	}
+	return appendValue(b, bd.V)
+}
+
+func appendValue(b []byte, v value.Value) []byte {
+	switch v.Kind() {
+	case value.KindInt:
+		b = append(b, 'i')
+		return strconv.AppendInt(b, v.AsInt(), 10)
+	case value.KindString:
+		b = append(b, 's')
+		b = strconv.AppendInt(b, int64(len(v.AsString())), 10)
+		b = append(b, ':')
+		return append(b, v.AsString()...)
+	default:
+		return append(b, 'n')
+	}
+}
+
+// appendProvenanceKey appends the canonical key and the sorted
+// provenance set, so strict deduplication never merges combinations built
+// from different membership tuples — they are not interchangeable under
+// the dangling-reference pruning rule.
+func (m *MetaTuple) appendProvenanceKey(b []byte) []byte {
+	return appendProvenance(m.appendCanonicalKey(b), m.Comps)
+}
+
+// appendProvenance completes a canonical key into a provenance key.
+func appendProvenance(b []byte, comps []CompRef) []byte {
+	b = append(b, '@')
+	var refBuf [8]CompRef
+	refs := append(refBuf[:0], comps...)
+	slices.SortFunc(refs, func(a, b CompRef) int {
+		return cmp.Or(cmp.Compare(a.View, b.View), cmp.Compare(a.Idx, b.Idx))
+	})
+	for _, c := range refs {
+		b = append(b, c.View...)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(c.Idx), 10)
+		b = append(b, ',')
+	}
+	return b
 }
 
 // Dedupe removes strict replications: meta-tuples equal in cells, views,
@@ -205,7 +298,7 @@ func (m *MetaTuple) provenanceKey() string {
 // provenance are kept apart — under the dangling-reference rule one
 // combination may be expressible while its look-alike is not.
 func (r *MetaRel) Dedupe() {
-	r.dedupeBy(func(t *MetaTuple) string { return t.provenanceKey() })
+	r.dedupeBy((*MetaTuple).appendProvenanceKey)
 }
 
 // DedupeLoose removes replications up to variable renaming, ignoring
@@ -213,18 +306,21 @@ func (r *MetaRel) Dedupe() {
 // dangling-reference pruning has run — all survivors' provenance is
 // complete, so structurally equal tuples are interchangeable.
 func (r *MetaRel) DedupeLoose() {
-	r.dedupeBy(func(t *MetaTuple) string { return t.canonicalKey() })
+	r.dedupeBy((*MetaTuple).appendCanonicalKey)
 }
 
-func (r *MetaRel) dedupeBy(key func(*MetaTuple) string) {
-	seen := make(map[string]bool, len(r.Tuples))
+// dedupeBy keeps the first tuple of every key; key appends to the buffer
+// it is handed, which is reused from tuple to tuple.
+func (r *MetaRel) dedupeBy(key func(*MetaTuple, []byte) []byte) {
+	seen := make(map[string]struct{}, len(r.Tuples))
+	var buf []byte
 	kept := r.Tuples[:0]
 	for _, t := range r.Tuples {
-		k := key(t)
-		if seen[k] {
+		buf = key(t, buf[:0])
+		if _, dup := seen[string(buf)]; dup {
 			continue
 		}
-		seen[k] = true
+		seen[string(buf)] = struct{}{}
 		kept = append(kept, t)
 	}
 	r.Tuples = kept

@@ -28,40 +28,14 @@ func MetaProduct(a, b *MetaRel, padding bool) *MetaRel {
 // the same budget as the actual side. A nil guard is unlimited.
 func MetaProductGuarded(a, b *MetaRel, padding bool, g *guard.Guard) (*MetaRel, error) {
 	out := NewMetaRel(append(append([]string(nil), a.Attrs...), b.Attrs...))
-	blankA := make([]Cell, len(a.Attrs))
-	blankB := make([]Cell, len(b.Attrs))
-	for i := range blankA {
-		blankA[i] = Blank()
-	}
-	for i := range blankB {
-		blankB[i] = Blank()
-	}
-	concat := func(l, r *MetaTuple, lc, rc []Cell) *MetaTuple {
-		cells := make([]Cell, 0, len(lc)+len(rc))
-		cells = append(append(cells, lc...), rc...)
-		t := &MetaTuple{Cells: cells}
-		switch {
-		case l == nil:
-			t.Views = append([]string(nil), r.Views...)
-			t.Comps = append([]CompRef(nil), r.Comps...)
-			t.Cmps = append([]VarCmp(nil), r.Cmps...)
-		case r == nil:
-			t.Views = append([]string(nil), l.Views...)
-			t.Comps = append([]CompRef(nil), l.Comps...)
-			t.Cmps = append([]VarCmp(nil), l.Cmps...)
-		default:
-			t.Views = mergeViews(l.Views, r.Views)
-			t.Comps = unionComps(l.Comps, r.Comps)
-			t.Cmps = unionCmps(l.Cmps, r.Cmps)
-		}
-		return t
-	}
+	blankA, blankB := blanks(len(a.Attrs)), blanks(len(b.Attrs))
+	var parts productParts
 	for _, l := range a.Tuples {
 		for _, r := range b.Tuples {
 			if err := g.Add(1); err != nil {
 				return nil, err
 			}
-			out.Tuples = append(out.Tuples, concat(l, r, l.Cells, r.Cells))
+			out.Tuples = append(out.Tuples, parts.of(l, r).tuple(l.Cells, r.Cells))
 		}
 	}
 	if padding {
@@ -69,45 +43,81 @@ func MetaProductGuarded(a, b *MetaRel, padding bool, g *guard.Guard) (*MetaRel, 
 			if err := g.Add(1); err != nil {
 				return nil, err
 			}
-			out.Tuples = append(out.Tuples, concat(l, nil, l.Cells, blankB))
+			out.Tuples = append(out.Tuples, parts.of(l, nil).tuple(l.Cells, blankB))
 		}
 		for _, r := range b.Tuples {
 			if err := g.Add(1); err != nil {
 				return nil, err
 			}
-			out.Tuples = append(out.Tuples, concat(nil, r, blankA, r.Cells))
+			out.Tuples = append(out.Tuples, parts.of(nil, r).tuple(blankA, r.Cells))
 		}
 	}
 	out.Dedupe()
 	return out, nil
 }
 
-func unionComps(a, b []CompRef) []CompRef {
-	out := append([]CompRef(nil), a...)
-outer:
-	for _, c := range b {
-		for _, x := range out {
-			if x == c {
-				continue outer
-			}
-		}
-		out = append(out, c)
+// blanks returns n padding cells ⊔.
+func blanks(n int) []Cell {
+	out := make([]Cell, n)
+	for i := range out {
+		out[i] = Blank()
 	}
 	return out
 }
 
-func unionCmps(a, b []VarCmp) []VarCmp {
-	out := append([]VarCmp(nil), a...)
+// productParts holds what one tuple of a product takes from both operands
+// besides their cells: the union of their views, provenance and symbolic
+// comparisons. The slices are scratch, reused from one combination to the
+// next, so that a combination can be keyed before anything is allocated
+// for it.
+type productParts struct {
+	views []string
+	comps []CompRef
+	cmps  []VarCmp
+}
+
+// of computes the parts of l × r. A nil operand is the §4.2 padding, which
+// contributes blank cells only.
+func (p *productParts) of(l, r *MetaTuple) *productParts {
+	if l == nil || r == nil {
+		if l == nil {
+			l = r
+		}
+		p.views = append(p.views[:0], l.Views...)
+		p.comps = append(p.comps[:0], l.Comps...)
+		p.cmps = append(p.cmps[:0], l.Cmps...)
+		return p
+	}
+	p.views = appendViewUnion(p.views[:0], l.Views, r.Views)
+	p.comps = append(p.comps[:0], l.Comps...)
+	for _, c := range r.Comps {
+		if !hasRef(p.comps, c) {
+			p.comps = append(p.comps, c)
+		}
+	}
+	p.cmps = append(p.cmps[:0], l.Cmps...)
 outer:
-	for _, c := range b {
-		for _, x := range out {
+	for _, c := range r.Cmps {
+		for _, x := range p.cmps {
 			if x == c {
 				continue outer
 			}
 		}
-		out = append(out, c)
+		p.cmps = append(p.cmps, c)
 	}
-	return out
+	return p
+}
+
+// tuple builds the product tuple: the cells lc then rc, and copies of the
+// parts.
+func (p *productParts) tuple(lc, rc []Cell) *MetaTuple {
+	cells := make([]Cell, 0, len(lc)+len(rc))
+	return &MetaTuple{
+		Cells: append(append(cells, lc...), rc...),
+		Views: append([]string(nil), p.views...),
+		Comps: append([]CompRef(nil), p.comps...),
+		Cmps:  append([]VarCmp(nil), p.cmps...),
+	}
 }
 
 // PruneDangling implements the theorem's pruning step: after the products,
@@ -258,7 +268,7 @@ func (m *MetaTuple) normalizeVar(v VarID, at int, inst *Instance) {
 	if v == 0 || m.lockedVar(v) {
 		return
 	}
-	if len(m.varOccurrences(v)) != 1 || inst.dangling(v, m) {
+	if m.varOccurrences(v) != 1 || inst.dangling(v, m) {
 		return
 	}
 	m.Cells[at].Var = 0
@@ -295,7 +305,7 @@ func selectAttrAttr(t *MetaTuple, i, j int, op value.Cmp, inst *Instance, fourCa
 			// carried by exactly these two cells, keeping any residual
 			// interval; otherwise the remaining occurrences still need it.
 			v := ci.Var
-			if !q.lockedVar(v) && len(q.varOccurrences(v)) == 2 && !inst.dangling(v, q) {
+			if !q.lockedVar(v) && q.varOccurrences(v) == 2 && !inst.dangling(v, q) {
 				ci.Var, cj.Var = 0, 0
 			}
 			return q
@@ -508,7 +518,7 @@ func compareIntervals(a, b interval.Interval) intervalOrder {
 // requested column order.
 func MetaProject(mr *MetaRel, cols []string) (*MetaRel, error) {
 	idx := make([]int, len(cols))
-	keep := make(map[int]bool, len(cols))
+	keep := make([]bool, len(mr.Attrs))
 	for k, c := range cols {
 		j, err := mr.attrIndex(c)
 		if err != nil {
@@ -525,13 +535,16 @@ outer:
 				continue outer
 			}
 		}
-		q := t.clone()
 		cells := make([]Cell, len(idx))
 		for k, j := range idx {
 			cells[k] = t.Cells[j]
 		}
-		q.Cells = cells
-		out.Tuples = append(out.Tuples, q)
+		out.Tuples = append(out.Tuples, &MetaTuple{
+			Views: append([]string(nil), t.Views...),
+			Cells: cells,
+			Comps: append([]CompRef(nil), t.Comps...),
+			Cmps:  append([]VarCmp(nil), t.Cmps...),
+		})
 	}
 	out.Dedupe()
 	return out, nil

@@ -670,6 +670,20 @@ func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) 
 	default:
 		fmt.Fprintf(&b, "mask pushdown: %s (available, disabled)\n", atomsString(d.Pushdown))
 	}
+	// The phases above are §4.1's order in full. Retrieval reaches the same
+	// mask through the planned meta side unless pruning is off; report the
+	// work it does instead.
+	if s.eng.opt.PruneDangling {
+		auth.Opt = s.eng.opt
+		planned, err := auth.MaskPlanFor(s.user, d.PSJ)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(&b, "meta side: retrieval plans it, materializing %d meta-tuples against the %d of the phases above\n",
+			planned.MetaTuples, d.MetaTuples)
+	} else {
+		fmt.Fprintf(&b, "meta side: retrieval runs the phases above (%d meta-tuples)\n", d.MetaTuples)
+	}
 	return &Result{Text: strings.TrimRight(b.String(), "\n"), Decision: d, AtLSN: v.lsn}, nil
 }
 

@@ -59,6 +59,11 @@ func TestExplainAccessPaths(t *testing.T) {
 	if !strings.Contains(res.Text, "mask pushdown: none") {
 		t.Fatalf("full grant must report no pushdown:\n%s", res.Text)
 	}
+	// The phases shown are the full products; the closing line says what
+	// retrieval materializes instead.
+	if !strings.Contains(res.Text, "meta side: retrieval plans it, materializing 60 meta-tuples against the 252 of the phases above") {
+		t.Fatalf("explain must close with the planned meta side's work:\n%s", res.Text)
+	}
 }
 
 func TestExplainDenied(t *testing.T) {

@@ -156,8 +156,10 @@ func stmtKind(p parser.Stmt) string {
 }
 
 // observeExec records one statement execution: the request count and
-// latency by kind, delivered vs withheld cells on authorized retrievals,
-// and guard cancellation/budget trips on failures.
+// latency by kind, delivered vs withheld cells and the meta-tuples a
+// recomputed mask plan materialized on authorized retrievals (zero when the
+// mask cache or the closure answered), and guard cancellation/budget trips
+// on failures.
 func (e *Engine) observeExec(kind string, d time.Duration, res *Result, err error) {
 	e.met.Counter("authdb_requests_total", "kind", kind).Inc()
 	e.met.Histogram("authdb_exec_seconds", "kind", kind).Observe(d.Seconds())
@@ -167,6 +169,7 @@ func (e *Engine) observeExec(kind string, d time.Duration, res *Result, err erro
 			st := res.Decision.Stats
 			e.met.Counter("authdb_cells_delivered_total").Add(int64(st.RevealedCells))
 			e.met.Counter("authdb_cells_withheld_total").Add(int64(st.Cells - st.RevealedCells))
+			e.met.Counter("authdb_meta_tuples_total").Add(int64(res.Decision.MetaTuples))
 		}
 	case errors.Is(err, guard.ErrCanceled):
 		e.met.Counter("authdb_guard_canceled_total").Inc()

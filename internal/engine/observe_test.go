@@ -28,6 +28,7 @@ func TestDispatchStats(t *testing.T) {
 		`authdb_requests_total{kind="retrieve"}`,
 		`authdb_exec_seconds_count{kind="retrieve"}`,
 		"authdb_cells_delivered_total",
+		"authdb_meta_tuples_total",
 		"authdb_mask_cache_misses_total",
 	} {
 		if !strings.Contains(res.Text, want) {
@@ -64,6 +65,19 @@ func TestExecMetricsCounters(t *testing.T) {
 	// Example 1 is partially authorized: some cells of both kinds.
 	if delivered == 0 || withheld == 0 {
 		t.Fatalf("cells delivered=%d withheld=%d, want both > 0", delivered, withheld)
+	}
+
+	// A recomputed mask plan counts the meta-tuples it materialized; the
+	// same request again is answered by the closure and counts none.
+	meta := met.Counter("authdb_meta_tuples_total").Value()
+	if meta == 0 {
+		t.Fatal("meta-tuple counter did not move on a cold authorization")
+	}
+	if _, err := user.Exec(workload.Example1Query); err != nil {
+		t.Fatal(err)
+	}
+	if got := met.Counter("authdb_meta_tuples_total").Value(); got != meta {
+		t.Fatalf("meta-tuple counter moved from %d to %d on a cached authorization", meta, got)
 	}
 
 	// A budget trip increments the guard counter.
