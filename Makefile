@@ -2,12 +2,17 @@
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race chaos fuzz fuzz-wire bench benchgo
+.PHONY: check build fmt vet staticcheck test race chaos fuzz fuzz-wire bench benchgo
 
-check: build vet staticcheck race
+check: build fmt vet staticcheck race
 
 build:
 	$(GO) build ./...
+
+# Fails, naming the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out="$$(gofmt -l .)"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -9,6 +9,7 @@
 package authdb_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"authdb/internal/algebra"
 	"authdb/internal/core"
 	"authdb/internal/cview"
+	"authdb/internal/guard"
 	"authdb/internal/qmod"
 	"authdb/internal/sysr"
 	"authdb/internal/value"
@@ -74,6 +76,68 @@ func BenchmarkColdAuthorize(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := auth.Retrieve(c.user, def); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// coldACL loads the benchmark's ACL database (seed 1, default scale)
+// and returns an authorizer over it with no mask cache and no closure,
+// fusing the mask pushdown as the server does, so every Retrieve runs
+// both sides cold.
+func coldACL(tb testing.TB) (*core.Authorizer, *fixture.ACL) {
+	tb.Helper()
+	acl := fixture.GenACL(1, fixture.DefaultACL())
+	f := workload.NewFixture()
+	f.MustExec(acl.Script)
+	opt := core.DefaultOptions()
+	opt.MaskPushdown = true
+	return core.NewAuthorizer(f.Store, f.Source, opt), acl
+}
+
+// parentGroupJoinWork is what one cold group_join of principal u7 charged
+// the guard, meta side included, before the actual side probed base
+// indexes with residual filters: the 11 641-row SUBJ_TYPE run was
+// materialized, then built into a hash table, before any join.
+const parentGroupJoinWork = 20_174
+
+// TestColdACLGroupJoinWorkBound bounds the work of one cold group_join by
+// count, not time: the guard's total must stay under a tenth of the
+// parent's, and the delivered rows must match the oracle's.
+func TestColdACLGroupJoinWorkBound(t *testing.T) {
+	auth, acl := coldACL(t)
+	g := guard.New(context.Background(), guard.Unlimited())
+	defer g.Close()
+	auth.Guard = g
+	const u = 7
+	d, err := auth.Retrieve(fixture.Principal(u), workload.MustQuery(acl.Query(u, fixture.QGroupJoin)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.Masked.Len(), len(acl.Expect(u, fixture.QGroupJoin)); got != want {
+		t.Fatalf("group_join delivered %d rows, oracle %d", got, want)
+	}
+	if got := g.Produced(); got > parentGroupJoinWork/10 {
+		t.Fatalf("group_join charged %d units, over a tenth of the parent's %d", got, parentGroupJoinWork)
+	}
+}
+
+// BenchmarkColdACL measures the three acl_cold statements with every
+// cache off, round-robin over the principals, so each iteration pays the
+// meta side and the actual side in full.
+func BenchmarkColdACL(b *testing.B) {
+	auth, acl := coldACL(b)
+	for q, name := range fixture.ACLQueryNames {
+		defs := make([]*cview.Def, acl.Cfg.Users)
+		for u := range defs {
+			defs[u] = workload.MustQuery(acl.Query(u, q))
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				u := i % len(defs)
+				if _, err := auth.Retrieve(fixture.Principal(u), defs[u]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -210,11 +210,18 @@ func sameRelation(t *testing.T, label string, a, b *relation.Relation) {
 // serial/parallel budget parity per family.
 func checkCase(t *testing.T, c diffCase, budgets []int64) {
 	t.Helper()
+	checkFamilies(t, c, families, budgets)
+}
+
+// checkFamilies is checkCase over a subset of the families; the first
+// one is the reference the others must be set-equal to.
+func checkFamilies(t *testing.T, c diffCase, fams []family, budgets []int64) {
+	t.Helper()
 	serial := guard.Limits{Parallelism: 1}
 	par := guard.Limits{Parallelism: 8}
 
-	results := make([]*relation.Relation, len(families))
-	for _, f := range families {
+	results := make([]*relation.Relation, len(fams))
+	for k, f := range fams {
 		s, err := evalWays(c, f, serial)
 		if err != nil {
 			t.Fatalf("%s serial: %v (plan %s)", f, err, c.plan)
@@ -224,17 +231,17 @@ func checkCase(t *testing.T, c diffCase, budgets []int64) {
 			t.Fatalf("%s parallel: %v (plan %s)", f, err, c.plan)
 		}
 		sameRelation(t, f.String()+" serial vs parallel", s, p)
-		results[f] = s
+		results[k] = s
 	}
-	for _, f := range families[1:] {
-		if !results[famNaive].Equal(results[f]) {
-			t.Fatalf("naive and %s disagree on plan %s:\nnaive %d tuples, %s %d tuples",
-				f, c.plan, results[famNaive].Len(), f, results[f].Len())
+	for k, f := range fams[1:] {
+		if !results[0].Equal(results[k+1]) {
+			t.Fatalf("%s and %s disagree on plan %s:\n%s %d tuples, %s %d tuples",
+				fams[0], f, c.plan, fams[0], results[0].Len(), f, results[k+1].Len())
 		}
 	}
 
 	for _, b := range budgets {
-		for _, f := range families {
+		for _, f := range fams {
 			rs, errS := evalWays(c, f, guard.Limits{MaxIntermediateRows: b, Parallelism: 1})
 			rp, errP := evalWays(c, f, guard.Limits{MaxIntermediateRows: b, Parallelism: 8})
 			if (errS == nil) != (errP == nil) {
@@ -264,6 +271,118 @@ func TestDifferentialRandomized(t *testing.T) {
 			budgets = []int64{37, 500}
 		}
 		checkCase(t, c, budgets)
+	}
+}
+
+// genProbeCase builds a case the residual-probe path can take: a small
+// outer scan joined by an equality to a scan of a relation of at least
+// indexJoinMinInner rows carrying one to three constant atoms, which an
+// index join checks per candidate instead of materializing the scan;
+// sometimes a third small scan joins the inner. With large, the outer
+// crosses the parallel probe's fan-out threshold, the inner is four
+// times bigger still (no equality atom may shrink its estimate), and the
+// join runs on the inner's key; the naive family, whose product would
+// be millions of rows, then sits out.
+func genProbeCase(rng *rand.Rand, large bool) diffCase {
+	outerRows, innerRows := 4+rng.Intn(16), 96+rng.Intn(160)
+	if large {
+		outerRows, innerRows = parallelMinRows+rng.Intn(64), 4*parallelMinRows+256+rng.Intn(256)
+	}
+	rels := map[string]*relation.Relation{
+		"R0": genRel(rng, "R0", 2+rng.Intn(3), outerRows),
+		"R1": genRel(rng, "R1", 3, innerRows),
+	}
+	p := &PSJ{Scans: []Scan{{Rel: "R0", Alias: "T0"}, {Rel: "R1", Alias: "T1"}}}
+	ol, il := rng.Intn(rels["R0"].Arity()), rng.Intn(3)
+	if large {
+		ol, il = 0, 0
+	}
+	p.Preds = append(p.Preds, Atom{L: fmt.Sprintf("T0.A%d", ol), Op: value.EQ, R: AttrOp(fmt.Sprintf("T1.A%d", il))})
+	for k := 1 + rng.Intn(3); k > 0; k-- {
+		a := rng.Intn(3)
+		dom := diffDomain
+		if a == 0 {
+			dom = innerRows
+		}
+		op := diffOps[rng.Intn(len(diffOps))]
+		if large && op == value.EQ {
+			op = value.NE
+		}
+		p.Preds = append(p.Preds, Atom{L: fmt.Sprintf("T1.A%d", a), Op: op, R: ConstOp(genConst(rng, a, dom))})
+	}
+	if !large && rng.Float64() < 0.3 {
+		rels["R2"] = genRel(rng, "R2", 2, 4+rng.Intn(16))
+		p.Scans = append(p.Scans, Scan{Rel: "R2", Alias: "T2"})
+		p.Preds = append(p.Preds, Atom{L: fmt.Sprintf("T1.A%d", rng.Intn(3)), Op: value.EQ,
+			R: AttrOp(fmt.Sprintf("T2.A%d", rng.Intn(2)))})
+	}
+	var attrs []string
+	for _, sc := range p.Scans {
+		attrs = append(attrs, relation.QualifyAttrs(sc.Alias, rels[sc.Rel].Attrs)...)
+	}
+	perm := rng.Perm(len(attrs))
+	for _, i := range perm[:1+rng.Intn(len(attrs))] {
+		p.Cols = append(p.Cols, attrs[i])
+	}
+	return diffCase{rels: rels, plan: p}
+}
+
+// residualProbed reports whether the indexed evaluator reached some scan
+// of the case through an index probe that checked the scan's own atoms.
+func residualProbed(t *testing.T, c diffCase) bool {
+	t.Helper()
+	var tr Trace
+	if _, err := EvalPSJ(c.plan, MapSource(c.rels), nil, ExecOptions{UseIndexes: true}, &tr); err != nil {
+		t.Fatalf("traced indexed: %v (plan %s)", err, c.plan)
+	}
+	for _, sc := range tr.Scans {
+		if sc.Path == PathIndexProbe && len(sc.Atoms) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDifferentialResidualProbe runs the probe family through all six
+// evaluation modes, with budget parity probed on every fifth case, and
+// checks through the trace that the residual probe really is the path
+// under test: at least a tenth of the cases must take it.
+func TestDifferentialResidualProbe(t *testing.T) {
+	const cases = 300
+	probed := 0
+	for i := 0; i < cases; i++ {
+		rng := rand.New(rand.NewSource(int64(20_000 + i)))
+		c := genProbeCase(rng, false)
+		var budgets []int64
+		if i%5 == 0 {
+			budgets = []int64{37, 500}
+		}
+		checkCase(t, c, budgets)
+		if residualProbed(t, c) {
+			probed++
+		}
+	}
+	if probed < cases/10 {
+		t.Fatalf("only %d of %d cases took a residual index probe", probed, cases)
+	}
+	t.Logf("%d of %d cases took a residual index probe", probed, cases)
+}
+
+// TestDifferentialResidualProbeParallel crosses the parallel probe's
+// fan-out threshold with a residual to check: plain and indexed agree as
+// sets, each is identical serial and parallel, and budgets trip alike.
+func TestDifferentialResidualProbeParallel(t *testing.T) {
+	cases := 6
+	if testing.Short() {
+		cases = 2
+	}
+	for i := 0; i < cases; i++ {
+		rng := rand.New(rand.NewSource(int64(21_000 + i)))
+		c := genProbeCase(rng, true)
+		if !residualProbed(t, c) {
+			t.Fatalf("case %d did not take a residual index probe (plan %s)", i, c.plan)
+		}
+		checkFamilies(t, c, []family{famPlain, famIndexed}, []int64{900, 1500, 20000})
 	}
 }
 

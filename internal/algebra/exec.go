@@ -21,6 +21,9 @@ const (
 	PathFullScan   = "full scan"
 	PathHashEq     = "hash eq"
 	PathIndexRange = "index range"
+	// PathIndexProbe is a scan an index join reached through the base
+	// relation's hash index alone, checking the scan's atoms per candidate.
+	PathIndexProbe = "index probe"
 )
 
 // Join-strategy labels recorded per join in a Trace.
@@ -34,10 +37,10 @@ const (
 type ScanTrace struct {
 	Alias string
 	Rel   string
-	Path  string   // PathFullScan, PathHashEq, PathIndexRange
-	Atoms []string // atoms served by the access path itself (not residuals)
+	Path  string   // PathFullScan, PathHashEq, PathIndexRange, PathIndexProbe
+	Atoms []string // atoms served by the access path (an index probe: all it checked)
 	In    int      // base relation rows
-	Out   int      // rows surviving the scan's local predicates
+	Out   int      // rows surviving the scan's local predicates; an index probe: rows its probes returned
 }
 
 // JoinTrace records one step of the greedy left-deep join.
@@ -49,7 +52,8 @@ type JoinTrace struct {
 }
 
 // Trace collects the access-path decisions of one EvalPSJ run, for
-// EXPLAIN output and tests. A nil *Trace disables collection.
+// EXPLAIN output and tests: scans in scan order, joins in join order. A
+// nil *Trace disables collection.
 type Trace struct {
 	Scans []ScanTrace
 	Joins []JoinTrace

@@ -38,69 +38,72 @@ func EvalOptimizedGuarded(p *PSJ, src Source, g *guard.Guard) (*relation.Relatio
 // lazily built secondary hash index; otherwise comparison-with-constant
 // atoms on one attribute fold into a single ordered-index range lookup;
 // otherwise the scan is full, with the local predicate evaluated per row.
-// Joins run greedily left-deep, ordered by distinct-count cardinality
-// estimates, each step either a hash join, an index nested-loop join
-// against an unfiltered base relation's persistent index, or (when no
-// equality connects the sides) a guarded cartesian product. All paths
-// account rows against the same guard and inherit its Parallelism
-// fan-out; with opt.UseIndexes off the evaluator reduces to the plain
-// pushdown + hash-join strategy and legacy join order.
+// Joins run greedily left-deep, ordered by cardinality estimates over
+// the base relations, each step either a hash join, an index nested-loop
+// join probing a base relation's persistent hash index (checking the
+// scan's own atoms per candidate), or (when no equality connects the
+// sides) a guarded cartesian product. All paths account rows against the
+// same guard and inherit its Parallelism fan-out; with opt.UseIndexes
+// off the evaluator reduces to the plain pushdown + hash-join strategy
+// and legacy join order.
+//
+// With opt.UseIndexes a scan is lazy: only the start of the join is
+// materialized up front. A later scan that is joined in by an equality
+// from an outer at most a quarter of its estimate is never materialized
+// at all — the index join reads just the candidates its probes return —
+// and any other is materialized when it is joined in.
 func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*relation.Relation, error) {
 	if len(p.Scans) == 0 {
 		return nil, fmt.Errorf("empty query")
 	}
-	// Load each scan and push down the atoms local to it. A part that
-	// keeps no local atoms stays the shared base rename, so later index
-	// lookups on it hit the base relation's persistent cache.
-	parts := make([]*relation.Relation, len(p.Scans))
-	filtered := make([]bool, len(p.Scans))
+	// Each scan starts as the shared base rename, so index lookups on it
+	// hit the base relation's persistent per-revision cache.
+	parts := make([]*scanPart, len(p.Scans))
 	for i, s := range p.Scans {
 		base, err := src(s.Rel)
 		if err != nil {
 			return nil, err
 		}
-		parts[i] = base.Rename(relation.QualifyAttrs(s.Alias, base.Attrs))
+		base = base.Rename(relation.QualifyAttrs(s.Alias, base.Attrs))
+		parts[i] = &scanPart{base: base, rel: base, est: base.Len(),
+			tr: ScanTrace{Alias: s.Alias, Rel: s.Rel, Path: PathFullScan, In: base.Len(), Out: base.Len()}}
 	}
-	local := make([][]Atom, len(p.Scans))
 	var global []Atom
 	for _, a := range p.Preds {
-		i, ok := atomScan(a, parts)
-		if ok {
-			local[i] = append(local[i], a)
+		if i, ok := atomScan(a, parts); ok {
+			parts[i].local = append(parts[i].local, a)
 		} else {
 			global = append(global, a)
 		}
 	}
-	for i := range parts {
-		if len(local[i]) == 0 {
-			tr.scan(ScanTrace{Alias: p.Scans[i].Alias, Rel: p.Scans[i].Rel,
-				Path: PathFullScan, In: parts[i].Len(), Out: parts[i].Len()})
+	for _, sp := range parts {
+		if len(sp.local) == 0 {
 			continue
 		}
-		in := parts[i].Len()
-		out, path, served, err := applyLocal(parts[i], local[i], g, opt.UseIndexes)
-		if err != nil {
+		sp.rel = nil
+		if opt.UseIndexes {
+			sp.est = estimate(sp.base, sp.local)
+		} else if err := sp.materialize(g, false); err != nil {
 			return nil, err
 		}
-		parts[i] = out
-		filtered[i] = true
-		tr.scan(ScanTrace{Alias: p.Scans[i].Alias, Rel: p.Scans[i].Rel,
-			Path: path, Atoms: served, In: in, Out: out.Len()})
 	}
 
-	// Greedy left-deep join. With indexes the start is the smallest part
-	// and each step picks the connected part with the lowest estimated
-	// output (|cur|·|part| / distinct values of the part's join key);
-	// without, the legacy order (first scan, then most equality atoms).
+	// Greedy left-deep join. With indexes the start is the part with the
+	// smallest estimate and each step picks the connected part with the
+	// lowest estimated output; without, the legacy order (first scan,
+	// then most equality atoms).
 	start := 0
 	if opt.UseIndexes {
 		for i := 1; i < len(parts); i++ {
-			if parts[i].Len() < parts[start].Len() {
+			if parts[i].est < parts[start].est {
 				start = i
 			}
 		}
+		if err := parts[start].materialize(g, true); err != nil {
+			return nil, err
+		}
 	}
-	cur := parts[start]
+	cur := parts[start].rel
 	used := make([]bool, len(parts))
 	used[start] = true
 	remainingEq, remainingOther := splitEq(global)
@@ -112,27 +115,32 @@ func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*r
 		} else {
 			next, eqs = pickNext(cur, parts, used, remainingEq)
 		}
+		sp := parts[next]
 		var err error
 		kind := JoinProduct
 		switch {
-		case len(eqs) > 0 && opt.UseIndexes && !filtered[next] &&
-			parts[next].Len() >= indexJoinMinInner && cur.Len()*4 <= parts[next].Len():
-			// The inner side is an unfiltered base rename: probing its
-			// persistent per-attribute index beats building a transient
-			// hash table when the probe side is small.
+		case len(eqs) > 0 && opt.UseIndexes && sp.est >= indexJoinMinInner && cur.Len()*4 <= sp.est:
+			// A small outer probes the base relation's persistent index;
+			// the scan's own atoms, if any, filter the candidates, so the
+			// scan itself is never materialized.
 			kind = JoinIndex
-			cur, err = indexJoin(cur, parts[next], eqs, g)
-			remainingEq = removeAtoms(remainingEq, eqs)
+			var probed int
+			cur, probed, err = indexJoin(cur, sp.base, eqs, sp.local, g)
+			sp.tr.Path, sp.tr.Atoms, sp.tr.Out = PathIndexProbe, atomStrings(sp.local), probed
 		case len(eqs) > 0:
 			kind = JoinHash
-			cur, err = hashJoin(cur, parts[next], eqs, g)
-			remainingEq = removeAtoms(remainingEq, eqs)
+			if err = sp.materialize(g, opt.UseIndexes); err == nil {
+				cur, err = hashJoin(cur, sp.rel, eqs, g)
+			}
 		default:
-			cur, err = guardedProduct(cur, parts[next], g)
+			if err = sp.materialize(g, opt.UseIndexes); err == nil {
+				cur, err = guardedProduct(cur, sp.rel, g)
+			}
 		}
 		if err != nil {
 			return nil, err
 		}
+		remainingEq = removeAtoms(remainingEq, eqs)
 		used[next] = true
 		tr.join(JoinTrace{Kind: kind, With: p.Scans[next].Alias, On: atomStrings(eqs), Out: cur.Len()})
 		// Apply any remaining predicates that became resolvable.
@@ -144,6 +152,9 @@ func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*r
 		if err != nil {
 			return nil, err
 		}
+	}
+	for _, sp := range parts {
+		tr.scan(sp.tr)
 	}
 	rest := append(append([]Atom(nil), remainingEq...), remainingOther...)
 	if len(rest) > 0 {
@@ -165,6 +176,56 @@ func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*r
 		idx[i] = j
 	}
 	return guardedProject(cur, idx, g)
+}
+
+// scanPart is one scan on its way into the join: the shared base rename,
+// the atoms local to the scan, and the materialized part — the base
+// itself when nothing is local, nil while a filtered scan is pending.
+// est is the planner's size for the part (exact once materialized), and
+// tr what the trace reports for the scan.
+type scanPart struct {
+	base, rel *relation.Relation
+	local     []Atom
+	est       int
+	tr        ScanTrace
+}
+
+// materialize filters a pending scan by its local atoms through the
+// access path applyLocal chooses; a materialized part is left alone.
+func (sp *scanPart) materialize(g *guard.Guard, useIdx bool) error {
+	if sp.rel != nil {
+		return nil
+	}
+	out, path, served, err := applyLocal(sp.base, sp.local, g, useIdx)
+	if err != nil {
+		return err
+	}
+	sp.rel, sp.est = out, out.Len()
+	sp.tr.Path, sp.tr.Atoms, sp.tr.Out = path, served, out.Len()
+	return nil
+}
+
+// estimate sizes a pending scan without reading it: the run its hash-eq
+// access path would read anyway (the same index lookup), else the whole
+// base. No ordered index is built for an estimate.
+func estimate(base *relation.Relation, atoms []Atom) int {
+	if k := hashEqAtom(atoms); k >= 0 {
+		if j, err := resolve(base.Attrs, atoms[k].L); err == nil {
+			return len(base.LookupEq(j, atoms[k].R.Const))
+		}
+	}
+	return base.Len()
+}
+
+// hashEqAtom returns the position of the atom the hash-eq path serves —
+// the first equality with a constant — or -1.
+func hashEqAtom(atoms []Atom) int {
+	for k, a := range atoms {
+		if a.Op == value.EQ && !a.R.IsAttr {
+			return k
+		}
+	}
+	return -1
 }
 
 // applyLocal filters one scan by its local atoms, choosing an access
@@ -194,21 +255,13 @@ func applyLocal(part *relation.Relation, atoms []Atom, g *guard.Guard, useIdx bo
 // tryHashPath serves the first equality-with-constant atom from the hash
 // index; a nil relation with nil error means no such atom exists.
 func tryHashPath(part *relation.Relation, atoms []Atom, g *guard.Guard) (*relation.Relation, []string, error) {
-	eqAt := -1
-	var eqIdx int
-	for k, a := range atoms {
-		if a.Op != value.EQ || a.R.IsAttr {
-			continue
-		}
-		j, err := resolve(part.Attrs, a.L)
-		if err != nil {
-			return nil, nil, err
-		}
-		eqAt, eqIdx = k, j
-		break
-	}
+	eqAt := hashEqAtom(atoms)
 	if eqAt < 0 {
 		return nil, nil, nil
+	}
+	eqIdx, err := resolve(part.Attrs, atoms[eqAt].L)
+	if err != nil {
+		return nil, nil, err
 	}
 	rest := append(append([]Atom(nil), atoms[:eqAt]...), atoms[eqAt+1:]...)
 	out, err := filterRun(part, part.LookupEq(eqIdx, atoms[eqAt].R.Const), rest, g)
@@ -322,7 +375,7 @@ func filterRun(part *relation.Relation, run []relation.Tuple, rest []Atom, g *gu
 }
 
 // atomScan reports which single scan an atom is local to, if any.
-func atomScan(a Atom, parts []*relation.Relation) (int, bool) {
+func atomScan(a Atom, parts []*scanPart) (int, bool) {
 	li := findPart(parts, a.L)
 	if li < 0 {
 		return 0, false
@@ -337,9 +390,9 @@ func atomScan(a Atom, parts []*relation.Relation) (int, bool) {
 	return 0, false
 }
 
-func findPart(parts []*relation.Relation, attr string) int {
+func findPart(parts []*scanPart, attr string) int {
 	for i, p := range parts {
-		if hasAttr(p.Attrs, attr) {
+		if hasAttr(p.base.Attrs, attr) {
 			return i
 		}
 	}
@@ -381,13 +434,13 @@ func connAtoms(cur, part *relation.Relation, eqs []Atom) []Atom {
 
 // pickNext chooses the unused part connected to cur by the most equality
 // atoms (0 means a cartesian product is unavoidable this step).
-func pickNext(cur *relation.Relation, parts []*relation.Relation, used []bool, eqs []Atom) (int, []Atom) {
+func pickNext(cur *relation.Relation, parts []*scanPart, used []bool, eqs []Atom) (int, []Atom) {
 	bestIdx, bestEqs := -1, []Atom(nil)
 	for i := range parts {
 		if used[i] {
 			continue
 		}
-		conn := connAtoms(cur, parts[i], eqs)
+		conn := connAtoms(cur, parts[i].base, eqs)
 		if bestIdx < 0 || len(conn) > len(bestEqs) {
 			bestIdx, bestEqs = i, conn
 		}
@@ -397,43 +450,53 @@ func pickNext(cur *relation.Relation, parts []*relation.Relation, used []bool, e
 
 // pickNextStats chooses the next part by cardinality estimate: among the
 // parts connected to cur by an equality, the one minimizing
-// |cur|·|part|/V(part, join key), with V the distinct-count statistic
-// from the ordered index; a part with no connecting equality (cartesian
-// product) is a last resort, smallest first. Ties break on scan order,
-// so the plan is deterministic.
-func pickNextStats(cur *relation.Relation, parts []*relation.Relation, used []bool, eqs []Atom) (int, []Atom) {
-	bestIdx, bestEqs := -1, []Atom(nil)
+// |cur|·est(part)/V(base, join key), with V the distinct-count statistic
+// of the part's base relation — never of a filtered intermediate — and
+// taken only when two or more parts compete; a part with no connecting
+// equality (cartesian product) is a last resort, smallest first. Ties
+// break on scan order, so the plan is deterministic.
+func pickNextStats(cur *relation.Relation, parts []*scanPart, used []bool, eqs []Atom) (int, []Atom) {
+	conns := make([][]Atom, len(parts))
+	only, connected := -1, 0
+	for i, sp := range parts {
+		if !used[i] {
+			if conns[i] = connAtoms(cur, sp.base, eqs); len(conns[i]) > 0 {
+				only, connected = i, connected+1
+			}
+		}
+	}
+	if connected == 1 {
+		return only, conns[only]
+	}
+	bestIdx := -1
 	bestEst := 0.0
-	for i := range parts {
+	for i, sp := range parts {
 		if used[i] {
 			continue
 		}
-		conn := connAtoms(cur, parts[i], eqs)
 		var est float64
-		if len(conn) > 0 {
+		if len(conns[i]) > 0 {
 			distinct := 1
-			for _, a := range conn {
+			for _, a := range conns[i] {
 				attr := a.R.Attr
-				if hasAttr(parts[i].Attrs, a.L) {
+				if hasAttr(sp.base.Attrs, a.L) {
 					attr = a.L
 				}
-				if j, err := resolve(parts[i].Attrs, attr); err == nil {
-					if d := parts[i].DistinctCount(j); d > distinct {
-						distinct = d
-					}
+				if j, err := resolve(sp.base.Attrs, attr); err == nil {
+					distinct = max(distinct, sp.base.DistinctCount(j))
 				}
 			}
-			est = float64(cur.Len()) * float64(parts[i].Len()) / float64(distinct)
+			est = float64(cur.Len()) * float64(sp.est) / float64(distinct)
 		} else {
 			// No join key: a product. Rank it after every joinable part
 			// by estimating the full cross size against the whole input.
-			est = 1e18 + float64(cur.Len())*float64(parts[i].Len())
+			est = 1e18 + float64(cur.Len())*float64(sp.est)
 		}
 		if bestIdx < 0 || est < bestEst {
-			bestIdx, bestEqs, bestEst = i, conn, est
+			bestIdx, bestEst = i, est
 		}
 	}
-	return bestIdx, bestEqs
+	return bestIdx, conns[bestIdx]
 }
 
 func removeAtoms(all, drop []Atom) []Atom {
@@ -531,8 +594,9 @@ func hashJoin(l, r *relation.Relation, eqs []Atom, g *guard.Guard) (*relation.Re
 				return nil, err
 			}
 			row := make(relation.Tuple, 0, len(t)+len(u))
-			row = append(append(row, t...), u...)
-			out.Insert(row) //nolint:errcheck // arity correct by construction
+			// Pairs of rows of two sets are distinct: the no-dedup Append
+			// path applies (as in mergeChunks).
+			out.Append(append(append(row, t...), u...))
 		}
 	}
 	return out, nil
@@ -540,34 +604,42 @@ func hashJoin(l, r *relation.Relation, eqs []Atom, g *guard.Guard) (*relation.Re
 
 // indexJoin is an index nested-loop join: for each row of l it probes r's
 // persistent secondary hash index on the first equality's column and
-// verifies the remaining equalities per candidate. Unlike hashJoin it
-// builds nothing per query, so when r is an unfiltered base relation the
-// index amortizes across every query that joins through it. Output rows
-// are accounted like hashJoin's; the probe side fans out across the
-// guard's Parallelism.
-func indexJoin(l, r *relation.Relation, eqs []Atom, g *guard.Guard) (*relation.Relation, error) {
+// checks each candidate against the remaining equalities and against
+// residual — atoms over r alone, so a filtered scan of r need never be
+// materialized. Unlike hashJoin it builds nothing per query, so when r is
+// a base relation the index amortizes across every query that joins
+// through it. Every probed candidate is accounted against the guard, and
+// the count is returned; the probe side fans out across the guard's
+// Parallelism.
+func indexJoin(l, r *relation.Relation, eqs, residual []Atom, g *guard.Guard) (*relation.Relation, int, error) {
 	li, ri := joinCols(l, r, eqs)
+	keep, err := CompilePred(r.Attrs, residual)
+	if err != nil {
+		return nil, 0, err
+	}
 	if par := g.Parallelism(); par > 1 && l.Len() >= parallelMinRows {
-		return parallelIndexProbe(l, r, li, ri, g, par)
+		return parallelIndexProbe(l, r, li, ri, keep, g, par)
 	}
 	out := relation.New(append(append([]string(nil), l.Attrs...), r.Attrs...))
+	probed := 0
 	for _, t := range l.Tuples() {
 		if err := g.Check(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		for _, u := range r.LookupEq(ri[0], t[li[0]]) {
-			if !restEqsMatch(t, u, li, ri) {
+		run := r.LookupEq(ri[0], t[li[0]])
+		probed += len(run)
+		for _, u := range run {
+			if err := g.Add(1); err != nil {
+				return nil, 0, err
+			}
+			if !restEqsMatch(t, u, li, ri) || !keep(u) {
 				continue
 			}
-			if err := g.Add(1); err != nil {
-				return nil, err
-			}
 			row := make(relation.Tuple, 0, len(t)+len(u))
-			row = append(append(row, t...), u...)
-			out.Insert(row) //nolint:errcheck // arity correct by construction
+			out.Append(append(append(row, t...), u...))
 		}
 	}
-	return out, nil
+	return out, probed, nil
 }
 
 // restEqsMatch verifies the equality columns beyond the first (the one

@@ -120,24 +120,29 @@ func parallelSelect(in *relation.Relation, pred func(relation.Tuple) bool, g *gu
 }
 
 // parallelIndexProbe partitions the probe side of an index nested-loop
-// join. The inner relation's index cache is mutex-protected, and the
-// first chunk's first probe may build it; after that every worker reads
-// the same shared entry.
-func parallelIndexProbe(l, r *relation.Relation, li, ri []int, g *guard.Guard, par int) (*relation.Relation, error) {
+// join, checking candidates exactly as indexJoin does. The inner
+// relation's index cache is mutex-protected, and the first chunk's first
+// probe may build it; after that every worker reads the same shared
+// entry.
+func parallelIndexProbe(l, r *relation.Relation, li, ri []int, keep func(relation.Tuple) bool,
+	g *guard.Guard, par int) (*relation.Relation, int, error) {
 	lt := l.Tuples()
 	parts := make([][]relation.Tuple, min(par, len(lt)))
+	probed := make([]int, len(parts))
 	err := runChunks(len(lt), par, func(ci, lo, hi int) error {
 		var rows []relation.Tuple
 		for _, t := range lt[lo:hi] {
 			if err := g.Check(); err != nil {
 				return err
 			}
-			for _, u := range r.LookupEq(ri[0], t[li[0]]) {
-				if !restEqsMatch(t, u, li, ri) {
-					continue
-				}
+			run := r.LookupEq(ri[0], t[li[0]])
+			probed[ci] += len(run)
+			for _, u := range run {
 				if err := g.Add(1); err != nil {
 					return err
+				}
+				if !restEqsMatch(t, u, li, ri) || !keep(u) {
+					continue
 				}
 				row := make(relation.Tuple, 0, len(t)+len(u))
 				rows = append(rows, append(append(row, t...), u...))
@@ -147,10 +152,14 @@ func parallelIndexProbe(l, r *relation.Relation, li, ri []int, g *guard.Guard, p
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	total := 0
+	for _, n := range probed {
+		total += n
 	}
 	attrs := append(append([]string(nil), l.Attrs...), r.Attrs...)
-	return mergeChunks(attrs, parts), nil
+	return mergeChunks(attrs, parts), total, nil
 }
 
 // parallelProbe partitions the probe side of a hash join over an

@@ -55,14 +55,14 @@ type node struct {
 	rep  *replica.Replica
 }
 
-func (n *node) addr() string          { return n.srv.Addr().String() }
-func (n *node) eng() *engine.Engine   { return n.db.Engine() }
-func (n *node) stop(t *testing.T)     {}
-func (n *node) String() string        { return n.name }
-func (n *node) epoch() uint64         { return n.eng().Epoch() }
-func (n *node) role() (r string)      { return n.srv.Role() }
-func (n *node) metricsText() string   { return n.db.Metrics().Text() }
-func (n *node) lsn() (lsn uint64)     { return n.eng().LSN() }
+func (n *node) addr() string              { return n.srv.Addr().String() }
+func (n *node) eng() *engine.Engine       { return n.db.Engine() }
+func (n *node) stop(t *testing.T)         {}
+func (n *node) String() string            { return n.name }
+func (n *node) epoch() uint64             { return n.eng().Epoch() }
+func (n *node) role() (r string)          { return n.srv.Role() }
+func (n *node) metricsText() string       { return n.db.Metrics().Text() }
+func (n *node) lsn() (lsn uint64)         { return n.eng().LSN() }
 func (n *node) origin() map[uint64]uint64 { return n.eng().OriginWritesByEpoch() }
 
 // startNode boots one durable node. cfg.AdminToken is forced.

@@ -102,6 +102,8 @@ type closureEntry struct {
 // closureResult is the served snapshot: relations must be treated as
 // read-only by every consumer (the same contract as published MVCC
 // revisions — read via Tuples, Sorted, Len; never Insert or Contains).
+// Neither relation keeps a membership set: Store releases it, or hands
+// it to the incremental accumulators' writer.
 type closureResult struct {
 	answer *relation.Relation
 	masked *relation.Relation
@@ -365,6 +367,11 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 				e.bits[bi].Set(pos)
 			}
 		}
+	} else {
+		// Nothing ever inserts into a result that cannot be refreshed, and
+		// readers never probe its membership: drop the sets.
+		d.Answer.ReleaseMembership()
+		d.Masked.ReleaseMembership()
 	}
 	key := cacheKey(user, psj, opt)
 	c.mu.Lock()

@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"authdb/bench/fixture"
+	"authdb/internal/core"
+	"authdb/internal/engine"
 	"authdb/internal/workload"
 )
 
@@ -63,6 +66,75 @@ func TestExplainAccessPaths(t *testing.T) {
 	// retrieval materializes instead.
 	if !strings.Contains(res.Text, "meta side: retrieval plans it, materializing 60 meta-tuples against the 252 of the phases above") {
 		t.Fatalf("explain must close with the planned meta side's work:\n%s", res.Text)
+	}
+}
+
+// TestExplainAccessPathsGolden pins the "access paths:" block of Examples
+// 1–3 for both users, on Figure 1 and on the benchmark's scaled paper
+// fixture. Explain runs the unfused plan, so the block depends on the
+// query alone. At Figure 1's size every inner is under the index join's
+// threshold; at the benchmark's, Example 2 never materializes ASSIGNMENT
+// or PROJECT — it probes their hash indexes, PROJECT's with its BUDGET
+// atom checked per candidate, and reports the rows the probes returned.
+func TestExplainAccessPathsGolden(t *testing.T) {
+	figure1 := [][]string{{
+		"scan PROJECT: index range [PROJECT.BUDGET >= 250000] — 2 of 3 rows",
+	}, {
+		"scan EMPLOYEE: hash eq [EMPLOYEE.TITLE = engineer] — 1 of 3 rows",
+		"scan ASSIGNMENT: full scan — 6 of 6 rows",
+		"scan PROJECT: index range [PROJECT.BUDGET > 300000] — 1 of 3 rows",
+		"join ASSIGNMENT: hash join on EMPLOYEE.NAME = ASSIGNMENT.E_NAME — 2 rows",
+		"join PROJECT: hash join on ASSIGNMENT.P_NO = PROJECT.NUMBER — 1 rows",
+	}, {
+		"scan EMPLOYEE:1 (EMPLOYEE): full scan — 3 of 3 rows",
+		"scan EMPLOYEE:2 (EMPLOYEE): full scan — 3 of 3 rows",
+		"join EMPLOYEE:2: hash join on EMPLOYEE:1.TITLE = EMPLOYEE:2.TITLE — 3 rows",
+	}}
+	scaled := [][]string{{
+		"scan PROJECT: index range [PROJECT.BUDGET >= 250000] — 287 of 603 rows",
+	}, {
+		"scan EMPLOYEE: hash eq [EMPLOYEE.TITLE = engineer] — 1 of 303 rows",
+		"scan ASSIGNMENT: index probe — 2 of 606 rows",
+		"scan PROJECT: index probe [PROJECT.BUDGET > 300000] — 2 of 603 rows",
+		"join ASSIGNMENT: index join on EMPLOYEE.NAME = ASSIGNMENT.E_NAME — 2 rows",
+		"join PROJECT: index join on ASSIGNMENT.P_NO = PROJECT.NUMBER — 1 rows",
+	}, {
+		"scan EMPLOYEE:1 (EMPLOYEE): full scan — 303 of 303 rows",
+		"scan EMPLOYEE:2 (EMPLOYEE): full scan — 303 of 303 rows",
+		"join EMPLOYEE:2: hash join on EMPLOYEE:1.TITLE = EMPLOYEE:2.TITLE — 3003 rows",
+	}}
+	queries := []string{workload.Example1Query, workload.Example2Query, workload.Example3Query}
+	for _, fx := range []struct {
+		name, script string
+		golden       [][]string
+	}{
+		{"figure1", workload.PaperScript, figure1},
+		{"scaled", fixture.PaperScript(fixture.DefaultPaper()), scaled},
+	} {
+		e := engine.New(core.DefaultOptions())
+		if _, err := e.NewSession("admin", true).ExecScript(fx.script); err != nil {
+			t.Fatal(err)
+		}
+		for _, user := range []string{"Brown", "Klein"} {
+			for k, q := range queries {
+				res, err := e.NewSession(user, false).Exec("explain " + strings.TrimSpace(q))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, block, _ := strings.Cut(res.Text, "access paths:\n")
+				var got []string
+				for _, l := range strings.Split(block, "\n") {
+					if !strings.HasPrefix(l, "  ") {
+						break
+					}
+					got = append(got, strings.TrimSpace(l))
+				}
+				if strings.Join(got, "\n") != strings.Join(fx.golden[k], "\n") {
+					t.Errorf("%s %s Example %d access paths:\n%s\nwant:\n%s",
+						fx.name, user, k+1, strings.Join(got, "\n"), strings.Join(fx.golden[k], "\n"))
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,12 +21,10 @@ type indexEntry struct {
 // orderedEntry is one built ordered secondary index: the relation's
 // tuples sorted by the value at one attribute position (ties keep the
 // original tuple order, so runs are deterministic). It serves range
-// lookups by binary search and carries the attribute's distinct-value
-// count for the planner's cardinality estimates.
+// lookups by binary search and is built only when one is asked for.
 type orderedEntry struct {
 	builtLen int
 	sorted   []Tuple
-	distinct int
 }
 
 // indexCache holds lazily built secondary indexes over a relation's
@@ -81,17 +80,25 @@ func (r *Relation) LookupEq(i int, v value.Value) []Tuple {
 	c := r.idx
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return r.ensureHash(i).m[valueKey(v)]
+}
+
+// ensureHash returns the hash index for attribute i, building it if
+// absent or built from a different tuple count; callers hold c.mu.
+func (r *Relation) ensureHash(i int) indexEntry {
+	c := r.idx
 	e, ok := c.byAttr[i]
-	if !ok || e.builtLen != len(r.tuples) {
-		e = indexEntry{builtLen: len(r.tuples), m: make(map[string][]Tuple, len(r.tuples))}
-		for _, t := range r.tuples {
-			k := valueKey(t[i])
-			e.m[k] = append(e.m[k], t)
-		}
-		c.byAttr[i] = e
-		c.built.Store(true)
+	if ok && e.builtLen == len(r.tuples) {
+		return e
 	}
-	return e.m[valueKey(v)]
+	e = indexEntry{builtLen: len(r.tuples), m: make(map[string][]Tuple, len(r.tuples))}
+	for _, t := range r.tuples {
+		k := valueKey(t[i])
+		e.m[k] = append(e.m[k], t)
+	}
+	c.byAttr[i] = e
+	c.built.Store(true)
+	return e
 }
 
 // RangeEnd is one end of a LookupRange scan; a nil *RangeEnd leaves that
@@ -110,15 +117,9 @@ func (r *Relation) ensureOrdered(i int) orderedEntry {
 	if ok && e.builtLen == len(r.tuples) {
 		return e
 	}
-	sorted := append([]Tuple(nil), r.tuples...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a][i].Compare(sorted[b][i]) < 0 })
-	distinct := 0
-	for k, t := range sorted {
-		if k == 0 || t[i].Compare(sorted[k-1][i]) != 0 {
-			distinct++
-		}
-	}
-	e = orderedEntry{builtLen: len(r.tuples), sorted: sorted, distinct: distinct}
+	sorted := slices.Clone(r.tuples)
+	slices.SortStableFunc(sorted, func(a, b Tuple) int { return a[i].Compare(b[i]) })
+	e = orderedEntry{builtLen: len(r.tuples), sorted: sorted}
 	c.ord[i] = e
 	c.built.Store(true)
 	return e
@@ -186,9 +187,10 @@ func (r *Relation) LookupCmp(i int, op value.Cmp, v value.Value) ([]Tuple, bool)
 	}
 }
 
-// DistinctCount returns the number of distinct values at attribute i,
-// from the ordered index (built on demand). It backs the planner's join
-// cardinality estimates. Out-of-range attributes report 0.
+// DistinctCount returns the number of distinct values at attribute i:
+// the key count of the hash index LookupEq serves from (built on demand,
+// and the one an index join on the attribute probes). It backs the
+// planner's join cardinality estimates. Out-of-range attributes report 0.
 func (r *Relation) DistinctCount(i int) int {
 	if i < 0 || i >= len(r.Attrs) {
 		return 0
@@ -196,7 +198,7 @@ func (r *Relation) DistinctCount(i int) int {
 	c := r.idx
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return r.ensureOrdered(i).distinct
+	return len(r.ensureHash(i).m)
 }
 
 // IndexedAttrs reports which attributes currently have a built hash index

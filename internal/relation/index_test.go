@@ -96,11 +96,11 @@ func TestLookupRangeEmpty(t *testing.T) {
 	cases := []struct {
 		lo, hi *RangeEnd
 	}{
-		{&RangeEnd{V: vi(4), Open: true}, nil},              // > max
-		{nil, &RangeEnd{V: vi(0), Open: true}},              // < min
-		{&RangeEnd{V: vi(3)}, &RangeEnd{V: vi(2)}},          // inverted
+		{&RangeEnd{V: vi(4), Open: true}, nil},                             // > max
+		{nil, &RangeEnd{V: vi(0), Open: true}},                             // < min
+		{&RangeEnd{V: vi(3)}, &RangeEnd{V: vi(2)}},                         // inverted
 		{&RangeEnd{V: vi(2), Open: true}, &RangeEnd{V: vi(3), Open: true}}, // open-open gap
-		{&RangeEnd{V: vi(99)}, nil},                         // beyond domain
+		{&RangeEnd{V: vi(99)}, nil},                                        // beyond domain
 	}
 	for k, c := range cases {
 		if got := r.LookupRange(0, c.lo, c.hi); len(got) != 0 {

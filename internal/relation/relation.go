@@ -155,6 +155,12 @@ func (r *Relation) Append(t Tuple) {
 	r.idx.bump()
 }
 
+// ReleaseMembership frees the membership index of a relation that is
+// done being built. Reads through Tuples, Len, Sorted and the secondary
+// indexes are unaffected; the next Insert or Contains rebuilds the set
+// (and therefore mutates r, like after Append).
+func (r *Relation) ReleaseMembership() { r.index = nil }
+
 // MustInsert inserts and panics on arity mismatch; for fixtures.
 func (r *Relation) MustInsert(vals ...value.Value) {
 	if _, err := r.Insert(Tuple(vals)); err != nil {

@@ -38,12 +38,13 @@ func NewVersioned(attrs []string) *Versioned {
 }
 
 // VersionedOf adopts r as the initial head revision, taking ownership:
-// the caller must not mutate r afterwards.
+// the caller must not mutate r afterwards. The writer-owned membership
+// set is r's own (built only if an Append left it stale); r gives it up,
+// since the set moves on with later revisions.
 func VersionedOf(r *Relation) *Versioned {
-	m := make(map[string]bool, len(r.tuples))
-	for _, t := range r.tuples {
-		m[t.key()] = true
-	}
+	r.ensureIndex()
+	m := r.index
+	r.ReleaseMembership()
 	return &Versioned{head: r, memb: m}
 }
 

@@ -126,6 +126,35 @@ func TestVersionedOfAdoptsRelation(t *testing.T) {
 	}
 }
 
+// TestVersionedOfAllocatesNoMap: adopting an Insert-built relation takes
+// over its membership set instead of building a second one, so the only
+// allocation is the Versioned itself; an Append-built relation still
+// gets its set built once.
+func TestVersionedOfAllocatesNoMap(t *testing.T) {
+	const runs = 20
+	rels := make([]*Relation, runs+1) // AllocsPerRun adds a warm-up call
+	for k := range rels {
+		rels[k] = New([]string{"X"})
+		for i := int64(0); i < 64; i++ {
+			rels[k].MustInsert(vt(i)...)
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		VersionedOf(rels[next])
+		next++
+	})
+	if allocs > 1 {
+		t.Fatalf("VersionedOf allocated %.0f objects, want only the Versioned", allocs)
+	}
+	r := New([]string{"X"})
+	r.Append(vt(1))
+	v := VersionedOf(r)
+	if !v.Contains(vt(1)) || v.Contains(vt(2)) {
+		t.Fatal("membership of an Append-built relation lost")
+	}
+}
+
 // TestVersionedArityMismatch checks the writer-side arity guard.
 func TestVersionedArityMismatch(t *testing.T) {
 	v := NewVersioned([]string{"A", "B"})
