@@ -145,6 +145,21 @@ func BenchmarkColdACL(b *testing.B) {
 	}
 }
 
+// BenchmarkACLLoad measures loading the benchmark's ACL database (seed 1,
+// default scale) through an administrator session — the statement path
+// behind acl_cold's set-up time, where each of the script's permits
+// commits a new meta-database version.
+func BenchmarkACLLoad(b *testing.B) {
+	script := fixture.GenACL(1, fixture.DefaultACL()).Script
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := authdb.Open().Admin().ExecScript(script); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCommuteCheck measures E5: evaluating a mask meta-tuple as a
 // view of the answer (the Figure 2 commutation check used by the
 // Proposition property tests).

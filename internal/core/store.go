@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 
 	"authdb/internal/cview"
@@ -67,30 +70,46 @@ type viewEntry struct {
 
 // Store holds the authorization state the paper adds to the database: the
 // meta-relations R' (grouped here by view), the COMPARISON relation (as
-// per-view variable constraints), and the PERMISSION relation.
+// per-view variable constraints), and the PERMISSION relation. A
+// mutation never writes to a map or slice it did not build, so clones
+// share everything they have not changed since.
 type Store struct {
 	sch      *relation.DBSchema
 	views    map[string]*viewEntry
 	order    []string
-	perms    map[string][]string // user -> view names in grant order
+	perms    *[permShards]map[string]*permRec // PERMISSION by hash of user
 	varCount int
-	// viewGen counts view-set mutations (define, drop) and permGen
+	// viewGen counts view-set mutations (define, drop) and permRec.gen
 	// per-user permit mutations (permit, revoke). Masks derive from
 	// nothing else — never from relation instances — so a MaskCache
 	// entry stamped with both generations stays valid exactly as long
 	// as the mask it holds. The store itself is not synchronized (the
 	// engine's lock serializes mutations), so these are plain counters.
 	viewGen uint64
-	permGen map[string]uint64
 }
+
+// permShards fixes PERMISSION's fan-out: a permit copies one shard,
+// about 40 entries at 10⁴ users, plus the shard array.
+const permShards = 256
+
+// permRec is one user's PERMISSION rows in grant order and their
+// generation. A record outlives its last view, keeping gen — and so
+// every mask stamped with it — monotone across revoke-to-empty.
+type permRec struct {
+	views []string
+	gen   uint64
+}
+
+var permSeed = maphash.MakeSeed()
+
+func permShard(user string) int { return int(maphash.String(permSeed, user) % permShards) }
 
 // NewStore creates an empty authorization store over a database scheme.
 func NewStore(sch *relation.DBSchema) *Store {
 	return &Store{
-		sch:     sch,
-		views:   make(map[string]*viewEntry),
-		perms:   make(map[string][]string),
-		permGen: make(map[string]uint64),
+		sch:   sch,
+		views: make(map[string]*viewEntry),
+		perms: new([permShards]map[string]*permRec),
 	}
 }
 
@@ -98,33 +117,15 @@ func NewStore(sch *relation.DBSchema) *Store {
 // without affecting the original — the copy-on-write step a versioned
 // engine takes before a definition change (define/drop view, permit,
 // revoke), so readers pinned to the old store keep a stable
-// meta-database. Compiled view entries are shared (immutable once
-// DefineView built them); the maps, the order, and every permission
-// slice are copied because DropView and Revoke splice them in place.
-// The generation counters carry over, keeping them monotone along the
-// clone lineage — which is what lets one MaskCache serve every version:
-// an entry whose (viewGen, permGen) stamps match a pinned store was
-// compiled from identical definitions.
+// meta-database. It copies no map or slice (see Store). The generation
+// counters carry over, keeping them monotone along the clone lineage —
+// which is what lets one MaskCache serve every version: an entry whose
+// (viewGen, permGen) stamps match a pinned store was compiled from
+// identical definitions.
 func (s *Store) Clone(sch *relation.DBSchema) *Store {
-	ns := &Store{
-		sch:      sch,
-		views:    make(map[string]*viewEntry, len(s.views)),
-		order:    append([]string(nil), s.order...),
-		perms:    make(map[string][]string, len(s.perms)),
-		varCount: s.varCount,
-		viewGen:  s.viewGen,
-		permGen:  make(map[string]uint64, len(s.permGen)),
-	}
-	for n, e := range s.views {
-		ns.views[n] = e
-	}
-	for u, vs := range s.perms {
-		ns.perms[u] = append([]string(nil), vs...)
-	}
-	for u, g := range s.permGen {
-		ns.permGen[u] = g
-	}
-	return ns
+	ns := *s
+	ns.sch = sch
+	return &ns
 }
 
 // ViewGen returns the view-set mutation generation; it advances on every
@@ -133,7 +134,26 @@ func (s *Store) ViewGen() uint64 { return s.viewGen }
 
 // PermGen returns user's permit mutation generation; it advances on
 // every Permit and Revoke affecting that user.
-func (s *Store) PermGen(user string) uint64 { return s.permGen[user] }
+func (s *Store) PermGen(user string) uint64 { return s.perm(user).gen }
+
+// perm returns user's record, or the zero record.
+func (s *Store) perm(user string) permRec {
+	if r := s.perms[permShard(user)][user]; r != nil {
+		return *r
+	}
+	return permRec{}
+}
+
+// setPerm publishes user's new record, copying only its shard.
+func (s *Store) setPerm(user string, r permRec) {
+	t := *s.perms
+	i := permShard(user)
+	if t[i] = maps.Clone(t[i]); t[i] == nil {
+		t[i] = make(map[string]*permRec)
+	}
+	t[i][user] = &r
+	s.perms = &t
+}
 
 // Schema returns the database scheme the store is defined over.
 func (s *Store) Schema() *relation.DBSchema { return s.sch }
@@ -172,9 +192,13 @@ func (s *Store) ViewDef(name string) *cview.Def {
 
 // Users returns the users holding any permit, sorted.
 func (s *Store) Users() []string {
-	out := make([]string, 0, len(s.perms))
-	for u := range s.perms {
-		out = append(out, u)
+	var out []string
+	for _, shard := range s.perms {
+		for u, r := range shard {
+			if len(r.views) > 0 {
+				out = append(out, u)
+			}
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -206,37 +230,38 @@ func (s *Store) DefineView(def *cview.Def) error {
 		s.varCount += used
 		entry.branches = append(entry.branches, v)
 	}
+	s.views = maps.Clone(s.views)
 	s.views[def.Name] = entry
-	s.order = append(s.order, def.Name)
+	s.order = append(slices.Clip(s.order), def.Name)
 	s.viewGen++
 	return nil
 }
 
-// DropView removes a view and every permit referencing it.
+// DropView removes a view and every permit referencing it. Users it
+// leaves without views keep their records (and generations).
 func (s *Store) DropView(name string) bool {
 	if _, ok := s.views[name]; !ok {
 		return false
 	}
+	s.views = maps.Clone(s.views)
 	delete(s.views, name)
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	for u, vs := range s.perms {
-		kept := vs[:0]
-		for _, v := range vs {
-			if v != name {
-				kept = append(kept, v)
+	s.order = slices.DeleteFunc(slices.Clone(s.order), func(n string) bool { return n == name })
+	t := *s.perms
+	for i, shard := range t {
+		var m map[string]*permRec
+		for u, r := range shard {
+			if j := slices.Index(r.views, name); j >= 0 {
+				if m == nil {
+					m = maps.Clone(shard)
+				}
+				m[u] = &permRec{views: slices.Concat(r.views[:j], r.views[j+1:]), gen: r.gen}
 			}
 		}
-		if len(kept) == 0 {
-			delete(s.perms, u)
-		} else {
-			s.perms[u] = kept
+		if m != nil {
+			t[i] = m
 		}
 	}
+	s.perms = &t
 	s.viewGen++
 	return true
 }
@@ -246,36 +271,27 @@ func (s *Store) Permit(view, user string) error {
 	if _, ok := s.views[view]; !ok {
 		return fmt.Errorf("unknown view %s", view)
 	}
-	for _, v := range s.perms[user] {
-		if v == view {
-			return nil // idempotent
-		}
+	r := s.perm(user)
+	if slices.Contains(r.views, view) {
+		return nil // idempotent
 	}
-	s.perms[user] = append(s.perms[user], view)
-	s.permGen[user]++
+	s.setPerm(user, permRec{views: append(slices.Clip(r.views), view), gen: r.gen + 1})
 	return nil
 }
 
 // Revoke removes a (user, view) row; it reports whether one existed.
 func (s *Store) Revoke(view, user string) bool {
-	vs := s.perms[user]
-	for i, v := range vs {
-		if v == view {
-			s.perms[user] = append(vs[:i], vs[i+1:]...)
-			if len(s.perms[user]) == 0 {
-				delete(s.perms, user)
-			}
-			s.permGen[user]++
-			return true
-		}
+	r := s.perm(user)
+	i := slices.Index(r.views, view)
+	if i < 0 {
+		return false
 	}
-	return false
+	s.setPerm(user, permRec{views: slices.Concat(r.views[:i], r.views[i+1:]), gen: r.gen + 1})
+	return true
 }
 
 // ViewsFor returns the views permitted to user, in grant order.
-func (s *Store) ViewsFor(user string) []string {
-	return append([]string(nil), s.perms[user]...)
-}
+func (s *Store) ViewsFor(user string) []string { return slices.Clone(s.perm(user).views) }
 
 // compile translates a conjunctive view definition into stored meta-tuples
 // following §3: membership subformulas become meta-tuples (projected
@@ -578,9 +594,8 @@ func comparisonRows(x string, iv interval.Interval) [][]string {
 // RenderPermission writes the PERMISSION relation in grant order.
 func (s *Store) RenderPermission(w io.Writer) {
 	var rows [][]string
-	users := s.Users()
-	for _, u := range users {
-		for _, v := range s.perms[u] {
+	for _, u := range s.Users() {
+		for _, v := range s.perm(u).views {
 			rows = append(rows, []string{u, v})
 		}
 	}

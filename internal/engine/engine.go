@@ -90,7 +90,8 @@ type Engine struct {
 	// met collects the engine's operational metrics (requests by kind,
 	// execution latency, masked cells, guard trips, WAL appends); the
 	// network server shares it and adds its own series. See observe.go.
-	met *metrics.Registry
+	met     *metrics.Registry
+	execMet execMetrics
 
 	// lsn is the log sequence number: the count of mutating statements
 	// applied (and staged for the WAL) over the engine's entire history,
@@ -149,6 +150,7 @@ func New(opt core.Options) *Engine {
 		subs:       make(map[*CommitSub]struct{}),
 		epochHist:  []EpochEntry{{Epoch: 1, StartLSN: 0}},
 	}
+	e.execMet = newExecMetrics(e.met)
 	e.wstore = core.NewStore(sch)
 	e.masks.Store(core.NewMaskCache(0))
 	if opt.MaskClosure {

@@ -155,28 +155,53 @@ func stmtKind(p parser.Stmt) string {
 	}
 }
 
+// execMetrics holds the series observeExec updates, resolved once per
+// kind or outcome instead of looked up on every statement. Each
+// registers on first use, so the exposition lists exactly the kinds and
+// outcomes seen.
+type execMetrics struct {
+	requests                        *metrics.Vec[metrics.Counter]
+	latency                         *metrics.Vec[metrics.Histogram]
+	delivered, withheld, metaTuples func() *metrics.Counter
+	canceled, budget, errors        func() *metrics.Counter
+}
+
+func newExecMetrics(r *metrics.Registry) execMetrics {
+	return execMetrics{
+		requests:   r.CounterVec("authdb_requests_total", "kind"),
+		latency:    r.HistogramVec("authdb_exec_seconds", "kind"),
+		delivered:  r.LazyCounter("authdb_cells_delivered_total"),
+		withheld:   r.LazyCounter("authdb_cells_withheld_total"),
+		metaTuples: r.LazyCounter("authdb_meta_tuples_total"),
+		canceled:   r.LazyCounter("authdb_guard_canceled_total"),
+		budget:     r.LazyCounter("authdb_guard_budget_total"),
+		errors:     r.LazyCounter("authdb_exec_errors_total"),
+	}
+}
+
 // observeExec records one statement execution: the request count and
 // latency by kind, delivered vs withheld cells and the meta-tuples a
 // recomputed mask plan materialized on authorized retrievals (zero when the
 // mask cache or the closure answered), and guard cancellation/budget trips
 // on failures.
 func (e *Engine) observeExec(kind string, d time.Duration, res *Result, err error) {
-	e.met.Counter("authdb_requests_total", "kind", kind).Inc()
-	e.met.Histogram("authdb_exec_seconds", "kind", kind).Observe(d.Seconds())
+	m := &e.execMet
+	m.requests.With(kind).Inc()
+	m.latency.With(kind).Observe(d.Seconds())
 	switch {
 	case err == nil:
 		if res != nil && res.Decision != nil {
 			st := res.Decision.Stats
-			e.met.Counter("authdb_cells_delivered_total").Add(int64(st.RevealedCells))
-			e.met.Counter("authdb_cells_withheld_total").Add(int64(st.Cells - st.RevealedCells))
-			e.met.Counter("authdb_meta_tuples_total").Add(int64(res.Decision.MetaTuples))
+			m.delivered().Add(int64(st.RevealedCells))
+			m.withheld().Add(int64(st.Cells - st.RevealedCells))
+			m.metaTuples().Add(int64(res.Decision.MetaTuples))
 		}
 	case errors.Is(err, guard.ErrCanceled):
-		e.met.Counter("authdb_guard_canceled_total").Inc()
+		m.canceled().Inc()
 	case errors.Is(err, guard.ErrBudgetExceeded):
-		e.met.Counter("authdb_guard_budget_total").Inc()
+		m.budget().Inc()
 	default:
-		e.met.Counter("authdb_exec_errors_total").Inc()
+		m.errors().Inc()
 	}
 }
 

@@ -35,6 +35,12 @@ func TestDispatchStats(t *testing.T) {
 			t.Fatalf("\\stats output missing %q:\n%s", want, res.Text)
 		}
 	}
+	// Only kinds and outcomes that occurred have series.
+	for _, absent := range []string{`kind="explain"`, "authdb_guard_canceled_total", "authdb_exec_errors_total"} {
+		if strings.Contains(res.Text, absent) {
+			t.Fatalf("\\stats output lists unused %q:\n%s", absent, res.Text)
+		}
+	}
 
 	// \stats is an administrator command; the shared dispatch enforces it.
 	if _, err := user.Dispatch(ctx, `\stats`); !errors.Is(err, engine.ErrNotAuthorized) {

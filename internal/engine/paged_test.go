@@ -329,3 +329,80 @@ func TestPagedMetricsExposed(t *testing.T) {
 		t.Fatal("checkpoint flushed no dirty pages")
 	}
 }
+
+// TestPagedOmitsEmptiedUser revokes a user's only view under both paths
+// that write the paged catalog — the rebuild when a memory directory
+// converts, and write-through afterwards — then checkpoints and reopens:
+// the user must be absent from the stored permits, and `show
+// permissions` must read the same throughout.
+func TestPagedOmitsEmptiedUser(t *testing.T) {
+	dir := t.TempDir()
+	show := func(e *Engine) string {
+		t.Helper()
+		res, err := e.NewSession("admin", true).Exec(`show permissions`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Text
+	}
+	exec := func(e *Engine, stmts ...string) {
+		t.Helper()
+		for _, stmt := range stmts {
+			if _, err := e.NewSession("admin", true).Exec(stmt); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		}
+	}
+	checkCatalog := func(e *Engine, ghost string) {
+		t.Helper()
+		cat, err := e.pstore.LoadCatalog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cat.Permits) == 0 {
+			t.Fatal("no permits stored")
+		}
+		for _, p := range cat.Permits {
+			if strings.Contains(p, ghost) {
+				t.Fatalf("stored permits name the emptied user %s: %v", ghost, cat.Permits)
+			}
+		}
+	}
+
+	m, err := OpenDurableStorage(dir, core.DefaultOptions(), StorageConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(m, durableScenario...)
+	exec(m, `permit VP to Ghost`, `revoke VP from Ghost`)
+	want := show(m)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCatalog(p, "Ghost")
+	if got := show(p); got != want {
+		t.Fatalf("show permissions after conversion:\n%s\nbefore:\n%s", got, want)
+	}
+	exec(p, `permit VP to Wraith`, `revoke VP from Wraith`)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	checkCatalog(p, "Wraith")
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	back, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if got := show(back); got != want {
+		t.Fatalf("show permissions after paged reopen:\n%s\nbefore:\n%s", got, want)
+	}
+}

@@ -108,3 +108,58 @@ func TestLoadErrors(t *testing.T) {
 		t.Fatal("column mismatch must fail")
 	}
 }
+
+// showPermissions renders `show permissions` on e.
+func showPermissions(t *testing.T, e *engine.Engine) string {
+	t.Helper()
+	res, err := e.NewSession("admin", true).Exec(`show permissions`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Text
+}
+
+// TestCheckpointOmitsEmptiedUser revokes a user's only view, checkpoints
+// and reopens: the user keeps a record in memory (its permit generation)
+// but must not reach the written PERMISSION, and `show permissions` must
+// read the same before and after reopening.
+func TestCheckpointOmitsEmptiedUser(t *testing.T) {
+	dir := t.TempDir()
+	e, err := engine.OpenDurable(dir, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := e.NewSession("admin", true)
+	if _, err := admin.ExecScript(workload.PaperScript + `
+		permit SAE to Ghost;
+		revoke SAE from Ghost;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	want := showPermissions(t, e)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := os.ReadFile(filepath.Join(dir, strings.TrimSpace(string(cur)), "views.authdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(views), "permit SAE to Brown") || strings.Contains(string(views), "Ghost") {
+		t.Fatalf("written PERMISSION:\n%s", views)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := engine.OpenDurable(dir, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if got := showPermissions(t, back); got != want {
+		t.Fatalf("show permissions after reopening:\n%s\nbefore:\n%s", got, want)
+	}
+}

@@ -15,6 +15,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -150,17 +151,14 @@ func renderLabels(labels []string) string {
 		}
 		b.WriteString(labels[i])
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[i+1]))
+		labelEscaper.WriteString(&b, labels[i+1])
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // lookup returns the series for (name, labels), creating it with mk if
 // absent, and panics if the family already exists with another kind.
@@ -203,6 +201,58 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 		return &series{his: &Histogram{bounds: DefBuckets, counts: make([]atomic.Int64, len(DefBuckets)+1)}}
 	})
 	return s.his
+}
+
+// LazyCounter returns a handle on the unlabelled counter name that
+// registers it on its first call — so the exposition lists it only once
+// used — and afterwards returns it without a lookup.
+func (r *Registry) LazyCounter(name string) func() *Counter {
+	return sync.OnceValue(func() *Counter { return r.Counter(name) })
+}
+
+// Vec hands out the series of one family by the value of a single label,
+// registering each on first use, so the exposition lists only the values
+// seen. After that With is a lock-free read that allocates nothing: the
+// handle for per-request paths, which would otherwise render the label
+// set and take the registry lock on every call.
+type Vec[T any] struct {
+	mk    func(value string) *T
+	mu    sync.Mutex                    // serializes first uses
+	byVal atomic.Pointer[map[string]*T] // immutable; replaced on first use of a value
+}
+
+func newVec[T any](mk func(value string) *T) *Vec[T] {
+	v := &Vec[T]{mk: mk}
+	v.byVal.Store(&map[string]*T{})
+	return v
+}
+
+// CounterVec returns the counters of family name keyed by label.
+func (r *Registry) CounterVec(name, label string) *Vec[Counter] {
+	return newVec(func(v string) *Counter { return r.Counter(name, label, v) })
+}
+
+// HistogramVec returns the histograms of family name keyed by label.
+func (r *Registry) HistogramVec(name, label string) *Vec[Histogram] {
+	return newVec(func(v string) *Histogram { return r.Histogram(name, label, v) })
+}
+
+// With returns the series whose label has value, registering it on first
+// use.
+func (v *Vec[T]) With(value string) *T {
+	if s, ok := (*v.byVal.Load())[value]; ok {
+		return s
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	old := *v.byVal.Load()
+	if s, ok := old[value]; ok {
+		return s
+	}
+	next := maps.Clone(old)
+	next[value] = v.mk(value)
+	v.byVal.Store(&next)
+	return next[value]
 }
 
 // CounterFunc registers a counter whose value is read from fn at

@@ -128,3 +128,43 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("gauge lost updates: %d", got)
 	}
 }
+
+func TestVecAndLazyCounter(t *testing.T) {
+	r := NewRegistry()
+	reqs := r.CounterVec("reqs_total", "kind")
+	lat := r.HistogramVec("lat_seconds", "kind")
+	errs := r.LazyCounter("errs_total")
+	if text := r.Text(); text != "" {
+		t.Fatalf("handles registered series before use:\n%s", text)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				reqs.With(string(rune('a' + w%4))).Inc()
+			}
+		}(w)
+	}
+	wg.Wait()
+	lat.With("a").Observe(0.001)
+	errs().Inc()
+	if reqs.With("a") != r.Counter("reqs_total", "kind", "a") || errs() != r.Counter("errs_total") {
+		t.Fatal("handles and registry lookups disagree")
+	}
+	text := r.Text()
+	for _, want := range []string{
+		`reqs_total{kind="a"} 2000`,
+		`reqs_total{kind="d"} 2000`,
+		`lat_seconds_count{kind="a"} 1`,
+		"errs_total 1",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, `lat_seconds_count{kind="b"}`) {
+		t.Fatalf("unused label value exposed:\n%s", text)
+	}
+}

@@ -129,6 +129,9 @@ type Server struct {
 	metricsLn net.Listener // see http.go
 
 	activeConns *metrics.Gauge
+	// Per-request series, resolved once (see metrics.Vec).
+	requests func() *metrics.Counter
+	errCodes *metrics.Vec[metrics.Counter]
 
 	// hub owns the replication follower streams (see internal/replica);
 	// connections whose first frame is a REPL_HELLO are routed to it.
@@ -171,6 +174,8 @@ func New(db *authdb.DB, cfg Config) *Server {
 		shutCh:      make(chan struct{}),
 		conns:       make(map[net.Conn]struct{}),
 		activeConns: met.Gauge("authdb_server_connections_active"),
+		requests:    met.LazyCounter("authdb_server_requests_total"),
+		errCodes:    met.CounterVec("authdb_server_errors_total", "code"),
 	}
 	s.hub = replica.NewHub(db.Engine())
 	s.hub.SetUnsafeNoFencing(cfg.UnsafeNoFencing)
@@ -603,7 +608,7 @@ func (s *Server) execute(sess *authdb.Session, admin bool, req wire.Request) wir
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	s.met.Counter("authdb_server_requests_total").Inc()
+	s.requests().Inc()
 	if strings.TrimSpace(req.Stmt) == `\promote` {
 		return s.executePromote(ctx, admin, req.ID)
 	}
@@ -625,7 +630,7 @@ func (s *Server) execute(sess *authdb.Session, admin bool, req wire.Request) wir
 				we.Message = fmt.Sprintf("%s; send writes to the primary at %s", we.Message, leader)
 			}
 		}
-		s.met.Counter("authdb_server_errors_total", "code", we.Code).Inc()
+		s.errCodes.With(we.Code).Inc()
 		return wire.Response{ID: req.ID, Error: we}
 	}
 	return res.Wire(req.ID)
