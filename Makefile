@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race chaos fuzz fuzz-wire bench benchgo
+.PHONY: check build fmt vet staticcheck test race chaos fuzz fuzz-wire fuzz-parser bench benchgo
 
 check: build fmt vet staticcheck race
 
@@ -50,6 +50,12 @@ fuzz:
 # replication kinds included, plus malformed frames).
 fuzz-wire:
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 30s
+
+# Fuzz the statement parser: the streaming per-statement parse must
+# agree with the whole-script reference (statements, lines, errors), and
+# accepted views and queries must round-trip through their printed form.
+fuzz-parser:
+	$(GO) test ./internal/parser -run '^$$' -fuzz FuzzParseProgram -fuzztime 30s
 
 # The repository's benchmark: four workloads over the masked-retrieve
 # path, each in a process of its own, with the correctness gate on

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/maphash"
 	"io"
 	"maps"
 	"slices"
@@ -77,7 +76,7 @@ type Store struct {
 	sch      *relation.DBSchema
 	views    map[string]*viewEntry
 	order    []string
-	perms    *[permShards]map[string]*permRec // PERMISSION by hash of user
+	perms    *permTable
 	varCount int
 	// viewGen counts view-set mutations (define, drop) and permRec.gen
 	// per-user permit mutations (permit, revoke). Masks derive from
@@ -88,28 +87,12 @@ type Store struct {
 	viewGen uint64
 }
 
-// permShards fixes PERMISSION's fan-out: a permit copies one shard,
-// about 40 entries at 10⁴ users, plus the shard array.
-const permShards = 256
-
-// permRec is one user's PERMISSION rows in grant order and their
-// generation. A record outlives its last view, keeping gen — and so
-// every mask stamped with it — monotone across revoke-to-empty.
-type permRec struct {
-	views []string
-	gen   uint64
-}
-
-var permSeed = maphash.MakeSeed()
-
-func permShard(user string) int { return int(maphash.String(permSeed, user) % permShards) }
-
 // NewStore creates an empty authorization store over a database scheme.
 func NewStore(sch *relation.DBSchema) *Store {
 	return &Store{
 		sch:   sch,
 		views: make(map[string]*viewEntry),
-		perms: new([permShards]map[string]*permRec),
+		perms: new(permTable),
 	}
 }
 
@@ -137,23 +120,10 @@ func (s *Store) ViewGen() uint64 { return s.viewGen }
 func (s *Store) PermGen(user string) uint64 { return s.perm(user).gen }
 
 // perm returns user's record, or the zero record.
-func (s *Store) perm(user string) permRec {
-	if r := s.perms[permShard(user)][user]; r != nil {
-		return *r
-	}
-	return permRec{}
-}
+func (s *Store) perm(user string) permRec { return s.perms.get(user) }
 
-// setPerm publishes user's new record, copying only its shard.
-func (s *Store) setPerm(user string, r permRec) {
-	t := *s.perms
-	i := permShard(user)
-	if t[i] = maps.Clone(t[i]); t[i] == nil {
-		t[i] = make(map[string]*permRec)
-	}
-	t[i][user] = &r
-	s.perms = &t
-}
+// setPerm publishes user's new record.
+func (s *Store) setPerm(user string, r permRec) { s.perms = s.perms.with(user, r) }
 
 // Schema returns the database scheme the store is defined over.
 func (s *Store) Schema() *relation.DBSchema { return s.sch }
@@ -193,13 +163,11 @@ func (s *Store) ViewDef(name string) *cview.Def {
 // Users returns the users holding any permit, sorted.
 func (s *Store) Users() []string {
 	var out []string
-	for _, shard := range s.perms {
-		for u, r := range shard {
-			if len(r.views) > 0 {
-				out = append(out, u)
-			}
+	s.perms.each(func(u string, r permRec) {
+		if len(r.views) > 0 {
+			out = append(out, u)
 		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }
@@ -246,22 +214,16 @@ func (s *Store) DropView(name string) bool {
 	s.views = maps.Clone(s.views)
 	delete(s.views, name)
 	s.order = slices.DeleteFunc(slices.Clone(s.order), func(n string) bool { return n == name })
-	t := *s.perms
-	for i, shard := range t {
-		var m map[string]*permRec
-		for u, r := range shard {
-			if j := slices.Index(r.views, name); j >= 0 {
-				if m == nil {
-					m = maps.Clone(shard)
-				}
-				m[u] = &permRec{views: slices.Concat(r.views[:j], r.views[j+1:]), gen: r.gen}
-			}
+	var held []permEntry
+	s.perms.each(func(u string, r permRec) {
+		if slices.Contains(r.views, name) {
+			held = append(held, permEntry{u, r})
 		}
-		if m != nil {
-			t[i] = m
-		}
+	})
+	for _, e := range held {
+		j := slices.Index(e.rec.views, name)
+		s.setPerm(e.user, permRec{views: slices.Concat(e.rec.views[:j], e.rec.views[j+1:]), gen: e.rec.gen})
 	}
-	s.perms = &t
 	s.viewGen++
 	return true
 }

@@ -399,11 +399,15 @@ func permitBytes(t *testing.T, n int) float64 {
 
 // TestPermitCostIndependentOfUsers bounds a definition change by what it
 // changes: a permit on a store of 10 000 users may allocate at most twice
-// what it does on 1 000.
+// what it does on 1 000, and under 2 KB — less than a flat table of 256
+// shard pointers alone would copy.
 func TestPermitCostIndependentOfUsers(t *testing.T) {
 	small, large := permitBytes(t, 1000), permitBytes(t, 10000)
 	t.Logf("Clone+Permit: %.0f B at 1 000 users, %.0f B at 10 000", small, large)
 	if large > 2*small {
 		t.Fatalf("Clone+Permit allocates %.0f B at 10 000 users, %.0f B at 1 000: not independent of users", large, small)
+	}
+	if small >= 2048 {
+		t.Fatalf("Clone+Permit allocates %.0f B at 1 000 users, want under 2 KB", small)
 	}
 }

@@ -49,11 +49,11 @@ type Engine struct {
 	// head is the current database version; see version.go.
 	head atomic.Pointer[dbVersion]
 	// Writer state, guarded by e.mu: the versioned relations whose heads
-	// the next publish will capture, and the current schema and
-	// authorization store (replaced copy-on-write by definition changes,
-	// shared with published versions otherwise).
+	// the next publish will capture, indexed by the schema's ordinals, and
+	// the current schema and authorization store (replaced copy-on-write
+	// by definition changes, shared with published versions otherwise).
 	wsch   *relation.DBSchema
-	vrels  map[string]*relation.Versioned
+	vrels  []*relation.Versioned
 	wstore *core.Store
 	verSeq uint64
 
@@ -143,7 +143,6 @@ func New(opt core.Options) *Engine {
 	sch := relation.NewDBSchema()
 	e := &Engine{
 		wsch:       sch,
-		vrels:      make(map[string]*relation.Versioned),
 		opt:        opt,
 		met:        metrics.NewRegistry(),
 		commitWake: make(chan struct{}, 1),
@@ -452,7 +451,7 @@ func (s *Session) createRelation(p parser.CreateRelation) (*Result, error) {
 		return nil, err
 	}
 	s.eng.wsch = nsch
-	s.eng.vrels[p.Name] = relation.NewVersioned(rs.Attrs)
+	s.eng.vrels = append(s.eng.vrels, relation.NewVersioned(rs.Attrs))
 	s.eng.wstore = s.eng.wstore.Clone(nsch)
 	err = s.logStmt(p)
 	s.eng.publishLocked()
@@ -704,9 +703,9 @@ func (s *Session) insert(p parser.Insert) (*Result, error) {
 	if err := s.eng.durCheck(); err != nil {
 		return nil, err
 	}
-	vr, ok := s.eng.vrels[p.Rel]
-	if !ok {
-		return nil, fmt.Errorf("unknown relation %s", p.Rel)
+	vr, err := s.eng.versioned(p.Rel)
+	if err != nil {
+		return nil, err
 	}
 	t := relation.Tuple(p.Values)
 	if len(t) != vr.Arity() {
@@ -738,9 +737,9 @@ func (s *Session) delete(p parser.Delete) (*Result, error) {
 	if err := s.eng.durCheck(); err != nil {
 		return nil, err
 	}
-	vr, ok := s.eng.vrels[p.Rel]
-	if !ok {
-		return nil, fmt.Errorf("unknown relation %s", p.Rel)
+	vr, err := s.eng.versioned(p.Rel)
+	if err != nil {
+		return nil, err
 	}
 	pred, err := deletePredicate(s.eng.wsch, p)
 	if err != nil {

@@ -163,14 +163,47 @@ func TestExecScriptStopsAtError(t *testing.T) {
 		insert into NOPE values (1);
 		relation S (B);
 	`)
-	if err == nil {
-		t.Fatal("script error swallowed")
+	if err == nil || err.Error() != "line 3: unknown relation NOPE" {
+		t.Fatalf("script error = %v, want the failing statement's line", err)
 	}
 	if len(rs) != 1 {
 		t.Fatalf("results before error = %d, want 1", len(rs))
 	}
 	if e.Schema().Lookup("S") != nil {
 		t.Fatal("statement after the error executed")
+	}
+}
+
+// TestExecScriptSyntaxErrorExecutesNothing checks that a script is
+// parsed whole before anything runs: an error in its last statement,
+// syntactic or lexical, leaves the relations and permissions as they
+// were.
+func TestExecScriptSyntaxErrorExecutesNothing(t *testing.T) {
+	e := paperEngine(t)
+	s := e.NewSession("admin", true)
+	show := func() string {
+		var out []string
+		for _, stmt := range []string{"show relations", "show permissions"} {
+			r, err := s.Exec(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r.Text)
+		}
+		return strings.Join(out, "\n")
+	}
+	before := show()
+	for _, script := range []string{
+		"relation R (A);\nview V (R.A);\npermit V to u;\nrelation S (B",
+		"relation R (A);\nview V (R.A);\npermit V to u;\ninsert into R values (\"x)",
+	} {
+		rs, err := s.ExecScript(script)
+		if err == nil || !strings.HasPrefix(err.Error(), "line 4:") || rs != nil {
+			t.Fatalf("%q: got %d results, error %v", script, len(rs), err)
+		}
+		if after := show(); after != before {
+			t.Fatalf("%q changed the database:\n%s\nwant\n%s", script, after, before)
+		}
 	}
 }
 

@@ -65,6 +65,30 @@ func mvccEngine(t *testing.T) *Engine {
 
 const mvccQuery = `retrieve (R.K, R.V) where R.K >= 1`
 
+// TestPublishAllocsIndependentOfRelations bounds a commit's publish by
+// two allocations — the version and its slice of relation heads — however
+// many relations the schema holds.
+func TestPublishAllocsIndependentOfRelations(t *testing.T) {
+	for _, n := range []int{2, 32} {
+		e := New(core.DefaultOptions())
+		admin := e.NewSession("admin", true)
+		for i := 0; i < n; i++ {
+			if _, err := admin.Exec(fmt.Sprintf("relation R%d (A)", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.mu.Lock()
+		allocs := testing.AllocsPerRun(100, e.publishLocked)
+		e.mu.Unlock()
+		if allocs > 2 {
+			t.Fatalf("publishing over %d relations allocated %.0f objects, want at most 2", n, allocs)
+		}
+		if r, err := e.headVersion().source(fmt.Sprintf("R%d", n-1)); err != nil || r.Arity() != 1 {
+			t.Fatalf("published head lost relation R%d: %v", n-1, err)
+		}
+	}
+}
+
 // TestRetrieveRunsWhileWriterLockHeld proves a retrieve takes no engine
 // lock: it must complete while the writer lock is held exclusively the
 // whole time.
@@ -126,7 +150,8 @@ func TestWritersCommitWhileReaderPinned(t *testing.T) {
 			t.Fatalf("pinned version's %s changed under concurrent commits", p)
 		}
 	}
-	if head := e.headVersion(); head == v || head.rels["R"].Len() != 23 {
+	head := e.headVersion()
+	if r, err := head.source("R"); head == v || err != nil || r.Len() != 23 {
 		t.Fatal("commits did not advance the head past the pinned version")
 	}
 }

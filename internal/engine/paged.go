@@ -199,12 +199,12 @@ func (e *Engine) rebuildPageStore() error {
 	ps := e.pstore
 	v := e.head.Load()
 	ps.Reset()
-	for _, name := range v.sch.Names() {
+	for i, name := range v.sch.Names() {
 		rs := v.sch.Lookup(name)
 		if err := ps.CreateRelation(name, rs.Arity(), renderRelationStmt(rs)); err != nil {
 			return err
 		}
-		for _, t := range v.rels[name].Tuples() {
+		for _, t := range v.rels[i].Tuples() {
 			if err := ps.InsertTuple(name, t); err != nil {
 				return err
 			}
@@ -253,12 +253,12 @@ func loadPagedState(fs faultfs.FS, dir, snapDir string, opt core.Options, cacheP
 		}
 		e.mu.Lock()
 		for _, name := range ps.Relations() {
-			vr, ok := e.vrels[name]
-			if !ok {
+			vr, err := e.versioned(name)
+			if err != nil {
 				e.mu.Unlock()
 				return nil, fmt.Errorf("stored relation %s missing from catalog schema", name)
 			}
-			err := ps.ScanRelation(name, func(vs []value.Value) error {
+			err = ps.ScanRelation(name, func(vs []value.Value) error {
 				_, err := vr.Insert(relation.Tuple(vs))
 				return err
 			})

@@ -48,9 +48,9 @@ func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
 	}
 	files["views.authdb"] = []byte(views.String())
 
-	for _, name := range v.sch.Names() {
+	for i, name := range v.sch.Names() {
 		var buf bytes.Buffer
-		if err := v.rels[name].WriteCSV(&buf); err != nil {
+		if err := v.rels[i].WriteCSV(&buf); err != nil {
 			return nil, fmt.Errorf("rendering %s: %w", name, err)
 		}
 		files["data/"+name+".csv"] = buf.Bytes()
@@ -155,7 +155,7 @@ func loadState(fs faultfs.FS, dir string, opt core.Options) (*Engine, error) {
 	}
 
 	e.mu.Lock()
-	for _, name := range e.wsch.Names() {
+	for i, name := range e.wsch.Names() {
 		path := filepath.Join(dir, "data", name+".csv")
 		raw, err := fs.ReadFile(path)
 		if err != nil {
@@ -172,7 +172,7 @@ func loadState(fs faultfs.FS, dir string, opt core.Options) (*Engine, error) {
 			return nil, fmt.Errorf("%s: csv has %d columns, scheme %d", path, got, want)
 		}
 		for _, t := range rel.Tuples() {
-			if _, err := e.vrels[name].Insert(t); err != nil {
+			if _, err := e.vrels[i].Insert(t); err != nil {
 				e.mu.Unlock()
 				return nil, fmt.Errorf("loading %s: %w", name, err)
 			}

@@ -29,19 +29,21 @@ type dbVersion struct {
 	seq uint64
 	lsn uint64
 
-	sch   *relation.DBSchema
-	rels  map[string]*relation.Relation
+	sch *relation.DBSchema
+	// rels holds each base relation's revision at the schema's ordinal
+	// for it (DBSchema.Ordinal).
+	rels  []*relation.Relation
 	store *core.Store
 }
 
 // source resolves base relations for the evaluators against this
 // version; it is the algebra.Source every pinned read uses.
 func (v *dbVersion) source(name string) (*relation.Relation, error) {
-	r, ok := v.rels[name]
+	i, ok := v.sch.Ordinal(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown relation %s", name)
 	}
-	return r, nil
+	return v.rels[i], nil
 }
 
 // headVersion pins the current version: one atomic load, no lock. The
@@ -62,13 +64,13 @@ func (s *Session) readVersion() *dbVersion {
 // publishLocked builds the next version from the writer state and swaps
 // it into the head pointer — the commit point for readers. Callers hold
 // e.mu for writing (or have exclusive access during construction). The
-// cost is one shallow map copy over the relation heads, O(#relations),
-// independent of data size.
+// cost is two allocations: the version and a slice of #relations head
+// pointers, independent of data size.
 func (e *Engine) publishLocked() {
 	e.verSeq++
-	rels := make(map[string]*relation.Relation, len(e.vrels))
-	for n, vr := range e.vrels {
-		rels[n] = vr.Head()
+	rels := make([]*relation.Relation, len(e.vrels))
+	for i, vr := range e.vrels {
+		rels[i] = vr.Head()
 	}
 	e.head.Store(&dbVersion{
 		seq:   e.verSeq,
@@ -79,13 +81,23 @@ func (e *Engine) publishLocked() {
 	})
 }
 
+// versioned resolves a base relation's writer-side lineage; callers hold
+// e.mu for writing.
+func (e *Engine) versioned(name string) (*relation.Versioned, error) {
+	i, ok := e.wsch.Ordinal(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown relation %s", name)
+	}
+	return e.vrels[i], nil
+}
+
 // writerSource resolves a base relation's current head for the update
 // authorization checks, which run inside the writer's critical section;
 // callers hold e.mu for writing.
 func (e *Engine) writerSource(name string) (*relation.Relation, error) {
-	vr, ok := e.vrels[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown relation %s", name)
+	vr, err := e.versioned(name)
+	if err != nil {
+		return nil, err
 	}
 	return vr.Head(), nil
 }

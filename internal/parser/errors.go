@@ -7,7 +7,7 @@ import (
 
 // SyntaxError is a parse failure with position information. The lexer
 // and parser produce it with the byte Offset of the offending token; the
-// top-level entry points (Parse, ParseProgram, ParseProgramPos) fill in
+// top-level entry points (Parse, ParseProgramPos) fill in
 // the 1-based Line and Col from the source text, so callers — and the
 // wire protocol's structured errors — can point users at the exact spot.
 type SyntaxError struct {

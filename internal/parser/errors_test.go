@@ -18,7 +18,7 @@ func TestSyntaxErrorLineCol(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseProgram(tc.input)
+			_, err := ParseProgramPos(tc.input)
 			if err == nil {
 				t.Fatalf("expected a parse error")
 			}

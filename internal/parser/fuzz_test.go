@@ -1,13 +1,15 @@
 package parser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzParseProgram checks the parser never panics and that anything it
-// accepts round-trips through the definitions' String form where one
-// exists.
+// FuzzParseProgram checks the parser never panics, that the streaming
+// parse agrees with the whole-script reference — statements, lines and
+// errors — and that anything it accepts round-trips through the
+// definitions' String form where one exists.
 func FuzzParseProgram(f *testing.F) {
 	seeds := []string{
 		`relation EMPLOYEE (NAME, TITLE, SALARY) key (NAME)`,
@@ -24,17 +26,27 @@ func FuzzParseProgram(f *testing.F) {
 		`insert into R values ("quo;ted", x)`,
 		`view V (R.A`,
 		`;;;`,
+		"relation (A);\nrelation S (B);\ninsert into S values (@);",
+		"relation S (B) relation T (C);\nretrieve (S.B) where S.B ! 2;",
+		"insert into R values (1, \"x);\npermit V to u;",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		stmts, err := ParseProgram(input)
+		sps, err := ParseProgramPos(input)
+		want, werr := referenceProgramPos(input)
+		if !reflect.DeepEqual(err, werr) {
+			t.Fatalf("streaming error %v, reference %v", err, werr)
+		}
+		if len(sps)+len(want) > 0 && !reflect.DeepEqual(sps, want) {
+			t.Fatalf("streaming parse %+v, reference %+v", sps, want)
+		}
 		if err != nil {
 			return
 		}
-		for _, s := range stmts {
-			switch s := s.(type) {
+		for _, sp := range sps {
+			switch s := sp.Stmt.(type) {
 			case ViewStmt:
 				// The printed form must itself parse to a view with the
 				// same shape.
@@ -57,20 +69,23 @@ func FuzzParseProgram(f *testing.F) {
 	})
 }
 
+// roundTripCorpus is TestRoundTripCorpus's input, shared with the
+// streaming-parse equivalence test.
+var roundTripCorpus = []string{
+	`view ELP (EMPLOYEE.NAME, EMPLOYEE.TITLE, PROJECT.NUMBER, PROJECT.BUDGET)
+	  where EMPLOYEE.NAME = ASSIGNMENT.E_NAME
+	  and PROJECT.NUMBER = ASSIGNMENT.P_NO
+	  and PROJECT.BUDGET >= 250000`,
+	`view EST (EMPLOYEE:1.NAME, EMPLOYEE:2.NAME, EMPLOYEE:1.TITLE)
+	  where EMPLOYEE:1.TITLE = EMPLOYEE:2.TITLE`,
+	`view D (P.N) where P.S = Acme or P.B >= 400000 and P.B <= 900000`,
+	`retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) where EMPLOYEE.TITLE = engineer`,
+}
+
 // TestRoundTripCorpus runs the fuzz body over a fixed corpus so the
 // property is exercised in ordinary test runs too.
 func TestRoundTripCorpus(t *testing.T) {
-	corpus := []string{
-		`view ELP (EMPLOYEE.NAME, EMPLOYEE.TITLE, PROJECT.NUMBER, PROJECT.BUDGET)
-		  where EMPLOYEE.NAME = ASSIGNMENT.E_NAME
-		  and PROJECT.NUMBER = ASSIGNMENT.P_NO
-		  and PROJECT.BUDGET >= 250000`,
-		`view EST (EMPLOYEE:1.NAME, EMPLOYEE:2.NAME, EMPLOYEE:1.TITLE)
-		  where EMPLOYEE:1.TITLE = EMPLOYEE:2.TITLE`,
-		`view D (P.N) where P.S = Acme or P.B >= 400000 and P.B <= 900000`,
-		`retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) where EMPLOYEE.TITLE = engineer`,
-	}
-	for _, in := range corpus {
+	for _, in := range roundTripCorpus {
 		s, err := Parse(in)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", in, err)

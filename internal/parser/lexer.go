@@ -55,88 +55,123 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// lex splits the input into tokens. Identifiers may contain letters,
-// digits, '_' and interior '-' (project numbers like bq-45 are bare
-// identifiers); numbers are optionally signed decimals; strings are
-// double-quoted.
-func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
+// lexer splits a script into tokens one statement at a time, resuming at
+// the offset where the previous statement stopped, so a script is never
+// held as one token slice. Identifiers may contain letters, digits, '_'
+// and interior '-' (project numbers like bq-45 are bare identifiers);
+// numbers are optionally signed decimals; strings are double-quoted.
+type lexer struct {
+	input string
+	off   int
+}
+
+// statement appends to buf the tokens from the current offset up to and
+// including the next ';', or up to the end of input, and then a tokEOF
+// terminator, so the parser's lookahead never runs off the buffer. A
+// terminator after ';' is never consumed: every statement rule stops at,
+// or fails on, the ';' before it.
+func (lx *lexer) statement(buf []token) ([]token, error) {
+	for {
+		t, err := lx.next()
+		if err != nil {
+			return buf, err
+		}
+		buf = append(buf, t)
+		switch t.kind {
+		case tokEOF:
+			return buf, nil
+		case tokSemi:
+			return append(buf, token{tokEOF, "", lx.off}), nil
+		}
+	}
+}
+
+// lexErrorOr scans the rest of the input and returns its first lexical
+// error, or err when there is none: a script is rejected for a lexical
+// error anywhere in it before any syntax error, the order of a lexer
+// that scans the whole script before the parser starts.
+func (lx *lexer) lexErrorOr(err error) error {
+	for {
+		t, lerr := lx.next()
+		if lerr != nil {
+			return lerr
+		}
+		if t.kind == tokEOF {
+			return err
+		}
+	}
+}
+
+// punctKinds maps each single-byte punctuation token to its kind;
+// tokEOF marks every other byte.
+var punctKinds = [256]tokKind{
+	'(': tokLParen, ')': tokRParen, ',': tokComma, '.': tokDot,
+	':': tokColon, ';': tokSemi, '*': tokStar,
+}
+
+// next scans one token, skipping whitespace and comments; at the end of
+// input it returns tokEOF.
+func (lx *lexer) next() (token, error) {
+	input := lx.input
 	n := len(input)
+	i := lx.off
 	for i < n {
 		c := input[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
+			continue
 		case c == '-' && i+1 < n && input[i+1] == '-': // line comment
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case c == '(':
-			toks = append(toks, token{tokLParen, "(", i})
-			i++
-		case c == ')':
-			toks = append(toks, token{tokRParen, ")", i})
-			i++
-		case c == ',':
-			toks = append(toks, token{tokComma, ",", i})
-			i++
-		case c == '.':
-			toks = append(toks, token{tokDot, ".", i})
-			i++
-		case c == ':':
-			toks = append(toks, token{tokColon, ":", i})
-			i++
-		case c == ';':
-			toks = append(toks, token{tokSemi, ";", i})
-			i++
-		case c == '*':
-			toks = append(toks, token{tokStar, "*", i})
-			i++
+			continue
+		}
+		if k := punctKinds[c]; k != tokEOF {
+			lx.off = i + 1
+			return token{k, input[i : i+1], i}, nil
+		}
+		start := i
+		var t token
+		switch {
 		case c == '=' || c == '<' || c == '>' || c == '!':
-			start := i
 			i++
 			if i < n && (input[i] == '=' || (c == '<' && input[i] == '>')) {
 				i++
 			}
-			t := input[start:i]
-			if t == "!" {
-				return nil, errf(start, "stray '!'")
+			if input[start:i] == "!" {
+				return token{}, errf(start, "stray '!'")
 			}
-			toks = append(toks, token{tokCmp, t, start})
+			t = token{tokCmp, input[start:i], start}
 		case c == '"':
-			start := i
 			i++
 			for i < n && input[i] != '"' {
 				i++
 			}
 			if i >= n {
-				return nil, errf(start, "unterminated string")
+				return token{}, errf(start, "unterminated string")
 			}
 			i++
-			toks = append(toks, token{tokString, input[start+1 : i-1], start})
+			t = token{tokString, input[start+1 : i-1], start}
 		case c >= '0' && c <= '9', c == '-' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9':
-			start := i
 			i++
 			for i < n && input[i] >= '0' && input[i] <= '9' {
 				i++
 			}
-			toks = append(toks, token{tokNumber, input[start:i], start})
+			t = token{tokNumber, input[start:i], start}
 		case c < 0x80 && isIdentStart(rune(c)):
-			start := i
 			i++
 			for i < n && isIdentPart(input, i) {
 				i++
 			}
-			toks = append(toks, token{tokIdent, input[start:i], start})
+			t = token{tokIdent, input[start:i], start}
 		default:
 			r, size := utf8.DecodeRuneInString(input[i:])
 			switch {
 			case r == '≠' || r == '≤' || r == '≥':
-				toks = append(toks, token{tokCmp, string(r), i})
 				i += size
+				t = token{tokCmp, input[start:i], start}
 			case isIdentStart(r):
-				start := i
 				i += size
 				for i < n {
 					r2, s2 := utf8.DecodeRuneInString(input[i:])
@@ -152,14 +187,16 @@ func lex(input string) ([]token, error) {
 					}
 					i += s2
 				}
-				toks = append(toks, token{tokIdent, input[start:i], start})
+				t = token{tokIdent, input[start:i], start}
 			default:
-				return nil, errf(i, "unexpected character %q", string(r))
+				return token{}, errf(i, "unexpected character %q", string(r))
 			}
 		}
+		lx.off = i
+		return t, nil
 	}
-	toks = append(toks, token{tokEOF, "", n})
-	return toks, nil
+	lx.off = n
+	return token{tokEOF, "", n}, nil
 }
 
 func isIdentStart(c rune) bool {

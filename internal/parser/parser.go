@@ -131,30 +131,17 @@ func (p *parser) acceptKeyword(kw string) bool {
 
 // Parse parses a single statement; trailing semicolons are tolerated.
 func Parse(input string) (Stmt, error) {
-	stmts, err := ParseProgram(input)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) == 0 {
-		return nil, fmt.Errorf("empty statement")
-	}
-	if len(stmts) > 1 {
-		return nil, fmt.Errorf("expected one statement, found %d", len(stmts))
-	}
-	return stmts[0], nil
-}
-
-// ParseProgram parses a semicolon-separated sequence of statements.
-func ParseProgram(input string) ([]Stmt, error) {
 	sps, err := ParseProgramPos(input)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Stmt, len(sps))
-	for i, sp := range sps {
-		out[i] = sp.Stmt
+	if len(sps) == 0 {
+		return nil, fmt.Errorf("empty statement")
 	}
-	return out, nil
+	if len(sps) > 1 {
+		return nil, fmt.Errorf("expected one statement, found %d", len(sps))
+	}
+	return sps[0].Stmt, nil
 }
 
 func (p *parser) statement() (Stmt, error) {
@@ -263,7 +250,16 @@ func (p *parser) insert() (Stmt, error) {
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
 		return nil, err
 	}
-	var vals []value.Value
+	// The statement's tokens are all buffered: size the tuple once.
+	n := 1
+	for _, t := range p.toks[p.i:] {
+		if t.kind == tokComma {
+			n++
+		} else if t.kind == tokRParen {
+			break
+		}
+	}
+	vals := make([]value.Value, 0, n)
 	for {
 		v, err := p.constant()
 		if err != nil {

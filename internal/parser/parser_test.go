@@ -155,7 +155,7 @@ where R.A = 1`).(Retrieve)
 }
 
 func TestParseProgram(t *testing.T) {
-	stmts, err := ParseProgram(`
+	stmts, err := ParseProgramPos(`
 relation R (A, B);
 insert into R values (1, 2);
 retrieve (R.A);
@@ -166,7 +166,7 @@ retrieve (R.A);
 	if len(stmts) != 3 {
 		t.Fatalf("statements = %d", len(stmts))
 	}
-	if _, err := ParseProgram(`relation R (A) relation S (B)`); err == nil {
+	if _, err := ParseProgramPos(`relation R (A) relation S (B)`); err == nil {
 		t.Error("missing semicolon accepted")
 	}
 }

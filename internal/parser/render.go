@@ -15,39 +15,52 @@ type StmtPos struct {
 }
 
 // ParseProgramPos parses a semicolon-separated sequence of statements,
-// reporting each statement's source line.
+// reporting each statement's source line. The whole script is parsed
+// before anything is returned, so a script with an error anywhere yields
+// no statements.
 func ParseProgramPos(input string) ([]StmtPos, error) {
-	toks, err := lex(input)
-	if err != nil {
-		return nil, resolvePos(err, input)
-	}
-	p := &parser{toks: toks}
-	var out []StmtPos
+	// A token is about four bytes of input: a single statement gets a
+	// buffer near its size, a script one that fits most statements.
+	p := parser{toks: make([]token, 0, min(32, len(input)/4+2))}
+	return p.program(input)
+}
+
+// program is ParseProgramPos over p, whose token buffer holds one
+// statement at a time and is reused for the next.
+func (p *parser) program(input string) ([]StmtPos, error) {
+	lx := lexer{input: input}
+	// Every statement but the last ends in ';', so this bounds the count
+	// (from above, when ';' also appears in strings and comments).
+	out := make([]StmtPos, 0, strings.Count(input, ";")+1)
 	// Track the line incrementally: statement positions only move forward,
 	// so counting newlines over each gap keeps the whole pass linear in the
 	// script size (recounting from the start per statement is quadratic on
 	// bulk-load scripts).
 	line, off := 1, 0
 	for {
-		for p.accept(tokSemi) {
+		var err error
+		if p.toks, err = lx.statement(p.toks[:0]); err != nil {
+			return nil, resolvePos(err, input)
 		}
-		if p.peek().kind == tokEOF {
+		p.i = 0
+		switch p.peek().kind {
+		case tokSemi: // empty statement
+			continue
+		case tokEOF: // a terminator only follows ';', so this is the end
 			return out, nil
 		}
 		if pos := p.peek().pos; pos > off {
-			if pos > len(input) {
-				pos = len(input)
-			}
 			line += strings.Count(input[off:pos], "\n")
 			off = pos
 		}
 		s, err := p.statement()
 		if err != nil {
-			return nil, resolvePos(err, input)
+			return nil, resolvePos(lx.lexErrorOr(err), input)
 		}
 		out = append(out, StmtPos{Stmt: s, Line: line})
-		if p.peek().kind != tokEOF && !p.accept(tokSemi) {
-			return nil, resolvePos(errf(p.peek().pos, "expected ';' between statements, found %s", p.peek()), input)
+		if t := p.peek(); t.kind != tokEOF && t.kind != tokSemi {
+			err := errf(t.pos, "expected ';' between statements, found %s", t)
+			return nil, resolvePos(lx.lexErrorOr(err), input)
 		}
 	}
 }

@@ -33,19 +33,18 @@ type orderedEntry struct {
 // by any mutation (Insert, Append, Delete all bump); the cache is shared
 // across Rename views of the same storage and revalidated per reader by
 // tuple count — exactly the membership index's lazy-rebuild contract.
+//
+// The maps are created by the first build, so a revision that is never
+// an index source — most revisions during bulk loads — costs no map.
 type indexCache struct {
 	mu     sync.Mutex
 	byAttr map[int]indexEntry
 	ord    map[int]orderedEntry
 	// built is true while any entry exists. It lets bump — which runs on
 	// every mutation — skip the mutex entirely for relations that were
-	// never used as an index source, which is most relations during bulk
-	// loads. Reads and writes of the maps themselves stay under mu.
+	// never used as an index source. Reads and writes of the maps
+	// themselves stay under mu.
 	built atomic.Bool
-}
-
-func newIndexCache() *indexCache {
-	return &indexCache{byAttr: make(map[int]indexEntry), ord: make(map[int]orderedEntry)}
 }
 
 // bump invalidates every index.
@@ -54,12 +53,7 @@ func (c *indexCache) bump() {
 		return
 	}
 	c.mu.Lock()
-	if len(c.byAttr) > 0 {
-		c.byAttr = make(map[int]indexEntry)
-	}
-	if len(c.ord) > 0 {
-		c.ord = make(map[int]orderedEntry)
-	}
+	c.byAttr, c.ord = nil, nil
 	c.built.Store(false)
 	c.mu.Unlock()
 }
@@ -96,6 +90,9 @@ func (r *Relation) ensureHash(i int) indexEntry {
 		k := valueKey(t[i])
 		e.m[k] = append(e.m[k], t)
 	}
+	if c.byAttr == nil {
+		c.byAttr = make(map[int]indexEntry)
+	}
 	c.byAttr[i] = e
 	c.built.Store(true)
 	return e
@@ -120,6 +117,9 @@ func (r *Relation) ensureOrdered(i int) orderedEntry {
 	sorted := slices.Clone(r.tuples)
 	slices.SortStableFunc(sorted, func(a, b Tuple) int { return a[i].Compare(b[i]) })
 	e = orderedEntry{builtLen: len(r.tuples), sorted: sorted}
+	if c.ord == nil {
+		c.ord = make(map[int]orderedEntry)
+	}
 	c.ord[i] = e
 	c.built.Store(true)
 	return e

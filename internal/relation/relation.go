@@ -3,7 +3,7 @@ package relation
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"authdb/internal/value"
 )
@@ -42,15 +42,33 @@ func (t Tuple) Compare(u Tuple) int {
 	return len(t) - len(u)
 }
 
-// key returns a map key identifying the tuple for set semantics.
-func (t Tuple) key() string {
-	var b strings.Builder
+// appendKey appends to b a map key identifying the tuple for set
+// semantics. Looking a set up by string(t.appendKey(buf)) allocates
+// nothing; only storing a new key copies it.
+func (t Tuple) appendKey(b []byte) []byte {
 	for _, v := range t {
-		b.WriteByte(byte(v.Kind()))
-		b.WriteString(v.String())
-		b.WriteByte(0)
+		b = append(b, byte(v.Kind()))
+		switch v.Kind() {
+		case value.KindInt:
+			b = strconv.AppendInt(b, v.AsInt(), 10)
+		case value.KindString:
+			b = append(b, v.AsString()...)
+		default:
+			b = append(b, v.String()...)
+		}
+		b = append(b, 0)
 	}
-	return b.String()
+	return b
+}
+
+// keyBuf sizes the stack buffer keys are built in; longer keys spill to
+// the heap.
+type keyBuf [64]byte
+
+// key returns the tuple's set-semantics key in one allocation.
+func (t Tuple) key() string {
+	var buf keyBuf
+	return string(t.appendKey(buf[:0]))
 }
 
 // Relation is a relation instance: a set of tuples over an ordered list of
@@ -74,11 +92,20 @@ type Relation struct {
 
 // New creates an empty relation over the given attributes.
 func New(attrs []string) *Relation {
-	return &Relation{
-		Attrs: append([]string(nil), attrs...),
-		index: make(map[string]bool),
-		idx:   newIndexCache(),
-	}
+	r := newRelation(append([]string(nil), attrs...), nil)
+	r.index = make(map[string]bool)
+	return r
+}
+
+// newRelation allocates a relation over attrs and tuples together with
+// its own empty index cache: one object, not two.
+func newRelation(attrs []string, tuples []Tuple) *Relation {
+	rc := &struct {
+		r Relation
+		c indexCache
+	}{r: Relation{Attrs: attrs, tuples: tuples}}
+	rc.r.idx = &rc.c
+	return &rc.r
 }
 
 // FromSchema creates an empty relation matching a relation scheme.
@@ -134,11 +161,12 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 		return false, fmt.Errorf("arity mismatch: tuple has %d values, relation %d attributes", len(t), len(r.Attrs))
 	}
 	r.ensureIndex()
-	k := t.key()
-	if r.index[k] {
+	var buf keyBuf
+	k := t.appendKey(buf[:0])
+	if r.index[string(k)] {
 		return false, nil
 	}
-	r.index[k] = true
+	r.index[string(k)] = true
 	r.tuples = append(r.tuples, t.Clone())
 	r.idx.bump()
 	return true, nil
@@ -194,7 +222,8 @@ func (r *Relation) Delete(pred func(Tuple) bool) int {
 // first call rebuilds the membership index (and therefore mutates r).
 func (r *Relation) Contains(t Tuple) bool {
 	r.ensureIndex()
-	return r.index[t.key()]
+	var buf keyBuf
+	return r.index[string(t.appendKey(buf[:0]))]
 }
 
 // Clone returns a deep copy.

@@ -10,6 +10,8 @@ package relation
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"authdb/internal/value"
@@ -95,29 +97,43 @@ func (s *Schema) String() string {
 }
 
 // DBSchema is a database scheme: a set of relation schemes addressed by
-// name.
+// name. Each scheme's ordinal is its position in definition order; it
+// never changes, so the engine keeps relation revisions in a slice
+// indexed by it.
 type DBSchema struct {
-	order   []string
-	schemas map[string]*Schema
+	list    []*Schema
+	ordinal map[string]int
 }
 
 // NewDBSchema builds an empty database scheme.
 func NewDBSchema() *DBSchema {
-	return &DBSchema{schemas: make(map[string]*Schema)}
+	return &DBSchema{ordinal: make(map[string]int)}
 }
 
-// Add registers a relation scheme; duplicate names are rejected.
+// Add registers a relation scheme with the next ordinal; duplicate names
+// are rejected.
 func (d *DBSchema) Add(s *Schema) error {
-	if _, ok := d.schemas[s.Name]; ok {
+	if _, ok := d.ordinal[s.Name]; ok {
 		return fmt.Errorf("relation %s already defined", s.Name)
 	}
-	d.schemas[s.Name] = s
-	d.order = append(d.order, s.Name)
+	d.ordinal[s.Name] = len(d.list)
+	d.list = append(d.list, s)
 	return nil
 }
 
 // Lookup returns the scheme for name, or nil.
-func (d *DBSchema) Lookup(name string) *Schema { return d.schemas[name] }
+func (d *DBSchema) Lookup(name string) *Schema {
+	if i, ok := d.ordinal[name]; ok {
+		return d.list[i]
+	}
+	return nil
+}
+
+// Ordinal returns the definition-order position of relation name.
+func (d *DBSchema) Ordinal(name string) (int, bool) {
+	i, ok := d.ordinal[name]
+	return i, ok
+}
 
 // Clone returns a copy of the database scheme that can be extended
 // without affecting the original. The relation schemes themselves are
@@ -125,18 +141,17 @@ func (d *DBSchema) Lookup(name string) *Schema { return d.schemas[name] }
 // which is what lets a versioned engine publish the old scheme to
 // pinned readers while the writer adds a relation to the new one.
 func (d *DBSchema) Clone() *DBSchema {
-	out := &DBSchema{
-		order:   append([]string(nil), d.order...),
-		schemas: make(map[string]*Schema, len(d.schemas)),
-	}
-	for n, s := range d.schemas {
-		out.schemas[n] = s
-	}
-	return out
+	return &DBSchema{list: slices.Clip(d.list), ordinal: maps.Clone(d.ordinal)}
 }
 
 // Names returns the relation names in definition order.
-func (d *DBSchema) Names() []string { return append([]string(nil), d.order...) }
+func (d *DBSchema) Names() []string {
+	out := make([]string, len(d.list))
+	for i, s := range d.list {
+		out[i] = s.Name
+	}
+	return out
+}
 
 // QualifyAttrs returns the attributes of scheme rel qualified with the
 // given alias, e.g. alias "EMPLOYEE:1" yields "EMPLOYEE:1.NAME", …. Query

@@ -65,17 +65,18 @@ func (v *Versioned) Insert(t Tuple) (bool, error) {
 	if len(t) != len(v.head.Attrs) {
 		return false, fmt.Errorf("arity mismatch: tuple has %d values, relation %d attributes", len(t), len(v.head.Attrs))
 	}
-	k := t.key()
-	if v.memb[k] {
+	var buf keyBuf
+	k := t.appendKey(buf[:0])
+	if v.memb[string(k)] {
 		return false, nil
 	}
-	v.memb[k] = true
+	v.memb[string(k)] = true
 	old := v.head
 	// Shares old's backing array when capacity allows: the single-writer
 	// contract guarantees only the newest revision's frontier is ever
 	// appended to, so older heads' prefixes are never overwritten.
 	tuples := append(old.tuples, t.Clone())
-	v.head = &Relation{Attrs: old.Attrs, tuples: tuples, idx: newIndexCache()}
+	v.head = newRelation(old.Attrs, tuples)
 	return true, nil
 }
 
@@ -97,13 +98,16 @@ func (v *Versioned) Delete(pred func(Tuple) bool) int {
 	if removed == 0 {
 		return 0
 	}
-	v.head = &Relation{Attrs: old.Attrs, tuples: kept, idx: newIndexCache()}
+	v.head = newRelation(old.Attrs, kept)
 	return removed
 }
 
 // Contains reports set membership in the current revision without
 // touching the revision itself (the writer-owned set answers).
-func (v *Versioned) Contains(t Tuple) bool { return v.memb[t.key()] }
+func (v *Versioned) Contains(t Tuple) bool {
+	var buf keyBuf
+	return v.memb[string(t.appendKey(buf[:0]))]
+}
 
 // ExtendsByAppend reports whether nw's tuple storage extends old's by
 // pure appends — the successor-revision relationship Versioned.Insert
@@ -144,5 +148,5 @@ func (r *Relation) Suffix(from int) *Relation {
 	if from > len(r.tuples) {
 		from = len(r.tuples)
 	}
-	return &Relation{Attrs: r.Attrs, tuples: r.tuples[from:], idx: newIndexCache()}
+	return newRelation(r.Attrs, r.tuples[from:])
 }

@@ -155,6 +155,32 @@ func TestVersionedOfAllocatesNoMap(t *testing.T) {
 	}
 }
 
+// TestVersionedInsertAllocs bounds an insert by what it writes: the
+// tuple's clone, its membership key and the successor revision, with no
+// index maps and no key-builder regrowth. Amortized slice and map growth
+// averages out below one allocation over the runs.
+func TestVersionedInsertAllocs(t *testing.T) {
+	const runs = 1000
+	tuples := make([]Tuple, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range tuples {
+		tuples[i] = Tuple{value.Int(int64(i)), value.String(fmt.Sprintf("row-%d", i)), value.Int(-7 * int64(i))}
+	}
+	v := NewVersioned([]string{"A", "B", "C"})
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if added, err := v.Insert(tuples[next]); err != nil || !added {
+			t.Fatalf("insert %d: added=%v err=%v", next, added, err)
+		}
+		next++
+	})
+	if allocs > 3 {
+		t.Fatalf("Versioned.Insert allocated %.0f objects, want at most 3", allocs)
+	}
+	if dup := testing.AllocsPerRun(runs, func() { v.Insert(tuples[0]) }); dup != 0 {
+		t.Fatalf("a duplicate insert allocated %.0f objects, want none", dup)
+	}
+}
+
 // TestVersionedArityMismatch checks the writer-side arity guard.
 func TestVersionedArityMismatch(t *testing.T) {
 	v := NewVersioned([]string{"A", "B"})

@@ -302,17 +302,16 @@ func TestFencedExPrimaryQuarantinesAndRejoins(t *testing.T) {
 	}
 
 	// A rejoins B as a follower: the divergent write is quarantined, the
-	// states converge, the epoch is adopted.
+	// states converge, the epoch is adopted. The follower installs B's
+	// snapshot before it adopts B's epoch history, so the state can match
+	// while the epoch still reads 1: wait for both.
 	waitLSN(t, adb.Engine(), bdb.Engine().LSN())
 	deadline := time.Now().Add(15 * time.Second)
-	for !stateEqual(t, adb.Engine(), bdb.Engine()) {
+	for !stateEqual(t, adb.Engine(), bdb.Engine()) || adb.Engine().Epoch() != 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("A never converged with B after rejoining")
+			t.Fatalf("A never converged with B after rejoining (epoch %d, want 2)", adb.Engine().Epoch())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if got := adb.Engine().Epoch(); got != 2 {
-		t.Fatalf("rejoined A epoch %d, want 2", got)
 	}
 	matches, err := filepath.Glob(filepath.Join(adir, "diverged-*"))
 	if err != nil || len(matches) == 0 {
