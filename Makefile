@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race chaos fuzz fuzz-wire fuzz-parser bench benchgo
+.PHONY: check build fmt vet staticcheck test race paged chaos fuzz fuzz-wire fuzz-root fuzz-parser bench benchgo
 
 check: build fmt vet staticcheck race
 
@@ -32,6 +32,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The durability and replication suites on the paged storage backend
+# (AUTHDB_STORAGE=paged routes every OpenDurable through the pager +
+# B+Tree store). CI's paged job runs this target, so a backend-dependent
+# failure reproduces locally with `make paged`.
+paged:
+	AUTHDB_STORAGE=paged $(GO) test -race ./internal/storage ./internal/engine ./internal/replica ./internal/server
+
 # The jepsen-lite failover suite under the race detector: five seeded
 # network-chaos schedules (partitions, latency, mid-message cuts,
 # promotion of a replica while the old primary still takes writes) plus
@@ -50,6 +57,11 @@ fuzz:
 # replication kinds included, plus malformed frames).
 fuzz-wire:
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 30s
+
+# Fuzz the page store's ROOT decoder: any input opens a store or fails
+# with an error, never a panic.
+fuzz-root:
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzParseRoot -fuzztime 30s
 
 # Fuzz the statement parser: the streaming per-statement parse must
 # agree with the whole-script reference (statements, lines, errors), and

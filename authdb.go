@@ -58,37 +58,17 @@ type Limits struct {
 	// Timeout bounds wall-clock execution of one statement; it composes
 	// with (never extends) any deadline on the caller's context.
 	Timeout time.Duration
-	// Parallelism lets the evaluators partition large products, joins,
-	// and selections across up to this many workers sharing the
-	// statement's budget. 0 and 1 both mean serial execution; results
-	// and budget failures are identical either way.
-	Parallelism int
 }
 
 // DefaultLimits is the budget sessions start with: generous enough for
 // ordinary workloads, small enough that a runaway self-product fails
 // fast instead of exhausting memory.
-func DefaultLimits() Limits {
-	g := guard.DefaultLimits()
-	return Limits{
-		MaxIntermediateRows: g.MaxIntermediateRows,
-		MaxResultRows:       g.MaxResultRows,
-		Timeout:             g.Timeout,
-		Parallelism:         g.Parallelism,
-	}
-}
+func DefaultLimits() Limits { return Limits(guard.DefaultLimits()) }
 
 // Unlimited disables every per-statement bound.
 func Unlimited() Limits { return Limits{} }
 
-func (l Limits) internal() guard.Limits {
-	return guard.Limits{
-		MaxIntermediateRows: l.MaxIntermediateRows,
-		MaxResultRows:       l.MaxResultRows,
-		Timeout:             l.Timeout,
-		Parallelism:         l.Parallelism,
-	}
-}
+func (l Limits) internal() guard.Limits { return guard.Limits(l) }
 
 // Options selects the refinements of the paper's §4.2, the mask closure,
 // and the durable storage backend; see DESIGN.md. Queries always run on

@@ -10,8 +10,8 @@ package main
 //	             [-storage memory|paged] [-cache-pages N]
 //	             [-paper] [-load FILE] [-max-conns N] [-idle-timeout D]
 //	             [-grace D] [-admin-token T] [-max-intermediate-rows N]
-//	             [-max-result-rows N] [-stmt-timeout D] [-parallelism N]
-//	             [-group-commit] [-replica-of HOST:PORT[,HOST:PORT...]]
+//	             [-max-result-rows N] [-stmt-timeout D] [-group-commit]
+//	             [-replica-of HOST:PORT[,HOST:PORT...]]
 //	             [-primary-token T] [-repl-name NAME] [-advertise HOST:PORT]
 //	             [-peers HOST:PORT[,...]] [-ready-max-lag N]
 //
@@ -60,7 +60,6 @@ func runServe(args []string) int {
 	maxInter := fs.Int64("max-intermediate-rows", def.MaxIntermediateRows, "per-statement intermediate-row budget (0: unlimited)")
 	maxResult := fs.Int64("max-result-rows", def.MaxResultRows, "per-statement result-row cap (0: unlimited)")
 	stmtTimeout := fs.Duration("stmt-timeout", def.Timeout, "per-statement wall-clock bound (0: unlimited)")
-	parallelism := fs.Int("parallelism", def.Parallelism, "intra-statement evaluation workers per connection")
 	groupCommit := fs.Bool("group-commit", false, "batch concurrent WAL appends into one fsync")
 	replicaOf := fs.String("replica-of", "", "follow this primary and serve read-only; comma-separate candidate addresses (empty: standalone)")
 	primaryToken := fs.String("primary-token", "", "replication token presented to the primary (its admin token)")
@@ -144,7 +143,6 @@ func runServe(args []string) int {
 			MaxIntermediateRows: *maxInter,
 			MaxResultRows:       *maxResult,
 			Timeout:             *stmtTimeout,
-			Parallelism:         *parallelism,
 		},
 	})
 	if err := srv.Start(); err != nil {

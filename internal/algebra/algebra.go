@@ -265,16 +265,9 @@ func EvalNaiveGuarded(n Node, src Source, g *guard.Guard) (*relation.Relation, e
 	}
 }
 
-// guardedProduct is relation.Product with per-output-row accounting,
-// fanned out across the guard's Parallelism when the output is large
-// enough to pay for the workers.
+// guardedProduct is relation.Product with per-output-row accounting. A
+// nil guard accounts nothing, so EvalNaive runs the same loop.
 func guardedProduct(l, r *relation.Relation, g *guard.Guard) (*relation.Relation, error) {
-	if par := g.Parallelism(); par > 1 && l.Len() > 1 && l.Len()*r.Len() >= parallelMinWork {
-		return parallelProduct(l, r, g, par)
-	}
-	if g == nil {
-		return l.Product(r), nil
-	}
 	attrs := append(append([]string(nil), l.Attrs...), r.Attrs...)
 	out := relation.New(attrs)
 	for _, a := range l.Tuples() {
@@ -283,23 +276,17 @@ func guardedProduct(l, r *relation.Relation, g *guard.Guard) (*relation.Relation
 				return nil, err
 			}
 			row := make(relation.Tuple, 0, len(a)+len(b))
-			row = append(append(row, a...), b...)
-			out.Insert(row) //nolint:errcheck // arity is correct by construction
+			// Pairs of rows of two sets are distinct: the no-dedup Append
+			// path applies.
+			out.Append(append(append(row, a...), b...))
 		}
 	}
 	return out, nil
 }
 
 // guardedSelect is relation.Select with per-input-row accounting (the
-// scan over the input is the work being bounded), fanned out across the
-// guard's Parallelism on large inputs.
+// scan over the input is the work being bounded).
 func guardedSelect(in *relation.Relation, pred func(relation.Tuple) bool, g *guard.Guard) (*relation.Relation, error) {
-	if par := g.Parallelism(); par > 1 && in.Len() >= parallelMinRows {
-		return parallelSelect(in, pred, g, par)
-	}
-	if g == nil {
-		return in.Select(pred), nil
-	}
 	out := relation.New(in.Attrs)
 	for _, t := range in.Tuples() {
 		if err := g.Add(1); err != nil {
@@ -307,8 +294,7 @@ func guardedSelect(in *relation.Relation, pred func(relation.Tuple) bool, g *gua
 		}
 		if pred(t) {
 			// Selections of a proper set are duplicate-free, so the
-			// no-dedup Append path applies (parallelSelect already relies
-			// on this via mergeChunks).
+			// no-dedup Append path applies.
 			out.Append(t)
 		}
 	}
@@ -317,9 +303,6 @@ func guardedSelect(in *relation.Relation, pred func(relation.Tuple) bool, g *gua
 
 // guardedProject is relation.Project with per-input-row accounting.
 func guardedProject(in *relation.Relation, idx []int, g *guard.Guard) (*relation.Relation, error) {
-	if g == nil {
-		return in.Project(idx), nil
-	}
 	attrs := make([]string, len(idx))
 	for i, j := range idx {
 		attrs[i] = in.Attrs[j]

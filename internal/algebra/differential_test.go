@@ -17,15 +17,14 @@ import (
 // The differential harness: randomized databases and PSJ plans, each
 // evaluated through three evaluator families — naive, plain (pushdown +
 // hash join, no indexes), and indexed (secondary-index access paths,
-// index joins, stats-informed ordering) — serial and parallel, with
-// every pair of results cross-checked. Within one family the parallel
-// result must be tuple-for-tuple identical to the serial one (the
-// workers own contiguous partitions merged in order), and under a tight
-// budget the two must fail or succeed together. Across families only set
-// equality holds (the evaluators materialize different intermediates by
-// design, so their budget trip points differ). The fused (mask
-// pushdown) family is cross-checked at the core layer, where masks
-// exist (internal/core/pushdown_test.go).
+// index joins, stats-informed ordering) — with every pair of results
+// cross-checked for set equality. Under a budget each family must either
+// return exactly its own unbudgeted result, tuple for tuple, or fail
+// with ErrBudgetExceeded; across families only set equality holds (the
+// evaluators materialize different intermediates by design, so their
+// budget trip points differ). The fused (mask pushdown) family is
+// cross-checked at the core layer, where masks exist
+// (internal/core/pushdown_test.go).
 
 // diffCase is one randomized database plus a plan over it.
 type diffCase struct {
@@ -182,56 +181,26 @@ func evalWays(c diffCase, f family, limits guard.Limits) (*relation.Relation, er
 	}
 }
 
-// sameRelation asserts tuple-for-tuple identity (attributes, order,
-// values), the determinism contract of the parallel evaluators.
-func sameRelation(t *testing.T, label string, a, b *relation.Relation) {
-	t.Helper()
-	if len(a.Attrs) != len(b.Attrs) {
-		t.Fatalf("%s: attrs differ: %v vs %v", label, a.Attrs, b.Attrs)
-	}
-	for i := range a.Attrs {
-		if a.Attrs[i] != b.Attrs[i] {
-			t.Fatalf("%s: attrs differ: %v vs %v", label, a.Attrs, b.Attrs)
-		}
-	}
-	at, bt := a.Tuples(), b.Tuples()
-	if len(at) != len(bt) {
-		t.Fatalf("%s: cardinality differs: %d vs %d", label, len(at), len(bt))
-	}
-	for i := range at {
-		if !at[i].Equal(bt[i]) {
-			t.Fatalf("%s: tuple %d differs: %v vs %v", label, i, at[i], bt[i])
-		}
-	}
-}
-
-// checkCase cross-checks the six evaluations (three families × serial,
-// parallel) of one case and, when budgets is non-empty, the
-// serial/parallel budget parity per family.
+// checkCase cross-checks the three families on one case and, when
+// budgets is non-empty, each family under every budget.
 func checkCase(t *testing.T, c diffCase, budgets []int64) {
 	t.Helper()
 	checkFamilies(t, c, families, budgets)
 }
 
 // checkFamilies is checkCase over a subset of the families; the first
-// one is the reference the others must be set-equal to.
+// one is the reference the others must be set-equal to. Under each
+// budget a family must return exactly its unbudgeted result or fail
+// with ErrBudgetExceeded, and nothing else.
 func checkFamilies(t *testing.T, c diffCase, fams []family, budgets []int64) {
 	t.Helper()
-	serial := guard.Limits{Parallelism: 1}
-	par := guard.Limits{Parallelism: 8}
-
 	results := make([]*relation.Relation, len(fams))
 	for k, f := range fams {
-		s, err := evalWays(c, f, serial)
+		r, err := evalWays(c, f, guard.Limits{})
 		if err != nil {
-			t.Fatalf("%s serial: %v (plan %s)", f, err, c.plan)
+			t.Fatalf("%s: %v (plan %s)", f, err, c.plan)
 		}
-		p, err := evalWays(c, f, par)
-		if err != nil {
-			t.Fatalf("%s parallel: %v (plan %s)", f, err, c.plan)
-		}
-		sameRelation(t, f.String()+" serial vs parallel", s, p)
-		results[k] = s
+		results[k] = r
 	}
 	for k, f := range fams[1:] {
 		if !results[0].Equal(results[k+1]) {
@@ -241,26 +210,23 @@ func checkFamilies(t *testing.T, c diffCase, fams []family, budgets []int64) {
 	}
 
 	for _, b := range budgets {
-		for _, f := range fams {
-			rs, errS := evalWays(c, f, guard.Limits{MaxIntermediateRows: b, Parallelism: 1})
-			rp, errP := evalWays(c, f, guard.Limits{MaxIntermediateRows: b, Parallelism: 8})
-			if (errS == nil) != (errP == nil) {
-				t.Fatalf("%s budget %d: serial err %v, parallel err %v (plan %s)",
-					f, b, errS, errP, c.plan)
-			}
-			if errS != nil {
-				if !errors.Is(errS, guard.ErrBudgetExceeded) || !errors.Is(errP, guard.ErrBudgetExceeded) {
-					t.Fatalf("%s budget %d: unexpected errors %v / %v", f, b, errS, errP)
+		for k, f := range fams {
+			r, err := evalWays(c, f, guard.Limits{MaxIntermediateRows: b})
+			if err != nil {
+				if !errors.Is(err, guard.ErrBudgetExceeded) {
+					t.Fatalf("%s budget %d: unexpected error %v (plan %s)", f, b, err, c.plan)
 				}
 				continue
 			}
-			sameRelation(t, f.String()+" under budget", rs, rp)
+			if err := relationsEqualExact(results[k], r); err != nil {
+				t.Fatalf("%s budget %d: result differs from the unbudgeted one: %v (plan %s)", f, b, err, c.plan)
+			}
 		}
 	}
 }
 
 // TestDifferentialRandomized runs 1000 randomized small cases through
-// all six evaluation modes, with budget parity probed on every tenth.
+// the three families, with budgets probed on every tenth.
 func TestDifferentialRandomized(t *testing.T) {
 	const cases = 1000
 	for i := 0; i < cases; i++ {
@@ -279,14 +245,15 @@ func TestDifferentialRandomized(t *testing.T) {
 // indexJoinMinInner rows carrying one to three constant atoms, which an
 // index join checks per candidate instead of materializing the scan;
 // sometimes a third small scan joins the inner. With large, the outer
-// crosses the parallel probe's fan-out threshold, the inner is four
-// times bigger still (no equality atom may shrink its estimate), and the
-// join runs on the inner's key; the naive family, whose product would
-// be millions of rows, then sits out.
+// has at least largeOuterRows rows, the inner is four times bigger (no
+// equality atom may shrink its estimate), and the join runs on the
+// inner's key; the naive family, whose product would be millions of
+// rows, then sits out.
 func genProbeCase(rng *rand.Rand, large bool) diffCase {
+	const largeOuterRows = 1024
 	outerRows, innerRows := 4+rng.Intn(16), 96+rng.Intn(160)
 	if large {
-		outerRows, innerRows = parallelMinRows+rng.Intn(64), 4*parallelMinRows+256+rng.Intn(256)
+		outerRows, innerRows = largeOuterRows+rng.Intn(64), 4*largeOuterRows+256+rng.Intn(256)
 	}
 	rels := map[string]*relation.Relation{
 		"R0": genRel(rng, "R0", 2+rng.Intn(3), outerRows),
@@ -343,8 +310,8 @@ func residualProbed(t *testing.T, c diffCase) bool {
 	return false
 }
 
-// TestDifferentialResidualProbe runs the probe family through all six
-// evaluation modes, with budget parity probed on every fifth case, and
+// TestDifferentialResidualProbe runs the probe family through the three
+// families, with budgets probed on every fifth case, and
 // checks through the trace that the residual probe really is the path
 // under test: at least a tenth of the cases must take it.
 func TestDifferentialResidualProbe(t *testing.T) {
@@ -368,10 +335,10 @@ func TestDifferentialResidualProbe(t *testing.T) {
 	t.Logf("%d of %d cases took a residual index probe", probed, cases)
 }
 
-// TestDifferentialResidualProbeParallel crosses the parallel probe's
-// fan-out threshold with a residual to check: plain and indexed agree as
-// sets, each is identical serial and parallel, and budgets trip alike.
-func TestDifferentialResidualProbeParallel(t *testing.T) {
+// TestDifferentialResidualProbeLarge probes with an outer of over a
+// thousand rows and a residual to check: plain and indexed agree as sets,
+// and under each budget each returns its own result or fails cleanly.
+func TestDifferentialResidualProbeLarge(t *testing.T) {
 	cases := 6
 	if testing.Short() {
 		cases = 2
@@ -386,8 +353,10 @@ func TestDifferentialResidualProbeParallel(t *testing.T) {
 	}
 }
 
-// relationsEqualExact is sameRelation as an error (callable from reader
-// goroutines, where t.Fatalf is not allowed).
+// relationsEqualExact reports whether two relations are identical tuple
+// for tuple (attributes, order, values). It returns an error rather than
+// failing the test so reader goroutines, where t.Fatalf is not allowed,
+// can call it.
 func relationsEqualExact(a, b *relation.Relation) error {
 	if len(a.Attrs) != len(b.Attrs) {
 		return fmt.Errorf("attrs differ: %v vs %v", a.Attrs, b.Attrs)
@@ -441,9 +410,9 @@ func mutateVersioned(rng *rand.Rand, vrels map[string]*relation.Versioned, names
 // TestDifferentialSnapshotReaders is the MVCC differential: a versioned
 // database advances through a lineage of revisions while concurrent
 // readers stay pinned at the version they captured. Every reader's
-// answer — through every evaluator family, serial and parallel — must be
-// tuple-for-tuple identical to a serial evaluation at that version
-// computed before any concurrency began. The writer keeps mutating
+// answer — through every evaluator family — must be tuple-for-tuple
+// identical to an evaluation at that version computed before any
+// concurrency began. The writer keeps mutating
 // (advancing the shared append frontier past every pinned prefix)
 // while the readers run, so under -race this also proves pinned
 // evaluation never touches writer state.
@@ -480,14 +449,14 @@ func TestDifferentialSnapshotReaders(t *testing.T) {
 			versions = append(versions, pin())
 		}
 
-		// Serial ground truth per (version, family), before any concurrency.
+		// Ground truth per (version, family), before any concurrency.
 		expected := make([][]*relation.Relation, len(versions))
 		for vi, heads := range versions {
 			expected[vi] = make([]*relation.Relation, len(families))
 			for _, f := range families {
-				r, err := evalWays(diffCase{rels: heads, plan: c.plan}, f, guard.Limits{Parallelism: 1})
+				r, err := evalWays(diffCase{rels: heads, plan: c.plan}, f, guard.Limits{})
 				if err != nil {
-					t.Fatalf("case %d version %d %s serial: %v (plan %s)", ci, vi, f, err, c.plan)
+					t.Fatalf("case %d version %d %s: %v (plan %s)", ci, vi, f, err, c.plan)
 				}
 				expected[vi][f] = r
 			}
@@ -520,17 +489,13 @@ func TestDifferentialSnapshotReaders(t *testing.T) {
 				for i := 0; i < 6; i++ {
 					vi := rrng.Intn(len(versions))
 					f := families[rrng.Intn(len(families))]
-					limits := guard.Limits{Parallelism: 1}
-					if rrng.Intn(2) == 1 {
-						limits.Parallelism = 8
-					}
-					got, err := evalWays(diffCase{rels: versions[vi], plan: c.plan}, f, limits)
+					got, err := evalWays(diffCase{rels: versions[vi], plan: c.plan}, f, guard.Limits{})
 					if err != nil {
 						errs <- fmt.Errorf("case %d version %d %s: %v", ci, vi, f, err)
 						return
 					}
 					if err := relationsEqualExact(expected[vi][f], got); err != nil {
-						errs <- fmt.Errorf("case %d version %d %s: pinned read diverged from serial ground truth: %v", ci, vi, f, err)
+						errs <- fmt.Errorf("case %d version %d %s: pinned read diverged from ground truth: %v", ci, vi, f, err)
 						return
 					}
 				}
@@ -545,11 +510,10 @@ func TestDifferentialSnapshotReaders(t *testing.T) {
 	}
 }
 
-// TestDifferentialLargeParallel runs cases big enough to cross the
-// parallel fan-out thresholds (product, selection, hash-join probe, and
-// index-join probe), so the chunked code paths — not just their serial
-// fallbacks — are the ones being cross-checked, budgets included.
-func TestDifferentialLargeParallel(t *testing.T) {
+// TestDifferentialLarge runs cases with one relation of 1200–1800 rows,
+// so products, selections, hash-join probes and index-join probes run
+// over inputs a thousand rows wide and budgets trip mid-operator.
+func TestDifferentialLarge(t *testing.T) {
 	cases := 24
 	if testing.Short() {
 		cases = 6

@@ -43,9 +43,8 @@ func EvalOptimizedGuarded(p *PSJ, src Source, g *guard.Guard) (*relation.Relatio
 // join probing a base relation's persistent hash index (checking the
 // scan's own atoms per candidate), or (when no equality connects the
 // sides) a guarded cartesian product. All paths account rows against the
-// same guard and inherit its Parallelism fan-out; with opt.UseIndexes
-// off the evaluator reduces to the plain pushdown + hash-join strategy
-// and legacy join order.
+// same guard; with opt.UseIndexes off the evaluator reduces to the plain
+// pushdown + hash-join strategy and legacy join order.
 //
 // With opt.UseIndexes a scan is lazy: only the start of the join is
 // materialized up front. A later scan that is joined in by an equality
@@ -367,7 +366,7 @@ func filterRun(part *relation.Relation, run []relation.Tuple, rest []Atom, g *gu
 		if pred(t) {
 			// The run is a subslice of one relation's distinct tuples, so
 			// the filtered output is duplicate-free: the no-dedup Append
-			// path applies (as in mergeChunks).
+			// path applies.
 			out.Append(t)
 		}
 	}
@@ -579,11 +578,6 @@ func hashJoin(l, r *relation.Relation, eqs []Atom, g *guard.Guard) (*relation.Re
 		k := key(t, ri)
 		build[k] = append(build[k], t)
 	}
-	// The probe side fans out across the guard's Parallelism; the built
-	// hash table is read-only from here on.
-	if par := g.Parallelism(); par > 1 && l.Len() >= parallelMinRows {
-		return parallelProbe(l, r, li, build, key, g, par)
-	}
 	out := relation.New(append(append([]string(nil), l.Attrs...), r.Attrs...))
 	for _, t := range l.Tuples() {
 		if err := g.Check(); err != nil {
@@ -595,7 +589,7 @@ func hashJoin(l, r *relation.Relation, eqs []Atom, g *guard.Guard) (*relation.Re
 			}
 			row := make(relation.Tuple, 0, len(t)+len(u))
 			// Pairs of rows of two sets are distinct: the no-dedup Append
-			// path applies (as in mergeChunks).
+			// path applies.
 			out.Append(append(append(row, t...), u...))
 		}
 	}
@@ -609,16 +603,12 @@ func hashJoin(l, r *relation.Relation, eqs []Atom, g *guard.Guard) (*relation.Re
 // materialized. Unlike hashJoin it builds nothing per query, so when r is
 // a base relation the index amortizes across every query that joins
 // through it. Every probed candidate is accounted against the guard, and
-// the count is returned; the probe side fans out across the guard's
-// Parallelism.
+// the count is returned.
 func indexJoin(l, r *relation.Relation, eqs, residual []Atom, g *guard.Guard) (*relation.Relation, int, error) {
 	li, ri := joinCols(l, r, eqs)
 	keep, err := CompilePred(r.Attrs, residual)
 	if err != nil {
 		return nil, 0, err
-	}
-	if par := g.Parallelism(); par > 1 && l.Len() >= parallelMinRows {
-		return parallelIndexProbe(l, r, li, ri, keep, g, par)
 	}
 	out := relation.New(append(append([]string(nil), l.Attrs...), r.Attrs...))
 	probed := 0

@@ -122,10 +122,13 @@ func showPermissions(t *testing.T, e *engine.Engine) string {
 // TestCheckpointOmitsEmptiedUser revokes a user's only view, checkpoints
 // and reopens: the user keeps a record in memory (its permit generation)
 // but must not reach the written PERMISSION, and `show permissions` must
-// read the same before and after reopening.
+// read the same before and after reopening. It reads the memory layout's
+// views.authdb, so it pins that backend; TestPagedOmitsEmptiedUser is its
+// paged twin.
 func TestCheckpointOmitsEmptiedUser(t *testing.T) {
 	dir := t.TempDir()
-	e, err := engine.OpenDurable(dir, core.DefaultOptions())
+	memory := engine.StorageConfig{Backend: engine.StorageMemory}
+	e, err := engine.OpenDurableStorage(dir, core.DefaultOptions(), memory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestCheckpointOmitsEmptiedUser(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := engine.OpenDurable(dir, core.DefaultOptions())
+	back, err := engine.OpenDurableStorage(dir, core.DefaultOptions(), memory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,16 +5,15 @@
 // instance) is cut off at tuple-batch granularity instead of taking the
 // engine down.
 //
-// A nil *Guard is valid everywhere and means "unlimited, uncancelable";
-// the evaluators' fast paths stay allocation- and check-free when no
-// guard is attached.
+// A nil *Guard is valid everywhere and means "unlimited, uncancelable":
+// every method is nil-safe, so an unguarded evaluation runs the same
+// operator loops as a guarded one and accounts nothing.
 package guard
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -39,15 +38,6 @@ type Limits struct {
 	// Timeout bounds wall-clock execution of one statement; it composes
 	// with (never extends) any deadline already on the caller's context.
 	Timeout time.Duration
-	// Parallelism is the maximum number of worker goroutines one
-	// evaluator operator (product, hash join, selection) may fan out
-	// across. 0 and 1 both mean serial execution; values above 1 let the
-	// guarded evaluators partition their outer side across that many
-	// workers, all sharing this budget. Results are identical to serial
-	// execution (workers own contiguous partitions merged in order), and
-	// budget failures fire iff they would fire serially: the row totals
-	// accounted are the same either way.
-	Parallelism int
 }
 
 // DefaultLimits is the budget sessions start with: generous enough for
@@ -58,7 +48,6 @@ func DefaultLimits() Limits {
 		MaxIntermediateRows: 1_000_000,
 		MaxResultRows:       500_000,
 		Timeout:             30 * time.Second,
-		Parallelism:         runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -70,12 +59,10 @@ func Unlimited() Limits { return Limits{} }
 const batchSize = 1024
 
 // Guard enforces a Limits budget under a context. A guard belongs to a
-// single statement execution (it is not shared across statements), but
-// within that statement it is safe for concurrent use: the parallel
-// evaluators hand one guard to every worker goroutine, and both the
-// produced-row counter and the batch check counter are atomic, so the
-// budget trigger point depends only on the total rows accounted — not
-// on which worker accounted them.
+// single statement execution (it is not shared across statements). It is
+// safe for concurrent use: the produced-row counter and the batch check
+// counter are atomic, so the budget trigger point depends only on the
+// total rows accounted, not on which goroutine accounted them.
 type Guard struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -146,22 +133,13 @@ func (g *Guard) Add(n int) error {
 		return fmt.Errorf("%w: intermediate rows %d exceed limit %d", ErrBudgetExceeded, total, max)
 	}
 	// Subtracting the batch (rather than storing zero) keeps the counter
-	// exact under concurrent adds: rows accounted by another worker
+	// exact under concurrent adds: rows accounted by another caller
 	// between our Add and the reset are not dropped.
 	if g.sinceCk.Add(int64(n)) >= batchSize {
 		g.sinceCk.Add(-batchSize)
 		return g.ctxErr()
 	}
 	return nil
-}
-
-// Parallelism returns the evaluator fan-out the guard's limits allow; a
-// nil guard (and a zero knob) means serial.
-func (g *Guard) Parallelism() int {
-	if g == nil || g.limits.Parallelism < 1 {
-		return 1
-	}
-	return g.limits.Parallelism
 }
 
 // Produced reports the intermediate rows accounted so far.

@@ -107,10 +107,13 @@ func (s *Store) parseRoot(root []byte) error {
 		}
 		fields := strings.Fields(ln)
 		switch fields[0] {
-		case "pagesize":
+		case "pagesize", "npages", "viewseq", "catalog":
 			if len(fields) != 2 {
-				return fmt.Errorf("storage: bad ROOT pagesize line")
+				return fmt.Errorf("storage: bad ROOT %s line", fields[0])
 			}
+		}
+		switch fields[0] {
+		case "pagesize":
 			if ps, err := strconv.Atoi(fields[1]); err != nil || ps != PageSize {
 				return fmt.Errorf("storage: ROOT page size %s, want %d", fields[1], PageSize)
 			}
