@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race paged chaos fuzz fuzz-wire fuzz-root fuzz-parser bench benchgo
+.PHONY: check build fmt vet staticcheck test race paged chaos fuzz fuzz-wire fuzz-root fuzz-render fuzz-parser bench benchgo
 
 check: build fmt vet staticcheck race
 
@@ -62,6 +62,11 @@ fuzz-wire:
 # with an error, never a panic.
 fuzz-root:
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzParseRoot -fuzztime 30s
+
+# Fuzz the table renderer: any title, header and ragged rows render byte
+# for byte as the line-by-line renderer it replaced.
+fuzz-render:
+	$(GO) test ./internal/relation -run '^$$' -fuzz FuzzRenderTable -fuzztime 30s
 
 # Fuzz the statement parser: the streaming per-statement parse must
 # agree with the whole-script reference (statements, lines, errors), and

@@ -14,6 +14,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"authdb"
@@ -23,6 +24,7 @@ import (
 	"authdb/internal/cview"
 	"authdb/internal/guard"
 	"authdb/internal/qmod"
+	"authdb/internal/relation"
 	"authdb/internal/sysr"
 	"authdb/internal/value"
 	"authdb/internal/workload"
@@ -124,6 +126,33 @@ func TestColdACLGroupJoinWorkBound(t *testing.T) {
 	}
 	if got := g.Produced(); got > parentGroupJoinWork/10 {
 		t.Fatalf("group_join charged %d units, over a tenth of the parent's %d", got, parentGroupJoinWork)
+	}
+}
+
+// TestColdACLAllocBound bounds the allocations of one cold org_list and
+// one cold group_join of principal u7. Before membership keyed on value
+// hashes and masked rows came from one slab per relation, every answer
+// and masked row cost a clone plus a rendered key string.
+func TestColdACLAllocBound(t *testing.T) {
+	auth, acl := coldACL(t)
+	const u = 7
+	for _, c := range []struct {
+		q           int
+		max, parent float64
+	}{
+		{fixture.QOrgList, 540, 2174},
+		{fixture.QGroupJoin, 1000, 1651},
+	} {
+		def := workload.MustQuery(acl.Query(u, c.q))
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := auth.Retrieve(fixture.Principal(u), def); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", fixture.ACLQueryNames[c.q], allocs)
+		if allocs > c.max {
+			t.Errorf("%s allocated %.0f objects, want at most %.0f (parent %.0f)", fixture.ACLQueryNames[c.q], allocs, c.max, c.parent)
+		}
 	}
 }
 
@@ -518,6 +547,34 @@ func BenchmarkExtendedMasks(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRenderTable measures the client's table renderer on the
+// answer warm_wide delivers: Brown's Example 3 on the benchmark's paper
+// fixture, 3003 rows of six columns, rendered into a strings.Builder as
+// the wire reply's Render does.
+func BenchmarkRenderTable(b *testing.B) {
+	db := authdb.Open()
+	if _, err := db.Admin().ExecScript(fixture.PaperScript(fixture.DefaultPaper())); err != nil {
+		b.Fatal(err)
+	}
+	res, err := db.Session("Brown").Exec(fixture.Example3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([][]string, len(res.Table.Rows))
+	for i, r := range res.Table.Rows {
+		rows[i] = make([]string, len(r))
+		for j, c := range r {
+			rows[i][j] = c.String()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sb strings.Builder
+		relation.RenderTable(&sb, "", res.Table.Columns, rows, false)
+	}
 }
 
 // BenchmarkMaskApply isolates mask application on a larger answer.

@@ -301,22 +301,28 @@ func guardedSelect(in *relation.Relation, pred func(relation.Tuple) bool, g *gua
 	return out, nil
 }
 
-// guardedProject is relation.Project with per-input-row accounting.
+// guardedProject is relation.Project with per-input-row accounting. The
+// output is sized by the input and its rows are carved from one slab; a
+// row that collapses onto an earlier one is reused for the next.
 func guardedProject(in *relation.Relation, idx []int, g *guard.Guard) (*relation.Relation, error) {
 	attrs := make([]string, len(idx))
 	for i, j := range idx {
 		attrs[i] = in.Attrs[j]
 	}
-	out := relation.New(attrs)
-	row := make(relation.Tuple, len(idx))
-	for _, t := range in.Tuples() {
+	tuples := in.Tuples()
+	out := relation.NewSized(attrs, len(tuples))
+	slab := relation.NewSlab(len(idx))
+	for n, t := range tuples {
 		if err := g.Add(1); err != nil {
 			return nil, err
 		}
+		row := slab.Row(len(tuples) - n)
 		for i, j := range idx {
 			row[i] = t[j]
 		}
-		out.Insert(row) //nolint:errcheck // arity is correct by construction
+		if out.Adopt(row) {
+			slab.Keep()
+		}
 	}
 	return out, nil
 }

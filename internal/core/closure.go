@@ -5,7 +5,6 @@ import (
 
 	"authdb/internal/algebra"
 	"authdb/internal/relation"
-	"authdb/internal/value"
 )
 
 // Closure is the materialized mask closure: where MaskCache memoizes
@@ -288,36 +287,26 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 	}
 	ex := plan.Mask.compiled()
 	width := e.va.Arity()
-	for _, t := range tailAns.Tuples() {
+	slab := relation.NewSlab(width)
+	rows := tailAns.Tuples()
+	for n, t := range rows {
+		pos := e.va.Len()
 		// Projection can collapse an appended base row onto an answer
-		// row already delivered; the answer is a set.
-		if e.va.Contains(t) {
+		// row already delivered; the answer is a set. The tail answer is
+		// this refresh's own, so its rows move over without a copy.
+		if !e.va.Adopt(t) {
 			continue
 		}
-		pos := e.va.Len()
-		e.va.Insert(t) //nolint:errcheck // arity correct by construction
 		bi := plan.Mask.bestIndex(ex, t)
 		if bi < 0 {
 			continue
 		}
 		e.bits[bi].Set(pos)
-		revealed := ex.reveal[bi]
-		row := make(relation.Tuple, width)
-		full := true
-		for k := range row {
-			if revealed[k] {
-				row[k] = t[k]
-				e.stats.RevealedCells++
-			} else {
-				row[k] = value.Null()
-				full = false
-			}
+		row := slab.Row(len(rows) - n)
+		maskRow(row, t, ex.reveal[bi], &e.stats)
+		if e.vm.Adopt(row) {
+			slab.Keep()
 		}
-		e.stats.RevealedRows++
-		if full {
-			e.stats.FullRows++
-		}
-		e.vm.Insert(row) //nolint:errcheck // arity correct by construction
 	}
 	e.stats.Rows = e.va.Len()
 	e.stats.Cells = e.stats.Rows * width

@@ -238,38 +238,47 @@ func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
 // of the delivering mask tuple per answer row (-1 for dropped rows), in
 // answer order — the raw material for the closure's per-tuple row
 // bitmaps. Star counts and reveal templates come precomputed from the
-// compiled form rather than being recounted inside the row loop.
+// compiled form rather than being recounted inside the row loop. The
+// output is sized by the answer and its rows are carved from one slab.
 func (m *Mask) applyIndexed(ans *relation.Relation) (*relation.Relation, MaskStats, []int) {
 	ex := m.compiled()
 	stats := MaskStats{Rows: ans.Len(), Cells: ans.Len() * ans.Arity()}
-	out := relation.New(ans.Attrs)
-	width := ans.Arity()
-	pick := make([]int, 0, ans.Len())
-	for _, t := range ans.Tuples() {
+	tuples := ans.Tuples()
+	out := relation.NewSized(ans.Attrs, len(tuples))
+	slab := relation.NewSlab(ans.Arity())
+	pick := make([]int, 0, len(tuples))
+	for n, t := range tuples {
 		bi := m.bestIndex(ex, t)
 		pick = append(pick, bi)
 		if bi < 0 {
 			continue
 		}
-		revealed := ex.reveal[bi]
-		stats.RevealedRows++
-		row := make(relation.Tuple, width)
-		full := true
-		for k := range row {
-			if revealed[k] {
-				row[k] = t[k]
-				stats.RevealedCells++
-			} else {
-				row[k] = value.Null()
-				full = false
-			}
+		row := slab.Row(len(tuples) - n)
+		maskRow(row, t, ex.reveal[bi], &stats)
+		if out.Adopt(row) {
+			slab.Keep()
 		}
-		if full {
-			stats.FullRows++
-		}
-		out.Insert(row) //nolint:errcheck // arity correct by construction
 	}
 	return out, stats, pick
+}
+
+// maskRow fills row with t's revealed cells and nulls elsewhere, counting
+// the delivered row and cells into stats.
+func maskRow(row, t relation.Tuple, revealed []bool, stats *MaskStats) {
+	stats.RevealedRows++
+	full := true
+	for k := range row {
+		if revealed[k] {
+			row[k] = t[k]
+			stats.RevealedCells++
+		} else {
+			row[k] = value.Null()
+			full = false
+		}
+	}
+	if full {
+		stats.FullRows++
+	}
 }
 
 // Permits renders one inferred permit statement per mask tuple, after

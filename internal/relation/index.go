@@ -15,7 +15,7 @@ import (
 // count matches.
 type indexEntry struct {
 	builtLen int
-	m        map[string][]Tuple
+	m        map[value.Value][]Tuple
 }
 
 // orderedEntry is one built ordered secondary index: the relation's
@@ -58,15 +58,12 @@ func (c *indexCache) bump() {
 	c.mu.Unlock()
 }
 
-// valueKey identifies a value for hashing, kind-tagged so Int(1) and
-// String("1") stay distinct.
-func valueKey(v value.Value) string {
-	return string(byte(v.Kind())) + v.String()
-}
-
 // LookupEq returns the tuples whose attribute at index i equals v, served
-// from a lazily built hash index. The returned slice is shared — callers
-// must not mutate it. Mutating the relation invalidates the index.
+// from a lazily built hash index keyed by the value itself (comparable,
+// and kind-distinct: Int(1) and String("1") are different keys), so a
+// lookup after the build allocates nothing. The returned slice is shared
+// — callers must not mutate it. Mutating the relation invalidates the
+// index.
 func (r *Relation) LookupEq(i int, v value.Value) []Tuple {
 	if i < 0 || i >= len(r.Attrs) {
 		return nil
@@ -74,7 +71,7 @@ func (r *Relation) LookupEq(i int, v value.Value) []Tuple {
 	c := r.idx
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return r.ensureHash(i).m[valueKey(v)]
+	return r.ensureHash(i).m[v]
 }
 
 // ensureHash returns the hash index for attribute i, building it if
@@ -85,10 +82,11 @@ func (r *Relation) ensureHash(i int) indexEntry {
 	if ok && e.builtLen == len(r.tuples) {
 		return e
 	}
-	e = indexEntry{builtLen: len(r.tuples), m: make(map[string][]Tuple, len(r.tuples))}
+	// Unsized: a low-cardinality attribute needs a handful of keys, not
+	// one slot per tuple.
+	e = indexEntry{builtLen: len(r.tuples), m: make(map[value.Value][]Tuple)}
 	for _, t := range r.tuples {
-		k := valueKey(t[i])
-		e.m[k] = append(e.m[k], t)
+		e.m[t[i]] = append(e.m[t[i]], t)
 	}
 	if c.byAttr == nil {
 		c.byAttr = make(map[int]indexEntry)

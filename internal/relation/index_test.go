@@ -31,6 +31,22 @@ func TestLookupEq(t *testing.T) {
 	}
 }
 
+// TestLookupEqAllocatesNothing: once the hash index is built, a lookup,
+// hit or miss, allocates nothing — the index is keyed by the value, not
+// by a string rendered from it.
+func TestLookupEqAllocatesNothing(t *testing.T) {
+	r := New([]string{"A", "B"})
+	for i := int64(0); i < 64; i++ {
+		r.MustInsert(vi(i), vs("k"+string(rune('a'+i%4))))
+	}
+	r.LookupEq(1, vs("ka"))
+	for _, v := range []value.Value{vs("kb"), vs("zz"), vi(3)} {
+		if allocs := testing.AllocsPerRun(100, func() { r.LookupEq(1, v) }); allocs != 0 {
+			t.Fatalf("LookupEq(%v) allocated %.0f objects, want none", v, allocs)
+		}
+	}
+}
+
 func TestLookupEqKindDistinct(t *testing.T) {
 	r := New([]string{"A"})
 	r.MustInsert(vi(1))

@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"authdb/internal/value"
 )
@@ -42,63 +41,42 @@ func (t Tuple) Compare(u Tuple) int {
 	return len(t) - len(u)
 }
 
-// appendKey appends to b a map key identifying the tuple for set
-// semantics. Looking a set up by string(t.appendKey(buf)) allocates
-// nothing; only storing a new key copies it.
-func (t Tuple) appendKey(b []byte) []byte {
-	for _, v := range t {
-		b = append(b, byte(v.Kind()))
-		switch v.Kind() {
-		case value.KindInt:
-			b = strconv.AppendInt(b, v.AsInt(), 10)
-		case value.KindString:
-			b = append(b, v.AsString()...)
-		default:
-			b = append(b, v.String()...)
-		}
-		b = append(b, 0)
-	}
-	return b
-}
-
-// keyBuf sizes the stack buffer keys are built in; longer keys spill to
-// the heap.
-type keyBuf [64]byte
-
-// key returns the tuple's set-semantics key in one allocation.
-func (t Tuple) key() string {
-	var buf keyBuf
-	return string(t.appendKey(buf[:0]))
-}
-
 // Relation is a relation instance: a set of tuples over an ordered list of
 // (possibly qualified) attribute names. Base relations use bare attribute
 // names; intermediate and answer relations use qualified names such as
 // "EMPLOYEE:1.NAME".
 //
-// The membership index (backing Insert's duplicate check and Contains) is
-// maintained eagerly by Insert but invalidated by Append; the first
-// subsequent operation that needs it rebuilds it. Rebuilding mutates the
-// relation, so a relation that may have a stale index must not be shared
-// across goroutines; relations populated purely by Insert always have a
-// current index and are safe for concurrent reads.
+// The membership set (backing Insert's duplicate check and Contains) is
+// maintained eagerly by Insert and Delete but invalidated by Append; the
+// first subsequent operation that needs it rebuilds it. Rebuilding
+// mutates the relation, so a relation that may have a stale set must not
+// be shared across goroutines; relations populated purely by Insert
+// always have a current set and are safe for concurrent reads.
 type Relation struct {
 	Attrs  []string
 	tuples []Tuple
-	// index holds the membership set; nil means stale (rebuild before use).
-	index map[string]bool
-	idx   *indexCache
+	// memb holds the membership set, valid only while hasMemb is true
+	// (otherwise rebuild before use).
+	memb    tupleSet
+	hasMemb bool
+	idx     *indexCache
 }
 
 // New creates an empty relation over the given attributes.
-func New(attrs []string) *Relation {
-	r := newRelation(append([]string(nil), attrs...), nil)
-	r.index = make(map[string]bool)
+func New(attrs []string) *Relation { return NewSized(attrs, 0) }
+
+// NewSized is New with room for n tuples (at most maxPresize), so a
+// relation built from an input of known length grows neither its tuple
+// slice nor its set.
+func NewSized(attrs []string, n int) *Relation {
+	r := newRelation(append([]string(nil), attrs...), make([]Tuple, 0, min(n, maxPresize)))
+	r.hasMemb = true
 	return r
 }
 
 // newRelation allocates a relation over attrs and tuples together with
-// its own empty index cache: one object, not two.
+// its own empty index cache: one object, not two. Its membership set is
+// stale.
 func newRelation(attrs []string, tuples []Tuple) *Relation {
 	rc := &struct {
 		r Relation
@@ -142,52 +120,60 @@ func (r *Relation) AttrIndex(a string) int {
 	return found
 }
 
-// ensureIndex rebuilds the membership index after Append invalidated it.
-func (r *Relation) ensureIndex() {
-	if r.index != nil {
-		return
+// ensureMemb rebuilds the membership set after Append invalidated it.
+func (r *Relation) ensureMemb() {
+	if !r.hasMemb {
+		r.memb = setOf(r.tuples)
+		r.hasMemb = true
 	}
-	idx := make(map[string]bool, len(r.tuples))
-	for _, t := range r.tuples {
-		idx[t.key()] = true
-	}
-	r.index = idx
 }
 
-// Insert adds a tuple under set semantics; it reports whether the tuple was
-// new. The tuple's arity must match the relation's.
+// Insert adds a copy of a tuple under set semantics; it reports whether
+// the tuple was new. The tuple's arity must match the relation's.
 func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != len(r.Attrs) {
 		return false, fmt.Errorf("arity mismatch: tuple has %d values, relation %d attributes", len(t), len(r.Attrs))
 	}
-	r.ensureIndex()
-	var buf keyBuf
-	k := t.appendKey(buf[:0])
-	if r.index[string(k)] {
-		return false, nil
+	return r.insert(t, true), nil
+}
+
+// Adopt is Insert without the copy: when t is new, the relation takes
+// ownership of it, so the caller must not modify t afterwards (a
+// duplicate stays the caller's — a Slab row can be reused). The arity
+// must match.
+func (r *Relation) Adopt(t Tuple) bool { return r.insert(t, false) }
+
+func (r *Relation) insert(t Tuple, clone bool) bool {
+	r.ensureMemb()
+	pos, h, taken := r.memb.find(r.tuples, t)
+	if pos >= 0 {
+		return false
 	}
-	r.index[string(k)] = true
-	r.tuples = append(r.tuples, t.Clone())
+	if clone {
+		t = t.Clone()
+	}
+	r.memb.add(h, taken, len(r.tuples), cap(r.tuples))
+	r.tuples = append(r.tuples, t)
 	r.idx.bump()
-	return true, nil
+	return true
 }
 
 // Append adds a tuple the caller guarantees is not already present —
 // outputs of products, joins, and selections over proper sets are unique
 // by construction — skipping the duplicate check and taking ownership of
-// t (no clone). The membership index goes stale and is rebuilt lazily by
+// t (no clone). The membership set goes stale and is rebuilt lazily by
 // the next Insert or Contains. The arity must match.
 func (r *Relation) Append(t Tuple) {
 	r.tuples = append(r.tuples, t)
-	r.index = nil
+	r.ReleaseMembership()
 	r.idx.bump()
 }
 
-// ReleaseMembership frees the membership index of a relation that is
-// done being built. Reads through Tuples, Len, Sorted and the secondary
+// ReleaseMembership frees the membership set of a relation that is done
+// being built. Reads through Tuples, Len, Sorted and the secondary
 // indexes are unaffected; the next Insert or Contains rebuilds the set
 // (and therefore mutates r, like after Append).
-func (r *Relation) ReleaseMembership() { r.index = nil }
+func (r *Relation) ReleaseMembership() { r.memb, r.hasMemb = tupleSet{}, false }
 
 // MustInsert inserts and panics on arity mismatch; for fixtures.
 func (r *Relation) MustInsert(vals ...value.Value) {
@@ -196,21 +182,24 @@ func (r *Relation) MustInsert(vals ...value.Value) {
 	}
 }
 
-// Delete removes all tuples satisfying keep==false under pred, returning
-// how many were removed.
+// Delete removes the tuples pred accepts, returning how many were
+// removed. One pass compacts the tuples and moves the membership entries
+// of the ones that shifted.
 func (r *Relation) Delete(pred func(Tuple) bool) int {
 	kept := r.tuples[:0]
-	removed := 0
-	for _, t := range r.tuples {
+	for i, t := range r.tuples {
 		if pred(t) {
-			if r.index != nil {
-				delete(r.index, t.key())
+			if r.hasMemb {
+				r.memb.remove(tupleHash(t), i)
 			}
-			removed++
-		} else {
-			kept = append(kept, t)
+			continue
 		}
+		if j := len(kept); j != i && r.hasMemb {
+			r.memb.move(tupleHash(t), i, j)
+		}
+		kept = append(kept, t)
 	}
+	removed := len(r.tuples) - len(kept)
 	r.tuples = kept
 	if removed > 0 {
 		r.idx.bump()
@@ -219,20 +208,29 @@ func (r *Relation) Delete(pred func(Tuple) bool) int {
 }
 
 // Contains reports set membership of the tuple. After an Append, the
-// first call rebuilds the membership index (and therefore mutates r).
+// first call rebuilds the membership set (and therefore mutates r).
 func (r *Relation) Contains(t Tuple) bool {
-	r.ensureIndex()
-	var buf keyBuf
-	return r.index[string(t.appendKey(buf[:0]))]
+	r.ensureMemb()
+	pos, _, _ := r.memb.find(r.tuples, t)
+	return pos >= 0
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy with its own membership set, its tuples
+// carved from one backing array. It only reads r.
 func (r *Relation) Clone() *Relation {
-	out := New(r.Attrs)
+	out := newRelation(append([]string(nil), r.Attrs...), make([]Tuple, 0, len(r.tuples)))
+	out.hasMemb = true
+	cells := 0
 	for _, t := range r.tuples {
-		out.index[t.key()] = true
-		out.tuples = append(out.tuples, t.Clone())
+		cells += len(t)
 	}
+	free := make([]value.Value, cells)
+	for _, t := range r.tuples {
+		n := copy(free, t)
+		out.tuples = append(out.tuples, Tuple(free[:n:n]))
+		free = free[n:]
+	}
+	out.memb = setOf(out.tuples)
 	return out
 }
 
@@ -312,6 +310,7 @@ func (r *Relation) Rename(attrs []string) *Relation {
 	if len(attrs) != len(r.Attrs) {
 		panic("relation: Rename arity mismatch")
 	}
-	out := &Relation{Attrs: append([]string(nil), attrs...), tuples: r.tuples, index: r.index, idx: r.idx}
-	return out
+	// The view shares r's tuples and index cache but not its membership
+	// set, which r's later inserts would extend past the view's length.
+	return &Relation{Attrs: append([]string(nil), attrs...), tuples: r.tuples, idx: r.idx}
 }

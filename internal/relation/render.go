@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"fmt"
 	"io"
 	"strings"
 )
@@ -9,51 +8,92 @@ import (
 // RenderTable writes an ASCII table in the style of the paper's figures:
 // a header row of attribute names, a rule, then the rows. Rows are printed
 // in the order given. Attribute names are shortened to their bare part
-// when short is true.
+// when short is true. The table is assembled in one buffer sized up
+// front and written with a single Write.
 func RenderTable(w io.Writer, title string, attrs []string, rows [][]string, short bool) {
-	header := make([]string, len(attrs))
-	for i, a := range attrs {
+	header := func(i int) string {
 		if short {
-			_, header[i] = SplitQualified(a)
-		} else {
-			header[i] = a
+			_, bare := SplitQualified(attrs[i])
+			return bare
 		}
+		return attrs[i]
 	}
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
+	// Tables up to 16 columns keep their widths on the stack: the buffer
+	// is then the only allocation.
+	var small [16]int
+	widths := small[:0]
+	if len(attrs) > len(small) {
+		widths = make([]int, 0, len(attrs))
 	}
+	for i := range attrs {
+		widths = append(widths, len(header(i)))
+	}
+	size := 0
 	for _, row := range rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], len(c))
+			} else {
+				size += len(c)
 			}
 		}
+	}
+	for _, row := range rows {
+		size += lineSize(len(row), widths)
 	}
 	if title != "" {
-		fmt.Fprintln(w, title)
+		size += len(title) + 1
 	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			// A row wider than the header (a malformed reply rendered
-			// by a network client) prints its extra cells unpadded.
-			if i < len(widths) {
-				c += strings.Repeat(" ", widths[i]-len(c))
-			}
-			parts[i] = c
+	size += 2 * lineSize(len(attrs), widths)
+
+	b := make([]byte, 0, size)
+	if title != "" {
+		b = append(append(b, title...), '\n')
+	}
+	// A row wider than the header (a malformed reply rendered by a
+	// network client) prints its extra cells unpadded.
+	cell := func(b []byte, i int, c string, pad byte) []byte {
+		if i > 0 {
+			b = append(b, " | "...)
 		}
-		fmt.Fprintln(w, "| "+strings.Join(parts, " | ")+" |")
+		b = append(b, c...)
+		if i < len(widths) {
+			for n := widths[i] - len(c); n > 0; n-- {
+				b = append(b, pad)
+			}
+		}
+		return b
 	}
-	rule := make([]string, len(header))
-	for i := range rule {
-		rule[i] = strings.Repeat("-", widths[i])
+	b = append(b, "| "...)
+	for i := range attrs {
+		b = cell(b, i, header(i), ' ')
 	}
-	line(header)
-	line(rule)
+	b = append(b, " |\n| "...)
+	for i := range attrs {
+		b = cell(b, i, "", '-')
+	}
+	b = append(b, " |\n"...)
 	for _, row := range rows {
-		line(row)
+		b = append(b, "| "...)
+		for i, c := range row {
+			b = cell(b, i, c, ' ')
+		}
+		b = append(b, " |\n"...)
 	}
+	w.Write(b) //nolint:errcheck // like fmt.Fprint, the writer owns its errors
+}
+
+// lineSize is the length of a table line of n cells, not counting the
+// text of cells beyond the header's width.
+func lineSize(n int, widths []int) int {
+	size := len("| ") + len(" |\n")
+	if n > 0 {
+		size += 3 * (n - 1)
+	}
+	for i := 0; i < n && i < len(widths); i++ {
+		size += widths[i]
+	}
+	return size
 }
 
 // Render writes the relation as an ASCII table in canonical tuple order.

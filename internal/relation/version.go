@@ -18,23 +18,23 @@ import "fmt"
 // Relation.Delete). Published revisions must be treated as immutable:
 // read them through Tuples, Len, Sorted, the index cache, or Clone —
 // never through Insert, Append, Delete, or Contains, whose lazy
-// membership-index rebuild mutates the struct.
+// membership-set rebuild mutates the struct.
 //
 // The duplicate-check membership set lives here, owned by the writer,
-// instead of on the revisions: sharing one map across revisions would
+// instead of on the revisions: sharing one set across revisions would
 // race with concurrent readers, and copying it per mutation would cost
 // O(n) — exactly what copy-on-write avoids. Each mutated revision gets
 // a fresh secondary-index cache; a pinned reader keeps the indexes it
 // already built for its revision.
 type Versioned struct {
 	head *Relation
-	// memb is the membership set of head, keyed like Relation.index.
-	memb map[string]bool
+	// memb is the membership set of head's tuples, like Relation.memb.
+	memb tupleSet
 }
 
 // NewVersioned creates an empty versioned relation over the attributes.
 func NewVersioned(attrs []string) *Versioned {
-	return &Versioned{head: New(attrs), memb: make(map[string]bool)}
+	return &Versioned{head: New(attrs)}
 }
 
 // VersionedOf adopts r as the initial head revision, taking ownership:
@@ -42,8 +42,8 @@ func NewVersioned(attrs []string) *Versioned {
 // set is r's own (built only if an Append left it stale); r gives it up,
 // since the set moves on with later revisions.
 func VersionedOf(r *Relation) *Versioned {
-	r.ensureIndex()
-	m := r.index
+	r.ensureMemb()
+	m := r.memb
 	r.ReleaseMembership()
 	return &Versioned{head: r, memb: m}
 }
@@ -58,43 +58,56 @@ func (v *Versioned) Len() int { return len(v.head.tuples) }
 // Arity returns the number of attributes.
 func (v *Versioned) Arity() int { return len(v.head.Attrs) }
 
-// Insert adds a tuple under set semantics by publishing a successor
-// revision; it reports whether the tuple was new (a duplicate leaves the
-// head unchanged). The tuple's arity must match the relation's.
+// Insert adds a copy of a tuple under set semantics by publishing a
+// successor revision; it reports whether the tuple was new (a duplicate
+// leaves the head unchanged). The tuple's arity must match the
+// relation's.
 func (v *Versioned) Insert(t Tuple) (bool, error) {
 	if len(t) != len(v.head.Attrs) {
 		return false, fmt.Errorf("arity mismatch: tuple has %d values, relation %d attributes", len(t), len(v.head.Attrs))
 	}
-	var buf keyBuf
-	k := t.appendKey(buf[:0])
-	if v.memb[string(k)] {
-		return false, nil
-	}
-	v.memb[string(k)] = true
+	return v.insert(t, true), nil
+}
+
+// Adopt is Insert without the copy, with Relation.Adopt's ownership
+// contract. The arity must match.
+func (v *Versioned) Adopt(t Tuple) bool { return v.insert(t, false) }
+
+func (v *Versioned) insert(t Tuple, clone bool) bool {
 	old := v.head
+	pos, h, taken := v.memb.find(old.tuples, t)
+	if pos >= 0 {
+		return false
+	}
+	if clone {
+		t = t.Clone()
+	}
+	v.memb.add(h, taken, len(old.tuples), len(old.tuples))
 	// Shares old's backing array when capacity allows: the single-writer
 	// contract guarantees only the newest revision's frontier is ever
 	// appended to, so older heads' prefixes are never overwritten.
-	tuples := append(old.tuples, t.Clone())
-	v.head = newRelation(old.Attrs, tuples)
-	return true, nil
+	v.head = newRelation(old.Attrs, append(old.tuples, t))
+	return true
 }
 
 // Delete removes the tuples satisfying pred by publishing a successor
 // revision built from a fresh slice; it returns how many were removed
-// (zero leaves the head unchanged).
+// (zero leaves the head unchanged). The same pass moves the membership
+// entries of the tuples that shifted.
 func (v *Versioned) Delete(pred func(Tuple) bool) int {
 	old := v.head
 	kept := make([]Tuple, 0, len(old.tuples))
-	removed := 0
-	for _, t := range old.tuples {
+	for i, t := range old.tuples {
 		if pred(t) {
-			delete(v.memb, t.key())
-			removed++
-		} else {
-			kept = append(kept, t)
+			v.memb.remove(tupleHash(t), i)
+			continue
 		}
+		if j := len(kept); j != i {
+			v.memb.move(tupleHash(t), i, j)
+		}
+		kept = append(kept, t)
 	}
+	removed := len(old.tuples) - len(kept)
 	if removed == 0 {
 		return 0
 	}
@@ -105,8 +118,8 @@ func (v *Versioned) Delete(pred func(Tuple) bool) int {
 // Contains reports set membership in the current revision without
 // touching the revision itself (the writer-owned set answers).
 func (v *Versioned) Contains(t Tuple) bool {
-	var buf keyBuf
-	return v.memb[string(t.appendKey(buf[:0]))]
+	pos, _, _ := v.memb.find(v.head.tuples, t)
+	return pos >= 0
 }
 
 // ExtendsByAppend reports whether nw's tuple storage extends old's by
@@ -117,9 +130,10 @@ func (v *Versioned) Contains(t Tuple) bool {
 // only the appended window.
 //
 // The check compares the storage identity of old's last tuple at the
-// same position in nw. Each tuple's value array is unique to it (Insert
-// clones), so position n-1 holding the same storage in both means that
-// tuple never moved — and since deletions only ever shift tuples left
+// same position in nw. Each non-empty tuple's value array is unique to
+// it (Insert clones, a Slab carves disjoint rows), so position n-1
+// holding the same storage in both means that tuple never moved — and
+// since deletions only ever shift tuples left
 // while inserts only append, a tuple still at its original index
 // implies every tuple before it is intact too. Storage identity (not
 // slice-element address) survives the reallocation append performs when
