@@ -54,9 +54,12 @@ fuzz:
 	$(GO) test ./internal/engine -fuzz FuzzSessionExec -fuzztime 30s
 
 # Fuzz the wire-protocol decoder (seeded with every message type,
-# replication kinds included, plus malformed frames).
+# replication kinds included, plus malformed frames), then the Response
+# codec against encoding/json: what it decodes and what it encodes must
+# match json.Unmarshal and json.Marshal exactly.
 fuzz-wire:
-	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 30s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseCodec$$' -fuzztime 30s
 
 # Fuzz the page store's ROOT decoder: any input opens a store or fails
 # with an error, never a panic.

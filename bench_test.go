@@ -27,6 +27,7 @@ import (
 	"authdb/internal/relation"
 	"authdb/internal/sysr"
 	"authdb/internal/value"
+	"authdb/internal/wire"
 	"authdb/internal/workload"
 )
 
@@ -574,6 +575,50 @@ func BenchmarkRenderTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var sb strings.Builder
 		relation.RenderTable(&sb, "", res.Table.Columns, rows, false)
+	}
+}
+
+// BenchmarkReplyCodec measures the Response codec on the two reply
+// shapes the benchmark's reads deliver: Example 3's 3003 × 6 answer
+// (warm_wide) and principal u7's acl_cold org_list answer, each encoded
+// into a reused buffer and decoded, as the server and the client do.
+func BenchmarkReplyCodec(b *testing.B) {
+	paper := authdb.Open()
+	paper.Admin().MustExecScript(fixture.PaperScript(fixture.DefaultPaper()))
+	ex3, err := paper.Session("Brown").Exec(fixture.Example3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	acl := fixture.GenACL(1, fixture.DefaultACL())
+	db := authdb.Open()
+	db.Admin().MustExecScript(acl.Script)
+	const u = 7
+	org, err := db.Session(fixture.Principal(u)).Exec(acl.Query(u, fixture.QOrgList))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		res  *authdb.Result
+	}{{"example3", ex3}, {"org_list", org}} {
+		resp := c.res.Wire(1)
+		frame := wire.AppendResponse(nil, &resp)
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			buf := make([]byte, 0, len(frame))
+			for i := 0; i < b.N; i++ {
+				buf = wire.AppendResponse(buf[:0], &resp)
+			}
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			var out wire.Response
+			for i := 0; i < b.N; i++ {
+				if err := wire.DecodeResponse(frame, &out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

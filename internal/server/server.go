@@ -56,6 +56,10 @@ const (
 	// writeTimeout bounds one response write, so a client that stops
 	// reading cannot wedge a handler.
 	writeTimeout = 30 * time.Second
+	// maxKeptFrame bounds the reply buffer a connection keeps between
+	// requests: one that grew past it is dropped after its write, so an
+	// idle connection does not pin a large reply.
+	maxKeptFrame = 1 << 20
 )
 
 // Config tunes a Server. The zero value listens on an ephemeral local
@@ -509,6 +513,9 @@ func (s *Server) handle(nc net.Conn) {
 		return
 	}
 
+	// frame is the connection's reply buffer: each reply is appended as
+	// one frame, header included, and goes out in one Write.
+	var frame []byte
 	for {
 		nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		var req wire.Request
@@ -520,11 +527,15 @@ func (s *Server) handle(nc net.Conn) {
 		}
 		resp := s.execute(sess, hello.Admin, req)
 		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := wire.WriteMsg(bw, &resp); err != nil {
+		frame, err = wire.AppendResponseFrame(frame[:0], &resp)
+		if err == nil {
+			_, err = nc.Write(frame)
+		}
+		if err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
-			return
+		if cap(frame) > maxKeptFrame {
+			frame = nil
 		}
 		if s.draining.Load() {
 			// The response above was flushed; drain the connection now.

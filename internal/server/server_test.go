@@ -7,6 +7,7 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -96,7 +97,9 @@ func dialRaw(t *testing.T, addr string, hello wire.Hello) *rawConn {
 }
 
 // replyFields sends stmt and returns the top-level JSON fields of the
-// reply frame.
+// reply frame. The frame must be exactly what encoding/json writes for
+// what it reads from the frame, so a client that decodes replies with
+// encoding/json reads every reply unchanged.
 func (r *rawConn) replyFields(t *testing.T, stmt string) map[string]json.RawMessage {
 	t.Helper()
 	r.id++
@@ -106,6 +109,13 @@ func (r *rawConn) replyFields(t *testing.T, stmt string) map[string]json.RawMess
 	frame, err := wire.ReadFrame(r.br)
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
+	}
+	var resp wire.Response
+	if err := json.Unmarshal(frame, &resp); err != nil {
+		t.Fatalf("%s: reply %q: %v", stmt, frame, err)
+	}
+	if again, err := json.Marshal(&resp); err != nil || !bytes.Equal(again, frame) {
+		t.Errorf("%s: reply frame is not encoding/json's:\nframe %q\njson  %q (%v)", stmt, frame, again, err)
 	}
 	var fields map[string]json.RawMessage
 	if err := json.Unmarshal(frame, &fields); err != nil {
@@ -129,6 +139,7 @@ func TestServeMatchesLocalPerUser(t *testing.T) {
 		"retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE, EMPLOYEE.SALARY)",
 		"retrieve (PROJECT.NUMBER, PROJECT.SPONSOR, PROJECT.BUDGET)",
 		"retrieve (EMPLOYEE.NAME, PROJECT.NUMBER) where EMPLOYEE.NAME = ASSIGNMENT.E_NAME and PROJECT.NUMBER = ASSIGNMENT.P_NO",
+		workload.Example3Query,
 	}
 	// Every reply shape must come up: seen counts them.
 	seen := map[string]int{}
@@ -189,6 +200,11 @@ func TestServeMatchesLocalPerUser(t *testing.T) {
 		if seen[shape] == 0 {
 			t.Errorf("no %s reply among the statements: %v", shape, seen)
 		}
+	}
+	// An error reply's frame is encoding/json's too.
+	raw := dialRaw(t, addr, wire.Hello{Proto: wire.ProtoVersion, User: "Brown"})
+	if fields := raw.replyFields(t, "retrieve !"); fields["error"] == nil {
+		t.Errorf("parse failure replied without an error: %v", fields)
 	}
 
 	// The unmasked administrator view, for contrast.

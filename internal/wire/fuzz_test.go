@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -123,11 +126,133 @@ func decodeStream(t *testing.T, data []byte) {
 			_ = json.Unmarshal(payload, &h)
 			var req Request
 			_ = json.Unmarshal(payload, &req)
-			var resp Response
-			_ = json.Unmarshal(payload, &resp)
-			_ = resp.Render()
+			checkDecode(t, payload)
 			var hr ReplHelloReply
 			_ = json.Unmarshal(payload, &hr)
 		}
 	}
+}
+
+// checkDecode is the codec's acceptance contract on one payload:
+// whatever DecodeResponse accepts, json.Unmarshal accepts too, with a
+// DeepEqual result, and the result renders.
+func checkDecode(t *testing.T, payload []byte) {
+	t.Helper()
+	var got, want Response
+	if DecodeResponse(payload, &got) != nil {
+		return
+	}
+	if err := json.Unmarshal(payload, &want); err != nil {
+		t.Fatalf("DecodeResponse accepted %q, which encoding/json rejects: %v", payload, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecodeResponse(%q) = %#v, encoding/json decodes %#v", payload, got, want)
+	}
+	_ = got.Render()
+}
+
+// checkEncode holds AppendResponse to json.Marshal byte for byte and
+// DecodeResponse of the frame to json.Unmarshal of it.
+func checkEncode(t *testing.T, r *Response) {
+	t.Helper()
+	want, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := AppendResponse(nil, r)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendResponse(%#v)\n= %q\nencoding/json writes\n  %q", r, got, want)
+	}
+	if err := DecodeResponse(got, new(Response)); err != nil {
+		t.Fatalf("DecodeResponse rejects encoding/json's %q: %v", got, err)
+	}
+	checkDecode(t, got)
+}
+
+// fuzzResponse builds a Response from fuzzed parts. cells splits into
+// rows at newlines and into cells at '|', its first line naming the
+// columns; the bits of flags choose the fields set and which slices
+// are nil, empty or null.
+func fuzzResponse(text, cells, permits string, id uint64, flags uint16, line, col int) *Response {
+	bit := func(k int) bool { return flags&(1<<k) != 0 }
+	r := &Response{ID: id, Text: text, FullyAuthorized: bit(0), Denied: bit(1)}
+	if bit(2) {
+		r.Rendered = cells
+	}
+	if bit(3) {
+		t := &Table{}
+		lines := strings.Split(cells, "\n")
+		switch {
+		case bit(4):
+			t.Columns = []string{}
+		case !bit(5):
+			t.Columns = strings.Split(lines[0], "|")
+		}
+		if !bit(6) {
+			t.Rows = [][]string{}
+			for _, l := range lines[1:] {
+				t.Rows = append(t.Rows, strings.Split(l, "|"))
+			}
+		}
+		if bit(7) {
+			t.Rows = append(t.Rows, nil, []string{})
+		}
+		r.Table = t
+	}
+	switch {
+	case permits != "":
+		r.Permits = strings.Split(permits, "\n")
+	case bit(8):
+		r.Permits = []string{}
+	}
+	if bit(9) {
+		r.Error = &Error{Code: text, Message: cells, Line: line, Col: col, Retryable: bit(10), Leader: permits}
+	}
+	return r
+}
+
+// FuzzResponseCodec holds the Response codec to encoding/json from two
+// sides: (a) arbitrary payload bytes must decode as json.Unmarshal
+// decodes them or be rejected, and (b) a Response built from fuzzed
+// strings, flags, id and error fields must encode to json.Marshal's
+// bytes and decode back as json.Unmarshal does.
+func FuzzResponseCodec(f *testing.F) {
+	const (
+		tricky  = "\" \\ < > & / \x00\x01\x1f\x7f\b\f\r\t x"
+		seps    = "a\xe2\x80\xa8b\xe2\x80\xa9c \xc3\xa9 \xf0\x9f\x98\x80"
+		invalid = "\xff\xfe \xed\xa0\x80 \xc3 \xef\xbf\xbd"
+		all     = 0xffff
+	)
+	seeds := []struct {
+		frame                string
+		text, cells, permits string
+		id                   uint64
+		flags                uint16
+		line, col            int
+	}{
+		{`{"id":18446744073709551615}`, "", "", "", math.MaxUint64, 0, 0, 0},
+		{`{"id":18446744073709551616}`, tricky, "A|B\nx|" + tricky, "permit (A)", 1, 1<<3 | 1<<7, 0, 0},
+		{`{"id":1,"text":"\ud83d\ude00 \ud800 \udc00\ud800 \ud800\u0041 \uDBFF\uDFFF \/"}`,
+			seps, "C\n" + seps + "\n" + invalid, seps, 2, 1<<2 | 1<<3, 0, 0},
+		{`{"id":1,"text":"\ud800\u"}`, invalid, invalid, invalid, 3, 1<<2 | 1<<3 | 1<<9, -1, 1},
+		{`{"id":1,"table":{"columns":[],"rows":[null,[],["a","b"],["c"]]}}`, "", "A|B\na\nb|c|d", "", 4, 1<<3 | 1<<4 | 1<<7, 0, 0},
+		{`{"id":1,"table":{"columns":null,"rows":null}}`, "", "", "", 5, 1<<3 | 1<<5 | 1<<6, 0, 0},
+		{`{"id":1,"permits":[]}`, "", "", "", 6, 1 << 8, 0, 0},
+		{`{"id":1,"permits":null,"fully_authorized":false,"denied":true}`, "", "", "", 7, 1 | 1<<3, 0, 0},
+		{`{"id":0,"error":{"code":"READ_ONLY","message":"m","line":-3,"col":9223372036854775807,"retryable":true,"leader":"127.0.0.1:4100"}}`,
+			"READ_ONLY", "replica", "127.0.0.1:4100", math.MaxUint64, 1<<9 | 1<<10, 3, 17},
+		{`{"id":1,"error":{"code":"X","message":"m","col":-9223372036854775808}}`, "PARSE", "bad", "", 8, 1 << 9, math.MinInt, math.MaxInt},
+		{`{"id":1,"error":{"code":"X","message":"m","line":-0}}`, "", "", "", 0, all, 0, 0},
+		{`{"id":01}`, "", "", "", 0, 0, 0, 0},
+		{`{"id":1} `, "", "", "", 0, 0, 0, 0},
+		{"{\"id\":1,\"text\":\"\xff\xed\xa0\x80\"}", "", "", "", 0, 0, 0, 0},
+		{"{\"id\":1,\"text\":\"\x01\"}", "", "", "", 0, 0, 0, 0},
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s.frame), s.text, s.cells, s.permits, s.id, s.flags, s.line, s.col)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte, text, cells, permits string, id uint64, flags uint16, line, col int) {
+		checkDecode(t, frame)
+		checkEncode(t, fuzzResponse(text, cells, permits, id, flags, line, col))
+	})
 }

@@ -8,6 +8,11 @@
 //
 //	uint32le payload length | payload (JSON)
 //
+// Response frames are hand-encoded and hand-decoded (AppendResponse,
+// DecodeResponse), byte-identical to encoding/json, which every other
+// message still goes through; WriteMsg and ReadMsg pick the codec by
+// the message's type.
+//
 // A frame larger than the agreed maximum is a protocol error and closes
 // the connection. Within one connection, requests execute strictly in
 // order and every request produces exactly one response carrying the
@@ -39,7 +44,7 @@ const MaxFrame = 16 << 20
 // WriteFrame writes one length-prefixed payload.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(payload), MaxFrame)
+		return errFrameSize(len(payload))
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -59,7 +64,7 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+		return nil, errFrameSize(int(n))
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -68,20 +73,44 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteMsg marshals v and writes it as one frame.
+func errFrameSize(n int) error {
+	return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+}
+
+// WriteMsg encodes v and writes it as one frame: a Response or
+// *Response through AppendResponseFrame in one Write, anything else
+// through encoding/json.
 func WriteMsg(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
+	var frame []byte
+	var err error
+	switch m := v.(type) {
+	case *Response:
+		frame, err = AppendResponseFrame(nil, m)
+	case Response:
+		frame, err = AppendResponseFrame(nil, &m)
+	default:
+		payload, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		return WriteFrame(w, payload)
+	}
 	if err != nil {
 		return err
 	}
-	return WriteFrame(w, payload)
+	_, err = w.Write(frame)
+	return err
 }
 
-// ReadMsg reads one frame and unmarshals it into v.
+// ReadMsg reads one frame and decodes it into v: a *Response with
+// DecodeResponse, anything else with encoding/json.
 func ReadMsg(r *bufio.Reader, v any) error {
 	payload, err := ReadFrame(r)
 	if err != nil {
 		return err
+	}
+	if m, ok := v.(*Response); ok {
+		return DecodeResponse(payload, m)
 	}
 	return json.Unmarshal(payload, v)
 }

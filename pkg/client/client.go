@@ -76,6 +76,10 @@ type Result struct {
 	Rendered string
 	// Columns and Rows carry the delivered relation of a retrieve
 	// (rendered cell values, withheld cells as "-"); nil otherwise.
+	// All rows share one backing array, and every cell without an
+	// escape is a substring of the one string the reply frame was
+	// decoded from (wire.DecodeResponse): retaining a cell retains the
+	// frame. Each row has cap == len, so appending to a row copies it.
 	Columns []string
 	Rows    [][]string
 	// Permits are the inferred permit statements of a partial answer.
@@ -424,6 +428,8 @@ func (c *Client) roundTrip(ctx context.Context, stmt string) (res *Result, sent 
 	if err := c.bw.Flush(); err != nil {
 		return nil, true, err
 	}
+	// ReadMsg is ReadFrame then wire.DecodeResponse; a frame outside the
+	// codec's grammar fails here and drops the connection like garbage.
 	var resp wire.Response
 	if err := wire.ReadMsg(c.br, &resp); err != nil {
 		return nil, true, err
