@@ -62,7 +62,8 @@ fuzz-wire:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseCodec$$' -fuzztime 30s
 
 # Fuzz the page store's ROOT decoder: any input opens a store or fails
-# with an error, never a panic.
+# with an error, never a panic, and an opened store never allocates the
+# header page, a tree root, or one page twice.
 fuzz-root:
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzParseRoot -fuzztime 30s
 

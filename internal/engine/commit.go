@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"authdb/internal/parser"
+	"authdb/internal/relation"
 )
 
 // pendingCommit is one staged WAL record awaiting the shared fsync.
@@ -171,14 +172,14 @@ func (e *Engine) brokenNow() error {
 // it for the group-commit flusher, leaving the durability wait on
 // s.pendingWait for ExecStmtContext to collect after the engine lock is
 // released. Callers hold e.mu for writing and have already applied the
-// mutation.
-func (s *Session) logStmt(p parser.Stmt) error {
+// mutation; a delete passes the tuples it removed.
+func (s *Session) logStmt(p parser.Stmt, deleted ...relation.Tuple) error {
 	// Mirror the mutation into the page store first (same critical
 	// section, same order as the log). A write-through failure is
 	// fail-stop like a WAL failure: the store may have half-applied the
 	// statement, and marking the engine broken keeps every
 	// durCheck-guarded checkpoint from ever committing the drift.
-	if err := s.eng.pageApply(p); err != nil {
+	if err := s.eng.pageApply(p, deleted); err != nil {
 		s.eng.setBroken(err)
 		return fmt.Errorf("paged storage write-through: %w", err)
 	}

@@ -3,9 +3,10 @@
 //
 //	CURRENT          "snap-NNNNNN\n" — the committed generation
 //	snap-NNNNNN/     one snapshot: schema.authdb, views.authdb,
-//	                 data/REL.csv, an LSN file recording the log
-//	                 sequence number the snapshot embodies, and a
-//	                 MANIFEST with the CRC-32 and size of every file
+//	                 data/REL.csv (or, paged, a ROOT into pages.db),
+//	                 an LSN file recording the log sequence number the
+//	                 snapshot embodies, and a MANIFEST with the CRC-32
+//	                 and size of every file
 //	wal-NNNNNN.log   statements applied after snap-NNNNNN was taken
 //
 // A checkpoint builds the next generation in a temp directory, fsyncs
@@ -138,11 +139,14 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 			}
 		}
 		if pagedGen {
-			e, ps, err = loadPagedState(fs, dir, snapDir, opt, cfg.cachePages())
-		} else {
-			e, err = loadState(fs, snapDir, opt)
+			if ps, err = openPageStore(fs, dir, snapDir, cfg.cachePages()); err != nil {
+				return nil, err
+			}
 		}
-		if err != nil {
+		if e, err = loadState(fs, snapDir, opt, ps); err != nil {
+			if ps != nil {
+				ps.Close()
+			}
 			return nil, err
 		}
 		// Loading rebuilt the state by replaying rendered statements,
@@ -177,7 +181,7 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 			return nil, err
 		}
 	case legacyLayout(fs, dir):
-		e, err = loadState(fs, dir, opt)
+		e, err = loadState(fs, dir, opt, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -336,10 +340,11 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	var err error
 	if e.pstore != nil {
 		// Paged checkpoint: flush only the dirty pages to the shared page
-		// file, then commit a generation holding just the tiny ROOT (plus
-		// LSN/EPOCH below). The store's copy-on-write discipline means the
-		// committed ROOT never references an in-flight page, so the flush
-		// can tear anywhere and the old generation still reads cleanly.
+		// file, then commit a generation holding the tiny ROOT and the
+		// meta-database's two scripts (plus LSN/EPOCH below). The store's
+		// copy-on-write discipline means the committed ROOT never
+		// references an in-flight page, so the flush can tear anywhere and
+		// the old generation still reads cleanly.
 		if e.pstore.NeedsRebuild() {
 			if err := e.rebuildPageStore(); err != nil {
 				return fmt.Errorf("rebuilding page store: %w", err)
@@ -348,7 +353,8 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 		if _, err := e.pstore.Flush(); err != nil {
 			return fmt.Errorf("flushing pages: %w", err)
 		}
-		files = map[string][]byte{storage.RootName: e.pstore.RenderRoot()}
+		files = e.head.Load().metaFiles()
+		files[storage.RootName] = e.pstore.RenderRoot()
 	} else {
 		files, err = e.snapshotFiles()
 		if err != nil {

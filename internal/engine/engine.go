@@ -756,9 +756,16 @@ func (s *Session) delete(p parser.Delete) (*Result, error) {
 			}
 		}
 	}
-	n := vr.Delete(pred)
+	var deleted []relation.Tuple
+	n := vr.Delete(func(t relation.Tuple) bool {
+		if !pred(t) {
+			return false
+		}
+		deleted = append(deleted, t)
+		return true
+	})
 	if n > 0 {
-		err := s.logStmt(p)
+		err := s.logStmt(p, deleted...)
 		s.eng.publishLocked()
 		if err != nil {
 			return nil, err

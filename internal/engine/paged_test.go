@@ -3,10 +3,15 @@ package engine
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"authdb/internal/core"
+	"authdb/internal/faultfs"
+	"authdb/internal/storage"
 )
 
 var pagedCfg = StorageConfig{Backend: StoragePaged, CachePages: 16}
@@ -331,9 +336,9 @@ func TestPagedMetricsExposed(t *testing.T) {
 }
 
 // TestPagedOmitsEmptiedUser revokes a user's only view under both paths
-// that write the paged catalog — the rebuild when a memory directory
-// converts, and write-through afterwards — then checkpoints and reopens:
-// the user must be absent from the stored permits, and `show
+// that reach a paged generation — the conversion of a memory directory,
+// and a statement applied afterwards — then checkpoints and reopens: the
+// user must be absent from the committed views.authdb, and `show
 // permissions` must read the same throughout.
 func TestPagedOmitsEmptiedUser(t *testing.T) {
 	dir := t.TempDir()
@@ -353,19 +358,14 @@ func TestPagedOmitsEmptiedUser(t *testing.T) {
 			}
 		}
 	}
-	checkCatalog := func(e *Engine, ghost string) {
+	checkPermits := func(e *Engine, ghost string) {
 		t.Helper()
-		cat, err := e.pstore.LoadCatalog()
-		if err != nil {
-			t.Fatal(err)
+		views := string(committedFile(t, dir, e, "views.authdb"))
+		if !strings.Contains(views, "permit ") {
+			t.Fatalf("no permits stored:\n%s", views)
 		}
-		if len(cat.Permits) == 0 {
-			t.Fatal("no permits stored")
-		}
-		for _, p := range cat.Permits {
-			if strings.Contains(p, ghost) {
-				t.Fatalf("stored permits name the emptied user %s: %v", ghost, cat.Permits)
-			}
+		if strings.Contains(views, ghost) {
+			t.Fatalf("stored permits name the emptied user %s:\n%s", ghost, views)
 		}
 	}
 
@@ -384,7 +384,7 @@ func TestPagedOmitsEmptiedUser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCatalog(p, "Ghost")
+	checkPermits(p, "Ghost")
 	if got := show(p); got != want {
 		t.Fatalf("show permissions after conversion:\n%s\nbefore:\n%s", got, want)
 	}
@@ -392,7 +392,7 @@ func TestPagedOmitsEmptiedUser(t *testing.T) {
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	checkCatalog(p, "Wraith")
+	checkPermits(p, "Wraith")
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -404,5 +404,246 @@ func TestPagedOmitsEmptiedUser(t *testing.T) {
 	defer back.Close()
 	if got := show(back); got != want {
 		t.Fatalf("show permissions after paged reopen:\n%s\nbefore:\n%s", got, want)
+	}
+}
+
+// committedFile reads one file of e's committed snapshot generation.
+func committedFile(t *testing.T, dir string, e *Engine, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, snapName(e.Generation()), name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// deleteState is what TestPagedDeletesMatchMemory compares across
+// backends at each reopen: the state fingerprint, two masked per-user
+// answers, and the committed generation's meta-database scripts.
+type deleteState struct {
+	fp, brown, items, schema, views string
+}
+
+// TestPagedDeletesMatchMemory runs every shape of delete through both
+// backends — a range predicate, an attribute–attribute comparison, a
+// non-key equality hitting several rows, an unqualified delete, and a
+// delete that only the WAL holds when the process dies — and requires
+// the paged directory to reopen to exactly the memory directory's state
+// and answers, with byte-identical schema.authdb and views.authdb.
+func TestPagedDeletesMatchMemory(t *testing.T) {
+	setup := append([]string(nil), durableScenario...)
+	setup = append(setup, `relation ITEM (ID, GRP, LO, HI) key (ID)`, `relation SCRATCH (X)`)
+	for i := 0; i < 60; i++ {
+		setup = append(setup, fmt.Sprintf(`insert into ITEM values (i%02d, g%d, %d, %d)`, i, i%4, i, (i*7)%60))
+	}
+	for i := 0; i < 5; i++ {
+		setup = append(setup, fmt.Sprintf(`insert into SCRATCH values (%d)`, i))
+	}
+	setup = append(setup, `view VI (ITEM.ID, ITEM.LO) where ITEM.GRP = g1`, `permit VI to Brown`)
+	deletes := []string{
+		`delete from ITEM where ITEM.LO >= 40 and ITEM.LO < 45`,
+		`delete from ITEM where ITEM.LO > ITEM.HI`,
+		`delete from ITEM where GRP = g2`,
+		`delete from SCRATCH`,
+	}
+
+	run := func(cfg StorageConfig) []deleteState {
+		dir := t.TempDir()
+		open := func() *Engine {
+			t.Helper()
+			e, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.StorageBackend() != cfg.Backend {
+				t.Fatalf("backend %s, want %s", e.StorageBackend(), cfg.Backend)
+			}
+			return e
+		}
+		exec := func(e *Engine, stmts []string) {
+			t.Helper()
+			admin := e.NewSession("admin", true)
+			for _, stmt := range stmts {
+				res, err := admin.Exec(stmt)
+				if err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+				if strings.HasPrefix(res.Text, "deleted 0 ") {
+					t.Fatalf("%s deleted nothing", stmt)
+				}
+			}
+		}
+		closeEngine := func(e *Engine) {
+			t.Helper()
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		capture := func(e *Engine) deleteState {
+			t.Helper()
+			res, err := e.NewSession("Brown", false).Exec(`retrieve (ITEM.ID, ITEM.LO)`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return deleteState{
+				fp:     fingerprint(t, e),
+				brown:  brownAnswer(t, e),
+				items:  renderSorted(t, res),
+				schema: string(committedFile(t, dir, e, "schema.authdb")),
+				views:  string(committedFile(t, dir, e, "views.authdb")),
+			}
+		}
+
+		e := open()
+		exec(e, setup)
+		// Checkpoint first, so the deletes shadow committed pages.
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		exec(e, deletes)
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		closeEngine(e)
+		e = open()
+		afterDeletes := capture(e)
+
+		// The last delete reaches only the WAL before the process goes;
+		// the next open replays it into the trees and checkpoints, and a
+		// second open reads that checkpoint back.
+		exec(e, []string{`delete from ITEM where LO < 10`})
+		closeEngine(e)
+		closeEngine(open())
+		e = open()
+		defer closeEngine(e)
+		return []deleteState{afterDeletes, capture(e)}
+	}
+
+	mem := run(StorageConfig{Backend: StorageMemory})
+	paged := run(pagedCfg)
+	for i, step := range []string{"after the deletes", "after the WAL-replayed delete"} {
+		m, p := mem[i], paged[i]
+		if p.fp != m.fp {
+			t.Fatalf("%s: paged fingerprint differs:\ngot:\n%s\nwant:\n%s", step, p.fp, m.fp)
+		}
+		if p.brown != m.brown || p.items != m.items {
+			t.Fatalf("%s: paged answers differ: %q %q, want %q %q", step, p.brown, p.items, m.brown, m.items)
+		}
+		if p.schema != m.schema || p.views != m.views {
+			t.Fatalf("%s: paged meta-database differs:\n%s%s\nwant:\n%s%s", step, p.schema, p.views, m.schema, m.views)
+		}
+	}
+}
+
+// TestPagedRebuildCrashSweep fails each filesystem operation in turn
+// while a checkpointed paged directory adopts a replication snapshot —
+// the rebuild that repopulates the page store and the checkpoint that
+// commits it — then reopens: the directory must hold exactly the old
+// state or the new one. The rebuild must therefore never write a page
+// the committed ROOT can still reach.
+func TestPagedRebuildCrashSweep(t *testing.T) {
+	snapshot := func(prefix string) (map[string][]byte, uint64, string) {
+		src := New(core.DefaultOptions())
+		script := "relation R (A, B) key (A);\n"
+		for i := 0; i < 400; i++ {
+			script += fmt.Sprintf("insert into R values (%s%04d, %d);\n", prefix, i, i)
+		}
+		if _, err := src.NewSession("admin", true).ExecScript(script); err != nil {
+			t.Fatal(err)
+		}
+		files, lsn, _, err := src.ReplSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files, lsn, fingerprint(t, src)
+	}
+	oldFiles, oldLSN, oldFP := snapshot("old")
+	newFiles, newLSN, newFP := snapshot("new")
+
+	base := t.TempDir()
+	for k := 0; ; k++ {
+		if k > 1000 {
+			t.Fatal("sweep did not terminate; fault never stopped tripping")
+		}
+		dir := filepath.Join(base, fmt.Sprintf("crash-%d", k))
+		fs := faultfs.NewFaulty(faultfs.OS())
+		e, err := OpenDurableStorageFS(fs, dir, core.DefaultOptions(), pagedCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ResetFromSnapshot(oldFiles, oldLSN); err != nil {
+			t.Fatal(err)
+		}
+		fs.Arm(k)
+		resetErr := e.ResetFromSnapshot(newFiles, newLSN)
+		tripped := fs.Tripped()
+		e.Close()
+
+		re, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+		if err != nil {
+			t.Fatalf("k=%d: reopen failed: %v", k, err)
+		}
+		got := fingerprint(t, re)
+		re.Close()
+		if got != oldFP && got != newFP {
+			t.Fatalf("k=%d: reopened state is neither the old nor the new one", k)
+		}
+		if !tripped {
+			if resetErr != nil || got != newFP {
+				t.Fatalf("k=%d: fault-free adoption: err %v, new state %v", k, resetErr, got == newFP)
+			}
+			break
+		}
+	}
+}
+
+// TestPagedRefusesVersion1Root opens a generation whose ROOT is in the
+// earlier format: the open must fail and name the upgrade path.
+func TestPagedRefusesVersion1Root(t *testing.T) {
+	dir := t.TempDir()
+	e, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.NewSession("admin", true).ExecScript("relation R (A);\ninsert into R values (1);"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, snapName(e.Generation()))
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite ROOT and its MANIFEST line, so only the format is wrong.
+	root := []byte("AUTHDBROOT1\npagesize 4096\nnpages 2\nviewseq 0\ncatalog 0\ntable R 1 1 0\n")
+	if err := os.WriteFile(filepath.Join(snap, storage.RootName), root, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(snap, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(manifest), "\n")
+	for i, ln := range lines {
+		if strings.HasSuffix(ln, " "+storage.RootName) {
+			lines[i] = fmt.Sprintf("%08x %d %s", crc32.ChecksumIEEE(root), len(root), storage.RootName)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(snap, manifestName), []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, cfg := range []StorageConfig{{}, pagedCfg} {
+		back, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
+		if err == nil {
+			back.Close()
+			t.Fatalf("backend %q opened a version 1 ROOT", cfg.Backend)
+		}
+		for _, want := range []string{"AUTHDBROOT1", "previous build and -storage memory", "-storage paged"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not mention %q", err, want)
+			}
+		}
 	}
 }

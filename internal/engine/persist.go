@@ -10,21 +10,20 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/faultfs"
 	"authdb/internal/relation"
+	"authdb/internal/storage"
+	"authdb/internal/value"
 )
 
-// snapshotFiles renders one database version as a set of files, keyed
-// by slash-separated path relative to the save directory:
+// metaFiles renders one database version's meta-database, keyed by
+// slash-separated path relative to the save directory:
 //
 //	schema.authdb   relation statements
 //	views.authdb    view definitions and permits, in definition order
-//	data/REL.csv    one CSV per base relation
 //
-// The version is immutable, so no lock is needed. The same rendering
-// backs the flat Save layout, the durable snapshot generations, and the
-// crash-recovery tests' state fingerprints.
-func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
-	files := make(map[string][]byte)
-
+// Both layouts keep these two scripts; the paged one stores the tuples
+// in its page file instead of snapshotFiles' CSVs. The version is
+// immutable, so no lock is needed.
+func (v *dbVersion) metaFiles() map[string][]byte {
 	var schema strings.Builder
 	for _, name := range v.sch.Names() {
 		rs := v.sch.Lookup(name)
@@ -34,7 +33,6 @@ func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
 		}
 		schema.WriteString(";\n")
 	}
-	files["schema.authdb"] = []byte(schema.String())
 
 	var views strings.Builder
 	for _, name := range v.store.ViewNames() {
@@ -46,8 +44,18 @@ func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
 			fmt.Fprintf(&views, "permit %s to %s;\n", vw, user)
 		}
 	}
-	files["views.authdb"] = []byte(views.String())
+	return map[string][]byte{
+		"schema.authdb": []byte(schema.String()),
+		"views.authdb":  []byte(views.String()),
+	}
+}
 
+// snapshotFiles renders one database version as metaFiles plus
+// data/REL.csv, one CSV per base relation. The same rendering backs the
+// flat Save layout, the memory layout's snapshot generations, and the
+// crash-recovery tests' state fingerprints.
+func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
+	files := v.metaFiles()
 	for i, name := range v.sch.Names() {
 		var buf bytes.Buffer
 		if err := v.rels[i].WriteCSV(&buf); err != nil {
@@ -134,14 +142,16 @@ func (e *Engine) Save(dir string) error {
 
 // Load restores an engine saved with Save.
 func Load(dir string, opt core.Options) (*Engine, error) {
-	return loadState(faultfs.OS(), dir, opt)
+	return loadState(faultfs.OS(), dir, opt, nil)
 }
 
 // loadState rebuilds an engine from a flat state directory (the Save
 // layout; also the inside of a durable snapshot generation), reading
-// through fs. Errors carry the file and, for replayed statements, the
-// line that failed.
-func loadState(fs faultfs.FS, dir string, opt core.Options) (*Engine, error) {
+// through fs. Both layouts replay schema.authdb and views.authdb as
+// statements; the tuples between them come from ps's trees when the
+// generation is paged, else from data/REL.csv. Errors carry the file
+// and, for replayed statements, the line that failed.
+func loadState(fs faultfs.FS, dir string, opt core.Options, ps *storage.Store) (*Engine, error) {
 	e := New(opt)
 	admin := e.NewSession("admin", true)
 
@@ -154,28 +164,17 @@ func loadState(fs faultfs.FS, dir string, opt core.Options) (*Engine, error) {
 		return nil, fmt.Errorf("replaying %s: %w", schemaPath, err)
 	}
 
+	names := e.wsch.Names()
+	if ps != nil {
+		if n := len(ps.Relations()); n != len(names) {
+			return nil, fmt.Errorf("page store holds %d relations, %s defines %d", n, schemaPath, len(names))
+		}
+	}
 	e.mu.Lock()
-	for i, name := range e.wsch.Names() {
-		path := filepath.Join(dir, "data", name+".csv")
-		raw, err := fs.ReadFile(path)
-		if err != nil {
+	for i, name := range names {
+		if err := loadTuples(fs, dir, ps, e.wsch.Lookup(name), e.vrels[i]); err != nil {
 			e.mu.Unlock()
 			return nil, fmt.Errorf("loading %s: %w", name, err)
-		}
-		rel, err := relation.ReadCSV(bytes.NewReader(raw))
-		if err != nil {
-			e.mu.Unlock()
-			return nil, fmt.Errorf("parsing %s: %w", path, err)
-		}
-		if got, want := len(rel.Attrs), e.wsch.Lookup(name).Arity(); got != want {
-			e.mu.Unlock()
-			return nil, fmt.Errorf("%s: csv has %d columns, scheme %d", path, got, want)
-		}
-		for _, t := range rel.Tuples() {
-			if _, err := e.vrels[i].Insert(t); err != nil {
-				e.mu.Unlock()
-				return nil, fmt.Errorf("loading %s: %w", name, err)
-			}
 		}
 	}
 	e.publishLocked()
@@ -190,4 +189,37 @@ func loadState(fs faultfs.FS, dir string, opt core.Options) (*Engine, error) {
 		return nil, fmt.Errorf("replaying %s: %w", viewsPath, err)
 	}
 	return e, nil
+}
+
+// loadTuples inserts relation rs's stored tuples into vr: from ps's tree
+// when ps is set, else from dir's data/REL.csv.
+func loadTuples(fs faultfs.FS, dir string, ps *storage.Store, rs *relation.Schema, vr *relation.Versioned) error {
+	insert := func(t relation.Tuple) error {
+		_, err := vr.Insert(t)
+		return err
+	}
+	if ps != nil {
+		if arity, err := ps.Arity(rs.Name); err != nil || arity != rs.Arity() {
+			return fmt.Errorf("page store does not hold %s with %d attributes", rs.Name, rs.Arity())
+		}
+		return ps.ScanRelation(rs.Name, func(vs []value.Value) error { return insert(vs) })
+	}
+	path := filepath.Join(dir, "data", rs.Name+".csv")
+	raw, err := fs.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	rel, err := relation.ReadCSV(bytes.NewReader(raw))
+	if err != nil {
+		return fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if got, want := len(rel.Attrs), rs.Arity(); got != want {
+		return fmt.Errorf("%s: csv has %d columns, scheme %d", path, got, want)
+	}
+	for _, t := range rel.Tuples() {
+		if err := insert(t); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -99,7 +99,7 @@ func (e *Engine) WALTail(from uint64) (tail []Commit, ok bool, err error) {
 // their own generation so a restart resumes from it. This is the
 // replica's bootstrap path.
 func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64) error {
-	tmp, err := loadState(mapFS(files), ".", e.opt)
+	tmp, err := loadState(mapFS(files), ".", e.opt, nil)
 	if err != nil {
 		return fmt.Errorf("loading replication snapshot: %w", err)
 	}

@@ -496,45 +496,32 @@ func (t *Tree) del(no uint32, key []byte) (uint32, bool, bool, error) {
 	return sno, true, false, nil
 }
 
-// ScanFrom walks keys ≥ lo (nil = all) in order; fn returns false to
-// stop early.
-func (t *Tree) ScanFrom(lo []byte, fn func(key, val []byte) (bool, error)) error {
+// Scan walks every key in order; fn returns false to stop early.
+func (t *Tree) Scan(fn func(key, val []byte) (bool, error)) error {
 	if t.root == 0 {
 		return nil
 	}
-	_, err := t.scan(t.root, lo, fn)
+	_, err := t.scan(t.root, fn)
 	return err
 }
 
-// Scan walks every key in order.
-func (t *Tree) Scan(fn func(key, val []byte) (bool, error)) error {
-	return t.ScanFrom(nil, fn)
-}
-
-func (t *Tree) scan(no uint32, lo []byte, fn func(key, val []byte) (bool, error)) (bool, error) {
+func (t *Tree) scan(no uint32, fn func(key, val []byte) (bool, error)) (bool, error) {
 	n, err := t.pg.Get(no)
 	if err != nil {
 		return false, err
 	}
 	t.pg.pin(no)
 	defer t.pg.Unpin(no)
-	start := 0
-	if lo != nil {
-		start, _, err = t.lowerBound(n, lo)
-		if err != nil {
-			return false, err
-		}
-	}
 	if n.typ == pageInterior {
-		for i := start; i < len(n.cells); i++ {
-			cont, err := t.scan(n.cells[i].child, lo, fn)
+		for i := range n.cells {
+			cont, err := t.scan(n.cells[i].child, fn)
 			if err != nil || !cont {
 				return cont, err
 			}
 		}
-		return t.scan(n.right, lo, fn)
+		return t.scan(n.right, fn)
 	}
-	for i := start; i < len(n.cells); i++ {
+	for i := range n.cells {
 		k, err := t.cellKey(&n.cells[i])
 		if err != nil {
 			return false, err

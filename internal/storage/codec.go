@@ -1,9 +1,10 @@
 // Package storage is the paged on-disk backend: fixed-size slotted
 // pages, a pager with an LRU buffer cache and pin/unpin semantics, and
-// copy-on-write B+Trees for relation primaries, per-attribute
-// secondaries, and the catalog. The engine writes through to a Store on
-// every mutating statement; checkpoints flush only dirty pages and
-// commit a tiny ROOT file behind the existing CURRENT pointer protocol
+// one copy-on-write B+Tree per relation, keyed by the whole encoded
+// tuple. It holds tuples only: the engine writes each inserted or
+// deleted tuple through to a Store, and a checkpoint flushes only the
+// dirty pages and commits a tiny ROOT file beside the generation's
+// schema and view scripts, behind the existing CURRENT pointer protocol
 // (DESIGN.md §16).
 package storage
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"authdb/internal/faultfs"
+	"authdb/internal/value"
 )
 
 // FuzzPageDecode throws arbitrary page images at decodePage: it must
@@ -59,8 +60,10 @@ func FuzzPageDecode(f *testing.F) {
 
 // FuzzParseRoot throws arbitrary ROOT text at Open over a real page
 // file: every input must open a store or fail with an error, never
-// panic. Seeds are the ROOT of a store with a relation and a freed page,
-// which carries every line kind, and lines cut down to their keyword.
+// panic, and a store it opens must never allocate the header page, a
+// tree root, or one page twice. Seeds are the ROOT of a store with a
+// relation and a freed page, which carries every line kind, lines cut
+// down to their keyword, and a ROOT of the earlier format.
 func FuzzParseRoot(f *testing.F) {
 	path := filepath.Join(f.TempDir(), PagesFileName)
 	s, err := Create(faultfs.OS(), path, 8)
@@ -68,34 +71,59 @@ func FuzzParseRoot(f *testing.F) {
 		f.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.CreateRelation("R", 2, "relation R (A, B) key (A);"); err != nil {
+	if err := s.CreateRelation("R", 2); err != nil {
 		f.Fatal(err)
 	}
-	if err := s.PutView("V", "view V (R.A);"); err != nil {
+	tup := []value.Value{value.Int(1), value.String("a")}
+	if err := s.InsertTuple("R", tup); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := s.Flush(); err != nil {
 		f.Fatal(err)
 	}
 	s.Commit()
-	if err := s.DropView("V"); err != nil {
+	if err := s.DeleteTuple("R", tup); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.InsertTuple("R", tup); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := s.Flush(); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(s.RenderRoot())
-	for _, word := range []string{"npages", "viewseq", "catalog", "pagesize", "table", "free"} {
+	for _, word := range []string{"npages", "pagesize", "table", "free"} {
 		f.Add([]byte(rootMagic + "\n" + word + "\n"))
 	}
 	f.Add([]byte(""))
-	f.Add([]byte(rootMagic + "\nnpages 0\ncatalog 1\n"))
+	f.Add([]byte(rootMagic + "\nnpages 0\n"))
+	f.Add([]byte(rootMagic + "\nnpages 3\nfree 0 2\ntable R 2 1\n"))
+	f.Add([]byte(rootMagic + "\nnpages 4294967295\n"))
+	f.Add([]byte(rootMagicV1 + "\npagesize 4096\nnpages 2\nviewseq 0\ncatalog 0\ntable R 2 1 0 0\n"))
 
 	f.Fuzz(func(t *testing.T, root []byte) {
 		re, err := Open(faultfs.OS(), path, root, 8)
 		if err != nil {
 			return
 		}
-		re.Close()
+		defer re.Close()
+		taken := map[uint32]bool{0: true}
+		for _, tb := range re.tables {
+			taken[tb.tree.root] = true
+		}
+		_, free := re.pg.allocSnapshot()
+		// A budget above the allocations keeps every new page cached, so
+		// nothing is written to the shared page file.
+		re.pg.budget = len(free) + 8
+		for range len(free) + 2 {
+			no, err := re.pg.Alloc(&node{typ: pageLeaf})
+			if err != nil {
+				return
+			}
+			if taken[no] {
+				t.Fatalf("ROOT %q: Alloc handed out page %d, already in use", root, no)
+			}
+			taken[no] = true
+		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"authdb/internal/faultfs"
@@ -182,6 +183,8 @@ func (pg *pager) allocLocked(n *node) (uint32, error) {
 	if ln := len(pg.free); ln > 0 {
 		no = pg.free[ln-1]
 		pg.free = pg.free[:ln-1]
+	} else if pg.nPages == math.MaxUint32 {
+		return 0, fmt.Errorf("storage: page file full (%d pages)", pg.nPages)
 	} else {
 		no = pg.nPages
 		pg.nPages++
@@ -356,15 +359,20 @@ func (pg *pager) Commit() {
 	pg.fresh = make(map[uint32]struct{})
 }
 
-// Reset drops all cached and allocated state, returning the pager to an
-// empty file image (used when the store must be rebuilt from the
-// engine's in-memory head, e.g. after adopting a replication snapshot).
+// Reset drops all cached state and every tree (used when the store must
+// be rebuilt from the engine's in-memory head, e.g. after adopting a
+// replication snapshot). The committed ROOT may reach any page below the
+// high-water mark, so all of them wait on pendingFree for the next
+// Commit and the rebuild allocates above the mark: a checkpoint that
+// fails mid-rebuild leaves the committed generation readable.
 func (pg *pager) Reset() {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
-	pg.nPages = 1
 	pg.free = nil
-	pg.pendingFree = nil
+	pg.pendingFree = pg.pendingFree[:0]
+	for no := uint32(1); no < pg.nPages; no++ {
+		pg.pendingFree = append(pg.pendingFree, no)
+	}
 	pg.fresh = make(map[uint32]struct{})
 	pg.frames = make(map[uint32]*frame)
 	pg.lru = list.New()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"authdb/internal/faultfs"
@@ -221,7 +222,7 @@ func TestTreeRandomOps(t *testing.T) {
 // committed page, so re-opening from the old ROOT sees the old tree.
 func TestShadowPreservesCommittedTree(t *testing.T) {
 	s, path := newTestStore(t, 64)
-	if err := s.CreateRelation("R", 2, "relation R (A, B);"); err != nil {
+	if err := s.CreateRelation("R", 2); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
@@ -236,10 +237,12 @@ func TestShadowPreservesCommittedTree(t *testing.T) {
 	s.Commit()
 
 	// Mutate heavily: deletes, inserts, a second relation.
-	if _, err := s.DeleteWhere("R", func(vs []value.Value) bool { return vs[0].AsInt()%2 == 0 }, -1, value.Value{}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 500; i += 2 {
+		if err := s.DeleteTuple("R", []value.Value{value.Int(int64(i)), value.String(fmt.Sprintf("row%d", i))}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.CreateRelation("S", 1, "relation S (X);"); err != nil {
+	if err := s.CreateRelation("S", 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
@@ -278,62 +281,45 @@ func TestShadowPreservesCommittedTree(t *testing.T) {
 	}
 }
 
-func TestStoreCatalogAndSecondaries(t *testing.T) {
+// TestStoreDeleteTuple deletes by key: present tuples go, absent ones
+// and a second delete are no-ops, a wrong arity is refused, and the
+// survivors come back in key order after a checkpoint and reopen.
+func TestStoreDeleteTuple(t *testing.T) {
 	s, path := newTestStore(t, 32)
-	if err := s.CreateRelation("EMP", 3, "relation EMP (NAME, DEPT, SAL);"); err != nil {
+	if err := s.CreateRelation("EMP", 3); err != nil {
 		t.Fatal(err)
 	}
+	emp := func(i int) []value.Value {
+		return []value.Value{value.String(fmt.Sprintf("e%03d", i)), value.String(fmt.Sprintf("d%d", i%7)), value.Int(int64(1000 + i))}
+	}
 	for i := 0; i < 100; i++ {
-		tup := []value.Value{value.String(fmt.Sprintf("e%03d", i)), value.String(fmt.Sprintf("d%d", i%7)), value.Int(int64(1000 + i))}
-		if err := s.InsertTuple("EMP", tup); err != nil {
+		if err := s.InsertTuple("EMP", emp(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.PutView("V1", "view V1 ...;"); err != nil {
-		t.Fatal(err)
+	deleted := 0
+	for i := 0; i < 100; i++ {
+		if i%7 != 3 {
+			continue
+		}
+		for range 2 {
+			if err := s.DeleteTuple("EMP", emp(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deleted++
 	}
-	if err := s.PutView("V2", "view V2 ...;"); err != nil {
-		t.Fatal(err)
+	if err := s.DeleteTuple("EMP", emp(1000)); err != nil {
+		t.Fatalf("deleting an absent tuple: %v", err)
 	}
-	if err := s.PutView("V1", "view V1 redefined;"); err != nil {
-		t.Fatal(err)
+	if err := s.DeleteTuple("EMP", emp(1)[:2]); err == nil {
+		t.Fatal("DeleteTuple accepted a tuple of the wrong arity")
 	}
-	if err := s.PutPermit("brown", "V1", "permit V1 to brown;"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutPermit("klein", "V2", "permit V2 to klein;"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DropPermit("klein", "V2"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Equality hint through the DEPT secondary: delete one department.
-	n, err := s.DeleteWhere("EMP", func(vs []value.Value) bool { return vs[1].AsString() == "d3" }, 1, value.String("d3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 15 && n != 14 {
-		t.Fatalf("deleted %d d3 rows", n)
+	if err := s.DeleteTuple("NOPE", emp(1)); err == nil {
+		t.Fatal("DeleteTuple accepted an unknown relation")
 	}
 
 	re := checkpointReopen(t, s, path, 32)
-	cat, err := re.LoadCatalog()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantViews := []string{"view V2 ...;", "view V1 redefined;"}
-	if len(cat.Schemas) != 1 || len(cat.Permits) != 1 || len(cat.Views) != 2 {
-		t.Fatalf("catalog %+v", cat)
-	}
-	for i, w := range wantViews {
-		if cat.Views[i] != w {
-			t.Fatalf("views %v, want %v", cat.Views, wantViews)
-		}
-	}
-	if cat.Permits[0] != "permit V1 to brown;" {
-		t.Fatalf("permits %v", cat.Permits)
-	}
 	var rows []string
 	if err := re.ScanRelation("EMP", func(vs []value.Value) error {
 		if vs[1].AsString() == "d3" {
@@ -344,10 +330,108 @@ func TestStoreCatalogAndSecondaries(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 100-n {
-		t.Fatalf("%d rows after reopen, want %d", len(rows), 100-n)
+	if len(rows) != 100-deleted {
+		t.Fatalf("%d rows after reopen, want %d", len(rows), 100-deleted)
 	}
 	if !sort.StringsAreSorted(rows) {
-		t.Fatal("primary scan not in key order")
+		t.Fatal("scan not in key order")
+	}
+}
+
+// TestResetKeepsCommittedPages rebuilds a committed store from scratch
+// and flushes without committing, as a checkpoint that fails after its
+// page flush does: the committed ROOT must still open to its own rows,
+// because the rebuild allocates above every page that ROOT can reach.
+func TestResetKeepsCommittedPages(t *testing.T) {
+	s, path := newTestStore(t, 16)
+	fill := func(rel, prefix string, n int) {
+		t.Helper()
+		if err := s.CreateRelation(rel, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := s.InsertTuple(rel, []value.Value{value.String(fmt.Sprintf("%s%04d", prefix, i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill("R", "old", 400)
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	oldRoot := s.RenderRoot()
+	s.Commit()
+
+	s.Reset()
+	fill("R", "new", 400)
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old, err := Open(faultfs.OS(), path, oldRoot, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	n := 0
+	if err := old.ScanRelation("R", func(vs []value.Value) error {
+		if want := fmt.Sprintf("old%04d", n); vs[0].AsString() != want {
+			return fmt.Errorf("row %d is %v, want %s", n, vs[0], want)
+		}
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 400 {
+		t.Fatalf("committed root sees %d rows, want 400", n)
+	}
+}
+
+// TestParseRootRejects feeds Open ROOT texts that would hand out the
+// header page or one page twice, or that come from the earlier format.
+func TestParseRootRejects(t *testing.T) {
+	s, path := newTestStore(t, 8)
+	if err := s.CreateRelation("R", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InsertTuple("R", []value.Value{value.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	good := string(s.RenderRoot())
+	if good != rootMagic+"\npagesize 4096\nnpages 2\ntable R 1 1\n" {
+		t.Fatalf("unexpected ROOT %q", good)
+	}
+	if re, err := Open(faultfs.OS(), path, []byte(good), 8); err != nil {
+		t.Fatalf("valid ROOT refused: %v", err)
+	} else {
+		re.Close()
+	}
+	head := rootMagic + "\npagesize 4096\nnpages 4\n"
+	for _, tc := range []struct{ name, root, want string }{
+		{"free header page", head + "free 0\n", "free page 0 outside"},
+		{"free past npages", head + "free 4\n", "free page 4 outside"},
+		{"free twice", head + "free 2 3 2\n", "free page 2 twice"},
+		{"root past npages", head + "table R 1 4\n", "tree root 4"},
+		{"root on the free list", head + "free 3\ntable R 1 3\n", "tree root 3"},
+		{"table twice", head + "table R 1 1\ntable R 1 2\n", "table R twice"},
+		{"two roots on a table", head + "table R 1 1 2\n", "bad ROOT table line"},
+		{"version 1", "AUTHDBROOT1\npagesize 4096\nnpages 4\nviewseq 0\ncatalog 1\ntable R 1 2 3\n", "-storage memory, then reopen it with -storage paged"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			re, err := Open(faultfs.OS(), path, []byte(tc.root), 8)
+			if err == nil {
+				re.Close()
+				t.Fatalf("Open accepted %q", tc.root)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }

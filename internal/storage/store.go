@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -12,10 +11,13 @@ import (
 )
 
 // rootMagic heads the per-generation ROOT file. ROOT is the only
-// per-checkpoint state: tree roots, allocation state, and the view
-// sequence counter. Pages live in the shared pages.db next to the
-// generation directories.
-const rootMagic = "AUTHDBROOT1"
+// per-checkpoint page-store state: tree roots and allocation state.
+// Pages live in the shared pages.db next to the generation directories.
+const rootMagic = "AUTHDBROOT2"
+
+// rootMagicV1 headed the ROOT of the earlier layout, which also kept
+// the meta-database and one index tree per attribute in pages.db.
+const rootMagicV1 = "AUTHDBROOT1"
 
 // RootName is the ROOT file's name inside a snapshot generation
 // directory; its presence marks the generation as paged.
@@ -25,35 +27,21 @@ const RootName = "ROOT"
 // directory.
 const PagesFileName = "pages.db"
 
-// Catalog key prefixes. Schemas sort by relation name, views by
-// definition sequence (definition order matters: views reference
-// earlier views), permits by (user, view).
-const (
-	catSchema = "s/"
-	catView   = "w/"
-	catPermit = "p/"
-)
-
-// table is one relation's on-disk representation: a primary B+Tree
-// keyed by the whole encoded tuple (relations enforce whole-tuple set
-// semantics) and one secondary per attribute keyed by
-// enc(value) ‖ primaryKey.
+// table is one relation's on-disk representation: a B+Tree keyed by the
+// whole encoded tuple (relations enforce whole-tuple set semantics).
 type table struct {
-	name    string
-	arity   int
-	primary *Tree
-	sec     []*Tree
+	name  string
+	arity int
+	tree  *Tree
 }
 
-// Store is the paged backend for one database directory: the pager, the
-// catalog tree (schemas, view definitions, permits — the meta-database
-// the paper's authorization model is a function of), and one table per
-// relation.
+// Store is the paged backend for one database directory: the pager and
+// one table per relation. It holds tuples only; the meta-database
+// (schemas, views, permits) lives beside ROOT in the generation's
+// schema.authdb and views.authdb.
 type Store struct {
 	pg      *pager
-	catalog *Tree
 	tables  map[string]*table
-	viewSeq uint64
 	rebuild bool // set when the trees must be repopulated from the engine head
 }
 
@@ -64,11 +52,7 @@ func Create(fs faultfs.FS, path string, cachePages int) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{
-		pg:      pg,
-		catalog: &Tree{pg: pg},
-		tables:  make(map[string]*table),
-	}, nil
+	return &Store{pg: pg, tables: make(map[string]*table)}, nil
 }
 
 // Open attaches to an existing page file using the committed ROOT.
@@ -85,29 +69,29 @@ func Open(fs faultfs.FS, path string, root []byte, cachePages int) (*Store, erro
 	return s, nil
 }
 
-// Catalog is a fully rendered meta-database: the statement scripts that
-// recreate schemas, views, and permits in replay order.
-type Catalog struct {
-	Schemas []string
-	Views   []string
-	Permits []string
-}
-
+// parseRoot restores the tables and allocation state from ROOT text. It
+// rejects anything that would let the pager hand out the header page or
+// a page twice: free pages and tree roots must lie in [1, npages), free
+// pages and table names must be unique.
 func (s *Store) parseRoot(root []byte) error {
 	lines := strings.Split(string(root), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != rootMagic {
+	switch strings.TrimSpace(lines[0]) {
+	case rootMagic:
+	case rootMagicV1:
+		return fmt.Errorf("storage: ROOT is %s, which this build no longer reads; open the directory with the previous build and -storage memory, then reopen it with -storage paged", rootMagicV1)
+	default:
 		return fmt.Errorf("storage: bad ROOT magic")
 	}
 	var nPages uint32
 	var free []uint32
+	var roots []uint32 // tree roots, checked against npages once it is known
 	for _, ln := range lines[1:] {
-		ln = strings.TrimSpace(ln)
-		if ln == "" {
+		fields := strings.Fields(ln)
+		if len(fields) == 0 {
 			continue
 		}
-		fields := strings.Fields(ln)
 		switch fields[0] {
-		case "pagesize", "npages", "viewseq", "catalog":
+		case "pagesize", "npages":
 			if len(fields) != 2 {
 				return fmt.Errorf("storage: bad ROOT %s line", fields[0])
 			}
@@ -123,12 +107,6 @@ func (s *Store) parseRoot(root []byte) error {
 				return fmt.Errorf("storage: bad ROOT npages: %w", err)
 			}
 			nPages = uint32(v)
-		case "viewseq":
-			v, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return fmt.Errorf("storage: bad ROOT viewseq: %w", err)
-			}
-			s.viewSeq = v
 		case "free":
 			for _, f := range fields[1:] {
 				v, err := strconv.ParseUint(f, 10, 32)
@@ -137,46 +115,45 @@ func (s *Store) parseRoot(root []byte) error {
 				}
 				free = append(free, uint32(v))
 			}
-		case "catalog":
-			v, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				return fmt.Errorf("storage: bad ROOT catalog root: %w", err)
-			}
-			s.catalog = &Tree{pg: s.pg, root: uint32(v)}
 		case "table":
-			if len(fields) < 4 {
+			if len(fields) != 4 {
 				return fmt.Errorf("storage: bad ROOT table line %q", ln)
 			}
 			name := fields[1]
+			if _, dup := s.tables[name]; dup {
+				return fmt.Errorf("storage: ROOT lists table %s twice", name)
+			}
 			arity, err := strconv.Atoi(fields[2])
 			if err != nil || arity < 1 {
 				return fmt.Errorf("storage: bad ROOT arity for %s", name)
 			}
-			roots := make([]uint32, 0, len(fields)-3)
-			for _, f := range fields[3:] {
-				v, err := strconv.ParseUint(f, 10, 32)
-				if err != nil {
-					return fmt.Errorf("storage: bad ROOT tree root for %s: %w", name, err)
-				}
-				roots = append(roots, uint32(v))
+			r, err := strconv.ParseUint(fields[3], 10, 32)
+			if err != nil {
+				return fmt.Errorf("storage: bad ROOT tree root for %s: %w", name, err)
 			}
-			if len(roots) != 1+arity {
-				return fmt.Errorf("storage: table %s has %d roots, want %d", name, len(roots), 1+arity)
-			}
-			tb := &table{name: name, arity: arity, primary: &Tree{pg: s.pg, root: roots[0]}}
-			for _, r := range roots[1:] {
-				tb.sec = append(tb.sec, &Tree{pg: s.pg, root: r})
-			}
-			s.tables[name] = tb
+			roots = append(roots, uint32(r))
+			s.tables[name] = &table{name: name, arity: arity, tree: &Tree{pg: s.pg, root: uint32(r)}}
 		default:
 			return fmt.Errorf("storage: unknown ROOT line %q", ln)
 		}
 	}
-	if s.catalog == nil {
-		return fmt.Errorf("storage: ROOT missing catalog line")
-	}
 	if nPages == 0 {
 		return fmt.Errorf("storage: ROOT missing npages line")
+	}
+	isFree := make(map[uint32]bool, len(free))
+	for _, f := range free {
+		if f == 0 || f >= nPages {
+			return fmt.Errorf("storage: ROOT free page %d outside [1, %d)", f, nPages)
+		}
+		if isFree[f] {
+			return fmt.Errorf("storage: ROOT lists free page %d twice", f)
+		}
+		isFree[f] = true
+	}
+	for _, r := range roots {
+		if r >= nPages || isFree[r] {
+			return fmt.Errorf("storage: ROOT tree root %d is free or outside [1, %d)", r, nPages)
+		}
 	}
 	s.pg.setAlloc(nPages, free)
 	return nil
@@ -189,7 +166,7 @@ func (s *Store) RenderRoot() []byte {
 	nPages, free := s.pg.allocSnapshot()
 	sort.Slice(free, func(i, j int) bool { return free[i] < free[j] })
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\npagesize %d\nnpages %d\nviewseq %d\n", rootMagic, PageSize, nPages, s.viewSeq)
+	fmt.Fprintf(&b, "%s\npagesize %d\nnpages %d\n", rootMagic, PageSize, nPages)
 	if len(free) > 0 {
 		b.WriteString("free")
 		for _, f := range free {
@@ -197,34 +174,32 @@ func (s *Store) RenderRoot() []byte {
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "catalog %d\n", s.catalog.root)
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range s.Relations() {
 		tb := s.tables[n]
-		fmt.Fprintf(&b, "table %s %d %d", tb.name, tb.arity, tb.primary.root)
-		for _, sec := range tb.sec {
-			fmt.Fprintf(&b, " %d", sec.root)
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "table %s %d %d\n", tb.name, tb.arity, tb.tree.root)
 	}
 	return []byte(b.String())
 }
 
-// CreateRelation registers a relation and its DDL statement.
-func (s *Store) CreateRelation(name string, arity int, stmt string) error {
+// CreateRelation registers an empty relation of the given arity.
+func (s *Store) CreateRelation(name string, arity int) error {
 	if _, ok := s.tables[name]; ok {
 		return fmt.Errorf("storage: relation %s already exists", name)
 	}
-	tb := &table{name: name, arity: arity, primary: &Tree{pg: s.pg}}
-	for i := 0; i < arity; i++ {
-		tb.sec = append(tb.sec, &Tree{pg: s.pg})
+	s.tables[name] = &table{name: name, arity: arity, tree: &Tree{pg: s.pg}}
+	return nil
+}
+
+// lookupTuple resolves rel and encodes vs as its tree key.
+func (s *Store) lookupTuple(rel string, vs []value.Value) (*table, []byte, error) {
+	tb, err := s.lookupTable(rel)
+	if err != nil {
+		return nil, nil, err
 	}
-	s.tables[name] = tb
-	return s.catalog.Put([]byte(catSchema+name), []byte(stmt))
+	if len(vs) != tb.arity {
+		return nil, nil, fmt.Errorf("storage: %s arity %d, got %d values", rel, tb.arity, len(vs))
+	}
+	return tb, encTuple(vs), nil
 }
 
 func (s *Store) lookupTable(rel string) (*table, error) {
@@ -235,117 +210,33 @@ func (s *Store) lookupTable(rel string) (*table, error) {
 	return tb, nil
 }
 
-// secKey builds a secondary index key: enc(value) ‖ primaryKey. The
-// value encoding is self-delimiting, so all keys for one value form a
-// contiguous run beginning at enc(value).
-func secKey(v value.Value, pk []byte) []byte {
-	k := encValue(make([]byte, 0, 16+len(pk)), v)
-	return append(k, pk...)
-}
-
-// InsertTuple adds vs to rel's primary and every secondary. Replaying a
-// duplicate is a no-op (set semantics), matching the in-memory
-// relation.
+// InsertTuple adds vs to rel. Replaying a duplicate is a no-op (set
+// semantics), matching the in-memory relation.
 func (s *Store) InsertTuple(rel string, vs []value.Value) error {
-	tb, err := s.lookupTable(rel)
+	tb, key, err := s.lookupTuple(rel, vs)
 	if err != nil {
 		return err
 	}
-	if len(vs) != tb.arity {
-		return fmt.Errorf("storage: %s arity %d, got %d values", rel, tb.arity, len(vs))
-	}
-	pk := encTuple(vs)
-	if err := tb.primary.Put(pk, nil); err != nil {
-		return err
-	}
-	for i, v := range vs {
-		if err := tb.sec[i].Put(secKey(v, pk), nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	return tb.tree.Put(key, nil)
 }
 
-// deleteByKey removes one tuple (given by its decoded values and
-// primary key) from the primary and all secondaries.
-func (s *Store) deleteByKey(tb *table, vs []value.Value, pk []byte) error {
-	removed, err := tb.primary.Delete(pk)
+// DeleteTuple removes vs from rel; an absent tuple is a no-op.
+func (s *Store) DeleteTuple(rel string, vs []value.Value) error {
+	tb, key, err := s.lookupTuple(rel, vs)
 	if err != nil {
 		return err
 	}
-	if !removed {
-		return nil
-	}
-	for i, v := range vs {
-		if _, err := tb.sec[i].Delete(secKey(v, pk)); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = tb.tree.Delete(key)
+	return err
 }
 
-// DeleteWhere removes every tuple of rel matching pred and reports the
-// count. With hintAttr ≥ 0 the candidate set is narrowed through the
-// attribute's secondary index (an equality hint extracted from the
-// statement's conditions) instead of scanning the primary.
-func (s *Store) DeleteWhere(rel string, pred func([]value.Value) bool, hintAttr int, hintVal value.Value) (int, error) {
-	tb, err := s.lookupTable(rel)
-	if err != nil {
-		return 0, err
-	}
-	type victim struct {
-		vs []value.Value
-		pk []byte
-	}
-	var victims []victim
-	collect := func(pk []byte) error {
-		vs, err := decTuple(pk, tb.arity)
-		if err != nil {
-			return err
-		}
-		if pred == nil || pred(vs) {
-			victims = append(victims, victim{vs, append([]byte(nil), pk...)})
-		}
-		return nil
-	}
-	if hintAttr >= 0 && hintAttr < tb.arity {
-		lo := encValue(nil, hintVal)
-		err = tb.sec[hintAttr].ScanFrom(lo, func(k, _ []byte) (bool, error) {
-			if !bytes.HasPrefix(k, lo) {
-				return false, nil
-			}
-			v, pk, err := decValue(k)
-			if err != nil {
-				return false, err
-			}
-			if v.Compare(hintVal) != 0 {
-				return false, nil
-			}
-			return true, collect(pk)
-		})
-	} else {
-		err = tb.primary.Scan(func(k, _ []byte) (bool, error) {
-			return true, collect(k)
-		})
-	}
-	if err != nil {
-		return 0, err
-	}
-	for _, v := range victims {
-		if err := s.deleteByKey(tb, v.vs, v.pk); err != nil {
-			return 0, err
-		}
-	}
-	return len(victims), nil
-}
-
-// ScanRelation streams rel's tuples in primary-key order.
+// ScanRelation streams rel's tuples in key order.
 func (s *Store) ScanRelation(rel string, fn func(vs []value.Value) error) error {
 	tb, err := s.lookupTable(rel)
 	if err != nil {
 		return err
 	}
-	return tb.primary.Scan(func(k, _ []byte) (bool, error) {
+	return tb.tree.Scan(func(k, _ []byte) (bool, error) {
 		vs, err := decTuple(k, tb.arity)
 		if err != nil {
 			return false, err
@@ -373,97 +264,6 @@ func (s *Store) Arity(rel string) (int, error) {
 	return tb.arity, nil
 }
 
-// PutView appends a view definition (replacing any earlier definition
-// of the same name while keeping definition order for replay).
-func (s *Store) PutView(name, stmt string) error {
-	if err := s.DropView(name); err != nil {
-		return err
-	}
-	s.viewSeq++
-	key := fmt.Sprintf("%s%08d", catView, s.viewSeq)
-	return s.catalog.Put([]byte(key), []byte(name+"\x00"+stmt))
-}
-
-// DropView removes name's definition and — matching the in-memory
-// store's cascade — every permit granted on it. Unknown names are a
-// no-op.
-func (s *Store) DropView(name string) error {
-	var doomed [][]byte
-	err := s.scanPrefix(catView, func(k, v []byte) error {
-		if n, _, ok := bytes.Cut(v, []byte{0}); ok && string(n) == name {
-			doomed = append(doomed, append([]byte(nil), k...))
-		}
-		return nil
-	})
-	if err != nil || doomed == nil {
-		return err
-	}
-	err = s.scanPrefix(catPermit, func(k, _ []byte) error {
-		if _, view, ok := bytes.Cut(k[len(catPermit):], []byte{0}); ok && string(view) == name {
-			doomed = append(doomed, append([]byte(nil), k...))
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, k := range doomed {
-		if _, err := s.catalog.Delete(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PutPermit records a permit statement under (user, view).
-func (s *Store) PutPermit(user, view, stmt string) error {
-	return s.catalog.Put([]byte(catPermit+user+"\x00"+view), []byte(stmt))
-}
-
-// DropPermit removes the permit for (user, view).
-func (s *Store) DropPermit(user, view string) error {
-	_, err := s.catalog.Delete([]byte(catPermit + user + "\x00" + view))
-	return err
-}
-
-func (s *Store) scanPrefix(prefix string, fn func(k, v []byte) error) error {
-	p := []byte(prefix)
-	return s.catalog.ScanFrom(p, func(k, v []byte) (bool, error) {
-		if !bytes.HasPrefix(k, p) {
-			return false, nil
-		}
-		return true, fn(k, v)
-	})
-}
-
-// LoadCatalog renders the stored meta-database as replayable statement
-// lists: schemas (by relation name), views (in definition order), and
-// permits (by user then view).
-func (s *Store) LoadCatalog() (*Catalog, error) {
-	var c Catalog
-	if err := s.scanPrefix(catSchema, func(_, v []byte) error {
-		c.Schemas = append(c.Schemas, string(v))
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := s.scanPrefix(catView, func(_, v []byte) error {
-		if _, stmt, ok := bytes.Cut(v, []byte{0}); ok {
-			c.Views = append(c.Views, string(stmt))
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := s.scanPrefix(catPermit, func(_, v []byte) error {
-		c.Permits = append(c.Permits, string(v))
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
-
 // MarkRebuild flags the store's trees as stale relative to the engine's
 // in-memory head; the next checkpoint repopulates them from scratch
 // (used when a replica adopts a whole snapshot, and when converting a
@@ -473,13 +273,12 @@ func (s *Store) MarkRebuild() { s.rebuild = true }
 // NeedsRebuild reports whether MarkRebuild was called.
 func (s *Store) NeedsRebuild() bool { return s.rebuild }
 
-// Reset drops every tree and page, returning the store to empty; the
-// caller repopulates it and clears the rebuild flag.
+// Reset drops every tree, returning the store to empty; the caller
+// repopulates it and clears the rebuild flag. The committed ROOT's pages
+// stay intact until the next Commit (see pager.Reset).
 func (s *Store) Reset() {
 	s.pg.Reset()
-	s.catalog = &Tree{pg: s.pg}
 	s.tables = make(map[string]*table)
-	s.viewSeq = 0
 	s.rebuild = false
 }
 
