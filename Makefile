@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race paged chaos fuzz fuzz-wire fuzz-root fuzz-render fuzz-parser bench benchgo
+.PHONY: check build fmt vet staticcheck test race paged chaos fuzz fuzz-wire fuzz-root fuzz-page fuzz-render fuzz-parser bench benchgo
 
 check: build fmt vet staticcheck race
 
@@ -66,6 +66,13 @@ fuzz-wire:
 # header page, a tree root, or one page twice.
 fuzz-root:
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzParseRoot -fuzztime 30s
+
+# Fuzz the page decoder: any page image decodes or fails with an error,
+# never a panic, and an accepted page re-encodes to a node that decodes
+# identically (seeded with every page type, overflow cells, and torn or
+# bit-flipped images).
+fuzz-page:
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzPageDecode$$' -fuzztime 30s
 
 # Fuzz the table renderer: any title, header and ragged rows render byte
 # for byte as the line-by-line renderer it replaced.

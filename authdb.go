@@ -93,9 +93,9 @@ type Options struct {
 	// being lost at projection time.
 	ExtendedMasks bool
 	// MaskClosure keeps materialized per-(user, query) results resident —
-	// answer, masked relation, and per-mask-tuple row bitmaps — validated
-	// against the definition generations and the scanned relation
-	// revisions, and refreshed incrementally under insert-only churn.
+	// answer and masked relation — validated against the definition
+	// generations and the scanned relation revisions, and refreshed
+	// incrementally under insert-only churn.
 	// Answers are byte-identical either way; steady-state retrieves skip
 	// both pipelines entirely.
 	MaskClosure bool

@@ -116,10 +116,10 @@ type Authorizer struct {
 	// generations. Plans that collect intermediates bypass it.
 	Cache *MaskCache
 	// Closure, when non-nil, serves whole retrieves from materialized
-	// resident state (answer, masked relation, statistics, row bitmaps)
-	// validated against both the definition generations and the pinned
-	// relation revisions; see Closure. Plans that collect intermediates
-	// or trace access paths bypass it.
+	// resident state (answer, masked relation, statistics) validated
+	// against both the definition generations and the pinned relation
+	// revisions; see Closure. Plans that collect intermediates or trace
+	// access paths bypass it.
 	Closure *Closure
 	// Trace, when non-nil, collects the access paths the actual-side
 	// evaluator chose (for EXPLAIN).
@@ -227,7 +227,7 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 		}
 		d.Answer = wideAns.Project(mp.OutIdx)
 		d.Masked, d.Stats = mp.Mask.ApplyExtended(wideAns, mp.OutIdx, psj.Cols)
-		closure.Store(a.Store, user, psj, a.Opt, revs, mp, d, widePSJ, nil)
+		closure.Store(a.Store, user, psj, a.Opt, revs, mp, d, widePSJ)
 		return d, nil
 	}
 	psjExec := psj
@@ -238,9 +238,8 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 	if err != nil {
 		return nil, err
 	}
-	var pick []int
-	d.Masked, d.Stats, pick = mp.Mask.applyIndexed(d.Answer)
-	closure.Store(a.Store, user, psj, a.Opt, revs, mp, d, psjExec, pick)
+	d.Masked, d.Stats = mp.Mask.Apply(d.Answer)
+	closure.Store(a.Store, user, psj, a.Opt, revs, mp, d, psjExec)
 	return d, nil
 }
 

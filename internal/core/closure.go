@@ -10,10 +10,10 @@ import (
 // Closure is the materialized mask closure: where MaskCache memoizes
 // the compiled meta-side *plan* per (user, query), the closure keeps
 // the plan's materialized *result* — the evaluated answer, the masked
-// relation actually delivered, the masking statistics, and per-mask-
-// tuple row bitmaps — resident per (user, query, options), so a
-// steady-state retrieve pays one map lookup and a handful of pointer
-// comparisons instead of re-running either pipeline.
+// relation actually delivered, and the masking statistics — resident
+// per (user, query, options), so a steady-state retrieve pays one map
+// lookup and a handful of pointer comparisons instead of re-running
+// either pipeline.
 //
 // Validity is two-sided, mirroring the two things a result depends on:
 //
@@ -26,23 +26,23 @@ import (
 //     scanned relation revision (MVCC revisions are immutable, so
 //     pointer equality is revision equality). Data changes leave the
 //     generations — and therefore the predicate side of the artifact —
-//     untouched; only the materialized rows and bitmaps go stale.
+//     untouched; only the materialized rows go stale.
 //
 // On a data-side mismatch the entry can often be repaired instead of
 // rebuilt: for a single-scan, non-extended plan whose new revision
 // extends the cached one by pure appends (relation.ExtendsByAppend —
 // the common insert-only churn), only the appended window is evaluated
 // through the retained executable plan, its rows are masked through the
-// retained compiled mask, and the answer/masked accumulators and row
-// bitmaps grow in place. Deletions, reallocation, multi-scan plans, and
-// extended masks fall back to a full recompute (which re-Stores).
+// retained compiled mask, and the answer/masked accumulators grow in
+// place. Deletions, reallocation, multi-scan plans, and extended masks
+// fall back to a full recompute (which re-Stores).
 //
-// One-mask-tuple-per-row soundness is preserved by construction: the
-// bitmaps are populated from the same bestIndex decision Apply makes —
-// each answer row sets a bit in exactly one tuple's bitmap (the
-// matching tuple starring the most attributes, first on ties), so the
-// materialized masked relation is identical to applying the mask row by
-// row, and no row ever discloses the union of several tuples' reveals.
+// One-mask-tuple-per-row soundness is preserved by construction: a
+// refresh masks each appended row through the same bestIndex decision
+// Apply makes (the matching tuple starring the most attributes, first
+// on ties), so the materialized masked relation is identical to
+// applying the mask row by row, and no row ever discloses the union of
+// several tuples' reveals.
 //
 // Like MaskCache, the closure is engine-global while stores and
 // revisions are per-version: generation stamps stay coherent because
@@ -90,11 +90,9 @@ type closureEntry struct {
 	// Incremental state, present for single-scan non-extended plans.
 	// va and vm accumulate the answer and masked relations grow-only
 	// (MVCC-style: published heads are immutable, appends build
-	// successors); bits holds one row bitmap per mask tuple over va's
-	// row positions; stats tracks the masking statistics for va's rows.
+	// successors); stats tracks the masking statistics for va's rows.
 	incremental bool
 	va, vm      *relation.Versioned
-	bits        []*relation.Bitmap
 	stats       MaskStats
 }
 
@@ -140,7 +138,8 @@ type ClosureStats struct {
 	// from (InvalidateRelation).
 	InvalidDef, InvalidData, InvalidDelete uint64
 	// Entries is the current resident entry count; ResidentRows the
-	// total set bits across all row bitmaps.
+	// delivered rows they hold (the sum of their RevealedRows), counting
+	// entries that cannot refresh as well as those that can.
 	Entries, ResidentRows int
 }
 
@@ -163,9 +162,7 @@ func (c *Closure) Stats() ClosureStats {
 		Entries:       len(c.entries),
 	}
 	for _, e := range c.entries {
-		for _, b := range e.bits {
-			s.ResidentRows += b.Count()
-		}
+		s.ResidentRows += e.res.stats.RevealedRows
 	}
 	return s
 }
@@ -290,7 +287,6 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 	slab := relation.NewSlab(width)
 	rows := tailAns.Tuples()
 	for n, t := range rows {
-		pos := e.va.Len()
 		// Projection can collapse an appended base row onto an answer
 		// row already delivered; the answer is a set. The tail answer is
 		// this refresh's own, so its rows move over without a copy.
@@ -301,7 +297,6 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 		if bi < 0 {
 			continue
 		}
-		e.bits[bi].Set(pos)
 		row := slab.Row(len(rows) - n)
 		maskRow(row, t, ex.reveal[bi], &e.stats)
 		if e.vm.Adopt(row) {
@@ -319,12 +314,11 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 
 // Store materializes a freshly computed decision: the executed plan,
 // the revision stamps, the result snapshot, and — for single-scan
-// non-extended plans — the incremental accumulators and per-tuple row
-// bitmaps (pick is applyIndexed's row-to-tuple assignment; nil on the
-// extended path). Store takes ownership of d.Answer and d.Masked in the
-// MVCC sense: their published prefixes stay immutable, later refreshes
-// extend the shared backing arrays past them.
-func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, revs []*relation.Relation, mp *MaskPlan, d *Decision, psjExec *algebra.PSJ, pick []int) {
+// non-extended plans — the incremental accumulators. Store takes
+// ownership of d.Answer and d.Masked in the MVCC sense: their published
+// prefixes stay immutable, later refreshes extend the shared backing
+// arrays past them.
+func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, revs []*relation.Relation, mp *MaskPlan, d *Decision, psjExec *algebra.PSJ) {
 	if c == nil || mp == nil || d == nil {
 		return
 	}
@@ -343,19 +337,10 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 		res:     &closureResult{answer: d.Answer, masked: d.Masked, stats: d.Stats},
 		stats:   d.Stats,
 	}
-	if len(psj.Scans) == 1 && !opt.ExtendedMasks && pick != nil {
+	if len(psj.Scans) == 1 && !opt.ExtendedMasks {
 		e.incremental = true
 		e.va = relation.VersionedOf(d.Answer)
 		e.vm = relation.VersionedOf(d.Masked)
-		e.bits = make([]*relation.Bitmap, len(mp.Mask.Tuples))
-		for i := range e.bits {
-			e.bits[i] = relation.NewBitmap()
-		}
-		for pos, bi := range pick {
-			if bi >= 0 {
-				e.bits[bi].Set(pos)
-			}
-		}
 	} else {
 		// Nothing ever inserts into a result that cannot be refreshed, and
 		// readers never probe its membership: drop the sets.

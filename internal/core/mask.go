@@ -229,27 +229,18 @@ func (s MaskStats) Empty() bool { return s.RevealedCells == 0 }
 // catches exactly this). When the correlation is legitimately available
 // the §4.2 self-join refinement produces a single merged tuple that
 // reveals the union by itself.
+//
+// Star counts and reveal templates come precomputed from the compiled
+// form rather than being recounted inside the row loop. The output is
+// sized by the answer and its rows are carved from one slab.
 func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
-	out, stats, _ := m.applyIndexed(ans)
-	return out, stats
-}
-
-// applyIndexed is Apply returning, additionally, the index in m.Tuples
-// of the delivering mask tuple per answer row (-1 for dropped rows), in
-// answer order — the raw material for the closure's per-tuple row
-// bitmaps. Star counts and reveal templates come precomputed from the
-// compiled form rather than being recounted inside the row loop. The
-// output is sized by the answer and its rows are carved from one slab.
-func (m *Mask) applyIndexed(ans *relation.Relation) (*relation.Relation, MaskStats, []int) {
 	ex := m.compiled()
 	stats := MaskStats{Rows: ans.Len(), Cells: ans.Len() * ans.Arity()}
 	tuples := ans.Tuples()
 	out := relation.NewSized(ans.Attrs, len(tuples))
 	slab := relation.NewSlab(ans.Arity())
-	pick := make([]int, 0, len(tuples))
 	for n, t := range tuples {
 		bi := m.bestIndex(ex, t)
-		pick = append(pick, bi)
 		if bi < 0 {
 			continue
 		}
@@ -259,7 +250,7 @@ func (m *Mask) applyIndexed(ans *relation.Relation) (*relation.Relation, MaskSta
 			slab.Keep()
 		}
 	}
-	return out, stats, pick
+	return out, stats
 }
 
 // maskRow fills row with t's revealed cells and nulls elsewhere, counting

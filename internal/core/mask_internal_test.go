@@ -102,17 +102,19 @@ func TestApplyMatchesReference(t *testing.T) {
 		}
 
 		wantOut, wantStats := referenceApply(m, ans)
-		gotOut, gotStats, pick := m.applyIndexed(ans)
+		gotOut, gotStats := m.Apply(ans)
 		if !gotOut.Equal(wantOut) {
 			t.Fatalf("iter %d: outputs differ:\n%s\nvs\n%s", iter, gotOut, wantOut)
 		}
 		if gotStats != wantStats {
 			t.Fatalf("iter %d: stats %+v, want %+v", iter, gotStats, wantStats)
 		}
-		// pick must agree with an independent best-match computation and
+		// The per-row pick (which Apply and the closure refresh share)
+		// must agree with an independent best-match computation and
 		// never choose a zero-star or non-matching tuple.
+		ex := m.compiled()
 		for pos, tp := range ans.Tuples() {
-			bi := pick[pos]
+			bi := m.bestIndex(ex, tp)
 			if bi < 0 {
 				continue
 			}

@@ -25,13 +25,17 @@
 // Either way a statement is acknowledged only after it is durable, and
 // only durable statements are published to the commit feed — a replica
 // can never observe a statement the primary could still lose.
+//
+// The WAL record is a statement's only write: on both storage backends
+// a statement touches no snapshot file and no page. The paged backend's
+// trees learn about data only at a checkpoint (syncPageStore in
+// paged.go).
 package engine
 
 import (
 	"fmt"
 
 	"authdb/internal/parser"
-	"authdb/internal/relation"
 )
 
 // pendingCommit is one staged WAL record awaiting the shared fsync.
@@ -172,17 +176,8 @@ func (e *Engine) brokenNow() error {
 // it for the group-commit flusher, leaving the durability wait on
 // s.pendingWait for ExecStmtContext to collect after the engine lock is
 // released. Callers hold e.mu for writing and have already applied the
-// mutation; a delete passes the tuples it removed.
-func (s *Session) logStmt(p parser.Stmt, deleted ...relation.Tuple) error {
-	// Mirror the mutation into the page store first (same critical
-	// section, same order as the log). A write-through failure is
-	// fail-stop like a WAL failure: the store may have half-applied the
-	// statement, and marking the engine broken keeps every
-	// durCheck-guarded checkpoint from ever committing the drift.
-	if err := s.eng.pageApply(p, deleted); err != nil {
-		s.eng.setBroken(err)
-		return fmt.Errorf("paged storage write-through: %w", err)
-	}
+// mutation.
+func (s *Session) logStmt(p parser.Stmt) error {
 	w, err := s.eng.stageStmt(p)
 	if err != nil {
 		return err

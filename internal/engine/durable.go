@@ -114,13 +114,17 @@ func OpenDurableStorageFS(fs faultfs.FS, dir string, opt core.Options, cfg Stora
 // the memory layout) decides how it is read; cfg decides what the
 // opening checkpoint writes, so backend conversion is just open + the
 // checkpoint every open takes anyway.
-func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfig) (*Engine, error) {
+func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfig) (e *Engine, err error) {
 	gen, committed, err := readCurrent(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	var e *Engine
 	var ps *storage.Store
+	defer func() {
+		if err != nil && ps != nil {
+			ps.Close()
+		}
+	}()
 	switch {
 	case committed:
 		snapDir := filepath.Join(dir, snapName(gen))
@@ -144,9 +148,6 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 			}
 		}
 		if e, err = loadState(fs, snapDir, opt, ps); err != nil {
-			if ps != nil {
-				ps.Close()
-			}
 			return nil, err
 		}
 		// Loading rebuilt the state by replaying rendered statements,
@@ -163,39 +164,30 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 			ps.Close()
 			ps = nil
 		}
-		if ps == nil && cfg.paged() {
-			// Converting memory → paged: start an empty store and let the
-			// opening checkpoint populate it from the recovered head.
-			ps, err = storage.Create(fs, pagesPath(dir), cfg.cachePages())
-			if err != nil {
-				return nil, err
-			}
-			ps.MarkRebuild()
+		if ps != nil {
+			// The trees hold exactly the revisions just loaded; the
+			// opening checkpoint moves them past what the WAL replay adds.
+			e.pageRevs = e.head.Load().rels
 		}
-		// Attach before replay so replayed WAL statements write through.
-		e.pstore, e.storageCfg = ps, cfg
 		if err := replayWAL(fs, filepath.Join(dir, walName(gen)), e); err != nil {
-			if ps != nil {
-				ps.Close()
-			}
 			return nil, err
 		}
 	case legacyLayout(fs, dir):
-		e, err = loadState(fs, dir, opt, nil)
-		if err != nil {
+		if e, err = loadState(fs, dir, opt, nil); err != nil {
 			return nil, err
 		}
 	default:
 		e = New(opt)
 	}
-	if cfg.paged() && e.pstore == nil {
-		ps, err = storage.Create(fs, pagesPath(dir), cfg.cachePages())
-		if err != nil {
+	if ps == nil && cfg.paged() {
+		// A fresh directory or a memory → paged conversion: start an
+		// empty store; with no revisions recorded, the opening checkpoint
+		// loads it from the recovered head.
+		if ps, err = storage.Create(fs, pagesPath(dir), cfg.cachePages()); err != nil {
 			return nil, err
 		}
-		ps.MarkRebuild()
-		e.pstore, e.storageCfg = ps, cfg
 	}
+	e.pstore = ps
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Recovery adjusted the LSN counter (and possibly the epoch history)
@@ -203,9 +195,6 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 	// matches before the opening checkpoint renders it.
 	e.publishLocked()
 	if err := e.checkpointLocked(fs, dir, gen); err != nil {
-		if e.pstore != nil {
-			e.pstore.Close()
-		}
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	if e.pstore == nil {
@@ -339,19 +328,15 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	var files map[string][]byte
 	var err error
 	if e.pstore != nil {
-		// Paged checkpoint: flush only the dirty pages to the shared page
-		// file, then commit a generation holding the tiny ROOT and the
-		// meta-database's two scripts (plus LSN/EPOCH below). The store's
-		// copy-on-write discipline means the committed ROOT never
-		// references an in-flight page, so the flush can tear anywhere and
-		// the old generation still reads cleanly.
-		if e.pstore.NeedsRebuild() {
-			if err := e.rebuildPageStore(); err != nil {
-				return fmt.Errorf("rebuilding page store: %w", err)
-			}
-		}
-		if _, err := e.pstore.Flush(); err != nil {
-			return fmt.Errorf("flushing pages: %w", err)
+		// Paged checkpoint: bring the trees to the head and flush only the
+		// dirty pages to the shared page file, then commit a generation
+		// holding the tiny ROOT and the meta-database's two scripts (plus
+		// LSN/EPOCH below). The store's copy-on-write discipline means the
+		// committed ROOT never references an in-flight page, so the sync
+		// can fail or tear anywhere and the old generation still reads
+		// cleanly.
+		if err := e.syncPageStore(); err != nil {
+			return fmt.Errorf("syncing page store: %w", err)
 		}
 		files = e.head.Load().metaFiles()
 		files[storage.RootName] = e.pstore.RenderRoot()
@@ -467,9 +452,9 @@ func (e *Engine) durCheck() error {
 }
 
 // Close stops the group-commit flusher (after a final drain), releases
-// the durable log handle, and drops the directory lock. The in-memory
-// state stays readable; further mutations on a durable engine fail.
-// Engines without a durable directory close trivially.
+// the durable log and page file handles, and drops the directory lock.
+// The in-memory state stays readable; further mutations on a durable
+// engine fail. Engines without a durable directory close trivially.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -488,10 +473,17 @@ func (e *Engine) Close() error {
 		releaseDirLock(e.dirLock)
 		e.dirLock = nil
 	}
-	if e.dur == nil || e.walH == nil {
-		return nil
+	var err error
+	if e.pstore != nil {
+		// Closing an already closed store is a no-op.
+		err = e.pstore.Close()
 	}
-	err := e.walH.Close()
+	if e.dur == nil || e.walH == nil {
+		return err
+	}
+	if werr := e.walH.Close(); werr != nil {
+		err = werr
+	}
 	e.setBroken(errors.New("engine closed"))
 	e.walH = nil
 	return err

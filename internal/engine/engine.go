@@ -67,22 +67,25 @@ type Engine struct {
 	// store's clone lineage.
 	masks atomic.Pointer[core.MaskCache]
 	// closures holds the materialized mask closure: resident
-	// per-(user, query) results (answer, masked relation, row bitmaps)
-	// validated lazily at lookup time against the definition generations
-	// and the pinned relation revisions, so the commit path never
-	// touches it. Same atomic-pointer discipline as masks (nil =
-	// disabled); see core.Closure for the coherence argument.
+	// per-(user, query) results (answer, masked relation) validated
+	// lazily at lookup time against the definition generations and the
+	// pinned relation revisions, so the commit path never touches it.
+	// Same atomic-pointer discipline as masks (nil = disabled); see
+	// core.Closure for the coherence argument.
 	closures atomic.Pointer[core.Closure]
 	// dur is the crash-safe persistence attachment (nil for in-memory
 	// engines); see durable.go.
 	dur *durable
 	// pstore is the paged storage backend (nil on the memory backend):
-	// B+Trees over a buffer-cached page file, mirrored write-through by
-	// every mutating statement and flushed incrementally at checkpoints.
-	// Attached at open, constant afterwards; its internal state is
-	// guarded by e.mu on the write side. See paged.go and DESIGN.md §16.
-	pstore     *storage.Store
-	storageCfg StorageConfig
+	// B+Trees over a buffer-cached page file. Statements never touch it;
+	// each checkpoint brings its trees from pageRevs to the head version
+	// (syncPageStore) and flushes the dirty pages. Attached at open,
+	// constant afterwards, closed by Close. pageRevs holds, by schema
+	// ordinal, the relation revisions the trees reflect; nil means none
+	// is recorded and the next checkpoint reloads the store whole. Both
+	// are guarded by e.mu. See paged.go and DESIGN.md §16.
+	pstore   *storage.Store
+	pageRevs []*relation.Relation
 	// dirLock holds the exclusive flock on the durable directory so a
 	// second live engine cannot rotate generations underneath this one;
 	// see dirlock.go. Released in Close.
@@ -756,16 +759,9 @@ func (s *Session) delete(p parser.Delete) (*Result, error) {
 			}
 		}
 	}
-	var deleted []relation.Tuple
-	n := vr.Delete(func(t relation.Tuple) bool {
-		if !pred(t) {
-			return false
-		}
-		deleted = append(deleted, t)
-		return true
-	})
+	n := vr.Delete(pred)
 	if n > 0 {
-		err := s.logStmt(p, deleted...)
+		err := s.logStmt(p)
 		s.eng.publishLocked()
 		if err != nil {
 			return nil, err

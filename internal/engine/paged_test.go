@@ -4,14 +4,17 @@ import (
 	"context"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"authdb/internal/core"
 	"authdb/internal/faultfs"
 	"authdb/internal/storage"
+	"authdb/internal/value"
 )
 
 var pagedCfg = StorageConfig{Backend: StoragePaged, CachePages: 16}
@@ -594,6 +597,256 @@ func TestPagedRebuildCrashSweep(t *testing.T) {
 			}
 			break
 		}
+	}
+}
+
+// renderRows renders tuples canonically, one sorted line per tuple.
+func renderRows(rows [][]value.Value) string {
+	lines := make([]string, len(rows))
+	for i, vs := range rows {
+		parts := make([]string, len(vs))
+		for k, v := range vs {
+			parts[k] = v.String()
+		}
+		lines[i] = strings.Join(parts, "|")
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// checkTreesFollowHead requires the page store to hold one tree per
+// relation of the head version, each scanning to exactly that
+// relation's tuples.
+func checkTreesFollowHead(t *testing.T, e *Engine, step string) {
+	t.Helper()
+	v := e.head.Load()
+	names := v.sch.Names()
+	if got := e.pstore.Relations(); len(got) != len(names) {
+		t.Fatalf("%s: page store holds %v, head defines %v", step, got, names)
+	}
+	for i, name := range names {
+		var tree [][]value.Value
+		if err := e.pstore.ScanRelation(name, func(vs []value.Value) error {
+			tree = append(tree, vs)
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: scanning %s: %v", step, name, err)
+		}
+		var head [][]value.Value
+		for _, tp := range v.rels[i].Tuples() {
+			head = append(head, tp)
+		}
+		if got, want := renderRows(tree), renderRows(head); got != want {
+			t.Fatalf("%s: tree %s differs from the head:\ntree:\n%s\nhead:\n%s", step, name, got, want)
+		}
+	}
+}
+
+// pageChurn generates seeded statements over relations R0..R3: relation
+// definitions, inserts with payloads long enough to spread each tree
+// over several pages, and deletes — by key (often of a row inserted
+// since the last checkpoint), by range, and unqualified.
+type pageChurn struct {
+	rng   *rand.Rand
+	rels  int
+	fresh map[int][]int // keys inserted per relation since the last checkpoint
+}
+
+func (g *pageChurn) next() string {
+	if g.rels == 0 || (g.rels < 4 && g.rng.Intn(40) == 0) {
+		g.rels++
+		return fmt.Sprintf(`relation R%d (K, V, P) key (K)`, g.rels-1)
+	}
+	r := g.rng.Intn(g.rels)
+	switch n := g.rng.Intn(20); {
+	case n < 12:
+		k := g.rng.Intn(400)
+		g.fresh[r] = append(g.fresh[r], k)
+		return fmt.Sprintf(`insert into R%d values (%d, %d, "%s")`, r, k, g.rng.Intn(10), strings.Repeat("p", g.rng.Intn(600)))
+	case n < 16 && len(g.fresh[r]) > 0:
+		return fmt.Sprintf(`delete from R%d where R%d.K = %d`, r, r, g.fresh[r][g.rng.Intn(len(g.fresh[r]))])
+	case n < 18:
+		return fmt.Sprintf(`delete from R%d where K = %d`, r, g.rng.Intn(400))
+	case n < 19:
+		return fmt.Sprintf(`delete from R%d where R%d.V < %d`, r, r, g.rng.Intn(3))
+	default:
+		return fmt.Sprintf(`delete from R%d`, r)
+	}
+}
+
+// TestPageStoreFollowsHead runs seeded statement sequences on the paged
+// backend with an 8-page cache, taking checkpoints, adopting snapshots
+// and reopening between them, beside a memory engine fed the same
+// statements. After every checkpoint each tree must hold exactly its
+// relation's head revision, and the state must equal the reference.
+func TestPageStoreFollowsHead(t *testing.T) {
+	cfg := StorageConfig{Backend: StoragePaged, CachePages: 8}
+	for seed := int64(1); seed <= 6; seed++ {
+		dir := t.TempDir()
+		open := func() *Engine {
+			t.Helper()
+			e, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
+			if err != nil {
+				t.Fatalf("seed %d: open: %v", seed, err)
+			}
+			return e
+		}
+		e, ref := open(), New(core.DefaultOptions())
+		var evictions uint64
+		g := &pageChurn{rng: rand.New(rand.NewSource(seed)), fresh: map[int][]int{}}
+		exec := func(en *Engine, stmt string) {
+			t.Helper()
+			if _, err := en.NewSession("admin", true).Exec(stmt); err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, stmt, err)
+			}
+		}
+		check := func(step string) {
+			t.Helper()
+			step = fmt.Sprintf("seed %d, %s", seed, step)
+			checkTreesFollowHead(t, e, step)
+			if sortedFingerprint(t, e) != sortedFingerprint(t, ref) {
+				t.Fatalf("%s: state differs from the reference engine", step)
+			}
+			g.fresh = map[int][]int{}
+		}
+		for op := 0; op < 400; op++ {
+			switch n := g.rng.Intn(100); {
+			case n < 6:
+				if err := e.Checkpoint(); err != nil {
+					t.Fatalf("seed %d: checkpoint: %v", seed, err)
+				}
+				check(fmt.Sprintf("checkpoint at op %d", op))
+			case n < 8:
+				// Adopt a snapshot a few statements ahead of this engine.
+				for i := g.rng.Intn(4); i > 0; i-- {
+					exec(ref, g.next())
+				}
+				files, lsn, _, err := ref.ReplSnapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.ResetFromSnapshot(files, lsn); err != nil {
+					t.Fatalf("seed %d: adopting a snapshot: %v", seed, err)
+				}
+				check(fmt.Sprintf("snapshot adoption at op %d", op))
+			case n < 10:
+				evictions += e.PageStats().Evictions
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				e = open()
+				check(fmt.Sprintf("reopen at op %d", op))
+			default:
+				stmt := g.next()
+				exec(e, stmt)
+				exec(ref, stmt)
+			}
+		}
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		check("final checkpoint")
+		if evictions += e.PageStats().Evictions; evictions == 0 {
+			t.Fatalf("seed %d: no evictions under an 8-page budget", seed)
+		}
+		e.Close()
+	}
+
+	// A page-file failure fails the checkpoint and nothing else: the old
+	// generation stays committed, later writes are acknowledged from the
+	// WAL, the next checkpoint reloads the store, and a reopen recovers
+	// every acknowledged write.
+	t.Run("page write failure", func(t *testing.T) {
+		dir := t.TempDir()
+		fs := faultfs.NewFaulty(faultfs.OS())
+		e, err := OpenDurableStorageFS(fs, dir, core.DefaultOptions(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := New(core.DefaultOptions())
+		g := &pageChurn{rng: rand.New(rand.NewSource(7)), fresh: map[int][]int{}}
+		churn := func(n int) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				stmt := g.next()
+				for _, en := range []*Engine{e, ref} {
+					if _, err := en.NewSession("admin", true).Exec(stmt); err != nil {
+						t.Fatalf("%s: %v", stmt, err)
+					}
+				}
+			}
+		}
+		churn(120)
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		churn(60)
+		gen := e.Generation()
+		fs.Arm(0) // the checkpoint's first write is a page of pages.db
+		err = e.Checkpoint()
+		if err == nil || !fs.Tripped() || !strings.Contains(err.Error(), storage.PagesFileName) {
+			t.Fatalf("checkpoint with a failing page write: err %v, tripped %v", err, fs.Tripped())
+		}
+		fs.Disarm()
+		if e.Generation() != gen {
+			t.Fatalf("failed checkpoint moved the generation %d → %d", gen, e.Generation())
+		}
+		churn(60)
+		if err := e.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint after the failure: %v", err)
+		}
+		checkTreesFollowHead(t, e, "checkpoint after the failure")
+
+		fs.Arm(0)
+		if err := e.Checkpoint(); err == nil {
+			t.Fatal("second injected failure did not fail the checkpoint")
+		}
+		fs.Disarm()
+		churn(60)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer back.Close()
+		checkTreesFollowHead(t, back, "reopen")
+		if sortedFingerprint(t, back) != sortedFingerprint(t, ref) {
+			t.Fatal("reopen lost acknowledged writes")
+		}
+	})
+}
+
+// TestClosePagedReleasesPageFile opens and closes a paged directory
+// repeatedly: Close must release the page file as well as the log, so
+// the process's open descriptors do not grow with the cycles.
+func TestClosePagedReleasesPageFile(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count descriptors")
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	cycle := func() {
+		t.Helper()
+		e, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	before := fds()
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	if after := fds(); after > before+2 {
+		t.Fatalf("20 open/close cycles raised open descriptors %d → %d", before, after)
 	}
 }
 

@@ -109,18 +109,20 @@ func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64) error {
 		return err
 	}
 	e.wsch, e.vrels, e.wstore = tmp.wsch, tmp.vrels, tmp.wstore
+	// The store's generation counters restarted with the new store; stale
+	// entries keyed on the old counters must not survive, and the
+	// closure's would pin the discarded state's revisions and answers.
 	if e.masks.Load() != nil {
-		// The store's generation counters restarted with the new store;
-		// stale cache entries keyed on the old counters must not survive.
 		e.masks.Store(core.NewMaskCache(0))
+	}
+	if e.closures.Load() != nil {
+		e.closures.Store(core.NewClosure(0))
 	}
 	e.lsn.Store(lsn)
 	e.publishLocked()
-	if e.pstore != nil {
-		// The page store mirrors state that was just replaced wholesale;
-		// the checkpoint below rebuilds it from the adopted head.
-		e.pstore.MarkRebuild()
-	}
+	// The page store's trees reflect state that was just replaced
+	// wholesale; the checkpoint below reloads them from the adopted head.
+	e.pageRevs = nil
 	if e.dur != nil {
 		if err := e.checkpointLocked(e.dur.fs, e.dur.dir, e.dur.gen); err != nil {
 			return fmt.Errorf("persisting replication snapshot: %w", err)

@@ -161,6 +161,55 @@ func TestWALTailAndSnapshotBootstrap(t *testing.T) {
 	}
 }
 
+// TestResetFromSnapshotDropsClosure: adopting a snapshot starts a fresh
+// mask closure, so no entry keeps the discarded state's revisions and
+// answers resident, and the next read is computed on the adopted state.
+func TestResetFromSnapshotDropsClosure(t *testing.T) {
+	src := New(core.DefaultOptions())
+	if _, err := src.NewSession("admin", true).ExecScript(strings.Join(durableScenario, ";\n")); err != nil {
+		t.Fatal(err)
+	}
+	files, lsn, _, err := src.ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(core.DefaultOptions())
+	admin := e.NewSession("admin", true)
+	for _, stmt := range durableScenario {
+		if _, err := admin.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	if _, err := admin.Exec(`insert into PROJECT values (zz-99, Acme, 1)`); err != nil {
+		t.Fatal(err)
+	}
+	acme := func(e *Engine) string {
+		t.Helper()
+		res, err := e.NewSession("Brown", false).Exec(
+			`retrieve (PROJECT.NUMBER, PROJECT.BUDGET) where PROJECT.SPONSOR = Acme`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderSorted(t, res)
+	}
+	if got := acme(e); !strings.Contains(got, "zz-99") {
+		t.Fatalf("Brown's answer lacks the extra row: %q", got)
+	}
+	if e.MaskClosureStats().Entries == 0 {
+		t.Fatal("the read left no closure entry")
+	}
+	if err := e.ResetFromSnapshot(files, lsn); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.MaskClosureStats().Entries; n != 0 {
+		t.Fatalf("%d closure entries survived the snapshot adoption", n)
+	}
+	if got, want := acme(e), acme(src); got != want {
+		t.Fatalf("answer after adoption %q, want %q", got, want)
+	}
+}
+
 // sortedFingerprint canonicalizes an engine fingerprint up to row
 // order, for comparing states built by concurrent writers whose
 // interleaving (and hence stored row order) legitimately differs.

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -178,6 +179,150 @@ func TestVersionedInsertAllocs(t *testing.T) {
 	}
 	if dup := testing.AllocsPerRun(runs, func() { v.Insert(tuples[0]) }); dup != 0 {
 		t.Fatalf("a duplicate insert allocated %.0f objects, want none", dup)
+	}
+}
+
+// TestExtendsByAppend drives the lineage detector through the cases the
+// closure and the page-store sync rely on: append sharing, append with
+// reallocation, deletes anywhere in the prefix, delete-then-append, and
+// the empty base.
+func TestExtendsByAppend(t *testing.T) {
+	v := NewVersioned([]string{"A", "B"})
+	empty := v.Head()
+	for i := int64(0); i < 3; i++ {
+		if _, err := v.Insert(vt(i, i*10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r3 := v.Head()
+	if !ExtendsByAppend(empty, r3) {
+		t.Fatal("empty base must be extended by anything")
+	}
+	if !ExtendsByAppend(r3, r3) {
+		t.Fatal("a revision extends itself")
+	}
+
+	// Many appends force at least one backing-array reallocation; the
+	// storage-identity check must survive it.
+	for i := int64(3); i < 40; i++ {
+		if _, err := v.Insert(vt(i, i*10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r40 := v.Head()
+	if !ExtendsByAppend(r3, r40) {
+		t.Fatal("pure appends (with reallocation) not detected")
+	}
+	if ExtendsByAppend(r40, r3) {
+		t.Fatal("a shorter revision cannot extend a longer one")
+	}
+
+	// Deleting inside the old prefix breaks the extension.
+	if n := v.Delete(func(tp Tuple) bool { return tp[0].Equal(value.Int(1)) }); n != 1 {
+		t.Fatalf("delete removed %d", n)
+	}
+	afterDel := v.Head()
+	if ExtendsByAppend(r3, afterDel) {
+		t.Fatal("delete within the prefix reported as pure append")
+	}
+	// ... even after appends push the length past old's again.
+	if _, err := v.Insert(vt(100, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if ExtendsByAppend(r3, v.Head()) {
+		t.Fatal("delete+append reported as pure append")
+	}
+	// But the post-delete revision is itself a valid new base.
+	if !ExtendsByAppend(afterDel, v.Head()) {
+		t.Fatal("appends on the post-delete base not detected")
+	}
+
+	// Deleting only rows past the old prefix leaves old extended.
+	w := NewVersioned([]string{"A", "B"})
+	for i := int64(0); i < 3; i++ {
+		w.Insert(vt(i, i)) //nolint:errcheck
+	}
+	base := w.Head()
+	w.Insert(vt(50, 50)) //nolint:errcheck
+	w.Insert(vt(60, 60)) //nolint:errcheck
+	if n := w.Delete(func(tp Tuple) bool { return tp[0].Equal(value.Int(60)) }); n != 1 {
+		t.Fatal("tail delete failed")
+	}
+	if !ExtendsByAppend(base, w.Head()) {
+		t.Fatal("delete strictly past the prefix must keep the base extended")
+	}
+}
+
+func TestSuffix(t *testing.T) {
+	v := NewVersioned([]string{"A", "B"})
+	for i := int64(0); i < 5; i++ {
+		v.Insert(vt(i, i)) //nolint:errcheck
+	}
+	r := v.Head()
+	s := r.Suffix(3)
+	if s.Len() != 2 || !s.Tuples()[0].Equal(vt(3, 3)) || !s.Tuples()[1].Equal(vt(4, 4)) {
+		t.Fatalf("suffix rows wrong: %v", s.Tuples())
+	}
+	if len(s.Attrs) != 2 {
+		t.Fatal("suffix lost attributes")
+	}
+	if r.Suffix(5).Len() != 0 || r.Suffix(99).Len() != 0 || r.Suffix(-1).Len() != 5 {
+		t.Fatal("suffix bounds not clamped")
+	}
+}
+
+// TestDiff checks Diff against a map-based set difference over seeded
+// histories of inserts, deletes and re-inserts, with every revision
+// pair compared both ways and each side left unmodified.
+func TestDiff(t *testing.T) {
+	key := func(tp Tuple) string { return fmt.Sprint(tp) }
+	minus := func(a, b *Relation) map[string]bool {
+		out := map[string]bool{}
+		for _, tp := range a.Tuples() {
+			out[key(tp)] = true
+		}
+		for _, tp := range b.Tuples() {
+			delete(out, key(tp))
+		}
+		return out
+	}
+	same := func(got []Tuple, want map[string]bool) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for _, tp := range got {
+			if !want[key(tp)] {
+				return false
+			}
+		}
+		return true
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		v := NewVersioned([]string{"A", "B"})
+		revs := []*Relation{v.Head()}
+		for step := 0; step < 60; step++ {
+			k := int64(rng.Intn(30))
+			if rng.Intn(3) == 0 {
+				v.Delete(func(tp Tuple) bool { return tp[0].AsInt() == k })
+			} else {
+				v.Insert(vt(k, k%7)) //nolint:errcheck
+			}
+			revs = append(revs, v.Head())
+		}
+		for i := 0; i < len(revs); i += 7 {
+			for j := 0; j < len(revs); j += 5 {
+				old, nw := revs[i], revs[j]
+				before := [2][]string{tuplesOf(old), tuplesOf(nw)}
+				added, removed := Diff(old, nw)
+				if !same(added, minus(nw, old)) || !same(removed, minus(old, nw)) {
+					t.Fatalf("seed %d revs %d→%d: added %v removed %v", seed, i, j, added, removed)
+				}
+				if !sameTuples(tuplesOf(old), before[0]) || !sameTuples(tuplesOf(nw), before[1]) {
+					t.Fatalf("seed %d revs %d→%d: Diff modified a revision", seed, i, j)
+				}
+			}
+		}
 	}
 }
 

@@ -360,14 +360,18 @@ func (pg *pager) Commit() {
 }
 
 // Reset drops all cached state and every tree (used when the store must
-// be rebuilt from the engine's in-memory head, e.g. after adopting a
-// replication snapshot). The committed ROOT may reach any page below the
-// high-water mark, so all of them wait on pendingFree for the next
-// Commit and the rebuild allocates above the mark: a checkpoint that
-// fails mid-rebuild leaves the committed generation readable.
+// be reloaded from the engine's in-memory head, e.g. after adopting a
+// replication snapshot or after a failed checkpoint). The committed
+// ROOT may reach any page below the high-water mark, so all of them
+// wait on pendingFree for the next Commit and the reload allocates
+// above the mark: a checkpoint that fails mid-reload leaves the
+// committed generation readable. A latched I/O failure is cleared with
+// the state it may have left inconsistent; nothing the reload writes
+// depends on it.
 func (pg *pager) Reset() {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
+	pg.broken = nil
 	pg.free = nil
 	pg.pendingFree = pg.pendingFree[:0]
 	for no := uint32(1); no < pg.nPages; no++ {

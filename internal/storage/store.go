@@ -40,9 +40,8 @@ type table struct {
 // (schemas, views, permits) lives beside ROOT in the generation's
 // schema.authdb and views.authdb.
 type Store struct {
-	pg      *pager
-	tables  map[string]*table
-	rebuild bool // set when the trees must be repopulated from the engine head
+	pg     *pager
+	tables map[string]*table
 }
 
 // Create makes a fresh, empty store at path (truncating any stale page
@@ -264,22 +263,12 @@ func (s *Store) Arity(rel string) (int, error) {
 	return tb.arity, nil
 }
 
-// MarkRebuild flags the store's trees as stale relative to the engine's
-// in-memory head; the next checkpoint repopulates them from scratch
-// (used when a replica adopts a whole snapshot, and when converting a
-// CSV generation to the paged backend).
-func (s *Store) MarkRebuild() { s.rebuild = true }
-
-// NeedsRebuild reports whether MarkRebuild was called.
-func (s *Store) NeedsRebuild() bool { return s.rebuild }
-
-// Reset drops every tree, returning the store to empty; the caller
-// repopulates it and clears the rebuild flag. The committed ROOT's pages
-// stay intact until the next Commit (see pager.Reset).
+// Reset drops every tree, returning the store to empty for the caller
+// to repopulate, and clears a latched I/O failure. The committed ROOT's
+// pages stay intact until the next Commit (see pager.Reset).
 func (s *Store) Reset() {
 	s.pg.Reset()
 	s.tables = make(map[string]*table)
-	s.rebuild = false
 }
 
 // Flush writes all dirty pages and syncs the page file, returning the
