@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race paged chaos fuzz fuzz-wire fuzz-root fuzz-page fuzz-render fuzz-parser bench benchgo
+.PHONY: check build fmt vet staticcheck test race paged chaos fuzz fuzz-wire fuzz-root fuzz-page fuzz-render fuzz-parser bench benchgo bench-reply
 
 check: build fmt vet staticcheck race
 
@@ -95,3 +95,9 @@ bench:
 # Go testing.B micro-benchmarks.
 benchgo:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# Both halves of warm_wide's reply path on one processor, as the
+# benchmark runs it: the server's (closure hit, conversion, frame), then
+# the client's (decode, render).
+bench-reply:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ServeWide|ReplyCodec|RenderTable' -benchmem .

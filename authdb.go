@@ -323,7 +323,9 @@ type Table struct {
 	// Columns holds display names (bare attribute names, numbered on
 	// collision).
 	Columns []string
-	// Rows holds the tuples in canonical order.
+	// Rows holds the tuples in canonical order. The rows share one
+	// backing array, each with cap == len, so appending to one row
+	// cannot overwrite the next.
 	Rows [][]Cell
 }
 
@@ -335,29 +337,47 @@ func (t *Table) String() string {
 }
 
 // cellText returns the rows as cell text, withheld cells as "-": the
-// form the wire carries and the renderer prints.
+// form the wire carries and the renderer prints. The rows are carved from
+// one slab of strings, each with cap == len.
 func (t *Table) cellText() [][]string {
+	n := 0
+	for _, r := range t.Rows {
+		n += len(r)
+	}
 	rows := make([][]string, len(t.Rows))
+	cells := make([]string, n)
 	for i, r := range t.Rows {
-		rows[i] = make([]string, len(r))
+		row := cells[:len(r):len(r)]
+		cells = cells[len(r):]
 		for j, c := range r {
-			rows[i][j] = c.String()
+			row[j] = c.String()
 		}
+		rows[i] = row
 	}
 	return rows
 }
 
+// tableOf converts a delivered relation in canonical order, its rows
+// carved from one slab of cells. A masked answer is canonical when the
+// closure stores it, so a hit converts without sorting.
 func tableOf(r *relation.Relation) *Table {
 	if r == nil {
 		return nil
 	}
 	t := &Table{Columns: core.DisplayNames(r.Attrs)}
-	for _, tp := range r.Sorted() {
-		row := make([]Cell, len(tp))
+	tuples := r.Sorted()
+	if len(tuples) == 0 {
+		return t
+	}
+	t.Rows = make([][]Cell, len(tuples))
+	cells := make([]Cell, len(tuples)*r.Arity())
+	for i, tp := range tuples {
+		row := cells[:len(tp):len(tp)]
+		cells = cells[len(tp):]
 		for j, v := range tp {
 			row[j] = Cell{v: v}
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows[i] = row
 	}
 	return t
 }

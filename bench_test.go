@@ -550,19 +550,69 @@ func BenchmarkExtendedMasks(b *testing.B) {
 	})
 }
 
-// BenchmarkRenderTable measures the client's table renderer on the
-// answer warm_wide delivers: Brown's Example 3 on the benchmark's paper
-// fixture, 3003 rows of six columns, rendered into a strings.Builder as
-// the wire reply's Render does.
-func BenchmarkRenderTable(b *testing.B) {
+// example3 loads the benchmark's paper fixture and runs warm_wide's read
+// once: Brown's Example 3, 3003 rows of four columns (12 012 cells). It
+// returns Brown's session, whose next Exec of fixture.Example3 is a
+// closure hit, and the first result.
+func example3(tb testing.TB) (*authdb.Session, *authdb.Result) {
+	tb.Helper()
 	db := authdb.Open()
 	if _, err := db.Admin().ExecScript(fixture.PaperScript(fixture.DefaultPaper())); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	res, err := db.Session("Brown").Exec(fixture.Example3)
+	s := db.Session("Brown")
+	res, err := s.Exec(fixture.Example3)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return s, res
+}
+
+// TestClosureHitConvertAllocs bounds the allocations of warm_wide's read
+// in process: a closure hit on Brown's Example 3 and its conversion to a
+// Table. The masked answer is canonical when the closure stores it, so a
+// hit converts it without sorting, into rows carved from one slab. Sorting
+// a copy and allocating each row cost about 3100 allocations a read.
+func TestClosureHitConvertAllocs(t *testing.T) {
+	s, _ := example3(t)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := s.Exec(fixture.Example3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("closure hit on Example 3: %.0f allocations", allocs)
+	if allocs > 150 {
+		t.Errorf("closure hit on Example 3 allocated %.0f objects, want at most 150 (a sort and a row at a time: about 3100)", allocs)
+	}
+}
+
+// BenchmarkServeWide measures the server's half of a warm_wide read: a
+// closure-hit Exec of Brown's Example 3, its conversion to the reply
+// (Result.Wire), and the reply's frame appended into a reused buffer, as
+// the server writes it.
+func BenchmarkServeWide(b *testing.B) {
+	s, _ := example3(b)
+	var frame []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(fixture.Example3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp := res.Wire(1)
+		if frame, err = wire.AppendResponseFrame(frame[:0], &resp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRenderTable measures the client's table renderer on the
+// answer warm_wide delivers: Brown's Example 3 on the benchmark's paper
+// fixture, 3003 rows of four columns, rendered into a strings.Builder as
+// the wire reply's Render does.
+func BenchmarkRenderTable(b *testing.B) {
+	_, res := example3(b)
 	rows := make([][]string, len(res.Table.Rows))
 	for i, r := range res.Table.Rows {
 		rows[i] = make([]string, len(r))
@@ -579,16 +629,12 @@ func BenchmarkRenderTable(b *testing.B) {
 }
 
 // BenchmarkReplyCodec measures the Response codec on the two reply
-// shapes the benchmark's reads deliver: Example 3's 3003 × 6 answer
-// (warm_wide) and principal u7's acl_cold org_list answer, each encoded
-// into a reused buffer and decoded, as the server and the client do.
+// shapes the benchmark's reads deliver: Example 3's 3003 × 4 answer
+// (warm_wide, 12 012 cells) and principal u7's acl_cold org_list answer,
+// each encoded into a reused buffer and decoded, as the server and the
+// client do.
 func BenchmarkReplyCodec(b *testing.B) {
-	paper := authdb.Open()
-	paper.Admin().MustExecScript(fixture.PaperScript(fixture.DefaultPaper()))
-	ex3, err := paper.Session("Brown").Exec(fixture.Example3)
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, ex3 := example3(b)
 	acl := fixture.GenACL(1, fixture.DefaultACL())
 	db := authdb.Open()
 	db.Admin().MustExecScript(acl.Script)

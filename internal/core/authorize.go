@@ -227,6 +227,7 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 		}
 		d.Answer = wideAns.Project(mp.OutIdx)
 		d.Masked, d.Stats = mp.Mask.ApplyExtended(wideAns, mp.OutIdx, psj.Cols)
+		d.Masked.Canonicalize()
 		closure.Store(a.Store, user, psj, a.Opt, revs, mp, d, widePSJ)
 		return d, nil
 	}
@@ -239,6 +240,9 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 		return nil, err
 	}
 	d.Masked, d.Stats = mp.Mask.Apply(d.Answer)
+	// Sorted once here, the delivered relation converts without a sort on
+	// every closure hit until a refresh appends behind it.
+	d.Masked.Canonicalize()
 	closure.Store(a.Store, user, psj, a.Opt, revs, mp, d, psjExec)
 	return d, nil
 }

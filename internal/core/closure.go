@@ -100,7 +100,10 @@ type closureEntry struct {
 // read-only by every consumer (the same contract as published MVCC
 // revisions — read via Tuples, Sorted, Len; never Insert or Contains).
 // Neither relation keeps a membership set: Store releases it, or hands
-// it to the incremental accumulators' writer.
+// it to the incremental accumulators' writer. The masked relation is in
+// canonical order when stored (Retrieve canonicalizes it), so Sorted
+// serves it without a copy; a refresh appends rows behind that prefix,
+// so each read of a refreshed result sorts a copy.
 type closureResult struct {
 	answer *relation.Relation
 	masked *relation.Relation

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"authdb/internal/core"
@@ -307,6 +308,52 @@ func TestClosureInvalidationMatrix(t *testing.T) {
 			Hits: base.Hits, Misses: base.Misses, Refreshes: base.Refreshes,
 			InvalidDef: base.InvalidDef, InvalidData: base.InvalidData,
 		})
+	}
+}
+
+// TestClosureServesCanonicalMasked checks the order contract of a served
+// masked relation: Retrieve stores it in canonical order, so a hit's
+// Sorted returns the resident tuples themselves; a refresh appends rows
+// behind that prefix, and Sorted then returns a sorted copy, leaving the
+// resident order alone.
+func TestClosureServesCanonicalMasked(t *testing.T) {
+	f, m, def := closureMatrixFixture(t)
+	m.insert("R", 0, 50, 0) // base order 1, 2, 3, 0: masked rows out of order
+	ca := core.NewAuthorizer(f.Store, f.Source, core.DefaultOptions())
+	ca.Closure = core.NewClosure(0)
+	retrieve := func() *relation.Relation {
+		t.Helper()
+		d, err := ca.Retrieve("u", def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Masked
+	}
+	sorted := func(r *relation.Relation) []relation.Tuple {
+		out := slices.Clone(r.Tuples())
+		slices.SortFunc(out, relation.Tuple.Compare)
+		return out
+	}
+
+	if cold := retrieve(); !slices.IsSortedFunc(cold.Tuples(), relation.Tuple.Compare) {
+		t.Fatalf("stored masked relation is not canonical: %v", cold.Tuples())
+	}
+	hit := retrieve()
+	if got := hit.Sorted(); len(got) != 3 || &got[0] != &hit.Tuples()[0] {
+		t.Fatalf("Sorted on a hit copied the canonical relation: %v", got)
+	}
+
+	m.insert("R", -1, 60, 0) // delivered, sorts first, appended last
+	refreshed := retrieve()
+	if ca.Closure.Stats().Refreshes != 1 {
+		t.Fatalf("append did not refresh: %+v", ca.Closure.Stats())
+	}
+	got, want := refreshed.Sorted(), sorted(refreshed)
+	if !slices.EqualFunc(got, want, relation.Tuple.Equal) {
+		t.Fatalf("Sorted after a refresh = %v, want %v", got, want)
+	}
+	if last := refreshed.Tuples()[refreshed.Len()-1]; !last[0].Equal(value.Int(-1)) {
+		t.Fatalf("Sorted reordered the resident relation: last tuple %v", last)
 	}
 }
 

@@ -2,10 +2,12 @@ package engine_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"authdb/internal/relation"
 	"authdb/internal/workload"
 )
 
@@ -109,12 +111,25 @@ func TestClosureServesAndInvalidates(t *testing.T) {
 	}
 }
 
+// checkSorted compares r.Sorted() with a sorted clone of r's tuples.
+func checkSorted(r *relation.Relation) error {
+	got := r.Sorted()
+	want := slices.Clone(r.Tuples())
+	slices.SortFunc(want, relation.Tuple.Compare)
+	if !slices.EqualFunc(got, want, relation.Tuple.Equal) {
+		return fmt.Errorf("Sorted() = %v, want %v", got, want)
+	}
+	return nil
+}
+
 // TestClosureConcurrentPinnedReaders hammers closure-served retrieves
 // from many reader goroutines while a writer churns both data (inserts
 // whose visibility is asserted on the very next read) and definitions
 // (revoke/permit cycles whose denial is asserted on the very next
 // read). Run with -race: the resident state is shared across every
-// pinned reader.
+// pinned reader. Each reader also sorts the relation it was served and
+// checks it against a sorted clone, so readers of a canonical prefix run
+// while refreshes append behind it.
 func TestClosureConcurrentPinnedReaders(t *testing.T) {
 	e := paperEngine(t)
 	admin := e.NewSession("admin", true)
@@ -143,7 +158,11 @@ func TestClosureConcurrentPinnedReaders(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := s.Exec(query); err != nil {
+				res, err := s.Exec(query)
+				if err == nil {
+					err = checkSorted(res.Relation)
+				}
+				if err != nil {
 					t.Errorf("reader %d: %v", i, err)
 					if first {
 						ready.Done()

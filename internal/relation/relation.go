@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"authdb/internal/value"
 )
@@ -235,11 +235,32 @@ func (r *Relation) Clone() *Relation {
 }
 
 // Sorted returns the tuples in canonical (lexicographic) order without
-// mutating the relation.
+// mutating the relation. A relation already in that order — a masked
+// answer is canonical when the closure stores it — returns its own
+// tuples with cap == len, neither copied nor sorted: the caller must not
+// modify them, and its appends cannot reach a backing array a later
+// Versioned insert extends. Otherwise (a refresh appended rows behind
+// the canonical prefix, or a base relation in insertion order) it sorts
+// a copy.
 func (r *Relation) Sorted() []Tuple {
-	out := append([]Tuple(nil), r.tuples...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	if slices.IsSortedFunc(r.tuples, Tuple.Compare) {
+		return r.tuples[:len(r.tuples):len(r.tuples)]
+	}
+	out := slices.Clone(r.tuples)
+	slices.SortFunc(out, Tuple.Compare)
 	return out
+}
+
+// Canonicalize puts the tuples into canonical order in place, so every
+// later Sorted returns them without a copy. It invalidates the membership
+// set (positions moved) and the secondary indexes, so it is for a
+// relation still owned by its builder, never a published revision. Tuples
+// are a set and Compare is 0 only for Equal tuples, so the order is
+// unique and an unstable sort is enough.
+func (r *Relation) Canonicalize() {
+	slices.SortFunc(r.tuples, Tuple.Compare)
+	r.ReleaseMembership()
+	r.idx.bump()
 }
 
 // Equal reports set equality with s: same attribute list and same tuples.

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,6 +189,112 @@ func TestEqualAndSorted(t *testing.T) {
 	}
 	if New([]string{"B"}).Equal(New([]string{"A"})) {
 		t.Error("attribute lists must match for equality")
+	}
+}
+
+// TestSortedSharesCanonicalPrefix checks that Sorted serves a relation
+// already in canonical order without a copy, capped at its length: a
+// caller's append then reallocates instead of writing into the backing
+// array a later Versioned insert extends.
+func TestSortedSharesCanonicalPrefix(t *testing.T) {
+	v := VersionedOf(NewSized([]string{"A"}, 16))
+	for _, i := range []int64{1, 2, 3, 4} {
+		v.Insert(Tuple{vi(i)}) //nolint:errcheck // arity is correct
+	}
+	head := v.Head()
+	got := head.Sorted()
+	if len(got) != 4 || cap(got) != len(got) {
+		t.Fatalf("Sorted of a canonical relation: len %d cap %d, want 4 and 4", len(got), cap(got))
+	}
+	if &got[0] != &head.Tuples()[0] {
+		t.Fatal("Sorted copied a relation that was already in order")
+	}
+	got = append(got, Tuple{vi(99)})
+	v.Insert(Tuple{vi(5)}) //nolint:errcheck // arity is correct
+	grown := v.Head()
+	if &grown.Tuples()[0] != &head.Tuples()[0] {
+		t.Fatal("the insert did not extend the shared backing array; the test exercises nothing")
+	}
+	if x := grown.Tuples()[4]; !x.Equal(Tuple{vi(5)}) {
+		t.Fatalf("the head's fifth tuple is %v after a caller appended to Sorted, want (5)", x)
+	}
+	if !got[4].Equal(Tuple{vi(99)}) {
+		t.Fatalf("the caller's appended tuple is %v after an insert, want (99)", got[4])
+	}
+	if head.Len() != 4 {
+		t.Fatalf("the pinned head grew to %d tuples", head.Len())
+	}
+}
+
+// TestSortedOutOfOrder checks that Sorted sorts a copy of a relation out
+// of order and leaves the relation's own order as it was.
+func TestSortedOutOfOrder(t *testing.T) {
+	r := New([]string{"A"})
+	for _, i := range []int64{3, 1, 2} {
+		r.MustInsert(vi(i))
+	}
+	got := r.Sorted()
+	for i, want := range []int64{1, 2, 3} {
+		if !got[i].Equal(Tuple{vi(want)}) {
+			t.Fatalf("Sorted()[%d] = %v, want (%d)", i, got[i], want)
+		}
+	}
+	for i, want := range []int64{3, 1, 2} {
+		if !r.Tuples()[i].Equal(Tuple{vi(want)}) {
+			t.Fatalf("Sorted reordered the relation: tuple %d is %v, want (%d)", i, r.Tuples()[i], want)
+		}
+	}
+}
+
+// TestCanonicalize checks that sorting in place keeps membership and the
+// indexes right: Contains, Insert, an index lookup and a Versioned adopted
+// afterwards all still find every tuple.
+func TestCanonicalize(t *testing.T) {
+	build := func() (*Relation, []Tuple) {
+		r := New([]string{"A", "B"})
+		var in []Tuple
+		for _, i := range []int64{5, 3, 9, 1, 7} {
+			tp := Tuple{vi(i), vi(i % 2)}
+			r.MustInsert(tp...)
+			in = append(in, tp)
+		}
+		return r, in
+	}
+	r, in := build()
+	if n := len(r.LookupEq(1, vi(1))); n != 5 {
+		t.Fatalf("index lookup before Canonicalize found %d tuples, want 5", n)
+	}
+	r.Canonicalize()
+	if !slices.IsSortedFunc(r.Tuples(), Tuple.Compare) {
+		t.Fatalf("Canonicalize left %v out of order", r.Tuples())
+	}
+	// Same length, so only Canonicalize's invalidation rebuilds the index.
+	hits := r.LookupEq(1, vi(1))
+	if len(hits) != 5 || !slices.IsSortedFunc(hits, Tuple.Compare) {
+		t.Fatalf("index lookup after Canonicalize = %v, want the 5 odd tuples in order", hits)
+	}
+	for _, tp := range in {
+		if !r.Contains(tp) {
+			t.Fatalf("Contains(%v) false after Canonicalize", tp)
+		}
+	}
+	if ok, _ := r.Insert(in[2]); ok {
+		t.Fatal("Insert admitted a duplicate after Canonicalize")
+	}
+	if ok, _ := r.Insert(Tuple{vi(4), vi(0)}); !ok || !r.Contains(Tuple{vi(4), vi(0)}) {
+		t.Fatal("Insert of a new tuple after Canonicalize was lost")
+	}
+
+	r, in = build()
+	r.Canonicalize()
+	v := VersionedOf(r)
+	for _, tp := range in {
+		if !v.Contains(tp) {
+			t.Fatalf("VersionedOf(...).Contains(%v) false after Canonicalize", tp)
+		}
+	}
+	if ok, _ := v.Insert(in[0]); ok {
+		t.Fatal("Versioned insert admitted a duplicate after Canonicalize")
 	}
 }
 

@@ -97,14 +97,18 @@ func lineSize(n int, widths []int) int {
 }
 
 // Render writes the relation as an ASCII table in canonical tuple order.
+// The cell text of every row is carved from one slab.
 func (r *Relation) Render(w io.Writer, title string) {
-	rows := make([][]string, 0, r.Len())
-	for _, t := range r.Sorted() {
-		row := make([]string, len(t))
-		for i, v := range t {
-			row[i] = v.String()
+	tuples := r.Sorted()
+	rows := make([][]string, len(tuples))
+	cells := make([]string, len(tuples)*len(r.Attrs))
+	for i, t := range tuples {
+		row := cells[:len(t):len(t)]
+		cells = cells[len(t):]
+		for j, v := range t {
+			row[j] = v.String()
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	RenderTable(w, title, r.Attrs, rows, true)
 }
