@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race paged chaos fuzz fuzz-wire fuzz-root fuzz-page fuzz-render fuzz-parser bench benchgo bench-reply
+.PHONY: check build fmt vet staticcheck test race chaos fuzz fuzz-wire fuzz-root fuzz-page fuzz-codec fuzz-wal fuzz-render fuzz-parser bench benchgo bench-reply
 
 check: build fmt vet staticcheck race
 
@@ -31,13 +31,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The durability and replication suites on the paged storage backend
-# (AUTHDB_STORAGE=paged routes every OpenDurable through the pager +
-# B+Tree store). CI's paged job runs this target, so a backend-dependent
-# failure reproduces locally with `make paged`.
-paged:
-	AUTHDB_STORAGE=paged $(GO) test -race ./internal/storage ./internal/engine ./internal/replica ./internal/server
 
 # The jepsen-lite failover suite under the race detector: five seeded
 # network-chaos schedules (partitions, latency, mid-message cuts,
@@ -73,6 +66,18 @@ fuzz-root:
 # bit-flipped images).
 fuzz-page:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzPageDecode$$' -fuzztime 30s
+
+# Fuzz the tuple codec: a tuple the decoder accepts re-encodes to the
+# same bytes, and two decoded tuples compare as bytes the way they
+# compare as values (the B+Tree key order is the relation's).
+fuzz-codec:
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzTupleCodec$$' -fuzztime 30s
+
+# Fuzz WAL replay: any log bytes replay without a panic, and the
+# replayed records, appended to a fresh log, reproduce exactly the
+# longest valid prefix of the input.
+fuzz-wal:
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 30s
 
 # Fuzz the table renderer: any title, header and ragged rows render byte
 # for byte as the line-by-line renderer it replaced.

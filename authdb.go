@@ -71,7 +71,7 @@ func Unlimited() Limits { return Limits{} }
 func (l Limits) internal() guard.Limits { return guard.Limits(l) }
 
 // Options selects the refinements of the paper's §4.2, the mask closure,
-// and the durable storage backend; see DESIGN.md. Queries always run on
+// and the durable page store's cache; see DESIGN.md. Queries always run on
 // the optimized executor with mask-predicate pushdown — neither changes
 // an answer, so neither is an option. DefaultOptions enables everything.
 type Options struct {
@@ -99,16 +99,14 @@ type Options struct {
 	// Answers are byte-identical either way; steady-state retrieves skip
 	// both pipelines entirely.
 	MaskClosure bool
-	// Storage selects the durable backend for OpenDir: "memory"
-	// (whole-generation CSV snapshots, all state resident) or "paged"
-	// (slotted pages + B+Trees behind an LRU buffer cache, checkpoints
-	// flush only dirty pages). Empty defers to the AUTHDB_STORAGE
-	// environment variable, then "memory". Answers and the durability
-	// protocol are identical either way; a directory written by one
-	// backend is converted on open by the other.
+	// Storage names OpenDir's durable format. The page store (slotted
+	// pages + B+Trees behind an LRU buffer cache, checkpoints flush only
+	// dirty pages) is the only one, so "" and "paged" are the accepted
+	// values and OpenDir rejects any other. The field stays while the
+	// benchmark sets it; it goes with ROADMAP item 1.
 	Storage string
-	// CachePages bounds the paged backend's buffer cache in 4KiB pages
-	// (0 = the 4096-page default); ignored by the memory backend.
+	// CachePages bounds the page store's buffer cache in 4KiB pages
+	// (0 = the 4096-page default).
 	CachePages int
 }
 
@@ -196,14 +194,10 @@ func OpenDir(dir string, opts ...Options) (*DB, error) {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	cfg := engine.StorageConfigFromEnv()
-	if o.Storage != "" {
-		cfg.Backend = o.Storage
+	if o.Storage != "" && o.Storage != "paged" {
+		return nil, fmt.Errorf("unknown storage %q: durable directories use the page store (\"paged\")", o.Storage)
 	}
-	if o.CachePages > 0 {
-		cfg.CachePages = o.CachePages
-	}
-	eng, err := engine.OpenDurableStorage(dir, o.internal(), cfg)
+	eng, err := engine.OpenDurable(dir, o.internal(), o.CachePages)
 	if err != nil {
 		return nil, err
 	}
@@ -218,11 +212,6 @@ func (db *DB) Close() error { return db.eng.Close() }
 // Checkpoint folds the write-ahead log into a fresh snapshot, bounding
 // the next open's recovery time. Only durable databases checkpoint.
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
-
-// StorageBackend reports the durable storage backend serving this
-// database: "paged" when a page store is attached, else "memory"
-// (including purely in-memory databases).
-func (db *DB) StorageBackend() string { return db.eng.StorageBackend() }
 
 // Load restores a database saved with Save. With no Options argument it
 // uses DefaultOptions.

@@ -3,6 +3,8 @@ package authdb_test
 import (
 	"bufio"
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -334,5 +336,31 @@ func TestFacadeAggregates(t *testing.T) {
 	}
 	if res.Table.Columns[0] != "count(NAME)" {
 		t.Fatalf("columns = %v", res.Table.Columns)
+	}
+}
+
+// TestOpenDirRejectsMemoryStorage: the page store is the only durable
+// format, so OpenDir refuses Storage "memory" before touching the
+// directory, and accepts "" and "paged" alike.
+func TestOpenDirRejectsMemoryStorage(t *testing.T) {
+	opt := authdb.DefaultOptions()
+	opt.Storage = "memory"
+	dir := filepath.Join(t.TempDir(), "db")
+	if db, err := authdb.OpenDir(dir, opt); err == nil {
+		db.Close()
+		t.Fatal(`OpenDir accepted Storage "memory"`)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("rejected open touched the directory (%v)", err)
+	}
+	for _, storage := range []string{"", "paged"} {
+		opt.Storage = storage
+		db, err := authdb.OpenDir(dir, opt)
+		if err != nil {
+			t.Fatalf("Storage %q: %v", storage, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -242,9 +242,8 @@ func copyTree(tb testing.TB, src, dst string) {
 
 // TestOpenDirReplayMatchesLoad checks recovery against the load it
 // recovers: a directory holding the ACL load (seed 1) only in its WAL,
-// reopened on each storage backend, answers show relations, show
-// permissions and one statement of every acl_cold class byte for byte
-// as the in-memory load does.
+// reopened, answers show relations, show permissions and one statement
+// of every acl_cold class byte for byte as the in-memory load does.
 func TestOpenDirReplayMatchesLoad(t *testing.T) {
 	acl := fixture.GenACL(1, fixture.DefaultACL())
 	mem := authdb.Open()
@@ -265,10 +264,12 @@ func TestOpenDirReplayMatchesLoad(t *testing.T) {
 		return out
 	}
 	want := answers(mem)
-	for _, backend := range []string{"memory", "paged"} {
-		t.Run(backend, func(t *testing.T) {
+	// Options.Storage accepts the empty default and "paged"; both open
+	// the page store.
+	for _, tc := range []struct{ name, storage string }{{"default", ""}, {"paged", "paged"}} {
+		t.Run(tc.name, func(t *testing.T) {
 			opt := authdb.DefaultOptions()
-			opt.Storage = backend
+			opt.Storage = tc.storage
 			dir := t.TempDir()
 			journalACL(t, dir, acl.Script, opt)
 			db, err := authdb.OpenDir(dir, opt)
@@ -276,9 +277,6 @@ func TestOpenDirReplayMatchesLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			if got := db.StorageBackend(); got != backend {
-				t.Fatalf("storage backend %s, want %s", got, backend)
-			}
 			for i, got := range answers(db) {
 				if got != want[i] {
 					t.Fatalf("answer %d after replay:\n%s\nin-memory load:\n%s", i, got, want[i])

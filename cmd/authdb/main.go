@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	authdb [-user NAME] [-load FILE] [-db DIR] [-storage memory|paged]
-//	       [-cache-pages N] [-paper]
+//	authdb [-user NAME] [-load FILE] [-db DIR] [-cache-pages N] [-paper]
 //
 // With -db, the directory is opened (or created) durably: every mutating
 // statement is journaled to a write-ahead log and a crash loses at most
@@ -66,8 +65,7 @@ func run(args []string, stdin io.Reader) int {
 	user := fs.String("user", "", "open the session as this (unprivileged) user; empty means administrator")
 	load := fs.String("load", "", "execute this statement script before the prompt")
 	dbdir := fs.String("db", "", "open (or create) a durable database directory")
-	storage := fs.String("storage", "", "durable storage backend: memory (CSV snapshots) or paged (B+Trees, incremental checkpoints); empty: AUTHDB_STORAGE, then the directory's existing format")
-	cachePages := fs.Int("cache-pages", 0, "paged backend's buffer-cache budget in 4KiB pages (0: 4096)")
+	cachePages := fs.Int("cache-pages", 0, "the durable page store's buffer-cache budget in 4KiB pages (0: 4096)")
 	paper := fs.Bool("paper", false, "preload the paper's Figure 1 example database")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
@@ -78,7 +76,6 @@ func run(args []string, stdin io.Reader) int {
 	var db *authdb.DB
 	if *dbdir != "" {
 		opt := authdb.DefaultOptions()
-		opt.Storage = *storage
 		opt.CachePages = *cachePages
 		var err error
 		db, err = authdb.OpenDir(*dbdir, opt)
@@ -86,7 +83,7 @@ func run(args []string, stdin io.Reader) int {
 			fmt.Fprintf(os.Stderr, "opening %s: %v\n", *dbdir, err)
 			return 1
 		}
-		fmt.Printf("opened %s (durable, %s storage)\n", *dbdir, db.StorageBackend())
+		fmt.Printf("opened %s (durable)\n", *dbdir)
 	} else {
 		db = authdb.Open()
 	}

@@ -7,7 +7,7 @@ package main
 // graceful drain.
 //
 //	authdb serve [-addr HOST:PORT] [-metrics-addr HOST:PORT] [-db DIR]
-//	             [-storage memory|paged] [-cache-pages N]
+//	             [-cache-pages N]
 //	             [-paper] [-load FILE] [-max-conns N] [-idle-timeout D]
 //	             [-grace D] [-admin-token T] [-max-intermediate-rows N]
 //	             [-max-result-rows N] [-stmt-timeout D] [-group-commit]
@@ -49,8 +49,7 @@ func runServe(args []string) int {
 	addr := fs.String("addr", "127.0.0.1:6544", "wire-protocol listen address")
 	metricsAddr := fs.String("metrics-addr", "", "HTTP /metrics and /healthz listen address (empty: disabled)")
 	dbdir := fs.String("db", "", "durable database directory to open or create (empty: in-memory)")
-	storage := fs.String("storage", "", "durable storage backend: memory (CSV snapshots) or paged (B+Trees, incremental checkpoints); empty: AUTHDB_STORAGE, then the directory's existing format")
-	cachePages := fs.Int("cache-pages", 0, "paged backend's buffer-cache budget in 4KiB pages (0: 4096)")
+	cachePages := fs.Int("cache-pages", 0, "the durable page store's buffer-cache budget in 4KiB pages (0: 4096)")
 	paper := fs.Bool("paper", false, "preload the paper's Figure 1 example database")
 	load := fs.String("load", "", "execute this statement script before serving")
 	maxConns := fs.Int("max-conns", server.DefaultMaxConns, "connection cap (further dials wait in the accept backlog)")
@@ -79,7 +78,6 @@ func runServe(args []string) int {
 	var db *authdb.DB
 	if *dbdir != "" {
 		opt := authdb.DefaultOptions()
-		opt.Storage = *storage
 		opt.CachePages = *cachePages
 		var err error
 		db, err = authdb.OpenDir(*dbdir, opt)
@@ -87,7 +85,7 @@ func runServe(args []string) int {
 			fmt.Fprintf(os.Stderr, "opening %s: %v\n", *dbdir, err)
 			return 1
 		}
-		fmt.Printf("opened %s (durable, %s storage)\n", *dbdir, db.StorageBackend())
+		fmt.Printf("opened %s (durable)\n", *dbdir)
 	} else {
 		db = authdb.Open()
 	}

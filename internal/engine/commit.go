@@ -26,10 +26,9 @@
 // only durable statements are published to the commit feed — a replica
 // can never observe a statement the primary could still lose.
 //
-// The WAL record is a statement's only write: on both storage backends
-// a statement touches no snapshot file and no page. The paged backend's
-// trees learn about data only at a checkpoint (syncPageStore in
-// paged.go).
+// The WAL record is a statement's only write: a statement touches no
+// snapshot file and no page. The page store's trees learn about data
+// only at a checkpoint (syncPageStore in paged.go).
 package engine
 
 import (

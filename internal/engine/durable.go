@@ -2,11 +2,12 @@
 // snapshot generations plus a statement write-ahead log:
 //
 //	CURRENT          "snap-NNNNNN\n" — the committed generation
-//	snap-NNNNNN/     one snapshot: schema.authdb, views.authdb,
-//	                 data/REL.csv (or, paged, a ROOT into pages.db),
-//	                 an LSN file recording the log sequence number the
-//	                 snapshot embodies, and a MANIFEST with the CRC-32
-//	                 and size of every file
+//	pages.db         the page store: one B+Tree of tuples per relation
+//	snap-NNNNNN/     one snapshot: schema.authdb, views.authdb, a ROOT
+//	                 into pages.db, an LSN file recording the log
+//	                 sequence number the snapshot embodies, an EPOCH
+//	                 file, and a MANIFEST with the CRC-32 and size of
+//	                 every file
 //	wal-NNNNNN.log   statements applied after snap-NNNNNN was taken
 //
 // A checkpoint builds the next generation in a temp directory, fsyncs
@@ -30,6 +31,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"authdb/internal/core"
@@ -65,32 +67,20 @@ type durable struct {
 // OpenDurable opens (creating if necessary) a durable database
 // directory: the committed snapshot is loaded, the write-ahead log's
 // valid prefix is replayed, and a fresh checkpoint is taken. Directories
-// saved with Save (the flat layout) are converted on first open. The
-// storage backend comes from the environment (AUTHDB_STORAGE, see
-// StorageConfigFromEnv); use OpenDurableStorage to pick it explicitly.
-// The caller should Close the engine to release the log handle.
-func OpenDurable(dir string, opt core.Options) (*Engine, error) {
-	return OpenDurableFS(faultfs.OS(), dir, opt)
+// saved with Save (the flat layout), and generations of data CSVs
+// written by earlier builds, are converted to the page store on first
+// open. cachePages bounds the page store's buffer cache in 4KiB pages;
+// 0 means DefaultCachePages. The caller should Close the engine to
+// release the log and page file handles.
+func OpenDurable(dir string, opt core.Options, cachePages int) (*Engine, error) {
+	return OpenDurableFS(faultfs.OS(), dir, opt, cachePages)
 }
 
 // OpenDurableFS is OpenDurable over an explicit filesystem; the
 // fault-injection tests use it to crash persistence at every operation.
-func OpenDurableFS(fs faultfs.FS, dir string, opt core.Options) (*Engine, error) {
-	return OpenDurableStorageFS(fs, dir, opt, StorageConfigFromEnv())
-}
-
-// OpenDurableStorage is OpenDurable with an explicit storage backend; a
-// directory last committed by the other backend is converted in place
-// at the opening checkpoint.
-func OpenDurableStorage(dir string, opt core.Options, cfg StorageConfig) (*Engine, error) {
-	return OpenDurableStorageFS(faultfs.OS(), dir, opt, cfg)
-}
-
-// OpenDurableStorageFS is OpenDurableStorage over an explicit
-// filesystem.
-func OpenDurableStorageFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfig) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+func OpenDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) (*Engine, error) {
+	if cachePages <= 0 {
+		cachePages = DefaultCachePages
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -99,7 +89,7 @@ func OpenDurableStorageFS(fs faultfs.FS, dir string, opt core.Options, cfg Stora
 	if err != nil {
 		return nil, err
 	}
-	e, err := openDurableFS(fs, dir, opt, cfg)
+	e, err := openDurableFS(fs, dir, opt, cachePages)
 	if err != nil {
 		releaseDirLock(lock)
 		return nil, err
@@ -109,12 +99,12 @@ func OpenDurableStorageFS(fs faultfs.FS, dir string, opt core.Options, cfg Stora
 }
 
 // openDurableFS loads the committed state, replays the log, and takes
-// the opening checkpoint; the caller holds the directory lock. The
-// committed generation's own format (a ROOT file marks it paged, CSVs
-// the memory layout) decides how it is read; cfg decides what the
-// opening checkpoint writes, so backend conversion is just open + the
-// checkpoint every open takes anyway.
-func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfig) (e *Engine, err error) {
+// the opening checkpoint; the caller holds the directory lock. A
+// committed generation holding a ROOT is read from the page store;
+// one holding data CSVs, like the flat Save layout, is read from them
+// into a fresh store, and the opening checkpoint commits it as a ROOT
+// generation.
+func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) (e *Engine, err error) {
 	gen, committed, err := readCurrent(fs, dir)
 	if err != nil {
 		return nil, err
@@ -131,19 +121,8 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 		if err := verifyManifest(fs, snapDir); err != nil {
 			return nil, fmt.Errorf("%s: %w", snapName(gen), err)
 		}
-		pagedGen := pagedGeneration(fs, snapDir)
-		if cfg.Backend == "" {
-			// No backend requested: keep the committed generation's own
-			// format rather than silently converting it. Conversion
-			// happens only on an explicit "memory" or "paged".
-			if pagedGen {
-				cfg.Backend = StoragePaged
-			} else {
-				cfg.Backend = StorageMemory
-			}
-		}
-		if pagedGen {
-			if ps, err = openPageStore(fs, dir, snapDir, cfg.cachePages()); err != nil {
+		if pagedGeneration(fs, snapDir) {
+			if ps, err = openPageStore(fs, dir, snapDir, cachePages); err != nil {
 				return nil, err
 			}
 		}
@@ -153,16 +132,18 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 		// Loading rebuilt the state by replaying rendered statements,
 		// which counted LSNs of its own; reset to the number the snapshot
 		// actually embodies before the WAL replay resumes the count.
-		e.lsn.Store(readSnapLSN(fs, snapDir))
-		if hist := readSnapEpoch(fs, snapDir); hist != nil {
+		lsn, err := readSnapLSN(fs, snapDir)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", snapName(gen), err)
+		}
+		e.lsn.Store(lsn)
+		hist, err := readSnapEpoch(fs, snapDir)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", snapName(gen), err)
+		}
+		if hist != nil {
 			e.epochHist = hist
 			e.epoch.Store(hist[len(hist)-1].Epoch)
-		}
-		if ps != nil && !cfg.paged() {
-			// Converting paged → memory: the trees were only needed to
-			// load; the checkpoint below writes the CSV layout.
-			ps.Close()
-			ps = nil
 		}
 		if ps != nil {
 			// The trees hold exactly the revisions just loaded; the
@@ -179,11 +160,11 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 	default:
 		e = New(opt)
 	}
-	if ps == nil && cfg.paged() {
-		// A fresh directory or a memory → paged conversion: start an
+	if ps == nil {
+		// A fresh directory or a CSV layout being converted: start an
 		// empty store; with no revisions recorded, the opening checkpoint
 		// loads it from the recovered head.
-		if ps, err = storage.Create(fs, pagesPath(dir), cfg.cachePages()); err != nil {
+		if ps, err = storage.Create(fs, pagesPath(dir), cachePages); err != nil {
 			return nil, err
 		}
 	}
@@ -197,16 +178,11 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 	if err := e.checkpointLocked(fs, dir, gen); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if e.pstore == nil {
-		// A leftover page file from a paged past is dead weight once a
-		// CSV generation committed.
-		fs.Remove(pagesPath(dir))
-	}
 	return e, nil
 }
 
 // pagedGeneration reports whether a committed snapshot generation holds
-// the paged layout (a ROOT file) rather than schema/data CSVs.
+// a ROOT into the page store rather than data CSVs.
 func pagedGeneration(fs faultfs.FS, snapDir string) bool {
 	_, err := fs.Stat(filepath.Join(snapDir, storage.RootName))
 	return err == nil
@@ -238,17 +214,23 @@ func legacyLayout(fs faultfs.FS, dir string) bool {
 // readSnapLSN reads a snapshot's LSN file. Snapshots taken before LSNs
 // existed have none; their count restarts at zero, which is fine —
 // LSNs only need to stay consistent between nodes going forward, and
-// replication always transfers the position explicitly.
-func readSnapLSN(fs faultfs.FS, snapDir string) uint64 {
+// replication always transfers the position explicitly. Any other read
+// error, or a malformed file, fails the open: the MANIFEST vouched for
+// the bytes, so damage here is not a missing file.
+func readSnapLSN(fs faultfs.FS, snapDir string) (uint64, error) {
 	data, err := fs.ReadFile(filepath.Join(snapDir, lsnName))
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	var lsn uint64
-	if _, err := fmt.Sscanf(strings.TrimSpace(string(data)), "%d", &lsn); err != nil {
-		return 0
+	if fields := strings.Fields(string(data)); len(fields) == 1 {
+		if lsn, err := strconv.ParseUint(fields[0], 10, 64); err == nil {
+			return lsn, nil
+		}
 	}
-	return lsn
+	return 0, fmt.Errorf("malformed %s file %q", lsnName, data)
 }
 
 // verifyManifest checks every snapshot file against the CRC-32 and size
@@ -325,30 +307,20 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	// commit feed) before the log rotates out from under it. New records
 	// cannot be staged while we hold e.mu.
 	e.drainCommits()
-	var files map[string][]byte
-	var err error
-	if e.pstore != nil {
-		// Paged checkpoint: bring the trees to the head and flush only the
-		// dirty pages to the shared page file, then commit a generation
-		// holding the tiny ROOT and the meta-database's two scripts (plus
-		// LSN/EPOCH below). The store's copy-on-write discipline means the
-		// committed ROOT never references an in-flight page, so the sync
-		// can fail or tear anywhere and the old generation still reads
-		// cleanly.
-		if err := e.syncPageStore(); err != nil {
-			return fmt.Errorf("syncing page store: %w", err)
-		}
-		files = e.head.Load().metaFiles()
-		files[storage.RootName] = e.pstore.RenderRoot()
-	} else {
-		files, err = e.snapshotFiles()
-		if err != nil {
-			return err
-		}
+	// Bring the trees to the head and flush only the dirty pages to the
+	// shared page file, then commit a generation holding the tiny ROOT
+	// and the meta-database's two scripts (plus LSN/EPOCH below). The
+	// store's copy-on-write discipline means the committed ROOT never
+	// references an in-flight page, so the sync can fail or tear anywhere
+	// and the old generation still reads cleanly.
+	if err := e.syncPageStore(); err != nil {
+		return fmt.Errorf("syncing page store: %w", err)
 	}
+	files := e.head.Load().metaFiles()
+	files[storage.RootName] = e.pstore.RenderRoot()
 	// The LSN file pins the statement count the snapshot embodies; it is
 	// part of the generation (and its MANIFEST), not of the flat Save
-	// export, which is why it is added here and not in snapshotFiles.
+	// export, which is why it is added here and not in metaFiles.
 	files[lsnName] = []byte(fmt.Sprintf("%d\n", e.lsn.Load()))
 	// The EPOCH file pins the fencing-epoch history the same way; see
 	// epoch.go.
@@ -359,7 +331,7 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	if err := fs.RemoveAll(tmp); err != nil {
 		return err
 	}
-	if err := fs.MkdirAll(filepath.Join(tmp, "data"), 0o755); err != nil {
+	if err := fs.MkdirAll(tmp, 0o755); err != nil {
 		return err
 	}
 	var manifest strings.Builder
@@ -370,9 +342,6 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 		fmt.Fprintf(&manifest, "%08x %d %s\n", crc32.ChecksumIEEE(files[rel]), len(files[rel]), rel)
 	}
 	if err := writeFileSync(fs, filepath.Join(tmp, manifestName), []byte(manifest.String())); err != nil {
-		return err
-	}
-	if err := fs.SyncDir(filepath.Join(tmp, "data")); err != nil {
 		return err
 	}
 	if err := fs.SyncDir(tmp); err != nil {
@@ -426,12 +395,9 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	e.durableLSN.Store(e.lsn.Load())
 	e.commitCond.Broadcast()
 	e.commitMu.Unlock()
-	if e.pstore != nil {
-		// Pages freed before this commit belonged to trees the old ROOT
-		// could still reach; now that CURRENT points past it they are
-		// reusable.
-		e.pstore.Commit()
-	}
+	// Pages freed before this commit belonged to trees the old ROOT could
+	// still reach; now that CURRENT points past it they are reusable.
+	e.pstore.Commit()
 	if gen > 0 {
 		fs.RemoveAll(filepath.Join(dir, snapName(gen)))
 		fs.Remove(filepath.Join(dir, walName(gen)))

@@ -49,7 +49,7 @@ func fingerprint(t *testing.T, e *Engine) string {
 func referenceStates(t *testing.T) []string {
 	t.Helper()
 	dir := t.TempDir()
-	e, err := OpenDurable(dir, core.DefaultOptions())
+	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func referenceStates(t *testing.T) []string {
 
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenDurable(dir, core.DefaultOptions())
+	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	back, err := OpenDurable(dir, core.DefaultOptions())
+	back, err := OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDurableRoundTrip(t *testing.T) {
 
 func TestDurableCloseFailsStop(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenDurable(dir, core.DefaultOptions())
+	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,35 +118,44 @@ func TestDurableCloseFailsStop(t *testing.T) {
 }
 
 // TestCrashRecoverySweep kills persistence at every mutating filesystem
-// operation — during the opening checkpoint and during every WAL append
-// of the scenario — and checks that reopening the directory always
-// recovers a consistent prefix of the statement history, never a torn or
-// fabricated state.
+// operation — during the opening checkpoint (page flush, ROOT, CURRENT)
+// and during every WAL append of the scenario — and checks that
+// reopening the directory always recovers a consistent prefix of the
+// statement history, never a torn or fabricated state. It runs with the
+// default buffer cache, so no page is evicted before the flush.
 func TestCrashRecoverySweep(t *testing.T) {
-	crashSweep(t, false, StorageConfig{})
+	crashSweep(t, false, 0)
 }
 
 // TestCrashRecoverySweepShortWrites repeats the sweep with the tripping
-// write persisting half its payload, modelling torn sector writes.
+// write persisting half its payload, modelling torn sector writes: a
+// torn page must be rejected via the page CRC (shadow paging keeps the
+// committed tree clean), a torn WAL record via the record CRC.
 func TestCrashRecoverySweepShortWrites(t *testing.T) {
-	crashSweep(t, true, StorageConfig{})
+	crashSweep(t, true, 0)
 }
 
-// TestCrashRecoverySweepPaged runs the sweep on the paged backend with a
-// tiny buffer cache, so the kill points land mid-page-flush and
-// mid-checkpoint (the ROOT/CURRENT dance) as well as in the WAL.
+// TestCrashRecoverySweepPaged runs the sweep with a tiny buffer cache,
+// so evictions write dirty pages back while a checkpoint syncs the page
+// store and the kill points land mid-page-flush as well as in the
+// ROOT/CURRENT dance and the WAL.
 func TestCrashRecoverySweepPaged(t *testing.T) {
-	crashSweep(t, false, StorageConfig{Backend: StoragePaged, CachePages: 8})
+	crashSweep(t, false, crashCachePages)
 }
 
-// TestCrashRecoverySweepPagedShortWrites adds torn page writes: the
-// tripping WriteAt persists half a page, which recovery must reject via
-// the page CRC (shadow paging keeps the committed tree clean).
+// TestCrashRecoverySweepPagedShortWrites adds torn page writes to the
+// tiny-cache sweep: the tripping WriteAt persists half a page, which
+// recovery must reject via the page CRC.
 func TestCrashRecoverySweepPagedShortWrites(t *testing.T) {
-	crashSweep(t, true, StorageConfig{Backend: StoragePaged, CachePages: 8})
+	crashSweep(t, true, crashCachePages)
 }
 
-func crashSweep(t *testing.T, short bool, cfg StorageConfig) {
+// crashCachePages gives the tiny-cache sweeps their buffer cache.
+const crashCachePages = 8
+
+// crashSweep runs the sweep with the given buffer cache size (0 means
+// DefaultCachePages), for the crashed process and the recovering one.
+func crashSweep(t *testing.T, short bool, cachePages int) {
 	refs := referenceStates(t)
 	// isPrefixState returns the latest history index whose state matches
 	// fp (statements like insert-then-delete can revisit an earlier
@@ -170,7 +179,7 @@ func crashSweep(t *testing.T, short bool, cfg StorageConfig) {
 		fs.Arm(k)
 
 		// Run until the injected crash (or to completion).
-		e, err := OpenDurableStorageFS(fs, dir, core.DefaultOptions(), cfg)
+		e, err := OpenDurableFS(fs, dir, core.DefaultOptions(), cachePages)
 		applied := -1 // statements confirmed applied before the crash
 		if err == nil {
 			applied = 0
@@ -192,7 +201,7 @@ func crashSweep(t *testing.T, short bool, cfg StorageConfig) {
 
 		// "Reboot": recovery over the real filesystem must always
 		// succeed and land on a prefix of the history.
-		re, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
+		re, err := OpenDurable(dir, core.DefaultOptions(), cachePages)
 		if err != nil {
 			t.Fatalf("k=%d: recovery failed: %v", k, err)
 		}
@@ -236,7 +245,7 @@ func TestDurableConvertsLegacySave(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d, err := OpenDurable(dir, core.DefaultOptions())
+	d, err := OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +254,7 @@ func TestDurableConvertsLegacySave(t *testing.T) {
 	}
 	d.Close()
 
-	back, err := OpenDurable(dir, core.DefaultOptions())
+	back, err := OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,8 +76,8 @@ type Engine struct {
 	// dur is the crash-safe persistence attachment (nil for in-memory
 	// engines); see durable.go.
 	dur *durable
-	// pstore is the paged storage backend (nil on the memory backend):
-	// B+Trees over a buffer-cached page file. Statements never touch it;
+	// pstore is the page store (nil for in-memory engines): B+Trees
+	// over a buffer-cached page file. Statements never touch it;
 	// each checkpoint brings its trees from pageRevs to the head version
 	// (syncPageStore) and flushes the dirty pages. Attached at open,
 	// constant afterwards, closed by Close. pageRevs holds, by schema

@@ -18,8 +18,11 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"authdb/internal/faultfs"
@@ -199,14 +202,19 @@ func renderEpochHist(hist []EpochEntry) []byte {
 func parseEpochHist(data []byte) ([]EpochEntry, error) {
 	var hist []EpochEntry
 	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
 			continue
 		}
-		var ent EpochEntry
-		if _, err := fmt.Sscanf(line, "%d %d", &ent.Epoch, &ent.StartLSN); err != nil {
+		if len(fields) != 2 {
 			return nil, fmt.Errorf("malformed EPOCH line %q", line)
 		}
-		hist = append(hist, ent)
+		epoch, err1 := strconv.ParseUint(fields[0], 10, 64)
+		start, err2 := strconv.ParseUint(fields[1], 10, 64)
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("malformed EPOCH line %q", line)
+		}
+		hist = append(hist, EpochEntry{Epoch: epoch, StartLSN: start})
 	}
 	if err := validEpochHist(hist); err != nil {
 		return nil, err
@@ -215,17 +223,17 @@ func parseEpochHist(data []byte) ([]EpochEntry, error) {
 }
 
 // readSnapEpoch reads a snapshot generation's EPOCH file; nil means the
-// snapshot predates epochs (the default history {1, 0} applies).
-func readSnapEpoch(fs faultfs.FS, snapDir string) []EpochEntry {
+// snapshot predates epochs (the default history {1, 0} applies). Any
+// other read error, or a malformed file, fails the open.
+func readSnapEpoch(fs faultfs.FS, snapDir string) ([]EpochEntry, error) {
 	data, err := fs.ReadFile(filepath.Join(snapDir, epochName))
-	if err != nil {
-		return nil
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
 	}
-	hist, err := parseEpochHist(data)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return hist
+	return parseEpochHist(data)
 }
 
 // QuarantineDiverged preserves every statement this engine applied past

@@ -13,7 +13,7 @@ import (
 // serial mode pays one fsync per insert while group commit shares one
 // across whatever staged during the previous sync.
 func benchDurableInserts(b *testing.B, group bool) {
-	e, err := OpenDurable(b.TempDir(), core.DefaultOptions())
+	e, err := OpenDurable(b.TempDir(), core.DefaultOptions(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -96,8 +96,8 @@ func (e *Engine) registerMetrics() {
 		seq, _ := e.DBVersion()
 		return float64(seq)
 	})
-	// Paged-backend buffer cache and incremental-checkpoint series; all
-	// zero on the memory backend.
+	// Page-store buffer cache and incremental-checkpoint series; all zero
+	// for an engine without a durable directory.
 	e.met.CounterFunc("authdb_page_cache_hits_total", func() float64 {
 		return float64(e.PageStats().Hits)
 	})

@@ -1,101 +1,36 @@
-// Paged-storage attachment (DESIGN.md §16). The in-memory MVCC versions
+// Page-store attachment (DESIGN.md §16). The in-memory MVCC versions
 // stay the evaluation representation and the WAL stays the one commit
-// point; when the paged backend is on, a storage.Store holds one B+Tree
+// point; every durable engine keeps a storage.Store holding one B+Tree
 // of tuples per relation, and the checkpoint is the only place it
 // learns about data: syncPageStore moves each tree from the revision it
 // last reflected to the head's, then the checkpoint flushes only the
 // dirty pages plus a tiny ROOT file and the meta-database's
-// schema.authdb and views.authdb, instead of rewriting every tuple. A
-// snapshot generation containing a ROOT file is paged; one containing
-// data CSVs is the memory layout — opening converts between them
-// according to the requested backend, so both coexist behind one
-// directory format and the WAL + CURRENT + epoch + replication
-// protocols are byte-identical across backends.
+// schema.authdb and views.authdb, instead of rewriting every tuple.
+// Every generation a checkpoint commits holds a ROOT. A generation with
+// data CSVs instead (written by an earlier build) is read once, and the
+// checkpoint every open takes converts it.
 package engine
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"strconv"
 
 	"authdb/internal/faultfs"
 	"authdb/internal/relation"
 	"authdb/internal/storage"
 )
 
-// Storage backend names for StorageConfig.Backend.
-const (
-	StorageMemory = "memory"
-	StoragePaged  = "paged"
-)
-
 // DefaultCachePages is the buffer-cache budget when none is configured
 // (4096 pages × 4KiB = 16MiB resident).
 const DefaultCachePages = 4096
 
-// StorageConfig selects the persistence backend for a durable engine.
-type StorageConfig struct {
-	// Backend is StorageMemory (whole-generation CSV snapshots, all
-	// state resident) or StoragePaged (pager + B+Trees, incremental
-	// checkpoints). Empty keeps an existing directory's committed
-	// format and means StorageMemory for fresh directories.
-	Backend string
-	// CachePages bounds the paged backend's buffer cache in 4KiB pages;
-	// 0 means DefaultCachePages.
-	CachePages int
-}
-
-func (c StorageConfig) paged() bool { return c.Backend == StoragePaged }
-
-func (c StorageConfig) cachePages() int {
-	if c.CachePages > 0 {
-		return c.CachePages
-	}
-	return DefaultCachePages
-}
-
-func (c StorageConfig) validate() error {
-	switch c.Backend {
-	case "", StorageMemory, StoragePaged:
-		return nil
-	}
-	return fmt.Errorf("unknown storage backend %q (memory or paged)", c.Backend)
-}
-
-// StorageConfigFromEnv reads AUTHDB_STORAGE (memory|paged) and
-// AUTHDB_CACHE_PAGES. The env hook lets every existing harness — crash
-// sweep, replication e2e, chaos — run unchanged against the paged
-// backend.
-func StorageConfigFromEnv() StorageConfig {
-	var cfg StorageConfig
-	if v := os.Getenv("AUTHDB_STORAGE"); v != "" {
-		cfg.Backend = v
-	}
-	if v := os.Getenv("AUTHDB_CACHE_PAGES"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			cfg.CachePages = n
-		}
-	}
-	return cfg
-}
-
-// PageStats snapshots the paged backend's pager counters; all-zero on
-// the memory backend.
+// PageStats snapshots the page store's pager counters; all-zero for an
+// engine without a durable directory.
 func (e *Engine) PageStats() storage.Stats {
 	if ps := e.pstore; ps != nil {
 		return ps.Stats()
 	}
 	return storage.Stats{}
-}
-
-// StorageBackend reports which backend the engine runs ("memory" or
-// "paged").
-func (e *Engine) StorageBackend() string {
-	if e.pstore != nil {
-		return StoragePaged
-	}
-	return StorageMemory
 }
 
 // pagesPath is the shared page file next to the generation directories.
@@ -109,12 +44,12 @@ func pagesPath(dir string) string { return filepath.Join(dir, storage.PagesFileN
 //   - anything else: apply relation.Diff, deletes first;
 //   - a relation defined since: create its tree and insert every tuple.
 //
-// With no recorded revisions (fresh directory, memory→paged conversion,
-// ResetFromSnapshot, or a failed sync) the store is Reset and loaded
-// whole. Any error forgets the recorded revisions, so the next
+// With no recorded revisions (fresh directory, a CSV generation being
+// converted, ResetFromSnapshot, or a failed sync) the store is Reset and
+// loaded whole. Any error forgets the recorded revisions, so the next
 // checkpoint starts over from Reset; the committed ROOT's pages are
 // never overwritten either way (shadow paging), so a failure here only
-// fails the checkpoint, exactly as a failed CSV write does.
+// fails the checkpoint, exactly as a failed write of its files does.
 func (e *Engine) syncPageStore() (err error) {
 	defer func() {
 		if err != nil {
@@ -158,7 +93,7 @@ func (e *Engine) syncPageStore() (err error) {
 }
 
 // openPageStore attaches to the shared page file at the ROOT committed
-// in a paged snapshot generation.
+// in a snapshot generation.
 func openPageStore(fs faultfs.FS, dir, snapDir string, cachePages int) (*storage.Store, error) {
 	root, err := fs.ReadFile(filepath.Join(snapDir, storage.RootName))
 	if err != nil {

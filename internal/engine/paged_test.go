@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,10 +19,15 @@ import (
 	"authdb/internal/value"
 )
 
-var pagedCfg = StorageConfig{Backend: StoragePaged, CachePages: 16}
+// testCachePages is the buffer-cache budget of the tests that do not
+// need a tiny one.
+const testCachePages = 16
+
+// tinyCachePages is a budget the tests' working sets far exceed.
+const tinyCachePages = 8
 
 // renderSorted serializes a retrieve's delivered relation in canonical
-// order for byte-identical comparison across backends.
+// order for byte-identical comparison.
 func renderSorted(t *testing.T, res *Result) string {
 	t.Helper()
 	var b strings.Builder
@@ -46,89 +53,94 @@ func brownAnswer(t *testing.T, e *Engine) string {
 	return renderSorted(t, res)
 }
 
-// TestPagedBackendDifferential converts a directory memory → paged →
-// memory, checking at every step that the full state fingerprint and a
-// masked per-user answer are byte-identical: the storage backend must be
-// invisible to the algebra and the authorization model.
-func TestPagedBackendDifferential(t *testing.T) {
-	dir := t.TempDir()
-	e, err := OpenDurableStorage(dir, core.DefaultOptions(), StorageConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	admin := e.NewSession("admin", true)
-	for _, stmt := range durableScenario {
-		if _, err := admin.Exec(stmt); err != nil {
-			t.Fatalf("%s: %v", stmt, err)
+// csvFixture is a durable directory that an earlier build's memory
+// backend wrote: a generation of data CSVs holding durableScenario, and
+// a WAL holding four statements past it. Beside the directory are the
+// state fingerprint and the fixtureAnswers that build gave.
+const csvFixture = "testdata/csv-generation"
+
+// fixtureAnswers renders two masked per-user answers over the fixture,
+// one per user, each with its inferred permit statements.
+func fixtureAnswers(t *testing.T, e *Engine) string {
+	t.Helper()
+	answer := func(user, query string) string {
+		res, err := e.NewSession(user, false).Exec(query)
+		if err != nil {
+			t.Fatal(err)
 		}
+		out := renderSorted(t, res)
+		for _, p := range res.Permits {
+			out += p.String() + "\n"
+		}
+		return out
 	}
-	wantFP, wantAns := fingerprint(t, e), brownAnswer(t, e)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return answer("Brown", `retrieve (PROJECT.NUMBER, PROJECT.BUDGET) where PROJECT.SPONSOR = Acme`) +
+		"--\n" + answer("Klein", `retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE) where EMPLOYEE.SALARY < 25000`)
+}
 
-	// Convert to paged: the opening checkpoint rebuilds the page store
-	// from the recovered head and commits a ROOT generation.
-	p, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+// copyDir copies the regular files under src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.StorageBackend() != StoragePaged {
-		t.Fatalf("backend = %s, want paged", p.StorageBackend())
-	}
-	if got := fingerprint(t, p); got != wantFP {
-		t.Fatalf("fingerprint differs after memory->paged conversion:\ngot:\n%s\nwant:\n%s", got, wantFP)
-	}
-	if got := brownAnswer(t, p); got != wantAns {
-		t.Fatalf("masked answer differs after conversion: %q != %q", got, wantAns)
-	}
-	// Mutate under the paged backend, then round-trip paged -> paged.
-	if _, err := p.NewSession("admin", true).Exec(`insert into PROJECT values (cd-77, Apex, 130000)`); err != nil {
-		t.Fatal(err)
-	}
-	wantFP, wantAns = fingerprint(t, p), brownAnswer(t, p)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fingerprint(t, p2); got != wantFP {
-		t.Fatalf("fingerprint differs after paged reopen:\ngot:\n%s\nwant:\n%s", got, wantFP)
-	}
-	if err := p2.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// An empty config is sticky: it adopts the committed generation's
-	// format instead of converting it.
-	s, err := OpenDurableStorage(dir, core.DefaultOptions(), StorageConfig{})
-	if err != nil {
-		t.Fatal(err)
+// TestPagedBackendDifferential opens csvFixture, a generation of data
+// CSVs plus a WAL, and holds the page store to what the memory backend
+// that wrote it answered: the state fingerprint and the masked per-user
+// answers must be byte-identical. The opening checkpoint must convert
+// the directory, committing a ROOT generation with no data directory,
+// and a second open must read the same state back from the pages.
+func TestPagedBackendDifferential(t *testing.T) {
+	want := func(name string) string {
+		b, err := os.ReadFile(filepath.Join(csvFixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	if s.StorageBackend() != StoragePaged {
-		t.Fatalf("backend = %s, want paged (empty config keeps the on-disk format)", s.StorageBackend())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Convert back to memory explicitly; the CSV generation must carry
-	// everything.
-	m, err := OpenDurableStorage(dir, core.DefaultOptions(), StorageConfig{Backend: StorageMemory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.StorageBackend() != StorageMemory {
-		t.Fatalf("backend = %s, want memory", m.StorageBackend())
-	}
-	if got := fingerprint(t, m); got != wantFP {
-		t.Fatalf("fingerprint differs after paged->memory conversion:\ngot:\n%s\nwant:\n%s", got, wantFP)
-	}
-	if got := brownAnswer(t, m); got != wantAns {
-		t.Fatalf("masked answer differs after conversion back: %q != %q", got, wantAns)
+	wantFP, wantAns := want("fingerprint.txt"), want("answers.txt")
+	dir := t.TempDir()
+	copyDir(t, filepath.Join(csvFixture, "db"), dir)
+	for _, step := range []string{"converting open", "reopen"} {
+		e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		snap := filepath.Join(dir, snapName(e.Generation()))
+		if _, err := os.Stat(filepath.Join(snap, storage.RootName)); err != nil {
+			t.Fatalf("%s: committed generation has no ROOT: %v", step, err)
+		}
+		if _, err := os.Stat(filepath.Join(snap, "data")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: committed generation has a data directory (%v)", step, err)
+		}
+		if got := fingerprint(t, e); got != wantFP {
+			t.Fatalf("%s: fingerprint differs from the CSV generation's:\ngot:\n%s\nwant:\n%s", step, got, wantFP)
+		}
+		if got := fixtureAnswers(t, e); got != wantAns {
+			t.Fatalf("%s: masked answers differ from the CSV generation's:\ngot:\n%s\nwant:\n%s", step, got, wantAns)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -137,8 +149,7 @@ func TestPagedBackendDifferential(t *testing.T) {
 // budget, and the pager must actually evict.
 func TestPagedTinyCacheWorkload(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StorageConfig{Backend: StoragePaged, CachePages: 8}
-	e, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
+	e, err := OpenDurable(dir, core.DefaultOptions(), tinyCachePages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +177,14 @@ func TestPagedTinyCacheWorkload(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions under an 8-page budget: %+v", st)
 	}
-	if st.Pages <= uint32(cfg.CachePages) {
+	if st.Pages <= tinyCachePages {
 		t.Fatalf("resident set did not exceed the cache budget: %d pages", st.Pages)
 	}
 	want := fingerprint(t, e)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
+	back, err := OpenDurable(dir, core.DefaultOptions(), tinyCachePages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +314,7 @@ func TestSnapshotSessionReadsOwnWrites(t *testing.T) {
 // metrics text surface (what /metrics scrapes and `\stats` prints).
 func TestPagedMetricsExposed(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+	e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +350,12 @@ func TestPagedMetricsExposed(t *testing.T) {
 }
 
 // TestPagedOmitsEmptiedUser revokes a user's only view under both paths
-// that reach a paged generation — the conversion of a memory directory,
-// and a statement applied afterwards — then checkpoints and reopens: the
-// user must be absent from the committed views.authdb, and `show
-// permissions` must read the same throughout.
+// that reach a committed generation besides an explicit checkpoint of
+// the running engine — WAL replay when the directory reopens, whose
+// opening checkpoint commits the replayed revoke, and a statement
+// applied to the reopened engine afterwards — then checkpoints and
+// reopens: the user must be absent from the committed views.authdb, and
+// `show permissions` must read the same throughout.
 func TestPagedOmitsEmptiedUser(t *testing.T) {
 	dir := t.TempDir()
 	show := func(e *Engine) string {
@@ -372,7 +385,8 @@ func TestPagedOmitsEmptiedUser(t *testing.T) {
 		}
 	}
 
-	m, err := OpenDurableStorage(dir, core.DefaultOptions(), StorageConfig{})
+	// Close takes no checkpoint: the revoke is in the WAL only.
+	m, err := OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,13 +397,13 @@ func TestPagedOmitsEmptiedUser(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+	p, err := OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPermits(p, "Ghost")
 	if got := show(p); got != want {
-		t.Fatalf("show permissions after conversion:\n%s\nbefore:\n%s", got, want)
+		t.Fatalf("show permissions after replay:\n%s\nbefore:\n%s", got, want)
 	}
 	exec(p, `permit VP to Wraith`, `revoke VP from Wraith`)
 	if err := p.Checkpoint(); err != nil {
@@ -400,13 +414,13 @@ func TestPagedOmitsEmptiedUser(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	back, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+	back, err := OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer back.Close()
 	if got := show(back); got != want {
-		t.Fatalf("show permissions after paged reopen:\n%s\nbefore:\n%s", got, want)
+		t.Fatalf("show permissions after reopening:\n%s\nbefore:\n%s", got, want)
 	}
 }
 
@@ -420,19 +434,14 @@ func committedFile(t *testing.T, dir string, e *Engine, name string) []byte {
 	return b
 }
 
-// deleteState is what TestPagedDeletesMatchMemory compares across
-// backends at each reopen: the state fingerprint, two masked per-user
-// answers, and the committed generation's meta-database scripts.
-type deleteState struct {
-	fp, brown, items, schema, views string
-}
-
-// TestPagedDeletesMatchMemory runs every shape of delete through both
-// backends — a range predicate, an attribute–attribute comparison, a
-// non-key equality hitting several rows, an unqualified delete, and a
-// delete that only the WAL holds when the process dies — and requires
-// the paged directory to reopen to exactly the memory directory's state
-// and answers, with byte-identical schema.authdb and views.authdb.
+// TestPagedDeletesMatchMemory runs every shape of delete through a
+// durable directory and an in-memory engine fed the same statements — a
+// range predicate, an attribute–attribute comparison, a non-key
+// equality hitting several rows, an unqualified delete, and a delete
+// that only the WAL holds when the process dies — and requires the
+// directory to reopen to exactly the in-memory state and answers, with
+// the committed schema.authdb and views.authdb byte-identical to the
+// in-memory engine's meta-database.
 func TestPagedDeletesMatchMemory(t *testing.T) {
 	setup := append([]string(nil), durableScenario...)
 	setup = append(setup, `relation ITEM (ID, GRP, LO, HI) key (ID)`, `relation SCRATCH (X)`)
@@ -450,22 +459,20 @@ func TestPagedDeletesMatchMemory(t *testing.T) {
 		`delete from SCRATCH`,
 	}
 
-	run := func(cfg StorageConfig) []deleteState {
-		dir := t.TempDir()
-		open := func() *Engine {
-			t.Helper()
-			e, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e.StorageBackend() != cfg.Backend {
-				t.Fatalf("backend %s, want %s", e.StorageBackend(), cfg.Backend)
-			}
-			return e
+	dir := t.TempDir()
+	ref := New(core.DefaultOptions())
+	open := func() *Engine {
+		t.Helper()
+		e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
+		if err != nil {
+			t.Fatal(err)
 		}
-		exec := func(e *Engine, stmts []string) {
-			t.Helper()
-			admin := e.NewSession("admin", true)
+		return e
+	}
+	exec := func(e *Engine, stmts []string) {
+		t.Helper()
+		for _, en := range []*Engine{e, ref} {
+			admin := en.NewSession("admin", true)
 			for _, stmt := range stmts {
 				res, err := admin.Exec(stmt)
 				if err != nil {
@@ -476,66 +483,60 @@ func TestPagedDeletesMatchMemory(t *testing.T) {
 				}
 			}
 		}
-		closeEngine := func(e *Engine) {
-			t.Helper()
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		capture := func(e *Engine) deleteState {
-			t.Helper()
-			res, err := e.NewSession("Brown", false).Exec(`retrieve (ITEM.ID, ITEM.LO)`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return deleteState{
-				fp:     fingerprint(t, e),
-				brown:  brownAnswer(t, e),
-				items:  renderSorted(t, res),
-				schema: string(committedFile(t, dir, e, "schema.authdb")),
-				views:  string(committedFile(t, dir, e, "views.authdb")),
-			}
-		}
-
-		e := open()
-		exec(e, setup)
-		// Checkpoint first, so the deletes shadow committed pages.
-		if err := e.Checkpoint(); err != nil {
+	}
+	closeEngine := func(e *Engine) {
+		t.Helper()
+		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		exec(e, deletes)
-		if err := e.Checkpoint(); err != nil {
+	}
+	answers := func(e *Engine) string {
+		t.Helper()
+		res, err := e.NewSession("Brown", false).Exec(`retrieve (ITEM.ID, ITEM.LO)`)
+		if err != nil {
 			t.Fatal(err)
 		}
-		closeEngine(e)
-		e = open()
-		afterDeletes := capture(e)
-
-		// The last delete reaches only the WAL before the process goes;
-		// the next open replays it into the trees and checkpoints, and a
-		// second open reads that checkpoint back.
-		exec(e, []string{`delete from ITEM where LO < 10`})
-		closeEngine(e)
-		closeEngine(open())
-		e = open()
-		defer closeEngine(e)
-		return []deleteState{afterDeletes, capture(e)}
+		return brownAnswer(t, e) + "--\n" + renderSorted(t, res)
+	}
+	compare := func(e *Engine, step string) {
+		t.Helper()
+		if got, want := fingerprint(t, e), fingerprint(t, ref); got != want {
+			t.Fatalf("%s: fingerprint differs:\ngot:\n%s\nwant:\n%s", step, got, want)
+		}
+		if got, want := answers(e), answers(ref); got != want {
+			t.Fatalf("%s: answers differ:\ngot:\n%s\nwant:\n%s", step, got, want)
+		}
+		meta := ref.head.Load().metaFiles()
+		for _, name := range []string{"schema.authdb", "views.authdb"} {
+			if got, want := string(committedFile(t, dir, e, name)), string(meta[name]); got != want {
+				t.Fatalf("%s: committed %s differs:\ngot:\n%s\nwant:\n%s", step, name, got, want)
+			}
+		}
 	}
 
-	mem := run(StorageConfig{Backend: StorageMemory})
-	paged := run(pagedCfg)
-	for i, step := range []string{"after the deletes", "after the WAL-replayed delete"} {
-		m, p := mem[i], paged[i]
-		if p.fp != m.fp {
-			t.Fatalf("%s: paged fingerprint differs:\ngot:\n%s\nwant:\n%s", step, p.fp, m.fp)
-		}
-		if p.brown != m.brown || p.items != m.items {
-			t.Fatalf("%s: paged answers differ: %q %q, want %q %q", step, p.brown, p.items, m.brown, m.items)
-		}
-		if p.schema != m.schema || p.views != m.views {
-			t.Fatalf("%s: paged meta-database differs:\n%s%s\nwant:\n%s%s", step, p.schema, p.views, m.schema, m.views)
-		}
+	e := open()
+	exec(e, setup)
+	// Checkpoint first, so the deletes shadow committed pages.
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
+	exec(e, deletes)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	closeEngine(e)
+	e = open()
+	compare(e, "after the deletes")
+
+	// The last delete reaches only the WAL before the process goes; the
+	// next open replays it into the trees and checkpoints, and a second
+	// open reads that checkpoint back.
+	exec(e, []string{`delete from ITEM where LO < 10`})
+	closeEngine(e)
+	closeEngine(open())
+	e = open()
+	defer closeEngine(e)
+	compare(e, "after the WAL-replayed delete")
 }
 
 // TestPagedRebuildCrashSweep fails each filesystem operation in turn
@@ -570,7 +571,7 @@ func TestPagedRebuildCrashSweep(t *testing.T) {
 		}
 		dir := filepath.Join(base, fmt.Sprintf("crash-%d", k))
 		fs := faultfs.NewFaulty(faultfs.OS())
-		e, err := OpenDurableStorageFS(fs, dir, core.DefaultOptions(), pagedCfg)
+		e, err := OpenDurableFS(fs, dir, core.DefaultOptions(), testCachePages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -582,7 +583,7 @@ func TestPagedRebuildCrashSweep(t *testing.T) {
 		tripped := fs.Tripped()
 		e.Close()
 
-		re, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+		re, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
 		if err != nil {
 			t.Fatalf("k=%d: reopen failed: %v", k, err)
 		}
@@ -674,18 +675,17 @@ func (g *pageChurn) next() string {
 	}
 }
 
-// TestPageStoreFollowsHead runs seeded statement sequences on the paged
-// backend with an 8-page cache, taking checkpoints, adopting snapshots
-// and reopening between them, beside a memory engine fed the same
+// TestPageStoreFollowsHead runs seeded statement sequences on a durable
+// directory with an 8-page cache, taking checkpoints, adopting snapshots
+// and reopening between them, beside an in-memory engine fed the same
 // statements. After every checkpoint each tree must hold exactly its
 // relation's head revision, and the state must equal the reference.
 func TestPageStoreFollowsHead(t *testing.T) {
-	cfg := StorageConfig{Backend: StoragePaged, CachePages: 8}
 	for seed := int64(1); seed <= 6; seed++ {
 		dir := t.TempDir()
 		open := func() *Engine {
 			t.Helper()
-			e, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
+			e, err := OpenDurable(dir, core.DefaultOptions(), tinyCachePages)
 			if err != nil {
 				t.Fatalf("seed %d: open: %v", seed, err)
 			}
@@ -759,7 +759,7 @@ func TestPageStoreFollowsHead(t *testing.T) {
 	t.Run("page write failure", func(t *testing.T) {
 		dir := t.TempDir()
 		fs := faultfs.NewFaulty(faultfs.OS())
-		e, err := OpenDurableStorageFS(fs, dir, core.DefaultOptions(), cfg)
+		e, err := OpenDurableFS(fs, dir, core.DefaultOptions(), tinyCachePages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -806,7 +806,7 @@ func TestPageStoreFollowsHead(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		back, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
+		back, err := OpenDurable(dir, core.DefaultOptions(), tinyCachePages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -832,7 +832,7 @@ func TestClosePagedReleasesPageFile(t *testing.T) {
 	dir := t.TempDir()
 	cycle := func() {
 		t.Helper()
-		e, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+		e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -850,11 +850,36 @@ func TestClosePagedReleasesPageFile(t *testing.T) {
 	}
 }
 
-// TestPagedRefusesVersion1Root opens a generation whose ROOT is in the
-// earlier format: the open must fail and name the upgrade path.
-func TestPagedRefusesVersion1Root(t *testing.T) {
-	dir := t.TempDir()
-	e, err := OpenDurableStorage(dir, core.DefaultOptions(), pagedCfg)
+// rewriteSnapFile replaces one file of a committed snapshot generation
+// and re-sums its MANIFEST line, so the MANIFEST vouches for the new
+// bytes and only their content is wrong.
+func rewriteSnapFile(t *testing.T, snap, name string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(snap, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(snap, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(manifest), "\n")
+	for i, ln := range lines {
+		if strings.HasSuffix(ln, " "+name) {
+			lines[i] = fmt.Sprintf("%08x %d %s", crc32.ChecksumIEEE(data), len(data), name)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(snap, manifestName), []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// committedDir opens a fresh durable directory, commits a generation
+// holding one relation, closes it, and returns the directory and the
+// committed generation's path.
+func committedDir(t *testing.T) (dir, snap string) {
+	t.Helper()
+	dir = t.TempDir()
+	e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -864,39 +889,52 @@ func TestPagedRefusesVersion1Root(t *testing.T) {
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	snap := filepath.Join(dir, snapName(e.Generation()))
+	snap = filepath.Join(dir, snapName(e.Generation()))
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite ROOT and its MANIFEST line, so only the format is wrong.
-	root := []byte("AUTHDBROOT1\npagesize 4096\nnpages 2\nviewseq 0\ncatalog 0\ntable R 1 1 0\n")
-	if err := os.WriteFile(filepath.Join(snap, storage.RootName), root, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	manifest, err := os.ReadFile(filepath.Join(snap, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(string(manifest), "\n")
-	for i, ln := range lines {
-		if strings.HasSuffix(ln, " "+storage.RootName) {
-			lines[i] = fmt.Sprintf("%08x %d %s", crc32.ChecksumIEEE(root), len(root), storage.RootName)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(snap, manifestName), []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return dir, snap
+}
 
-	for _, cfg := range []StorageConfig{{}, pagedCfg} {
-		back, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
-		if err == nil {
-			back.Close()
-			t.Fatalf("backend %q opened a version 1 ROOT", cfg.Backend)
+// TestPagedRefusesVersion1Root opens a generation whose ROOT is in the
+// earlier format: the open must fail and name the upgrade path.
+func TestPagedRefusesVersion1Root(t *testing.T) {
+	dir, snap := committedDir(t)
+	rewriteSnapFile(t, snap, storage.RootName, []byte("AUTHDBROOT1\npagesize 4096\nnpages 2\nviewseq 0\ncatalog 0\ntable R 1 1 0\n"))
+	back, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
+	if err == nil {
+		back.Close()
+		t.Fatal("opened a version 1 ROOT")
+	}
+	for _, want := range []string{"AUTHDBROOT1", "earlier build", "-storage memory", "open it with this build"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
 		}
-		for _, want := range []string{"AUTHDBROOT1", "previous build and -storage memory", "-storage paged"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("error %q does not mention %q", err, want)
-			}
+	}
+}
+
+// TestOpenRejectsMalformedEpochAndLSN damages a committed generation's
+// EPOCH or LSN file behind a MANIFEST that vouches for the damage: the
+// open must fail rather than restart the epoch history at {1, 0} or
+// the LSN count at zero. Only a missing file (a snapshot older than
+// epochs or LSNs) falls back.
+func TestOpenRejectsMalformedEpochAndLSN(t *testing.T) {
+	for _, tc := range []struct{ file, content string }{
+		{epochName, "3 40 junk\n"},
+		{epochName, "1x 0\n"},
+		{epochName, "1\n"},
+		{epochName, "-1 0\n"},
+		{epochName, ""},
+		{lsnName, "12x\n"},
+		{lsnName, "12 13\n"},
+		{lsnName, "-3\n"},
+		{lsnName, ""},
+	} {
+		dir, snap := committedDir(t)
+		rewriteSnapFile(t, snap, tc.file, []byte(tc.content))
+		if e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages); err == nil {
+			e.Close()
+			t.Fatalf("%s %q: open succeeded", tc.file, tc.content)
 		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 //	schema.authdb   relation statements
 //	views.authdb    view definitions and permits, in definition order
 //
-// Both layouts keep these two scripts; the paged one stores the tuples
-// in its page file instead of snapshotFiles' CSVs. The version is
+// Every layout keeps these two scripts; a durable generation stores the
+// tuples in its page file instead of snapshotFiles' CSVs. The version is
 // immutable, so no lock is needed.
 func (v *dbVersion) metaFiles() map[string][]byte {
 	var schema strings.Builder
@@ -52,7 +52,7 @@ func (v *dbVersion) metaFiles() map[string][]byte {
 
 // snapshotFiles renders one database version as metaFiles plus
 // data/REL.csv, one CSV per base relation. The same rendering backs the
-// flat Save layout, the memory layout's snapshot generations, and the
+// flat Save layout, replication snapshots, epoch quarantines, and the
 // crash-recovery tests' state fingerprints.
 func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
 	files := v.metaFiles()
@@ -67,7 +67,7 @@ func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
 }
 
 // snapshotFiles renders the head version. Writers that need the state
-// they just built (checkpoints, epoch quarantine) call this after
+// they just built (epoch quarantine) call this after
 // publishLocked, so the head is exactly their state; readers get
 // whatever version is current at the atomic load.
 func (e *Engine) snapshotFiles() (map[string][]byte, error) {
@@ -149,7 +149,7 @@ func Load(dir string, opt core.Options) (*Engine, error) {
 // layout; also the inside of a durable snapshot generation), reading
 // through fs. Both layouts replay schema.authdb and views.authdb as
 // statements; the tuples between them come from ps's trees when the
-// generation is paged, else from data/REL.csv. Errors carry the file
+// generation holds a ROOT, else from data/REL.csv. Errors carry the file
 // and, for replayed statements, the line that failed.
 func loadState(fs faultfs.FS, dir string, opt core.Options, ps *storage.Store) (*Engine, error) {
 	e := New(opt)

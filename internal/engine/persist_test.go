@@ -122,13 +122,11 @@ func showPermissions(t *testing.T, e *engine.Engine) string {
 // TestCheckpointOmitsEmptiedUser revokes a user's only view, checkpoints
 // and reopens: the user keeps a record in memory (its permit generation)
 // but must not reach the written PERMISSION, and `show permissions` must
-// read the same before and after reopening. It reads the memory layout's
-// views.authdb, so it pins that backend; TestPagedOmitsEmptiedUser is its
-// paged twin.
+// read the same before and after reopening. TestPagedOmitsEmptiedUser
+// covers a revoke that only the WAL holds when the directory reopens.
 func TestCheckpointOmitsEmptiedUser(t *testing.T) {
 	dir := t.TempDir()
-	memory := engine.StorageConfig{Backend: engine.StorageMemory}
-	e, err := engine.OpenDurableStorage(dir, core.DefaultOptions(), memory)
+	e, err := engine.OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +155,7 @@ func TestCheckpointOmitsEmptiedUser(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := engine.OpenDurableStorage(dir, core.DefaultOptions(), memory)
+	back, err := engine.OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

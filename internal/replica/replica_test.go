@@ -281,7 +281,7 @@ func TestReplicaKillMidBatchResumes(t *testing.T) {
 	dir := t.TempDir()
 	fs := faultfs.NewFaulty(faultfs.OS())
 	fs.ShortWrites = true
-	eng, err := engine.OpenDurableFS(fs, dir, core.DefaultOptions())
+	eng, err := engine.OpenDurableFS(fs, dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestReplicaKillMidBatchResumes(t *testing.T) {
 	// "Restart the process": reopen the directory on the real
 	// filesystem. Recovery keeps the valid WAL prefix and drops the torn
 	// record, so the persisted LSN may trail the crash point.
-	recovered, err := engine.OpenDurable(dir, core.DefaultOptions())
+	recovered, err := engine.OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestReplicaWALTruncatedAtPartialRecord(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	eng, err := engine.OpenDurable(dir, core.DefaultOptions())
+	eng, err := engine.OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestReplicaWALTruncatedAtPartialRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, err := engine.OpenDurable(dir, core.DefaultOptions())
+	recovered, err := engine.OpenDurable(dir, core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
-// Package storage is the paged on-disk backend: fixed-size slotted
-// pages, a pager with an LRU buffer cache and pin/unpin semantics, and
-// one copy-on-write B+Tree per relation, keyed by the whole encoded
-// tuple. It holds tuples only: the engine writes each inserted or
-// deleted tuple through to a Store, and a checkpoint flushes only the
-// dirty pages and commits a tiny ROOT file beside the generation's
-// schema and view scripts, behind the existing CURRENT pointer protocol
-// (DESIGN.md §16).
+// Package storage is the on-disk page store: fixed-size slotted pages,
+// a pager with an LRU buffer cache and pin/unpin semantics, and one
+// copy-on-write B+Tree per relation, keyed by the whole encoded tuple.
+// It holds tuples only. Statements never reach it: at each checkpoint
+// the engine applies the tuples inserted and deleted since the last
+// one, flushes only the dirty pages, and commits a tiny ROOT file
+// beside the generation's schema and view scripts, behind the existing
+// CURRENT pointer protocol (DESIGN.md §16).
 package storage
 
 import (

@@ -35,7 +35,7 @@ type table struct {
 	tree  *Tree
 }
 
-// Store is the paged backend for one database directory: the pager and
+// Store is the page store of one database directory: the pager and
 // one table per relation. It holds tuples only; the meta-database
 // (schemas, views, permits) lives beside ROOT in the generation's
 // schema.authdb and views.authdb.
@@ -77,7 +77,7 @@ func (s *Store) parseRoot(root []byte) error {
 	switch strings.TrimSpace(lines[0]) {
 	case rootMagic:
 	case rootMagicV1:
-		return fmt.Errorf("storage: ROOT is %s, which this build no longer reads; open the directory with the previous build and -storage memory, then reopen it with -storage paged", rootMagicV1)
+		return fmt.Errorf("storage: ROOT is %s, which this build no longer reads; open the directory once with an earlier build that reads it, passing -storage memory, then open it with this build", rootMagicV1)
 	default:
 		return fmt.Errorf("storage: bad ROOT magic")
 	}
