@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race chaos fuzz fuzz-wire fuzz-root fuzz-page fuzz-codec fuzz-wal fuzz-render fuzz-parser bench benchgo bench-reply
+.PHONY: check build fmt vet staticcheck test race chaos loc fuzz fuzz-wire fuzz-root fuzz-page fuzz-codec fuzz-wal fuzz-render fuzz-parser bench benchgo bench-reply
 
 check: build fmt vet staticcheck race
 
@@ -40,6 +40,11 @@ race:
 # per-schedule operation histories (CI uploads them on failure).
 chaos:
 	$(GO) test -race -v -run 'TestChaos' ./internal/chaosnet
+
+# Prints the number of non-test Go lines outside bench/: the one size
+# figure a change that removes code reports.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 # Short exploratory fuzz pass over the session executor (seeded from
 # internal/engine/testdata/fuzz).

@@ -282,14 +282,6 @@ func (s *Session) SetLimits(l Limits) *Session {
 	return s
 }
 
-// SetReadOnly makes the session reject mutating statements with
-// engine.ErrReadOnly; replicas serve every connection read-only. It
-// returns the session for chaining.
-func (s *Session) SetReadOnly(on bool) *Session {
-	s.s.SetReadOnly(on)
-	return s
-}
-
 // Cell is one delivered value: a string, an integer, or null (withheld).
 type Cell struct {
 	v value.Value

@@ -253,10 +253,6 @@ type Session struct {
 	user   string
 	admin  bool
 	limits guard.Limits
-	// readOnly rejects mutating statements with ErrReadOnly; the network
-	// server sets it on every session of a replica so writes are
-	// answered with the READ_ONLY code naming the primary.
-	readOnly bool
 	// asyncCommit makes mutating statements return as soon as they are
 	// applied and staged for the WAL, without waiting for the shared
 	// fsync; the replication applier uses it to batch a whole REPL_BATCH
@@ -291,11 +287,6 @@ func (s *Session) User() string { return s.user }
 // SetLimits replaces the session's per-statement resource limits. Zero
 // fields are unlimited.
 func (s *Session) SetLimits(l guard.Limits) { s.limits = l }
-
-// SetReadOnly makes the session reject mutating statements with
-// ErrReadOnly (retrievals, explains, and shows still work). Replica
-// servers mark every connection's session read-only.
-func (s *Session) SetReadOnly(on bool) { s.readOnly = on }
 
 // SetAsyncCommit makes mutating statements return once applied and
 // staged, without waiting for WAL durability; pair with
@@ -371,7 +362,7 @@ func (s *Session) ExecStmtContext(ctx context.Context, p parser.Stmt) (res *Resu
 	if ctx != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", guard.ErrCanceled, ctx.Err())
 	}
-	if (s.readOnly || (!s.applier && s.eng.roleReadOnly.Load())) && Mutating(p) {
+	if !s.applier && s.eng.roleReadOnly.Load() && Mutating(p) {
 		return nil, fmt.Errorf("%w: %s is a write", ErrReadOnly, stmtKind(p))
 	}
 	res, err = s.execStmt(ctx, p)

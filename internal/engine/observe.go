@@ -29,8 +29,9 @@ var ErrNotAuthorized = errors.New("not authorized")
 // statement failed but the engine keeps serving. Test with errors.Is.
 var ErrInternal = errors.New("internal error")
 
-// ErrReadOnly reports a mutating statement on a read-only session — a
-// replica serving reads while the primary owns the statement log. Test
+// ErrReadOnly reports a mutating statement on an engine fenced
+// read-only (SetRoleReadOnly) — a replica serving reads while the
+// primary owns the statement log. Test
 // with errors.Is; the wire protocol maps it to READ_ONLY and names the
 // primary.
 var ErrReadOnly = errors.New("read-only replica")

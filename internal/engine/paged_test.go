@@ -103,6 +103,34 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
+// fixtureCopy copies fixture's durable directory into a fresh temporary
+// directory and returns it with the state fingerprint and the
+// fixtureAnswers the build that wrote the fixture gave.
+func fixtureCopy(t *testing.T, fixture string) (dir, wantFP, wantAns string) {
+	t.Helper()
+	want := func(name string) string {
+		b, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	dir = t.TempDir()
+	copyDir(t, filepath.Join(fixture, "db"), dir)
+	return dir, want("fingerprint.txt"), want("answers.txt")
+}
+
+// checkFixtureState holds e to a fixture's fingerprint and answers.
+func checkFixtureState(t *testing.T, step string, e *Engine, wantFP, wantAns string) {
+	t.Helper()
+	if got := fingerprint(t, e); got != wantFP {
+		t.Fatalf("%s: fingerprint differs from the fixture's:\ngot:\n%s\nwant:\n%s", step, got, wantFP)
+	}
+	if got := fixtureAnswers(t, e); got != wantAns {
+		t.Fatalf("%s: masked answers differ from the fixture's:\ngot:\n%s\nwant:\n%s", step, got, wantAns)
+	}
+}
+
 // TestPagedBackendDifferential opens csvFixture, a generation of data
 // CSVs plus a WAL, and holds the page store to what the memory backend
 // that wrote it answered: the state fingerprint and the masked per-user
@@ -110,16 +138,7 @@ func copyDir(t *testing.T, src, dst string) {
 // the directory, committing a ROOT generation with no data directory,
 // and a second open must read the same state back from the pages.
 func TestPagedBackendDifferential(t *testing.T) {
-	want := func(name string) string {
-		b, err := os.ReadFile(filepath.Join(csvFixture, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	wantFP, wantAns := want("fingerprint.txt"), want("answers.txt")
-	dir := t.TempDir()
-	copyDir(t, filepath.Join(csvFixture, "db"), dir)
+	dir, wantFP, wantAns := fixtureCopy(t, csvFixture)
 	for _, step := range []string{"converting open", "reopen"} {
 		e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
 		if err != nil {
@@ -132,16 +151,42 @@ func TestPagedBackendDifferential(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(snap, "data")); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("%s: committed generation has a data directory (%v)", step, err)
 		}
-		if got := fingerprint(t, e); got != wantFP {
-			t.Fatalf("%s: fingerprint differs from the CSV generation's:\ngot:\n%s\nwant:\n%s", step, got, wantFP)
-		}
-		if got := fixtureAnswers(t, e); got != wantAns {
-			t.Fatalf("%s: masked answers differ from the CSV generation's:\ngot:\n%s\nwant:\n%s", step, got, wantAns)
-		}
+		checkFixtureState(t, step, e, wantFP, wantAns)
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// root2Fixture is a durable directory that an earlier build wrote with
+// gen.sh beside it: a pages.db of a few dozen pages holding two
+// relations, some of whose tuple keys spill to overflow chains, after a
+// checkpoint, deletes that freed pages and chains, and a second
+// checkpoint.
+const root2Fixture = "testdata/paged-root2"
+
+// TestPagedRoot2Fixture reads a page file another build wrote: the
+// opened state and the masked answers must be that build's, and must
+// stay so across a checkpoint and a reopen.
+func TestPagedRoot2Fixture(t *testing.T) {
+	dir, wantFP, wantAns := fixtureCopy(t, root2Fixture)
+	e, err := OpenDurable(dir, core.DefaultOptions(), tinyCachePages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFixtureState(t, "open", e, wantFP, wantAns)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, err = OpenDurable(dir, core.DefaultOptions(), tinyCachePages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	checkFixtureState(t, "reopen", e, wantFP, wantAns)
 }
 
 // TestPagedTinyCacheWorkload drives a paged engine whose resident set

@@ -600,9 +600,8 @@ func (s *Server) authenticate(h wire.Hello) (*authdb.Session, *wire.Error) {
 		subtle.ConstantTimeCompare([]byte(h.Token), []byte(s.cfg.AdminToken)) != 1 {
 		return nil, &wire.Error{Code: wire.CodeNotAuthorized, Message: "bad admin token"}
 	}
-	// No per-session SetReadOnly here: replica read-onlyness is the
-	// engine-wide role fence, so promotion and demotion reach sessions
-	// opened before the role changed.
+	// Replica read-onlyness is the engine-wide role fence, so promotion
+	// and demotion reach sessions opened before the role changed.
 	return s.db.SessionFor(h.User, h.Admin).SetLimits(s.cfg.Limits), nil
 }
 

@@ -5,7 +5,8 @@ import (
 	"fmt"
 )
 
-// Tree is a copy-on-write B+Tree over a pager. Interior cells hold
+// Tree is a copy-on-write B+Tree over a pager holding a set of keys:
+// Insert, Delete and an ordered Scan are all it does. Interior cells hold
 // (separator, child) with the invariant that child's keys are ≤ the
 // separator; the node's right pointer holds keys greater than every
 // separator. Mutations shadow the descent path (pager.Shadow), so the
@@ -34,31 +35,24 @@ func (t *Tree) cellKey(c *cell) ([]byte, error) {
 	if c.keyOvf == 0 {
 		return c.key, nil
 	}
-	return t.readOverflow(c.keyOvf, int(c.keyLen))
-}
-
-// cellVal returns the full value bytes of c.
-func (t *Tree) cellVal(c *cell) ([]byte, error) {
-	if c.valOvf == 0 {
-		return c.val, nil
-	}
-	return t.readOverflow(c.valOvf, int(c.valLen))
+	var key []byte
+	err := t.walkOverflow(c.keyOvf, int(c.keyLen), func(_ uint32, n *node) {
+		key = append(key, n.data...)
+	})
+	return key, err
 }
 
 const ovfChunk = PageSize - pageHdrSize
 
-// writeOverflow spills data into a chain of overflow pages and returns
-// the first page number. Chains are write-once: they are created whole
-// and freed whole.
-func (t *Tree) writeOverflow(data []byte) (uint32, error) {
+// writeOverflow spills key into a chain of overflow pages, every one
+// full but the last, and returns the first page number. Chains are
+// write-once: they are created whole and freed whole.
+func (t *Tree) writeOverflow(key []byte) (uint32, error) {
 	next := uint32(0)
 	// Build back-to-front so each page links to its successor.
-	for off := ((len(data) - 1) / ovfChunk) * ovfChunk; off >= 0; off -= ovfChunk {
-		end := off + ovfChunk
-		if end > len(data) {
-			end = len(data)
-		}
-		no, err := t.pg.Alloc(&node{typ: pageOverflow, data: append([]byte(nil), data[off:end]...), right: next})
+	for off := ((len(key) - 1) / ovfChunk) * ovfChunk; off >= 0; off -= ovfChunk {
+		end := min(off+ovfChunk, len(key))
+		no, err := t.pg.Alloc(&node{typ: pageOverflow, data: append([]byte(nil), key[off:end]...), right: next})
 		if err != nil {
 			return 0, err
 		}
@@ -67,37 +61,57 @@ func (t *Tree) writeOverflow(data []byte) (uint32, error) {
 	return next, nil
 }
 
-// readOverflow reassembles a spilled key or value of the given total
-// length.
-func (t *Tree) readOverflow(first uint32, total int) ([]byte, error) {
-	out := make([]byte, 0, total)
-	for no := first; no != 0; {
-		n, err := t.pg.Get(no)
-		if err != nil {
-			return nil, err
-		}
-		if n.typ != pageOverflow {
-			return nil, fmt.Errorf("storage: page %d in overflow chain has type %d", no, n.typ)
-		}
-		out = append(out, n.data...)
-		no = n.right
+// walkOverflow visits, in order, the pages of the chain at first that
+// holds a key of total bytes. The walk is bounded by the length: the
+// chain must be exactly ⌈total/ovfChunk⌉ pages, each full but the last,
+// and a chain that is shorter, longer or cyclic (which never ends) is an
+// error. A chain cannot have more pages than the file, so a corrupt
+// length costs at most one pass over the file.
+func (t *Tree) walkOverflow(first uint32, total int, fn func(no uint32, n *node)) error {
+	pages := (total + ovfChunk - 1) / ovfChunk
+	if pages > int(t.pg.Stats().Pages) {
+		return fmt.Errorf("storage: %d-byte overflow key outgrows the page file", total)
 	}
-	if len(out) != total {
-		return nil, fmt.Errorf("storage: overflow chain holds %d bytes, want %d", len(out), total)
-	}
-	return out, nil
-}
-
-// freeOverflow releases a whole chain into the pending free list.
-func (t *Tree) freeOverflow(first uint32) error {
-	for no := first; no != 0; {
+	no := first
+	for i := range pages {
+		if no == 0 {
+			return fmt.Errorf("storage: overflow chain at page %d ends after %d of %d pages", first, i, pages)
+		}
 		n, err := t.pg.Get(no)
 		if err != nil {
 			return err
 		}
+		if n.typ != pageOverflow {
+			return fmt.Errorf("storage: page %d in overflow chain has type %d", no, n.typ)
+		}
+		if want := min(ovfChunk, total-i*ovfChunk); len(n.data) != want {
+			return fmt.Errorf("storage: overflow page %d holds %d bytes, want %d", no, len(n.data), want)
+		}
 		next := n.right
-		t.pg.Free(no)
+		fn(no, n)
 		no = next
+	}
+	if no != 0 {
+		return fmt.Errorf("storage: overflow chain at page %d runs past its %d pages", first, pages)
+	}
+	return nil
+}
+
+// freeOverflow releases c's key chain into the pending free list; an
+// inline key has none. The chain is walked whole before any page is
+// freed, so a corrupt chain frees nothing.
+func (t *Tree) freeOverflow(c *cell) error {
+	if c.keyOvf == 0 {
+		return nil
+	}
+	var pages []uint32
+	if err := t.walkOverflow(c.keyOvf, int(c.keyLen), func(no uint32, _ *node) {
+		pages = append(pages, no)
+	}); err != nil {
+		return err
+	}
+	for _, no := range pages {
+		t.pg.Free(no)
 	}
 	return nil
 }
@@ -116,24 +130,6 @@ func (t *Tree) makeKeyCell(key []byte) (cell, error) {
 	}
 	c.keyOvf, c.keyLen = no, uint32(len(key))
 	return c, nil
-}
-
-// setCellVal installs val into c (copied), spilling when oversized. Any
-// previous value spill must already be freed by the caller.
-func (t *Tree) setCellVal(c *cell, val []byte) error {
-	c.val, c.valOvf, c.valLen = nil, 0, 0
-	if len(val) <= maxInlineVal {
-		if len(val) > 0 {
-			c.val = append([]byte(nil), val...)
-		}
-		return nil
-	}
-	no, err := t.writeOverflow(val)
-	if err != nil {
-		return err
-	}
-	c.valOvf, c.valLen = no, uint32(len(val))
-	return nil
 }
 
 // lowerBound returns the first cell index whose key is ≥ key (for
@@ -163,43 +159,11 @@ func (t *Tree) lowerBound(n *node, key []byte) (int, bool, error) {
 	return lo, false, nil
 }
 
-// Get returns the value stored under key.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	no := t.root
-	for no != 0 {
-		n, err := t.pg.Get(no)
-		if err != nil {
-			return nil, false, err
-		}
-		i, eq, err := t.lowerBound(n, key)
-		if err != nil {
-			return nil, false, err
-		}
-		if n.typ == pageInterior {
-			if i < len(n.cells) {
-				no = n.cells[i].child
-			} else {
-				no = n.right
-			}
-			continue
-		}
-		if !eq {
-			return nil, false, nil
-		}
-		v, err := t.cellVal(&n.cells[i])
-		return v, true, err
-	}
-	return nil, false, nil
-}
-
-// Put inserts or replaces key → val.
-func (t *Tree) Put(key, val []byte) error {
+// Insert adds key; a key already present is left alone.
+func (t *Tree) Insert(key []byte) error {
 	if t.root == 0 {
 		c, err := t.makeKeyCell(key)
 		if err != nil {
-			return err
-		}
-		if err := t.setCellVal(&c, val); err != nil {
 			return err
 		}
 		no, err := t.pg.Alloc(&node{typ: pageLeaf, cells: []cell{c}})
@@ -209,7 +173,7 @@ func (t *Tree) Put(key, val []byte) error {
 		t.root = no
 		return nil
 	}
-	newRoot, sp, err := t.put(t.root, key, val)
+	newRoot, sp, err := t.insert(t.root, key)
 	if err != nil {
 		return err
 	}
@@ -226,7 +190,7 @@ func (t *Tree) Put(key, val []byte) error {
 	return nil
 }
 
-func (t *Tree) put(no uint32, key, val []byte) (uint32, *split, error) {
+func (t *Tree) insert(no uint32, key []byte) (uint32, *split, error) {
 	sno, n, err := t.pg.Shadow(no)
 	if err != nil {
 		return 0, nil, err
@@ -237,31 +201,16 @@ func (t *Tree) put(no uint32, key, val []byte) (uint32, *split, error) {
 	defer t.pg.Unpin(sno)
 	if n.typ == pageLeaf {
 		i, eq, err := t.lowerBound(n, key)
+		if err != nil || eq {
+			return sno, nil, err
+		}
+		c, err := t.makeKeyCell(key)
 		if err != nil {
 			return 0, nil, err
 		}
-		if eq {
-			c := &n.cells[i]
-			if c.valOvf != 0 {
-				if err := t.freeOverflow(c.valOvf); err != nil {
-					return 0, nil, err
-				}
-			}
-			if err := t.setCellVal(c, val); err != nil {
-				return 0, nil, err
-			}
-		} else {
-			c, err := t.makeKeyCell(key)
-			if err != nil {
-				return 0, nil, err
-			}
-			if err := t.setCellVal(&c, val); err != nil {
-				return 0, nil, err
-			}
-			n.cells = append(n.cells, cell{})
-			copy(n.cells[i+1:], n.cells[i:])
-			n.cells[i] = c
-		}
+		n.cells = append(n.cells, cell{})
+		copy(n.cells[i+1:], n.cells[i:])
+		n.cells[i] = c
 		if nodeSize(n) <= PageSize {
 			return sno, nil, nil
 		}
@@ -278,7 +227,7 @@ func (t *Tree) put(no uint32, key, val []byte) (uint32, *split, error) {
 	} else {
 		childNo = n.right
 	}
-	nc, sp, err := t.put(childNo, key, val)
+	nc, sp, err := t.insert(childNo, key)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -370,28 +319,25 @@ func splitPoint(n *node) int {
 	return len(n.cells) - 1
 }
 
-// Delete removes key, reporting whether it was present.
-func (t *Tree) Delete(key []byte) (bool, error) {
+// Delete removes key; an absent key is a no-op.
+func (t *Tree) Delete(key []byte) error {
 	if t.root == 0 {
-		return false, nil
+		return nil
 	}
 	newNo, removed, emptied, err := t.del(t.root, key)
-	if err != nil {
-		return false, err
-	}
-	if !removed {
-		return false, nil
+	if err != nil || !removed {
+		return err
 	}
 	if emptied {
 		t.root = 0
-		return true, nil
+		return nil
 	}
 	t.root = newNo
 	// Collapse cell-less interior roots left behind by lazy deletion.
 	for t.root != 0 {
 		n, err := t.pg.Get(t.root)
 		if err != nil {
-			return true, err
+			return err
 		}
 		if n.typ != pageInterior || len(n.cells) > 0 {
 			break
@@ -400,7 +346,7 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 		t.root = n.right
 		t.pg.Free(old)
 	}
-	return true, nil
+	return nil
 }
 
 // del removes key under no, returning the (possibly shadowed)
@@ -423,16 +369,8 @@ func (t *Tree) del(no uint32, key []byte) (uint32, bool, bool, error) {
 		if err != nil {
 			return 0, false, false, err
 		}
-		c := sn.cells[i]
-		if c.keyOvf != 0 {
-			if err := t.freeOverflow(c.keyOvf); err != nil {
-				return 0, false, false, err
-			}
-		}
-		if c.valOvf != 0 {
-			if err := t.freeOverflow(c.valOvf); err != nil {
-				return 0, false, false, err
-			}
+		if err := t.freeOverflow(&sn.cells[i]); err != nil {
+			return 0, false, false, err
 		}
 		sn.cells = append(sn.cells[:i], sn.cells[i+1:]...)
 		if len(sn.cells) == 0 {
@@ -473,10 +411,8 @@ func (t *Tree) del(no uint32, key []byte) (uint32, bool, bool, error) {
 	// The descended child vanished: drop its pointer. Removing a
 	// separator only loosens lower bounds, which search never relies on.
 	if i < len(sn.cells) {
-		if sn.cells[i].keyOvf != 0 {
-			if err := t.freeOverflow(sn.cells[i].keyOvf); err != nil {
-				return 0, false, false, err
-			}
+		if err := t.freeOverflow(&sn.cells[i]); err != nil {
+			return 0, false, false, err
 		}
 		sn.cells = append(sn.cells[:i], sn.cells[i+1:]...)
 		return sno, true, false, nil
@@ -487,36 +423,32 @@ func (t *Tree) del(no uint32, key []byte) (uint32, bool, bool, error) {
 	}
 	last := len(sn.cells) - 1
 	sn.right = sn.cells[last].child
-	if sn.cells[last].keyOvf != 0 {
-		if err := t.freeOverflow(sn.cells[last].keyOvf); err != nil {
-			return 0, false, false, err
-		}
+	if err := t.freeOverflow(&sn.cells[last]); err != nil {
+		return 0, false, false, err
 	}
 	sn.cells = sn.cells[:last]
 	return sno, true, false, nil
 }
 
-// Scan walks every key in order; fn returns false to stop early.
-func (t *Tree) Scan(fn func(key, val []byte) (bool, error)) error {
+// Scan calls fn on every key in order.
+func (t *Tree) Scan(fn func(key []byte) error) error {
 	if t.root == 0 {
 		return nil
 	}
-	_, err := t.scan(t.root, fn)
-	return err
+	return t.scan(t.root, fn)
 }
 
-func (t *Tree) scan(no uint32, fn func(key, val []byte) (bool, error)) (bool, error) {
+func (t *Tree) scan(no uint32, fn func(key []byte) error) error {
 	n, err := t.pg.Get(no)
 	if err != nil {
-		return false, err
+		return err
 	}
 	t.pg.pin(no)
 	defer t.pg.Unpin(no)
 	if n.typ == pageInterior {
 		for i := range n.cells {
-			cont, err := t.scan(n.cells[i].child, fn)
-			if err != nil || !cont {
-				return cont, err
+			if err := t.scan(n.cells[i].child, fn); err != nil {
+				return err
 			}
 		}
 		return t.scan(n.right, fn)
@@ -524,16 +456,11 @@ func (t *Tree) scan(no uint32, fn func(key, val []byte) (bool, error)) (bool, er
 	for i := range n.cells {
 		k, err := t.cellKey(&n.cells[i])
 		if err != nil {
-			return false, err
+			return err
 		}
-		v, err := t.cellVal(&n.cells[i])
-		if err != nil {
-			return false, err
-		}
-		cont, err := fn(k, v)
-		if err != nil || !cont {
-			return cont, err
+		if err := fn(k); err != nil {
+			return err
 		}
 	}
-	return true, nil
+	return nil
 }

@@ -1,11 +1,16 @@
 // Package storage is the on-disk page store: fixed-size slotted pages,
 // a pager with an LRU buffer cache and pin/unpin semantics, and one
-// copy-on-write B+Tree per relation, keyed by the whole encoded tuple.
-// It holds tuples only. Statements never reach it: at each checkpoint
-// the engine applies the tuples inserted and deleted since the last
-// one, flushes only the dirty pages, and commits a tiny ROOT file
-// beside the generation's schema and view scripts, behind the existing
-// CURRENT pointer protocol (DESIGN.md §16).
+// copy-on-write B+Tree per relation holding the set of its encoded
+// tuples. A tree is a set of keys: a leaf cell carries a key and the
+// zero byte of an empty value, kept so that every page file written
+// under AUTHDBROOT2 reads as it is, and a key too long to sit inline
+// spills into an overflow chain that holds key bytes only and is read
+// and freed by walking exactly the pages its length calls for (see
+// page.go). It holds tuples only. Statements never reach it: at each
+// checkpoint the engine applies the tuples inserted and deleted since
+// the last one, flushes only the dirty pages, and commits a tiny ROOT
+// file beside the generation's schema and view scripts, behind the
+// existing CURRENT pointer protocol (DESIGN.md §16).
 package storage
 
 import (

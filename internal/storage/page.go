@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // PageSize is the fixed on-disk page size. 4KiB matches the common
@@ -30,7 +31,20 @@ const (
 //	[14:16] reserved
 //
 // A slot array of uint16 cell offsets follows at byte 16; cell bodies
-// are packed from the page tail downward.
+// are packed from the page tail downward. A cell is a flags byte (bit 0:
+// the key is spilled), then either uvarint(len) and the key bytes, or
+// uvarint(len) and the uint32 first page of the key's overflow chain,
+// then on an interior page the uint32 child, and on a leaf page one zero
+// byte. That byte is the length of an empty value: the tree once mapped
+// keys to values, no build writing AUTHDBROOT2 ever stored a non-empty
+// one, and keeping the byte keeps every page file written since readable
+// as it is. The decoder refuses a leaf cell whose value byte is not zero
+// and any cell with a flag other than bit 0 (bit 1 marked a spilled
+// value).
+//
+// An overflow page carries one fragment of a spilled key: every page of
+// a chain is full but the last, so a chain holding a key of len bytes is
+// exactly ⌈len/ovfChunk⌉ pages long.
 const (
 	pageHdrSize  = 16
 	offType      = 0
@@ -40,24 +54,18 @@ const (
 	offCellStart = 12
 )
 
-// Inline size caps. Keys or values longer than these spill to overflow
-// chains, which guarantees a leaf/interior page always fits at least
-// two cells and a split always has a non-empty left and right half.
-const (
-	maxInlineKey = (PageSize - pageHdrSize) / 8
-	maxInlineVal = (PageSize - pageHdrSize) / 4
-)
+// maxInlineKey caps an inline key; a longer one spills to an overflow
+// chain, which guarantees a leaf/interior page always fits at least two
+// cells and a split always has a non-empty left and right half.
+const maxInlineKey = (PageSize - pageHdrSize) / 8
 
-// cell is one decoded slot. For inline keys/values the byte slices are
-// set; for spilled ones the ovf page number and total length are set
-// instead. child is the subtree pointer on interior pages.
+// cell is one decoded slot. An inline key sets key; a spilled one sets
+// keyOvf, its chain's first page, and keyLen, its total length. child
+// is the subtree pointer on interior pages.
 type cell struct {
 	key    []byte
 	keyOvf uint32
 	keyLen uint32
-	val    []byte
-	valOvf uint32
-	valLen uint32
 	child  uint32
 }
 
@@ -81,15 +89,9 @@ func cellWireSize(typ byte, c *cell) int {
 		n += uvarintLen(uint64(len(c.key))) + len(c.key)
 	}
 	if typ == pageLeaf {
-		if c.valOvf != 0 {
-			n += uvarintLen(uint64(c.valLen)) + 4
-		} else {
-			n += uvarintLen(uint64(len(c.val))) + len(c.val)
-		}
-	} else {
-		n += 4 // child
+		return n + 1 // the empty value
 	}
-	return n
+	return n + 4 // child
 }
 
 func uvarintLen(v uint64) int {
@@ -143,17 +145,11 @@ func encodePage(n *node) ([]byte, error) {
 		}
 		binary.LittleEndian.PutUint16(buf[slot:], uint16(top))
 		slot += 2
-		p := top
-		var flags byte
+		// The flags byte of an inline key and the zero byte that ends a
+		// leaf cell are already in the fresh buffer.
+		p := top + 1
 		if c.keyOvf != 0 {
-			flags |= 1
-		}
-		if c.valOvf != 0 {
-			flags |= 2
-		}
-		buf[p] = flags
-		p++
-		if c.keyOvf != 0 {
+			buf[top] = 1
 			p += binary.PutUvarint(buf[p:], uint64(c.keyLen))
 			binary.LittleEndian.PutUint32(buf[p:], c.keyOvf)
 			p += 4
@@ -161,18 +157,8 @@ func encodePage(n *node) ([]byte, error) {
 			p += binary.PutUvarint(buf[p:], uint64(len(c.key)))
 			p += copy(buf[p:], c.key)
 		}
-		if n.typ == pageLeaf {
-			if c.valOvf != 0 {
-				p += binary.PutUvarint(buf[p:], uint64(c.valLen))
-				binary.LittleEndian.PutUint32(buf[p:], c.valOvf)
-				p += 4
-			} else {
-				p += binary.PutUvarint(buf[p:], uint64(len(c.val)))
-				p += copy(buf[p:], c.val)
-			}
-		} else {
+		if n.typ == pageInterior {
 			binary.LittleEndian.PutUint32(buf[p:], c.child)
-			p += 4
 		}
 	}
 	binary.LittleEndian.PutUint16(buf[offCellStart:], uint16(top))
@@ -226,6 +212,9 @@ func decodePage(buf []byte) (*node, error) {
 			return nil, fmt.Errorf("storage: cell %d truncated", i)
 		}
 		flags := p[0]
+		if flags&^1 != 0 {
+			return nil, fmt.Errorf("storage: cell %d has flags %#x", i, flags)
+		}
 		p = p[1:]
 		klen, m := binary.Uvarint(p)
 		if m <= 0 {
@@ -236,8 +225,12 @@ func decodePage(buf []byte) (*node, error) {
 			if len(p) < 4 {
 				return nil, fmt.Errorf("storage: cell %d truncated key overflow", i)
 			}
-			c.keyLen = uint32(klen)
 			c.keyOvf = binary.LittleEndian.Uint32(p)
+			// No build spills a key that fits inline.
+			if c.keyOvf == 0 || klen <= maxInlineKey || klen > math.MaxUint32 {
+				return nil, fmt.Errorf("storage: cell %d spilled key of length %d at page %d", i, klen, c.keyOvf)
+			}
+			c.keyLen = uint32(klen)
 			p = p[4:]
 		} else {
 			if uint64(len(p)) < klen || klen > PageSize {
@@ -247,22 +240,8 @@ func decodePage(buf []byte) (*node, error) {
 			p = p[klen:]
 		}
 		if n.typ == pageLeaf {
-			vlen, m := binary.Uvarint(p)
-			if m <= 0 {
-				return nil, fmt.Errorf("storage: cell %d bad value length", i)
-			}
-			p = p[m:]
-			if flags&2 != 0 {
-				if len(p) < 4 {
-					return nil, fmt.Errorf("storage: cell %d truncated value overflow", i)
-				}
-				c.valLen = uint32(vlen)
-				c.valOvf = binary.LittleEndian.Uint32(p)
-			} else {
-				if uint64(len(p)) < vlen || vlen > PageSize {
-					return nil, fmt.Errorf("storage: cell %d value length %d out of range", i, vlen)
-				}
-				c.val = append([]byte(nil), p[:vlen]...)
+			if len(p) < 1 || p[0] != 0 {
+				return nil, fmt.Errorf("storage: leaf cell %d holds a value", i)
 			}
 		} else {
 			if len(p) < 4 {

@@ -247,18 +247,6 @@ func (pg *pager) freeLocked(no uint32) {
 	pg.pendingFree = append(pg.pendingFree, no)
 }
 
-// Pin prevents the page's frame from eviction until Unpin.
-func (pg *pager) Pin(no uint32) (*node, error) {
-	pg.mu.Lock()
-	defer pg.mu.Unlock()
-	f, err := pg.frameLocked(no)
-	if err != nil {
-		return nil, err
-	}
-	f.pins++
-	return f.n, nil
-}
-
 // pin increments the pin count of an already-resident frame without
 // touching the hit/miss counters (used on pages just obtained via Get
 // or Shadow). A non-resident page is a no-op: there is nothing to keep.

@@ -2,12 +2,15 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"authdb/internal/faultfs"
 	"authdb/internal/value"
@@ -50,8 +53,8 @@ func TestValueCodecRoundTripAndOrder(t *testing.T) {
 func TestPageRoundTrip(t *testing.T) {
 	nodes := []*node{
 		{typ: pageLeaf},
-		{typ: pageLeaf, cells: []cell{{key: []byte("k"), val: []byte("v")}, {key: []byte("k2")}}},
-		{typ: pageLeaf, cells: []cell{{keyOvf: 9, keyLen: 5000, valOvf: 12, valLen: 9000}}},
+		{typ: pageLeaf, cells: []cell{{key: []byte("k")}, {key: []byte("k2")}}},
+		{typ: pageLeaf, cells: []cell{{keyOvf: 9, keyLen: 5000}}},
 		{typ: pageInterior, right: 44, cells: []cell{{key: []byte("m"), child: 7}, {keyOvf: 3, keyLen: 600, child: 8}}},
 		{typ: pageOverflow, right: 5, data: bytes.Repeat([]byte{0xAB}, ovfChunk)},
 	}
@@ -69,18 +72,58 @@ func TestPageRoundTrip(t *testing.T) {
 		}
 		for j := range n.cells {
 			a, b := n.cells[j], got.cells[j]
-			if !bytes.Equal(a.key, b.key) || a.keyOvf != b.keyOvf || a.keyLen != b.keyLen ||
-				!bytes.Equal(a.val, b.val) || a.valOvf != b.valOvf || a.valLen != b.valLen || a.child != b.child {
+			if !bytes.Equal(a.key, b.key) || a.keyOvf != b.keyOvf || a.keyLen != b.keyLen || a.child != b.child {
 				t.Fatalf("node %d cell %d mismatch: %+v vs %+v", i, j, a, b)
 			}
 		}
 	}
 }
 
+// rawLeaf builds a CRC-valid leaf page image holding one cell whose
+// body is given byte for byte.
+func rawLeaf(body []byte) []byte {
+	buf := make([]byte, PageSize)
+	top := PageSize - len(body)
+	buf[offType] = pageLeaf
+	binary.LittleEndian.PutUint16(buf[offNCells:], 1)
+	binary.LittleEndian.PutUint16(buf[pageHdrSize:], uint16(top))
+	binary.LittleEndian.PutUint16(buf[offCellStart:], uint16(top))
+	copy(buf[top:], body)
+	stampCRC(buf)
+	return buf
+}
+
+// spilledKeyCell is the body of a leaf cell whose key of klen bytes
+// spilled to the overflow chain at page no.
+func spilledKeyCell(klen uint64, no uint32) []byte {
+	b := binary.AppendUvarint([]byte{1}, klen)
+	b = binary.LittleEndian.AppendUint32(b, no)
+	return append(b, 0)
+}
+
+// badLeafCells are CRC-valid leaf cells that no build writes: a value
+// (a non-zero byte after the key, or flag bit 1 marking a spilled one)
+// and spilled keys at page 0, that fit inline, or past 4 GiB.
+var badLeafCells = []struct {
+	name string
+	body []byte
+}{
+	{"a value byte", []byte{0, 3, 'a', 'b', 'c', 1, 'v'}},
+	{"a spilled value", []byte{2, 3, 'a', 'b', 'c', 0}},
+	{"a spilled key at page 0", spilledKeyCell(600, 0)},
+	{"a spilled key that fits inline", spilledKeyCell(maxInlineKey, 5)},
+	{"a spilled key over 4 GiB", spilledKeyCell(1<<32, 5)},
+}
+
 func TestPageDecodeRejectsCorruption(t *testing.T) {
-	buf, err := encodePage(&node{typ: pageLeaf, cells: []cell{{key: []byte("abc"), val: []byte("def")}}})
+	buf, err := encodePage(&node{typ: pageLeaf, cells: []cell{{key: []byte("abc")}}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A leaf cell is flags, key length, key, and a zero byte: the empty
+	// value every page file ever written carries.
+	if want := rawLeaf([]byte{0, 3, 'a', 'b', 'c', 0}); !bytes.Equal(buf, want) {
+		t.Fatal("a leaf cell no longer encodes as flags, key length, key and a zero byte")
 	}
 	// A torn write: only half the page made it to disk.
 	torn := make([]byte, PageSize)
@@ -93,6 +136,14 @@ func TestPageDecodeRejectsCorruption(t *testing.T) {
 	flip[PageSize-1] ^= 0x40
 	if _, err := decodePage(flip); err == nil {
 		t.Fatal("decodePage accepted a bit flip")
+	}
+	if _, err := decodePage(rawLeaf(spilledKeyCell(maxInlineKey+1, 5))); err != nil {
+		t.Fatalf("decodePage refused a spilled key: %v", err)
+	}
+	for _, bad := range badLeafCells {
+		if _, err := decodePage(rawLeaf(bad.body)); err == nil {
+			t.Errorf("decodePage accepted a leaf cell with %s", bad.name)
+		}
 	}
 }
 
@@ -127,82 +178,77 @@ func checkpointReopen(t *testing.T, s *Store, path string, cachePages int) *Stor
 	return re
 }
 
-// TestTreeRandomOps drives a B+Tree against a map reference with big
-// and small keys/values (forcing overflow chains), under a cache budget
-// far below the working set, with periodic checkpoint+reopen cycles.
+// TestTreeRandomOps drives a B+Tree against a set reference with big
+// and small keys (forcing overflow chains and spilled separators),
+// under a cache budget far below the working set, with periodic
+// checkpoint+reopen cycles.
 func TestTreeRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s, path := newTestStore(t, 16)
 	tr := &Tree{pg: s.pg}
-	ref := map[string]string{}
+	ref := map[string]bool{}
 	randKey := func() string {
 		if rng.Intn(20) == 0 {
 			return fmt.Sprintf("big-%04d-%s", rng.Intn(300), bytes.Repeat([]byte{'k'}, maxInlineKey+100))
 		}
 		return fmt.Sprintf("k-%05d", rng.Intn(3000))
 	}
-	randVal := func() string {
-		if rng.Intn(20) == 0 {
-			return string(bytes.Repeat([]byte{'v'}, maxInlineVal+PageSize))
-		}
-		return fmt.Sprintf("val-%d", rng.Intn(1e6))
-	}
-	verify := func() {
+	scan := func() []string {
 		t.Helper()
-		got := map[string]string{}
-		var prev []byte
-		if err := tr.Scan(func(k, v []byte) (bool, error) {
-			if prev != nil && bytes.Compare(prev, k) >= 0 {
-				t.Fatalf("scan out of order: %q after %q", k, prev)
-			}
-			prev = append(prev[:0], k...)
-			got[string(k)] = string(v)
-			return true, nil
+		var keys []string
+		if err := tr.Scan(func(k []byte) error {
+			keys = append(keys, string(k))
+			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(ref) {
-			t.Fatalf("tree has %d keys, reference %d", len(got), len(ref))
-		}
-		for k, v := range ref {
-			if got[k] != v {
-				t.Fatalf("key %.20q: got %.20q want %.20q", k, got[k], v)
+		return keys
+	}
+	verify := func() {
+		t.Helper()
+		keys := scan()
+		for i, k := range keys {
+			if i > 0 && keys[i-1] >= k {
+				t.Fatalf("scan out of order: %.20q after %.20q", k, keys[i-1])
 			}
+			if !ref[k] {
+				t.Fatalf("scan yields %.20q, which is not in the set", k)
+			}
+		}
+		if len(keys) != len(ref) {
+			t.Fatalf("tree has %d keys, reference %d", len(keys), len(ref))
 		}
 	}
 	for i := 0; i < 6000; i++ {
 		k := randKey()
 		switch rng.Intn(10) {
 		case 0, 1, 2:
-			if _, err := tr.Delete([]byte(k)); err != nil {
+			if err := tr.Delete([]byte(k)); err != nil {
 				t.Fatalf("op %d: delete: %v", i, err)
 			}
 			delete(ref, k)
 		default:
-			v := randVal()
-			if err := tr.Put([]byte(k), []byte(v)); err != nil {
-				t.Fatalf("op %d: put: %v", i, err)
+			if err := tr.Insert([]byte(k)); err != nil {
+				t.Fatalf("op %d: insert: %v", i, err)
 			}
-			ref[k] = v
-		}
-		if rng.Intn(50) == 0 {
-			kk := randKey()
-			v, ok, err := tr.Get([]byte(kk))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantOK := ref[kk]
-			if ok != wantOK || (ok && string(v) != want) {
-				t.Fatalf("op %d: get %.20q: got (%.20q,%v) want (%.20q,%v)", i, kk, v, ok, want, wantOK)
-			}
+			ref[k] = true
 		}
 		if i%1500 == 1499 {
 			verify()
+			// Inserting every key already present leaves the set alone.
+			before := scan()
+			for _, k := range before {
+				if err := tr.Insert([]byte(k)); err != nil {
+					t.Fatalf("op %d: insert present key: %v", i, err)
+				}
+			}
+			if after := scan(); !slices.Equal(after, before) {
+				t.Fatalf("op %d: inserting present keys changed the scan from %d to %d keys", i, len(before), len(after))
+			}
 			// Checkpoint + reopen: the tree must survive on only ROOT
 			// state, and freed pages must recycle without corruption.
 			root := tr.root
-			s2 := checkpointReopen(t, s, path, 16)
-			s = s2
+			s = checkpointReopen(t, s, path, 16)
 			tr = &Tree{pg: s.pg, root: root}
 			verify()
 		}
@@ -214,6 +260,63 @@ func TestTreeRandomOps(t *testing.T) {
 	}
 	if st.Cached > 3*16 {
 		t.Fatalf("cache grew far past budget: %+v", st)
+	}
+}
+
+// TestOverflowChainCycle links the last page of a spilled key's
+// overflow chain to itself on disk, behind a valid CRC: reading the key
+// and deleting it must fail with an error, not follow the chain for
+// ever. The deadline turns a walk that does not stop into a failure
+// instead of a hang; the looping page holds one byte, so such a walk
+// grows its buffer slowly.
+func TestOverflowChainCycle(t *testing.T) {
+	key := bytes.Repeat([]byte{'k'}, ovfChunk+1)
+	for _, tc := range []struct {
+		name string
+		op   func(tr *Tree) error
+	}{
+		{"scan", func(tr *Tree) error { return tr.Scan(func([]byte) error { return nil }) }},
+		{"delete", func(tr *Tree) error { return tr.Delete(key) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, path := newTestStore(t, 16)
+			tr := &Tree{pg: s.pg}
+			if err := tr.Insert(key); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			leaf, err := s.pg.Get(tr.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := s.pg.Get(leaf.cells[0].keyOvf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := first.right
+			buf, err := encodePage(&node{typ: pageOverflow, data: key[ovfChunk:], right: last})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.pg.file.WriteAt(buf, int64(last)*PageSize); err != nil {
+				t.Fatal(err)
+			}
+			root := tr.root
+			s = checkpointReopen(t, s, path, 16)
+			tr = &Tree{pg: s.pg, root: root}
+			done := make(chan error, 1)
+			go func() { done <- tc.op(tr) }()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "runs past") {
+					t.Fatalf("%s over a cyclic overflow chain: %v", tc.name, err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s over a cyclic overflow chain did not stop", tc.name)
+			}
+		})
 	}
 }
 

@@ -216,7 +216,7 @@ func (s *Store) InsertTuple(rel string, vs []value.Value) error {
 	if err != nil {
 		return err
 	}
-	return tb.tree.Put(key, nil)
+	return tb.tree.Insert(key)
 }
 
 // DeleteTuple removes vs from rel; an absent tuple is a no-op.
@@ -225,8 +225,7 @@ func (s *Store) DeleteTuple(rel string, vs []value.Value) error {
 	if err != nil {
 		return err
 	}
-	_, err = tb.tree.Delete(key)
-	return err
+	return tb.tree.Delete(key)
 }
 
 // ScanRelation streams rel's tuples in key order.
@@ -235,12 +234,12 @@ func (s *Store) ScanRelation(rel string, fn func(vs []value.Value) error) error 
 	if err != nil {
 		return err
 	}
-	return tb.tree.Scan(func(k, _ []byte) (bool, error) {
+	return tb.tree.Scan(func(k []byte) error {
 		vs, err := decTuple(k, tb.arity)
 		if err != nil {
-			return false, err
+			return err
 		}
-		return true, fn(vs)
+		return fn(vs)
 	})
 }
 
