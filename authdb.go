@@ -260,11 +260,12 @@ func (db *DB) Metrics() *metrics.Registry {
 // the stable embedding surface.
 func (db *DB) Engine() *engine.Engine { return db.eng }
 
-// SetGroupCommit switches the durable layer between one-fsync-per-
-// statement journaling (off, the default) and group commit (on):
-// concurrent writers share one fsync. Results are identical; servers
-// turn it on for throughput.
-func (db *DB) SetGroupCommit(on bool) { db.eng.SetGroupCommit(on) }
+// SetGroupCommit has no effect. Group commit is the only journaling
+// path: concurrent writers always share one fsync, and a single writer
+// pays one per statement. The method remains only because the
+// benchmark harness (bench/churn.go) still calls it; it goes when the
+// harness stops.
+func (db *DB) SetGroupCommit(bool) {}
 
 // Session executes statements on behalf of one principal.
 type Session struct {

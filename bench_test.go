@@ -196,15 +196,13 @@ func BenchmarkACLLoad(b *testing.B) {
 // journalACL writes the benchmark's ACL load into a fresh durable
 // directory and closes it without a checkpoint, so dir holds the empty
 // opening snapshot and a WAL of every statement. The statements commit
-// asynchronously behind group commit: one fsync per batch, not per
-// statement; Close drains the last batch.
+// asynchronously, so Close writes them all with one fsync.
 func journalACL(tb testing.TB, dir, script string, opt authdb.Options) {
 	tb.Helper()
 	db, err := authdb.OpenDir(dir, opt)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	db.SetGroupCommit(true)
 	admin := db.Engine().NewSession("admin", true)
 	admin.SetAsyncCommit(true)
 	if _, err := admin.ExecScript(script); err != nil {

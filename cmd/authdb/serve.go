@@ -10,7 +10,7 @@ package main
 //	             [-cache-pages N]
 //	             [-paper] [-load FILE] [-max-conns N] [-idle-timeout D]
 //	             [-grace D] [-admin-token T] [-max-intermediate-rows N]
-//	             [-max-result-rows N] [-stmt-timeout D] [-group-commit]
+//	             [-max-result-rows N] [-stmt-timeout D]
 //	             [-replica-of HOST:PORT[,HOST:PORT...]]
 //	             [-primary-token T] [-repl-name NAME] [-advertise HOST:PORT]
 //	             [-peers HOST:PORT[,...]] [-ready-max-lag N]
@@ -59,7 +59,6 @@ func runServe(args []string) int {
 	maxInter := fs.Int64("max-intermediate-rows", def.MaxIntermediateRows, "per-statement intermediate-row budget (0: unlimited)")
 	maxResult := fs.Int64("max-result-rows", def.MaxResultRows, "per-statement result-row cap (0: unlimited)")
 	stmtTimeout := fs.Duration("stmt-timeout", def.Timeout, "per-statement wall-clock bound (0: unlimited)")
-	groupCommit := fs.Bool("group-commit", false, "batch concurrent WAL appends into one fsync")
 	replicaOf := fs.String("replica-of", "", "follow this primary and serve read-only; comma-separate candidate addresses (empty: standalone)")
 	primaryToken := fs.String("primary-token", "", "replication token presented to the primary (its admin token)")
 	replName := fs.String("repl-name", "", "label for this follower in the primary's metrics")
@@ -90,10 +89,6 @@ func runServe(args []string) int {
 		db = authdb.Open()
 	}
 	defer db.Close()
-	if *groupCommit {
-		db.SetGroupCommit(true)
-		fmt.Println("group commit enabled")
-	}
 
 	primaries := splitAddrs(*replicaOf)
 	var rep *replica.Replica

@@ -7,24 +7,22 @@
 // the LSN, which is what lets a replica resume a replication stream
 // from its own persisted position.
 //
-// Journaling runs in one of two modes:
+// Journaling has one path. The statement's record is staged on a queue
+// under the engine lock, which fixes the WAL order to the apply order.
+// After the handler releases the lock, the session waits for
+// durability (WaitDurable): a waiter that finds no write in progress
+// writes the whole queue with one Write and one Sync (wal.AppendBatch),
+// and the others wait for that write, then find their records durable
+// or write the next batch — none waits for more than the write in
+// progress plus its own. So n concurrent writers share one fsync, and a
+// single writer pays one per statement. No goroutine is involved. An
+// async-commit session skips the wait; its statements become durable
+// at the next WaitDurable, synchronous commit, checkpoint or Close.
 //
-//   - Serial (the default): the statement's WAL record is written and
-//     fsynced inside the engine's critical section, exactly as before
-//     group commit existed. Deterministic, and what the crash-sweep
-//     tests exercise.
-//   - Group commit (SetGroupCommit): the record is staged under the
-//     engine lock — fixing the WAL order to the apply order — and the
-//     session waits for durability after releasing the lock. A single
-//     flusher goroutine writes everything staged with one Write and one
-//     Sync (wal.AppendBatch), so n concurrent writers share one fsync
-//     instead of paying for n. The wait is bounded by one in-flight
-//     fsync: a stager never waits behind more than the sync in progress
-//     plus its own.
-//
-// Either way a statement is acknowledged only after it is durable, and
-// only durable statements are published to the commit feed — a replica
-// can never observe a statement the primary could still lose.
+// A statement is acknowledged only after it is durable, and only
+// durable statements are published to the commit feed — a replica can
+// never observe a statement the primary could still lose. Readers may
+// see a statement whose sync is still in flight.
 //
 // The WAL record is a statement's only write: a statement touches no
 // snapshot file and no page. The page store's trees learn about data
@@ -36,13 +34,6 @@ import (
 
 	"authdb/internal/parser"
 )
-
-// pendingCommit is one staged WAL record awaiting the shared fsync.
-type pendingCommit struct {
-	lsn  uint64
-	text string
-	done chan error
-}
 
 // Commit is one durably journaled statement, as delivered to commit
 // subscribers in LSN order.
@@ -107,11 +98,10 @@ func (e *Engine) publishCommits(batch []Commit) {
 	e.pubMu.Lock()
 	defer e.pubMu.Unlock()
 	for sub := range e.subs {
-		for i, c := range batch {
+		for _, c := range batch {
 			select {
 			case sub.ch <- c:
 			default:
-				_ = i
 				delete(e.subs, sub)
 				sub.closed = true
 				close(sub.ch)
@@ -159,7 +149,6 @@ func (e *Engine) setBroken(err error) {
 	if e.brokenErr == nil {
 		e.brokenErr = err
 	}
-	e.commitCond.Broadcast()
 	e.commitMu.Unlock()
 }
 
@@ -171,25 +160,24 @@ func (e *Engine) brokenNow() error {
 }
 
 // logStmt journals the applied mutating statement p: it assigns the
-// next LSN and either syncs the record in place (serial mode) or stages
-// it for the group-commit flusher, leaving the durability wait on
-// s.pendingWait for ExecStmtContext to collect after the engine lock is
+// next LSN and stages the record, leaving the durability wait on
+// s.pendingLSN for ExecStmtContext to collect after the engine lock is
 // released. Callers hold e.mu for writing and have already applied the
 // mutation.
 func (s *Session) logStmt(p parser.Stmt) error {
-	w, err := s.eng.stageStmt(p)
+	lsn, err := s.eng.stageStmt(p)
 	if err != nil {
 		return err
 	}
 	if !s.applier {
 		s.eng.noteOriginWrite()
 	}
-	s.pendingWait = w
+	s.pendingLSN = lsn
 	return nil
 }
 
 // stageStmt is logStmt's engine half; callers hold e.mu for writing.
-func (e *Engine) stageStmt(p parser.Stmt) (func() error, error) {
+func (e *Engine) stageStmt(p parser.Stmt) (uint64, error) {
 	lsn := e.lsn.Add(1)
 	if e.dur == nil {
 		// In-memory engines count LSNs (so replicas of every flavor agree
@@ -205,171 +193,104 @@ func (e *Engine) stageStmt(p parser.Stmt) (func() error, error) {
 			// A render failure would gap the feed; the follower detects
 			// the gap, reconnects, and recovers by snapshot.
 		}
-		return nil, nil
+		return lsn, nil
 	}
 	if err := e.brokenNow(); err != nil {
-		return nil, fmt.Errorf("journaling statement: %w", err)
+		return 0, fmt.Errorf("journaling statement: %w", err)
 	}
 	text, err := parser.Render(p)
 	if err != nil {
 		e.setBroken(err)
-		return nil, fmt.Errorf("journaling statement: %w", err)
+		return 0, fmt.Errorf("journaling statement: %w", err)
 	}
-	if e.groupOn {
-		pc := pendingCommit{lsn: lsn, text: text, done: make(chan error, 1)}
-		e.commitMu.Lock()
-		e.commitQ = append(e.commitQ, pc)
-		e.commitMu.Unlock()
-		select {
-		case e.commitWake <- struct{}{}:
-		default:
-		}
-		return func() error {
-			if err := <-pc.done; err != nil {
-				return fmt.Errorf("journaling statement: %w", err)
-			}
-			return nil
-		}, nil
-	}
-	// Serial mode: write and sync in place, inside the critical section.
-	e.walMu.Lock()
-	err = e.appendDurableLocked([]pendingCommit{{lsn: lsn, text: text}})
-	e.walMu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("journaling statement: %w", err)
-	}
-	return nil, nil
+	e.commitMu.Lock()
+	e.commitQ = append(e.commitQ, Commit{LSN: lsn, Stmt: text})
+	e.commitMu.Unlock()
+	return lsn, nil
 }
 
-// appendDurableLocked writes a staged run to the WAL with one sync,
-// advances the durable LSN, completes the waiters, and publishes the
-// batch to the commit feed. Callers hold e.walMu. On failure the engine
-// is marked broken and every waiter gets the error.
-func (e *Engine) appendDurableLocked(batch []pendingCommit) error {
-	err := e.brokenNow()
+// flushLocked writes every staged record to the WAL with one sync,
+// advances the durable LSN, and publishes the batch to the commit feed.
+// Callers hold e.walMu, which orders the batches: the queue is taken
+// and written under it, so a record never lands in a generation that no
+// longer owns it. On failure the engine is marked broken.
+func (e *Engine) flushLocked() error {
+	e.commitMu.Lock()
+	batch := e.commitQ
+	e.commitQ = nil
+	err := e.brokenErr
+	e.commitMu.Unlock()
+	if len(batch) == 0 {
+		return nil
+	}
 	if err == nil && e.walH == nil {
 		err = fmt.Errorf("wal closed")
 	}
 	if err == nil {
 		stmts := make([]string, len(batch))
-		for i, pc := range batch {
-			stmts[i] = pc.text
+		for i, c := range batch {
+			stmts[i] = c.Stmt
 		}
 		err = e.walH.AppendBatch(stmts)
 	}
 	if err != nil {
 		e.setBroken(err)
-		for _, pc := range batch {
-			if pc.done != nil {
-				pc.done <- err
-			}
-		}
 		return err
 	}
-	last := batch[len(batch)-1].lsn
-	e.commitMu.Lock()
-	e.durableLSN.Store(last)
-	e.commitCond.Broadcast()
-	e.commitMu.Unlock()
+	e.durableLSN.Store(batch[len(batch)-1].LSN)
 	e.met.Counter("authdb_wal_appends_total").Add(int64(len(batch)))
 	e.met.Counter("authdb_wal_group_commits_total").Inc()
-	cs := make([]Commit, len(batch))
-	for i, pc := range batch {
-		cs[i] = Commit{LSN: pc.lsn, Stmt: pc.text}
-	}
-	e.publishCommits(cs)
-	for _, pc := range batch {
-		if pc.done != nil {
-			pc.done <- nil
-		}
-	}
+	e.publishCommits(batch)
 	return nil
 }
 
-// flusher is the group-commit writer: it drains everything staged since
-// the last flush and makes it durable with one fsync. Queue steals and
-// WAL writes both happen under walMu, so a checkpoint (which drains
-// under the same lock while holding e.mu against new stagers) can
-// rotate the log without a record ever landing in the wrong generation.
-func (e *Engine) flusher(stop, done chan struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-e.commitWake:
-		case <-stop:
-			e.flushPending()
-			return
-		}
-		e.flushPending()
-	}
+// drainCommits makes everything staged durable. Checkpoints drain
+// before rotating the WAL, holding e.mu so no new record can be staged
+// meanwhile; WaitDurable's writer drains without it.
+func (e *Engine) drainCommits() error {
+	e.walMu.Lock()
+	defer e.walMu.Unlock()
+	return e.flushLocked()
 }
 
-// flushPending drains and durably writes the staged queue.
-func (e *Engine) flushPending() {
-	for {
-		e.walMu.Lock()
-		e.commitMu.Lock()
-		batch := e.commitQ
-		e.commitQ = nil
-		e.commitMu.Unlock()
-		if len(batch) == 0 {
-			e.walMu.Unlock()
-			return
-		}
-		e.appendDurableLocked(batch)
-		e.walMu.Unlock()
-	}
-}
-
-// drainCommits synchronously flushes every staged record; callers hold
-// e.mu for writing (so no new records can be staged meanwhile).
-// Checkpoints drain before rotating the WAL so a record is never left
-// for a generation that no longer owns it.
-func (e *Engine) drainCommits() {
-	e.flushPending()
-}
-
-// SetGroupCommit switches between serial journaling (off, the default:
-// one fsync per statement, inside the engine's critical section) and
-// group commit (on: concurrent statements share one fsync). Switching
-// off drains the queue first; results are identical either way, only
-// the fsync schedule differs. The network server and the replication
-// applier turn it on.
-func (e *Engine) SetGroupCommit(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if on == e.groupOn {
-		return
-	}
-	if on {
-		e.flusherStop = make(chan struct{})
-		e.flusherDone = make(chan struct{})
-		go e.flusher(e.flusherStop, e.flusherDone)
-	} else {
-		e.drainCommits()
-		close(e.flusherStop)
-		<-e.flusherDone
-		e.flusherStop, e.flusherDone = nil, nil
-	}
-	e.groupOn = on
-}
-
-// WaitDurable blocks until every statement up to lsn is durable (or the
-// durable layer fails, returning its error). With an async-commit
-// session this turns n applied statements into one wait.
+// WaitDurable blocks until every statement up to lsn is durable, or
+// returns the durable layer's error; the waiter may write the batch
+// itself (see the file comment). With an async-commit session this
+// turns n applied statements into one sync. An lsn past LSN() is an
+// error at once: nothing staged would ever make it durable.
 func (e *Engine) WaitDurable(lsn uint64) error {
-	// Wake the flusher in case the caller staged without waiting.
-	select {
-	case e.commitWake <- struct{}{}:
-	default:
+	// Every statement up to the published head was staged before it was
+	// published, so its record is queued, written, or failed.
+	if head := e.LSN(); lsn > head {
+		return fmt.Errorf("waiting for lsn %d: the engine is at lsn %d", lsn, head)
 	}
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	for e.durableLSN.Load() < lsn && e.brokenErr == nil {
-		e.commitCond.Wait()
+	for e.durableLSN.Load() < lsn {
+		e.commitMu.Lock()
+		broken, writing := e.brokenErr, e.writing
+		if broken == nil && writing == nil {
+			e.writing = make(chan struct{})
+		}
+		e.commitMu.Unlock()
+		if broken != nil {
+			return fmt.Errorf("journaling statement: %w", broken)
+		}
+		if writing != nil {
+			<-writing
+			continue
+		}
+		err := e.drainCommits()
+		e.commitMu.Lock()
+		close(e.writing)
+		e.writing = nil
+		e.commitMu.Unlock()
+		if err != nil {
+			return fmt.Errorf("journaling statement: %w", err)
+		}
+		if e.durableLSN.Load() < lsn {
+			// The counter was set without staging (a snapshot install
+			// whose checkpoint failed): nothing will make lsn durable.
+			return fmt.Errorf("waiting for lsn %d: not durable and not staged", lsn)
+		}
 	}
-	if e.durableLSN.Load() >= lsn {
-		return nil
-	}
-	return fmt.Errorf("journaling statement: %w", e.brokenErr)
+	return nil
 }

@@ -18,11 +18,12 @@
 // reclaimed by the next checkpoint.
 //
 // Every mutating statement is journaled to the WAL (rendered back to
-// canonical statement text) inside the same critical section that
-// applies it, so the log order equals the apply order. Opening replays
-// the committed snapshot plus the longest valid prefix of its WAL —
-// tolerating a torn or corrupt tail — and immediately checkpoints, so a
-// recovered engine never appends after a torn tail.
+// canonical statement text): its record is staged inside the critical
+// section that applies it, so the log order equals the apply order, and
+// written and synced after it (group commit, see commit.go). Opening
+// replays the committed snapshot plus the longest valid prefix of its
+// WAL — tolerating a torn or corrupt tail — and immediately
+// checkpoints, so a recovered engine never appends after a torn tail.
 package engine
 
 import (
@@ -55,9 +56,10 @@ func walName(gen uint64) string  { return fmt.Sprintf("wal-%06d.log", gen) }
 const lsnName = "LSN"
 
 // durable is an engine's attachment to a durable database directory.
-// The open WAL handle lives on the Engine (walH, under walMu) so the
-// group-commit flusher can append without the engine lock; the
-// fail-stop error lives on the Engine too (brokenErr, under commitMu).
+// The open WAL handle lives on the Engine (walH, under walMu) so a
+// session waiting for durability can append without the engine lock;
+// the fail-stop error lives on the Engine too (brokenErr, under
+// commitMu).
 type durable struct {
 	fs  faultfs.FS
 	dir string
@@ -302,11 +304,12 @@ func (e *Engine) Checkpoint() error {
 // engine's attachment is unchanged.
 func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	next := gen + 1
-	// Flush anything the group-commit flusher still holds into the old
-	// generation's WAL (completing those waiters and publishing to the
-	// commit feed) before the log rotates out from under it. New records
-	// cannot be staged while we hold e.mu.
-	e.drainCommits()
+	// Flush everything staged into the old generation's WAL (publishing
+	// it to the commit feed) before the log rotates out from under it.
+	// New records cannot be staged while we hold e.mu.
+	if err := e.drainCommits(); err != nil {
+		return fmt.Errorf("journaling staged statements: %w", err)
+	}
 	// Bring the trees to the head and flush only the dirty pages to the
 	// shared page file, then commit a generation holding the tiny ROOT
 	// and the meta-database's two scripts (plus LSN/EPOCH below). The
@@ -379,7 +382,7 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 		return err
 	}
 
-	// Committed. Install the new log (under walMu so the flusher never
+	// Committed. Install the new log (under walMu so a waiter never
 	// sees a half-swapped handle) and reclaim the old generation (best
 	// effort — leftovers are ignored and retried next checkpoint).
 	e.walMu.Lock()
@@ -391,10 +394,7 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	e.dur = &durable{fs: fs, dir: dir, gen: next}
 	e.snapGen.Store(next)
 	e.snapBase.Store(e.lsn.Load())
-	e.commitMu.Lock()
 	e.durableLSN.Store(e.lsn.Load())
-	e.commitCond.Broadcast()
-	e.commitMu.Unlock()
 	// Pages freed before this commit belonged to trees the old ROOT could
 	// still reach; now that CURRENT points past it they are reusable.
 	e.pstore.Commit()
@@ -417,32 +417,29 @@ func (e *Engine) durCheck() error {
 	return nil
 }
 
-// Close stops the group-commit flusher (after a final drain), releases
-// the durable log and page file handles, and drops the directory lock.
-// The in-memory state stays readable; further mutations on a durable
-// engine fail. Engines without a durable directory close trivially.
+// Close makes everything staged durable, releases the durable log and
+// page file handles, and drops the directory lock. The in-memory state
+// stays readable; further mutations on a durable engine fail. Engines
+// without a durable directory close trivially.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.groupOn {
-		e.drainCommits()
-		close(e.flusherStop)
-		<-e.flusherDone
-		e.flusherStop, e.flusherDone = nil, nil
-		e.groupOn = false
-	}
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
+	// A failed drain has marked the engine broken; the handles are
+	// released all the same.
+	err := e.flushLocked()
 	// Release the directory lock even on engines already broken or
 	// closed; a dead handle must never keep the directory unusable.
 	if e.dirLock != nil {
 		releaseDirLock(e.dirLock)
 		e.dirLock = nil
 	}
-	var err error
 	if e.pstore != nil {
 		// Closing an already closed store is a no-op.
-		err = e.pstore.Close()
+		if perr := e.pstore.Close(); err == nil {
+			err = perr
+		}
 	}
 	if e.dur == nil || e.walH == nil {
 		return err

@@ -124,7 +124,7 @@ func TestDurableCloseFailsStop(t *testing.T) {
 // statement history, never a torn or fabricated state. It runs with the
 // default buffer cache, so no page is evicted before the flush.
 func TestCrashRecoverySweep(t *testing.T) {
-	crashSweep(t, false, 0)
+	crashSweep(t, false, 0, false)
 }
 
 // TestCrashRecoverySweepShortWrites repeats the sweep with the tripping
@@ -132,7 +132,7 @@ func TestCrashRecoverySweep(t *testing.T) {
 // torn page must be rejected via the page CRC (shadow paging keeps the
 // committed tree clean), a torn WAL record via the record CRC.
 func TestCrashRecoverySweepShortWrites(t *testing.T) {
-	crashSweep(t, true, 0)
+	crashSweep(t, true, 0, false)
 }
 
 // TestCrashRecoverySweepPaged runs the sweep with a tiny buffer cache,
@@ -140,14 +140,23 @@ func TestCrashRecoverySweepShortWrites(t *testing.T) {
 // store and the kill points land mid-page-flush as well as in the
 // ROOT/CURRENT dance and the WAL.
 func TestCrashRecoverySweepPaged(t *testing.T) {
-	crashSweep(t, false, crashCachePages)
+	crashSweep(t, false, crashCachePages, false)
 }
 
 // TestCrashRecoverySweepPagedShortWrites adds torn page writes to the
 // tiny-cache sweep: the tripping WriteAt persists half a page, which
 // recovery must reject via the page CRC.
 func TestCrashRecoverySweepPagedShortWrites(t *testing.T) {
-	crashSweep(t, true, crashCachePages)
+	crashSweep(t, true, crashCachePages, false)
+}
+
+// TestCrashRecoverySweepAsyncBatch runs the scenario from an
+// async-commit session that ends in one WaitDurable, so the whole
+// scenario is one WAL batch with one sync. Torn writes included, every
+// kill point must recover a prefix of that batch, and the whole of it
+// once WaitDurable has returned.
+func TestCrashRecoverySweepAsyncBatch(t *testing.T) {
+	crashSweep(t, true, 0, true)
 }
 
 // crashCachePages gives the tiny-cache sweeps their buffer cache.
@@ -155,7 +164,9 @@ const crashCachePages = 8
 
 // crashSweep runs the sweep with the given buffer cache size (0 means
 // DefaultCachePages), for the crashed process and the recovering one.
-func crashSweep(t *testing.T, short bool, cachePages int) {
+// With async, the scenario runs from an async-commit session and is
+// acknowledged by one WaitDurable at its end.
+func crashSweep(t *testing.T, short bool, cachePages int, async bool) {
 	refs := referenceStates(t)
 	// isPrefixState returns the latest history index whose state matches
 	// fp (statements like insert-then-delete can revisit an earlier
@@ -184,11 +195,15 @@ func crashSweep(t *testing.T, short bool, cachePages int) {
 		if err == nil {
 			applied = 0
 			admin := e.NewSession("admin", true)
+			admin.SetAsyncCommit(async)
 			for _, stmt := range durableScenario {
 				if _, err := admin.Exec(stmt); err != nil {
 					break
 				}
 				applied++
+			}
+			if async && e.WaitDurable(e.LSN()) != nil {
+				applied = 0 // nothing async is acknowledged before the wait
 			}
 		}
 		tripped := fs.Tripped()

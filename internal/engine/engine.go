@@ -120,17 +120,13 @@ type Engine struct {
 	originMu          sync.Mutex
 	originEpochWrites map[uint64]uint64
 
-	// Group-commit machinery (commit.go): staged records awaiting one
-	// shared fsync, the flusher that writes them, and the WAL handle
-	// mirror the flusher appends through without holding e.mu.
-	commitMu    sync.Mutex
-	commitCond  *sync.Cond
-	commitQ     []pendingCommit
-	commitWake  chan struct{}
-	groupOn     bool
-	flusherStop chan struct{}
-	flusherDone chan struct{}
-	brokenErr   error // set at the first journaling failure; guarded by commitMu
+	// Group commit (commit.go): records staged under e.mu and awaiting
+	// one shared fsync; writing is set while a waiter writes them and
+	// closed when it is done. The WAL handle is written under walMu.
+	commitMu  sync.Mutex
+	commitQ   []Commit
+	writing   chan struct{}
+	brokenErr error // set at the first journaling failure; guarded by commitMu
 
 	walMu sync.Mutex
 	walH  *wal.Log
@@ -145,12 +141,11 @@ type Engine struct {
 func New(opt core.Options) *Engine {
 	sch := relation.NewDBSchema()
 	e := &Engine{
-		wsch:       sch,
-		opt:        opt,
-		met:        metrics.NewRegistry(),
-		commitWake: make(chan struct{}, 1),
-		subs:       make(map[*CommitSub]struct{}),
-		epochHist:  []EpochEntry{{Epoch: 1, StartLSN: 0}},
+		wsch:      sch,
+		opt:       opt,
+		met:       metrics.NewRegistry(),
+		subs:      make(map[*CommitSub]struct{}),
+		epochHist: []EpochEntry{{Epoch: 1, StartLSN: 0}},
 	}
 	e.execMet = newExecMetrics(e.met)
 	e.wstore = core.NewStore(sch)
@@ -159,7 +154,6 @@ func New(opt core.Options) *Engine {
 		e.closures.Store(core.NewClosure(0))
 	}
 	e.epoch.Store(1)
-	e.commitCond = sync.NewCond(&e.commitMu)
 	e.publishLocked() // version 1: the empty database
 	e.registerMetrics()
 	return e
@@ -263,10 +257,10 @@ type Session struct {
 	// primary's stream) and its writes are not counted as locally
 	// originated by the dual-primary check.
 	applier bool
-	// pendingWait is the group-commit waiter of the statement being
-	// executed, set by logStmt and consumed by ExecStmtContext after the
-	// engine lock is released.
-	pendingWait func() error
+	// pendingLSN is the LSN of the statement being executed, set by
+	// logStmt and waited for by ExecStmtContext after the engine lock
+	// is released.
+	pendingLSN uint64
 	// pinned is the snapshot a `\begin snapshot` session reads across
 	// statements (nil = every statement pins the current head). The
 	// session's own successful mutations re-pin to the new head so a
@@ -289,8 +283,10 @@ func (s *Session) User() string { return s.user }
 func (s *Session) SetLimits(l guard.Limits) { s.limits = l }
 
 // SetAsyncCommit makes mutating statements return once applied and
-// staged, without waiting for WAL durability; pair with
-// Engine.WaitDurable to make a batch durable with one sync.
+// staged, without waiting for WAL durability. An async statement
+// becomes durable at the next Engine.WaitDurable, synchronous commit,
+// checkpoint or Close, whichever comes first; pair the session with
+// WaitDurable to make a batch durable with one sync.
 func (s *Session) SetAsyncCommit(on bool) { s.asyncCommit = on }
 
 // SetApplier marks the session as a replication applier: exempt from
@@ -369,10 +365,10 @@ func (s *Session) ExecStmtContext(ctx context.Context, p parser.Stmt) (res *Resu
 	// The handler released the engine lock; wait here for the staged WAL
 	// record to become durable (group commit: many sessions share one
 	// fsync). Async-commit sessions skip the wait and sync in batches.
-	if w := s.pendingWait; w != nil {
-		s.pendingWait = nil
+	if lsn := s.pendingLSN; lsn != 0 {
+		s.pendingLSN = 0
 		if err == nil && !s.asyncCommit {
-			if cerr := w(); cerr != nil {
+			if cerr := s.eng.WaitDurable(lsn); cerr != nil {
 				res, err = nil, cerr
 			}
 		}

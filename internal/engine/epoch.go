@@ -159,9 +159,6 @@ func validEpochHist(hist []EpochEntry) error {
 // new primary.
 func (e *Engine) SetRoleReadOnly(on bool) { e.roleReadOnly.Store(on) }
 
-// RoleReadOnly reports whether the engine is role-fenced read-only.
-func (e *Engine) RoleReadOnly() bool { return e.roleReadOnly.Load() }
-
 // noteOriginWrite counts one locally originated (non-applier) mutation
 // under the current epoch; see OriginWritesByEpoch.
 func (e *Engine) noteOriginWrite() {
@@ -263,7 +260,9 @@ func (e *Engine) QuarantineDiverged(fork uint64) (string, error) {
 	if err := e.durCheck(); err != nil {
 		return "", err
 	}
-	e.drainCommits()
+	if err := e.drainCommits(); err != nil {
+		return "", fmt.Errorf("journaling staged statements: %w", err)
+	}
 	dfs, dir, gen := e.dur.fs, e.dur.dir, e.dur.gen
 	base := e.snapBase.Load()
 	qdir := filepath.Join(dir, fmt.Sprintf("diverged-%06d", gen))

@@ -185,15 +185,14 @@ func TestReaderSeesExactCommittedVersion(t *testing.T) {
 }
 
 // TestReaderSeesCommittedVersionGroupCommit repeats the exactness check
-// on a durable engine with group commit on: Exec acknowledges only
-// after the shared fsync, by which point the version must be published.
+// on a durable engine: Exec acknowledges only after the shared fsync,
+// by which point the version must be published.
 func TestReaderSeesCommittedVersionGroupCommit(t *testing.T) {
 	e, err := OpenDurable(t.TempDir(), core.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.SetGroupCommit(true)
 	admin := e.NewSession("admin", true)
 	if _, err := admin.Exec(`relation G (K) key (K)`); err != nil {
 		t.Fatal(err)

@@ -63,10 +63,11 @@ func (e *Engine) WALTail(from uint64) (tail []Commit, ok bool, err error) {
 			return nil, false, nil
 		}
 
-		// Read without any engine lock: the WAL file only grows, and the
-		// flusher may append concurrently — a record torn by the race
-		// CRC-fails and terminates the prefix, which is fine because the
-		// commit feed covers everything past it.
+		// Read without any engine lock: the WAL file only grows, and a
+		// session waiting for durability may append a batch concurrently
+		// — a record torn by the race CRC-fails and terminates the
+		// prefix, which is fine because the commit feed covers
+		// everything past it.
 		var cs []Commit
 		n := uint64(0)
 		if _, err := wal.Replay(dfs, filepath.Join(dir, walName(gen)), func(_ int, stmt string) error {

@@ -219,13 +219,17 @@ func sortedFingerprint(t *testing.T, e *Engine) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestGroupCommitEquivalence runs the same concurrent insert workload
-// under serial journaling and under group commit: the final states,
-// LSNs, and the states recovered by a reopen must be identical — group
-// commit changes the fsync schedule, never the contents.
+// TestGroupCommitEquivalence runs the same inserts from 8 concurrent
+// writers, which share fsyncs while checkpoints rotate the log under
+// them, and from one session, which pays one per statement: the final
+// states, LSNs, and the states recovered by a reopen must be identical
+// — sharing a sync changes the fsync schedule, never the contents. One
+// of the concurrent writers commits asynchronously and waits once at
+// the end, so checkpoints also meet records staged but not yet written.
 func TestGroupCommitEquivalence(t *testing.T) {
 	const writers, perWriter = 8, 25
-	run := func(group bool) (string, uint64, string) {
+	stmt := func(w, i int) string { return fmt.Sprintf("insert into WRITES values (w%d_%d, v)", w, i) }
+	run := func(concurrent bool) (string, uint64, string) {
 		dir := t.TempDir()
 		e, err := OpenDurable(dir, core.DefaultOptions(), 0)
 		if err != nil {
@@ -235,23 +239,53 @@ func TestGroupCommitEquivalence(t *testing.T) {
 		if _, err := admin.Exec(`relation WRITES (K, V) key (K)`); err != nil {
 			t.Fatal(err)
 		}
-		e.SetGroupCommit(group)
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sess := e.NewSession("admin", true)
-				for i := 0; i < perWriter; i++ {
-					stmt := fmt.Sprintf("insert into WRITES values (w%d_%d, v)", w, i)
-					if _, err := sess.Exec(stmt); err != nil {
-						t.Errorf("%s: %v", stmt, err)
+		if concurrent {
+			stop := make(chan struct{})
+			checkpointed := make(chan struct{})
+			go func() {
+				defer close(checkpointed)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := e.Checkpoint(); err != nil {
+						t.Errorf("checkpoint: %v", err)
 						return
 					}
 				}
-			}(w)
+			}()
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					sess := e.NewSession("admin", true)
+					sess.SetAsyncCommit(w == 0)
+					for i := 0; i < perWriter; i++ {
+						if _, err := sess.Exec(stmt(w, i)); err != nil {
+							t.Errorf("%s: %v", stmt(w, i), err)
+							return
+						}
+					}
+					if err := e.WaitDurable(e.LSN()); err != nil {
+						t.Error(err)
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(stop)
+			<-checkpointed
+		} else {
+			for w := 0; w < writers; w++ {
+				for i := 0; i < perWriter; i++ {
+					if _, err := admin.Exec(stmt(w, i)); err != nil {
+						t.Fatalf("%s: %v", stmt(w, i), err)
+					}
+				}
+			}
 		}
-		wg.Wait()
 		state := sortedFingerprint(t, e)
 		lsn := e.LSN()
 		e.Close()
@@ -261,23 +295,23 @@ func TestGroupCommitEquivalence(t *testing.T) {
 		}
 		defer back.Close()
 		if back.LSN() != lsn {
-			t.Fatalf("group=%v: reopen LSN = %d, want %d", group, back.LSN(), lsn)
+			t.Fatalf("concurrent=%v: reopen LSN = %d, want %d", concurrent, back.LSN(), lsn)
 		}
 		return state, lsn, sortedFingerprint(t, back)
 	}
 
-	serialState, serialLSN, serialReopen := run(false)
-	groupState, groupLSN, groupReopen := run(true)
-	if serialLSN != groupLSN {
-		t.Fatalf("LSN differs: serial %d, group %d", serialLSN, groupLSN)
+	oneState, oneLSN, oneReopen := run(false)
+	manyState, manyLSN, manyReopen := run(true)
+	if oneLSN != manyLSN {
+		t.Fatalf("LSN differs: one session %d, %d writers %d", oneLSN, writers, manyLSN)
 	}
-	if wantLSN := uint64(1 + writers*perWriter); serialLSN != wantLSN {
-		t.Fatalf("LSN = %d, want %d", serialLSN, wantLSN)
+	if wantLSN := uint64(1 + writers*perWriter); oneLSN != wantLSN {
+		t.Fatalf("LSN = %d, want %d", oneLSN, wantLSN)
 	}
-	if serialState != groupState {
-		t.Fatal("final states differ between serial and group commit")
+	if oneState != manyState {
+		t.Fatal("final states differ between one session and concurrent writers")
 	}
-	if serialReopen != serialState || groupReopen != groupState {
+	if oneReopen != oneState || manyReopen != manyState {
 		t.Fatal("reopened state differs from the live state")
 	}
 }

@@ -9,10 +9,12 @@
 package replica_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -542,5 +544,75 @@ func TestReplicationMetrics(t *testing.T) {
 		if !strings.Contains(rtxt, want) {
 			t.Errorf("replica metrics missing %q", want)
 		}
+	}
+}
+
+// TestReplicaBatchSharesOneSync: a default-configured durable replica
+// applies one REPL_BATCH of k statements with one WAL sync. The primary
+// is scripted over loopback so the batch boundaries are exact.
+func TestReplicaBatchSharesOneSync(t *testing.T) {
+	const k = 20
+	eng, err := engine.OpenDurable(t.TempDir(), core.DefaultOptions(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	syncs := eng.Metrics().Counter("authdb_wal_group_commits_total")
+	before := syncs.Value()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	acked := make(chan uint64, 1)
+	go func() {
+		defer close(acked)
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+		var hello wire.ReplHello
+		if err := wire.ReadMsg(br, &hello); err != nil {
+			t.Error(err)
+			return
+		}
+		stmts := []string{"relation FEED (K) key (K)"}
+		for i := 1; i < k; i++ {
+			stmts = append(stmts, fmt.Sprintf("insert into FEED values (k%d)", i))
+		}
+		wire.WriteMsg(bw, wire.ReplHelloReply{OK: true, Mode: wire.ReplModeTail, Epoch: 1})
+		wire.WriteMsg(bw, wire.ReplBatch{Kind: wire.KindReplBatch, From: hello.From + 1, Stmts: stmts, Epoch: 1})
+		if err := bw.Flush(); err != nil {
+			t.Error(err)
+			return
+		}
+		var ack wire.ReplAck
+		if err := wire.ReadMsg(br, &ack); err != nil {
+			t.Error(err)
+			return
+		}
+		acked <- ack.Applied
+	}()
+
+	rep := replica.Start(eng, followCfg(ln.Addr().String()))
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		rep.Stop(ctx)
+	}()
+	select {
+	case applied := <-acked:
+		if applied != k {
+			t.Fatalf("replica acked lsn %d, want %d", applied, k)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("replica never acked the batch")
+	}
+	if got := syncs.Value() - before; got != 1 {
+		t.Fatalf("applying one batch of %d statements cost %d syncs, want 1", k, got)
 	}
 }

@@ -33,13 +33,11 @@ const MaxRecord = 16 << 20
 
 // Log is an open write handle on a statement log.
 type Log struct {
-	fs   faultfs.FS
-	path string
-	f    faultfs.File
+	f faultfs.File
 }
 
 // Create truncates or creates the log at path, writes the header, and
-// syncs it. The returned Log is ready for Append.
+// syncs it. The returned Log is ready for AppendBatch.
 func Create(fs faultfs.FS, path string) (*Log, error) {
 	f, err := fs.Create(path)
 	if err != nil {
@@ -53,15 +51,7 @@ func Create(fs faultfs.FS, path string) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: sync header: %w", err)
 	}
-	return &Log{fs: fs, path: path, f: f}, nil
-}
-
-// Append writes one statement record and syncs it to stable storage;
-// the statement is durable once Append returns nil. On error the tail
-// of the log may be torn — the caller must treat the handle as broken
-// (a subsequent reader still recovers the valid prefix).
-func (l *Log) Append(stmt string) error {
-	return l.AppendBatch([]string{stmt})
+	return &Log{f: f}, nil
 }
 
 // AppendBatch writes a run of statement records with one Write and one
@@ -107,9 +97,6 @@ func (l *Log) Close() error {
 	l.f = nil
 	return err
 }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // Replay reads the longest valid prefix of the log at path and calls fn
 // for each record in order. A missing file replays zero records. fn's

@@ -24,7 +24,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		"view W (EMPLOYEE.NAME)\nwhere EMPLOYEE.SALARY >= 10",
 	}
 	for _, s := range stmts {
-		if err := l.Append(s); err != nil {
+		if err := l.AppendBatch([]string{s}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestTruncatedTailYieldsPrefix(t *testing.T) {
 	}
 	stmts := []string{"alpha", "bravo charlie", "delta"}
 	for _, s := range stmts {
-		if err := l.Append(s); err != nil {
+		if err := l.AppendBatch([]string{s}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	}
 	stmts := []string{"one", "two", "three"}
 	for _, s := range stmts {
-		if err := l.Append(s); err != nil {
+		if err := l.AppendBatch([]string{s}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestOversizeRecordRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(string(make([]byte, MaxRecord+1))); err == nil {
+	if err := l.AppendBatch([]string{string(make([]byte, MaxRecord+1))}); err == nil {
 		t.Fatal("oversize append must fail")
 	}
 }
