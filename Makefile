@@ -102,9 +102,10 @@ fuzz-parser:
 bench:
 	$(GO) run ./bench run
 
-# Go testing.B micro-benchmarks.
+# Go testing.B micro-benchmarks, each run once: the root package's and
+# the engine's (BenchmarkDurableInsert).
 benchgo:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/engine
 
 # Both halves of warm_wide's reply path on one processor, as the
 # benchmark runs it: the server's (closure hit, conversion, frame), then

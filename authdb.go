@@ -70,22 +70,13 @@ func Unlimited() Limits { return Limits{} }
 
 func (l Limits) internal() guard.Limits { return guard.Limits(l) }
 
-// Options selects the refinements of the paper's §4.2, the mask closure,
-// and the durable page store's cache; see DESIGN.md. Queries always run on
-// the optimized executor with mask-predicate pushdown — neither changes
-// an answer, so neither is an option. DefaultOptions enables everything.
+// Options selects the paper's §6(3) extension, the mask closure, and the
+// durable page store's cache; see DESIGN.md. The §4.2 refinements are
+// always on (core.Options keeps them switchable for the ablation), and
+// queries always run on the indexed executor with mask-predicate
+// pushdown, which change no delivered cell. DefaultOptions enables the
+// closure; start from it, since a zero MaskClosure turns the closure off.
 type Options struct {
-	// Padding keeps subviews of each product operand alive across
-	// projections removing the other operand's attributes.
-	Padding bool
-	// FourCase enables the clear/keep/discard/conjoin selection
-	// refinement; disabled, selection conjoins unconditionally.
-	FourCase bool
-	// SelfJoins infers merged meta-tuples from lossless key joins of
-	// different views over one relation.
-	SelfJoins bool
-	// Subsume drops mask tuples covered by another mask tuple.
-	Subsume bool
 	// ExtendedMasks enables the paper's §6(3) extension: masks may be
 	// "expressed with additional attributes", so a view's conditions on
 	// columns the query did not request still admit the permitted rows
@@ -110,24 +101,16 @@ type Options struct {
 	CachePages int
 }
 
-// DefaultOptions enables every refinement and the materialized mask
-// closure.
+// DefaultOptions enables the materialized mask closure.
 func DefaultOptions() Options {
-	return Options{
-		Padding: true, FourCase: true, SelfJoins: true, Subsume: true,
-		MaskClosure: true,
-	}
+	return Options{MaskClosure: true}
 }
 
 func (o Options) internal() core.Options {
+	// core.DefaultOptions turns every §4.2 refinement on; pushdown (off at
+	// the core layer, where the worked examples render the full answer)
+	// is on.
 	opt := core.DefaultOptions()
-	opt.Padding = o.Padding
-	opt.FourCase = o.FourCase
-	opt.SelfJoins = o.SelfJoins
-	opt.Subsume = o.Subsume
-	// The execution switches are not options here: core.DefaultOptions
-	// selects the optimized, indexed executor, and pushdown (off at the
-	// core layer, where Certify and the experiments need it off) is on.
 	opt.MaskPushdown = true
 	opt.ExtendedMasks = o.ExtendedMasks
 	opt.MaskClosure = o.MaskClosure

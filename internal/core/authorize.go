@@ -10,8 +10,8 @@ import (
 	"authdb/internal/relation"
 )
 
-// Snapshot records the meta-relation after one phase of the meta-side
-// execution, for the paper's worked examples and for debugging.
+// Snapshot records the meta-relation after one phase of ReferencePlan,
+// for the paper's worked examples and for debugging.
 type Snapshot struct {
 	Phase string
 	Meta  *MetaRel
@@ -20,7 +20,10 @@ type Snapshot struct {
 // Decision is the outcome of the authorization process of §5: the answer
 // A, the meta-answer A' as a mask, the masked answer actually delivered,
 // and the inferred permit statements describing the portions delivered.
+// The meta side (mask, permits, outcome flags, participating views) is
+// the embedded MaskPlan, shared read-only with the cache and the closure.
 type Decision struct {
+	*MaskPlan
 	// PSJ is the normal-form plan of the request.
 	PSJ *algebra.PSJ
 	// Answer is the unmasked answer A; callers must not deliver it to
@@ -31,30 +34,10 @@ type Decision struct {
 	// Masked is the deliverable relation: permitted values only, other
 	// cells null, fully-withheld rows dropped.
 	Masked *relation.Relation
-	// Mask is the meta-answer A'.
-	Mask *Mask
-	// Permits describes the delivered portions; empty when the entire
-	// answer is delivered (§5 Example 3) or when nothing is.
-	Permits []PermitStatement
 	// Stats summarises the masking.
 	Stats MaskStats
-	// FullyAuthorized reports that the mask grants the entire answer
-	// unconditionally.
-	FullyAuthorized bool
-	// Denied reports that the mask grants nothing.
-	Denied bool
-	// Views lists the user's permitted views that participated (after
-	// entirety pruning).
-	Views []string
-	// Intermediates holds the per-phase meta-relations when requested.
-	Intermediates []Snapshot
-	// Inst is the per-request view instantiation (variable names,
-	// provenance); useful for rendering intermediate meta-relations.
-	Inst *Instance
-	// Pushdown holds the mask-derived necessary delivery condition
-	// (possibly empty); PushdownApplied reports whether it was fused
-	// into the actual-side plan for this retrieval.
-	Pushdown        []algebra.Atom
+	// PushdownApplied reports whether MaskPlan.Pushdown was fused into
+	// the actual-side plan for this retrieval.
 	PushdownApplied bool
 	// MetaTuples is MaskPlan.MetaTuples when this retrieval recomputed the
 	// plan, zero when the mask cache or the closure supplied it.
@@ -71,14 +54,17 @@ type Decision struct {
 type MaskPlan struct {
 	// Mask is the compiled meta-answer A'.
 	Mask *Mask
-	// Views lists the permitted views that participated.
+	// Views lists the permitted views that participated (after entirety
+	// pruning).
 	Views []string
-	// Inst is the per-request view instantiation.
+	// Inst is the per-request view instantiation (variable names,
+	// provenance); useful for rendering intermediate meta-relations.
 	Inst *Instance
 	// Permits describes the delivered portions when the outcome is
-	// partial; empty on full grant or full denial.
+	// partial; empty on full grant (§5 Example 3) or full denial.
 	Permits []PermitStatement
-	// FullyAuthorized and Denied classify the mask.
+	// FullyAuthorized reports that the mask grants the entire answer
+	// unconditionally; Denied that it grants nothing.
 	FullyAuthorized bool
 	Denied          bool
 	// WidePSJ and OutIdx are set under Options.ExtendedMasks: the plan
@@ -91,8 +77,8 @@ type MaskPlan struct {
 	// (Mask.PushdownAtoms). Definition-derived, so cached with the plan;
 	// Options.MaskPushdown decides whether retrieval actually fuses it.
 	Pushdown []algebra.Atom
-	// Intermediates holds the per-phase meta-relations when
-	// Options.CollectIntermediates is set (such plans bypass the cache).
+	// Intermediates holds the per-phase meta-relations of ReferencePlan;
+	// MaskPlanFor records none.
 	Intermediates []Snapshot
 	// MetaTuples counts the meta-tuples the scans and products of this
 	// plan's computation materialized — the meta side's unit of work.
@@ -113,17 +99,13 @@ type Authorizer struct {
 	Guard *guard.Guard
 	// Cache, when non-nil, memoizes the meta-side MaskPlan per
 	// (user, query), validated against the store's definition
-	// generations. Plans that collect intermediates bypass it.
+	// generations. Only RetrievePlan consults it.
 	Cache *MaskCache
 	// Closure, when non-nil, serves whole retrieves from materialized
 	// resident state (answer, masked relation, statistics) validated
 	// against both the definition generations and the pinned relation
-	// revisions; see Closure. Plans that collect intermediates or trace
-	// access paths bypass it.
+	// revisions; see Closure. Only RetrievePlan consults it.
 	Closure *Closure
-	// Trace, when non-nil, collects the access paths the actual-side
-	// evaluator chose (for EXPLAIN).
-	Trace *algebra.Trace
 }
 
 // NewAuthorizer builds an authorizer with the given options.
@@ -146,20 +128,7 @@ func (a *Authorizer) Retrieve(user string, def *cview.Def) (*Decision, error) {
 // generations, recomputed by MaskPlanFor otherwise — and the actual side
 // is then evaluated and masked by it.
 func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, error) {
-	if len(psj.Scans) == 0 {
-		return nil, fmt.Errorf("query scans no relations")
-	}
-	cache := a.Cache
-	if cache != nil && a.Opt.CollectIntermediates {
-		// Explain wants the per-phase snapshots, which a hit would skip.
-		cache = nil
-	}
 	closure := a.Closure
-	if closure != nil && (a.Opt.CollectIntermediates || a.Trace != nil) {
-		// Explain wants snapshots and access paths; a closure hit
-		// evaluates nothing.
-		closure = nil
-	}
 	var revs []*relation.Relation
 	if closure != nil {
 		// Pin the scanned revisions once: they stamp both the lookup
@@ -172,10 +141,7 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 			return d, err
 		}
 	}
-	var mp *MaskPlan
-	if cache != nil {
-		mp = cache.Get(a.Store, user, psj, a.Opt)
-	}
+	mp := a.Cache.Get(a.Store, user, psj, a.Opt)
 	metaTuples := 0
 	if mp == nil {
 		var err error
@@ -184,77 +150,76 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 			return nil, err
 		}
 		metaTuples = mp.MetaTuples
-		if cache != nil {
-			cache.Put(a.Store, user, psj, a.Opt, mp)
-		}
+		a.Cache.Put(a.Store, user, psj, a.Opt, mp)
 	}
-
-	d := &Decision{
-		PSJ:             psj,
-		Mask:            mp.Mask,
-		Views:           mp.Views,
-		Inst:            mp.Inst,
-		Permits:         mp.Permits,
-		FullyAuthorized: mp.FullyAuthorized,
-		Denied:          mp.Denied,
-		Intermediates:   mp.Intermediates,
-		Pushdown:        mp.Pushdown,
-		MetaTuples:      metaTuples,
-	}
-
 	// Fuse the mask-derived necessary delivery condition into the actual
 	// side when enabled: rows failing it match no mask tuple, so masking
 	// would drop them anyway and pruning early changes nothing delivered.
-	// Explain (CollectIntermediates) keeps the unfused plan so the
-	// rendered answer matches the paper's worked examples, and a full
-	// grant has nothing to prune.
-	fuse := a.Opt.MaskPushdown && !a.Opt.CollectIntermediates &&
-		len(mp.Pushdown) > 0 && !mp.FullyAuthorized
-	d.PushdownApplied = fuse
-
-	// Actual side. The §6(3) extension masks the wide (pre-projection)
-	// answer, so it executes the query without the final projection and
-	// derives the requested columns from it.
-	var err error
-	if a.Opt.ExtendedMasks {
-		widePSJ := mp.WidePSJ
-		if fuse {
-			widePSJ = fusePushdown(widePSJ, mp.Pushdown)
-		}
-		wideAns, err := a.evalActual(widePSJ, a.Source)
-		if err != nil {
-			return nil, err
-		}
-		d.Answer = wideAns.Project(mp.OutIdx)
-		d.Masked, d.Stats = mp.Mask.ApplyExtended(wideAns, mp.OutIdx, psj.Cols)
-		d.Masked.Canonicalize()
-		closure.Store(a.Store, user, psj, a.Opt, revs, mp, d, widePSJ)
-		return d, nil
-	}
-	psjExec := psj
-	if fuse {
-		psjExec = fusePushdown(psjExec, mp.Pushdown)
-	}
-	d.Answer, err = a.evalActual(psjExec, a.Source)
+	// A full grant has nothing to prune.
+	fuse := a.Opt.MaskPushdown && len(mp.Pushdown) > 0 && !mp.FullyAuthorized
+	d, psjExec, err := a.decide(psj, mp, metaTuples, fuse, nil)
 	if err != nil {
 		return nil, err
 	}
-	d.Masked, d.Stats = mp.Mask.Apply(d.Answer)
-	// Sorted once here, the delivered relation converts without a sort on
-	// every closure hit until a refresh appends behind it.
-	d.Masked.Canonicalize()
-	closure.Store(a.Store, user, psj, a.Opt, revs, mp, d, psjExec)
+	closure.Store(a.Store, user, psj, a.Opt, revs, d, psjExec)
 	return d, nil
 }
 
-// evalActual evaluates an actual-side plan against src under the
-// authorizer's execution options and guard.
-func (a *Authorizer) evalActual(p *algebra.PSJ, src algebra.Source) (*relation.Relation, error) {
-	if a.Opt.OptimizedExec {
-		exec := algebra.ExecOptions{UseIndexes: a.Opt.IndexedExec}
-		return algebra.EvalPSJ(p, src, a.Guard, exec, a.Trace)
+// Explain runs the dual pipeline the way §4.1 states it, for display:
+// the meta side is ReferencePlan, every phase recorded in Intermediates;
+// the actual side runs unfused, so the answer is the full A, and records
+// its access paths in tr (which may be nil). It consults neither the
+// cache nor the closure.
+func (a *Authorizer) Explain(user string, def *cview.Def, tr *algebra.Trace) (*Decision, error) {
+	an, err := cview.Analyze(def, a.Store.Schema())
+	if err != nil {
+		return nil, err
 	}
-	return algebra.EvalNaiveGuarded(p.Node(), src, a.Guard)
+	mp, err := a.ReferencePlan(user, an.PSJ)
+	if err != nil {
+		return nil, err
+	}
+	d, _, err := a.decide(an.PSJ, mp, mp.MetaTuples, false, tr)
+	return d, err
+}
+
+// decide evaluates the actual side of psj and masks it with mp, the one
+// step every path from a MaskPlan to a Decision takes. With fuse, mp's
+// pushdown atoms are conjoined with the executed plan. The §6(3)
+// extension masks the wide (pre-projection) answer, so it executes the
+// plan without the final projection and derives the requested columns
+// from it. The second result is the plan executed.
+func (a *Authorizer) decide(psj *algebra.PSJ, mp *MaskPlan, metaTuples int, fuse bool, tr *algebra.Trace) (*Decision, *algebra.PSJ, error) {
+	psjExec := psj
+	if mp.WidePSJ != nil {
+		psjExec = mp.WidePSJ
+	}
+	if fuse {
+		psjExec = fusePushdown(psjExec, mp.Pushdown)
+	}
+	ans, err := a.evalActual(psjExec, a.Source, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	d := &Decision{MaskPlan: mp, PSJ: psj, PushdownApplied: fuse, MetaTuples: metaTuples}
+	if mp.WidePSJ != nil {
+		d.Answer = ans.Project(mp.OutIdx)
+		d.Masked, d.Stats = mp.Mask.ApplyExtended(ans, mp.OutIdx, psj.Cols)
+	} else {
+		d.Answer = ans
+		d.Masked, d.Stats = mp.Mask.Apply(ans)
+	}
+	// Sorted once here, the delivered relation converts without a sort on
+	// every closure hit until a refresh appends behind it.
+	d.Masked.Canonicalize()
+	return d, psjExec, nil
+}
+
+// evalActual evaluates an actual-side plan against src on the indexed
+// executor under the authorizer's guard, recording access paths in tr
+// when it is non-nil.
+func (a *Authorizer) evalActual(p *algebra.PSJ, src algebra.Source, tr *algebra.Trace) (*relation.Relation, error) {
+	return algebra.EvalPSJ(p, src, a.Guard, algebra.ExecOptions{UseIndexes: true}, tr)
 }
 
 // scanRevs resolves the revision each of the plan's scans reads, in
@@ -275,15 +240,67 @@ func (a *Authorizer) scanRevs(psj *algebra.PSJ) []*relation.Relation {
 // the closure: instantiate the user's permitted views, mirror the query's
 // products, selections, and (unless extended) projection over the
 // meta-relations, and compile the result into a mask plus its derived
-// outcome flags and permit statements.
-//
-// The products run in one of two ways that yield the same mask, tuple for
-// tuple. The planner (plannedProduct) never builds a combination the
-// pruning step, a selection or the projection is certain to discard. The
-// reference multiplies every scan in full and prunes afterwards — §4.1's
-// order verbatim; it is what CollectIntermediates displays, it serves the
-// Options the planner does not cover, and the planner is tested against it.
+// outcome flags and permit statements. The products are planned
+// (plannedProduct): a combination the pruning step, a selection or the
+// projection is certain to discard is never built. The mask is
+// ReferencePlan's, tuple for tuple.
 func (a *Authorizer) MaskPlanFor(user string, psj *algebra.PSJ) (*MaskPlan, error) {
+	mp, err := a.instantiate(user, psj)
+	if err != nil {
+		return nil, err
+	}
+	sels := groupSelections(psj.Preds)
+	mr, produced, err := a.plannedProduct(mp.Inst, psj, sels)
+	if err != nil {
+		return nil, err
+	}
+	mp.MetaTuples = produced
+	mr.DedupeLoose()
+	return a.compile(mp, psj, sels, mr, false)
+}
+
+// ReferencePlan is the meta side in §4.1's order verbatim: every scan's
+// meta-relation multiplied in full, the theorem's pruning of dangling
+// meta-tuples, then the selections and the projection, with a snapshot
+// recorded after every phase. It is what Explain displays and the oracle
+// MaskPlanFor is tested against.
+func (a *Authorizer) ReferencePlan(user string, psj *algebra.PSJ) (*MaskPlan, error) {
+	mp, err := a.instantiate(user, psj)
+	if err != nil {
+		return nil, err
+	}
+	inst := mp.Inst
+	mr := inst.MetaRelFor(psj.Scans[0].Rel, psj.Scans[0].Alias)
+	mp.MetaTuples = len(mr.Tuples)
+	mp.record("scan "+psj.Scans[0].Alias, mr)
+	for _, s := range psj.Scans[1:] {
+		next := inst.MetaRelFor(s.Rel, s.Alias)
+		mp.record("scan "+s.Alias, next)
+		mp.MetaTuples += len(next.Tuples) + len(mr.Tuples)*len(next.Tuples)
+		if a.Opt.Padding {
+			mp.MetaTuples += len(mr.Tuples) + len(next.Tuples)
+		}
+		mr, err = MetaProductGuarded(mr, next, a.Opt.Padding, a.Guard)
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(psj.Scans) > 1 {
+		mp.record("product", mr)
+	}
+	mr.DropDangling(inst)
+	mr.DedupeLoose()
+	if len(psj.Scans) > 1 {
+		mp.record("pruned", mr)
+	}
+	return a.compile(mp, psj, groupSelections(psj.Preds), mr, true)
+}
+
+// instantiate starts a MaskPlan for psj: the user's permitted views
+// instantiated against the relations the query scans and, under
+// Options.ExtendedMasks, the wide plan and the requested columns'
+// positions in it.
+func (a *Authorizer) instantiate(user string, psj *algebra.PSJ) (*MaskPlan, error) {
 	if len(psj.Scans) == 0 {
 		return nil, fmt.Errorf("query scans no relations")
 	}
@@ -304,60 +321,27 @@ func (a *Authorizer) MaskPlanFor(user string, psj *algebra.PSJ) (*MaskPlan, erro
 			mp.OutIdx[i] = j
 		}
 	}
-
-	// Instantiate the user's permitted views against the relations the
-	// query scans.
 	scanCount := make(map[string]int)
 	for _, s := range psj.Scans {
 		scanCount[s.Rel]++
 	}
-	inst := a.Store.Instantiate(user, scanCount, a.Opt)
-	mp.Views = inst.Views()
-	mp.Inst = inst
+	mp.Inst = a.Store.Instantiate(user, scanCount, a.Opt)
+	mp.Views = mp.Inst.Views()
+	return mp, nil
+}
 
-	snap := func(phase string, mr *MetaRel) {
-		if a.Opt.CollectIntermediates {
-			mp.Intermediates = append(mp.Intermediates, Snapshot{Phase: phase, Meta: mr.clone()})
-		}
-	}
+// record appends a snapshot of mr after phase.
+func (mp *MaskPlan) record(phase string, mr *MetaRel) {
+	mp.Intermediates = append(mp.Intermediates, Snapshot{Phase: phase, Meta: mr.clone()})
+}
 
-	sels := groupSelections(psj.Preds)
-	var mr *MetaRel
+// compile is the tail both meta sides share: the selections and (unless
+// extended) the projection over the pruned product mr, then the mask and
+// its derived outcome flags, pushdown atoms and permit statements. With
+// record, each phase is snapshotted.
+func (a *Authorizer) compile(mp *MaskPlan, psj *algebra.PSJ, sels []selection, mr *MetaRel, record bool) (*MaskPlan, error) {
+	inst := mp.Inst
 	var err error
-	if a.Opt.plansMetaSide() {
-		mr, mp.MetaTuples, err = a.plannedProduct(inst, psj, sels)
-		if err != nil {
-			return nil, err
-		}
-		mr.DedupeLoose()
-	} else {
-		// The reference: §4.1's order verbatim, every product in full.
-		mr = inst.MetaRelFor(psj.Scans[0].Rel, psj.Scans[0].Alias)
-		mp.MetaTuples = len(mr.Tuples)
-		snap("scan "+psj.Scans[0].Alias, mr)
-		for _, s := range psj.Scans[1:] {
-			next := inst.MetaRelFor(s.Rel, s.Alias)
-			snap("scan "+s.Alias, next)
-			mp.MetaTuples += len(next.Tuples) + len(mr.Tuples)*len(next.Tuples)
-			if a.Opt.Padding {
-				mp.MetaTuples += len(mr.Tuples) + len(next.Tuples)
-			}
-			mr, err = MetaProductGuarded(mr, next, a.Opt.Padding, a.Guard)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(psj.Scans) > 1 {
-			snap("product", mr)
-		}
-		if a.Opt.PruneDangling {
-			mr.PruneDangling(inst)
-			mr.DedupeLoose()
-			if len(psj.Scans) > 1 {
-				snap("pruned", mr)
-			}
-		}
-	}
 	for _, sel := range sels {
 		if sel.isConst {
 			mr, err = MetaSelectConst(mr, sel.attr, sel.lam, inst, a.Opt.FourCase)
@@ -372,48 +356,49 @@ func (a *Authorizer) MaskPlanFor(user string, psj *algebra.PSJ) (*MaskPlan, erro
 		if err := a.Guard.Add(len(mr.Tuples)); err != nil {
 			return nil, err
 		}
-		snap("select "+sel.label, mr)
+		if record {
+			mp.record("select "+sel.label, mr)
+		}
 	}
 	if a.Opt.ExtendedMasks {
 		// §6(3): skip the meta projection so residual conditions on
 		// unrequested attributes survive; the wide answer gets masked.
-		mr.PruneDangling(inst)
+		mr.DropDangling(inst)
 		mr.DedupeLoose()
-		snap("extended mask", mr)
-		mp.Mask = NewMask(mr, inst)
-		if a.Opt.Subsume {
-			mp.Mask.Subsume()
+		if record {
+			mp.record("extended mask", mr)
 		}
-		mp.Pushdown = mp.Mask.PushdownAtoms()
-		mp.FullyAuthorized = fullGrantExtended(mp.Mask, mp.OutIdx)
-		mp.Denied = !revealsAnything(mp.Mask, mp.OutIdx)
-		if !mp.FullyAuthorized && !mp.Denied {
-			mp.Permits = mp.Mask.ExtendedPermits(mp.OutIdx)
+	} else {
+		mr, err = MetaProject(mr, psj.Cols)
+		if err != nil {
+			return nil, err
 		}
-		return mp, nil
+		if record {
+			mp.record("project", mr)
+		}
+		// Fail closed: a meta-tuple still referencing absent membership
+		// tuples is not expressible within A' and must never mask data in.
+		mr.DropDangling(inst)
+		mr.DedupeLoose()
 	}
-
-	mr, err = MetaProject(mr, psj.Cols)
-	if err != nil {
-		return nil, err
-	}
-	snap("project", mr)
-
-	// Fail closed: a meta-tuple still referencing absent membership
-	// tuples is not expressible within A' and must never mask data in,
-	// whatever the display options were.
-	mr.PruneDangling(inst)
-	mr.DedupeLoose()
-
 	mp.Mask = NewMask(mr, inst)
 	if a.Opt.Subsume {
 		mp.Mask.Subsume()
 	}
 	mp.Pushdown = mp.Mask.PushdownAtoms()
-	mp.FullyAuthorized = a.fullGrant(mp.Mask)
-	mp.Denied = len(mp.Mask.Tuples) == 0
+	if a.Opt.ExtendedMasks {
+		mp.FullyAuthorized = fullGrantExtended(mp.Mask, mp.OutIdx)
+		mp.Denied = !revealsAnything(mp.Mask, mp.OutIdx)
+	} else {
+		mp.FullyAuthorized = a.fullGrant(mp.Mask)
+		mp.Denied = len(mp.Mask.Tuples) == 0
+	}
 	if !mp.FullyAuthorized && !mp.Denied {
-		mp.Permits = mp.Mask.Permits()
+		if a.Opt.ExtendedMasks {
+			mp.Permits = mp.Mask.ExtendedPermits(mp.OutIdx)
+		} else {
+			mp.Permits = mp.Mask.Permits()
+		}
 	}
 	return mp, nil
 }
@@ -458,13 +443,6 @@ func groupSelections(preds []algebra.Atom) []selection {
 	return out
 }
 
-// plansMetaSide reports whether MaskPlanFor plans the products. The
-// planner works by leaving out what pruning would discard, so it needs
-// PruneDangling; the per-phase display wants every phase in full.
-func (o Options) plansMetaSide() bool {
-	return o.PruneDangling && !o.CollectIntermediates
-}
-
 // planTuple is a meta-tuple of the planned product together with the
 // stored tuples its variables mention but its provenance lacks. It dangles
 // until a later scan supplies every one of them.
@@ -473,8 +451,8 @@ type planTuple struct {
 	need []CompRef
 }
 
-// plannedProduct returns what the reference's products followed by
-// PruneDangling return, less the meta-tuples a selection or the projection
+// plannedProduct returns what ReferencePlan's products followed by
+// DropDangling return, less the meta-tuples a selection or the projection
 // discards whatever else happens to them, in the reference's order. It
 // walks the reference's enumeration — per scan: every pair, then the left
 // tuples padded, then the right tuples padded, replications removed — and

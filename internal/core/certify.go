@@ -31,13 +31,20 @@ type Certification struct {
 // and returns the full answer together with inferred statements about the
 // portions possessing the property. It is the paper's integrity
 // instance of the machinery: same meta-relations, same extended
-// operators, no masking.
+// operators, no masking. It consults neither the cache nor the closure,
+// whose entries may hold an answer pruned by mask pushdown.
 func (a *Authorizer) Certify(quality string, def *cview.Def) (*Certification, error) {
+	an, err := cview.Analyze(def, a.Store.Schema())
+	if err != nil {
+		return nil, err
+	}
+	mp, err := a.MaskPlanFor(quality, an.PSJ)
+	if err != nil {
+		return nil, err
+	}
 	// Certification delivers the full answer, so the mask may never prune
 	// rows from it — uncertified rows are annotated, not withheld.
-	ac := *a
-	ac.Opt.MaskPushdown = false
-	d, err := ac.Retrieve(quality, def)
+	d, _, err := a.decide(an.PSJ, mp, mp.MetaTuples, false, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -84,3 +84,30 @@ func TestPermitStatementVerb(t *testing.T) {
 		t.Fatalf("custom verb: %q", p.String())
 	}
 }
+
+// TestCertifyAfterFusedRetrieve: certification delivers the full answer
+// even when the authorizer fuses mask pushdown and a closure holds the
+// pruned answer of an earlier retrieve of the same query.
+func TestCertifyAfterFusedRetrieve(t *testing.T) {
+	f := pushdownFixture(t)
+	f.MustExec("permit LO to validated; permit HI to validated;")
+	opt := core.DefaultOptions()
+	opt.MaskPushdown = true
+	auth := core.NewAuthorizer(f.Store, f.Source, opt)
+	auth.Cache = core.NewMaskCache(0)
+	auth.Closure = core.NewClosure(0)
+	d, err := auth.Retrieve("validated", allColsDef())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.PushdownApplied || d.Answer.Len() != 3 {
+		t.Fatalf("retrieve: pushdown applied %v, %d answer rows; want a fused 3", d.PushdownApplied, d.Answer.Len())
+	}
+	c, err := auth.Certify("validated", allColsDef())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Answer.Len() != 4 {
+		t.Fatalf("certified answer has %d rows, want all 4", c.Answer.Len())
+	}
+}

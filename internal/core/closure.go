@@ -184,22 +184,15 @@ func sameRevs(a, b []*relation.Relation) bool {
 }
 
 // decisionFor assembles a Decision from resident state. Each hit gets a
-// fresh Decision struct; the relations and plan fields are shared,
+// fresh Decision struct; the relations and the plan are shared,
 // read-only.
 func decisionFor(e *closureEntry, psj *algebra.PSJ) *Decision {
-	p := e.plan
 	return &Decision{
+		MaskPlan:        e.plan,
 		PSJ:             psj,
 		Answer:          e.res.answer,
 		Masked:          e.res.masked,
-		Mask:            p.Mask,
-		Permits:         p.Permits,
 		Stats:           e.res.stats,
-		FullyAuthorized: p.FullyAuthorized,
-		Denied:          p.Denied,
-		Views:           p.Views,
-		Inst:            p.Inst,
-		Pushdown:        p.Pushdown,
 		PushdownApplied: e.fused,
 	}
 }
@@ -262,7 +255,7 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 	// unlocked: the window and the old revision are immutable.
 	tail := revs[0].Suffix(base)
 	src := algebra.MapSource(map[string]*relation.Relation{psj.Scans[0].Rel: tail})
-	tailAns, err := a.evalActual(psjExec, src)
+	tailAns, err := a.evalActual(psjExec, src, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -315,14 +308,14 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 	return decisionFor(e, psj), true, nil
 }
 
-// Store materializes a freshly computed decision: the executed plan,
-// the revision stamps, the result snapshot, and — for single-scan
-// non-extended plans — the incremental accumulators. Store takes
+// Store materializes a freshly computed decision: its mask plan, the
+// executed plan, the revision stamps, the result snapshot, and — for
+// single-scan non-extended plans — the incremental accumulators. Store takes
 // ownership of d.Answer and d.Masked in the MVCC sense: their published
 // prefixes stay immutable, later refreshes extend the shared backing
 // arrays past them.
-func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, revs []*relation.Relation, mp *MaskPlan, d *Decision, psjExec *algebra.PSJ) {
-	if c == nil || mp == nil || d == nil {
+func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, revs []*relation.Relation, d *Decision, psjExec *algebra.PSJ) {
+	if c == nil || d == nil {
 		return
 	}
 	rels := make([]string, len(psj.Scans))
@@ -332,7 +325,7 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 	e := &closureEntry{
 		viewGen: st.ViewGen(),
 		permGen: st.PermGen(user),
-		plan:    mp,
+		plan:    d.MaskPlan,
 		psjExec: psjExec,
 		fused:   d.PushdownApplied,
 		rels:    rels,

@@ -82,8 +82,8 @@ func compareDecisions(t *testing.T, label string, got, want *core.Decision) {
 // fresh recompute — cold, warm (exact hit), under append churn
 // (incremental refresh), after deletions (data invalidation), and after
 // definition changes (generation invalidation) — across randomized
-// databases, views, queries, and option mixes, including the naive
-// evaluator and extended masks.
+// databases, views, queries, and option mixes, including extended masks,
+// and to the paper's pipeline verbatim (referenceDecision).
 func TestClosureDecisionsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	cases := 300
@@ -101,25 +101,16 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 		base := core.DefaultOptions()
 		base.ExtendedMasks = rng.Intn(2) == 0
 		base.MaskPushdown = rng.Intn(2) == 0
-		base.IndexedExec = rng.Intn(2) == 0
-		if rng.Intn(4) == 0 {
-			base.OptimizedExec = false
-		}
 		m := newMVCCFixture(f)
 
 		ca := core.NewAuthorizer(f.Store, f.Source, base)
 		ca.Cache = core.NewMaskCache(0)
 		ca.Closure = core.NewClosure(0)
 
-		naive := base
-		naive.OptimizedExec = false
-		naive.IndexedExec = false
-		naive.MaskPushdown = false
-
 		check := func(step string) {
 			t.Helper()
-			label := fmt.Sprintf("case %d %s (ext=%v push=%v opt=%v) query %s",
-				iter, step, base.ExtendedMasks, base.MaskPushdown, base.OptimizedExec, def)
+			label := fmt.Sprintf("case %d %s (ext=%v push=%v) query %s",
+				iter, step, base.ExtendedMasks, base.MaskPushdown, def)
 			got, err := ca.Retrieve("u", def)
 			if err != nil {
 				t.Fatalf("%s: closure-backed: %v", label, err)
@@ -129,13 +120,9 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 				t.Fatalf("%s: recompute: %v", label, err)
 			}
 			compareDecisions(t, label, got, want)
-			nd, err := core.NewAuthorizer(f.Store, f.Source, naive).Retrieve("u", def)
-			if err != nil {
-				t.Fatalf("%s: naive: %v", label, err)
-			}
-			if !got.Masked.Equal(nd.Masked) {
-				t.Fatalf("%s: closure-backed masked differs from naive:\n%s\nvs\n%s",
-					label, got.Masked, nd.Masked)
+			if ref := referenceDecision(t, f, base, "u", def); !got.Masked.Equal(ref.Masked) {
+				t.Fatalf("%s: closure-backed masked differs from the reference:\n%s\nvs\n%s",
+					label, got.Masked, ref.Masked)
 			}
 		}
 

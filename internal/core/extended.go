@@ -54,8 +54,7 @@ func (m *Mask) ApplyExtended(wide *relation.Relation, outIdx []int, outAttrs []s
 				continue
 			}
 			count := 0
-			for j, i := range outIdx {
-				_ = j
+			for _, i := range outIdx {
 				if mt.Cells[i].Star {
 					count++
 				}

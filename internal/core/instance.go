@@ -8,9 +8,13 @@ import (
 	"authdb/internal/relation"
 )
 
-// Options selects the refinements of §4.2 and execution strategies; the
-// zero value disables everything (the bare model of §4.1). The ablation
-// experiment (E8) toggles these individually.
+// Options selects the refinements of §4.2, the §6(3) extension, and
+// retrieval's closure and pushdown; the zero value disables everything
+// (the bare model of §4.1). The ablation experiment (E8) toggles the
+// refinements individually. How each side of the pipeline is computed is
+// not an option: retrieval plans the meta side (MaskPlanFor) and runs the
+// actual side on the indexed executor, and ReferencePlan and Explain reach
+// §4.1's order verbatim by name.
 type Options struct {
 	// Padding extends meta-relation products with the all-blank padding
 	// tuples q1, q2 of §4.2, so subviews of one operand survive
@@ -23,23 +27,12 @@ type Options struct {
 	// SelfJoins infers merged meta-tuples from pairs of different views'
 	// tuples over the same relation when both project its key (§4.2).
 	SelfJoins bool
-	// PruneDangling removes, after the products, meta-tuples that
-	// reference stored meta-tuples outside the combination (the
-	// theorem's pruning step). Disabling it is only safe for display;
-	// the selection pass re-checks provenance before clearing. The
-	// meta-side planner works by not building what this step discards,
-	// so without it the products run in full.
-	PruneDangling bool
 	// Subsume drops final mask tuples whose reveal is covered by another
 	// mask tuple.
 	Subsume bool
-	// OptimizedExec evaluates the actual-relation side with pushdown and
-	// hash joins instead of the naive normal form.
-	OptimizedExec bool
-	// IndexedExec lets the optimized evaluator use the relations' ordered
-	// secondary indexes: hash/range access paths for constant atoms, index
-	// nested-loop joins, and statistics-informed join ordering. Results
-	// are identical to plain optimized execution; only access paths change.
+	// IndexedExec has no effect: the actual side always uses the
+	// relations' secondary indexes. It remains while the benchmark
+	// harness reads it.
 	IndexedExec bool
 	// MaskClosure lets an engine attach a materialized mask closure:
 	// resident per-(user, query) results validated by definition
@@ -64,30 +57,23 @@ type Options struct {
 	// of losing the mask at projection time. Off by default — the base
 	// model stops where Definition 3 stops.
 	ExtendedMasks bool
-	// CollectIntermediates records the meta-relation after each phase
-	// (for the paper's worked examples and debugging); the phases are
-	// those of §4.1's order run verbatim, not of the planner.
-	CollectIntermediates bool
 	// ViewCopies caps how many fresh instantiations of one view are made
 	// when the query scans a relation more often than the view mentions
 	// it; 0 means 1.
 	ViewCopies int
 }
 
-// DefaultOptions enables every refinement, pruning, subsumption, and the
-// optimized actual-side execution — the configuration the paper's worked
-// examples assume.
+// DefaultOptions enables every refinement, subsumption and the mask
+// closure — the configuration the paper's worked examples assume.
 func DefaultOptions() Options {
 	return Options{
-		Padding:       true,
-		FourCase:      true,
-		SelfJoins:     true,
-		PruneDangling: true,
-		Subsume:       true,
-		OptimizedExec: true,
-		IndexedExec:   true,
-		MaskClosure:   true,
-		ViewCopies:    2,
+		Padding:     true,
+		FourCase:    true,
+		SelfJoins:   true,
+		Subsume:     true,
+		IndexedExec: true,
+		MaskClosure: true,
+		ViewCopies:  2,
 	}
 }
 

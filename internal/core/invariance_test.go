@@ -68,9 +68,9 @@ func TestViewCopiesInvariance(t *testing.T) {
 	}
 }
 
-// TestPruneTimingInvariance: disabling the display-time product pruning
-// must not change the final delivery — the fail-closed pruning before
-// masking guarantees it.
+// TestPruneTimingInvariance: pruning dangling meta-tuples while the
+// products are built (retrieval's planner) and after them (Explain's
+// ReferencePlan) must deliver the same answer.
 func TestPruneTimingInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for iter := 0; iter < 60; iter++ {
@@ -83,14 +83,12 @@ func TestPruneTimingInvariance(t *testing.T) {
 			randSelfJoinView(f, rng, 2)
 			def = randSelfJoinQuery(rng)
 		}
-		on := core.DefaultOptions()
-		off := core.DefaultOptions()
-		off.PruneDangling = false
-		da, err := core.NewAuthorizer(f.Store, f.Source, on).Retrieve("u", def)
+		auth := core.NewAuthorizer(f.Store, f.Source, core.DefaultOptions())
+		da, err := auth.Retrieve("u", def)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := core.NewAuthorizer(f.Store, f.Source, off).Retrieve("u", def)
+		db, err := auth.Explain("u", def, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

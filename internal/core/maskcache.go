@@ -70,8 +70,7 @@ func cacheKey(user string, psj *algebra.PSJ, opt Options) string {
 func optKey(o Options) string {
 	bits := 0
 	for i, b := range []bool{
-		o.Padding, o.FourCase, o.SelfJoins, o.PruneDangling,
-		o.Subsume, o.ExtendedMasks,
+		o.Padding, o.FourCase, o.SelfJoins, o.Subsume, o.ExtendedMasks,
 	} {
 		if b {
 			bits |= 1 << i

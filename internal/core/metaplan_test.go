@@ -36,18 +36,17 @@ func planText(mp *core.MaskPlan) string {
 	return b.String()
 }
 
-// bothPlans computes the mask plan of psj twice, by the planner and by
-// the reference (which CollectIntermediates selects), under limits.
+// bothPlans computes the mask plan of psj twice, by the planner
+// (MaskPlanFor) and by the reference (ReferencePlan), under limits.
 func bothPlans(f *workload.Fixture, user string, psj *algebra.PSJ, opt core.Options, limits guard.Limits) (planned, reference *core.MaskPlan, perr, rerr error) {
-	run := func(opt core.Options) (*core.MaskPlan, error) {
+	run := func(plan func(*core.Authorizer) (*core.MaskPlan, error)) (*core.MaskPlan, error) {
 		auth := core.NewAuthorizer(f.Store, f.Source, opt)
 		auth.Guard = guard.New(context.Background(), limits)
 		defer auth.Guard.Close()
-		return auth.MaskPlanFor(user, psj)
+		return plan(auth)
 	}
-	planned, perr = run(opt)
-	opt.CollectIntermediates = true
-	reference, rerr = run(opt)
+	planned, perr = run(func(a *core.Authorizer) (*core.MaskPlan, error) { return a.MaskPlanFor(user, psj) })
+	reference, rerr = run(func(a *core.Authorizer) (*core.MaskPlan, error) { return a.ReferencePlan(user, psj) })
 	return
 }
 
@@ -293,19 +292,17 @@ func TestMetaPlanWorkBound(t *testing.T) {
 		{"example3", workload.Example3Query},
 	} {
 		def := workload.MustQuery(c.query)
-		produced := func(opt core.Options) int64 {
-			auth := core.NewAuthorizer(f.Store, f.Source, opt)
+		produced := func(run func(*core.Authorizer) (*core.Decision, error)) int64 {
+			auth := core.NewAuthorizer(f.Store, f.Source, core.DefaultOptions())
 			auth.Guard = guard.New(context.Background(), guard.Unlimited())
 			defer auth.Guard.Close()
-			if _, err := auth.Retrieve("Brown", def); err != nil {
+			if _, err := run(auth); err != nil {
 				t.Fatal(err)
 			}
 			return auth.Guard.Produced()
 		}
-		opt := core.DefaultOptions()
-		planned := produced(opt)
-		opt.CollectIntermediates = true
-		reference := produced(opt)
+		planned := produced(func(a *core.Authorizer) (*core.Decision, error) { return a.Retrieve("Brown", def) })
+		reference := produced(func(a *core.Authorizer) (*core.Decision, error) { return a.Explain("Brown", def, nil) })
 		if planned*10 > reference {
 			t.Errorf("%s: planner accounted %d rows, reference %d: more than a tenth", c.name, planned, reference)
 		}

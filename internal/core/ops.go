@@ -120,11 +120,11 @@ func (p *productParts) tuple(lc, rc []Cell) *MetaTuple {
 	}
 }
 
-// PruneDangling implements the theorem's pruning step: after the products,
+// DropDangling implements the theorem's pruning step: after the products,
 // discard meta-tuples that "contain references to meta-tuples outside A'"
 // — i.e. whose variables (or symbolic comparisons) mention stored
 // membership tuples absent from the combination.
-func (r *MetaRel) PruneDangling(inst *Instance) {
+func (r *MetaRel) DropDangling(inst *Instance) {
 	kept := r.Tuples[:0]
 	for _, t := range r.Tuples {
 		if !inst.hasDangling(t) {

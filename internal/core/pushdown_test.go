@@ -129,11 +129,12 @@ func permitsKey(ps []core.PermitStatement) string {
 }
 
 // TestPushdownDecisionsIdentical is the fused-path differential: for
-// random databases, views, and queries, every execution family — naive,
-// plain optimized, indexed — with and without mask pushdown must deliver
-// the identical masked relation, permit statements, grant/deny flags,
-// and revealed-cell statistics. Pushdown may only shrink the unmasked
-// Answer, and only by rows absent from the unfused Masked output.
+// random databases, views, and queries, retrieval with and without mask
+// pushdown must deliver what the paper's pipeline verbatim
+// (referenceDecision) delivers: the identical masked relation, permit
+// statements, grant/deny flags, and revealed-cell statistics. Pushdown
+// may only shrink the unmasked Answer, and only by rows absent from the
+// unfused Masked output.
 func TestPushdownDecisionsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	cases := 300
@@ -148,46 +149,18 @@ func TestPushdownDecisionsIdentical(t *testing.T) {
 		}
 		def := randQueryDef(rng)
 		base := core.DefaultOptions()
-		base.IndexedExec = false
 		base.ExtendedMasks = rng.Intn(2) == 0
 
-		d0, err := core.NewAuthorizer(f.Store, f.Source, base).Retrieve("u", def)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for vi := 0; vi < 5; vi++ {
+		d0 := referenceDecision(t, f, base, "u", def)
+		for vi := 0; vi < 2; vi++ {
 			opt := base
-			switch vi {
-			case 0:
-				opt.OptimizedExec = false
-			case 1:
-				opt.IndexedExec = true
-			case 2:
-				opt.MaskPushdown = true
-			case 3:
-				opt.MaskPushdown, opt.IndexedExec = true, true
-			case 4:
-				opt.MaskPushdown, opt.OptimizedExec = true, false
-			}
+			opt.MaskPushdown = vi == 1
 			label := fmt.Sprintf("case %d variant %d (ext=%v) query %s", iter, vi, base.ExtendedMasks, def)
 			d, err := core.NewAuthorizer(f.Store, f.Source, opt).Retrieve("u", def)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if !d.Masked.Equal(d0.Masked) {
-				t.Fatalf("%s: masked answers differ:\n%s\nvs\n%s", label, d.Masked, d0.Masked)
-			}
-			if d.FullyAuthorized != d0.FullyAuthorized || d.Denied != d0.Denied {
-				t.Fatalf("%s: outcome flags differ", label)
-			}
-			if permitsKey(d.Permits) != permitsKey(d0.Permits) {
-				t.Fatalf("%s: permits differ:\n%s\nvs\n%s", label, permitsKey(d.Permits), permitsKey(d0.Permits))
-			}
-			if d.Stats.RevealedCells != d0.Stats.RevealedCells ||
-				d.Stats.RevealedRows != d0.Stats.RevealedRows ||
-				d.Stats.FullRows != d0.Stats.FullRows {
-				t.Fatalf("%s: revealed stats differ: %+v vs %+v", label, d.Stats, d0.Stats)
-			}
+			compareDecisions(t, label, d, d0)
 			if !opt.MaskPushdown {
 				if !d.Answer.Equal(d0.Answer) {
 					t.Fatalf("%s: answers differ without pushdown", label)

@@ -615,12 +615,10 @@ func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) 
 	g := guard.New(ctx, s.limits)
 	defer g.Close()
 	v := s.readVersion()
-	opt := s.eng.opt
-	opt.CollectIntermediates = true
-	auth := core.NewAuthorizer(v.store, v.source, opt)
+	auth := core.NewAuthorizer(v.store, v.source, s.eng.opt)
 	auth.Guard = g
-	auth.Trace = &algebra.Trace{}
-	d, err := auth.Retrieve(s.user, def)
+	var paths algebra.Trace
+	d, err := auth.Explain(s.user, def, &paths)
 	if err != nil {
 		return nil, err
 	}
@@ -645,7 +643,7 @@ func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) 
 			fmt.Fprintln(&b, p.String())
 		}
 	}
-	if lines := auth.Trace.Lines(); len(lines) > 0 {
+	if lines := paths.Lines(); len(lines) > 0 {
 		fmt.Fprintln(&b, "\naccess paths:")
 		for _, l := range lines {
 			fmt.Fprintln(&b, "  "+l)
@@ -662,19 +660,13 @@ func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) 
 		fmt.Fprintf(&b, "mask pushdown: %s (available, disabled)\n", atomsString(d.Pushdown))
 	}
 	// The phases above are §4.1's order in full. Retrieval reaches the same
-	// mask through the planned meta side unless pruning is off; report the
-	// work it does instead.
-	if s.eng.opt.PruneDangling {
-		auth.Opt = s.eng.opt
-		planned, err := auth.MaskPlanFor(s.user, d.PSJ)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(&b, "meta side: retrieval plans it, materializing %d meta-tuples against the %d of the phases above\n",
-			planned.MetaTuples, d.MetaTuples)
-	} else {
-		fmt.Fprintf(&b, "meta side: retrieval runs the phases above (%d meta-tuples)\n", d.MetaTuples)
+	// mask through the planned meta side; report the work it does instead.
+	planned, err := auth.MaskPlanFor(s.user, d.PSJ)
+	if err != nil {
+		return nil, err
 	}
+	fmt.Fprintf(&b, "meta side: retrieval plans it, materializing %d meta-tuples against the %d of the phases above\n",
+		planned.MetaTuples, d.MetaTuples)
 	return &Result{Text: strings.TrimRight(b.String(), "\n"), Decision: d, AtLSN: v.lsn}, nil
 }
 

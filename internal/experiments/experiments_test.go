@@ -2,12 +2,48 @@ package experiments_test
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
 	"authdb/internal/experiments"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files")
+
+// TestTablesGolden pins the complete output of the deterministic
+// experiments — E6, E7, E8 and E11, in that order — against
+// testdata/tables.golden. Run with -update after an intentional change.
+func TestTablesGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, run := range []func(io.Writer){experiments.SysR, experiments.Ingres, experiments.Ablation, experiments.Extended} {
+		run(&buf)
+	}
+	path := filepath.Join("testdata", "tables.golden")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if g[i] != w[i] {
+				t.Fatalf("output diverged from %s at line %d (run with -update after intentional changes)\n got: %s\nwant: %s",
+					path, i+1, g[i], w[i])
+			}
+		}
+		t.Fatalf("output diverged from %s: %d lines, want %d", path, len(g), len(w))
+	}
+}
 
 // TestSysRTable pins the deterministic content of E6: System R denies
 // every base-relation query while the mask model answers within the

@@ -47,14 +47,13 @@ func Example(w io.Writer, n int, user, query string) error {
 
 	f := workload.Paper()
 	opt := core.DefaultOptions()
-	opt.CollectIntermediates = true
 	// The paper instantiates each view once; extra fresh-variable copies
 	// (useful for completeness on repeated-relation queries) only add
 	// display noise here and never change these examples' outcomes —
 	// TestExample1–3 run with the default options and agree.
 	opt.ViewCopies = 1
 	auth := core.NewAuthorizer(f.Store, f.Source, opt)
-	d, err := auth.Retrieve(user, def)
+	d, err := auth.Explain(user, def, nil)
 	if err != nil {
 		return fmt.Errorf("example %d: %w", n, err)
 	}
