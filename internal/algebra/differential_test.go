@@ -15,10 +15,10 @@ import (
 )
 
 // The differential harness: randomized databases and PSJ plans, each
-// evaluated through three evaluator families — naive, plain (pushdown +
-// hash join, no indexes), and indexed (secondary-index access paths,
-// index joins, stats-informed ordering) — with every pair of results
-// cross-checked for set equality. Under a budget each family must either
+// evaluated through two evaluator families — naive and indexed
+// (EvalPSJ: pushdown, secondary-index access paths, hash and index
+// joins, stats-informed ordering) — with the results cross-checked for
+// set equality. Under a budget each family must either
 // return exactly its own unbudgeted result, tuple for tuple, or fail
 // with ErrBudgetExceeded; across families only set equality holds (the
 // evaluators materialize different intermediates by design, so their
@@ -156,14 +156,13 @@ type family int
 
 const (
 	famNaive   family = iota // EvalNaive: bottom-up plan tree
-	famPlain                 // EvalPSJ without indexes: pushdown + hash join
-	famIndexed               // EvalPSJ with indexes: range scans, index joins, stats
+	famIndexed               // EvalPSJ: range scans, index joins, stats
 )
 
-var families = []family{famNaive, famPlain, famIndexed}
+var families = []family{famNaive, famIndexed}
 
 func (f family) String() string {
-	return [...]string{"naive", "plain", "indexed"}[f]
+	return [...]string{"naive", "indexed"}[f]
 }
 
 // evalWays runs the plan with the given limits through one family.
@@ -174,14 +173,12 @@ func evalWays(c diffCase, f family, limits guard.Limits) (*relation.Relation, er
 	switch f {
 	case famNaive:
 		return EvalNaiveGuarded(c.plan.Node(), src, g)
-	case famPlain:
-		return EvalPSJ(c.plan, src, g, ExecOptions{}, nil)
 	default:
 		return EvalPSJ(c.plan, src, g, ExecOptions{UseIndexes: true}, nil)
 	}
 }
 
-// checkCase cross-checks the three families on one case and, when
+// checkCase cross-checks the two families on one case and, when
 // budgets is non-empty, each family under every budget.
 func checkCase(t *testing.T, c diffCase, budgets []int64) {
 	t.Helper()
@@ -226,7 +223,7 @@ func checkFamilies(t *testing.T, c diffCase, fams []family, budgets []int64) {
 }
 
 // TestDifferentialRandomized runs 1000 randomized small cases through
-// the three families, with budgets probed on every tenth.
+// the two families, with budgets probed on every tenth.
 func TestDifferentialRandomized(t *testing.T) {
 	const cases = 1000
 	for i := 0; i < cases; i++ {
@@ -310,7 +307,7 @@ func residualProbed(t *testing.T, c diffCase) bool {
 	return false
 }
 
-// TestDifferentialResidualProbe runs the probe family through the three
+// TestDifferentialResidualProbe runs the probe family through the two
 // families, with budgets probed on every fifth case, and
 // checks through the trace that the residual probe really is the path
 // under test: at least a tenth of the cases must take it.
@@ -336,8 +333,9 @@ func TestDifferentialResidualProbe(t *testing.T) {
 }
 
 // TestDifferentialResidualProbeLarge probes with an outer of over a
-// thousand rows and a residual to check: plain and indexed agree as sets,
-// and under each budget each returns its own result or fails cleanly.
+// thousand rows and a residual to check: the indexed family agrees as a
+// set with a nested-loop walk of the product, and under each budget
+// returns its own result or fails cleanly.
 func TestDifferentialResidualProbeLarge(t *testing.T) {
 	cases := 6
 	if testing.Short() {
@@ -349,8 +347,65 @@ func TestDifferentialResidualProbeLarge(t *testing.T) {
 		if !residualProbed(t, c) {
 			t.Fatalf("case %d did not take a residual index probe (plan %s)", i, c.plan)
 		}
-		checkFamilies(t, c, []family{famPlain, famIndexed}, []int64{900, 1500, 20000})
+		checkFamilies(t, c, []family{famIndexed}, []int64{900, 1500, 20000})
+		want, err := nestedLoop(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := evalWays(c, famIndexed, guard.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Equal(got) {
+			t.Fatalf("indexed and nested loop disagree on plan %s: %d vs %d tuples", c.plan, got.Len(), want.Len())
+		}
 	}
+}
+
+// nestedLoop is the reference for plans too large for the naive family:
+// the product is walked one row at a time, never materialized, and each
+// row that satisfies the predicates is projected.
+func nestedLoop(c diffCase) (*relation.Relation, error) {
+	var rels []*relation.Relation
+	var attrs []string
+	for _, sc := range c.plan.Scans {
+		r := c.rels[sc.Rel]
+		rels = append(rels, r)
+		attrs = append(attrs, relation.QualifyAttrs(sc.Alias, r.Attrs)...)
+	}
+	pred, err := CompilePred(attrs, c.plan.Preds)
+	if err != nil {
+		return nil, err
+	}
+	idx := make([]int, len(c.plan.Cols))
+	for i, col := range c.plan.Cols {
+		if idx[i], err = resolve(attrs, col); err != nil {
+			return nil, err
+		}
+	}
+	out := relation.New(c.plan.Cols)
+	row := make(relation.Tuple, 0, len(attrs))
+	var walk func(k int)
+	walk = func(k int) {
+		if k == len(rels) {
+			if pred(row) {
+				p := make(relation.Tuple, len(idx))
+				for i, j := range idx {
+					p[i] = row[j]
+				}
+				out.Adopt(p)
+			}
+			return
+		}
+		for _, t := range rels[k].Tuples() {
+			n := len(row)
+			row = append(row, t...)
+			walk(k + 1)
+			row = row[:n]
+		}
+	}
+	walk(0)
+	return out, nil
 }
 
 // relationsEqualExact reports whether two relations are identical tuple

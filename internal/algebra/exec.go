@@ -5,14 +5,10 @@ import (
 	"strings"
 )
 
-// ExecOptions tunes access-path selection in EvalPSJ.
+// ExecOptions is EvalPSJ's options argument.
 type ExecOptions struct {
-	// UseIndexes enables the secondary-index access paths — hash-equality
-	// lookups, ordered range scans, index nested-loop joins — and the
-	// stats-informed greedy join ordering. Off, EvalPSJ is the plain
-	// pushdown + hash-join evaluator (the PR-2 strategy minus index
-	// lookups), kept as the comparison baseline for the differential
-	// tests.
+	// UseIndexes has no effect: EvalPSJ always chooses among the
+	// secondary-index access paths and orders joins by its estimates.
 	UseIndexes bool
 }
 

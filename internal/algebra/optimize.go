@@ -43,14 +43,13 @@ func EvalOptimizedGuarded(p *PSJ, src Source, g *guard.Guard) (*relation.Relatio
 // join probing a base relation's persistent hash index (checking the
 // scan's own atoms per candidate), or (when no equality connects the
 // sides) a guarded cartesian product. All paths account rows against the
-// same guard; with opt.UseIndexes off the evaluator reduces to the plain
-// pushdown + hash-join strategy and legacy join order.
+// same guard. opt has no effect.
 //
-// With opt.UseIndexes a scan is lazy: only the start of the join is
-// materialized up front. A later scan that is joined in by an equality
-// from an outer at most a quarter of its estimate is never materialized
-// at all — the index join reads just the candidates its probes return —
-// and any other is materialized when it is joined in.
+// A scan is lazy: only the start of the join is materialized up front.
+// A later scan that is joined in by an equality from an outer at most a
+// quarter of its estimate is never materialized at all — the index join
+// reads just the candidates its probes return — and any other is
+// materialized when it is joined in.
 func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*relation.Relation, error) {
 	if len(p.Scans) == 0 {
 		return nil, fmt.Errorf("empty query")
@@ -76,49 +75,34 @@ func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*r
 		}
 	}
 	for _, sp := range parts {
-		if len(sp.local) == 0 {
-			continue
-		}
-		sp.rel = nil
-		if opt.UseIndexes {
-			sp.est = estimate(sp.base, sp.local)
-		} else if err := sp.materialize(g, false); err != nil {
-			return nil, err
+		if len(sp.local) > 0 {
+			sp.rel, sp.est = nil, estimate(sp.base, sp.local)
 		}
 	}
 
-	// Greedy left-deep join. With indexes the start is the part with the
-	// smallest estimate and each step picks the connected part with the
-	// lowest estimated output; without, the legacy order (first scan,
-	// then most equality atoms).
+	// Greedy left-deep join: the start is the part with the smallest
+	// estimate and each step picks the connected part with the lowest
+	// estimated output.
 	start := 0
-	if opt.UseIndexes {
-		for i := 1; i < len(parts); i++ {
-			if parts[i].est < parts[start].est {
-				start = i
-			}
+	for i := 1; i < len(parts); i++ {
+		if parts[i].est < parts[start].est {
+			start = i
 		}
-		if err := parts[start].materialize(g, true); err != nil {
-			return nil, err
-		}
+	}
+	if err := parts[start].materialize(g); err != nil {
+		return nil, err
 	}
 	cur := parts[start].rel
 	used := make([]bool, len(parts))
 	used[start] = true
 	remainingEq, remainingOther := splitEq(global)
 	for joined := 1; joined < len(parts); joined++ {
-		var next int
-		var eqs []Atom
-		if opt.UseIndexes {
-			next, eqs = pickNextStats(cur, parts, used, remainingEq)
-		} else {
-			next, eqs = pickNext(cur, parts, used, remainingEq)
-		}
+		next, eqs := pickNext(cur, parts, used, remainingEq)
 		sp := parts[next]
 		var err error
 		kind := JoinProduct
 		switch {
-		case len(eqs) > 0 && opt.UseIndexes && sp.est >= indexJoinMinInner && cur.Len()*4 <= sp.est:
+		case len(eqs) > 0 && sp.est >= indexJoinMinInner && cur.Len()*4 <= sp.est:
 			// A small outer probes the base relation's persistent index;
 			// the scan's own atoms, if any, filter the candidates, so the
 			// scan itself is never materialized.
@@ -128,11 +112,11 @@ func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*r
 			sp.tr.Path, sp.tr.Atoms, sp.tr.Out = PathIndexProbe, atomStrings(sp.local), probed
 		case len(eqs) > 0:
 			kind = JoinHash
-			if err = sp.materialize(g, opt.UseIndexes); err == nil {
+			if err = sp.materialize(g); err == nil {
 				cur, err = hashJoin(cur, sp.rel, eqs, g)
 			}
 		default:
-			if err = sp.materialize(g, opt.UseIndexes); err == nil {
+			if err = sp.materialize(g); err == nil {
 				cur, err = guardedProduct(cur, sp.rel, g)
 			}
 		}
@@ -191,11 +175,11 @@ type scanPart struct {
 
 // materialize filters a pending scan by its local atoms through the
 // access path applyLocal chooses; a materialized part is left alone.
-func (sp *scanPart) materialize(g *guard.Guard, useIdx bool) error {
+func (sp *scanPart) materialize(g *guard.Guard) error {
 	if sp.rel != nil {
 		return nil
 	}
-	out, path, served, err := applyLocal(sp.base, sp.local, g, useIdx)
+	out, path, served, err := applyLocal(sp.base, sp.local, g)
 	if err != nil {
 		return err
 	}
@@ -231,17 +215,15 @@ func hashEqAtom(atoms []Atom) int {
 // path: the first equality-with-constant atom is served from the
 // secondary hash index; failing that, every <,≤,>,≥-with-constant atom
 // on one attribute folds into a single ordered-index range lookup; and
-// failing that (or with useIdx off) the scan is full. Residual atoms are
-// evaluated per retrieved row either way. It reports the path taken and
-// the atoms the access path itself served.
-func applyLocal(part *relation.Relation, atoms []Atom, g *guard.Guard, useIdx bool) (*relation.Relation, string, []string, error) {
-	if useIdx {
-		if out, served, err := tryHashPath(part, atoms, g); out != nil || err != nil {
-			return out, PathHashEq, served, err
-		}
-		if out, served, err := tryRangePath(part, atoms, g); out != nil || err != nil {
-			return out, PathIndexRange, served, err
-		}
+// failing that the scan is full. Residual atoms are evaluated per
+// retrieved row either way. It reports the path taken and the atoms the
+// access path itself served.
+func applyLocal(part *relation.Relation, atoms []Atom, g *guard.Guard) (*relation.Relation, string, []string, error) {
+	if out, served, err := tryHashPath(part, atoms, g); out != nil || err != nil {
+		return out, PathHashEq, served, err
+	}
+	if out, served, err := tryRangePath(part, atoms, g); out != nil || err != nil {
+		return out, PathIndexRange, served, err
 	}
 	pred, err := CompilePred(part.Attrs, atoms)
 	if err != nil {
@@ -431,30 +413,14 @@ func connAtoms(cur, part *relation.Relation, eqs []Atom) []Atom {
 	return conn
 }
 
-// pickNext chooses the unused part connected to cur by the most equality
-// atoms (0 means a cartesian product is unavoidable this step).
-func pickNext(cur *relation.Relation, parts []*scanPart, used []bool, eqs []Atom) (int, []Atom) {
-	bestIdx, bestEqs := -1, []Atom(nil)
-	for i := range parts {
-		if used[i] {
-			continue
-		}
-		conn := connAtoms(cur, parts[i].base, eqs)
-		if bestIdx < 0 || len(conn) > len(bestEqs) {
-			bestIdx, bestEqs = i, conn
-		}
-	}
-	return bestIdx, bestEqs
-}
-
-// pickNextStats chooses the next part by cardinality estimate: among the
+// pickNext chooses the next part by cardinality estimate: among the
 // parts connected to cur by an equality, the one minimizing
 // |cur|·est(part)/V(base, join key), with V the distinct-count statistic
 // of the part's base relation — never of a filtered intermediate — and
 // taken only when two or more parts compete; a part with no connecting
 // equality (cartesian product) is a last resort, smallest first. Ties
 // break on scan order, so the plan is deterministic.
-func pickNextStats(cur *relation.Relation, parts []*scanPart, used []bool, eqs []Atom) (int, []Atom) {
+func pickNext(cur *relation.Relation, parts []*scanPart, used []bool, eqs []Atom) (int, []Atom) {
 	conns := make([][]Atom, len(parts))
 	only, connected := -1, 0
 	for i, sp := range parts {

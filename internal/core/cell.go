@@ -37,9 +37,6 @@ type Cell struct {
 // Blank returns the unconstrained, unprojected cell ⊔.
 func Blank() Cell { return Cell{Cons: interval.Full()} }
 
-// StarBlank returns the projected, unconstrained cell *.
-func StarBlank() Cell { return Cell{Star: true, Cons: interval.Full()} }
-
 // Const returns the constant cell c (starred or not).
 func Const(v value.Value, star bool) Cell {
 	return Cell{Star: star, Cons: interval.Point(v)}

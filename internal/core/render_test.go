@@ -133,9 +133,6 @@ func TestComparisonRendering(t *testing.T) {
 }
 
 func TestCellConstructors(t *testing.T) {
-	if !core.StarBlank().Star || !core.StarBlank().IsBlank() {
-		t.Fatal("StarBlank wrong")
-	}
 	if core.Blank().Star || !core.Blank().IsBlank() {
 		t.Fatal("Blank wrong")
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"authdb/internal/algebra"
 	"authdb/internal/cview"
 	"authdb/internal/interval"
 	"authdb/internal/relation"
@@ -51,6 +52,9 @@ type StoredView struct {
 	Key    string
 	Def    *cview.Def
 	Tuples []StoredTuple
+	// PSJ is the branch's query in normal form; Tuples[i] is the
+	// meta-tuple of PSJ.Scans[i].
+	PSJ *algebra.PSJ
 	// VarIv maps variable names to the conjunction of their constant
 	// comparisons from COMPARISON, in interval form.
 	VarIv map[string]interval.Interval
@@ -270,6 +274,7 @@ func (s *Store) compile(def *cview.Def) (*StoredView, int, error) {
 		Name:    def.Name,
 		Key:     def.Name,
 		Def:     def,
+		PSJ:     an.PSJ,
 		VarIv:   make(map[string]interval.Interval),
 		VarOccs: make(map[string][]int),
 	}

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,7 +31,6 @@ import (
 	"authdb/internal/parser"
 	"authdb/internal/relation"
 	"authdb/internal/storage"
-	"authdb/internal/value"
 	"authdb/internal/wal"
 )
 
@@ -780,21 +780,41 @@ func deletePredicate(sch *relation.DBSchema, p parser.Delete) (func(relation.Tup
 	return algebra.CompilePred(rs.Attrs, atoms)
 }
 
-// authorizeUpdate implements the §6 update-permission extension: the tuple
-// must fall entirely within some permitted view — a view that covers every
-// attribute of the relation (all cells starred) with a single membership
-// tuple over it, whose selection the tuple satisfies. Join conditions to
-// other relations are checked against the current instance. Runs inside
-// the writer's critical section, against the writer state.
+// authorizeUpdate implements the §6 update-permission extension: tuple t
+// of rel may be inserted or deleted when some permitted view branch has
+// an occurrence of rel with every cell starred, and the branch's query,
+// with that occurrence reading {t} alone and every other occurrence
+// reading the writer's current relations, is non-empty. Runs inside the
+// writer's critical section, against the writer state.
 func (s *Session) authorizeUpdate(rel string, t relation.Tuple) error {
+	head, err := s.eng.writerSource(rel)
+	if err != nil {
+		return err
+	}
+	one := relation.New(head.Attrs)
+	one.Append(t)
+	// The covering occurrence reads "", a name no relation can take.
+	src := func(name string) (*relation.Relation, error) {
+		if name == "" {
+			return one, nil
+		}
+		return s.eng.writerSource(name)
+	}
 	store := s.eng.wstore
 	for _, vn := range store.ViewsFor(s.user) {
 		for _, v := range store.Branches(vn) {
-			for ti := range v.Tuples {
-				if v.Tuples[ti].Rel != rel {
+			for i, st := range v.Tuples {
+				if st.Rel != rel || !allStarred(st) {
 					continue
 				}
-				if s.updateCovered(v, ti, t) {
+				q := *v.PSJ
+				q.Scans = slices.Clone(q.Scans)
+				q.Scans[i].Rel = ""
+				ans, err := algebra.EvalPSJ(&q, src, nil, algebra.ExecOptions{}, nil)
+				if err != nil {
+					return err
+				}
+				if ans.Len() > 0 {
 					return nil
 				}
 			}
@@ -803,88 +823,10 @@ func (s *Session) authorizeUpdate(rel string, t relation.Tuple) error {
 	return fmt.Errorf("%w: user %s may not modify %s: no permitted view covers the tuple", ErrNotAuthorized, s.user, rel)
 }
 
-// updateCovered checks one membership tuple of a view against the tuple:
-// all attributes starred, constants and variable intervals satisfied, and
-// every join variable witnessed by the other relations' current contents.
-func (s *Session) updateCovered(v *core.StoredView, ti int, t relation.Tuple) bool {
-	st := v.Tuples[ti]
-	binding := make(map[string]value.Value)
-	for ci, c := range st.Cells {
+// allStarred reports whether a meta-tuple stars every attribute.
+func allStarred(st core.StoredTuple) bool {
+	for _, c := range st.Cells {
 		if !c.Star {
-			return false
-		}
-		switch {
-		case c.Const != nil:
-			if !c.Const.Equal(t[ci]) {
-				return false
-			}
-		case c.Var != "":
-			if iv, ok := v.VarIv[c.Var]; ok && !iv.Contains(t[ci]) {
-				return false
-			}
-			if prev, ok := binding[c.Var]; ok {
-				if !prev.Equal(t[ci]) {
-					return false
-				}
-			} else {
-				binding[c.Var] = t[ci]
-			}
-		}
-	}
-	// Witness join variables in the other membership tuples.
-	for tj := range v.Tuples {
-		if tj == ti {
-			continue
-		}
-		if !s.witness(v, tj, binding) {
-			return false
-		}
-	}
-	return len(v.VarCmps) == 0 || s.cmpsHold(v, binding)
-}
-
-// witness reports whether some current tuple of the tj-th membership
-// relation satisfies its constants, intervals, and the bindings fixed so
-// far (unbound variables on this tuple are ignored — they stay
-// existential).
-func (s *Session) witness(v *core.StoredView, tj int, binding map[string]value.Value) bool {
-	st := v.Tuples[tj]
-	r, err := s.eng.writerSource(st.Rel)
-	if err != nil {
-		return false
-	}
-	for _, u := range r.Tuples() {
-		ok := true
-		for ci, c := range st.Cells {
-			switch {
-			case c.Const != nil:
-				if !c.Const.Equal(u[ci]) {
-					ok = false
-				}
-			case c.Var != "":
-				if iv, okIv := v.VarIv[c.Var]; okIv && !iv.Contains(u[ci]) {
-					ok = false
-				}
-				if b, bound := binding[c.Var]; bound && !b.Equal(u[ci]) {
-					ok = false
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Session) cmpsHold(v *core.StoredView, binding map[string]value.Value) bool {
-	for _, c := range v.VarCmps {
-		x, xok := binding[c.X]
-		y, yok := binding[c.Y]
-		if !xok || !yok || !c.Op.Eval(x, y) {
 			return false
 		}
 	}

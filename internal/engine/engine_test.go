@@ -125,6 +125,68 @@ func TestUpdateAuthorizationJoinWitness(t *testing.T) {
 	}
 }
 
+// updateEngine runs an admin script and returns the engine.
+func updateEngine(t *testing.T, script string) *engine.Engine {
+	t.Helper()
+	e := engine.New(core.DefaultOptions())
+	if _, err := e.NewSession("admin", true).ExecScript(script); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// rowCount is the number of rows admin sees in a query.
+func rowCount(t *testing.T, e *engine.Engine, query string) int {
+	t.Helper()
+	res, err := e.NewSession("admin", true).Exec(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Relation.Len()
+}
+
+func TestUpdateAuthorizationJoinsPartners(t *testing.T) {
+	// S's only row joins T(c1, 2), which fails T.D = 1; T(c2, 1) passes
+	// it but joins no S row. Checking each partner on its own finds a
+	// witness in both, yet V has no row with R.B = b1.
+	e := updateEngine(t, `
+		relation R (A, B);
+		relation S (B, C);
+		relation T (C, D);
+		insert into S values (b1, c1);
+		insert into T values (c1, 2);
+		insert into T values (c2, 1);
+		view V (R.A, R.B) where R.B = S.B and S.C = T.C and T.D = 1;
+		permit V to u;
+	`)
+	if _, err := e.NewSession("u", false).Exec(`insert into R values (a1, b1)`); err == nil {
+		t.Fatalf("insert outside V accepted; V now has %d rows", rowCount(t, e, `retrieve (R.A, R.B) where R.B = S.B and S.C = T.C and T.D = 1`))
+	}
+}
+
+func TestUpdateAuthorizationPartnerComparison(t *testing.T) {
+	// U.C < U.D compares two attributes only the partner U binds; its row
+	// U(b1, 1, 5) satisfies it, so (a1, b1) lies in W.
+	const script = `
+		relation Q (A, B);
+		relation U (B, C, D);
+		insert into U values (b1, 1, 5);
+		view W (Q.A, Q.B) where Q.B = U.B and U.C < U.D;
+		permit W to u;
+	`
+	e := updateEngine(t, script)
+	if _, err := e.NewSession("u", false).Exec(`insert into Q values (a1, b1)`); err != nil {
+		t.Errorf("insert within W rejected: %v", err)
+	}
+	e = updateEngine(t, script+"insert into Q values (a1, b1);")
+	if n := rowCount(t, e, `retrieve (Q.A, Q.B) where Q.B = U.B and U.C < U.D`); n != 1 {
+		t.Fatalf("W has %d rows, want 1", n)
+	}
+	if _, err := e.NewSession("u", false).Exec(`delete from Q where A = a1`); err != nil {
+		t.Errorf("delete within W rejected: %v", err)
+	}
+}
+
 func TestSymbolicCmpGuardsUpdates(t *testing.T) {
 	e := engine.New(core.DefaultOptions())
 	admin := e.NewSession("admin", true)

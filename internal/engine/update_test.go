@@ -1,0 +1,178 @@
+package engine_test
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"authdb/internal/algebra"
+	"authdb/internal/core"
+	"authdb/internal/cview"
+	"authdb/internal/engine"
+	"authdb/internal/relation"
+	"authdb/internal/value"
+	"authdb/internal/workload"
+)
+
+// fixtureScript renders a generated fixture as the admin script that
+// builds it: relations, rows, views and permits.
+func fixtureScript(f *workload.Fixture, users []string) string {
+	var b strings.Builder
+	for _, n := range f.Schema.Names() {
+		rs := f.Schema.Lookup(n)
+		var key []string
+		for _, k := range rs.Key {
+			key = append(key, rs.Attrs[k])
+		}
+		fmt.Fprintf(&b, "relation %s (%s) key (%s);\n", n, strings.Join(rs.Attrs, ", "), strings.Join(key, ", "))
+		for _, t := range f.Rels[n].Tuples() {
+			fmt.Fprintf(&b, "insert into %s values (%s);\n", n, valueList(t))
+		}
+	}
+	for _, vn := range f.Store.ViewNames() {
+		fmt.Fprintf(&b, "%s;\n", f.Store.ViewDef(vn))
+	}
+	for _, u := range users {
+		for _, vn := range f.Store.ViewsFor(u) {
+			fmt.Fprintf(&b, "permit %s to %s;\n", vn, u)
+		}
+	}
+	return b.String()
+}
+
+func intVal(n int) value.Value { return value.Int(int64(n)) }
+
+func valueList(t relation.Tuple) string {
+	parts := make([]string, len(t))
+	for i, v := range t {
+		parts[i] = v.String()
+	}
+	return strings.Join(parts, ", ")
+}
+
+// oracleCovers is the oracle of TestUpdateAuthorizationDifferential:
+// t may be written to rel when the naive evaluation of some permitted
+// branch, over the instance with t present, projects t on an occurrence
+// of rel whose cells the branch stars.
+func oracleCovers(t *testing.T, e *engine.Engine, user, rel string, tup relation.Tuple) bool {
+	t.Helper()
+	store := e.Store()
+	src := func(name string) (*relation.Relation, error) {
+		r, err := e.Relation(name)
+		if err != nil || name != rel {
+			return r, err
+		}
+		if _, err := r.Insert(tup); err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+	for _, vn := range store.ViewsFor(user) {
+		for _, v := range store.Branches(vn) {
+			for _, st := range v.Tuples {
+				if st.Rel != rel || !allStarred(st) {
+					continue
+				}
+				an, err := cview.Analyze(v.Def, e.Schema())
+				if err != nil {
+					t.Fatal(err)
+				}
+				q := *an.PSJ
+				q.Cols = relation.QualifyAttrs(st.Alias, e.Schema().Lookup(rel).Attrs)
+				ans, err := algebra.EvalNaive(q.Node(), src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ans.Contains(tup) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+func allStarred(st core.StoredTuple) bool {
+	for _, c := range st.Cells {
+		if !c.Star {
+			return false
+		}
+	}
+	return true
+}
+
+// TestUpdateAuthorizationDifferential drives non-admin inserts and
+// deletes over seeded generated fixtures, whose views join chains of
+// distinct relations, and requires the engine to accept exactly the
+// writes the naive oracle covers. Three writes in four go to a relation
+// some permitted branch stars entirely, so both answers occur often.
+func TestUpdateAuthorizationDifferential(t *testing.T) {
+	const rows, opsPerSeed = 16, 80
+	accepts, rejects := 0, 0
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg := workload.DefaultGen()
+		cfg.Seed, cfg.AttrsPerRel, cfg.RowsPerRel, cfg.ViewJoinWidth = seed, 3, rows, 3
+		f := workload.Generate(cfg)
+		type target struct{ user, rel string }
+		var starred []target
+		for _, u := range cfg.Users {
+			for _, vn := range f.Store.ViewsFor(u) {
+				for _, v := range f.Store.Branches(vn) {
+					seen := map[string]bool{}
+					for _, st := range v.Tuples {
+						if seen[st.Rel] {
+							t.Fatalf("seed %d: view %s repeats %s", seed, vn, st.Rel)
+						}
+						seen[st.Rel] = true
+						if allStarred(st) {
+							starred = append(starred, target{u, st.Rel})
+						}
+					}
+				}
+			}
+		}
+		e := engine.New(core.DefaultOptions())
+		if _, err := e.NewSession("admin", true).ExecScript(fixtureScript(f, cfg.Users)); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		nextKey := rows
+		for op := 0; op < opsPerSeed; op++ {
+			user := cfg.Users[rng.Intn(len(cfg.Users))]
+			rel := workload.RelName(rng.Intn(cfg.Relations))
+			if len(starred) > 0 && rng.Intn(4) > 0 {
+				tg := starred[rng.Intn(len(starred))]
+				user, rel = tg.user, tg.rel
+			}
+			cur, err := e.Relation(rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tup relation.Tuple
+			var stmt string
+			if rng.Intn(2) == 0 && cur.Len() > 0 {
+				tup = cur.Tuples()[rng.Intn(cur.Len())]
+				stmt = fmt.Sprintf("delete from %s where A0 = %s and A1 = %s and A2 = %s", rel, tup[0], tup[1], tup[2])
+			} else {
+				tup = relation.Tuple{intVal(nextKey), intVal(rng.Intn(rows)), intVal(rng.Intn(rows))}
+				nextKey++
+				stmt = fmt.Sprintf("insert into %s values (%s)", rel, valueList(tup))
+			}
+			want := oracleCovers(t, e, user, rel, tup)
+			_, err = e.NewSession(user, false).Exec(stmt)
+			if got := err == nil; got != want {
+				t.Fatalf("seed %d: %s as %s: accepted = %v (err %v), oracle covers = %v", seed, stmt, user, got, err, want)
+			}
+			if want {
+				accepts++
+			} else {
+				rejects++
+			}
+		}
+	}
+	if accepts < 50 || rejects < 50 {
+		t.Fatalf("%d accepts, %d rejects: each must reach 50", accepts, rejects)
+	}
+	t.Logf("%d accepts, %d rejects", accepts, rejects)
+}

@@ -164,27 +164,6 @@ func (r *Relation) LookupRange(i int, lo, hi *RangeEnd) []Tuple {
 	return s[from:to]
 }
 
-// LookupCmp serves the primitive predicate "attr θ v" from a secondary
-// index: equality from the hash index, <, ≤, >, ≥ from the ordered index.
-// It reports ok=false for comparators no contiguous index run can serve
-// (≠, and unknown comparators); callers then fall back to a scan.
-func (r *Relation) LookupCmp(i int, op value.Cmp, v value.Value) ([]Tuple, bool) {
-	switch op {
-	case value.EQ:
-		return r.LookupEq(i, v), true
-	case value.LT:
-		return r.LookupRange(i, nil, &RangeEnd{V: v, Open: true}), true
-	case value.LE:
-		return r.LookupRange(i, nil, &RangeEnd{V: v}), true
-	case value.GT:
-		return r.LookupRange(i, &RangeEnd{V: v, Open: true}, nil), true
-	case value.GE:
-		return r.LookupRange(i, &RangeEnd{V: v}, nil), true
-	default:
-		return nil, false
-	}
-}
-
 // DistinctCount returns the number of distinct values at attribute i:
 // the key count of the hash index LookupEq serves from (built on demand,
 // and the one an index join on the attribute probes). It backs the

@@ -150,30 +150,28 @@ func TestLookupRangeKindBoundary(t *testing.T) {
 	}
 }
 
-func TestLookupCmp(t *testing.T) {
+// TestLookupRangeBounds checks every one-sided bound, open and closed,
+// and the point range an equality reads.
+func TestLookupRangeBounds(t *testing.T) {
 	r := New([]string{"A"})
 	for i := int64(0); i < 6; i++ {
 		r.MustInsert(vi(i))
 	}
+	three := vi(3)
 	for _, c := range []struct {
-		op   value.Cmp
-		v    int64
-		want int
+		name   string
+		lo, hi *RangeEnd
+		want   int
 	}{
-		{value.EQ, 3, 1},
-		{value.LT, 3, 3},
-		{value.LE, 3, 4},
-		{value.GT, 3, 2},
-		{value.GE, 3, 3},
+		{"[3,3]", &RangeEnd{V: three}, &RangeEnd{V: three}, 1},
+		{"(-inf,3)", nil, &RangeEnd{V: three, Open: true}, 3},
+		{"(-inf,3]", nil, &RangeEnd{V: three}, 4},
+		{"(3,+inf)", &RangeEnd{V: three, Open: true}, nil, 2},
+		{"[3,+inf)", &RangeEnd{V: three}, nil, 3},
 	} {
-		got, ok := r.LookupCmp(0, c.op, vi(c.v))
-		if !ok || len(got) != c.want {
-			t.Fatalf("%v %d: got %d ok=%v, want %d", c.op, c.v, len(got), ok, c.want)
+		if got := r.LookupRange(0, c.lo, c.hi); len(got) != c.want {
+			t.Fatalf("%s: got %d tuples, want %d", c.name, len(got), c.want)
 		}
-	}
-	// ≠ has no contiguous run: callers must fall back to a scan.
-	if _, ok := r.LookupCmp(0, value.NE, vi(3)); ok {
-		t.Fatal("NE must not be index-served")
 	}
 }
 

@@ -101,21 +101,3 @@ func (c Cmp) Flip() Cmp {
 		return c
 	}
 }
-
-// Negate returns the comparator for ¬(a θ b).
-func (c Cmp) Negate() Cmp {
-	switch c {
-	case EQ:
-		return NE
-	case NE:
-		return EQ
-	case LT:
-		return GE
-	case LE:
-		return GT
-	case GT:
-		return LE
-	default: // GE
-		return LT
-	}
-}

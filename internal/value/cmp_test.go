@@ -41,19 +41,6 @@ func TestCmpFlip(t *testing.T) {
 	}
 }
 
-func TestCmpNegate(t *testing.T) {
-	if err := quick.Check(func(a, b Value) bool {
-		for _, op := range Comparators {
-			if op.Eval(a, b) == op.Negate().Eval(a, b) {
-				return false
-			}
-		}
-		return true
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestParseCmp(t *testing.T) {
 	cases := map[string]Cmp{
 		"=": EQ, "==": EQ,
