@@ -14,6 +14,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -154,6 +155,59 @@ func TestColdACLAllocBound(t *testing.T) {
 		if allocs > c.max {
 			t.Errorf("%s allocated %.0f objects, want at most %.0f (parent %.0f)", fixture.ACLQueryNames[c.q], allocs, c.max, c.parent)
 		}
+	}
+}
+
+// parentClosureHeap is the heap, in bytes, that TestClosureResidentHeap's
+// 255 entries held when every entry also kept the unmasked answer (and,
+// when it could refresh, an accumulator for it) beside the delivered
+// relation. Measured with go1.24.0 on linux/amd64 (the same reading with
+// and without -race); the entries without the answer read 9.09 MB
+// there. Object layout differs with pointer size, so the test runs only
+// on amd64.
+const parentClosureHeap int64 = 16_562_896
+
+// TestClosureResidentHeap bounds what a full closure keeps resident: 85
+// principals of the benchmark's ACL database, three statements each,
+// fill 255 entries of a default closure. The indexes the statements use
+// are built by a first pass without a closure, so the GC'd heap growth
+// of the second pass is the entries alone; it must stay at most 0.65×
+// the parent's.
+func TestClosureResidentHeap(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("parentClosureHeap was measured on amd64, not %s", runtime.GOARCH)
+	}
+	auth, acl := coldACL(t)
+	const users = 85
+	var defs []*cview.Def
+	for u := 0; u < users; u++ {
+		for q := range fixture.ACLQueryNames {
+			defs = append(defs, workload.MustQuery(acl.Query(u, q)))
+		}
+	}
+	pass := func() {
+		for i, def := range defs {
+			if _, err := auth.Retrieve(fixture.Principal(i/len(fixture.ACLQueryNames)), def); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	auth.Closure = core.NewClosure(0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := auth.Closure.Stats().Entries; n != len(defs) {
+		t.Fatalf("closure holds %d entries, want %d", n, len(defs))
+	}
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("closure heap: %.2f MB for %d entries (parent %.2f MB)", float64(growth)/1e6, len(defs), float64(parentClosureHeap)/1e6)
+	if limit := parentClosureHeap * 65 / 100; growth > limit {
+		t.Errorf("closure heap %d B, want at most %d B (0.65× the parent's %d B, measured with go1.24.0; this is %s)",
+			growth, limit, parentClosureHeap, runtime.Version())
 	}
 }
 
@@ -676,9 +730,13 @@ func BenchmarkMaskApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ans, err := algebra.EvalNaive(d.PSJ.Node(), g.Source)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Mask.Apply(d.Answer)
+		d.Mask.Apply(ans)
 	}
 }
 

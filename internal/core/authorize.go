@@ -17,24 +17,20 @@ type Snapshot struct {
 	Meta  *MetaRel
 }
 
-// Decision is the outcome of the authorization process of §5: the answer
-// A, the meta-answer A' as a mask, the masked answer actually delivered,
-// and the inferred permit statements describing the portions delivered.
+// Decision is the outcome of the authorization process of §5: the
+// meta-answer A' as a mask, the masked answer actually delivered, and the
+// inferred permit statements describing the portions delivered. The
+// unmasked answer A is an intermediate of the pipeline and is not kept.
 // The meta side (mask, permits, outcome flags, participating views) is
 // the embedded MaskPlan, shared read-only with the cache and the closure.
 type Decision struct {
 	*MaskPlan
 	// PSJ is the normal-form plan of the request.
 	PSJ *algebra.PSJ
-	// Answer is the unmasked answer A; callers must not deliver it to
-	// the user. When PushdownApplied is set it omits the rows the mask
-	// provably withholds entirely (they were pruned before
-	// materialization); the delivered Masked relation is unaffected.
-	Answer *relation.Relation
 	// Masked is the deliverable relation: permitted values only, other
 	// cells null, fully-withheld rows dropped.
 	Masked *relation.Relation
-	// Stats summarises the masking.
+	// Stats counts Masked.
 	Stats MaskStats
 	// PushdownApplied reports whether MaskPlan.Pushdown was fused into
 	// the actual-side plan for this retrieval.
@@ -102,7 +98,7 @@ type Authorizer struct {
 	// generations. Only RetrievePlan consults it.
 	Cache *MaskCache
 	// Closure, when non-nil, serves whole retrieves from materialized
-	// resident state (answer, masked relation, statistics) validated
+	// resident state (the delivered relation and its statistics) validated
 	// against both the definition generations and the pinned relation
 	// revisions; see Closure. Only RetrievePlan consults it.
 	Closure *Closure
@@ -167,9 +163,9 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 
 // Explain runs the dual pipeline the way §4.1 states it, for display:
 // the meta side is ReferencePlan, every phase recorded in Intermediates;
-// the actual side runs unfused, so the answer is the full A, and records
-// its access paths in tr (which may be nil). It consults neither the
-// cache nor the closure.
+// the actual side runs unfused over the full A and records its access
+// paths in tr (which may be nil). It consults neither the cache nor the
+// closure.
 func (a *Authorizer) Explain(user string, def *cview.Def, tr *algebra.Trace) (*Decision, error) {
 	an, err := cview.Analyze(def, a.Store.Schema())
 	if err != nil {
@@ -185,11 +181,26 @@ func (a *Authorizer) Explain(user string, def *cview.Def, tr *algebra.Trace) (*D
 
 // decide evaluates the actual side of psj and masks it with mp, the one
 // step every path from a MaskPlan to a Decision takes. With fuse, mp's
-// pushdown atoms are conjoined with the executed plan. The §6(3)
-// extension masks the wide (pre-projection) answer, so it executes the
-// plan without the final projection and derives the requested columns
-// from it. The second result is the plan executed.
+// pushdown atoms are conjoined with the executed plan. The second result
+// is the plan executed.
 func (a *Authorizer) decide(psj *algebra.PSJ, mp *MaskPlan, metaTuples int, fuse bool, tr *algebra.Trace) (*Decision, *algebra.PSJ, error) {
+	ans, psjExec, err := a.execute(psj, mp, fuse, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	d := &Decision{MaskPlan: mp, PSJ: psj, PushdownApplied: fuse, MetaTuples: metaTuples}
+	d.Masked, d.Stats = mp.apply(ans, psj.Cols)
+	// Sorted once here, the delivered relation converts without a sort on
+	// every closure hit until a refresh appends behind it.
+	d.Masked.Canonicalize()
+	return d, psjExec, nil
+}
+
+// execute evaluates the actual side of psj for mp, with mp's pushdown
+// atoms conjoined when fuse is set, and returns the answer and the plan
+// executed. The §6(3) extension masks the wide (pre-projection) answer,
+// so it executes the plan without the final projection.
+func (a *Authorizer) execute(psj *algebra.PSJ, mp *MaskPlan, fuse bool, tr *algebra.Trace) (*relation.Relation, *algebra.PSJ, error) {
 	psjExec := psj
 	if mp.WidePSJ != nil {
 		psjExec = mp.WidePSJ
@@ -198,21 +209,15 @@ func (a *Authorizer) decide(psj *algebra.PSJ, mp *MaskPlan, metaTuples int, fuse
 		psjExec = fusePushdown(psjExec, mp.Pushdown)
 	}
 	ans, err := a.evalActual(psjExec, a.Source, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	d := &Decision{MaskPlan: mp, PSJ: psj, PushdownApplied: fuse, MetaTuples: metaTuples}
+	return ans, psjExec, err
+}
+
+// apply masks an answer execute returned, delivering the columns cols.
+func (mp *MaskPlan) apply(ans *relation.Relation, cols []string) (*relation.Relation, MaskStats) {
 	if mp.WidePSJ != nil {
-		d.Answer = ans.Project(mp.OutIdx)
-		d.Masked, d.Stats = mp.Mask.ApplyExtended(ans, mp.OutIdx, psj.Cols)
-	} else {
-		d.Answer = ans
-		d.Masked, d.Stats = mp.Mask.Apply(ans)
+		return mp.Mask.ApplyExtended(ans, mp.OutIdx, cols)
 	}
-	// Sorted once here, the delivered relation converts without a sort on
-	// every closure hit until a refresh appends behind it.
-	d.Masked.Canonicalize()
-	return d, psjExec, nil
+	return mp.Mask.Apply(ans)
 }
 
 // evalActual evaluates an actual-side plan against src on the indexed

@@ -22,7 +22,8 @@ type Certification struct {
 	Statements []PermitStatement
 	// Full reports that the entire answer carries the property.
 	Full bool
-	// Stats counts the certified cells exactly as masking would have.
+	// Stats counts the certified portion: the relation masking would
+	// deliver.
 	Stats MaskStats
 }
 
@@ -32,7 +33,7 @@ type Certification struct {
 // portions possessing the property. It is the paper's integrity
 // instance of the machinery: same meta-relations, same extended
 // operators, no masking. It consults neither the cache nor the closure,
-// whose entries may hold an answer pruned by mask pushdown.
+// which hold no answer.
 func (a *Authorizer) Certify(quality string, def *cview.Def) (*Certification, error) {
 	an, err := cview.Analyze(def, a.Store.Schema())
 	if err != nil {
@@ -44,17 +45,18 @@ func (a *Authorizer) Certify(quality string, def *cview.Def) (*Certification, er
 	}
 	// Certification delivers the full answer, so the mask may never prune
 	// rows from it — uncertified rows are annotated, not withheld.
-	d, _, err := a.decide(an.PSJ, mp, mp.MetaTuples, false, nil)
+	ans, _, err := a.execute(an.PSJ, mp, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	c := &Certification{
-		Answer: d.Answer,
-		Full:   d.FullyAuthorized,
-		Stats:  d.Stats,
+	c := &Certification{Full: mp.FullyAuthorized}
+	_, c.Stats = mp.apply(ans, an.PSJ.Cols)
+	if mp.WidePSJ != nil {
+		ans = ans.Project(mp.OutIdx)
 	}
-	if !d.FullyAuthorized {
-		c.Statements = d.Mask.Permits()
+	c.Answer = ans
+	if !mp.FullyAuthorized {
+		c.Statements = mp.Mask.Permits()
 		for i := range c.Statements {
 			c.Statements[i].Verb = "certified"
 		}

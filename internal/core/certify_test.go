@@ -36,9 +36,9 @@ func TestCertifyIntegrity(t *testing.T) {
 	if got := c.Statements[0].String(); got != want {
 		t.Fatalf("statement = %q, want %q", got, want)
 	}
-	// Stats mirror the masking counters: 2 of 4 cells are certified.
-	if c.Stats.RevealedCells != 2 || c.Stats.Cells != 4 {
-		t.Fatalf("stats = %+v", c.Stats)
+	// Stats count the certified portion: the Acme row, both cells.
+	if want := (core.MaskStats{Rows: 1, Cells: 2, RevealedCells: 2}); c.Stats != want {
+		t.Fatalf("stats = %+v, want %+v", c.Stats, want)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestCertifyNothing(t *testing.T) {
 	if c.Full || c.Answer.Len() != 2 {
 		t.Fatal("unvalidated data must still be answered in full")
 	}
-	if !c.Stats.Empty() {
+	if c.Stats != (core.MaskStats{}) {
 		t.Fatalf("nothing should be certified: %+v", c.Stats)
 	}
 }
@@ -86,8 +86,8 @@ func TestPermitStatementVerb(t *testing.T) {
 }
 
 // TestCertifyAfterFusedRetrieve: certification delivers the full answer
-// even when the authorizer fuses mask pushdown and a closure holds the
-// pruned answer of an earlier retrieve of the same query.
+// even when the authorizer fuses mask pushdown and a closure holds an
+// earlier retrieve of the same query.
 func TestCertifyAfterFusedRetrieve(t *testing.T) {
 	f := pushdownFixture(t)
 	f.MustExec("permit LO to validated; permit HI to validated;")
@@ -100,8 +100,8 @@ func TestCertifyAfterFusedRetrieve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.PushdownApplied || d.Answer.Len() != 3 {
-		t.Fatalf("retrieve: pushdown applied %v, %d answer rows; want a fused 3", d.PushdownApplied, d.Answer.Len())
+	if !d.PushdownApplied || d.Masked.Len() != 3 {
+		t.Fatalf("retrieve: pushdown applied %v, %d rows delivered; want pushdown and 3 rows", d.PushdownApplied, d.Masked.Len())
 	}
 	c, err := auth.Certify("validated", allColsDef())
 	if err != nil {

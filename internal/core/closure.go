@@ -9,11 +9,12 @@ import (
 
 // Closure is the materialized mask closure: where MaskCache memoizes
 // the compiled meta-side *plan* per (user, query), the closure keeps
-// the plan's materialized *result* — the evaluated answer, the masked
-// relation actually delivered, and the masking statistics — resident
-// per (user, query, options), so a steady-state retrieve pays one map
-// lookup and a handful of pointer comparisons instead of re-running
-// either pipeline.
+// the plan's materialized *result* — the masked relation actually
+// delivered and its statistics — resident per (user, query, options),
+// so a steady-state retrieve pays one map lookup and a handful of
+// pointer comparisons instead of re-running either pipeline. The
+// unmasked answer is never kept: it is an intermediate of the dual
+// pipeline, not something the user may see.
 //
 // Validity is two-sided, mirroring the two things a result depends on:
 //
@@ -33,9 +34,11 @@ import (
 // extends the cached one by pure appends (relation.ExtendsByAppend —
 // the common insert-only churn), only the appended window is evaluated
 // through the retained executable plan, its rows are masked through the
-// retained compiled mask, and the answer/masked accumulators grow in
-// place. Deletions, reallocation, multi-scan plans, and extended masks
-// fall back to a full recompute (which re-Stores).
+// retained compiled mask, and the masked accumulator grows in place. A
+// masked row is a function of its answer row, so a window row that
+// repeats an answer row masks to a row the accumulator already holds.
+// Deletions, reallocation, multi-scan plans, and extended masks fall
+// back to a full recompute (which re-Stores).
 //
 // One-mask-tuple-per-row soundness is preserved by construction: a
 // refresh masks each appended row through the same bestIndex decision
@@ -66,9 +69,11 @@ type Closure struct {
 	invalidDelete uint64 // entries dropped eagerly by InvalidateRelation
 }
 
-// closureEntry is one resident materialization. The plan side (plan,
-// psjExec, fused) survives data churn; the result side (revs, res, and
-// the incremental accumulators) is keyed to the stamped revisions.
+// closureEntry is one resident materialization: the mask plan, the
+// executed plan, the revision stamps and the delivered relation. The
+// plan side (plan, psjExec, fused) survives data churn; the result side
+// (revs, masked, stats, vm) is keyed to the stamped revisions. Every
+// field is read and written under Closure.mu.
 type closureEntry struct {
 	viewGen uint64
 	permGen uint64
@@ -83,31 +88,20 @@ type closureEntry struct {
 	// revs pins the scanned relation revisions the result was built
 	// against, in scan order.
 	revs []*relation.Relation
-	// res is the published result snapshot; immutable once set (refresh
-	// replaces it wholesale).
-	res *closureResult
-
-	// Incremental state, present for single-scan non-extended plans.
-	// va and vm accumulate the answer and masked relations grow-only
-	// (MVCC-style: published heads are immutable, appends build
-	// successors); stats tracks the masking statistics for va's rows.
-	incremental bool
-	va, vm      *relation.Versioned
-	stats       MaskStats
-}
-
-// closureResult is the served snapshot: relations must be treated as
-// read-only by every consumer (the same contract as published MVCC
-// revisions — read via Tuples, Sorted, Len; never Insert or Contains).
-// Neither relation keeps a membership set: Store releases it, or hands
-// it to the incremental accumulators' writer. The masked relation is in
-// canonical order when stored (Retrieve canonicalizes it), so Sorted
-// serves it without a copy; a refresh appends rows behind that prefix,
-// so each read of a refreshed result sorts a copy.
-type closureResult struct {
-	answer *relation.Relation
+	// masked is the served delivered relation, to be treated as
+	// read-only by every consumer (the same contract as published MVCC
+	// revisions — read via Tuples, Sorted, Len; never Insert or
+	// Contains). It keeps no membership set: Store releases it, or hands
+	// it to vm. It is in canonical order when stored (Retrieve
+	// canonicalizes it), so Sorted serves it without a copy; a refresh
+	// appends rows behind that prefix, so each read of a refreshed
+	// result sorts a copy. stats counts it.
 	masked *relation.Relation
 	stats  MaskStats
+	// vm accumulates the delivered relation grow-only (MVCC-style:
+	// published heads are immutable, appends build successors); present
+	// only for single-scan non-extended plans, the ones that refresh.
+	vm *relation.Versioned
 }
 
 // DefaultClosureCap bounds an engine's mask closure. Entries hold
@@ -141,7 +135,7 @@ type ClosureStats struct {
 	// from (InvalidateRelation).
 	InvalidDef, InvalidData, InvalidDelete uint64
 	// Entries is the current resident entry count; ResidentRows the
-	// delivered rows they hold (the sum of their RevealedRows), counting
+	// delivered rows they hold (the sum of their Stats.Rows), counting
 	// entries that cannot refresh as well as those that can.
 	Entries, ResidentRows int
 }
@@ -165,7 +159,7 @@ func (c *Closure) Stats() ClosureStats {
 		Entries:       len(c.entries),
 	}
 	for _, e := range c.entries {
-		s.ResidentRows += e.res.stats.RevealedRows
+		s.ResidentRows += e.stats.Rows
 	}
 	return s
 }
@@ -183,16 +177,15 @@ func sameRevs(a, b []*relation.Relation) bool {
 	return true
 }
 
-// decisionFor assembles a Decision from resident state. Each hit gets a
-// fresh Decision struct; the relations and the plan are shared,
-// read-only.
+// decisionFor assembles a Decision from resident state; callers hold
+// c.mu. Each hit gets a fresh Decision struct; the relation and the
+// plan are shared, read-only.
 func decisionFor(e *closureEntry, psj *algebra.PSJ) *Decision {
 	return &Decision{
 		MaskPlan:        e.plan,
 		PSJ:             psj,
-		Answer:          e.res.answer,
-		Masked:          e.res.masked,
-		Stats:           e.res.stats,
+		Masked:          e.masked,
+		Stats:           e.stats,
 		PushdownApplied: e.fused,
 	}
 }
@@ -236,7 +229,7 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 		c.mu.Unlock()
 		return d, true, nil
 	}
-	if !e.incremental || len(revs) != 1 || !relation.ExtendsByAppend(e.revs[0], revs[0]) {
+	if e.vm == nil || len(revs) != 1 || !relation.ExtendsByAppend(e.revs[0], revs[0]) {
 		// Data moved beyond repair for this entry; the predicate side
 		// still lives on in the MaskCache, so the recompute skips the
 		// meta pipeline. The entry stays resident meanwhile — readers
@@ -279,41 +272,36 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 		return nil, false, nil
 	}
 	ex := plan.Mask.compiled()
-	width := e.va.Arity()
+	width := e.vm.Arity()
 	slab := relation.NewSlab(width)
 	rows := tailAns.Tuples()
 	for n, t := range rows {
-		// Projection can collapse an appended base row onto an answer
-		// row already delivered; the answer is a set. The tail answer is
-		// this refresh's own, so its rows move over without a copy.
-		if !e.va.Adopt(t) {
-			continue
-		}
 		bi := plan.Mask.bestIndex(ex, t)
 		if bi < 0 {
 			continue
 		}
 		row := slab.Row(len(rows) - n)
-		maskRow(row, t, ex.reveal[bi], &e.stats)
+		maskRow(row, t, ex.reveal[bi])
+		// A window row that projects onto an answer row already seen
+		// masks to a row vm holds, and Adopt refuses it.
 		if e.vm.Adopt(row) {
 			slab.Keep()
+			e.stats.count(ex.stars[bi], width)
 		}
 	}
-	e.stats.Rows = e.va.Len()
-	e.stats.Cells = e.stats.Rows * width
 	e.revs = append([]*relation.Relation(nil), revs...)
-	e.res = &closureResult{answer: e.va.Head(), masked: e.vm.Head(), stats: e.stats}
+	e.masked = e.vm.Head()
 	c.refreshes++
 	c.hits++
 	return decisionFor(e, psj), true, nil
 }
 
 // Store materializes a freshly computed decision: its mask plan, the
-// executed plan, the revision stamps, the result snapshot, and — for
-// single-scan non-extended plans — the incremental accumulators. Store takes
-// ownership of d.Answer and d.Masked in the MVCC sense: their published
-// prefixes stay immutable, later refreshes extend the shared backing
-// arrays past them.
+// executed plan, the revision stamps, the delivered relation and its
+// statistics, and — for single-scan non-extended plans — the masked
+// accumulator. Store takes ownership of d.Masked in the MVCC sense: its
+// published prefix stays immutable, later refreshes extend the shared
+// backing array past it.
 func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, revs []*relation.Relation, d *Decision, psjExec *algebra.PSJ) {
 	if c == nil || d == nil {
 		return
@@ -330,17 +318,14 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 		fused:   d.PushdownApplied,
 		rels:    rels,
 		revs:    append([]*relation.Relation(nil), revs...),
-		res:     &closureResult{answer: d.Answer, masked: d.Masked, stats: d.Stats},
+		masked:  d.Masked,
 		stats:   d.Stats,
 	}
 	if len(psj.Scans) == 1 && !opt.ExtendedMasks {
-		e.incremental = true
-		e.va = relation.VersionedOf(d.Answer)
 		e.vm = relation.VersionedOf(d.Masked)
 	} else {
 		// Nothing ever inserts into a result that cannot be refreshed, and
-		// readers never probe its membership: drop the sets.
-		d.Answer.ReleaseMembership()
+		// readers never probe its membership: drop the set.
 		d.Masked.ReleaseMembership()
 	}
 	key := cacheKey(user, psj, opt)
@@ -358,7 +343,7 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 
 // InvalidateRelation eagerly drops every entry whose masked relations
 // include rel. Deletes cannot be repaired by the append-window refresh
-// (the accumulators only grow), so the engine calls this after a delete
+// (the accumulator only grows), so the engine calls this after a delete
 // commits: entries over other relations stay resident, and the doomed
 // ones release their materialized rows immediately instead of lingering
 // until their next lookup misses. Safe on a nil closure.

@@ -57,7 +57,8 @@ func (m *mvccFixture) deleteWhere(rel string, pred func(relation.Tuple) bool) in
 // compareDecisions fails unless the two decisions agree on everything a
 // user can observe: the delivered relation (set equality — rendering is
 // canonical, so this is byte-identical output), the permit statements,
-// the grant/deny flags, and the revealed statistics.
+// the grant/deny flags, and the statistics, which count the delivered
+// relation alone.
 func compareDecisions(t *testing.T, label string, got, want *core.Decision) {
 	t.Helper()
 	if !got.Masked.Equal(want.Masked) {
@@ -70,10 +71,8 @@ func compareDecisions(t *testing.T, label string, got, want *core.Decision) {
 	if permitsKey(got.Permits) != permitsKey(want.Permits) {
 		t.Fatalf("%s: permits differ:\n%s\nvs\n%s", label, permitsKey(got.Permits), permitsKey(want.Permits))
 	}
-	if got.Stats.RevealedCells != want.Stats.RevealedCells ||
-		got.Stats.RevealedRows != want.Stats.RevealedRows ||
-		got.Stats.FullRows != want.Stats.FullRows {
-		t.Fatalf("%s: revealed stats differ: %+v vs %+v", label, got.Stats, want.Stats)
+	if got.Stats != want.Stats {
+		t.Fatalf("%s: stats differ: %+v vs %+v", label, got.Stats, want.Stats)
 	}
 }
 
@@ -120,10 +119,7 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 				t.Fatalf("%s: recompute: %v", label, err)
 			}
 			compareDecisions(t, label, got, want)
-			if ref := referenceDecision(t, f, base, "u", def); !got.Masked.Equal(ref.Masked) {
-				t.Fatalf("%s: closure-backed masked differs from the reference:\n%s\nvs\n%s",
-					label, got.Masked, ref.Masked)
-			}
+			compareDecisions(t, label+" vs reference", got, referenceDecision(t, f, base, "u", def))
 		}
 
 		check("cold")
@@ -345,7 +341,7 @@ func TestClosureServesCanonicalMasked(t *testing.T) {
 }
 
 // TestClosureResidentBitmaps checks the resident-row accounting: the
-// closure's ResidentRows matches the revealed row count of its one
+// closure's ResidentRows matches the delivered row count of its one
 // entry, through incremental refreshes on appends.
 func TestClosureResidentBitmaps(t *testing.T) {
 	f, m, def := closureMatrixFixture(t)
@@ -357,8 +353,8 @@ func TestClosureResidentBitmaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ca.Closure.Stats().ResidentRows; got != d.Stats.RevealedRows {
-		t.Fatalf("resident rows %d, want RevealedRows %d", got, d.Stats.RevealedRows)
+	if got := ca.Closure.Stats().ResidentRows; got != d.Stats.Rows || got != d.Masked.Len() {
+		t.Fatalf("resident rows %d, want Rows %d = %d delivered", got, d.Stats.Rows, d.Masked.Len())
 	}
 	for i := 0; i < 5; i++ {
 		m.insert("R", int64(10+i), int64(i), int64(i%6))
@@ -366,9 +362,9 @@ func TestClosureResidentBitmaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ca.Closure.Stats().ResidentRows; got != d.Stats.RevealedRows {
-			t.Fatalf("append %d: resident rows %d, want RevealedRows %d",
-				i, got, d.Stats.RevealedRows)
+		if got := ca.Closure.Stats().ResidentRows; got != d.Stats.Rows || got != d.Masked.Len() {
+			t.Fatalf("append %d: resident rows %d, want Rows %d = %d delivered",
+				i, got, d.Stats.Rows, d.Masked.Len())
 		}
 	}
 	if ca.Closure.Stats().Refreshes == 0 {

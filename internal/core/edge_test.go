@@ -28,7 +28,7 @@ func TestEmptyRelations(t *testing.T) {
 	if !d.FullyAuthorized {
 		t.Fatal("full grant must be recognised on an empty instance")
 	}
-	if d.Answer.Len() != 0 || d.Masked.Len() != 0 {
+	if referenceAnswer(t, f.Source, d.PSJ).Len() != 0 || d.Masked.Len() != 0 {
 		t.Fatal("empty instance must yield empty relations")
 	}
 }
@@ -60,10 +60,11 @@ func TestNullDataInBaseRelation(t *testing.T) {
 	}
 	// Null orders below every int, so the null row fails B >= 0; only
 	// A=2 comes back.
-	if d.Answer.Len() != 1 || d.Answer.Tuples()[0][0].AsInt() != 2 {
-		t.Fatalf("answer:\n%s", d.Answer)
+	ans := referenceAnswer(t, f.Source, d.PSJ)
+	if ans.Len() != 1 || ans.Tuples()[0][0].AsInt() != 2 {
+		t.Fatalf("answer:\n%s", ans)
 	}
-	if !d.Masked.Equal(d.Answer) {
+	if !d.Masked.Equal(ans) {
 		t.Fatalf("masked:\n%s", d.Masked)
 	}
 }
@@ -119,8 +120,8 @@ func TestDeepJoinChain(t *testing.T) {
 	if !d.FullyAuthorized {
 		t.Fatalf("chain query within CHAIN must be fully granted: %+v", d.Stats)
 	}
-	if d.Answer.Len() != 8 {
-		t.Fatalf("chain answer rows = %d, want 8", d.Answer.Len())
+	if n := referenceAnswer(t, f.Source, d.PSJ).Len(); n != 8 {
+		t.Fatalf("chain answer rows = %d, want 8", n)
 	}
 }
 
@@ -212,8 +213,8 @@ func TestRepeatedColumnProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Answer.Arity() != 3 {
-		t.Fatalf("arity = %d", d.Answer.Arity())
+	if d.Masked.Arity() != 3 {
+		t.Fatalf("arity = %d", d.Masked.Arity())
 	}
 	for _, row := range d.Masked.Tuples() {
 		if row[0].String() != row[1].String() {

@@ -67,28 +67,23 @@ func (m *Mask) ApplyExtended(wide *relation.Relation, outIdx []int, outAttrs []s
 			}
 		}
 	}
-	stats := MaskStats{Rows: len(groups), Cells: len(groups) * len(outIdx)}
+	var stats MaskStats
 	out := relation.New(outAttrs)
 	for _, k := range order {
 		g := groups[k]
 		if g.count == 0 {
 			continue
 		}
-		stats.RevealedRows++
 		row := make(relation.Tuple, len(outIdx))
-		full := true
 		for j := range outIdx {
 			if g.reveal[j] {
 				row[j] = g.vals[j]
-				stats.RevealedCells++
-			} else {
-				full = false
 			}
 		}
-		if full {
-			stats.FullRows++
+		// Groups differing only in withheld cells mask to one row.
+		if out.Adopt(row) {
+			stats.count(g.count, len(row))
 		}
-		out.Insert(row) //nolint:errcheck // arity correct by construction
 	}
 	return out, stats
 }

@@ -44,10 +44,8 @@ type Options struct {
 	// MaskPushdown conjoins the mask-derived necessary delivery condition
 	// (Mask.PushdownAtoms) with the actual-side plan, pruning rows the
 	// mask would withhold entirely before they are materialized. The
-	// delivered relation, permits, and grant/deny flags are unchanged;
-	// Decision.Answer and the Rows/Cells statistics then describe the
-	// pruned answer rather than the full one, so the worked-example
-	// renderings keep it off and the public API layer turns it on.
+	// delivered relation, its statistics, permits, and grant/deny flags
+	// are unchanged; the public API layer turns it on.
 	MaskPushdown bool
 	// ExtendedMasks enables the §6(3) extension: masks "expressed with
 	// additional attributes". The mask is applied before the final

@@ -197,22 +197,25 @@ func NewMask(mr *MetaRel, inst *Instance) *Mask {
 	return m
 }
 
-// MaskStats summarises what a mask delivered, for the experiment harness.
+// MaskStats counts the delivered relation — the rows the user receives,
+// never the rows withheld entirely — so it is the same whether the
+// answer was pruned by pushdown or masked in full, and whether the
+// closure served it or a refresh extended it.
 type MaskStats struct {
-	// Rows and Cells count the full answer.
+	// Rows counts delivered rows; Cells is Rows times the arity.
 	Rows, Cells int
-	// RevealedCells counts delivered values; RevealedRows rows with at
-	// least one delivered value.
-	RevealedCells, RevealedRows int
-	// FullRows counts rows delivered in their entirety.
-	FullRows int
+	// RevealedCells counts the permitted values in delivered rows; the
+	// other Cells - RevealedCells are withheld (null).
+	RevealedCells int
 }
 
-// Full reports whether the entire answer was delivered.
-func (s MaskStats) Full() bool { return s.RevealedCells == s.Cells }
-
-// Empty reports whether nothing was delivered.
-func (s MaskStats) Empty() bool { return s.RevealedCells == 0 }
+// count adds one delivered row of width cells, revealed of them
+// permitted.
+func (s *MaskStats) count(revealed, width int) {
+	s.Rows++
+	s.Cells += width
+	s.RevealedCells += revealed
+}
 
 // Apply masks the answer: each row is delivered through the single
 // best-matching mask tuple (the one starring the most attributes), with
@@ -232,10 +235,12 @@ func (s MaskStats) Empty() bool { return s.RevealedCells == 0 }
 //
 // Star counts and reveal templates come precomputed from the compiled
 // form rather than being recounted inside the row loop. The output is
-// sized by the answer and its rows are carved from one slab.
+// sized by the answer and its rows are carved from one slab. The stats
+// count a row when the output accepts it: two answer rows can mask to
+// the same delivered row.
 func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
 	ex := m.compiled()
-	stats := MaskStats{Rows: ans.Len(), Cells: ans.Len() * ans.Arity()}
+	var stats MaskStats
 	tuples := ans.Tuples()
 	out := relation.NewSized(ans.Attrs, len(tuples))
 	slab := relation.NewSlab(ans.Arity())
@@ -245,30 +250,23 @@ func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
 			continue
 		}
 		row := slab.Row(len(tuples) - n)
-		maskRow(row, t, ex.reveal[bi], &stats)
+		maskRow(row, t, ex.reveal[bi])
 		if out.Adopt(row) {
 			slab.Keep()
+			stats.count(ex.stars[bi], len(row))
 		}
 	}
 	return out, stats
 }
 
-// maskRow fills row with t's revealed cells and nulls elsewhere, counting
-// the delivered row and cells into stats.
-func maskRow(row, t relation.Tuple, revealed []bool, stats *MaskStats) {
-	stats.RevealedRows++
-	full := true
+// maskRow fills row with t's revealed cells and nulls elsewhere.
+func maskRow(row, t relation.Tuple, revealed []bool) {
 	for k := range row {
 		if revealed[k] {
 			row[k] = t[k]
-			stats.RevealedCells++
 		} else {
 			row[k] = value.Null()
-			full = false
 		}
-	}
-	if full {
-		stats.FullRows++
 	}
 }
 
@@ -276,7 +274,8 @@ func maskRow(row, t relation.Tuple, revealed []bool, stats *MaskStats) {
 // subsumption (when enabled by the caller) has removed redundant tuples.
 // A mask tuple that stars every attribute unconditionally yields no
 // statement only when it is the mask's sole tuple and covers everything —
-// the §5 Example 3 case is handled by the caller via MaskStats.Full.
+// the §5 Example 3 case is handled by the caller via
+// MaskPlan.FullyAuthorized.
 func (m *Mask) Permits() []PermitStatement {
 	names := DisplayNames(m.Attrs)
 	var out []PermitStatement

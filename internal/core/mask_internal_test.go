@@ -11,10 +11,11 @@ import (
 
 // referenceApply is the pre-compilation Apply: star counts recounted
 // inside the row loop, best = first tuple achieving the maximum count
-// among matchers, zero-star tuples never selected. The compiled path
-// must reproduce it exactly, tie-breaks included.
+// among matchers, zero-star tuples never selected; the stats count the
+// rows the output accepts. The compiled path must reproduce it exactly,
+// tie-breaks included.
 func referenceApply(m *Mask, ans *relation.Relation) (*relation.Relation, MaskStats) {
-	stats := MaskStats{Rows: ans.Len(), Cells: ans.Len() * ans.Arity()}
+	var stats MaskStats
 	out := relation.New(ans.Attrs)
 	width := ans.Arity()
 	for _, t := range ans.Tuples() {
@@ -47,22 +48,22 @@ func referenceApply(m *Mask, ans *relation.Relation) (*relation.Relation, MaskSt
 		if !any {
 			continue
 		}
-		stats.RevealedRows++
 		row := make(relation.Tuple, width)
-		full := true
+		cells := 0
 		for k := range row {
 			if revealed[k] {
 				row[k] = t[k]
-				stats.RevealedCells++
+				cells++
 			} else {
 				row[k] = value.Null()
-				full = false
 			}
 		}
-		if full {
-			stats.FullRows++
+		if ok, _ := out.Insert(row); !ok {
+			continue
 		}
-		out.Insert(row) //nolint:errcheck
+		stats.Rows++
+		stats.Cells += width
+		stats.RevealedCells += cells
 	}
 	return out, stats
 }

@@ -114,11 +114,25 @@ func TestApplyDropsUnmatchedRows(t *testing.T) {
 		cellsTuple(core.Cell{Star: true, Cons: interval.FromCmp(value.GE, value.Int(3))}),
 	)
 	masked, stats := m.Apply(ans)
-	if masked.Len() != 1 || stats.RevealedRows != 1 || stats.FullRows != 1 {
-		t.Fatalf("masked:\n%s stats %+v", masked, stats)
+	// The stats count the delivered relation only: the dropped row is
+	// not in them.
+	if want := (core.MaskStats{Rows: 1, Cells: 1, RevealedCells: 1}); masked.Len() != 1 || stats != want {
+		t.Fatalf("masked:\n%s stats %+v, want %+v", masked, stats, want)
 	}
-	if stats.Full() || stats.Empty() {
-		t.Fatal("stats classification wrong")
+}
+
+// TestApplyCountsDeliveredRows: two answer rows that differ only in a
+// withheld cell mask to one delivered row, and the stats count it once.
+func TestApplyCountsDeliveredRows(t *testing.T) {
+	ans := relation.New([]string{"A", "B"})
+	ans.MustInsert(value.Int(5), value.Int(1))
+	ans.MustInsert(value.Int(5), value.Int(2))
+	m := maskOver([]string{"A", "B"},
+		cellsTuple(core.Cell{Star: true, Cons: interval.Full()}, core.Cell{Cons: interval.Full()}),
+	)
+	masked, stats := m.Apply(ans)
+	if want := (core.MaskStats{Rows: 1, Cells: 2, RevealedCells: 1}); masked.Len() != 1 || stats != want {
+		t.Fatalf("masked:\n%s stats %+v, want %+v", masked, stats, want)
 	}
 }
 

@@ -26,8 +26,9 @@ import (
 // ApplyExtended, where unmatched pre-images contribute zero revealed
 // cells) delivers nothing from them — pruning them changes no delivered
 // cell, no inferred permit (permits derive from the mask, not the data),
-// and no grant/deny flag. Only MaskStats.Rows/Cells, which count the
-// materialized answer, shrink.
+// no grant/deny flag, and no MaskStats figure, since those count the
+// delivered relation. Only the unmasked answer, which nothing keeps,
+// shrinks.
 //
 // The atoms depend on definitions only — never on relation instances —
 // so they are computed once per MaskPlan and cached with it.

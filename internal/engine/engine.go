@@ -638,7 +638,8 @@ func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) 
 	case d.Denied:
 		fmt.Fprintln(&b, "outcome: nothing is delivered")
 	default:
-		fmt.Fprintf(&b, "outcome: partial (%d of %d cells)\n", d.Stats.RevealedCells, d.Stats.Cells)
+		fmt.Fprintf(&b, "outcome: partial (%d row(s) delivered: %d cell(s) revealed, %d withheld)\n",
+			d.Stats.Rows, d.Stats.RevealedCells, d.Stats.Cells-d.Stats.RevealedCells)
 		for _, p := range d.Permits {
 			fmt.Fprintln(&b, p.String())
 		}

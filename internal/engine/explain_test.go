@@ -21,7 +21,7 @@ func TestExplainStatement(t *testing.T) {
 	for _, want := range []string{
 		"plan:", "instantiated views: PSA",
 		"after scan PROJECT:", "after select", "after project:",
-		"mask A':", "outcome: partial (2 of 4 cells)",
+		"mask A':", "outcome: partial (1 row(s) delivered: 2 cell(s) revealed, 0 withheld)",
 		"permit (NUMBER, SPONSOR) where SPONSOR = Acme",
 	} {
 		if !strings.Contains(res.Text, want) {

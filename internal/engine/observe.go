@@ -181,7 +181,8 @@ func newExecMetrics(r *metrics.Registry) execMetrics {
 }
 
 // observeExec records one statement execution: the request count and
-// latency by kind, delivered vs withheld cells and the meta-tuples a
+// latency by kind, the revealed and withheld cells of the delivered rows
+// (MaskStats never counts a row withheld entirely) and the meta-tuples a
 // recomputed mask plan materialized on authorized retrievals (zero when the
 // mask cache or the closure answered), and guard cancellation/budget trips
 // on failures.

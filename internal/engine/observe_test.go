@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"authdb/internal/core"
 	"authdb/internal/engine"
 	"authdb/internal/guard"
 	"authdb/internal/workload"
@@ -57,9 +58,9 @@ func TestDispatchStats(t *testing.T) {
 
 func TestExecMetricsCounters(t *testing.T) {
 	e := paperEngine(t)
-	user := e.NewSession("Brown", false)
+	klein := e.NewSession("Klein", false)
 
-	if _, err := user.Exec(workload.Example1Query); err != nil {
+	if _, err := klein.Exec(workload.Example2Query); err != nil {
 		t.Fatal(err)
 	}
 	met := e.Metrics()
@@ -68,7 +69,8 @@ func TestExecMetricsCounters(t *testing.T) {
 	}
 	delivered := met.Counter("authdb_cells_delivered_total").Value()
 	withheld := met.Counter("authdb_cells_withheld_total").Value()
-	// Example 1 is partially authorized: some cells of both kinds.
+	// Example 2 delivers Klein's engineers' names with SALARY withheld:
+	// cells of both kinds in delivered rows.
 	if delivered == 0 || withheld == 0 {
 		t.Fatalf("cells delivered=%d withheld=%d, want both > 0", delivered, withheld)
 	}
@@ -79,7 +81,7 @@ func TestExecMetricsCounters(t *testing.T) {
 	if meta == 0 {
 		t.Fatal("meta-tuple counter did not move on a cold authorization")
 	}
-	if _, err := user.Exec(workload.Example1Query); err != nil {
+	if _, err := klein.Exec(workload.Example2Query); err != nil {
 		t.Fatal(err)
 	}
 	if got := met.Counter("authdb_meta_tuples_total").Value(); got != meta {
@@ -87,7 +89,7 @@ func TestExecMetricsCounters(t *testing.T) {
 	}
 
 	// A budget trip increments the guard counter.
-	tight := user
+	tight := e.NewSession("Brown", false)
 	l := guard.DefaultLimits()
 	l.MaxIntermediateRows = 1
 	tight.SetLimits(l)
@@ -109,4 +111,44 @@ func TestExecMetricsCounters(t *testing.T) {
 		t.Fatalf("cancel counter = %d, want 1", got)
 	}
 
+}
+
+// TestStatsIgnoreHiddenRows is a pair of states Brown's permitted views
+// cannot tell apart: the paper's database with and without PROJECT's
+// (sv-72, Apex) row, which no view of Brown's covers. Example 1 must
+// report the same Decision.Stats and move authdb_cells_withheld_total by
+// the same amount in both, with and without mask pushdown.
+func TestStatsIgnoreHiddenRows(t *testing.T) {
+	for _, push := range []bool{false, true} {
+		type reading struct {
+			stats    core.MaskStats
+			withheld int64
+		}
+		read := func(keepRow bool) reading {
+			t.Helper()
+			opt := core.DefaultOptions()
+			opt.MaskPushdown = push
+			e := engine.New(opt)
+			admin := e.NewSession("admin", true)
+			if _, err := admin.ExecScript(workload.PaperScript); err != nil {
+				t.Fatal(err)
+			}
+			if !keepRow {
+				if _, err := admin.Exec(`delete from PROJECT where PROJECT.NUMBER = sv-72`); err != nil {
+					t.Fatal(err)
+				}
+			}
+			withheld := e.Metrics().Counter("authdb_cells_withheld_total")
+			before := withheld.Value()
+			res, err := e.NewSession("Brown", false).Exec(workload.Example1Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return reading{res.Decision.Stats, withheld.Value() - before}
+		}
+		with, without := read(true), read(false)
+		if with != without {
+			t.Fatalf("pushdown=%v: Example 1 reads %+v with the hidden row, %+v without", push, with, without)
+		}
+	}
 }

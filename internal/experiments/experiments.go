@@ -25,16 +25,35 @@ func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "================ %s ================\n\n", title)
 }
 
-// outcome classifies a Motro decision.
-func outcome(d *core.Decision) string {
+// result is one authorized retrieve as the tables report it: the cells
+// delivered against the cells of the answer. A decision keeps only what
+// the user may see, so the answer is the query evaluated naively.
+type result struct {
+	outcome         string
+	revealed, cells int
+}
+
+// retrieve runs def for user through a and classifies the outcome.
+func retrieve(a *core.Authorizer, user string, def *cview.Def) result {
+	d, err := a.Retrieve(user, def)
+	must(err)
+	ans, err := algebra.EvalNaive(d.PSJ.Node(), a.Source)
+	must(err)
+	r := result{revealed: d.Stats.RevealedCells, cells: ans.Len() * ans.Arity()}
 	switch {
-	case d.FullyAuthorized || (d.Stats.Full() && d.Stats.Rows > 0):
-		return "full"
-	case d.Denied || d.Stats.Empty():
-		return "denied"
+	case d.FullyAuthorized || (r.revealed == r.cells && ans.Len() > 0):
+		r.outcome = "full"
+	case d.Denied || r.revealed == 0:
+		r.outcome = "denied"
 	default:
-		return "partial"
+		r.outcome = "partial"
 	}
+	return r
+}
+
+// String renders the result as "outcome (revealed/cells)".
+func (r result) String() string {
+	return fmt.Sprintf("%s (%d/%d)", r.outcome, r.revealed, r.cells)
 }
 
 // expSysR demonstrates the §1 System R claim: with permission granted on a
@@ -85,11 +104,7 @@ func SysR(w io.Writer) {
 		}
 		motro := "n/a (view reference)"
 		if viewFree(f.Schema, def) {
-			d, err := auth.Retrieve(q.user, def)
-			if err != nil {
-				panic(err)
-			}
-			motro = fmt.Sprintf("%s (%d/%d)", outcome(d), d.Stats.RevealedCells, d.Stats.Cells)
+			motro = retrieve(auth, q.user, def).String()
 		}
 		fmt.Fprintf(w, "%-45s %-8s %-12s %-s\n", q.label, q.user, srOut, motro)
 	}
@@ -119,11 +134,8 @@ func SysR(w io.Writer) {
 		if _, err := gsr.Query("u0", def); err != nil {
 			srDenied++
 		}
-		d, err := gauth.Retrieve("u0", def)
-		if err != nil {
-			panic(err)
-		}
-		switch outcome(d) {
+		r := retrieve(gauth, "u0", def)
+		switch r.outcome {
 		case "full":
 			mFull++
 		case "partial":
@@ -131,8 +143,8 @@ func SysR(w io.Writer) {
 		default:
 			mDenied++
 		}
-		cellsDelivered += d.Stats.RevealedCells
-		cellsTotal += d.Stats.Cells
+		cellsDelivered += r.revealed
+		cellsTotal += r.cells
 	}
 	fmt.Fprintf(w, "\nsynthetic workload (%d base-relation queries, user u0):\n", len(qs))
 	fmt.Fprintf(w, "  System R:   %3d answered, %3d denied\n", len(qs)-srDenied, srDenied)
@@ -183,12 +195,7 @@ func Ingres(w io.Writer) {
 		} else {
 			ingOut = fmt.Sprintf("answered (%d rows)", rel.Len())
 		}
-		d, err := auth.Retrieve(q.user, def)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Fprintf(w, "%-40s %-8s %-18s %s (%d/%d)\n", q.label, q.user, ingOut,
-			outcome(d), d.Stats.RevealedCells, d.Stats.Cells)
+		fmt.Fprintf(w, "%-40s %-8s %-18s %s\n", q.label, q.user, ingOut, retrieve(auth, q.user, def))
 	}
 	fmt.Fprintf(w, "\nnote: Klein's ELP (a view of EMPLOYEE, ASSIGNMENT, and PROJECT) has no INGRES\n")
 	fmt.Fprintf(w, "encoding at all — permissions there are views of single relations (§1).\n\n")
@@ -233,21 +240,15 @@ func Ablation(w io.Writer) {
 		auth := core.NewAuthorizer(f.Store, f.Source, opt)
 		cells := make([]string, len(jobs))
 		for i, j := range jobs {
-			d, err := auth.Retrieve(j.user, j.def)
-			if err != nil {
-				panic(err)
-			}
-			cells[i] = fmt.Sprintf("%d/%d", d.Stats.RevealedCells, d.Stats.Cells)
+			r := retrieve(auth, j.user, j.def)
+			cells[i] = fmt.Sprintf("%d/%d", r.revealed, r.cells)
 		}
 		gauth := core.NewAuthorizer(g.Store, g.Source, opt)
 		var delivered, total int
 		for _, def := range gqs {
-			d, err := gauth.Retrieve("u0", def)
-			if err != nil {
-				panic(err)
-			}
-			delivered += d.Stats.RevealedCells
-			total += d.Stats.Cells
+			r := retrieve(gauth, "u0", def)
+			delivered += r.revealed
+			total += r.cells
 		}
 		fmt.Fprintf(w, "%-28s %-12s %-12s %-12s %d/%d (%.1f%%)\n",
 			v.label, cells[0], cells[1], cells[2], delivered, total, pct(delivered, total))
@@ -272,10 +273,8 @@ func Ablation(w io.Writer) {
 	for _, pad := range []bool{true, false} {
 		opt := core.DefaultOptions()
 		opt.Padding = pad
-		auth := core.NewAuthorizer(pf.Store, pf.Source, opt)
-		d, err := auth.Retrieve("Brown", pq)
-		must(err)
-		fmt.Fprintf(w, "  padding=%-5v -> %s (%d/%d cells)\n", pad, outcome(d), d.Stats.RevealedCells, d.Stats.Cells)
+		r := retrieve(core.NewAuthorizer(pf.Store, pf.Source, opt), "Brown", pq)
+		fmt.Fprintf(w, "  padding=%-5v -> %s (%d/%d cells)\n", pad, r.outcome, r.revealed, r.cells)
 	}
 	fmt.Fprintln(w)
 }
@@ -340,13 +339,8 @@ func Extended(w io.Writer) {
 		extOpt := core.DefaultOptions()
 		extOpt.ExtendedMasks = true
 		ext := core.NewAuthorizer(f.Store, f.Source, extOpt)
-		db, err := base.Retrieve(q.user, def)
-		must(err)
-		de, err := ext.Retrieve(q.user, def)
-		must(err)
-		fmt.Fprintf(w, "%-36s %-8s %-16s %s (%d/%d)\n", q.label, q.user,
-			fmt.Sprintf("%s (%d/%d)", outcome(db), db.Stats.RevealedCells, db.Stats.Cells),
-			outcome(de), de.Stats.RevealedCells, de.Stats.Cells)
+		fmt.Fprintf(w, "%-36s %-8s %-16s %s\n", q.label, q.user,
+			retrieve(base, q.user, def), retrieve(ext, q.user, def))
 	}
 
 	cfg := workload.DefaultGen()
@@ -362,13 +356,10 @@ func Extended(w io.Writer) {
 		extOpt := core.DefaultOptions()
 		extOpt.ExtendedMasks = true
 		ext := core.NewAuthorizer(g.Store, g.Source, extOpt)
-		db, err := base.Retrieve("u0", def)
-		must(err)
-		de, err := ext.Retrieve("u0", def)
-		must(err)
-		baseCells += db.Stats.RevealedCells
-		extCells += de.Stats.RevealedCells
-		total += db.Stats.Cells
+		rb, re := retrieve(base, "u0", def), retrieve(ext, "u0", def)
+		baseCells += rb.revealed
+		extCells += re.revealed
+		total += rb.cells
 	}
 	fmt.Fprintf(w, "\nsynthetic workload (%d queries): base %d cells, extended %d cells (of %d)\n\n",
 		len(qs), baseCells, extCells, total)

@@ -523,13 +523,18 @@ func TestReplicationMetrics(t *testing.T) {
 	rdb, rep, _ := newReplicaNode(t, srv.Addr().String())
 	waitLSN(t, rdb.Engine(), db.Engine().LSN())
 
+	// The applier counts a batch only after it is durable, which can be
+	// after the lag reads zero: wait for the count as well.
+	applied := func() bool {
+		return rdb.Metrics().Counter("authdb_repl_batches_applied_total").Value() >= 1
+	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if lsns, _ := rep.Lag(); lsns == 0 && rep.Connected() {
+		if lsns, _ := rep.Lag(); lsns == 0 && rep.Connected() && applied() {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("replica never reported connected with zero lag")
+			t.Fatal("replica never reported connected with zero lag and a batch applied")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
