@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race chaos loc fuzz fuzz-wire fuzz-root fuzz-page fuzz-codec fuzz-wal fuzz-render fuzz-parser bench benchgo bench-reply
+.PHONY: check build fmt vet staticcheck test race chaos loc fuzz fuzz-wire fuzz-root fuzz-page fuzz-codec fuzz-wal fuzz-render fuzz-parser fuzz-mask bench benchgo bench-reply
 
 check: build fmt vet staticcheck race
 
@@ -94,6 +94,12 @@ fuzz-render:
 # accepted views and queries must round-trip through their printed form.
 fuzz-parser:
 	$(GO) test ./internal/parser -run '^$$' -fuzz FuzzParseProgram -fuzztime 30s
+
+# Fuzz mask application: on random masks, delivered-column lists
+# (every column, a permutation, a subset) and answers, Apply delivers
+# what the reference applications deliver, row order and stats included.
+fuzz-mask:
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMaskApply$$' -fuzztime 30s
 
 # The repository's benchmark: four workloads over the masked-retrieve
 # path, each in a process of its own, with the correctness gate on

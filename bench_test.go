@@ -508,7 +508,7 @@ func BenchmarkOverhead(b *testing.B) {
 			name := fmt.Sprintf("rows=%d/views=%d", rows, views)
 			b.Run(name+"/exec-only", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := algebra.EvalOptimized(an.PSJ, g.Source); err != nil {
+					if _, err := algebra.EvalPSJ(an.PSJ, g.Source, nil, algebra.ExecOptions{}, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -548,7 +548,7 @@ func BenchmarkExecNaiveVsOptimized(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("rows=%d/optimized", rows), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := algebra.EvalOptimized(an.PSJ, g.Source); err != nil {
+				if _, err := algebra.EvalPSJ(an.PSJ, g.Source, nil, algebra.ExecOptions{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -760,14 +760,14 @@ func BenchmarkIndexedPointQuery(b *testing.B) {
 	}
 	b.Run("indexed-eq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := algebra.EvalOptimized(point, g.Source); err != nil {
+			if _, err := algebra.EvalPSJ(point, g.Source, nil, algebra.ExecOptions{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("scan-range", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := algebra.EvalOptimized(scan, g.Source); err != nil {
+			if _, err := algebra.EvalPSJ(scan, g.Source, nil, algebra.ExecOptions{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

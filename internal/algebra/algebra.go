@@ -12,9 +12,9 @@
 //   - EvalNaive: literal bottom-up evaluation of the plan tree (and, via
 //     PSJ, of the paper's products→selections→projections normal form),
 //     the meta side's §4.1 reference and the test oracle;
-//   - EvalPSJ (EvalOptimized): predicate pushdown, secondary-index access
-//     paths, and hash and index joins — the one evaluator for the actual
-//     relations, which retrieval and update authorization both run.
+//   - EvalPSJ: predicate pushdown, secondary-index access paths, and
+//     hash and index joins — the one evaluator for the actual relations,
+//     which retrieval and update authorization both run.
 //
 // Both evaluators produce identical relations; the test suite cross-checks
 // them and the benchmark harness measures the gap (experiment E9).

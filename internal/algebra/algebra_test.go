@@ -208,7 +208,7 @@ func TestNaiveOptimizedAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := EvalOptimized(p, src)
+		opt, err := EvalPSJ(p, src, nil, ExecOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestEvalOptimizedCartesianFallback(t *testing.T) {
 		Scans: []Scan{{Rel: "R", Alias: "R"}, {Rel: "T", Alias: "T"}},
 		Cols:  []string{"R.A", "T.D"},
 	}
-	out, err := EvalOptimized(p, src)
+	out, err := EvalPSJ(p, src, nil, ExecOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestEvalOptimizedThetaJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := EvalOptimized(p, src)
+	opt, err := EvalPSJ(p, src, nil, ExecOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestEvalOptimizedThetaJoin(t *testing.T) {
 
 func TestEmptyQueryRejected(t *testing.T) {
 	_, src := fixture()
-	if _, err := EvalOptimized(&PSJ{}, src); err == nil {
+	if _, err := EvalPSJ(&PSJ{}, src, nil, ExecOptions{}, nil); err == nil {
 		t.Error("empty query accepted")
 	}
 }

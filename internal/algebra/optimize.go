@@ -14,23 +14,6 @@ import (
 // as cheap as the index probe bookkeeping.
 const indexJoinMinInner = 64
 
-// EvalOptimized evaluates a PSJ query with predicate pushdown, secondary
-// indexes, and hash equi-joins. This is the "different strategy" §4.1
-// allows for the actual relations, where "optimality is essential". The
-// result is identical, as a set, to EvalNaive on the same query.
-func EvalOptimized(p *PSJ, src Source) (*relation.Relation, error) {
-	return EvalPSJ(p, src, nil, ExecOptions{UseIndexes: true}, nil)
-}
-
-// EvalOptimizedGuarded is EvalOptimized under a cancellation-and-budget
-// guard: local filters, join and product outputs, residual selections,
-// and the final projection are accounted per tuple batch, so a hostile
-// query (e.g. an unbounded self-product) fails with a typed error while
-// the engine keeps serving. A nil guard is unlimited.
-func EvalOptimizedGuarded(p *PSJ, src Source, g *guard.Guard) (*relation.Relation, error) {
-	return EvalPSJ(p, src, g, ExecOptions{UseIndexes: true}, nil)
-}
-
 // EvalPSJ evaluates a PSJ query choosing an access path per scan and a
 // strategy per join step, recording its decisions in tr (nil disables).
 //

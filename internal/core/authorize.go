@@ -44,9 +44,8 @@ type Decision struct {
 // authorization process derives from the user's definitions (permitted
 // views and their meta-tuples) and the query alone — never from the
 // relation instances. It is therefore cacheable per (user, query) and
-// shareable across concurrent read sessions: every application path
-// (Apply, ApplyExtended, Permits, the grant/deny flags) treats the mask
-// as read-only.
+// shareable across concurrent read sessions: Apply and Permits treat the
+// mask as read-only.
 type MaskPlan struct {
 	// Mask is the compiled meta-answer A'.
 	Mask *Mask
@@ -59,15 +58,14 @@ type MaskPlan struct {
 	// Permits describes the delivered portions when the outcome is
 	// partial; empty on full grant (§5 Example 3) or full denial.
 	Permits []PermitStatement
-	// FullyAuthorized reports that the mask grants the entire answer
-	// unconditionally; Denied that it grants nothing.
+	// FullyAuthorized reports that some mask tuple delivers the entire
+	// answer unconditionally; Denied that no mask tuple reveals a
+	// delivered column, so nothing is delivered.
 	FullyAuthorized bool
 	Denied          bool
-	// WidePSJ and OutIdx are set under Options.ExtendedMasks: the plan
-	// without its final projection, and the positions of the requested
-	// columns within the wide answer.
+	// WidePSJ is set under Options.ExtendedMasks: the plan without its
+	// final projection, whose answer the mask is written over.
 	WidePSJ *algebra.PSJ
-	OutIdx  []int
 	// Pushdown is the mask-derived necessary delivery condition: atoms
 	// over the mask's attributes that every delivered row satisfies
 	// (Mask.PushdownAtoms). Definition-derived, so cached with the plan;
@@ -189,7 +187,7 @@ func (a *Authorizer) decide(psj *algebra.PSJ, mp *MaskPlan, metaTuples int, fuse
 		return nil, nil, err
 	}
 	d := &Decision{MaskPlan: mp, PSJ: psj, PushdownApplied: fuse, MetaTuples: metaTuples}
-	d.Masked, d.Stats = mp.apply(ans, psj.Cols)
+	d.Masked, d.Stats = mp.Mask.Apply(ans)
 	// Sorted once here, the delivered relation converts without a sort on
 	// every closure hit until a refresh appends behind it.
 	d.Masked.Canonicalize()
@@ -210,14 +208,6 @@ func (a *Authorizer) execute(psj *algebra.PSJ, mp *MaskPlan, fuse bool, tr *alge
 	}
 	ans, err := a.evalActual(psjExec, a.Source, tr)
 	return ans, psjExec, err
-}
-
-// apply masks an answer execute returned, delivering the columns cols.
-func (mp *MaskPlan) apply(ans *relation.Relation, cols []string) (*relation.Relation, MaskStats) {
-	if mp.WidePSJ != nil {
-		return mp.Mask.ApplyExtended(ans, mp.OutIdx, cols)
-	}
-	return mp.Mask.Apply(ans)
 }
 
 // evalActual evaluates an actual-side plan against src on the indexed
@@ -303,8 +293,7 @@ func (a *Authorizer) ReferencePlan(user string, psj *algebra.PSJ) (*MaskPlan, er
 
 // instantiate starts a MaskPlan for psj: the user's permitted views
 // instantiated against the relations the query scans and, under
-// Options.ExtendedMasks, the wide plan and the requested columns'
-// positions in it.
+// Options.ExtendedMasks, the wide plan.
 func (a *Authorizer) instantiate(user string, psj *algebra.PSJ) (*MaskPlan, error) {
 	if len(psj.Scans) == 0 {
 		return nil, fmt.Errorf("query scans no relations")
@@ -316,15 +305,6 @@ func (a *Authorizer) instantiate(user string, psj *algebra.PSJ) (*MaskPlan, erro
 			return nil, err
 		}
 		mp.WidePSJ = &algebra.PSJ{Scans: psj.Scans, Preds: psj.Preds, Cols: wideAttrs}
-		wide := relation.New(wideAttrs)
-		mp.OutIdx = make([]int, len(psj.Cols))
-		for i, c := range psj.Cols {
-			j := wide.AttrIndex(c)
-			if j < 0 {
-				return nil, fmt.Errorf("unknown output attribute %s", c)
-			}
-			mp.OutIdx[i] = j
-		}
 	}
 	scanCount := make(map[string]int)
 	for _, s := range psj.Scans {
@@ -347,6 +327,7 @@ func (mp *MaskPlan) record(phase string, mr *MetaRel) {
 func (a *Authorizer) compile(mp *MaskPlan, psj *algebra.PSJ, sels []selection, mr *MetaRel, record bool) (*MaskPlan, error) {
 	inst := mp.Inst
 	var err error
+	var out []int // every column, unless extended
 	for _, sel := range sels {
 		if sel.isConst {
 			mr, err = MetaSelectConst(mr, sel.attr, sel.lam, inst, a.Opt.FourCase)
@@ -367,11 +348,18 @@ func (a *Authorizer) compile(mp *MaskPlan, psj *algebra.PSJ, sels []selection, m
 	}
 	if a.Opt.ExtendedMasks {
 		// §6(3): skip the meta projection so residual conditions on
-		// unrequested attributes survive; the wide answer gets masked.
+		// unrequested attributes survive; the wide answer gets masked,
+		// delivering the requested columns.
 		mr.DropDangling(inst)
 		mr.DedupeLoose()
 		if record {
 			mp.record("extended mask", mr)
+		}
+		out = make([]int, len(psj.Cols))
+		for i, c := range psj.Cols {
+			if out[i], err = mr.attrIndex(c); err != nil {
+				return nil, err
+			}
 		}
 	} else {
 		mr, err = MetaProject(mr, psj.Cols)
@@ -386,24 +374,15 @@ func (a *Authorizer) compile(mp *MaskPlan, psj *algebra.PSJ, sels []selection, m
 		mr.DropDangling(inst)
 		mr.DedupeLoose()
 	}
-	mp.Mask = NewMask(mr, inst)
+	mp.Mask = NewMask(mr, inst, out)
 	if a.Opt.Subsume {
 		mp.Mask.Subsume()
 	}
 	mp.Pushdown = mp.Mask.PushdownAtoms()
-	if a.Opt.ExtendedMasks {
-		mp.FullyAuthorized = fullGrantExtended(mp.Mask, mp.OutIdx)
-		mp.Denied = !revealsAnything(mp.Mask, mp.OutIdx)
-	} else {
-		mp.FullyAuthorized = a.fullGrant(mp.Mask)
-		mp.Denied = len(mp.Mask.Tuples) == 0
-	}
+	mp.FullyAuthorized = mp.Mask.grantsAll()
+	mp.Denied = mp.Mask.denies()
 	if !mp.FullyAuthorized && !mp.Denied {
-		if a.Opt.ExtendedMasks {
-			mp.Permits = mp.Mask.ExtendedPermits(mp.OutIdx)
-		} else {
-			mp.Permits = mp.Mask.Permits()
-		}
+		mp.Permits = mp.Mask.Permits()
 	}
 	return mp, nil
 }
@@ -723,23 +702,4 @@ func (a *Authorizer) cellFilters(product *MetaRel, psj *algebra.PSJ, sels []sele
 		filters[p].unread = !read[p]
 	}
 	return filters, nil
-}
-
-// fullGrant reports whether some mask tuple grants every attribute
-// unconditionally, in which case the answer is delivered without permit
-// statements (§5, Example 3).
-func (a *Authorizer) fullGrant(m *Mask) bool {
-	for _, t := range m.Tuples {
-		all := true
-		for _, c := range t.Cells {
-			if !c.Star || !c.IsBlank() {
-				all = false
-				break
-			}
-		}
-		if all && len(t.Cmps) == 0 {
-			return true
-		}
-	}
-	return false
 }

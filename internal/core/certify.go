@@ -17,8 +17,8 @@ type Certification struct {
 	// Answer is the full answer; certification never withholds data.
 	Answer *relation.Relation
 	// Statements describes the certified portions, one per meta-tuple of
-	// the quality's meta-answer; empty when the whole answer (Full) or
-	// none of it carries the property.
+	// the quality's meta-answer that reveals a requested column; empty
+	// when the whole answer (Full) or none of it carries the property.
 	Statements []PermitStatement
 	// Full reports that the entire answer carries the property.
 	Full bool
@@ -50,16 +50,14 @@ func (a *Authorizer) Certify(quality string, def *cview.Def) (*Certification, er
 		return nil, err
 	}
 	c := &Certification{Full: mp.FullyAuthorized}
-	_, c.Stats = mp.apply(ans, an.PSJ.Cols)
+	_, c.Stats = mp.Mask.Apply(ans)
 	if mp.WidePSJ != nil {
-		ans = ans.Project(mp.OutIdx)
+		ans = ans.Project(mp.Mask.Out)
 	}
 	c.Answer = ans
-	if !mp.FullyAuthorized {
-		c.Statements = mp.Mask.Permits()
-		for i := range c.Statements {
-			c.Statements[i].Verb = "certified"
-		}
+	for _, p := range mp.Permits {
+		p.Verb = "certified"
+		c.Statements = append(c.Statements, p)
 	}
 	return c, nil
 }

@@ -111,3 +111,43 @@ func TestCertifyAfterFusedRetrieve(t *testing.T) {
 		t.Fatalf("certified answer has %d rows, want all 4", c.Answer.Len())
 	}
 }
+
+// TestCertifyExtendedListsDeliveredColumns: under §6(3) the mask is
+// written over the wide answer, so a statement lists only the requested
+// columns its tuple certifies, and a request whose columns no tuple
+// certifies gets no statement at all.
+func TestCertifyExtendedListsDeliveredColumns(t *testing.T) {
+	f := workload.NewFixture()
+	f.MustExec(`
+		relation R (A, B, C);
+		insert into R values (1, 5, 2);
+		insert into R values (3, 4, 6);
+		view V (R.A, R.C) where R.B = 5;
+		permit V to q;
+	`)
+	opt := core.DefaultOptions()
+	opt.ExtendedMasks = true
+	auth := core.NewAuthorizer(f.Store, f.Source, opt)
+	for _, tc := range []struct {
+		query string
+		want  []string
+	}{
+		{`retrieve (R.A)`, []string{"certified (A) where B = 5"}},
+		{`retrieve (R.B)`, nil},
+	} {
+		c, err := auth.Certify("q", workload.MustQuery(tc.query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, s := range c.Statements {
+			got = append(got, s.String())
+		}
+		if c.Full || strings.Join(got, "; ") != strings.Join(tc.want, "; ") {
+			t.Errorf("%s: full=%v statements %q, want %q", tc.query, c.Full, got, tc.want)
+		}
+		if c.Answer.Len() != 2 {
+			t.Errorf("%s: answer has %d rows, want 2", tc.query, c.Answer.Len())
+		}
+	}
+}

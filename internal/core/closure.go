@@ -30,15 +30,17 @@ import (
 //     untouched; only the materialized rows go stale.
 //
 // On a data-side mismatch the entry can often be repaired instead of
-// rebuilt: for a single-scan, non-extended plan whose new revision
-// extends the cached one by pure appends (relation.ExtendsByAppend —
-// the common insert-only churn), only the appended window is evaluated
-// through the retained executable plan, its rows are masked through the
-// retained compiled mask, and the masked accumulator grows in place. A
-// masked row is a function of its answer row, so a window row that
-// repeats an answer row masks to a row the accumulator already holds.
-// Deletions, reallocation, multi-scan plans, and extended masks fall
-// back to a full recompute (which re-Stores).
+// rebuilt: for a single-scan plan whose mask is not grouped and whose
+// new revision extends the cached one by pure appends
+// (relation.ExtendsByAppend — the common insert-only churn), only the
+// appended window is evaluated through the retained executable plan, its
+// rows are masked through the retained compiled mask, and the masked
+// accumulator grows in place. An ungrouped mask delivers each answer row
+// on its own, so a window row that repeats an answer row masks to a row
+// the accumulator already holds. A grouped mask (§6(3) leaving a column
+// out) picks one row per group across the whole answer, which a window
+// cannot revise; like deletions, reallocation and multi-scan plans, it
+// falls back to a full recompute (which re-Stores).
 //
 // One-mask-tuple-per-row soundness is preserved by construction: a
 // refresh masks each appended row through the same bestIndex decision
@@ -100,7 +102,8 @@ type closureEntry struct {
 	stats  MaskStats
 	// vm accumulates the delivered relation grow-only (MVCC-style:
 	// published heads are immutable, appends build successors); present
-	// only for single-scan non-extended plans, the ones that refresh.
+	// only for single-scan plans with an ungrouped mask, the ones that
+	// refresh.
 	vm *relation.Versioned
 }
 
@@ -281,7 +284,7 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 			continue
 		}
 		row := slab.Row(len(rows) - n)
-		maskRow(row, t, ex.reveal[bi])
+		maskRow(row, t, ex.reveal[bi], ex.out)
 		// A window row that projects onto an answer row already seen
 		// masks to a row vm holds, and Adopt refuses it.
 		if e.vm.Adopt(row) {
@@ -298,10 +301,10 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 
 // Store materializes a freshly computed decision: its mask plan, the
 // executed plan, the revision stamps, the delivered relation and its
-// statistics, and — for single-scan non-extended plans — the masked
-// accumulator. Store takes ownership of d.Masked in the MVCC sense: its
-// published prefix stays immutable, later refreshes extend the shared
-// backing array past it.
+// statistics, and — for single-scan plans with an ungrouped mask — the
+// masked accumulator. Store takes ownership of d.Masked in the MVCC
+// sense: its published prefix stays immutable, later refreshes extend
+// the shared backing array past it.
 func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, revs []*relation.Relation, d *Decision, psjExec *algebra.PSJ) {
 	if c == nil || d == nil {
 		return
@@ -321,7 +324,7 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 		masked:  d.Masked,
 		stats:   d.Stats,
 	}
-	if len(psj.Scans) == 1 && !opt.ExtendedMasks {
+	if len(psj.Scans) == 1 && !d.Mask.compiled().grouped {
 		e.vm = relation.VersionedOf(d.Masked)
 	} else {
 		// Nothing ever inserts into a result that cannot be refreshed, and

@@ -1,6 +1,11 @@
 package core
 
-import "authdb/internal/algebra"
+import (
+	"strings"
+
+	"authdb/internal/algebra"
+	"authdb/internal/relation"
+)
 
 // DecideTraced runs the step Retrieve ends with: execute psj's actual
 // side for mp, with mp's pushdown atoms fused when fuse is set, and mask
@@ -8,4 +13,80 @@ import "authdb/internal/algebra"
 func (a *Authorizer) DecideTraced(psj *algebra.PSJ, mp *MaskPlan, fuse bool, tr *algebra.Trace) (*Decision, error) {
 	d, _, err := a.decide(psj, mp, 0, fuse, tr)
 	return d, err
+}
+
+// ApplyExtended is the reference for Apply on a mask whose delivered
+// columns are outIdx (§6(3)): for each group of wide rows sharing the
+// same projected values, the reveal with the most delivered output cells
+// — obtained from ONE mask tuple matching ONE wide pre-image, rescanning
+// every tuple for every row — wins. Apply is tested against it because
+// the two share no code.
+func (m *Mask) ApplyExtended(wide *relation.Relation, outIdx []int, outAttrs []string) (*relation.Relation, MaskStats) {
+	type groupState struct {
+		vals   relation.Tuple
+		reveal []bool
+		count  int
+	}
+	groups := make(map[string]*groupState)
+	var order []string
+	key := func(t relation.Tuple) string {
+		var b strings.Builder
+		for _, i := range outIdx {
+			b.WriteByte(byte(t[i].Kind()))
+			b.WriteString(t[i].String())
+			b.WriteByte(0)
+		}
+		return b.String()
+	}
+	for _, t := range wide.Tuples() {
+		k := key(t)
+		g, ok := groups[k]
+		if !ok {
+			vals := make(relation.Tuple, len(outIdx))
+			for j, i := range outIdx {
+				vals[j] = t[i]
+			}
+			g = &groupState{vals: vals, reveal: make([]bool, len(outIdx))}
+			groups[k] = g
+			order = append(order, k)
+		}
+		// Best single mask tuple for this wide pre-image, measured in
+		// delivered output cells.
+		for _, mt := range m.Tuples {
+			if !mt.Matches(t) {
+				continue
+			}
+			count := 0
+			for _, i := range outIdx {
+				if mt.Cells[i].Star {
+					count++
+				}
+			}
+			if count > g.count {
+				g.count = count
+				for j, i := range outIdx {
+					g.reveal[j] = mt.Cells[i].Star
+				}
+			}
+		}
+	}
+	var stats MaskStats
+	out := relation.New(outAttrs)
+	for _, k := range order {
+		g := groups[k]
+		if g.count == 0 {
+			continue
+		}
+		row := make(relation.Tuple, len(outIdx))
+		for j := range outIdx {
+			if g.reveal[j] {
+				row[j] = g.vals[j]
+			}
+		}
+		// Groups differing only in withheld cells mask to one row.
+		if out.Adopt(row) {
+			stats.count(g.count, len(row))
+		}
+	}
+	return out, stats
 }

@@ -117,30 +117,46 @@ func (m *MetaTuple) EvalOn(r *relation.Relation) *relation.Relation {
 type Mask struct {
 	Attrs  []string
 	Tuples []*MetaTuple
+	// Out lists the positions in Attrs of the delivered columns, in
+	// delivery order: every column for a mask over the requested columns;
+	// under §6(3), whose mask is written over the wide (pre-projection)
+	// answer, the requested columns' positions in it.
+	Out []int
 	// names resolves variable display names for rendering.
 	names func(VarID) string
 	// exec caches the compiled application order (star counts, reveal
 	// templates, tuples sorted most-revealing-first); built lazily on
-	// first Apply, atomically so masks shared across concurrent readers
+	// first use, atomically so masks shared across concurrent readers
 	// need no lock. Subsume resets it.
 	exec atomic.Pointer[maskExec]
 }
 
 // maskExec is the compiled form of a mask for application: per-tuple
-// star counts and reveal templates computed once instead of inside the
-// row loop, and the tuple order to probe. Tuples are stably sorted by
-// descending star count, so the first match *is* the best match — the
-// original scan kept the first tuple achieving the maximum star count
-// among matchers, which is exactly the first matcher in (count desc,
-// original position asc) order. Zero-star tuples are excluded: they can
-// never be selected (revealing nothing is the same as not matching).
+// star counts and reveal templates over the delivered columns, computed
+// once instead of inside the row loop, and the tuple order to probe.
+// Tuples are stably sorted by descending star count, so the first match
+// *is* the best match — the original scan kept the first tuple achieving
+// the maximum star count among matchers, which is exactly the first
+// matcher in (count desc, original position asc) order. Tuples revealing
+// no delivered column are excluded: they can never be selected
+// (revealing nothing is the same as not matching).
 type maskExec struct {
 	// order lists indices into Mask.Tuples, descending star count,
 	// original order within equal counts.
 	order []int
-	// stars and reveal are indexed by original tuple position.
+	// stars counts the delivered columns each tuple stars; reveal marks
+	// them by delivered column. Both are indexed by original tuple
+	// position.
 	stars  []int
 	reveal [][]bool
+	// delivered marks the mask's cells that Out delivers.
+	delivered []bool
+	// out is Mask.Out, nil when Out is every column in order: a row then
+	// masks cell for cell.
+	out []int
+	// grouped reports that Out drops a column of the answer, so distinct
+	// answer rows can share their delivered values.
+	grouped bool
 }
 
 // compiled returns the mask's compiled form, building it on first use.
@@ -151,15 +167,27 @@ func (m *Mask) compiled() *maskExec {
 		return e
 	}
 	e := &maskExec{
-		stars:  make([]int, len(m.Tuples)),
-		reveal: make([][]bool, len(m.Tuples)),
+		stars:     make([]int, len(m.Tuples)),
+		reveal:    make([][]bool, len(m.Tuples)),
+		delivered: make([]bool, len(m.Attrs)),
+	}
+	identity := len(m.Out) == len(m.Attrs)
+	for j, k := range m.Out {
+		e.delivered[k] = true
+		identity = identity && j == k
+	}
+	if !identity {
+		e.out = m.Out
+	}
+	for _, d := range e.delivered {
+		e.grouped = e.grouped || !d
 	}
 	for i, mt := range m.Tuples {
-		rv := make([]bool, len(mt.Cells))
+		rv := make([]bool, len(m.Out))
 		n := 0
-		for k, c := range mt.Cells {
-			if c.Star {
-				rv[k] = true
+		for j, k := range m.Out {
+			if mt.Cells[k].Star {
+				rv[j] = true
 				n++
 			}
 		}
@@ -177,8 +205,8 @@ func (m *Mask) compiled() *maskExec {
 }
 
 // bestIndex returns the position in m.Tuples of the tuple that delivers
-// answer row t — the matching tuple starring the most attributes, first
-// occurrence on ties — or -1 when no revealing tuple matches.
+// answer row t — the matching tuple starring the most delivered columns,
+// first occurrence on ties — or -1 when no revealing tuple matches.
 func (m *Mask) bestIndex(ex *maskExec, t relation.Tuple) int {
 	for _, i := range ex.order {
 		if m.Tuples[i].Matches(t) {
@@ -188,9 +216,17 @@ func (m *Mask) bestIndex(ex *maskExec, t relation.Tuple) int {
 	return -1
 }
 
-// NewMask wraps the final meta-relation; inst may be nil.
-func NewMask(mr *MetaRel, inst *Instance) *Mask {
-	m := &Mask{Attrs: mr.Attrs, Tuples: mr.Tuples}
+// NewMask wraps the final meta-relation; inst may be nil. out lists the
+// delivered columns' positions in mr (Mask.Out); nil delivers every
+// column.
+func NewMask(mr *MetaRel, inst *Instance, out []int) *Mask {
+	if out == nil {
+		out = make([]int, len(mr.Attrs))
+		for k := range out {
+			out[k] = k
+		}
+	}
+	m := &Mask{Attrs: mr.Attrs, Tuples: mr.Tuples, Out: out}
 	if inst != nil {
 		m.names = inst.VarName
 	}
@@ -218,11 +254,11 @@ func (s *MaskStats) count(revealed, width int) {
 }
 
 // Apply masks the answer: each row is delivered through the single
-// best-matching mask tuple (the one starring the most attributes), with
-// every other value withheld (null). Rows no tuple matches are dropped,
-// per §6: the user receives "a derived relation, whose structure
-// corresponds to the request but whose tuples include only permitted
-// values".
+// best-matching mask tuple (the one starring the most delivered
+// columns), with every other value withheld (null). Rows no tuple
+// matches are dropped, per §6: the user receives "a derived relation,
+// whose structure corresponds to the request but whose tuples include
+// only permitted values".
 //
 // One tuple per row is a soundness requirement, not a simplification:
 // every delivered row is then a tuple of one inferred permitted subview.
@@ -233,6 +269,13 @@ func (s *MaskStats) count(revealed, width int) {
 // the §4.2 self-join refinement produces a single merged tuple that
 // reveals the union by itself.
 //
+// The answer carries the mask's columns; the delivered relation carries
+// the ones Out lists, in its order. A grouped mask (§6(3) with a column left out) delivers each
+// group of answer rows sharing their delivered values once, through the
+// pre-image whose best tuple reveals the most, the first on ties: the
+// delivered row is still the projection of a tuple of one inferred
+// permitted subview.
+//
 // Star counts and reveal templates come precomputed from the compiled
 // form rather than being recounted inside the row loop. The output is
 // sized by the answer and its rows are carved from one slab. The stats
@@ -240,17 +283,27 @@ func (s *MaskStats) count(revealed, width int) {
 // the same delivered row.
 func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
 	ex := m.compiled()
-	var stats MaskStats
 	tuples := ans.Tuples()
-	out := relation.NewSized(ans.Attrs, len(tuples))
-	slab := relation.NewSlab(ans.Arity())
+	attrs := ans.Attrs
+	if ex.out != nil {
+		attrs = make([]string, len(ex.out))
+		for j, k := range ex.out {
+			attrs[j] = ans.Attrs[k]
+		}
+	}
+	if ex.grouped {
+		tuples = m.representatives(ex, tuples)
+	}
+	var stats MaskStats
+	out := relation.NewSized(attrs, len(tuples))
+	slab := relation.NewSlab(len(attrs))
 	for n, t := range tuples {
 		bi := m.bestIndex(ex, t)
 		if bi < 0 {
 			continue
 		}
 		row := slab.Row(len(tuples) - n)
-		maskRow(row, t, ex.reveal[bi])
+		maskRow(row, t, ex.reveal[bi], ex.out)
 		if out.Adopt(row) {
 			slab.Keep()
 			stats.count(ex.stars[bi], len(row))
@@ -259,36 +312,88 @@ func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
 	return out, stats
 }
 
-// maskRow fills row with t's revealed cells and nulls elsewhere.
-func maskRow(row, t relation.Tuple, revealed []bool) {
-	for k := range row {
-		if revealed[k] {
-			row[k] = t[k]
+// representatives returns, per group of tuples sharing their delivered
+// values and in order of first appearance, the member whose best tuple
+// stars the most delivered columns — the first on ties, the first member
+// when none reveals anything.
+func (m *Mask) representatives(ex *maskExec, tuples []relation.Tuple) []relation.Tuple {
+	type group struct {
+		t    relation.Tuple
+		best int
+	}
+	at := make(map[string]int)
+	var groups []group
+	var key []byte
+	for _, t := range tuples {
+		key = key[:0]
+		for _, k := range ex.out {
+			key = append(key, byte(t[k].Kind()))
+			key = append(key, t[k].String()...)
+			key = append(key, 0)
+		}
+		bi := m.bestIndex(ex, t)
+		gi, ok := at[string(key)]
+		if !ok {
+			at[string(key)] = len(groups)
+			groups = append(groups, group{t, bi})
+			continue
+		}
+		if g := &groups[gi]; bi >= 0 && (g.best < 0 || ex.stars[bi] > ex.stars[g.best]) {
+			g.t, g.best = t, bi
+		}
+	}
+	reps := make([]relation.Tuple, len(groups))
+	for i, g := range groups {
+		reps[i] = g.t
+	}
+	return reps
+}
+
+// maskRow fills row with the delivered cells of t that revealed marks
+// and nulls elsewhere; out maps row positions to t's (Mask.Out), nil
+// when they coincide.
+func maskRow(row, t relation.Tuple, revealed []bool, out []int) {
+	if out == nil {
+		for k := range row {
+			if revealed[k] {
+				row[k] = t[k]
+			} else {
+				row[k] = value.Null()
+			}
+		}
+		return
+	}
+	for j, k := range out {
+		if revealed[j] {
+			row[j] = t[k]
 		} else {
-			row[k] = value.Null()
+			row[j] = value.Null()
 		}
 	}
 }
 
-// Permits renders one inferred permit statement per mask tuple, after
-// subsumption (when enabled by the caller) has removed redundant tuples.
-// A mask tuple that stars every attribute unconditionally yields no
-// statement only when it is the mask's sole tuple and covers everything —
-// the §5 Example 3 case is handled by the caller via
-// MaskPlan.FullyAuthorized.
+// Permits renders one inferred permit statement per mask tuple that
+// reveals a delivered column, after subsumption (when enabled by the
+// caller) has removed redundant tuples: the delivered columns it stars,
+// in cell order, under conditions that may mention any of the mask's
+// columns. The caller leaves them out on a full grant (§5 Example 3),
+// which the permits would only restate.
 func (m *Mask) Permits() []PermitStatement {
+	ex := m.compiled()
 	names := DisplayNames(m.Attrs)
 	var out []PermitStatement
-	for _, mt := range m.Tuples {
-		out = append(out, m.permitOf(mt, names))
+	for i, mt := range m.Tuples {
+		if ex.stars[i] > 0 {
+			out = append(out, m.permitOf(mt, names, ex.delivered))
+		}
 	}
 	return out
 }
 
-func (m *Mask) permitOf(mt *MetaTuple, names []string) PermitStatement {
+func (m *Mask) permitOf(mt *MetaTuple, names []string, delivered []bool) PermitStatement {
 	var p PermitStatement
 	for k, c := range mt.Cells {
-		if c.Star {
+		if c.Star && delivered[k] {
 			p.Attrs = append(p.Attrs, names[k])
 		}
 	}
@@ -336,6 +441,33 @@ func (m *Mask) permitOf(mt *MetaTuple, names []string) PermitStatement {
 		}
 	}
 	return p
+}
+
+// grantsAll reports whether some mask tuple delivers the entire answer
+// unconditionally: every cell blank, no comparison, and every delivered
+// column starred. The answer is then delivered without permit
+// statements (§5, Example 3).
+func (m *Mask) grantsAll() bool {
+	ex := m.compiled()
+	for i, t := range m.Tuples {
+		if len(t.Cmps) != 0 || ex.stars[i] != len(m.Out) {
+			continue
+		}
+		blank := true
+		for _, c := range t.Cells {
+			blank = blank && c.IsBlank()
+		}
+		if blank {
+			return true
+		}
+	}
+	return false
+}
+
+// denies reports that no mask tuple reveals a delivered column, so
+// nothing is delivered whatever the data.
+func (m *Mask) denies() bool {
+	return len(m.compiled().order) == 0
 }
 
 // Subsume removes mask tuples whose reveal is covered by another tuple:

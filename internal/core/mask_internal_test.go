@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"authdb/internal/interval"
@@ -68,6 +69,45 @@ func referenceApply(m *Mask, ans *relation.Relation) (*relation.Relation, MaskSt
 	return out, stats
 }
 
+// randMask builds a mask of one to six tuples over attrs: random stars
+// (often tying in count), full or one-sided interval constraints, and no
+// variables.
+func randMask(rng *rand.Rand, attrs []string) *Mask {
+	m := &Mask{Attrs: attrs}
+	nt := 1 + rng.Intn(6)
+	for i := 0; i < nt; i++ {
+		mt := &MetaTuple{Cells: make([]Cell, len(attrs))}
+		for k := range mt.Cells {
+			// Bias toward repeats so equal star counts (ties) are common.
+			mt.Cells[k].Star = rng.Intn(2) == 0
+			switch rng.Intn(3) {
+			case 0:
+				mt.Cells[k].Cons = interval.Full()
+			case 1:
+				mt.Cells[k].Cons = interval.FromCmp(value.GE, value.Int(int64(rng.Intn(4))))
+			case 2:
+				mt.Cells[k].Cons = interval.FromCmp(value.LE, value.Int(int64(rng.Intn(4))))
+			}
+		}
+		m.Tuples = append(m.Tuples, mt)
+	}
+	return m
+}
+
+// randAnswer builds an answer over attrs from up to rows random tuples
+// of small integers.
+func randAnswer(rng *rand.Rand, attrs []string, rows int) *relation.Relation {
+	ans := relation.New(attrs)
+	for r := 0; r < rows; r++ {
+		t := make(relation.Tuple, len(attrs))
+		for k := range t {
+			t[k] = value.Int(int64(rng.Intn(5)))
+		}
+		ans.Insert(t) //nolint:errcheck
+	}
+	return ans
+}
+
 // TestApplyMatchesReference fuzzes randomized masks — overlapping
 // intervals, duplicated star counts to force ties, zero-star tuples —
 // against randomized answers and demands the compiled first-match-wins
@@ -77,30 +117,9 @@ func TestApplyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	attrs := []string{"R.A", "R.B", "R.C"}
 	for iter := 0; iter < 500; iter++ {
-		m := &Mask{Attrs: attrs}
-		nt := 1 + rng.Intn(6)
-		for i := 0; i < nt; i++ {
-			mt := &MetaTuple{Cells: make([]Cell, len(attrs))}
-			for k := range mt.Cells {
-				// Bias toward repeats so equal star counts (ties) are common.
-				mt.Cells[k].Star = rng.Intn(2) == 0
-				switch rng.Intn(3) {
-				case 0:
-					mt.Cells[k].Cons = interval.Full()
-				case 1:
-					mt.Cells[k].Cons = interval.FromCmp(value.GE, value.Int(int64(rng.Intn(4))))
-				case 2:
-					mt.Cells[k].Cons = interval.FromCmp(value.LE, value.Int(int64(rng.Intn(4))))
-				}
-			}
-			m.Tuples = append(m.Tuples, mt)
-		}
-		ans := relation.New(attrs)
-		for r := 0; r < 12; r++ {
-			ans.Insert(relation.Tuple{ //nolint:errcheck
-				value.Int(int64(rng.Intn(5))), value.Int(int64(rng.Intn(5))), value.Int(int64(rng.Intn(5))),
-			})
-		}
+		m := randMask(rng, attrs)
+		m.Out = []int{0, 1, 2}
+		ans := randAnswer(rng, attrs, 12)
 
 		wantOut, wantStats := referenceApply(m, ans)
 		gotOut, gotStats := m.Apply(ans)
@@ -145,4 +164,65 @@ func TestApplyMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzMaskApply checks Apply on random masks, delivered-column lists and
+// answers against a reference it shares no code with: referenceApply
+// when Out is every column in order, and the separate §6(3) application
+// ApplyExtended when Out permutes the columns, leaves some out or repeats
+// one. The delivered rows, their order and the stats must agree.
+func FuzzMaskApply(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed)
+	}
+	attrs := []string{"R.A", "R.B", "R.C", "R.D"}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		m := randMask(rng, attrs)
+		// A variable shared by two cells makes a tuple match only rows
+		// agreeing on them.
+		if mt := m.Tuples[0]; rng.Intn(2) == 0 {
+			mt.Cells[rng.Intn(len(attrs))].Var = 1
+			mt.Cells[rng.Intn(len(attrs))].Var = 1
+		}
+		switch rng.Intn(4) {
+		case 0:
+			m.Out = []int{0, 1, 2, 3}
+		case 1:
+			m.Out = rng.Perm(len(attrs))
+		case 2:
+			m.Out = rng.Perm(len(attrs))[:1+rng.Intn(len(attrs)-1)]
+		default: // a column delivered twice, as retrieve (R.A, R.A) does
+			m.Out = rng.Perm(len(attrs))[:1+rng.Intn(len(attrs))]
+			m.Out = append(m.Out, m.Out[0])
+		}
+		ans := randAnswer(rng, attrs, rng.Intn(24))
+
+		var want *relation.Relation
+		var wantStats MaskStats
+		if m.compiled().out == nil {
+			want, wantStats = referenceApply(m, ans)
+		} else {
+			outAttrs := make([]string, len(m.Out))
+			for j, k := range m.Out {
+				outAttrs[j] = attrs[k]
+			}
+			want, wantStats = m.ApplyExtended(ans, m.Out, outAttrs)
+		}
+		got, gotStats := m.Apply(ans)
+		if strings.Join(got.Attrs, ",") != strings.Join(want.Attrs, ",") {
+			t.Fatalf("out %v: attributes %v, want %v", m.Out, got.Attrs, want.Attrs)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("out %v: %d rows, want %d:\n%s\nvs\n%s", m.Out, got.Len(), want.Len(), got, want)
+		}
+		for i, row := range got.Tuples() {
+			if !row.Equal(want.Tuples()[i]) {
+				t.Fatalf("out %v: row %d is %v, want %v", m.Out, i, row, want.Tuples()[i])
+			}
+		}
+		if gotStats != wantStats {
+			t.Fatalf("out %v: stats %+v, want %+v", m.Out, gotStats, wantStats)
+		}
+	})
 }

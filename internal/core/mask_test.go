@@ -28,7 +28,7 @@ func TestDisplayNames(t *testing.T) {
 func maskOver(attrs []string, tuples ...*core.MetaTuple) *core.Mask {
 	mr := core.NewMetaRel(attrs)
 	mr.Tuples = tuples
-	return core.NewMask(mr, nil)
+	return core.NewMask(mr, nil, nil)
 }
 
 func cellsTuple(cells ...core.Cell) *core.MetaTuple {

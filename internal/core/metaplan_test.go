@@ -32,7 +32,7 @@ func planText(mp *core.MaskPlan) string {
 		fmt.Fprintln(&b, p.String())
 	}
 	fmt.Fprintf(&b, "views %v\npushdown %v\nfull %v denied %v\nout %v\n",
-		mp.Views, mp.Pushdown, mp.FullyAuthorized, mp.Denied, mp.OutIdx)
+		mp.Views, mp.Pushdown, mp.FullyAuthorized, mp.Denied, mp.Mask.Out)
 	return b.String()
 }
 

@@ -22,13 +22,13 @@ import (
 // the evaluator's scans.
 //
 // Soundness (fused = mask-then-filter): rows failing some atom fail the
-// hull on that attribute, so no mask tuple matches them and Apply (or
-// ApplyExtended, where unmatched pre-images contribute zero revealed
-// cells) delivers nothing from them — pruning them changes no delivered
-// cell, no inferred permit (permits derive from the mask, not the data),
-// no grant/deny flag, and no MaskStats figure, since those count the
-// delivered relation. Only the unmasked answer, which nothing keeps,
-// shrinks.
+// hull on that attribute, so no mask tuple matches them and Apply
+// delivers nothing from them (a grouped mask delivers a group through a
+// matching pre-image, never through one of them) — pruning them changes
+// no delivered cell, no inferred permit (permits derive from the mask,
+// not the data), no grant/deny flag, and no MaskStats figure, since
+// those count the delivered relation. Only the unmasked answer, which
+// nothing keeps, shrinks.
 //
 // The atoms depend on definitions only — never on relation instances —
 // so they are computed once per MaskPlan and cached with it.

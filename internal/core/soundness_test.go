@@ -183,7 +183,7 @@ func viewImages(t *testing.T, f *workload.Fixture) map[string]*relation.Relation
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := algebra.EvalOptimized(an.PSJ, f.Source)
+		img, err := algebra.EvalPSJ(an.PSJ, f.Source, nil, algebra.ExecOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func referenceDecision(t *testing.T, f *workload.Fixture, opt core.Options, user
 		if err != nil {
 			t.Fatalf("reference actual side: %v", err)
 		}
-		d.Masked, d.Stats = mp.Mask.ApplyExtended(wide, mp.OutIdx, an.PSJ.Cols)
+		d.Masked, d.Stats = mp.Mask.ApplyExtended(wide, mp.Mask.Out, an.PSJ.Cols)
 		return d
 	}
 	d.Masked, d.Stats = mp.Mask.Apply(referenceAnswer(t, f.Source, an.PSJ))

@@ -565,7 +565,7 @@ func (s *Session) RetrieveContext(ctx context.Context, def *cview.Def) (*Result,
 		if err != nil {
 			return nil, err
 		}
-		ans, err := algebra.EvalOptimizedGuarded(an.PSJ, v.source, g)
+		ans, err := algebra.EvalPSJ(an.PSJ, v.source, g, algebra.ExecOptions{}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -608,9 +608,11 @@ func (e *Engine) Certify(quality, query string) (*core.Certification, error) {
 
 // explain reports the dual pipeline of §5 for a query: the instantiated
 // meta-relations, each product/selection/projection phase, the final mask,
-// and the outcome. User sessions explain under their own permissions;
-// admin sessions must name a user via "explain" being unavailable — they
-// see everything anyway, so explain runs with the session user either way.
+// and the outcome, under the session user's permissions. Only an admin
+// session also sees the actual side's access paths: the path chosen and
+// the rows it read follow from the relations' contents, hidden rows
+// included (estimates, distinct counts, scan lengths), so a user's text
+// depends on nothing but the user's views and the delivered relation.
 func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) {
 	g := guard.New(ctx, s.limits)
 	defer g.Close()
@@ -618,7 +620,11 @@ func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) 
 	auth := core.NewAuthorizer(v.store, v.source, s.eng.opt)
 	auth.Guard = g
 	var paths algebra.Trace
-	d, err := auth.Explain(s.user, def, &paths)
+	tr := &paths
+	if !s.admin {
+		tr = nil
+	}
+	d, err := auth.Explain(s.user, def, tr)
 	if err != nil {
 		return nil, err
 	}

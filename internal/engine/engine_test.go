@@ -164,6 +164,31 @@ func TestUpdateAuthorizationJoinsPartners(t *testing.T) {
 	}
 }
 
+// TestInsertChecksHiddenPartnerChain pins §6(1)'s insert rule: a
+// covered insert evaluates the view with its join partners read from the
+// current relations, the ones u cannot see included. The same insert is
+// rejected while no partner chain puts (a1, b1) in V and accepted once
+// one does, so a rejection tells u that no such chain exists, as
+// PostgreSQL's WITH CHECK does.
+func TestInsertChecksHiddenPartnerChain(t *testing.T) {
+	const script = `
+		relation R (A, B);
+		relation S (B, C);
+		relation T (C, D);
+		insert into S values (b1, c1);
+		insert into T values (c1, 2);
+		view V (R.A, R.B) where R.B = S.B and S.C = T.C and T.D = 1;
+		permit V to u;
+	`
+	if _, err := updateEngine(t, script).NewSession("u", false).Exec(`insert into R values (a1, b1)`); err == nil {
+		t.Fatal("insert accepted with no partner chain")
+	}
+	e := updateEngine(t, script+"insert into T values (c1, 1);")
+	if _, err := e.NewSession("u", false).Exec(`insert into R values (a1, b1)`); err != nil {
+		t.Fatalf("insert rejected though the hidden chain S(b1, c1), T(c1, 1) exists: %v", err)
+	}
+}
+
 func TestUpdateAuthorizationPartnerComparison(t *testing.T) {
 	// U.C < U.D compares two attributes only the partner U binds; its row
 	// U(b1, 1, 5) satisfies it, so (a1, b1) lies in W.

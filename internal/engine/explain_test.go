@@ -33,13 +33,14 @@ func TestExplainStatement(t *testing.T) {
 	}
 }
 
-// TestExplainAccessPaths: explain reports the access path the evaluator
-// chose per scan and the mask-derived pushdown condition. With the
-// engine on core.DefaultOptions, pushdown is computed but not fused, so
-// it reports as available.
+// TestExplainAccessPaths: explain reports, to an admin session, the
+// access path the evaluator chose per scan, and to every session the
+// mask-derived pushdown condition. With the engine on
+// core.DefaultOptions, pushdown is computed but not fused, so it reports
+// as available.
 func TestExplainAccessPaths(t *testing.T) {
 	e := paperEngine(t)
-	res, err := e.NewSession("Brown", false).Exec(
+	res, err := e.NewSession("Brown", true).Exec(
 		`explain retrieve (PROJECT.NUMBER, PROJECT.SPONSOR) where PROJECT.BUDGET >= 250000`)
 	if err != nil {
 		t.Fatal(err)
@@ -70,9 +71,10 @@ func TestExplainAccessPaths(t *testing.T) {
 }
 
 // TestExplainAccessPathsGolden pins the "access paths:" block of Examples
-// 1–3 for both users, on Figure 1 and on the benchmark's scaled paper
-// fixture. Explain runs the unfused plan, so the block depends on the
-// query alone. At Figure 1's size every inner is under the index join's
+// 1–3 for both users' admin sessions (a user's explain prints no access
+// paths), on Figure 1 and on the benchmark's scaled paper fixture.
+// Explain runs the unfused plan, so the block depends on the query
+// alone. At Figure 1's size every inner is under the index join's
 // threshold; at the benchmark's, Example 2 never materializes ASSIGNMENT
 // or PROJECT — it probes their hash indexes, PROJECT's with its BUDGET
 // atom checked per candidate, and reports the rows the probes returned.
@@ -117,7 +119,7 @@ func TestExplainAccessPathsGolden(t *testing.T) {
 		}
 		for _, user := range []string{"Brown", "Klein"} {
 			for k, q := range queries {
-				res, err := e.NewSession(user, false).Exec("explain " + strings.TrimSpace(q))
+				res, err := e.NewSession(user, true).Exec("explain " + strings.TrimSpace(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,5 +198,73 @@ func TestConcurrentSessions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestZeroRevealMaskDeliversNothing: a mask whose only tuple stars no
+// requested column reveals nothing, whatever rows match it. The outcome
+// is a denial with no permit, not a partial answer of zero rows with a
+// permit listing no columns.
+func TestZeroRevealMaskDeliversNothing(t *testing.T) {
+	e := engine.New(core.DefaultOptions())
+	if _, err := e.NewSession("admin", true).ExecScript(`
+		relation R (A, B, C);
+		insert into R values (1, 5, 2);
+		insert into R values (3, 4, 6);
+		view V (R.A, R.C) where R.B = 5;
+		permit V to u;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	u := e.NewSession("u", false)
+	res, err := u.Exec(`retrieve (R.B)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Decision.Denied || len(res.Permits) != 0 || res.Relation.Len() != 0 {
+		t.Fatalf("denied=%v permits=%v rows=%d; want denied, no permits, no rows",
+			res.Decision.Denied, res.Permits, res.Relation.Len())
+	}
+	res, err = u.Exec(`explain retrieve (R.B)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Text, "outcome: nothing is delivered") || strings.Contains(res.Text, "permit (") {
+		t.Fatalf("explain output:\n%s", res.Text)
+	}
+}
+
+// TestExplainIgnoresHiddenRows: a user's explain text is the same in two
+// states that the user's views cannot tell apart. The access paths would
+// not be: a scan reports the rows it read, hidden ones included, and the
+// path itself follows estimates over every row.
+func TestExplainIgnoresHiddenRows(t *testing.T) {
+	const script = `
+		relation R (A, B) key (A);
+		insert into R values (a, pub);
+		view V (R.A, R.B) where R.B = pub;
+		permit V to u;
+	`
+	explain := func(script string) string {
+		e := engine.New(core.DefaultOptions())
+		if _, err := e.NewSession("admin", true).ExecScript(script); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.NewSession("u", false).Exec(`explain retrieve (R.A, R.B)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Text
+	}
+	without := explain(script)
+	with := explain(script + `
+		insert into R values (x, sec);
+		insert into R values (y, sec);
+	`)
+	if with != without {
+		t.Fatalf("explain depends on hidden rows:\n%s\n--- without them ---\n%s", with, without)
+	}
+	if strings.Contains(with, "access paths:") {
+		t.Fatalf("a user's explain lists access paths:\n%s", with)
 	}
 }

@@ -297,7 +297,7 @@ func Overhead(w io.Writer) {
 			must(err)
 
 			execOnly := timeIt(func() {
-				_, err := algebra.EvalOptimized(an.PSJ, g.Source)
+				_, err := algebra.EvalPSJ(an.PSJ, g.Source, nil, algebra.ExecOptions{}, nil)
 				must(err)
 			})
 			auth := core.NewAuthorizer(g.Store, g.Source, core.DefaultOptions())

@@ -211,7 +211,7 @@ func (s *System) Query(user string, def *cview.Def) (*relation.Relation, error) 
 	if err != nil {
 		return nil, err
 	}
-	return algebra.EvalOptimized(an.PSJ, src)
+	return algebra.EvalPSJ(an.PSJ, src, nil, algebra.ExecOptions{}, nil)
 }
 
 // viewColumns names a view's output columns: bare attribute names, with
@@ -251,7 +251,7 @@ func (s *System) extend(viewRefs map[string]bool) (*relation.DBSchema, algebra.S
 		if err != nil {
 			return nil, nil, err
 		}
-		r, err := algebra.EvalOptimized(an.PSJ, s.src)
+		r, err := algebra.EvalPSJ(an.PSJ, s.src, nil, algebra.ExecOptions{}, nil)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -87,7 +87,7 @@ func TestGeneratedQueriesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d invalid: %v\n%s", i, err, q)
 		}
-		if _, err := algebra.EvalOptimized(an.PSJ, f.Source); err != nil {
+		if _, err := algebra.EvalPSJ(an.PSJ, f.Source, nil, algebra.ExecOptions{}, nil); err != nil {
 			t.Fatalf("query %d fails: %v", i, err)
 		}
 		if _, err := auth.Retrieve("u0", q); err != nil {
