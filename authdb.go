@@ -107,13 +107,9 @@ func DefaultOptions() Options {
 }
 
 func (o Options) internal() core.Options {
-	// core.DefaultOptions turns every §4.2 refinement on; pushdown (off at
-	// the core layer, where the worked examples render the full answer)
-	// is on.
+	// core.DefaultOptions turns every §4.2 refinement on.
 	opt := core.DefaultOptions()
-	opt.MaskPushdown = true
 	opt.ExtendedMasks = o.ExtendedMasks
-	opt.MaskClosure = o.MaskClosure
 	return opt
 }
 
@@ -129,7 +125,9 @@ func Open(opts ...Options) *DB {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	return &DB{eng: engine.New(o.internal())}
+	eng := engine.New(o.internal())
+	eng.SetMaskClosureEnabled(o.MaskClosure)
+	return &DB{eng: eng}
 }
 
 // Certification is the §1 generalization of the model applied to data
@@ -184,6 +182,7 @@ func OpenDir(dir string, opts ...Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	eng.SetMaskClosureEnabled(o.MaskClosure)
 	return &DB{eng: eng}, nil
 }
 
@@ -207,6 +206,7 @@ func Load(dir string, opts ...Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	eng.SetMaskClosureEnabled(o.MaskClosure)
 	return &DB{eng: eng}, nil
 }
 

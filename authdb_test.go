@@ -169,10 +169,13 @@ func TestUpdateAuthorization(t *testing.T) {
 	if _, err := brown.Exec(`delete from PROJECT where NUMBER = zz-99`); err != nil {
 		t.Fatalf("delete within the permitted view failed: %v", err)
 	}
-	// Admin loads an Apex row; Brown may not delete it.
+	// Admin loads an Apex row; Brown's delete does not reach it.
 	admin.MustExec(`insert into PROJECT values (sv-72, Apex, 450000)`)
-	if _, err := brown.Exec(`delete from PROJECT where NUMBER = sv-72`); err == nil {
-		t.Fatal("delete outside the permitted view must fail")
+	if res, err := brown.Exec(`delete from PROJECT where NUMBER = sv-72`); err != nil || res.Text != "deleted 0 tuple(s) from PROJECT" {
+		t.Fatalf("delete outside the permitted view: %v, %v", res, err)
+	}
+	if res := admin.MustExec(`retrieve (PROJECT.NUMBER) where PROJECT.NUMBER = sv-72`); len(res.Table.Rows) != 1 {
+		t.Fatalf("delete outside the permitted view removed the row:\n%s", res.Render())
 	}
 }
 

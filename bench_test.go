@@ -99,9 +99,7 @@ func coldACL(tb testing.TB) (*core.Authorizer, *fixture.ACL) {
 	acl := fixture.GenACL(1, fixture.DefaultACL())
 	f := workload.NewFixture()
 	f.MustExec(acl.Script)
-	opt := core.DefaultOptions()
-	opt.MaskPushdown = true
-	return core.NewAuthorizer(f.Store, f.Source, opt), acl
+	return core.NewAuthorizer(f.Store, f.Source, core.DefaultOptions()), acl
 }
 
 // parentGroupJoinWork is what one cold group_join of principal u7 charged

@@ -69,7 +69,7 @@ type MaskPlan struct {
 	// Pushdown is the mask-derived necessary delivery condition: atoms
 	// over the mask's attributes that every delivered row satisfies
 	// (Mask.PushdownAtoms). Definition-derived, so cached with the plan;
-	// Options.MaskPushdown decides whether retrieval actually fuses it.
+	// retrieval fuses it unless the mask grants everything.
 	Pushdown []algebra.Atom
 	// Intermediates holds the per-phase meta-relations of ReferencePlan;
 	// MaskPlanFor records none.
@@ -147,10 +147,10 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 		a.Cache.Put(a.Store, user, psj, a.Opt, mp)
 	}
 	// Fuse the mask-derived necessary delivery condition into the actual
-	// side when enabled: rows failing it match no mask tuple, so masking
-	// would drop them anyway and pruning early changes nothing delivered.
-	// A full grant has nothing to prune.
-	fuse := a.Opt.MaskPushdown && len(mp.Pushdown) > 0 && !mp.FullyAuthorized
+	// side: rows failing it match no mask tuple, so masking would drop
+	// them anyway and pruning early changes nothing delivered. A full
+	// grant has nothing to prune.
+	fuse := len(mp.Pushdown) > 0 && !mp.FullyAuthorized
 	d, psjExec, err := a.decide(psj, mp, metaTuples, fuse, nil)
 	if err != nil {
 		return nil, err

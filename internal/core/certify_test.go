@@ -91,9 +91,7 @@ func TestPermitStatementVerb(t *testing.T) {
 func TestCertifyAfterFusedRetrieve(t *testing.T) {
 	f := pushdownFixture(t)
 	f.MustExec("permit LO to validated; permit HI to validated;")
-	opt := core.DefaultOptions()
-	opt.MaskPushdown = true
-	auth := core.NewAuthorizer(f.Store, f.Source, opt)
+	auth := core.NewAuthorizer(f.Store, f.Source, core.DefaultOptions())
 	auth.Cache = core.NewMaskCache(0)
 	auth.Closure = core.NewClosure(0)
 	d, err := auth.Retrieve("validated", allColsDef())

@@ -99,7 +99,6 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 		def := randQueryDef(rng)
 		base := core.DefaultOptions()
 		base.ExtendedMasks = rng.Intn(2) == 0
-		base.MaskPushdown = rng.Intn(2) == 0
 		m := newMVCCFixture(f)
 
 		ca := core.NewAuthorizer(f.Store, f.Source, base)
@@ -108,8 +107,7 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 
 		check := func(step string) {
 			t.Helper()
-			label := fmt.Sprintf("case %d %s (ext=%v push=%v) query %s",
-				iter, step, base.ExtendedMasks, base.MaskPushdown, def)
+			label := fmt.Sprintf("case %d %s (ext=%v) query %s", iter, step, base.ExtendedMasks, def)
 			got, err := ca.Retrieve("u", def)
 			if err != nil {
 				t.Fatalf("%s: closure-backed: %v", label, err)
@@ -180,7 +178,6 @@ func closureMatrixFixture(t *testing.T) (*workload.Fixture, *mvccFixture, *cview
 func TestClosureInvalidationMatrix(t *testing.T) {
 	f, m, def := closureMatrixFixture(t)
 	opt := core.DefaultOptions()
-	opt.MaskPushdown = true
 	ca := core.NewAuthorizer(f.Store, f.Source, opt)
 	ca.Cache = core.NewMaskCache(0)
 	ca.Closure = core.NewClosure(0)

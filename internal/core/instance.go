@@ -34,19 +34,6 @@ type Options struct {
 	// relations' secondary indexes. It remains while the benchmark
 	// harness reads it.
 	IndexedExec bool
-	// MaskClosure lets an engine attach a materialized mask closure:
-	// resident per-(user, query) results validated by definition
-	// generations and relation-revision identity, refreshed
-	// incrementally on pure-append data churn (see Closure). Answers
-	// are byte-identical with or without it; only steady-state cost
-	// changes, so it is on by default.
-	MaskClosure bool
-	// MaskPushdown conjoins the mask-derived necessary delivery condition
-	// (Mask.PushdownAtoms) with the actual-side plan, pruning rows the
-	// mask would withhold entirely before they are materialized. The
-	// delivered relation, its statistics, permits, and grant/deny flags
-	// are unchanged; the public API layer turns it on.
-	MaskPushdown bool
 	// ExtendedMasks enables the §6(3) extension: masks "expressed with
 	// additional attributes". The mask is applied before the final
 	// projection, so a view's selection conditions on attributes the
@@ -61,8 +48,8 @@ type Options struct {
 	ViewCopies int
 }
 
-// DefaultOptions enables every refinement, subsumption and the mask
-// closure — the configuration the paper's worked examples assume.
+// DefaultOptions enables every refinement and subsumption — the
+// configuration the paper's worked examples assume.
 func DefaultOptions() Options {
 	return Options{
 		Padding:     true,
@@ -70,7 +57,6 @@ func DefaultOptions() Options {
 		SelfJoins:   true,
 		Subsume:     true,
 		IndexedExec: true,
-		MaskClosure: true,
 		ViewCopies:  2,
 	}
 }

@@ -12,9 +12,7 @@ import (
 // the key, so that a new option that shapes the mask cannot silently
 // share the mask cache's and the closure's entries.
 var unkeyed = map[string]string{
-	"IndexedExec":  "has no effect: the actual side always uses the indexes",
-	"MaskClosure":  "decides whether an engine attaches a closure, not what it holds",
-	"MaskPushdown": "prunes only rows the mask withholds entirely; Masked, permits and flags are unchanged",
+	"IndexedExec": "has no effect: the actual side always uses the indexes",
 }
 
 // TestCacheKeyCoversOptions flips each Options field of DefaultOptions

@@ -54,31 +54,25 @@ func TestPushdownAtomsHull(t *testing.T) {
 	if strings.Join(got, "; ") != "R.C >= 2" {
 		t.Fatalf("pushdown atoms = %v, want [R.C >= 2]", got)
 	}
-	if d.PushdownApplied {
-		t.Fatal("core DefaultOptions must not fuse pushdown (worked examples render the full answer)")
-	}
 }
 
-// TestPushdownPrunesAnswer: with MaskPushdown on, retrieval fuses the
-// pushdown atoms, and the fused plan's scan keeps 3 of the 4 rows — the
-// withheld row (C = 0, outside both views) is pruned before
-// materialization — while the delivered relation and its statistics are
-// unchanged.
+// TestPushdownPrunesAnswer: retrieval fuses the pushdown atoms, and the
+// fused plan's scan keeps 3 of the 4 rows — the withheld row (C = 0,
+// outside both views) is pruned before materialization — while the
+// delivered relation and its statistics are those of the unfused plan.
 func TestPushdownPrunesAnswer(t *testing.T) {
 	f := pushdownFixture(t)
-	opt := core.DefaultOptions()
-	unfused, err := core.NewAuthorizer(f.Store, f.Source, opt).Retrieve("u", allColsDef())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.MaskPushdown = true
-	a := core.NewAuthorizer(f.Store, f.Source, opt)
+	a := core.NewAuthorizer(f.Store, f.Source, core.DefaultOptions())
 	fused, err := a.Retrieve("u", allColsDef())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fused.PushdownApplied {
 		t.Fatal("pushdown must fire on a partial mask with a bounded hull")
+	}
+	unfused, err := a.DecideTraced(fused.PSJ, fused.MaskPlan, false, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	compareDecisions(t, "fused vs unfused", fused, unfused)
 	for _, c := range []struct {
@@ -109,7 +103,6 @@ func TestPushdownFullGrantAndDenial(t *testing.T) {
 		permit ALL_R to full;
 	`)
 	opt := core.DefaultOptions()
-	opt.MaskPushdown = true
 	def := &cview.Def{Cols: []cview.ColRef{{Alias: "R", Attr: "A"}, {Alias: "R", Attr: "B"}}}
 	d, err := core.NewAuthorizer(f.Store, f.Source, opt).Retrieve("full", def)
 	if err != nil {
@@ -136,10 +129,10 @@ func permitsKey(ps []core.PermitStatement) string {
 }
 
 // TestPushdownDecisionsIdentical is the fused-path differential: for
-// random databases, views, and queries, retrieval with and without mask
-// pushdown must deliver what the paper's pipeline verbatim
-// (referenceDecision) delivers: the identical masked relation, permit
-// statements, grant/deny flags, and statistics.
+// random databases, views, and queries, retrieval (which fuses mask
+// pushdown) and the same plan run unfused must deliver what the paper's
+// pipeline verbatim (referenceDecision) delivers: the identical masked
+// relation, permit statements, grant/deny flags, and statistics.
 func TestPushdownDecisionsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	cases := 300
@@ -157,15 +150,17 @@ func TestPushdownDecisionsIdentical(t *testing.T) {
 		base.ExtendedMasks = rng.Intn(2) == 0
 
 		d0 := referenceDecision(t, f, base, "u", def)
-		for vi := 0; vi < 2; vi++ {
-			opt := base
-			opt.MaskPushdown = vi == 1
-			label := fmt.Sprintf("case %d variant %d (ext=%v) query %s", iter, vi, base.ExtendedMasks, def)
-			d, err := core.NewAuthorizer(f.Store, f.Source, opt).Retrieve("u", def)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			compareDecisions(t, label, d, d0)
+		label := fmt.Sprintf("case %d (ext=%v) query %s", iter, base.ExtendedMasks, def)
+		a := core.NewAuthorizer(f.Store, f.Source, base)
+		d, err := a.Retrieve("u", def)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
+		compareDecisions(t, label+" fused", d, d0)
+		unfused, err := a.DecideTraced(d.PSJ, d.MaskPlan, false, nil)
+		if err != nil {
+			t.Fatalf("%s unfused: %v", label, err)
+		}
+		compareDecisions(t, label+" unfused", unfused, d0)
 	}
 }

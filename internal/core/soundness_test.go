@@ -212,7 +212,6 @@ func randOptions(rng *rand.Rand) core.Options {
 	opt.FourCase = rng.Intn(2) == 0
 	opt.SelfJoins = rng.Intn(2) == 0
 	opt.Subsume = rng.Intn(2) == 0
-	opt.MaskPushdown = rng.Intn(2) == 0
 	opt.ExtendedMasks = rng.Intn(2) == 0
 	return opt
 }

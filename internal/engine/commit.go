@@ -165,19 +165,7 @@ func (e *Engine) brokenNow() error {
 // released. Callers hold e.mu for writing and have already applied the
 // mutation.
 func (s *Session) logStmt(p parser.Stmt) error {
-	lsn, err := s.eng.stageStmt(p)
-	if err != nil {
-		return err
-	}
-	if !s.applier {
-		s.eng.noteOriginWrite()
-	}
-	s.pendingLSN = lsn
-	return nil
-}
-
-// stageStmt is logStmt's engine half; callers hold e.mu for writing.
-func (e *Engine) stageStmt(p parser.Stmt) (uint64, error) {
+	e := s.eng
 	lsn := e.lsn.Add(1)
 	if e.dur == nil {
 		// In-memory engines count LSNs (so replicas of every flavor agree
@@ -193,20 +181,24 @@ func (e *Engine) stageStmt(p parser.Stmt) (uint64, error) {
 			// A render failure would gap the feed; the follower detects
 			// the gap, reconnects, and recovers by snapshot.
 		}
-		return lsn, nil
+	} else {
+		if err := e.brokenNow(); err != nil {
+			return fmt.Errorf("journaling statement: %w", err)
+		}
+		text, err := parser.Render(p)
+		if err != nil {
+			e.setBroken(err)
+			return fmt.Errorf("journaling statement: %w", err)
+		}
+		e.commitMu.Lock()
+		e.commitQ = append(e.commitQ, Commit{LSN: lsn, Stmt: text})
+		e.commitMu.Unlock()
 	}
-	if err := e.brokenNow(); err != nil {
-		return 0, fmt.Errorf("journaling statement: %w", err)
+	if !s.applier {
+		e.noteOriginWrite()
 	}
-	text, err := parser.Render(p)
-	if err != nil {
-		e.setBroken(err)
-		return 0, fmt.Errorf("journaling statement: %w", err)
-	}
-	e.commitMu.Lock()
-	e.commitQ = append(e.commitQ, Commit{LSN: lsn, Stmt: text})
-	e.commitMu.Unlock()
-	return lsn, nil
+	s.pendingLSN = lsn
+	return nil
 }
 
 // flushLocked writes every staged record to the WAL with one sync,

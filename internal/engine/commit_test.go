@@ -194,6 +194,124 @@ func TestSharedSyncFailure(t *testing.T) {
 	}
 }
 
+// TestWriteProtocol pins the protocol every mutating statement follows,
+// for each of the seven kinds on a durable engine: a change moves the
+// LSN, the head version and the WAL by exactly one; a no-op (duplicate
+// insert, zero-row delete) and a failure (unknown name, arity mismatch,
+// not authorized) move none of them; and once a sync failure has broken
+// the log, every kind fails with the durable error and moves nothing.
+func TestWriteProtocol(t *testing.T) {
+	dir := t.TempDir()
+	fs := faultfs.NewFaulty(faultfs.OS())
+	e, err := OpenDurableFS(fs, dir, core.DefaultOptions(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	admin, user := e.NewSession("admin", true), e.NewSession("u", false)
+	if _, err := admin.ExecScript(`
+		relation R (A, B) key (A);
+		insert into R values (h, sec);
+		view V (R.A, R.B) where R.B = pub;
+		permit V to u;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	type position struct {
+		lsn, seq uint64
+		records  int
+	}
+	at := func() position {
+		t.Helper()
+		seq, _ := e.DBVersion()
+		n, err := wal.Replay(faultfs.OS(), filepath.Join(dir, walName(e.Generation())), func(int, string) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return position{e.lsn.Load(), seq, n}
+	}
+	const (
+		change = iota
+		noop
+		fail
+	)
+	for _, c := range []struct {
+		s    *Session
+		stmt string
+		want int
+	}{
+		{admin, `relation S (A)`, change},
+		{admin, `relation S (B)`, fail},
+		{user, `relation T (A)`, fail},
+		{admin, `insert into R values (a1, pub)`, change},
+		{user, `insert into R values (a2, pub)`, change},
+		{admin, `insert into R values (a1, pub)`, noop},
+		{user, `insert into R values (a2, pub)`, noop},
+		{admin, `insert into Nope values (a3, pub)`, fail},
+		{admin, `insert into R values (a3)`, fail},
+		{user, `insert into R values (a3, sec)`, fail},
+		{admin, `delete from R where A = a1`, change},
+		{user, `delete from R where A = a2`, change},
+		{admin, `delete from R where A = a1`, noop},
+		{user, `delete from R where A = nobody`, noop},
+		{admin, `delete from Nope where A = a1`, fail},
+		{admin, `view W (R.A)`, change},
+		{admin, `view X (Nope.A)`, fail},
+		{user, `view Y (R.A)`, fail},
+		{admin, `permit W to u`, change},
+		{admin, `permit Nope to u`, fail},
+		{user, `permit V to u`, fail},
+		{admin, `revoke W from u`, change},
+		{admin, `revoke W from u`, fail},
+		{user, `revoke V from u`, fail},
+		{admin, `drop view W`, change},
+		{admin, `drop view W`, fail},
+		{user, `drop view V`, fail},
+	} {
+		before := at()
+		_, err := c.s.Exec(c.stmt)
+		after := at()
+		moved := position{after.lsn - before.lsn, after.seq - before.seq, after.records - before.records}
+		want := position{}
+		if c.want == change {
+			want = position{1, 1, 1}
+		}
+		if (err != nil) != (c.want == fail) || moved != want {
+			t.Errorf("%s as %s: err %v; moved %+v, want %+v", c.stmt, c.s.User(), err, moved, want)
+		}
+	}
+
+	// Break the log as TestSharedSyncFailure does: an async batch whose
+	// shared sync fails under a synchronous statement.
+	async := e.NewSession("admin", true)
+	async.SetAsyncCommit(true)
+	if _, err := async.Exec(`insert into R values (b1, pub)`); err != nil {
+		t.Fatal(err)
+	}
+	fs.Arm(1)
+	if _, err := admin.Exec(`insert into R values (b2, pub)`); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("statement in the failed batch: err = %v, want the injected failure", err)
+	}
+	for _, stmt := range []string{
+		`relation Z (A)`,
+		`insert into R values (b3, pub)`,
+		`delete from R where A = h`,
+		`view Z (R.A)`,
+		`permit V to z`,
+		`revoke V from u`,
+		`drop view V`,
+	} {
+		before := at()
+		_, err := admin.Exec(stmt)
+		if err == nil || !strings.Contains(err.Error(), "durable log failed") {
+			t.Errorf("%s on a broken log: err = %v, want the durable-log-failed error", stmt, err)
+		}
+		if after := at(); after != before {
+			t.Errorf("%s on a broken log moved %+v to %+v", stmt, before, after)
+		}
+	}
+}
+
 // TestConcurrentAcksSurviveSyncFailure: eight writers share syncs until
 // an injected failure breaks the log at a varying point; every
 // statement acknowledged before the failure must survive a reopen —

@@ -128,7 +128,7 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 				return nil, err
 			}
 		}
-		if e, err = loadState(fs, snapDir, opt, ps); err != nil {
+		if e, err = loadState(fs.ReadFile, snapDir, opt, ps); err != nil {
 			return nil, err
 		}
 		// Loading rebuilt the state by replaying rendered statements,
@@ -156,7 +156,7 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 			return nil, err
 		}
 	case legacyLayout(fs, dir):
-		if e, err = loadState(fs, dir, opt, nil); err != nil {
+		if e, err = loadState(fs.ReadFile, dir, opt, nil); err != nil {
 			return nil, err
 		}
 	default:

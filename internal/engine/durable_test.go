@@ -102,6 +102,44 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUserDeleteReplays: recovery replays the journal as an
+// administrator, who deletes every tuple a where clause matches. A
+// user's delete that leaves hidden matched tuples in place must leave
+// them in place after recovery too.
+func TestUserDeleteReplays(t *testing.T) {
+	dir := t.TempDir()
+	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.NewSession("admin", true).ExecScript(`
+		relation R (A, B, C) key (A);
+		insert into R values (1, pub, g);
+		insert into R values (2, pub, g);
+		insert into R values (3, sec, g);
+		insert into R values (4, pub, h);
+		view V (R.A, R.B, R.C) where R.B = pub;
+		permit V to u;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := e.NewSession("u", false).Exec(`delete from R where C = g`); err != nil || res.Text != "deleted 2 tuple(s) from R" {
+		t.Fatalf("delete as u: %v, %v", res, err)
+	}
+	want := fingerprint(t, e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if got := fingerprint(t, back); got != want {
+		t.Fatalf("state differs after reopen:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestDurableCloseFailsStop(t *testing.T) {
 	dir := t.TempDir()
 	e, err := OpenDurable(dir, core.DefaultOptions(), 0)

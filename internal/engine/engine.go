@@ -9,7 +9,8 @@
 //
 // The engine also carries the §6 extension to update permissions: a
 // non-administrator may insert into or delete from a base relation only
-// within a permitted view that covers the relation entirely.
+// within a permitted view that covers the relation entirely; a delete
+// removes the matched tuples such views cover and leaves the rest.
 package engine
 
 import (
@@ -31,6 +32,7 @@ import (
 	"authdb/internal/parser"
 	"authdb/internal/relation"
 	"authdb/internal/storage"
+	"authdb/internal/value"
 	"authdb/internal/wal"
 )
 
@@ -137,7 +139,8 @@ type Engine struct {
 	subs  map[*CommitSub]struct{}
 }
 
-// New creates an empty engine with the given authorization options.
+// New creates an empty engine with the given authorization options and
+// a materialized mask closure (see SetMaskClosureEnabled).
 func New(opt core.Options) *Engine {
 	sch := relation.NewDBSchema()
 	e := &Engine{
@@ -150,9 +153,7 @@ func New(opt core.Options) *Engine {
 	e.execMet = newExecMetrics(e.met)
 	e.wstore = core.NewStore(sch)
 	e.masks.Store(core.NewMaskCache(0))
-	if opt.MaskClosure {
-		e.closures.Store(core.NewClosure(0))
-	}
+	e.closures.Store(core.NewClosure(0))
 	e.epoch.Store(1)
 	e.publishLocked() // version 1: the empty database
 	e.registerMetrics()
@@ -392,13 +393,27 @@ func (s *Session) execStmt(ctx context.Context, p parser.Stmt) (*Result, error) 
 	case parser.Delete:
 		return s.delete(p)
 	case parser.ViewStmt:
-		return s.defineView(p)
+		return s.define(p, "view", func(ns *core.Store) (string, error) {
+			return "defined view " + p.Def.Name, ns.DefineView(p.Def)
+		})
 	case parser.DropView:
-		return s.dropView(p)
+		return s.define(p, "drop view", func(ns *core.Store) (string, error) {
+			if !ns.DropView(p.Name) {
+				return "", fmt.Errorf("unknown view %s", p.Name)
+			}
+			return "dropped view " + p.Name, nil
+		})
 	case parser.Permit:
-		return s.permit(p)
+		return s.define(p, "permit", func(ns *core.Store) (string, error) {
+			return fmt.Sprintf("permitted %s to %s", p.View, p.User), ns.Permit(p.View, p.User)
+		})
 	case parser.Revoke:
-		return s.revoke(p)
+		return s.define(p, "revoke", func(ns *core.Store) (string, error) {
+			if !ns.Revoke(p.View, p.User) {
+				return "", fmt.Errorf("no permit of %s to %s", p.View, p.User)
+			}
+			return fmt.Sprintf("revoked %s from %s", p.View, p.User), nil
+		})
 	case parser.Retrieve:
 		if len(p.Aggs) > 0 {
 			return s.retrieveAgg(ctx, p)
@@ -420,6 +435,55 @@ func (s *Session) requireAdmin(what string) error {
 	return nil
 }
 
+// write is the one critical section of every mutating statement: under
+// the writer lock, and only while the durable log is healthy, apply
+// changes the writer state and returns the result text and the
+// statement that repeats the change when replayed as an administrator
+// (recovery and replicas apply the journal that way). That statement is
+// journaled (logStmt) and the change then published for readers; apply
+// returns no statement when nothing changed (a duplicate insert, a delete
+// removing nothing) to do neither. Publishing follows a journaling
+// failure too: the writer state has already moved, and readers must see
+// what the writer sees.
+func (s *Session) write(apply func() (text string, logged parser.Stmt, err error)) (*Result, error) {
+	s.eng.mu.Lock()
+	defer s.eng.mu.Unlock()
+	if err := s.eng.durCheck(); err != nil {
+		return nil, err
+	}
+	text, logged, err := apply()
+	if err != nil {
+		return nil, err
+	}
+	if logged != nil {
+		err = s.logStmt(logged)
+		s.eng.publishLocked()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Text: text}, nil
+}
+
+// define runs an administrator's view, drop view, permit or revoke:
+// change edits a clone of the authorization store, which replaces the
+// writer's store only on success, so pinned readers keep a stable
+// meta-database and a failed definition leaves no trace.
+func (s *Session) define(p parser.Stmt, what string, change func(*core.Store) (string, error)) (*Result, error) {
+	if err := s.requireAdmin(what); err != nil {
+		return nil, err
+	}
+	return s.write(func() (string, parser.Stmt, error) {
+		ns := s.eng.wstore.Clone(s.eng.wsch)
+		text, err := change(ns)
+		if err != nil {
+			return "", nil, err
+		}
+		s.eng.wstore = ns
+		return text, p, nil
+	})
+}
+
 func (s *Session) createRelation(p parser.CreateRelation) (*Result, error) {
 	if err := s.requireAdmin("relation"); err != nil {
 		return nil, err
@@ -428,117 +492,19 @@ func (s *Session) createRelation(p parser.CreateRelation) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.eng.mu.Lock()
-	defer s.eng.mu.Unlock()
-	if err := s.eng.durCheck(); err != nil {
-		return nil, err
-	}
-	// Copy-on-write: extend a clone of the scheme and re-bind the store
-	// to it, so versions pinned before this statement keep the scheme
-	// (and store) without the new relation.
-	nsch := s.eng.wsch.Clone()
-	if err := nsch.Add(rs); err != nil {
-		return nil, err
-	}
-	s.eng.wsch = nsch
-	s.eng.vrels = append(s.eng.vrels, relation.NewVersioned(rs.Attrs))
-	s.eng.wstore = s.eng.wstore.Clone(nsch)
-	err = s.logStmt(p)
-	s.eng.publishLocked()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Text: "defined relation " + rs.String()}, nil
-}
-
-func (s *Session) defineView(p parser.ViewStmt) (*Result, error) {
-	if err := s.requireAdmin("view"); err != nil {
-		return nil, err
-	}
-	s.eng.mu.Lock()
-	defer s.eng.mu.Unlock()
-	if err := s.eng.durCheck(); err != nil {
-		return nil, err
-	}
-	// Definition changes go through a store clone so pinned readers keep
-	// a stable meta-database; a failed definition discards the clone.
-	ns := s.eng.wstore.Clone(s.eng.wsch)
-	if err := ns.DefineView(p.Def); err != nil {
-		return nil, err
-	}
-	s.eng.wstore = ns
-	err := s.logStmt(p)
-	s.eng.publishLocked()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Text: "defined view " + p.Def.Name}, nil
-}
-
-func (s *Session) dropView(p parser.DropView) (*Result, error) {
-	if err := s.requireAdmin("drop view"); err != nil {
-		return nil, err
-	}
-	s.eng.mu.Lock()
-	defer s.eng.mu.Unlock()
-	if err := s.eng.durCheck(); err != nil {
-		return nil, err
-	}
-	ns := s.eng.wstore.Clone(s.eng.wsch)
-	if !ns.DropView(p.Name) {
-		return nil, fmt.Errorf("unknown view %s", p.Name)
-	}
-	s.eng.wstore = ns
-	err := s.logStmt(p)
-	s.eng.publishLocked()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Text: "dropped view " + p.Name}, nil
-}
-
-func (s *Session) permit(p parser.Permit) (*Result, error) {
-	if err := s.requireAdmin("permit"); err != nil {
-		return nil, err
-	}
-	s.eng.mu.Lock()
-	defer s.eng.mu.Unlock()
-	if err := s.eng.durCheck(); err != nil {
-		return nil, err
-	}
-	ns := s.eng.wstore.Clone(s.eng.wsch)
-	if err := ns.Permit(p.View, p.User); err != nil {
-		return nil, err
-	}
-	s.eng.wstore = ns
-	err := s.logStmt(p)
-	s.eng.publishLocked()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Text: fmt.Sprintf("permitted %s to %s", p.View, p.User)}, nil
-}
-
-func (s *Session) revoke(p parser.Revoke) (*Result, error) {
-	if err := s.requireAdmin("revoke"); err != nil {
-		return nil, err
-	}
-	s.eng.mu.Lock()
-	defer s.eng.mu.Unlock()
-	if err := s.eng.durCheck(); err != nil {
-		return nil, err
-	}
-	ns := s.eng.wstore.Clone(s.eng.wsch)
-	if !ns.Revoke(p.View, p.User) {
-		return nil, fmt.Errorf("no permit of %s to %s", p.View, p.User)
-	}
-	s.eng.wstore = ns
-	err := s.logStmt(p)
-	s.eng.publishLocked()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Text: fmt.Sprintf("revoked %s from %s", p.View, p.User)}, nil
+	return s.write(func() (string, parser.Stmt, error) {
+		// Copy-on-write: extend a clone of the scheme and re-bind the store
+		// to it, so versions pinned before this statement keep the scheme
+		// (and store) without the new relation.
+		nsch := s.eng.wsch.Clone()
+		if err := nsch.Add(rs); err != nil {
+			return "", nil, err
+		}
+		s.eng.wsch = nsch
+		s.eng.vrels = append(s.eng.vrels, relation.NewVersioned(rs.Attrs))
+		s.eng.wstore = s.eng.wstore.Clone(nsch)
+		return "defined relation " + rs.String(), p, nil
+	})
 }
 
 // Retrieve answers a query definition under the session's authority.
@@ -658,13 +624,10 @@ func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) 
 	}
 	// Explain itself always runs the unfused plan (the rendered phases
 	// describe the full answer); report what retrieval would do.
-	switch {
-	case len(d.Pushdown) == 0 || d.FullyAuthorized:
+	if len(d.Pushdown) == 0 || d.FullyAuthorized {
 		fmt.Fprintln(&b, "mask pushdown: none")
-	case s.eng.opt.MaskPushdown:
+	} else {
 		fmt.Fprintf(&b, "mask pushdown: %s (applied on retrieve)\n", atomsString(d.Pushdown))
-	default:
-		fmt.Fprintf(&b, "mask pushdown: %s (available, disabled)\n", atomsString(d.Pushdown))
 	}
 	// The phases above are §4.1's order in full. Retrieval reaches the same
 	// mask through the planned meta side; report the work it does instead.
@@ -687,147 +650,187 @@ func atomsString(atoms []algebra.Atom) string {
 }
 
 func (s *Session) insert(p parser.Insert) (*Result, error) {
-	s.eng.mu.Lock()
-	defer s.eng.mu.Unlock()
-	if err := s.eng.durCheck(); err != nil {
-		return nil, err
-	}
-	vr, err := s.eng.versioned(p.Rel)
-	if err != nil {
-		return nil, err
-	}
-	t := relation.Tuple(p.Values)
-	if len(t) != vr.Arity() {
-		return nil, fmt.Errorf("relation %s expects %d values, got %d", p.Rel, vr.Arity(), len(t))
-	}
-	if !s.admin {
-		if err := s.authorizeUpdate(p.Rel, t); err != nil {
-			return nil, err
+	return s.write(func() (string, parser.Stmt, error) {
+		vr, err := s.eng.versioned(p.Rel)
+		if err != nil {
+			return "", nil, err
 		}
-	}
-	added, err := vr.Insert(t)
-	if err != nil {
-		return nil, err
-	}
-	if !added {
-		return &Result{Text: "duplicate tuple ignored"}, nil
-	}
-	err = s.logStmt(p)
-	s.eng.publishLocked()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Text: "inserted 1 tuple into " + p.Rel}, nil
+		t := relation.Tuple(p.Values)
+		if len(t) != vr.Arity() {
+			return "", nil, fmt.Errorf("relation %s expects %d values, got %d", p.Rel, vr.Arity(), len(t))
+		}
+		if !s.admin {
+			one := relation.New(vr.Head().Attrs)
+			one.Append(t)
+			cov, err := s.covered(p.Rel, one)
+			if err != nil {
+				return "", nil, err
+			}
+			if cov.Len() == 0 {
+				return "", nil, fmt.Errorf("%w: user %s may not modify %s: no permitted view covers the tuple", ErrNotAuthorized, s.user, p.Rel)
+			}
+		}
+		added, err := vr.Insert(t)
+		if err != nil {
+			return "", nil, err
+		}
+		if !added {
+			return "duplicate tuple ignored", nil, nil
+		}
+		return "inserted 1 tuple into " + p.Rel, p, nil
+	})
 }
 
 func (s *Session) delete(p parser.Delete) (*Result, error) {
-	s.eng.mu.Lock()
-	defer s.eng.mu.Unlock()
-	if err := s.eng.durCheck(); err != nil {
-		return nil, err
-	}
-	vr, err := s.eng.versioned(p.Rel)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := deletePredicate(s.eng.wsch, p)
-	if err != nil {
-		return nil, err
-	}
-	if !s.admin {
-		// Every tuple about to disappear must be within the user's
-		// update authority.
-		for _, t := range vr.Head().Tuples() {
-			if pred(t) {
-				if err := s.authorizeUpdate(p.Rel, t); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	n := vr.Delete(pred)
-	if n > 0 {
-		err := s.logStmt(p)
-		s.eng.publishLocked()
+	n := 0
+	res, err := s.write(func() (string, parser.Stmt, error) {
+		vr, err := s.eng.versioned(p.Rel)
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
+		pred, err := deletePredicate(s.eng.wsch, p)
+		if err != nil {
+			return "", nil, err
+		}
+		var logged parser.Stmt = p
+		if !s.admin {
+			// A user deletes through the view: of the matched tuples, only
+			// the covered ones go, and the count is theirs. Refusing when
+			// some matched tuple is uncovered would reveal that a hidden
+			// tuple matches. Replayed as an administrator, p would remove
+			// the uncovered ones too, so the covered ones are journaled by
+			// value instead.
+			matched := vr.Head().Select(pred)
+			cov, err := s.covered(p.Rel, matched)
+			if err != nil {
+				return "", nil, err
+			}
+			if cov.Len() < matched.Len() {
+				logged = byValue(p.Rel, cov)
+			}
+			pred = cov.Contains
+		}
+		if n = vr.Delete(pred); n == 0 {
+			logged = nil
+		}
+		return fmt.Sprintf("deleted %d tuple(s) from %s", n, p.Rel), logged, nil
+	})
+	if err == nil && n > 0 {
 		// Deletes cannot be repaired by the closure's append-window
 		// refresh; eagerly drop exactly the entries whose masked
 		// relations include this relation instead of letting every
 		// entry's data stamp go stale.
 		s.eng.closures.Load().InvalidateRelation(p.Rel)
 	}
-	return &Result{Text: fmt.Sprintf("deleted %d tuple(s) from %s", n, p.Rel)}, nil
+	return res, err
 }
 
-// deletePredicate compiles the where clause of a delete against the base
-// relation's bare attributes.
+// deletePredicate compiles the where clause of a delete, a disjunction
+// of conjunctions, against the base relation's bare attributes.
 func deletePredicate(sch *relation.DBSchema, p parser.Delete) (func(relation.Tuple) bool, error) {
 	rs := sch.Lookup(p.Rel)
 	if rs == nil {
 		return nil, fmt.Errorf("unknown relation %s", p.Rel)
 	}
-	var atoms []algebra.Atom
-	for _, c := range p.Where {
-		if relation.BaseOfAlias(c.L.Alias) != p.Rel {
-			return nil, fmt.Errorf("delete from %s cannot reference %s", p.Rel, c.L.Alias)
-		}
-		a := algebra.Atom{L: c.L.Attr, Op: c.Op}
-		if c.R.IsCol {
-			if relation.BaseOfAlias(c.R.Col.Alias) != p.Rel {
-				return nil, fmt.Errorf("delete from %s cannot reference %s", p.Rel, c.R.Col.Alias)
+	var preds []func(relation.Tuple) bool
+	for _, branch := range append([][]cview.Cond{p.Where}, p.Or...) {
+		var atoms []algebra.Atom
+		for _, c := range branch {
+			if relation.BaseOfAlias(c.L.Alias) != p.Rel {
+				return nil, fmt.Errorf("delete from %s cannot reference %s", p.Rel, c.L.Alias)
 			}
-			a.R = algebra.AttrOp(c.R.Col.Attr)
-		} else {
-			a.R = algebra.ConstOp(c.R.Const)
+			a := algebra.Atom{L: c.L.Attr, Op: c.Op}
+			if c.R.IsCol {
+				if relation.BaseOfAlias(c.R.Col.Alias) != p.Rel {
+					return nil, fmt.Errorf("delete from %s cannot reference %s", p.Rel, c.R.Col.Alias)
+				}
+				a.R = algebra.AttrOp(c.R.Col.Attr)
+			} else {
+				a.R = algebra.ConstOp(c.R.Const)
+			}
+			atoms = append(atoms, a)
 		}
-		atoms = append(atoms, a)
+		pred, err := algebra.CompilePred(rs.Attrs, atoms)
+		if err != nil {
+			return nil, err
+		}
+		preds = append(preds, pred)
 	}
-	return algebra.CompilePred(rs.Attrs, atoms)
+	return func(t relation.Tuple) bool {
+		for _, pred := range preds {
+			if pred(t) {
+				return true
+			}
+		}
+		return false
+	}, nil
 }
 
-// authorizeUpdate implements the §6 update-permission extension: tuple t
-// of rel may be inserted or deleted when some permitted view branch has
-// an occurrence of rel with every cell starred, and the branch's query,
-// with that occurrence reading {t} alone and every other occurrence
-// reading the writer's current relations, is non-empty. Runs inside the
-// writer's critical section, against the writer state.
-func (s *Session) authorizeUpdate(rel string, t relation.Tuple) error {
-	head, err := s.eng.writerSource(rel)
-	if err != nil {
-		return err
+// byValue is the delete of exactly the tuples of r from rel: one branch
+// of attribute equalities per tuple.
+func byValue(rel string, r *relation.Relation) parser.Delete {
+	d := parser.Delete{Rel: rel}
+	for i, t := range r.Tuples() {
+		branch := make([]cview.Cond, len(t))
+		for j, v := range t {
+			branch[j] = cview.Cond{L: cview.ColRef{Alias: rel, Attr: r.Attrs[j]}, Op: value.EQ, R: cview.ConstTerm(v)}
+		}
+		if i == 0 {
+			d.Where = branch
+		} else {
+			d.Or = append(d.Or, branch)
+		}
 	}
-	one := relation.New(head.Attrs)
-	one.Append(t)
+	return d
+}
+
+// covered implements the §6 update-permission extension set at a time:
+// it returns the tuples of cand, candidates for insertion into or
+// deletion from rel, that the user's update authority covers. A tuple is
+// covered when some permitted view branch has an occurrence of rel with
+// every cell starred, and the branch's query, with that occurrence
+// reading cand and every other occurrence reading the writer's current
+// relations, projects the tuple on that occurrence. Each such occurrence
+// is evaluated once, until every candidate is covered. Runs inside the
+// writer's critical section, against the writer state.
+func (s *Session) covered(rel string, cand *relation.Relation) (*relation.Relation, error) {
 	// The covering occurrence reads "", a name no relation can take.
 	src := func(name string) (*relation.Relation, error) {
 		if name == "" {
-			return one, nil
+			return cand, nil
 		}
-		return s.eng.writerSource(name)
+		vr, err := s.eng.versioned(name)
+		if err != nil {
+			return nil, err
+		}
+		return vr.Head(), nil
 	}
+	out := relation.New(cand.Attrs)
 	store := s.eng.wstore
 	for _, vn := range store.ViewsFor(s.user) {
 		for _, v := range store.Branches(vn) {
 			for i, st := range v.Tuples {
+				if out.Len() == cand.Len() {
+					return out, nil
+				}
 				if st.Rel != rel || !allStarred(st) {
 					continue
 				}
 				q := *v.PSJ
 				q.Scans = slices.Clone(q.Scans)
 				q.Scans[i].Rel = ""
+				q.Cols = relation.QualifyAttrs(q.Scans[i].Alias, cand.Attrs)
 				ans, err := algebra.EvalPSJ(&q, src, nil, algebra.ExecOptions{}, nil)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				if ans.Len() > 0 {
-					return nil
+				for _, t := range ans.Tuples() {
+					out.Insert(t) //nolint:errcheck // the projection has cand's arity
 				}
 			}
 		}
 	}
-	return fmt.Errorf("%w: user %s may not modify %s: no permitted view covers the tuple", ErrNotAuthorized, s.user, rel)
+	return out, nil
 }
 
 // allStarred reports whether a meta-tuple stars every attribute.

@@ -116,12 +116,17 @@ func TestUpdateAuthorizationJoinWitness(t *testing.T) {
 	if _, err := klein.Exec(`insert into EMPLOYEE values (New, clerk, 1000)`); err == nil {
 		t.Fatal("insert into partially covered EMPLOYEE accepted")
 	}
-	// Deletes obey the same coverage.
-	if _, err := klein.Exec(`delete from ASSIGNMENT where E_NAME = Smith and P_NO = sv-72`); err != nil {
-		t.Fatalf("delete within ELP failed: %v", err)
+	// Deletes go through the same coverage: only covered tuples go.
+	if res, err := klein.Exec(`delete from ASSIGNMENT where E_NAME = Smith and P_NO = sv-72`); err != nil || res.Text != "deleted 1 tuple(s) from ASSIGNMENT" {
+		t.Fatalf("delete within ELP: %v, %v", res, err)
 	}
-	if _, err := klein.Exec(`delete from ASSIGNMENT where P_NO = vg-13`); err == nil {
-		t.Fatal("delete outside ELP accepted")
+	const vg13 = `retrieve (ASSIGNMENT.E_NAME) where ASSIGNMENT.P_NO = vg-13`
+	before := rowCount(t, e, vg13)
+	if res, err := klein.Exec(`delete from ASSIGNMENT where P_NO = vg-13`); err != nil || res.Text != "deleted 0 tuple(s) from ASSIGNMENT" {
+		t.Fatalf("delete outside ELP: %v, %v", res, err)
+	}
+	if after := rowCount(t, e, vg13); before == 0 || after != before {
+		t.Fatalf("vg-13 assignments: %d before the delete outside ELP, %d after", before, after)
 	}
 }
 
@@ -186,6 +191,32 @@ func TestInsertChecksHiddenPartnerChain(t *testing.T) {
 	e := updateEngine(t, script+"insert into T values (c1, 1);")
 	if _, err := e.NewSession("u", false).Exec(`insert into R values (a1, b1)`); err != nil {
 		t.Fatalf("insert rejected though the hidden chain S(b1, c1), T(c1, 1) exists: %v", err)
+	}
+}
+
+// TestDeleteThroughView holds two states u's view V cannot tell apart,
+// one with a hidden (x, sec) row and one without. A delete matching only
+// that row must read the same in both, so a user's delete removes the
+// matched rows V covers and leaves the hidden one in place.
+func TestDeleteThroughView(t *testing.T) {
+	const script = `
+		relation R (A, B) key (A);
+		insert into R values (y, pub);
+		view V (R.A, R.B) where R.B = pub;
+		permit V to u;
+	`
+	for _, st := range []struct {
+		extra  string
+		hidden int
+	}{{"", 0}, {"insert into R values (x, sec);", 1}} {
+		e := updateEngine(t, script+st.extra)
+		res, err := e.NewSession("u", false).Exec(`delete from R where A = x`)
+		if err != nil || res.Text != "deleted 0 tuple(s) from R" {
+			t.Fatalf("with %q: delete as u: %v, %v", st.extra, res, err)
+		}
+		if n := rowCount(t, e, `retrieve (R.A) where R.B = sec`); n != st.hidden {
+			t.Fatalf("with %q: %d hidden row(s) after u's delete, want %d", st.extra, n, st.hidden)
+		}
 	}
 }
 

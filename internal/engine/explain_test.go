@@ -35,9 +35,7 @@ func TestExplainStatement(t *testing.T) {
 
 // TestExplainAccessPaths: explain reports, to an admin session, the
 // access path the evaluator chose per scan, and to every session the
-// mask-derived pushdown condition. With the engine on
-// core.DefaultOptions, pushdown is computed but not fused, so it reports
-// as available.
+// mask-derived pushdown condition that retrieval fuses.
 func TestExplainAccessPaths(t *testing.T) {
 	e := paperEngine(t)
 	res, err := e.NewSession("Brown", true).Exec(
@@ -48,7 +46,7 @@ func TestExplainAccessPaths(t *testing.T) {
 	for _, want := range []string{
 		"access paths:",
 		"scan PROJECT: index range [PROJECT.BUDGET >= 250000]",
-		"mask pushdown: PROJECT.SPONSOR = Acme (available, disabled)",
+		"mask pushdown: PROJECT.SPONSOR = Acme (applied on retrieve)",
 	} {
 		if !strings.Contains(res.Text, want) {
 			t.Fatalf("explain output misses %q:\n%s", want, res.Text)

@@ -21,6 +21,9 @@ func FuzzSessionExec(f *testing.F) {
 		`explain retrieve (PROJECT.NUMBER) where PROJECT.BUDGET >= 250000`,
 		`insert into PROJECT values (zz-1, Acme, 1)`,
 		`delete from ASSIGNMENT where P_NO = vg-13`,
+		`delete from PROJECT where BUDGET >= 250000`,
+		`delete from PROJECT where SPONSOR = Nobody`,
+		`insert into PROJECT values (bq-45, Acme, 300000)`,
 		`show meta`,
 		`show rights Klein`,
 		`view W (EMPLOYEE.NAME) where EMPLOYEE.SALARY > 0 or EMPLOYEE.TITLE = manager`,
@@ -34,15 +37,14 @@ func FuzzSessionExec(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, stmt string) {
-		// Fuzz the full execution stack: indexes and mask pushdown on.
-		opt := core.DefaultOptions()
-		opt.MaskPushdown = true
-		e := engine.New(opt)
+		e := engine.New(core.DefaultOptions())
 		if _, err := e.NewSession("admin", true).ExecScript(workload.PaperScript); err != nil {
 			t.Fatal(err)
 		}
-		adminRes, adminErr := e.NewSession("admin", true).Exec(stmt)
+		// The user goes first, so a user's write meets the fixture
+		// rather than the admin's write.
 		userRes, userErr := e.NewSession("Brown", false).Exec(stmt)
+		adminRes, adminErr := e.NewSession("admin", true).Exec(stmt)
 		if adminErr != nil || userErr != nil {
 			return // rejections are fine; panics are the target
 		}

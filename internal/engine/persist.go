@@ -142,21 +142,21 @@ func (e *Engine) Save(dir string) error {
 
 // Load restores an engine saved with Save.
 func Load(dir string, opt core.Options) (*Engine, error) {
-	return loadState(faultfs.OS(), dir, opt, nil)
+	return loadState(faultfs.OS().ReadFile, dir, opt, nil)
 }
 
 // loadState rebuilds an engine from a flat state directory (the Save
 // layout; also the inside of a durable snapshot generation), reading
-// through fs. Both layouts replay schema.authdb and views.authdb as
+// through readFile. Both layouts replay schema.authdb and views.authdb as
 // statements; the tuples between them come from ps's trees when the
 // generation holds a ROOT, else from data/REL.csv. Errors carry the file
 // and, for replayed statements, the line that failed.
-func loadState(fs faultfs.FS, dir string, opt core.Options, ps *storage.Store) (*Engine, error) {
+func loadState(readFile func(string) ([]byte, error), dir string, opt core.Options, ps *storage.Store) (*Engine, error) {
 	e := New(opt)
 	admin := e.NewSession("admin", true)
 
 	schemaPath := filepath.Join(dir, "schema.authdb")
-	schema, err := fs.ReadFile(schemaPath)
+	schema, err := readFile(schemaPath)
 	if err != nil {
 		return nil, fmt.Errorf("loading schema: %w", err)
 	}
@@ -172,7 +172,7 @@ func loadState(fs faultfs.FS, dir string, opt core.Options, ps *storage.Store) (
 	}
 	e.mu.Lock()
 	for i, name := range names {
-		if err := loadTuples(fs, dir, ps, e.wsch.Lookup(name), e.vrels[i]); err != nil {
+		if err := loadTuples(readFile, dir, ps, e.wsch.Lookup(name), e.vrels[i]); err != nil {
 			e.mu.Unlock()
 			return nil, fmt.Errorf("loading %s: %w", name, err)
 		}
@@ -181,7 +181,7 @@ func loadState(fs faultfs.FS, dir string, opt core.Options, ps *storage.Store) (
 	e.mu.Unlock()
 
 	viewsPath := filepath.Join(dir, "views.authdb")
-	views, err := fs.ReadFile(viewsPath)
+	views, err := readFile(viewsPath)
 	if err != nil {
 		return nil, fmt.Errorf("loading views: %w", err)
 	}
@@ -193,7 +193,7 @@ func loadState(fs faultfs.FS, dir string, opt core.Options, ps *storage.Store) (
 
 // loadTuples inserts relation rs's stored tuples into vr: from ps's tree
 // when ps is set, else from dir's data/REL.csv.
-func loadTuples(fs faultfs.FS, dir string, ps *storage.Store, rs *relation.Schema, vr *relation.Versioned) error {
+func loadTuples(readFile func(string) ([]byte, error), dir string, ps *storage.Store, rs *relation.Schema, vr *relation.Versioned) error {
 	insert := func(t relation.Tuple) error {
 		_, err := vr.Insert(t)
 		return err
@@ -205,7 +205,7 @@ func loadTuples(fs faultfs.FS, dir string, ps *storage.Store, rs *relation.Schem
 		return ps.ScanRelation(rs.Name, func(vs []value.Value) error { return insert(vs) })
 	}
 	path := filepath.Join(dir, "data", rs.Name+".csv")
-	raw, err := fs.ReadFile(path)
+	raw, err := readFile(path)
 	if err != nil {
 		return err
 	}

@@ -13,12 +13,10 @@ package engine
 
 import (
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 
 	"authdb/internal/core"
-	"authdb/internal/faultfs"
 	"authdb/internal/wal"
 )
 
@@ -100,7 +98,7 @@ func (e *Engine) WALTail(from uint64) (tail []Commit, ok bool, err error) {
 // their own generation so a restart resumes from it. This is the
 // replica's bootstrap path.
 func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64) error {
-	tmp, err := loadState(mapFS(files), ".", e.opt, nil)
+	tmp, err := loadState(mapFS(files).ReadFile, ".", e.opt, nil)
 	if err != nil {
 		return fmt.Errorf("loading replication snapshot: %w", err)
 	}
@@ -134,9 +132,8 @@ func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64) error {
 	return nil
 }
 
-// mapFS serves a snapshot's file map through the faultfs.FS interface;
-// only the read surface works, which is all loadState touches. Paths
-// are the map's slash-separated keys, optionally prefixed "./".
+// mapFS serves a snapshot's file map to loadState. Paths are the map's
+// slash-separated keys, optionally prefixed "./".
 type mapFS map[string][]byte
 
 func (m mapFS) ReadFile(name string) ([]byte, error) {
@@ -145,30 +142,4 @@ func (m mapFS) ReadFile(name string) ([]byte, error) {
 		return append([]byte(nil), b...), nil
 	}
 	return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrNotExist}
-}
-
-func (m mapFS) Open(name string) (faultfs.File, error) {
-	return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrInvalid}
-}
-
-func (m mapFS) Create(name string) (faultfs.File, error) {
-	return nil, &os.PathError{Op: "create", Path: name, Err: os.ErrInvalid}
-}
-
-func (m mapFS) OpenFile(name string) (faultfs.RandomFile, error) {
-	return nil, &os.PathError{Op: "openfile", Path: name, Err: os.ErrInvalid}
-}
-
-func (m mapFS) MkdirAll(path string, perm os.FileMode) error { return os.ErrInvalid }
-func (m mapFS) Rename(oldpath, newpath string) error         { return os.ErrInvalid }
-func (m mapFS) Remove(name string) error                     { return os.ErrInvalid }
-func (m mapFS) RemoveAll(path string) error                  { return os.ErrInvalid }
-func (m mapFS) SyncDir(path string) error                    { return os.ErrInvalid }
-
-func (m mapFS) ReadDir(name string) ([]fs.DirEntry, error) {
-	return nil, &os.PathError{Op: "readdir", Path: name, Err: os.ErrInvalid}
-}
-
-func (m mapFS) Stat(name string) (fs.FileInfo, error) {
-	return nil, &os.PathError{Op: "stat", Path: name, Err: os.ErrNotExist}
 }

@@ -104,9 +104,12 @@ func allStarred(st core.StoredTuple) bool {
 
 // TestUpdateAuthorizationDifferential drives non-admin inserts and
 // deletes over seeded generated fixtures, whose views join chains of
-// distinct relations, and requires the engine to accept exactly the
-// writes the naive oracle covers. Three writes in four go to a relation
-// some permitted branch stars entirely, so both answers occur often.
+// distinct relations. The engine must accept exactly the inserts the
+// naive oracle covers, and a delete, of one row or of every row sharing
+// an A1 value, must remove exactly the matched rows the oracle covers.
+// Three writes in four go to a relation some permitted branch stars
+// entirely, so both outcomes occur often; a delete that removes nothing
+// counts as a rejection.
 func TestUpdateAuthorizationDifferential(t *testing.T) {
 	const rows, opsPerSeed = 16, 80
 	accepts, rejects := 0, 0
@@ -149,16 +152,37 @@ func TestUpdateAuthorizationDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var tup relation.Tuple
-			var stmt string
 			if rng.Intn(2) == 0 && cur.Len() > 0 {
-				tup = cur.Tuples()[rng.Intn(cur.Len())]
-				stmt = fmt.Sprintf("delete from %s where A0 = %s and A1 = %s and A2 = %s", rel, tup[0], tup[1], tup[2])
-			} else {
-				tup = relation.Tuple{intVal(nextKey), intVal(rng.Intn(rows)), intVal(rng.Intn(rows))}
-				nextKey++
-				stmt = fmt.Sprintf("insert into %s values (%s)", rel, valueList(tup))
+				tup := cur.Tuples()[rng.Intn(cur.Len())]
+				stmt := fmt.Sprintf("delete from %s where A0 = %s and A1 = %s and A2 = %s", rel, tup[0], tup[1], tup[2])
+				match := func(m relation.Tuple) bool { return m.Equal(tup) }
+				if rng.Intn(2) == 0 {
+					stmt = fmt.Sprintf("delete from %s where A1 = %s", rel, tup[1])
+					match = func(m relation.Tuple) bool { return m[1].Equal(tup[1]) }
+				}
+				want := cur.Clone()
+				n := want.Delete(func(m relation.Tuple) bool { return match(m) && oracleCovers(t, e, user, rel, m) })
+				res, err := e.NewSession(user, false).Exec(stmt)
+				if err != nil {
+					t.Fatalf("seed %d: %s as %s: %v", seed, stmt, user, err)
+				}
+				after, err := e.Relation(rel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantText := fmt.Sprintf("deleted %d tuple(s) from %s", n, rel); res.Text != wantText || !after.Equal(want) {
+					t.Fatalf("seed %d: %s as %s: %q, want %q; %d rows left, want %d", seed, stmt, user, res.Text, wantText, after.Len(), want.Len())
+				}
+				if n > 0 {
+					accepts++
+				} else {
+					rejects++
+				}
+				continue
 			}
+			tup := relation.Tuple{intVal(nextKey), intVal(rng.Intn(rows)), intVal(rng.Intn(rows))}
+			nextKey++
+			stmt := fmt.Sprintf("insert into %s values (%s)", rel, valueList(tup))
 			want := oracleCovers(t, e, user, rel, tup)
 			_, err = e.NewSession(user, false).Exec(stmt)
 			if got := err == nil; got != want {

@@ -91,17 +91,6 @@ func (e *Engine) versioned(name string) (*relation.Versioned, error) {
 	return e.vrels[i], nil
 }
 
-// writerSource resolves a base relation's current head for the update
-// authorization checks, which run inside the writer's critical section;
-// callers hold e.mu for writing.
-func (e *Engine) writerSource(name string) (*relation.Relation, error) {
-	vr, err := e.versioned(name)
-	if err != nil {
-		return nil, err
-	}
-	return vr.Head(), nil
-}
-
 // DBVersion reports the head version's sequence number and the LSN it
 // embodies — the numbers the metrics gauges and the MVCC tests read.
 func (e *Engine) DBVersion() (seq, lsn uint64) {

@@ -20,6 +20,7 @@ func FuzzParseProgram(f *testing.F) {
 		`retrieve (EMPLOYEE:1.NAME) where EMPLOYEE:1.TITLE = EMPLOYEE:2.TITLE`,
 		`explain retrieve (R.A)`,
 		`delete from R where A != -5`,
+		`delete from R where A = 1 and B = x or A = 2`,
 		`show meta`,
 		"retrieve (R.A) where R.A ≥ 3",
 		`-- comment only`,

@@ -25,10 +25,12 @@ type Insert struct {
 }
 
 // Delete removes the tuples of a base relation satisfying the conditions
-// (all tuples when Where is empty).
+// (all tuples when Where is empty). Or holds further conjunctions, each
+// after "or"; a tuple satisfying any branch is removed.
 type Delete struct {
 	Rel   string
 	Where []cview.Cond
+	Or    [][]cview.Cond
 }
 
 // ViewStmt defines a named conjunctive view.
@@ -284,12 +286,16 @@ func (p *parser) delete() (Stmt, error) {
 		return nil, err
 	}
 	s := Delete{Rel: rel.text}
-	if p.acceptKeyword("where") {
+	for kw := "where"; p.acceptKeyword(kw); kw = "or" {
 		conds, err := p.condsIn(rel.text)
 		if err != nil {
 			return nil, err
 		}
-		s.Where = conds
+		if s.Where == nil {
+			s.Where = conds
+		} else {
+			s.Or = append(s.Or, conds)
+		}
 	}
 	return s, nil
 }

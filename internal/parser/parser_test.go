@@ -65,6 +65,14 @@ func TestDelete(t *testing.T) {
 	if s.Where[0].L.Attr != "SPONSOR" {
 		t.Fatalf("qualified attribute: %+v", s.Where[0])
 	}
+	const or = `delete from PROJECT where PROJECT.NUMBER = bq-45 and PROJECT.BUDGET = 100 or PROJECT.NUMBER = "sv 72"`
+	s = parseOne(t, or).(Delete)
+	if len(s.Where) != 2 || len(s.Or) != 1 || len(s.Or[0]) != 1 || s.Or[0][0].L.Attr != "NUMBER" {
+		t.Fatalf("disjunctive delete: %+v", s)
+	}
+	if text, err := Render(s); err != nil || text != or {
+		t.Fatalf("disjunctive delete renders as %q (%v), want %q", text, err, or)
+	}
 }
 
 func TestViewStatement(t *testing.T) {

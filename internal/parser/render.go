@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"authdb/internal/cview"
 	"authdb/internal/value"
 )
 
@@ -91,16 +92,16 @@ func Render(s Stmt) (string, error) {
 	case Delete:
 		var b strings.Builder
 		b.WriteString("delete from " + s.Rel)
-		for i, c := range s.Where {
-			if !c.R.IsCol && !value.Representable(c.R.Const) {
-				return "", fmt.Errorf("delete from %s: constant %s has no literal form", s.Rel, c.R.Const)
+		sep := " where "
+		for _, branch := range append([][]cview.Cond{s.Where}, s.Or...) {
+			for _, c := range branch {
+				if !c.R.IsCol && !value.Representable(c.R.Const) {
+					return "", fmt.Errorf("delete from %s: constant %s has no literal form", s.Rel, c.R.Const)
+				}
+				b.WriteString(sep + c.String())
+				sep = " and "
 			}
-			if i == 0 {
-				b.WriteString(" where ")
-			} else {
-				b.WriteString(" and ")
-			}
-			b.WriteString(c.String())
+			sep = " or "
 		}
 		return b.String(), nil
 	case ViewStmt:
