@@ -13,8 +13,10 @@
 //     PSJ, of the paper's products→selections→projections normal form),
 //     the meta side's §4.1 reference and the test oracle;
 //   - EvalPSJ: predicate pushdown, secondary-index access paths, and
-//     hash and index joins — the one evaluator for the actual relations,
-//     which retrieval and update authorization both run.
+//     index nested-loop equi-joins probing hash indexes keyed by
+//     value.Value (a base relation's, or a materialized scan's) — the
+//     one evaluator for the actual relations, which retrieval and update
+//     authorization both run.
 //
 // Both evaluators produce identical relations; the test suite cross-checks
 // them and the benchmark harness measures the gap (experiment E9).
@@ -56,12 +58,13 @@ func AttrOp(a string) Operand { return Operand{IsAttr: true, Attr: a} }
 // ConstOp returns a constant operand.
 func ConstOp(v value.Value) Operand { return Operand{Const: v} }
 
-// String renders the operand.
+// String renders the operand: an attribute by name, a constant as the
+// statement literal it parses from, so 5 and "5" render apart.
 func (o Operand) String() string {
 	if o.IsAttr {
 		return o.Attr
 	}
-	return o.Const.String()
+	return value.Literal(o.Const)
 }
 
 // Atom is a primitive conjunctive predicate L θ R, with L a qualified

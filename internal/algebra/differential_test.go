@@ -39,9 +39,16 @@ const diffDomain = 8
 // comparisons and range atoms cross the kind-major order boundary.
 func stringCol(j int) bool { return j > 0 && j%2 == 1 }
 
+// collidingPairs are two (column 1, column 3) payloads that differ but
+// that a key joining each cell's kind byte, printed value and a zero
+// byte would encode alike; a join on both columns must not match them.
+var collidingPairs = [2][2]string{{"x\x00\x02y", "z"}, {"x", "y\x00\x02z"}}
+
 // genRel builds a relation with a sequential int key attribute and
 // random payloads — int on even columns, string on odd ones — so row
-// counts are exact, joins hit, and both value kinds are exercised.
+// counts are exact, joins hit, and both value kinds are exercised. A
+// relation wide enough sometimes holds a colliding pair in payload
+// columns 1 and 3.
 func genRel(rng *rand.Rand, name string, arity, rows int) *relation.Relation {
 	attrs := make([]string, arity)
 	for j := range attrs {
@@ -57,6 +64,10 @@ func genRel(rng *rand.Rand, name string, arity, rows int) *relation.Relation {
 			} else {
 				t[j] = value.Int(int64(rng.Intn(diffDomain)))
 			}
+		}
+		if arity > 3 && rng.Intn(4) == 0 {
+			pair := collidingPairs[rng.Intn(2)]
+			t[1], t[3] = value.String(pair[0]), value.String(pair[1])
 		}
 		r.MustInsert(t...)
 	}
@@ -77,8 +88,9 @@ func genConst(rng *rand.Rand, a, dom int) value.Value {
 }
 
 // genCase builds a random plan: 1–3 scans (relations may repeat, so
-// self-products occur), equality atoms between adjacent scans, constant
-// atoms over all six comparators, and a random projection.
+// self-products occur), equality atoms between adjacent scans —
+// sometimes two, on the payload columns colliding pairs occupy —
+// constant atoms over all six comparators, and a random projection.
 func genCase(rng *rand.Rand, bigRows int) diffCase {
 	nRels := 2 + rng.Intn(2)
 	rels := make(map[string]*relation.Relation, nRels)
@@ -128,6 +140,11 @@ func genCase(rng *rand.Rand, bigRows int) diffCase {
 				Op: value.EQ,
 				R:  AttrOp(qual(s, rng.Intn(arityOf(s)))),
 			})
+		}
+		if arityOf(s-1) > 3 && arityOf(s) > 3 && rng.Intn(4) == 0 {
+			for _, a := range []int{1, 3} {
+				p.Preds = append(p.Preds, Atom{L: qual(s-1, a), Op: value.EQ, R: AttrOp(qual(s, a))})
+			}
 		}
 	}
 	for k := rng.Intn(4); k > 0; k-- {

@@ -22,7 +22,9 @@ const (
 	PathIndexProbe = "index probe"
 )
 
-// Join-strategy labels recorded per join in a Trace.
+// Join-strategy labels recorded per join in a Trace. Both equi-joins
+// probe a hash index: JoinHash the materialized scan's, JoinIndex the
+// base relation's, checking the scan's atoms per candidate.
 const (
 	JoinHash    = "hash join"
 	JoinIndex   = "index join"

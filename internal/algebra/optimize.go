@@ -2,16 +2,15 @@ package algebra
 
 import (
 	"fmt"
-	"strings"
 
 	"authdb/internal/guard"
 	"authdb/internal/relation"
 	"authdb/internal/value"
 )
 
-// indexJoinMinInner is the smallest inner (indexed) side for which an
-// index nested-loop join is considered: below it the plain hash build is
-// as cheap as the index probe bookkeeping.
+// indexJoinMinInner is the smallest inner side for which a join probes
+// the base relation directly, checking the scan's own atoms per
+// candidate: below it materializing the scan first costs as little.
 const indexJoinMinInner = 64
 
 // EvalPSJ evaluates a PSJ query choosing an access path per scan and a
@@ -22,11 +21,12 @@ const indexJoinMinInner = 64
 // atoms on one attribute fold into a single ordered-index range lookup;
 // otherwise the scan is full, with the local predicate evaluated per row.
 // Joins run greedily left-deep, ordered by cardinality estimates over
-// the base relations, each step either a hash join, an index nested-loop
-// join probing a base relation's persistent hash index (checking the
-// scan's own atoms per candidate), or (when no equality connects the
-// sides) a guarded cartesian product. All paths account rows against the
-// same guard. opt has no effect.
+// the base relations. A step connected by equalities is an index
+// nested-loop join: it probes either a base relation's persistent hash
+// index, checking the scan's own atoms per candidate, or — the trace's
+// "hash join" — the value-keyed index of the materialized scan. A step
+// no equality connects is a guarded cartesian product. All paths
+// account rows against the same guard. opt has no effect.
 //
 // A scan is lazy: only the start of the join is materialized up front.
 // A later scan that is joined in by an equality from an outer at most a
@@ -96,7 +96,7 @@ func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*r
 		case len(eqs) > 0:
 			kind = JoinHash
 			if err = sp.materialize(g); err == nil {
-				cur, err = hashJoin(cur, sp.rel, eqs, g)
+				cur, _, err = indexJoin(cur, sp.rel, eqs, nil, g)
 			}
 		default:
 			if err = sp.materialize(g); err == nil {
@@ -505,54 +505,14 @@ func joinCols(l, r *relation.Relation, eqs []Atom) (li, ri []int) {
 	return li, ri
 }
 
-// hashJoin joins l and r on the given equality atoms (each relating an
-// attribute of l to an attribute of r, in either order), accounting the
-// build side and every output row against the guard.
-func hashJoin(l, r *relation.Relation, eqs []Atom, g *guard.Guard) (*relation.Relation, error) {
-	li, ri := joinCols(l, r, eqs)
-	key := func(t relation.Tuple, idx []int) string {
-		var b strings.Builder
-		for _, i := range idx {
-			b.WriteByte(byte(t[i].Kind()))
-			b.WriteString(t[i].String())
-			b.WriteByte(0)
-		}
-		return b.String()
-	}
-	build := make(map[string][]relation.Tuple)
-	for _, t := range r.Tuples() {
-		if err := g.Add(1); err != nil {
-			return nil, err
-		}
-		k := key(t, ri)
-		build[k] = append(build[k], t)
-	}
-	out := relation.New(append(append([]string(nil), l.Attrs...), r.Attrs...))
-	for _, t := range l.Tuples() {
-		if err := g.Check(); err != nil {
-			return nil, err
-		}
-		for _, u := range build[key(t, li)] {
-			if err := g.Add(1); err != nil {
-				return nil, err
-			}
-			row := make(relation.Tuple, 0, len(t)+len(u))
-			// Pairs of rows of two sets are distinct: the no-dedup Append
-			// path applies.
-			out.Append(append(append(row, t...), u...))
-		}
-	}
-	return out, nil
-}
-
 // indexJoin is an index nested-loop join: for each row of l it probes r's
 // persistent secondary hash index on the first equality's column and
 // checks each candidate against the remaining equalities and against
 // residual — atoms over r alone, so a filtered scan of r need never be
-// materialized. Unlike hashJoin it builds nothing per query, so when r is
-// a base relation the index amortizes across every query that joins
-// through it. Every probed candidate is accounted against the guard, and
-// the count is returned.
+// materialized. The index is keyed by value.Value, so a probe hits only
+// equal values of the same kind. When r is a base relation the index
+// amortizes across every query that joins through it. Every probed
+// candidate is accounted against the guard, and the count is returned.
 func indexJoin(l, r *relation.Relation, eqs, residual []Atom, g *guard.Guard) (*relation.Relation, int, error) {
 	li, ri := joinCols(l, r, eqs)
 	keep, err := CompilePred(r.Attrs, residual)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"authdb/internal/core"
@@ -105,19 +106,24 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 		ca.Cache = core.NewMaskCache(0)
 		ca.Closure = core.NewClosure(0)
 
+		// Each step asks the query, then the same query with its
+		// constants' kind flipped, through the one closure-backed
+		// authorizer: neither may be served the other's entry.
 		check := func(step string) {
 			t.Helper()
-			label := fmt.Sprintf("case %d %s (ext=%v) query %s", iter, step, base.ExtendedMasks, def)
-			got, err := ca.Retrieve("u", def)
-			if err != nil {
-				t.Fatalf("%s: closure-backed: %v", label, err)
+			for _, q := range []*cview.Def{def, flipKinds(def)} {
+				label := fmt.Sprintf("case %d %s (ext=%v) query %s", iter, step, base.ExtendedMasks, q)
+				got, err := ca.Retrieve("u", q)
+				if err != nil {
+					t.Fatalf("%s: closure-backed: %v", label, err)
+				}
+				want, err := core.NewAuthorizer(f.Store, f.Source, base).Retrieve("u", q)
+				if err != nil {
+					t.Fatalf("%s: recompute: %v", label, err)
+				}
+				compareDecisions(t, label, got, want)
+				compareDecisions(t, label+" vs reference", got, referenceDecision(t, f, base, "u", q))
 			}
-			want, err := core.NewAuthorizer(f.Store, f.Source, base).Retrieve("u", def)
-			if err != nil {
-				t.Fatalf("%s: recompute: %v", label, err)
-			}
-			compareDecisions(t, label, got, want)
-			compareDecisions(t, label+" vs reference", got, referenceDecision(t, f, base, "u", def))
 		}
 
 		check("cold")
@@ -150,6 +156,25 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 	if served.Hits == 0 || served.Refreshes == 0 || served.InvalidDef == 0 || served.InvalidData == 0 {
 		t.Fatalf("differential did not exercise all closure paths: %+v", served)
 	}
+}
+
+// flipKinds returns def with each integer constant written as its
+// decimal string and each decimal string as its integer.
+func flipKinds(def *cview.Def) *cview.Def {
+	out := *def
+	out.Where = slices.Clone(def.Where)
+	for i, c := range out.Where {
+		switch v := c.R.Const; {
+		case c.R.IsCol:
+		case v.Kind() == value.KindInt:
+			out.Where[i].R.Const = value.String(strconv.FormatInt(v.AsInt(), 10))
+		case v.Kind() == value.KindString:
+			if n, err := strconv.ParseInt(v.AsString(), 10, 64); err == nil {
+				out.Where[i].R.Const = value.Int(n)
+			}
+		}
+	}
+	return &out
 }
 
 // closureMatrixFixture: one relation, one partial view, a single-scan

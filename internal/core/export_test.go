@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"authdb/internal/algebra"
 	"authdb/internal/relation"
 )
@@ -19,36 +17,31 @@ func (a *Authorizer) DecideTraced(psj *algebra.PSJ, mp *MaskPlan, fuse bool, tr 
 // columns are outIdx (§6(3)): for each group of wide rows sharing the
 // same projected values, the reveal with the most delivered output cells
 // — obtained from ONE mask tuple matching ONE wide pre-image, rescanning
-// every tuple for every row — wins. Apply is tested against it because
-// the two share no code.
+// every tuple for every row — wins. Groups are found by comparing each
+// row's projected values with every earlier group's through Tuple.Equal.
+// Apply is tested against it because the two share no code.
 func (m *Mask) ApplyExtended(wide *relation.Relation, outIdx []int, outAttrs []string) (*relation.Relation, MaskStats) {
 	type groupState struct {
 		vals   relation.Tuple
 		reveal []bool
 		count  int
 	}
-	groups := make(map[string]*groupState)
-	var order []string
-	key := func(t relation.Tuple) string {
-		var b strings.Builder
-		for _, i := range outIdx {
-			b.WriteByte(byte(t[i].Kind()))
-			b.WriteString(t[i].String())
-			b.WriteByte(0)
-		}
-		return b.String()
-	}
+	var groups []*groupState
 	for _, t := range wide.Tuples() {
-		k := key(t)
-		g, ok := groups[k]
-		if !ok {
-			vals := make(relation.Tuple, len(outIdx))
-			for j, i := range outIdx {
-				vals[j] = t[i]
+		vals := make(relation.Tuple, len(outIdx))
+		for j, i := range outIdx {
+			vals[j] = t[i]
+		}
+		var g *groupState
+		for _, h := range groups {
+			if h.vals.Equal(vals) {
+				g = h
+				break
 			}
+		}
+		if g == nil {
 			g = &groupState{vals: vals, reveal: make([]bool, len(outIdx))}
-			groups[k] = g
-			order = append(order, k)
+			groups = append(groups, g)
 		}
 		// Best single mask tuple for this wide pre-image, measured in
 		// delivered output cells.
@@ -72,8 +65,7 @@ func (m *Mask) ApplyExtended(wide *relation.Relation, outIdx []int, outAttrs []s
 	}
 	var stats MaskStats
 	out := relation.New(outAttrs)
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range groups {
 		if g.count == 0 {
 			continue
 		}

@@ -317,34 +317,27 @@ func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
 // stars the most delivered columns — the first on ties, the first member
 // when none reveals anything.
 func (m *Mask) representatives(ex *maskExec, tuples []relation.Tuple) []relation.Tuple {
-	type group struct {
-		t    relation.Tuple
-		best int
-	}
-	at := make(map[string]int)
-	var groups []group
-	var key []byte
-	for _, t := range tuples {
-		key = key[:0]
-		for _, k := range ex.out {
-			key = append(key, byte(t[k].Kind()))
-			key = append(key, t[k].String()...)
-			key = append(key, 0)
+	// keys holds each group's delivered values at the group's position.
+	keys := relation.NewSized(make([]string, len(ex.out)), len(tuples))
+	slab := relation.NewSlab(len(ex.out))
+	var reps []relation.Tuple
+	var best []int
+	for n, t := range tuples {
+		key := slab.Row(len(tuples) - n)
+		for j, k := range ex.out {
+			key[j] = t[k]
 		}
 		bi := m.bestIndex(ex, t)
-		gi, ok := at[string(key)]
-		if !ok {
-			at[string(key)] = len(groups)
-			groups = append(groups, group{t, bi})
+		gi := keys.Find(key)
+		if gi < 0 {
+			keys.Adopt(key)
+			slab.Keep()
+			reps, best = append(reps, t), append(best, bi)
 			continue
 		}
-		if g := &groups[gi]; bi >= 0 && (g.best < 0 || ex.stars[bi] > ex.stars[g.best]) {
-			g.t, g.best = t, bi
+		if bi >= 0 && (best[gi] < 0 || ex.stars[bi] > ex.stars[best[gi]]) {
+			reps[gi], best[gi] = t, bi
 		}
-	}
-	reps := make([]relation.Tuple, len(groups))
-	for i, g := range groups {
-		reps[i] = g.t
 	}
 	return reps
 }

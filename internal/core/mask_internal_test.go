@@ -94,14 +94,26 @@ func randMask(rng *rand.Rand, attrs []string) *Mask {
 	return m
 }
 
+// collidingPairs are two payloads for adjacent cells that differ but
+// that a key joining each cell's kind byte, printed value and a zero
+// byte would encode alike.
+var collidingPairs = [2][2]value.Value{
+	{value.String("x\x00\x02y"), value.String("z")},
+	{value.String("x"), value.String("y\x00\x02z")},
+}
+
 // randAnswer builds an answer over attrs from up to rows random tuples
-// of small integers.
+// of small integers, some holding a colliding pair in two adjacent
+// cells.
 func randAnswer(rng *rand.Rand, attrs []string, rows int) *relation.Relation {
 	ans := relation.New(attrs)
 	for r := 0; r < rows; r++ {
 		t := make(relation.Tuple, len(attrs))
 		for k := range t {
 			t[k] = value.Int(int64(rng.Intn(5)))
+		}
+		if rng.Intn(3) == 0 {
+			copy(t[rng.Intn(len(t)-1):], collidingPairs[rng.Intn(2)][:])
 		}
 		ans.Insert(t) //nolint:errcheck
 	}

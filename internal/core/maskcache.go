@@ -58,11 +58,12 @@ func NewMaskCache(capacity int) *MaskCache {
 	return &MaskCache{cap: capacity, entries: make(map[string]*maskEntry)}
 }
 
-// cacheKey identifies a plan: the user, the query's PSJ normal form
-// (canonical for our purposes — cview.Analyze renders equal requests
-// equally), and the option fields that shape the mask.
+// cacheKey identifies a plan: the user, the query's PSJ normal form and
+// the option fields that shape the mask. It is injective: the user name
+// is length-prefixed, so no name borrows another user's entry, and the
+// PSJ renders its constants as literals, so 5 and "5" key apart.
 func cacheKey(user string, psj *algebra.PSJ, opt Options) string {
-	return user + "\x00" + psj.String() + "\x00" + optKey(opt)
+	return strconv.Itoa(len(user)) + ":" + user + psj.String() + "\x00" + optKey(opt)
 }
 
 // optKey fingerprints the Options fields a MaskPlan depends on, so one

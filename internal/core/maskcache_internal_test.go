@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"authdb/internal/algebra"
+	"authdb/internal/value"
 )
 
 // unkeyed lists the Options fields the cache key leaves out, each with
@@ -46,6 +47,35 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 	for name := range unkeyed {
 		if _, ok := typ.FieldByName(name); !ok {
 			t.Errorf("unkeyed names Options.%s, which does not exist", name)
+		}
+	}
+}
+
+// TestCacheKeyInjective: requests that differ in their user or in the
+// kind of a constant must key different plans.
+func TestCacheKeyInjective(t *testing.T) {
+	psj := func(preds ...algebra.Atom) *algebra.PSJ {
+		return &algebra.PSJ{Scans: []algebra.Scan{{Rel: "R", Alias: "R"}}, Preds: preds, Cols: []string{"R.A"}}
+	}
+	bEq := func(v value.Value) algebra.Atom {
+		return algebra.Atom{L: "R.B", Op: value.EQ, R: algebra.ConstOp(v)}
+	}
+	// With the user name and the plan joined by a zero byte, the name
+	// below followed by the bare plan reads exactly like user u asking
+	// for R.B equal to a string that holds the plan's tail.
+	tail := "\x00π(R.A) σ("
+	cases := []struct {
+		name         string
+		userA, userB string
+		psjA, psjB   *algebra.PSJ
+	}{
+		{"int against string", "u", "u", psj(bEq(value.Int(5))), psj(bEq(value.String("5")))},
+		{"user name holding a zero byte", "u", "u\x00π(R.A) σ(R.B = ", psj(bEq(value.String(tail))), psj()},
+	}
+	opt := DefaultOptions()
+	for _, c := range cases {
+		if cacheKey(c.userA, c.psjA, opt) == cacheKey(c.userB, c.psjB, opt) {
+			t.Errorf("%s: both requests key %q", c.name, cacheKey(c.userA, c.psjA, opt))
 		}
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"authdb/internal/parser"
 	"authdb/internal/relation"
@@ -44,43 +43,31 @@ func (s *Session) retrieveAgg(ctx context.Context, p parser.Retrieve) (*Result, 
 		}
 	}
 
-	type groupState struct {
-		key  relation.Tuple
-		acc  map[int]*aggAccum
-		seen bool
-	}
-	groups := make(map[string]*groupState)
-	var order []string
+	// keys holds each group's key at the group's position; accs[g] folds
+	// group g, one accumulator per aggregated column.
+	keys := relation.New(make([]string, len(groupIdx)))
+	var accs [][]aggAccum
+	key := make(relation.Tuple, len(groupIdx))
+rows:
 	for _, t := range in.Tuples() {
-		skip := false
-		for _, gi := range groupIdx {
+		for j, gi := range groupIdx {
 			if t[gi].IsNull() {
-				skip = true
-				break
+				continue rows
 			}
+			key[j] = t[gi]
 		}
-		if skip {
-			continue
-		}
-		var kb strings.Builder
-		for _, gi := range groupIdx {
-			kb.WriteByte(byte(t[gi].Kind()))
-			kb.WriteString(t[gi].String())
-			kb.WriteByte(0)
-		}
-		k := kb.String()
-		g, ok := groups[k]
-		if !ok {
-			g = &groupState{key: t.Clone(), acc: make(map[int]*aggAccum, len(foldIdx))}
-			for _, fi := range foldIdx {
-				g.acc[fi] = &aggAccum{fn: aggAt[fi]}
+		g := keys.Find(key)
+		if g < 0 {
+			g = keys.Len()
+			keys.Adopt(key.Clone())
+			acc := make([]aggAccum, len(foldIdx))
+			for k, fi := range foldIdx {
+				acc[k].fn = aggAt[fi]
 			}
-			groups[k] = g
-			order = append(order, k)
+			accs = append(accs, acc)
 		}
-		g.seen = true
-		for _, fi := range foldIdx {
-			g.acc[fi].add(t[fi])
+		for k, fi := range foldIdx {
+			accs[g][k].add(t[fi])
 		}
 	}
 
@@ -94,16 +81,15 @@ func (s *Session) retrieveAgg(ctx context.Context, p parser.Retrieve) (*Result, 
 		}
 	}
 	out := relation.New(attrs)
-	for _, k := range order {
-		g := groups[k]
+	for g, key := range keys.Tuples() {
 		row := make(relation.Tuple, in.Arity())
-		for _, gi := range groupIdx {
-			row[gi] = g.key[gi]
+		for j, gi := range groupIdx {
+			row[gi] = key[j]
 		}
-		for _, fi := range foldIdx {
-			row[fi] = g.acc[fi].result()
+		for k, fi := range foldIdx {
+			row[fi] = accs[g][k].result()
 		}
-		out.Insert(row) //nolint:errcheck // arity correct by construction
+		out.Adopt(row)
 	}
 	return &Result{Relation: out, Permits: base.Permits, Decision: base.Decision, AtLSN: base.AtLSN}, nil
 }

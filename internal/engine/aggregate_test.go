@@ -147,3 +147,24 @@ func TestAggregateParseShapes(t *testing.T) {
 		t.Fatal("unknown aggregate accepted (must parse as relation ref and fail analysis)")
 	}
 }
+
+// TestAggregateGroupsExact: the two rows differ in their group columns,
+// so they form two groups of one row each.
+func TestAggregateGroupsExact(t *testing.T) {
+	e := updateEngine(t, `
+		relation R (A, B, C);
+		insert into R values (`+collideA1+`, `+collideB1+`, 1);
+		insert into R values (`+collideA2+`, `+collideB2+`, 2);`)
+	res, err := e.NewSession("admin", true).Exec(`retrieve (R.A, R.B, count(R.C))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Relation.Len() != 2 {
+		t.Fatalf("groups = %d, want 2:\n%s", res.Relation.Len(), res.Relation)
+	}
+	for _, row := range res.Relation.Tuples() {
+		if !row[2].Equal(value.Int(1)) {
+			t.Fatalf("every group holds one row: %v", row)
+		}
+	}
+}

@@ -281,11 +281,12 @@ func (a Interval) Equal(b Interval) bool {
 func (a Interval) Excluded() []value.Value { return a.not }
 
 // Conds renders the constraint as a conjunction of primitive predicates on
-// the attribute named attr, e.g. "BUDGET >= 250000". A full interval
+// the attribute named attr, e.g. "BUDGET >= 250000", each constant as its
+// statement literal (B = 5 and B = "5" read apart). A full interval
 // renders as no conditions; a point as a single equality.
 func (a Interval) Conds(attr string) []string {
 	if v, ok := a.IsPoint(); ok {
-		return []string{attr + " = " + v.String()}
+		return []string{attr + " = " + value.Literal(v)}
 	}
 	var out []string
 	if a.Lo.Bounded {
@@ -293,17 +294,17 @@ func (a Interval) Conds(attr string) []string {
 		if a.Lo.Open {
 			op = ">"
 		}
-		out = append(out, attr+" "+op+" "+a.Lo.V.String())
+		out = append(out, attr+" "+op+" "+value.Literal(a.Lo.V))
 	}
 	if a.Hi.Bounded {
 		op := "<="
 		if a.Hi.Open {
 			op = "<"
 		}
-		out = append(out, attr+" "+op+" "+a.Hi.V.String())
+		out = append(out, attr+" "+op+" "+value.Literal(a.Hi.V))
 	}
 	for _, n := range a.not {
-		out = append(out, attr+" != "+n.String())
+		out = append(out, attr+" != "+value.Literal(n))
 	}
 	return out
 }

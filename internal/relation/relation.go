@@ -207,13 +207,17 @@ func (r *Relation) Delete(pred func(Tuple) bool) int {
 	return removed
 }
 
-// Contains reports set membership of the tuple. After an Append, the
-// first call rebuilds the membership set (and therefore mutates r).
-func (r *Relation) Contains(t Tuple) bool {
+// Find returns the position of the tuple in Tuples, or -1 when it is
+// absent. After an Append, the first call rebuilds the membership set
+// (and therefore mutates r).
+func (r *Relation) Find(t Tuple) int {
 	r.ensureMemb()
 	pos, _, _ := r.memb.find(r.tuples, t)
-	return pos >= 0
+	return pos
 }
+
+// Contains reports set membership of the tuple, as Find does.
+func (r *Relation) Contains(t Tuple) bool { return r.Find(t) >= 0 }
 
 // Clone returns a deep copy with its own membership set, its tuples
 // carved from one backing array. It only reads r.

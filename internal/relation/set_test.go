@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -165,10 +166,10 @@ func runMembership(t *testing.T, seed int64, steps int) {
 				p.r.Append(tp.Clone())
 			}
 		case 5, 6:
-			op = "Contains"
+			op = "Find"
 			tp := g.probe(p.m, arity)
-			if got, want := p.r.Contains(tp), p.m.keys[refKey(tp)]; got != want {
-				t.Fatalf("step %d: Contains(%v) = %v, reference %v", step, tp, got, want)
+			if got, want := p.r.Find(tp), slices.IndexFunc(p.m.tuples, tp.Equal); got != want {
+				t.Fatalf("step %d: Find(%v) = %d, reference %d", step, tp, got, want)
 			}
 		case 7:
 			op = "Delete"
