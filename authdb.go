@@ -83,12 +83,12 @@ type Options struct {
 	// (they are checked against the pre-projection answer) instead of
 	// being lost at projection time.
 	ExtendedMasks bool
-	// MaskClosure keeps materialized per-(user, query) results resident —
-	// answer and masked relation — validated against the definition
-	// generations and the scanned relation revisions, and refreshed
-	// incrementally under insert-only churn.
-	// Answers are byte-identical either way; steady-state retrieves skip
-	// both pipelines entirely.
+	// MaskClosure keeps per-(user, query) mask plans and delivered
+	// relations resident, validated against the definition generations
+	// and the scanned relation revisions, and refreshed incrementally
+	// under insert-only churn. Answers are byte-identical either way;
+	// steady-state retrieves skip both pipelines entirely, and off, both
+	// pipelines run on every retrieve.
 	MaskClosure bool
 	// Storage names OpenDir's durable format. The page store (slotted
 	// pages + B+Trees behind an LRU buffer cache, checkpoints flush only

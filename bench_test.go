@@ -67,7 +67,7 @@ func BenchmarkExample2(b *testing.B) { benchExample(b, "Klein", workload.Example
 func BenchmarkExample3(b *testing.B) { benchExample(b, "Brown", workload.Example3Query) }
 
 // BenchmarkColdAuthorize measures an authorization nothing is cached
-// for (no mask cache, no closure) on the benchmark's 28-view paper
+// for (no closure) on the benchmark's 28-view paper
 // fixture with the Figure 1 rows alone, so the meta side — instantiate,
 // plan, compile the mask — is all of the cost.
 func BenchmarkColdAuthorize(b *testing.B) {
@@ -91,7 +91,7 @@ func BenchmarkColdAuthorize(b *testing.B) {
 }
 
 // coldACL loads the benchmark's ACL database (seed 1, default scale)
-// and returns an authorizer over it with no mask cache and no closure,
+// and returns an authorizer over it with no closure,
 // fusing the mask pushdown as the server does, so every Retrieve runs
 // both sides cold.
 func coldACL(tb testing.TB) (*core.Authorizer, *fixture.ACL) {

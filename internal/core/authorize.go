@@ -22,7 +22,7 @@ type Snapshot struct {
 // inferred permit statements describing the portions delivered. The
 // unmasked answer A is an intermediate of the pipeline and is not kept.
 // The meta side (mask, permits, outcome flags, participating views) is
-// the embedded MaskPlan, shared read-only with the cache and the closure.
+// the embedded MaskPlan, shared read-only with the closure.
 type Decision struct {
 	*MaskPlan
 	// PSJ is the normal-form plan of the request.
@@ -36,7 +36,7 @@ type Decision struct {
 	// the actual-side plan for this retrieval.
 	PushdownApplied bool
 	// MetaTuples is MaskPlan.MetaTuples when this retrieval recomputed the
-	// plan, zero when the mask cache or the closure supplied it.
+	// plan, zero when the closure supplied it.
 	MetaTuples int
 }
 
@@ -91,14 +91,15 @@ type Authorizer struct {
 	// the meta-side operators with a cancellation-and-budget check at
 	// tuple-batch granularity.
 	Guard *guard.Guard
-	// Cache, when non-nil, memoizes the meta-side MaskPlan per
-	// (user, query), validated against the store's definition
-	// generations. Only RetrievePlan consults it.
+	// Cache has no effect: the closure entry keeps the mask plan across
+	// data churn. The field remains only because the benchmark harness
+	// still sets it; it goes with ROADMAP item 2 (j).
 	Cache *MaskCache
 	// Closure, when non-nil, serves whole retrieves from materialized
 	// resident state (the delivered relation and its statistics) validated
 	// against both the definition generations and the pinned relation
-	// revisions; see Closure. Only RetrievePlan consults it.
+	// revisions, and otherwise hands back a plan the definitions still
+	// stamp; see Closure. Only RetrievePlan consults it.
 	Closure *Closure
 }
 
@@ -116,14 +117,16 @@ func (a *Authorizer) Retrieve(user string, def *cview.Def) (*Decision, error) {
 	return a.RetrievePlan(user, an.PSJ)
 }
 
-// RetrievePlan runs the dual pipelines for an already-compiled plan.
-// The meta side is obtained as a MaskPlan — from the cache when one is
-// attached and holds a plan stamped with the store's current definition
-// generations, recomputed by MaskPlanFor otherwise — and the actual side
-// is then evaluated and masked by it.
+// RetrievePlan runs the dual pipelines for an already-compiled plan,
+// with one closure lookup first: a hit is the whole answer; otherwise
+// the meta side is the entry's plan when the closure hands one back
+// (stamped with the store's current definition generations), recomputed
+// by MaskPlanFor otherwise, and the actual side is then evaluated and
+// masked by it.
 func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, error) {
 	closure := a.Closure
 	var revs []*relation.Relation
+	var mp *MaskPlan
 	if closure != nil {
 		// Pin the scanned revisions once: they stamp both the lookup
 		// and the eventual Store, so the materialization is keyed to
@@ -131,11 +134,14 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 		revs = a.scanRevs(psj)
 		if revs == nil {
 			closure = nil // unknown relation: let the evaluator report it
-		} else if d, ok, err := closure.Lookup(a, user, psj, revs); ok || err != nil {
-			return d, err
+		} else {
+			d, plan, err := closure.Lookup(a, user, psj, revs)
+			if d != nil || err != nil {
+				return d, err
+			}
+			mp = plan
 		}
 	}
-	mp := a.Cache.Get(a.Store, user, psj, a.Opt)
 	metaTuples := 0
 	if mp == nil {
 		var err error
@@ -144,7 +150,6 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 			return nil, err
 		}
 		metaTuples = mp.MetaTuples
-		a.Cache.Put(a.Store, user, psj, a.Opt, mp)
 	}
 	// Fuse the mask-derived necessary delivery condition into the actual
 	// side: rows failing it match no mask tuple, so masking would drop
@@ -162,8 +167,7 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 // Explain runs the dual pipeline the way §4.1 states it, for display:
 // the meta side is ReferencePlan, every phase recorded in Intermediates;
 // the actual side runs unfused over the full A and records its access
-// paths in tr (which may be nil). It consults neither the cache nor the
-// closure.
+// paths in tr (which may be nil). It does not consult the closure.
 func (a *Authorizer) Explain(user string, def *cview.Def, tr *algebra.Trace) (*Decision, error) {
 	an, err := cview.Analyze(def, a.Store.Schema())
 	if err != nil {
@@ -231,11 +235,11 @@ func (a *Authorizer) scanRevs(psj *algebra.PSJ) []*relation.Relation {
 	return revs
 }
 
-// MaskPlanFor runs the meta-side pipeline alone, bypassing the cache and
-// the closure: instantiate the user's permitted views, mirror the query's
-// products, selections, and (unless extended) projection over the
-// meta-relations, and compile the result into a mask plus its derived
-// outcome flags and permit statements. The products are planned
+// MaskPlanFor runs the meta-side pipeline alone, bypassing the closure:
+// instantiate the user's permitted views, mirror the query's products,
+// selections, and (unless extended) projection over the meta-relations,
+// and compile the result into a mask plus its derived outcome flags and
+// permit statements. The products are planned
 // (plannedProduct): a combination the pruning step, a selection or the
 // projection is certain to discard is never built. The mask is
 // ReferencePlan's, tuple for tuple.

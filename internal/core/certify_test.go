@@ -92,7 +92,6 @@ func TestCertifyAfterFusedRetrieve(t *testing.T) {
 	f := pushdownFixture(t)
 	f.MustExec("permit LO to validated; permit HI to validated;")
 	auth := core.NewAuthorizer(f.Store, f.Source, core.DefaultOptions())
-	auth.Cache = core.NewMaskCache(0)
 	auth.Closure = core.NewClosure(0)
 	d, err := auth.Retrieve("validated", allColsDef())
 	if err != nil {

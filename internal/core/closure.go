@@ -1,33 +1,34 @@
 package core
 
 import (
+	"slices"
+	"strconv"
 	"sync"
 
 	"authdb/internal/algebra"
 	"authdb/internal/relation"
 )
 
-// Closure is the materialized mask closure: where MaskCache memoizes
-// the compiled meta-side *plan* per (user, query), the closure keeps
-// the plan's materialized *result* — the masked relation actually
-// delivered and its statistics — resident per (user, query, options),
-// so a steady-state retrieve pays one map lookup and a handful of
-// pointer comparisons instead of re-running either pipeline. The
-// unmasked answer is never kept: it is an intermediate of the dual
+// Closure is the engine's one retrieve cache. Per (user, query,
+// options) it keeps the compiled meta-side plan and the plan's
+// materialized result — the masked relation actually delivered and its
+// statistics — so a steady-state retrieve pays one map lookup and a
+// handful of pointer comparisons instead of re-running either pipeline.
+// The unmasked answer is never kept: it is an intermediate of the dual
 // pipeline, not something the user may see.
 //
-// Validity is two-sided, mirroring the two things a result depends on:
+// Validity is two-sided, mirroring the two things an entry depends on:
 //
 //   - Definitions: each entry is stamped with the store's view and
-//     per-user permission generations, exactly like MaskCache entries.
-//     Permit, revoke, define view, and drop view move a generation, and
-//     a mismatched entry is discarded (a definition invalidation) — the
-//     mask itself is stale, so nothing survives.
+//     per-user permission generations. Permit, revoke, define view, and
+//     drop view move a generation, and a mismatched entry is discarded
+//     (a definition invalidation) — the mask itself is stale, so nothing
+//     survives.
 //   - Data: each entry is stamped with the pointer identity of every
 //     scanned relation revision (MVCC revisions are immutable, so
 //     pointer equality is revision equality). Data changes leave the
-//     generations — and therefore the predicate side of the artifact —
-//     untouched; only the materialized rows go stale.
+//     generations — and therefore the plan — untouched; only the
+//     materialized rows go stale.
 //
 // On a data-side mismatch the entry can often be repaired instead of
 // rebuilt: for a single-scan plan whose mask is not grouped and whose
@@ -40,7 +41,10 @@ import (
 // the accumulator already holds. A grouped mask (§6(3) leaving a column
 // out) picks one row per group across the whole answer, which a window
 // cannot revise; like deletions, reallocation and multi-scan plans, it
-// falls back to a full recompute (which re-Stores).
+// falls back to recomputing the actual side, and Lookup hands back the
+// entry's plan so the meta pipeline is skipped. A delete releases the
+// rows of every entry over the relation at once (InvalidateRelation)
+// and keeps their plans for the next lookup.
 //
 // One-mask-tuple-per-row soundness is preserved by construction: a
 // refresh masks each appended row through the same bestIndex decision
@@ -49,13 +53,13 @@ import (
 // applying the mask row by row, and no row ever discloses the union of
 // several tuples' reveals.
 //
-// Like MaskCache, the closure is engine-global while stores and
-// revisions are per-version: generation stamps stay coherent because
-// the counters are monotone along the store's clone lineage, and
-// revision stamps are exact by pointer identity. A reader pinned to an
-// older version never matches a newer entry's stamps (and vice versa) —
-// concurrent readers at different versions may displace each other's
-// entries, which costs recomputation, never staleness.
+// The closure is engine-global while stores and revisions are
+// per-version: generation stamps stay coherent because the counters are
+// monotone along the store's clone lineage, and revision stamps are
+// exact by pointer identity. A reader pinned to an older version never
+// matches a newer entry's stamps (and vice versa) — concurrent readers
+// at different versions may displace each other's entries, which costs
+// recomputation, never staleness.
 type Closure struct {
 	mu      sync.Mutex
 	cap     int
@@ -64,29 +68,29 @@ type Closure struct {
 	order []string
 
 	hits          uint64 // lookups served from the closure (incl. refreshes)
-	misses        uint64 // lookups that fell through to full computation
+	misses        uint64 // lookups that fell through to computation
+	planHits      uint64 // misses that handed back the entry's plan
 	refreshes     uint64 // hits that first replayed an appended window
 	invalidDef    uint64 // entries dropped because a definition generation moved
 	invalidData   uint64 // lookups that missed because revisions moved irreparably
-	invalidDelete uint64 // entries dropped eagerly by InvalidateRelation
+	invalidDelete uint64 // entries released eagerly by InvalidateRelation
 }
 
 // closureEntry is one resident materialization: the mask plan, the
 // executed plan, the revision stamps and the delivered relation. The
 // plan side (plan, psjExec, fused) survives data churn; the result side
-// (revs, masked, stats, vm) is keyed to the stamped revisions. Every
-// field is read and written under Closure.mu.
+// (revs, masked, stats, vm) is keyed to the stamped revisions, and
+// InvalidateRelation releases it (masked is then nil). Every field is
+// read and written under Closure.mu.
 type closureEntry struct {
 	viewGen uint64
 	permGen uint64
 	// plan is the compiled meta side; psjExec the actual-side plan that
-	// was executed (pushdown-fused when fused is set).
+	// was executed (pushdown-fused when fused is set), whose scans are
+	// InvalidateRelation's match set.
 	plan    *MaskPlan
 	psjExec *algebra.PSJ
 	fused   bool
-	// rels names the scanned base relations, in scan order —
-	// InvalidateRelation's match set.
-	rels []string
 	// revs pins the scanned relation revisions the result was built
 	// against, in scan order.
 	revs []*relation.Relation
@@ -108,9 +112,9 @@ type closureEntry struct {
 }
 
 // DefaultClosureCap bounds an engine's mask closure. Entries hold
-// materialized rows (unlike MaskCache's small plans), so the cap is an
-// order of magnitude tighter; FIFO eviction also bounds how many
-// superseded revisions the stamped pointers keep alive.
+// materialized rows, so the cap is what bounds resident state; FIFO
+// eviction also bounds how many superseded revisions the stamped
+// pointers keep alive.
 const DefaultClosureCap = 256
 
 // NewClosure creates a closure holding at most capacity entries;
@@ -126,20 +130,22 @@ func NewClosure(capacity int) *Closure {
 type ClosureStats struct {
 	// Hits counts lookups served from resident state, including
 	// incremental refreshes; Misses counts lookups that fell through to
-	// the full dual-pipeline computation.
-	Hits, Misses uint64
+	// computation. PlanHits counts the misses whose recompute reused the
+	// entry's plan, running the actual side alone.
+	Hits, Misses, PlanHits uint64
 	// Refreshes counts the subset of hits that first replayed an
 	// appended window through the retained plan.
 	Refreshes uint64
 	// InvalidDef counts entries dropped because a view or permission
 	// generation moved; InvalidData counts lookups whose revisions had
 	// moved beyond repair (also counted in Misses); InvalidDelete counts
-	// entries dropped eagerly because a scanned relation was deleted
-	// from (InvalidateRelation).
+	// entries whose rows were released eagerly because a scanned
+	// relation was deleted from (InvalidateRelation).
 	InvalidDef, InvalidData, InvalidDelete uint64
-	// Entries is the current resident entry count; ResidentRows the
-	// delivered rows they hold (the sum of their Stats.Rows), counting
-	// entries that cannot refresh as well as those that can.
+	// Entries is the current resident entry count, released ones
+	// included; ResidentRows the delivered rows they hold (the sum of
+	// their Stats.Rows), counting entries that cannot refresh as well as
+	// those that can.
 	Entries, ResidentRows int
 }
 
@@ -156,7 +162,7 @@ func (c *Closure) Stats() ClosureStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := ClosureStats{
-		Hits: c.hits, Misses: c.misses, Refreshes: c.refreshes,
+		Hits: c.hits, Misses: c.misses, PlanHits: c.planHits, Refreshes: c.refreshes,
 		InvalidDef: c.invalidDef, InvalidData: c.invalidData,
 		InvalidDelete: c.invalidDelete,
 		Entries:       len(c.entries),
@@ -195,18 +201,20 @@ func decisionFor(e *closureEntry, psj *algebra.PSJ) *Decision {
 
 // Lookup serves a retrieve from resident state when possible. revs are
 // the pinned revisions of the query's scans, in scan order. It returns
-// (decision, true, nil) on a closure hit — exact or after an
-// incremental refresh — and (nil, false, nil) when the caller must run
-// the full computation (and then Store the outcome). A non-nil error
-// arises only from a guard trip during a refresh's window evaluation.
+// the decision on a closure hit — exact or after an incremental
+// refresh. On a miss it returns a nil decision and the caller computes
+// (and then Stores) the outcome; the plan returned beside it is the
+// entry's, still valid for these definitions, or nil when the meta side
+// must run too. A non-nil error arises only from a guard trip during a
+// refresh's window evaluation.
 //
 // The incremental window is evaluated outside the closure lock (so slow
 // refreshes never serialize unrelated lookups) and applied under it
 // after revalidating that no concurrent refresh won; a lost race simply
 // degrades to a miss.
-func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*relation.Relation) (*Decision, bool, error) {
+func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*relation.Relation) (*Decision, *MaskPlan, error) {
 	if c == nil {
-		return nil, false, nil
+		return nil, nil, nil
 	}
 	st := a.Store
 	key := cacheKey(user, psj, a.Opt)
@@ -216,7 +224,7 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 	if !ok {
 		c.misses++
 		c.mu.Unlock()
-		return nil, false, nil
+		return nil, nil, nil
 	}
 	if e.viewGen != st.ViewGen() || e.permGen != st.PermGen(user) {
 		// The mask itself is stale: drop everything.
@@ -224,23 +232,28 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 		c.invalidDef++
 		c.misses++
 		c.mu.Unlock()
-		return nil, false, nil
+		return nil, nil, nil
 	}
 	if sameRevs(e.revs, revs) {
 		c.hits++
 		d := decisionFor(e, psj)
 		c.mu.Unlock()
-		return d, true, nil
+		return d, nil, nil
 	}
 	if e.vm == nil || len(revs) != 1 || !relation.ExtendsByAppend(e.revs[0], revs[0]) {
-		// Data moved beyond repair for this entry; the predicate side
-		// still lives on in the MaskCache, so the recompute skips the
-		// meta pipeline. The entry stays resident meanwhile — readers
-		// pinned to its revisions keep hitting it until Store replaces.
-		c.invalidData++
+		// Data moved beyond repair for this entry (or a delete released
+		// its rows, already counted), but the plan is the definitions'
+		// alone: the recompute runs the actual side through it. The entry
+		// stays resident meanwhile — readers pinned to its revisions keep
+		// hitting it until Store replaces.
+		if e.masked != nil {
+			c.invalidData++
+		}
 		c.misses++
+		c.planHits++
+		plan := e.plan
 		c.mu.Unlock()
-		return nil, false, nil
+		return nil, plan, nil
 	}
 	oldRev := e.revs[0]
 	base := oldRev.Len()
@@ -253,7 +266,7 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 	src := algebra.MapSource(map[string]*relation.Relation{psj.Scans[0].Rel: tail})
 	tailAns, err := a.evalActual(psjExec, src, nil)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 
 	c.mu.Lock()
@@ -261,18 +274,22 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 	e2, ok := c.entries[key]
 	if !ok || e2 != e || e.viewGen != st.ViewGen() || e.permGen != st.PermGen(user) {
 		c.misses++
-		return nil, false, nil
+		return nil, nil, nil
 	}
 	if sameRevs(e.revs, revs) {
 		// A concurrent refresh reached our target revision first.
 		c.hits++
-		return decisionFor(e, psj), true, nil
+		return decisionFor(e, psj), nil, nil
 	}
-	if e.revs[0] != oldRev {
-		// Refreshed past a different revision; our window basis is gone.
-		c.invalidData++
+	if e.masked == nil || e.revs[0] != oldRev {
+		// Released by a delete (already counted), or refreshed past a
+		// different revision: our window basis is gone, the plan is not.
+		if e.masked != nil {
+			c.invalidData++
+		}
 		c.misses++
-		return nil, false, nil
+		c.planHits++
+		return nil, plan, nil
 	}
 	ex := plan.Mask.compiled()
 	width := e.vm.Arity()
@@ -296,7 +313,7 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 	e.masked = e.vm.Head()
 	c.refreshes++
 	c.hits++
-	return decisionFor(e, psj), true, nil
+	return decisionFor(e, psj), nil, nil
 }
 
 // Store materializes a freshly computed decision: its mask plan, the
@@ -309,17 +326,12 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 	if c == nil || d == nil {
 		return
 	}
-	rels := make([]string, len(psj.Scans))
-	for i, sc := range psj.Scans {
-		rels[i] = sc.Rel
-	}
 	e := &closureEntry{
 		viewGen: st.ViewGen(),
 		permGen: st.PermGen(user),
 		plan:    d.MaskPlan,
 		psjExec: psjExec,
 		fused:   d.PushdownApplied,
-		rels:    rels,
 		revs:    append([]*relation.Relation(nil), revs...),
 		masked:  d.Masked,
 		stats:   d.Stats,
@@ -344,25 +356,24 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 	c.order = append(c.order, key)
 }
 
-// InvalidateRelation eagerly drops every entry whose masked relations
-// include rel. Deletes cannot be repaired by the append-window refresh
-// (the accumulator only grows), so the engine calls this after a delete
-// commits: entries over other relations stay resident, and the doomed
-// ones release their materialized rows immediately instead of lingering
-// until their next lookup misses. Safe on a nil closure.
+// InvalidateRelation eagerly releases the result side of every entry
+// whose scans include rel. Deletes cannot be repaired by the
+// append-window refresh (the accumulator only grows), so the engine
+// calls this after a delete commits: entries over other relations stay
+// whole, and the doomed ones free their materialized rows immediately
+// instead of lingering until their next lookup misses. Each keeps its
+// plan and generation stamps, which the delete did not touch, so that
+// lookup reruns only the actual side. Safe on a nil closure.
 func (c *Closure) InvalidateRelation(rel string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, e := range c.entries {
-		for _, r := range e.rels {
-			if r == rel {
-				c.removeLocked(key)
-				c.invalidDelete++
-				break
-			}
+	for _, e := range c.entries {
+		if e.masked != nil && slices.ContainsFunc(e.psjExec.Scans, func(s algebra.Scan) bool { return s.Rel == rel }) {
+			e.revs, e.masked, e.vm, e.stats = nil, nil, nil, MaskStats{}
+			c.invalidDelete++
 		}
 	}
 }
@@ -378,3 +389,35 @@ func (c *Closure) removeLocked(key string) {
 		}
 	}
 }
+
+// cacheKey identifies an entry: the user, the query's PSJ normal form
+// and the option fields that shape the mask. It is injective: the user
+// name is length-prefixed, so no name borrows another user's entry, and
+// the PSJ renders its constants as literals, so 5 and "5" key apart.
+func cacheKey(user string, psj *algebra.PSJ, opt Options) string {
+	return strconv.Itoa(len(user)) + ":" + user + psj.String() + "\x00" + optKey(opt)
+}
+
+// optKey fingerprints the Options fields a MaskPlan depends on, so one
+// closure never serves a plan compiled under different refinements.
+func optKey(o Options) string {
+	bits := 0
+	for i, b := range []bool{
+		o.Padding, o.FourCase, o.SelfJoins, o.Subsume, o.ExtendedMasks,
+	} {
+		if b {
+			bits |= 1 << i
+		}
+	}
+	return strconv.Itoa(bits) + "," + strconv.Itoa(o.ViewCopies)
+}
+
+// MaskCache is an empty type with no effect. The closure entry keeps
+// the mask plan across data churn, so there is no separate plan cache;
+// the type remains only because the benchmark harness still builds one.
+// It goes with ROADMAP item 2 (j).
+type MaskCache struct{}
+
+// NewMaskCache returns an inert MaskCache; see MaskCache. It goes with
+// ROADMAP item 2 (j).
+func NewMaskCache(int) *MaskCache { return &MaskCache{} }

@@ -11,7 +11,7 @@ import (
 // unkeyed lists the Options fields the cache key leaves out, each with
 // the reason it changes no delivered cell. Every other field must change
 // the key, so that a new option that shapes the mask cannot silently
-// share the mask cache's and the closure's entries.
+// share the closure's entries.
 var unkeyed = map[string]string{
 	"IndexedExec": "has no effect: the actual side always uses the indexes",
 }

@@ -103,7 +103,6 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 		m := newMVCCFixture(f)
 
 		ca := core.NewAuthorizer(f.Store, f.Source, base)
-		ca.Cache = core.NewMaskCache(0)
 		ca.Closure = core.NewClosure(0)
 
 		// Each step asks the query, then the same query with its
@@ -197,14 +196,13 @@ func closureMatrixFixture(t *testing.T) (*workload.Fixture, *mvccFixture, *cview
 // TestClosureInvalidationMatrix drives each closure transition and
 // asserts the counters and the retained state: exact hits on unchanged
 // state, incremental refreshes on pure appends, data invalidation (with
-// the predicate side surviving in the mask cache) on deletes, and
+// the entry's plan reused) on deletes, and
 // definition invalidation on each of permit, revoke, define view, and
 // drop view — but not on another user's permit.
 func TestClosureInvalidationMatrix(t *testing.T) {
 	f, m, def := closureMatrixFixture(t)
 	opt := core.DefaultOptions()
 	ca := core.NewAuthorizer(f.Store, f.Source, opt)
-	ca.Cache = core.NewMaskCache(0)
 	ca.Closure = core.NewClosure(0)
 
 	retrieve := func(step string) *core.Decision {
@@ -245,22 +243,20 @@ func TestClosureInvalidationMatrix(t *testing.T) {
 	retrieve("warm after append")
 	assertStats("warm after append", core.ClosureStats{Hits: 3, Misses: 1, Refreshes: 1})
 
-	// Deletion: the materialization is unrepairable, but the mask plan
-	// survives in the cache — data churn never touches the predicate
-	// side.
-	ch0, cm0, _ := ca.Cache.Stats()
+	// Deletion: the materialization is unrepairable, but the entry's
+	// mask plan is reused — data churn never touches the predicate side.
+	mask := d.Mask
 	if m.deleteWhere("R", func(tp relation.Tuple) bool { return tp[0].Equal(value.Int(2)) }) != 1 {
 		t.Fatal("delete removed nothing")
 	}
 	d = retrieve("after delete")
-	assertStats("after delete", core.ClosureStats{Hits: 3, Misses: 2, Refreshes: 1, InvalidData: 1})
+	assertStats("after delete", core.ClosureStats{Hits: 3, Misses: 2, PlanHits: 1, Refreshes: 1, InvalidData: 1})
 	if d.Masked.Len() != 2 {
 		t.Fatalf("after delete: delivered %d rows, want 2", d.Masked.Len())
 	}
-	ch1, cm1, _ := ca.Cache.Stats()
-	if ch1 != ch0+1 || cm1 != cm0 {
-		t.Fatalf("delete should recompute through the cached mask plan: cache hits %d→%d misses %d→%d",
-			ch0, ch1, cm0, cm1)
+	if d.Mask != mask || d.MetaTuples != 0 {
+		t.Fatalf("delete should recompute through the entry's mask plan: same mask %v, meta-tuples %d",
+			d.Mask == mask, d.MetaTuples)
 	}
 
 	// Another principal's permit must not invalidate u's entry.
@@ -270,12 +266,12 @@ func TestClosureInvalidationMatrix(t *testing.T) {
 	// (the view definition moves the view generation — a real
 	// invalidation for everyone; re-warm first)
 	retrieve("rewarm after foreign view")
-	assertStats("rewarm after foreign view", core.ClosureStats{Hits: 3, Misses: 3, Refreshes: 1, InvalidData: 1, InvalidDef: 1})
+	assertStats("rewarm after foreign view", core.ClosureStats{Hits: 3, Misses: 3, PlanHits: 1, Refreshes: 1, InvalidData: 1, InvalidDef: 1})
 	if err := f.Store.Permit("W", "stranger"); err != nil {
 		t.Fatal(err)
 	}
 	retrieve("after foreign permit")
-	assertStats("after foreign permit", core.ClosureStats{Hits: 4, Misses: 3, Refreshes: 1, InvalidData: 1, InvalidDef: 1})
+	assertStats("after foreign permit", core.ClosureStats{Hits: 4, Misses: 3, PlanHits: 1, Refreshes: 1, InvalidData: 1, InvalidDef: 1})
 
 	// Each definition statement touching u or the view set invalidates.
 	steps := []struct {
@@ -310,7 +306,7 @@ func TestClosureInvalidationMatrix(t *testing.T) {
 		base.InvalidDef++
 		base.Misses++
 		assertStats(st.name, core.ClosureStats{
-			Hits: base.Hits, Misses: base.Misses, Refreshes: base.Refreshes,
+			Hits: base.Hits, Misses: base.Misses, PlanHits: base.PlanHits, Refreshes: base.Refreshes,
 			InvalidDef: base.InvalidDef, InvalidData: base.InvalidData,
 		})
 	}

@@ -74,7 +74,7 @@ func (m *Mask) PushdownAtoms() []algebra.Atom {
 }
 
 // fusePushdown conjoins pushdown atoms with a plan, leaving the original
-// untouched (plans are shared through the mask cache).
+// untouched (plans are shared through the closure).
 func fusePushdown(p *algebra.PSJ, atoms []algebra.Atom) *algebra.PSJ {
 	preds := make([]algebra.Atom, 0, len(p.Preds)+len(atoms))
 	preds = append(append(preds, p.Preds...), atoms...)

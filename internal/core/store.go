@@ -84,9 +84,9 @@ type Store struct {
 	varCount int
 	// viewGen counts view-set mutations (define, drop) and permRec.gen
 	// per-user permit mutations (permit, revoke). Masks derive from
-	// nothing else — never from relation instances — so a MaskCache
-	// entry stamped with both generations stays valid exactly as long
-	// as the mask it holds. The store itself is not synchronized (the
+	// nothing else — never from relation instances — so a closure
+	// entry's plan, stamped with both generations, stays valid exactly
+	// as long as the mask it holds, whatever the data does. The store itself is not synchronized (the
 	// engine's lock serializes mutations), so these are plain counters.
 	viewGen uint64
 }
@@ -106,7 +106,7 @@ func NewStore(sch *relation.DBSchema) *Store {
 // revoke), so readers pinned to the old store keep a stable
 // meta-database. It copies no map or slice (see Store). The generation
 // counters carry over, keeping them monotone along the clone lineage —
-// which is what lets one MaskCache serve every version: an entry whose
+// which is what lets one Closure serve every version: an entry whose
 // (viewGen, permGen) stamps match a pinned store was compiled from
 // identical definitions.
 func (s *Store) Clone(sch *relation.DBSchema) *Store {

@@ -60,20 +60,14 @@ type Engine struct {
 	verSeq uint64
 
 	opt core.Options
-	// masks caches compiled meta-side plans per (user, query); entries
-	// are invalidated by view and permit changes via the store's
-	// generation counters, never by data changes. The pointer is atomic
-	// so lock-free readers can pick the cache up alongside their pinned
-	// version (nil = disabled); the generation stamps stay coherent
-	// across versions because the counters are monotone along the
-	// store's clone lineage.
-	masks atomic.Pointer[core.MaskCache]
-	// closures holds the materialized mask closure: resident
-	// per-(user, query) results (answer, masked relation) validated
-	// lazily at lookup time against the definition generations and the
-	// pinned relation revisions, so the commit path never touches it.
-	// Same atomic-pointer discipline as masks (nil = disabled); see
-	// core.Closure for the coherence argument.
+	// closures holds the materialized mask closure, the engine's one
+	// retrieve cache: resident per-(user, query) mask plans and delivered
+	// relations, validated lazily at lookup time against the definition
+	// generations and the pinned relation revisions, so the commit path
+	// touches it only to release rows after a delete. The pointer is
+	// atomic so lock-free readers can pick the closure up alongside their
+	// pinned version (nil = disabled); see core.Closure for the coherence
+	// argument.
 	closures atomic.Pointer[core.Closure]
 	// dur is the crash-safe persistence attachment (nil for in-memory
 	// engines); see durable.go.
@@ -152,7 +146,6 @@ func New(opt core.Options) *Engine {
 	}
 	e.execMet = newExecMetrics(e.met)
 	e.wstore = core.NewStore(sch)
-	e.masks.Store(core.NewMaskCache(0))
 	e.closures.Store(core.NewClosure(0))
 	e.epoch.Store(1)
 	e.publishLocked() // version 1: the empty database
@@ -160,24 +153,15 @@ func New(opt core.Options) *Engine {
 	return e
 }
 
-// MaskCacheStats reports the mask cache's hit and miss counts and size.
-// Lock-free, like the readers that feed the cache.
-func (e *Engine) MaskCacheStats() (hits, misses uint64, size int) {
-	return e.masks.Load().Stats()
-}
+// MaskCacheStats returns zeros: the closure entry keeps the mask plan
+// across data churn, so there is no plan cache to report (see
+// MaskClosureStats and its PlanHits). The method remains only because
+// the benchmark harness still reads it; it goes with ROADMAP item 2 (j).
+func (e *Engine) MaskCacheStats() (hits, misses uint64, size int) { return 0, 0, 0 }
 
-// SetMaskCacheEnabled enables or disables the per-user mask cache; the
-// benchmark harness disables it to measure the recompute-every-time
-// baseline. Disabling discards the current cache contents.
-func (e *Engine) SetMaskCacheEnabled(on bool) {
-	if on {
-		if e.masks.Load() == nil {
-			e.masks.Store(core.NewMaskCache(0))
-		}
-	} else {
-		e.masks.Store(nil)
-	}
-}
+// SetMaskCacheEnabled has no effect; see MaskCacheStats. It goes with
+// ROADMAP item 2 (j).
+func (e *Engine) SetMaskCacheEnabled(bool) {}
 
 // MaskClosureStats reports the materialized mask closure's counters
 // (all zero when disabled). Lock-free pickup, like the readers.
@@ -542,7 +526,6 @@ func (s *Session) RetrieveContext(ctx context.Context, def *cview.Def) (*Result,
 	}
 	auth := core.NewAuthorizer(v.store, v.source, s.eng.opt)
 	auth.Guard = g
-	auth.Cache = s.eng.masks.Load()
 	auth.Closure = s.eng.closures.Load()
 	d, err := auth.Retrieve(s.user, def)
 	if err != nil {
@@ -717,9 +700,9 @@ func (s *Session) delete(p parser.Delete) (*Result, error) {
 	})
 	if err == nil && n > 0 {
 		// Deletes cannot be repaired by the closure's append-window
-		// refresh; eagerly drop exactly the entries whose masked
-		// relations include this relation instead of letting every
-		// entry's data stamp go stale.
+		// refresh; eagerly release the rows of exactly the entries that
+		// scan this relation instead of letting every entry's data stamp
+		// go stale. Their plans stay for the next read.
 		s.eng.closures.Load().InvalidateRelation(p.Rel)
 	}
 	return res, err

@@ -44,28 +44,20 @@ func (e *Engine) Metrics() *metrics.Registry { return e.met }
 // registerMetrics installs the callback series whose values other
 // subsystems already track.
 func (e *Engine) registerMetrics() {
-	e.met.CounterFunc("authdb_mask_cache_hits_total", func() float64 {
-		h, _, _ := e.MaskCacheStats()
-		return float64(h)
-	})
-	e.met.CounterFunc("authdb_mask_cache_misses_total", func() float64 {
-		_, m, _ := e.MaskCacheStats()
-		return float64(m)
-	})
-	e.met.GaugeFunc("authdb_mask_cache_entries", func() float64 {
-		_, _, n := e.MaskCacheStats()
-		return float64(n)
-	})
 	// Closure effectiveness: hits serve materialized results without
 	// running either pipeline; refreshes are the subset that replayed an
-	// appended window first; invalidations split into definition-driven
-	// (generation moved, entry dropped) and data-driven (revisions moved
-	// beyond repair).
+	// appended window first; plan hits are the misses that reused the
+	// entry's plan and ran the actual side alone; invalidations split
+	// into definition-driven (generation moved, entry dropped) and
+	// data-driven (revisions moved beyond repair, or a delete).
 	e.met.CounterFunc("authdb_mask_closure_hits_total", func() float64 {
 		return float64(e.MaskClosureStats().Hits)
 	})
 	e.met.CounterFunc("authdb_mask_closure_misses_total", func() float64 {
 		return float64(e.MaskClosureStats().Misses)
+	})
+	e.met.CounterFunc("authdb_mask_closure_plan_hits_total", func() float64 {
+		return float64(e.MaskClosureStats().PlanHits)
 	})
 	e.met.CounterFunc("authdb_mask_closure_refreshes_total", func() float64 {
 		return float64(e.MaskClosureStats().Refreshes)
@@ -184,8 +176,8 @@ func newExecMetrics(r *metrics.Registry) execMetrics {
 // latency by kind, the revealed and withheld cells of the delivered rows
 // (MaskStats never counts a row withheld entirely) and the meta-tuples a
 // recomputed mask plan materialized on authorized retrievals (zero when the
-// mask cache or the closure answered), and guard cancellation/budget trips
-// on failures.
+// closure answered or supplied the plan), and guard cancellation/budget
+// trips on failures.
 func (e *Engine) observeExec(kind string, d time.Duration, res *Result, err error) {
 	m := &e.execMet
 	m.requests.With(kind).Inc()

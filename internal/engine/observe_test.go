@@ -30,7 +30,7 @@ func TestDispatchStats(t *testing.T) {
 		`authdb_exec_seconds_count{kind="retrieve"}`,
 		"authdb_cells_delivered_total",
 		"authdb_meta_tuples_total",
-		"authdb_mask_cache_misses_total",
+		"authdb_mask_closure_plan_hits_total",
 	} {
 		if !strings.Contains(res.Text, want) {
 			t.Fatalf("\\stats output missing %q:\n%s", want, res.Text)

@@ -109,11 +109,8 @@ func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64) error {
 	}
 	e.wsch, e.vrels, e.wstore = tmp.wsch, tmp.vrels, tmp.wstore
 	// The store's generation counters restarted with the new store; stale
-	// entries keyed on the old counters must not survive, and the
-	// closure's would pin the discarded state's revisions and answers.
-	if e.masks.Load() != nil {
-		e.masks.Store(core.NewMaskCache(0))
-	}
+	// entries keyed on the old counters must not survive, and they would
+	// pin the discarded state's revisions and rows.
 	if e.closures.Load() != nil {
 		e.closures.Store(core.NewClosure(0))
 	}

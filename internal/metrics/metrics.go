@@ -8,8 +8,8 @@
 // The registry deliberately implements only what the repository needs:
 // monotonic counters, settable gauges, fixed-bucket latency histograms,
 // and callback metrics whose value is read at exposition time (used for
-// stats another subsystem already tracks, like the mask cache's hit and
-// miss counts).
+// stats another subsystem already tracks, like the mask closure's hit
+// and miss counts).
 package metrics
 
 import (

@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -264,14 +265,22 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 		reply.Mode = wire.ReplModeSnapshot
 		reply.Snapshot, reply.SnapshotLSN, reply.Gen = files, lsn, gen
 		next = lsn + 1
-		h.met.Counter("authdb_repl_snapshots_sent_total").Inc()
 	}
 	nc.SetWriteDeadline(time.Now().Add(h.writeTO))
 	if err := wire.WriteMsg(bw, reply); err != nil {
+		// An oversized reply fails before any byte is written, so the
+		// follower can still be told why instead of seeing EOF.
+		var fe *wire.FrameSizeError
+		if errors.As(err, &fe) {
+			reject(&wire.Error{Code: wire.CodeInternal, Message: "handshake reply: " + fe.Error()})
+		}
 		return
 	}
 	if err := bw.Flush(); err != nil {
 		return
+	}
+	if reply.Mode == wire.ReplModeSnapshot {
+		h.met.Counter("authdb_repl_snapshots_sent_total").Inc()
 	}
 	f.sent.Store(next - 1)
 	f.acked.Store(next - 1)

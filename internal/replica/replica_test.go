@@ -552,6 +552,69 @@ func TestReplicationMetrics(t *testing.T) {
 	}
 }
 
+// TestOversizedSnapshotIsRefused: a snapshot whose reply frame exceeds
+// wire.MaxFrame cannot be sent. The primary refuses the stream with an
+// error naming the size and the limit, so the follower's log says why
+// it cannot bootstrap, and no snapshot counts as sent.
+func TestOversizedSnapshotIsRefused(t *testing.T) {
+	db := authdb.Open(authdb.DefaultOptions())
+	t.Cleanup(func() { db.Close() })
+	admin := db.Admin()
+	admin.MustExecScript("relation BLOB (K, V) key (K);\n")
+	// 1 600 rows of 8 KiB: about 13 MB of CSV, over 16 MiB once the
+	// reply's JSON encodes the snapshot files in base64.
+	pad := strings.Repeat("x", 8<<10)
+	for i := 0; i < 1600; i++ {
+		if _, err := admin.Exec(fmt.Sprintf(`insert into BLOB values (k%d, "%s")`, i, pad)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := startServer(t, db, server.Config{})
+
+	var mu sync.Mutex
+	var logs []string
+	cfg := followCfg(srv.Addr().String())
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	rdb := authdb.Open(authdb.DefaultOptions())
+	t.Cleanup(func() { rdb.Close() })
+	rep := replica.Start(rdb.Engine(), cfg)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		rep.Stop(ctx)
+	})
+
+	refused := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, l := range logs {
+			if strings.Contains(l, "primary refused stream") && strings.Contains(l, "exceeds limit") {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !refused() {
+		if time.Now().After(deadline) {
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("follower never logged the refusal; log:\n%s", strings.Join(logs, "\n"))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if rep.Bootstrapped() {
+		t.Fatal("follower bootstrapped from a snapshot the primary could not send")
+	}
+	if n := db.Metrics().Counter("authdb_repl_snapshots_sent_total").Value(); n != 0 {
+		t.Fatalf("snapshots_sent_total = %v, want 0", n)
+	}
+}
+
 // TestReplicaBatchSharesOneSync: a default-configured durable replica
 // applies one REPL_BATCH of k statements with one WAL sync. The primary
 // is scripted over loopback so the batch boundaries are exact.

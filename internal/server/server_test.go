@@ -226,7 +226,7 @@ func TestServeMatchesLocalPerUser(t *testing.T) {
 // TestServeConcurrentConnections drives 64 simultaneous clients, a mix
 // of principals, each issuing several statements. Run under -race this
 // is the concurrency audit of the whole stack (accept loop, sessions,
-// mask cache, metrics).
+// mask closure, metrics).
 func TestServeConcurrentConnections(t *testing.T) {
 	db := paperDB(t)
 	s := startServer(t, db, server.Config{MaxConns: 128})
@@ -438,7 +438,7 @@ func TestMetricsHTTP(t *testing.T) {
 	}
 	for _, want := range []string{
 		"authdb_server_accepted_total", "authdb_requests_total{kind=\"retrieve\"}",
-		"authdb_exec_seconds_bucket", "authdb_mask_cache_hits_total",
+		"authdb_exec_seconds_bucket", "authdb_mask_closure_plan_hits_total",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %s", want)

@@ -97,7 +97,7 @@ func AppendResponseFrame(dst []byte, r *Response) ([]byte, error) {
 	dst = AppendResponse(append(dst, 0, 0, 0, 0), r)
 	n := len(dst) - at - 4
 	if n > MaxFrame {
-		return dst[:at], errFrameSize(n)
+		return dst[:at], &FrameSizeError{Size: n}
 	}
 	binary.LittleEndian.PutUint32(dst[at:], uint32(n))
 	return dst, nil

@@ -44,7 +44,7 @@ const MaxFrame = 16 << 20
 // WriteFrame writes one length-prefixed payload.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
-		return errFrameSize(len(payload))
+		return &FrameSizeError{Size: len(payload)}
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -64,7 +64,7 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return nil, errFrameSize(int(n))
+		return nil, &FrameSizeError{Size: int(n)}
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -73,8 +73,12 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-func errFrameSize(n int) error {
-	return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+// FrameSizeError reports a frame whose payload exceeds MaxFrame. A write
+// fails with it before writing any byte, so the stream stays framed.
+type FrameSizeError struct{ Size int }
+
+func (e *FrameSizeError) Error() string {
+	return fmt.Sprintf("wire: frame of %d bytes exceeds limit %d", e.Size, MaxFrame)
 }
 
 // WriteMsg encodes v and writes it as one frame: a Response or
