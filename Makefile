@@ -52,9 +52,10 @@ fuzz:
 	$(GO) test ./internal/engine -fuzz FuzzSessionExec -fuzztime 30s
 
 # Fuzz the wire-protocol decoder (seeded with every message type,
-# replication kinds included, plus malformed frames), then the Response
-# codec against encoding/json: what it decodes and what it encodes must
-# match json.Unmarshal and json.Marshal exactly.
+# replication kinds included, plus malformed frames), then the binary
+# Response codec: a reply frame the decoder accepts re-encodes to the
+# same bytes, and a reply built from fuzzed parts decodes from its
+# encoding to itself.
 fuzz-wire:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseCodec$$' -fuzztime 30s
@@ -114,7 +115,8 @@ benchgo:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/engine
 
 # Both halves of warm_wide's reply path on one processor, as the
-# benchmark runs it: the server's (closure hit, conversion, frame), then
-# the client's (decode, render).
+# benchmark runs it: the server's (closure hit, frame written from the
+# delivered tuples), the codec's (encode from tuples, one-pass decode),
+# then the client's renderer.
 bench-reply:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ServeWide|ReplyCodec|RenderTable' -benchmem .

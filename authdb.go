@@ -94,7 +94,7 @@ type Options struct {
 	// pages + B+Trees behind an LRU buffer cache, checkpoints flush only
 	// dirty pages) is the only one, so "" and "paged" are the accepted
 	// values and OpenDir rejects any other. The field stays while the
-	// benchmark sets it; it goes with ROADMAP item 1.
+	// benchmark sets it; it goes with ROADMAP item 2 (j).
 	Storage string
 	// CachePages bounds the page store's buffer cache in 4KiB pages
 	// (0 = the 4096-page default).
@@ -392,18 +392,22 @@ func (r *Result) Wire(id uint64) wire.Response {
 
 func resultOf(r *engine.Result) *Result {
 	out := &Result{Text: r.Text, Table: tableOf(r.Relation)}
+	out.Permits, out.FullyAuthorized, out.Denied = outcome(r)
+	return out
+}
+
+// outcome is what a result reports beside its table: the inferred
+// permit statements and the outcome flags.
+func outcome(r *engine.Result) (permits []string, full, denied bool) {
 	for _, p := range r.Permits {
-		out.Permits = append(out.Permits, p.String())
+		permits = append(permits, p.String())
 	}
 	if r.Decision != nil {
-		out.FullyAuthorized = r.Decision.FullyAuthorized
-		out.Denied = r.Decision.Denied
-	} else if r.Relation != nil {
-		// Administrator retrieves bypass the authorizer entirely, so no
-		// decision accompanies them; the whole answer was delivered.
-		out.FullyAuthorized = true
+		return permits, r.Decision.FullyAuthorized, r.Decision.Denied
 	}
-	return out
+	// Administrator retrieves bypass the authorizer entirely, so no
+	// decision accompanies them; the whole answer was delivered.
+	return permits, r.Relation != nil, false
 }
 
 // Exec parses and executes one statement (relation, insert, delete, view,
@@ -433,6 +437,24 @@ func (s *Session) Dispatch(ctx context.Context, input string) (*Result, error) {
 		return nil, err
 	}
 	return resultOf(r), nil
+}
+
+// Reply executes one line of input as Dispatch does and returns the
+// reply the network server sends for request id. A delivered relation
+// goes to the frame writer as its tuples (wire.Table.Tuples), so no
+// Table of Cells and no cell text is built. Like Result.Wire, it serves
+// in-process subsystems and is not part of the stable embedding surface.
+func (s *Session) Reply(ctx context.Context, id uint64, input string) (wire.Response, error) {
+	r, err := s.s.Dispatch(ctx, input)
+	if err != nil {
+		return wire.Response{}, err
+	}
+	resp := wire.Response{ID: id, Text: r.Text}
+	resp.Permits, resp.FullyAuthorized, resp.Denied = outcome(r)
+	if rel := r.Relation; rel != nil {
+		resp.Table = &wire.Table{Columns: core.DisplayNames(rel.Attrs), Tuples: rel.Sorted()}
+	}
+	return resp, nil
 }
 
 // MustExec is Exec for setup code; it panics on error.

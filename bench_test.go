@@ -634,23 +634,88 @@ func TestClosureHitConvertAllocs(t *testing.T) {
 	}
 }
 
+// TestClosureHitReplyAllocs bounds the allocations of the server's
+// half of warm_wide's read: a closure hit on Brown's Example 3 and its
+// reply written from the delivered tuples into a frame buffer with room,
+// as internal/server does. Converting to Cells, then to cell text with
+// one FormatInt per integer cell, cost about 6 094 allocations a read.
+func TestClosureHitReplyAllocs(t *testing.T) {
+	s, _ := example3(t)
+	frame := serveWide(t, s, nil)
+	allocs := testing.AllocsPerRun(10, func() { frame = serveWide(t, s, frame[:0]) })
+	t.Logf("closure-hit reply to Example 3: %.0f allocations", allocs)
+	if allocs > 40 {
+		t.Errorf("closure-hit reply to Example 3 allocated %.0f objects, want at most 40 (through Cells and cell text: about 6 094)", allocs)
+	}
+}
+
+// serveWide is the server's half of a warm_wide read: Brown's Example 3
+// through Session.Reply, its frame appended to frame.
+func serveWide(tb testing.TB, s *authdb.Session, frame []byte) []byte {
+	resp, err := s.Reply(context.Background(), 1, fixture.Example3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if frame, err = wire.AppendResponseFrame(frame, &resp); err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
 // BenchmarkServeWide measures the server's half of a warm_wide read: a
-// closure-hit Exec of Brown's Example 3, its conversion to the reply
-// (Result.Wire), and the reply's frame appended into a reused buffer, as
-// the server writes it.
+// closure-hit Session.Reply to Brown's Example 3 and its frame written
+// from the delivered tuples into a reused buffer, as the server writes
+// it.
 func BenchmarkServeWide(b *testing.B) {
 	s, _ := example3(b)
 	var frame []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Exec(fixture.Example3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		resp := res.Wire(1)
-		if frame, err = wire.AppendResponseFrame(frame[:0], &resp); err != nil {
-			b.Fatal(err)
+		frame = serveWide(b, s, frame[:0])
+	}
+}
+
+// TestReplyFrameMatchesCellText is the writer differential on the
+// paper's fixtures: for every user and query, the frame the server
+// writes from the delivered tuples (Session.Reply) is byte for byte the
+// frame of the same result's cell text (Result.Wire).
+func TestReplyFrameMatchesCellText(t *testing.T) {
+	queries := []string{
+		workload.Example1Query, workload.Example2Query, workload.Example3Query,
+		"retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE, EMPLOYEE.SALARY)",
+		"retrieve (PROJECT.NUMBER, PROJECT.SPONSOR, PROJECT.BUDGET)",
+		"retrieve (EMPLOYEE.NAME, PROJECT.NUMBER) where EMPLOYEE.NAME = ASSIGNMENT.E_NAME and PROJECT.NUMBER = ASSIGNMENT.P_NO",
+		"retrieve (EMPLOYEE.NAME) where EMPLOYEE.SALARY > 99999999",
+		"show permissions",
+	}
+	for _, script := range []string{workload.PaperScript, fixture.PaperScript(fixture.DefaultPaper())} {
+		db := authdb.Open()
+		db.Admin().MustExecScript(script)
+		for _, user := range []string{"Brown", "Klein", "Nobody", "admin"} {
+			s := db.SessionFor(user, user == "admin")
+			for _, q := range queries {
+				res, err := s.Exec(q)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", user, q, err)
+				}
+				text := res.Wire(1)
+				want, err := wire.AppendResponse(nil, &text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reply, err := s.Reply(context.Background(), 1, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := wire.AppendResponse(nil, &reply)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Errorf("%s, %s: the frame from tuples differs from the frame from cell text", user, q)
+				}
+			}
 		}
 	}
 }
@@ -679,29 +744,32 @@ func BenchmarkRenderTable(b *testing.B) {
 // BenchmarkReplyCodec measures the Response codec on the two reply
 // shapes the benchmark's reads deliver: Example 3's 3003 × 4 answer
 // (warm_wide, 12 012 cells) and principal u7's acl_cold org_list answer,
-// each encoded into a reused buffer and decoded, as the server and the
-// client do.
+// each written from its delivered tuples into a reused buffer and
+// decoded, as the server and the client do.
 func BenchmarkReplyCodec(b *testing.B) {
-	_, ex3 := example3(b)
+	s, _ := example3(b)
 	acl := fixture.GenACL(1, fixture.DefaultACL())
 	db := authdb.Open()
 	db.Admin().MustExecScript(acl.Script)
 	const u = 7
-	org, err := db.Session(fixture.Principal(u)).Exec(acl.Query(u, fixture.QOrgList))
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, c := range []struct {
 		name string
-		res  *authdb.Result
-	}{{"example3", ex3}, {"org_list", org}} {
-		resp := c.res.Wire(1)
-		frame := wire.AppendResponse(nil, &resp)
+		s    *authdb.Session
+		stmt string
+	}{{"example3", s, fixture.Example3}, {"org_list", db.Session(fixture.Principal(u)), acl.Query(u, fixture.QOrgList)}} {
+		resp, err := c.s.Reply(context.Background(), 1, c.stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frame, err := wire.AppendResponse(nil, &resp)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(c.name+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
 			buf := make([]byte, 0, len(frame))
 			for i := 0; i < b.N; i++ {
-				buf = wire.AppendResponse(buf[:0], &resp)
+				buf, _ = wire.AppendResponse(buf[:0], &resp)
 			}
 		})
 		b.Run(c.name+"/decode", func(b *testing.B) {

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"strings"
 
 	"authdb/internal/relation"
 )
@@ -115,30 +116,37 @@ func (p *PSJ) Relations() map[string]bool {
 
 // String renders the query plan compactly for logs and errors.
 func (p *PSJ) String() string {
-	s := "π("
+	var b strings.Builder
+	p.WriteText(&b)
+	return b.String()
+}
+
+// WriteText writes String's text to b.
+func (p *PSJ) WriteText(b *strings.Builder) {
+	b.WriteString("π(")
 	for i, c := range p.Cols {
 		if i > 0 {
-			s += ", "
+			b.WriteString(", ")
 		}
-		s += c
+		b.WriteString(c)
 	}
-	s += ") σ("
+	b.WriteString(") σ(")
 	for i, a := range p.Preds {
 		if i > 0 {
-			s += " and "
+			b.WriteString(" and ")
 		}
-		s += a.String()
+		b.WriteString(a.L)
+		b.WriteByte(' ')
+		b.WriteString(a.Op.String())
+		b.WriteByte(' ')
+		b.WriteString(a.R.String())
 	}
-	s += ") ×("
+	b.WriteString(") ×(")
 	for i, sc := range p.Scans {
 		if i > 0 {
-			s += ", "
+			b.WriteString(", ")
 		}
-		if sc.Alias != sc.Rel {
-			s += sc.Alias
-		} else {
-			s += sc.Rel
-		}
+		b.WriteString(sc.Alias)
 	}
-	return s + ")"
+	b.WriteByte(')')
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"authdb/internal/algebra"
@@ -394,22 +395,33 @@ func (c *Closure) removeLocked(key string) {
 // and the option fields that shape the mask. It is injective: the user
 // name is length-prefixed, so no name borrows another user's entry, and
 // the PSJ renders its constants as literals, so 5 and "5" key apart.
+// It is built in one buffer: a closure hit computes it on every read.
 func cacheKey(user string, psj *algebra.PSJ, opt Options) string {
-	return strconv.Itoa(len(user)) + ":" + user + psj.String() + "\x00" + optKey(opt)
+	var b strings.Builder
+	b.Grow(len(user) + 32*(2+len(psj.Cols)+len(psj.Preds)+len(psj.Scans)))
+	b.WriteString(strconv.Itoa(len(user)))
+	b.WriteByte(':')
+	b.WriteString(user)
+	psj.WriteText(&b)
+	b.WriteByte(0)
+	writeOptKey(&b, opt)
+	return b.String()
 }
 
-// optKey fingerprints the Options fields a MaskPlan depends on, so one
-// closure never serves a plan compiled under different refinements.
-func optKey(o Options) string {
+// writeOptKey fingerprints the Options fields a MaskPlan depends on, so
+// one closure never serves a plan compiled under different refinements.
+func writeOptKey(b *strings.Builder, o Options) {
 	bits := 0
-	for i, b := range []bool{
+	for i, set := range []bool{
 		o.Padding, o.FourCase, o.SelfJoins, o.Subsume, o.ExtendedMasks,
 	} {
-		if b {
+		if set {
 			bits |= 1 << i
 		}
 	}
-	return strconv.Itoa(bits) + "," + strconv.Itoa(o.ViewCopies)
+	b.WriteString(strconv.Itoa(bits))
+	b.WriteByte(',')
+	b.WriteString(strconv.Itoa(o.ViewCopies))
 }
 
 // MaskCache is an empty type with no effect. The closure entry keeps

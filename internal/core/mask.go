@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -51,16 +52,9 @@ func DisplayNames(attrs []string) []string {
 			continue
 		}
 		seen[bare]++
-		out[i] = bare + ":" + itoa(seen[bare])
+		out[i] = bare + ":" + strconv.Itoa(seen[bare])
 	}
 	return out
-}
-
-func itoa(i int) string {
-	if i < 10 {
-		return string(rune('0' + i))
-	}
-	return itoa(i/10) + string(rune('0'+i%10))
 }
 
 // Matches reports whether an answer tuple satisfies the meta-tuple's

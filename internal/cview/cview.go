@@ -13,7 +13,7 @@ package cview
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 
 	"authdb/internal/algebra"
@@ -129,7 +129,7 @@ func (d *Def) String() string {
 // Aliases returns the relation occurrences referenced by the definition,
 // in first-mention order (projection list first, then conditions).
 func (d *Def) Aliases() []string {
-	var order []string
+	order := make([]string, 0, len(d.Cols)+len(d.Where))
 	seen := make(map[string]bool)
 	add := func(a string) {
 		if a != "" && !seen[a] {
@@ -169,26 +169,23 @@ func Analyze(d *Def, sch *relation.DBSchema) (*Analyzed, error) {
 		return nil, fmt.Errorf("%s: empty projection list", defName(d))
 	}
 	aliases := d.Aliases()
-	numbered := make(map[string][]int)
 	for _, a := range aliases {
 		base := relation.BaseOfAlias(a)
 		if sch.Lookup(base) == nil {
 			return nil, fmt.Errorf("%s: unknown relation %s", defName(d), base)
 		}
 		if i := strings.IndexByte(a, ':'); i >= 0 {
-			n := 0
-			if _, err := fmt.Sscanf(a[i+1:], "%d", &n); err != nil || n < 1 {
+			if n, err := strconv.Atoi(a[i+1:]); err != nil || n < 1 {
 				return nil, fmt.Errorf("%s: bad occurrence suffix in %s", defName(d), a)
 			}
-			numbered[base] = append(numbered[base], n)
-		} else {
-			numbered[base] = append(numbered[base], 0)
 		}
 	}
-	for base, ns := range numbered {
-		sort.Ints(ns)
-		if len(ns) > 1 && ns[0] == 0 {
-			return nil, fmt.Errorf("%s: relation %s referenced both bare and with :i suffixes", defName(d), base)
+	for i, a := range aliases {
+		base := relation.BaseOfAlias(a)
+		for _, b := range aliases[:i] {
+			if relation.BaseOfAlias(b) == base && (a == base) != (b == base) {
+				return nil, fmt.Errorf("%s: relation %s referenced both bare and with :i suffixes", defName(d), base)
+			}
 		}
 	}
 	check := func(c ColRef) error {
@@ -213,24 +210,48 @@ func Analyze(d *Def, sch *relation.DBSchema) (*Analyzed, error) {
 			}
 		}
 	}
-	a := &Analyzed{Def: d}
-	p := &algebra.PSJ{}
-	for _, al := range aliases {
-		s := algebra.Scan{Rel: relation.BaseOfAlias(al), Alias: al}
-		a.Scans = append(a.Scans, s)
-		p.Scans = append(p.Scans, s)
+	a := &Analyzed{Def: d, Scans: make([]algebra.Scan, len(aliases))}
+	p := &algebra.PSJ{Scans: make([]algebra.Scan, len(aliases)), Cols: make([]string, 0, len(d.Cols))}
+	for i, al := range aliases {
+		a.Scans[i] = algebra.Scan{Rel: relation.BaseOfAlias(al), Alias: al}
+	}
+	copy(p.Scans, a.Scans)
+	// The qualified names are substrings of one string: a read analyzes
+	// its query on every request, and this is one allocation for all.
+	each := func(f func(ColRef)) {
+		for _, c := range d.Where {
+			f(c.L)
+			if c.R.IsCol {
+				f(c.R.Col)
+			}
+		}
+		for _, c := range d.Cols {
+			f(c)
+		}
+	}
+	size := 0
+	each(func(c ColRef) { size += len(c.Alias) + 1 + len(c.Attr) })
+	var b strings.Builder
+	b.Grow(size)
+	each(func(c ColRef) { b.WriteString(c.Alias); b.WriteByte('.'); b.WriteString(c.Attr) })
+	names := b.String()
+	qualified := func(c ColRef) string {
+		n := len(c.Alias) + 1 + len(c.Attr)
+		q := names[:n]
+		names = names[n:]
+		return q
 	}
 	for _, c := range d.Where {
-		atom := algebra.Atom{L: c.L.Qualified(), Op: c.Op}
+		atom := algebra.Atom{L: qualified(c.L), Op: c.Op}
 		if c.R.IsCol {
-			atom.R = algebra.AttrOp(c.R.Col.Qualified())
+			atom.R = algebra.AttrOp(qualified(c.R.Col))
 		} else {
 			atom.R = algebra.ConstOp(c.R.Const)
 		}
 		p.Preds = append(p.Preds, atom)
 	}
 	for _, c := range d.Cols {
-		p.Cols = append(p.Cols, c.Qualified())
+		p.Cols = append(p.Cols, qualified(c))
 	}
 	a.PSJ = p
 	return a, nil

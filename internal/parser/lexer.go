@@ -226,3 +226,14 @@ func keyword(t token) string {
 	}
 	return strings.ToLower(t.text)
 }
+
+// isKeyword reports keyword(t) == kw without folding a copy when t is
+// ASCII, as every keyword is: the parser asks it of most identifiers.
+func isKeyword(t token, kw string) bool {
+	for i := 0; i < len(t.text); i++ {
+		if t.text[i] >= utf8.RuneSelf {
+			return keyword(t) == kw
+		}
+	}
+	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+}

@@ -124,7 +124,7 @@ func (p *parser) accept(k tokKind) bool {
 }
 
 func (p *parser) acceptKeyword(kw string) bool {
-	if keyword(p.peek()) == kw {
+	if isKeyword(p.peek(), kw) {
 		p.i++
 		return true
 	}
@@ -428,11 +428,11 @@ func (p *parser) defBodyAgg() (*cview.Def, []AggSpec, error) {
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
 		return nil, nil, err
 	}
-	d := &cview.Def{}
+	d := &cview.Def{Cols: make([]cview.ColRef, 0, p.listLen())}
 	var aggs []AggSpec
 	for {
 		// Lookahead for agg '(' col ')'.
-		if t := p.peek(); t.kind == tokIdent && aggFuncs[keyword(t)] && p.toks[p.i+1].kind == tokLParen {
+		if t := p.peek(); t.kind == tokIdent && p.toks[p.i+1].kind == tokLParen && aggFuncs[keyword(t)] {
 			fn := keyword(p.next())
 			p.next() // '('
 			c, err := p.colRef()
@@ -466,6 +466,28 @@ func (p *parser) defBodyAgg() (*cview.Def, []AggSpec, error) {
 		d.Where = conds
 	}
 	return d, aggs, nil
+}
+
+// listLen counts the entries of the list whose first token is the
+// lookahead, up to its closing parenthesis, so the list is sized once.
+func (p *parser) listLen() int {
+	n, depth := 1, 0
+	for _, t := range p.toks[p.i:] {
+		switch t.kind {
+		case tokLParen:
+			depth++
+		case tokRParen:
+			if depth == 0 {
+				return n
+			}
+			depth--
+		case tokComma:
+			if depth == 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func (p *parser) conds() ([]cview.Cond, error) {

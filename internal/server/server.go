@@ -622,7 +622,7 @@ func (s *Server) execute(sess *authdb.Session, admin bool, req wire.Request) wir
 	if strings.TrimSpace(req.Stmt) == `\promote` {
 		return s.executePromote(ctx, admin, req.ID)
 	}
-	res, err := sess.Dispatch(ctx, req.Stmt)
+	resp, err := sess.Reply(ctx, req.ID, req.Stmt)
 	if err != nil {
 		we := wire.ErrorFor(err)
 		if we.Code == wire.CodeReadOnly {
@@ -643,7 +643,7 @@ func (s *Server) execute(sess *authdb.Session, admin bool, req wire.Request) wir
 		s.errCodes.With(we.Code).Inc()
 		return wire.Response{ID: req.ID, Error: we}
 	}
-	return res.Wire(req.ID)
+	return resp
 }
 
 // executePromote serves the admin-only \promote statement.

@@ -7,9 +7,7 @@ package server_test
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -96,11 +94,10 @@ func dialRaw(t *testing.T, addr string, hello wire.Hello) *rawConn {
 	return r
 }
 
-// replyFields sends stmt and returns the top-level JSON fields of the
-// reply frame. The frame must be exactly what encoding/json writes for
-// what it reads from the frame, so a client that decodes replies with
-// encoding/json reads every reply unchanged.
-func (r *rawConn) replyFields(t *testing.T, stmt string) map[string]json.RawMessage {
+// reply sends stmt and decodes the reply frame as the server sent it,
+// with wire.DecodeResponse: a frame outside the protocol-3 format fails
+// the test.
+func (r *rawConn) reply(t *testing.T, stmt string) wire.Response {
 	t.Helper()
 	r.id++
 	if err := wire.WriteMsg(r.nc, wire.Request{ID: r.id, Stmt: stmt}); err != nil {
@@ -111,17 +108,13 @@ func (r *rawConn) replyFields(t *testing.T, stmt string) map[string]json.RawMess
 		t.Fatalf("%s: %v", stmt, err)
 	}
 	var resp wire.Response
-	if err := json.Unmarshal(frame, &resp); err != nil {
+	if err := wire.DecodeResponse(frame, &resp); err != nil {
 		t.Fatalf("%s: reply %q: %v", stmt, frame, err)
 	}
-	if again, err := json.Marshal(&resp); err != nil || !bytes.Equal(again, frame) {
-		t.Errorf("%s: reply frame is not encoding/json's:\nframe %q\njson  %q (%v)", stmt, frame, again, err)
+	if resp.ID != r.id {
+		t.Fatalf("%s: reply id %d, want %d", stmt, resp.ID, r.id)
 	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(frame, &fields); err != nil {
-		t.Fatalf("%s: reply %q: %v", stmt, frame, err)
-	}
-	return fields
+	return resp
 }
 
 // TestServeMatchesLocalPerUser is the core authorization property over
@@ -179,13 +172,12 @@ func TestServeMatchesLocalPerUser(t *testing.T) {
 				t.Errorf("user %s, %s: flags (denied %v, full %v) want (%v, %v)",
 					p.user, q, got.Denied, got.FullyAuthorized, want.Denied, want.FullyAuthorized)
 			}
-			fields := raw.replyFields(t, q)
-			if _, ok := fields["rendered"]; ok {
-				t.Errorf("user %s, %s: reply frame carries rendered text: %s", p.user, q, fields["rendered"])
+			frame := raw.reply(t, q)
+			if frame.Rendered != "" {
+				t.Errorf("user %s, %s: reply frame carries rendered text: %s", p.user, q, frame.Rendered)
 			}
-			_, hasTable := fields["table"]
 			switch {
-			case !hasTable && got.Text != "":
+			case frame.Table == nil && got.Text != "":
 				seen["text"]++
 			case got.FullyAuthorized:
 				seen["full"]++
@@ -201,10 +193,10 @@ func TestServeMatchesLocalPerUser(t *testing.T) {
 			t.Errorf("no %s reply among the statements: %v", shape, seen)
 		}
 	}
-	// An error reply's frame is encoding/json's too.
+	// An error reply decodes too.
 	raw := dialRaw(t, addr, wire.Hello{Proto: wire.ProtoVersion, User: "Brown"})
-	if fields := raw.replyFields(t, "retrieve !"); fields["error"] == nil {
-		t.Errorf("parse failure replied without an error: %v", fields)
+	if frame := raw.reply(t, "retrieve !"); frame.Error == nil || frame.Error.Code != wire.CodeParse {
+		t.Errorf("parse failure replied without a parse error: %+v", frame)
 	}
 
 	// The unmasked administrator view, for contrast.
@@ -220,6 +212,36 @@ func TestServeMatchesLocalPerUser(t *testing.T) {
 	nobody := dial(t, addr, client.WithUser("Nobody"))
 	if res := exec(t, nobody, "retrieve (EMPLOYEE.SALARY)"); !res.Denied {
 		t.Errorf("unpermitted principal not denied: %+v", res)
+	}
+}
+
+// TestNetworkCellsMatchInProcess: a network client gets every cell
+// byte for byte as an in-process session does, and so the same
+// rendering, even for bytes a text encoding would rewrite: invalid
+// UTF-8, U+2028 and the HTML-significant <&>.
+func TestNetworkCellsMatchInProcess(t *testing.T) {
+	db := authdb.Open()
+	db.Admin().MustExecScript("relation R (A, B) key (A);\n" +
+		"insert into R values (1, \"x\xffy\");\n" +
+		"insert into R values (2, \"\u2028<&>\");\n" +
+		"view V (R.A, R.B);\n" +
+		"permit V to u;\n")
+	s := startServer(t, db, server.Config{})
+	const q = "retrieve (R.A, R.B)"
+	got := exec(t, dial(t, s.Addr().String(), client.WithUser("u")), q)
+	want := db.Session("u").MustExec(q)
+	if len(got.Rows) != len(want.Table.Rows) {
+		t.Fatalf("%d rows over the network, %d in process", len(got.Rows), len(want.Table.Rows))
+	}
+	for i, row := range want.Table.Rows {
+		for j, c := range row {
+			if got.Rows[i][j] != c.String() {
+				t.Errorf("row %d column %d: network %q, in process %q", i, j, got.Rows[i][j], c.String())
+			}
+		}
+	}
+	if got.Rendered != want.Render() {
+		t.Errorf("rendered over the network:\n%s\nin process:\n%s", got.Rendered, want.Render())
 	}
 }
 
@@ -330,9 +352,10 @@ func TestHandshakeRejections(t *testing.T) {
 	s := startServer(t, db, server.Config{AdminToken: "s3cret"})
 	addr := s.Addr().String()
 
-	// Wrong protocol version, spoken raw: an unknown one, and the
-	// previous one, whose replies carried rendered text.
-	for _, proto := range []int{99, 1} {
+	// Wrong protocol version, spoken raw: an unknown one, version 2,
+	// whose replies were JSON, and version 1, whose replies carried
+	// rendered text.
+	for _, proto := range []int{99, 2, 1} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -348,6 +371,23 @@ func TestHandshakeRejections(t *testing.T) {
 		if reply.OK || reply.Error == nil || reply.Error.Code != wire.CodeProtocol {
 			t.Errorf("proto %d reply = %+v, want %s", proto, reply, wire.CodeProtocol)
 		}
+	}
+
+	// A replica announcing version 2 is refused at its handshake too.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := wire.WriteMsg(nc, wire.ReplHello{Kind: wire.KindReplHello, Proto: 2, Token: "s3cret"}); err != nil {
+		t.Fatal(err)
+	}
+	var replReply wire.ReplHelloReply
+	if err := wire.ReadMsg(bufio.NewReader(nc), &replReply); err != nil {
+		t.Fatal(err)
+	}
+	if replReply.OK || replReply.Error == nil || replReply.Error.Code != wire.CodeProtocol {
+		t.Errorf("proto 2 replication hello reply = %+v, want %s", replReply, wire.CodeProtocol)
 	}
 
 	if _, err := client.Dial(addr, client.WithUser("two words")); err == nil {

@@ -1,63 +1,119 @@
 package wire
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"authdb/internal/relation"
+	"authdb/internal/value"
 )
 
-// TestDecodeResponseGrammar pins which payloads the codec takes: what
-// json.Marshal can write, escapes and invalid UTF-8 included, and
-// nothing that only a lenient JSON reader would.
+// raw is a run of frame bytes as they are; zz is a zigzag varint.
+type (
+	raw string
+	zz  int64
+)
+
+// frameOf builds a payload from its parts: an int is a uvarint, a byte
+// itself, a string a length-prefixed string.
+func frameOf(parts ...any) []byte {
+	var b []byte
+	for _, p := range parts {
+		switch p := p.(type) {
+		case int:
+			b = binary.AppendUvarint(b, uint64(p))
+		case byte:
+			b = append(b, p)
+		case string:
+			b = appendStr(b, p)
+		case raw:
+			b = append(b, p...)
+		case zz:
+			b = binary.AppendVarint(b, int64(p))
+		default:
+			panic(fmt.Sprintf("frameOf: %T", p))
+		}
+	}
+	return b
+}
+
+// TestDecodeResponseGrammar pins which payloads the codec takes: every
+// reply AppendResponse can write, arbitrary bytes in strings included,
+// and nothing else. A count the bytes left cannot hold is refused
+// before anything is sized by it.
 func TestDecodeResponseGrammar(t *testing.T) {
+	const maxID = raw("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")
 	for _, c := range []struct {
-		frame string
+		name  string
+		frame []byte
 		ok    bool
 	}{
-		{`{"id":0}`, true},
-		{`{"id":18446744073709551615}`, true},
-		{`{"id":1,"text":"\ud83d\ude00 \ud800 \udc00\ud800 \ud800A \/\"\\\b\f\n\r\t<"}`, true},
-		{"{\"id\":1,\"text\":\"\xff\xed\xa0\x80 \xc3\xa9\"}", true},
-		{`{"id":1,"table":{"columns":[],"rows":[null,[],["a","b"],["c"]]},"permits":["p"]}`, true},
-		{`{"id":1,"table":{"columns":null,"rows":null},"permits":null}`, true},
-		{`{"id":1,"fully_authorized":false,"denied":true}`, true},
-		{`{"id":1,"error":{"code":"X","message":"m","line":-3,"col":-9223372036854775808,"retryable":true,"leader":"h:1"}}`, true},
-		{`{"id":18446744073709551616}`, false},
-		{`{"id":01}`, false},
-		{`{"id":-1}`, false},
-		{`{"id":1.0}`, false},
-		{`{"id":1} `, false},
-		{`{ "id":1}`, false},
-		{`{"id":1}{}`, false},
-		{`{"text":"x","id":1}`, false},
-		{`{"id":1,"unknown":1}`, false},
-		{`{"id":1,"table":null}`, false},
-		{`{"id":1,"table":{"rows":[]}}`, false},
-		{`{"id":1,"error":{"code":"X","message":"m","line":-0}}`, false},
-		{`{"id":1,"error":{"code":"X","message":"m","col":9223372036854775808}}`, false},
-		{`{"id":1,"text":"\ud800\u"}`, false},
-		{`{"id":1,"text":"\x"}`, false},
-		{"{\"id\":1,\"text\":\"\x01\"}", false},
-		{`{"id":1,"text":"unterminated}`, false},
-		{`{"id":1,"permits":["a",]}`, false},
-		{`{"id":1,"table":{"columns":["a"],"rows":[["b"],]}}`, false},
+		{"id 0", frameOf(0, byte(0)), true},
+		{"largest id", frameOf(maxID, byte(0)), true},
+		{"raw bytes in text", frameOf(1, byte(flagText), "\xff\xed\xa0\x80 \xc3\xa9 \x00 \u2028 <&> \"\\"), true},
+		{"text and rendered", frameOf(1, byte(flagText|flagRendered), "t", "r"), true},
+		{"partial table", frameOf(1, byte(flagTable|flagPermits), 2, "A", "B", 2, "a", "-", "", "x\xffy", 1, "p"), true},
+		{"empty table", frameOf(1, byte(flagTable|flagDenied), 0, 0), true},
+		{"table without rows", frameOf(1, byte(flagTable|flagFull), 1, "A", 0), true},
+		{"both outcome flags", frameOf(1, byte(flagFull|flagDenied)), true},
+		{"error", frameOf(1, byte(flagError), "X", "m", zz(-3), zz(math.MinInt64), "h:1", byte(1)), true},
+
+		{"empty", frameOf(), false},
+		{"truncated varint", frameOf(raw("\x80")), false},
+		{"non-minimal varint", frameOf(raw("\x80\x00"), byte(0)), false},
+		{"non-minimal count", frameOf(1, byte(flagPermits), raw("\x81\x00"), "p"), false},
+		{"varint past 64 bits", frameOf(raw("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"), byte(0)), false},
+		{"eleven-byte varint", frameOf(raw("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x80\x01"), byte(0)), false},
+		{"no flags", frameOf(1), false},
+		{"unknown flag bit", frameOf(1, byte(0x80)), false},
+		{"present text empty", frameOf(1, byte(flagText), ""), false},
+		{"present rendered empty", frameOf(1, byte(flagRendered), ""), false},
+		{"present permits empty", frameOf(1, byte(flagPermits), 0), false},
+		{"string past the end", frameOf(1, byte(flagText), raw("\x05abc")), false},
+		{"cell past the end", frameOf(1, byte(flagTable), 1, "A", 1, raw("\x09x")), false},
+		{"missing cell", frameOf(1, byte(flagTable), 2, "A", "B", 1, "a"), false},
+		{"more permits than bytes", frameOf(1, byte(flagPermits), 1<<20), false},
+		{"more columns than bytes", frameOf(1, byte(flagTable), 1<<20, "A"), false},
+		{"more rows than bytes", frameOf(1, byte(flagTable), 1, "A", 1<<20), false},
+		{"more cells than bytes", frameOf(1, byte(flagTable), 2, "A", "B", 3, "a", "b"), false},
+		{"rows of no columns", frameOf(1, byte(flagTable), 0, 1), false},
+		{"many rows of no columns", frameOf(1, byte(flagTable), 0, 1<<20), false},
+		{"retryable byte 2", frameOf(1, byte(flagError), "X", "m", zz(0), zz(0), "", byte(2)), false},
+		{"error cut short", frameOf(1, byte(flagError), "X", "m", zz(0), zz(0), ""), false},
+		{"trailing byte", frameOf(0, byte(0), byte(0)), false},
 	} {
 		var got Response
-		err := DecodeResponse([]byte(c.frame), &got)
+		var err error
+		grown := allocBytes(func() { err = DecodeResponse(c.frame, &got) })
 		if (err == nil) != c.ok {
-			t.Errorf("DecodeResponse(%s) error = %v, want accepted %v", c.frame, err, c.ok)
+			t.Errorf("%s: DecodeResponse(%q) error = %v, want accepted %v", c.name, c.frame, err, c.ok)
 			continue
 		}
-		checkDecode(t, []byte(c.frame))
+		if !c.ok && grown > 64<<10 {
+			t.Errorf("%s: refusing a %d-byte frame allocated %d bytes", c.name, len(c.frame), grown)
+		}
+		checkDecode(t, c.frame)
 	}
 }
 
+// allocBytes is the number of bytes f allocates on the heap.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestResponseCodecRandom runs the fuzz target's encode arm over
-// seeded random replies drawn from an alphabet of the bytes the
-// escaping rules single out.
+// seeded random replies drawn from an alphabet of bytes a text codec
+// would single out.
 func TestResponseCodecRandom(t *testing.T) {
 	alphabet := []string{"a", "Z", "0", " ", "-", "|", "\n", "\"", "\\", "/", "<", ">", "&", "\x00", "\x1f", "\x7f",
 		"\b", "\t", "\xc3\xa9", "\xe2\x80\xa8", "\xe2\x80\xa9", "\xf0\x9f\x98\x80", "\xff", "\xed\xa0\x80", "\xc3"}
@@ -76,9 +132,68 @@ func TestResponseCodecRandom(t *testing.T) {
 	}
 }
 
+// randomValue draws a cell value whose text is easy to confuse with
+// another's: null against the string "-", integers against their
+// decimal strings, the extremes of int64, empty strings and NUL bytes.
+func randomValue(rng *rand.Rand) value.Value {
+	ints := []int64{0, 1, -1, 7, -42, 1 << 40, math.MaxInt64, math.MinInt64}
+	strs := []string{"", "-", "5", "-1", "\x00", "a\x00b", "x\xffy", "\u2028<&>", "Brown"}
+	switch rng.Intn(4) {
+	case 0:
+		return value.Null()
+	case 1:
+		return value.Int(ints[rng.Intn(len(ints))])
+	case 2:
+		return value.Int(rng.Int63() - rng.Int63())
+	default:
+		return value.String(strs[rng.Intn(len(strs))])
+	}
+}
+
+// TestTuplesFrameMatchesCellText is the writer differential on random
+// tuples: a table written from its tuples is byte for byte the table
+// written from their cell text, value.Value.String().
+func TestTuplesFrameMatchesCellText(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		ncols := 1 + rng.Intn(5)
+		cols := make([]string, ncols)
+		for j := range cols {
+			cols[j] = fmt.Sprintf("C%d", j)
+		}
+		var tuples []relation.Tuple
+		var rows [][]string
+		for n := rng.Intn(20); n > 0; n-- {
+			tp := make(relation.Tuple, ncols)
+			row := make([]string, ncols)
+			for j := range tp {
+				tp[j] = randomValue(rng)
+				row[j] = tp[j].String()
+			}
+			tuples, rows = append(tuples, tp), append(rows, row)
+		}
+		fromTuples, err := AppendResponse(nil, &Response{ID: 9, Table: &Table{Columns: cols, Tuples: tuples}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromText, err := AppendResponse(nil, &Response{ID: 9, Table: &Table{Columns: cols, Rows: rows}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fromTuples, fromText) {
+			t.Fatalf("tuples %v:\nfrom tuples %q\nfrom text   %q", tuples, fromTuples, fromText)
+		}
+	}
+	// A tuple of another width than the columns is refused, as a row is.
+	bad := &Response{Table: &Table{Columns: []string{"A", "B"}, Tuples: []relation.Tuple{{value.Int(1)}}}}
+	if _, err := AppendResponseFrame(nil, bad); err != errShape {
+		t.Fatalf("narrow tuple: error %v, want %v", err, errShape)
+	}
+}
+
 // tableResponse is a partial answer of n rows by k columns of short
-// cells without escapes, every fifth withheld: an acl_cold org_list
-// reply is 400 × 3 and Example 3's 3003 × 6.
+// cells, every fifth withheld: an acl_cold org_list reply is 400 × 3
+// and Example 3's 3003 × 4.
 func tableResponse(n, k int) *Response {
 	r := &Response{ID: 7, Table: &Table{}, Permits: []string{"permit (R.C0, R.C1)"}}
 	for j := 0; j < k; j++ {
@@ -99,12 +214,15 @@ func tableResponse(n, k int) *Response {
 
 // TestDecodeResponseAllocs bounds a table reply's decoding by a
 // constant: the payload copied to one string, the Table, one slice of
-// columns, of cells, of rows and of permits. encoding/json takes 2187
+// columns, of cells, of rows and of permits. encoding/json took 2187
 // allocations for these 400 × 3 and 26 462 for 3003 × 6.
 func TestDecodeResponseAllocs(t *testing.T) {
 	for _, c := range []struct{ rows, cols int }{{400, 3}, {3003, 6}} {
 		in := tableResponse(c.rows, c.cols)
-		frame := AppendResponse(nil, in)
+		frame, err := AppendResponse(nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var out Response
 		allocs := testing.AllocsPerRun(10, func() {
 			if err := DecodeResponse(frame, &out); err != nil {
@@ -126,7 +244,7 @@ func TestDecodeResponseAllocs(t *testing.T) {
 // overwrite the next.
 func TestDecodedRowsAreDisjoint(t *testing.T) {
 	var r Response
-	if err := DecodeResponse([]byte(`{"id":1,"table":{"columns":["A"],"rows":[["a"],["b"]]}}`), &r); err != nil {
+	if err := DecodeResponse(frameOf(1, byte(flagTable), 1, "A", 2, "a", "b"), &r); err != nil {
 		t.Fatal(err)
 	}
 	rows := r.Table.Rows
@@ -137,27 +255,32 @@ func TestDecodedRowsAreDisjoint(t *testing.T) {
 }
 
 // TestAppendResponseAllocs: encoding into a buffer with room allocates
-// nothing, and writes json.Marshal's bytes.
+// nothing, from cell text or from tuples, and into nil allocates once.
 func TestAppendResponseAllocs(t *testing.T) {
 	r := tableResponse(400, 3)
 	r.Error = &Error{Code: CodeExec, Message: "<&>", Line: 2, Col: 3, Leader: "h:1"}
-	buf := AppendResponse(nil, r)
-	want, err := json.Marshal(r)
+	buf, err := AppendResponse(nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(buf) != string(want) {
-		t.Fatalf("AppendResponse differs from encoding/json")
-	}
-	if allocs := testing.AllocsPerRun(10, func() { buf = AppendResponse(buf[:0], r) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, func() { buf, _ = AppendResponse(buf[:0], r) }); allocs != 0 {
 		t.Errorf("AppendResponse into a reused buffer took %.0f allocations, want 0", allocs)
 	}
+	tuples := &Response{ID: 7, Table: &Table{Columns: []string{"A", "B", "C"}}}
+	for i := 0; i < 400; i++ {
+		tuples.Table.Tuples = append(tuples.Table.Tuples,
+			relation.Tuple{value.String("Brown"), value.Int(int64(i) * 997), value.Null()})
+	}
+	buf, _ = AppendResponse(buf[:0], tuples)
+	if allocs := testing.AllocsPerRun(10, func() { buf, _ = AppendResponse(buf[:0], tuples) }); allocs != 0 {
+		t.Errorf("AppendResponse of tuples into a reused buffer took %.0f allocations, want 0", allocs)
+	}
 	// Without a buffer, one allocation: the size hint covers every field
-	// at its longest when nothing needs an escape.
-	full := &Response{ID: math.MaxUint64, Text: "t", Rendered: "r", Table: &Table{Rows: [][]string{nil, {"a"}}},
+	// written from text.
+	full := &Response{ID: math.MaxUint64, Text: "t", Rendered: "r", Table: &Table{Columns: []string{"A"}, Rows: [][]string{{"a"}}},
 		Permits: []string{"p"}, FullyAuthorized: true, Denied: true,
 		Error: &Error{Code: "c", Message: "m", Line: math.MinInt, Col: math.MinInt, Retryable: true, Leader: "l"}}
-	if allocs := testing.AllocsPerRun(10, func() { AppendResponse(nil, full) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = AppendResponse(nil, full) }); allocs != 1 {
 		t.Errorf("AppendResponse into nil took %.0f allocations, want 1", allocs)
 	}
 }

@@ -41,13 +41,14 @@ func seedFrames(tb testing.TB) [][]byte {
 		frame(ReplFence{Kind: KindReplFence, Epoch: 5, Leader: "127.0.0.1:4100"}),
 		frame(Response{ID: 3, Error: &Error{Code: CodeStalePrimary,
 			Message: "fenced at epoch 5", Leader: "127.0.0.1:4100"}}),
-		// A reply whose rows disagree with its columns still renders.
-		frame(Response{ID: 4, Table: &Table{Columns: []string{"A"}, Rows: [][]string{{"x", "y"}, {}}}}),
+		// A table of one column and no rows, and one with a withheld cell.
+		frame(Response{ID: 4, Table: &Table{Columns: []string{"A"}}, FullyAuthorized: true}),
+		frame(Response{ID: 5, Table: &Table{Columns: []string{"A", "B"}, Rows: [][]string{{"x", "-"}}}, Denied: true}),
 		// Two frames back to back.
 		append(frame(ReplBatch{Kind: KindReplBatch, From: 1, Stmts: []string{"a"}}),
 			frame(ReplAck{Kind: KindReplAck, Applied: 1})...),
-		// Malformed: truncated header, truncated payload, not-JSON,
-		// oversize length word, unknown kind.
+		// Malformed: truncated header, truncated payload, neither JSON
+		// nor a reply, oversize length word, unknown kind.
 		{0x05, 0x00},
 		{0x05, 0x00, 0x00, 0x00, '{', '"'},
 		{0x03, 0x00, 0x00, 0x00, 'x', 'y', 'z'},
@@ -58,8 +59,9 @@ func seedFrames(tb testing.TB) [][]byte {
 
 // FuzzDecode feeds arbitrary bytes through the frame reader and the
 // kind-probed message decoding exactly the way a server connection
-// does, and renders every reply the way a client does, checking nothing
-// panics and limits hold.
+// does, and decodes every frame as a reply the way a client does,
+// checking nothing panics, limits hold, and an accepted reply
+// re-encodes to its own bytes.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range seedFrames(f) {
 		f.Add(seed)
@@ -134,45 +136,85 @@ func decodeStream(t *testing.T, data []byte) {
 }
 
 // checkDecode is the codec's acceptance contract on one payload:
-// whatever DecodeResponse accepts, json.Unmarshal accepts too, with a
-// DeepEqual result, and the result renders.
+// whatever DecodeResponse accepts re-encodes to the same bytes, and
+// the result renders.
 func checkDecode(t *testing.T, payload []byte) {
 	t.Helper()
-	var got, want Response
+	var got Response
 	if DecodeResponse(payload, &got) != nil {
 		return
 	}
-	if err := json.Unmarshal(payload, &want); err != nil {
-		t.Fatalf("DecodeResponse accepted %q, which encoding/json rejects: %v", payload, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DecodeResponse(%q) = %#v, encoding/json decodes %#v", payload, got, want)
+	again, err := AppendResponse(nil, &got)
+	if err != nil || !bytes.Equal(again, payload) {
+		t.Fatalf("DecodeResponse accepted %q, which re-encodes to %q (%v)", payload, again, err)
 	}
 	_ = got.Render()
 }
 
-// checkEncode holds AppendResponse to json.Marshal byte for byte and
-// DecodeResponse of the frame to json.Unmarshal of it.
+// checkEncode is the round trip: a reply of a shape the frame holds
+// decodes to itself, but that an empty list comes back nil, and a
+// table of another shape is refused.
 func checkEncode(t *testing.T, r *Response) {
 	t.Helper()
-	want, err := json.Marshal(r)
+	frame, err := AppendResponse(nil, r)
+	if !holdable(r.Table) {
+		if err != errShape {
+			t.Fatalf("AppendResponse(%#v) error = %v, want %v", r, err, errShape)
+		}
+		return
+	}
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("AppendResponse(%#v): %v", r, err)
 	}
-	got := AppendResponse(nil, r)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("AppendResponse(%#v)\n= %q\nencoding/json writes\n  %q", r, got, want)
+	var got Response
+	if err := DecodeResponse(frame, &got); err != nil {
+		t.Fatalf("DecodeResponse rejects AppendResponse's %q: %v", frame, err)
 	}
-	if err := DecodeResponse(got, new(Response)); err != nil {
-		t.Fatalf("DecodeResponse rejects encoding/json's %q: %v", got, err)
+	if want := canonical(r); !reflect.DeepEqual(&got, want) {
+		t.Fatalf("round trip of %q:\n got %#v\nwant %#v", frame, &got, want)
 	}
-	checkDecode(t, got)
+	checkDecode(t, frame)
+}
+
+// holdable reports whether a frame can hold t: every row one cell per
+// column, and rows only under a column.
+func holdable(t *Table) bool {
+	if t == nil {
+		return true
+	}
+	for _, row := range t.Rows {
+		if len(row) != len(t.Columns) || len(row) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// canonical is r as it decodes: empty lists nil.
+func canonical(r *Response) *Response {
+	c := *r
+	c.Permits = nilIfEmpty(c.Permits)
+	if r.Table != nil {
+		c.Table = &Table{Columns: nilIfEmpty(r.Table.Columns)}
+		if len(r.Table.Rows) > 0 {
+			c.Table.Rows = r.Table.Rows
+		}
+	}
+	return &c
+}
+
+func nilIfEmpty(ss []string) []string {
+	if len(ss) == 0 {
+		return nil
+	}
+	return ss
 }
 
 // fuzzResponse builds a Response from fuzzed parts. cells splits into
 // rows at newlines and into cells at '|', its first line naming the
-// columns; the bits of flags choose the fields set and which slices
-// are nil, empty or null.
+// columns; each row is cut or padded to the columns. The bits of flags
+// choose the fields set, which slices are nil or empty, and whether a
+// ragged row, which the frame refuses, is added.
 func fuzzResponse(text, cells, permits string, id uint64, flags uint16, line, col int) *Response {
 	bit := func(k int) bool { return flags&(1<<k) != 0 }
 	r := &Response{ID: id, Text: text, FullyAuthorized: bit(0), Denied: bit(1)}
@@ -188,14 +230,15 @@ func fuzzResponse(text, cells, permits string, id uint64, flags uint16, line, co
 		case !bit(5):
 			t.Columns = strings.Split(lines[0], "|")
 		}
-		if !bit(6) {
+		if !bit(6) && len(t.Columns) > 0 {
 			t.Rows = [][]string{}
 			for _, l := range lines[1:] {
-				t.Rows = append(t.Rows, strings.Split(l, "|"))
+				row := append(strings.Split(l, "|"), make([]string, len(t.Columns))...)
+				t.Rows = append(t.Rows, row[:len(t.Columns):len(t.Columns)])
 			}
 		}
 		if bit(7) {
-			t.Rows = append(t.Rows, nil, []string{})
+			t.Rows = append(t.Rows, make([]string, len(t.Columns)+1))
 		}
 		r.Table = t
 	}
@@ -211,11 +254,11 @@ func fuzzResponse(text, cells, permits string, id uint64, flags uint16, line, co
 	return r
 }
 
-// FuzzResponseCodec holds the Response codec to encoding/json from two
-// sides: (a) arbitrary payload bytes must decode as json.Unmarshal
-// decodes them or be rejected, and (b) a Response built from fuzzed
-// strings, flags, id and error fields must encode to json.Marshal's
-// bytes and decode back as json.Unmarshal does.
+// FuzzResponseCodec holds the Response codec to its two properties:
+// (a) arbitrary payload bytes are refused or decode to a reply that
+// re-encodes to the same bytes, and (b) a Response built from fuzzed
+// strings, flags, id and error fields decodes from its encoding to
+// itself.
 func FuzzResponseCodec(f *testing.F) {
 	const (
 		tricky  = "\" \\ < > & / \x00\x01\x1f\x7f\b\f\r\t x"
@@ -224,32 +267,34 @@ func FuzzResponseCodec(f *testing.F) {
 		all     = 0xffff
 	)
 	seeds := []struct {
-		frame                string
+		frame                []byte
 		text, cells, permits string
 		id                   uint64
 		flags                uint16
 		line, col            int
 	}{
-		{`{"id":18446744073709551615}`, "", "", "", math.MaxUint64, 0, 0, 0},
-		{`{"id":18446744073709551616}`, tricky, "A|B\nx|" + tricky, "permit (A)", 1, 1<<3 | 1<<7, 0, 0},
-		{`{"id":1,"text":"\ud83d\ude00 \ud800 \udc00\ud800 \ud800\u0041 \uDBFF\uDFFF \/"}`,
-			seps, "C\n" + seps + "\n" + invalid, seps, 2, 1<<2 | 1<<3, 0, 0},
-		{`{"id":1,"text":"\ud800\u"}`, invalid, invalid, invalid, 3, 1<<2 | 1<<3 | 1<<9, -1, 1},
-		{`{"id":1,"table":{"columns":[],"rows":[null,[],["a","b"],["c"]]}}`, "", "A|B\na\nb|c|d", "", 4, 1<<3 | 1<<4 | 1<<7, 0, 0},
-		{`{"id":1,"table":{"columns":null,"rows":null}}`, "", "", "", 5, 1<<3 | 1<<5 | 1<<6, 0, 0},
-		{`{"id":1,"permits":[]}`, "", "", "", 6, 1 << 8, 0, 0},
-		{`{"id":1,"permits":null,"fully_authorized":false,"denied":true}`, "", "", "", 7, 1 | 1<<3, 0, 0},
-		{`{"id":0,"error":{"code":"READ_ONLY","message":"m","line":-3,"col":9223372036854775807,"retryable":true,"leader":"127.0.0.1:4100"}}`,
+		{frameOf(raw("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), byte(0)), "", "", "", math.MaxUint64, 0, 0, 0},
+		{frameOf(1, byte(flagTable|flagPermits), 2, "A", "B", 1, "x", tricky, 1, "permit (A)"),
+			tricky, "A|B\nx|" + tricky, "permit (A)", 1, 1<<3 | 1<<7, 0, 0},
+		{frameOf(1, byte(flagText|flagRendered), seps, invalid), seps, "C\n" + seps + "\n" + invalid, seps, 2, 1<<2 | 1<<3, 0, 0},
+		{frameOf(1, byte(flagText), raw("\x05abc")), invalid, invalid, invalid, 3, 1<<2 | 1<<3 | 1<<9, -1, 1},
+		{frameOf(1, byte(flagTable), 0, 0), "", "A|B\na\nb|c|d", "", 4, 1<<3 | 1<<4 | 1<<7, 0, 0},
+		{frameOf(1, byte(flagTable), 0, 1), "", "", "", 5, 1<<3 | 1<<5 | 1<<6, 0, 0},
+		{frameOf(1, byte(flagPermits), 0), "", "", "", 6, 1 << 8, 0, 0},
+		{frameOf(1, byte(flagFull|flagDenied)), "", "", "", 7, 1 | 1<<3, 0, 0},
+		{frameOf(0, byte(flagError), "READ_ONLY", "m", zz(-3), zz(math.MaxInt64), "127.0.0.1:4100", byte(1)),
 			"READ_ONLY", "replica", "127.0.0.1:4100", math.MaxUint64, 1<<9 | 1<<10, 3, 17},
-		{`{"id":1,"error":{"code":"X","message":"m","col":-9223372036854775808}}`, "PARSE", "bad", "", 8, 1 << 9, math.MinInt, math.MaxInt},
-		{`{"id":1,"error":{"code":"X","message":"m","line":-0}}`, "", "", "", 0, all, 0, 0},
-		{`{"id":01}`, "", "", "", 0, 0, 0, 0},
-		{`{"id":1} `, "", "", "", 0, 0, 0, 0},
-		{"{\"id\":1,\"text\":\"\xff\xed\xa0\x80\"}", "", "", "", 0, 0, 0, 0},
-		{"{\"id\":1,\"text\":\"\x01\"}", "", "", "", 0, 0, 0, 0},
+		{frameOf(1, byte(flagError), "X", "m", zz(0), zz(math.MinInt64), "", byte(2)), "PARSE", "bad", "", 8, 1 << 9, math.MinInt, math.MaxInt},
+		{frameOf(1, byte(0x80)), "", "", "", 0, all, 0, 0},
+		{frameOf(raw("\x80\x00"), byte(0)), "", "", "", 0, 0, 0, 0},
+		{frameOf(0, byte(0), byte(0)), "", "", "", 0, 0, 0, 0},
+		{frameOf(1, byte(flagPermits), 1<<20), "", "", "", 0, 0, 0, 0},
+		// A row count written in more bytes than it needs, and a reply
+		// with a table, withheld cells and a ragged row.
+		{frameOf(1, byte(flagTable), 1, "A", raw("\x81\x00"), "x"), "", "A|B\n-|y\nz|-", "", 9, 1<<1 | 1<<3 | 1<<7, 0, 0},
 	}
 	for _, s := range seeds {
-		f.Add([]byte(s.frame), s.text, s.cells, s.permits, s.id, s.flags, s.line, s.col)
+		f.Add(s.frame, s.text, s.cells, s.permits, s.id, s.flags, s.line, s.col)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte, text, cells, permits string, id uint64, flags uint16, line, col int) {
 		checkDecode(t, frame)

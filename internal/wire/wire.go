@@ -1,17 +1,18 @@
 // Package wire defines the network protocol shared by the server
-// (internal/server) and the Go client (pkg/client): length-prefixed JSON
+// (internal/server) and the Go client (pkg/client): length-prefixed
 // frames carrying an authentication handshake followed by
 // request/response pairs, plus the mapping from engine errors to stable
 // machine-readable codes.
 //
 // Framing is deliberately dumb, mirroring the WAL's record format:
 //
-//	uint32le payload length | payload (JSON)
+//	uint32le payload length | payload
 //
-// Response frames are hand-encoded and hand-decoded (AppendResponse,
-// DecodeResponse), byte-identical to encoding/json, which every other
-// message still goes through; WriteMsg and ReadMsg pick the codec by
-// the message's type.
+// A Response payload is binary (AppendResponse, DecodeResponse; the
+// layout is in codec.go): varint-prefixed strings, a table as its
+// columns, a row count and every row's cell text. Hello, Request and
+// the replication messages are JSON (encoding/json). WriteMsg and
+// ReadMsg pick the codec by the message's type.
 //
 // A frame larger than the agreed maximum is a protocol error and closes
 // the connection. Within one connection, requests execute strictly in
@@ -32,10 +33,10 @@ import (
 )
 
 // ProtoVersion identifies the protocol; the handshake rejects mismatches
-// so both sides fail loudly instead of mis-parsing frames. Version 2
-// replies carry the structured result only; the receiver renders it
-// (Response.Render).
-const ProtoVersion = 2
+// so both sides fail loudly instead of mis-parsing frames. Version 3
+// replies are binary frames carrying the structured result only; the
+// receiver renders it (Response.Render). Version 2 replies were JSON.
+const ProtoVersion = 3
 
 // MaxFrame bounds one frame's payload (requests and responses): larger
 // length words are treated as a protocol error rather than allocated.
@@ -150,30 +151,37 @@ type Request struct {
 
 // Table is a delivered relation: display column names and cell values
 // as text, withheld cells as "-" — the same cell text the REPL prints.
+// Every row holds one cell per column.
 type Table struct {
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
+	Columns []string
+	Rows    [][]string
+	// Tuples, when set, is written instead of Rows: the sender hands
+	// the delivered relation's tuples to the frame writer, which writes
+	// each value's text in place. It is never decoded, and Render reads
+	// only Rows.
+	Tuples []relation.Tuple
 }
 
 // Response answers one request: the structured result — text, or a
 // table with its permits and outcome flags — or a coded error. Render
 // turns a result into what the REPL prints.
 type Response struct {
-	ID uint64 `json:"id"`
+	ID uint64
 	// Text carries acknowledgements and show/meta-command output.
-	Text string `json:"text,omitempty"`
-	// Rendered is never sent; only bench/trace.go's reply mirror sets it.
-	Rendered string `json:"rendered,omitempty"`
+	Text string
+	// Rendered is sent when set; only bench/trace.go's reply mirror
+	// sets it.
+	Rendered string
 	// Table is the delivered relation of a retrieve.
-	Table *Table `json:"table,omitempty"`
+	Table *Table
 	// Permits are the inferred permit statements accompanying a
 	// partially delivered answer.
-	Permits []string `json:"permits,omitempty"`
+	Permits []string
 	// FullyAuthorized and Denied classify a retrieve's outcome.
-	FullyAuthorized bool `json:"fully_authorized,omitempty"`
-	Denied          bool `json:"denied,omitempty"`
+	FullyAuthorized bool
+	Denied          bool
 	// Error is set instead of the result fields when execution failed.
-	Error *Error `json:"error,omitempty"`
+	Error *Error
 }
 
 // Render renders a result exactly as the REPL prints it: the text, then

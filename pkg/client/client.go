@@ -2,8 +2,10 @@
 // dials the wire protocol (internal/wire), authenticates as a
 // principal, and executes statements with per-call contexts. The
 // server's own end-to-end tests drive it. A reply carries the answer
-// once, structured; Result.Rendered — the text the REPL would print —
-// is produced here, by the renderer the REPL itself uses.
+// once, structured, as a protocol-3 binary frame whose cells are the
+// exact bytes an in-process session's cells print as; Result.Rendered —
+// the text the REPL would print — is produced here, by the renderer the
+// REPL itself uses, so it is byte-identical to the REPL's.
 //
 // A Client owns one TCP connection and serializes calls on it (the
 // protocol is strictly request/response). When the connection breaks —
@@ -76,10 +78,11 @@ type Result struct {
 	Rendered string
 	// Columns and Rows carry the delivered relation of a retrieve
 	// (rendered cell values, withheld cells as "-"); nil otherwise.
-	// All rows share one backing array, and every cell without an
-	// escape is a substring of the one string the reply frame was
-	// decoded from (wire.DecodeResponse): retaining a cell retains the
-	// frame. Each row has cap == len, so appending to a row copies it.
+	// Every row has len(Columns) cells. The reply is decoded in one
+	// pass (wire.DecodeResponse): all rows share one backing array, and
+	// every cell is a substring of the one string the reply frame was
+	// copied into, so retaining a cell retains the frame. Each row has
+	// cap == len, so appending to a row copies it.
 	Columns []string
 	Rows    [][]string
 	// Permits are the inferred permit statements of a partial answer.
@@ -429,7 +432,7 @@ func (c *Client) roundTrip(ctx context.Context, stmt string) (res *Result, sent 
 		return nil, true, err
 	}
 	// ReadMsg is ReadFrame then wire.DecodeResponse; a frame outside the
-	// codec's grammar fails here and drops the connection like garbage.
+	// reply format fails here and drops the connection like garbage.
 	var resp wire.Response
 	if err := wire.ReadMsg(c.br, &resp); err != nil {
 		return nil, true, err
