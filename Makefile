@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race chaos loc fuzz fuzz-wire fuzz-root fuzz-page fuzz-codec fuzz-wal fuzz-render fuzz-parser fuzz-mask bench benchgo bench-reply
+.PHONY: check build fmt vet staticcheck test race chaos loc fuzz fuzz-wire fuzz-root fuzz-page fuzz-codec fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply
 
 check: build fmt vet staticcheck race
 
@@ -101,6 +101,13 @@ fuzz-parser:
 # what the reference applications deliver, row order and stats included.
 fuzz-mask:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMaskApply$$' -fuzztime 30s
+
+# Fuzz the snapshot round trip: a state of fuzzed strings and integers,
+# rendered as snapshot files (data.authdb holds one insert statement per
+# tuple) and loaded into a fresh engine, renders to the same bytes, and
+# every tuple comes back with its kinds.
+fuzz-snapshot:
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime 30s
 
 # The repository's benchmark: four workloads over the masked-retrieve
 # path, each in a process of its own, with the correctness gate on

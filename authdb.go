@@ -158,18 +158,22 @@ func (db *DB) Certify(quality, query string) (*Certification, error) {
 	return out, nil
 }
 
-// Save writes the database's complete state (schema, data, views,
-// permits) into a directory; Load restores it. Each file is written
-// atomically, but Save is an export — for a database that survives
-// crashes mid-mutation, use OpenDir.
+// Save writes the database's complete state into a directory as three
+// statement scripts: schema.authdb (relations), data.authdb (one insert
+// per tuple, so 5 stays an integer, "5" a string and "" an empty
+// string) and views.authdb (views and permits). Load restores it. Each
+// file is written atomically, but Save is an export — for a database
+// that survives crashes mid-mutation, use OpenDir.
 func (db *DB) Save(dir string) error { return db.eng.Save(dir) }
 
 // OpenDir opens (creating if necessary) a durable database directory:
 // every mutating statement is journaled to a checksummed write-ahead log
 // before the call returns, and opening recovers the last committed
 // snapshot plus the log's valid prefix — a crash mid-write loses at most
-// the statement being written, never committed ones. Directories written
-// by Save are converted on first open. Close the DB to release the log.
+// the statement being written, never committed ones. A directory written
+// by Save is converted to the page store on first open; one whose tuples
+// are in the data/REL.csv files of earlier builds is refused with an
+// error naming the upgrade path. Close the DB to release the log.
 func OpenDir(dir string, opts ...Options) (*DB, error) {
 	o := DefaultOptions()
 	if len(opts) > 0 {
@@ -195,8 +199,10 @@ func (db *DB) Close() error { return db.eng.Close() }
 // the next open's recovery time. Only durable databases checkpoint.
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
-// Load restores a database saved with Save. With no Options argument it
-// uses DefaultOptions.
+// Load restores a database saved with Save, replaying its three
+// scripts; a directory without data.authdb (the CSV layout of earlier
+// builds) is refused with an error naming the upgrade path. With no
+// Options argument it uses DefaultOptions.
 func Load(dir string, opts ...Options) (*DB, error) {
 	o := DefaultOptions()
 	if len(opts) > 0 {

@@ -18,7 +18,9 @@
 //	\user NAME         switch to user NAME (unprivileged)
 //	\admin             switch to the administrator
 //	\load FILE         execute a statement script (admin statements allowed)
-//	\save DIR          export the database (schema, data, views, permits)
+//	\save DIR          export the database as three statement scripts:
+//	                   schema.authdb, data.authdb (one insert per tuple,
+//	                   value kinds kept) and views.authdb (views, permits)
 //	\stats             print the metrics registry (administrator only)
 //	\begin snapshot    pin reads to the current version until \end
 //	\end               close the snapshot block (reads follow the head again)

@@ -33,10 +33,11 @@ func TestEmptyRelations(t *testing.T) {
 	}
 }
 
-// TestNullDataInBaseRelation: nulls can enter base relations through CSV
-// loading; masks must treat them as ordinary (smallest) values, never
-// crash, and never confuse them with masked cells in a way that reveals
-// more.
+// TestNullDataInBaseRelation: no front end stores a null (the statement
+// language has no null literal, and the engine refuses a built statement
+// holding one), but core takes relations from any caller; masks must
+// treat nulls as ordinary (smallest) values, never crash, and never
+// confuse them with masked cells in a way that reveals more.
 func TestNullDataInBaseRelation(t *testing.T) {
 	f := workload.NewFixture()
 	f.MustExec(`
@@ -44,8 +45,7 @@ func TestNullDataInBaseRelation(t *testing.T) {
 		view V (R.A) where R.B >= 0;
 		permit V to u;
 	`)
-	// Insert a tuple with a null B directly (the statement language has
-	// no null literal; CSV loading can produce one).
+	// Insert a tuple with a null B directly, below the engine.
 	r := f.Rels["R"]
 	if _, err := r.Insert(relation.Tuple{value.Int(1), value.Null()}); err != nil {
 		t.Fatal(err)

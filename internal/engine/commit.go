@@ -163,36 +163,40 @@ func (e *Engine) brokenNow() error {
 // next LSN and stages the record, leaving the durability wait on
 // s.pendingLSN for ExecStmtContext to collect after the engine lock is
 // released. Callers hold e.mu for writing and have already applied the
-// mutation.
+// mutation. In-memory engines count LSNs (so replicas of every flavor
+// agree on positions) and are trivially durable; with subscribers
+// attached they still feed the commit stream, so an in-memory primary
+// can serve followers (which bootstrap by snapshot — there is no WAL
+// tail to read).
 func (s *Session) logStmt(p parser.Stmt) error {
 	e := s.eng
-	lsn := e.lsn.Add(1)
-	if e.dur == nil {
-		// In-memory engines count LSNs (so replicas of every flavor agree
-		// on positions) and are trivially durable; with subscribers
-		// attached they still feed the commit stream, so an in-memory
-		// primary can serve followers (which bootstrap by snapshot —
-		// there is no WAL tail to read).
-		e.durableLSN.Store(lsn)
-		if e.hasSubs() {
-			if text, err := parser.Render(p); err == nil {
-				e.publishCommits([]Commit{{LSN: lsn, Stmt: text}})
-			}
-			// A render failure would gap the feed; the follower detects
-			// the gap, reconnects, and recovers by snapshot.
-		}
-	} else {
+	if e.dur != nil {
 		if err := e.brokenNow(); err != nil {
 			return fmt.Errorf("journaling statement: %w", err)
 		}
-		text, err := parser.Render(p)
-		if err != nil {
+	}
+	var text string
+	if e.dur != nil || e.hasSubs() {
+		// ExecStmtContext refused every statement without a literal
+		// form, and every stored tuple came from one, so this fails only
+		// on a broken invariant: the change is applied but unlogged.
+		var err error
+		if text, err = parser.Render(p); err != nil {
 			e.setBroken(err)
 			return fmt.Errorf("journaling statement: %w", err)
 		}
+	}
+	lsn := e.lsn.Add(1)
+	c := Commit{LSN: lsn, Stmt: text}
+	if e.dur != nil {
 		e.commitMu.Lock()
-		e.commitQ = append(e.commitQ, Commit{LSN: lsn, Stmt: text})
+		e.commitQ = append(e.commitQ, c)
 		e.commitMu.Unlock()
+	} else {
+		e.durableLSN.Store(lsn)
+		if text != "" {
+			e.publishCommits([]Commit{c})
+		}
 	}
 	if !s.applier {
 		e.noteOriginWrite()

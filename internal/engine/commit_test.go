@@ -11,7 +11,10 @@ import (
 	"time"
 
 	"authdb/internal/core"
+	"authdb/internal/cview"
 	"authdb/internal/faultfs"
+	"authdb/internal/parser"
+	"authdb/internal/value"
 	"authdb/internal/wal"
 )
 
@@ -365,5 +368,74 @@ func TestConcurrentAcksSurviveSyncFailure(t *testing.T) {
 			}
 		}
 		back.Close()
+	}
+}
+
+// TestRefuseUnjournalableStatement executes statements holding a
+// constant without a literal form (a string with a double quote, a
+// null), which only code can build. On an in-memory engine and on a
+// durable one, each must be refused before it changes anything: the
+// state and the LSN stay put, the commit feed has no gap, and the next
+// ordinary insert succeeds and survives a reopen.
+func TestRefuseUnjournalableStatement(t *testing.T) {
+	quoted := value.String(`say "hi"`)
+	bad := []parser.Stmt{
+		parser.Insert{Rel: "R", Values: []value.Value{value.Int(2), quoted}},
+		parser.Insert{Rel: "R", Values: []value.Value{value.Int(2), value.Null()}},
+		parser.Delete{Rel: "R", Where: []cview.Cond{{L: cview.ColRef{Alias: "R", Attr: "B"}, Op: value.EQ, R: cview.ConstTerm(quoted)}}},
+	}
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			dir := t.TempDir()
+			e := New(core.DefaultOptions())
+			if durable {
+				var err error
+				if e, err = OpenDurable(dir, core.DefaultOptions(), 0); err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+			}
+			admin := e.NewSession("admin", true)
+			if _, err := admin.ExecScript(`relation R (A, B) key (A); insert into R values (1, x);`); err != nil {
+				t.Fatal(err)
+			}
+			sub := e.SubscribeCommits(16)
+			defer e.UnsubscribeCommits(sub)
+			before, lsn := fingerprint(t, e), e.LSN()
+			for _, p := range bad {
+				if _, err := admin.ExecStmt(p); err == nil || !strings.Contains(err.Error(), "no literal form") {
+					t.Fatalf("%#v: err = %v, want a refusal", p, err)
+				}
+			}
+			if got := fingerprint(t, e); got != before || e.LSN() != lsn {
+				t.Fatalf("refused statements changed the state (lsn %d → %d):\n%s", lsn, e.LSN(), got)
+			}
+			if _, err := admin.Exec(`insert into R values (3, y)`); err != nil {
+				t.Fatalf("ordinary insert after the refusals: %v", err)
+			}
+			select {
+			case c := <-sub.C():
+				if c.LSN != lsn+1 || c.Stmt != "insert into R values (3, y)" {
+					t.Fatalf("commit feed delivered %+v, want lsn %d", c, lsn+1)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the ordinary insert never reached the commit feed")
+			}
+			if !durable {
+				return
+			}
+			want := fingerprint(t, e)
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			back, err := OpenDurable(dir, core.DefaultOptions(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer back.Close()
+			if got := fingerprint(t, back); got != want {
+				t.Fatalf("reopened state:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

@@ -68,12 +68,11 @@ type durable struct {
 
 // OpenDurable opens (creating if necessary) a durable database
 // directory: the committed snapshot is loaded, the write-ahead log's
-// valid prefix is replayed, and a fresh checkpoint is taken. Directories
-// saved with Save (the flat layout), and generations of data CSVs
-// written by earlier builds, are converted to the page store on first
-// open. cachePages bounds the page store's buffer cache in 4KiB pages;
-// 0 means DefaultCachePages. The caller should Close the engine to
-// release the log and page file handles.
+// valid prefix is replayed, and a fresh checkpoint is taken. A directory
+// saved with Save (the flat layout) is converted to the page store on
+// first open. cachePages bounds the page store's buffer cache in 4KiB
+// pages; 0 means DefaultCachePages. The caller should Close the engine
+// to release the log and page file handles.
 func OpenDurable(dir string, opt core.Options, cachePages int) (*Engine, error) {
 	return OpenDurableFS(faultfs.OS(), dir, opt, cachePages)
 }
@@ -102,10 +101,9 @@ func OpenDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 
 // openDurableFS loads the committed state, replays the log, and takes
 // the opening checkpoint; the caller holds the directory lock. A
-// committed generation holding a ROOT is read from the page store;
-// one holding data CSVs, like the flat Save layout, is read from them
-// into a fresh store, and the opening checkpoint commits it as a ROOT
-// generation.
+// committed generation is read from the page store its ROOT names; a
+// flat Save layout is replayed into a fresh store, and the opening
+// checkpoint commits it as a generation of its own.
 func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) (e *Engine, err error) {
 	gen, committed, err := readCurrent(fs, dir)
 	if err != nil {
@@ -123,10 +121,11 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 		if err := verifyManifest(fs, snapDir); err != nil {
 			return nil, fmt.Errorf("%s: %w", snapName(gen), err)
 		}
-		if pagedGeneration(fs, snapDir) {
-			if ps, err = openPageStore(fs, dir, snapDir, cachePages); err != nil {
-				return nil, err
-			}
+		if _, err := fs.Stat(filepath.Join(snapDir, storage.RootName)); err != nil {
+			return nil, fmt.Errorf("%s has no %s: %w", snapName(gen), storage.RootName, errCSVLayout)
+		}
+		if ps, err = openPageStore(fs, dir, snapDir, cachePages); err != nil {
+			return nil, err
 		}
 		if e, err = loadState(fs.ReadFile, snapDir, opt, ps); err != nil {
 			return nil, err
@@ -147,15 +146,13 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 			e.epochHist = hist
 			e.epoch.Store(hist[len(hist)-1].Epoch)
 		}
-		if ps != nil {
-			// The trees hold exactly the revisions just loaded; the
-			// opening checkpoint moves them past what the WAL replay adds.
-			e.pageRevs = e.head.Load().rels
-		}
+		// The trees hold exactly the revisions just loaded; the opening
+		// checkpoint moves them past what the WAL replay adds.
+		e.pageRevs = e.head.Load().rels
 		if err := replayWAL(fs, filepath.Join(dir, walName(gen)), e); err != nil {
 			return nil, err
 		}
-	case legacyLayout(fs, dir):
+	case flatLayout(fs, dir):
 		if e, err = loadState(fs.ReadFile, dir, opt, nil); err != nil {
 			return nil, err
 		}
@@ -163,7 +160,7 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 		e = New(opt)
 	}
 	if ps == nil {
-		// A fresh directory or a CSV layout being converted: start an
+		// A fresh directory or a flat layout being converted: start an
 		// empty store; with no revisions recorded, the opening checkpoint
 		// loads it from the recovered head.
 		if ps, err = storage.Create(fs, pagesPath(dir), cachePages); err != nil {
@@ -183,13 +180,6 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 	return e, nil
 }
 
-// pagedGeneration reports whether a committed snapshot generation holds
-// a ROOT into the page store rather than data CSVs.
-func pagedGeneration(fs faultfs.FS, snapDir string) bool {
-	_, err := fs.Stat(filepath.Join(snapDir, storage.RootName))
-	return err == nil
-}
-
 // readCurrent reads the committed generation from CURRENT; a missing
 // file means the directory has no committed generation yet.
 func readCurrent(fs faultfs.FS, dir string) (gen uint64, committed bool, err error) {
@@ -207,8 +197,8 @@ func readCurrent(fs faultfs.FS, dir string) (gen uint64, committed bool, err err
 	return gen, true, nil
 }
 
-// legacyLayout reports a flat Save directory (pre-durable format).
-func legacyLayout(fs faultfs.FS, dir string) bool {
+// flatLayout reports a directory written by Save.
+func flatLayout(fs faultfs.FS, dir string) bool {
 	_, err := fs.Stat(filepath.Join(dir, "schema.authdb"))
 	return err == nil
 }
@@ -339,7 +329,7 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	}
 	var manifest strings.Builder
 	for _, rel := range sortedPaths(files) {
-		if err := writeFileSync(fs, filepath.Join(tmp, filepath.FromSlash(rel)), files[rel]); err != nil {
+		if err := writeFileSync(fs, filepath.Join(tmp, rel), files[rel]); err != nil {
 			return err
 		}
 		fmt.Fprintf(&manifest, "%08x %d %s\n", crc32.ChecksumIEEE(files[rel]), len(files[rel]), rel)

@@ -346,6 +346,12 @@ func (s *Session) ExecStmtContext(ctx context.Context, p parser.Stmt) (res *Resu
 	if !s.applier && s.eng.roleReadOnly.Load() && Mutating(p) {
 		return nil, fmt.Errorf("%w: %s is a write", ErrReadOnly, stmtKind(p))
 	}
+	// Every change is journaled as statement text (the WAL, the commit
+	// feed, a snapshot's data.authdb): refuse one that has none before
+	// it changes anything.
+	if err := parser.CheckLiterals(p); err != nil {
+		return nil, err
+	}
 	res, err = s.execStmt(ctx, p)
 	// The handler released the engine lock; wait here for the staged WAL
 	// record to become durable (group commit: many sessions share one

@@ -241,10 +241,11 @@ func readSnapEpoch(fs faultfs.FS, snapDir string) ([]EpochEntry, error) {
 //
 //	DIVERGED.log   the WAL-format suffix of statements past fork that
 //	               the current generation's log still isolates
-//	state/         a full flat-layout dump of the in-memory state, when
-//	               the committed snapshot itself already embodies
-//	               statements past fork (a restart folded the WAL, so
-//	               the suffix alone cannot be isolated)
+//	state/         a full dump of the in-memory state in the Save
+//	               layout (Load reads it), when the committed snapshot
+//	               itself already embodies statements past fork (a
+//	               restart folded the WAL, so the suffix alone cannot
+//	               be isolated)
 //	INFO           fork, final LSN, and epoch, for the runbook
 //
 // Checkpoints reclaim only snap-/wal- names, so quarantines survive
@@ -299,9 +300,10 @@ func (e *Engine) QuarantineDiverged(fork uint64) (string, error) {
 	}
 
 	// Statements fork+1..base are folded into the committed snapshot and
-	// cannot be isolated as text; preserve the whole state instead.
+	// cannot be isolated as text; preserve the whole state instead, in
+	// the Save layout (Load reads it back).
 	if base > fork {
-		if err := dfs.MkdirAll(filepath.Join(qdir, "state", "data"), 0o755); err != nil {
+		if err := dfs.MkdirAll(filepath.Join(qdir, "state"), 0o755); err != nil {
 			return "", err
 		}
 		files, err := e.snapshotFiles()
@@ -309,7 +311,7 @@ func (e *Engine) QuarantineDiverged(fork uint64) (string, error) {
 			return "", err
 		}
 		for _, rel := range sortedPaths(files) {
-			if err := writeFileSync(dfs, filepath.Join(qdir, "state", filepath.FromSlash(rel)), files[rel]); err != nil {
+			if err := writeFileSync(dfs, filepath.Join(qdir, "state", rel), files[rel]); err != nil {
 				return "", err
 			}
 		}

@@ -276,11 +276,11 @@ func TestQuarantineDivergedSurvivesCheckpointFold(t *testing.T) {
 	if qdir == "" {
 		t.Fatal("no quarantine directory")
 	}
-	data, err := os.ReadFile(filepath.Join(qdir, "state", "data", "R.csv"))
+	data, err := os.ReadFile(filepath.Join(qdir, "state", "data.authdb"))
 	if err != nil {
 		t.Fatalf("quarantined state dump missing: %v", err)
 	}
-	if !strings.Contains(string(data), "two") {
+	if !strings.Contains(string(data), "insert into R values (two);") {
 		t.Fatalf("state dump = %q, want the divergent tuple", data)
 	}
 

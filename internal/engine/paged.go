@@ -6,9 +6,7 @@
 // last reflected to the head's, then the checkpoint flushes only the
 // dirty pages plus a tiny ROOT file and the meta-database's
 // schema.authdb and views.authdb, instead of rewriting every tuple.
-// Every generation a checkpoint commits holds a ROOT. A generation with
-// data CSVs instead (written by an earlier build) is read once, and the
-// checkpoint every open takes converts it.
+// Every generation holds a ROOT; opening one without it is refused.
 package engine
 
 import (
@@ -44,7 +42,7 @@ func pagesPath(dir string) string { return filepath.Join(dir, storage.PagesFileN
 //   - anything else: apply relation.Diff, deletes first;
 //   - a relation defined since: create its tree and insert every tuple.
 //
-// With no recorded revisions (fresh directory, a CSV generation being
+// With no recorded revisions (fresh directory, a Save directory being
 // converted, ResetFromSnapshot, or a failed sync) the store is Reset and
 // loaded whole. Any error forgets the recorded revisions, so the next
 // checkpoint starts over from Reset; the committed ROOT's pages are

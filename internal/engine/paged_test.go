@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
@@ -54,9 +53,8 @@ func brownAnswer(t *testing.T, e *Engine) string {
 }
 
 // csvFixture is a durable directory that an earlier build's memory
-// backend wrote: a generation of data CSVs holding durableScenario, and
-// a WAL holding four statements past it. Beside the directory are the
-// state fingerprint and the fixtureAnswers that build gave.
+// backend wrote: a generation of data CSVs, and a WAL holding four
+// statements past it.
 const csvFixture = "testdata/csv-generation"
 
 // fixtureAnswers renders two masked per-user answers over the fixture,
@@ -131,30 +129,45 @@ func checkFixtureState(t *testing.T, step string, e *Engine, wantFP, wantAns str
 	}
 }
 
-// TestPagedBackendDifferential opens csvFixture, a generation of data
-// CSVs plus a WAL, and holds the page store to what the memory backend
-// that wrote it answered: the state fingerprint and the masked per-user
-// answers must be byte-identical. The opening checkpoint must convert
-// the directory, committing a ROOT generation with no data directory,
-// and a second open must read the same state back from the pages.
-func TestPagedBackendDifferential(t *testing.T) {
-	dir, wantFP, wantAns := fixtureCopy(t, csvFixture)
-	for _, step := range []string{"converting open", "reopen"} {
-		e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
-		if err != nil {
-			t.Fatalf("%s: %v", step, err)
+// TestOpenRefusesCSVGeneration opens csvFixture, and a Save directory
+// of the same era made from its generation's files: both hold their
+// tuples in data/REL.csv, which this build does not read. Every open
+// must fail, naming the upgrade path, rather than load an empty state,
+// and the refused durable directory must be left as it was.
+func TestOpenRefusesCSVGeneration(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, filepath.Join(csvFixture, "db"), dir)
+	flat := t.TempDir()
+	copyDir(t, filepath.Join(csvFixture, "db", "snap-000002"), flat)
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: opened a CSV layout", what)
 		}
-		snap := filepath.Join(dir, snapName(e.Generation()))
-		if _, err := os.Stat(filepath.Join(snap, storage.RootName)); err != nil {
-			t.Fatalf("%s: committed generation has no ROOT: %v", step, err)
+		for _, want := range []string{"CSV layout", "a7a3ef6"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not mention %q", what, err, want)
+			}
 		}
-		if _, err := os.Stat(filepath.Join(snap, "data")); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("%s: committed generation has a data directory (%v)", step, err)
+	}
+	_, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
+	refused("durable generation", err)
+	_, err = OpenDurable(flat, core.DefaultOptions(), testCachePages)
+	refused("Save directory", err)
+	_, err = Load(flat, core.DefaultOptions())
+	refused("Load", err)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ent := range entries {
+		if ent.Name() != lockFileName { // every open takes the lock
+			names = append(names, ent.Name())
 		}
-		checkFixtureState(t, step, e, wantFP, wantAns)
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if got := strings.Join(names, " "); got != "CURRENT snap-000002 wal-000002.log" {
+		t.Fatalf("refused directory now holds %s", got)
 	}
 }
 

@@ -1,28 +1,29 @@
 package engine
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"authdb/internal/core"
 	"authdb/internal/faultfs"
-	"authdb/internal/relation"
+	"authdb/internal/parser"
 	"authdb/internal/storage"
 	"authdb/internal/value"
 )
 
 // metaFiles renders one database version's meta-database, keyed by
-// slash-separated path relative to the save directory:
+// path relative to the state directory:
 //
 //	schema.authdb   relation statements
 //	views.authdb    view definitions and permits, in definition order
 //
 // Every layout keeps these two scripts; a durable generation stores the
-// tuples in its page file instead of snapshotFiles' CSVs. The version is
-// immutable, so no lock is needed.
+// tuples in its page file instead of snapshotFiles' data.authdb. The
+// version is immutable, so no lock is needed.
 func (v *dbVersion) metaFiles() map[string][]byte {
 	var schema strings.Builder
 	for _, name := range v.sch.Names() {
@@ -50,19 +51,31 @@ func (v *dbVersion) metaFiles() map[string][]byte {
 	}
 }
 
+// dataName is the script of a snapshot's tuples, replayed between
+// schema.authdb and views.authdb.
+const dataName = "data.authdb"
+
 // snapshotFiles renders one database version as metaFiles plus
-// data/REL.csv, one CSV per base relation. The same rendering backs the
+// data.authdb: one insert statement per tuple, relation by relation in
+// schema order, tuples in Sorted order. Statements keep value kinds
+// exactly (5 is not "5", "" is not null), so every node that loads the
+// files holds the tuples this one holds. The same rendering backs the
 // flat Save layout, replication snapshots, epoch quarantines, and the
 // crash-recovery tests' state fingerprints.
 func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
 	files := v.metaFiles()
+	var data strings.Builder
 	for i, name := range v.sch.Names() {
-		var buf bytes.Buffer
-		if err := v.rels[i].WriteCSV(&buf); err != nil {
-			return nil, fmt.Errorf("rendering %s: %w", name, err)
+		for _, t := range v.rels[i].Sorted() {
+			stmt, err := parser.Render(parser.Insert{Rel: name, Values: t})
+			if err != nil {
+				return nil, fmt.Errorf("rendering %s: %w", name, err)
+			}
+			data.WriteString(stmt)
+			data.WriteString(";\n")
 		}
-		files["data/"+name+".csv"] = buf.Bytes()
 	}
+	files[dataName] = []byte(data.String())
 	return files, nil
 }
 
@@ -117,23 +130,23 @@ func writeFileAtomic(fs faultfs.FS, path string, data []byte) error {
 }
 
 // Save writes the engine's complete state into dir in the flat layout
-// (schema.authdb, views.authdb, data/REL.csv). Every file is written
-// atomically (temp file + fsync + rename); the directory is created if
-// missing and existing files are replaced. Load restores an equivalent
-// engine. For crash atomicity across the whole file set, use OpenDurable
-// instead — Save is the export/import surface.
+// (schema.authdb, data.authdb, views.authdb: statement scripts that
+// keep value kinds exactly). Every file is written atomically (temp
+// file + fsync + rename); the directory is created if missing and
+// existing files are replaced. Load restores an equivalent engine. For
+// crash atomicity across the whole file set, use OpenDurable instead —
+// Save is the export/import surface.
 func (e *Engine) Save(dir string) error {
 	files, err := e.snapshotFiles()
 	if err != nil {
 		return err
 	}
 	fs := faultfs.OS()
-	if err := fs.MkdirAll(filepath.Join(dir, "data"), 0o755); err != nil {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, rel := range sortedPaths(files) {
-		path := filepath.Join(dir, filepath.FromSlash(rel))
-		if err := writeFileAtomic(fs, path, files[rel]); err != nil {
+		if err := writeFileAtomic(fs, filepath.Join(dir, rel), files[rel]); err != nil {
 			return fmt.Errorf("saving %s: %w", rel, err)
 		}
 	}
@@ -145,81 +158,69 @@ func Load(dir string, opt core.Options) (*Engine, error) {
 	return loadState(faultfs.OS().ReadFile, dir, opt, nil)
 }
 
+// errCSVLayout names the upgrade path of a state whose tuples are in the
+// data/REL.csv files of earlier builds, which this one does not read.
+var errCSVLayout = errors.New("its tuples are in the CSV layout of earlier builds: open the directory once as a durable directory (-db) with a build at or before a7a3ef6, which converts it to the page store, then open it the same way with this build")
+
 // loadState rebuilds an engine from a flat state directory (the Save
 // layout; also the inside of a durable snapshot generation), reading
-// through readFile. Both layouts replay schema.authdb and views.authdb as
-// statements; the tuples between them come from ps's trees when the
-// generation holds a ROOT, else from data/REL.csv. Errors carry the file
-// and, for replayed statements, the line that failed.
+// through readFile. The three scripts replay as statements through an
+// admin session — schema.authdb, then data.authdb, then views.authdb —
+// except that a generation with a page store (ps set) takes its tuples
+// from ps's trees instead of data.authdb. Errors carry the file and, for
+// replayed statements, the line that failed.
 func loadState(readFile func(string) ([]byte, error), dir string, opt core.Options, ps *storage.Store) (*Engine, error) {
 	e := New(opt)
 	admin := e.NewSession("admin", true)
-
-	schemaPath := filepath.Join(dir, "schema.authdb")
-	schema, err := readFile(schemaPath)
-	if err != nil {
+	replay := func(name string) error {
+		path := filepath.Join(dir, name)
+		script, err := readFile(path)
+		if err != nil {
+			return err
+		}
+		if _, err := admin.ExecScript(string(script)); err != nil {
+			return fmt.Errorf("replaying %s: %w", path, err)
+		}
+		return nil
+	}
+	if err := replay("schema.authdb"); err != nil {
 		return nil, fmt.Errorf("loading schema: %w", err)
 	}
-	if _, err := admin.ExecScript(string(schema)); err != nil {
-		return nil, fmt.Errorf("replaying %s: %w", schemaPath, err)
-	}
-
-	names := e.wsch.Names()
-	if ps != nil {
-		if n := len(ps.Relations()); n != len(names) {
-			return nil, fmt.Errorf("page store holds %d relations, %s defines %d", n, schemaPath, len(names))
+	if ps == nil {
+		if err := replay(dataName); errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("%s has no %s: %w", dir, dataName, errCSVLayout)
+		} else if err != nil {
+			return nil, fmt.Errorf("loading tuples: %w", err)
 		}
+	} else if err := loadPages(e, ps); err != nil {
+		return nil, err
 	}
-	e.mu.Lock()
-	for i, name := range names {
-		if err := loadTuples(readFile, dir, ps, e.wsch.Lookup(name), e.vrels[i]); err != nil {
-			e.mu.Unlock()
-			return nil, fmt.Errorf("loading %s: %w", name, err)
-		}
-	}
-	e.publishLocked()
-	e.mu.Unlock()
-
-	viewsPath := filepath.Join(dir, "views.authdb")
-	views, err := readFile(viewsPath)
-	if err != nil {
+	if err := replay("views.authdb"); err != nil {
 		return nil, fmt.Errorf("loading views: %w", err)
-	}
-	if _, err := admin.ExecScript(string(views)); err != nil {
-		return nil, fmt.Errorf("replaying %s: %w", viewsPath, err)
 	}
 	return e, nil
 }
 
-// loadTuples inserts relation rs's stored tuples into vr: from ps's tree
-// when ps is set, else from dir's data/REL.csv.
-func loadTuples(readFile func(string) ([]byte, error), dir string, ps *storage.Store, rs *relation.Schema, vr *relation.Versioned) error {
-	insert := func(t relation.Tuple) error {
-		_, err := vr.Insert(t)
-		return err
+// loadPages inserts the tuples of ps's trees into e's relations, which
+// the replayed schema.authdb defined.
+func loadPages(e *Engine, ps *storage.Store) error {
+	names := e.wsch.Names()
+	if n := len(ps.Relations()); n != len(names) {
+		return fmt.Errorf("page store holds %d relations, schema.authdb defines %d", n, len(names))
 	}
-	if ps != nil {
-		if arity, err := ps.Arity(rs.Name); err != nil || arity != rs.Arity() {
-			return fmt.Errorf("page store does not hold %s with %d attributes", rs.Name, rs.Arity())
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, name := range names {
+		if arity, err := ps.Arity(name); err != nil || arity != e.vrels[i].Arity() {
+			return fmt.Errorf("loading %s: page store does not hold %s with %d attributes", name, name, e.vrels[i].Arity())
 		}
-		return ps.ScanRelation(rs.Name, func(vs []value.Value) error { return insert(vs) })
-	}
-	path := filepath.Join(dir, "data", rs.Name+".csv")
-	raw, err := readFile(path)
-	if err != nil {
-		return err
-	}
-	rel, err := relation.ReadCSV(bytes.NewReader(raw))
-	if err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	if got, want := len(rel.Attrs), rs.Arity(); got != want {
-		return fmt.Errorf("%s: csv has %d columns, scheme %d", path, got, want)
-	}
-	for _, t := range rel.Tuples() {
-		if err := insert(t); err != nil {
+		if err := ps.ScanRelation(name, func(vs []value.Value) error {
+			_, err := e.vrels[i].Insert(vs)
 			return err
+		}); err != nil {
+			return fmt.Errorf("loading %s: %w", name, err)
 		}
 	}
+	e.publishLocked()
 	return nil
 }

@@ -17,11 +17,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"schema.authdb", "views.authdb",
-		filepath.Join("data", "EMPLOYEE.csv"), filepath.Join("data", "PROJECT.csv")} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Fatalf("missing %s: %v", f, err)
-		}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ent := range entries {
+		names = append(names, ent.Name())
+	}
+	if got := strings.Join(names, " "); got != "data.authdb schema.authdb views.authdb" {
+		t.Fatalf("Save wrote %s", got)
 	}
 	back, err := engine.Load(dir, core.DefaultOptions())
 	if err != nil {
@@ -94,18 +99,18 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := engine.Load(t.TempDir(), core.DefaultOptions()); err == nil {
 		t.Fatal("loading an empty directory must fail")
 	}
-	// Corrupt CSV arity.
+	// A tuple of the wrong arity.
 	e := paperEngine(t)
 	dir := t.TempDir()
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "data", "EMPLOYEE.csv"),
-		[]byte("NAME,TITLE\nJones,manager\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "data.authdb"),
+		[]byte("insert into EMPLOYEE values (Jones, manager);\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Load(dir, core.DefaultOptions()); err == nil {
-		t.Fatal("column mismatch must fail")
+	if _, err := engine.Load(dir, core.DefaultOptions()); err == nil || !strings.Contains(err.Error(), "data.authdb: line 1") {
+		t.Fatalf("column mismatch: err = %v, want it to name data.authdb line 1", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -72,6 +73,41 @@ func TestDelete(t *testing.T) {
 	}
 	if text, err := Render(s); err != nil || text != or {
 		t.Fatalf("disjunctive delete renders as %q (%v), want %q", text, err, or)
+	}
+}
+
+// TestRenderInsertRoundTrip renders inserts of awkward values and
+// reparses them: each value must come back with its kind and bytes. A
+// value without a literal form must be refused by CheckLiterals and by
+// Render alike.
+func TestRenderInsertRoundTrip(t *testing.T) {
+	for _, v := range []value.Value{
+		value.Int(math.MinInt64), value.Int(5), value.String("5"), value.String(""),
+		value.String("-"), value.String("\x00"), value.String("a\nb"), value.String("--x"),
+		value.String("bq-45"), value.String("two words"), value.String("aé"), value.String("é"),
+		value.String("insert"), value.String("a;b"), value.String("\xff"),
+	} {
+		ins := Insert{Rel: "R", Values: []value.Value{v}}
+		text, err := Render(ins)
+		if err != nil {
+			t.Fatalf("%#v: %v", v, err)
+		}
+		back, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%#v renders as %q, which does not parse: %v", v, text, err)
+		}
+		if got := back.(Insert).Values[0]; got != v {
+			t.Fatalf("%#v renders as %q, which parses to %#v", v, text, got)
+		}
+	}
+	for _, v := range []value.Value{value.Null(), value.String(`say "hi"`)} {
+		ins := Insert{Rel: "R", Values: []value.Value{v}}
+		if err := CheckLiterals(ins); err == nil {
+			t.Errorf("CheckLiterals accepted %#v", v)
+		}
+		if _, err := Render(ins); err == nil {
+			t.Errorf("Render accepted %#v", v)
+		}
 	}
 }
 

@@ -70,8 +70,11 @@ func (p *parser) program(input string) ([]StmtPos, error) {
 // that reparses to an equivalent statement; the engine's write-ahead log
 // stores statements in this form. Only the journaled statement kinds
 // (relation, insert, delete, view, drop view, permit, revoke) render;
-// anything else — and any constant without a literal form — is an error.
+// anything else — and any constant CheckLiterals refuses — is an error.
 func Render(s Stmt) (string, error) {
+	if err := CheckLiterals(s); err != nil {
+		return "", err
+	}
 	switch s := s.(type) {
 	case CreateRelation:
 		var b strings.Builder
@@ -83,9 +86,6 @@ func Render(s Stmt) (string, error) {
 	case Insert:
 		lits := make([]string, len(s.Values))
 		for i, v := range s.Values {
-			if !value.Representable(v) {
-				return "", fmt.Errorf("insert into %s: value %s has no literal form", s.Rel, v)
-			}
 			lits[i] = value.Literal(v)
 		}
 		return "insert into " + s.Rel + " values (" + strings.Join(lits, ", ") + ")", nil
@@ -95,9 +95,6 @@ func Render(s Stmt) (string, error) {
 		sep := " where "
 		for _, branch := range append([][]cview.Cond{s.Where}, s.Or...) {
 			for _, c := range branch {
-				if !c.R.IsCol && !value.Representable(c.R.Const) {
-					return "", fmt.Errorf("delete from %s: constant %s has no literal form", s.Rel, c.R.Const)
-				}
 				b.WriteString(sep + c.String())
 				sep = " and "
 			}
@@ -105,13 +102,6 @@ func Render(s Stmt) (string, error) {
 		}
 		return b.String(), nil
 	case ViewStmt:
-		for _, branch := range s.Def.Branches() {
-			for _, c := range branch {
-				if !c.R.IsCol && !value.Representable(c.R.Const) {
-					return "", fmt.Errorf("view %s: constant %s has no literal form", s.Def.Name, c.R.Const)
-				}
-			}
-		}
 		return s.Def.String(), nil
 	case DropView:
 		return "drop view " + s.Name, nil
@@ -122,4 +112,41 @@ func Render(s Stmt) (string, error) {
 	default:
 		return "", fmt.Errorf("statement %T has no canonical rendering", s)
 	}
+}
+
+// CheckLiterals refuses a statement holding a constant without a literal
+// form (value.Representable): the null value, or a string containing a
+// double quote. The lexer produces neither, so only a statement built in
+// code can hold one; the engine refuses it before applying it, because
+// it could not be journaled.
+func CheckLiterals(s Stmt) error {
+	switch s := s.(type) {
+	case Insert:
+		for _, v := range s.Values {
+			if !value.Representable(v) {
+				return fmt.Errorf("insert into %s: value %s has no literal form", s.Rel, v)
+			}
+		}
+	case Delete:
+		if err := checkConds(append([][]cview.Cond{s.Where}, s.Or...)); err != nil {
+			return fmt.Errorf("delete from %s: %w", s.Rel, err)
+		}
+	case ViewStmt:
+		if err := checkConds(s.Def.Branches()); err != nil {
+			return fmt.Errorf("view %s: %w", s.Def.Name, err)
+		}
+	}
+	return nil
+}
+
+// checkConds refuses the first constant operand without a literal form.
+func checkConds(branches [][]cview.Cond) error {
+	for _, branch := range branches {
+		for _, c := range branch {
+			if !c.R.IsCol && !value.Representable(c.R.Const) {
+				return fmt.Errorf("constant %s has no literal form", c.R.Const)
+			}
+		}
+	}
+	return nil
 }

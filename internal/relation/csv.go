@@ -2,14 +2,15 @@ package relation
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
-
-	"authdb/internal/value"
 )
 
-// WriteCSV writes the relation with a header row. Integer values are
-// written in decimal; strings verbatim; nulls as empty fields.
+// WriteCSV writes the relation with a header row, tuples in Sorted
+// order. Integer values are written in decimal; strings verbatim; nulls
+// as empty fields. CSV cannot tell 5 from "5", or "" from null, so no
+// state is stored in it (state files are statement scripts); its one
+// caller is the benchmark's disk-amplification figure, which divides a
+// durable directory's bytes by the live data's CSV bytes.
 func (r *Relation) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(r.Attrs); err != nil {
@@ -30,36 +31,4 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV reads a relation written by WriteCSV: the first record is the
-// attribute list; each field parses as an integer when it looks like one,
-// otherwise as a string; empty fields are null.
-func ReadCSV(r io.Reader) (*Relation, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("reading csv header: %w", err)
-	}
-	rel := New(header)
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return rel, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("reading csv row: %w", err)
-		}
-		t := make(Tuple, len(rec))
-		for i, f := range rec {
-			if f == "" {
-				t[i] = value.Null()
-			} else {
-				t[i] = value.Parse(f)
-			}
-		}
-		if _, err := rel.Insert(t); err != nil {
-			return nil, err
-		}
-	}
 }

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"bytes"
+	"encoding/csv"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -357,28 +359,23 @@ func TestRender(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip reads WriteCSV's output back with a standard CSV
+// reader: a header row, then one record per tuple in Sorted order,
+// each field the value's text and a null an empty field.
 func TestCSVRoundTrip(t *testing.T) {
 	r := New([]string{"A", "B", "C"})
-	r.MustInsert(vi(1), vs("Acme"), value.Null())
 	r.MustInsert(vi(2), vs("bq-45"), vi(-7))
+	r.MustInsert(vi(1), vs("Acme, Inc."), value.Null())
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
+	got, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Equal(back) {
-		t.Fatalf("round trip mismatch:\n%s\nvs\n%s", r, back)
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input must fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("A,B\n1\n")); err == nil {
-		t.Error("ragged row must fail")
+	want := [][]string{{"A", "B", "C"}, {"1", "Acme, Inc.", ""}, {"2", "bq-45", "-7"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records = %q, want %q", got, want)
 	}
 }

@@ -1,6 +1,6 @@
 // Package relation implements the relational substrate of the library:
 // relation schemes, database schemes, and in-memory relations with set
-// semantics, plus table rendering and CSV interchange.
+// semantics, plus table rendering and CSV export.
 //
 // Definitions follow the paper's §2 (after Maier): a relation scheme is a
 // finite set of attributes with associated domains; a relation is a subset

@@ -26,6 +26,7 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/engine"
 	"authdb/internal/faultfs"
+	"authdb/internal/relation"
 	"authdb/internal/replica"
 	"authdb/internal/server"
 	"authdb/internal/wire"
@@ -561,8 +562,8 @@ func TestOversizedSnapshotIsRefused(t *testing.T) {
 	t.Cleanup(func() { db.Close() })
 	admin := db.Admin()
 	admin.MustExecScript("relation BLOB (K, V) key (K);\n")
-	// 1 600 rows of 8 KiB: about 13 MB of CSV, over 16 MiB once the
-	// reply's JSON encodes the snapshot files in base64.
+	// 1 600 rows of 8 KiB: about 13 MB of insert statements, over
+	// 16 MiB once the reply's JSON encodes the snapshot files in base64.
 	pad := strings.Repeat("x", 8<<10)
 	for i := 0; i < 1600; i++ {
 		if _, err := admin.Exec(fmt.Sprintf(`insert into BLOB values (k%d, "%s")`, i, pad)); err != nil {
@@ -682,5 +683,115 @@ func TestReplicaBatchSharesOneSync(t *testing.T) {
 	}
 	if got := syncs.Value() - before; got != 1 {
 		t.Fatalf("applying one batch of %d statements cost %d syncs, want 1", k, got)
+	}
+}
+
+// kindsAnswers renders, for the pair test, u's answers to two retrieves
+// and the base relation R, every cell tagged with its kind: a node that
+// holds "5" where another holds 5, or null where another holds "",
+// renders differently.
+func kindsAnswers(t *testing.T, e *engine.Engine) string {
+	t.Helper()
+	var b strings.Builder
+	cells := func(r *relation.Relation) {
+		for _, tup := range r.Sorted() {
+			for _, v := range tup {
+				fmt.Fprintf(&b, "%s:%q ", v.Kind(), v.String())
+			}
+			b.WriteByte('\n')
+		}
+	}
+	u := e.NewSession("u", false)
+	for _, q := range []string{`retrieve (R.A, R.B) where R.B = 5`, `retrieve (R.A, R.B)`} {
+		res, err := u.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s\n", q)
+		cells(res.Relation)
+		for _, p := range res.Permits {
+			fmt.Fprintf(&b, "%s\n", p)
+		}
+	}
+	r, err := e.Relation("R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString("R\n")
+	cells(r)
+	return b.String()
+}
+
+// TestKindsSameOnEveryNode holds a state whose strings look like other
+// kinds — "5" beside 5, and "" — to one answer on every node that can
+// hold it: the primary, a Save → Load copy, a ReplSnapshot →
+// ResetFromSnapshot copy, a follower bootstrapped by snapshot through
+// the hub, and the state/ dump of a quarantine loaded back. Each must
+// deliver u the same answers with the same kinds, tuple by tuple.
+func TestKindsSameOnEveryNode(t *testing.T) {
+	db, srv := newPrimary(t)
+	pe := db.Engine()
+	if _, err := pe.NewSession("admin", true).ExecScript(`
+		relation R (A, B) key (A);
+		insert into R values (1, "5");
+		insert into R values (2, "");
+		insert into R values (3, 5);
+		view V (R.A, R.B);
+		permit V to u;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	// Folding the WAL into a generation makes a follower at LSN 0
+	// bootstrap by snapshot.
+	if err := pe.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := kindsAnswers(t, pe)
+	if !strings.Contains(want, "where R.B = 5\nint:\"3\" int:\"5\" \nretrieve") {
+		t.Fatalf("the primary's answer to R.B = 5 is not row 3 alone:\n%s", want)
+	}
+	nodes := map[string]*engine.Engine{}
+
+	dir := t.TempDir()
+	if err := pe.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := engine.Load(dir, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes["Save → Load"] = loaded
+
+	files, lsn, _, err := pe.ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reset := engine.New(core.DefaultOptions())
+	if err := reset.ResetFromSnapshot(files, lsn); err != nil {
+		t.Fatal(err)
+	}
+	nodes["ReplSnapshot → ResetFromSnapshot"] = reset
+
+	rdb, _, _ := newReplicaNode(t, srv.Addr().String())
+	waitLSN(t, rdb.Engine(), pe.LSN())
+	if n := db.Metrics().Counter("authdb_repl_snapshots_sent_total").Value(); n != 1 {
+		t.Fatalf("the hub sent %d snapshots, want 1", n)
+	}
+	nodes["follower"] = rdb.Engine()
+
+	qdir, err := pe.QuarantineDiverged(0)
+	if err != nil || qdir == "" {
+		t.Fatalf("quarantine: %q, %v", qdir, err)
+	}
+	dumped, err := engine.Load(filepath.Join(qdir, "state"), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes["quarantine state/"] = dumped
+
+	for name, e := range nodes {
+		if got := kindsAnswers(t, e); got != want {
+			t.Errorf("%s answers differently:\n%s\nprimary:\n%s", name, got, want)
+		}
 	}
 }

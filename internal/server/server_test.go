@@ -352,10 +352,10 @@ func TestHandshakeRejections(t *testing.T) {
 	s := startServer(t, db, server.Config{AdminToken: "s3cret"})
 	addr := s.Addr().String()
 
-	// Wrong protocol version, spoken raw: an unknown one, version 2,
-	// whose replies were JSON, and version 1, whose replies carried
-	// rendered text.
-	for _, proto := range []int{99, 2, 1} {
+	// Wrong protocol version, spoken raw: an unknown one, version 3,
+	// whose snapshots carried CSV, version 2, whose replies were JSON,
+	// and version 1, whose replies carried rendered text.
+	for _, proto := range []int{99, 3, 2, 1} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -373,21 +373,24 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	}
 
-	// A replica announcing version 2 is refused at its handshake too.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.WriteMsg(nc, wire.ReplHello{Kind: wire.KindReplHello, Proto: 2, Token: "s3cret"}); err != nil {
-		t.Fatal(err)
-	}
-	var replReply wire.ReplHelloReply
-	if err := wire.ReadMsg(bufio.NewReader(nc), &replReply); err != nil {
-		t.Fatal(err)
-	}
-	if replReply.OK || replReply.Error == nil || replReply.Error.Code != wire.CodeProtocol {
-		t.Errorf("proto 2 replication hello reply = %+v, want %s", replReply, wire.CodeProtocol)
+	// A replica announcing version 3, which would expect a CSV snapshot,
+	// or version 2, is refused at its handshake too.
+	for _, proto := range []int{3, 2} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if err := wire.WriteMsg(nc, wire.ReplHello{Kind: wire.KindReplHello, Proto: proto, Token: "s3cret"}); err != nil {
+			t.Fatal(err)
+		}
+		var replReply wire.ReplHelloReply
+		if err := wire.ReadMsg(bufio.NewReader(nc), &replReply); err != nil {
+			t.Fatal(err)
+		}
+		if replReply.OK || replReply.Error == nil || replReply.Error.Code != wire.CodeProtocol {
+			t.Errorf("proto %d replication hello reply = %+v, want %s", proto, replReply, wire.CodeProtocol)
+		}
 	}
 
 	if _, err := client.Dial(addr, client.WithUser("two words")); err == nil {

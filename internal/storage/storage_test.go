@@ -524,7 +524,7 @@ func TestParseRootRejects(t *testing.T) {
 		{"root on the free list", head + "free 3\ntable R 1 3\n", "tree root 3"},
 		{"table twice", head + "table R 1 1\ntable R 1 2\n", "table R twice"},
 		{"two roots on a table", head + "table R 1 1 2\n", "bad ROOT table line"},
-		{"version 1", "AUTHDBROOT1\npagesize 4096\nnpages 4\nviewseq 0\ncatalog 1\ntable R 1 2 3\n", "passing -storage memory, then open it with this build"},
+		{"version 1", "AUTHDBROOT1\npagesize 4096\nnpages 4\nviewseq 0\ncatalog 1\ntable R 1 2 3\n", "passing -storage memory, which writes its tuples as CSV; then open it once with a build at or before a7a3ef6"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			re, err := Open(faultfs.OS(), path, []byte(tc.root), 8)

@@ -77,7 +77,7 @@ func (s *Store) parseRoot(root []byte) error {
 	switch strings.TrimSpace(lines[0]) {
 	case rootMagic:
 	case rootMagicV1:
-		return fmt.Errorf("storage: ROOT is %s, which this build no longer reads; open the directory once with an earlier build that reads it, passing -storage memory, then open it with this build", rootMagicV1)
+		return fmt.Errorf("storage: ROOT is %s, which this build no longer reads; convert the directory in two steps: open it once with an earlier build that reads it, passing -storage memory, which writes its tuples as CSV; then open it once with a build at or before a7a3ef6, which writes them to pages as %s; then open it with this build", rootMagicV1, rootMagic)
 	default:
 		return fmt.Errorf("storage: bad ROOT magic")
 	}

@@ -1,7 +1,5 @@
 package value
 
-import "unicode"
-
 // Literal renders v as a statement-language literal that reparses to an
 // equal value: integers in decimal, strings bare when they lex as a
 // single identifier and double-quoted otherwise. The null value has no
@@ -36,29 +34,23 @@ func Representable(v Value) bool {
 	return true
 }
 
-// bareWord mirrors the statement lexer's identifier rule: a letter or
-// underscore followed by letters, digits, underscores, and interior
-// hyphens that glue to a following identifier character ("bq-45"). A word
-// failing this must be quoted or it would lex as something else.
+// bareWord mirrors the statement lexer's identifier rule for an ASCII
+// word: a letter or underscore followed by letters, digits, underscores,
+// and interior hyphens that glue to a following identifier character
+// ("bq-45"). A word failing this must be quoted or it would lex as
+// something else. Every other word is quoted too: the lexer reads
+// identifiers that start in ASCII byte by byte, so a non-ASCII letter
+// after the first character would end the bare word ("aé").
 func bareWord(s string) bool {
-	if s == "" {
+	if s == "" || !isLetter(s[0]) {
 		return false
 	}
-	runes := []rune(s)
-	if !unicode.IsLetter(runes[0]) && runes[0] != '_' {
-		return false
-	}
-	for i := 1; i < len(runes); i++ {
-		r := runes[i]
+	for i := 1; i < len(s); i++ {
+		c := s[i]
 		switch {
-		case unicode.IsLetter(r) || r == '_':
-		case r >= '0' && r <= '9':
-		case r == '-':
-			if i+1 >= len(runes) {
-				return false
-			}
-			n := runes[i+1]
-			if !unicode.IsLetter(n) && n != '_' && !(n >= '0' && n <= '9') {
+		case isLetter(c) || c >= '0' && c <= '9':
+		case c == '-':
+			if i+1 >= len(s) || !isLetter(s[i+1]) && !(s[i+1] >= '0' && s[i+1] <= '9') {
 				return false
 			}
 		default:
@@ -66,4 +58,9 @@ func bareWord(s string) bool {
 		}
 	}
 	return true
+}
+
+// isLetter reports an ASCII letter or underscore.
+func isLetter(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
 }

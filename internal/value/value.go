@@ -116,16 +116,3 @@ func (v Value) String() string {
 		return v.s
 	}
 }
-
-// Parse interprets a literal token as a value: an optionally signed decimal
-// integer becomes an int, anything else a string. Surrounding double quotes
-// are stripped (and force string interpretation).
-func Parse(tok string) Value {
-	if len(tok) >= 2 && tok[0] == '"' && tok[len(tok)-1] == '"' {
-		return String(tok[1 : len(tok)-1])
-	}
-	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
-		return Int(i)
-	}
-	return String(tok)
-}

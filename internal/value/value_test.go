@@ -93,25 +93,6 @@ func TestEqualConsistentWithCompare(t *testing.T) {
 	}
 }
 
-func TestParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Value
-	}{
-		{"26000", Int(26000)},
-		{"-5", Int(-5)},
-		{"Acme", String("Acme")},
-		{"bq-45", String("bq-45")},
-		{`"123"`, String("123")},
-		{`"two words"`, String("two words")},
-	}
-	for _, c := range cases {
-		if got := Parse(c.in); got != c.want {
-			t.Errorf("Parse(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	if Int(7).AsInt() != 7 || String("x").AsString() != "x" {
 		t.Error("payload accessors broken")
