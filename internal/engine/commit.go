@@ -175,26 +175,26 @@ func (s *Session) logStmt(p parser.Stmt) error {
 			return fmt.Errorf("journaling statement: %w", err)
 		}
 	}
-	var text string
+	// Rendering fails only on a broken invariant (ExecStmtContext refused
+	// every statement without a literal form): the change is applied but
+	// unlogged. The LSN is taken first, so a follower sees the gap and
+	// recovers by snapshot; a durable engine takes no further mutations.
+	lsn := e.lsn.Add(1)
+	if e.dur == nil {
+		e.durableLSN.Store(lsn)
+	}
 	if e.dur != nil || e.hasSubs() {
-		// ExecStmtContext refused every statement without a literal
-		// form, and every stored tuple came from one, so this fails only
-		// on a broken invariant: the change is applied but unlogged.
-		var err error
-		if text, err = parser.Render(p); err != nil {
+		text, err := parser.Render(p)
+		if err != nil {
 			e.setBroken(err)
 			return fmt.Errorf("journaling statement: %w", err)
 		}
-	}
-	lsn := e.lsn.Add(1)
-	c := Commit{LSN: lsn, Stmt: text}
-	if e.dur != nil {
-		e.commitMu.Lock()
-		e.commitQ = append(e.commitQ, c)
-		e.commitMu.Unlock()
-	} else {
-		e.durableLSN.Store(lsn)
-		if text != "" {
+		c := Commit{LSN: lsn, Stmt: text}
+		if e.dur != nil {
+			e.commitMu.Lock()
+			e.commitQ = append(e.commitQ, c)
+			e.commitMu.Unlock()
+		} else {
 			e.publishCommits([]Commit{c})
 		}
 	}

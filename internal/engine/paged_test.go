@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -168,6 +170,81 @@ func TestOpenRefusesCSVGeneration(t *testing.T) {
 	}
 	if got := strings.Join(names, " "); got != "CURRENT snap-000002 wal-000002.log" {
 		t.Fatalf("refused directory now holds %s", got)
+	}
+}
+
+// nullFixture is a durable directory that an earlier build wrote with
+// gen.sh beside it: its page store holds the tuple (2, null), which
+// that build read from the empty CSV field its own Save wrote for "".
+const nullFixture = "testdata/paged-null"
+
+// dirFiles maps every regular file under dir but the lock to its bytes.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || d.Name() == lockFileName {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestOpenRefusesUnrepresentablePages opens nullFixture: the open must
+// fail, naming the relation, the tuple and the upgrade path, and leave
+// the directory as it was, rather than succeed and fail later when a
+// snapshot, Save or quarantine dump renders the null. A page store
+// holding a string with a double quote, which the same build read from
+// a quoted CSV field, is refused the same way.
+func TestOpenRefusesUnrepresentablePages(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, filepath.Join(nullFixture, "db"), dir)
+	before := dirFiles(t, dir)
+	e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
+	if err == nil {
+		e.Close()
+		t.Fatal("opened a page store holding null")
+	}
+	if !errors.Is(err, errUnrepresentable) {
+		t.Fatalf("error %q is not errUnrepresentable", err)
+	}
+	for _, want := range []string{"loading R: attribute B", "a7a3ef6"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused open changed the directory")
+	}
+
+	ps, err := storage.Create(faultfs.OS(), filepath.Join(t.TempDir(), "pages.db"), testCachePages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	quoted := []value.Value{value.Int(1), value.String(`say "hi"`)}
+	if err := ps.CreateRelation("R", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.InsertTuple("R", quoted); err != nil {
+		t.Fatal(err)
+	}
+	e = New(core.DefaultOptions())
+	if _, err := e.NewSession("admin", true).Exec(`relation R (A, B) key (A)`); err != nil {
+		t.Fatal(err)
+	}
+	err = loadPages(e, ps)
+	if !errors.Is(err, errUnrepresentable) || !strings.Contains(err.Error(), "attribute B") {
+		t.Fatalf("loading a quoted string from pages: %v", err)
+	}
+	if n := e.head.Load().rels[0].Len(); n != 0 {
+		t.Fatalf("the refused load left %d tuples", n)
 	}
 }
 

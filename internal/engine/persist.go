@@ -201,8 +201,11 @@ func loadState(readFile func(string) ([]byte, error), dir string, opt core.Optio
 	return e, nil
 }
 
+// errUnrepresentable refuses a page-store value an earlier build read from CSV.
+var errUnrepresentable = errors.New("holds null or a string containing a double quote, which no statement can carry (earlier builds read both from CSV): with a build at or before a7a3ef6, delete or rewrite the tuples that hold one, open the directory once more with that build so its opening checkpoint writes the change to pages, then open it with this build")
+
 // loadPages inserts the tuples of ps's trees into e's relations, which
-// the replayed schema.authdb defined.
+// the replayed schema.authdb defined, refusing a value with no literal form.
 func loadPages(e *Engine, ps *storage.Store) error {
 	names := e.wsch.Names()
 	if n := len(ps.Relations()); n != len(names) {
@@ -215,6 +218,11 @@ func loadPages(e *Engine, ps *storage.Store) error {
 			return fmt.Errorf("loading %s: page store does not hold %s with %d attributes", name, name, e.vrels[i].Arity())
 		}
 		if err := ps.ScanRelation(name, func(vs []value.Value) error {
+			for j, v := range vs {
+				if !value.Representable(v) {
+					return fmt.Errorf("attribute %s of a tuple %w", e.wsch.Lookup(name).Attrs[j], errUnrepresentable)
+				}
+			}
 			_, err := e.vrels[i].Insert(vs)
 			return err
 		}); err != nil {
