@@ -42,9 +42,15 @@ chaos:
 	$(GO) test -race -v -run 'TestChaos' ./internal/chaosnet
 
 # Prints the number of non-test Go lines outside bench/: the one size
-# figure a change that removes code reports.
+# figure a change that removes code reports. REV=<commit> counts that
+# commit's files instead, read through git show with no checkout, so a
+# change can report its parent's figure beside its own.
 loc:
-	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l
+	@if [ -n "$(REV)" ]; then \
+		git ls-tree -r --name-only $(REV) | grep '\.go$$' | grep -v '_test\.go$$' | grep -v '^bench/' | sed 's|^|$(REV):|' | xargs git show | wc -l; \
+	else \
+		git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l; \
+	fi
 
 # Short exploratory fuzz pass over the session executor (seeded from
 # internal/engine/testdata/fuzz).
@@ -103,9 +109,9 @@ fuzz-mask:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMaskApply$$' -fuzztime 30s
 
 # Fuzz the snapshot round trip: a state of fuzzed strings and integers,
-# rendered as snapshot files (data.authdb holds one insert statement per
-# tuple) and loaded into a fresh engine, renders to the same bytes, and
-# every tuple comes back with its kinds.
+# rendered as snapshot statements (ReplSnapshot) and replayed into a
+# fresh engine (ResetFromSnapshot), renders to the same statements and
+# the same snapshot files, and every tuple comes back with its kinds.
 fuzz-snapshot:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime 30s
 

@@ -127,7 +127,7 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 		if ps, err = openPageStore(fs, dir, snapDir, cachePages); err != nil {
 			return nil, err
 		}
-		if e, err = loadState(fs.ReadFile, snapDir, opt, ps); err != nil {
+		if e, err = loadState(fs, snapDir, opt, ps); err != nil {
 			return nil, err
 		}
 		// Loading rebuilt the state by replaying rendered statements,
@@ -142,10 +142,8 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", snapName(gen), err)
 		}
-		if hist != nil {
-			e.epochHist = hist
-			e.epoch.Store(hist[len(hist)-1].Epoch)
-		}
+		e.epochHist = hist
+		e.epoch.Store(hist[len(hist)-1].Epoch)
 		// The trees hold exactly the revisions just loaded; the opening
 		// checkpoint moves them past what the WAL replay adds.
 		e.pageRevs = e.head.Load().rels
@@ -153,7 +151,7 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 			return nil, err
 		}
 	case flatLayout(fs, dir):
-		if e, err = loadState(fs.ReadFile, dir, opt, nil); err != nil {
+		if e, err = loadState(fs, dir, opt, nil); err != nil {
 			return nil, err
 		}
 	default:
@@ -203,17 +201,10 @@ func flatLayout(fs faultfs.FS, dir string) bool {
 	return err == nil
 }
 
-// readSnapLSN reads a snapshot's LSN file. Snapshots taken before LSNs
-// existed have none; their count restarts at zero, which is fine —
-// LSNs only need to stay consistent between nodes going forward, and
-// replication always transfers the position explicitly. Any other read
-// error, or a malformed file, fails the open: the MANIFEST vouched for
-// the bytes, so damage here is not a missing file.
+// readSnapLSN reads a snapshot's LSN file. A missing or malformed file
+// fails the open: every build that writes a ROOT writes the LSN too.
 func readSnapLSN(fs faultfs.FS, snapDir string) (uint64, error) {
 	data, err := fs.ReadFile(filepath.Join(snapDir, lsnName))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
 	if err != nil {
 		return 0, err
 	}
@@ -309,7 +300,10 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	if err := e.syncPageStore(); err != nil {
 		return fmt.Errorf("syncing page store: %w", err)
 	}
-	files := e.head.Load().metaFiles()
+	files, err := e.head.Load().metaFiles()
+	if err != nil {
+		return err
+	}
 	files[storage.RootName] = e.pstore.RenderRoot()
 	// The LSN file pins the statement count the snapshot embodies; it is
 	// part of the generation (and its MANIFEST), not of the flat Save

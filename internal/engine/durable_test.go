@@ -32,7 +32,7 @@ var durableScenario = []string{
 // fingerprint canonically renders an engine's complete state.
 func fingerprint(t *testing.T, e *Engine) string {
 	t.Helper()
-	files, err := e.snapshotFiles()
+	files, err := e.head.Load().snapshotFiles()
 	if err != nil {
 		t.Fatal(err)
 	}

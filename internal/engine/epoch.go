@@ -18,9 +18,7 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -219,14 +217,10 @@ func parseEpochHist(data []byte) ([]EpochEntry, error) {
 	return hist, nil
 }
 
-// readSnapEpoch reads a snapshot generation's EPOCH file; nil means the
-// snapshot predates epochs (the default history {1, 0} applies). Any
-// other read error, or a malformed file, fails the open.
+// readSnapEpoch reads a snapshot's EPOCH file. A missing or malformed
+// file fails the open: every build that writes a ROOT writes the EPOCH too.
 func readSnapEpoch(fs faultfs.FS, snapDir string) ([]EpochEntry, error) {
 	data, err := fs.ReadFile(filepath.Join(snapDir, epochName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -303,17 +297,8 @@ func (e *Engine) QuarantineDiverged(fork uint64) (string, error) {
 	// cannot be isolated as text; preserve the whole state instead, in
 	// the Save layout (Load reads it back).
 	if base > fork {
-		if err := dfs.MkdirAll(filepath.Join(qdir, "state"), 0o755); err != nil {
+		if err := e.head.Load().save(dfs, filepath.Join(qdir, "state")); err != nil {
 			return "", err
-		}
-		files, err := e.snapshotFiles()
-		if err != nil {
-			return "", err
-		}
-		for _, rel := range sortedPaths(files) {
-			if err := writeFileSync(dfs, filepath.Join(qdir, "state", rel), files[rel]); err != nil {
-				return "", err
-			}
 		}
 	}
 

@@ -641,7 +641,10 @@ func TestPagedDeletesMatchMemory(t *testing.T) {
 		if got, want := answers(e), answers(ref); got != want {
 			t.Fatalf("%s: answers differ:\ngot:\n%s\nwant:\n%s", step, got, want)
 		}
-		meta := ref.head.Load().metaFiles()
+		meta, err := ref.head.Load().metaFiles()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, name := range []string{"schema.authdb", "views.authdb"} {
 			if got, want := string(committedFile(t, dir, e, name)), string(meta[name]); got != want {
 				t.Fatalf("%s: committed %s differs:\ngot:\n%s\nwant:\n%s", step, name, got, want)
@@ -681,7 +684,7 @@ func TestPagedDeletesMatchMemory(t *testing.T) {
 // state or the new one. The rebuild must therefore never write a page
 // the committed ROOT can still reach.
 func TestPagedRebuildCrashSweep(t *testing.T) {
-	snapshot := func(prefix string) (map[string][]byte, uint64, string) {
+	snapshot := func(prefix string) ([]string, uint64, string) {
 		src := New(core.DefaultOptions())
 		script := "relation R (A, B) key (A);\n"
 		for i := 0; i < 400; i++ {
@@ -690,14 +693,14 @@ func TestPagedRebuildCrashSweep(t *testing.T) {
 		if _, err := src.NewSession("admin", true).ExecScript(script); err != nil {
 			t.Fatal(err)
 		}
-		files, lsn, _, err := src.ReplSnapshot()
+		stmts, lsn, err := src.ReplSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return files, lsn, fingerprint(t, src)
+		return stmts, lsn, fingerprint(t, src)
 	}
-	oldFiles, oldLSN, oldFP := snapshot("old")
-	newFiles, newLSN, newFP := snapshot("new")
+	oldStmts, oldLSN, oldFP := snapshot("old")
+	newStmts, newLSN, newFP := snapshot("new")
 
 	base := t.TempDir()
 	for k := 0; ; k++ {
@@ -710,11 +713,11 @@ func TestPagedRebuildCrashSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.ResetFromSnapshot(oldFiles, oldLSN); err != nil {
+		if err := e.ResetFromSnapshot(oldStmts, oldLSN); err != nil {
 			t.Fatal(err)
 		}
 		fs.Arm(k)
-		resetErr := e.ResetFromSnapshot(newFiles, newLSN)
+		resetErr := e.ResetFromSnapshot(newStmts, newLSN)
 		tripped := fs.Tripped()
 		e.Close()
 
@@ -856,11 +859,11 @@ func TestPageStoreFollowsHead(t *testing.T) {
 				for i := g.rng.Intn(4); i > 0; i-- {
 					exec(ref, g.next())
 				}
-				files, lsn, _, err := ref.ReplSnapshot()
+				stmts, lsn, err := ref.ReplSnapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := e.ResetFromSnapshot(files, lsn); err != nil {
+				if err := e.ResetFromSnapshot(stmts, lsn); err != nil {
 					t.Fatalf("seed %d: adopting a snapshot: %v", seed, err)
 				}
 				check(fmt.Sprintf("snapshot adoption at op %d", op))
@@ -1051,8 +1054,7 @@ func TestPagedRefusesVersion1Root(t *testing.T) {
 // TestOpenRejectsMalformedEpochAndLSN damages a committed generation's
 // EPOCH or LSN file behind a MANIFEST that vouches for the damage: the
 // open must fail rather than restart the epoch history at {1, 0} or
-// the LSN count at zero. Only a missing file (a snapshot older than
-// epochs or LSNs) falls back.
+// the LSN count at zero.
 func TestOpenRejectsMalformedEpochAndLSN(t *testing.T) {
 	for _, tc := range []struct{ file, content string }{
 		{epochName, "3 40 junk\n"},
@@ -1070,6 +1072,47 @@ func TestOpenRejectsMalformedEpochAndLSN(t *testing.T) {
 		if e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages); err == nil {
 			e.Close()
 			t.Fatalf("%s %q: open succeeded", tc.file, tc.content)
+		}
+	}
+}
+
+// TestOpenRefusesGenerationWithoutEpochOrLSN strips EPOCH, or LSN, from
+// a copy of root2Fixture's generation, from its MANIFEST and from the
+// directory alike, so the MANIFEST vouches for the rest. Every build
+// that wrote a ROOT wrote both files, so the open must fail naming the
+// missing one, not reopen at epoch 1 (unfenced) or resume the count at
+// LSN 0.
+func TestOpenRefusesGenerationWithoutEpochOrLSN(t *testing.T) {
+	for _, name := range []string{epochName, lsnName} {
+		dir, _, _ := fixtureCopy(t, root2Fixture)
+		snap := filepath.Join(dir, "snap-000003")
+		manifest, err := os.ReadFile(filepath.Join(snap, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for _, line := range strings.SplitAfter(string(manifest), "\n") {
+			if !strings.HasSuffix(line, " "+name+"\n") {
+				kept = append(kept, line)
+			}
+		}
+		if len(kept) == len(strings.SplitAfter(string(manifest), "\n")) {
+			t.Fatalf("the fixture's MANIFEST lists no %s:\n%s", name, manifest)
+		}
+		if err := os.WriteFile(filepath.Join(snap, manifestName), []byte(strings.Join(kept, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(snap, name)); err != nil {
+			t.Fatal(err)
+		}
+		e, err := OpenDurable(dir, core.DefaultOptions(), testCachePages)
+		if err == nil {
+			epoch, lsn := e.Epoch(), e.LSN()
+			e.Close()
+			t.Fatalf("without %s: opened at epoch %d, lsn %d", name, epoch, lsn)
+		}
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("without %s: error %q does not name the file", name, err)
 		}
 	}
 }

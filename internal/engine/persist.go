@@ -1,12 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"authdb/internal/core"
 	"authdb/internal/faultfs"
@@ -15,77 +15,70 @@ import (
 	"authdb/internal/value"
 )
 
-// metaFiles renders one database version's meta-database, keyed by
-// path relative to the state directory:
-//
-//	schema.authdb   relation statements
-//	views.authdb    view definitions and permits, in definition order
-//
-// Every layout keeps these two scripts; a durable generation stores the
-// tuples in its page file instead of snapshotFiles' data.authdb. The
-// version is immutable, so no lock is needed.
-func (v *dbVersion) metaFiles() map[string][]byte {
-	var schema strings.Builder
-	for _, name := range v.sch.Names() {
-		rs := v.sch.Lookup(name)
-		fmt.Fprintf(&schema, "relation %s (%s)", rs.Name, strings.Join(rs.Attrs, ", "))
-		if keys := rs.KeyAttrs(); len(keys) > 0 {
-			fmt.Fprintf(&schema, " key (%s)", strings.Join(keys, ", "))
-		}
-		schema.WriteString(";\n")
+// render renders the immutable version as parser.Render statements in
+// replay order, in four sections: relations in schema order, tuples (if
+// asked) relation by relation in Sorted order, views, permits. Values
+// keep their kinds exactly (5 is not "5", "" is not null), so every
+// engine that replays the statements holds the tuples this one holds.
+func (v *dbVersion) render(tuples bool) (s [4][]string, err error) {
+	add := func(section int, st parser.Stmt) {
+		text, rerr := parser.Render(st)
+		s[section], err = append(s[section], text), cmp.Or(err, rerr)
 	}
-
-	var views strings.Builder
+	for i, name := range v.sch.Names() {
+		rs := v.sch.Lookup(name)
+		add(0, parser.CreateRelation{Name: rs.Name, Attrs: rs.Attrs, Key: rs.KeyAttrs()})
+		if tuples {
+			for _, t := range v.rels[i].Sorted() {
+				add(1, parser.Insert{Rel: name, Values: t})
+			}
+		}
+	}
 	for _, name := range v.store.ViewNames() {
-		views.WriteString(v.store.ViewDef(name).String())
-		views.WriteString(";\n\n")
+		add(2, parser.ViewStmt{Def: v.store.ViewDef(name)})
 	}
 	for _, user := range v.store.Users() {
 		for _, vw := range v.store.ViewsFor(user) {
-			fmt.Fprintf(&views, "permit %s to %s;\n", vw, user)
+			add(3, parser.Permit{View: vw, User: user})
 		}
 	}
-	return map[string][]byte{
-		"schema.authdb": []byte(schema.String()),
-		"views.authdb":  []byte(views.String()),
-	}
+	return s, err
 }
 
 // dataName is the script of a snapshot's tuples, replayed between
 // schema.authdb and views.authdb.
 const dataName = "data.authdb"
 
-// snapshotFiles renders one database version as metaFiles plus
-// data.authdb: one insert statement per tuple, relation by relation in
-// schema order, tuples in Sorted order. Statements keep value kinds
-// exactly (5 is not "5", "" is not null), so every node that loads the
-// files holds the tuples this one holds. The same rendering backs the
-// flat Save layout, replication snapshots, epoch quarantines, and the
-// crash-recovery tests' state fingerprints.
-func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
-	files := v.metaFiles()
-	var data strings.Builder
-	for i, name := range v.sch.Names() {
-		for _, t := range v.rels[i].Sorted() {
-			stmt, err := parser.Render(parser.Insert{Rel: name, Values: t})
-			if err != nil {
-				return nil, fmt.Errorf("rendering %s: %w", name, err)
-			}
-			data.WriteString(stmt)
-			data.WriteString(";\n")
-		}
+// files joins render's sections into the flat layout's scripts:
+// schema.authdb, data.authdb (if tuples is set) and views.authdb, where
+// a blank line follows each view. A durable generation holds metaFiles
+// and keeps its tuples in the page file; Save, epoch quarantines and
+// the tests' state fingerprints hold snapshotFiles.
+func (v *dbVersion) files(tuples bool) (map[string][]byte, error) {
+	s, err := v.render(tuples)
+	if err != nil {
+		return nil, err
 	}
-	files[dataName] = []byte(data.String())
+	join := func(stmts []string, sep string) (out []byte) {
+		for _, st := range stmts {
+			out = append(append(out, st...), sep...)
+		}
+		return out
+	}
+	files := map[string][]byte{
+		"schema.authdb": join(s[0], ";\n"),
+		"views.authdb":  append(join(s[2], ";\n\n"), join(s[3], ";\n")...),
+	}
+	if tuples {
+		files[dataName] = join(s[1], ";\n")
+	}
 	return files, nil
 }
 
-// snapshotFiles renders the head version. Writers that need the state
-// they just built (epoch quarantine) call this after
-// publishLocked, so the head is exactly their state; readers get
-// whatever version is current at the atomic load.
-func (e *Engine) snapshotFiles() (map[string][]byte, error) {
-	return e.head.Load().snapshotFiles()
-}
+// metaFiles renders schema.authdb and views.authdb; snapshotFiles adds
+// data.authdb.
+func (v *dbVersion) metaFiles() (map[string][]byte, error)     { return v.files(false) }
+func (v *dbVersion) snapshotFiles() (map[string][]byte, error) { return v.files(true) }
 
 // sortedPaths returns the file map's keys in deterministic order.
 func sortedPaths(files map[string][]byte) []string {
@@ -136,12 +129,15 @@ func writeFileAtomic(fs faultfs.FS, path string, data []byte) error {
 // existing files are replaced. Load restores an equivalent engine. For
 // crash atomicity across the whole file set, use OpenDurable instead —
 // Save is the export/import surface.
-func (e *Engine) Save(dir string) error {
-	files, err := e.snapshotFiles()
+func (e *Engine) Save(dir string) error { return e.head.Load().save(faultfs.OS(), dir) }
+
+// save writes the version's snapshotFiles into dir through fs, the way
+// Save describes; epoch quarantines dump their state/ with it too.
+func (v *dbVersion) save(fs faultfs.FS, dir string) error {
+	files, err := v.snapshotFiles()
 	if err != nil {
 		return err
 	}
-	fs := faultfs.OS()
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -155,7 +151,7 @@ func (e *Engine) Save(dir string) error {
 
 // Load restores an engine saved with Save.
 func Load(dir string, opt core.Options) (*Engine, error) {
-	return loadState(faultfs.OS().ReadFile, dir, opt, nil)
+	return loadState(faultfs.OS(), dir, opt, nil)
 }
 
 // errCSVLayout names the upgrade path of a state whose tuples are in the
@@ -164,17 +160,17 @@ var errCSVLayout = errors.New("its tuples are in the CSV layout of earlier build
 
 // loadState rebuilds an engine from a flat state directory (the Save
 // layout; also the inside of a durable snapshot generation), reading
-// through readFile. The three scripts replay as statements through an
+// through fs. The three scripts replay as statements through an
 // admin session — schema.authdb, then data.authdb, then views.authdb —
 // except that a generation with a page store (ps set) takes its tuples
 // from ps's trees instead of data.authdb. Errors carry the file and, for
 // replayed statements, the line that failed.
-func loadState(readFile func(string) ([]byte, error), dir string, opt core.Options, ps *storage.Store) (*Engine, error) {
+func loadState(fs faultfs.FS, dir string, opt core.Options, ps *storage.Store) (*Engine, error) {
 	e := New(opt)
 	admin := e.NewSession("admin", true)
 	replay := func(name string) error {
 		path := filepath.Join(dir, name)
-		script, err := readFile(path)
+		script, err := fs.ReadFile(path)
 		if err != nil {
 			return err
 		}

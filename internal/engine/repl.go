@@ -1,7 +1,8 @@
 // The engine's replication surface: what a primary hands to followers
-// (a consistent snapshot, or the WAL tail past a follower's position)
-// and what a replica does with a received snapshot (swap it in under
-// the engine lock and persist it as its own generation).
+// (a consistent snapshot as statements, or the WAL tail past a
+// follower's position) and what a replica does with a received snapshot
+// (replay it into a fresh engine, swap that in under the engine lock and
+// persist it as its own generation).
 //
 // Authorization needs none of this to be special-cased: Motro's model
 // makes the masked answer a pure function of the meta-database (views,
@@ -13,27 +14,26 @@ package engine
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"authdb/internal/core"
 	"authdb/internal/wal"
 )
 
-// ReplSnapshot renders a consistent snapshot of the engine's state (the
-// flat file layout loadState reads) together with the LSN it embodies
-// and the committed generation number. It pins the head version — no
-// engine lock, no disk round trip, and no race with a concurrent
-// checkpoint rotating the on-disk generation: the version's files and
-// LSN are coherent by construction, and the generation number is only
-// forwarded to followers as handshake information.
-func (e *Engine) ReplSnapshot() (files map[string][]byte, lsn, gen uint64, err error) {
+// ReplSnapshot renders a consistent snapshot of the engine's state as
+// the statements a fresh engine replays to hold it, with the LSN it
+// embodies. It pins the head version — no engine lock, no disk round
+// trip, and no race with a concurrent checkpoint: the version's
+// statements and LSN are coherent by construction.
+func (e *Engine) ReplSnapshot() (stmts []string, lsn uint64, err error) {
 	v := e.headVersion()
-	files, err = v.snapshotFiles()
+	s, err := v.render(true)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	return files, v.lsn, e.snapGen.Load(), nil
+	return slices.Concat(s[:]...), v.lsn, nil
 }
 
 // WALTail returns the durable statements with LSN > from, read from the
@@ -91,15 +91,15 @@ func (e *Engine) WALTail(from uint64) (tail []Commit, ok bool, err error) {
 	return nil, false, nil
 }
 
-// ResetFromSnapshot replaces the engine's entire state with the given
-// snapshot files (the layout ReplSnapshot produces) embodying lsn. The
-// swap happens under the engine lock, transparent to concurrent
-// sessions; durable engines immediately checkpoint the new state as
-// their own generation so a restart resumes from it. This is the
-// replica's bootstrap path.
-func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64) error {
-	tmp, err := loadState(mapFS(files).ReadFile, ".", e.opt, nil)
-	if err != nil {
+// ResetFromSnapshot replaces the engine's entire state with the one
+// ReplSnapshot's statements build, embodying lsn. They replay into a
+// fresh engine, swapped in under the engine lock, transparent to
+// concurrent sessions; durable engines immediately checkpoint the new
+// state as their own generation so a restart resumes from it. This is
+// the replica's bootstrap path.
+func (e *Engine) ResetFromSnapshot(stmts []string, lsn uint64) error {
+	tmp := New(e.opt)
+	if _, err := tmp.NewSession("admin", true).ExecScript(strings.Join(stmts, ";\n")); err != nil {
 		return fmt.Errorf("loading replication snapshot: %w", err)
 	}
 	e.mu.Lock()
@@ -127,16 +127,4 @@ func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64) error {
 		e.durableLSN.Store(lsn)
 	}
 	return nil
-}
-
-// mapFS serves a snapshot's file map to loadState. Paths are the map's
-// slash-separated keys, optionally prefixed "./".
-type mapFS map[string][]byte
-
-func (m mapFS) ReadFile(name string) ([]byte, error) {
-	key := filepath.ToSlash(filepath.Clean(name))
-	if b, ok := m[key]; ok {
-		return append([]byte(nil), b...), nil
-	}
-	return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrNotExist}
 }

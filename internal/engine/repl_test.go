@@ -113,7 +113,7 @@ func TestWALTailAndSnapshotBootstrap(t *testing.T) {
 		t.Fatalf("WALTail(0) after checkpoint = ok %v, err %v; want snapshot fallback", ok, err)
 	}
 
-	files, lsn, _, err := e1.ReplSnapshot()
+	stmts, lsn, err := e1.ReplSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestWALTailAndSnapshotBootstrap(t *testing.T) {
 		t.Fatalf("snapshot LSN = %d, want %d", lsn, split)
 	}
 	e2 := New(core.DefaultOptions())
-	if err := e2.ResetFromSnapshot(files, lsn); err != nil {
+	if err := e2.ResetFromSnapshot(stmts, lsn); err != nil {
 		t.Fatal(err)
 	}
 	if e2.LSN() != lsn {
@@ -169,7 +169,7 @@ func TestResetFromSnapshotDropsClosure(t *testing.T) {
 	if _, err := src.NewSession("admin", true).ExecScript(strings.Join(durableScenario, ";\n")); err != nil {
 		t.Fatal(err)
 	}
-	files, lsn, _, err := src.ReplSnapshot()
+	stmts, lsn, err := src.ReplSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestResetFromSnapshotDropsClosure(t *testing.T) {
 	if e.MaskClosureStats().Entries == 0 {
 		t.Fatal("the read left no closure entry")
 	}
-	if err := e.ResetFromSnapshot(files, lsn); err != nil {
+	if err := e.ResetFromSnapshot(stmts, lsn); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.MaskClosureStats().Entries; n != 0 {

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"authdb/internal/core"
@@ -11,9 +12,10 @@ import (
 )
 
 // FuzzSnapshotRoundTrip inserts fuzzed strings and integers, mixing the
-// kinds within each column, and loads the state's snapshot files into a
-// fresh engine: rendering the loaded state must give the same files
-// byte for byte, and every tuple must come back with its kinds. Strings
+// kinds within each column, and replays the state's snapshot statements
+// (ReplSnapshot) into a fresh engine (ResetFromSnapshot): rendering the
+// loaded state must give the same statements and the same snapshot
+// files byte for byte, and every tuple must come back with its kinds. Strings
 // without a literal form (a double quote) are refused at the insert, so
 // they are not part of any state.
 func FuzzSnapshotRoundTrip(f *testing.F) {
@@ -44,21 +46,32 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		files, err := e.snapshotFiles()
+		stmts, lsn, err := e.ReplSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		back := New(core.DefaultOptions())
-		if err := back.ResetFromSnapshot(files, e.LSN()); err != nil {
-			t.Fatalf("loading the snapshot: %v\n%s", err, files[dataName])
+		if err := back.ResetFromSnapshot(stmts, lsn); err != nil {
+			t.Fatalf("loading the snapshot: %v\n%q", err, stmts)
 		}
-		again, err := back.snapshotFiles()
+		again, againLSN, err := back.ReplSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if againLSN != lsn || !slices.Equal(again, stmts) {
+			t.Fatalf("statements after a round trip (lsn %d):\n%q\nbefore (lsn %d):\n%q", againLSN, again, lsn, stmts)
+		}
+		files, err := e.head.Load().snapshotFiles()
+		if err != nil {
+			t.Fatal(err)
+		}
+		againFiles, err := back.head.Load().snapshotFiles()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range sortedPaths(files) {
-			if !bytes.Equal(again[p], files[p]) {
-				t.Fatalf("%s after a round trip:\n%q\nbefore:\n%q", p, again[p], files[p])
+			if !bytes.Equal(againFiles[p], files[p]) {
+				t.Fatalf("%s after a round trip:\n%q\nbefore:\n%q", p, againFiles[p], files[p])
 			}
 		}
 		want, got := e.head.Load().rels[0].Sorted(), back.head.Load().rels[0].Sorted()

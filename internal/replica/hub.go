@@ -5,10 +5,12 @@
 // The protocol rides the ordinary wire listener (internal/wire's
 // REPL_HELLO / REPL_BATCH / REPL_ACK kinds). A follower states the last
 // LSN it holds; the primary either serves the WAL tail past it or, when
-// the position predates the committed snapshot, sends a full state
-// snapshot first. Batches carry contiguous LSN runs, so a replica can
-// verify it never skips or re-applies a statement; acks flow back for
-// lag accounting and graceful shutdown.
+// the position predates the committed snapshot, sends its full state
+// first — as statements, in the same REPL_BATCH frames as the tail,
+// with From zero — which the follower installs as one state. Tail
+// batches carry contiguous LSN runs, so a replica can verify it never
+// skips or re-applies a statement; acks flow back for lag accounting and
+// graceful shutdown.
 //
 // Authorization replicates for free: Motro's masking is a pure function
 // of the meta-database and the query, and the meta-relations (views,
@@ -21,7 +23,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -188,16 +189,12 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 
 	// Epoch fencing. A hello announcing a higher epoch proves this node
 	// was superseded while it wasn't looking: refuse the stream and
-	// demote. Zero is a pre-epoch follower, treated as epoch 1.
-	helloEpoch := hello.Epoch
-	if helloEpoch == 0 {
-		helloEpoch = 1
-	}
-	if !h.unsafeNoFencing && helloEpoch > h.eng.Epoch() {
-		h.fenced(helloEpoch, hello.Leader)
+	// demote.
+	if !h.unsafeNoFencing && hello.Epoch > h.eng.Epoch() {
+		h.fenced(hello.Epoch, hello.Leader)
 		reject(&wire.Error{Code: wire.CodeStalePrimary, Leader: hello.Leader,
 			Message: fmt.Sprintf("fenced: follower %s is at epoch %d, this node at %d",
-				hello.Name, helloEpoch, h.eng.Epoch())})
+				hello.Name, hello.Epoch, h.eng.Epoch())})
 		return
 	}
 
@@ -234,6 +231,7 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 	reply := wire.ReplHelloReply{OK: true, Gen: h.eng.Generation(),
 		Epoch: h.eng.Epoch(), EpochHist: wireEpochHist(h.eng.EpochHistory())}
 	var pending []engine.Commit
+	var snapshot []string
 	next := hello.From + 1
 	// A follower stuck on a stale epoch may hold statements no current
 	// history contains: anything it applied past the fork — the start of
@@ -241,8 +239,8 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 	// quarantines its suffix, and always resync it by snapshot (its WAL
 	// position is meaningless past the fork).
 	diverged := false
-	if !h.unsafeNoFencing && helloEpoch < h.eng.Epoch() {
-		if fork, ok := h.eng.ForkLSN(helloEpoch); ok && hello.From > fork {
+	if !h.unsafeNoFencing && hello.Epoch < h.eng.Epoch() {
+		if fork, ok := h.eng.ForkLSN(hello.Epoch); ok && hello.From > fork {
 			diverged = true
 			reply.Diverged, reply.Fork = true, fork
 			h.met.Counter("authdb_repl_diverged_followers_total").Inc()
@@ -257,29 +255,26 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 		reply.Mode = wire.ReplModeTail
 		pending = tail
 	default:
-		files, lsn, gen, err := h.eng.ReplSnapshot()
-		if err != nil {
+		if snapshot, reply.SnapshotLSN, err = h.eng.ReplSnapshot(); err != nil {
 			reject(&wire.Error{Code: wire.CodeInternal, Message: err.Error()})
 			return
 		}
-		reply.Mode = wire.ReplModeSnapshot
-		reply.Snapshot, reply.SnapshotLSN, reply.Gen = files, lsn, gen
-		next = lsn + 1
+		reply.Mode, reply.SnapshotStmts = wire.ReplModeSnapshot, uint64(len(snapshot))
+		next = reply.SnapshotLSN + 1
 	}
 	nc.SetWriteDeadline(time.Now().Add(h.writeTO))
 	if err := wire.WriteMsg(bw, reply); err != nil {
-		// An oversized reply fails before any byte is written, so the
-		// follower can still be told why instead of seeing EOF.
-		var fe *wire.FrameSizeError
-		if errors.As(err, &fe) {
-			reject(&wire.Error{Code: wire.CodeInternal, Message: "handshake reply: " + fe.Error()})
-		}
 		return
 	}
 	if err := bw.Flush(); err != nil {
 		return
 	}
+	// The snapshot's statements go first, in batches with From zero.
 	if reply.Mode == wire.ReplModeSnapshot {
+		if err := h.sendStmts(f, bw, 0, snapshot); err != nil {
+			h.met.Counter("authdb_repl_follower_disconnects_total", "reason", "write").Inc()
+			return
+		}
 		h.met.Counter("authdb_repl_snapshots_sent_total").Inc()
 	}
 	f.sent.Store(next - 1)
@@ -329,49 +324,59 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 }
 
 // sendBatches streams the commits with LSN >= next as REPL_BATCH frames
-// (chunked under the frame limits) and returns the next expected LSN.
-// Commits below next are the intended overlap between the disk catch-up
-// and the live feed and are dropped; a commit above next means the feed
-// lost something (cannot happen while the subscription is open) and
-// fails the stream.
+// and returns the next expected LSN. Commits below next are the
+// intended overlap between the disk catch-up and the live feed and are
+// dropped; a commit above next means the feed lost something (cannot
+// happen while the subscription is open) and fails the stream.
 func (h *Hub) sendBatches(f *follower, bw *bufio.Writer, next uint64, cs []engine.Commit) (uint64, error) {
-	i := 0
-	for {
-		for i < len(cs) && cs[i].LSN < next {
-			i++
+	for len(cs) > 0 && cs[0].LSN < next {
+		cs = cs[1:]
+	}
+	stmts := make([]string, len(cs))
+	for i, c := range cs {
+		if c.LSN != next+uint64(i) {
+			return next, fmt.Errorf("replica: commit feed gap: have %d, want %d", c.LSN, next+uint64(i))
 		}
-		if i == len(cs) {
-			return next, nil
-		}
-		if cs[i].LSN != next {
-			return next, fmt.Errorf("replica: commit feed gap: have %d, want %d", cs[i].LSN, next)
-		}
-		from := next
-		var stmts []string
-		nbytes := 0
-		for i < len(cs) && cs[i].LSN == next && len(stmts) < batchMaxStmts && nbytes < batchMaxBytes {
-			stmts = append(stmts, cs[i].Stmt)
-			nbytes += len(cs[i].Stmt)
-			i++
-			next++
+		stmts[i] = c.Stmt
+	}
+	if err := h.sendStmts(f, bw, next, stmts); err != nil {
+		return next, err
+	}
+	return next + uint64(len(stmts)), nil
+}
+
+// sendStmts writes stmts as epoch-stamped REPL_BATCH frames chunked by
+// batchMaxStmts and batchMaxBytes. from is the LSN of stmts[0], or zero
+// for snapshot statements, which leave the sent mark as it is.
+func (h *Hub) sendStmts(f *follower, bw *bufio.Writer, from uint64, stmts []string) error {
+	for len(stmts) > 0 {
+		n, nbytes := 0, 0
+		for n < len(stmts) && n < batchMaxStmts && nbytes < batchMaxBytes {
+			nbytes += len(stmts[n])
+			n++
 		}
 		start := time.Now()
 		f.conn.SetWriteDeadline(start.Add(h.writeTO))
 		if err := wire.WriteMsg(bw, wire.ReplBatch{
-			Kind: wire.KindReplBatch, From: from, Stmts: stmts,
+			Kind: wire.KindReplBatch, From: from, Stmts: stmts[:n],
 			Epoch:        h.eng.Epoch(),
 			SentUnixNano: start.UnixNano(),
 		}); err != nil {
-			return next, err
+			return err
 		}
 		if err := bw.Flush(); err != nil {
-			return next, err
+			return err
 		}
-		f.sent.Store(next - 1)
+		if from != 0 {
+			from += uint64(n)
+			f.sent.Store(from - 1)
+		}
+		stmts = stmts[n:]
 		h.met.Counter("authdb_repl_batches_sent_total").Inc()
-		h.met.Counter("authdb_repl_stmts_sent_total").Add(int64(len(stmts)))
+		h.met.Counter("authdb_repl_stmts_sent_total").Add(int64(n))
 		h.met.Histogram("authdb_repl_send_seconds").Observe(time.Since(start).Seconds())
 	}
+	return nil
 }
 
 // readAcks consumes the follower's ack stream until the connection

@@ -1,5 +1,6 @@
-// The follower side: a Replica dials the primary, bootstraps (snapshot
-// or WAL tail), then applies the live statement stream through its own
+// The follower side: a Replica dials the primary, bootstraps (a
+// snapshot read whole from its batches and installed as one state, or
+// the WAL tail), then applies the live statement stream through its own
 // engine — which journals to the replica's own WAL, so the position
 // survives a crash and the next connection resumes from the persisted
 // LSN. The connection loop reconnects forever with jittered exponential
@@ -301,21 +302,25 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 		return 0, fmt.Errorf("primary refused stream")
 	}
 	// A primary on a lower epoch than ours has been superseded and
-	// doesn't know it yet: fence it and move on. Zero is a pre-epoch
-	// primary, treated as epoch 1.
-	replyEpoch := reply.Epoch
-	if replyEpoch == 0 {
-		replyEpoch = 1
-	}
-	if replyEpoch < r.eng.Epoch() {
-		wire.WriteMsg(bw, wire.ReplFence{
-			Kind: wire.KindReplFence, Epoch: r.eng.Epoch(), Leader: r.Leader(),
-		})
-		bw.Flush()
-		return 0, fmt.Errorf("fencing stale primary %s (epoch %d, ours %d)", addr, replyEpoch, r.eng.Epoch())
+	// doesn't know it yet: fence it and move on.
+	if reply.Epoch < r.eng.Epoch() {
+		return 0, r.fence(conn, bw, addr, "handshake", reply.Epoch)
 	}
 	conn.SetDeadline(time.Time{})
 
+	// Read the whole snapshot before touching the engine: a stream cut
+	// partway leaves this node's state, LSN and quarantines as they were.
+	var snapshot []string
+	for uint64(len(snapshot)) < reply.SnapshotStmts {
+		batch, err := r.readBatch(conn, br, bw, addr)
+		if err == nil && (batch.From != 0 || uint64(len(snapshot)+len(batch.Stmts)) > reply.SnapshotStmts) {
+			err = fmt.Errorf("batch from lsn %d of %d statements after %d of %d", batch.From, len(batch.Stmts), len(snapshot), reply.SnapshotStmts)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("reading snapshot: %w", err)
+		}
+		snapshot = append(snapshot, batch.Stmts...)
+	}
 	if reply.Diverged {
 		// We accepted statements past the fork under a stale epoch; no
 		// current history contains them. Quarantine before the snapshot
@@ -329,11 +334,12 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 		}
 	}
 	if reply.Mode == wire.ReplModeSnapshot {
-		if err := r.eng.ResetFromSnapshot(reply.Snapshot, reply.SnapshotLSN); err != nil {
+		if err := r.eng.ResetFromSnapshot(snapshot, reply.SnapshotLSN); err != nil {
 			return 0, fmt.Errorf("installing snapshot at lsn %d: %w", reply.SnapshotLSN, err)
 		}
 		r.met.Counter("authdb_repl_snapshots_installed_total").Inc()
-		r.cfg.Logf("replica: bootstrapped from snapshot at lsn %d (gen %d)", reply.SnapshotLSN, reply.Gen)
+		r.cfg.Logf("replica: bootstrapped from snapshot of %d statements at lsn %d (gen %d)",
+			len(snapshot), reply.SnapshotLSN, reply.Gen)
 	}
 	if len(reply.EpochHist) > 0 {
 		if err := r.eng.AdoptEpochHistory(engineEpochHist(reply.EpochHist)); err != nil {
@@ -358,28 +364,9 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 	sess.SetApplier(true)
 
 	for {
-		payload, err := wire.ReadFrame(br)
+		batch, err := r.readBatch(conn, br, bw, addr)
 		if err != nil {
 			return applied, err
-		}
-		if wire.MsgKind(payload) != wire.KindReplBatch {
-			continue
-		}
-		var batch wire.ReplBatch
-		if err := json.Unmarshal(payload, &batch); err != nil {
-			return applied, fmt.Errorf("malformed batch: %w", err)
-		}
-		// A batch from a lower epoch means the sender went stale
-		// mid-stream (typically: this very node was just promoted).
-		// Fence it rather than apply.
-		if batch.Epoch != 0 && batch.Epoch < r.eng.Epoch() {
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			wire.WriteMsg(bw, wire.ReplFence{
-				Kind: wire.KindReplFence, Epoch: r.eng.Epoch(), Leader: r.Leader(),
-			})
-			bw.Flush()
-			return applied, fmt.Errorf("fencing stale primary %s mid-stream (batch epoch %d, ours %d)",
-				addr, batch.Epoch, r.eng.Epoch())
 		}
 		n, err := r.applyBatch(sess, batch)
 		applied += n
@@ -398,6 +385,38 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 	}
 }
 
+// readBatch reads the next REPL_BATCH frame, skipping other kinds. A
+// batch from a lower epoch than ours means the sender went stale
+// mid-stream (typically: this very node was just promoted): fence it.
+func (r *Replica) readBatch(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, addr string) (wire.ReplBatch, error) {
+	for {
+		payload, err := wire.ReadFrame(br)
+		if err != nil {
+			return wire.ReplBatch{}, err
+		}
+		if wire.MsgKind(payload) != wire.KindReplBatch {
+			continue
+		}
+		var batch wire.ReplBatch
+		if err := json.Unmarshal(payload, &batch); err != nil {
+			return batch, fmt.Errorf("malformed batch: %w", err)
+		}
+		if batch.Epoch < r.eng.Epoch() {
+			return batch, r.fence(conn, bw, addr, "batch", batch.Epoch)
+		}
+		return batch, nil
+	}
+}
+
+// fence tells a primary whose epoch (stamped on what) is below ours
+// that it is stale, and returns the error that ends the stream.
+func (r *Replica) fence(conn net.Conn, bw *bufio.Writer, addr, what string, epoch uint64) error {
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	wire.WriteMsg(bw, wire.ReplFence{Kind: wire.KindReplFence, Epoch: r.eng.Epoch(), Leader: r.Leader()})
+	bw.Flush()
+	return fmt.Errorf("fencing stale primary %s (%s epoch %d, ours %d)", addr, what, epoch, r.eng.Epoch())
+}
+
 // engineEpochHist converts a wire epoch history to the engine's form.
 func engineEpochHist(hist []wire.EpochEntry) []engine.EpochEntry {
 	out := make([]engine.EpochEntry, len(hist))
@@ -410,8 +429,12 @@ func engineEpochHist(hist []wire.EpochEntry) []engine.EpochEntry {
 // applyBatch applies one contiguous statement run in LSN order,
 // skipping statements the engine already holds (the deliberate overlap
 // after a resume) and failing on a gap — a replica must never skip a
-// statement, or its masking would diverge from the primary's.
+// statement, or its masking would diverge from the primary's. A
+// snapshot batch (From zero) belongs before the tail: it fails the stream.
 func (r *Replica) applyBatch(sess *engine.Session, batch wire.ReplBatch) (int, error) {
+	if batch.From == 0 {
+		return 0, fmt.Errorf("snapshot batch of %d statements in the tail", len(batch.Stmts))
+	}
 	start := time.Now()
 	last := batch.From + uint64(len(batch.Stmts)) - 1
 	if len(batch.Stmts) == 0 {

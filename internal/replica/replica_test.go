@@ -10,13 +10,13 @@ package replica_test
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -118,23 +118,15 @@ func dial(t *testing.T, addr string, opts ...client.Option) *client.Client {
 // their replication snapshots.
 func stateEqual(t *testing.T, a, b *engine.Engine) bool {
 	t.Helper()
-	af, alsn, _, err := a.ReplSnapshot()
+	as, alsn, err := a.ReplSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, blsn, _, err := b.ReplSnapshot()
+	bs, blsn, err := b.ReplSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alsn != blsn || len(af) != len(bf) {
-		return false
-	}
-	for name, blob := range af {
-		if !bytes.Equal(blob, bf[name]) {
-			return false
-		}
-	}
-	return true
+	return alsn == blsn && slices.Equal(as, bs)
 }
 
 // TestPrimaryTwoReplicasByteIdentical is the headline property: a
@@ -553,69 +545,6 @@ func TestReplicationMetrics(t *testing.T) {
 	}
 }
 
-// TestOversizedSnapshotIsRefused: a snapshot whose reply frame exceeds
-// wire.MaxFrame cannot be sent. The primary refuses the stream with an
-// error naming the size and the limit, so the follower's log says why
-// it cannot bootstrap, and no snapshot counts as sent.
-func TestOversizedSnapshotIsRefused(t *testing.T) {
-	db := authdb.Open(authdb.DefaultOptions())
-	t.Cleanup(func() { db.Close() })
-	admin := db.Admin()
-	admin.MustExecScript("relation BLOB (K, V) key (K);\n")
-	// 1 600 rows of 8 KiB: about 13 MB of insert statements, over
-	// 16 MiB once the reply's JSON encodes the snapshot files in base64.
-	pad := strings.Repeat("x", 8<<10)
-	for i := 0; i < 1600; i++ {
-		if _, err := admin.Exec(fmt.Sprintf(`insert into BLOB values (k%d, "%s")`, i, pad)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv := startServer(t, db, server.Config{})
-
-	var mu sync.Mutex
-	var logs []string
-	cfg := followCfg(srv.Addr().String())
-	cfg.Logf = func(format string, args ...any) {
-		mu.Lock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-	rdb := authdb.Open(authdb.DefaultOptions())
-	t.Cleanup(func() { rdb.Close() })
-	rep := replica.Start(rdb.Engine(), cfg)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		rep.Stop(ctx)
-	})
-
-	refused := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, l := range logs {
-			if strings.Contains(l, "primary refused stream") && strings.Contains(l, "exceeds limit") {
-				return true
-			}
-		}
-		return false
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !refused() {
-		if time.Now().After(deadline) {
-			mu.Lock()
-			defer mu.Unlock()
-			t.Fatalf("follower never logged the refusal; log:\n%s", strings.Join(logs, "\n"))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if rep.Bootstrapped() {
-		t.Fatal("follower bootstrapped from a snapshot the primary could not send")
-	}
-	if n := db.Metrics().Counter("authdb_repl_snapshots_sent_total").Value(); n != 0 {
-		t.Fatalf("snapshots_sent_total = %v, want 0", n)
-	}
-}
-
 // TestReplicaBatchSharesOneSync: a default-configured durable replica
 // applies one REPL_BATCH of k statements with one WAL sync. The primary
 // is scripted over loopback so the batch boundaries are exact.
@@ -693,14 +622,7 @@ func TestReplicaBatchSharesOneSync(t *testing.T) {
 func kindsAnswers(t *testing.T, e *engine.Engine) string {
 	t.Helper()
 	var b strings.Builder
-	cells := func(r *relation.Relation) {
-		for _, tup := range r.Sorted() {
-			for _, v := range tup {
-				fmt.Fprintf(&b, "%s:%q ", v.Kind(), v.String())
-			}
-			b.WriteByte('\n')
-		}
-	}
+	cells := func(r *relation.Relation) { writeCells(&b, r) }
 	u := e.NewSession("u", false)
 	for _, q := range []string{`retrieve (R.A, R.B) where R.B = 5`, `retrieve (R.A, R.B)`} {
 		res, err := u.Exec(q)
@@ -720,6 +642,17 @@ func kindsAnswers(t *testing.T, e *engine.Engine) string {
 	b.WriteString("R\n")
 	cells(r)
 	return b.String()
+}
+
+// writeCells writes r's tuples in Sorted order, one a line, every cell
+// tagged with its kind.
+func writeCells(b *strings.Builder, r *relation.Relation) {
+	for _, tup := range r.Sorted() {
+		for _, v := range tup {
+			fmt.Fprintf(b, "%s:%q ", v.Kind(), v.String())
+		}
+		b.WriteByte('\n')
+	}
 }
 
 // TestKindsSameOnEveryNode holds a state whose strings look like other
@@ -762,12 +695,12 @@ func TestKindsSameOnEveryNode(t *testing.T) {
 	}
 	nodes["Save → Load"] = loaded
 
-	files, lsn, _, err := pe.ReplSnapshot()
+	stmts, lsn, err := pe.ReplSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	reset := engine.New(core.DefaultOptions())
-	if err := reset.ResetFromSnapshot(files, lsn); err != nil {
+	if err := reset.ResetFromSnapshot(stmts, lsn); err != nil {
 		t.Fatal(err)
 	}
 	nodes["ReplSnapshot → ResetFromSnapshot"] = reset

@@ -352,10 +352,11 @@ func TestHandshakeRejections(t *testing.T) {
 	s := startServer(t, db, server.Config{AdminToken: "s3cret"})
 	addr := s.Addr().String()
 
-	// Wrong protocol version, spoken raw: an unknown one, version 3,
-	// whose snapshots carried CSV, version 2, whose replies were JSON,
-	// and version 1, whose replies carried rendered text.
-	for _, proto := range []int{99, 3, 2, 1} {
+	// Wrong protocol version, spoken raw: an unknown one, version 4,
+	// whose snapshots rode inside the handshake reply, version 3, whose
+	// snapshots carried CSV, version 2, whose replies were JSON, and
+	// version 1, whose replies carried rendered text.
+	for _, proto := range []int{99, 4, 3, 2, 1} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -373,9 +374,10 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	}
 
-	// A replica announcing version 3, which would expect a CSV snapshot,
-	// or version 2, is refused at its handshake too.
-	for _, proto := range []int{3, 2} {
+	// A replica announcing version 4, which would expect its snapshot
+	// inside the reply, version 3, which would expect a CSV snapshot, or
+	// version 2, is refused at its handshake too.
+	for _, proto := range []int{4, 3, 2} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

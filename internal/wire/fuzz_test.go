@@ -30,13 +30,14 @@ func seedFrames(tb testing.TB) [][]byte {
 			Permits: []string{"permit (NAME)"}, Error: &Error{Code: CodeExec, Message: "nope"}}),
 		frame(ReplHello{Kind: KindReplHello, Proto: ProtoVersion, Token: "t", From: 41, Name: "r1",
 			Epoch: 3, Leader: "127.0.0.1:4100"}),
-		frame(ReplHelloReply{OK: true, Mode: ReplModeSnapshot,
-			Snapshot: map[string][]byte{"schema.authdb": []byte("relation R (A);\n")}, SnapshotLSN: 41, Gen: 3}),
+		frame(ReplHelloReply{OK: true, Mode: ReplModeSnapshot, SnapshotStmts: 2, SnapshotLSN: 41, Gen: 3}),
 		frame(ReplHelloReply{OK: true, Mode: ReplModeSnapshot, Epoch: 4,
 			EpochHist: []EpochEntry{{Epoch: 1, StartLSN: 0}, {Epoch: 4, StartLSN: 41}},
-			Diverged:  true, Fork: 41, SnapshotLSN: 50}),
+			Diverged:  true, Fork: 41, SnapshotStmts: 7, SnapshotLSN: 50}),
 		frame(ReplHelloReply{OK: false, Error: &Error{Code: CodeProtocol, Message: "bad token"}}),
 		frame(ReplBatch{Kind: KindReplBatch, From: 42, Epoch: 2, Stmts: []string{"insert into R values (x)", "permit V to U"}}),
+		// A snapshot batch: From zero, statements without LSNs.
+		frame(ReplBatch{Kind: KindReplBatch, Epoch: 4, Stmts: []string{"relation R (A)", `insert into R values ("5")`}}),
 		frame(ReplAck{Kind: KindReplAck, Applied: 43}),
 		frame(ReplFence{Kind: KindReplFence, Epoch: 5, Leader: "127.0.0.1:4100"}),
 		frame(Response{ID: 3, Error: &Error{Code: CodeStalePrimary,

@@ -5,7 +5,7 @@
 // one-way statement stream (ReplBatch frames, primary → replica) with
 // an ack stream (ReplAck frames, replica → primary) riding the other
 // direction; both sides use the same framing as the rest of the
-// protocol.
+// protocol. A snapshot is statements too, in ReplBatch frames.
 package wire
 
 import "encoding/json"
@@ -47,8 +47,8 @@ type ReplHello struct {
 	Name string `json:"name,omitempty"`
 	// Epoch is the highest fencing epoch the follower has adopted. A
 	// primary whose own epoch is lower has been superseded: it must
-	// demote itself instead of serving the stream. Zero (a pre-epoch
-	// follower) is treated as epoch 1, the epoch every engine starts in.
+	// demote itself instead of serving the stream. Every engine starts
+	// in epoch 1, and no build that speaks this protocol sends zero.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Leader, when set, names the wire address the follower believes the
 	// current leader serves on — a hint a fenced ex-primary can hand to
@@ -70,23 +70,23 @@ const (
 	// ReplModeTail: the replica's position is recent enough that the
 	// stream alone brings it current; no snapshot follows.
 	ReplModeTail = "tail"
-	// ReplModeSnapshot: the reply carries a full state snapshot the
-	// replica must install before applying the stream.
+	// ReplModeSnapshot: SnapshotStmts snapshot statements follow the
+	// reply, in ReplBatch frames with From zero; the replica installs
+	// them as one state before applying the stream.
 	ReplModeSnapshot = "snapshot"
 )
 
 // ReplHelloReply accepts (or rejects) a replication stream. On success
-// Mode says whether Snapshot is present; the batch stream follows
-// immediately after this frame.
+// Mode says whether snapshot batches come first; the batch stream
+// follows immediately after this frame.
 type ReplHelloReply struct {
 	OK   bool   `json:"ok"`
 	Mode string `json:"mode,omitempty"`
-	// Snapshot is the primary's complete state in the flat snapshot file
-	// layout (JSON encodes the file bodies as base64); set in snapshot
-	// mode only. SnapshotLSN is the LSN the snapshot embodies — the
-	// stream resumes at SnapshotLSN+1.
-	Snapshot    map[string][]byte `json:"snapshot,omitempty"`
-	SnapshotLSN uint64            `json:"snapshot_lsn,omitempty"`
+	// SnapshotStmts counts the statements of the primary's complete state
+	// that follow in snapshot mode, and SnapshotLSN is the LSN they
+	// embody — the stream resumes at SnapshotLSN+1.
+	SnapshotStmts uint64 `json:"snapshot_stmts,omitempty"`
+	SnapshotLSN   uint64 `json:"snapshot_lsn,omitempty"`
 	// Gen is the primary's snapshot generation at handshake, for
 	// diagnostics.
 	Gen   uint64 `json:"gen,omitempty"`
@@ -101,7 +101,7 @@ type ReplHelloReply struct {
 	// primary's: the follower holds statements past Fork that the
 	// primary's history does not contain (it accepted them under a stale
 	// epoch). The follower must quarantine its suffix past Fork before
-	// installing the accompanying snapshot — the reply is always in
+	// installing the snapshot that follows — the reply is always in
 	// snapshot mode when Diverged is set.
 	Diverged bool   `json:"diverged,omitempty"`
 	Fork     uint64 `json:"fork,omitempty"`
@@ -112,7 +112,8 @@ type ReplHelloReply struct {
 // never see a gap — a hole is a protocol error that forces reconnect.
 type ReplBatch struct {
 	Kind string `json:"kind"` // KindReplBatch
-	// From is the LSN of Stmts[0].
+	// From is the LSN of Stmts[0]. LSNs start at 1, so zero marks
+	// snapshot statements, which follow only a snapshot-mode reply.
 	From  uint64   `json:"from"`
 	Stmts []string `json:"stmts"`
 	// Epoch is the epoch the primary committed these statements under; a

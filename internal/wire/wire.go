@@ -35,10 +35,10 @@ import (
 // ProtoVersion identifies the protocol; the handshake rejects mismatches
 // so both sides fail loudly instead of mis-parsing frames. Replies are
 // binary frames carrying the structured result only; the receiver
-// renders it (Response.Render). Version 4 replication snapshots carry
-// the tuples as data.authdb, a script of insert statements; version 3
-// carried them as data/REL.csv, and version 2 replies were JSON.
-const ProtoVersion = 4
+// renders it (Response.Render). Version 5 sends a replication snapshot
+// as statements in ReplBatch frames; version 4 sent it as files inside
+// the handshake reply.
+const ProtoVersion = 5
 
 // MaxFrame bounds one frame's payload (requests and responses): larger
 // length words are treated as a protocol error rather than allocated.
