@@ -61,10 +61,12 @@ fuzz:
 # replication kinds included, plus malformed frames), then the binary
 # Response codec: a reply frame the decoder accepts re-encodes to the
 # same bytes, and a reply built from fuzzed parts decodes from its
-# encoding to itself.
+# encoding to itself; then the binary REPL_BATCH codec, to the same two
+# properties.
 fuzz-wire:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseCodec$$' -fuzztime 30s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzReplBatch$$' -fuzztime 30s
 
 # Fuzz the page store's ROOT decoder: any input opens a store or fails
 # with an error, never a panic, and an opened store never allocates the
@@ -130,6 +132,7 @@ benchgo:
 # Both halves of warm_wide's reply path on one processor, as the
 # benchmark runs it: the server's (closure hit, frame written from the
 # delivered tuples), the codec's (encode from tuples, one-pass decode),
-# then the client's renderer.
+# the client's renderer, then the whole read over loopback
+# (BenchmarkClientWide), to check the steps' sum against it.
 bench-reply:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ServeWide|ReplyCodec|RenderTable' -benchmem .
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ServeWide|ReplyCodec|RenderTable|ClientWide' -benchmem .

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"authdb"
 	"authdb/bench/fixture"
@@ -26,10 +27,12 @@ import (
 	"authdb/internal/guard"
 	"authdb/internal/qmod"
 	"authdb/internal/relation"
+	"authdb/internal/server"
 	"authdb/internal/sysr"
 	"authdb/internal/value"
 	"authdb/internal/wire"
 	"authdb/internal/workload"
+	"authdb/pkg/client"
 )
 
 // BenchmarkFigure1Compile measures E1: translating the paper's four view
@@ -673,6 +676,47 @@ func BenchmarkServeWide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		frame = serveWide(b, s, frame[:0])
+	}
+}
+
+// BenchmarkClientWide measures a whole warm_wide read over loopback:
+// client.Exec of Brown's Example 3 against a server on the benchmark's
+// paper fixture, which is the request, the closure hit and its frame,
+// TCP, the one-pass decode and the render into Result.Rendered. Beside
+// BenchmarkServeWide, BenchmarkReplyCodec's decode and
+// BenchmarkRenderTable it shows what the in-process steps leave to the
+// transport.
+func BenchmarkClientWide(b *testing.B) {
+	db := authdb.Open()
+	defer db.Close()
+	if _, err := db.Admin().ExecScript(fixture.PaperScript(fixture.DefaultPaper())); err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(db, server.Config{})
+	if err := srv.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	c, err := client.Dial(srv.Addr().String(), client.WithUser("Brown"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	// The first read fills the closure; every timed read is a hit.
+	if _, err := c.Exec(ctx, fixture.Example3); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Exec(ctx, fixture.Example3); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -59,7 +59,13 @@ type Relation struct {
 	// (otherwise rebuild before use).
 	memb    tupleSet
 	hasMemb bool
-	idx     *indexCache
+	// canonical records that tuples are in canonical order, so Sorted
+	// need not check: Canonicalize sets it, Insert, Adopt and Append
+	// clear it, and every relation built anew (each Versioned revision
+	// included) starts without it. Delete and Clone keep the order and
+	// the mark. It sits in hasMemb's padding.
+	canonical bool
+	idx       *indexCache
 }
 
 // New creates an empty relation over the given attributes.
@@ -154,6 +160,7 @@ func (r *Relation) insert(t Tuple, clone bool) bool {
 	}
 	r.memb.add(h, taken, len(r.tuples), cap(r.tuples))
 	r.tuples = append(r.tuples, t)
+	r.canonical = false
 	r.idx.bump()
 	return true
 }
@@ -165,6 +172,7 @@ func (r *Relation) insert(t Tuple, clone bool) bool {
 // the next Insert or Contains. The arity must match.
 func (r *Relation) Append(t Tuple) {
 	r.tuples = append(r.tuples, t)
+	r.canonical = false
 	r.ReleaseMembership()
 	r.idx.bump()
 }
@@ -223,7 +231,7 @@ func (r *Relation) Contains(t Tuple) bool { return r.Find(t) >= 0 }
 // carved from one backing array. It only reads r.
 func (r *Relation) Clone() *Relation {
 	out := newRelation(append([]string(nil), r.Attrs...), make([]Tuple, 0, len(r.tuples)))
-	out.hasMemb = true
+	out.hasMemb, out.canonical = true, r.canonical
 	cells := 0
 	for _, t := range r.tuples {
 		cells += len(t)
@@ -239,15 +247,16 @@ func (r *Relation) Clone() *Relation {
 }
 
 // Sorted returns the tuples in canonical (lexicographic) order without
-// mutating the relation. A relation already in that order — a masked
-// answer is canonical when the closure stores it — returns its own
-// tuples with cap == len, neither copied nor sorted: the caller must not
-// modify them, and its appends cannot reach a backing array a later
-// Versioned insert extends. Otherwise (a refresh appended rows behind
-// the canonical prefix, or a base relation in insertion order) it sorts
-// a copy.
+// mutating the relation. A canonical relation — a masked answer is
+// canonicalized when the closure stores it — returns its own tuples
+// with cap == len, neither checked, copied nor sorted: the caller must
+// not modify them, and its appends cannot reach a backing array a later
+// Versioned insert extends. Any other relation that happens to be in
+// order is returned the same way after a check; otherwise (a refresh
+// appended rows behind the canonical prefix, or a base relation in
+// insertion order) it sorts a copy.
 func (r *Relation) Sorted() []Tuple {
-	if slices.IsSortedFunc(r.tuples, Tuple.Compare) {
+	if r.canonical || slices.IsSortedFunc(r.tuples, Tuple.Compare) {
 		return r.tuples[:len(r.tuples):len(r.tuples)]
 	}
 	out := slices.Clone(r.tuples)
@@ -255,14 +264,16 @@ func (r *Relation) Sorted() []Tuple {
 	return out
 }
 
-// Canonicalize puts the tuples into canonical order in place, so every
-// later Sorted returns them without a copy. It invalidates the membership
-// set (positions moved) and the secondary indexes, so it is for a
-// relation still owned by its builder, never a published revision. Tuples
-// are a set and Compare is 0 only for Equal tuples, so the order is
-// unique and an unstable sort is enough.
+// Canonicalize puts the tuples into canonical order in place and marks
+// the relation canonical, so every later Sorted returns them without a
+// check or a copy until an insert or an append clears the mark. It
+// invalidates the membership set (positions moved) and the secondary
+// indexes, so it is for a relation still owned by its builder, never a
+// published revision. Tuples are a set and Compare is 0 only for Equal
+// tuples, so the order is unique and an unstable sort is enough.
 func (r *Relation) Canonicalize() {
 	slices.SortFunc(r.tuples, Tuple.Compare)
+	r.canonical = true
 	r.ReleaseMembership()
 	r.idx.bump()
 }

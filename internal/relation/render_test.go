@@ -76,7 +76,8 @@ func splitTable(header, body string) (attrs []string, rows [][]string) {
 }
 
 // FuzzRenderTable checks RenderTable byte for byte against the renderer
-// it replaced, ragged rows included.
+// it replaced, ragged rows included, into a strings.Builder (written a
+// chunk at a time) and into any other writer (written once).
 func FuzzRenderTable(f *testing.F) {
 	f.Add("", "", "", false)                                           // zero columns, no rows
 	f.Add("", "A\tB", "", false)                                       // no rows
@@ -89,13 +90,47 @@ func FuzzRenderTable(f *testing.F) {
 	f.Add("", "A\tB", "-\t-\n-\tvalue", false)                         // withheld cells
 	f.Fuzz(func(t *testing.T, title, header, body string, short bool) {
 		attrs, rows := splitTable(header, body)
-		var got, want bytes.Buffer
-		RenderTable(&got, title, attrs, rows, short)
-		renderTableRef(&want, title, attrs, rows, short)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("RenderTable differs from the reference:\n got %q\nwant %q", got.Bytes(), want.Bytes())
-		}
+		sameAsReference(t, title, attrs, rows, short)
 	})
+}
+
+// sameAsReference renders a table into a strings.Builder and into a
+// bytes.Buffer and checks both against renderTableRef.
+func sameAsReference(t *testing.T, title string, attrs []string, rows [][]string, short bool) {
+	t.Helper()
+	var want, buf bytes.Buffer
+	var sb strings.Builder
+	renderTableRef(&want, title, attrs, rows, short)
+	RenderTable(&buf, title, attrs, rows, short)
+	RenderTable(&sb, title, attrs, rows, short)
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatalf("RenderTable into a writer differs from the reference:\n got %q\nwant %q", buf.Bytes(), want.Bytes())
+	}
+	if sb.String() != want.String() {
+		t.Fatalf("RenderTable into a strings.Builder differs from the reference:\n got %q\nwant %q", sb.String(), want.String())
+	}
+}
+
+// TestRenderTableLarge checks tables larger than the fuzzer reaches: many
+// lines, so a strings.Builder receives them in several chunks; lines
+// longer than a chunk; and more columns than the widths kept on the
+// stack, with ragged rows among them.
+func TestRenderTableLarge(t *testing.T) {
+	attrs, rows := example3Table()
+	sameAsReference(t, "EXAMPLE 3", attrs, rows, false)
+	wide := make([]string, 20)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("REL.COLUMN%d", i)
+	}
+	var wideRows [][]string
+	for i := 0; i < 50; i++ {
+		row := make([]string, 20+i%3-1)
+		for j := range row {
+			row[j] = strings.Repeat(string(rune('a'+j%26)), (i*j)%300)
+		}
+		wideRows = append(wideRows, row)
+	}
+	sameAsReference(t, "", wide, wideRows, true)
 }
 
 // example3Table is the shape of the paper's Example 3 answer as the wire
@@ -112,9 +147,9 @@ func example3Table() ([]string, [][]string) {
 	return attrs, rows
 }
 
-// TestRenderTableAllocs: a rendered table is one buffer written once,
-// so a 3003 × 6 table into a strings.Builder costs the buffer and the
-// builder's copy, not objects per row or cell.
+// TestRenderTableAllocs: a table rendered into a strings.Builder grows
+// it once and writes its lines from a stack buffer, so a 3003 × 6 table
+// costs the builder's buffer, not objects per row or cell.
 func TestRenderTableAllocs(t *testing.T) {
 	attrs, rows := example3Table()
 	allocs := testing.AllocsPerRun(20, func() {

@@ -40,7 +40,9 @@ const (
 	// (it reconnects and catches up from disk instead of stalling the
 	// publisher).
 	followerBuf = 4096
-	// batchMaxStmts and batchMaxBytes bound one REPL_BATCH frame.
+	// batchMaxStmts and batchMaxBytes bound one REPL_BATCH frame: its
+	// statements, and its encoded payload (wire.ReplBatchLen), well
+	// under wire.MaxFrame.
 	batchMaxStmts = 512
 	batchMaxBytes = 4 << 20
 	// writeTimeout bounds one batch write; a follower that stops
@@ -350,15 +352,11 @@ func (h *Hub) sendBatches(f *follower, bw *bufio.Writer, next uint64, cs []engin
 // for snapshot statements, which leave the sent mark as it is.
 func (h *Hub) sendStmts(f *follower, bw *bufio.Writer, from uint64, stmts []string) error {
 	for len(stmts) > 0 {
-		n, nbytes := 0, 0
-		for n < len(stmts) && n < batchMaxStmts && nbytes < batchMaxBytes {
-			nbytes += len(stmts[n])
-			n++
-		}
+		n := wire.ReplBatchLen(stmts[:min(len(stmts), batchMaxStmts)], batchMaxBytes)
 		start := time.Now()
 		f.conn.SetWriteDeadline(start.Add(h.writeTO))
-		if err := wire.WriteMsg(bw, wire.ReplBatch{
-			Kind: wire.KindReplBatch, From: from, Stmts: stmts[:n],
+		if err := wire.WriteMsg(bw, &wire.ReplBatch{
+			From: from, Stmts: stmts[:n],
 			Epoch:        h.eng.Epoch(),
 			SentUnixNano: start.UnixNano(),
 		}); err != nil {

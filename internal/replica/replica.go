@@ -10,7 +10,6 @@ package replica
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
@@ -398,8 +397,8 @@ func (r *Replica) readBatch(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, a
 			continue
 		}
 		var batch wire.ReplBatch
-		if err := json.Unmarshal(payload, &batch); err != nil {
-			return batch, fmt.Errorf("malformed batch: %w", err)
+		if err := wire.DecodeReplBatch(payload, &batch); err != nil {
+			return batch, err
 		}
 		if batch.Epoch < r.eng.Epoch() {
 			return batch, r.fence(conn, bw, addr, "batch", batch.Epoch)

@@ -583,7 +583,7 @@ func TestReplicaBatchSharesOneSync(t *testing.T) {
 			stmts = append(stmts, fmt.Sprintf("insert into FEED values (k%d)", i))
 		}
 		wire.WriteMsg(bw, wire.ReplHelloReply{OK: true, Mode: wire.ReplModeTail, Epoch: 1})
-		wire.WriteMsg(bw, wire.ReplBatch{Kind: wire.KindReplBatch, From: hello.From + 1, Stmts: stmts, Epoch: 1})
+		wire.WriteMsg(bw, wire.ReplBatch{From: hello.From + 1, Stmts: stmts, Epoch: 1})
 		if err := bw.Flush(); err != nil {
 			t.Error(err)
 			return

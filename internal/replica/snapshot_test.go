@@ -7,7 +7,6 @@ package replica_test
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -115,6 +114,85 @@ func TestFollowerBootstrapsPastMaxFrame(t *testing.T) {
 	}
 }
 
+// followPair serves db and follows it with a fresh in-memory engine,
+// which bootstraps by snapshot. It returns the follower's engine once
+// it has caught up.
+func followPair(t *testing.T, db *authdb.DB) *engine.Engine {
+	t.Helper()
+	srv := startServer(t, db, server.Config{})
+	fe := engine.New(core.DefaultOptions())
+	startFollower(t, fe, followCfg(srv.Addr().String()))
+	waitLSN(t, fe, db.Engine().LSN())
+	if n := db.Metrics().Counter("authdb_repl_snapshots_sent_total").Value(); n != 1 {
+		t.Fatalf("the hub sent %v snapshots, want 1", n)
+	}
+	return fe
+}
+
+// TestFollowerKeepsInvalidUTF8 holds strings that are not UTF-8, which
+// the statement language accepts inside quotes, and replicates them by
+// snapshot and by tail: the follower must hold the primary's bytes. A
+// JSON batch replaced each invalid byte with U+FFFD.
+func TestFollowerKeepsInvalidUTF8(t *testing.T) {
+	db := authdb.Open(authdb.DefaultOptions())
+	t.Cleanup(func() { db.Close() })
+	admin := db.Admin()
+	admin.MustExecScript(`
+		relation S (K, V) key (K);
+		view VS (S.K, S.V);
+		permit VS to u;
+	`)
+	admin.MustExec("insert into S values (1, \"a\xffb\")")
+	pe := db.Engine()
+	fe := followPair(t, db)
+	admin.MustExec("insert into S values (2, \"c\xfe\xed\xa0\x80d\")")
+	waitLSN(t, fe, pe.LSN())
+	if !stateEqual(t, pe, fe) {
+		t.Fatal("the follower holds another state than the primary")
+	}
+	const query = `retrieve (S.K, S.V)`
+	want := answerKinds(t, pe, "u", query)
+	if !strings.Contains(want, "a\\xffb") || !strings.Contains(want, "c\\xfe\\xed\\xa0\\x80d") {
+		t.Fatalf("the primary's answer lacks its own bytes:\n%s", want)
+	}
+	if got := answerKinds(t, fe, "u", query); got != want {
+		t.Fatalf("the follower answers\n%s\nthe primary\n%s", got, want)
+	}
+}
+
+// TestControlBytesPastJSONFrame replicates about 3 MiB of strings of
+// control bytes, first by snapshot and then by tail. Under a batch bound
+// of 4 MiB of statement text each run fits one batch; JSON wrote each
+// control byte as six, a frame past wire.MaxFrame that the hub failed to
+// send on every retry.
+func TestControlBytesPastJSONFrame(t *testing.T) {
+	db := authdb.Open(authdb.DefaultOptions())
+	t.Cleanup(func() { db.Close() })
+	admin := db.Admin()
+	admin.MustExec(`relation BLOB (K, V) key (K)`)
+	ctl := strings.Repeat("\x01", 1<<20)
+	insert := func(from int) {
+		for k := from; k < from+3; k++ {
+			admin.MustExec(fmt.Sprintf("insert into BLOB values (%d, \"%s\")", k, ctl))
+		}
+	}
+	insert(0)
+	pe := db.Engine()
+	fe := followPair(t, db)
+	insert(3)
+	waitLSN(t, fe, pe.LSN())
+	if !stateEqual(t, pe, fe) {
+		t.Fatal("the follower holds another state than the primary")
+	}
+	r, err := fe.Relation("BLOB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 6 {
+		t.Fatalf("the follower holds %d tuples, want 6", r.Len())
+	}
+}
+
 // TestSnapshotCutLeavesFollowerAsItWas cuts a follower's first stream
 // after the handshake reply and k snapshot batches. The follower holds
 // a state of its own: its answers and LSN must be exactly those it had
@@ -187,7 +265,7 @@ func TestSnapshotCutLeavesFollowerAsItWas(t *testing.T) {
 				}
 				if i > 0 {
 					var b wire.ReplBatch
-					if wire.MsgKind(payload) != wire.KindReplBatch || json.Unmarshal(payload, &b) != nil || b.From != 0 {
+					if wire.DecodeReplBatch(payload, &b) != nil || b.From != 0 {
 						t.Errorf("frame %d after the reply is not a snapshot batch: %.80s", i, payload)
 						return
 					}
@@ -256,7 +334,7 @@ func TestTailRefusesSnapshotBatch(t *testing.T) {
 			return
 		}
 		wire.WriteMsg(bw, wire.ReplHelloReply{OK: true, Mode: wire.ReplModeTail, Epoch: 1})
-		wire.WriteMsg(bw, wire.ReplBatch{Kind: wire.KindReplBatch, From: 0, Epoch: 1,
+		wire.WriteMsg(bw, wire.ReplBatch{From: 0, Epoch: 1,
 			Stmts: []string{"relation A (X)", "relation B (Y)"}})
 		if err := bw.Flush(); err != nil {
 			result <- err

@@ -352,11 +352,12 @@ func TestHandshakeRejections(t *testing.T) {
 	s := startServer(t, db, server.Config{AdminToken: "s3cret"})
 	addr := s.Addr().String()
 
-	// Wrong protocol version, spoken raw: an unknown one, version 4,
-	// whose snapshots rode inside the handshake reply, version 3, whose
-	// snapshots carried CSV, version 2, whose replies were JSON, and
-	// version 1, whose replies carried rendered text.
-	for _, proto := range []int{99, 4, 3, 2, 1} {
+	// Wrong protocol version, spoken raw: an unknown one, version 5,
+	// whose replication batches were JSON, version 4, whose snapshots
+	// rode inside the handshake reply, version 3, whose snapshots
+	// carried CSV, version 2, whose replies were JSON, and version 1,
+	// whose replies carried rendered text.
+	for _, proto := range []int{99, 5, 4, 3, 2, 1} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -374,10 +375,11 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	}
 
-	// A replica announcing version 4, which would expect its snapshot
-	// inside the reply, version 3, which would expect a CSV snapshot, or
-	// version 2, is refused at its handshake too.
-	for _, proto := range []int{4, 3, 2} {
+	// A replica announcing version 5, which would read JSON batches,
+	// version 4, which would expect its snapshot inside the reply,
+	// version 3, which would expect a CSV snapshot, or version 2, is
+	// refused at its handshake too.
+	for _, proto := range []int{5, 4, 3, 2} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

@@ -175,8 +175,7 @@ func appendRows(dst []byte, ncols int, rows [][]string) ([]byte, error) {
 }
 
 // appendTuples writes what appendRows writes for the tuples' cell text,
-// formatting each value in place: an integer's decimal text is at most
-// 20 bytes, so its length fits the one byte reserved before it.
+// formatting each value in place.
 func appendTuples(dst []byte, ncols int, tuples []relation.Tuple) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(tuples)))
 	for _, tp := range tuples {
@@ -188,15 +187,62 @@ func appendTuples(dst []byte, ncols int, tuples []relation.Tuple) ([]byte, error
 			case value.KindNull:
 				dst = append(dst, 1, '-')
 			case value.KindInt:
-				at := len(dst)
-				dst = strconv.AppendInt(append(dst, 0), v.AsInt(), 10)
-				dst[at] = byte(len(dst) - at - 1)
+				dst = appendIntCell(dst, v.AsInt())
 			default:
-				dst = appendStr(dst, v.AsString())
+				if s := v.AsString(); len(s) < 0x80 {
+					dst = append(append(dst, byte(len(s))), s...)
+				} else {
+					dst = appendStr(dst, s)
+				}
 			}
 		}
 	}
 	return dst, nil
+}
+
+// digitPairs holds the two-digit decimals 00 to 99, each as the two
+// bytes of a little-endian uint16: the tens digit first.
+var digitPairs = func() (p [100]uint16) {
+	for i := range p {
+		p[i] = uint16('0'+i/10) | uint16('0'+i%10)<<8
+	}
+	return p
+}()
+
+// pow10 holds 10⁰ to 10⁸.
+var pow10 = [...]uint32{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// appendIntCell writes n's decimal text as a str. The text is at most 20
+// bytes, so its length is one byte. Below 10⁸ the number is written in
+// 32-bit arithmetic without a loop: its digit count from its bit length;
+// its eight digits, leading zeros included, as four pairs from
+// digitPairs packed into one word; and that word, shifted past the
+// leading zeros, stored behind the length byte in one 8-byte write. A
+// negative or a larger number, or one that would leave dst fewer than
+// the nine bytes that write needs, goes through strconv, which grows dst
+// only when the text itself does not fit.
+func appendIntCell(dst []byte, n int64) []byte {
+	at := len(dst)
+	if n < 0 || n >= 1e8 || cap(dst)-at < 9 {
+		dst = strconv.AppendInt(append(dst, 0), n, 10)
+		dst[at] = byte(len(dst) - at - 1)
+		return dst
+	}
+	u := uint32(n)
+	// log10 from the bit length (1233/4096 ≈ log10 2), corrected once.
+	// u|1 counts 0 as one digit and compares like u with every power of
+	// ten above 1.
+	w := bits.Len32(u|1) * 1233 >> 12
+	if u|1 >= pow10[w] {
+		w++
+	}
+	hi, lo := u/1e4, u%1e4
+	digits := uint64(digitPairs[hi/100]) | uint64(digitPairs[hi%100])<<16 |
+		uint64(digitPairs[lo/100])<<32 | uint64(digitPairs[lo%100])<<48
+	dst = dst[:at+9]
+	dst[at] = byte(w)
+	binary.LittleEndian.PutUint64(dst[at+1:], digits>>(64-8*w))
+	return dst[:at+1+w]
 }
 
 // DecodeResponse decodes a Response payload into r, replacing its
@@ -306,13 +352,19 @@ func (d *decoder) uvarint() uint64 {
 	return 0
 }
 
-// int reads a zigzag varint that fits in an int.
-func (d *decoder) int() int {
+// varint reads a zigzag varint.
+func (d *decoder) varint() int64 {
 	u := d.uvarint()
 	x := int64(u >> 1)
 	if u&1 != 0 {
 		x = ^x
 	}
+	return x
+}
+
+// int reads a zigzag varint that fits in an int.
+func (d *decoder) int() int {
+	x := d.varint()
 	if int64(int(x)) != x {
 		d.fail()
 		return 0
@@ -331,7 +383,19 @@ func (d *decoder) count(size int) int {
 	return int(n)
 }
 
+// str reads a str. A length below 128 is its one byte, read without
+// count's division.
 func (d *decoder) str() string {
+	if d.i < len(d.s) && d.s[d.i] < 0x80 {
+		n := int(d.s[d.i])
+		d.i++
+		if n > len(d.s)-d.i {
+			d.fail()
+			return ""
+		}
+		d.i += n
+		return d.s[d.i-n : d.i]
+	}
 	n := d.count(1)
 	d.i += n
 	return d.s[d.i-n : d.i]

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"authdb/internal/relation"
@@ -137,14 +139,18 @@ func TestResponseCodecRandom(t *testing.T) {
 // decimal strings, the extremes of int64, empty strings and NUL bytes.
 func randomValue(rng *rand.Rand) value.Value {
 	ints := []int64{0, 1, -1, 7, -42, 1 << 40, math.MaxInt64, math.MinInt64}
-	strs := []string{"", "-", "5", "-1", "\x00", "a\x00b", "x\xffy", "\u2028<&>", "Brown"}
-	switch rng.Intn(4) {
+	// The strings include each side of a one-byte length (127 and 128).
+	strs := []string{"", "-", "5", "-1", "\x00", "a\x00b", "x\xffy", "\u2028<&>", "Brown",
+		strings.Repeat("s", 127), strings.Repeat("s", 128)}
+	switch rng.Intn(5) {
 	case 0:
 		return value.Null()
 	case 1:
 		return value.Int(ints[rng.Intn(len(ints))])
 	case 2:
 		return value.Int(rng.Int63() - rng.Int63())
+	case 3:
+		return value.Int(rng.Int63n(2e8))
 	default:
 		return value.String(strs[rng.Intn(len(strs))])
 	}
@@ -154,6 +160,30 @@ func randomValue(rng *rand.Rand) value.Value {
 // tuples: a table written from its tuples is byte for byte the table
 // written from their cell text, value.Value.String().
 func TestTuplesFrameMatchesCellText(t *testing.T) {
+	same := func(cols []string, tuples []relation.Tuple, rows [][]string) {
+		t.Helper()
+		fromTuples, err := AppendResponse(nil, &Response{ID: 9, Table: &Table{Columns: cols, Tuples: tuples}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromText, err := AppendResponse(nil, &Response{ID: 9, Table: &Table{Columns: cols, Rows: rows}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fromTuples, fromText) {
+			t.Fatalf("tuples %v:\nfrom tuples %q\nfrom text   %q", tuples, fromTuples, fromText)
+		}
+	}
+	// Each side of every boundary of the integer writer: one to eight
+	// digits in pairs below 10⁸, strconv for the rest and the negatives.
+	var edges []relation.Tuple
+	var edgeText [][]string
+	for _, n := range []int64{0, 9, 10, 99, 100, 9999, 1e4, 1e8 - 1, 1e8, -1, -1e8, math.MaxInt64, math.MinInt64} {
+		edges = append(edges, relation.Tuple{value.Int(n)})
+		edgeText = append(edgeText, []string{strconv.FormatInt(n, 10)})
+	}
+	same([]string{"N"}, edges, edgeText)
+
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		ncols := 1 + rng.Intn(5)
@@ -172,17 +202,7 @@ func TestTuplesFrameMatchesCellText(t *testing.T) {
 			}
 			tuples, rows = append(tuples, tp), append(rows, row)
 		}
-		fromTuples, err := AppendResponse(nil, &Response{ID: 9, Table: &Table{Columns: cols, Tuples: tuples}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromText, err := AppendResponse(nil, &Response{ID: 9, Table: &Table{Columns: cols, Rows: rows}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(fromTuples, fromText) {
-			t.Fatalf("tuples %v:\nfrom tuples %q\nfrom text   %q", tuples, fromTuples, fromText)
-		}
+		same(cols, tuples, rows)
 	}
 	// A tuple of another width than the columns is refused, as a row is.
 	bad := &Response{Table: &Table{Columns: []string{"A", "B"}, Tuples: []relation.Tuple{{value.Int(1)}}}}

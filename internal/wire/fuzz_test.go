@@ -35,9 +35,9 @@ func seedFrames(tb testing.TB) [][]byte {
 			EpochHist: []EpochEntry{{Epoch: 1, StartLSN: 0}, {Epoch: 4, StartLSN: 41}},
 			Diverged:  true, Fork: 41, SnapshotStmts: 7, SnapshotLSN: 50}),
 		frame(ReplHelloReply{OK: false, Error: &Error{Code: CodeProtocol, Message: "bad token"}}),
-		frame(ReplBatch{Kind: KindReplBatch, From: 42, Epoch: 2, Stmts: []string{"insert into R values (x)", "permit V to U"}}),
+		frame(ReplBatch{From: 42, Epoch: 2, Stmts: []string{"insert into R values (x)", "permit V to U"}}),
 		// A snapshot batch: From zero, statements without LSNs.
-		frame(ReplBatch{Kind: KindReplBatch, Epoch: 4, Stmts: []string{"relation R (A)", `insert into R values ("5")`}}),
+		frame(ReplBatch{Epoch: 4, Stmts: []string{"relation R (A)", `insert into R values ("5")`}}),
 		frame(ReplAck{Kind: KindReplAck, Applied: 43}),
 		frame(ReplFence{Kind: KindReplFence, Epoch: 5, Leader: "127.0.0.1:4100"}),
 		frame(Response{ID: 3, Error: &Error{Code: CodeStalePrimary,
@@ -46,7 +46,7 @@ func seedFrames(tb testing.TB) [][]byte {
 		frame(Response{ID: 4, Table: &Table{Columns: []string{"A"}}, FullyAuthorized: true}),
 		frame(Response{ID: 5, Table: &Table{Columns: []string{"A", "B"}, Rows: [][]string{{"x", "-"}}}, Denied: true}),
 		// Two frames back to back.
-		append(frame(ReplBatch{Kind: KindReplBatch, From: 1, Stmts: []string{"a"}}),
+		append(frame(ReplBatch{From: 1, Stmts: []string{"a"}}),
 			frame(ReplAck{Kind: KindReplAck, Applied: 1})...),
 		// Malformed: truncated header, truncated payload, neither JSON
 		// nor a reply, oversize length word, unknown kind.
@@ -80,7 +80,7 @@ func TestDecodeCorpus(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	in := ReplBatch{Kind: KindReplBatch, From: 7, Stmts: []string{"insert into R values (x, y)"}}
+	in := ReplBatch{From: 7, Epoch: 2, SentUnixNano: -1, Stmts: []string{"insert into R values (x, y)", "insert into R values (\"a\xffb\", \"\x01<&>\")"}}
 	if err := WriteMsg(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestDecodeCorpus(t *testing.T) {
 		t.Fatalf("MsgKind = %q, want %q", got, KindReplBatch)
 	}
 	var out ReplBatch
-	if err := json.Unmarshal(payload, &out); err != nil {
+	if err := DecodeReplBatch(payload, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.From != in.From || len(out.Stmts) != 1 || out.Stmts[0] != in.Stmts[0] {
-		t.Fatalf("round trip = %+v", out)
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}
 }
 
@@ -116,8 +116,7 @@ func decodeStream(t *testing.T, data []byte) {
 			var m ReplHello
 			_ = json.Unmarshal(payload, &m)
 		case KindReplBatch:
-			var m ReplBatch
-			_ = json.Unmarshal(payload, &m)
+			checkReplBatch(t, payload)
 		case KindReplAck:
 			var m ReplAck
 			_ = json.Unmarshal(payload, &m)

@@ -6,9 +6,20 @@
 // an ack stream (ReplAck frames, replica → primary) riding the other
 // direction; both sides use the same framing as the rest of the
 // protocol. A snapshot is statements too, in ReplBatch frames.
+//
+// ReplBatch is the one replication message whose size follows the
+// data, and its statements hold whatever bytes a string constant holds,
+// so it is a binary frame (AppendReplBatch, DecodeReplBatch) carrying
+// every byte as it is; the other messages are JSON.
 package wire
 
-import "encoding/json"
+import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"slices"
+	"strconv"
+)
 
 // Replication message kinds, carried in the "kind" field.
 const (
@@ -18,11 +29,15 @@ const (
 	KindReplFence = "repl_fence"
 )
 
-// MsgKind probes a frame's "kind" field without committing to a message
-// type; it returns "" for frames without one (every pre-replication
-// message, notably the regular Hello) or for payloads that are not a
-// JSON object.
+// MsgKind probes a frame's kind without committing to a message type: a
+// binary ReplBatch by its tag byte, any other message by its JSON
+// "kind" field. It returns "" for frames without one (every
+// pre-replication message, notably the regular Hello) or for payloads
+// that are neither.
 func MsgKind(payload []byte) string {
+	if len(payload) > 0 && payload[0] == replBatchTag {
+		return KindReplBatch
+	}
 	var probe struct {
 		Kind string `json:"kind"`
 	}
@@ -110,20 +125,89 @@ type ReplHelloReply struct {
 // ReplBatch carries a contiguous run of durably committed statements:
 // Stmts[i] has LSN From+i. The replica applies them in order and must
 // never see a gap — a hole is a protocol error that forces reconnect.
+// Its frame is binary (AppendReplBatch):
+//
+//	tag    byte 0xff
+//	from   uvarint
+//	epoch  uvarint
+//	sent   varint (zigzag)
+//	stmts  n uvarint, n × str
+//
+// with str as in a Response: a uvarint length and that many bytes.
 type ReplBatch struct {
-	Kind string `json:"kind"` // KindReplBatch
 	// From is the LSN of Stmts[0]. LSNs start at 1, so zero marks
 	// snapshot statements, which follow only a snapshot-mode reply.
-	From  uint64   `json:"from"`
-	Stmts []string `json:"stmts"`
+	From  uint64
+	Stmts []string
 	// Epoch is the epoch the primary committed these statements under; a
 	// follower that has adopted a higher epoch rejects the batch with a
 	// fatal ReplFence — the sender is a stale primary.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// SentUnixNano is the primary's clock when the batch was written;
 	// the replica derives its seconds-behind lag from it (meaningful to
 	// the extent the two clocks agree).
-	SentUnixNano int64 `json:"sent_unix_nano,omitempty"`
+	SentUnixNano int64
+}
+
+// replBatchTag opens a ReplBatch payload. No JSON text starts with it
+// (it is not even UTF-8), so MsgKind tells a batch from the JSON
+// replication messages by its first byte.
+const replBatchTag = 0xff
+
+// replBatchHead bounds the bytes of a ReplBatch payload before its
+// statements: the tag and four varints.
+const replBatchHead = 1 + 4*binary.MaxVarintLen64
+
+// AppendReplBatch appends b's payload to dst, growing dst at most once.
+func AppendReplBatch(dst []byte, b *ReplBatch) []byte {
+	n := replBatchHead
+	for _, s := range b.Stmts {
+		n += strSize(s)
+	}
+	dst = append(slices.Grow(dst, n), replBatchTag)
+	dst = binary.AppendUvarint(dst, b.From)
+	dst = binary.AppendUvarint(dst, b.Epoch)
+	dst = binary.AppendVarint(dst, b.SentUnixNano)
+	return appendStrs(dst, b.Stmts)
+}
+
+// ReplBatchLen returns how many of the leading stmts one ReplBatch
+// payload of at most limit bytes holds, counting their encoded size; it
+// is at least one when stmts is not empty, so a statement larger than
+// limit still travels alone.
+func ReplBatchLen(stmts []string, limit int) int {
+	size := replBatchHead
+	for n, s := range stmts {
+		if size += strSize(s); n > 0 && size > limit {
+			return n
+		}
+	}
+	return len(stmts)
+}
+
+// DecodeReplBatch decodes a ReplBatch payload into b, replacing its
+// contents. Like DecodeResponse it accepts exactly what AppendReplBatch
+// writes (an empty statement list decodes as nil), checks every count
+// against the bytes left, and copies the payload once: every statement
+// is a substring of that copy.
+func DecodeReplBatch(p []byte, b *ReplBatch) error {
+	*b = ReplBatch{}
+	if len(p) == 0 || p[0] != replBatchTag {
+		return errors.New("wire: not a replication batch")
+	}
+	d := decoder{s: string(p), i: 1, ok: true}
+	b.From = d.uvarint()
+	b.Epoch = d.uvarint()
+	b.SentUnixNano = d.varint()
+	b.Stmts = d.strs()
+	if d.ok && d.i != len(d.s) {
+		d.fail()
+	}
+	if !d.ok {
+		*b = ReplBatch{}
+		return errors.New("wire: malformed replication batch at byte " + strconv.Itoa(d.bad))
+	}
+	return nil
 }
 
 // ReplAck reports the replica's durable progress; the primary uses it

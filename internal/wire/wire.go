@@ -10,9 +10,10 @@
 //
 // A Response payload is binary (AppendResponse, DecodeResponse; the
 // layout is in codec.go): varint-prefixed strings, a table as its
-// columns, a row count and every row's cell text. Hello, Request and
-// the replication messages are JSON (encoding/json). WriteMsg and
-// ReadMsg pick the codec by the message's type.
+// columns, a row count and every row's cell text. A ReplBatch payload
+// is binary too (repl.go). Hello, Request and the other replication
+// messages are JSON (encoding/json). WriteMsg and ReadMsg pick the
+// codec by the message's type.
 //
 // A frame larger than the agreed maximum is a protocol error and closes
 // the connection. Within one connection, requests execute strictly in
@@ -35,10 +36,12 @@ import (
 // ProtoVersion identifies the protocol; the handshake rejects mismatches
 // so both sides fail loudly instead of mis-parsing frames. Replies are
 // binary frames carrying the structured result only; the receiver
-// renders it (Response.Render). Version 5 sends a replication snapshot
-// as statements in ReplBatch frames; version 4 sent it as files inside
-// the handshake reply.
-const ProtoVersion = 5
+// renders it (Response.Render). Version 6 writes a ReplBatch as a binary
+// frame; version 5 wrote it as JSON, which replaced invalid UTF-8 in a
+// statement with U+FFFD. Version 5 sends a replication snapshot as
+// statements in ReplBatch frames; version 4 sent it as files inside the
+// handshake reply.
+const ProtoVersion = 6
 
 // MaxFrame bounds one frame's payload (requests and responses): larger
 // length words are treated as a protocol error rather than allocated.
@@ -85,8 +88,9 @@ func (e *FrameSizeError) Error() string {
 }
 
 // WriteMsg encodes v and writes it as one frame: a Response or
-// *Response through AppendResponseFrame in one Write, anything else
-// through encoding/json.
+// *Response through AppendResponseFrame in one Write, a ReplBatch or
+// *ReplBatch through AppendReplBatch, anything else through
+// encoding/json.
 func WriteMsg(w io.Writer, v any) error {
 	var frame []byte
 	var err error
@@ -95,6 +99,10 @@ func WriteMsg(w io.Writer, v any) error {
 		frame, err = AppendResponseFrame(nil, m)
 	case Response:
 		frame, err = AppendResponseFrame(nil, &m)
+	case *ReplBatch:
+		return WriteFrame(w, AppendReplBatch(nil, m))
+	case ReplBatch:
+		return WriteFrame(w, AppendReplBatch(nil, &m))
 	default:
 		payload, err := json.Marshal(v)
 		if err != nil {
@@ -110,14 +118,18 @@ func WriteMsg(w io.Writer, v any) error {
 }
 
 // ReadMsg reads one frame and decodes it into v: a *Response with
-// DecodeResponse, anything else with encoding/json.
+// DecodeResponse, a *ReplBatch with DecodeReplBatch, anything else with
+// encoding/json.
 func ReadMsg(r *bufio.Reader, v any) error {
 	payload, err := ReadFrame(r)
 	if err != nil {
 		return err
 	}
-	if m, ok := v.(*Response); ok {
+	switch m := v.(type) {
+	case *Response:
 		return DecodeResponse(payload, m)
+	case *ReplBatch:
+		return DecodeReplBatch(payload, m)
 	}
 	return json.Unmarshal(payload, v)
 }

@@ -411,16 +411,19 @@ func (c *Client) roundTrip(ctx context.Context, stmt string) (res *Result, sent 
 	// A context canceled mid-wait unblocks the read by expiring the
 	// connection deadline. SetDeadline on a conn the caller has since
 	// closed is a harmless error, so the watcher needs no further
-	// synchronization.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			nc.SetDeadline(time.Unix(1, 0))
-		case <-stop:
-		}
-	}()
+	// synchronization. A context that can never be canceled needs no
+	// watcher.
+	if done := ctx.Done(); done != nil {
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() {
+			select {
+			case <-done:
+				nc.SetDeadline(time.Unix(1, 0))
+			case <-stop:
+			}
+		}()
+	}
 
 	// From the first write onward the request may be on the wire (large
 	// frames flush through the buffered writer mid-WriteMsg), so every

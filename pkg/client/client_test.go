@@ -14,11 +14,14 @@ import (
 )
 
 // stub is a minimal wire-protocol server that accepts every handshake,
-// acknowledges every request, and records the statements it received.
+// acknowledges every request unless silent, and records the statements
+// it received.
 type stub struct {
-	ln net.Listener
-	mu sync.Mutex
-	rx []string
+	ln     net.Listener
+	silent atomic.Bool
+	mu     sync.Mutex
+	rx     []string
+	conns  []net.Conn
 }
 
 func startStub(t *testing.T) *stub {
@@ -34,6 +37,9 @@ func startStub(t *testing.T) *stub {
 			if err != nil {
 				return
 			}
+			s.mu.Lock()
+			s.conns = append(s.conns, nc)
+			s.mu.Unlock()
 			go s.serve(nc)
 		}
 	}()
@@ -60,9 +66,21 @@ func (s *stub) serve(nc net.Conn) {
 		s.mu.Lock()
 		s.rx = append(s.rx, req.Stmt)
 		s.mu.Unlock()
+		if s.silent.Load() {
+			continue
+		}
 		if wire.WriteMsg(bw, wire.Response{ID: req.ID, Text: "ok"}) != nil || bw.Flush() != nil {
 			return
 		}
+	}
+}
+
+// hangUp closes every connection the stub accepted.
+func (s *stub) hangUp() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, nc := range s.conns {
+		nc.Close()
 	}
 }
 
@@ -121,6 +139,45 @@ func inject(t *testing.T, c *Client) *faultConn {
 	c.br = bufio.NewReader(fc)
 	c.bw = bufio.NewWriterSize(fc, 4096)
 	return fc
+}
+
+// TestCancelUnblocksWait: a server that never replies holds Exec in its
+// read until the caller's context is canceled, and the cancellation
+// returns it promptly with an error.
+func TestCancelUnblocksWait(t *testing.T) {
+	s := startStub(t)
+	s.silent.Store(true)
+	c, err := Dial(s.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Runs first: a failing run's Exec still holds the client.
+	defer s.hangUp()
+	const stmt = "retrieve (R.A)"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Exec(ctx, stmt)
+		done <- err
+	}()
+	if s.count(stmt, 1) != 1 {
+		t.Fatal("the request never reached the server")
+	}
+	canceled := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Exec succeeded against a server that never replies")
+		}
+		if d := time.Since(canceled); d > time.Second {
+			t.Fatalf("Exec returned %v after the cancellation, want under 1s", d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Exec still waiting 1s after its context was canceled")
+	}
 }
 
 // TestMutationNotRetriedAfterSend is the duplicate-apply hazard: the
