@@ -58,13 +58,15 @@ fuzz:
 	$(GO) test ./internal/engine -fuzz FuzzSessionExec -fuzztime 30s
 
 # Fuzz the wire-protocol decoder (seeded with every message type,
-# replication kinds included, plus malformed frames), then the binary
-# Response codec: a reply frame the decoder accepts re-encodes to the
-# same bytes, and a reply built from fuzzed parts decodes from its
-# encoding to itself; then the binary REPL_BATCH codec, to the same two
-# properties.
+# replication kinds included, plus malformed frames): a frame accepted
+# as a control message or a reply re-encodes to the same bytes. Then
+# the control messages' round trip (each built from fuzzed fields
+# decodes from its encoding to itself, and only as its own kind), the
+# Response codec (both properties), and the REPL_BATCH codec (both
+# properties).
 fuzz-wire:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzControlCodec$$' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseCodec$$' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzReplBatch$$' -fuzztime 30s
 

@@ -134,7 +134,8 @@ func TestRenderPaperExamples(t *testing.T) {
 			t.Errorf("%s, Result.Render:\n%s\nwant:\n%s", tc.user, got, tc.want)
 		}
 		var frame bytes.Buffer
-		if err := wire.WriteMsg(&frame, res.Wire(1)); err != nil {
+		resp := res.Wire(1)
+		if err := wire.WriteMsg(&frame, &resp); err != nil {
 			t.Fatal(err)
 		}
 		var reply wire.Response

@@ -190,8 +190,8 @@ func fenceNode(t *testing.T, target *node, epoch uint64, leader string) {
 	}
 	defer nc.Close()
 	bw := bufio.NewWriter(nc)
-	if err := wire.WriteMsg(bw, wire.ReplHello{
-		Kind: wire.KindReplHello, Proto: wire.ProtoVersion, Token: chaosToken,
+	if err := wire.WriteMsg(bw, &wire.ReplHello{
+		Proto: wire.ProtoVersion, Token: chaosToken,
 		Name: "fence-messenger", Epoch: epoch, Leader: leader,
 	}); err != nil {
 		t.Fatal(err)
@@ -214,8 +214,8 @@ func duplicateConnect(t *testing.T, target *node, name string) {
 	}
 	defer nc.Close()
 	bw := bufio.NewWriter(nc)
-	wire.WriteMsg(bw, wire.ReplHello{
-		Kind: wire.KindReplHello, Proto: wire.ProtoVersion, Token: chaosToken,
+	wire.WriteMsg(bw, &wire.ReplHello{
+		Proto: wire.ProtoVersion, Token: chaosToken,
 		Name: name, From: target.eng().DurableLSN(), Epoch: target.epoch(),
 	})
 	bw.Flush()

@@ -37,7 +37,7 @@ func rawWriteProbe(t *testing.T, addr, stmt string) *wire.Error {
 	}
 	defer nc.Close()
 	br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
-	if err := wire.WriteMsg(bw, wire.Hello{
+	if err := wire.WriteMsg(bw, &wire.Hello{
 		Proto: wire.ProtoVersion, User: "root", Admin: true, Token: replToken,
 	}); err != nil {
 		t.Fatal(err)
@@ -46,10 +46,10 @@ func rawWriteProbe(t *testing.T, addr, stmt string) *wire.Error {
 		t.Fatal(err)
 	}
 	var hr wire.HelloReply
-	if err := wire.ReadMsg(br, &hr); err != nil || !hr.OK {
+	if err := wire.ReadMsg(br, &hr); err != nil || hr.Error != nil {
 		t.Fatalf("probe handshake: %+v, %v", hr, err)
 	}
-	if err := wire.WriteMsg(bw, wire.Request{ID: 1, Stmt: stmt}); err != nil {
+	if err := wire.WriteMsg(bw, &wire.Request{ID: 1, Stmt: stmt}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -272,8 +272,8 @@ func TestFencedExPrimaryQuarantinesAndRejoins(t *testing.T) {
 	}
 	defer nc.Close()
 	bw := bufio.NewWriter(nc)
-	if err := wire.WriteMsg(bw, wire.ReplHello{
-		Kind: wire.KindReplHello, Proto: wire.ProtoVersion, Token: replToken,
+	if err := wire.WriteMsg(bw, &wire.ReplHello{
+		Proto: wire.ProtoVersion, Token: replToken,
 		From: bdb.Engine().LSN(), Name: "messenger", Epoch: 2, Leader: baddr,
 	}); err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestFencedExPrimaryQuarantinesAndRejoins(t *testing.T) {
 	if err := wire.ReadMsg(bufio.NewReader(nc), &reply); err != nil {
 		t.Fatal(err)
 	}
-	if reply.OK || reply.Error == nil || reply.Error.Code != wire.CodeStalePrimary {
+	if reply.Error == nil || reply.Error.Code != wire.CodeStalePrimary {
 		t.Fatalf("fencing hello got %+v, want a %s refusal", reply, wire.CodeStalePrimary)
 	}
 
@@ -425,12 +425,12 @@ func TestSlowFollowerDisconnectsAndCatchesUp(t *testing.T) {
 	go func() {
 		defer close(done)
 		hub.HandleConn(pside, bufio.NewReader(pside), wire.ReplHello{
-			Kind: wire.KindReplHello, Proto: wire.ProtoVersion,
-			From: db.Engine().DurableLSN(), Name: "slow", Epoch: db.Engine().Epoch(),
+			Proto: wire.ProtoVersion,
+			From:  db.Engine().DurableLSN(), Name: "slow", Epoch: db.Engine().Epoch(),
 		})
 	}()
 	var reply wire.ReplHelloReply
-	if err := wire.ReadMsg(bufio.NewReader(fside), &reply); err != nil || !reply.OK {
+	if err := wire.ReadMsg(bufio.NewReader(fside), &reply); err != nil || reply.Error != nil {
 		t.Fatalf("handshake: %+v, %v", reply, err)
 	}
 	// The follower now stops reading entirely. Keep writing on the

@@ -22,7 +22,6 @@ package replica
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -182,19 +181,13 @@ func (h *Hub) ackStats() (minAcked, maxLag uint64) {
 // connection carries the follower's acks.
 func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 	bw := bufio.NewWriter(nc)
-	reject := func(we *wire.Error) {
-		nc.SetWriteDeadline(time.Now().Add(h.writeTO))
-		if wire.WriteMsg(bw, wire.ReplHelloReply{OK: false, Error: we}) == nil {
-			bw.Flush()
-		}
-	}
 
 	// Epoch fencing. A hello announcing a higher epoch proves this node
 	// was superseded while it wasn't looking: refuse the stream and
 	// demote.
 	if !h.unsafeNoFencing && hello.Epoch > h.eng.Epoch() {
 		h.fenced(hello.Epoch, hello.Leader)
-		reject(&wire.Error{Code: wire.CodeStalePrimary, Leader: hello.Leader,
+		h.Refuse(nc, &wire.Error{Code: wire.CodeStalePrimary, Leader: hello.Leader,
 			Message: fmt.Sprintf("fenced: follower %s is at epoch %d, this node at %d",
 				hello.Name, hello.Epoch, h.eng.Epoch())})
 		return
@@ -203,7 +196,7 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		reject(&wire.Error{Code: wire.CodeShuttingDown,
+		h.Refuse(nc, &wire.Error{Code: wire.CodeShuttingDown,
 			Message: "primary is shutting down", Retryable: true})
 		return
 	}
@@ -230,8 +223,8 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 	sub := h.eng.SubscribeCommits(h.buf)
 	defer h.eng.UnsubscribeCommits(sub)
 
-	reply := wire.ReplHelloReply{OK: true, Gen: h.eng.Generation(),
-		Epoch: h.eng.Epoch(), EpochHist: wireEpochHist(h.eng.EpochHistory())}
+	reply := wire.ReplHelloReply{Gen: h.eng.Generation(),
+		Epoch: h.eng.Epoch(), EpochHist: h.eng.EpochHistory()}
 	var pending []engine.Commit
 	var snapshot []string
 	next := hello.From + 1
@@ -251,28 +244,27 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 	tail, ok, err := h.eng.WALTail(hello.From)
 	switch {
 	case err != nil:
-		reject(&wire.Error{Code: wire.CodeInternal, Message: err.Error()})
+		h.Refuse(nc, &wire.Error{Code: wire.CodeInternal, Message: err.Error()})
 		return
 	case ok && !diverged:
-		reply.Mode = wire.ReplModeTail
 		pending = tail
 	default:
 		if snapshot, reply.SnapshotLSN, err = h.eng.ReplSnapshot(); err != nil {
-			reject(&wire.Error{Code: wire.CodeInternal, Message: err.Error()})
+			h.Refuse(nc, &wire.Error{Code: wire.CodeInternal, Message: err.Error()})
 			return
 		}
-		reply.Mode, reply.SnapshotStmts = wire.ReplModeSnapshot, uint64(len(snapshot))
+		reply.Snapshot, reply.SnapshotStmts = true, uint64(len(snapshot))
 		next = reply.SnapshotLSN + 1
 	}
 	nc.SetWriteDeadline(time.Now().Add(h.writeTO))
-	if err := wire.WriteMsg(bw, reply); err != nil {
+	if err := wire.WriteMsg(bw, &reply); err != nil {
 		return
 	}
 	if err := bw.Flush(); err != nil {
 		return
 	}
 	// The snapshot's statements go first, in batches with From zero.
-	if reply.Mode == wire.ReplModeSnapshot {
+	if reply.Snapshot {
 		if err := h.sendStmts(f, bw, 0, snapshot); err != nil {
 			h.met.Counter("authdb_repl_follower_disconnects_total", "reason", "write").Inc()
 			return
@@ -282,7 +274,8 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 	f.sent.Store(next - 1)
 	f.acked.Store(next - 1)
 
-	go h.readAcks(f, br)
+	acksDone := make(chan struct{})
+	go h.readAcks(f, br, acksDone)
 
 	if next, err = h.sendBatches(f, bw, next, pending); err != nil {
 		h.met.Counter("authdb_repl_follower_disconnects_total", "reason", "write").Inc()
@@ -292,6 +285,9 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 		select {
 		case <-h.shut:
 			h.waitAcked(f)
+			return
+		case <-acksDone:
+			h.met.Counter("authdb_repl_follower_disconnects_total", "reason", "ack").Inc()
 			return
 		case c, live := <-sub.C():
 			var batch []engine.Commit
@@ -377,10 +373,22 @@ func (h *Hub) sendStmts(f *follower, bw *bufio.Writer, from uint64, stmts []stri
 	return nil
 }
 
-// readAcks consumes the follower's ack stream until the connection
-// dies; it is the only reader of the connection after the handshake.
-func (h *Hub) readAcks(f *follower, br *bufio.Reader) {
+// Refuse answers a replication hello with a refusal and no stream.
+func (h *Hub) Refuse(nc net.Conn, we *wire.Error) {
+	nc.SetWriteDeadline(time.Now().Add(h.writeTO))
+	wire.WriteMsg(nc, &wire.ReplHelloReply{Error: we})
+}
+
+// readAcks consumes the follower's ack stream, then closes done: it
+// returns when the connection dies or carries a frame that is not a
+// well-formed ack or fence, which ends the stream as a malformed
+// request ends a session. It is the only reader of the connection
+// after the handshake.
+func (h *Hub) readAcks(f *follower, br *bufio.Reader, done chan<- struct{}) {
+	defer close(done)
 	f.conn.SetReadDeadline(time.Time{}) // clear the handshake deadline
+	var ack wire.ReplAck
+	var fence wire.ReplFence
 	for {
 		payload, err := wire.ReadFrame(br)
 		if err != nil {
@@ -388,9 +396,8 @@ func (h *Hub) readAcks(f *follower, br *bufio.Reader) {
 		}
 		switch wire.MsgKind(payload) {
 		case wire.KindReplAck:
-			var ack wire.ReplAck
-			if json.Unmarshal(payload, &ack) != nil {
-				continue
+			if wire.Decode(payload, &ack) != nil {
+				return
 			}
 			if ack.Applied > f.acked.Load() {
 				f.acked.Store(ack.Applied)
@@ -400,26 +407,18 @@ func (h *Hub) readAcks(f *follower, br *bufio.Reader) {
 			// The follower adopted a higher epoch than this stream's: we
 			// are a stale primary. Demote and drop the stream — the fence
 			// beats finishing the batch in flight.
-			var fence wire.ReplFence
-			if json.Unmarshal(payload, &fence) != nil {
-				continue
+			if wire.Decode(payload, &fence) != nil {
+				return
 			}
 			if !h.unsafeNoFencing && fence.Epoch > h.eng.Epoch() {
 				h.fenced(fence.Epoch, fence.Leader)
 				f.conn.Close()
 				return
 			}
+		default:
+			return
 		}
 	}
-}
-
-// wireEpochHist converts the engine's history to its wire form.
-func wireEpochHist(hist []engine.EpochEntry) []wire.EpochEntry {
-	out := make([]wire.EpochEntry, len(hist))
-	for i, ent := range hist {
-		out[i] = wire.EpochEntry{Epoch: ent.Epoch, StartLSN: ent.StartLSN}
-	}
-	return out
 }
 
 // waitAcked gives a follower a bounded window to ack everything already

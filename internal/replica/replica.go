@@ -279,9 +279,8 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 	bw := bufio.NewWriter(conn)
 	from := r.eng.DurableLSN()
 	conn.SetDeadline(time.Now().Add(r.cfg.DialTimeout))
-	if err := wire.WriteMsg(bw, wire.ReplHello{
-		Kind: wire.KindReplHello, Proto: wire.ProtoVersion,
-		Token: r.cfg.Token, From: from, Name: r.cfg.Name,
+	if err := wire.WriteMsg(bw, &wire.ReplHello{
+		Proto: wire.ProtoVersion, Token: r.cfg.Token, From: from, Name: r.cfg.Name,
 		Epoch: r.eng.Epoch(), Leader: r.Leader(),
 	}); err != nil {
 		return 0, err
@@ -293,12 +292,9 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 	if err := wire.ReadMsg(br, &reply); err != nil {
 		return 0, fmt.Errorf("handshake: %w", err)
 	}
-	if !reply.OK {
-		if reply.Error != nil {
-			r.setHint(reply.Error.Leader)
-			return 0, fmt.Errorf("primary refused stream: %w", reply.Error)
-		}
-		return 0, fmt.Errorf("primary refused stream")
+	if reply.Error != nil {
+		r.setHint(reply.Error.Leader)
+		return 0, fmt.Errorf("primary refused stream: %w", reply.Error)
 	}
 	// A primary on a lower epoch than ours has been superseded and
 	// doesn't know it yet: fence it and move on.
@@ -332,7 +328,7 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 			r.cfg.Logf("replica: quarantined divergent statements past lsn %d into %s", reply.Fork, qdir)
 		}
 	}
-	if reply.Mode == wire.ReplModeSnapshot {
+	if reply.Snapshot {
 		if err := r.eng.ResetFromSnapshot(snapshot, reply.SnapshotLSN); err != nil {
 			return 0, fmt.Errorf("installing snapshot at lsn %d: %w", reply.SnapshotLSN, err)
 		}
@@ -341,7 +337,7 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 			len(snapshot), reply.SnapshotLSN, reply.Gen)
 	}
 	if len(reply.EpochHist) > 0 {
-		if err := r.eng.AdoptEpochHistory(engineEpochHist(reply.EpochHist)); err != nil {
+		if err := r.eng.AdoptEpochHistory(reply.EpochHist); err != nil {
 			return 0, fmt.Errorf("adopting epoch history: %w", err)
 		}
 	}
@@ -350,7 +346,7 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 	r.addrMu.Unlock()
 	r.connected.Store(true)
 	r.bootstrapped.Store(true)
-	r.cfg.Logf("replica: following %s from lsn %d (%s mode, epoch %d)", addr, r.eng.DurableLSN(), reply.Mode, r.eng.Epoch())
+	r.cfg.Logf("replica: following %s from lsn %d (snapshot %t, epoch %d)", addr, r.eng.DurableLSN(), reply.Snapshot, r.eng.Epoch())
 
 	// The applier: one admin session, no per-statement limits (the
 	// primary already executed these statements), async commit so a
@@ -373,9 +369,7 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 			return applied, err
 		}
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := wire.WriteMsg(bw, wire.ReplAck{
-			Kind: wire.KindReplAck, Applied: r.eng.DurableLSN(),
-		}); err != nil {
+		if err := wire.WriteMsg(bw, &wire.ReplAck{Applied: r.eng.DurableLSN()}); err != nil {
 			return applied, err
 		}
 		if err := bw.Flush(); err != nil {
@@ -384,45 +378,27 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 	}
 }
 
-// readBatch reads the next REPL_BATCH frame, skipping other kinds. A
-// batch from a lower epoch than ours means the sender went stale
-// mid-stream (typically: this very node was just promoted): fence it.
+// readBatch reads the next frame, which must be a REPL_BATCH. A batch
+// from a lower epoch than ours means the sender went stale mid-stream
+// (typically: this very node was just promoted): fence it.
 func (r *Replica) readBatch(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, addr string) (wire.ReplBatch, error) {
-	for {
-		payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return wire.ReplBatch{}, err
-		}
-		if wire.MsgKind(payload) != wire.KindReplBatch {
-			continue
-		}
-		var batch wire.ReplBatch
-		if err := wire.DecodeReplBatch(payload, &batch); err != nil {
-			return batch, err
-		}
-		if batch.Epoch < r.eng.Epoch() {
-			return batch, r.fence(conn, bw, addr, "batch", batch.Epoch)
-		}
-		return batch, nil
+	var batch wire.ReplBatch
+	if err := wire.ReadMsg(br, &batch); err != nil {
+		return batch, err
 	}
+	if batch.Epoch < r.eng.Epoch() {
+		return batch, r.fence(conn, bw, addr, "batch", batch.Epoch)
+	}
+	return batch, nil
 }
 
 // fence tells a primary whose epoch (stamped on what) is below ours
 // that it is stale, and returns the error that ends the stream.
 func (r *Replica) fence(conn net.Conn, bw *bufio.Writer, addr, what string, epoch uint64) error {
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	wire.WriteMsg(bw, wire.ReplFence{Kind: wire.KindReplFence, Epoch: r.eng.Epoch(), Leader: r.Leader()})
+	wire.WriteMsg(bw, &wire.ReplFence{Epoch: r.eng.Epoch(), Leader: r.Leader()})
 	bw.Flush()
 	return fmt.Errorf("fencing stale primary %s (%s epoch %d, ours %d)", addr, what, epoch, r.eng.Epoch())
-}
-
-// engineEpochHist converts a wire epoch history to the engine's form.
-func engineEpochHist(hist []wire.EpochEntry) []engine.EpochEntry {
-	out := make([]engine.EpochEntry, len(hist))
-	for i, ent := range hist {
-		out[i] = engine.EpochEntry{Epoch: ent.Epoch, StartLSN: ent.StartLSN}
-	}
-	return out
 }
 
 // applyBatch applies one contiguous statement run in LSN order,

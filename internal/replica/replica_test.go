@@ -545,6 +545,61 @@ func TestReplicationMetrics(t *testing.T) {
 	}
 }
 
+// TestMalformedAckEndsStream: a frame on the follower → primary stream
+// that is not a well-formed ack or fence ends that follower's stream,
+// as a malformed request ends a session and a malformed batch ends a
+// follower's: garbage, a protocol-6 JSON ack, an ack with a trailing
+// byte, and a frame of another kind. A well-formed ack before it keeps
+// the stream.
+func TestMalformedAckEndsStream(t *testing.T) {
+	db, srv := newPrimary(t)
+	db.Admin().MustExec("relation FEED (K) key (K)")
+	hub := srv.Hub()
+	acks := db.Metrics().Counter("authdb_repl_acks_total")
+	for i, frame := range [][]byte{
+		{0x42},
+		[]byte(`{"kind":"repl_ack","applied":1}`),
+		append(wire.Append(nil, &wire.ReplAck{Applied: 1}), 0),
+		wire.Append(nil, &wire.ReplBatch{From: 1}),
+	} {
+		nc, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if err := wire.WriteMsg(nc, &wire.ReplHello{Proto: wire.ProtoVersion, Token: replToken,
+			From: db.Engine().DurableLSN(), Name: "garbage", Epoch: db.Engine().Epoch()}); err != nil {
+			t.Fatal(err)
+		}
+		var reply wire.ReplHelloReply
+		if err := wire.ReadMsg(bufio.NewReader(nc), &reply); err != nil || reply.Error != nil || reply.Snapshot {
+			t.Fatalf("handshake: %+v, %v", reply, err)
+		}
+		if err := wire.WriteMsg(nc, &wire.ReplAck{Applied: db.Engine().DurableLSN()}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for acks.Value() < int64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("frame %d: the hub never counted the well-formed ack", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if n := hub.FollowerCount(); n != 1 {
+			t.Fatalf("frame %d: %d followers after a well-formed ack, want 1", i, n)
+		}
+		if err := wire.WriteFrame(nc, frame); err != nil {
+			t.Fatal(err)
+		}
+		for hub.FollowerCount() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("frame %q left the follower's stream open", frame)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // TestReplicaBatchSharesOneSync: a default-configured durable replica
 // applies one REPL_BATCH of k statements with one WAL sync. The primary
 // is scripted over loopback so the batch boundaries are exact.
@@ -582,8 +637,8 @@ func TestReplicaBatchSharesOneSync(t *testing.T) {
 		for i := 1; i < k; i++ {
 			stmts = append(stmts, fmt.Sprintf("insert into FEED values (k%d)", i))
 		}
-		wire.WriteMsg(bw, wire.ReplHelloReply{OK: true, Mode: wire.ReplModeTail, Epoch: 1})
-		wire.WriteMsg(bw, wire.ReplBatch{From: hello.From + 1, Stmts: stmts, Epoch: 1})
+		wire.WriteMsg(bw, &wire.ReplHelloReply{Epoch: 1})
+		wire.WriteMsg(bw, &wire.ReplBatch{From: hello.From + 1, Stmts: stmts, Epoch: 1})
 		if err := bw.Flush(); err != nil {
 			t.Error(err)
 			return

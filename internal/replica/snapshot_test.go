@@ -265,7 +265,7 @@ func TestSnapshotCutLeavesFollowerAsItWas(t *testing.T) {
 				}
 				if i > 0 {
 					var b wire.ReplBatch
-					if wire.DecodeReplBatch(payload, &b) != nil || b.From != 0 {
+					if wire.Decode(payload, &b) != nil || b.From != 0 {
 						t.Errorf("frame %d after the reply is not a snapshot batch: %.80s", i, payload)
 						return
 					}
@@ -333,8 +333,8 @@ func TestTailRefusesSnapshotBatch(t *testing.T) {
 			result <- err
 			return
 		}
-		wire.WriteMsg(bw, wire.ReplHelloReply{OK: true, Mode: wire.ReplModeTail, Epoch: 1})
-		wire.WriteMsg(bw, wire.ReplBatch{From: 0, Epoch: 1,
+		wire.WriteMsg(bw, &wire.ReplHelloReply{Epoch: 1})
+		wire.WriteMsg(bw, &wire.ReplBatch{From: 0, Epoch: 1,
 			Stmts: []string{"relation A (X)", "relation B (Y)"}})
 		if err := bw.Flush(); err != nil {
 			result <- err

@@ -29,7 +29,6 @@ import (
 	"bufio"
 	"context"
 	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -488,9 +487,10 @@ func (s *Server) handle(nc net.Conn) {
 	bw := newWriter(nc)
 
 	nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	// The first frame decides the connection's protocol: a regular
-	// Hello (no "kind" field) opens a statement session, a REPL_HELLO
-	// opens a replication stream served by the hub.
+	// The first frame's tag decides the connection's protocol: a Hello
+	// opens a statement session, a REPL_HELLO a replication stream
+	// served by the hub; any other frame, or a hello that does not
+	// decode (a protocol-6 peer's JSON included), closes it unanswered.
 	first, err := wire.ReadFrame(br)
 	if err != nil {
 		return
@@ -500,13 +500,13 @@ func (s *Server) handle(nc net.Conn) {
 		return
 	}
 	var hello wire.Hello
-	if err := json.Unmarshal(first, &hello); err != nil {
+	if err := wire.Decode(first, &hello); err != nil {
 		return
 	}
 	sess, herr := s.authenticate(hello)
-	reply := wire.HelloReply{OK: herr == nil, Server: "authdb/1", Error: herr}
+	reply := wire.HelloReply{Server: "authdb/1", Error: herr}
 	nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if err := wire.WriteMsg(bw, reply); err != nil {
+	if err := wire.WriteMsg(bw, &reply); err != nil {
 		return
 	}
 	if err := bw.Flush(); err != nil || herr != nil {
@@ -547,20 +547,12 @@ func (s *Server) handle(nc net.Conn) {
 // handleRepl authenticates a replication handshake and hands the
 // connection to the hub for the life of the stream.
 func (s *Server) handleRepl(nc net.Conn, br *bufio.Reader, first []byte) {
-	refuse := func(we *wire.Error) {
-		bw := newWriter(nc)
-		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if wire.WriteMsg(bw, wire.ReplHelloReply{OK: false, Error: we}) == nil {
-			bw.Flush()
-		}
-	}
 	var hello wire.ReplHello
-	if err := json.Unmarshal(first, &hello); err != nil {
-		refuse(&wire.Error{Code: wire.CodeProtocol, Message: "malformed repl_hello"})
+	if wire.Decode(first, &hello) != nil {
 		return
 	}
 	if hello.Proto != wire.ProtoVersion {
-		refuse(&wire.Error{Code: wire.CodeProtocol,
+		s.hub.Refuse(nc, &wire.Error{Code: wire.CodeProtocol,
 			Message: fmt.Sprintf("protocol version %d, server speaks %d", hello.Proto, wire.ProtoVersion)})
 		return
 	}
@@ -568,7 +560,7 @@ func (s *Server) handleRepl(nc net.Conn, br *bufio.Reader, first []byte) {
 	// authority as an administrator connection.
 	if s.cfg.AdminToken != "" &&
 		subtle.ConstantTimeCompare([]byte(hello.Token), []byte(s.cfg.AdminToken)) != 1 {
-		refuse(&wire.Error{Code: wire.CodeNotAuthorized, Message: "bad replication token"})
+		s.hub.Refuse(nc, &wire.Error{Code: wire.CodeNotAuthorized, Message: "bad replication token"})
 		return
 	}
 	// A replica does not feed followers (no chained replication — a
@@ -578,7 +570,7 @@ func (s *Server) handleRepl(nc net.Conn, br *bufio.Reader, first []byte) {
 	isRep, leader := s.isReplica, s.leaderLocked()
 	s.roleMu.Unlock()
 	if isRep {
-		refuse(&wire.Error{Code: wire.CodeReadOnly, Retryable: true, Leader: leader,
+		s.hub.Refuse(nc, &wire.Error{Code: wire.CodeReadOnly, Retryable: true, Leader: leader,
 			Message: "node is a replica; replicate from the leader"})
 		return
 	}

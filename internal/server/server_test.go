@@ -84,11 +84,11 @@ func dialRaw(t *testing.T, addr string, hello wire.Hello) *rawConn {
 	}
 	t.Cleanup(func() { nc.Close() })
 	r := &rawConn{nc: nc, br: bufio.NewReader(nc)}
-	if err := wire.WriteMsg(nc, hello); err != nil {
+	if err := wire.WriteMsg(nc, &hello); err != nil {
 		t.Fatal(err)
 	}
 	var reply wire.HelloReply
-	if err := wire.ReadMsg(r.br, &reply); err != nil || !reply.OK {
+	if err := wire.ReadMsg(r.br, &reply); err != nil || reply.Error != nil {
 		t.Fatalf("raw handshake as %s: %+v, %v", hello.User, reply, err)
 	}
 	return r
@@ -100,7 +100,7 @@ func dialRaw(t *testing.T, addr string, hello wire.Hello) *rawConn {
 func (r *rawConn) reply(t *testing.T, stmt string) wire.Response {
 	t.Helper()
 	r.id++
-	if err := wire.WriteMsg(r.nc, wire.Request{ID: r.id, Stmt: stmt}); err != nil {
+	if err := wire.WriteMsg(r.nc, &wire.Request{ID: r.id, Stmt: stmt}); err != nil {
 		t.Fatal(err)
 	}
 	frame, err := wire.ReadFrame(r.br)
@@ -346,55 +346,109 @@ func TestWireErrorCodes(t *testing.T) {
 }
 
 // TestHandshakeRejections covers the authentication gate: bad protocol
-// version, malformed user, bad admin token, good admin token.
+// version, a protocol-6 peer's JSON handshake either way, malformed
+// user, bad admin token, good admin token.
 func TestHandshakeRejections(t *testing.T) {
 	db := paperDB(t)
 	s := startServer(t, db, server.Config{AdminToken: "s3cret"})
 	addr := s.Addr().String()
 
-	// Wrong protocol version, spoken raw: an unknown one, version 5,
-	// whose replication batches were JSON, version 4, whose snapshots
-	// rode inside the handshake reply, version 3, whose snapshots
-	// carried CSV, version 2, whose replies were JSON, and version 1,
-	// whose replies carried rendered text.
-	for _, proto := range []int{99, 5, 4, 3, 2, 1} {
+	// Wrong protocol version, spoken raw: an unknown one, version 6,
+	// whose handshakes and requests were JSON (a binary hello claiming
+	// it), version 5, whose replication batches were JSON, version 4,
+	// whose snapshots rode inside the handshake reply, version 3, whose
+	// snapshots carried CSV, version 2, whose replies were JSON, and
+	// version 1, whose replies carried rendered text.
+	for _, proto := range []int{99, 6, 5, 4, 3, 2, 1} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer nc.Close()
-		if err := wire.WriteMsg(nc, wire.Hello{Proto: proto, User: "x"}); err != nil {
+		if err := wire.WriteMsg(nc, &wire.Hello{Proto: proto, User: "x"}); err != nil {
 			t.Fatal(err)
 		}
 		var reply wire.HelloReply
 		if err := wire.ReadMsg(bufio.NewReader(nc), &reply); err != nil {
 			t.Fatal(err)
 		}
-		if reply.OK || reply.Error == nil || reply.Error.Code != wire.CodeProtocol {
+		if reply.Error == nil || reply.Error.Code != wire.CodeProtocol {
 			t.Errorf("proto %d reply = %+v, want %s", proto, reply, wire.CodeProtocol)
 		}
 	}
 
-	// A replica announcing version 5, which would read JSON batches,
-	// version 4, which would expect its snapshot inside the reply,
-	// version 3, which would expect a CSV snapshot, or version 2, is
-	// refused at its handshake too.
-	for _, proto := range []int{5, 4, 3, 2} {
+	// A replica announcing version 6, which would send JSON acks,
+	// version 5, which would read JSON batches, version 4, which would
+	// expect its snapshot inside the reply, version 3, which would
+	// expect a CSV snapshot, or version 2, is refused at its handshake
+	// too.
+	for _, proto := range []int{6, 5, 4, 3, 2} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer nc.Close()
-		if err := wire.WriteMsg(nc, wire.ReplHello{Kind: wire.KindReplHello, Proto: proto, Token: "s3cret"}); err != nil {
+		if err := wire.WriteMsg(nc, &wire.ReplHello{Proto: proto, Token: "s3cret"}); err != nil {
 			t.Fatal(err)
 		}
 		var replReply wire.ReplHelloReply
 		if err := wire.ReadMsg(bufio.NewReader(nc), &replReply); err != nil {
 			t.Fatal(err)
 		}
-		if replReply.OK || replReply.Error == nil || replReply.Error.Code != wire.CodeProtocol {
+		if replReply.Error == nil || replReply.Error.Code != wire.CodeProtocol {
 			t.Errorf("proto %d replication hello reply = %+v, want %s", proto, replReply, wire.CodeProtocol)
 		}
+	}
+
+	// What a protocol-6 peer really sends: a JSON hello or repl_hello.
+	// Neither opens with a tag, so the server closes the connection
+	// without a reply, as it does on a REPL_HELLO cut short.
+	for _, first := range []string{
+		`{"proto":6,"user":"u"}`,
+		`{"kind":"repl_hello","proto":6,"token":"s3cret","from":0,"epoch":1}`,
+		string([]byte{byte(wire.KindReplHello), 14}),
+	} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if err := wire.WriteFrame(nc, []byte(first)); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		br := bufio.NewReader(nc)
+		replies := 0
+		for ; ; replies++ {
+			if _, err = wire.ReadFrame(br); err != nil {
+				break
+			}
+		}
+		if err != io.EOF || replies > 1 {
+			t.Errorf("protocol-6 %s: %d replies, then %v; want at most one, then the connection closed", first, replies, err)
+		}
+	}
+
+	// A protocol-6 server answers a hello with a JSON HelloReply, which
+	// is no HelloReply frame: Dial fails at the handshake.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		if _, err := wire.ReadFrame(bufio.NewReader(nc)); err == nil {
+			wire.WriteFrame(nc, []byte(`{"ok":true,"server":"authdb/1"}`))
+		}
+	}()
+	if _, err := client.Dial(ln.Addr().String(), client.WithUser("u")); err == nil ||
+		!strings.Contains(err.Error(), "handshake") {
+		t.Errorf("dialing a protocol-6 server: %v, want a handshake error", err)
 	}
 
 	if _, err := client.Dial(addr, client.WithUser("two words")); err == nil {

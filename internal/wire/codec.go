@@ -3,16 +3,17 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/bits"
 	"strconv"
 
+	"authdb/internal/engine"
 	"authdb/internal/relation"
 	"authdb/internal/value"
 )
 
-// The Response codec. A reply is the one message whose size follows the
-// answer, so it has a binary frame of its own instead of encoding/json
-// (DESIGN.md §11):
+// The Response codec. A reply has no tag: it is known by its place
+// after a Request, and its first bytes are its ID (DESIGN.md §11):
 //
 //	id     uvarint
 //	flags  byte: which optional fields follow, in this order
@@ -82,12 +83,9 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 		dst = appendStrs(dst, r.Permits)
 	}
 	if e := r.Error; e != nil {
-		dst = appendStr(dst, e.Code)
-		dst = appendStr(dst, e.Message)
-		dst = binary.AppendVarint(dst, int64(e.Line))
-		dst = binary.AppendVarint(dst, int64(e.Col))
-		dst = appendStr(dst, e.Leader)
-		dst = append(dst, bit(e.Retryable, 1))
+		w := walker{buf: dst}
+		e.body(&w)
+		dst = w.buf
 	}
 	return dst, nil
 }
@@ -270,9 +268,9 @@ func DecodeResponse(p []byte, r *Response) error {
 	return nil
 }
 
-// decoder reads a Response from s, a copy of the payload; i is the
-// next byte. The first read outside the format clears ok and records
-// its offset in bad; every read after it returns zero values.
+// decoder reads a payload from s, a copy of it; i is the next byte.
+// The first read outside the format clears ok and records its offset
+// in bad; every read after it returns zero values.
 type decoder struct {
 	s      string
 	i, bad int
@@ -310,17 +308,8 @@ func (d *decoder) response(r *Response) {
 	r.FullyAuthorized = flags&flagFull != 0
 	r.Denied = flags&flagDenied != 0
 	if flags&flagError != 0 {
-		e := &Error{Code: d.str(), Message: d.str()}
-		e.Line, e.Col = d.int(), d.int()
-		e.Leader = d.str()
-		switch d.byte() {
-		case 0:
-		case 1:
-			e.Retryable = true
-		default:
-			d.fail()
-		}
-		r.Error = e
+		r.Error = new(Error)
+		r.Error.body(&walker{d: d})
 	}
 }
 
@@ -360,16 +349,6 @@ func (d *decoder) varint() int64 {
 		x = ^x
 	}
 	return x
-}
-
-// int reads a zigzag varint that fits in an int.
-func (d *decoder) int() int {
-	x := d.varint()
-	if int64(int(x)) != x {
-		d.fail()
-		return 0
-	}
-	return int(x)
 }
 
 // count reads a count of items of at least size bytes each, refusing
@@ -446,4 +425,161 @@ func (d *decoder) table() *Table {
 		t.Rows[k] = cells[k*ncols : (k+1)*ncols : (k+1)*ncols]
 	}
 	return t
+}
+
+// Kind names a control message: the tag byte its payload opens with.
+type Kind byte
+
+// The tags. They lie above 0x7f, so no JSON text opens with one: a
+// protocol-6 peer's handshake, request, ack or fence is refused by its
+// first byte. REPL_BATCH keeps protocol 6's tag and layout.
+const (
+	KindHello Kind = 0xf8 + iota
+	KindHelloReply
+	KindRequest
+	KindReplHello
+	KindReplHelloReply
+	KindReplAck
+	KindReplFence
+	KindReplBatch
+)
+
+// MsgKind returns the kind a control message's payload names, zero for
+// an empty payload. It reads the first byte only: the kind it returns
+// is the tag Decode checks, not a promise that the rest decodes.
+func MsgKind(p []byte) Kind {
+	if len(p) == 0 {
+		return 0
+	}
+	return Kind(p[0])
+}
+
+// Msg is a control message: any message but the Response. Its payload
+// is its tag, then its fields, as its walk method lists them to a
+// walker; walk is so both its encoder and its decoder (the frame table
+// is in DESIGN.md §11).
+type Msg interface{ walk(*walker) }
+
+// Append appends m's payload to dst.
+func Append(dst []byte, m Msg) []byte {
+	w := walker{buf: dst}
+	m.walk(&w)
+	return w.buf
+}
+
+// Decode decodes a payload into the control message m, replacing its
+// contents. Like DecodeResponse it accepts exactly what Append writes:
+// m's tag, minimal varints, bools of 0 or 1, no trailing byte, and
+// every count checked against the bytes left before anything is sized
+// by it. The payload is copied once, and every string of m is a
+// substring of the copy. A refused payload leaves m zero.
+func Decode(p []byte, m Msg) error {
+	d := &decoder{s: string(p), ok: true}
+	m.walk(&walker{d: d})
+	if d.ok && d.i != len(d.s) {
+		d.fail()
+	}
+	if !d.ok {
+		// A decoder with nothing to read yields every field's zero value.
+		m.walk(&walker{d: &decoder{}})
+		return fmt.Errorf("wire: malformed %T frame at byte %d", m, d.bad)
+	}
+	return nil
+}
+
+// walker carries a message's fields through the codec: with d nil it
+// appends them to buf, otherwise it reads them from d into place.
+type walker struct {
+	buf []byte
+	d   *decoder
+}
+
+// fields walks vs in order. A Kind is the tag, written or checked; a
+// pointer is a field, by its type:
+//
+//	*uint64               uvarint
+//	*int, *int64          zigzag varint, refused outside the type
+//	*string               str: uvarint length, then the bytes
+//	*[]string             uvarint count, then each str
+//	*bool                 byte 0 or 1
+//	**Error               bool: present, then its fields (Error.body)
+//	*[]engine.EpochEntry  uvarint count, then each epoch and start LSN
+//	                      as uvarints
+//
+// An empty list decodes as nil.
+func (w *walker) fields(vs ...any) {
+	for _, v := range vs {
+		if w.d != nil {
+			w.d.field(v)
+			continue
+		}
+		switch v := v.(type) {
+		case Kind:
+			w.buf = append(w.buf, byte(v))
+		case *uint64:
+			w.buf = binary.AppendUvarint(w.buf, *v)
+		case *int:
+			w.buf = binary.AppendVarint(w.buf, int64(*v))
+		case *int64:
+			w.buf = binary.AppendVarint(w.buf, *v)
+		case *string:
+			w.buf = appendStr(w.buf, *v)
+		case *[]string:
+			w.buf = appendStrs(w.buf, *v)
+		case *bool:
+			w.buf = append(w.buf, bit(*v, 1))
+		case **Error:
+			if w.buf = append(w.buf, bit(*v != nil, 1)); *v != nil {
+				(*v).body(w)
+			}
+		case *[]engine.EpochEntry:
+			w.buf = binary.AppendUvarint(w.buf, uint64(len(*v)))
+			for _, e := range *v {
+				w.buf = binary.AppendUvarint(binary.AppendUvarint(w.buf, e.Epoch), e.StartLSN)
+			}
+		}
+	}
+}
+
+// field reads one of walker.fields' values into place.
+func (d *decoder) field(v any) {
+	switch v := v.(type) {
+	case Kind:
+		if Kind(d.byte()) != v {
+			d.fail()
+		}
+	case *uint64:
+		*v = d.uvarint()
+	case *int:
+		x := d.varint()
+		if *v = int(x); int64(*v) != x {
+			d.fail()
+		}
+	case *int64:
+		*v = d.varint()
+	case *string:
+		*v = d.str()
+	case *[]string:
+		*v = d.strs()
+	case *bool:
+		b := d.byte()
+		if *v = b == 1; b > 1 {
+			d.fail()
+		}
+	case **Error:
+		var present bool
+		d.field(&present)
+		if *v = nil; present {
+			*v = new(Error)
+			(*v).body(&walker{d: d})
+		}
+	case *[]engine.EpochEntry:
+		*v = nil
+		if n := d.count(2); n > 0 {
+			*v = make([]engine.EpochEntry, n)
+			for i := range *v {
+				(*v)[i] = engine.EpochEntry{Epoch: d.uvarint(), StartLSN: d.uvarint()}
+			}
+		}
+	}
 }

@@ -3,11 +3,13 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"authdb/internal/engine"
 )
 
 // seedFrames builds the seed corpus: one well-formed frame per message
@@ -22,47 +24,57 @@ func seedFrames(tb testing.TB) [][]byte {
 		}
 		return buf.Bytes()
 	}
+	framed := func(payload []byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
 	return [][]byte{
-		frame(Hello{Proto: ProtoVersion, User: "Brown", Admin: true, Token: "t"}),
-		frame(HelloReply{OK: true, Server: "authdb"}),
-		frame(Request{ID: 9, Stmt: "retrieve (EMPLOYEE.NAME)", TimeoutMS: 100}),
-		frame(Response{ID: 9, Table: &Table{Columns: []string{"NAME"}, Rows: [][]string{{"Brown"}, {"-"}}},
+		frame(&Hello{Proto: ProtoVersion, User: "Brown", Admin: true, Token: "t"}),
+		frame(&HelloReply{Server: "authdb"}),
+		frame(&Request{ID: 9, Stmt: "retrieve (EMPLOYEE.NAME) where EMPLOYEE.NAME = \"a\xffb\"", TimeoutMS: 100}),
+		frame(&Response{ID: 9, Table: &Table{Columns: []string{"NAME"}, Rows: [][]string{{"Brown"}, {"-"}}},
 			Permits: []string{"permit (NAME)"}, Error: &Error{Code: CodeExec, Message: "nope"}}),
-		frame(ReplHello{Kind: KindReplHello, Proto: ProtoVersion, Token: "t", From: 41, Name: "r1",
+		frame(&ReplHello{Proto: ProtoVersion, Token: "t", From: 41, Name: "r1",
 			Epoch: 3, Leader: "127.0.0.1:4100"}),
-		frame(ReplHelloReply{OK: true, Mode: ReplModeSnapshot, SnapshotStmts: 2, SnapshotLSN: 41, Gen: 3}),
-		frame(ReplHelloReply{OK: true, Mode: ReplModeSnapshot, Epoch: 4,
-			EpochHist: []EpochEntry{{Epoch: 1, StartLSN: 0}, {Epoch: 4, StartLSN: 41}},
+		frame(&ReplHelloReply{Snapshot: true, SnapshotStmts: 2, SnapshotLSN: 41, Gen: 3}),
+		frame(&ReplHelloReply{Snapshot: true, Epoch: 4,
+			EpochHist: []engine.EpochEntry{{Epoch: 1, StartLSN: 0}, {Epoch: 4, StartLSN: 41}},
 			Diverged:  true, Fork: 41, SnapshotStmts: 7, SnapshotLSN: 50}),
-		frame(ReplHelloReply{OK: false, Error: &Error{Code: CodeProtocol, Message: "bad token"}}),
-		frame(ReplBatch{From: 42, Epoch: 2, Stmts: []string{"insert into R values (x)", "permit V to U"}}),
+		frame(&ReplHelloReply{Error: &Error{Code: CodeProtocol, Message: "bad token", Line: -1, Retryable: true}}),
+		frame(&ReplBatch{From: 42, Epoch: 2, Stmts: []string{"insert into R values (x)", "permit V to U"}}),
 		// A snapshot batch: From zero, statements without LSNs.
-		frame(ReplBatch{Epoch: 4, Stmts: []string{"relation R (A)", `insert into R values ("5")`}}),
-		frame(ReplAck{Kind: KindReplAck, Applied: 43}),
-		frame(ReplFence{Kind: KindReplFence, Epoch: 5, Leader: "127.0.0.1:4100"}),
-		frame(Response{ID: 3, Error: &Error{Code: CodeStalePrimary,
+		frame(&ReplBatch{Epoch: 4, Stmts: []string{"relation R (A)", `insert into R values ("5")`}}),
+		frame(&ReplAck{Applied: 43}),
+		frame(&ReplFence{Epoch: 5, Leader: "127.0.0.1:4100"}),
+		frame(&Response{ID: 3, Error: &Error{Code: CodeStalePrimary,
 			Message: "fenced at epoch 5", Leader: "127.0.0.1:4100"}}),
 		// A table of one column and no rows, and one with a withheld cell.
-		frame(Response{ID: 4, Table: &Table{Columns: []string{"A"}}, FullyAuthorized: true}),
-		frame(Response{ID: 5, Table: &Table{Columns: []string{"A", "B"}, Rows: [][]string{{"x", "-"}}}, Denied: true}),
+		frame(&Response{ID: 4, Table: &Table{Columns: []string{"A"}}, FullyAuthorized: true}),
+		frame(&Response{ID: 5, Table: &Table{Columns: []string{"A", "B"}, Rows: [][]string{{"x", "-"}}}, Denied: true}),
 		// Two frames back to back.
-		append(frame(ReplBatch{From: 1, Stmts: []string{"a"}}),
-			frame(ReplAck{Kind: KindReplAck, Applied: 1})...),
-		// Malformed: truncated header, truncated payload, neither JSON
-		// nor a reply, oversize length word, unknown kind.
+		append(frame(&ReplBatch{From: 1, Stmts: []string{"a"}}),
+			frame(&ReplAck{Applied: 1})...),
+		// Malformed: truncated header, truncated payload, a payload
+		// neither a control message nor a reply, oversize length word,
+		// an unknown tag.
 		{0x05, 0x00},
-		{0x05, 0x00, 0x00, 0x00, '{', '"'},
+		{0x05, 0x00, 0x00, 0x00, byte(KindHello), 14},
 		{0x03, 0x00, 0x00, 0x00, 'x', 'y', 'z'},
 		{0xff, 0xff, 0xff, 0xff},
-		frame(map[string]any{"kind": "mystery", "from": -1}),
+		framed(frameOf(byte(KindHello-1), 1, "u")),
+		// A protocol-6 peer's JSON hello, an ack with a non-minimal
+		// varint, a hello with an admin byte of 2, and a fence with a
+		// trailing byte.
+		framed([]byte(`{"proto":6,"user":"u"}`)),
+		framed(frameOf(byte(KindReplAck), raw("\x81\x00"))),
+		framed(frameOf(byte(KindHello), zz(7), "u", byte(2), "")),
+		framed(frameOf(byte(KindReplFence), 5, "l", byte(0))),
 	}
 }
 
-// FuzzDecode feeds arbitrary bytes through the frame reader and the
-// kind-probed message decoding exactly the way a server connection
-// does, and decodes every frame as a reply the way a client does,
-// checking nothing panics, limits hold, and an accepted reply
-// re-encodes to its own bytes.
+// FuzzDecode feeds arbitrary bytes through the frame reader and decodes
+// every frame both as each control message, the way a server or a hub
+// does, and as a reply, the way a client does, checking nothing panics,
+// limits hold, and an accepted frame re-encodes to its own bytes.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range seedFrames(f) {
 		f.Add(seed)
@@ -81,7 +93,7 @@ func TestDecodeCorpus(t *testing.T) {
 
 	var buf bytes.Buffer
 	in := ReplBatch{From: 7, Epoch: 2, SentUnixNano: -1, Stmts: []string{"insert into R values (x, y)", "insert into R values (\"a\xffb\", \"\x01<&>\")"}}
-	if err := WriteMsg(&buf, in); err != nil {
+	if err := WriteMsg(&buf, &in); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := ReadFrame(bufio.NewReader(&buf))
@@ -89,10 +101,10 @@ func TestDecodeCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := MsgKind(payload); got != KindReplBatch {
-		t.Fatalf("MsgKind = %q, want %q", got, KindReplBatch)
+		t.Fatalf("MsgKind = %#x, want %#x", got, KindReplBatch)
 	}
 	var out ReplBatch
-	if err := DecodeReplBatch(payload, &out); err != nil {
+	if err := Decode(payload, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(out, in) {
@@ -100,9 +112,23 @@ func TestDecodeCorpus(t *testing.T) {
 	}
 }
 
+// kinds holds every control message kind, each with an empty message.
+var kinds = []struct {
+	kind Kind
+	new  func() Msg
+}{
+	{KindHello, func() Msg { return new(Hello) }},
+	{KindHelloReply, func() Msg { return new(HelloReply) }},
+	{KindRequest, func() Msg { return new(Request) }},
+	{KindReplHello, func() Msg { return new(ReplHello) }},
+	{KindReplHelloReply, func() Msg { return new(ReplHelloReply) }},
+	{KindReplAck, func() Msg { return new(ReplAck) }},
+	{KindReplFence, func() Msg { return new(ReplFence) }},
+	{KindReplBatch, func() Msg { return new(ReplBatch) }},
+}
+
 // decodeStream is the shared fuzz body: read frames until the input
-// runs out, probing each frame's kind and decoding it as its message
-// type (and, kind-less, as each pre-replication type).
+// runs out, decoding each as every control message and as a reply.
 func decodeStream(t *testing.T, data []byte) {
 	t.Helper()
 	r := bufio.NewReader(bytes.NewReader(data))
@@ -111,28 +137,90 @@ func decodeStream(t *testing.T, data []byte) {
 		if err != nil {
 			return
 		}
-		switch MsgKind(payload) {
-		case KindReplHello:
-			var m ReplHello
-			_ = json.Unmarshal(payload, &m)
-		case KindReplBatch:
-			checkReplBatch(t, payload)
-		case KindReplAck:
-			var m ReplAck
-			_ = json.Unmarshal(payload, &m)
-		case KindReplFence:
-			var m ReplFence
-			_ = json.Unmarshal(payload, &m)
-		default:
-			var h Hello
-			_ = json.Unmarshal(payload, &h)
-			var req Request
-			_ = json.Unmarshal(payload, &req)
-			checkDecode(t, payload)
-			var hr ReplHelloReply
-			_ = json.Unmarshal(payload, &hr)
+		for _, k := range kinds {
+			checkMsg(t, payload, k.new(), k.kind)
 		}
+		checkDecode(t, payload)
 	}
+}
+
+// checkMsg is the control codec's acceptance contract on one payload
+// decoded as m, of kind k: only the message MsgKind names accepts it,
+// an accepted payload re-encodes to the same bytes, and a refused one
+// leaves m zero.
+func checkMsg(t *testing.T, payload []byte, m Msg, k Kind) {
+	t.Helper()
+	if err := Decode(payload, m); err != nil {
+		if !reflect.ValueOf(m).Elem().IsZero() {
+			t.Fatalf("Decode refused %q as %T but left %+v", payload, m, m)
+		}
+		return
+	}
+	if MsgKind(payload) != k {
+		t.Fatalf("Decode accepted %q, of kind %#x, as %T", payload, MsgKind(payload), m)
+	}
+	if again := Append(nil, m); !bytes.Equal(again, payload) {
+		t.Fatalf("Decode accepted %q as %T, which re-encodes to %q", payload, m, again)
+	}
+}
+
+// fuzzMsgs builds one message of every control kind from fuzzed
+// fields, in the form each decodes to: an empty list is nil. The bits
+// of flags set the booleans, whether an error is carried, and (the top
+// four) the length of the epoch history.
+func fuzzMsgs(a, b, c string, x, y int64, flags uint16) []Msg {
+	bit := func(k int) bool { return flags&(1<<k) != 0 }
+	var e *Error
+	if bit(0) {
+		e = &Error{Code: a, Message: b, Line: int(x), Col: int(y), Leader: c, Retryable: bit(1)}
+	}
+	var hist []engine.EpochEntry
+	for i := uint64(0); i < uint64(flags>>12); i++ {
+		hist = append(hist, engine.EpochEntry{Epoch: uint64(x) + i, StartLSN: uint64(y) * i})
+	}
+	return []Msg{
+		&Hello{Proto: int(x), User: a, Admin: bit(2), Token: b},
+		&HelloReply{Server: c, Error: e},
+		&Request{ID: uint64(x), Stmt: a, TimeoutMS: y},
+		&ReplHello{Proto: int(y), Token: a, From: uint64(x), Name: b, Epoch: uint64(y), Leader: c},
+		&ReplHelloReply{Snapshot: bit(3), SnapshotStmts: uint64(x), SnapshotLSN: uint64(y), Gen: uint64(x ^ y),
+			Error: e, Epoch: uint64(y), EpochHist: hist, Diverged: bit(4), Fork: uint64(x)},
+		&ReplAck{Applied: uint64(y)},
+		&ReplFence{Epoch: uint64(x), Leader: c},
+		&ReplBatch{From: uint64(x), Epoch: uint64(y), SentUnixNano: x - y, Stmts: strings.Split(b, "\n")},
+	}
+}
+
+// FuzzControlCodec holds every control message to the round trip: one
+// built from fuzzed strings (any bytes, invalid UTF-8 included),
+// integers and flags decodes from its encoding to itself, and only as
+// its own kind.
+func FuzzControlCodec(f *testing.F) {
+	f.Add("Brown", "retrieve (R.A) where R.A = \"a\xffb\"", "127.0.0.1:4100", int64(7), int64(250), uint16(0))
+	f.Add("\xed\xa0\x80\xc3", "a\xe2\x80\xa8b\n\x01\x00", "", int64(-1), int64(math.MinInt64), uint16(0xffff))
+	f.Add("", "", "\"<&>\"", int64(math.MaxInt64), int64(0), uint16(1|1<<13))
+	f.Fuzz(func(t *testing.T, a, b, c string, x, y int64, flags uint16) {
+		for i, in := range fuzzMsgs(a, b, c, x, y, flags) {
+			payload := Append(nil, in)
+			if MsgKind(payload) != kinds[i].kind {
+				t.Fatalf("%T encodes to kind %#x, want %#x", in, MsgKind(payload), kinds[i].kind)
+			}
+			for _, k := range kinds {
+				out := k.new()
+				err := Decode(payload, out)
+				switch {
+				case k.kind != kinds[i].kind:
+					if err == nil {
+						t.Fatalf("%T's payload decodes as %T", in, out)
+					}
+				case err != nil:
+					t.Fatalf("Decode rejects Append's payload of %+v: %v", in, err)
+				case !reflect.DeepEqual(out, in):
+					t.Fatalf("round trip:\n got %+v\nwant %+v", out, in)
+				}
+			}
+		}
+	})
 }
 
 // checkDecode is the codec's acceptance contract on one payload:

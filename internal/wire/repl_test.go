@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"reflect"
@@ -9,30 +8,13 @@ import (
 	"testing"
 )
 
-// checkReplBatch is the batch codec's acceptance contract on one
-// payload: whatever DecodeReplBatch accepts re-encodes to the same
-// bytes, and MsgKind routes it as a batch.
-func checkReplBatch(t *testing.T, payload []byte) {
-	t.Helper()
-	var b ReplBatch
-	if DecodeReplBatch(payload, &b) != nil {
-		return
-	}
-	if again := AppendReplBatch(nil, &b); !bytes.Equal(again, payload) {
-		t.Fatalf("DecodeReplBatch accepted %q, which re-encodes to %q", payload, again)
-	}
-	if k := MsgKind(payload); k != KindReplBatch {
-		t.Fatalf("MsgKind of an accepted batch = %q", k)
-	}
-}
-
 // FuzzReplBatch holds the batch codec to its two properties: (a)
 // arbitrary payload bytes are refused or decode to a batch that
 // re-encodes to the same bytes, and (b) a batch built from fuzzed
 // statements (split at newlines; any bytes, invalid UTF-8 included) and
 // fields decodes from its encoding to itself, an empty list as nil.
 func FuzzReplBatch(f *testing.F) {
-	batch := func(b ReplBatch) []byte { return AppendReplBatch(nil, &b) }
+	batch := func(b ReplBatch) []byte { return Append(nil, &b) }
 	seeds := []struct {
 		frame       []byte
 		stmts       string
@@ -49,8 +31,8 @@ func FuzzReplBatch(f *testing.F) {
 		// Refused: empty, a count past the end, a non-minimal varint, a
 		// trailing byte, and protocol 5's JSON batch.
 		{[]byte{}, "", 0, 0, 0, false},
-		{[]byte{replBatchTag, 1, 1, 0, 1}, "", 0, 0, 0, false},
-		{[]byte{replBatchTag, 0x81, 0, 1, 0, 0}, "", 0, 0, 0, false},
+		{[]byte{byte(KindReplBatch), 1, 1, 0, 1}, "", 0, 0, 0, false},
+		{[]byte{byte(KindReplBatch), 0x81, 0, 1, 0, 0}, "", 0, 0, 0, false},
 		{append(batch(ReplBatch{From: 1, Stmts: []string{"a"}}), 0), "", 0, 0, 0, false},
 		{[]byte(`{"kind":"repl_batch","from":1,"stmts":["a"]}`), "", 0, 0, 0, false},
 	}
@@ -58,14 +40,14 @@ func FuzzReplBatch(f *testing.F) {
 		f.Add(s.frame, s.stmts, s.from, s.epoch, s.sent, s.nilStmts)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte, stmts string, from, epoch uint64, sent int64, nilStmts bool) {
-		checkReplBatch(t, frame)
+		checkMsg(t, frame, new(ReplBatch), KindReplBatch)
 		in := ReplBatch{From: from, Epoch: epoch, SentUnixNano: sent}
 		if !nilStmts {
 			in.Stmts = strings.Split(stmts, "\n")
 		}
 		var out ReplBatch
-		if err := DecodeReplBatch(AppendReplBatch(nil, &in), &out); err != nil {
-			t.Fatalf("DecodeReplBatch rejects AppendReplBatch's frame of %+v: %v", in, err)
+		if err := Decode(Append(nil, &in), &out); err != nil {
+			t.Fatalf("Decode rejects Append's frame of %+v: %v", in, err)
 		}
 		if !reflect.DeepEqual(out, in) {
 			t.Fatalf("round trip:\n got %+v\nwant %+v", out, in)
@@ -73,22 +55,23 @@ func FuzzReplBatch(f *testing.F) {
 	})
 }
 
-// TestReplBatchRefusals: a payload other than AppendReplBatch's is an
-// error and leaves the batch empty.
+// TestReplBatchRefusals: a payload other than Append's is an error and
+// leaves the batch empty.
 func TestReplBatchRefusals(t *testing.T) {
 	for _, p := range [][]byte{
 		{},
 		[]byte(`{"kind":"repl_batch","from":1,"stmts":["a"]}`),
-		{replBatchTag},
-		{replBatchTag, 1, 1, 0, 1},
-		{replBatchTag, 0x81, 0, 1, 0, 0},
-		append(AppendReplBatch(nil, &ReplBatch{From: 1, Stmts: []string{"a"}}), 0),
+		{byte(KindReplBatch)},
+		{byte(KindReplBatch), 1, 1, 0, 1},
+		{byte(KindReplBatch), 0x81, 0, 1, 0, 0},
+		append(Append(nil, &ReplBatch{From: 1, Stmts: []string{"a"}}), 0),
+		Append(nil, &ReplAck{Applied: 1}),
 	} {
 		b := ReplBatch{From: 9, Stmts: []string{"x"}}
-		if err := DecodeReplBatch(p, &b); err == nil {
-			t.Errorf("DecodeReplBatch accepted %q as %+v", p, b)
+		if err := Decode(p, &b); err == nil {
+			t.Errorf("Decode accepted %q as %+v", p, b)
 		} else if !reflect.DeepEqual(b, ReplBatch{}) {
-			t.Errorf("DecodeReplBatch(%q) refused but left %+v", p, b)
+			t.Errorf("Decode(%q) refused but left %+v", p, b)
 		}
 	}
 }
@@ -104,7 +87,7 @@ func TestReplBatchLen(t *testing.T) {
 	}
 	// The widest header: every field at its longest varint.
 	widest := func(stmts []string) []byte {
-		return AppendReplBatch(nil, &ReplBatch{From: math.MaxUint64, Epoch: math.MaxUint64, SentUnixNano: math.MinInt64, Stmts: stmts})
+		return Append(nil, &ReplBatch{From: math.MaxUint64, Epoch: math.MaxUint64, SentUnixNano: math.MinInt64, Stmts: stmts})
 	}
 	for len(stmts) > 0 {
 		n := ReplBatchLen(stmts, limit)

@@ -8,12 +8,14 @@
 //
 //	uint32le payload length | payload
 //
-// A Response payload is binary (AppendResponse, DecodeResponse; the
-// layout is in codec.go): varint-prefixed strings, a table as its
-// columns, a row count and every row's cell text. A ReplBatch payload
-// is binary too (repl.go). Hello, Request and the other replication
-// messages are JSON (encoding/json). WriteMsg and ReadMsg pick the
-// codec by the message's type.
+// Every payload is binary, written with one set of primitives
+// (codec.go): varints and varint-prefixed strings, so a string travels
+// byte for byte. A Response (AppendResponse, DecodeResponse) is known
+// by its place after a Request. Every other message is a control
+// message (Msg): its payload opens with a tag byte naming it (MsgKind),
+// then its fields in the order its walk method visits them, one method
+// serving as both its encoder (Append) and its decoder (Decode).
+// WriteMsg and ReadMsg pick the codec by the message's type.
 //
 // A frame larger than the agreed maximum is a protocol error and closes
 // the connection. Within one connection, requests execute strictly in
@@ -25,7 +27,6 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -36,12 +37,12 @@ import (
 // ProtoVersion identifies the protocol; the handshake rejects mismatches
 // so both sides fail loudly instead of mis-parsing frames. Replies are
 // binary frames carrying the structured result only; the receiver
-// renders it (Response.Render). Version 6 writes a ReplBatch as a binary
-// frame; version 5 wrote it as JSON, which replaced invalid UTF-8 in a
-// statement with U+FFFD. Version 5 sends a replication snapshot as
-// statements in ReplBatch frames; version 4 sent it as files inside the
-// handshake reply.
-const ProtoVersion = 6
+// renders it (Response.Render). Version 7 writes every message as a
+// binary frame; version 6 wrote all but the Response and the ReplBatch
+// as JSON, and version 5 the ReplBatch too, replacing invalid UTF-8 in
+// a statement with U+FFFD. Version 4 sent a replication snapshot as
+// files inside the handshake reply.
+const ProtoVersion = 7
 
 // MaxFrame bounds one frame's payload (requests and responses): larger
 // length words are treated as a protocol error rather than allocated.
@@ -87,39 +88,24 @@ func (e *FrameSizeError) Error() string {
 	return fmt.Sprintf("wire: frame of %d bytes exceeds limit %d", e.Size, MaxFrame)
 }
 
-// WriteMsg encodes v and writes it as one frame: a Response or
-// *Response through AppendResponseFrame in one Write, a ReplBatch or
-// *ReplBatch through AppendReplBatch, anything else through
-// encoding/json.
+// WriteMsg encodes v, a *Response or a control message, and writes it
+// as one frame: a reply through AppendResponseFrame in one Write.
 func WriteMsg(w io.Writer, v any) error {
-	var frame []byte
-	var err error
 	switch m := v.(type) {
 	case *Response:
-		frame, err = AppendResponseFrame(nil, m)
-	case Response:
-		frame, err = AppendResponseFrame(nil, &m)
-	case *ReplBatch:
-		return WriteFrame(w, AppendReplBatch(nil, m))
-	case ReplBatch:
-		return WriteFrame(w, AppendReplBatch(nil, &m))
-	default:
-		payload, err := json.Marshal(v)
-		if err != nil {
-			return err
+		frame, err := AppendResponseFrame(nil, m)
+		if err == nil {
+			_, err = w.Write(frame)
 		}
-		return WriteFrame(w, payload)
-	}
-	if err != nil {
 		return err
+	case Msg:
+		return WriteFrame(w, Append(nil, m))
 	}
-	_, err = w.Write(frame)
-	return err
+	return fmt.Errorf("wire: %T is not a message", v)
 }
 
 // ReadMsg reads one frame and decodes it into v: a *Response with
-// DecodeResponse, a *ReplBatch with DecodeReplBatch, anything else with
-// encoding/json.
+// DecodeResponse, a control message with Decode.
 func ReadMsg(r *bufio.Reader, v any) error {
 	payload, err := ReadFrame(r)
 	if err != nil {
@@ -128,40 +114,45 @@ func ReadMsg(r *bufio.Reader, v any) error {
 	switch m := v.(type) {
 	case *Response:
 		return DecodeResponse(payload, m)
-	case *ReplBatch:
-		return DecodeReplBatch(payload, m)
+	case Msg:
+		return Decode(payload, m)
 	}
-	return json.Unmarshal(payload, v)
+	return fmt.Errorf("wire: %T is not a message", v)
 }
 
 // Hello opens a connection: the client announces the protocol version
 // and authenticates as a principal. Administrator sessions additionally
 // present the server's admin token when one is configured.
 type Hello struct {
-	Proto int    `json:"proto"`
-	User  string `json:"user"`
-	Admin bool   `json:"admin,omitempty"`
-	Token string `json:"token,omitempty"`
+	Proto int
+	User  string
+	Admin bool
+	Token string
 }
 
-// HelloReply acknowledges (or rejects) the handshake.
+func (m *Hello) walk(w *walker) { w.fields(KindHello, &m.Proto, &m.User, &m.Admin, &m.Token) }
+
+// HelloReply accepts the handshake, or refuses it with Error.
 type HelloReply struct {
-	OK     bool   `json:"ok"`
-	Server string `json:"server,omitempty"`
-	Error  *Error `json:"error,omitempty"`
+	Server string
+	Error  *Error
 }
+
+func (m *HelloReply) walk(w *walker) { w.fields(KindHelloReply, &m.Server, &m.Error) }
 
 // Request is one statement (or shared meta-command, e.g. `\stats`) to
 // execute under the connection's principal.
 type Request struct {
 	// ID is echoed in the response; the client uses it to pair them.
-	ID uint64 `json:"id"`
-	// Stmt is the statement text.
-	Stmt string `json:"stmt"`
+	ID uint64
+	// Stmt is the statement text, carried byte for byte.
+	Stmt string
 	// TimeoutMS, when positive, bounds this request's execution; the
 	// server composes it with (never extends) its configured limits.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	TimeoutMS int64
 }
+
+func (m *Request) walk(w *walker) { w.fields(KindRequest, &m.ID, &m.Stmt, &m.TimeoutMS) }
 
 // Table is a delivered relation: display column names and cell values
 // as text, withheld cells as "-" — the same cell text the REPL prints.
@@ -231,20 +222,26 @@ func (r Response) Render() string {
 // could succeed later (canceled/timed out work, a draining server)
 // as opposed to deterministic failures (parse errors, budget, denial).
 type Error struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
+	Code    string
+	Message string
 	// Line and Col locate parse errors (1-based; zero otherwise).
-	Line int `json:"line,omitempty"`
-	Col  int `json:"col,omitempty"`
+	Line int
+	Col  int
 	// Retryable reports the failure is transient.
-	Retryable bool `json:"retryable,omitempty"`
+	Retryable bool
 	// Leader, set on READ_ONLY and STALE_PRIMARY failures when the node
 	// knows (or believes it knows) the current leader's wire address,
 	// lets clients redirect writes without re-polling every node.
-	Leader string `json:"leader,omitempty"`
+	Leader string
 }
 
 // Error implements the error interface.
 func (e *Error) Error() string {
 	return fmt.Sprintf("%s: %s", e.Code, e.Message)
+}
+
+// body visits e's fields: the error of a Response, and of a refused
+// handshake (fields.err).
+func (e *Error) body(w *walker) {
+	w.fields(&e.Code, &e.Message, &e.Line, &e.Col, &e.Leader, &e.Retryable)
 }

@@ -17,9 +17,9 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []any{
-		Hello{Proto: ProtoVersion, User: "Brown"},
-		Request{ID: 7, Stmt: "retrieve (EMPLOYEE.NAME)", TimeoutMS: 250},
-		Response{ID: 7, Table: &Table{Columns: []string{"NAME", "SALARY"}, Rows: [][]string{{"Brown", "-"}}},
+		&Hello{Proto: ProtoVersion, User: "Brown"},
+		&Request{ID: 7, Stmt: "retrieve (EMPLOYEE.NAME)", TimeoutMS: 250},
+		&Response{ID: 7, Table: &Table{Columns: []string{"NAME", "SALARY"}, Rows: [][]string{{"Brown", "-"}}},
 			Permits: []string{"permit (NAME)"}},
 	}
 	for _, m := range msgs {

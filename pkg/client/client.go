@@ -1,9 +1,10 @@
 // Package client is the Go client for the authdb network server: it
 // dials the wire protocol (internal/wire), authenticates as a
 // principal, and executes statements with per-call contexts. The
-// server's own end-to-end tests drive it. A reply carries the answer
-// once, structured, as a protocol-3 binary frame whose cells are the
-// exact bytes an in-process session's cells print as; Result.Rendered —
+// server's own end-to-end tests drive it. Every frame is binary: a
+// statement reaches the server byte for byte, and a reply carries the
+// answer once, structured, with cells that are the exact bytes an
+// in-process session's cells print as; Result.Rendered —
 // the text the REPL would print — is produced here, by the renderer the
 // REPL itself uses, so it is byte-identical to the REPL's.
 //
@@ -44,29 +45,15 @@ var ErrClosed = errors.New("client: closed")
 // state or knowingly resubmit. Test with errors.Is.
 var ErrUnknownOutcome = errors.New("client: outcome unknown (request sent, connection lost before the response)")
 
-// ServerError is a structured statement failure from the server. Branch
-// on Code (see internal/wire for the inventory: PARSE, CANCELED,
-// BUDGET_EXCEEDED, NOT_AUTHORIZED, SHUTTING_DOWN, EXEC, …), never on
-// message text; Retryable reports whether the same request could
-// succeed later.
-type ServerError struct {
-	Code      string
-	Message   string
-	Line, Col int
-	Retryable bool
-	// Leader is the server's best hint at the current primary's address;
-	// set on READ_ONLY and STALE_PRIMARY refusals. Cluster clients follow
-	// it automatically.
-	Leader string
-}
-
-// Error renders "CODE: message".
-func (e *ServerError) Error() string { return e.Code + ": " + e.Message }
-
-func serverError(we *wire.Error) *ServerError {
-	return &ServerError{Code: we.Code, Message: we.Message,
-		Line: we.Line, Col: we.Col, Retryable: we.Retryable, Leader: we.Leader}
-}
+// ServerError is a structured statement failure from the server, the
+// error a reply frame carries. Branch on Code (see internal/wire for the
+// inventory: PARSE, CANCELED, BUDGET_EXCEEDED, NOT_AUTHORIZED,
+// SHUTTING_DOWN, EXEC, …), never on message text; Retryable reports
+// whether the same request could succeed later. Leader is the server's
+// best hint at the current primary's address, set on READ_ONLY and
+// STALE_PRIMARY refusals; cluster clients follow it automatically. Its
+// Error method renders "CODE: message".
+type ServerError = wire.Error
 
 // Result is the outcome of one statement.
 type Result struct {
@@ -263,7 +250,7 @@ func (c *Client) connect(ctx context.Context) error {
 	}
 	nc.SetDeadline(time.Now().Add(c.dialTimeout))
 	br, bw := bufio.NewReader(nc), bufio.NewWriterSize(nc, 4096)
-	if err := wire.WriteMsg(bw, wire.Hello{
+	if err := wire.WriteMsg(bw, &wire.Hello{
 		Proto: wire.ProtoVersion, User: c.user, Admin: c.admin, Token: c.token,
 	}); err == nil {
 		err = bw.Flush()
@@ -277,12 +264,9 @@ func (c *Client) connect(ctx context.Context) error {
 		nc.Close()
 		return fmt.Errorf("client: handshake: %w", err)
 	}
-	if !reply.OK {
+	if reply.Error != nil {
 		nc.Close()
-		if reply.Error != nil {
-			return serverError(reply.Error)
-		}
-		return errors.New("client: handshake rejected")
+		return reply.Error
 	}
 	nc.SetDeadline(time.Time{})
 	c.nc, c.br, c.bw = nc, br, bw
@@ -428,7 +412,7 @@ func (c *Client) roundTrip(ctx context.Context, stmt string) (res *Result, sent 
 	// From the first write onward the request may be on the wire (large
 	// frames flush through the buffered writer mid-WriteMsg), so every
 	// failure past this point reports sent=true.
-	if err := wire.WriteMsg(c.bw, req); err != nil {
+	if err := wire.WriteMsg(c.bw, &req); err != nil {
 		return nil, true, err
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -444,7 +428,7 @@ func (c *Client) roundTrip(ctx context.Context, stmt string) (res *Result, sent 
 		return nil, true, fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)
 	}
 	if resp.Error != nil {
-		return nil, true, serverError(resp.Error)
+		return nil, true, resp.Error
 	}
 	res = &Result{
 		Text:            resp.Text,

@@ -55,7 +55,7 @@ func (s *stub) serve(nc net.Conn) {
 	if wire.ReadMsg(br, &h) != nil {
 		return
 	}
-	if wire.WriteMsg(bw, wire.HelloReply{OK: true, Server: "stub"}) != nil || bw.Flush() != nil {
+	if wire.WriteMsg(bw, &wire.HelloReply{Server: "stub"}) != nil || bw.Flush() != nil {
 		return
 	}
 	for {
@@ -69,7 +69,7 @@ func (s *stub) serve(nc net.Conn) {
 		if s.silent.Load() {
 			continue
 		}
-		if wire.WriteMsg(bw, wire.Response{ID: req.ID, Text: "ok"}) != nil || bw.Flush() != nil {
+		if wire.WriteMsg(bw, &wire.Response{ID: req.ID, Text: "ok"}) != nil || bw.Flush() != nil {
 			return
 		}
 	}

@@ -44,7 +44,7 @@ func startHintStub(t *testing.T, leader string) *hintStub {
 				if wire.ReadMsg(br, &h) != nil {
 					return
 				}
-				if wire.WriteMsg(bw, wire.HelloReply{OK: true, Server: "hintstub"}) != nil || bw.Flush() != nil {
+				if wire.WriteMsg(bw, &wire.HelloReply{Server: "hintstub"}) != nil || bw.Flush() != nil {
 					return
 				}
 				for {
@@ -53,7 +53,7 @@ func startHintStub(t *testing.T, leader string) *hintStub {
 						return
 					}
 					s.hits.Add(1)
-					resp := wire.Response{ID: req.ID, Error: &wire.Error{
+					resp := &wire.Response{ID: req.ID, Error: &wire.Error{
 						Code: wire.CodeReadOnly, Message: "read-only replica",
 						Leader: s.leader, Retryable: true,
 					}}
