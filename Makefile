@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race chaos loc fuzz fuzz-wire fuzz-root fuzz-page fuzz-codec fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply
+.PHONY: check build fmt vet staticcheck test race chaos loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply
 
 check: build fmt vet staticcheck race
 
@@ -70,25 +70,6 @@ fuzz-wire:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseCodec$$' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzReplBatch$$' -fuzztime 30s
 
-# Fuzz the page store's ROOT decoder: any input opens a store or fails
-# with an error, never a panic, and an opened store never allocates the
-# header page, a tree root, or one page twice.
-fuzz-root:
-	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzParseRoot -fuzztime 30s
-
-# Fuzz the page decoder: any page image decodes or fails with an error,
-# never a panic, and an accepted page re-encodes to a node that decodes
-# identically (seeded with every page type, overflow cells, and torn or
-# bit-flipped images).
-fuzz-page:
-	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzPageDecode$$' -fuzztime 30s
-
-# Fuzz the tuple codec: a tuple the decoder accepts re-encodes to the
-# same bytes, and two decoded tuples compare as bytes the way they
-# compare as values (the B+Tree key order is the relation's).
-fuzz-codec:
-	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzTupleCodec$$' -fuzztime 30s
-
 # Fuzz WAL replay: any log bytes replay without a panic, and the
 # replayed records, appended to a fresh log, reproduce exactly the
 # longest valid prefix of the input.
@@ -112,10 +93,12 @@ fuzz-parser:
 fuzz-mask:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMaskApply$$' -fuzztime 30s
 
-# Fuzz the snapshot round trip: a state of fuzzed strings and integers,
-# rendered as snapshot statements (ReplSnapshot) and replayed into a
-# fresh engine (ResetFromSnapshot), renders to the same statements and
-# the same snapshot files, and every tuple comes back with its kinds.
+# Fuzz the snapshot round trip, and with it the durable format itself (a
+# generation is the snapshot files): a state of fuzzed strings and
+# integers, rendered as snapshot statements (ReplSnapshot) and replayed
+# into a fresh engine (ResetFromSnapshot), renders to the same
+# statements and the same snapshot files, and every tuple comes back
+# with its kinds.
 fuzz-snapshot:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime 30s
 

@@ -70,12 +70,12 @@ func Unlimited() Limits { return Limits{} }
 
 func (l Limits) internal() guard.Limits { return guard.Limits(l) }
 
-// Options selects the paper's §6(3) extension, the mask closure, and the
-// durable page store's cache; see DESIGN.md. The §4.2 refinements are
-// always on (core.Options keeps them switchable for the ablation), and
-// queries always run on the indexed executor with mask-predicate
-// pushdown, which change no delivered cell. DefaultOptions enables the
-// closure; start from it, since a zero MaskClosure turns the closure off.
+// Options selects the paper's §6(3) extension and the mask closure; see
+// DESIGN.md. The §4.2 refinements are always on (core.Options keeps them
+// switchable for the ablation), and queries always run on the indexed
+// executor with mask-predicate pushdown, which change no delivered cell.
+// DefaultOptions enables the closure; start from it, since a zero
+// MaskClosure turns the closure off.
 type Options struct {
 	// ExtendedMasks enables the paper's §6(3) extension: masks may be
 	// "expressed with additional attributes", so a view's conditions on
@@ -90,14 +90,14 @@ type Options struct {
 	// steady-state retrieves skip both pipelines entirely, and off, both
 	// pipelines run on every retrieve.
 	MaskClosure bool
-	// Storage names OpenDir's durable format. The page store (slotted
-	// pages + B+Trees behind an LRU buffer cache, checkpoints flush only
-	// dirty pages) is the only one, so "" and "paged" are the accepted
-	// values and OpenDir rejects any other. The field stays while the
-	// benchmark sets it; it goes with ROADMAP item 2 (j).
+	// Storage is accepted only as "" or "paged", which mean the same
+	// statement-script directory; OpenDir rejects any other value. The
+	// field stays while the benchmark sets it; it goes with ROADMAP
+	// item 2A (j).
 	Storage string
-	// CachePages bounds the page store's buffer cache in 4KiB pages
-	// (0 = the 4096-page default).
+	// CachePages is ignored: a durable directory has no buffer cache.
+	// The field stays while the benchmark sets it; it goes with ROADMAP
+	// item 2A (j).
 	CachePages int
 }
 
@@ -170,19 +170,20 @@ func (db *DB) Save(dir string) error { return db.eng.Save(dir) }
 // every mutating statement is journaled to a checksummed write-ahead log
 // before the call returns, and opening recovers the last committed
 // snapshot plus the log's valid prefix — a crash mid-write loses at most
-// the statement being written, never committed ones. A directory written
-// by Save is converted to the page store on first open; one whose tuples
-// are in the data/REL.csv files of earlier builds is refused with an
-// error naming the upgrade path. Close the DB to release the log.
+// the statement being written, never committed ones. The committed
+// snapshot is the Save layout's statement scripts, so a directory
+// written by Save opens as it is; one whose tuples are in the CSV files
+// or the page store of earlier builds is refused with an error naming
+// the upgrade path. Close the DB to release the log.
 func OpenDir(dir string, opts ...Options) (*DB, error) {
 	o := DefaultOptions()
 	if len(opts) > 0 {
 		o = opts[0]
 	}
 	if o.Storage != "" && o.Storage != "paged" {
-		return nil, fmt.Errorf("unknown storage %q: durable directories use the page store (\"paged\")", o.Storage)
+		return nil, fmt.Errorf("unknown storage %q: durable directories accept only \"\" and \"paged\"", o.Storage)
 	}
-	eng, err := engine.OpenDurable(dir, o.internal(), o.CachePages)
+	eng, err := engine.OpenDurable(dir, o.internal())
 	if err != nil {
 		return nil, err
 	}

@@ -343,8 +343,8 @@ func TestFacadeAggregates(t *testing.T) {
 	}
 }
 
-// TestOpenDirRejectsMemoryStorage: the page store is the only durable
-// format, so OpenDir refuses Storage "memory" before touching the
+// TestOpenDirRejectsMemoryStorage: a durable directory has one format,
+// statements, so OpenDir refuses Storage "memory" before touching the
 // directory, and accepts "" and "paged" alike.
 func TestOpenDirRejectsMemoryStorage(t *testing.T) {
 	opt := authdb.DefaultOptions()

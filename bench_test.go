@@ -318,7 +318,7 @@ func TestOpenDirReplayMatchesLoad(t *testing.T) {
 	}
 	want := answers(mem)
 	// Options.Storage accepts the empty default and "paged"; both open
-	// the page store.
+	// the same statement-script directory.
 	for _, tc := range []struct{ name, storage string }{{"default", ""}, {"paged", "paged"}} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := authdb.DefaultOptions()

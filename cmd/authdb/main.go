@@ -6,12 +6,12 @@
 //
 // Usage:
 //
-//	authdb [-user NAME] [-load FILE] [-db DIR] [-cache-pages N] [-paper]
+//	authdb [-user NAME] [-load FILE] [-db DIR] [-paper]
 //
 // With -db, the directory is opened (or created) durably: every mutating
 // statement is journaled to a write-ahead log and a crash loses at most
-// the statement being written. Directories written with \save open and
-// are converted in place.
+// the statement being written. Directories written with \save open as
+// they are: the opening checkpoint commits them as a generation.
 //
 // REPL meta-commands:
 //
@@ -67,7 +67,6 @@ func run(args []string, stdin io.Reader) int {
 	user := fs.String("user", "", "open the session as this (unprivileged) user; empty means administrator")
 	load := fs.String("load", "", "execute this statement script before the prompt")
 	dbdir := fs.String("db", "", "open (or create) a durable database directory")
-	cachePages := fs.Int("cache-pages", 0, "the durable page store's buffer-cache budget in 4KiB pages (0: 4096)")
 	paper := fs.Bool("paper", false, "preload the paper's Figure 1 example database")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
@@ -77,10 +76,8 @@ func run(args []string, stdin io.Reader) int {
 
 	var db *authdb.DB
 	if *dbdir != "" {
-		opt := authdb.DefaultOptions()
-		opt.CachePages = *cachePages
 		var err error
-		db, err = authdb.OpenDir(*dbdir, opt)
+		db, err = authdb.OpenDir(*dbdir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "opening %s: %v\n", *dbdir, err)
 			return 1

@@ -7,7 +7,6 @@ package main
 // graceful drain.
 //
 //	authdb serve [-addr HOST:PORT] [-metrics-addr HOST:PORT] [-db DIR]
-//	             [-cache-pages N]
 //	             [-paper] [-load FILE] [-max-conns N] [-idle-timeout D]
 //	             [-grace D] [-admin-token T] [-max-intermediate-rows N]
 //	             [-max-result-rows N] [-stmt-timeout D]
@@ -49,7 +48,6 @@ func runServe(args []string) int {
 	addr := fs.String("addr", "127.0.0.1:6544", "wire-protocol listen address")
 	metricsAddr := fs.String("metrics-addr", "", "HTTP /metrics and /healthz listen address (empty: disabled)")
 	dbdir := fs.String("db", "", "durable database directory to open or create (empty: in-memory)")
-	cachePages := fs.Int("cache-pages", 0, "the durable page store's buffer-cache budget in 4KiB pages (0: 4096)")
 	paper := fs.Bool("paper", false, "preload the paper's Figure 1 example database")
 	load := fs.String("load", "", "execute this statement script before serving")
 	maxConns := fs.Int("max-conns", server.DefaultMaxConns, "connection cap (further dials wait in the accept backlog)")
@@ -76,10 +74,8 @@ func runServe(args []string) int {
 
 	var db *authdb.DB
 	if *dbdir != "" {
-		opt := authdb.DefaultOptions()
-		opt.CachePages = *cachePages
 		var err error
-		db, err = authdb.OpenDir(*dbdir, opt)
+		db, err = authdb.OpenDir(*dbdir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "opening %s: %v\n", *dbdir, err)
 			return 1

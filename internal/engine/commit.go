@@ -25,8 +25,7 @@
 // see a statement whose sync is still in flight.
 //
 // The WAL record is a statement's only write: a statement touches no
-// snapshot file and no page. The page store's trees learn about data
-// only at a checkpoint (syncPageStore in paged.go).
+// snapshot file; a checkpoint folds the log into the next generation.
 package engine
 
 import (

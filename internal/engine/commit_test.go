@@ -25,7 +25,7 @@ import (
 func TestAsyncBatchSharesOneSync(t *testing.T) {
 	const n = 50
 	dir := t.TempDir()
-	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	e, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAsyncBatchSharesOneSync(t *testing.T) {
 	}
 	want := fingerprint(t, e)
 	e.Close()
-	back, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	back, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAsyncBatchSharesOneSync(t *testing.T) {
 // statement once.
 func TestCheckpointDrainsStagedRecords(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	e, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCheckpointDrainsStagedRecords(t *testing.T) {
 // fails at once instead of blocking forever, on durable and in-memory
 // engines alike.
 func TestWaitDurableFutureLSN(t *testing.T) {
-	durable, err := OpenDurable(t.TempDir(), core.DefaultOptions(), 0)
+	durable, err := OpenDurable(t.TempDir(), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestWaitDurableFutureLSN(t *testing.T) {
 func TestSharedSyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	fs := faultfs.NewFaulty(faultfs.OS())
-	e, err := OpenDurableFS(fs, dir, core.DefaultOptions(), 0)
+	e, err := OpenDurableFS(fs, dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSharedSyncFailure(t *testing.T) {
 	if err := os.Truncate(walPath, st.Size()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	back, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSharedSyncFailure(t *testing.T) {
 func TestWriteProtocol(t *testing.T) {
 	dir := t.TempDir()
 	fs := faultfs.NewFaulty(faultfs.OS())
-	e, err := OpenDurableFS(fs, dir, core.DefaultOptions(), 0)
+	e, err := OpenDurableFS(fs, dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestConcurrentAcksSurviveSyncFailure(t *testing.T) {
 	for k := 1; k < 60; k += 7 {
 		dir := t.TempDir()
 		fs := faultfs.NewFaulty(faultfs.OS())
-		e, err := OpenDurableFS(fs, dir, core.DefaultOptions(), 0)
+		e, err := OpenDurableFS(fs, dir, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestConcurrentAcksSurviveSyncFailure(t *testing.T) {
 		}
 		wg.Wait()
 		e.Close()
-		back, err := OpenDurable(dir, core.DefaultOptions(), 0)
+		back, err := OpenDurable(dir, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("k=%d: recovery failed: %v", k, err)
 		}
@@ -390,7 +390,7 @@ func TestRefuseUnjournalableStatement(t *testing.T) {
 			e := New(core.DefaultOptions())
 			if durable {
 				var err error
-				if e, err = OpenDurable(dir, core.DefaultOptions(), 0); err != nil {
+				if e, err = OpenDurable(dir, core.DefaultOptions()); err != nil {
 					t.Fatal(err)
 				}
 				defer e.Close()
@@ -428,7 +428,7 @@ func TestRefuseUnjournalableStatement(t *testing.T) {
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
 			}
-			back, err := OpenDurable(dir, core.DefaultOptions(), 0)
+			back, err := OpenDurable(dir, core.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

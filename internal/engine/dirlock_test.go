@@ -15,11 +15,11 @@ import (
 // outright — and succeed again once the first engine closes.
 func TestDirLockExcludesSecondOpen(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	e, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second, err := OpenDurable(dir, core.DefaultOptions(), 0); err == nil {
+	if second, err := OpenDurable(dir, core.DefaultOptions()); err == nil {
 		second.Close()
 		t.Fatal("second OpenDurable succeeded while the first engine is live")
 	} else if !strings.Contains(err.Error(), "locked by another process") {
@@ -28,7 +28,7 @@ func TestDirLockExcludesSecondOpen(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	back, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatalf("reopen after Close: %v", err)
 	}

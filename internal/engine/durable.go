@@ -2,13 +2,16 @@
 // snapshot generations plus a statement write-ahead log:
 //
 //	CURRENT          "snap-NNNNNN\n" — the committed generation
-//	pages.db         the page store: one B+Tree of tuples per relation
-//	snap-NNNNNN/     one snapshot: schema.authdb, views.authdb, a ROOT
-//	                 into pages.db, an LSN file recording the log
-//	                 sequence number the snapshot embodies, an EPOCH
-//	                 file, and a MANIFEST with the CRC-32 and size of
-//	                 every file
+//	snap-NNNNNN/     one snapshot: the Save layout's schema.authdb,
+//	                 data.authdb and views.authdb, an LSN file
+//	                 recording the log sequence number the snapshot
+//	                 embodies, an EPOCH file, and a MANIFEST with the
+//	                 CRC-32 and size of every file
 //	wal-NNNNNN.log   statements applied after snap-NNNNNN was taken
+//
+// The statements are the one durable form of the state: a generation is
+// the engine's state rendered as the statements that rebuild it, and
+// opening replays them as Load does.
 //
 // A checkpoint builds the next generation in a temp directory, fsyncs
 // everything, renames it into place, creates the generation's empty WAL,
@@ -37,7 +40,6 @@ import (
 
 	"authdb/internal/core"
 	"authdb/internal/faultfs"
-	"authdb/internal/storage"
 	"authdb/internal/wal"
 )
 
@@ -69,20 +71,16 @@ type durable struct {
 // OpenDurable opens (creating if necessary) a durable database
 // directory: the committed snapshot is loaded, the write-ahead log's
 // valid prefix is replayed, and a fresh checkpoint is taken. A directory
-// saved with Save (the flat layout) is converted to the page store on
-// first open. cachePages bounds the page store's buffer cache in 4KiB
-// pages; 0 means DefaultCachePages. The caller should Close the engine
-// to release the log and page file handles.
-func OpenDurable(dir string, opt core.Options, cachePages int) (*Engine, error) {
-	return OpenDurableFS(faultfs.OS(), dir, opt, cachePages)
+// saved with Save (the flat layout) opens too, and its opening
+// checkpoint commits it as a generation. The caller should Close the
+// engine to release the log and the directory lock.
+func OpenDurable(dir string, opt core.Options) (*Engine, error) {
+	return OpenDurableFS(faultfs.OS(), dir, opt)
 }
 
 // OpenDurableFS is OpenDurable over an explicit filesystem; the
 // fault-injection tests use it to crash persistence at every operation.
-func OpenDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) (*Engine, error) {
-	if cachePages <= 0 {
-		cachePages = DefaultCachePages
-	}
+func OpenDurableFS(fs faultfs.FS, dir string, opt core.Options) (*Engine, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -90,7 +88,7 @@ func OpenDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 	if err != nil {
 		return nil, err
 	}
-	e, err := openDurableFS(fs, dir, opt, cachePages)
+	e, err := openDurableFS(fs, dir, opt)
 	if err != nil {
 		releaseDirLock(lock)
 		return nil, err
@@ -100,72 +98,29 @@ func OpenDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 }
 
 // openDurableFS loads the committed state, replays the log, and takes
-// the opening checkpoint; the caller holds the directory lock. A
-// committed generation is read from the page store its ROOT names; a
-// flat Save layout is replayed into a fresh store, and the opening
-// checkpoint commits it as a generation of its own.
-func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) (e *Engine, err error) {
+// the opening checkpoint; the caller holds the directory lock. A flat
+// Save layout is loaded the same way, and the opening checkpoint
+// commits it as a generation of its own.
+func openDurableFS(fs faultfs.FS, dir string, opt core.Options) (e *Engine, err error) {
 	gen, committed, err := readCurrent(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	var ps *storage.Store
-	defer func() {
-		if err != nil && ps != nil {
-			ps.Close()
-		}
-	}()
 	switch {
 	case committed:
-		snapDir := filepath.Join(dir, snapName(gen))
-		if err := verifyManifest(fs, snapDir); err != nil {
+		if e, err = loadGeneration(fs, filepath.Join(dir, snapName(gen)), opt); err != nil {
 			return nil, fmt.Errorf("%s: %w", snapName(gen), err)
 		}
-		if _, err := fs.Stat(filepath.Join(snapDir, storage.RootName)); err != nil {
-			return nil, fmt.Errorf("%s has no %s: %w", snapName(gen), storage.RootName, errCSVLayout)
-		}
-		if ps, err = openPageStore(fs, dir, snapDir, cachePages); err != nil {
-			return nil, err
-		}
-		if e, err = loadState(fs, snapDir, opt, ps); err != nil {
-			return nil, err
-		}
-		// Loading rebuilt the state by replaying rendered statements,
-		// which counted LSNs of its own; reset to the number the snapshot
-		// actually embodies before the WAL replay resumes the count.
-		lsn, err := readSnapLSN(fs, snapDir)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", snapName(gen), err)
-		}
-		e.lsn.Store(lsn)
-		hist, err := readSnapEpoch(fs, snapDir)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", snapName(gen), err)
-		}
-		e.epochHist = hist
-		e.epoch.Store(hist[len(hist)-1].Epoch)
-		// The trees hold exactly the revisions just loaded; the opening
-		// checkpoint moves them past what the WAL replay adds.
-		e.pageRevs = e.head.Load().rels
 		if err := replayWAL(fs, filepath.Join(dir, walName(gen)), e); err != nil {
 			return nil, err
 		}
 	case flatLayout(fs, dir):
-		if e, err = loadState(fs, dir, opt, nil); err != nil {
+		if e, err = loadState(fs, dir, opt); err != nil {
 			return nil, err
 		}
 	default:
 		e = New(opt)
 	}
-	if ps == nil {
-		// A fresh directory or a flat layout being converted: start an
-		// empty store; with no revisions recorded, the opening checkpoint
-		// loads it from the recovered head.
-		if ps, err = storage.Create(fs, pagesPath(dir), cachePages); err != nil {
-			return nil, err
-		}
-	}
-	e.pstore = ps
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Recovery adjusted the LSN counter (and possibly the epoch history)
@@ -175,6 +130,43 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cachePages int) 
 	if err := e.checkpointLocked(fs, dir, gen); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	return e, nil
+}
+
+// loadGeneration loads a committed snapshot generation: the MANIFEST
+// vouches for every file open reads, the three scripts replay through
+// loadState, and the LSN and EPOCH files restore the counters. A
+// generation of earlier builds, whose tuples are in a page store (a
+// ROOT file) or in CSV files (a data/ directory), is refused with the
+// upgrade path before anything is written.
+func loadGeneration(fs faultfs.FS, snapDir string, opt core.Options) (*Engine, error) {
+	if _, err := fs.Stat(filepath.Join(snapDir, "ROOT")); err == nil {
+		return nil, fmt.Errorf("holds a ROOT: %w", errPageLayout)
+	}
+	if _, err := fs.Stat(filepath.Join(snapDir, "data")); err == nil {
+		return nil, fmt.Errorf("holds data/: %w", errCSVLayout)
+	}
+	if err := verifyManifest(fs, snapDir); err != nil {
+		return nil, err
+	}
+	e, err := loadState(fs, snapDir, opt)
+	if err != nil {
+		return nil, err
+	}
+	// Loading rebuilt the state by replaying rendered statements, which
+	// counted LSNs of its own; reset to the number the snapshot actually
+	// embodies before the WAL replay resumes the count.
+	lsn, err := readSnapLSN(fs, snapDir)
+	if err != nil {
+		return nil, err
+	}
+	e.lsn.Store(lsn)
+	hist, err := readSnapEpoch(fs, snapDir)
+	if err != nil {
+		return nil, err
+	}
+	e.epochHist = hist
+	e.epoch.Store(hist[len(hist)-1].Epoch)
 	return e, nil
 }
 
@@ -201,8 +193,8 @@ func flatLayout(fs faultfs.FS, dir string) bool {
 	return err == nil
 }
 
-// readSnapLSN reads a snapshot's LSN file. A missing or malformed file
-// fails the open: every build that writes a ROOT writes the LSN too.
+// readSnapLSN reads a snapshot's LSN file. A malformed file fails the
+// open; verifyManifest has already refused a generation without one.
 func readSnapLSN(fs faultfs.FS, snapDir string) (uint64, error) {
 	data, err := fs.ReadFile(filepath.Join(snapDir, lsnName))
 	if err != nil {
@@ -217,12 +209,14 @@ func readSnapLSN(fs faultfs.FS, snapDir string) (uint64, error) {
 }
 
 // verifyManifest checks every snapshot file against the CRC-32 and size
-// recorded when the snapshot was committed.
+// recorded when the snapshot was committed, and requires the MANIFEST to
+// list every file open reads, so none can be swapped in unchecked.
 func verifyManifest(fs faultfs.FS, snapDir string) error {
 	data, err := fs.ReadFile(filepath.Join(snapDir, manifestName))
 	if err != nil {
 		return fmt.Errorf("reading manifest: %w", err)
 	}
+	listed := map[string]bool{}
 	for _, line := range strings.Split(string(data), "\n") {
 		if strings.TrimSpace(line) == "" {
 			continue
@@ -239,6 +233,12 @@ func verifyManifest(fs faultfs.FS, snapDir string) error {
 		}
 		if len(b) != size || crc32.ChecksumIEEE(b) != sum {
 			return fmt.Errorf("%s: checksum mismatch (snapshot corrupt)", rel)
+		}
+		listed[rel] = true
+	}
+	for _, name := range []string{"schema.authdb", dataName, "views.authdb", lsnName, epochName} {
+		if !listed[name] {
+			return fmt.Errorf("manifest does not list %s", name)
 		}
 	}
 	return nil
@@ -291,26 +291,16 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	if err := e.drainCommits(); err != nil {
 		return fmt.Errorf("journaling staged statements: %w", err)
 	}
-	// Bring the trees to the head and flush only the dirty pages to the
-	// shared page file, then commit a generation holding the tiny ROOT
-	// and the meta-database's two scripts (plus LSN/EPOCH below). The
-	// store's copy-on-write discipline means the committed ROOT never
-	// references an in-flight page, so the sync can fail or tear anywhere
-	// and the old generation still reads cleanly.
-	if err := e.syncPageStore(); err != nil {
-		return fmt.Errorf("syncing page store: %w", err)
-	}
-	files, err := e.head.Load().metaFiles()
+	// The generation is the head rendered as the Save layout's three
+	// scripts, plus the LSN file pinning the statement count it embodies
+	// and the EPOCH file pinning the fencing-epoch history (epoch.go);
+	// those two are part of the generation (and its MANIFEST), not of
+	// the flat Save export.
+	files, err := e.head.Load().snapshotFiles()
 	if err != nil {
 		return err
 	}
-	files[storage.RootName] = e.pstore.RenderRoot()
-	// The LSN file pins the statement count the snapshot embodies; it is
-	// part of the generation (and its MANIFEST), not of the flat Save
-	// export, which is why it is added here and not in metaFiles.
 	files[lsnName] = []byte(fmt.Sprintf("%d\n", e.lsn.Load()))
-	// The EPOCH file pins the fencing-epoch history the same way; see
-	// epoch.go.
 	files[epochName] = renderEpochHist(e.epochHist)
 
 	// Build the snapshot in a temp directory: contents, MANIFEST, fsyncs.
@@ -379,9 +369,6 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	e.snapGen.Store(next)
 	e.snapBase.Store(e.lsn.Load())
 	e.durableLSN.Store(e.lsn.Load())
-	// Pages freed before this commit belonged to trees the old ROOT could
-	// still reach; now that CURRENT points past it they are reusable.
-	e.pstore.Commit()
 	if gen > 0 {
 		fs.RemoveAll(filepath.Join(dir, snapName(gen)))
 		fs.Remove(filepath.Join(dir, walName(gen)))
@@ -401,8 +388,8 @@ func (e *Engine) durCheck() error {
 	return nil
 }
 
-// Close makes everything staged durable, releases the durable log and
-// page file handles, and drops the directory lock. The in-memory state
+// Close makes everything staged durable, releases the durable log
+// handle, and drops the directory lock. The in-memory state
 // stays readable; further mutations on a durable engine fail. Engines
 // without a durable directory close trivially.
 func (e *Engine) Close() error {
@@ -419,12 +406,6 @@ func (e *Engine) Close() error {
 		releaseDirLock(e.dirLock)
 		e.dirLock = nil
 	}
-	if e.pstore != nil {
-		// Closing an already closed store is a no-op.
-		if perr := e.pstore.Close(); err == nil {
-			err = perr
-		}
-	}
 	if e.dur == nil || e.walH == nil {
 		return err
 	}
@@ -435,3 +416,14 @@ func (e *Engine) Close() error {
 	e.walH = nil
 	return err
 }
+
+// PageStats holds page-store counters, which are always zero: a durable
+// directory keeps no pages. The type stays while the benchmark reads it;
+// it goes with ROADMAP item 2A (j).
+type PageStats struct {
+	Hits, Misses, Evictions, PageWrites, DirtyFlush uint64
+}
+
+// PageStats returns zero counters. It stays while the benchmark reads
+// it; it goes with ROADMAP item 2A (j).
+func (e *Engine) PageStats() PageStats { return PageStats{} }

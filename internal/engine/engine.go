@@ -31,7 +31,6 @@ import (
 	"authdb/internal/metrics"
 	"authdb/internal/parser"
 	"authdb/internal/relation"
-	"authdb/internal/storage"
 	"authdb/internal/value"
 	"authdb/internal/wal"
 )
@@ -72,16 +71,6 @@ type Engine struct {
 	// dur is the crash-safe persistence attachment (nil for in-memory
 	// engines); see durable.go.
 	dur *durable
-	// pstore is the page store (nil for in-memory engines): B+Trees
-	// over a buffer-cached page file. Statements never touch it;
-	// each checkpoint brings its trees from pageRevs to the head version
-	// (syncPageStore) and flushes the dirty pages. Attached at open,
-	// constant afterwards, closed by Close. pageRevs holds, by schema
-	// ordinal, the relation revisions the trees reflect; nil means none
-	// is recorded and the next checkpoint reloads the store whole. Both
-	// are guarded by e.mu. See paged.go and DESIGN.md §16.
-	pstore   *storage.Store
-	pageRevs []*relation.Relation
 	// dirLock holds the exclusive flock on the durable directory so a
 	// second live engine cannot rotate generations underneath this one;
 	// see dirlock.go. Released in Close.

@@ -217,8 +217,8 @@ func parseEpochHist(data []byte) ([]EpochEntry, error) {
 	return hist, nil
 }
 
-// readSnapEpoch reads a snapshot's EPOCH file. A missing or malformed
-// file fails the open: every build that writes a ROOT writes the EPOCH too.
+// readSnapEpoch reads a snapshot's EPOCH file. A malformed file fails
+// the open; verifyManifest has already refused a generation without one.
 func readSnapEpoch(fs faultfs.FS, snapDir string) ([]EpochEntry, error) {
 	data, err := fs.ReadFile(filepath.Join(snapDir, epochName))
 	if err != nil {

@@ -36,7 +36,7 @@ func TestEpochDefaultAndBump(t *testing.T) {
 
 func TestEpochPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	e, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestEpochPersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	e2, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestOriginWritesByEpochExcludesApplier(t *testing.T) {
 
 func TestQuarantineDiverged(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	e, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestQuarantineDiverged(t *testing.T) {
 
 func TestQuarantineDivergedSurvivesCheckpointFold(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	e, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func BenchmarkDurableInsert(b *testing.B) {
 	for _, writers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			e, err := OpenDurable(b.TempDir(), core.DefaultOptions(), 0)
+			e, err := OpenDurable(b.TempDir(), core.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -188,7 +188,7 @@ func TestReaderSeesExactCommittedVersion(t *testing.T) {
 // on a durable engine: Exec acknowledges only after the shared fsync,
 // by which point the version must be published.
 func TestReaderSeesCommittedVersionGroupCommit(t *testing.T) {
-	e, err := OpenDurable(t.TempDir(), core.DefaultOptions(), 0)
+	e, err := OpenDurable(t.TempDir(), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestCrashAroundVersionSwap(t *testing.T) {
 		fs := faultfs.NewFaulty(faultfs.OS())
 		fs.Arm(k)
 
-		e, err := OpenDurableFS(fs, dir, core.DefaultOptions(), 0)
+		e, err := OpenDurableFS(fs, dir, core.DefaultOptions())
 		applied := -1
 		if err == nil {
 			applied = 0
@@ -459,7 +459,7 @@ func TestCrashAroundVersionSwap(t *testing.T) {
 			e.Close()
 		}
 
-		re, err := OpenDurable(dir, core.DefaultOptions(), 0)
+		re, err := OpenDurable(dir, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("k=%d: recovery failed: %v", k, err)
 		}

@@ -89,32 +89,6 @@ func (e *Engine) registerMetrics() {
 		seq, _ := e.DBVersion()
 		return float64(seq)
 	})
-	// Page-store buffer cache and incremental-checkpoint series; all zero
-	// for an engine without a durable directory.
-	e.met.CounterFunc("authdb_page_cache_hits_total", func() float64 {
-		return float64(e.PageStats().Hits)
-	})
-	e.met.CounterFunc("authdb_page_cache_misses_total", func() float64 {
-		return float64(e.PageStats().Misses)
-	})
-	e.met.CounterFunc("authdb_page_cache_evictions_total", func() float64 {
-		return float64(e.PageStats().Evictions)
-	})
-	e.met.CounterFunc("authdb_page_reads_total", func() float64 {
-		return float64(e.PageStats().PageReads)
-	})
-	e.met.CounterFunc("authdb_page_writes_total", func() float64 {
-		return float64(e.PageStats().PageWrites)
-	})
-	e.met.GaugeFunc("authdb_page_cache_pages", func() float64 {
-		return float64(e.PageStats().Cached)
-	})
-	e.met.GaugeFunc("authdb_pages_total", func() float64 {
-		return float64(e.PageStats().Pages)
-	})
-	e.met.GaugeFunc("authdb_checkpoint_dirty_pages", func() float64 {
-		return float64(e.PageStats().DirtyFlush)
-	})
 }
 
 // stmtKind names a statement for the per-kind request counters.

@@ -11,16 +11,14 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/faultfs"
 	"authdb/internal/parser"
-	"authdb/internal/storage"
-	"authdb/internal/value"
 )
 
 // render renders the immutable version as parser.Render statements in
-// replay order, in four sections: relations in schema order, tuples (if
-// asked) relation by relation in Sorted order, views, permits. Values
+// replay order, in four sections: relations in schema order, tuples
+// relation by relation in Sorted order, views, permits. Values
 // keep their kinds exactly (5 is not "5", "" is not null), so every
 // engine that replays the statements holds the tuples this one holds.
-func (v *dbVersion) render(tuples bool) (s [4][]string, err error) {
+func (v *dbVersion) render() (s [4][]string, err error) {
 	add := func(section int, st parser.Stmt) {
 		text, rerr := parser.Render(st)
 		s[section], err = append(s[section], text), cmp.Or(err, rerr)
@@ -28,10 +26,8 @@ func (v *dbVersion) render(tuples bool) (s [4][]string, err error) {
 	for i, name := range v.sch.Names() {
 		rs := v.sch.Lookup(name)
 		add(0, parser.CreateRelation{Name: rs.Name, Attrs: rs.Attrs, Key: rs.KeyAttrs()})
-		if tuples {
-			for _, t := range v.rels[i].Sorted() {
-				add(1, parser.Insert{Rel: name, Values: t})
-			}
+		for _, t := range v.rels[i].Sorted() {
+			add(1, parser.Insert{Rel: name, Values: t})
 		}
 	}
 	for _, name := range v.store.ViewNames() {
@@ -49,13 +45,12 @@ func (v *dbVersion) render(tuples bool) (s [4][]string, err error) {
 // schema.authdb and views.authdb.
 const dataName = "data.authdb"
 
-// files joins render's sections into the flat layout's scripts:
-// schema.authdb, data.authdb (if tuples is set) and views.authdb, where
-// a blank line follows each view. A durable generation holds metaFiles
-// and keeps its tuples in the page file; Save, epoch quarantines and
-// the tests' state fingerprints hold snapshotFiles.
-func (v *dbVersion) files(tuples bool) (map[string][]byte, error) {
-	s, err := v.render(tuples)
+// snapshotFiles joins render's sections into the flat layout's
+// scripts: schema.authdb, data.authdb and views.authdb, where a blank
+// line follows each view. Save, a durable generation, an epoch
+// quarantine and the tests' state fingerprints all hold these files.
+func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
+	s, err := v.render()
 	if err != nil {
 		return nil, err
 	}
@@ -65,20 +60,12 @@ func (v *dbVersion) files(tuples bool) (map[string][]byte, error) {
 		}
 		return out
 	}
-	files := map[string][]byte{
+	return map[string][]byte{
 		"schema.authdb": join(s[0], ";\n"),
+		dataName:        join(s[1], ";\n"),
 		"views.authdb":  append(join(s[2], ";\n\n"), join(s[3], ";\n")...),
-	}
-	if tuples {
-		files[dataName] = join(s[1], ";\n")
-	}
-	return files, nil
+	}, nil
 }
-
-// metaFiles renders schema.authdb and views.authdb; snapshotFiles adds
-// data.authdb.
-func (v *dbVersion) metaFiles() (map[string][]byte, error)     { return v.files(false) }
-func (v *dbVersion) snapshotFiles() (map[string][]byte, error) { return v.files(true) }
 
 // sortedPaths returns the file map's keys in deterministic order.
 func sortedPaths(files map[string][]byte) []string {
@@ -151,21 +138,24 @@ func (v *dbVersion) save(fs faultfs.FS, dir string) error {
 
 // Load restores an engine saved with Save.
 func Load(dir string, opt core.Options) (*Engine, error) {
-	return loadState(faultfs.OS(), dir, opt, nil)
+	return loadState(faultfs.OS(), dir, opt)
 }
 
 // errCSVLayout names the upgrade path of a state whose tuples are in the
 // data/REL.csv files of earlier builds, which this one does not read.
-var errCSVLayout = errors.New("its tuples are in the CSV layout of earlier builds: open the directory once as a durable directory (-db) with a build at or before a7a3ef6, which converts it to the page store, then open it the same way with this build")
+var errCSVLayout = errors.New("its tuples are in the CSV layout of earlier builds: with a build at or before a7a3ef6, open the directory once (-db), which converts it to the page store; then, with a build at or before 99dfd3b, open it (-db) and run \\save DIR; then open DIR (-db) with this build")
+
+// errPageLayout names the upgrade path of a generation whose tuples are
+// in the page store (pages.db, named by a ROOT file) of earlier builds,
+// which this one does not read.
+var errPageLayout = errors.New("its tuples are in the page store of earlier builds: with a build at or before 99dfd3b, open the directory (-db) and run \\save DIR; then open DIR (-db) with this build")
 
 // loadState rebuilds an engine from a flat state directory (the Save
 // layout; also the inside of a durable snapshot generation), reading
-// through fs. The three scripts replay as statements through an
-// admin session — schema.authdb, then data.authdb, then views.authdb —
-// except that a generation with a page store (ps set) takes its tuples
-// from ps's trees instead of data.authdb. Errors carry the file and, for
-// replayed statements, the line that failed.
-func loadState(fs faultfs.FS, dir string, opt core.Options, ps *storage.Store) (*Engine, error) {
+// through fs. The three scripts replay as statements through an admin
+// session: schema.authdb, then data.authdb, then views.authdb. Errors
+// carry the file and, for replayed statements, the line that failed.
+func loadState(fs faultfs.FS, dir string, opt core.Options) (*Engine, error) {
 	e := New(opt)
 	admin := e.NewSession("admin", true)
 	replay := func(name string) error {
@@ -182,49 +172,13 @@ func loadState(fs faultfs.FS, dir string, opt core.Options, ps *storage.Store) (
 	if err := replay("schema.authdb"); err != nil {
 		return nil, fmt.Errorf("loading schema: %w", err)
 	}
-	if ps == nil {
-		if err := replay(dataName); errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%s has no %s: %w", dir, dataName, errCSVLayout)
-		} else if err != nil {
-			return nil, fmt.Errorf("loading tuples: %w", err)
-		}
-	} else if err := loadPages(e, ps); err != nil {
-		return nil, err
+	if err := replay(dataName); errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%s has no %s: %w", dir, dataName, errCSVLayout)
+	} else if err != nil {
+		return nil, fmt.Errorf("loading tuples: %w", err)
 	}
 	if err := replay("views.authdb"); err != nil {
 		return nil, fmt.Errorf("loading views: %w", err)
 	}
 	return e, nil
-}
-
-// errUnrepresentable refuses a page-store value an earlier build read from CSV.
-var errUnrepresentable = errors.New("holds null or a string containing a double quote, which no statement can carry (earlier builds read both from CSV): with a build at or before a7a3ef6, delete or rewrite the tuples that hold one, open the directory once more with that build so its opening checkpoint writes the change to pages, then open it with this build")
-
-// loadPages inserts the tuples of ps's trees into e's relations, which
-// the replayed schema.authdb defined, refusing a value with no literal form.
-func loadPages(e *Engine, ps *storage.Store) error {
-	names := e.wsch.Names()
-	if n := len(ps.Relations()); n != len(names) {
-		return fmt.Errorf("page store holds %d relations, schema.authdb defines %d", n, len(names))
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, name := range names {
-		if arity, err := ps.Arity(name); err != nil || arity != e.vrels[i].Arity() {
-			return fmt.Errorf("loading %s: page store does not hold %s with %d attributes", name, name, e.vrels[i].Arity())
-		}
-		if err := ps.ScanRelation(name, func(vs []value.Value) error {
-			for j, v := range vs {
-				if !value.Representable(v) {
-					return fmt.Errorf("attribute %s of a tuple %w", e.wsch.Lookup(name).Attrs[j], errUnrepresentable)
-				}
-			}
-			_, err := e.vrels[i].Insert(vs)
-			return err
-		}); err != nil {
-			return fmt.Errorf("loading %s: %w", name, err)
-		}
-	}
-	e.publishLocked()
-	return nil
 }

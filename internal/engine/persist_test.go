@@ -131,7 +131,7 @@ func showPermissions(t *testing.T, e *engine.Engine) string {
 // covers a revoke that only the WAL holds when the directory reopens.
 func TestCheckpointOmitsEmptiedUser(t *testing.T) {
 	dir := t.TempDir()
-	e, err := engine.OpenDurable(dir, core.DefaultOptions(), 0)
+	e, err := engine.OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCheckpointOmitsEmptiedUser(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := engine.OpenDurable(dir, core.DefaultOptions(), 0)
+	back, err := engine.OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 // statements and LSN are coherent by construction.
 func (e *Engine) ReplSnapshot() (stmts []string, lsn uint64, err error) {
 	v := e.headVersion()
-	s, err := v.render(true)
+	s, err := v.render()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -116,9 +116,6 @@ func (e *Engine) ResetFromSnapshot(stmts []string, lsn uint64) error {
 	}
 	e.lsn.Store(lsn)
 	e.publishLocked()
-	// The page store's trees reflect state that was just replaced
-	// wholesale; the checkpoint below reloads them from the adopted head.
-	e.pageRevs = nil
 	if e.dur != nil {
 		if err := e.checkpointLocked(e.dur.fs, e.dur.dir, e.dur.gen); err != nil {
 			return fmt.Errorf("persisting replication snapshot: %w", err)

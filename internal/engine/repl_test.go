@@ -22,7 +22,7 @@ import (
 // it).
 func TestLSNPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	e, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestLSNPersistsAcrossReopen(t *testing.T) {
 	want++
 	e.Close()
 
-	back, err := OpenDurable(dir, core.DefaultOptions(), 0)
+	back, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestLSNPersistsAcrossReopen(t *testing.T) {
 // the current generation, the snapshot fallback once a checkpoint
 // rotated it away, and tail-following from the snapshot's position.
 func TestWALTailAndSnapshotBootstrap(t *testing.T) {
-	e1, err := OpenDurable(t.TempDir(), core.DefaultOptions(), 0)
+	e1, err := OpenDurable(t.TempDir(), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestGroupCommitEquivalence(t *testing.T) {
 	stmt := func(w, i int) string { return fmt.Sprintf("insert into WRITES values (w%d_%d, v)", w, i) }
 	run := func(concurrent bool) (string, uint64, string) {
 		dir := t.TempDir()
-		e, err := OpenDurable(dir, core.DefaultOptions(), 0)
+		e, err := OpenDurable(dir, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestGroupCommitEquivalence(t *testing.T) {
 		state := sortedFingerprint(t, e)
 		lsn := e.LSN()
 		e.Close()
-		back, err := OpenDurable(dir, core.DefaultOptions(), 0)
+		back, err := OpenDurable(dir, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestGroupCommitEquivalence(t *testing.T) {
 // is cut off (channel closed) instead of stalling the publisher, and
 // the disconnect is counted.
 func TestSlowSubscriberDisconnect(t *testing.T) {
-	e, err := OpenDurable(t.TempDir(), core.DefaultOptions(), 0)
+	e, err := OpenDurable(t.TempDir(), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestInMemoryCommitFeed(t *testing.T) {
 // TestReplicationGauges: the LSN, durable LSN, and snapshot generation
 // ride the metrics registry for /metrics and \stats.
 func TestReplicationGauges(t *testing.T) {
-	e, err := OpenDurable(t.TempDir(), core.DefaultOptions(), 0)
+	e, err := OpenDurable(t.TempDir(), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,8 @@ import (
 // loaded state must give the same statements and the same snapshot
 // files byte for byte, and every tuple must come back with its kinds. Strings
 // without a literal form (a double quote) are refused at the insert, so
-// they are not part of any state.
+// they are not part of any state. A durable generation is these
+// snapshot files, so this fuzzes the durable format itself.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add("", "5", int64(5), int64(math.MinInt64))
 	f.Add("-", "\x00", int64(0), int64(-1))

@@ -8,7 +8,9 @@
 # checkpoint commits the load) and deletes a third of the rows, spilled
 # keys among them. The third run only opens the directory, so its
 # opening checkpoint commits the deletes. The same binary writes the
-# same pages.db and ROOT byte for byte on every run.
+# same pages.db and ROOT byte for byte on every run. Only builds at or
+# before 99dfd3b write a page store; later builds refuse to open one,
+# and this fixture is the input of that refusal's test.
 set -eu
 [ $# -eq 2 ] || { echo "usage: gen.sh AUTHDB DIR" >&2; exit 2; }
 authdb=$1 dir=$2

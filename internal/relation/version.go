@@ -164,25 +164,3 @@ func (r *Relation) Suffix(from int) *Relation {
 	}
 	return newRelation(r.Attrs, r.tuples[from:])
 }
-
-// Diff returns the tuples of nw that old lacks (added) and the tuples of
-// old that nw lacks (removed), each in its relation's order: the change
-// that takes old to nw. It only reads both relations, so it is safe on
-// published revisions.
-func Diff(old, nw *Relation) (added, removed []Tuple) {
-	set := setOf(old.tuples)
-	kept := make([]bool, len(old.tuples))
-	for _, t := range nw.tuples {
-		if pos, _, _ := set.find(old.tuples, t); pos >= 0 {
-			kept[pos] = true
-		} else {
-			added = append(added, t)
-		}
-	}
-	for i, t := range old.tuples {
-		if !kept[i] {
-			removed = append(removed, t)
-		}
-	}
-	return added, removed
-}

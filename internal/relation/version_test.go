@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -183,7 +182,7 @@ func TestVersionedInsertAllocs(t *testing.T) {
 }
 
 // TestExtendsByAppend drives the lineage detector through the cases the
-// closure and the page-store sync rely on: append sharing, append with
+// closure relies on: append sharing, append with
 // reallocation, deletes anywhere in the prefix, delete-then-append, and
 // the empty base.
 func TestExtendsByAppend(t *testing.T) {
@@ -268,61 +267,6 @@ func TestSuffix(t *testing.T) {
 	}
 	if r.Suffix(5).Len() != 0 || r.Suffix(99).Len() != 0 || r.Suffix(-1).Len() != 5 {
 		t.Fatal("suffix bounds not clamped")
-	}
-}
-
-// TestDiff checks Diff against a map-based set difference over seeded
-// histories of inserts, deletes and re-inserts, with every revision
-// pair compared both ways and each side left unmodified.
-func TestDiff(t *testing.T) {
-	key := func(tp Tuple) string { return fmt.Sprint(tp) }
-	minus := func(a, b *Relation) map[string]bool {
-		out := map[string]bool{}
-		for _, tp := range a.Tuples() {
-			out[key(tp)] = true
-		}
-		for _, tp := range b.Tuples() {
-			delete(out, key(tp))
-		}
-		return out
-	}
-	same := func(got []Tuple, want map[string]bool) bool {
-		if len(got) != len(want) {
-			return false
-		}
-		for _, tp := range got {
-			if !want[key(tp)] {
-				return false
-			}
-		}
-		return true
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		v := NewVersioned([]string{"A", "B"})
-		revs := []*Relation{v.Head()}
-		for step := 0; step < 60; step++ {
-			k := int64(rng.Intn(30))
-			if rng.Intn(3) == 0 {
-				v.Delete(func(tp Tuple) bool { return tp[0].AsInt() == k })
-			} else {
-				v.Insert(vt(k, k%7)) //nolint:errcheck
-			}
-			revs = append(revs, v.Head())
-		}
-		for i := 0; i < len(revs); i += 7 {
-			for j := 0; j < len(revs); j += 5 {
-				old, nw := revs[i], revs[j]
-				before := [2][]string{tuplesOf(old), tuplesOf(nw)}
-				added, removed := Diff(old, nw)
-				if !same(added, minus(nw, old)) || !same(removed, minus(old, nw)) {
-					t.Fatalf("seed %d revs %d→%d: added %v removed %v", seed, i, j, added, removed)
-				}
-				if !sameTuples(tuplesOf(old), before[0]) || !sameTuples(tuplesOf(nw), before[1]) {
-					t.Fatalf("seed %d revs %d→%d: Diff modified a revision", seed, i, j)
-				}
-			}
-		}
 	}
 }
 

@@ -276,7 +276,7 @@ func TestReplicaKillMidBatchResumes(t *testing.T) {
 	dir := t.TempDir()
 	fs := faultfs.NewFaulty(faultfs.OS())
 	fs.ShortWrites = true
-	eng, err := engine.OpenDurableFS(fs, dir, core.DefaultOptions(), 0)
+	eng, err := engine.OpenDurableFS(fs, dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestReplicaKillMidBatchResumes(t *testing.T) {
 	// "Restart the process": reopen the directory on the real
 	// filesystem. Recovery keeps the valid WAL prefix and drops the torn
 	// record, so the persisted LSN may trail the crash point.
-	recovered, err := engine.OpenDurable(dir, core.DefaultOptions(), 0)
+	recovered, err := engine.OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestReplicaWALTruncatedAtPartialRecord(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	eng, err := engine.OpenDurable(dir, core.DefaultOptions(), 0)
+	eng, err := engine.OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestReplicaWALTruncatedAtPartialRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, err := engine.OpenDurable(dir, core.DefaultOptions(), 0)
+	recovered, err := engine.OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestMalformedAckEndsStream(t *testing.T) {
 // is scripted over loopback so the batch boundaries are exact.
 func TestReplicaBatchSharesOneSync(t *testing.T) {
 	const k = 20
-	eng, err := engine.OpenDurable(t.TempDir(), core.DefaultOptions(), 0)
+	eng, err := engine.OpenDurable(t.TempDir(), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

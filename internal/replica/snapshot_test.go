@@ -55,8 +55,7 @@ func startFollower(t *testing.T, eng *engine.Engine, cfg replica.Config) *replic
 // statements alone exceed wire.MaxFrame — about 2 200 rows of 8 KiB
 // strings — and bootstraps an in-memory follower and a durable one from
 // it through a real hub. Each must deliver u the primary's answers with
-// the primary's kinds. On the durable follower every tuple is larger
-// than a page, so its keys spill into overflow chains.
+// the primary's kinds.
 func TestFollowerBootstrapsPastMaxFrame(t *testing.T) {
 	const rows = 2200
 	db := authdb.Open(authdb.DefaultOptions())
@@ -105,9 +104,6 @@ func TestFollowerBootstrapsPastMaxFrame(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		rep.Stop(ctx)
 		cancel()
-	}
-	if pages := durable.Engine().PageStats().Pages; pages < 2*rows {
-		t.Errorf("the durable follower's page store has %d pages for %d tuples of 8 KiB: no overflow chains", pages, rows)
 	}
 	if n := db.Metrics().Counter("authdb_repl_snapshots_sent_total").Value(); n != 2 {
 		t.Fatalf("the hub sent %v snapshots, want 2", n)
