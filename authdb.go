@@ -163,7 +163,8 @@ func (db *DB) Certify(quality, query string) (*Certification, error) {
 // per tuple, so 5 stays an integer, "5" a string and "" an empty
 // string) and views.authdb (views and permits). Load restores it. Each
 // file is written atomically, but Save is an export — for a database
-// that survives crashes mid-mutation, use OpenDir.
+// that survives crashes mid-mutation, use OpenDir. A directory OpenDir
+// made (it holds CURRENT) is refused.
 func (db *DB) Save(dir string) error { return db.eng.Save(dir) }
 
 // OpenDir opens (creating if necessary) a durable database directory:
@@ -202,7 +203,8 @@ func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
 // Load restores a database saved with Save, replaying its three
 // scripts; a directory without data.authdb (the CSV layout of earlier
-// builds) is refused with an error naming the upgrade path. With no
+// builds) is refused with an error naming the upgrade path, and a
+// durable directory (it holds CURRENT) with one naming OpenDir. With no
 // Options argument it uses DefaultOptions.
 func Load(dir string, opts ...Options) (*DB, error) {
 	o := DefaultOptions()

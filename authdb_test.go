@@ -257,6 +257,33 @@ func TestFacadeSaveLoad(t *testing.T) {
 	}
 }
 
+// TestLoadSaveRefuseDurableDir: a directory that Save wrote and OpenDir
+// then opened holds the Save-time scripts beside CURRENT, so Load would
+// return that stale state and Save would write scripts OpenDir ignores.
+// Both refuse it, naming OpenDir.
+func TestLoadSaveRefuseDurableDir(t *testing.T) {
+	dir := t.TempDir()
+	db := authdb.Open()
+	db.Admin().MustExecScript("relation T (A) key (A);\ninsert into T values (one);\n")
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	durable, err := authdb.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable.Admin().MustExec("insert into T values (two)")
+	if err := durable.Save(dir); err == nil || !strings.Contains(err.Error(), "OpenDir") {
+		t.Errorf("Save into a durable directory: %v, want an error naming OpenDir", err)
+	}
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := authdb.Load(dir); err == nil || !strings.Contains(err.Error(), "OpenDir") {
+		t.Errorf("Load of a durable directory: %v, want an error naming OpenDir", err)
+	}
+}
+
 func TestFacadeDisjunctiveView(t *testing.T) {
 	db := authdb.Open()
 	db.Admin().MustExecScript(`

@@ -9,22 +9,18 @@ package main
 //	authdb serve [-addr HOST:PORT] [-metrics-addr HOST:PORT] [-db DIR]
 //	             [-paper] [-load FILE] [-max-conns N] [-idle-timeout D]
 //	             [-grace D] [-admin-token T] [-max-intermediate-rows N]
-//	             [-max-result-rows N] [-stmt-timeout D]
-//	             [-replica-of HOST:PORT[,HOST:PORT...]]
-//	             [-primary-token T] [-repl-name NAME] [-advertise HOST:PORT]
-//	             [-peers HOST:PORT[,...]] [-ready-max-lag N]
+//	             [-max-result-rows N] [-stmt-timeout D] [-replica]
+//	             [-advertise HOST:PORT] [-peers HOST:PORT[,...]]
+//	             [-ready-max-lag N]
 //
-// With -replica-of, this node follows the named primary (DESIGN.md §12):
-// it bootstraps from the primary's snapshot or WAL tail, applies the
-// live statement stream, and serves read-only masked answers; writes are
-// refused with READ_ONLY naming the primary. Several comma-separated
-// addresses may be given: the follower rotates through them (and through
-// leader hints in fencing notices) until it finds the current primary,
-// which is how a cluster survives failover (DESIGN.md §13). -advertise
-// sets the address other nodes are told to reach this node at; -peers
-// lists the other cluster members, used to rejoin after this node is
-// fenced; -ready-max-lag bounds the replication lag (in LSNs) at which
-// /readyz still reports ready.
+// -peers lists the other cluster members. With -replica this node
+// follows them (DESIGN.md §12) and serves read-only masked answers;
+// writes are refused with READ_ONLY naming the primary. A fenced
+// primary rejoins through the same peers (DESIGN.md §13). Every
+// follower presents -admin-token, so a cluster shares one. -advertise
+// sets the address other nodes are told to reach this node at;
+// -ready-max-lag bounds the replication lag (in LSNs) at which /readyz
+// still reports ready.
 
 import (
 	"context"
@@ -57,18 +53,16 @@ func runServe(args []string) int {
 	maxInter := fs.Int64("max-intermediate-rows", def.MaxIntermediateRows, "per-statement intermediate-row budget (0: unlimited)")
 	maxResult := fs.Int64("max-result-rows", def.MaxResultRows, "per-statement result-row cap (0: unlimited)")
 	stmtTimeout := fs.Duration("stmt-timeout", def.Timeout, "per-statement wall-clock bound (0: unlimited)")
-	replicaOf := fs.String("replica-of", "", "follow this primary and serve read-only; comma-separate candidate addresses (empty: standalone)")
-	primaryToken := fs.String("primary-token", "", "replication token presented to the primary (its admin token)")
-	replName := fs.String("repl-name", "", "label for this follower in the primary's metrics")
+	isReplica := fs.Bool("replica", false, "start read-only and follow -peers")
 	advertise := fs.String("advertise", "", "address other nodes should reach this node at (empty: the listen address)")
-	peers := fs.String("peers", "", "comma-separated addresses of the other cluster members, for rejoining after a fence")
+	peers := fs.String("peers", "", "comma-separated addresses of the other cluster members: followed with -replica, and rejoined through after a fence")
 	readyMaxLag := fs.Int("ready-max-lag", 0, "replication lag in LSNs at which /readyz still reports ready (0: default)")
 	fs.Parse(args)
 
-	if *replicaOf != "" && (*paper || *load != "") {
+	if *isReplica && (*paper || *load != "") {
 		// Local mutations on a replica would shift its LSN sequence away
 		// from the primary's and corrupt the stream position.
-		fmt.Fprintln(os.Stderr, "-replica-of is incompatible with -paper and -load: replicas take every statement from the primary")
+		fmt.Fprintln(os.Stderr, "-replica is incompatible with -paper and -load: replicas take every statement from the primary")
 		return 1
 	}
 
@@ -86,20 +80,6 @@ func runServe(args []string) int {
 	}
 	defer db.Close()
 
-	primaries := splitAddrs(*replicaOf)
-	var rep *replica.Replica
-	if len(primaries) > 0 {
-		rep = replica.Start(db.Engine(), replica.Config{
-			Primaries: primaries,
-			Token:     *primaryToken,
-			Name:      *replName,
-			Logf: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			},
-		})
-		fmt.Printf("following primary %s (read-only)\n", primaries[0])
-	}
-
 	admin := db.Admin()
 	if *paper {
 		admin.MustExecScript(workload.PaperScript)
@@ -113,10 +93,6 @@ func runServe(args []string) int {
 		fmt.Printf("loaded %s\n", *load)
 	}
 
-	roPrimary := ""
-	if len(primaries) > 0 {
-		roPrimary = primaries[0]
-	}
 	srv := server.New(db, server.Config{
 		Addr:            *addr,
 		MetricsAddr:     *metricsAddr,
@@ -124,9 +100,10 @@ func runServe(args []string) int {
 		IdleTimeout:     *idle,
 		Grace:           *grace,
 		AdminToken:      *token,
-		ReadOnlyPrimary: roPrimary,
+		Replica:         *isReplica,
 		AdvertiseAddr:   *advertise,
 		Peers:           splitAddrs(*peers),
+		Follow:          replica.Tuning{Logf: func(f string, a ...any) { fmt.Printf(f+"\n", a...) }},
 		ReadyMaxLagLSNs: *readyMaxLag,
 		Limits: authdb.Limits{
 			MaxIntermediateRows: *maxInter,
@@ -137,11 +114,6 @@ func runServe(args []string) int {
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
-	}
-	if rep != nil {
-		// The server owns the follower loop from here: it stops it on
-		// promotion and on shutdown, and reports its lag on /readyz.
-		srv.AttachReplica(rep)
 	}
 	fmt.Printf("serving on %s (max %d connections)\n", srv.Addr(), *maxConns)
 	if ma := srv.MetricsAddr(); ma != nil {
@@ -154,8 +126,7 @@ func runServe(args []string) int {
 	fmt.Printf("%s: draining (grace %s)\n", got, *grace)
 	ctx, cancel := context.WithTimeout(context.Background(), *grace+30*time.Second)
 	defer cancel()
-	// srv.Shutdown also stops the attached follower loop (including one
-	// the server started itself after a fence-and-rejoin).
+	// srv.Shutdown also stops the node's follower, if it runs one.
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "shutdown:", err)
 		return 1

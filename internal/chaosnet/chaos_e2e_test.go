@@ -52,12 +52,10 @@ type node struct {
 	dir  string
 	db   *authdb.DB
 	srv  *server.Server
-	rep  *replica.Replica
 }
 
 func (n *node) addr() string              { return n.srv.Addr().String() }
 func (n *node) eng() *engine.Engine       { return n.db.Engine() }
-func (n *node) stop(t *testing.T)         {}
 func (n *node) String() string            { return n.name }
 func (n *node) epoch() uint64             { return n.eng().Epoch() }
 func (n *node) role() (r string)          { return n.srv.Role() }
@@ -65,7 +63,9 @@ func (n *node) metricsText() string       { return n.db.Metrics().Text() }
 func (n *node) lsn() (lsn uint64)         { return n.eng().LSN() }
 func (n *node) origin() map[uint64]uint64 { return n.eng().OriginWritesByEpoch() }
 
-// startNode boots one durable node. cfg.AdminToken is forced.
+// startNode boots one durable node. cfg.AdminToken and cfg.Follow are
+// forced: a replica follows its (proxied) peers with fast failure
+// detection, so schedules converge in test time.
 func startNode(t *testing.T, name string, cfg server.Config) *node {
 	t.Helper()
 	dir := t.TempDir()
@@ -75,6 +75,11 @@ func startNode(t *testing.T, name string, cfg server.Config) *node {
 	}
 	t.Cleanup(func() { db.Close() })
 	cfg.AdminToken = chaosToken
+	cfg.Follow = replica.Tuning{
+		DialTimeout: time.Second,
+		BackoffMin:  10 * time.Millisecond,
+		BackoffMax:  250 * time.Millisecond,
+	}
 	srv := server.New(db, cfg)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -88,27 +93,6 @@ func startNode(t *testing.T, name string, cfg server.Config) *node {
 	srv.Hub().SetWriteTimeout(250 * time.Millisecond)
 	srv.Hub().SetFollowerBuffer(128)
 	return &node{name: name, dir: dir, db: db, srv: srv}
-}
-
-// follow attaches a follower loop to n, dialing the given (proxied)
-// addresses.
-func follow(t *testing.T, n *node, primaries []string) {
-	t.Helper()
-	n.rep = replica.Start(n.eng(), replica.Config{
-		Primaries:   primaries,
-		Token:       chaosToken,
-		Name:        n.name,
-		DialTimeout: time.Second,
-		BackoffMin:  10 * time.Millisecond,
-		BackoffMax:  250 * time.Millisecond,
-	})
-	rep := n.rep
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		defer cancel()
-		rep.Stop(ctx)
-	})
-	n.srv.AttachReplica(rep)
 }
 
 // history records every operation of one schedule for post-mortems.
@@ -192,7 +176,7 @@ func fenceNode(t *testing.T, target *node, epoch uint64, leader string) {
 	bw := bufio.NewWriter(nc)
 	if err := wire.WriteMsg(bw, &wire.ReplHello{
 		Proto: wire.ProtoVersion, Token: chaosToken,
-		Name: "fence-messenger", Epoch: epoch, Leader: leader,
+		Epoch: epoch, Leader: leader,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +187,10 @@ func fenceNode(t *testing.T, target *node, epoch uint64, leader string) {
 	wire.ReadMsg(bufio.NewReader(nc), &reply)
 }
 
-// duplicateConnect opens a second replication stream claiming an
-// existing follower's identity, then abandons it — the hub must treat
-// it as just another stream and survive its death.
-func duplicateConnect(t *testing.T, target *node, name string) {
+// duplicateConnect opens a second replication stream from an existing
+// follower's position, then abandons it — the hub must treat it as
+// just another stream and survive its death.
+func duplicateConnect(t *testing.T, target *node) {
 	t.Helper()
 	nc, err := net.Dial("tcp", target.addr())
 	if err != nil {
@@ -216,7 +200,7 @@ func duplicateConnect(t *testing.T, target *node, name string) {
 	bw := bufio.NewWriter(nc)
 	wire.WriteMsg(bw, &wire.ReplHello{
 		Proto: wire.ProtoVersion, Token: chaosToken,
-		Name: name, From: target.eng().DurableLSN(), Epoch: target.epoch(),
+		From: target.eng().DurableLSN(), Epoch: target.epoch(),
 	})
 	bw.Flush()
 	var reply wire.ReplHelloReply
@@ -333,9 +317,9 @@ func runChaosSchedule(t *testing.T, seed int64) {
 
 	// Topology: A starts as primary; B and C follow it through chaos
 	// proxies. C also knows B's (proxied) address for re-homing after
-	// the failover.
+	// the failover. Each proxy exists before the node that dials
+	// through it.
 	a := startNode(t, "A", server.Config{})
-	b := startNode(t, "B", server.Config{ReadOnlyPrimary: a.addr(), Peers: []string{a.addr()}})
 	pBA, err := chaosnet.New("B->A", a.addr(), seed)
 	if err != nil {
 		t.Fatal(err)
@@ -346,14 +330,13 @@ func runChaosSchedule(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	defer pCA.Close()
+	b := startNode(t, "B", server.Config{Replica: true, Peers: []string{pBA.Addr()}})
 	pCB, err := chaosnet.New("C->B", b.addr(), seed+2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pCB.Close()
-	c := startNode(t, "C", server.Config{ReadOnlyPrimary: a.addr(), Peers: []string{a.addr(), b.addr()}})
-	follow(t, b, []string{pBA.Addr()})
-	follow(t, c, []string{pCA.Addr(), pCB.Addr()})
+	c := startNode(t, "C", server.Config{Replica: true, Peers: []string{pCA.Addr(), pCB.Addr()}})
 	nodes := []*node{a, b, c}
 
 	// Phase 1: baseline load — the paper's schema plus a write feed —
@@ -382,7 +365,7 @@ func runChaosSchedule(t *testing.T, seed int64) {
 		write("p1", a.addr(), "A", fmt.Sprintf("p1-%d", i))
 	}
 	if rng.Intn(2) == 0 {
-		duplicateConnect(t, a, "C")
+		duplicateConnect(t, a)
 		hist.event("p1", "duplicate follower connect to A")
 	}
 	waitFor(t, "replicas catching up", 20*time.Second, func() bool {
@@ -414,7 +397,7 @@ func runChaosSchedule(t *testing.T, seed int64) {
 		hist.event("p3", "armed mid-message cut on C->B")
 	}
 	if rng.Intn(2) == 0 {
-		duplicateConnect(t, b, "C")
+		duplicateConnect(t, b)
 		hist.event("p3", "duplicate follower connect to B")
 	}
 
@@ -520,9 +503,8 @@ func TestChaosUnfencedBuildFailsDualPrimaryCheck(t *testing.T) {
 	}
 	defer p.Close()
 	b := startNode(t, "B", server.Config{
-		ReadOnlyPrimary: a.addr(), UnsafeNoFencing: true,
+		Replica: true, Peers: []string{p.Addr()}, UnsafeNoFencing: true,
 	})
-	follow(t, b, []string{p.Addr()})
 
 	a.db.Admin().MustExecScript("relation FEED (K, V) key (K);\n")
 	if err := adminExec(a.addr(), "insert into FEED values (base, v)"); err != nil {

@@ -826,11 +826,11 @@ func TestPagedRebuildCrashSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.ResetFromSnapshot(oldStmts, oldLSN); err != nil {
+		if err := e.ResetFromSnapshot(oldStmts, oldLSN, nil); err != nil {
 			t.Fatal(err)
 		}
 		fs.Arm(k)
-		resetErr := e.ResetFromSnapshot(newStmts, newLSN)
+		resetErr := e.ResetFromSnapshot(newStmts, newLSN, nil)
 		tripped := fs.Tripped()
 		e.Close()
 
@@ -948,7 +948,7 @@ func TestReopenEqualsHead(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := e.ResetFromSnapshot(stmts, lsn); err != nil {
+				if err := e.ResetFromSnapshot(stmts, lsn, nil); err != nil {
 					t.Fatalf("seed %d: adopting a snapshot: %v", seed, err)
 				}
 				check(fmt.Sprintf("snapshot adoption at op %d", op))

@@ -20,6 +20,7 @@ package engine
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -93,45 +94,47 @@ func (e *Engine) BumpEpoch() (uint64, error) {
 }
 
 // AdoptEpochHistory replaces the engine's history with the primary's —
-// the follower half of a handshake. The new history must be well-formed
-// and must not move the engine backwards; adoption checkpoints on
-// durable engines so the follower can never un-adopt after a restart.
+// the follower half of a handshake that brings no snapshot (one that
+// does passes the history to ResetFromSnapshot). The new history must
+// be well-formed and must not move the engine backwards; adoption
+// checkpoints on durable engines so the follower can never un-adopt
+// after a restart.
 func (e *Engine) AdoptEpochHistory(hist []EpochEntry) error {
-	if err := validEpochHist(hist); err != nil {
-		return err
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.durCheck(); err != nil {
 		return err
 	}
-	last := hist[len(hist)-1].Epoch
-	if last < e.epoch.Load() {
-		return fmt.Errorf("adopting epoch history ending at %d would regress from epoch %d", last, e.epoch.Load())
-	}
-	if len(hist) == len(e.epochHist) {
-		same := true
-		for i := range hist {
-			if hist[i] != e.epochHist[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return nil // re-adopting the current history: no checkpoint churn
-		}
-	}
 	prevHist, prevEpoch := e.epochHist, e.epoch.Load()
-	e.epochHist = append([]EpochEntry(nil), hist...)
-	e.epoch.Store(last)
-	if e.dur != nil {
-		if err := e.checkpointLocked(e.dur.fs, e.dur.dir, e.dur.gen); err != nil {
-			e.epochHist = prevHist
-			e.epoch.Store(prevEpoch)
-			return fmt.Errorf("persisting adopted epoch %d: %w", last, err)
-		}
+	// Re-adopting the current history does not checkpoint.
+	if changed, err := e.adoptEpochHistLocked(hist); err != nil || !changed || e.dur == nil {
+		return err
+	}
+	if err := e.checkpointLocked(e.dur.fs, e.dur.dir, e.dur.gen); err != nil {
+		e.epochHist = prevHist
+		e.epoch.Store(prevEpoch)
+		return fmt.Errorf("persisting adopted epoch %d: %w", hist[len(hist)-1].Epoch, err)
 	}
 	return nil
+}
+
+// adoptEpochHistLocked installs hist as the engine's history in memory,
+// reporting whether it differs from the one held. It refuses a
+// malformed history and one whose last epoch is below the engine's.
+func (e *Engine) adoptEpochHistLocked(hist []EpochEntry) (changed bool, err error) {
+	if err := validEpochHist(hist); err != nil {
+		return false, err
+	}
+	last := hist[len(hist)-1].Epoch
+	if last < e.epoch.Load() {
+		return false, fmt.Errorf("adopting epoch history ending at %d would regress from epoch %d", last, e.epoch.Load())
+	}
+	if slices.Equal(hist, e.epochHist) {
+		return false, nil
+	}
+	e.epochHist = slices.Clone(hist)
+	e.epoch.Store(last)
+	return true, nil
 }
 
 // validEpochHist checks shape: non-empty, epochs strictly increasing,

@@ -140,6 +140,49 @@ func TestAdoptEpochHistoryRejectsRegression(t *testing.T) {
 	}
 }
 
+// TestResetFromSnapshotFailedCheckpointKeepsEpoch: when the bootstrap
+// checkpoint fails, the adopted history is rolled back with it, so the
+// next handshake announces the epoch the durable generation still holds.
+func TestResetFromSnapshotFailedCheckpointKeepsEpoch(t *testing.T) {
+	src := New(core.DefaultOptions())
+	admin := src.NewSession("admin", true)
+	for _, stmt := range []string{`relation R (A)`, `insert into R values (x)`} {
+		if _, err := admin.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := src.BumpEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	stmts, lsn, err := src.ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fs := faultfs.NewFaulty(faultfs.OS())
+	e, err := OpenDurableFS(fs, t.TempDir(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	gen, hist := e.Generation(), e.EpochHistory()
+	fs.Arm(0) // the checkpoint's first write clears its temp directory
+	err = e.ResetFromSnapshot(stmts, lsn, src.EpochHistory())
+	fs.Disarm()
+	if !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("bootstrap with a failing checkpoint: err %v", err)
+	}
+	if e.Generation() != gen {
+		t.Fatalf("failed bootstrap moved the generation %d → %d", gen, e.Generation())
+	}
+	if got := e.Epoch(); got != 1 {
+		t.Fatalf("epoch after the failed bootstrap = %d, want 1", got)
+	}
+	if got := e.EpochHistory(); len(got) != len(hist) || got[0] != hist[0] {
+		t.Fatalf("history after the failed bootstrap = %v, want %v", got, hist)
+	}
+}
+
 func TestRoleReadOnlyFencesExistingSessions(t *testing.T) {
 	e := New(core.DefaultOptions())
 	admin := e.NewSession("admin", true)

@@ -115,8 +115,14 @@ func writeFileAtomic(fs faultfs.FS, path string, data []byte) error {
 // file + fsync + rename); the directory is created if missing and
 // existing files are replaced. Load restores an equivalent engine. For
 // crash atomicity across the whole file set, use OpenDurable instead —
-// Save is the export/import surface.
-func (e *Engine) Save(dir string) error { return e.head.Load().save(faultfs.OS(), dir) }
+// Save is the export/import surface. A durable directory is refused:
+// OpenDurable would ignore the scripts.
+func (e *Engine) Save(dir string) error {
+	if err := refuseDurable(dir); err != nil {
+		return err
+	}
+	return e.head.Load().save(faultfs.OS(), dir)
+}
 
 // save writes the version's snapshotFiles into dir through fs, the way
 // Save describes; epoch quarantines dump their state/ with it too.
@@ -136,9 +142,21 @@ func (v *dbVersion) save(fs faultfs.FS, dir string) error {
 	return nil
 }
 
-// Load restores an engine saved with Save.
+// Load restores an engine saved with Save. A durable directory is
+// refused: the scripts beside its CURRENT hold a stale state.
 func Load(dir string, opt core.Options) (*Engine, error) {
+	if err := refuseDurable(dir); err != nil {
+		return nil, err
+	}
 	return loadState(faultfs.OS(), dir, opt)
+}
+
+// refuseDurable fails on a directory OpenDurable made (one with CURRENT).
+func refuseDurable(dir string) error {
+	if _, err := os.Stat(filepath.Join(dir, currentName)); err != nil {
+		return nil
+	}
+	return fmt.Errorf("%s is a durable directory (it holds %s): open it with OpenDir (-db)", dir, currentName)
 }
 
 // errCSVLayout names the upgrade path of a state whose tuples are in the

@@ -92,12 +92,14 @@ func (e *Engine) WALTail(from uint64) (tail []Commit, ok bool, err error) {
 }
 
 // ResetFromSnapshot replaces the engine's entire state with the one
-// ReplSnapshot's statements build, embodying lsn. They replay into a
-// fresh engine, swapped in under the engine lock, transparent to
-// concurrent sessions; durable engines immediately checkpoint the new
-// state as their own generation so a restart resumes from it. This is
-// the replica's bootstrap path.
-func (e *Engine) ResetFromSnapshot(stmts []string, lsn uint64) error {
+// ReplSnapshot's statements build, embodying lsn, and, when hist is not
+// nil, its epoch history with hist (under AdoptEpochHistory's rules).
+// The statements replay into a fresh engine, swapped in under the
+// engine lock, transparent to concurrent sessions; durable engines
+// immediately checkpoint the new state and history as one generation,
+// so a restart resumes from both or from neither. This is the replica's
+// bootstrap path.
+func (e *Engine) ResetFromSnapshot(stmts []string, lsn uint64, hist []EpochEntry) error {
 	tmp := New(e.opt)
 	if _, err := tmp.NewSession("admin", true).ExecScript(strings.Join(stmts, ";\n")); err != nil {
 		return fmt.Errorf("loading replication snapshot: %w", err)
@@ -106,6 +108,12 @@ func (e *Engine) ResetFromSnapshot(stmts []string, lsn uint64) error {
 	defer e.mu.Unlock()
 	if err := e.durCheck(); err != nil {
 		return err
+	}
+	prevHist, prevEpoch := e.epochHist, e.epoch.Load()
+	if hist != nil {
+		if _, err := e.adoptEpochHistLocked(hist); err != nil {
+			return err
+		}
 	}
 	e.wsch, e.vrels, e.wstore = tmp.wsch, tmp.vrels, tmp.wstore
 	// The store's generation counters restarted with the new store; stale
@@ -118,6 +126,9 @@ func (e *Engine) ResetFromSnapshot(stmts []string, lsn uint64) error {
 	e.publishLocked()
 	if e.dur != nil {
 		if err := e.checkpointLocked(e.dur.fs, e.dur.dir, e.dur.gen); err != nil {
+			// The durable generation still holds the old history.
+			e.epochHist = prevHist
+			e.epoch.Store(prevEpoch)
 			return fmt.Errorf("persisting replication snapshot: %w", err)
 		}
 	} else {

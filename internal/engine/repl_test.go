@@ -121,7 +121,7 @@ func TestWALTailAndSnapshotBootstrap(t *testing.T) {
 		t.Fatalf("snapshot LSN = %d, want %d", lsn, split)
 	}
 	e2 := New(core.DefaultOptions())
-	if err := e2.ResetFromSnapshot(stmts, lsn); err != nil {
+	if err := e2.ResetFromSnapshot(stmts, lsn, nil); err != nil {
 		t.Fatal(err)
 	}
 	if e2.LSN() != lsn {
@@ -199,7 +199,7 @@ func TestResetFromSnapshotDropsClosure(t *testing.T) {
 	if e.MaskClosureStats().Entries == 0 {
 		t.Fatal("the read left no closure entry")
 	}
-	if err := e.ResetFromSnapshot(stmts, lsn); err != nil {
+	if err := e.ResetFromSnapshot(stmts, lsn, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.MaskClosureStats().Entries; n != 0 {

@@ -52,7 +52,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		back := New(core.DefaultOptions())
-		if err := back.ResetFromSnapshot(stmts, lsn); err != nil {
+		if err := back.ResetFromSnapshot(stmts, lsn, nil); err != nil {
 			t.Fatalf("loading the snapshot: %v\n%q", err, stmts)
 		}
 		again, againLSN, err := back.ReplSnapshot()

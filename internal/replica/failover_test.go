@@ -63,10 +63,10 @@ func rawWriteProbe(t *testing.T, addr, stmt string) *wire.Error {
 }
 
 // newClusterReplica boots a durable replica node wired for failover:
-// the follower loop is attached to its server (so \promote and /readyz
-// work) and the server knows its peers. Returns the node and its
-// durable directory (for quarantine inspection).
-func newClusterReplica(t *testing.T, primaries, peers []string) (*authdb.DB, *replica.Replica, *server.Server, string) {
+// its server follows peers (so \promote and /readyz work) and rejoins
+// through them. Returns the node and its durable directory (for
+// quarantine inspection).
+func newClusterReplica(t *testing.T, peers ...string) (*authdb.DB, *server.Server, string) {
 	t.Helper()
 	dir := t.TempDir()
 	db, err := authdb.OpenDir(dir)
@@ -74,21 +74,13 @@ func newClusterReplica(t *testing.T, primaries, peers []string) (*authdb.DB, *re
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	cfg := followCfg(primaries[0])
-	cfg.Primaries = primaries
-	rep := replica.Start(db.Engine(), cfg)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		rep.Stop(ctx)
-	})
 	srv := startServer(t, db, server.Config{
-		ReadOnlyPrimary: primaries[0],
-		Peers:           peers,
-		MetricsAddr:     "127.0.0.1:0",
+		Replica:     true,
+		Peers:       peers,
+		Follow:      fastFollow,
+		MetricsAddr: "127.0.0.1:0",
 	})
-	srv.AttachReplica(rep)
-	return db, rep, srv, dir
+	return db, srv, dir
 }
 
 // TestPromoteFailover is the planned-failover path: the primary dies,
@@ -114,9 +106,9 @@ func TestPromoteFailover(t *testing.T) {
 	}
 	paddr := psrv.Addr().String()
 
-	rdb1, _, rsrv1, _ := newClusterReplica(t, []string{paddr}, nil)
+	rdb1, rsrv1, _ := newClusterReplica(t, paddr)
 	r1addr := rsrv1.Addr().String()
-	rdb2, _, rsrv2, _ := newClusterReplica(t, []string{paddr, r1addr}, nil)
+	rdb2, rsrv2, _ := newClusterReplica(t, paddr, r1addr)
 	waitLSN(t, rdb1.Engine(), pdb.Engine().LSN())
 	waitLSN(t, rdb2.Engine(), pdb.Engine().LSN())
 
@@ -213,18 +205,9 @@ func TestFencedExPrimaryQuarantinesAndRejoins(t *testing.T) {
 	adb.Admin().MustExecScript("relation FEED (K, V) key (K);\n")
 	adb.Admin().MustExec("insert into FEED values (shared, v)")
 
-	// B's address isn't known until it starts, and A's peers are fixed at
-	// config time; start B first by giving it A's address afterwards via
-	// the rotation. Order: bind A, then B with A as primary, then tell A
-	// about B through Peers — so A is built last.
-	bdbDir := t.TempDir()
-	bdb, err := authdb.OpenDir(bdbDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bdb.Close() })
-
-	asrv := server.New(adb, server.Config{AdminToken: replToken})
+	// A knows no peers: its demote path takes the leader from the fence
+	// itself, so the fencing hello naming B is all its rejoin needs.
+	asrv := server.New(adb, server.Config{AdminToken: replToken, Follow: fastFollow})
 	if err := asrv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,21 +218,10 @@ func TestFencedExPrimaryQuarantinesAndRejoins(t *testing.T) {
 		asrv.Shutdown(ctx)
 	})
 
-	bcfg := followCfg(aaddr)
-	brep := replica.Start(bdb.Engine(), bcfg)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		brep.Stop(ctx)
-	})
-	bsrv := startServer(t, bdb, server.Config{ReadOnlyPrimary: aaddr})
-	bsrv.AttachReplica(brep)
+	bdb, bsrv, _ := newClusterReplica(t, aaddr)
 	baddr := bsrv.Addr().String()
 	waitLSN(t, bdb.Engine(), adb.Engine().LSN())
 
-	// Rebuild A's server config is not possible; instead A's demote path
-	// takes the leader from the fence itself, so no Peers are required
-	// for this test's rejoin — the fencing hello names B.
 	if _, err := bsrv.Promote(context.Background()); err != nil {
 		t.Fatalf("promoting B: %v", err)
 	}
@@ -274,7 +246,7 @@ func TestFencedExPrimaryQuarantinesAndRejoins(t *testing.T) {
 	bw := bufio.NewWriter(nc)
 	if err := wire.WriteMsg(bw, &wire.ReplHello{
 		Proto: wire.ProtoVersion, Token: replToken,
-		From: bdb.Engine().LSN(), Name: "messenger", Epoch: 2, Leader: baddr,
+		From: bdb.Engine().LSN(), Epoch: 2, Leader: baddr,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -364,19 +336,20 @@ func TestReadyz(t *testing.T) {
 		t.Fatalf("primary /readyz = %d %q", code, body)
 	}
 
-	// A replica server with no follower attached is unready.
-	odb, err := authdb.OpenDir(t.TempDir())
+	// A replica whose peers are unreachable is unready.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { odb.Close() })
-	orphan := startServer(t, odb, server.Config{ReadOnlyPrimary: paddr, MetricsAddr: "127.0.0.1:0"})
+	dead := ln.Addr().String()
+	ln.Close()
+	_, orphan, _ := newClusterReplica(t, dead)
 	if code, body := get(orphan); code != http.StatusServiceUnavailable {
-		t.Fatalf("orphan replica /readyz = %d %q, want 503", code, body)
+		t.Fatalf("replica with unreachable peers /readyz = %d %q, want 503", code, body)
 	}
 
 	// A following replica becomes ready once bootstrapped and caught up.
-	rdb, rep, rsrv, _ := newClusterReplica(t, []string{paddr}, nil)
+	rdb, rsrv, _ := newClusterReplica(t, paddr)
 	waitLSN(t, rdb.Engine(), pdb.Engine().LSN())
 	deadline := time.Now().Add(15 * time.Second)
 	for {
@@ -392,7 +365,40 @@ func TestReadyz(t *testing.T) {
 	if !strings.Contains(body, "role=replica") || !strings.Contains(body, "epoch=1") {
 		t.Fatalf("replica /readyz body %q, want role=replica at epoch=1", body)
 	}
-	_ = rep
+
+	// A primary fenced by a higher-epoch hello that names no leader,
+	// with no peers of its own, follows nobody and stays unready.
+	fdb, err := authdb.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fdb.Close() })
+	fsrv := startServer(t, fdb, server.Config{MetricsAddr: "127.0.0.1:0"})
+	nc, err := net.Dial("tcp", fsrv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	bw := bufio.NewWriter(nc)
+	if err := wire.WriteMsg(bw, &wire.ReplHello{
+		Proto: wire.ProtoVersion, Token: replToken, Epoch: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var reply wire.ReplHelloReply
+	if err := wire.ReadMsg(bufio.NewReader(nc), &reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Error == nil || reply.Error.Code != wire.CodeStalePrimary {
+		t.Fatalf("higher-epoch hello: %+v, want STALE_PRIMARY", reply.Error)
+	}
+	code, body = get(fsrv)
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, "fenced with no peers to follow") {
+		t.Fatalf("fenced peerless node /readyz = %d %q, want 503 fenced with no peers", code, body)
+	}
 }
 
 // TestSlowFollowerDisconnectsAndCatchesUp pins the backpressure
@@ -426,7 +432,7 @@ func TestSlowFollowerDisconnectsAndCatchesUp(t *testing.T) {
 		defer close(done)
 		hub.HandleConn(pside, bufio.NewReader(pside), wire.ReplHello{
 			Proto: wire.ProtoVersion,
-			From:  db.Engine().DurableLSN(), Name: "slow", Epoch: db.Engine().Epoch(),
+			From:  db.Engine().DurableLSN(), Epoch: db.Engine().Epoch(),
 		})
 	}()
 	var reply wire.ReplHelloReply
@@ -458,7 +464,7 @@ func TestSlowFollowerDisconnectsAndCatchesUp(t *testing.T) {
 	// The primary was never wedged: it kept accepting writes above. Now a
 	// real follower catches up from disk — no stream gap, identical state.
 	srv := startServer(t, db, server.Config{})
-	rdb, _, _ := newReplicaNode(t, srv.Addr().String())
+	rdb, _ := newReplicaNode(t, srv.Addr().String())
 	waitLSN(t, rdb.Engine(), db.Engine().LSN())
 	if !stateEqual(t, db.Engine(), rdb.Engine()) {
 		t.Fatal("follower state differs after slow-follower recovery")

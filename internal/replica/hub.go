@@ -82,7 +82,6 @@ type Hub struct {
 
 // follower is one live replication stream.
 type follower struct {
-	name string
 	conn net.Conn
 	// sent is the highest LSN written to the socket; acked the highest
 	// the follower reported durably applied.
@@ -189,7 +188,7 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 		h.fenced(hello.Epoch, hello.Leader)
 		h.Refuse(nc, &wire.Error{Code: wire.CodeStalePrimary, Leader: hello.Leader,
 			Message: fmt.Sprintf("fenced: follower %s is at epoch %d, this node at %d",
-				hello.Name, hello.Epoch, h.eng.Epoch())})
+				nc.RemoteAddr(), hello.Epoch, h.eng.Epoch())})
 		return
 	}
 
@@ -200,10 +199,7 @@ func (h *Hub) HandleConn(nc net.Conn, br *bufio.Reader, hello wire.ReplHello) {
 			Message: "primary is shutting down", Retryable: true})
 		return
 	}
-	f := &follower{name: hello.Name, conn: nc}
-	if f.name == "" {
-		f.name = nc.RemoteAddr().String()
-	}
+	f := &follower{conn: nc}
 	h.followers[f] = struct{}{}
 	h.wg.Add(1)
 	h.mu.Unlock()

@@ -23,38 +23,32 @@ import (
 	"authdb/internal/wire"
 )
 
-// Config tunes a Replica's connection to its primary.
+// Config names a Replica's primary candidates and its credential.
 type Config struct {
-	// Primary is the primary's wire-protocol address.
-	Primary string
 	// Primaries lists every address that might be (or become) the
 	// primary; the replica rotates through them on failure and jumps to
-	// leader hints carried by STALE_PRIMARY refusals. When empty,
-	// Primary alone is used.
+	// leader hints carried by STALE_PRIMARY refusals.
 	Primaries []string
 	// Token authenticates the stream (the primary's admin token).
 	Token string
-	// Name labels this follower in the primary's metrics.
-	Name string
+	// Dial overrides the dialer (tests inject failing connections).
+	Dial func(ctx context.Context, addr string) (net.Conn, error)
+	Tuning
+}
+
+// Tuning sets a follower's dial timeout, backoff and log; zero is the default.
+type Tuning struct {
 	// DialTimeout bounds one connection attempt (default 5s).
 	DialTimeout time.Duration
 	// BackoffMin and BackoffMax bound the jittered exponential
 	// reconnect backoff (defaults 100ms and 5s).
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// Dial overrides the dialer (tests inject failing connections).
-	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// Logf, when set, receives connection lifecycle messages.
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) fill() {
-	if len(c.Primaries) == 0 && c.Primary != "" {
-		c.Primaries = []string{c.Primary}
-	}
-	if c.Primary == "" && len(c.Primaries) > 0 {
-		c.Primary = c.Primaries[0]
-	}
+func (c *Tuning) fill() {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
 	}
@@ -63,12 +57,6 @@ func (c *Config) fill() {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
-	}
-	if c.Dial == nil {
-		c.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -107,6 +95,11 @@ type Replica struct {
 // following until Stop. The returned Replica is already running.
 func Start(eng *engine.Engine, cfg Config) *Replica {
 	cfg.fill()
+	if cfg.Dial == nil {
+		cfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
+			return new(net.Dialer).DialContext(ctx, "tcp", addr)
+		}
+	}
 	r := &Replica{
 		eng:  eng,
 		cfg:  cfg,
@@ -146,9 +139,6 @@ func (r *Replica) Lag() (lsns uint64, seconds float64) {
 	}
 	return lsns, seconds
 }
-
-// Connected reports whether a stream to the primary is live.
-func (r *Replica) Connected() bool { return r.connected.Load() }
 
 // Bootstrapped reports whether the replica has completed at least one
 // handshake (snapshot installed, or its position accepted for tailing)
@@ -280,7 +270,7 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 	from := r.eng.DurableLSN()
 	conn.SetDeadline(time.Now().Add(r.cfg.DialTimeout))
 	if err := wire.WriteMsg(bw, &wire.ReplHello{
-		Proto: wire.ProtoVersion, Token: r.cfg.Token, From: from, Name: r.cfg.Name,
+		Proto: wire.ProtoVersion, Token: r.cfg.Token, From: from,
 		Epoch: r.eng.Epoch(), Leader: r.Leader(),
 	}); err != nil {
 		return 0, err
@@ -328,15 +318,16 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 			r.cfg.Logf("replica: quarantined divergent statements past lsn %d into %s", reply.Fork, qdir)
 		}
 	}
+	// The snapshot and the epoch history land in one generation: state
+	// under the old history would look diverged at the next handshake.
 	if reply.Snapshot {
-		if err := r.eng.ResetFromSnapshot(snapshot, reply.SnapshotLSN); err != nil {
+		if err := r.eng.ResetFromSnapshot(snapshot, reply.SnapshotLSN, reply.EpochHist); err != nil {
 			return 0, fmt.Errorf("installing snapshot at lsn %d: %w", reply.SnapshotLSN, err)
 		}
 		r.met.Counter("authdb_repl_snapshots_installed_total").Inc()
 		r.cfg.Logf("replica: bootstrapped from snapshot of %d statements at lsn %d (gen %d)",
 			len(snapshot), reply.SnapshotLSN, reply.Gen)
-	}
-	if len(reply.EpochHist) > 0 {
+	} else if len(reply.EpochHist) > 0 {
 		if err := r.eng.AdoptEpochHistory(reply.EpochHist); err != nil {
 			return 0, fmt.Errorf("adopting epoch history: %w", err)
 		}

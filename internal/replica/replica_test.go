@@ -62,34 +62,30 @@ func newPrimary(t *testing.T) (*authdb.DB, *server.Server) {
 	return db, startServer(t, db, server.Config{})
 }
 
-// followCfg is the test replica configuration: fast reconnects so
-// failure tests converge quickly.
-func followCfg(primary string) replica.Config {
-	return replica.Config{
-		Primary:    primary,
-		Token:      replToken,
-		BackoffMin: 10 * time.Millisecond,
-		BackoffMax: 250 * time.Millisecond,
-	}
+// fastFollow is the test follower tuning: fast reconnects so failure
+// tests converge quickly.
+var fastFollow = replica.Tuning{
+	BackoffMin: 10 * time.Millisecond,
+	BackoffMax: 250 * time.Millisecond,
 }
 
-// newReplicaNode boots a durable replica: its own engine following the
-// primary, served read-only.
-func newReplicaNode(t *testing.T, primaryAddr string) (*authdb.DB, *replica.Replica, *server.Server) {
+// followCfg is the configuration of an engine-level test follower.
+func followCfg(primary string) replica.Config {
+	return replica.Config{Primaries: []string{primary}, Token: replToken, Tuning: fastFollow}
+}
+
+// newReplicaNode boots a durable replica node: a server configured as a
+// replica of primaryAddr, which follows it on its own engine and serves
+// read-only.
+func newReplicaNode(t *testing.T, primaryAddr string) (*authdb.DB, *server.Server) {
 	t.Helper()
 	db, err := authdb.OpenDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	rep := replica.Start(db.Engine(), followCfg(primaryAddr))
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		rep.Stop(ctx)
-	})
-	srv := startServer(t, db, server.Config{ReadOnlyPrimary: primaryAddr})
-	return db, rep, srv
+	srv := startServer(t, db, server.Config{Replica: true, Peers: []string{primaryAddr}, Follow: fastFollow})
+	return db, srv
 }
 
 // waitLSN blocks until eng reaches LSN want (or the test deadline).
@@ -144,8 +140,8 @@ func TestPrimaryTwoReplicasByteIdentical(t *testing.T) {
 	}
 	paddr := srv.Addr().String()
 
-	rdb1, _, rsrv1 := newReplicaNode(t, paddr)
-	rdb2, _, rsrv2 := newReplicaNode(t, paddr)
+	rdb1, rsrv1 := newReplicaNode(t, paddr)
+	rdb2, rsrv2 := newReplicaNode(t, paddr)
 	waitLSN(t, rdb1.Engine(), db.Engine().LSN())
 	waitLSN(t, rdb2.Engine(), db.Engine().LSN())
 
@@ -234,7 +230,7 @@ func TestReplicaRefusesWrites(t *testing.T) {
 	db, srv := newPrimary(t)
 	db.Admin().MustExecScript(workload.PaperScript)
 	paddr := srv.Addr().String()
-	rdb, _, rsrv := newReplicaNode(t, paddr)
+	rdb, rsrv := newReplicaNode(t, paddr)
 	waitLSN(t, rdb.Engine(), db.Engine().LSN())
 
 	for _, tc := range []struct {
@@ -437,9 +433,9 @@ func TestBootstrapRacesCheckpoints(t *testing.T) {
 			}
 		}
 	}()
-	rdb1, _, _ := newReplicaNode(t, paddr)
+	rdb1, _ := newReplicaNode(t, paddr)
 	time.Sleep(20 * time.Millisecond)
-	rdb2, _, _ := newReplicaNode(t, paddr)
+	rdb2, _ := newReplicaNode(t, paddr)
 	wg.Wait()
 
 	waitLSN(t, rdb1.Engine(), db.Engine().LSN())
@@ -467,7 +463,7 @@ func TestReplicaReconnectsAfterPrimaryRestart(t *testing.T) {
 	}
 	paddr := srv1.Addr().String()
 
-	rdb, rep, _ := newReplicaNode(t, paddr)
+	rdb, _ := newReplicaNode(t, paddr)
 	waitLSN(t, rdb.Engine(), db.Engine().LSN())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -505,7 +501,6 @@ func TestReplicaReconnectsAfterPrimaryRestart(t *testing.T) {
 	if !strings.Contains(rdb.Metrics().Text(), "authdb_repl_reconnects_total") {
 		t.Error("reconnect not counted in the replica's metrics")
 	}
-	_ = rep
 }
 
 // TestReplicationMetrics spot-checks the replication gauges and
@@ -513,19 +508,18 @@ func TestReplicaReconnectsAfterPrimaryRestart(t *testing.T) {
 func TestReplicationMetrics(t *testing.T) {
 	db, srv := newPrimary(t)
 	db.Admin().MustExecScript(workload.PaperScript)
-	rdb, rep, _ := newReplicaNode(t, srv.Addr().String())
+	rdb, _ := newReplicaNode(t, srv.Addr().String())
 	waitLSN(t, rdb.Engine(), db.Engine().LSN())
 
 	// The applier counts a batch only after it is durable, which can be
 	// after the lag reads zero: wait for the count as well.
-	applied := func() bool {
-		return rdb.Metrics().Counter("authdb_repl_batches_applied_total").Value() >= 1
+	caughtUp := func() bool {
+		txt := rdb.Metrics().Text()
+		return strings.Contains(txt, "authdb_repl_connected 1") && strings.Contains(txt, "authdb_repl_lag_lsns 0") &&
+			rdb.Metrics().Counter("authdb_repl_batches_applied_total").Value() >= 1
 	}
 	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if lsns, _ := rep.Lag(); lsns == 0 && rep.Connected() && applied() {
-			break
-		}
+	for !caughtUp() {
 		if time.Now().After(deadline) {
 			t.Fatal("replica never reported connected with zero lag and a batch applied")
 		}
@@ -568,7 +562,7 @@ func TestMalformedAckEndsStream(t *testing.T) {
 		}
 		defer nc.Close()
 		if err := wire.WriteMsg(nc, &wire.ReplHello{Proto: wire.ProtoVersion, Token: replToken,
-			From: db.Engine().DurableLSN(), Name: "garbage", Epoch: db.Engine().Epoch()}); err != nil {
+			From: db.Engine().DurableLSN(), Epoch: db.Engine().Epoch()}); err != nil {
 			t.Fatal(err)
 		}
 		var reply wire.ReplHelloReply
@@ -755,12 +749,12 @@ func TestKindsSameOnEveryNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	reset := engine.New(core.DefaultOptions())
-	if err := reset.ResetFromSnapshot(stmts, lsn); err != nil {
+	if err := reset.ResetFromSnapshot(stmts, lsn, nil); err != nil {
 		t.Fatal(err)
 	}
 	nodes["ReplSnapshot → ResetFromSnapshot"] = reset
 
-	rdb, _, _ := newReplicaNode(t, srv.Addr().String())
+	rdb, _ := newReplicaNode(t, srv.Addr().String())
 	waitLSN(t, rdb.Engine(), pe.LSN())
 	if n := db.Metrics().Counter("authdb_repl_snapshots_sent_total").Value(); n != 1 {
 		t.Fatalf("the hub sent %d snapshots, want 1", n)

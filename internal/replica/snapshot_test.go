@@ -361,3 +361,47 @@ func TestTailRefusesSnapshotBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotBootstrapWritesOneGeneration bootstraps a durable follower
+// by snapshot from a primary at epoch 2: the state and the epoch history
+// land in one checkpoint, so the follower's generation advances by
+// exactly one. Two checkpoints would leave a window in which a crash
+// keeps epoch-2 statements under the epoch-1 history.
+func TestSnapshotBootstrapWritesOneGeneration(t *testing.T) {
+	pdb, err := authdb.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pdb.Close() })
+	pdb.Admin().MustExecScript("relation FEED (K, V) key (K);\ninsert into FEED values (before, v);\n")
+	if _, err := pdb.Engine().BumpEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	pdb.Admin().MustExec("insert into FEED values (after, v)")
+	srv := startServer(t, pdb, server.Config{})
+
+	fdb, err := authdb.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fdb.Close() })
+	fe := fdb.Engine()
+	gen := fe.Generation()
+	rep := startFollower(t, fe, followCfg(srv.Addr().String()))
+	deadline := time.Now().Add(15 * time.Second)
+	for !rep.Bootstrapped() {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never bootstrapped")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := fdb.Metrics().Counter("authdb_repl_snapshots_installed_total").Value(); n != 1 {
+		t.Fatalf("the follower installed %v snapshots, want 1", n)
+	}
+	if fe.Epoch() != 2 || fe.LSN() != pdb.Engine().LSN() {
+		t.Fatalf("follower at epoch %d, lsn %d; want epoch 2, lsn %d", fe.Epoch(), fe.LSN(), pdb.Engine().LSN())
+	}
+	if got := fe.Generation(); got != gen+1 {
+		t.Errorf("bootstrap moved the follower from generation %d to %d, want %d", gen, got, gen+1)
+	}
+}

@@ -64,7 +64,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case rep == nil:
-		http.Error(w, fmt.Sprintf("no follower loop attached role=replica epoch=%d", epoch),
+		http.Error(w, fmt.Sprintf("fenced with no peers to follow role=replica epoch=%d", epoch),
 			http.StatusServiceUnavailable)
 	case !rep.Bootstrapped():
 		http.Error(w, fmt.Sprintf("bootstrapping role=replica epoch=%d", epoch),

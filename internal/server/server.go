@@ -87,19 +87,23 @@ type Config struct {
 	// connections are accepted as-is; only deploy that on a trusted
 	// network.
 	AdminToken string
-	// ReadOnlyPrimary, when non-empty, marks this server a replica:
-	// every session is read-only and mutating statements fail with the
-	// READ_ONLY code naming this primary address.
-	ReadOnlyPrimary string
+	// Replica starts the node read-only, following Peers: every session
+	// is read-only and mutating statements fail with the READ_ONLY code
+	// naming the leader (Peers[0] until the first handshake). Start
+	// refuses a replica with no peers.
+	Replica bool
 	// AdvertiseAddr is the wire address this node hands out in leader
 	// hints (READ_ONLY/STALE_PRIMARY errors, replication fences); empty
 	// means the actual listen address. Set it when clients reach the
 	// node through a proxy or a different interface.
 	AdvertiseAddr string
-	// Peers lists the other nodes' wire addresses; a fenced ex-primary
-	// uses them (leader hint first) to rejoin the cluster as a follower
-	// automatically.
+	// Peers lists the other nodes' wire addresses. A replica follows
+	// them, and a fenced ex-primary rejoins through them (the announced
+	// leader first). Either way the follower presents AdminToken, so a
+	// cluster shares one admin token.
 	Peers []string
+	// Follow tunes the follower at boot and at every rejoin (zero: defaults).
+	Follow replica.Tuning
 	// ReadyMaxLagLSNs is the /readyz threshold: a replica lagging more
 	// LSNs than this answers 503. <= 0 means 1024.
 	ReadyMaxLagLSNs int
@@ -183,12 +187,11 @@ func New(db *authdb.DB, cfg Config) *Server {
 	s.hub = replica.NewHub(db.Engine())
 	s.hub.SetUnsafeNoFencing(cfg.UnsafeNoFencing)
 	s.hub.SetOnFence(s.demote)
-	if cfg.ReadOnlyPrimary != "" {
+	if cfg.Replica {
 		// Born a replica: the engine-wide role fence makes every session
 		// read-only, including ones opened before a later promotion flips
 		// the role back.
 		s.isReplica = true
-		s.leaderAddr = cfg.ReadOnlyPrimary
 		db.Engine().SetRoleReadOnly(true)
 	}
 	met.GaugeFunc("authdb_role", func() float64 { return roleBit(s.Role() == "primary") }, "role", "primary")
@@ -214,15 +217,9 @@ func (s *Server) Role() string {
 	return "primary"
 }
 
-// Leader returns the node's best knowledge of the current leader's
+// leaderLocked is the node's best knowledge of the current leader's
 // address: its own advertise address when primary, the followed (or
 // fence-announced) leader when a replica, "" when unknown.
-func (s *Server) Leader() string {
-	s.roleMu.Lock()
-	defer s.roleMu.Unlock()
-	return s.leaderLocked()
-}
-
 func (s *Server) leaderLocked() string {
 	if !s.isReplica {
 		return s.advertise()
@@ -244,15 +241,6 @@ func (s *Server) advertise() string {
 		return s.ln.Addr().String()
 	}
 	return s.cfg.Addr
-}
-
-// AttachReplica hands the server the follower loop that feeds its
-// engine, so /readyz can report bootstrap and lag, leader hints can
-// name the live primary, and Promote/Shutdown can stop it.
-func (s *Server) AttachReplica(rep *replica.Replica) {
-	s.roleMu.Lock()
-	s.rep = rep
-	s.roleMu.Unlock()
 }
 
 // Promote turns a replica into the serving primary: stop the follower
@@ -312,32 +300,62 @@ func (s *Server) demote(epoch uint64, leader string) {
 	// Rejoin as a follower over the known peers, the announced leader
 	// first. Without peers (or a leader) the node stays a fenced,
 	// read-only island until an operator intervenes.
-	addrs := s.cfg.Peers
+	var addrs []string
 	if leader != "" {
-		addrs = append([]string{leader}, addrs...)
+		addrs = append(addrs, leader)
 	}
-	if len(addrs) == 0 {
-		return
+	if addrs = append(addrs, s.cfg.Peers...); len(addrs) > 0 {
+		s.follow(addrs)
 	}
+}
+
+// follow starts the node's follower over addrs, presenting the node's
+// own admin token. Callers hold roleMu. A born replica and a fenced
+// ex-primary both follow through here.
+func (s *Server) follow(addrs []string) {
 	s.rep = replica.Start(s.db.Engine(), replica.Config{
 		Primaries: addrs,
 		Token:     s.cfg.AdminToken,
-		Name:      s.advertise(),
+		Tuning:    s.cfg.Follow,
 	})
+}
+
+// stopFollower stops the node's follower, if it has one.
+func (s *Server) stopFollower(ctx context.Context) {
+	s.roleMu.Lock()
+	rep := s.rep
+	s.rep = nil
+	s.roleMu.Unlock()
+	if rep != nil {
+		rep.Stop(ctx)
+	}
 }
 
 // Start listens on the configured addresses and begins serving in
 // background goroutines; it returns once both listeners are bound, so
-// Addr reports the actual port even for ":0".
+// Addr reports the actual port even for ":0". A replica starts
+// following its peers here.
 func (s *Server) Start() error {
+	if s.cfg.Replica && len(s.cfg.Peers) == 0 {
+		return errors.New("server: a replica needs peers to follow")
+	}
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
 	}
 	s.ln = ln
+	// Follow before /readyz is up, so a born replica never reports itself
+	// fenced; the first peer is the leader hint until the first handshake.
+	if s.cfg.Replica {
+		s.roleMu.Lock()
+		s.leaderAddr = s.cfg.Peers[0]
+		s.follow(s.cfg.Peers)
+		s.roleMu.Unlock()
+	}
 	if s.cfg.MetricsAddr != "" {
 		if err := s.startMetrics(); err != nil {
 			ln.Close()
+			s.stopFollower(context.Background())
 			return err
 		}
 	}
@@ -434,13 +452,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Stop the follower loop (if this node is a replica) so its applier
 	// finishes cleanly before the engine quiesces.
-	s.roleMu.Lock()
-	rep := s.rep
-	s.rep = nil
-	s.roleMu.Unlock()
-	if rep != nil {
-		rep.Stop(ctx)
-	}
+	s.stopFollower(ctx)
 	// Drain follower streams first: each stops at its current batch and
 	// gets a bounded window to ack what was already sent, so a restart
 	// of the fleet resumes with no re-sent work. Must run before

@@ -8,6 +8,7 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"authdb"
+	"authdb/internal/replica"
 	"authdb/internal/server"
 	"authdb/internal/wire"
 	"authdb/internal/workload"
@@ -353,13 +355,14 @@ func TestHandshakeRejections(t *testing.T) {
 	s := startServer(t, db, server.Config{AdminToken: "s3cret"})
 	addr := s.Addr().String()
 
-	// Wrong protocol version, spoken raw: an unknown one, version 6,
-	// whose handshakes and requests were JSON (a binary hello claiming
-	// it), version 5, whose replication batches were JSON, version 4,
-	// whose snapshots rode inside the handshake reply, version 3, whose
+	// Wrong protocol version, spoken raw: an unknown one, version 7,
+	// whose REPL_HELLO carried a follower name, version 6, whose
+	// handshakes and requests were JSON (a binary hello claiming it),
+	// version 5, whose replication batches were JSON, version 4, whose
+	// snapshots rode inside the handshake reply, version 3, whose
 	// snapshots carried CSV, version 2, whose replies were JSON, and
 	// version 1, whose replies carried rendered text.
-	for _, proto := range []int{99, 6, 5, 4, 3, 2, 1} {
+	for _, proto := range []int{99, 7, 6, 5, 4, 3, 2, 1} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -377,12 +380,12 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	}
 
-	// A replica announcing version 6, which would send JSON acks,
-	// version 5, which would read JSON batches, version 4, which would
-	// expect its snapshot inside the reply, version 3, which would
-	// expect a CSV snapshot, or version 2, is refused at its handshake
-	// too.
-	for _, proto := range []int{6, 5, 4, 3, 2} {
+	// A replica announcing version 7, whose hello carried a name,
+	// version 6, which would send JSON acks, version 5, which would read
+	// JSON batches, version 4, which would expect its snapshot inside the
+	// reply, version 3, which would expect a CSV snapshot, or version 2,
+	// is refused at its handshake too.
+	for _, proto := range []int{7, 6, 5, 4, 3, 2} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -400,10 +403,23 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	}
 
+	// What a protocol-7 replica really sends: a REPL_HELLO with its name
+	// after From. The server refuses it with PROTOCOL when it decodes in
+	// version 8's layout (an empty name) and closes it unanswered when it
+	// does not; either way no stream opens.
+	str := func(p []byte, s string) []byte { return append(binary.AppendUvarint(p, uint64(len(s))), s...) }
+	v7ReplHello := func(name string) string {
+		p := binary.AppendVarint([]byte{byte(wire.KindReplHello)}, 7)
+		p = binary.AppendUvarint(str(p, "s3cret"), 0) // Token, From
+		p = binary.AppendUvarint(str(p, name), 1)     // Name, Epoch
+		return string(str(p, ""))                     // Leader
+	}
 	// What a protocol-6 peer really sends: a JSON hello or repl_hello.
 	// Neither opens with a tag, so the server closes the connection
 	// without a reply, as it does on a REPL_HELLO cut short.
 	for _, first := range []string{
+		v7ReplHello(""),
+		v7ReplHello("r1"),
 		`{"proto":6,"user":"u"}`,
 		`{"kind":"repl_hello","proto":6,"token":"s3cret","from":0,"epoch":1}`,
 		string([]byte{byte(wire.KindReplHello), 14}),
@@ -425,7 +441,7 @@ func TestHandshakeRejections(t *testing.T) {
 			}
 		}
 		if err != io.EOF || replies > 1 {
-			t.Errorf("protocol-6 %s: %d replies, then %v; want at most one, then the connection closed", first, replies, err)
+			t.Errorf("first frame %q: %d replies, then %v; want at most one, then the connection closed", first, replies, err)
 		}
 	}
 
@@ -636,5 +652,55 @@ func TestGracefulShutdownDurability(t *testing.T) {
 	}
 	if got := len(res.Table.Rows); got != acked {
 		t.Errorf("recovered %d acknowledged rows, want %d", got, acked)
+	}
+}
+
+// TestReplicaConfigFollowsPeers: a server configured as a replica
+// follows its peers from Start alone. It bootstraps the primary's
+// state, refuses writes with READ_ONLY naming the peer it follows, and
+// reports ready. A replica with no peers is refused at Start.
+func TestReplicaConfigFollowsPeers(t *testing.T) {
+	pdb := paperDB(t)
+	paddr := startServer(t, pdb, server.Config{AdminToken: "s3cret"}).Addr().String()
+
+	if err := server.New(authdb.Open(), server.Config{Replica: true}).Start(); err == nil {
+		t.Fatal("a replica with no peers started")
+	}
+
+	rdb := authdb.Open()
+	rsrv := startServer(t, rdb, server.Config{
+		Replica: true, Peers: []string{paddr}, AdminToken: "s3cret", MetricsAddr: "127.0.0.1:0",
+		Follow: replica.Tuning{BackoffMin: 10 * time.Millisecond, BackoffMax: 100 * time.Millisecond},
+	})
+	raddr := rsrv.Addr().String()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		resp, err := http.Get("http://" + rsrv.MetricsAddr().String() + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			if !strings.Contains(string(body), "role=replica") {
+				t.Fatalf("/readyz body %q, want role=replica", body)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica /readyz never ready: %d %q", resp.StatusCode, body)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	want := exec(t, dial(t, paddr, client.WithUser("Brown")), workload.Example1Query).Rendered
+	if got := exec(t, dial(t, raddr, client.WithUser("Brown")), workload.Example1Query).Rendered; got != want {
+		t.Errorf("replica answers Brown\n%s\nprimary\n%s", got, want)
+	}
+	_, err := dial(t, raddr, client.WithAdmin("root", "s3cret")).
+		Exec(context.Background(), "insert into EMPLOYEE values (Nobody, 1, 1)")
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeReadOnly || se.Leader != paddr {
+		t.Fatalf("write on the replica: %v, want %s naming %s", err, wire.CodeReadOnly, paddr)
 	}
 }

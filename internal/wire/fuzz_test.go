@@ -33,7 +33,7 @@ func seedFrames(tb testing.TB) [][]byte {
 		frame(&Request{ID: 9, Stmt: "retrieve (EMPLOYEE.NAME) where EMPLOYEE.NAME = \"a\xffb\"", TimeoutMS: 100}),
 		frame(&Response{ID: 9, Table: &Table{Columns: []string{"NAME"}, Rows: [][]string{{"Brown"}, {"-"}}},
 			Permits: []string{"permit (NAME)"}, Error: &Error{Code: CodeExec, Message: "nope"}}),
-		frame(&ReplHello{Proto: ProtoVersion, Token: "t", From: 41, Name: "r1",
+		frame(&ReplHello{Proto: ProtoVersion, Token: "t", From: 41,
 			Epoch: 3, Leader: "127.0.0.1:4100"}),
 		frame(&ReplHelloReply{Snapshot: true, SnapshotStmts: 2, SnapshotLSN: 41, Gen: 3}),
 		frame(&ReplHelloReply{Snapshot: true, Epoch: 4,
@@ -182,7 +182,7 @@ func fuzzMsgs(a, b, c string, x, y int64, flags uint16) []Msg {
 		&Hello{Proto: int(x), User: a, Admin: bit(2), Token: b},
 		&HelloReply{Server: c, Error: e},
 		&Request{ID: uint64(x), Stmt: a, TimeoutMS: y},
-		&ReplHello{Proto: int(y), Token: a, From: uint64(x), Name: b, Epoch: uint64(y), Leader: c},
+		&ReplHello{Proto: int(y), Token: a, From: uint64(x), Epoch: uint64(y), Leader: c},
 		&ReplHelloReply{Snapshot: bit(3), SnapshotStmts: uint64(x), SnapshotLSN: uint64(y), Gen: uint64(x ^ y),
 			Error: e, Epoch: uint64(y), EpochHist: hist, Diverged: bit(4), Fork: uint64(x)},
 		&ReplAck{Applied: uint64(y)},

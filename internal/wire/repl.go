@@ -25,8 +25,6 @@ type ReplHello struct {
 	// From is the replica's last durably applied LSN; the stream resumes
 	// at From+1.
 	From uint64
-	// Name labels the follower in the primary's metrics and \stats.
-	Name string
 	// Epoch is the highest fencing epoch the follower has adopted. A
 	// primary whose own epoch is lower has been superseded: it must
 	// demote itself instead of serving the stream. Every engine starts
@@ -39,7 +37,7 @@ type ReplHello struct {
 }
 
 func (m *ReplHello) walk(w *walker) {
-	w.fields(KindReplHello, &m.Proto, &m.Token, &m.From, &m.Name, &m.Epoch, &m.Leader)
+	w.fields(KindReplHello, &m.Proto, &m.Token, &m.From, &m.Epoch, &m.Leader)
 }
 
 // ReplHelloReply accepts a replication stream, or refuses it with

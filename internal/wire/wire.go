@@ -35,14 +35,9 @@ import (
 )
 
 // ProtoVersion identifies the protocol; the handshake rejects mismatches
-// so both sides fail loudly instead of mis-parsing frames. Replies are
-// binary frames carrying the structured result only; the receiver
-// renders it (Response.Render). Version 7 writes every message as a
-// binary frame; version 6 wrote all but the Response and the ReplBatch
-// as JSON, and version 5 the ReplBatch too, replacing invalid UTF-8 in
-// a statement with U+FFFD. Version 4 sent a replication snapshot as
-// files inside the handshake reply.
-const ProtoVersion = 7
+// so both sides fail loudly instead of mis-parsing frames. DESIGN.md §11
+// says what each earlier version did differently.
+const ProtoVersion = 8
 
 // MaxFrame bounds one frame's payload (requests and responses): larger
 // length words are treated as a protocol error rather than allocated.
