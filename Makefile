@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race chaos loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply
+.PHONY: check build fmt vet staticcheck test race chaos loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply bench-acl
 
 check: build fmt vet staticcheck race
 
@@ -121,3 +121,11 @@ benchgo:
 # (BenchmarkClientWide), to check the steps' sum against it.
 bench-reply:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ServeWide|ReplyCodec|RenderTable|ClientWide' -benchmem .
+
+# acl_cold's statements on one processor, as the benchmark runs them:
+# each of the three cold, round-robin over the principals with every
+# cache off (BenchmarkColdACL), and an org_list first visit made after
+# another member of the same organization, which the closure serves from
+# that member's entry (BenchmarkSharedFirstVisitACL).
+bench-acl:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ColdACL|SharedFirstVisitACL' -benchmem .

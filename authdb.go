@@ -83,9 +83,10 @@ type Options struct {
 	// (they are checked against the pre-projection answer) instead of
 	// being lost at projection time.
 	ExtendedMasks bool
-	// MaskClosure keeps per-(user, query) mask plans and delivered
-	// relations resident, validated against the definition generations
-	// and the scanned relation revisions, and refreshed incrementally
+	// MaskClosure keeps mask plans and delivered relations resident per
+	// (participating views, query), so principals holding the same views
+	// share them, validated against the view generation and the scanned
+	// relation revisions, and refreshed incrementally
 	// under insert-only churn. Answers are byte-identical either way;
 	// steady-state retrieves skip both pipelines entirely, and off, both
 	// pipelines run on every retrieve.

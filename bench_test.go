@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -117,7 +118,6 @@ const parentGroupJoinWork = 20_174
 func TestColdACLGroupJoinWorkBound(t *testing.T) {
 	auth, acl := coldACL(t)
 	g := guard.New(context.Background(), guard.Unlimited())
-	defer g.Close()
 	auth.Guard = g
 	const u = 7
 	d, err := auth.Retrieve(fixture.Principal(u), workload.MustQuery(acl.Query(u, fixture.QGroupJoin)))
@@ -170,10 +170,12 @@ const parentClosureHeap int64 = 16_562_896
 
 // TestClosureResidentHeap bounds what a full closure keeps resident: 85
 // principals of the benchmark's ACL database, three statements each,
-// fill 255 entries of a default closure. The indexes the statements use
-// are built by a first pass without a closure, so the GC'd heap growth
-// of the second pass is the entries alone; it must stay at most 0.65×
-// the parent's.
+// fill a default closure with one entry per distinct key: 190, since
+// members of one organization share their org_list entry, and their
+// point entry when they probe the same resource. The indexes the
+// statements use are built by a first pass without a closure, so the
+// GC'd heap growth of the second pass is the entries alone; it must stay
+// at most 0.65× the parent's, whose 255 entries were one per statement.
 func TestClosureResidentHeap(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("parentClosureHeap was measured on amd64, not %s", runtime.GOARCH)
@@ -181,9 +183,15 @@ func TestClosureResidentHeap(t *testing.T) {
 	auth, acl := coldACL(t)
 	const users = 85
 	var defs []*cview.Def
+	// A statement's views that take part are its principal's
+	// organization view and, for group_join, group views; group_join's
+	// text names the principal, so the text and the organization tell
+	// the keys apart.
+	keys := map[string]bool{}
 	for u := 0; u < users; u++ {
 		for q := range fixture.ACLQueryNames {
 			defs = append(defs, workload.MustQuery(acl.Query(u, q)))
+			keys[fmt.Sprint(acl.Query(u, q), "|", acl.UserOrg[u])] = true
 		}
 	}
 	pass := func() {
@@ -201,14 +209,94 @@ func TestClosureResidentHeap(t *testing.T) {
 	pass()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if n := auth.Closure.Stats().Entries; n != len(defs) {
-		t.Fatalf("closure holds %d entries, want %d", n, len(defs))
+	if n := auth.Closure.Stats().Entries; n != len(keys) || n != 190 {
+		t.Fatalf("closure holds %d entries, want %d distinct keys (190 at seed 1)", n, len(keys))
 	}
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("closure heap: %.2f MB for %d entries (parent %.2f MB)", float64(growth)/1e6, len(defs), float64(parentClosureHeap)/1e6)
+	t.Logf("closure heap: %.2f MB for %d entries (parent %.2f MB)", float64(growth)/1e6, len(keys), float64(parentClosureHeap)/1e6)
 	if limit := parentClosureHeap * 65 / 100; growth > limit {
 		t.Errorf("closure heap %d B, want at most %d B (0.65× the parent's %d B, measured with go1.24.0; this is %s)",
 			growth, limit, parentClosureHeap, runtime.Version())
+	}
+}
+
+// aclFirstVisits draws principals of acl by Zipf (s = 1.1, as acl_cold
+// draws them) until n distinct ones are drawn, in first-draw order.
+func aclFirstVisits(acl *fixture.ACL, seed int64, n int) []int {
+	draw := rand.NewZipf(rand.New(rand.NewSource(seed)), 1.1, 1, uint64(acl.Cfg.Users-1))
+	seen := map[int]bool{}
+	var out []int
+	for len(out) < n {
+		if u := int(draw.Uint64()); !seen[u] {
+			seen[u] = true
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// TestSharedFirstVisitsACL runs 600 first visits — 200 Zipf-drawn
+// principals of the benchmark's ACL database, three statements each —
+// with the closure on, where members of one organization share their
+// org_list entry, and again with it off: the replies must be identical,
+// reply for reply.
+func TestSharedFirstVisitsACL(t *testing.T) {
+	acl := fixture.GenACL(1, fixture.DefaultACL())
+	db := authdb.Open()
+	db.Admin().MustExecScript(acl.Script)
+	visits := aclFirstVisits(acl, 7, 200)
+	pass := func() []string {
+		var out []string
+		for _, u := range visits {
+			s := db.Session(fixture.Principal(u))
+			for q := range fixture.ACLQueryNames {
+				r, err := s.Exec(acl.Query(u, q))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, r.Render())
+			}
+		}
+		return out
+	}
+	on := pass()
+	st := db.Engine().MaskClosureStats()
+	t.Logf("closure over %d first visits: %+v", len(on), st)
+	if st.Hits == 0 {
+		t.Fatalf("no first visit was served a shared entry: %+v", st)
+	}
+	db.Engine().SetMaskClosureEnabled(false)
+	off := pass()
+	for i := range on {
+		if on[i] != off[i] {
+			u, q := visits[i/len(fixture.ACLQueryNames)], i%len(fixture.ACLQueryNames)
+			t.Fatalf("%s of %s: closure on and off differ:\n%s\nvs\n%s", fixture.ACLQueryNames[q], fixture.Principal(u), on[i], off[i])
+		}
+	}
+}
+
+// BenchmarkSharedFirstVisitACL measures an org_list first visit made
+// after another member of the same organization made one: principals
+// 0..19 visit first, one per organization, and each iteration is the
+// visit of the next principal after them, which the closure serves from
+// its organization's entry.
+func BenchmarkSharedFirstVisitACL(b *testing.B) {
+	acl := fixture.GenACL(1, fixture.DefaultACL())
+	db := authdb.Open()
+	db.Admin().MustExecScript(acl.Script)
+	visit := func(u int) {
+		if _, err := db.Session(fixture.Principal(u)).Exec(acl.Query(u, fixture.QOrgList)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	orgs, users := acl.Cfg.Orgs, acl.Cfg.Users
+	for u := 0; u < orgs; u++ {
+		visit(u)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		visit(orgs + i%(users-orgs))
 	}
 }
 
@@ -342,7 +430,8 @@ func TestOpenDirReplayMatchesLoad(t *testing.T) {
 // BenchmarkOpenDirReplay measures recovery, which rides the statement
 // path: opening a durable directory whose WAL holds the whole ACL load
 // (seed 1) and no checkpoint replays every record through an
-// administrator session, then takes the opening checkpoint.
+// administrator session, then takes the opening checkpoint, which a
+// replayed record calls for.
 func BenchmarkOpenDirReplay(b *testing.B) {
 	src := b.TempDir()
 	journalACL(b, src, fixture.GenACL(1, fixture.DefaultACL()).Script, authdb.DefaultOptions())
@@ -387,7 +476,7 @@ func BenchmarkVsSystemR(b *testing.B) {
 	f := workload.Paper()
 	sr := sysr.New(f.Schema, f.Source, "dba")
 	for _, name := range f.Store.ViewNames() {
-		if err := sr.DefineView("dba", f.Store.View(name).Def); err != nil {
+		if err := sr.DefineView("dba", f.Store.Branches(name)[0].Def); err != nil {
 			b.Fatal(err)
 		}
 	}

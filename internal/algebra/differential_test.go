@@ -185,7 +185,6 @@ func (f family) String() string {
 // evalWays runs the plan with the given limits through one family.
 func evalWays(c diffCase, f family, limits guard.Limits) (*relation.Relation, error) {
 	g := guard.New(context.Background(), limits)
-	defer g.Close()
 	src := MapSource(c.rels)
 	switch f {
 	case famNaive:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"authdb/internal/algebra"
 	"authdb/internal/cview"
@@ -43,9 +44,9 @@ type Decision struct {
 // MaskPlan is the meta-side half of a Decision: everything the
 // authorization process derives from the user's definitions (permitted
 // views and their meta-tuples) and the query alone — never from the
-// relation instances. It is therefore cacheable per (user, query) and
-// shareable across concurrent read sessions: Apply and Permits treat the
-// mask as read-only.
+// relation instances. It is therefore cacheable per (participating
+// views, query) and shareable across principals and concurrent read
+// sessions: Apply and Permits treat the mask as read-only.
 type MaskPlan struct {
 	// Mask is the compiled meta-answer A'.
 	Mask *Mask
@@ -96,9 +97,9 @@ type Authorizer struct {
 	// still sets it; it goes with ROADMAP item 2 (j).
 	Cache *MaskCache
 	// Closure, when non-nil, serves whole retrieves from materialized
-	// resident state (the delivered relation and its statistics) validated
-	// against both the definition generations and the pinned relation
-	// revisions, and otherwise hands back a plan the definitions still
+	// resident state (the delivered relation and its statistics) keyed on
+	// the participating views and validated against both the view
+	// generation and the pinned relation revisions, and otherwise hands back a plan the definitions still
 	// stamp; see Closure. Only RetrievePlan consults it.
 	Closure *Closure
 }
@@ -120,7 +121,7 @@ func (a *Authorizer) Retrieve(user string, def *cview.Def) (*Decision, error) {
 // RetrievePlan runs the dual pipelines for an already-compiled plan,
 // with one closure lookup first: a hit is the whole answer; otherwise
 // the meta side is the entry's plan when the closure hands one back
-// (stamped with the store's current definition generations), recomputed
+// (stamped with the store's current view generation), recomputed
 // by MaskPlanFor otherwise, and the actual side is then evaluated and
 // masked by it.
 func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, error) {
@@ -491,7 +492,7 @@ func (a *Authorizer) plannedProduct(inst *Instance, psj *algebra.PSJ, sels []sel
 	// supply, and reports whether a scan still to come can supply them all.
 	deferred := func(acc, need []CompRef, has *MetaTuple) ([]CompRef, bool) {
 		for _, c := range need {
-			if has != nil && has.hasComp(c) || hasRef(acc, c) {
+			if has != nil && has.hasComp(c) || slices.Contains(acc, c) {
 				continue
 			}
 			if toCome[refRel[c]] == 0 {

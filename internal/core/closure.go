@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"slices"
 	"strconv"
 	"strings"
@@ -10,8 +11,9 @@ import (
 	"authdb/internal/relation"
 )
 
-// Closure is the engine's one retrieve cache. Per (user, query,
-// options) it keeps the compiled meta-side plan and the plan's
+// Closure is the engine's one retrieve cache. Per (participating views,
+// query, options), shared by every principal holding those views
+// (cacheKey), it keeps the compiled meta-side plan and the plan's
 // materialized result — the masked relation actually delivered and its
 // statistics — so a steady-state retrieve pays one map lookup and a
 // handful of pointer comparisons instead of re-running either pipeline.
@@ -20,16 +22,15 @@ import (
 //
 // Validity is two-sided, mirroring the two things an entry depends on:
 //
-//   - Definitions: each entry is stamped with the store's view and
-//     per-user permission generations. Permit, revoke, define view, and
-//     drop view move a generation, and a mismatched entry is discarded
-//     (a definition invalidation) — the mask itself is stale, so nothing
-//     survives.
+//   - Definitions: a permit or revoke moves the principal to another
+//     key. Define view and drop view move the view generation each
+//     entry is stamped with, and a mismatched entry is discarded (a
+//     definition invalidation) — the mask itself is stale.
 //   - Data: each entry is stamped with the pointer identity of every
 //     scanned relation revision (MVCC revisions are immutable, so
 //     pointer equality is revision equality). Data changes leave the
-//     generations — and therefore the plan — untouched; only the
-//     materialized rows go stale.
+//     key and the generation — and therefore the plan — untouched; only
+//     the materialized rows go stale.
 //
 // On a data-side mismatch the entry can often be repaired instead of
 // rebuilt: for a single-scan plan whose mask is not grouped and whose
@@ -55,8 +56,8 @@ import (
 // several tuples' reveals.
 //
 // The closure is engine-global while stores and revisions are
-// per-version: generation stamps stay coherent because the counters are
-// monotone along the store's clone lineage, and revision stamps are
+// per-version: view generation stamps stay coherent because the counter
+// is monotone along the store's clone lineage, and revision stamps are
 // exact by pointer identity. A reader pinned to an older version never
 // matches a newer entry's stamps (and vice versa) — concurrent readers
 // at different versions may displace each other's entries, which costs
@@ -72,7 +73,7 @@ type Closure struct {
 	misses        uint64 // lookups that fell through to computation
 	planHits      uint64 // misses that handed back the entry's plan
 	refreshes     uint64 // hits that first replayed an appended window
-	invalidDef    uint64 // entries dropped because a definition generation moved
+	invalidDef    uint64 // entries dropped because the view generation moved
 	invalidData   uint64 // lookups that missed because revisions moved irreparably
 	invalidDelete uint64 // entries released eagerly by InvalidateRelation
 }
@@ -85,7 +86,6 @@ type Closure struct {
 // read and written under Closure.mu.
 type closureEntry struct {
 	viewGen uint64
-	permGen uint64
 	// plan is the compiled meta side; psjExec the actual-side plan that
 	// was executed (pushdown-fused when fused is set), whose scans are
 	// InvalidateRelation's match set.
@@ -137,9 +137,9 @@ type ClosureStats struct {
 	// Refreshes counts the subset of hits that first replayed an
 	// appended window through the retained plan.
 	Refreshes uint64
-	// InvalidDef counts entries dropped because a view or permission
-	// generation moved; InvalidData counts lookups whose revisions had
-	// moved beyond repair (also counted in Misses); InvalidDelete counts
+	// InvalidDef counts entries dropped because the view generation
+	// moved; InvalidData counts lookups whose revisions had moved
+	// beyond repair (also counted in Misses); InvalidDelete counts
 	// entries whose rows were released eagerly because a scanned
 	// relation was deleted from (InvalidateRelation).
 	InvalidDef, InvalidData, InvalidDelete uint64
@@ -174,19 +174,6 @@ func (c *Closure) Stats() ClosureStats {
 	return s
 }
 
-// sameRevs reports pointer-wise revision equality.
-func sameRevs(a, b []*relation.Relation) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // decisionFor assembles a Decision from resident state; callers hold
 // c.mu. Each hit gets a fresh Decision struct; the relation and the
 // plan are shared, read-only.
@@ -218,7 +205,7 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 		return nil, nil, nil
 	}
 	st := a.Store
-	key := cacheKey(user, psj, a.Opt)
+	key := cacheKey(st, user, psj, a.Opt)
 
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -227,7 +214,7 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 		c.mu.Unlock()
 		return nil, nil, nil
 	}
-	if e.viewGen != st.ViewGen() || e.permGen != st.PermGen(user) {
+	if e.viewGen != st.ViewGen() {
 		// The mask itself is stale: drop everything.
 		c.removeLocked(key)
 		c.invalidDef++
@@ -235,7 +222,7 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 		c.mu.Unlock()
 		return nil, nil, nil
 	}
-	if sameRevs(e.revs, revs) {
+	if slices.Equal(e.revs, revs) {
 		c.hits++
 		d := decisionFor(e, psj)
 		c.mu.Unlock()
@@ -273,11 +260,11 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e2, ok := c.entries[key]
-	if !ok || e2 != e || e.viewGen != st.ViewGen() || e.permGen != st.PermGen(user) {
+	if !ok || e2 != e || e.viewGen != st.ViewGen() {
 		c.misses++
 		return nil, nil, nil
 	}
-	if sameRevs(e.revs, revs) {
+	if slices.Equal(e.revs, revs) {
 		// A concurrent refresh reached our target revision first.
 		c.hits++
 		return decisionFor(e, psj), nil, nil
@@ -329,7 +316,6 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 	}
 	e := &closureEntry{
 		viewGen: st.ViewGen(),
-		permGen: st.PermGen(user),
 		plan:    d.MaskPlan,
 		psjExec: psjExec,
 		fused:   d.PushdownApplied,
@@ -344,7 +330,7 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 		// readers never probe its membership: drop the set.
 		d.Masked.ReleaseMembership()
 	}
-	key := cacheKey(user, psj, opt)
+	key := cacheKey(st, user, psj, opt)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
@@ -363,7 +349,7 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 // calls this after a delete commits: entries over other relations stay
 // whole, and the doomed ones free their materialized rows immediately
 // instead of lingering until their next lookup misses. Each keeps its
-// plan and generation stamps, which the delete did not touch, so that
+// plan and view generation stamp, which the delete did not touch, so that
 // lookup reruns only the actual side. Safe on a nil closure.
 func (c *Closure) InvalidateRelation(rel string) {
 	if c == nil {
@@ -383,25 +369,42 @@ func (c *Closure) InvalidateRelation(rel string) {
 // hold c.mu.
 func (c *Closure) removeLocked(key string) {
 	delete(c.entries, key)
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(c.order, key); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
 	}
 }
 
-// cacheKey identifies an entry: the user, the query's PSJ normal form
-// and the option fields that shape the mask. It is injective: the user
-// name is length-prefixed, so no name borrows another user's entry, and
-// the PSJ renders its constants as literals, so 5 and "5" key apart.
-// It is built in one buffer: a closure hit computes it on every read.
-func cacheKey(user string, psj *algebra.PSJ, opt Options) string {
+// cacheKey identifies an entry: user's views that take part in psj
+// (participants) in grant order, psj's normal form and the option fields
+// that shape the mask — never the user name, since the mask depends on
+// the definitions alone and the view generation stamp covers them. It is
+// injective: each view name is prefixed with its length as a uvarint and
+// the list ends in a zero byte, the prefix of no name (none is empty),
+// and the PSJ renders its constants as literals, so 5 and "5" key apart.
+// A closure hit computes it on every read, in one buffer.
+func cacheKey(st *Store, user string, psj *algebra.PSJ, opt Options) string {
 	var b strings.Builder
-	b.Grow(len(user) + 32*(2+len(psj.Cols)+len(psj.Preds)+len(psj.Scans)))
-	b.WriteString(strconv.Itoa(len(user)))
-	b.WriteByte(':')
-	b.WriteString(user)
+	b.Grow(32 * (3 + len(psj.Cols) + len(psj.Preds) + len(psj.Scans)))
+	last := ""
+	scans := func(rel string) int {
+		n := 0
+		for _, s := range psj.Scans {
+			if s.Rel == rel {
+				n++
+			}
+		}
+		return n
+	}
+	st.participants(user, scans, opt, func(name string, _ *StoredView, _ int) {
+		if name == last {
+			return // another branch of the same view
+		}
+		last = name
+		var n [binary.MaxVarintLen64]byte
+		b.Write(binary.AppendUvarint(n[:0], uint64(len(name))))
+		b.WriteString(name)
+	})
+	b.WriteByte(0)
 	psj.WriteText(&b)
 	b.WriteByte(0)
 	writeOptKey(&b, opt)

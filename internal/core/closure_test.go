@@ -81,9 +81,12 @@ func compareDecisions(t *testing.T, label string, got, want *core.Decision) {
 // closure-backed authorizer must deliver byte-identical answers to a
 // fresh recompute — cold, warm (exact hit), under append churn
 // (incremental refresh), after deletions (data invalidation), and after
-// definition changes (generation invalidation) — across randomized
-// databases, views, queries, and option mixes, including extended masks,
-// and to the paper's pipeline verbatim (referenceDecision).
+// definition changes (a new key or a generation invalidation) — across
+// randomized databases, views, queries, and option mixes, including
+// extended masks, and to the paper's pipeline verbatim
+// (referenceDecision). Three principals share the one closure: twin's
+// grants coincide with u's, part holds J0 alone, and permit/revoke churn
+// moves each list onto and off the others'.
 func TestClosureDecisionsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	cases := 300
@@ -91,11 +94,20 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 		cases = 60
 	}
 	var served core.ClosureStats
+	shared := 0
 	for iter := 0; iter < cases; iter++ {
 		f := soundFixture(rng, 10)
 		randJoinView(f, rng, 0)
 		if rng.Intn(2) == 0 {
 			randJoinView(f, rng, 1)
+		}
+		for _, v := range f.Store.ViewsFor("u") {
+			if err := f.Store.Permit(v, "twin"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Store.Permit("J0", "part"); err != nil {
+			t.Fatal(err)
 		}
 		def := randQueryDef(rng)
 		base := core.DefaultOptions()
@@ -107,21 +119,31 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 
 		// Each step asks the query, then the same query with its
 		// constants' kind flipped, through the one closure-backed
-		// authorizer: neither may be served the other's entry.
+		// authorizer, for every principal: neither query may be served
+		// the other's entry, and a principal may be served another's
+		// only when the same views take part.
 		check := func(step string) {
 			t.Helper()
 			for _, q := range []*cview.Def{def, flipKinds(def)} {
-				label := fmt.Sprintf("case %d %s (ext=%v) query %s", iter, step, base.ExtendedMasks, q)
-				got, err := ca.Retrieve("u", q)
-				if err != nil {
-					t.Fatalf("%s: closure-backed: %v", label, err)
+				var first *core.Decision
+				for _, user := range []string{"u", "twin", "part"} {
+					label := fmt.Sprintf("case %d %s (ext=%v) user %s query %s", iter, step, base.ExtendedMasks, user, q)
+					got, err := ca.Retrieve(user, q)
+					if err != nil {
+						t.Fatalf("%s: closure-backed: %v", label, err)
+					}
+					want, err := core.NewAuthorizer(f.Store, f.Source, base).Retrieve(user, q)
+					if err != nil {
+						t.Fatalf("%s: recompute: %v", label, err)
+					}
+					compareDecisions(t, label, got, want)
+					compareDecisions(t, label+" vs reference", got, referenceDecision(t, f, base, user, q))
+					if first == nil {
+						first = got
+					} else if got.Masked == first.Masked {
+						shared++
+					}
 				}
-				want, err := core.NewAuthorizer(f.Store, f.Source, base).Retrieve("u", q)
-				if err != nil {
-					t.Fatalf("%s: recompute: %v", label, err)
-				}
-				compareDecisions(t, label, got, want)
-				compareDecisions(t, label+" vs reference", got, referenceDecision(t, f, base, "u", q))
 			}
 		}
 
@@ -139,11 +161,23 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 		check("after delete")
 		m.insert("R", 200, int64(rng.Intn(10)), int64(rng.Intn(6)))
 		check("append after delete")
-		// Definition churn: a new permit moves the permission generation.
+		// Definition churn: a new view moves the view generation, and its
+		// permit moves u off twin's list and part onto a longer one.
 		randJoinView(f, rng, 7)
+		if err := f.Store.Permit("J7", "part"); err != nil {
+			t.Fatal(err)
+		}
 		check("after new view+permit")
 		f.Store.Revoke("J7", "u")
 		check("after revoke")
+		// Revoke and re-grant J0 to twin: the same views, granted in
+		// another order once twin holds J1 too.
+		f.Store.Revoke("J0", "twin")
+		check("twin without J0")
+		if err := f.Store.Permit("J0", "twin"); err != nil {
+			t.Fatal(err)
+		}
+		check("twin re-granted J0")
 
 		s := ca.Closure.Stats()
 		served.Hits += s.Hits
@@ -151,10 +185,12 @@ func TestClosureDecisionsIdentical(t *testing.T) {
 		served.InvalidDef += s.InvalidDef
 		served.InvalidData += s.InvalidData
 	}
-	// The run must actually have exercised every closure path.
-	if served.Hits == 0 || served.Refreshes == 0 || served.InvalidDef == 0 || served.InvalidData == 0 {
-		t.Fatalf("differential did not exercise all closure paths: %+v", served)
+	// The run must actually have exercised every closure path, and
+	// principals must have been served one another's entries.
+	if served.Hits == 0 || served.Refreshes == 0 || served.InvalidDef == 0 || served.InvalidData == 0 || shared == 0 {
+		t.Fatalf("differential did not exercise all closure paths: %+v, %d shared", served, shared)
 	}
+	t.Logf("%+v, %d retrievals served another principal's entry", served, shared)
 }
 
 // flipKinds returns def with each integer constant written as its
@@ -196,9 +232,10 @@ func closureMatrixFixture(t *testing.T) (*workload.Fixture, *mvccFixture, *cview
 // TestClosureInvalidationMatrix drives each closure transition and
 // asserts the counters and the retained state: exact hits on unchanged
 // state, incremental refreshes on pure appends, data invalidation (with
-// the entry's plan reused) on deletes, and
-// definition invalidation on each of permit, revoke, define view, and
-// drop view — but not on another user's permit.
+// the entry's plan reused) on deletes, a new key on a permit, a return
+// to the resident key on the revoke that undoes it, and definition
+// invalidation on define view and drop view — but nothing on another
+// user's permit.
 func TestClosureInvalidationMatrix(t *testing.T) {
 	f, m, def := closureMatrixFixture(t)
 	opt := core.DefaultOptions()
@@ -273,43 +310,124 @@ func TestClosureInvalidationMatrix(t *testing.T) {
 	retrieve("after foreign permit")
 	assertStats("after foreign permit", core.ClosureStats{Hits: 4, Misses: 3, PlanHits: 1, Refreshes: 1, InvalidData: 1, InvalidDef: 1})
 
-	// Each definition statement touching u or the view set invalidates.
+	// A permit or revoke of a view that takes part moves u to another
+	// key: the permit misses under the new one, and the revoke returns u
+	// to the first, still resident and current. Defining or dropping a
+	// view moves the view generation and invalidates.
 	steps := []struct {
 		name string
 		mut  func()
+		want string // "miss", "hit" or "invalid"
 	}{
 		{"permit", func() {
 			if err := f.Store.Permit("W", "u"); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, "miss"},
 		{"revoke", func() {
 			if !f.Store.Revoke("W", "u") {
 				t.Fatal("revoke failed")
 			}
-		}},
+		}, "hit"},
 		{"define view", func() {
 			if err := tryExec(f, "view X (R.C);"); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, "invalid"},
 		{"drop view", func() {
 			if !f.Store.DropView("X") {
 				t.Fatal("drop failed")
 			}
-		}},
+		}, "invalid"},
 	}
 	base := ca.Closure.Stats()
 	for _, st := range steps {
 		st.mut()
 		retrieve(st.name)
-		base.InvalidDef++
-		base.Misses++
+		switch st.want {
+		case "hit":
+			base.Hits++
+		case "invalid":
+			base.InvalidDef++
+			base.Misses++
+		default:
+			base.Misses++
+		}
 		assertStats(st.name, core.ClosureStats{
 			Hits: base.Hits, Misses: base.Misses, PlanHits: base.PlanHits, Refreshes: base.Refreshes,
 			InvalidDef: base.InvalidDef, InvalidData: base.InvalidData,
 		})
 	}
+}
+
+// TestClosureSharedAcrossPrincipals checks the key's sharing: two
+// principals whose permitted views take part in the same grant order
+// share one entry, with identical decisions; the same views in another
+// order make another entry; a revoke of a participating view moves that
+// principal alone to another key; and a permit of a view over a relation
+// the query does not scan keeps the entry.
+func TestClosureSharedAcrossPrincipals(t *testing.T) {
+	f, _, def := closureMatrixFixture(t)
+	f.MustExec(`
+		relation S (A, D) key (A);
+		insert into S values (1, 7);
+		view W (R.A, R.C) where R.C <= 3;
+		view T (S.A, S.D);
+		permit W to u;
+		permit V to v;
+		permit W to v;
+		permit W to w;
+		permit V to w;
+	`)
+	opt := core.DefaultOptions()
+	ca := core.NewAuthorizer(f.Store, f.Source, opt)
+	ca.Closure = core.NewClosure(0)
+	retrieve := func(step, user string, hit bool, entries int) *core.Decision {
+		t.Helper()
+		before := ca.Closure.Stats()
+		d, err := ca.Retrieve(user, def)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		want, err := core.NewAuthorizer(f.Store, f.Source, opt).Retrieve(user, def)
+		if err != nil {
+			t.Fatalf("%s recompute: %v", step, err)
+		}
+		compareDecisions(t, step, d, want)
+		after := ca.Closure.Stats()
+		if gotHit := after.Hits == before.Hits+1; gotHit != hit || after.Entries != entries {
+			t.Fatalf("%s: stats %+v -> %+v; want hit=%v and %d entries", step, before, after, hit, entries)
+		}
+		return d
+	}
+
+	du := retrieve("u cold", "u", false, 1)
+	dv := retrieve("v shares u's entry", "v", true, 1)
+	if dv.MaskPlan != du.MaskPlan || dv.Masked != du.Masked || dv.Stats != du.Stats ||
+		dv.PushdownApplied != du.PushdownApplied || dv.MetaTuples != 0 {
+		t.Fatalf("v was not served u's entry: %+v vs %+v", dv, du)
+	}
+	if got, want := renderDecision(dv), renderDecision(du); got != want {
+		t.Fatalf("shared decisions render apart:\n%s\nvs\n%s", got, want)
+	}
+	retrieve("w holds the views in another order", "w", false, 2)
+
+	if !f.Store.Revoke("W", "u") {
+		t.Fatal("revoke failed")
+	}
+	retrieve("u after revoking W", "u", false, 3)
+	retrieve("v keeps hitting", "v", true, 3)
+
+	if err := f.Store.Permit("T", "v"); err != nil {
+		t.Fatal(err)
+	}
+	retrieve("v after a permit over S", "v", true, 3)
+}
+
+// renderDecision renders what a principal observes of d: the delivered
+// relation, the outcome flags and the permit statements.
+func renderDecision(d *core.Decision) string {
+	return fmt.Sprintf("%s\nfull=%v denied=%v\n%s", d.Masked, d.FullyAuthorized, d.Denied, permitsKey(d.Permits))
 }
 
 // TestClosureServesCanonicalMasked checks the order contract of a served

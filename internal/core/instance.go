@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"authdb/internal/interval"
@@ -83,11 +84,9 @@ type Instance struct {
 }
 
 // Instantiate builds the instance for user against a query scanning the
-// given relations with the given multiplicities. Views are entirety-pruned:
-// a view having a membership tuple over a relation the query never scans
-// is dropped altogether (§5: "defined in these relations in their
-// entirety"). Views are copied with fresh variables up to opt.ViewCopies
-// times when the query scans their relations repeatedly.
+// given relations with the given multiplicities: each branch that takes
+// part (participants), in grant order, in as many fresh copies as
+// participants names.
 func (s *Store) Instantiate(user string, scanCount map[string]int, opt Options) *Instance {
 	inst := &Instance{
 		store: s,
@@ -96,47 +95,51 @@ func (s *Store) Instantiate(user string, scanCount map[string]int, opt Options) 
 		ivs:   make(map[VarID]interval.Interval),
 		occs:  make(map[VarID][]CompRef),
 	}
-	for _, name := range s.ViewsFor(user) {
-		used := false
-		// Disjunctive views contribute one branch per disjunct; each
-		// branch is entirety-checked independently, since each is a
-		// conjunctive view whose subviews are subsets of the union.
-		for _, v := range s.Branches(name) {
-			complete := true
-			maxScans := 1
-			for _, t := range v.Tuples {
-				n := scanCount[t.Rel]
-				if n == 0 {
-					complete = false
-					break
-				}
-				if n > maxScans {
-					maxScans = n
-				}
-			}
-			if !complete {
-				continue
-			}
-			copies := 1
-			if opt.ViewCopies > 1 && maxScans > 1 {
-				copies = maxScans
-				if copies > opt.ViewCopies {
-					copies = opt.ViewCopies
-				}
-			}
-			for cpy := 0; cpy < copies; cpy++ {
-				inst.addView(v, cpy)
-			}
-			used = true
+	s.participants(user, func(rel string) int { return scanCount[rel] }, opt, func(name string, v *StoredView, copies int) {
+		for cpy := 0; cpy < copies; cpy++ {
+			inst.addView(v, cpy)
 		}
-		if used {
+		if n := len(inst.views); n == 0 || inst.views[n-1] != name {
 			inst.views = append(inst.views, name)
 		}
-	}
+	})
 	if opt.SelfJoins {
 		inst.inferSelfJoins()
 	}
 	return inst
+}
+
+// participants calls f, in grant order, for each branch of user's views
+// that takes part in a query scanning each relation scans(rel) times,
+// with its number of copies: up to opt.ViewCopies when the query scans
+// its relations repeatedly. A branch with a membership tuple over a
+// relation the query never scans is pruned (§5: "defined in these
+// relations in their entirety"), each disjunct on its own. Instantiate
+// builds from it and cacheKey is written from it, so the key names
+// exactly the views a mask is computed from.
+func (s *Store) participants(user string, scans func(rel string) int, opt Options, f func(name string, v *StoredView, copies int)) {
+	for _, e := range s.perm(user).views {
+		name := e.def.Name
+		for _, v := range e.branches {
+			maxScans := 1
+			for _, t := range v.Tuples {
+				n := scans(t.Rel)
+				if n == 0 {
+					maxScans = 0
+					break
+				}
+				maxScans = max(maxScans, n)
+			}
+			if maxScans == 0 {
+				continue
+			}
+			copies := 1
+			if opt.ViewCopies > 1 {
+				copies = min(maxScans, opt.ViewCopies)
+			}
+			f(name, v, copies)
+		}
+	}
 }
 
 // addView instantiates one copy of a stored view with fresh variables.
@@ -238,7 +241,7 @@ func (inst *Instance) needs(m *MetaTuple) []CompRef {
 	var out []CompRef
 	add := func(v VarID) {
 		for _, ref := range inst.occs[v] {
-			if !m.hasComp(ref) && !hasRef(out, ref) {
+			if !m.hasComp(ref) && !slices.Contains(out, ref) {
 				out = append(out, ref)
 			}
 		}
@@ -253,15 +256,6 @@ func (inst *Instance) needs(m *MetaTuple) []CompRef {
 		add(c.Y)
 	}
 	return out
-}
-
-func hasRef(refs []CompRef, c CompRef) bool {
-	for _, x := range refs {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }
 
 // MetaRelFor returns the instantiated meta-relation for one query scan,
@@ -307,7 +301,8 @@ func (inst *Instance) inferSelfJoins() {
 		for i := 0; i < len(tuples); i++ {
 			for j := i + 1; j < len(tuples); j++ {
 				a, b := tuples[i], tuples[j]
-				if sameViewSet(a.Views, b.Views) || sharesView(a.Views, b.Views) {
+				shared := slices.ContainsFunc(a.Views, func(v string) bool { return slices.Contains(b.Views, v) })
+				if slices.Equal(a.Views, b.Views) || shared {
 					continue
 				}
 				if !starsKey(a) || !starsKey(b) {
@@ -320,29 +315,6 @@ func (inst *Instance) inferSelfJoins() {
 		}
 		inst.byRel[rel] = append(tuples, merged...)
 	}
-}
-
-func sameViewSet(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sharesView(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // mergeTuples builds the self-join meta-tuple of a and b, or nil when a

@@ -42,7 +42,6 @@ func bothPlans(f *workload.Fixture, user string, psj *algebra.PSJ, opt core.Opti
 	run := func(plan func(*core.Authorizer) (*core.MaskPlan, error)) (*core.MaskPlan, error) {
 		auth := core.NewAuthorizer(f.Store, f.Source, opt)
 		auth.Guard = guard.New(context.Background(), limits)
-		defer auth.Guard.Close()
 		return plan(auth)
 	}
 	planned, perr = run(func(a *core.Authorizer) (*core.MaskPlan, error) { return a.MaskPlanFor(user, psj) })
@@ -295,7 +294,6 @@ func TestMetaPlanWorkBound(t *testing.T) {
 		produced := func(run func(*core.Authorizer) (*core.Decision, error)) int64 {
 			auth := core.NewAuthorizer(f.Store, f.Source, core.DefaultOptions())
 			auth.Guard = guard.New(context.Background(), guard.Unlimited())
-			defer auth.Guard.Close()
 			if _, err := run(auth); err != nil {
 				t.Fatal(err)
 			}

@@ -60,7 +60,7 @@ func (m *MetaTuple) clone() *MetaTuple {
 }
 
 // hasComp reports provenance membership.
-func (m *MetaTuple) hasComp(c CompRef) bool { return hasRef(m.Comps, c) }
+func (m *MetaTuple) hasComp(c CompRef) bool { return slices.Contains(m.Comps, c) }
 
 // lockedVar reports whether v participates in one of the tuple's symbolic
 // comparisons; such variables are never cleared or folded away, since the

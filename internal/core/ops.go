@@ -5,23 +5,15 @@ import (
 	"authdb/internal/guard"
 	"authdb/internal/interval"
 	"authdb/internal/value"
+	"slices"
 )
 
-// MetaProduct implements Definition 1 — the product of meta-relations: for
-// every pair of meta-tuples, their concatenation. With padding it also
-// adds the §4.2 refinement tuples q1 = (a1…am, ⊔…⊔) and q2 = (⊔…⊔, b1…bn),
-// which keep subviews of one operand alive across projections that remove
-// the other operand's attributes. Replications are removed.
-func MetaProduct(a, b *MetaRel, padding bool) *MetaRel {
-	out, err := MetaProductGuarded(a, b, padding, nil)
-	if err != nil {
-		// Unreachable: a nil guard never fails.
-		panic(err)
-	}
-	return out
-}
-
-// MetaProductGuarded is MetaProduct under a cancellation-and-budget
+// MetaProductGuarded implements Definition 1 — the product of
+// meta-relations: for every pair of meta-tuples, their concatenation.
+// With padding it also adds the §4.2 refinement tuples q1 = (a1…am,
+// ⊔…⊔) and q2 = (⊔…⊔, b1…bn), which keep subviews of one operand alive
+// across projections that remove the other operand's attributes.
+// Replications are removed. It runs under a cancellation-and-budget
 // guard. Meta-relations are usually small (§4.1), but a query joining
 // many occurrences of relations with many stored views multiplies them;
 // the guard accounts every produced meta-tuple so the meta side obeys
@@ -91,7 +83,7 @@ func (p *productParts) of(l, r *MetaTuple) *productParts {
 	p.views = appendViewUnion(p.views[:0], l.Views, r.Views)
 	p.comps = append(p.comps[:0], l.Comps...)
 	for _, c := range r.Comps {
-		if !hasRef(p.comps, c) {
+		if !slices.Contains(p.comps, c) {
 			p.comps = append(p.comps, c)
 		}
 	}

@@ -95,6 +95,16 @@ func tryExec(f *workload.Fixture, script string) (err error) {
 	return nil
 }
 
+// metaProduct is Definition 1's product, unguarded.
+func metaProduct(t *testing.T, a, b *core.MetaRel, padding bool) *core.MetaRel {
+	t.Helper()
+	out, err := core.MetaProductGuarded(a, b, padding, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // qualified returns the fixture relation renamed with alias-qualified
 // attributes, as the evaluators see scans.
 func qualified(f *workload.Fixture, rel, alias string) *relation.Relation {
@@ -113,7 +123,7 @@ func TestProposition1Product(t *testing.T) {
 		inst := f.Store.Instantiate("u", map[string]int{"R": 1, "S": 1}, core.DefaultOptions())
 		a := inst.MetaRelFor("R", "R")
 		b := inst.MetaRelFor("S", "S")
-		prod := core.MetaProduct(a, b, false)
+		prod := metaProduct(t, a, b, false)
 		rQ := qualified(f, "R", "R")
 		sQ := qualified(f, "S", "S")
 		wide := rQ.Product(sQ)
@@ -341,11 +351,11 @@ func TestPaddingAddsOperandSubviews(t *testing.T) {
 	if len(b.Tuples) != 0 {
 		t.Fatal("expected no S views")
 	}
-	plain := core.MetaProduct(a, b, false)
+	plain := metaProduct(t, a, b, false)
 	if len(plain.Tuples) != 0 {
 		t.Fatal("plain product with an empty operand must be empty")
 	}
-	padded := core.MetaProduct(a, b, true)
+	padded := metaProduct(t, a, b, true)
 	if len(padded.Tuples) != len(a.Tuples) {
 		t.Fatalf("padded product has %d tuples, want %d", len(padded.Tuples), len(a.Tuples))
 	}

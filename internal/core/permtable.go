@@ -5,12 +5,16 @@ import (
 	"slices"
 )
 
-// permRec is one user's PERMISSION rows in grant order and their
-// generation. A record outlives its last view, keeping gen — and so
-// every mask stamped with it — monotone across revoke-to-empty.
+// permRec is one user's PERMISSION rows in grant order, held as the
+// views' entries so a reader needs no lookup by name (a name is
+// redefined only after a drop, which revokes it from everyone).
 type permRec struct {
-	views []string
-	gen   uint64
+	views []*viewEntry
+}
+
+// index returns the position of view name in r, or -1.
+func (r permRec) index(name string) int {
+	return slices.IndexFunc(r.views, func(e *viewEntry) bool { return e.def.Name == name })
 }
 
 // permTable is the PERMISSION relation: a persistent three-level trie of

@@ -178,7 +178,7 @@ func viewImages(t *testing.T, f *workload.Fixture) map[string]*relation.Relation
 	t.Helper()
 	out := make(map[string]*relation.Relation)
 	for _, name := range f.Store.ViewsFor("u") {
-		v := f.Store.View(name)
+		v := f.Store.Branches(name)[0]
 		an, err := cview.Analyze(v.Def, f.Schema)
 		if err != nil {
 			t.Fatal(err)

@@ -82,12 +82,11 @@ type Store struct {
 	order    []string
 	perms    *permTable
 	varCount int
-	// viewGen counts view-set mutations (define, drop) and permRec.gen
-	// per-user permit mutations (permit, revoke). Masks derive from
-	// nothing else — never from relation instances — so a closure
-	// entry's plan, stamped with both generations, stays valid exactly
-	// as long as the mask it holds, whatever the data does. The store itself is not synchronized (the
-	// engine's lock serializes mutations), so these are plain counters.
+	// viewGen counts view-set mutations (define, drop). Masks derive
+	// from the participating views' definitions alone, so a closure
+	// entry keyed on those views and stamped with viewGen stays valid as
+	// long as the mask it holds, whatever the data does. The engine's
+	// lock serializes mutations, so this is a plain counter.
 	viewGen uint64
 }
 
@@ -104,11 +103,11 @@ func NewStore(sch *relation.DBSchema) *Store {
 // without affecting the original — the copy-on-write step a versioned
 // engine takes before a definition change (define/drop view, permit,
 // revoke), so readers pinned to the old store keep a stable
-// meta-database. It copies no map or slice (see Store). The generation
-// counters carry over, keeping them monotone along the clone lineage —
+// meta-database. It copies no map or slice (see Store). The view
+// generation carries over, keeping it monotone along the clone lineage —
 // which is what lets one Closure serve every version: an entry whose
-// (viewGen, permGen) stamps match a pinned store was compiled from
-// identical definitions.
+// key and viewGen stamp match a pinned store was compiled from identical
+// definitions.
 func (s *Store) Clone(sch *relation.DBSchema) *Store {
 	ns := *s
 	ns.sch = sch
@@ -118,10 +117,6 @@ func (s *Store) Clone(sch *relation.DBSchema) *Store {
 // ViewGen returns the view-set mutation generation; it advances on every
 // DefineView and DropView.
 func (s *Store) ViewGen() uint64 { return s.viewGen }
-
-// PermGen returns user's permit mutation generation; it advances on
-// every Permit and Revoke affecting that user.
-func (s *Store) PermGen(user string) uint64 { return s.perm(user).gen }
 
 // perm returns user's record, or the zero record.
 func (s *Store) perm(user string) permRec { return s.perms.get(user) }
@@ -134,16 +129,6 @@ func (s *Store) Schema() *relation.DBSchema { return s.sch }
 
 // ViewNames returns the defined views in definition order.
 func (s *Store) ViewNames() []string { return append([]string(nil), s.order...) }
-
-// View returns the first compiled branch of a view, or nil. Conjunctive
-// views have exactly this one branch; use Branches for disjunctive views.
-func (s *Store) View(name string) *StoredView {
-	e := s.views[name]
-	if e == nil {
-		return nil
-	}
-	return e.branches[0]
-}
 
 // Branches returns every compiled branch of a view (one for conjunctive
 // views, one per disjunct otherwise), or nil.
@@ -209,8 +194,7 @@ func (s *Store) DefineView(def *cview.Def) error {
 	return nil
 }
 
-// DropView removes a view and every permit referencing it. Users it
-// leaves without views keep their records (and generations).
+// DropView removes a view and every permit referencing it.
 func (s *Store) DropView(name string) bool {
 	if _, ok := s.views[name]; !ok {
 		return false
@@ -220,13 +204,13 @@ func (s *Store) DropView(name string) bool {
 	s.order = slices.DeleteFunc(slices.Clone(s.order), func(n string) bool { return n == name })
 	var held []permEntry
 	s.perms.each(func(u string, r permRec) {
-		if slices.Contains(r.views, name) {
+		if r.index(name) >= 0 {
 			held = append(held, permEntry{u, r})
 		}
 	})
 	for _, e := range held {
-		j := slices.Index(e.rec.views, name)
-		s.setPerm(e.user, permRec{views: slices.Concat(e.rec.views[:j], e.rec.views[j+1:]), gen: e.rec.gen})
+		j := e.rec.index(name)
+		s.setPerm(e.user, permRec{views: slices.Concat(e.rec.views[:j], e.rec.views[j+1:])})
 	}
 	s.viewGen++
 	return true
@@ -234,30 +218,37 @@ func (s *Store) DropView(name string) bool {
 
 // Permit records a (user, view) row in PERMISSION.
 func (s *Store) Permit(view, user string) error {
-	if _, ok := s.views[view]; !ok {
+	e, ok := s.views[view]
+	if !ok {
 		return fmt.Errorf("unknown view %s", view)
 	}
 	r := s.perm(user)
-	if slices.Contains(r.views, view) {
+	if r.index(view) >= 0 {
 		return nil // idempotent
 	}
-	s.setPerm(user, permRec{views: append(slices.Clip(r.views), view), gen: r.gen + 1})
+	s.setPerm(user, permRec{views: append(slices.Clip(r.views), e)})
 	return nil
 }
 
 // Revoke removes a (user, view) row; it reports whether one existed.
 func (s *Store) Revoke(view, user string) bool {
 	r := s.perm(user)
-	i := slices.Index(r.views, view)
+	i := r.index(view)
 	if i < 0 {
 		return false
 	}
-	s.setPerm(user, permRec{views: slices.Concat(r.views[:i], r.views[i+1:]), gen: r.gen + 1})
+	s.setPerm(user, permRec{views: slices.Concat(r.views[:i], r.views[i+1:])})
 	return true
 }
 
 // ViewsFor returns the views permitted to user, in grant order.
-func (s *Store) ViewsFor(user string) []string { return slices.Clone(s.perm(user).views) }
+func (s *Store) ViewsFor(user string) []string {
+	var out []string
+	for _, e := range s.perm(user).views {
+		out = append(out, e.def.Name)
+	}
+	return out
+}
 
 // compile translates a conjunctive view definition into stored meta-tuples
 // following §3: membership subformulas become meta-tuples (projected
@@ -562,8 +553,8 @@ func comparisonRows(x string, iv interval.Interval) [][]string {
 func (s *Store) RenderPermission(w io.Writer) {
 	var rows [][]string
 	for _, u := range s.Users() {
-		for _, v := range s.perm(u).views {
-			rows = append(rows, []string{u, v})
+		for _, e := range s.perm(u).views {
+			rows = append(rows, []string{u, e.def.Name})
 		}
 	}
 	relation.RenderTable(w, "PERMISSION", []string{"USER", "VIEW"}, rows, false)

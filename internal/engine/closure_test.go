@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"authdb/internal/engine"
 	"authdb/internal/relation"
 	"authdb/internal/workload"
 )
@@ -15,8 +16,8 @@ import (
 // through the full statement-level invalidation matrix: repeats hit,
 // inserts refresh incrementally and surface immediately, deletes
 // invalidate the data side (recomputing through the retained mask
-// plan), and revoke / permit / view redefinition invalidate the
-// definition side — each time byte-identical to a fresh computation.
+// plan), and a revoke moves the principal to another key — each time
+// byte-identical to a fresh computation.
 func TestClosureServesAndInvalidates(t *testing.T) {
 	e := paperEngine(t)
 	admin := e.NewSession("admin", true)
@@ -82,7 +83,9 @@ func TestClosureServesAndInvalidates(t *testing.T) {
 		t.Fatal("post-delete answer differs from the original")
 	}
 
-	// Revoke: the very next read is denied — no resident staleness.
+	// Revoke: the very next read is denied — no resident staleness. PSA
+	// no longer takes part, so the read misses under another key and
+	// the entry PSA took part in stays resident for whoever holds it.
 	if _, err := admin.Exec(`revoke PSA from Brown`); err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +97,8 @@ func TestClosureServesAndInvalidates(t *testing.T) {
 	if !denied.Decision.Denied {
 		t.Fatalf("stale closure served after revoke: %d rows", denied.Relation.Len())
 	}
-	if s4.InvalidDef != s3.InvalidDef+1 {
-		t.Fatalf("revoke should invalidate the definition side: %+v -> %+v", s3, s4)
+	if s4.Misses != s3.Misses+1 || s4.Hits != s3.Hits || s4.InvalidDef != s3.InvalidDef || s4.Entries != s3.Entries+1 {
+		t.Fatalf("revoke should miss under a new key: %+v -> %+v", s3, s4)
 	}
 
 	// Re-permit restores the original answer byte for byte.
@@ -108,6 +111,54 @@ func TestClosureServesAndInvalidates(t *testing.T) {
 	}
 	if renderResult(restored) != renderResult(first) {
 		t.Fatal("after re-permit, answer differs from original")
+	}
+}
+
+// TestClosureSharedAcrossSessions checks sharing at the statement level:
+// Example 1 scans PROJECT alone, so of Brown's views only PSA takes part,
+// and Ann, who holds PSA alone, is served Brown's entry, byte for byte.
+// A permit of a view over EMPLOYEE keeps that; a revoke of PSA moves Ann
+// to another key while Brown keeps hitting.
+func TestClosureSharedAcrossSessions(t *testing.T) {
+	e := paperEngine(t)
+	admin := e.NewSession("admin", true)
+	brown := e.NewSession("Brown", false)
+	ann := e.NewSession("Ann", false)
+	exec := func(stmt string) {
+		t.Helper()
+		if _, err := admin.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(step string, s *engine.Session, hit bool) string {
+		t.Helper()
+		before := e.MaskClosureStats()
+		res, err := s.Exec(workload.Example1Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := e.MaskClosureStats()
+		if gotHit := after.Hits == before.Hits+1 && after.Misses == before.Misses; gotHit != hit {
+			t.Fatalf("%s: %+v -> %+v; want hit=%v", step, before, after, hit)
+		}
+		return renderResult(res)
+	}
+
+	want := read("Brown cold", brown, false)
+	exec(`permit PSA to Ann`)
+	if got := read("Ann shares Brown's entry", ann, true); got != want {
+		t.Fatalf("Ann's shared answer differs from Brown's:\n%s\nvs\n%s", got, want)
+	}
+	exec(`permit SAE to Ann`)
+	if got := read("Ann after a permit over EMPLOYEE", ann, true); got != want {
+		t.Fatalf("Ann's answer moved:\n%s", got)
+	}
+	exec(`revoke PSA from Ann`)
+	if got := read("Ann after the revoke", ann, false); got == want {
+		t.Fatal("Ann still served PSA's answer after the revoke")
+	}
+	if got := read("Brown keeps hitting", brown, true); got != want {
+		t.Fatalf("Brown's answer moved:\n%s", got)
 	}
 }
 
@@ -125,8 +176,8 @@ func checkSorted(r *relation.Relation) error {
 // TestClosureConcurrentPinnedReaders hammers closure-served retrieves
 // from many reader goroutines while a writer churns both data (inserts
 // whose visibility is asserted on the very next read) and definitions
-// (revoke/permit cycles whose denial is asserted on the very next
-// read). Run with -race: the resident state is shared across every
+// (revoke/permit cycles whose denial is asserted on the very next read,
+// and a view defined and dropped, which invalidates). Run with -race: the resident state is shared across every
 // pinned reader. Each reader also sorts the relation it was served and
 // checks it against a sorted clone, so readers of a canonical prefix run
 // while refreshes append behind it.
@@ -236,6 +287,17 @@ func TestClosureConcurrentPinnedReaders(t *testing.T) {
 			t.Fatalf("round %d: stale closure after revoke delivered %d rows", i, res.Relation.Len())
 		}
 		if _, err := admin.Exec(`permit PSA to Brown`); err != nil {
+			t.Fatal(err)
+		}
+		// A view defined and dropped moves the view generation: the
+		// entries readers hold are invalidated on their next lookup.
+		if _, err := admin.Exec(`view CCV (PROJECT.NUMBER) where PROJECT.BUDGET >= 0`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := brown.Exec(workload.Example1Query); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := admin.Exec(`drop view CCV`); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := admin.Exec(`delete from PROJECT where PROJECT.NUMBER = ` + numA); err != nil {

@@ -8,7 +8,7 @@ import (
 
 // lockFileName guards a durable directory against two live engines.
 // Without it a second OpenDurable of a directory another process still
-// holds would take the opening checkpoint, rotate the generation, and
+// holds could take the opening checkpoint, rotate the generation, and
 // remove the first engine's open WAL — the first engine keeps
 // acknowledging writes into an unlinked inode (a durability hole) and
 // WALTail, reading the rotated layout, reports an empty yet "complete"

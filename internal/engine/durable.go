@@ -26,7 +26,8 @@
 // written and synced after it (group commit, see commit.go). Opening
 // replays the committed snapshot plus the longest valid prefix of its
 // WAL — tolerating a torn or corrupt tail — and immediately
-// checkpoints, so a recovered engine never appends after a torn tail.
+// checkpoints, so a recovered engine never appends after a torn tail
+// (a WAL holding no record has none: it is reopened for append).
 package engine
 
 import (
@@ -70,7 +71,8 @@ type durable struct {
 
 // OpenDurable opens (creating if necessary) a durable database
 // directory: the committed snapshot is loaded, the write-ahead log's
-// valid prefix is replayed, and a fresh checkpoint is taken. A directory
+// valid prefix is replayed, and, unless it held no record, a fresh
+// checkpoint is taken. A directory
 // saved with Save (the flat layout) opens too, and its opening
 // checkpoint commits it as a generation. The caller should Close the
 // engine to release the log and the directory lock.
@@ -98,9 +100,10 @@ func OpenDurableFS(fs faultfs.FS, dir string, opt core.Options) (*Engine, error)
 }
 
 // openDurableFS loads the committed state, replays the log, and takes
-// the opening checkpoint; the caller holds the directory lock. A flat
-// Save layout is loaded the same way, and the opening checkpoint
-// commits it as a generation of its own.
+// the opening checkpoint — except when the log holds no record: that
+// generation already is the state, and its log is reopened for append.
+// The caller holds the directory lock. A flat Save layout is loaded the
+// same way, and the opening checkpoint commits it as a generation.
 func openDurableFS(fs faultfs.FS, dir string, opt core.Options) (e *Engine, err error) {
 	gen, committed, err := readCurrent(fs, dir)
 	if err != nil {
@@ -127,6 +130,16 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options) (e *Engine, err 
 	// after the last publish; republish so the head version's LSN stamp
 	// matches before the opening checkpoint renders it.
 	e.publishLocked()
+	if committed {
+		wl, idle, err := wal.Reopen(fs, filepath.Join(dir, walName(gen)))
+		if err != nil {
+			return nil, err
+		}
+		if idle {
+			e.attachLocked(fs, dir, gen, wl)
+			return e, nil
+		}
+	}
 	if err := e.checkpointLocked(fs, dir, gen); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -266,8 +279,9 @@ func firstLine(s string) string {
 }
 
 // Checkpoint folds the write-ahead log into a fresh snapshot generation,
-// bounding recovery time. It runs automatically on OpenDurable; call it
-// after bulk loads. The engine must be durable and not failed.
+// bounding recovery time. It runs on OpenDurable unless the log held
+// no record; call it after bulk loads. The engine must be durable and
+// not failed.
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -356,24 +370,30 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 		return err
 	}
 
-	// Committed. Install the new log (under walMu so a waiter never
-	// sees a half-swapped handle) and reclaim the old generation (best
-	// effort — leftovers are ignored and retried next checkpoint).
+	// Committed. Install the new log and reclaim the old generation
+	// (best effort — leftovers are ignored and retried next checkpoint).
+	e.attachLocked(fs, dir, next, wl)
+	if gen > 0 {
+		fs.RemoveAll(filepath.Join(dir, snapName(gen)))
+		fs.Remove(filepath.Join(dir, walName(gen)))
+	}
+	return nil
+}
+
+// attachLocked installs wl as the log of generation gen of dir, which
+// embodies every statement applied so far, under walMu so a waiter
+// never sees a half-swapped handle. Callers hold e.mu.
+func (e *Engine) attachLocked(fs faultfs.FS, dir string, gen uint64, wl *wal.Log) {
 	e.walMu.Lock()
 	if e.walH != nil {
 		e.walH.Close()
 	}
 	e.walH = wl
 	e.walMu.Unlock()
-	e.dur = &durable{fs: fs, dir: dir, gen: next}
-	e.snapGen.Store(next)
+	e.dur = &durable{fs: fs, dir: dir, gen: gen}
+	e.snapGen.Store(gen)
 	e.snapBase.Store(e.lsn.Load())
 	e.durableLSN.Store(e.lsn.Load())
-	if gen > 0 {
-		fs.RemoveAll(filepath.Join(dir, snapName(gen)))
-		fs.Remove(filepath.Join(dir, walName(gen)))
-	}
-	return nil
 }
 
 // durCheck refuses mutations once the durable layer has failed.

@@ -60,9 +60,10 @@ type Engine struct {
 
 	opt core.Options
 	// closures holds the materialized mask closure, the engine's one
-	// retrieve cache: resident per-(user, query) mask plans and delivered
-	// relations, validated lazily at lookup time against the definition
-	// generations and the pinned relation revisions, so the commit path
+	// retrieve cache: resident mask plans and delivered relations keyed
+	// on the participating views and the query, validated lazily at
+	// lookup time against the view generation and the pinned relation
+	// revisions, so the commit path
 	// touches it only to release rows after a delete. The pointer is
 	// atomic so lock-free readers can pick the closure up alongside their
 	// pinned version (nil = disabled); see core.Closure for the coherence
@@ -503,7 +504,6 @@ func (s *Session) Retrieve(def *cview.Def) (*Result, error) {
 // pure function of that one version.
 func (s *Session) RetrieveContext(ctx context.Context, def *cview.Def) (*Result, error) {
 	g := guard.New(ctx, s.limits)
-	defer g.Close()
 	v := s.readVersion()
 	if s.admin {
 		an, err := cview.Analyze(def, v.sch)
@@ -559,7 +559,6 @@ func (e *Engine) Certify(quality, query string) (*core.Certification, error) {
 // depends on nothing but the user's views and the delivered relation.
 func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) {
 	g := guard.New(ctx, s.limits)
-	defer g.Close()
 	v := s.readVersion()
 	auth := core.NewAuthorizer(v.store, v.source, s.eng.opt)
 	auth.Guard = g

@@ -24,7 +24,6 @@ var ErrInjected = errors.New("faultfs: injected failure")
 
 // File is the subset of *os.File the persistence layer needs.
 type File interface {
-	io.Reader
 	io.Writer
 	// Sync flushes the file's contents to stable storage.
 	Sync() error
@@ -35,8 +34,8 @@ type File interface {
 type FS interface {
 	// Create truncates or creates the named file for writing.
 	Create(name string) (File, error)
-	// Open opens the named file for reading.
-	Open(name string) (File, error)
+	// Append opens the existing named file for writing at its end.
+	Append(name string) (File, error)
 	ReadFile(name string) ([]byte, error)
 	MkdirAll(path string, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
@@ -56,7 +55,7 @@ type osFS struct{}
 func OS() FS { return osFS{} }
 
 func (osFS) Create(name string) (File, error) { return os.Create(name) }
-func (osFS) Open(name string) (File, error)   { return os.Open(name) }
+func (osFS) Append(name string) (File, error) { return os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0) }
 
 func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
 func (osFS) MkdirAll(p string, m os.FileMode) error     { return os.MkdirAll(p, m) }
@@ -79,8 +78,8 @@ func (osFS) SyncDir(path string) error {
 }
 
 // Faulty wraps an FS and injects a failure at the k-th mutating
-// operation after Arm(k). Mutating operations are Create, Write, Sync,
-// SyncDir, MkdirAll, Rename, Remove and RemoveAll; reads are never
+// operation after Arm(k). Mutating operations are Create, Append, Write,
+// Sync, SyncDir, MkdirAll, Rename, Remove and RemoveAll; reads are never
 // failed. Once tripped, every further mutating operation fails too (a
 // crashed process performs no more writes), so a test observes exactly
 // the on-disk state at the failure point. With ShortWrites, the tripping
@@ -152,18 +151,21 @@ func (f *Faulty) step() (fail, atTrip bool) {
 	return false, false
 }
 
-func (f *Faulty) Create(name string) (File, error) {
+func (f *Faulty) Create(name string) (File, error) { return f.open("create", name, f.inner.Create) }
+func (f *Faulty) Append(name string) (File, error) { return f.open("append", name, f.inner.Append) }
+
+// open is a mutating operation opening name for writing through open.
+func (f *Faulty) open(op, name string, open func(string) (File, error)) (File, error) {
 	if fail, _ := f.step(); fail {
-		return nil, fmt.Errorf("%w: create %s", ErrInjected, name)
+		return nil, fmt.Errorf("%w: %s %s", ErrInjected, op, name)
 	}
-	file, err := f.inner.Create(name)
+	file, err := open(name)
 	if err != nil {
 		return nil, err
 	}
 	return &faultyFile{f: f, inner: file, name: name}, nil
 }
 
-func (f *Faulty) Open(name string) (File, error)       { return f.inner.Open(name) }
 func (f *Faulty) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }
 func (f *Faulty) ReadDir(name string) ([]fs.DirEntry, error) {
 	return f.inner.ReadDir(name)
@@ -211,8 +213,6 @@ type faultyFile struct {
 	inner File
 	name  string
 }
-
-func (w *faultyFile) Read(p []byte) (int, error) { return w.inner.Read(p) }
 
 func (w *faultyFile) Write(p []byte) (int, error) {
 	fail, atTrip := w.f.step()

@@ -1,9 +1,8 @@
-// Package guard bounds query execution: a Guard carries a
-// context.Context and a Limits budget down through the relational
-// evaluators and the meta-relation operators, so a hostile or runaway
-// request (an unbounded cartesian product, a query against a huge
-// instance) is cut off at tuple-batch granularity instead of taking the
-// engine down.
+// Package guard bounds query execution: a Guard carries a context, a
+// deadline and a Limits budget down through the relational evaluators
+// and the meta-relation operators, so a hostile or runaway request (an
+// unbounded cartesian product, a query against a huge instance) is cut
+// off at tuple-batch granularity instead of taking the engine down.
 //
 // A nil *Guard is valid everywhere and means "unlimited, uncancelable":
 // every method is nil-safe, so an unguarded evaluation runs the same
@@ -64,47 +63,40 @@ const batchSize = 1024
 // counter are atomic, so the budget trigger point depends only on the
 // total rows accounted, not on which goroutine accounted them.
 type Guard struct {
-	ctx      context.Context
-	cancel   context.CancelFunc
+	ctx context.Context
+	// deadline is when Limits.Timeout runs out, zero for none. The clock
+	// is read once per batch, so a statement starts no timer.
+	deadline time.Time
 	limits   Limits
 	produced atomic.Int64
 	sinceCk  atomic.Int64
 }
 
-// New builds a guard for one statement execution. Close must be called
-// when the statement finishes to release the timeout timer, if any.
+// New builds a guard for one statement execution.
 func New(ctx context.Context, limits Limits) *Guard {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	g := &Guard{limits: limits}
+	g := &Guard{ctx: ctx, limits: limits}
 	if limits.Timeout > 0 {
-		g.ctx, g.cancel = context.WithTimeout(ctx, limits.Timeout)
-	} else {
-		g.ctx = ctx
+		g.deadline = time.Now().Add(limits.Timeout)
 	}
+	// One unit short of a batch: the first Add or Check reads the clock.
+	g.sinceCk.Store(batchSize - 1)
 	return g
 }
 
-// Close releases the guard's timeout timer. Safe on nil guards.
-func (g *Guard) Close() {
-	if g == nil || g.cancel == nil {
-		return
-	}
-	g.cancel()
-}
+// Close has no effect: a guard holds no timer. It remains only because
+// the benchmark harness still calls it.
+func (g *Guard) Close() {}
 
-// Context returns the guarded context (background for a nil guard).
-func (g *Guard) Context() context.Context {
-	if g == nil {
-		return context.Background()
-	}
-	return g.ctx
-}
-
-// ctxErr maps a context failure to the package's typed error.
-func (g *Guard) ctxErr() error {
+// ctxErr maps a context failure, or — when clock is set — the deadline
+// passing, to the package's typed error.
+func (g *Guard) ctxErr(clock bool) error {
 	err := g.ctx.Err()
+	if err == nil && clock && !g.deadline.IsZero() && !time.Now().Before(g.deadline) {
+		err = context.DeadlineExceeded
+	}
 	if err == nil {
 		return nil
 	}
@@ -112,18 +104,20 @@ func (g *Guard) ctxErr() error {
 }
 
 // Check verifies cancellation only; call it on loop iterations that do
-// not produce rows. Safe on nil guards.
+// not produce rows. It consults the context on every call and the clock
+// once per batch, each call counting as one row toward it. Safe on nil
+// guards.
 func (g *Guard) Check() error {
 	if g == nil {
 		return nil
 	}
-	return g.ctxErr()
+	return g.ctxErr(g.tick(1))
 }
 
 // Add records n produced intermediate rows, failing with
 // ErrBudgetExceeded once the budget is exhausted and with ErrCanceled
-// when the context dies. The context is consulted at batch granularity
-// so per-row cost stays a counter increment.
+// when the context dies or the deadline passes. Both are consulted at
+// batch granularity so per-row cost stays a counter increment.
 func (g *Guard) Add(n int) error {
 	if g == nil {
 		return nil
@@ -132,14 +126,22 @@ func (g *Guard) Add(n int) error {
 	if max := g.limits.MaxIntermediateRows; max > 0 && total > max {
 		return fmt.Errorf("%w: intermediate rows %d exceed limit %d", ErrBudgetExceeded, total, max)
 	}
-	// Subtracting the batch (rather than storing zero) keeps the counter
-	// exact under concurrent adds: rows accounted by another caller
-	// between our Add and the reset are not dropped.
-	if g.sinceCk.Add(int64(n)) >= batchSize {
-		g.sinceCk.Add(-batchSize)
-		return g.ctxErr()
+	if g.tick(n) {
+		return g.ctxErr(true)
 	}
 	return nil
+}
+
+// tick counts n rows toward the current batch and reports whether it
+// filled. Subtracting the batch (rather than storing zero) keeps the
+// counter exact under concurrent adds: rows accounted by another caller
+// between our Add and the reset are not dropped.
+func (g *Guard) tick(n int) bool {
+	if g.sinceCk.Add(int64(n)) >= batchSize {
+		g.sinceCk.Add(-batchSize)
+		return true
+	}
+	return false
 }
 
 // Produced reports the intermediate rows accounted so far.

@@ -119,7 +119,7 @@ func TestTimestampSemantics(t *testing.T) {
 
 func TestViewsAsAccessWindows(t *testing.T) {
 	f, s := newSystem(t)
-	elp := f.Store.View("ELP").Def
+	elp := f.Store.Branches("ELP")[0].Def
 	if err := s.DefineView("dba", elp); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestViewsAsAccessWindows(t *testing.T) {
 
 func TestDefineViewChecksPrivileges(t *testing.T) {
 	f, s := newSystem(t)
-	sae := f.Store.View("SAE").Def
+	sae := f.Store.Branches("SAE")[0].Def
 	if err := s.DefineView("alice", sae); err == nil {
 		t.Fatal("view definition without SELECT on the base accepted")
 	}
@@ -169,7 +169,7 @@ func TestDefineViewChecksPrivileges(t *testing.T) {
 
 func TestViewWithDuplicateColumnsRenamed(t *testing.T) {
 	f, s := newSystem(t)
-	est := f.Store.View("EST").Def
+	est := f.Store.Branches("EST")[0].Def
 	if err := s.DefineView("dba", est); err != nil {
 		t.Fatal(err)
 	}

@@ -54,6 +54,21 @@ func Create(fs faultfs.FS, path string) (*Log, error) {
 	return &Log{f: f}, nil
 }
 
+// Reopen opens the log at path for AppendBatch when it holds the header
+// and no record; otherwise — a record, a torn header, no file — ok is
+// false and nothing is opened.
+func Reopen(fs faultfs.FS, path string) (l *Log, ok bool, err error) {
+	data, err := fs.ReadFile(path)
+	if err != nil || string(data) != magic {
+		return nil, false, nil
+	}
+	f, err := fs.Append(path)
+	if err != nil {
+		return nil, false, fmt.Errorf("wal: reopen %s: %w", path, err)
+	}
+	return &Log{f: f}, true, nil
+}
+
 // AppendBatch writes a run of statement records with one Write and one
 // Sync — the group-commit primitive: n concurrent statements cost one
 // fsync instead of n. All records are durable once it returns nil; on

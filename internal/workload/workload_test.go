@@ -57,7 +57,7 @@ func TestGeneratedViewsAnalyze(t *testing.T) {
 	cfg.Views = 10
 	f := Generate(cfg)
 	for _, name := range f.Store.ViewNames() {
-		v := f.Store.View(name)
+		v := f.Store.Branches(name)[0]
 		if _, err := cview.Analyze(v.Def, f.Schema); err != nil {
 			t.Fatalf("generated view %s invalid: %v", name, err)
 		}
