@@ -116,9 +116,11 @@ benchgo:
 
 # Both halves of warm_wide's reply path on one processor, as the
 # benchmark runs it: the server's (closure hit, frame written from the
-# delivered tuples), the codec's (encode from tuples, one-pass decode),
-# the client's renderer, then the whole read over loopback
-# (BenchmarkClientWide), to check the steps' sum against it.
+# delivered tuples), the codec's (encode from tuples, one-pass decode,
+# on Example 3 and on acl_cold's org_list and group_join replies, each
+# with its frame size as frame_B/op), the client's renderer, then the
+# whole read over loopback (BenchmarkClientWide), to check the steps'
+# sum against it.
 bench-reply:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ServeWide|ReplyCodec|RenderTable|ClientWide' -benchmem .
 

@@ -355,14 +355,15 @@ func TestHandshakeRejections(t *testing.T) {
 	s := startServer(t, db, server.Config{AdminToken: "s3cret"})
 	addr := s.Addr().String()
 
-	// Wrong protocol version, spoken raw: an unknown one, version 7,
-	// whose REPL_HELLO carried a follower name, version 6, whose
+	// Wrong protocol version, spoken raw: an unknown one, version 8,
+	// whose client would refuse a front-coded table, version 7, whose
+	// REPL_HELLO carried a follower name, version 6, whose
 	// handshakes and requests were JSON (a binary hello claiming it),
 	// version 5, whose replication batches were JSON, version 4, whose
 	// snapshots rode inside the handshake reply, version 3, whose
 	// snapshots carried CSV, version 2, whose replies were JSON, and
 	// version 1, whose replies carried rendered text.
-	for _, proto := range []int{99, 7, 6, 5, 4, 3, 2, 1} {
+	for _, proto := range []int{99, 8, 7, 6, 5, 4, 3, 2, 1} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -380,12 +381,12 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	}
 
-	// A replica announcing version 7, whose hello carried a name,
-	// version 6, which would send JSON acks, version 5, which would read
+	// A replica announcing version 8, version 7, whose hello carried a
+	// name, version 6, which would send JSON acks, version 5, which would read
 	// JSON batches, version 4, which would expect its snapshot inside the
 	// reply, version 3, which would expect a CSV snapshot, or version 2,
 	// is refused at its handshake too.
-	for _, proto := range []int{7, 6, 5, 4, 3, 2} {
+	for _, proto := range []int{8, 7, 6, 5, 4, 3, 2} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -405,7 +406,7 @@ func TestHandshakeRejections(t *testing.T) {
 
 	// What a protocol-7 replica really sends: a REPL_HELLO with its name
 	// after From. The server refuses it with PROTOCOL when it decodes in
-	// version 8's layout (an empty name) and closes it unanswered when it
+	// this version's layout (an empty name) and closes it unanswered when it
 	// does not; either way no stream opens.
 	str := func(p []byte, s string) []byte { return append(binary.AppendUvarint(p, uint64(len(s))), s...) }
 	v7ReplHello := func(name string) string {

@@ -36,8 +36,8 @@ type ReplHello struct {
 	Leader string
 }
 
-func (m *ReplHello) walk(w *walker) {
-	w.fields(KindReplHello, &m.Proto, &m.Token, &m.From, &m.Epoch, &m.Leader)
+func (m *ReplHello) walk(w walker) walker {
+	return w.fields(KindReplHello, &m.Proto, &m.Token, &m.From, &m.Epoch, &m.Leader)
 }
 
 // ReplHelloReply accepts a replication stream, or refuses it with
@@ -73,8 +73,8 @@ type ReplHelloReply struct {
 	Fork     uint64
 }
 
-func (m *ReplHelloReply) walk(w *walker) {
-	w.fields(KindReplHelloReply, &m.Snapshot, &m.SnapshotStmts, &m.SnapshotLSN, &m.Gen,
+func (m *ReplHelloReply) walk(w walker) walker {
+	return w.fields(KindReplHelloReply, &m.Snapshot, &m.SnapshotStmts, &m.SnapshotLSN, &m.Gen,
 		&m.Error, &m.Epoch, &m.EpochHist, &m.Diverged, &m.Fork)
 }
 
@@ -96,8 +96,8 @@ type ReplBatch struct {
 	SentUnixNano int64
 }
 
-func (m *ReplBatch) walk(w *walker) {
-	w.fields(KindReplBatch, &m.From, &m.Epoch, &m.SentUnixNano, &m.Stmts)
+func (m *ReplBatch) walk(w walker) walker {
+	return w.fields(KindReplBatch, &m.From, &m.Epoch, &m.SentUnixNano, &m.Stmts)
 }
 
 // replBatchHead bounds the bytes of a ReplBatch payload before its
@@ -126,7 +126,7 @@ type ReplAck struct {
 	Applied uint64
 }
 
-func (m *ReplAck) walk(w *walker) { w.fields(KindReplAck, &m.Applied) }
+func (m *ReplAck) walk(w walker) walker { return w.fields(KindReplAck, &m.Applied) }
 
 // ReplFence travels follower → primary on the ack stream when the
 // follower has adopted an epoch higher than the one stamped on the
@@ -138,4 +138,4 @@ type ReplFence struct {
 	Leader string
 }
 
-func (m *ReplFence) walk(w *walker) { w.fields(KindReplFence, &m.Epoch, &m.Leader) }
+func (m *ReplFence) walk(w walker) walker { return w.fields(KindReplFence, &m.Epoch, &m.Leader) }
