@@ -631,7 +631,7 @@ func BenchmarkExecNaiveVsOptimized(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("rows=%d/naive", rows), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := algebra.EvalNaive(an.PSJ.Node(), g.Source); err != nil {
+				if _, err := algebra.EvalNaive(an.PSJ, g.Source, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -970,7 +970,7 @@ func BenchmarkMaskApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ans, err := algebra.EvalNaive(d.PSJ.Node(), g.Source)
+	ans, err := algebra.EvalNaive(d.PSJ, g.Source, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,6 @@
-// Package algebra implements conjunctive relational algebra: plan trees of
-// product, selection, and projection over base-relation scans, plus two
-// evaluators.
+// Package algebra implements conjunctive relational algebra: queries in
+// the product, selection, projection normal form over base-relation scans
+// (PSJ), plus two evaluators.
 //
 // The paper (§4.1) implements a conjunctive query Q as "a sequence of
 // products, followed by selections, and ending with projections", noting
@@ -9,9 +9,9 @@
 // For the actual relations, where optimality is essential, a different
 // strategy may be implemented." Accordingly this package offers:
 //
-//   - EvalNaive: literal bottom-up evaluation of the plan tree (and, via
-//     PSJ, of the paper's products→selections→projections normal form),
-//     the meta side's §4.1 reference and the test oracle;
+//   - EvalNaive: literal evaluation of the paper's
+//     products→selections→projections normal form, the meta side's §4.1
+//     reference and the test oracle;
 //   - EvalPSJ: predicate pushdown, secondary-index access paths, and
 //     index nested-loop equi-joins probing hash indexes keyed by
 //     value.Value (a base relation's, or a materialized scan's) — the
@@ -81,14 +81,6 @@ func (a Atom) String() string {
 	return a.L + " " + a.Op.String() + " " + a.R.String()
 }
 
-// Node is a relational algebra plan node.
-type Node interface {
-	isNode()
-	// Attrs returns the (qualified) output attribute list of the node,
-	// resolving scans against sch.
-	Attrs(sch *relation.DBSchema) ([]string, error)
-}
-
 // Scan reads a base relation under an alias; its output attributes are the
 // relation's attributes qualified by the alias.
 type Scan struct {
@@ -96,54 +88,14 @@ type Scan struct {
 	Alias string
 }
 
-// Product is the cartesian product of two subplans.
-type Product struct{ L, R Node }
-
-// Select filters its input by a conjunction of atoms.
-type Select struct {
-	In   Node
-	Pred []Atom
-}
-
-// Project projects its input onto the named columns, in order.
-type Project struct {
-	In   Node
-	Cols []string
-}
-
-func (Scan) isNode()    {}
-func (Product) isNode() {}
-func (Select) isNode()  {}
-func (Project) isNode() {}
-
-// Attrs implements Node.
+// Attrs returns the scan's output attributes, resolving its relation
+// against sch.
 func (s Scan) Attrs(sch *relation.DBSchema) ([]string, error) {
 	rs := sch.Lookup(s.Rel)
 	if rs == nil {
 		return nil, fmt.Errorf("unknown relation %s", s.Rel)
 	}
 	return relation.QualifyAttrs(s.Alias, rs.Attrs), nil
-}
-
-// Attrs implements Node.
-func (p Product) Attrs(sch *relation.DBSchema) ([]string, error) {
-	l, err := p.L.Attrs(sch)
-	if err != nil {
-		return nil, err
-	}
-	r, err := p.R.Attrs(sch)
-	if err != nil {
-		return nil, err
-	}
-	return append(l, r...), nil
-}
-
-// Attrs implements Node.
-func (s Select) Attrs(sch *relation.DBSchema) ([]string, error) { return s.In.Attrs(sch) }
-
-// Attrs implements Node.
-func (p Project) Attrs(sch *relation.DBSchema) ([]string, error) {
-	return append([]string(nil), p.Cols...), nil
 }
 
 // resolve returns the index of qualified attribute a in attrs, trying the
@@ -210,68 +162,57 @@ func CompilePred(attrs []string, pred []Atom) (func(relation.Tuple) bool, error)
 	}, nil
 }
 
-// EvalNaive evaluates the plan tree bottom-up with nested-loop products.
-func EvalNaive(n Node, src Source) (*relation.Relation, error) {
-	return EvalNaiveGuarded(n, src, nil)
-}
-
-// EvalNaiveGuarded is EvalNaive under a cancellation-and-budget guard:
-// every materialized tuple of a product, selection, or projection is
-// accounted, so a runaway plan fails with guard.ErrBudgetExceeded or
-// guard.ErrCanceled instead of exhausting the process. A nil guard is
-// unlimited.
-func EvalNaiveGuarded(n Node, src Source, g *guard.Guard) (*relation.Relation, error) {
-	switch n := n.(type) {
-	case Scan:
-		base, err := src(n.Rel)
+// EvalNaive evaluates the normal form literally: the scans, left to
+// right, as nested-loop products, then one selection (when p has atoms),
+// then one projection (when p names columns). Every materialized tuple of
+// a product, selection, or projection is accounted against g, so a
+// runaway query fails with guard.ErrBudgetExceeded or guard.ErrCanceled
+// instead of exhausting the process. A nil guard is unlimited.
+func EvalNaive(p *PSJ, src Source, g *guard.Guard) (*relation.Relation, error) {
+	if len(p.Scans) == 0 {
+		return nil, fmt.Errorf("empty query")
+	}
+	var cur *relation.Relation
+	for _, s := range p.Scans {
+		base, err := src(s.Rel)
 		if err != nil {
 			return nil, err
 		}
 		if err := g.Check(); err != nil {
 			return nil, err
 		}
-		return base.Rename(relation.QualifyAttrs(n.Alias, base.Attrs)), nil
-	case Product:
-		l, err := EvalNaiveGuarded(n.L, src, g)
-		if err != nil {
+		r := base.Rename(relation.QualifyAttrs(s.Alias, base.Attrs))
+		if cur == nil {
+			cur = r
+		} else if cur, err = guardedProduct(cur, r, g); err != nil {
 			return nil, err
 		}
-		r, err := EvalNaiveGuarded(n.R, src, g)
-		if err != nil {
-			return nil, err
-		}
-		return guardedProduct(l, r, g)
-	case Select:
-		in, err := EvalNaiveGuarded(n.In, src, g)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := CompilePred(in.Attrs, n.Pred)
-		if err != nil {
-			return nil, err
-		}
-		return guardedSelect(in, pred, g)
-	case Project:
-		in, err := EvalNaiveGuarded(n.In, src, g)
-		if err != nil {
-			return nil, err
-		}
-		idx := make([]int, len(n.Cols))
-		for i, c := range n.Cols {
-			j, err := resolve(in.Attrs, c)
-			if err != nil {
-				return nil, err
-			}
-			idx[i] = j
-		}
-		return guardedProject(in, idx, g)
-	default:
-		return nil, fmt.Errorf("unknown plan node %T", n)
 	}
+	if len(p.Preds) > 0 {
+		pred, err := CompilePred(cur.Attrs, p.Preds)
+		if err != nil {
+			return nil, err
+		}
+		if cur, err = guardedSelect(cur, pred, g); err != nil {
+			return nil, err
+		}
+	}
+	if p.Cols == nil {
+		return cur, nil
+	}
+	idx := make([]int, len(p.Cols))
+	for i, c := range p.Cols {
+		j, err := resolve(cur.Attrs, c)
+		if err != nil {
+			return nil, err
+		}
+		idx[i] = j
+	}
+	return guardedProject(cur, idx, g)
 }
 
 // guardedProduct is relation.Product with per-output-row accounting. A
-// nil guard accounts nothing, so EvalNaive runs the same loop.
+// nil guard accounts nothing.
 func guardedProduct(l, r *relation.Relation, g *guard.Guard) (*relation.Relation, error) {
 	attrs := append(append([]string(nil), l.Attrs...), r.Attrs...)
 	out := relation.New(attrs)

@@ -1,9 +1,12 @@
 package algebra
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"authdb/internal/guard"
 	"authdb/internal/relation"
 	"authdb/internal/value"
 )
@@ -34,7 +37,7 @@ func fixture() (*relation.DBSchema, Source) {
 
 func TestScanQualifiesAttrs(t *testing.T) {
 	sch, src := fixture()
-	out, err := EvalNaive(Scan{Rel: "R", Alias: "R"}, src)
+	out, err := EvalNaive(&PSJ{Scans: []Scan{{Rel: "R", Alias: "R"}}}, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,21 +48,19 @@ func TestScanQualifiesAttrs(t *testing.T) {
 	if err != nil || attrs[0] != "R:2.A" {
 		t.Fatalf("Attrs = %v, %v", attrs, err)
 	}
-	if _, err := EvalNaive(Scan{Rel: "Z", Alias: "Z"}, src); err == nil {
+	if _, err := EvalNaive(&PSJ{Scans: []Scan{{Rel: "Z", Alias: "Z"}}}, src, nil); err == nil {
 		t.Error("unknown relation accepted")
 	}
 }
 
 func TestSelectProjectProduct(t *testing.T) {
 	_, src := fixture()
-	plan := Project{
-		In: Select{
-			In:   Product{L: Scan{Rel: "R", Alias: "R"}, R: Scan{Rel: "S", Alias: "S"}},
-			Pred: []Atom{{L: "R.B", Op: value.EQ, R: AttrOp("S.B")}},
-		},
-		Cols: []string{"R.A", "S.C"},
+	p := &PSJ{
+		Scans: []Scan{{Rel: "R", Alias: "R"}, {Rel: "S", Alias: "S"}},
+		Preds: []Atom{{L: "R.B", Op: value.EQ, R: AttrOp("S.B")}},
+		Cols:  []string{"R.A", "S.C"},
 	}
-	out, err := EvalNaive(plan, src)
+	out, err := EvalNaive(p, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +70,42 @@ func TestSelectProjectProduct(t *testing.T) {
 	if !out.Contains(relation.Tuple{vi(1), value.String("x")}) ||
 		!out.Contains(relation.Tuple{vi(2), value.String("y")}) {
 		t.Fatalf("join content wrong\n%s", out)
+	}
+}
+
+// TestEvalNaiveAccounting pins the guard calls of the literal normal
+// form: one Add per product output row, per selection input row and per
+// projection input row, so a budget trips at a fixed row.
+func TestEvalNaiveAccounting(t *testing.T) {
+	_, src := fixture()
+	p := &PSJ{
+		Scans: []Scan{{Rel: "R", Alias: "R"}, {Rel: "S", Alias: "S"}, {Rel: "T", Alias: "T"}},
+		Preds: []Atom{{L: "R.B", Op: value.EQ, R: AttrOp("S.B")}},
+		Cols:  []string{"R.A"},
+	}
+	// R×S and (R×S)×T each produce 9 rows; the selection reads 9 and
+	// keeps 2; the projection reads 2.
+	g := guard.New(context.Background(), guard.Limits{})
+	out, err := EvalNaive(p, src, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 2 || g.Produced() != 29 {
+		t.Fatalf("rows = %d, produced = %d; want 2, 29", out.Len(), g.Produced())
+	}
+	g = guard.New(context.Background(), guard.Limits{MaxIntermediateRows: 28})
+	_, err = EvalNaive(p, src, g)
+	if !errors.Is(err, guard.ErrBudgetExceeded) || g.Produced() != 29 {
+		t.Fatalf("budget 28: err = %v, produced = %d; want a trip at row 29", err, g.Produced())
+	}
+
+	// No atoms and no columns: the bare product, every column.
+	wide, err := EvalNaive(&PSJ{Scans: p.Scans[:2]}, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.Len() != 9 || wide.Arity() != 4 {
+		t.Fatalf("bare product = %d rows of %d columns, want 9 of 4", wide.Len(), wide.Arity())
 	}
 }
 
@@ -86,52 +123,6 @@ func TestCompilePredErrors(t *testing.T) {
 	}
 	if !pred(relation.Tuple{vi(0), vi(6)}) || pred(relation.Tuple{vi(0), vi(5)}) {
 		t.Error("compiled predicate wrong")
-	}
-}
-
-func TestNormalizeRoundTrip(t *testing.T) {
-	plan := Project{
-		In: Select{
-			In:   Product{L: Scan{Rel: "R", Alias: "R"}, R: Scan{Rel: "S", Alias: "S"}},
-			Pred: []Atom{{L: "R.B", Op: value.EQ, R: AttrOp("S.B")}},
-		},
-		Cols: []string{"R.A"},
-	}
-	p, err := Normalize(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Scans) != 2 || len(p.Preds) != 1 || len(p.Cols) != 1 {
-		t.Fatalf("normalized = %+v", p)
-	}
-	_, src := fixture()
-	a, err := EvalNaive(plan, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EvalNaive(p.Node(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b) {
-		t.Fatal("Node() round trip changes semantics")
-	}
-}
-
-func TestNormalizeRejectsInnerProjection(t *testing.T) {
-	bad := Product{
-		L: Project{In: Scan{Rel: "R", Alias: "R"}, Cols: []string{"R.A"}},
-		R: Scan{Rel: "S", Alias: "S"},
-	}
-	if _, err := Normalize(bad); err == nil {
-		t.Error("projection below a product must be rejected")
-	}
-	bad2 := Select{
-		In:   Project{In: Scan{Rel: "R", Alias: "R"}, Cols: []string{"R.A"}},
-		Pred: []Atom{{L: "R.A", Op: value.EQ, R: ConstOp(vi(1))}},
-	}
-	if _, err := Normalize(bad2); err == nil {
-		t.Error("projection below a selection must be rejected")
 	}
 }
 
@@ -204,7 +195,7 @@ func TestNaiveOptimizedAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for i := 0; i < 400; i++ {
 		p := randPSJ(r)
-		naive, err := EvalNaive(p.Node(), src)
+		naive, err := EvalNaive(p, src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +231,7 @@ func TestEvalOptimizedThetaJoin(t *testing.T) {
 		Preds: []Atom{{L: "R.B", Op: value.LT, R: AttrOp("S.B")}},
 		Cols:  []string{"R.A", "S.B"},
 	}
-	naive, err := EvalNaive(p.Node(), src)
+	naive, err := EvalNaive(p, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,5 +248,8 @@ func TestEmptyQueryRejected(t *testing.T) {
 	_, src := fixture()
 	if _, err := EvalPSJ(&PSJ{}, src, nil, ExecOptions{}, nil); err == nil {
 		t.Error("empty query accepted")
+	}
+	if _, err := EvalNaive(&PSJ{}, src, nil); err == nil {
+		t.Error("empty query accepted by EvalNaive")
 	}
 }

@@ -172,7 +172,7 @@ func genCase(rng *rand.Rand, bigRows int) diffCase {
 type family int
 
 const (
-	famNaive   family = iota // EvalNaive: bottom-up plan tree
+	famNaive   family = iota // EvalNaive: the normal form, literally
 	famIndexed               // EvalPSJ: range scans, index joins, stats
 )
 
@@ -188,7 +188,7 @@ func evalWays(c diffCase, f family, limits guard.Limits) (*relation.Relation, er
 	src := MapSource(c.rels)
 	switch f {
 	case famNaive:
-		return EvalNaiveGuarded(c.plan.Node(), src, g)
+		return EvalNaive(c.plan, src, g)
 	default:
 		return EvalPSJ(c.plan, src, g, ExecOptions{UseIndexes: true}, nil)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"authdb/internal/algebra"
 	"authdb/internal/interval"
-	"authdb/internal/value"
 )
 
 // PushdownAtoms derives, from the mask alone, a selection every delivered
@@ -45,29 +44,8 @@ func (m *Mask) PushdownAtoms() []algebra.Atom {
 				break
 			}
 		}
-		if hull.IsFull() {
-			continue
-		}
-		if v, ok := hull.IsPoint(); ok {
-			out = append(out, algebra.Atom{L: attr, Op: value.EQ, R: algebra.ConstOp(v)})
-			continue
-		}
-		if hull.Lo.Bounded {
-			op := value.GE
-			if hull.Lo.Open {
-				op = value.GT
-			}
-			out = append(out, algebra.Atom{L: attr, Op: op, R: algebra.ConstOp(hull.Lo.V)})
-		}
-		if hull.Hi.Bounded {
-			op := value.LE
-			if hull.Hi.Open {
-				op = value.LT
-			}
-			out = append(out, algebra.Atom{L: attr, Op: op, R: algebra.ConstOp(hull.Hi.V)})
-		}
-		for _, n := range hull.Excluded() {
-			out = append(out, algebra.Atom{L: attr, Op: value.NE, R: algebra.ConstOp(n)})
+		for _, c := range hull.Comparisons() {
+			out = append(out, algebra.Atom{L: attr, Op: c.Op, R: algebra.ConstOp(c.V)})
 		}
 	}
 	return out

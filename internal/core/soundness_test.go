@@ -354,7 +354,7 @@ func TestMaskedWithinAnswer(t *testing.T) {
 // delivered relation with A take A from here.
 func referenceAnswer(t testing.TB, src algebra.Source, psj *algebra.PSJ) *relation.Relation {
 	t.Helper()
-	ans, err := algebra.EvalNaive(psj.Node(), src)
+	ans, err := algebra.EvalNaive(psj, src, nil)
 	if err != nil {
 		t.Fatalf("reference answer: %v", err)
 	}
@@ -377,7 +377,7 @@ func referenceDecision(t *testing.T, f *workload.Fixture, opt core.Options, user
 	}
 	d := &core.Decision{MaskPlan: mp, PSJ: an.PSJ}
 	if mp.WidePSJ != nil {
-		wide, err := algebra.EvalNaive(mp.WidePSJ.Node(), f.Source)
+		wide, err := algebra.EvalNaive(mp.WidePSJ, f.Source, nil)
 		if err != nil {
 			t.Fatalf("reference actual side: %v", err)
 		}

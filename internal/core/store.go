@@ -525,26 +525,10 @@ func (s *Store) RenderComparison(w io.Writer) {
 
 // comparisonRows decomposes an interval back into COMPARISON triples.
 func comparisonRows(x string, iv interval.Interval) [][]string {
-	var out [][]string
-	if v, ok := iv.IsPoint(); ok {
-		return [][]string{{x, "=", v.String()}}
-	}
-	if iv.Lo.Bounded {
-		op := ">="
-		if iv.Lo.Open {
-			op = ">"
-		}
-		out = append(out, []string{x, op, iv.Lo.V.String()})
-	}
-	if iv.Hi.Bounded {
-		op := "<="
-		if iv.Hi.Open {
-			op = "<"
-		}
-		out = append(out, []string{x, op, iv.Hi.V.String()})
-	}
-	for _, n := range iv.Excluded() {
-		out = append(out, []string{x, "!=", n.String()})
+	cs := iv.Comparisons()
+	out := make([][]string, len(cs))
+	for i, c := range cs {
+		out[i] = []string{x, c.Op.String(), c.V.String()}
 	}
 	return out
 }

@@ -84,7 +84,7 @@ func TestJoinKeysExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := func(name string) (*relation.Relation, error) { return e.Relation(name) }
-		want, err := algebra.EvalNaive(psj.Node(), src)
+		want, err := algebra.EvalNaive(psj, src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

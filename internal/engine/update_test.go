@@ -80,7 +80,7 @@ func oracleCovers(t *testing.T, e *engine.Engine, user, rel string, tup relation
 				}
 				q := *an.PSJ
 				q.Cols = relation.QualifyAttrs(st.Alias, e.Schema().Lookup(rel).Attrs)
-				ans, err := algebra.EvalNaive(q.Node(), src)
+				ans, err := algebra.EvalNaive(&q, src, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

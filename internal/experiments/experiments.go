@@ -37,7 +37,7 @@ type result struct {
 func retrieve(a *core.Authorizer, user string, def *cview.Def) result {
 	d, err := a.Retrieve(user, def)
 	must(err)
-	ans, err := algebra.EvalNaive(d.PSJ.Node(), a.Source)
+	ans, err := algebra.EvalNaive(d.PSJ, a.Source, nil)
 	must(err)
 	r := result{revealed: d.Stats.RevealedCells, cells: ans.Len() * ans.Arity()}
 	switch {
@@ -306,7 +306,7 @@ func Overhead(w io.Writer) {
 				must(err)
 			})
 			naive := timeIt(func() {
-				_, err := algebra.EvalNaive(an.PSJ.Node(), g.Source)
+				_, err := algebra.EvalNaive(an.PSJ, g.Source, nil)
 				must(err)
 			})
 			fmt.Fprintf(w, "rows=%-6d views=%-14d %12s %12s %9.2fx %12s\n",

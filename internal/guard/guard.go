@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -58,18 +57,16 @@ func Unlimited() Limits { return Limits{} }
 const batchSize = 1024
 
 // Guard enforces a Limits budget under a context. A guard belongs to a
-// single statement execution (it is not shared across statements). It is
-// safe for concurrent use: the produced-row counter and the batch check
-// counter are atomic, so the budget trigger point depends only on the
-// total rows accounted, not on which goroutine accounted them.
+// single statement execution, which one goroutine evaluates, so its
+// counters are plain fields.
 type Guard struct {
 	ctx context.Context
 	// deadline is when Limits.Timeout runs out, zero for none. The clock
 	// is read once per batch, so a statement starts no timer.
 	deadline time.Time
 	limits   Limits
-	produced atomic.Int64
-	sinceCk  atomic.Int64
+	produced int64
+	sinceCk  int64
 }
 
 // New builds a guard for one statement execution.
@@ -77,12 +74,11 @@ func New(ctx context.Context, limits Limits) *Guard {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	g := &Guard{ctx: ctx, limits: limits}
+	// One unit short of a batch: the first Add or Check reads the clock.
+	g := &Guard{ctx: ctx, limits: limits, sinceCk: batchSize - 1}
 	if limits.Timeout > 0 {
 		g.deadline = time.Now().Add(limits.Timeout)
 	}
-	// One unit short of a batch: the first Add or Check reads the clock.
-	g.sinceCk.Store(batchSize - 1)
 	return g
 }
 
@@ -122,9 +118,9 @@ func (g *Guard) Add(n int) error {
 	if g == nil {
 		return nil
 	}
-	total := g.produced.Add(int64(n))
-	if max := g.limits.MaxIntermediateRows; max > 0 && total > max {
-		return fmt.Errorf("%w: intermediate rows %d exceed limit %d", ErrBudgetExceeded, total, max)
+	g.produced += int64(n)
+	if max := g.limits.MaxIntermediateRows; max > 0 && g.produced > max {
+		return fmt.Errorf("%w: intermediate rows %d exceed limit %d", ErrBudgetExceeded, g.produced, max)
 	}
 	if g.tick(n) {
 		return g.ctxErr(true)
@@ -133,12 +129,11 @@ func (g *Guard) Add(n int) error {
 }
 
 // tick counts n rows toward the current batch and reports whether it
-// filled. Subtracting the batch (rather than storing zero) keeps the
-// counter exact under concurrent adds: rows accounted by another caller
-// between our Add and the reset are not dropped.
+// filled, carrying any excess into the next batch.
 func (g *Guard) tick(n int) bool {
-	if g.sinceCk.Add(int64(n)) >= batchSize {
-		g.sinceCk.Add(-batchSize)
+	g.sinceCk += int64(n)
+	if g.sinceCk >= batchSize {
+		g.sinceCk -= batchSize
 		return true
 	}
 	return false
@@ -149,7 +144,7 @@ func (g *Guard) Produced() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.produced.Load()
+	return g.produced
 }
 
 // Result verifies the delivered answer's cardinality against

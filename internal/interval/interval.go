@@ -280,31 +280,51 @@ func (a Interval) Equal(b Interval) bool {
 // Excluded returns the ≠-excluded points (read-only).
 func (a Interval) Excluded() []value.Value { return a.not }
 
+// Comparison is one primitive predicate "attribute Op V" of an
+// interval's decomposition.
+type Comparison struct {
+	Op value.Cmp
+	V  value.Value
+}
+
+// Comparisons decomposes the constraint into primitive predicates, the
+// inverse of conjoining FromCmp intervals: a point becomes one =; a
+// finite low bound >= or >, a finite high bound <= or <; each excluded
+// point !=. A full interval decomposes into none.
+func (a Interval) Comparisons() []Comparison {
+	if v, ok := a.IsPoint(); ok {
+		return []Comparison{{value.EQ, v}}
+	}
+	var out []Comparison
+	if a.Lo.Bounded {
+		op := value.GE
+		if a.Lo.Open {
+			op = value.GT
+		}
+		out = append(out, Comparison{op, a.Lo.V})
+	}
+	if a.Hi.Bounded {
+		op := value.LE
+		if a.Hi.Open {
+			op = value.LT
+		}
+		out = append(out, Comparison{op, a.Hi.V})
+	}
+	for _, n := range a.not {
+		out = append(out, Comparison{value.NE, n})
+	}
+	return out
+}
+
 // Conds renders the constraint as a conjunction of primitive predicates on
 // the attribute named attr, e.g. "BUDGET >= 250000", each constant as its
 // statement literal (B = 5 and B = "5" read apart). A full interval
 // renders as no conditions; a point as a single equality.
 func (a Interval) Conds(attr string) []string {
-	if v, ok := a.IsPoint(); ok {
-		return []string{attr + " = " + value.Literal(v)}
-	}
-	var out []string
-	if a.Lo.Bounded {
-		op := ">="
-		if a.Lo.Open {
-			op = ">"
-		}
-		out = append(out, attr+" "+op+" "+value.Literal(a.Lo.V))
-	}
-	if a.Hi.Bounded {
-		op := "<="
-		if a.Hi.Open {
-			op = "<"
-		}
-		out = append(out, attr+" "+op+" "+value.Literal(a.Hi.V))
-	}
-	for _, n := range a.not {
-		out = append(out, attr+" != "+value.Literal(n))
+	cs := a.Comparisons()
+	out := make([]string, len(cs))
+	for i, c := range cs {
+		out[i] = attr + " " + c.Op.String() + " " + value.Literal(c.V)
 	}
 	return out
 }

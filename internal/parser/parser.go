@@ -287,7 +287,7 @@ func (p *parser) delete() (Stmt, error) {
 	}
 	s := Delete{Rel: rel.text}
 	for kw := "where"; p.acceptKeyword(kw); kw = "or" {
-		conds, err := p.condsIn(rel.text)
+		conds, err := p.conds(rel.text)
 		if err != nil {
 			return nil, err
 		}
@@ -298,84 +298,6 @@ func (p *parser) delete() (Stmt, error) {
 		}
 	}
 	return s, nil
-}
-
-// condsIn parses a conjunction whose column references may be bare
-// attribute names, implicitly qualified by relation rel (delete
-// statements address a single relation).
-func (p *parser) condsIn(rel string) ([]cview.Cond, error) {
-	var out []cview.Cond
-	for {
-		l, err := p.colRefIn(rel)
-		if err != nil {
-			return nil, err
-		}
-		opTok, err := p.expect(tokCmp, "comparator")
-		if err != nil {
-			return nil, err
-		}
-		op, ok := value.ParseCmp(opTok.text)
-		if !ok {
-			return nil, errf(opTok.pos, "bad comparator %q", opTok.text)
-		}
-		r, err := p.termIn(rel)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cview.Cond{L: l, Op: op, R: r})
-		if !p.acceptKeyword("and") {
-			return out, nil
-		}
-	}
-}
-
-// colRefIn parses IDENT [":" NUM] "." IDENT, or a bare IDENT qualified by
-// rel.
-func (p *parser) colRefIn(rel string) (cview.ColRef, error) {
-	t, err := p.expect(tokIdent, "attribute or relation name")
-	if err != nil {
-		return cview.ColRef{}, err
-	}
-	alias := t.text
-	if p.accept(tokColon) {
-		n, err := p.expect(tokNumber, "occurrence number")
-		if err != nil {
-			return cview.ColRef{}, err
-		}
-		alias += ":" + n.text
-	}
-	if !p.accept(tokDot) {
-		return cview.ColRef{Alias: rel, Attr: t.text}, nil
-	}
-	attr, err := p.expect(tokIdent, "attribute name")
-	if err != nil {
-		return cview.ColRef{}, err
-	}
-	return cview.ColRef{Alias: alias, Attr: attr.text}, nil
-}
-
-// termIn parses the right-hand side where a bare identifier followed by a
-// comparator-or-end is a constant, and dotted forms are columns.
-func (p *parser) termIn(rel string) (cview.Term, error) {
-	t := p.peek()
-	if t.kind == tokIdent {
-		j := p.i + 1
-		if p.toks[j].kind == tokColon && p.toks[j+1].kind == tokNumber {
-			j += 2
-		}
-		if p.toks[j].kind == tokDot {
-			c, err := p.colRefIn(rel)
-			if err != nil {
-				return cview.Term{}, err
-			}
-			return cview.Term{IsCol: true, Col: c}, nil
-		}
-	}
-	v, err := p.constant()
-	if err != nil {
-		return cview.Term{}, err
-	}
-	return cview.ConstTerm(v), nil
 }
 
 func (p *parser) view() (Stmt, error) {
@@ -391,7 +313,7 @@ func (p *parser) view() (Stmt, error) {
 	// Views (not queries) may be disjunctive (§6): further conjunctive
 	// branches follow after "or".
 	for p.acceptKeyword("or") {
-		branch, err := p.conds()
+		branch, err := p.conds("")
 		if err != nil {
 			return nil, err
 		}
@@ -435,7 +357,7 @@ func (p *parser) defBodyAgg() (*cview.Def, []AggSpec, error) {
 		if t := p.peek(); t.kind == tokIdent && p.toks[p.i+1].kind == tokLParen && aggFuncs[keyword(t)] {
 			fn := keyword(p.next())
 			p.next() // '('
-			c, err := p.colRef()
+			c, err := p.colRef("")
 			if err != nil {
 				return nil, nil, err
 			}
@@ -445,7 +367,7 @@ func (p *parser) defBodyAgg() (*cview.Def, []AggSpec, error) {
 			aggs = append(aggs, AggSpec{Index: len(d.Cols), Func: fn})
 			d.Cols = append(d.Cols, c)
 		} else {
-			c, err := p.colRef()
+			c, err := p.colRef("")
 			if err != nil {
 				return nil, nil, err
 			}
@@ -459,7 +381,7 @@ func (p *parser) defBodyAgg() (*cview.Def, []AggSpec, error) {
 		}
 	}
 	if p.acceptKeyword("where") {
-		conds, err := p.conds()
+		conds, err := p.conds("")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -490,10 +412,13 @@ func (p *parser) listLen() int {
 	return n
 }
 
-func (p *parser) conds() ([]cview.Cond, error) {
+// conds parses a conjunction of conditions. rel is the relation a bare
+// attribute name refers to (a delete addresses one relation), or "" where
+// every column reference names its relation (views and retrieves).
+func (p *parser) conds(rel string) ([]cview.Cond, error) {
 	var out []cview.Cond
 	for {
-		c, err := p.cond()
+		c, err := p.cond(rel)
 		if err != nil {
 			return nil, err
 		}
@@ -504,8 +429,8 @@ func (p *parser) conds() ([]cview.Cond, error) {
 	}
 }
 
-func (p *parser) cond() (cview.Cond, error) {
-	l, err := p.colRef()
+func (p *parser) cond(rel string) (cview.Cond, error) {
+	l, err := p.colRef(rel)
 	if err != nil {
 		return cview.Cond{}, err
 	}
@@ -524,13 +449,18 @@ func (p *parser) cond() (cview.Cond, error) {
 	return cview.Cond{L: l, Op: op, R: r}, nil
 }
 
-// colRef parses IDENT [":" NUMBER] "." IDENT.
-func (p *parser) colRef() (cview.ColRef, error) {
-	rel, err := p.expect(tokIdent, "relation name")
+// colRef parses IDENT [":" NUMBER] "." IDENT. Where rel is not "", a
+// bare IDENT is an attribute of rel.
+func (p *parser) colRef(rel string) (cview.ColRef, error) {
+	what := "relation name"
+	if rel != "" {
+		what = "attribute or relation name"
+	}
+	t, err := p.expect(tokIdent, what)
 	if err != nil {
 		return cview.ColRef{}, err
 	}
-	alias := rel.text
+	alias := t.text
 	if p.accept(tokColon) {
 		n, err := p.expect(tokNumber, "occurrence number")
 		if err != nil {
@@ -538,8 +468,12 @@ func (p *parser) colRef() (cview.ColRef, error) {
 		}
 		alias += ":" + n.text
 	}
-	if _, err := p.expect(tokDot, "'.'"); err != nil {
-		return cview.ColRef{}, err
+	if rel == "" {
+		if _, err := p.expect(tokDot, "'.'"); err != nil {
+			return cview.ColRef{}, err
+		}
+	} else if !p.accept(tokDot) {
+		return cview.ColRef{Alias: rel, Attr: t.text}, nil
 	}
 	attr, err := p.expect(tokIdent, "attribute name")
 	if err != nil {
@@ -549,7 +483,8 @@ func (p *parser) colRef() (cview.ColRef, error) {
 }
 
 // term parses the right-hand side of a condition: a column reference when
-// the lookahead shapes like IDENT[:N].IDENT, otherwise a constant.
+// the lookahead shapes like IDENT[:N].IDENT, otherwise a constant (so a
+// bare identifier is a constant, in a delete too).
 func (p *parser) term() (cview.Term, error) {
 	t := p.peek()
 	if t.kind == tokIdent {
@@ -558,7 +493,7 @@ func (p *parser) term() (cview.Term, error) {
 			j += 2
 		}
 		if p.toks[j].kind == tokDot {
-			c, err := p.colRef()
+			c, err := p.colRef("")
 			if err != nil {
 				return cview.Term{}, err
 			}

@@ -198,9 +198,7 @@ func (s *System) evalModified(an *cview.Analyzed, mod *Modified) (*relation.Rela
 	for _, sc := range an.Scans {
 		psj.Scans = append(psj.Scans, algebra.Scan{Rel: sc.Alias, Alias: sc.Alias})
 	}
-	return algebra.EvalNaive(psj.Node(), func(name string) (*relation.Relation, error) {
-		return src(name)
-	})
+	return algebra.EvalNaive(psj, src, nil)
 }
 
 // anyPermMatches evaluates the disjunction of the permissions'

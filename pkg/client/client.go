@@ -30,8 +30,9 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unicode"
 
+	"authdb/internal/engine"
+	"authdb/internal/parser"
 	"authdb/internal/wire"
 )
 
@@ -354,24 +355,25 @@ func (c *Client) Exec(ctx context.Context, stmt string) (*Result, error) {
 	return nil, lastErr
 }
 
-// mutatingStmt classifies a statement by its leading keyword; anything
-// unrecognized counts as mutating (the conservative direction for the
-// retry decision — an unknown statement is answered with a parse error
-// by the server, so the only cost is a skipped retry).
+// mutatingStmt reports whether stmt may change the database: whether
+// any statement it parses to mutates (engine.Mutating). Input that does
+// not parse counts as mutating, the conservative direction for the retry
+// decision (the server answers it with a parse error, so the only cost
+// is a skipped retry). A meta-command (\stats) never mutates.
 func mutatingStmt(stmt string) bool {
-	stmt = strings.TrimSpace(stmt)
-	if strings.HasPrefix(stmt, `\`) {
-		return false // meta-commands (\stats) never mutate
-	}
-	i := 0
-	for i < len(stmt) && !unicode.IsSpace(rune(stmt[i])) && stmt[i] != '(' {
-		i++
-	}
-	switch strings.ToLower(stmt[:i]) {
-	case "retrieve", "show", "explain", "":
+	if strings.HasPrefix(strings.TrimSpace(stmt), `\`) {
 		return false
 	}
-	return true
+	stmts, err := parser.ParseProgramPos(stmt)
+	if err != nil {
+		return true
+	}
+	for _, s := range stmts {
+		if engine.Mutating(s.Stmt) {
+			return true
+		}
+	}
+	return false
 }
 
 // roundTrip writes one request and reads its response; callers hold

@@ -278,6 +278,7 @@ func TestMutatingStmtClassifier(t *testing.T) {
 		`explain retrieve (R.A)`,
 		`\stats`,
 		``,
+		"-- note\nretrieve (R.A)",
 	}
 	for _, s := range mutating {
 		if !mutatingStmt(s) {
