@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race chaos loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply bench-acl
+.PHONY: check build fmt vet staticcheck test race chaos examples loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply bench-acl
 
 check: build fmt vet staticcheck race
 
@@ -40,6 +40,14 @@ race:
 # per-schedule operation histories (CI uploads them on failure).
 chaos:
 	$(GO) test -race -v -run 'TestChaos' ./internal/chaosnet
+
+# Runs each example program once; any that exits non-zero fails the
+# target, naming it.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run "./$$d" >/dev/null || { echo "example $$d failed"; exit 1; }; \
+	done
 
 # Prints the number of non-test Go lines outside bench/: the one size
 # figure a change that removes code reports. REV=<commit> counts that

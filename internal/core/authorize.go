@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"slices"
 
 	"authdb/internal/algebra"
@@ -78,6 +79,18 @@ type MaskPlan struct {
 	// MetaTuples counts the meta-tuples the scans and products of this
 	// plan's computation materialized — the meta side's unit of work.
 	MetaTuples int
+}
+
+// RenderPhases writes the meta side of §5's worked examples: the
+// meta-relation after each recorded phase, then the mask A', each table
+// followed by a blank line.
+func (mp *MaskPlan) RenderPhases(w io.Writer) {
+	for _, s := range mp.Intermediates {
+		s.Meta.Render(w, "after "+s.Phase+":", mp.Inst)
+		fmt.Fprintln(w)
+	}
+	(&MetaRel{Attrs: mp.Mask.Attrs, Tuples: mp.Mask.Tuples}).Render(w, "mask A':", mp.Inst)
+	fmt.Fprintln(w)
 }
 
 // Authorizer binds a database scheme, its relation instances, and an

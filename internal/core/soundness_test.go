@@ -293,7 +293,8 @@ func cloneFixture(f *workload.Fixture) *workload.Fixture {
 // tuple under set semantics); it reports whether a mutation happened.
 func mutateCell(f *workload.Fixture, rng *rand.Rand) bool {
 	names := []string{"R", "S"}
-	rel := f.Rels[names[rng.Intn(len(names))]]
+	name := names[rng.Intn(len(names))]
+	rel := f.Rels[name]
 	tuples := rel.Tuples()
 	if len(tuples) == 0 {
 		return false
@@ -302,8 +303,14 @@ func mutateCell(f *workload.Fixture, rng *rand.Rand) bool {
 	col := rng.Intn(len(old))
 	mutated := old.Clone()
 	mutated[col] = value.Int(old[col].AsInt() + 1 + int64(rng.Intn(3)))
-	rel.Delete(func(t relation.Tuple) bool { return t.Equal(old) })
-	rel.Insert(mutated) //nolint:errcheck // arity preserved
+	next := relation.New(rel.Attrs)
+	for _, t := range tuples {
+		if !t.Equal(old) {
+			next.MustInsert(t...)
+		}
+	}
+	next.MustInsert(mutated...)
+	f.Rels[name] = next
 	return true
 }
 

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 
 	"authdb/internal/algebra"
 	"authdb/internal/cview"
@@ -458,6 +459,67 @@ func (s *Store) compile(def *cview.Def) (*StoredView, int, error) {
 		}
 	}
 	return v, next, nil
+}
+
+// Calculus renders a compiled branch as a domain relational calculus
+// expression in the notation of §2, for the REPL's "show view". The
+// meta-tuples are the formula's memberships with its equalities already
+// substituted (§3), so the rendering reads them: the head names the
+// projected groups a1, a2, …; a variable cell prints its group's name, a
+// constant cell its constant, any other cell a fresh quantified b_j; the
+// comparisons follow from COMPARISON.
+func (s *Store) Calculus(v *StoredView) string {
+	names := make(map[string]string) // variable, or "tuple.cell" of a cell without one -> name
+	key := func(ti, ci int) string {
+		if x := v.Tuples[ti].Cells[ci].Var; x != "" {
+			return x
+		}
+		return fmt.Sprint(ti, ".", ci)
+	}
+	var head, quant, body, cmps []string
+	for _, c := range v.Def.Cols {
+		ti := slices.IndexFunc(v.Tuples, func(t StoredTuple) bool { return t.Alias == c.Alias })
+		ci := s.sch.Lookup(v.Tuples[ti].Rel).AttrIndex(c.Attr)
+		k := key(ti, ci)
+		if _, ok := names[k]; !ok {
+			names[k] = fmt.Sprintf("a%d", len(names)+1)
+			if cv := v.Tuples[ti].Cells[ci].Const; cv != nil {
+				cmps = append(cmps, names[k]+" = "+cv.String())
+			}
+		}
+		head = append(head, names[k])
+	}
+	seen := make(map[string]bool)
+	for ti, t := range v.Tuples {
+		parts := make([]string, len(t.Cells))
+		for ci, c := range t.Cells {
+			k := key(ti, ci)
+			n, ok := names[k]
+			switch {
+			case !ok && c.Const != nil:
+				n = c.Const.String()
+			case !ok:
+				n = fmt.Sprintf("b%d", len(quant)+1)
+				quant = append(quant, "(exists "+n+")")
+				names[k] = n
+			}
+			if c.Var != "" && !seen[c.Var] {
+				seen[c.Var] = true
+				for _, cmp := range v.VarIv[c.Var].Comparisons() {
+					cmps = append(cmps, n+" "+cmp.Op.String()+" "+cmp.V.String())
+				}
+			}
+			parts[ci] = n
+		}
+		body = append(body, "("+strings.Join(parts, ", ")+") in "+t.Rel)
+	}
+	for _, c := range v.VarCmps {
+		cmps = append(cmps, names[c.X]+" "+c.Op.String()+" "+names[c.Y])
+	}
+	if len(quant) > 0 {
+		quant = append(quant, " ")
+	}
+	return "{" + strings.Join(head, ", ") + " | " + strings.Join(quant, "") + strings.Join(append(body, cmps...), " and ") + "}"
 }
 
 // RenderMeta writes the stored meta-relation R' for one base relation in

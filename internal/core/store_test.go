@@ -112,6 +112,57 @@ func TestFigure1Rendering(t *testing.T) {
 	}
 }
 
+// TestCalculusPaperViews pins the §2 calculus form of the four Figure 1
+// views as read off their compiled meta-tuples.
+func TestCalculusPaperViews(t *testing.T) {
+	f := workload.Paper()
+	for name, want := range map[string]string{
+		"SAE": "{a1, a2 | (exists b1) (a1, b1, a2) in EMPLOYEE}",
+		"ELP": "{a1, a2, a3, a4 | (exists b1)(exists b2) (a1, a2, b1) in EMPLOYEE and (a3, b2, a4) in PROJECT and (a1, a3) in ASSIGNMENT and a4 >= 250000}",
+		"EST": "{a1, a2, a3 | (exists b1)(exists b2) (a1, a3, b1) in EMPLOYEE and (a2, a3, b2) in EMPLOYEE}",
+		"PSA": "{a1, a2, a3 | (a1, a2, a3) in PROJECT and a2 = Acme}",
+	} {
+		if got := f.Store.Calculus(f.Store.Branches(name)[0]); got != want {
+			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
+
+// TestCalculusFoldsAsStored checks that the calculus form depends on the
+// conditions, not on their order: a view and the same view with its
+// conditions swapped compile to the same meta-tuples and print the same
+// formula, chained equalities and constants folded as stored. A
+// disjunctive view prints one formula per branch.
+func TestCalculusFoldsAsStored(t *testing.T) {
+	f := workload.NewFixture()
+	f.MustExec(`relation R (A, B) key (A); relation S (C, D) key (C);`)
+	calc := func(stmt string) []string {
+		mustView(t, f, stmt)
+		var out []string
+		for _, v := range f.Store.Branches(strings.Fields(stmt)[1]) {
+			out = append(out, f.Store.Calculus(v))
+		}
+		return out
+	}
+	for _, c := range []struct{ v, w, want string }{
+		{"view V1 (R.A) where S.C = S.D and R.A = S.C", "view W1 (R.A) where R.A = S.C and S.C = S.D",
+			"{a1 | (exists b1) (a1, b1) in R and (a1, a1) in S}"},
+		{"view V2 (R.A) where R.B = S.C and R.B = 5", "view W2 (R.A) where R.B = 5 and R.B = S.C",
+			"{a1 | (exists b1) (a1, 5) in R and (5, b1) in S}"},
+		{"view V3 (R.A, R.B) where R.A = S.C and R.B < S.D and R.B > 3 and R.B != 7", "view W3 (R.A, R.B) where R.B != 7 and R.B > 3 and R.B < S.D and R.A = S.C",
+			"{a1, a2 | (exists b1) (a1, a2) in R and (a1, b1) in S and a2 > 3 and a2 != 7 and a2 < b1}"},
+	} {
+		v, w := calc(c.v), calc(c.w)
+		if len(v) != 1 || v[0] != c.want || len(w) != 1 || w[0] != c.want {
+			t.Errorf("%s:\n got %q and %q\nwant %s", c.v, v, w, c.want)
+		}
+	}
+	got := strings.Join(calc("view D (R.A, R.B) where R.A = 1 or R.B >= 50 and R.B < 70"), "\n")
+	if want := "{a1, a2 | (a1, a2) in R and a1 = 1}\n{a1, a2 | (a1, a2) in R and a2 >= 50 and a2 < 70}"; got != want {
+		t.Errorf("disjunctive view:\n got %s\nwant %s", got, want)
+	}
+}
+
 func mustView(t *testing.T, f *workload.Fixture, stmt string) {
 	t.Helper()
 	s, err := parser.Parse(stmt)

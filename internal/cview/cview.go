@@ -263,95 +263,3 @@ func defName(d *Def) string {
 	}
 	return "retrieve"
 }
-
-// Calculus renders the definition as a domain relational calculus
-// expression in the notation of §2, for documentation and the REPL's
-// "show view" command.
-func Calculus(d *Def, sch *relation.DBSchema) (string, error) {
-	an, err := Analyze(d, sch)
-	if err != nil {
-		return "", err
-	}
-	// Assign a-variables to projected attributes and b-variables to the
-	// rest, honouring equality conditions by variable sharing.
-	names := make(map[string]string) // qualified attr -> variable or constant
-	var as, bs int
-	varFor := func(q string, projected bool) string {
-		if v, ok := names[q]; ok {
-			return v
-		}
-		var v string
-		if projected {
-			as++
-			v = fmt.Sprintf("a%d", as)
-		} else {
-			bs++
-			v = fmt.Sprintf("b%d", bs)
-		}
-		names[q] = v
-		return v
-	}
-	for _, c := range d.Cols {
-		varFor(c.Qualified(), true)
-	}
-	// Fold equalities: attr = const pins the constant; attr = attr shares.
-	var comparatives []string
-	for _, c := range d.Where {
-		lq := c.L.Qualified()
-		if c.Op == value.EQ {
-			if c.R.IsCol {
-				rq := c.R.Col.Qualified()
-				lv, lok := names[lq]
-				rv, rok := names[rq]
-				switch {
-				case lok && rok:
-					comparatives = append(comparatives, lv+" = "+rv)
-				case lok:
-					names[rq] = lv
-				case rok:
-					names[lq] = rv
-				default:
-					names[lq] = varFor(lq, false)
-					names[rq] = names[lq]
-				}
-			} else {
-				if v, ok := names[lq]; ok {
-					comparatives = append(comparatives, v+" = "+c.R.Const.String())
-				} else {
-					names[lq] = c.R.Const.String()
-				}
-			}
-			continue
-		}
-		lv := varFor(lq, false)
-		rv := c.R.Const.String()
-		if c.R.IsCol {
-			rv = varFor(c.R.Col.Qualified(), false)
-		}
-		comparatives = append(comparatives, lv+" "+c.Op.String()+" "+rv)
-	}
-	var memb []string
-	var existentials []string
-	for _, s := range an.Scans {
-		rs := sch.Lookup(s.Rel)
-		parts := make([]string, len(rs.Attrs))
-		for i, attr := range rs.Attrs {
-			q := s.Alias + "." + attr
-			v, ok := names[q]
-			if !ok {
-				v = varFor(q, false)
-			}
-			parts[i] = v
-		}
-		memb = append(memb, "("+strings.Join(parts, ", ")+") in "+s.Rel)
-	}
-	for i := 1; i <= bs; i++ {
-		existentials = append(existentials, fmt.Sprintf("(exists b%d)", i))
-	}
-	head := make([]string, len(d.Cols))
-	for i, c := range d.Cols {
-		head[i] = names[c.Qualified()]
-	}
-	body := strings.Join(append(memb, comparatives...), " and ")
-	return "{" + strings.Join(head, ", ") + " | " + strings.Join(existentials, "") + " " + body + "}", nil
-}

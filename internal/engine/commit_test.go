@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -92,7 +93,7 @@ func TestCheckpointDrainsStagedRecords(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := wal.ReplayAll(faultfs.OS(), filepath.Join(dir, walName(gen)))
+	recs, err := walStmts(filepath.Join(dir, walName(gen)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestRefuseUnjournalableStatement(t *testing.T) {
 			defer e.UnsubscribeCommits(sub)
 			before, lsn := fingerprint(t, e), e.LSN()
 			for _, p := range bad {
-				if _, err := admin.ExecStmt(p); err == nil || !strings.Contains(err.Error(), "no literal form") {
+				if _, err := admin.ExecStmtContext(context.Background(), p); err == nil || !strings.Contains(err.Error(), "no literal form") {
 					t.Fatalf("%#v: err = %v, want a refusal", p, err)
 				}
 			}
@@ -438,4 +439,14 @@ func TestRefuseUnjournalableStatement(t *testing.T) {
 			}
 		})
 	}
+}
+
+// walStmts collects the statements of a log's valid prefix.
+func walStmts(path string) ([]string, error) {
+	var out []string
+	_, err := wal.Replay(faultfs.OS(), path, func(_ int, stmt string) error {
+		out = append(out, stmt)
+		return nil
+	})
+	return out, err
 }

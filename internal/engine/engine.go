@@ -312,11 +312,6 @@ func (s *Session) ExecScriptContext(ctx context.Context, script string) ([]*Resu
 	return out, nil
 }
 
-// ExecStmt executes a parsed statement.
-func (s *Session) ExecStmt(p parser.Stmt) (*Result, error) {
-	return s.ExecStmtContext(context.Background(), p)
-}
-
 // ExecStmtContext executes a parsed statement under ctx and the
 // session's limits. A panic anywhere in the execution machinery is
 // recovered and returned as an error (wrapping ErrInternal): one
@@ -574,13 +569,7 @@ func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) 
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan: %s\n", d.PSJ)
 	fmt.Fprintf(&b, "instantiated views: %s\n\n", strings.Join(d.Views, ", "))
-	for _, snap := range d.Intermediates {
-		snap.Meta.Render(&b, "after "+snap.Phase+":", d.Inst)
-		fmt.Fprintln(&b)
-	}
-	maskRel := &core.MetaRel{Attrs: d.Mask.Attrs, Tuples: d.Mask.Tuples}
-	maskRel.Render(&b, "mask A':", d.Inst)
-	fmt.Fprintln(&b)
+	d.RenderPhases(&b)
 	switch {
 	case d.FullyAuthorized:
 		fmt.Fprintln(&b, "outcome: the entire answer is delivered")
@@ -839,10 +828,8 @@ func (s *Session) show(p parser.Show) (*Result, error) {
 			return nil, fmt.Errorf("unknown view %s", p.Arg)
 		}
 		fmt.Fprintln(&b, def.String())
-		for bi := range def.Branches() {
-			if calc, err := cview.Calculus(def.Branch(bi), v.sch); err == nil {
-				fmt.Fprintln(&b, calc)
-			}
+		for _, br := range v.store.Branches(p.Arg) {
+			fmt.Fprintln(&b, v.store.Calculus(br))
 		}
 	case "permissions":
 		v.store.RenderPermission(&b)

@@ -1,13 +1,14 @@
 package engine_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"authdb/internal/core"
 	"authdb/internal/engine"
 	"authdb/internal/parser"
-	"authdb/internal/relation"
+	"authdb/internal/value"
 	"authdb/internal/workload"
 )
 
@@ -53,7 +54,7 @@ func TestEngineRelationSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutating the snapshot must not affect the engine.
-	r.Delete(func(relation.Tuple) bool { return true })
+	r.MustInsert(value.String("Snapshot"), value.String("writer"), value.Int(1))
 	r2, _ := e.Relation("EMPLOYEE")
 	if r2.Len() != 3 {
 		t.Fatal("snapshot shares state")
@@ -268,7 +269,7 @@ func TestExecStmtUnknown(t *testing.T) {
 	if _, err := s.Exec(`this is not a statement`); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := s.ExecStmt(parser.Show{What: "nonsense"}); err == nil {
+	if _, err := s.ExecStmtContext(context.Background(), parser.Show{What: "nonsense"}); err == nil {
 		t.Fatal("unknown show target accepted")
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"authdb/internal/core"
 	"authdb/internal/faultfs"
-	"authdb/internal/wal"
 )
 
 func TestEpochDefaultAndBump(t *testing.T) {
@@ -264,7 +263,7 @@ func TestQuarantineDiverged(t *testing.T) {
 	if qdir == "" {
 		t.Fatal("no quarantine directory for a divergent suffix")
 	}
-	got, err := wal.ReplayAll(faultfs.OS(), filepath.Join(qdir, "DIVERGED.log"))
+	got, err := walStmts(filepath.Join(qdir, "DIVERGED.log"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -43,7 +44,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			{str(s2), str(s1), num(n1)},
 			{num(n1), num(n2), str("")},
 		} {
-			if _, err := admin.ExecStmt(parser.Insert{Rel: "R", Values: tup}); err != nil {
+			if _, err := admin.ExecStmtContext(context.Background(), parser.Insert{Rel: "R", Values: tup}); err != nil {
 				t.Fatal(err)
 			}
 		}

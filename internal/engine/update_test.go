@@ -160,8 +160,9 @@ func TestUpdateAuthorizationDifferential(t *testing.T) {
 					stmt = fmt.Sprintf("delete from %s where A1 = %s", rel, tup[1])
 					match = func(m relation.Tuple) bool { return m[1].Equal(tup[1]) }
 				}
-				want := cur.Clone()
-				n := want.Delete(func(m relation.Tuple) bool { return match(m) && oracleCovers(t, e, user, rel, m) })
+				wantV := relation.VersionedOf(cur.Clone())
+				n := wantV.Delete(func(m relation.Tuple) bool { return match(m) && oracleCovers(t, e, user, rel, m) })
+				want := wantV.Head()
 				res, err := e.NewSession(user, false).Exec(stmt)
 				if err != nil {
 					t.Fatalf("seed %d: %s as %s: %v", seed, stmt, user, err)

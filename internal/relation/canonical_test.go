@@ -43,7 +43,7 @@ func TestCanonicalMarkFollowsOrder(t *testing.T) {
 		r := New([]string{"A", "B"})
 		for step := 0; step < 60; step++ {
 			var op string
-			switch rng.Intn(9) {
+			switch rng.Intn(8) {
 			case 0:
 				op = "Insert"
 				r.Insert(randTuple()) //nolint:errcheck // arity is correct
@@ -55,22 +55,16 @@ func TestCanonicalMarkFollowsOrder(t *testing.T) {
 				if tp := randTuple(); !r.Contains(tp) {
 					r.Append(tp)
 				}
-			case 3:
-				op = "Delete"
-				k := rng.Int63n(12)
-				r.Delete(func(tp Tuple) bool {
-					return tp[0].Equal(vi(k)) || tp[1].Equal(vi(k))
-				})
-			case 4, 5:
+			case 3, 4:
 				op = "Canonicalize"
 				r.Canonicalize()
-			case 6:
+			case 5:
 				op = "Clone"
 				r = r.Clone()
-			case 7:
+			case 6:
 				op = "Rename"
 				r = r.Rename([]string{"X.A", "X.B"})
-			case 8:
+			case 7:
 				// Versioned appends and deletes publish new heads; the
 				// relation given up to the lineage is not touched again.
 				op = "Versioned"

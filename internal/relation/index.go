@@ -177,29 +177,3 @@ func (r *Relation) DistinctCount(i int) int {
 	defer c.mu.Unlock()
 	return len(r.ensureHash(i).m)
 }
-
-// IndexedAttrs reports which attributes currently have a built hash index
-// (diagnostics and tests).
-func (r *Relation) IndexedAttrs() []int {
-	c := r.idx
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int, 0, len(c.byAttr))
-	for i := range c.byAttr {
-		out = append(out, i)
-	}
-	return out
-}
-
-// OrderedAttrs reports which attributes currently have a built ordered
-// index (diagnostics and tests).
-func (r *Relation) OrderedAttrs() []int {
-	c := r.idx
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int, 0, len(c.ord))
-	for i := range c.ord {
-		out = append(out, i)
-	}
-	return out
-}

@@ -26,8 +26,8 @@ func TestLookupEq(t *testing.T) {
 	if r.LookupEq(-1, vi(0)) != nil || r.LookupEq(5, vi(0)) != nil {
 		t.Fatal("out-of-range attribute must return nil")
 	}
-	if idx := r.IndexedAttrs(); len(idx) != 1 || idx[0] != 1 {
-		t.Fatalf("IndexedAttrs = %v", idx)
+	if _, ok := r.idx.byAttr[1]; !ok || len(r.idx.byAttr) != 1 {
+		t.Fatalf("hash indexes built on %v, want attribute 1 only", r.idx.byAttr)
 	}
 }
 
@@ -70,10 +70,6 @@ func TestIndexInvalidation(t *testing.T) {
 	if len(r.LookupEq(0, vi(2))) != 1 {
 		t.Fatal("index not refreshed after insert")
 	}
-	r.Delete(func(t Tuple) bool { return t[0].AsInt() == 1 })
-	if len(r.LookupEq(0, vi(1))) != 0 {
-		t.Fatal("index not refreshed after delete")
-	}
 }
 
 func TestLookupRange(t *testing.T) {
@@ -99,8 +95,8 @@ func TestLookupRange(t *testing.T) {
 	if r.LookupRange(-1, nil, nil) != nil || r.LookupRange(5, nil, nil) != nil {
 		t.Fatal("out-of-range attribute must return nil")
 	}
-	if idx := r.OrderedAttrs(); len(idx) != 1 || idx[0] != 0 {
-		t.Fatalf("OrderedAttrs = %v", idx)
+	if _, ok := r.idx.ord[0]; !ok || len(r.idx.ord) != 1 {
+		t.Fatalf("ordered indexes built on %v, want attribute 0 only", r.idx.ord)
 	}
 }
 

@@ -190,31 +190,6 @@ func (r *Relation) MustInsert(vals ...value.Value) {
 	}
 }
 
-// Delete removes the tuples pred accepts, returning how many were
-// removed. One pass compacts the tuples and moves the membership entries
-// of the ones that shifted.
-func (r *Relation) Delete(pred func(Tuple) bool) int {
-	kept := r.tuples[:0]
-	for i, t := range r.tuples {
-		if pred(t) {
-			if r.hasMemb {
-				r.memb.remove(tupleHash(t), i)
-			}
-			continue
-		}
-		if j := len(kept); j != i && r.hasMemb {
-			r.memb.move(tupleHash(t), i, j)
-		}
-		kept = append(kept, t)
-	}
-	removed := len(r.tuples) - len(kept)
-	r.tuples = kept
-	if removed > 0 {
-		r.idx.bump()
-	}
-	return removed
-}
-
 // Find returns the position of the tuple in Tuples, or -1 when it is
 // absent. After an Append, the first call rebuilds the membership set
 // (and therefore mutates r).

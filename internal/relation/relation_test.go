@@ -116,24 +116,6 @@ func TestInsertDistinguishesKinds(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	r := New([]string{"A"})
-	for i := int64(0); i < 10; i++ {
-		r.MustInsert(vi(i))
-	}
-	n := r.Delete(func(t Tuple) bool { return t[0].AsInt()%2 == 0 })
-	if n != 5 || r.Len() != 5 {
-		t.Fatalf("Delete removed %d, left %d", n, r.Len())
-	}
-	if r.Contains(Tuple{vi(2)}) || !r.Contains(Tuple{vi(3)}) {
-		t.Error("Delete removed the wrong tuples")
-	}
-	// Deleted tuples can be reinserted.
-	if added, _ := r.Insert(Tuple{vi(2)}); !added {
-		t.Error("reinsert after delete failed")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	r := New([]string{"A"})
 	r.MustInsert(vi(1))

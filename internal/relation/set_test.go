@@ -141,7 +141,7 @@ func runMembership(t *testing.T, seed int64, steps int) {
 		}
 		p := rels[g.rng.Intn(len(rels))]
 		var op string
-		switch k := g.rng.Intn(14); k {
+		switch k := g.rng.Intn(13); k {
 		case 0, 1:
 			op = "Insert"
 			tp := g.probe(p.m, arity)
@@ -172,17 +172,11 @@ func runMembership(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d: Find(%v) = %d, reference %d", step, tp, got, want)
 			}
 		case 7:
-			op = "Delete"
-			pred := g.pred(p.m, arity)
-			if got, want := p.r.Delete(pred), p.m.delete(pred); got != want {
-				t.Fatalf("step %d: Delete removed %d, reference %d", step, got, want)
-			}
-		case 8:
 			op = "Clone"
 			if len(rels) < 4 {
 				rels = append(rels, relPair{p.r.Clone(), p.m.clone()})
 			}
-		case 9:
+		case 8:
 			op = "Rename"
 			view := p.r.Rename([]string{"X.A", "X.B", "X.C"})
 			sameAs(t, step, op, view.Tuples(), p.m)
@@ -192,10 +186,10 @@ func runMembership(t *testing.T, seed int64, steps int) {
 					t.Fatalf("step %d: renamed Contains(%v) = %v, reference %v", step, tp, got, want)
 				}
 			}
-		case 10:
+		case 9:
 			op = "ReleaseMembership"
 			p.r.ReleaseMembership()
-		case 11:
+		case 10:
 			op = "VersionedOf"
 			for i := range rels {
 				if rels[i] == p {

@@ -11,7 +11,6 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -83,12 +82,12 @@ type Replica struct {
 	// time to apply time), zero when caught up.
 	behindNanos atomic.Int64
 
-	// addrMu guards the rotation through cfg.Primaries, the pending
-	// leader hint, and the last address that accepted a stream.
-	addrMu  sync.Mutex
-	addrIdx int
-	hint    string
-	leader  string
+	// redial is the rotation through cfg.Primaries, the pending leader
+	// hint and the backoff; only the run goroutine touches it.
+	redial wire.Redial
+	// addrMu guards leader, the last address that accepted a stream.
+	addrMu sync.Mutex
+	leader string
 }
 
 // Start connects eng to the primary described by cfg and keeps it
@@ -101,11 +100,12 @@ func Start(eng *engine.Engine, cfg Config) *Replica {
 		}
 	}
 	r := &Replica{
-		eng:  eng,
-		cfg:  cfg,
-		met:  eng.Metrics(),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		eng:    eng,
+		cfg:    cfg,
+		met:    eng.Metrics(),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		redial: wire.Redial{Addrs: cfg.Primaries, Min: cfg.BackoffMin, Max: cfg.BackoffMax},
 	}
 	r.met.GaugeFunc("authdb_repl_connected", func() float64 {
 		if r.connected.Load() {
@@ -154,37 +154,6 @@ func (r *Replica) Leader() string {
 	return r.leader
 }
 
-// setHint records a leader hint from a refusal; the next dial tries it
-// first.
-func (r *Replica) setHint(addr string) {
-	if addr == "" {
-		return
-	}
-	r.addrMu.Lock()
-	r.hint = addr
-	r.addrMu.Unlock()
-}
-
-// nextAddr picks the dial target: a pending leader hint wins, else the
-// current slot of the rotation.
-func (r *Replica) nextAddr() string {
-	r.addrMu.Lock()
-	defer r.addrMu.Unlock()
-	if r.hint != "" {
-		a := r.hint
-		r.hint = ""
-		return a
-	}
-	return r.cfg.Primaries[r.addrIdx%len(r.cfg.Primaries)]
-}
-
-// rotateAddr advances the rotation after a failed stream.
-func (r *Replica) rotateAddr() {
-	r.addrMu.Lock()
-	r.addrIdx++
-	r.addrMu.Unlock()
-}
-
 // Stop ends the follower loop and waits for it (bounded by ctx).
 func (r *Replica) Stop(ctx context.Context) error {
 	select {
@@ -205,14 +174,13 @@ func (r *Replica) Stop(ctx context.Context) error {
 // that made progress).
 func (r *Replica) run() {
 	defer close(r.done)
-	backoff := r.cfg.BackoffMin
 	for {
 		select {
 		case <-r.stop:
 			return
 		default:
 		}
-		addr := r.nextAddr()
+		addr := r.redial.Next()
 		applied, err := r.stream(addr)
 		r.connected.Store(false)
 		select {
@@ -223,21 +191,15 @@ func (r *Replica) run() {
 		if err != nil {
 			r.cfg.Logf("replica: stream to %s: %v", addr, err)
 			r.met.Counter("authdb_repl_reconnects_total").Inc()
-			r.rotateAddr()
+			r.redial.Rotate()
 		}
 		if applied > 0 {
-			backoff = r.cfg.BackoffMin
+			r.redial.Reset()
 		}
-		// Full jitter: sleep a uniform fraction of the current backoff
-		// so a herd of replicas doesn't redial in lockstep.
-		sleep := time.Duration(rand.Int63n(int64(backoff)) + int64(backoff)/2)
 		select {
 		case <-r.stop:
 			return
-		case <-time.After(sleep):
-		}
-		if backoff *= 2; backoff > r.cfg.BackoffMax {
-			backoff = r.cfg.BackoffMax
+		case <-time.After(r.redial.Delay()):
 		}
 	}
 }
@@ -283,7 +245,7 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 		return 0, fmt.Errorf("handshake: %w", err)
 	}
 	if reply.Error != nil {
-		r.setHint(reply.Error.Leader)
+		r.redial.Hint(reply.Error.Leader)
 		return 0, fmt.Errorf("primary refused stream: %w", reply.Error)
 	}
 	// A primary on a lower epoch than ours has been superseded and

@@ -58,14 +58,7 @@ func Example(w io.Writer, n int, user, query string) error {
 		return fmt.Errorf("example %d: %w", n, err)
 	}
 
-	for _, s := range d.Intermediates {
-		s.Meta.Render(w, "after "+s.Phase+":", d.Inst)
-		fmt.Fprintln(w)
-	}
-
-	maskRel := &core.MetaRel{Attrs: d.Mask.Attrs, Tuples: d.Mask.Tuples}
-	maskRel.Render(w, "mask A':", d.Inst)
-	fmt.Fprintln(w)
+	d.RenderPhases(w)
 
 	switch {
 	case d.FullyAuthorized:
@@ -88,12 +81,20 @@ func Example(w io.Writer, n int, user, query string) error {
 // query selections.
 func Cases(w io.Writer) {
 	header(w, "§4.2 four-case selection walkthrough")
-	mu := interval.Intersect(
+	fmt.Fprintf(w, "view predicate mu: BUDGET in %s\n\n", budgetMu)
+	for _, q := range budgetCases {
+		fmt.Fprintf(w, "%s\n  lambda: BUDGET in %s\n  -> %s\n\n", q.label, q.lam, caseOutcome(q.lam))
+	}
+}
+
+// budgetMu is the walkthrough's view predicate, BUDGET in [300000,
+// 600000], and budgetCases its four query predicates λ.
+var (
+	budgetMu = interval.Intersect(
 		interval.FromCmp(value.GE, value.Int(300000)),
 		interval.FromCmp(value.LE, value.Int(600000)),
 	)
-	fmt.Fprintf(w, "view predicate mu: BUDGET in %s\n\n", mu)
-	queries := []struct {
+	budgetCases = []struct {
 		label string
 		lam   interval.Interval
 	}{
@@ -105,21 +106,21 @@ func Cases(w io.Writer) {
 			interval.FromCmp(value.GE, value.Int(400000)), interval.FromCmp(value.LE, value.Int(500000)))},
 		{"(4) budgets under 300,000", interval.FromCmp(value.LT, value.Int(300000))},
 	}
-	for _, q := range queries {
-		lam := q.lam
-		var outcome string
-		inter := interval.Intersect(mu, lam)
-		switch {
-		case inter.IsEmpty():
-			outcome = "contradictory: the meta-tuple is discarded"
-		case lam.Implies(mu):
-			outcome = "lambda implies mu: selected, field cleared (no restriction)"
-		case mu.Implies(lam):
-			outcome = "mu implies lambda: selected without modification"
-		default:
-			outcome = fmt.Sprintf("conjoined: field modified to BUDGET in %s", inter)
-		}
-		fmt.Fprintf(w, "%s\n  lambda: BUDGET in %s\n  -> %s\n\n", q.label, lam, outcome)
+)
+
+// caseOutcome is the walkthrough's verdict on a query predicate λ
+// against budgetMu.
+func caseOutcome(lam interval.Interval) string {
+	inter := interval.Intersect(budgetMu, lam)
+	switch {
+	case inter.IsEmpty():
+		return "contradictory: the meta-tuple is discarded"
+	case lam.Implies(budgetMu):
+		return "lambda implies mu: selected, field cleared (no restriction)"
+	case budgetMu.Implies(lam):
+		return "mu implies lambda: selected without modification"
+	default:
+		return fmt.Sprintf("conjoined: field modified to BUDGET in %s", inter)
 	}
 }
 

@@ -77,7 +77,7 @@ func FuzzWALReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := memFS{files: map[string][]byte{"in.log": data}}
-		stmts, err := ReplayAll(fs, "in.log")
+		stmts, err := replayAll(fs, "in.log")
 		if err != nil {
 			t.Fatalf("replay: %v", err)
 		}

@@ -148,13 +148,3 @@ func Replay(fs faultfs.FS, path string, fn func(i int, stmt string) error) (int,
 		off += 8 + int(ln)
 	}
 }
-
-// ReplayAll collects the statements of the valid prefix.
-func ReplayAll(fs faultfs.FS, path string) ([]string, error) {
-	var out []string
-	_, err := Replay(fs, path, func(_ int, stmt string) error {
-		out = append(out, stmt)
-		return nil
-	})
-	return out, err
-}

@@ -9,6 +9,16 @@ import (
 	"authdb/internal/faultfs"
 )
 
+// replayAll collects the statements of the valid prefix.
+func replayAll(fs faultfs.FS, path string) ([]string, error) {
+	var out []string
+	_, err := Replay(fs, path, func(_ int, stmt string) error {
+		out = append(out, stmt)
+		return nil
+	})
+	return out, err
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	fs := faultfs.OS()
 	path := filepath.Join(t.TempDir(), "wal.log")
@@ -31,7 +41,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReplayAll(fs, path)
+	got, err := replayAll(fs, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +51,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestReplayMissingFile(t *testing.T) {
-	got, err := ReplayAll(faultfs.OS(), filepath.Join(t.TempDir(), "nope.log"))
+	got, err := replayAll(faultfs.OS(), filepath.Join(t.TempDir(), "nope.log"))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -73,7 +83,7 @@ func TestTruncatedTailYieldsPrefix(t *testing.T) {
 		if err := os.WriteFile(cut, full[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReplayAll(fs, cut)
+		got, err := replayAll(fs, cut)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", n, err)
 		}
@@ -120,7 +130,7 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 		if err := os.WriteFile(mut, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReplayAll(fs, mut)
+		got, err := replayAll(fs, mut)
 		if err != nil {
 			t.Fatalf("flip at %d: %v", off, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"authdb/internal/cview"
 	"authdb/internal/parser"
 	"authdb/internal/relation"
-	"authdb/internal/value"
 )
 
 // Fixture bundles a database scheme, its relation instances, and an
@@ -176,9 +175,3 @@ retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY)
 const Example3Query = `
 retrieve (EMPLOYEE:1.NAME, EMPLOYEE:1.SALARY, EMPLOYEE:2.NAME, EMPLOYEE:2.SALARY)
   where EMPLOYEE:1.TITLE = EMPLOYEE:2.TITLE`
-
-// Int is a convenience for fixture construction in tests.
-func Int(i int64) value.Value { return value.Int(i) }
-
-// Str is a convenience for fixture construction in tests.
-func Str(s string) value.Value { return value.String(s) }

@@ -123,9 +123,3 @@ func TestFixtureSourceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestConvenienceValues(t *testing.T) {
-	if Int(3).AsInt() != 3 || Str("x").AsString() != "x" {
-		t.Fatal("convenience constructors wrong")
-	}
-}

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -105,7 +104,7 @@ func WithDialTimeout(d time.Duration) Option {
 // consecutive failure, is capped at max, and resets to min after any
 // successful handshake.
 func WithBackoff(min, max time.Duration) Option {
-	return func(c *Client) { c.backoffMin, c.backoffMax = min, max }
+	return func(c *Client) { c.redial.Min, c.redial.Max = min, max }
 }
 
 // WithDialer overrides how connections are established (tests inject
@@ -120,13 +119,10 @@ func WithDialer(dial func(ctx context.Context, addr string) (net.Conn, error)) O
 // on the single underlying connection — open one client per goroutine
 // for parallelism, exactly like sessions.
 type Client struct {
-	addrs       []string
 	user        string
 	admin       bool
 	token       string
 	dialTimeout time.Duration
-	backoffMin  time.Duration
-	backoffMax  time.Duration
 	dialFn      func(ctx context.Context, addr string) (net.Conn, error)
 
 	// followHints is set by DialCluster: only cluster-aware clients
@@ -142,10 +138,8 @@ type Client struct {
 	bw      *bufio.Writer
 	nextID  uint64
 	closed  bool
-	addrIdx int    // rotation through addrs on failure
-	hint    string // pending leader hint: the next connect tries it first
-	curAddr string // address of the live connection
-	backoff time.Duration
+	redial  wire.Redial // the addresses, a pending leader hint, the backoff
+	curAddr string      // address of the live connection
 }
 
 // Dial connects to addr and authenticates. The default principal is the
@@ -178,9 +172,9 @@ func DialCluster(addrs []string, opts ...Option) (*Client, error) {
 		return nil, errors.New("client: no addresses")
 	}
 	c := &Client{
-		addrs: append([]string(nil), addrs...), user: "guest",
+		user:        "guest",
 		dialTimeout: 10 * time.Second,
-		backoffMin:  50 * time.Millisecond, backoffMax: 2 * time.Second,
+		redial:      wire.Redial{Addrs: append([]string(nil), addrs...), Min: 50 * time.Millisecond, Max: 2 * time.Second},
 		followHints: true,
 	}
 	for _, o := range opts {
@@ -193,14 +187,14 @@ func DialCluster(addrs []string, opts ...Option) (*Client, error) {
 		}
 	}
 	var lastErr error
-	for range c.addrs {
+	for range addrs {
 		if err := c.connect(context.Background()); err != nil {
 			lastErr = err
 			var se *ServerError
 			if errors.As(err, &se) {
 				return nil, err // rejected handshake: rotation won't help
 			}
-			c.addrIdx++
+			c.redial.Rotate()
 			continue
 		}
 		return c, nil
@@ -208,43 +202,10 @@ func DialCluster(addrs []string, opts ...Option) (*Client, error) {
 	return nil, lastErr
 }
 
-// pickAddr chooses the next dial target: a pending leader hint wins,
-// else the current slot of the rotation.
-func (c *Client) pickAddr() string {
-	if c.hint != "" {
-		a := c.hint
-		c.hint = ""
-		return a
-	}
-	return c.addrs[c.addrIdx%len(c.addrs)]
-}
-
-// sleepBackoff waits the current jittered backoff (doubling it, capped)
-// and reports false if ctx expired instead.
-func (c *Client) sleepBackoff(ctx context.Context) bool {
-	d := c.backoff
-	if d <= 0 {
-		d = c.backoffMin
-	}
-	c.backoff = 2 * d
-	if c.backoff > c.backoffMax {
-		c.backoff = c.backoffMax
-	}
-	// Full jitter around d: uniform in [d/2, 3d/2), so clients that
-	// failed together don't redial in lockstep.
-	sleep := d/2 + time.Duration(rand.Int63n(int64(d)))
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(sleep):
-		return true
-	}
-}
-
 // connect dials and runs the handshake; callers hold c.mu (or own c
 // exclusively, as in Dial).
 func (c *Client) connect(ctx context.Context) error {
-	addr := c.pickAddr()
+	addr := c.redial.Next()
 	nc, err := c.dialFn(ctx, addr)
 	if err != nil {
 		return fmt.Errorf("client: dial %s: %w", addr, err)
@@ -272,7 +233,7 @@ func (c *Client) connect(ctx context.Context) error {
 	nc.SetDeadline(time.Time{})
 	c.nc, c.br, c.bw = nc, br, bw
 	c.curAddr = addr
-	c.backoff = 0 // reset the reconnect backoff after any successful handshake
+	c.redial.Reset() // reset the reconnect backoff after any successful handshake
 	return nil
 }
 
@@ -298,7 +259,7 @@ func (c *Client) Exec(ctx context.Context, stmt string) (*Result, error) {
 		return nil, ErrClosed
 	}
 	var lastErr error
-	maxAttempts := 2 + len(c.addrs)
+	maxAttempts := 2 + len(c.redial.Addrs)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if ctx.Err() != nil {
 			if lastErr != nil {
@@ -313,9 +274,11 @@ func (c *Client) Exec(ctx context.Context, stmt string) (*Result, error) {
 					return nil, err // rejected handshake: retry won't help
 				}
 				lastErr = err
-				c.addrIdx++ // rotate: the next attempt tries another node
-				if !c.sleepBackoff(ctx) {
+				c.redial.Rotate() // the next attempt tries another node
+				select {
+				case <-ctx.Done():
 					return nil, lastErr
+				case <-time.After(c.redial.Delay()):
 				}
 				continue
 			}
@@ -333,7 +296,7 @@ func (c *Client) Exec(ctx context.Context, stmt string) (*Result, error) {
 			if c.followHints &&
 				(se.Code == wire.CodeReadOnly || se.Code == wire.CodeStalePrimary) &&
 				se.Leader != "" && se.Leader != c.curAddr {
-				c.hint = se.Leader
+				c.redial.Hint(se.Leader)
 				c.nc.Close()
 				c.nc = nil
 				lastErr = err

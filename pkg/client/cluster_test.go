@@ -156,41 +156,53 @@ func TestDialClusterRotatesPastDeadNodes(t *testing.T) {
 	}
 }
 
-// TestReconnectBackoffDoublesCapsAndResets pins the backoff shape:
-// doubling per consecutive failure, capped at the maximum, reset after
-// a successful handshake, and abandoned when the context dies.
+// TestReconnectBackoffDoublesCapsAndResets pins the client's use of the
+// shared reconnect policy, whose doubling, cap and jitter TestRedial in
+// internal/wire pins: WithBackoff sets its bounds, a backoff wait is
+// abandoned when the context dies, and a successful handshake resets the
+// backoff.
 func TestReconnectBackoffDoublesCapsAndResets(t *testing.T) {
-	c := &Client{backoffMin: time.Millisecond, backoffMax: 4 * time.Millisecond}
-	for i, want := range []time.Duration{2, 4, 4} {
-		if !c.sleepBackoff(context.Background()) {
-			t.Fatalf("sleepBackoff %d aborted", i)
-		}
-		if c.backoff != want*time.Millisecond {
-			t.Fatalf("after sleep %d backoff = %v, want %v", i, c.backoff, want*time.Millisecond)
-		}
-	}
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	c.backoff = time.Hour
-	if c.sleepBackoff(canceled) {
-		t.Fatal("sleepBackoff ignored the dead context")
-	}
-
-	// A successful handshake resets the backoff.
 	s := startStub(t)
-	c2, err := Dial(s.ln.Addr().String(), WithUser("u"), WithBackoff(time.Millisecond, 4*time.Millisecond))
+	var down atomic.Bool
+	dialer := func(ctx context.Context, addr string) (net.Conn, error) {
+		if down.Load() {
+			return nil, errors.New("injected dial failure")
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+	c, err := Dial(s.ln.Addr().String(), WithUser("u"), WithDialer(dialer), WithBackoff(time.Hour, 8*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	c2.backoff = 4 * time.Millisecond // as if reconnects had been failing
-	fc := inject(t, c2)
-	fc.failRead.Store(true) // force one transport failure, then a clean redial
-	if _, err := c2.Exec(context.Background(), `retrieve (R.A)`); err != nil {
+	defer c.Close()
+	if c.redial.Min != time.Hour || c.redial.Max != 8*time.Hour {
+		t.Fatalf("backoff bounds = %v, %v; want 1h, 8h", c.redial.Min, c.redial.Max)
+	}
+
+	// A failed redial waits about an hour, unless the context dies.
+	inject(t, c).failRead.Store(true)
+	down.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := c.Exec(ctx, `retrieve (R.A)`); err == nil {
+		t.Fatal("read with every dial failing succeeded")
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("Exec returned after %v: the backoff wait ignored the dead context", el)
+	}
+
+	// A successful handshake resets the backoff: grown to its 8h cap, it
+	// draws around the 1h minimum again after the reconnect.
+	c.redial.Delay()
+	c.redial.Delay()
+	down.Store(false)
+	if _, err := c.Exec(context.Background(), `retrieve (R.A)`); err != nil {
 		t.Fatalf("read across reconnect: %v", err)
 	}
-	if c2.backoff != 0 {
-		t.Fatalf("backoff after successful reconnect = %v, want reset", c2.backoff)
+	if d := c.redial.Delay(); d >= 3*time.Hour/2 {
+		t.Fatalf("wait after a successful reconnect = %v, want one drawn around the 1h minimum", d)
 	}
 }
 
