@@ -450,10 +450,12 @@ func (s *Session) Dispatch(ctx context.Context, input string) (*Result, error) {
 }
 
 // Reply executes one line of input as Dispatch does and returns the
-// reply the network server sends for request id. A delivered relation
-// goes to the frame writer as its tuples (wire.Table.Tuples), so no
-// Table of Cells and no cell text is built. Like Result.Wire, it serves
-// in-process subsystems and is not part of the stable embedding surface.
+// reply the network server sends for request id. No Table of Cells and
+// no cell text is built: a delivered relation the closure keeps goes out
+// as its entry's encoded section (replyTable), any other one to the
+// frame writer as its tuples (wire.Table.Tuples). Like Result.Wire, it
+// serves in-process subsystems and is not part of the stable embedding
+// surface.
 func (s *Session) Reply(ctx context.Context, id uint64, input string) (wire.Response, error) {
 	r, err := s.s.Dispatch(ctx, input)
 	if err != nil {
@@ -462,9 +464,29 @@ func (s *Session) Reply(ctx context.Context, id uint64, input string) (wire.Resp
 	resp := wire.Response{ID: id, Text: r.Text}
 	resp.Permits, resp.FullyAuthorized, resp.Denied = outcome(r)
 	if rel := r.Relation; rel != nil {
-		resp.Table = &wire.Table{Columns: core.DisplayNames(rel.Attrs), Tuples: rel.Sorted()}
+		resp.Table = replyTable(rel, r.Reply)
 	}
 	return resp, nil
+}
+
+// replyTable is the table of a reply delivering rel, whose encoded
+// section sec holds when the closure keeps rel (nil otherwise). The
+// first reply to read a holder encodes the table once, keeps the bytes
+// in a buffer of their exact size and sends them; every later reply
+// sends the kept bytes without encoding.
+func replyTable(rel *relation.Relation, sec *core.ReplySection) *wire.Table {
+	if b := sec.Load(); b != nil {
+		return &wire.Table{Section: b}
+	}
+	t := &wire.Table{Columns: core.DisplayNames(rel.Attrs), Tuples: rel.Sorted()}
+	if sec == nil {
+		return t
+	}
+	b, err := wire.AppendTableSection(nil, t)
+	if err != nil {
+		return t // the frame writer reports the shape
+	}
+	return &wire.Table{Section: sec.Keep(append(make([]byte, 0, len(b)), b...))}
 }
 
 // MustExec is Exec for setup code; it panics on error.

@@ -9,6 +9,7 @@
 package authdb_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io/fs"
@@ -273,6 +274,166 @@ func TestSharedFirstVisitsACL(t *testing.T) {
 			t.Fatalf("%s of %s: closure on and off differ:\n%s\nvs\n%s", fixture.ACLQueryNames[q], fixture.Principal(u), on[i], off[i])
 		}
 	}
+}
+
+// replyFrame is the frame the server writes for s's reply to stmt, and
+// the reply it was written from.
+func replyFrame(tb testing.TB, s *authdb.Session, stmt string) ([]byte, wire.Response) {
+	tb.Helper()
+	resp, err := s.Reply(context.Background(), 1, stmt)
+	if err != nil {
+		tb.Fatalf("%s: %v", stmt, err)
+	}
+	frame, err := wire.AppendResponseFrame(nil, &resp)
+	if err != nil {
+		tb.Fatalf("%s: %v", stmt, err)
+	}
+	return frame, resp
+}
+
+// sameReplyFrames checks that user's reply frames to stmt match with the
+// closure on and off, twice: the first reply on reads the entry a
+// retrieve left (and builds its section, if it has none yet), the second
+// reads it again.
+func sameReplyFrames(t *testing.T, on, off *authdb.DB, user, stmt string) {
+	t.Helper()
+	want, _ := replyFrame(t, off.Session(user), stmt)
+	for _, visit := range []string{"first", "second"} {
+		if got, _ := replyFrame(t, on.Session(user), stmt); !bytes.Equal(got, want) {
+			t.Fatalf("%s, %s, %s reply: closure on and off write different frames (%d and %d bytes)",
+				user, stmt, visit, len(got), len(want))
+		}
+	}
+}
+
+// TestSharedReplyFramesACL is TestSharedFirstVisitsACL on the server's
+// path: the frames Session.Reply writes, which a closure hit copies from
+// its entry's encoded section, against the frames with the closure off,
+// for the same 600 first visits and one revisit of each.
+func TestSharedReplyFramesACL(t *testing.T) {
+	acl := fixture.GenACL(1, fixture.DefaultACL())
+	on, off := authdb.Open(), authdb.Open(authdb.Options{})
+	on.Admin().MustExecScript(acl.Script)
+	off.Admin().MustExecScript(acl.Script)
+	for _, u := range aclFirstVisits(acl, 7, 200) {
+		for q := range fixture.ACLQueryNames {
+			sameReplyFrames(t, on, off, fixture.Principal(u), acl.Query(u, q))
+		}
+	}
+	st := on.Engine().MaskClosureStats()
+	t.Logf("closure over 600 first visits and their revisits: %+v", st)
+	if st.Hits < 600 || st.ReplyBytes == 0 {
+		t.Fatalf("revisits were not served from resident sections: %+v", st)
+	}
+}
+
+// TestReplyFramesAcrossClosureTransitions compares reply frames with the
+// closure on and off on the benchmark's paper fixture, cold and after
+// each way an entry's rows change: an insert that refreshes Example 1's
+// entry in place, a delete that releases it (InvalidateRelation), and a
+// view defined and dropped, which moves the view generation every entry
+// is stamped with.
+func TestReplyFramesAcrossClosureTransitions(t *testing.T) {
+	script := fixture.PaperScript(fixture.DefaultPaper())
+	on, off := authdb.Open(), authdb.Open(authdb.Options{})
+	on.Admin().MustExecScript(script)
+	off.Admin().MustExecScript(script)
+	reads := []struct{ user, stmt string }{
+		{"Brown", fixture.Example1}, {"Klein", fixture.Example2}, {"Brown", fixture.Example3},
+	}
+	stats := on.Engine().MaskClosureStats
+	for _, step := range []struct {
+		name, stmts string
+		moved       func(before, after core.ClosureStats) bool
+	}{
+		{"cold", "", nil},
+		{"insert", "insert into PROJECT values (pz, Acme, 900000)",
+			func(b, a core.ClosureStats) bool { return a.Refreshes > b.Refreshes }},
+		{"delete", "delete from PROJECT where PROJECT.NUMBER = pz",
+			func(b, a core.ClosureStats) bool { return a.InvalidDelete > b.InvalidDelete }},
+		{"define and drop view", "view VZ (PROJECT.NUMBER, PROJECT.BUDGET); drop view VZ",
+			func(b, a core.ClosureStats) bool { return a.InvalidDef > b.InvalidDef }},
+	} {
+		before := stats()
+		if step.stmts != "" {
+			on.Admin().MustExecScript(step.stmts)
+			off.Admin().MustExecScript(step.stmts)
+		}
+		for _, r := range reads {
+			sameReplyFrames(t, on, off, r.user, r.stmt)
+		}
+		if after := stats(); step.moved != nil && !step.moved(before, after) {
+			t.Fatalf("%s: the closure did not go through the transition: %+v, then %+v", step.name, before, after)
+		}
+	}
+}
+
+// TestReplySectionOnlyForItsRelation checks that a reply sends a
+// closure entry's section only for the entry's own delivered relation.
+// An aggregate over the query of a resident entry is answered from that
+// entry's Decision, yet replies with its own table, not the entry's
+// section; an administrator's answer comes from no entry and carries no
+// section.
+func TestReplySectionOnlyForItsRelation(t *testing.T) {
+	on, off := authdb.Open(), authdb.Open(authdb.Options{})
+	on.Admin().MustExecScript(workload.PaperScript)
+	off.Admin().MustExecScript(workload.PaperScript)
+	const (
+		plain = "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY)"
+		agg   = "retrieve (EMPLOYEE.NAME, sum(EMPLOYEE.SALARY))"
+	)
+	sameReplyFrames(t, on, off, "Brown", plain)
+	held := on.Engine().MaskClosureStats()
+	if held.ReplyBytes == 0 {
+		t.Fatalf("no section was kept for %s: %+v", plain, held)
+	}
+	sameReplyFrames(t, on, off, "Brown", agg)
+	if st := on.Engine().MaskClosureStats(); st.Hits <= held.Hits || st.Entries != held.Entries {
+		t.Fatalf("the aggregate was not answered from %s's entry: %+v, then %+v", plain, held, st)
+	}
+	for _, stmt := range []string{plain, agg} {
+		if _, resp := replyFrame(t, on.Admin(), stmt); resp.Table == nil || resp.Table.Section != nil {
+			t.Errorf("admin, %s: reply table %+v, want one without a section", stmt, resp.Table)
+		}
+	}
+	if st := on.Engine().MaskClosureStats(); st.ReplyBytes != held.ReplyBytes {
+		t.Errorf("section bytes went from %d to %d without a new entry", held.ReplyBytes, st.ReplyBytes)
+	}
+}
+
+// TestClosureReplyBytes checks ClosureStats.ReplyBytes and its gauge: 0
+// while no reply has read an entry, then the sum of the sections the
+// replies sent, and 0 again once a delete releases the entries' rows.
+func TestClosureReplyBytes(t *testing.T) {
+	db := authdb.Open()
+	db.Admin().MustExecScript(workload.PaperScript)
+	brown := db.Session("Brown")
+	stmts := []string{workload.Example3Query, "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY)"}
+	check := func(step string, want int) {
+		t.Helper()
+		if got := db.Engine().MaskClosureStats().ReplyBytes; got != want {
+			t.Errorf("%s: ReplyBytes %d, want %d", step, got, want)
+		}
+		line := fmt.Sprintf("\nauthdb_mask_closure_reply_bytes %d\n", want)
+		if text := db.Metrics().Text(); !strings.Contains(text, line) {
+			t.Errorf("%s: metrics lack %q", step, strings.TrimSpace(line))
+		}
+	}
+	for _, stmt := range stmts {
+		brown.MustExec(stmt)
+	}
+	check("before any reply", 0)
+	sum := 0
+	for _, stmt := range stmts {
+		_, resp := replyFrame(t, brown, stmt)
+		if resp.Table == nil || len(resp.Table.Section) == 0 {
+			t.Fatalf("%s: the reply carries no section: %+v", stmt, resp.Table)
+		}
+		sum += len(resp.Table.Section)
+	}
+	check("after the replies", sum)
+	db.Admin().MustExec("delete from EMPLOYEE where EMPLOYEE.NAME = Smith")
+	check("after a delete", 0)
 }
 
 // BenchmarkSharedFirstVisitACL measures an org_list first visit made
@@ -728,16 +889,17 @@ func TestClosureHitConvertAllocs(t *testing.T) {
 
 // TestClosureHitReplyAllocs bounds the allocations of the server's
 // half of warm_wide's read: a closure hit on Brown's Example 3 and its
-// reply written from the delivered tuples into a frame buffer with room,
-// as internal/server does. Converting to Cells, then to cell text with
-// one FormatInt per integer cell, cost about 6 094 allocations a read.
+// reply, the entry's encoded section copied into a frame buffer with
+// room, as internal/server does. Converting to Cells, then to cell text
+// with one FormatInt per integer cell, cost about 6 094 allocations a
+// read; encoding the delivered tuples on every hit, 33.
 func TestClosureHitReplyAllocs(t *testing.T) {
 	s, _ := example3(t)
 	frame := serveWide(t, s, nil)
 	allocs := testing.AllocsPerRun(10, func() { frame = serveWide(t, s, frame[:0]) })
 	t.Logf("closure-hit reply to Example 3: %.0f allocations", allocs)
-	if allocs > 40 {
-		t.Errorf("closure-hit reply to Example 3 allocated %.0f objects, want at most 40 (through Cells and cell text: about 6 094)", allocs)
+	if allocs > 28 {
+		t.Errorf("closure-hit reply to Example 3 allocated %.0f objects, want at most 28 (encoding the tuples on every hit: 33)", allocs)
 	}
 }
 
@@ -755,9 +917,9 @@ func serveWide(tb testing.TB, s *authdb.Session, frame []byte) []byte {
 }
 
 // BenchmarkServeWide measures the server's half of a warm_wide read: a
-// closure-hit Session.Reply to Brown's Example 3 and its frame written
-// from the delivered tuples into a reused buffer, as the server writes
-// it.
+// closure-hit Session.Reply to Brown's Example 3 and its frame, the
+// entry's encoded section copied into a reused buffer, as the server
+// writes it.
 func BenchmarkServeWide(b *testing.B) {
 	s, _ := example3(b)
 	var frame []byte
@@ -912,12 +1074,15 @@ func BenchmarkRenderTable(b *testing.B) {
 // the benchmark's reads deliver: Example 3's 3003 × 4 answer (warm_wide,
 // 12 012 cells, front-coded) and principal u7's acl_cold org_list and
 // group_join answers, each written from its delivered tuples into a
-// reused buffer and decoded, as the server and the client do. Each case
-// reports its frame's payload size as frame_B/op.
+// reused buffer and decoded, as the server and the client do. The
+// closure is off, so each reply carries its tuples: the encode is what
+// the first reply to read a closure entry pays, and a later one copies
+// its bytes. Each case reports its frame's payload size as frame_B/op.
 func BenchmarkReplyCodec(b *testing.B) {
-	s, _ := example3(b)
+	paper := authdb.Open(authdb.Options{})
+	paper.Admin().MustExecScript(fixture.PaperScript(fixture.DefaultPaper()))
 	acl := fixture.GenACL(1, fixture.DefaultACL())
-	db := authdb.Open()
+	db := authdb.Open(authdb.Options{})
 	db.Admin().MustExecScript(acl.Script)
 	const u = 7
 	for _, c := range []struct {
@@ -925,7 +1090,7 @@ func BenchmarkReplyCodec(b *testing.B) {
 		s    *authdb.Session
 		stmt string
 	}{
-		{"example3", s, fixture.Example3},
+		{"example3", paper.Session("Brown"), fixture.Example3},
 		{"org_list", db.Session(fixture.Principal(u)), acl.Query(u, fixture.QOrgList)},
 		{"group_join", db.Session(fixture.Principal(u)), acl.Query(u, fixture.QGroupJoin)},
 	} {

@@ -32,6 +32,9 @@ type Decision struct {
 	// Masked is the deliverable relation: permitted values only, other
 	// cells null, fully-withheld rows dropped.
 	Masked *relation.Relation
+	// Reply holds Masked's encoded reply section when the closure keeps
+	// Masked, shared with every reader of the entry; nil otherwise.
+	Reply *ReplySection
 	// Stats counts Masked.
 	Stats MaskStats
 	// PushdownApplied reports whether MaskPlan.Pushdown was fused into

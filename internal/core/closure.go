@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"authdb/internal/algebra"
 	"authdb/internal/relation"
@@ -79,11 +80,11 @@ type Closure struct {
 }
 
 // closureEntry is one resident materialization: the mask plan, the
-// executed plan, the revision stamps and the delivered relation. The
-// plan side (plan, psjExec, fused) survives data churn; the result side
-// (revs, masked, stats, vm) is keyed to the stamped revisions, and
-// InvalidateRelation releases it (masked is then nil). Every field is
-// read and written under Closure.mu.
+// executed plan, the revision stamps, the delivered relation and its
+// encoded reply section. The plan side (plan, psjExec, fused) survives
+// data churn; the result side (revs, masked, stats, vm, reply) is keyed
+// to the stamped revisions, and InvalidateRelation releases it (masked
+// is then nil). Every field is read and written under Closure.mu.
 type closureEntry struct {
 	viewGen uint64
 	// plan is the compiled meta side; psjExec the actual-side plan that
@@ -105,6 +106,10 @@ type closureEntry struct {
 	// result sorts a copy. stats counts it.
 	masked *relation.Relation
 	stats  MaskStats
+	// reply holds masked's encoded reply section, empty until the first
+	// reply reads the entry. It belongs to masked: wherever masked is
+	// replaced or released, so is reply.
+	reply *ReplySection
 	// vm accumulates the delivered relation grow-only (MVCC-style:
 	// published heads are immutable, appends build successors); present
 	// only for single-scan plans with an ungrouped mask, the ones that
@@ -146,8 +151,37 @@ type ClosureStats struct {
 	// Entries is the current resident entry count, released ones
 	// included; ResidentRows the delivered rows they hold (the sum of
 	// their Stats.Rows), counting entries that cannot refresh as well as
-	// those that can.
-	Entries, ResidentRows int
+	// those that can. ReplyBytes is the bytes of the reply sections they
+	// hold, the sum of their lengths: an entry holds one from the first
+	// reply that reads it until its rows are replaced or released.
+	Entries, ResidentRows, ReplyBytes int
+}
+
+// ReplySection holds the encoded table section of the reply a delivered
+// relation goes out as: built by the first reply that reads the
+// relation, then sent by every later one as it is. The bytes are opaque
+// here; the reply writer owns their format. Replies that race to build
+// it encode identical bytes, and the holder keeps the first stored.
+type ReplySection struct{ b atomic.Pointer[[]byte] }
+
+// Load returns the section, nil until one is kept. Safe on a nil holder.
+func (s *ReplySection) Load() []byte {
+	if s == nil {
+		return nil
+	}
+	if p := s.b.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Keep stores b unless a section is already kept, and returns the one
+// kept.
+func (s *ReplySection) Keep(b []byte) []byte {
+	if s.b.CompareAndSwap(nil, &b) {
+		return b
+	}
+	return *s.b.Load()
 }
 
 // Invalidations returns the combined invalidation count.
@@ -170,18 +204,20 @@ func (c *Closure) Stats() ClosureStats {
 	}
 	for _, e := range c.entries {
 		s.ResidentRows += e.stats.Rows
+		s.ReplyBytes += len(e.reply.Load())
 	}
 	return s
 }
 
 // decisionFor assembles a Decision from resident state; callers hold
-// c.mu. Each hit gets a fresh Decision struct; the relation and the
-// plan are shared, read-only.
+// c.mu. Each hit gets a fresh Decision struct; the relation, its reply
+// section and the plan are shared, read-only.
 func decisionFor(e *closureEntry, psj *algebra.PSJ) *Decision {
 	return &Decision{
 		MaskPlan:        e.plan,
 		PSJ:             psj,
 		Masked:          e.masked,
+		Reply:           e.reply,
 		Stats:           e.stats,
 		PushdownApplied: e.fused,
 	}
@@ -298,7 +334,9 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 		}
 	}
 	e.revs = append([]*relation.Relation(nil), revs...)
-	e.masked = e.vm.Head()
+	if head := e.vm.Head(); head != e.masked {
+		e.masked, e.reply = head, new(ReplySection)
+	}
 	c.refreshes++
 	c.hits++
 	return decisionFor(e, psj), nil, nil
@@ -309,7 +347,8 @@ func (c *Closure) Lookup(a *Authorizer, user string, psj *algebra.PSJ, revs []*r
 // statistics, and — for single-scan plans with an ungrouped mask — the
 // masked accumulator. Store takes ownership of d.Masked in the MVCC
 // sense: its published prefix stays immutable, later refreshes extend
-// the shared backing array past it.
+// the shared backing array past it. It gives d the entry's empty reply
+// section, so the reply to this very retrieve builds it.
 func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, revs []*relation.Relation, d *Decision, psjExec *algebra.PSJ) {
 	if c == nil || d == nil {
 		return
@@ -322,7 +361,9 @@ func (c *Closure) Store(st *Store, user string, psj *algebra.PSJ, opt Options, r
 		revs:    append([]*relation.Relation(nil), revs...),
 		masked:  d.Masked,
 		stats:   d.Stats,
+		reply:   new(ReplySection),
 	}
+	d.Reply = e.reply
 	if len(psj.Scans) == 1 && !d.Mask.compiled().grouped {
 		e.vm = relation.VersionedOf(d.Masked)
 	} else {
@@ -359,7 +400,7 @@ func (c *Closure) InvalidateRelation(rel string) {
 	defer c.mu.Unlock()
 	for _, e := range c.entries {
 		if e.masked != nil && slices.ContainsFunc(e.psjExec.Scans, func(s algebra.Scan) bool { return s.Rel == rel }) {
-			e.revs, e.masked, e.vm, e.stats = nil, nil, nil, MaskStats{}
+			e.revs, e.masked, e.vm, e.reply, e.stats = nil, nil, nil, nil, MaskStats{}
 			c.invalidDelete++
 		}
 	}

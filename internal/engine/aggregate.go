@@ -91,6 +91,8 @@ rows:
 		}
 		out.Adopt(row)
 	}
+	// The base Decision comes along for its outcome, but not its reply
+	// section: that encodes the base relation, not out.
 	return &Result{Relation: out, Permits: base.Permits, Decision: base.Decision, AtLSN: base.AtLSN}, nil
 }
 

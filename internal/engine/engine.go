@@ -201,6 +201,11 @@ type Result struct {
 	// Relation is the delivered (possibly masked) relation of a
 	// retrieve, nil otherwise.
 	Relation *relation.Relation
+	// Reply holds Relation's encoded reply section when Relation is a
+	// closure entry's delivered relation, shared with every reader of the
+	// entry; nil for any other relation (an administrator's answer, an
+	// aggregate's, one computed with the closure off).
+	Reply *core.ReplySection
 	// Permits accompanies a partially delivered answer.
 	Permits []core.PermitStatement
 	// Decision exposes the full authorization outcome of a retrieve.
@@ -524,7 +529,7 @@ func (s *Session) RetrieveContext(ctx context.Context, def *cview.Def) (*Result,
 	if err := g.Result(d.Masked.Len()); err != nil {
 		return nil, err
 	}
-	return &Result{Relation: d.Masked, Permits: d.Permits, Decision: d, AtLSN: v.lsn}, nil
+	return &Result{Relation: d.Masked, Reply: d.Reply, Permits: d.Permits, Decision: d, AtLSN: v.lsn}, nil
 }
 
 // Certify runs the integrity instance of the machinery (§1's

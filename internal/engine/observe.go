@@ -49,7 +49,9 @@ func (e *Engine) registerMetrics() {
 	// appended window first; plan hits are the misses that reused the
 	// entry's plan and ran the actual side alone; invalidations split
 	// into definition-driven (generation moved, entry dropped) and
-	// data-driven (revisions moved beyond repair, or a delete).
+	// data-driven (revisions moved beyond repair, or a delete). The
+	// gauges report what the entries hold: delivered rows, and the bytes
+	// of the reply sections built from them.
 	e.met.CounterFunc("authdb_mask_closure_hits_total", func() float64 {
 		return float64(e.MaskClosureStats().Hits)
 	})
@@ -70,6 +72,9 @@ func (e *Engine) registerMetrics() {
 	})
 	e.met.GaugeFunc("authdb_mask_closure_resident_rows", func() float64 {
 		return float64(e.MaskClosureStats().ResidentRows)
+	})
+	e.met.GaugeFunc("authdb_mask_closure_reply_bytes", func() float64 {
+		return float64(e.MaskClosureStats().ReplyBytes)
 	})
 	// Replication lag is an LSN delta, so both ends of a stream expose
 	// their position: applied, durable, and the snapshot generation.

@@ -7,6 +7,7 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"authdb"
+	"authdb/bench/fixture"
 	"authdb/internal/replica"
 	"authdb/internal/server"
 	"authdb/internal/wire"
@@ -96,16 +98,22 @@ func dialRaw(t *testing.T, addr string, hello wire.Hello) *rawConn {
 	return r
 }
 
+// frame sends stmt and returns the payload of the reply frame as the
+// server sent it.
+func (r *rawConn) frame(stmt string) ([]byte, error) {
+	r.id++
+	if err := wire.WriteMsg(r.nc, &wire.Request{ID: r.id, Stmt: stmt}); err != nil {
+		return nil, err
+	}
+	return wire.ReadFrame(r.br)
+}
+
 // reply sends stmt and decodes the reply frame as the server sent it,
 // with wire.DecodeResponse: a frame outside the protocol-3 format fails
 // the test.
 func (r *rawConn) reply(t *testing.T, stmt string) wire.Response {
 	t.Helper()
-	r.id++
-	if err := wire.WriteMsg(r.nc, &wire.Request{ID: r.id, Stmt: stmt}); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := wire.ReadFrame(r.br)
+	frame, err := r.frame(stmt)
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
 	}
@@ -298,6 +306,80 @@ func TestServeConcurrentConnections(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// TestConcurrentFirstReadsShareSection has 16 connections, of 16
+// principals holding the same views, read Example 3 on the benchmark's
+// paper fixture at once from a cold closure: the first replies race to
+// build the entry's encoded section. Every reply must be the frame the
+// closure-off database writes, and the section kept must be a fresh
+// encode of the same rows. Run with -race.
+func TestConcurrentFirstReadsShareSection(t *testing.T) {
+	const conns = 16
+	script := fixture.PaperScript(fixture.DefaultPaper())
+	for i := 0; i < conns; i++ {
+		script += fmt.Sprintf("permit SAE to r%d;\npermit EST to r%d;\n", i, i)
+	}
+	on, off := authdb.Open(), authdb.Open(authdb.Options{})
+	on.Admin().MustExecScript(script)
+	off.Admin().MustExecScript(script)
+	offReply, err := off.Session("r0").Reply(context.Background(), 1, fixture.Example3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := wire.AppendResponse(nil, &offReply)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	addr := startServer(t, on, server.Config{MaxConns: 2 * conns}).Addr().String()
+	raws := make([]*rawConn, conns)
+	for i := range raws {
+		raws[i] = dialRaw(t, addr, wire.Hello{Proto: wire.ProtoVersion, User: fmt.Sprintf("r%d", i)})
+	}
+	start := make(chan struct{})
+	errCh := make(chan error, conns)
+	var wg sync.WaitGroup
+	for i, r := range raws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got, err := r.frame(fixture.Example3)
+			switch {
+			case err != nil:
+				errCh <- fmt.Errorf("r%d: %w", i, err)
+			case !bytes.Equal(got, want):
+				errCh <- fmt.Errorf("r%d: a %d-byte reply, want the closure-off reply's %d bytes", i, len(got), len(want))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+
+	st := on.Engine().MaskClosureStats()
+	if st.Entries != 1 {
+		t.Fatalf("16 principals holding the same views fill %d closure entries, want 1: %+v", st.Entries, st)
+	}
+	resp, err := on.Session("r0").Reply(context.Background(), 1, fixture.Example3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Table == nil || resp.Table.Section == nil {
+		t.Fatalf("a closure hit replied without the entry's section: %+v", resp.Table)
+	}
+	fresh, err := wire.AppendTableSection(nil, offReply.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept := resp.Table.Section; !bytes.Equal(kept, fresh) || st.ReplyBytes != len(kept) {
+		t.Errorf("kept section: %d bytes (%d counted), a fresh encode %d; equal: %v",
+			len(kept), st.ReplyBytes, len(fresh), bytes.Equal(kept, fresh))
 	}
 }
 

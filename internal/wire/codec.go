@@ -61,9 +61,10 @@ var errShape = errors.New("wire: table rows must each hold one cell per column, 
 
 // AppendResponse appends r's frame payload to dst and returns the
 // extended buffer; on an error the payload in it is incomplete. A table
-// is written from Table.Tuples when set, otherwise from Table.Rows. It
-// allocates only to grow dst: the size of every field but Tuples'
-// cells is reserved up front.
+// is copied from Table.Section when set, otherwise written from
+// Table.Tuples when set, otherwise from Table.Rows. It allocates only to
+// grow dst: the size of every field but Tuples' cells is reserved up
+// front.
 func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	if n := sizeHint(r); cap(dst)-len(dst) < n {
 		dst = append(make([]byte, 0, len(dst)+n), dst...)
@@ -80,20 +81,15 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	if flags&flagRendered != 0 {
 		dst = appendStr(dst, r.Rendered)
 	}
-	if t := r.Table; t != nil {
-		dst = appendStrs(dst, t.Columns)
-		var front bool
+	switch t := r.Table; {
+	case t == nil:
+	case len(t.Section) > 0:
+		dst[at] |= t.Section[0]
+		dst = append(dst, t.Section[1:]...)
+	default:
 		var err error
-		if t.Tuples != nil {
-			dst, front, err = appendTuples(dst, len(t.Columns), t.Tuples)
-		} else {
-			dst, front, err = appendRows(dst, len(t.Columns), t.Rows)
-		}
-		if err != nil {
+		if dst, err = appendTable(dst, at, t); err != nil {
 			return dst, err
-		}
-		if front {
-			dst[at] |= flagFront
 		}
 	}
 	if flags&flagPermits != 0 {
@@ -103,6 +99,34 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 		dst = e.body(walker{buf: dst}).buf
 	}
 	return dst, nil
+}
+
+// AppendTableSection appends t's table section: a byte of the flags the
+// table sets (flagFront or none), then the table as a reply payload
+// holds it: the columns, the row count and the rows. AppendResponse
+// writes a Table whose Section is these bytes as it writes t. On an
+// error the section in dst is incomplete.
+func AppendTableSection(dst []byte, t *Table) ([]byte, error) {
+	at := len(dst)
+	return appendTable(append(dst, 0), at, t)
+}
+
+// appendTable writes t's columns, row count and rows from Tuples when
+// set, otherwise from Rows, and sets flagFront in dst[flagsAt] when it
+// front-codes them.
+func appendTable(dst []byte, flagsAt int, t *Table) ([]byte, error) {
+	dst = appendStrs(dst, t.Columns)
+	var front bool
+	var err error
+	if t.Tuples != nil {
+		dst, front, err = appendTuples(dst, len(t.Columns), t.Tuples)
+	} else {
+		dst, front, err = appendRows(dst, len(t.Columns), t.Rows)
+	}
+	if front {
+		dst[flagsAt] |= flagFront
+	}
+	return dst, err
 }
 
 // AppendResponseFrame appends r as one length-prefixed frame: it
@@ -128,7 +152,7 @@ func AppendResponseFrame(dst []byte, r *Response) ([]byte, error) {
 func sizeHint(r *Response) int {
 	n := 2*binary.MaxVarintLen64 + 1 + strSize(r.Text) + strSize(r.Rendered) + strsSize(r.Permits)
 	if t := r.Table; t != nil {
-		n += strsSize(t.Columns) + binary.MaxVarintLen64
+		n += len(t.Section) + strsSize(t.Columns) + binary.MaxVarintLen64
 		for _, row := range t.Rows {
 			for _, c := range row {
 				n += strSize(c)
@@ -392,49 +416,13 @@ func cellSize(v value.Value) int {
 	return strSize(v.AsString())
 }
 
-// digitPairs holds the two-digit decimals 00 to 99, each as the two
-// bytes of a little-endian uint16: the tens digit first.
-var digitPairs = func() (p [100]uint16) {
-	for i := range p {
-		p[i] = uint16('0'+i/10) | uint16('0'+i%10)<<8
-	}
-	return p
-}()
-
-// pow10 holds 10⁰ to 10⁸.
-var pow10 = [...]uint32{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
-
 // appendIntCell writes n's decimal text as a str. The text is at most 20
-// bytes, so its length is one byte. Below 10⁸ the number is written in
-// 32-bit arithmetic without a loop: its digit count from its bit length;
-// its eight digits, leading zeros included, as four pairs from
-// digitPairs packed into one word; and that word, shifted past the
-// leading zeros, stored behind the length byte in one 8-byte write. A
-// negative or a larger number, or one that would leave dst fewer than
-// the nine bytes that write needs, goes through strconv, which grows dst
-// only when the text itself does not fit.
+// bytes, so its length is one byte.
 func appendIntCell(dst []byte, n int64) []byte {
 	at := len(dst)
-	if n < 0 || n >= 1e8 || cap(dst)-at < 9 {
-		dst = strconv.AppendInt(append(dst, 0), n, 10)
-		dst[at] = byte(len(dst) - at - 1)
-		return dst
-	}
-	u := uint32(n)
-	// log10 from the bit length (1233/4096 ≈ log10 2), corrected once.
-	// u|1 counts 0 as one digit and compares like u with every power of
-	// ten above 1.
-	w := bits.Len32(u|1) * 1233 >> 12
-	if u|1 >= pow10[w] {
-		w++
-	}
-	hi, lo := u/1e4, u%1e4
-	digits := uint64(digitPairs[hi/100]) | uint64(digitPairs[hi%100])<<16 |
-		uint64(digitPairs[lo/100])<<32 | uint64(digitPairs[lo%100])<<48
-	dst = dst[:at+9]
-	dst[at] = byte(w)
-	binary.LittleEndian.PutUint64(dst[at+1:], digits>>(64-8*w))
-	return dst[:at+1+w]
+	dst = strconv.AppendInt(append(dst, 0), n, 10)
+	dst[at] = byte(len(dst) - at - 1)
+	return dst
 }
 
 // DecodeResponse decodes a Response payload into r, replacing its

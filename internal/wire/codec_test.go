@@ -228,9 +228,9 @@ func randomValue(rng *rand.Rand) value.Value {
 }
 
 // TestTuplesFrameMatchesCellText is the writer differential on random
-// tuples: a table written from its tuples is byte for byte the table
-// written from their cell text, value.Value.String(), front-coded or
-// not.
+// tuples: a table written from its tuples, directly or as an encoded
+// section, is byte for byte the table written from their cell text,
+// value.Value.String(), front-coded or not.
 func TestTuplesFrameMatchesCellText(t *testing.T) {
 	fronted := 0
 	same := func(cols []string, tuples []relation.Tuple, rows [][]string) {
@@ -246,12 +246,20 @@ func TestTuplesFrameMatchesCellText(t *testing.T) {
 		if !bytes.Equal(fromTuples, fromText) {
 			t.Fatalf("tuples %v:\nfrom tuples %q\nfrom text   %q", tuples, fromTuples, fromText)
 		}
+		sec, err := AppendTableSection(nil, &Table{Columns: cols, Tuples: tuples})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromSection, err := AppendResponse(nil, &Response{ID: 9, Table: &Table{Section: sec}})
+		if err != nil || !bytes.Equal(fromSection, fromText) {
+			t.Fatalf("tuples %v:\nfrom section %q (%v)\nfrom text     %q", tuples, fromSection, err, fromText)
+		}
 		if fromText[1]&flagFront != 0 {
 			fronted++
 		}
 	}
-	// Each side of every boundary of the integer writer: one to eight
-	// digits in pairs below 10⁸, strconv for the rest and the negatives.
+	// Integers on each side of a digit-count boundary, zero, negatives
+	// and both ends of int64.
 	var edges []relation.Tuple
 	var edgeText [][]string
 	for _, n := range []int64{0, 9, 10, 99, 100, 9999, 1e4, 1e8 - 1, 1e8, -1, -1e8, math.MaxInt64, math.MinInt64} {

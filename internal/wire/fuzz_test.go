@@ -262,6 +262,18 @@ func checkEncode(t *testing.T, r *Response) {
 		t.Fatalf("round trip of %q:\n got %#v\nwant %#v", frame, &got, want)
 	}
 	checkDecode(t, frame)
+	if r.Table != nil {
+		// The same reply with its table sent as an encoded section.
+		sec, err := AppendTableSection(nil, r.Table)
+		if err != nil {
+			t.Fatalf("AppendTableSection(%#v): %v", r.Table, err)
+		}
+		withSection := *r
+		withSection.Table = &Table{Section: sec}
+		if again, err := AppendResponse(nil, &withSection); err != nil || !bytes.Equal(again, frame) {
+			t.Fatalf("the reply with its table section is %q, %v; want %q", again, err, frame)
+		}
+	}
 }
 
 // holdable reports whether a frame can hold t: every row one cell per

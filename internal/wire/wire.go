@@ -173,6 +173,10 @@ type Table struct {
 	// each value's text in place. It is never decoded, and Render reads
 	// only Rows.
 	Tuples []relation.Tuple
+	// Section, when set, is written instead of all the above: the bytes
+	// AppendTableSection wrote for the same table, copied into the frame
+	// as they are. It is never decoded.
+	Section []byte
 }
 
 // Response answers one request: the structured result — text, or a
