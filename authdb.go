@@ -84,10 +84,9 @@ type Options struct {
 	// being lost at projection time.
 	ExtendedMasks bool
 	// MaskClosure keeps mask plans and delivered relations resident per
-	// (participating views, query), so principals holding the same views
-	// share them, validated against the view generation and the scanned
-	// relation revisions, and refreshed incrementally
-	// under insert-only churn. Answers are byte-identical either way;
+	// (participating view definitions, query), so principals holding the
+	// same views share them, validated against the scanned relation
+	// revisions, and refreshed incrementally under insert-only churn. Answers are byte-identical either way;
 	// steady-state retrieves skip both pipelines entirely, and off, both
 	// pipelines run on every retrieve.
 	MaskClosure bool

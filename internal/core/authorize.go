@@ -114,9 +114,9 @@ type Authorizer struct {
 	Cache *MaskCache
 	// Closure, when non-nil, serves whole retrieves from materialized
 	// resident state (the delivered relation and its statistics) keyed on
-	// the participating views and validated against both the view
-	// generation and the pinned relation revisions, and otherwise hands back a plan the definitions still
-	// stamp; see Closure. Only RetrievePlan consults it.
+	// the participating definitions and validated against the pinned
+	// relation revisions, and otherwise hands back the plan its key
+	// determines; see Closure. Only RetrievePlan consults it.
 	Closure *Closure
 }
 
@@ -136,23 +136,25 @@ func (a *Authorizer) Retrieve(user string, def *cview.Def) (*Decision, error) {
 
 // RetrievePlan runs the dual pipelines for an already-compiled plan,
 // with one closure lookup first: a hit is the whole answer; otherwise
-// the meta side is the entry's plan when the closure hands one back
-// (stamped with the store's current view generation), recomputed
-// by MaskPlanFor otherwise, and the actual side is then evaluated and
-// masked by it.
+// the meta side is the entry's plan when the closure hands one back,
+// recomputed by MaskPlanFor otherwise, and the actual side is then
+// evaluated and masked by it.
 func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, error) {
 	closure := a.Closure
+	var key string
 	var revs []*relation.Relation
 	var mp *MaskPlan
 	if closure != nil {
-		// Pin the scanned revisions once: they stamp both the lookup
-		// and the eventual Store, so the materialization is keyed to
-		// exactly the data this statement reads.
+		// Pin the scanned revisions and write the key once: both serve
+		// the lookup and the eventual Store, so the materialization is
+		// keyed to exactly the definitions and data this statement
+		// reads.
 		revs = a.scanRevs(psj)
 		if revs == nil {
 			closure = nil // unknown relation: let the evaluator report it
 		} else {
-			d, plan, err := closure.Lookup(a, user, psj, revs)
+			key = cacheKey(a.Store, user, psj, a.Opt)
+			d, plan, err := closure.Lookup(a, key, psj, revs)
 			if d != nil || err != nil {
 				return d, err
 			}
@@ -177,7 +179,7 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 	if err != nil {
 		return nil, err
 	}
-	closure.Store(a.Store, user, psj, a.Opt, revs, d, psjExec)
+	closure.Store(key, revs, d, psjExec)
 	return d, nil
 }
 

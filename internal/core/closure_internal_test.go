@@ -89,8 +89,8 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 }
 
 // TestCacheKeyInjective: requests that differ in their participating
-// views, in the order those were granted, or in the kind of a constant
-// must key different plans; requests that differ only in the principal
+// views, in the order those were granted, in the kind of a constant or
+// in the definition a view name stands for must key different plans; requests that differ only in the principal
 // and in views that do not take part key the same one.
 func TestCacheKeyInjective(t *testing.T) {
 	psj := func(preds ...algebra.Atom) *algebra.PSJ {
@@ -127,5 +127,18 @@ func TestCacheKeyInjective(t *testing.T) {
 	}
 	if a, b := cacheKey(st, "u", psj(), opt), cacheKey(st, "v", psj(), opt); a != b {
 		t.Errorf("u and v hold A, and v's RS does not take part, but they key %q and %q", a, b)
+	}
+	// A view dropped and redefined under the same name is another
+	// definition, and may compile to another mask.
+	redef := st.Clone(st.Schema())
+	redef.DropView("A")
+	if err := redef.DefineView(&cview.Def{Name: "A", Cols: []cview.ColRef{{Alias: "R", Attr: "B"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := redef.Permit("A", "u"); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := cacheKey(st, "u", psj(), opt), cacheKey(redef, "u", psj(), opt); a == b {
+		t.Errorf("A dropped and redefined keys as before: %q", a)
 	}
 }

@@ -95,12 +95,12 @@ func (s *Store) Instantiate(user string, scanCount map[string]int, opt Options) 
 		ivs:   make(map[VarID]interval.Interval),
 		occs:  make(map[VarID][]CompRef),
 	}
-	s.participants(user, func(rel string) int { return scanCount[rel] }, opt, func(name string, v *StoredView, copies int) {
+	s.participants(user, func(rel string) int { return scanCount[rel] }, opt, func(_ uint64, v *StoredView, copies int) {
 		for cpy := 0; cpy < copies; cpy++ {
 			inst.addView(v, cpy)
 		}
-		if n := len(inst.views); n == 0 || inst.views[n-1] != name {
-			inst.views = append(inst.views, name)
+		if n := len(inst.views); n == 0 || inst.views[n-1] != v.Name {
+			inst.views = append(inst.views, v.Name)
 		}
 	})
 	if opt.SelfJoins {
@@ -111,15 +111,14 @@ func (s *Store) Instantiate(user string, scanCount map[string]int, opt Options) 
 
 // participants calls f, in grant order, for each branch of user's views
 // that takes part in a query scanning each relation scans(rel) times,
-// with its number of copies: up to opt.ViewCopies when the query scans
-// its relations repeatedly. A branch with a membership tuple over a
-// relation the query never scans is pruned (§5: "defined in these
-// relations in their entirety"), each disjunct on its own. Instantiate
-// builds from it and cacheKey is written from it, so the key names
-// exactly the views a mask is computed from.
-func (s *Store) participants(user string, scans func(rel string) int, opt Options, f func(name string, v *StoredView, copies int)) {
+// with its view's definition id (viewEntry) and its number of copies:
+// up to opt.ViewCopies when the query scans its relations repeatedly. A
+// branch with a membership tuple over a relation the query never scans
+// is pruned (§5: "defined in these relations in their entirety"), each
+// disjunct on its own. Instantiate builds from it and cacheKey is written from it, so the key names
+// exactly the definitions a mask is computed from.
+func (s *Store) participants(user string, scans func(rel string) int, opt Options, f func(id uint64, v *StoredView, copies int)) {
 	for _, e := range s.perm(user).views {
-		name := e.def.Name
 		for _, v := range e.branches {
 			maxScans := 1
 			for _, t := range v.Tuples {
@@ -137,7 +136,7 @@ func (s *Store) participants(user string, scans func(rel string) int, opt Option
 			if opt.ViewCopies > 1 {
 				copies = min(maxScans, opt.ViewCopies)
 			}
-			f(name, v, copies)
+			f(e.id, v, copies)
 		}
 	}
 }

@@ -290,7 +290,23 @@ func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
 	}
 	var stats MaskStats
 	out := relation.NewSized(attrs, len(tuples))
-	slab := relation.NewSlab(len(attrs))
+	m.applyInto(out, tuples, &stats)
+	return out, stats
+}
+
+// adopter takes a masked row unless it holds one equal to it: a
+// relation built by Apply, or the closure's accumulator a refresh
+// extends (relation.Versioned).
+type adopter interface{ Adopt(relation.Tuple) bool }
+
+// applyInto is Apply's row loop: it masks each of tuples through its
+// best tuple, adopts the row into out and counts each row out takes in
+// stats. The tuples are answer rows of an ungrouped mask, or a grouped
+// mask's representatives.
+func (m *Mask) applyInto(out adopter, tuples []relation.Tuple, stats *MaskStats) {
+	ex := m.compiled()
+	width := len(m.Out)
+	slab := relation.NewSlab(width)
 	for n, t := range tuples {
 		bi := m.bestIndex(ex, t)
 		if bi < 0 {
@@ -300,10 +316,9 @@ func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
 		maskRow(row, t, ex.reveal[bi], ex.out)
 		if out.Adopt(row) {
 			slab.Keep()
-			stats.count(ex.stars[bi], len(row))
+			stats.count(ex.stars[bi], width)
 		}
 	}
-	return out, stats
 }
 
 // representatives returns, per group of tuples sharing their delivered

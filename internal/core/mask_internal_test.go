@@ -182,7 +182,11 @@ func TestApplyMatchesReference(t *testing.T) {
 // answers against a reference it shares no code with: referenceApply
 // when Out is every column in order, and the separate §6(3) application
 // ApplyExtended when Out permutes the columns, leaves some out or repeats
-// one. The delivered rows, their order and the stats must agree.
+// one. The delivered rows, their order and the stats must agree. An
+// ungrouped mask is also applied the way a closure refresh delivers an
+// answer: Apply on a prefix, then applyInto over the rest, adopting into
+// the prefix's accumulator; the rows and stats must be Apply's on the
+// whole answer.
 func FuzzMaskApply(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
@@ -235,6 +239,30 @@ func FuzzMaskApply(f *testing.F) {
 		}
 		if gotStats != wantStats {
 			t.Fatalf("out %v: stats %+v, want %+v", m.Out, gotStats, wantStats)
+		}
+
+		if m.compiled().grouped {
+			return
+		}
+		cut := rng.Intn(ans.Len() + 1)
+		prefix := relation.New(attrs)
+		for _, row := range ans.Tuples()[:cut] {
+			prefix.Insert(row) //nolint:errcheck
+		}
+		pre, stats := m.Apply(prefix)
+		vm := relation.VersionedOf(pre)
+		m.applyInto(vm, ans.Suffix(cut).Tuples(), &stats)
+		parts := vm.Head()
+		if parts.Len() != got.Len() {
+			t.Fatalf("out %v, cut %d: %d rows in two parts, want %d:\n%s\nvs\n%s", m.Out, cut, parts.Len(), got.Len(), parts, got)
+		}
+		for i, row := range parts.Tuples() {
+			if !row.Equal(got.Tuples()[i]) {
+				t.Fatalf("out %v, cut %d: row %d in two parts is %v, want %v", m.Out, cut, i, row, got.Tuples()[i])
+			}
+		}
+		if stats != gotStats {
+			t.Fatalf("out %v, cut %d: stats in two parts %+v, want %+v", m.Out, cut, stats, gotStats)
 		}
 	})
 }

@@ -283,7 +283,7 @@ func storeState(s *core.Store, users []string) string {
 	for _, u := range users {
 		fmt.Fprintf(&b, "%s %v\n", u, s.ViewsFor(u))
 	}
-	fmt.Fprintf(&b, "users=%v views=%v viewgen=%d\n", s.Users(), s.ViewNames(), s.ViewGen())
+	fmt.Fprintf(&b, "users=%v views=%v\n", s.Users(), s.ViewNames())
 	s.RenderPermission(&b)
 	for _, rel := range s.Schema().Names() {
 		s.RenderMeta(&b, rel)

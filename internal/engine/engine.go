@@ -61,10 +61,9 @@ type Engine struct {
 	opt core.Options
 	// closures holds the materialized mask closure, the engine's one
 	// retrieve cache: resident mask plans and delivered relations keyed
-	// on the participating views and the query, validated lazily at
-	// lookup time against the view generation and the pinned relation
-	// revisions, so the commit path
-	// touches it only to release rows after a delete. The pointer is
+	// on the participating view definitions and the query, validated
+	// lazily at lookup time against the pinned relation revisions, so
+	// the commit path touches it only to release rows after a delete. The pointer is
 	// atomic so lock-free readers can pick the closure up alongside their
 	// pinned version (nil = disabled); see core.Closure for the coherence
 	// argument.

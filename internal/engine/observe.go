@@ -47,9 +47,9 @@ func (e *Engine) registerMetrics() {
 	// Closure effectiveness: hits serve materialized results without
 	// running either pipeline; refreshes are the subset that replayed an
 	// appended window first; plan hits are the misses that reused the
-	// entry's plan and ran the actual side alone; invalidations split
-	// into definition-driven (generation moved, entry dropped) and
-	// data-driven (revisions moved beyond repair, or a delete). The
+	// entry's plan and ran the actual side alone; invalidations count
+	// data changes alone (revisions moved beyond repair, or a delete): a
+	// definition change moves keys and invalidates nothing. The
 	// gauges report what the entries hold: delivered rows, and the bytes
 	// of the reply sections built from them.
 	e.met.CounterFunc("authdb_mask_closure_hits_total", func() float64 {
