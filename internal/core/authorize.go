@@ -170,16 +170,11 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 		}
 		metaTuples = mp.MetaTuples
 	}
-	// Fuse the mask-derived necessary delivery condition into the actual
-	// side: rows failing it match no mask tuple, so masking would drop
-	// them anyway and pruning early changes nothing delivered. A full
-	// grant has nothing to prune.
-	fuse := len(mp.Pushdown) > 0 && !mp.FullyAuthorized
-	d, psjExec, err := a.decide(psj, mp, metaTuples, fuse, nil)
+	d, err := a.decide(psj, mp, metaTuples, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	closure.Store(key, revs, d, psjExec)
+	closure.Store(key, revs, d)
 	return d, nil
 }
 
@@ -196,42 +191,45 @@ func (a *Authorizer) Explain(user string, def *cview.Def, tr *algebra.Trace) (*D
 	if err != nil {
 		return nil, err
 	}
-	d, _, err := a.decide(an.PSJ, mp, mp.MetaTuples, false, tr)
-	return d, err
+	return a.decide(an.PSJ, mp, mp.MetaTuples, false, tr)
 }
 
 // decide evaluates the actual side of psj and masks it with mp, the one
-// step every path from a MaskPlan to a Decision takes. With fuse, mp's
-// pushdown atoms are conjoined with the executed plan. The second result
-// is the plan executed.
-func (a *Authorizer) decide(psj *algebra.PSJ, mp *MaskPlan, metaTuples int, fuse bool, tr *algebra.Trace) (*Decision, *algebra.PSJ, error) {
-	ans, psjExec, err := a.execute(psj, mp, fuse, tr)
+// step every path from a MaskPlan to a Decision takes. prune lets the
+// pushdown fuse (MaskPlan.actualPSJ).
+func (a *Authorizer) decide(psj *algebra.PSJ, mp *MaskPlan, metaTuples int, prune bool, tr *algebra.Trace) (*Decision, error) {
+	ans, err := a.evalActual(mp.actualPSJ(psj, prune), a.Source, tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	d := &Decision{MaskPlan: mp, PSJ: psj, PushdownApplied: fuse, MetaTuples: metaTuples}
+	d := &Decision{MaskPlan: mp, PSJ: psj, PushdownApplied: prune && mp.fuses(), MetaTuples: metaTuples}
 	d.Masked, d.Stats = mp.Mask.Apply(ans)
 	// Sorted once here, the delivered relation converts without a sort on
 	// every closure hit until a refresh appends behind it.
 	d.Masked.Canonicalize()
-	return d, psjExec, nil
+	return d, nil
 }
 
-// execute evaluates the actual side of psj for mp, with mp's pushdown
-// atoms conjoined when fuse is set, and returns the answer and the plan
-// executed. The §6(3) extension masks the wide (pre-projection) answer,
-// so it executes the plan without the final projection.
-func (a *Authorizer) execute(psj *algebra.PSJ, mp *MaskPlan, fuse bool, tr *algebra.Trace) (*relation.Relation, *algebra.PSJ, error) {
-	psjExec := psj
+// actualPSJ returns the actual-side plan mp masks for psj. The §6(3)
+// extension masks the wide (pre-projection) answer, so it is the plan
+// without the final projection. With prune, mp's pushdown atoms are
+// conjoined when fuses holds. The closure key fixes both mp and psj, so
+// an entry rebuilds its plan here instead of keeping it.
+func (mp *MaskPlan) actualPSJ(psj *algebra.PSJ, prune bool) *algebra.PSJ {
 	if mp.WidePSJ != nil {
-		psjExec = mp.WidePSJ
+		psj = mp.WidePSJ
 	}
-	if fuse {
-		psjExec = fusePushdown(psjExec, mp.Pushdown)
+	if prune && mp.fuses() {
+		psj = fusePushdown(psj, mp.Pushdown)
 	}
-	ans, err := a.evalActual(psjExec, a.Source, tr)
-	return ans, psjExec, err
+	return psj
 }
+
+// fuses reports whether retrieval fuses mp's mask-derived necessary
+// delivery condition into the actual side: rows failing it match no
+// mask tuple, so masking would drop them anyway and pruning early
+// changes nothing delivered. A full grant has nothing to prune.
+func (mp *MaskPlan) fuses() bool { return len(mp.Pushdown) > 0 && !mp.FullyAuthorized }
 
 // evalActual evaluates an actual-side plan against src on the indexed
 // executor under the authorizer's guard, recording access paths in tr

@@ -45,7 +45,7 @@ func (a *Authorizer) Certify(quality string, def *cview.Def) (*Certification, er
 	}
 	// Certification delivers the full answer, so the mask may never prune
 	// rows from it — uncertified rows are annotated, not withheld.
-	ans, _, err := a.execute(an.PSJ, mp, false, nil)
+	ans, err := a.evalActual(mp.actualPSJ(an.PSJ, false), a.Source, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -38,18 +38,21 @@ import (
 // On a data-side mismatch the entry can often be repaired instead of
 // rebuilt: for a single-scan plan whose mask is not grouped and whose
 // new revision extends the cached one by pure appends
-// (relation.ExtendsByAppend — the common insert-only churn), only the
-// appended window is evaluated through the retained executable plan, its
-// rows are masked through the retained compiled mask, and the masked
-// accumulator grows in place. An ungrouped mask delivers each answer row
-// on its own, so a window row that repeats an answer row masks to a row
-// the accumulator already holds. A grouped mask (§6(3) leaving a column
+// (relation.ExtendsByAppend — the common insert-only churn, and a delete
+// that removed only rows appended since), only the appended window is
+// evaluated through the actual-side plan the entry's plan builds
+// (MaskPlan.actualPSJ), its rows are masked through the retained
+// compiled mask, and the masked accumulator grows in place. An
+// ungrouped mask delivers each answer row on its own, so a window row
+// that repeats an answer row masks to a row the accumulator already
+// holds. A grouped mask (§6(3) leaving a column
 // out) picks one row per group across the whole answer, which a window
-// cannot revise; like deletions, reallocation and multi-scan plans, it
-// falls back to recomputing the actual side, and Lookup hands back the
-// entry's plan so the meta pipeline is skipped. A delete releases the
-// rows of every entry over the relation at once (InvalidateRelation)
-// and keeps their plans for the next lookup.
+// cannot revise; like a delete of a stamped row, reallocation and
+// multi-scan plans, it falls back to recomputing the actual side, and
+// Lookup hands back the entry's plan so the meta pipeline is skipped.
+// The stamps are the only data-side rule: no write reaches the closure,
+// and an entry keeps its rows until Store replaces it or FIFO eviction
+// removes it.
 //
 // One-mask-tuple-per-row soundness is preserved by construction: a
 // refresh masks the appended window through Apply's own row loop
@@ -71,27 +74,22 @@ type Closure struct {
 	// order lists live keys oldest-first for FIFO eviction.
 	order []string
 
-	hits          uint64 // lookups served from the closure (incl. refreshes)
-	misses        uint64 // lookups that fell through to computation
-	planHits      uint64 // misses that handed back the entry's plan
-	refreshes     uint64 // hits that first replayed an appended window
-	invalidData   uint64 // lookups that missed because revisions moved irreparably
-	invalidDelete uint64 // entries released eagerly by InvalidateRelation
+	hits      uint64 // lookups served from the closure (incl. refreshes)
+	misses    uint64 // lookups that fell through to computation
+	planHits  uint64 // misses that handed back the entry's plan
+	refreshes uint64 // hits that first replayed an appended window
 }
 
 // closureEntry is one resident materialization: the mask plan, the
-// executed plan, the revision stamps, the delivered relation and its
-// encoded reply section. The plan side (plan, psjExec, fused) survives
-// data churn; the result side (revs, masked, stats, vm, reply) is keyed
-// to the stamped revisions, and InvalidateRelation releases it (masked
-// is then nil). Every field is read and written under Closure.mu.
+// revision stamps, the delivered relation, its statistics, its
+// accumulator and its encoded reply section — what the key and the
+// stamps cannot rebuild. The plan survives data churn; the rest is
+// keyed to the stamped revisions. Every field is read and written under
+// Closure.mu.
 type closureEntry struct {
-	// plan is the compiled meta side; psjExec the actual-side plan that
-	// was executed (pushdown-fused when fused is set), whose scans are
-	// InvalidateRelation's match set.
-	plan    *MaskPlan
-	psjExec *algebra.PSJ
-	fused   bool
+	// plan is the compiled meta side, which also builds the actual-side
+	// plan a refresh evaluates (MaskPlan.actualPSJ).
+	plan *MaskPlan
 	// revs pins the scanned relation revisions the result was built
 	// against, in scan order.
 	revs []*relation.Relation
@@ -107,7 +105,7 @@ type closureEntry struct {
 	stats  MaskStats
 	// reply holds masked's encoded reply section, empty until the first
 	// reply reads the entry. It belongs to masked: wherever masked is
-	// replaced or released, so is reply.
+	// replaced, so is reply.
 	reply *ReplySection
 	// vm accumulates the delivered relation grow-only (MVCC-style:
 	// published heads are immutable, appends build successors); present
@@ -136,23 +134,20 @@ type ClosureStats struct {
 	// Hits counts lookups served from resident state, including
 	// incremental refreshes; Misses counts lookups that fell through to
 	// computation. PlanHits counts the misses whose recompute reused the
-	// entry's plan, running the actual side alone.
+	// entry's plan, running the actual side alone: the lookups whose
+	// revisions had moved beyond repair, the closure's only
+	// invalidations. A definition change invalidates nothing: it moves
+	// keys (cacheKey).
 	Hits, Misses, PlanHits uint64
 	// Refreshes counts the subset of hits that first replayed an
 	// appended window through the retained plan.
 	Refreshes uint64
-	// InvalidData counts lookups whose revisions had moved beyond
-	// repair (also counted in Misses); InvalidDelete counts entries
-	// whose rows were released eagerly because a scanned relation was
-	// deleted from (InvalidateRelation). A definition change invalidates
-	// nothing: it moves keys (cacheKey).
-	InvalidData, InvalidDelete uint64
-	// Entries is the current resident entry count, released ones
-	// included; ResidentRows the delivered rows they hold (the sum of
-	// their Stats.Rows), counting entries that cannot refresh as well as
-	// those that can. ReplyBytes is the bytes of the reply sections they
-	// hold, the sum of their lengths: an entry holds one from the first
-	// reply that reads it until its rows are replaced or released.
+	// Entries is the current resident entry count; ResidentRows the
+	// delivered rows they hold (the sum of their Stats.Rows), counting
+	// entries that cannot refresh as well as those that can. ReplyBytes
+	// is the bytes of the reply sections they hold, the sum of their
+	// lengths: an entry holds one from the first reply that reads it
+	// until its rows are replaced.
 	Entries, ResidentRows, ReplyBytes int
 }
 
@@ -183,10 +178,8 @@ func (s *ReplySection) Keep(b []byte) []byte {
 	return *s.b.Load()
 }
 
-// Invalidations returns the combined invalidation count.
-func (s ClosureStats) Invalidations() uint64 {
-	return s.InvalidData + s.InvalidDelete
-}
+// Invalidations returns the data-side invalidation count, PlanHits.
+func (s ClosureStats) Invalidations() uint64 { return s.PlanHits }
 
 // Stats reports the closure's counters. Safe on a nil closure.
 func (c *Closure) Stats() ClosureStats {
@@ -197,7 +190,6 @@ func (c *Closure) Stats() ClosureStats {
 	defer c.mu.Unlock()
 	s := ClosureStats{
 		Hits: c.hits, Misses: c.misses, PlanHits: c.planHits, Refreshes: c.refreshes,
-		InvalidData: c.invalidData, InvalidDelete: c.invalidDelete,
 		Entries: len(c.entries),
 	}
 	for _, e := range c.entries {
@@ -217,7 +209,7 @@ func decisionFor(e *closureEntry, psj *algebra.PSJ) *Decision {
 		Masked:          e.masked,
 		Reply:           e.reply,
 		Stats:           e.stats,
-		PushdownApplied: e.fused,
+		PushdownApplied: e.plan.fuses(),
 	}
 }
 
@@ -232,8 +224,8 @@ func decisionFor(e *closureEntry, psj *algebra.PSJ) *Decision {
 //
 // The incremental window is evaluated outside the closure lock (so slow
 // refreshes never serialize unrelated lookups) and applied under it
-// after revalidating that no concurrent refresh won; a lost race simply
-// degrades to a miss.
+// after revalidating that no concurrent refresh or Store won; a lost
+// race degrades to a plan hit.
 func (c *Closure) Lookup(a *Authorizer, key string, psj *algebra.PSJ, revs []*relation.Relation) (*Decision, *MaskPlan, error) {
 	if c == nil {
 		return nil, nil, nil
@@ -252,14 +244,10 @@ func (c *Closure) Lookup(a *Authorizer, key string, psj *algebra.PSJ, revs []*re
 		return d, nil, nil
 	}
 	if e.vm == nil || len(revs) != 1 || !relation.ExtendsByAppend(e.revs[0], revs[0]) {
-		// Data moved beyond repair for this entry (or a delete released
-		// its rows, already counted), but the plan is the definitions'
-		// alone: the recompute runs the actual side through it. The entry
-		// stays resident meanwhile — readers pinned to its revisions keep
-		// hitting it until Store replaces.
-		if e.masked != nil {
-			c.invalidData++
-		}
+		// Data moved beyond repair for this entry, but the plan is the
+		// definitions' alone: the recompute runs the actual side through
+		// it. The entry stays resident meanwhile — readers pinned to its
+		// revisions keep hitting it until Store replaces.
 		c.misses++
 		c.planHits++
 		plan := e.plan
@@ -268,35 +256,29 @@ func (c *Closure) Lookup(a *Authorizer, key string, psj *algebra.PSJ, revs []*re
 	}
 	oldRev := e.revs[0]
 	base := oldRev.Len()
-	plan, psjExec := e.plan, e.psjExec
+	plan := e.plan
 	c.mu.Unlock()
 
 	// Evaluate just the appended window through the retained plan,
 	// unlocked: the window and the old revision are immutable.
 	tail := revs[0].Suffix(base)
 	src := algebra.MapSource(map[string]*relation.Relation{psj.Scans[0].Rel: tail})
-	tailAns, err := a.evalActual(psjExec, src, nil)
+	tailAns, err := a.evalActual(plan.actualPSJ(psj, true), src, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.entries[key] != e {
-		c.misses++
-		return nil, nil, nil
-	}
-	if slices.Equal(e.revs, revs) {
+	if c.entries[key] == e && slices.Equal(e.revs, revs) {
 		// A concurrent refresh reached our target revision first.
 		c.hits++
 		return decisionFor(e, psj), nil, nil
 	}
-	if e.masked == nil || e.revs[0] != oldRev {
-		// Released by a delete (already counted), or refreshed past a
-		// different revision: our window basis is gone, the plan is not.
-		if e.masked != nil {
-			c.invalidData++
-		}
+	if c.entries[key] != e || e.revs[0] != oldRev {
+		// Replaced or evicted meanwhile, or refreshed past a different
+		// revision: our window basis is gone, the plan — the key's — is
+		// not, and handing it back keeps the key's one mask.
 		c.misses++
 		c.planHits++
 		return nil, plan, nil
@@ -314,25 +296,23 @@ func (c *Closure) Lookup(a *Authorizer, key string, psj *algebra.PSJ, revs []*re
 }
 
 // Store materializes a freshly computed decision under key, the one
-// its Lookup missed: its mask plan, the executed plan, the revision
-// stamps, the delivered relation and its statistics, and — for
-// single-scan plans with an ungrouped mask — the masked accumulator.
+// its Lookup missed: its mask plan, the revision stamps, the delivered
+// relation and its statistics, and — for single-scan plans with an
+// ungrouped mask — the masked accumulator.
 // Store takes ownership of d.Masked in the MVCC sense: its published
 // prefix stays immutable, later refreshes extend the shared backing
 // array past it. It gives d the entry's empty reply
 // section, so the reply to this very retrieve builds it.
-func (c *Closure) Store(key string, revs []*relation.Relation, d *Decision, psjExec *algebra.PSJ) {
+func (c *Closure) Store(key string, revs []*relation.Relation, d *Decision) {
 	if c == nil || d == nil {
 		return
 	}
 	e := &closureEntry{
-		plan:    d.MaskPlan,
-		psjExec: psjExec,
-		fused:   d.PushdownApplied,
-		revs:    append([]*relation.Relation(nil), revs...),
-		masked:  d.Masked,
-		stats:   d.Stats,
-		reply:   new(ReplySection),
+		plan:   d.MaskPlan,
+		revs:   append([]*relation.Relation(nil), revs...),
+		masked: d.Masked,
+		stats:  d.Stats,
+		reply:  new(ReplySection),
 	}
 	d.Reply = e.reply
 	if len(revs) == 1 && !d.Mask.compiled().grouped {
@@ -352,28 +332,6 @@ func (c *Closure) Store(key string, revs []*relation.Relation, d *Decision, psjE
 	}
 	c.entries[key] = e
 	c.order = append(c.order, key)
-}
-
-// InvalidateRelation eagerly releases the result side of every entry
-// whose scans include rel. Deletes cannot be repaired by the
-// append-window refresh (the accumulator only grows), so the engine
-// calls this after a delete commits: entries over other relations stay
-// whole, and the doomed ones free their materialized rows immediately
-// instead of lingering until their next lookup misses. Each keeps its
-// plan, which the delete did not touch, so that lookup reruns only the
-// actual side. Safe on a nil closure.
-func (c *Closure) InvalidateRelation(rel string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		if e.masked != nil && slices.ContainsFunc(e.psjExec.Scans, func(s algebra.Scan) bool { return s.Rel == rel }) {
-			e.revs, e.masked, e.vm, e.reply, e.stats = nil, nil, nil, nil, MaskStats{}
-			c.invalidDelete++
-		}
-	}
 }
 
 // removeLocked deletes key from the map and the FIFO order; callers

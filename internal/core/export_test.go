@@ -6,11 +6,11 @@ import (
 )
 
 // DecideTraced runs the step Retrieve ends with: execute psj's actual
-// side for mp, with mp's pushdown atoms fused when fuse is set, and mask
-// the answer. The actual side's access paths are recorded in tr.
-func (a *Authorizer) DecideTraced(psj *algebra.PSJ, mp *MaskPlan, fuse bool, tr *algebra.Trace) (*Decision, error) {
-	d, _, err := a.decide(psj, mp, 0, fuse, tr)
-	return d, err
+// side for mp, with mp's pushdown atoms fused when prune is set and the
+// mask has something to prune, and mask the answer. The actual side's
+// access paths are recorded in tr.
+func (a *Authorizer) DecideTraced(psj *algebra.PSJ, mp *MaskPlan, prune bool, tr *algebra.Trace) (*Decision, error) {
+	return a.decide(psj, mp, 0, prune, tr)
 }
 
 // ApplyExtended is the reference for Apply on a mask whose delivered

@@ -14,10 +14,10 @@ import (
 
 // TestClosureServesAndInvalidates drives the materialized closure
 // through the full statement-level invalidation matrix: repeats hit,
-// inserts refresh incrementally and surface immediately, deletes
-// invalidate the data side (recomputing through the retained mask
-// plan), and a revoke moves the principal to another key — each time
-// byte-identical to a fresh computation.
+// inserts refresh incrementally and surface immediately, a delete of a
+// row the entry's stamp holds invalidates the data side (recomputing
+// through the retained mask plan), and a revoke moves the principal to
+// another key — each time byte-identical to a fresh computation.
 func TestClosureServesAndInvalidates(t *testing.T) {
 	e := paperEngine(t)
 	admin := e.NewSession("admin", true)
@@ -63,8 +63,8 @@ func TestClosureServesAndInvalidates(t *testing.T) {
 		t.Fatalf("inserted row missing from refreshed answer:\n%s", renderResult(res))
 	}
 
-	// Delete: unrepairable, so the entry over PROJECT is dropped eagerly
-	// at delete time (InvalidateRelation) and the next read recomputes.
+	// Delete of a row the entry's stamp holds: unrepairable, so the next
+	// read recomputes the actual side through the entry's plan.
 	if _, err := admin.Exec(`delete from PROJECT where PROJECT.NUMBER = zz-99`); err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +73,8 @@ func TestClosureServesAndInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s3 := e.MaskClosureStats()
-	if s3.InvalidDelete != s2.InvalidDelete+1 {
-		t.Fatalf("delete should drop the entry eagerly: %+v -> %+v", s2, s3)
+	if s3.PlanHits != s2.PlanHits+1 {
+		t.Fatalf("delete should recompute through the entry's plan: %+v -> %+v", s2, s3)
 	}
 	if strings.Contains(renderResult(res), "zz-99") {
 		t.Fatal("deleted row still delivered")
@@ -111,6 +111,48 @@ func TestClosureServesAndInvalidates(t *testing.T) {
 	}
 	if renderResult(restored) != renderResult(first) {
 		t.Fatal("after re-permit, answer differs from original")
+	}
+}
+
+// TestClosureRefreshesAcrossDeletePastStamp: a delete that removes only
+// rows appended after an entry's stamp leaves the stamped revision a
+// prefix of the new one, so the next read refreshes the entry through
+// the appended window instead of recomputing, and answers as an engine
+// without a closure does.
+func TestClosureRefreshesAcrossDeletePastStamp(t *testing.T) {
+	e, ref := paperEngine(t), paperEngine(t)
+	ref.SetMaskClosureEnabled(false)
+	brown := e.NewSession("Brown", false)
+	first, err := brown.Exec(workload.Example1Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []*engine.Engine{e, ref} {
+		if _, err := eng.NewSession("admin", true).ExecScript(`
+			insert into PROJECT values (zz-98, Acme, 980000);
+			insert into PROJECT values (zz-99, Acme, 990000);
+			delete from PROJECT where PROJECT.NUMBER = zz-98;`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.MaskClosureStats()
+	got, err := brown.Exec(workload.Example1Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := e.MaskClosureStats()
+	if after.Refreshes != before.Refreshes+1 || after.PlanHits != before.PlanHits {
+		t.Fatalf("the read after a delete past the stamp did not refresh: %+v -> %+v", before, after)
+	}
+	if got.Relation.Len() != first.Relation.Len()+1 {
+		t.Fatalf("delivered %d rows, want %d", got.Relation.Len(), first.Relation.Len()+1)
+	}
+	want, err := ref.NewSession("Brown", false).Exec(workload.Example1Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderResult(got) != renderResult(want) {
+		t.Fatalf("refreshed answer:\n%s\nwant the closure-off answer\n%s", renderResult(got), renderResult(want))
 	}
 }
 
@@ -265,7 +307,8 @@ func TestClosureConcurrentPinnedReaders(t *testing.T) {
 			t.Fatalf("round %d: appended row %s invisible after refresh", i, numB)
 		}
 		// Deletion-driven recompute while the entry is resident: the
-		// data side invalidates, the retained plan masks the fresh answer.
+		// delete removes a stamped row, so the data side invalidates and
+		// the retained plan masks the fresh answer.
 		if _, err := admin.Exec(`delete from PROJECT where PROJECT.NUMBER = ` + numB); err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +361,7 @@ func TestClosureConcurrentPinnedReaders(t *testing.T) {
 	wg.Wait()
 
 	st := e.MaskClosureStats()
-	if st.Hits == 0 || st.Refreshes == 0 || st.InvalidDelete == 0 {
+	if st.Hits == 0 || st.Refreshes == 0 || st.PlanHits == 0 {
 		t.Fatalf("concurrency run did not exercise all closure paths: %+v", st)
 	}
 }

@@ -395,7 +395,7 @@ func TestMaskCacheNoStaleMaskUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Store an entry under the restored grant, so the next delete
-		// has one to release even if no reader ran.
+		// has one to invalidate even if no reader ran.
 		if _, err := e.NewSession("Brown", false).Exec(workload.Example1Query); err != nil {
 			t.Fatal(err)
 		}

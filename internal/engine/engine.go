@@ -63,9 +63,9 @@ type Engine struct {
 	// retrieve cache: resident mask plans and delivered relations keyed
 	// on the participating view definitions and the query, validated
 	// lazily at lookup time against the pinned relation revisions, so
-	// the commit path touches it only to release rows after a delete. The pointer is
-	// atomic so lock-free readers can pick the closure up alongside their
-	// pinned version (nil = disabled); see core.Closure for the coherence
+	// the commit path never touches it. The pointer is atomic so
+	// lock-free readers can pick the closure up alongside their pinned
+	// version (nil = disabled); see core.Closure for the coherence
 	// argument.
 	closures atomic.Pointer[core.Closure]
 	// dur is the crash-safe persistence attachment (nil for in-memory
@@ -652,8 +652,7 @@ func (s *Session) insert(p parser.Insert) (*Result, error) {
 }
 
 func (s *Session) delete(p parser.Delete) (*Result, error) {
-	n := 0
-	res, err := s.write(func() (string, parser.Stmt, error) {
+	return s.write(func() (string, parser.Stmt, error) {
 		vr, err := s.eng.versioned(p.Rel)
 		if err != nil {
 			return "", nil, err
@@ -680,19 +679,12 @@ func (s *Session) delete(p parser.Delete) (*Result, error) {
 			}
 			pred = cov.Contains
 		}
-		if n = vr.Delete(pred); n == 0 {
+		n := vr.Delete(pred)
+		if n == 0 {
 			logged = nil
 		}
 		return fmt.Sprintf("deleted %d tuple(s) from %s", n, p.Rel), logged, nil
 	})
-	if err == nil && n > 0 {
-		// Deletes cannot be repaired by the closure's append-window
-		// refresh; eagerly release the rows of exactly the entries that
-		// scan this relation instead of letting every entry's data stamp
-		// go stale. Their plans stay for the next read.
-		s.eng.closures.Load().InvalidateRelation(p.Rel)
-	}
-	return res, err
 }
 
 // deletePredicate compiles the where clause of a delete, a disjunction

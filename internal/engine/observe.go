@@ -47,11 +47,11 @@ func (e *Engine) registerMetrics() {
 	// Closure effectiveness: hits serve materialized results without
 	// running either pipeline; refreshes are the subset that replayed an
 	// appended window first; plan hits are the misses that reused the
-	// entry's plan and ran the actual side alone; invalidations count
-	// data changes alone (revisions moved beyond repair, or a delete): a
-	// definition change moves keys and invalidates nothing. The
-	// gauges report what the entries hold: delivered rows, and the bytes
-	// of the reply sections built from them.
+	// entry's plan and ran the actual side alone, the closure's only
+	// invalidations (revisions moved beyond repair): a definition change
+	// moves keys and invalidates nothing. The gauges report what the
+	// entries hold: delivered rows, and the bytes of the reply sections
+	// built from them.
 	e.met.CounterFunc("authdb_mask_closure_hits_total", func() float64 {
 		return float64(e.MaskClosureStats().Hits)
 	})
@@ -63,9 +63,6 @@ func (e *Engine) registerMetrics() {
 	})
 	e.met.CounterFunc("authdb_mask_closure_refreshes_total", func() float64 {
 		return float64(e.MaskClosureStats().Refreshes)
-	})
-	e.met.CounterFunc("authdb_mask_closure_invalidations_total", func() float64 {
-		return float64(e.MaskClosureStats().Invalidations())
 	})
 	e.met.GaugeFunc("authdb_mask_closure_entries", func() float64 {
 		return float64(e.MaskClosureStats().Entries)

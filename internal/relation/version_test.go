@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -250,6 +251,110 @@ func TestExtendsByAppend(t *testing.T) {
 	if !ExtendsByAppend(base, w.Head()) {
 		t.Fatal("delete strictly past the prefix must keep the base extended")
 	}
+}
+
+// FuzzVersionedLineage checks ExtendsByAppend against a model of the
+// writes a Versioned took. Each byte of ops is one step: c%4 selects an
+// insert (c/4 < 32: a new row, else row number c/4-32 of those made so
+// far, present or deleted), a delete (c/4 < 32: the row at position
+// c/4, else every row whose A is c/4 mod 4), an insert of a row at a
+// position of the head, always a duplicate, or keeping the current
+// head. After every step, for each kept
+// head o and the current head h, ExtendsByAppend(o, h) must hold exactly
+// when no delete since o was kept removed one of o's rows, and then h's
+// first o.Len() tuples must be o's, in order.
+func FuzzVersionedLineage(f *testing.F) {
+	const keep, insert, delRow1, delRow4 = 3, 0, 1 + 4*1, 1 + 4*4
+	appends := func(n int) []byte { return make([]byte, n) } // n inserts
+	cat := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	// TestExtendsByAppend's cases: the empty base, appends with
+	// reallocation, a delete inside the prefix then appends, and a delete
+	// strictly past a kept prefix.
+	f.Add(cat([]byte{keep}, appends(3), []byte{keep}, appends(37), []byte{keep, delRow1, keep, insert, keep}))
+	f.Add(cat(appends(3), []byte{keep, insert, insert, delRow4, keep}))
+	f.Add([]byte{insert, insert, keep, 1 + 4*1, 4 * 33, keep, 2 + 4*5, insert}) // a stamped row deleted, then inserted again
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 512 {
+			ops = ops[:512]
+		}
+		type kept struct {
+			head   *Relation
+			rows   []Tuple // head's tuples when kept
+			broken bool    // a delete since removed one of rows
+		}
+		v := NewVersioned([]string{"A", "B"})
+		var heads []*kept
+		next := int64(0)
+		for step, c := range ops {
+			arg := int(c / 4)
+			h := v.Head()
+			switch c % 4 {
+			case 0:
+				k := next
+				if arg >= 32 && next > 0 {
+					k = int64(arg-32) % next
+				}
+				row := vt(k, 10*k)
+				present := v.Contains(row)
+				if added, err := v.Insert(row); err != nil || added == present {
+					t.Fatalf("step %d: inserting %v, present %v, added %v (%v)", step, row, present, added, err)
+				}
+				next = max(next, k+1)
+			case 1:
+				var pred func(Tuple) bool
+				if arg < 32 {
+					if h.Len() == 0 {
+						continue
+					}
+					victim := h.Tuples()[arg%h.Len()]
+					pred = victim.Equal
+				} else {
+					pred = func(tp Tuple) bool { return tp[0].AsInt()%4 == int64(arg%4) }
+				}
+				gone := h.Select(pred)
+				want := h.Len() - gone.Len()
+				v.Delete(pred)
+				if v.Len() != want {
+					t.Fatalf("step %d: delete left %d rows, want %d", step, v.Len(), want)
+				}
+				for _, k := range heads {
+					for _, r := range k.rows {
+						k.broken = k.broken || gone.Contains(r)
+					}
+				}
+			case 2:
+				if h.Len() == 0 {
+					continue
+				}
+				if added, err := v.Insert(h.Tuples()[arg%h.Len()]); err != nil || added {
+					t.Fatalf("step %d: a duplicate insert added %v (%v)", step, added, err)
+				}
+				if v.Head() != h {
+					t.Fatalf("step %d: a duplicate insert moved the head", step)
+				}
+			case 3:
+				heads = append(heads, &kept{head: h, rows: append([]Tuple(nil), h.Tuples()...)})
+			}
+			h = v.Head()
+			for i, k := range heads {
+				if !slices.EqualFunc(k.head.Tuples(), k.rows, Tuple.Equal) {
+					t.Fatalf("step %d: kept head %d changed", step, i)
+				}
+				if got := ExtendsByAppend(k.head, h); got != !k.broken {
+					t.Fatalf("step %d: ExtendsByAppend(head %d, current) = %v, want %v", step, i, got, !k.broken)
+				}
+				if !k.broken && !slices.EqualFunc(h.Tuples()[:len(k.rows)], k.rows, Tuple.Equal) {
+					t.Fatalf("step %d: the current head does not begin with kept head %d", step, i)
+				}
+			}
+		}
+	})
 }
 
 func TestSuffix(t *testing.T) {
