@@ -2,12 +2,22 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet staticcheck test race chaos examples loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply bench-acl
+.PHONY: check build cross fmt vet staticcheck test race chaos examples loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply bench-acl
 
-check: build fmt vet staticcheck race
+check: build cross fmt vet staticcheck race
 
 build:
 	$(GO) build ./...
+
+# Builds and vets for Windows and macOS, so the code behind non-Linux
+# build tags (internal/engine/dirlock_other.go) is compiled too. Every
+# package but authdb/bench, whose calibration uses Linux-only syscalls.
+cross:
+	@pkgs="$$($(GO) list ./... | grep -vx 'authdb/bench')"; \
+	for os in windows darwin; do \
+		echo "GOOS=$$os $(GO) build + vet"; \
+		GOOS=$$os $(GO) build $$pkgs && GOOS=$$os $(GO) vet $$pkgs || exit 1; \
+	done
 
 # Fails, naming the files, when any Go file is not gofmt-formatted.
 fmt:

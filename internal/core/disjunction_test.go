@@ -193,3 +193,34 @@ func TestDisjunctiveUpdateAuthorization(t *testing.T) {
 	}
 	_ = f
 }
+
+// TestDisjunctiveBranchLabels: R' and COMPARISON label each row with its
+// branch's Key, so the second disjunct's rows read BIG_OR_ACME#1 and are
+// told from the first's.
+func TestDisjunctiveBranchLabels(t *testing.T) {
+	f := disjFixture(t)
+	var meta, cmp strings.Builder
+	f.Store.RenderMeta(&meta, "PROJECT")
+	f.Store.RenderComparison(&cmp)
+	labels := map[string]bool{}
+	for _, line := range strings.Split(meta.String(), "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 {
+			labels[strings.TrimSpace(cells[1])] = true
+		}
+	}
+	if !labels["BIG_OR_ACME"] || !labels["BIG_OR_ACME#1"] {
+		t.Fatalf("R' misses a branch label:\n%s", meta.String())
+	}
+	found := false
+	for _, line := range strings.Split(cmp.String(), "\n") {
+		if strings.Contains(line, ">=") && strings.Contains(line, "400000") {
+			found = true
+			if cells := strings.Split(line, "|"); strings.TrimSpace(cells[1]) != "BIG_OR_ACME#1" {
+				t.Fatalf("the second branch's comparison is labelled %q:\n%s", cells[1], cmp.String())
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("COMPARISON misses the >= 400000 row:\n%s", cmp.String())
+	}
+}

@@ -118,6 +118,21 @@ func (s *Store) Clone(sch *relation.DBSchema) *Store {
 	return &ns
 }
 
+// Of returns the part of the meta-database user's permits name: only the
+// views user is permitted, in grant order, and only user's PERMISSION
+// rows. It is read-only; it shares the scheme and the stored branches
+// with s.
+func (s *Store) Of(user string) *Store {
+	r := s.perm(user)
+	o := &Store{sch: s.sch, views: make(map[string]*viewEntry, len(r.views)), perms: new(permTable)}
+	for _, e := range r.views {
+		o.views[e.def.Name] = e
+		o.order = append(o.order, e.def.Name)
+	}
+	o.setPerm(user, r)
+	return o
+}
+
 // perm returns user's record, or the zero record.
 func (s *Store) perm(user string) permRec { return s.perms.get(user) }
 
@@ -522,6 +537,8 @@ func (s *Store) Calculus(v *StoredView) string {
 
 // RenderMeta writes the stored meta-relation R' for one base relation in
 // the notation of Figure 1 (VIEW column plus one column per attribute).
+// The VIEW column holds the branch's Key, so a disjunct's rows are told
+// from the first branch's: V, V#1, ….
 func (s *Store) RenderMeta(w io.Writer, rel string) {
 	rs := s.sch.Lookup(rel)
 	if rs == nil {
@@ -534,7 +551,7 @@ func (s *Store) RenderMeta(w io.Writer, rel string) {
 				if t.Rel != rel {
 					continue
 				}
-				row := []string{name}
+				row := []string{v.Key}
 				for _, c := range t.Cells {
 					row = append(row, renderStoredCell(c))
 				}
@@ -560,7 +577,8 @@ func renderStoredCell(c StoredCell) string {
 }
 
 // RenderComparison writes the COMPARISON relation: one row per constant
-// bound of each constrained variable plus the symbolic rows.
+// bound of each constrained variable plus the symbolic rows, each
+// labelled with its branch's Key as RenderMeta labels them.
 func (s *Store) RenderComparison(w io.Writer) {
 	var rows [][]string
 	for _, name := range s.order {
@@ -572,11 +590,11 @@ func (s *Store) RenderComparison(w io.Writer) {
 			sort.Strings(vars)
 			for _, x := range vars {
 				for _, cond := range comparisonRows(x, v.VarIv[x]) {
-					rows = append(rows, append([]string{name}, cond...))
+					rows = append(rows, append([]string{v.Key}, cond...))
 				}
 			}
 			for _, c := range v.VarCmps {
-				rows = append(rows, []string{name, c.X, c.Op.String(), c.Y})
+				rows = append(rows, []string{v.Key, c.X, c.Op.String(), c.Y})
 			}
 		}
 	}

@@ -112,6 +112,90 @@ func TestFigure1Rendering(t *testing.T) {
 	}
 }
 
+// TestRightsFor: Store.Of("Klein") holds Klein's views and nothing
+// else. ELP contributes three R' tuples and EST two: five rows, with
+// ELP's PROJECT tuple keeping BUDGET >= 250000 and its ASSIGNMENT tuple
+// joining on x1 and x2.
+func TestRightsFor(t *testing.T) {
+	f := workload.Paper()
+	of := f.Store.Of("Klein")
+	if got := strings.Join(of.ViewNames(), " "); got != "ELP EST" {
+		t.Fatalf("Klein's views = %q, want \"ELP EST\"", got)
+	}
+	rows := 0
+	var sawBudget, sawAssignment bool
+	for _, name := range of.ViewNames() {
+		for _, br := range of.Branches(name) {
+			rows += len(br.Tuples)
+			for i, tu := range br.Tuples {
+				switch {
+				case name == "ELP" && tu.Rel == "PROJECT":
+					sawBudget = true
+					if got := storedTupleString(br, i); got != "(x2*, , x3*)" {
+						t.Fatalf("ELP's PROJECT tuple = %s", got)
+					}
+					if iv := br.VarIv["x3"]; !iv.Lo.Bounded || iv.Lo.V.AsInt() != 250000 {
+						t.Fatalf("x3 interval = %v", iv)
+					}
+				case tu.Rel == "ASSIGNMENT":
+					sawAssignment = true
+					if got := storedTupleString(br, i); got != "(x1*, x2*)" {
+						t.Fatalf("ELP's ASSIGNMENT tuple = %s", got)
+					}
+				}
+			}
+		}
+	}
+	if rows != 5 {
+		t.Fatalf("Klein's R' rows = %d, want 5", rows)
+	}
+	if !sawBudget || !sawAssignment {
+		t.Fatal("Klein's rights miss ELP's PROJECT or ASSIGNMENT tuple")
+	}
+	if got := strings.Join(of.Users(), " "); got != "Klein" {
+		t.Fatalf("restricted PERMISSION users = %q, want Klein", got)
+	}
+	if of.ViewDef("SAE") != nil || of.Branches("PSA") != nil {
+		t.Fatal("Klein's store holds a view Klein is not permitted")
+	}
+	if got := f.Store.Of("nobody"); len(got.ViewNames()) != 0 || len(got.Users()) != 0 {
+		t.Fatalf("unknown user's store = %v, users %v", got.ViewNames(), got.Users())
+	}
+}
+
+// TestRenderRights: Figure 1's renderers over Store.Of("Brown") print
+// Brown's rows and grants only; an unknown user's tables are empty.
+func TestRenderRights(t *testing.T) {
+	f := workload.Paper()
+	render := func(s *core.Store) string {
+		var b strings.Builder
+		for _, rel := range []string{"EMPLOYEE", "PROJECT", "ASSIGNMENT"} {
+			s.RenderMeta(&b, rel)
+		}
+		s.RenderComparison(&b)
+		s.RenderPermission(&b)
+		return b.String()
+	}
+	out := render(f.Store.Of("Brown"))
+	for _, want := range []string{"SAE", "PSA", "Acme*", "EST", "x4*", "| Brown | SAE  |"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("Brown's rights miss %q:\n%s", want, out)
+		}
+	}
+	for _, hidden := range []string{"ELP", "Klein", "250000"} {
+		if strings.Contains(out, hidden) {
+			t.Fatalf("Brown's rights show %q:\n%s", hidden, out)
+		}
+	}
+	out = render(f.Store.Of("nobody"))
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "| ") && !strings.HasPrefix(line, "| -") &&
+			!strings.HasPrefix(line, "| VIEW") && !strings.HasPrefix(line, "| USER") {
+			t.Fatalf("unknown user's rights hold a row %q:\n%s", line, out)
+		}
+	}
+}
+
 // TestCalculusPaperViews pins the §2 calculus form of the four Figure 1
 // views as read off their compiled meta-tuples.
 func TestCalculusPaperViews(t *testing.T) {

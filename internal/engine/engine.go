@@ -805,8 +805,16 @@ func allStarred(st core.StoredTuple) bool {
 	return true
 }
 
+// show renders a part of the schema or the meta-database. A user reads
+// only the part its own permits name (Store.Of): relation schemes are
+// public, views and PERMISSION rows are not. `show rights USER` is the
+// administrator's `show meta` over that same part for USER.
 func (s *Session) show(p parser.Show) (*Result, error) {
 	v := s.readVersion()
+	st := v.store
+	if !s.admin {
+		st = st.Of(s.user)
+	}
 	var b strings.Builder
 	switch p.What {
 	case "relations":
@@ -814,42 +822,43 @@ func (s *Session) show(p parser.Show) (*Result, error) {
 			fmt.Fprintln(&b, v.sch.Lookup(n).String())
 		}
 	case "views":
-		for _, n := range v.store.ViewNames() {
-			fmt.Fprintln(&b, v.store.ViewDef(n).String())
+		for _, n := range st.ViewNames() {
+			fmt.Fprintln(&b, st.ViewDef(n).String())
 			fmt.Fprintln(&b)
 		}
 	case "view":
-		def := v.store.ViewDef(p.Arg)
+		def := st.ViewDef(p.Arg)
 		if def == nil {
 			return nil, fmt.Errorf("unknown view %s", p.Arg)
 		}
 		fmt.Fprintln(&b, def.String())
-		for _, br := range v.store.Branches(p.Arg) {
-			fmt.Fprintln(&b, v.store.Calculus(br))
+		for _, br := range st.Branches(p.Arg) {
+			fmt.Fprintln(&b, st.Calculus(br))
 		}
 	case "permissions":
-		v.store.RenderPermission(&b)
-	case "rights":
-		if err := s.requireAdmin("show rights"); err != nil {
+		st.RenderPermission(&b)
+	case "meta", "rights":
+		if err := s.requireAdmin("show " + p.What); err != nil {
 			return nil, err
 		}
-		if p.Arg == "" {
-			return nil, fmt.Errorf("usage: show rights USER")
-		}
-		v.store.RenderRights(&b, p.Arg)
-	case "meta":
-		if err := s.requireAdmin("show meta"); err != nil {
-			return nil, err
+		if p.What == "rights" {
+			if p.Arg == "" {
+				return nil, fmt.Errorf("usage: show rights USER")
+			}
+			if st = st.Of(p.Arg); len(st.ViewNames()) == 0 {
+				fmt.Fprintf(&b, "user %s holds no permits", p.Arg)
+				break
+			}
 		}
 		names := v.sch.Names()
 		sort.Strings(names)
 		for _, n := range names {
-			v.store.RenderMeta(&b, n)
+			st.RenderMeta(&b, n)
 			fmt.Fprintln(&b)
 		}
-		v.store.RenderComparison(&b)
+		st.RenderComparison(&b)
 		fmt.Fprintln(&b)
-		v.store.RenderPermission(&b)
+		st.RenderPermission(&b)
 	default:
 		return nil, fmt.Errorf("show %s: unknown target (relations, views, view NAME, permissions, rights USER, meta)", p.What)
 	}

@@ -75,7 +75,7 @@ type Retrieve struct {
 type Explain struct{ Def *cview.Def }
 
 // Show is a REPL introspection command: "show relations", "show views",
-// "show view NAME", "show permissions", "show meta".
+// "show view NAME", "show permissions", "show meta", "show rights USER".
 type Show struct {
 	What string
 	Arg  string
