@@ -637,7 +637,7 @@ func BenchmarkOpenDirReplay(b *testing.B) {
 // Proposition property tests).
 func BenchmarkCommuteCheck(b *testing.B) {
 	f := workload.Paper()
-	inst := f.Store.Instantiate("Brown", map[string]int{"PROJECT": 1}, core.DefaultOptions())
+	inst := f.Store.Of("Brown").Instantiate(map[string]int{"PROJECT": 1}, core.DefaultOptions())
 	mr := inst.MetaRelFor("PROJECT", "PROJECT")
 	base := f.Rels["PROJECT"].Rename([]string{"PROJECT.NUMBER", "PROJECT.SPONSOR", "PROJECT.BUDGET"})
 	b.ResetTimer()
@@ -832,7 +832,7 @@ func BenchmarkFourCase(b *testing.B) {
 		view V (P.N, P.BUDGET) where P.BUDGET >= 300000 and P.BUDGET <= 600000;
 		permit V to u;
 	`)
-	inst := f.Store.Instantiate("u", map[string]int{"P": 1}, core.DefaultOptions())
+	inst := f.Store.Of("u").Instantiate(map[string]int{"P": 1}, core.DefaultOptions())
 	mr := inst.MetaRelFor("P", "P")
 	atom := algebra.Atom{L: "P.BUDGET", Op: value.GE, R: algebra.ConstOp(value.Int(400000))}
 	b.ResetTimer()

@@ -125,8 +125,21 @@ func NewAuthorizer(store *Store, src algebra.Source, opt Options) *Authorizer {
 	return &Authorizer{Store: store, Source: src, Opt: opt}
 }
 
+// over returns the authorizer over st, a itself when st is its store.
+// Every public method naming a principal starts over Store.Of(user), so
+// the meta side below it reads the principal's own views alone.
+func (a *Authorizer) over(st *Store) *Authorizer {
+	if st == a.Store {
+		return a
+	}
+	b := *a
+	b.Store = st
+	return &b
+}
+
 // Retrieve authorizes and answers the query def for user.
 func (a *Authorizer) Retrieve(user string, def *cview.Def) (*Decision, error) {
+	a = a.over(a.Store.Of(user))
 	an, err := cview.Analyze(def, a.Store.Schema())
 	if err != nil {
 		return nil, err
@@ -140,6 +153,7 @@ func (a *Authorizer) Retrieve(user string, def *cview.Def) (*Decision, error) {
 // recomputed by MaskPlanFor otherwise, and the actual side is then
 // evaluated and masked by it.
 func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, error) {
+	a = a.over(a.Store.Of(user))
 	closure := a.Closure
 	var key string
 	var revs []*relation.Relation
@@ -153,7 +167,7 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 		if revs == nil {
 			closure = nil // unknown relation: let the evaluator report it
 		} else {
-			key = cacheKey(a.Store, user, psj, a.Opt)
+			key = cacheKey(a.Store, psj, a.Opt)
 			d, plan, err := closure.Lookup(a, key, psj, revs)
 			if d != nil || err != nil {
 				return d, err
@@ -183,6 +197,7 @@ func (a *Authorizer) RetrievePlan(user string, psj *algebra.PSJ) (*Decision, err
 // the actual side runs unfused over the full A and records its access
 // paths in tr (which may be nil). It does not consult the closure.
 func (a *Authorizer) Explain(user string, def *cview.Def, tr *algebra.Trace) (*Decision, error) {
+	a = a.over(a.Store.Of(user))
 	an, err := cview.Analyze(def, a.Store.Schema())
 	if err != nil {
 		return nil, err
@@ -261,7 +276,8 @@ func (a *Authorizer) scanRevs(psj *algebra.PSJ) []*relation.Relation {
 // projection is certain to discard is never built. The mask is
 // ReferencePlan's, tuple for tuple.
 func (a *Authorizer) MaskPlanFor(user string, psj *algebra.PSJ) (*MaskPlan, error) {
-	mp, err := a.instantiate(user, psj)
+	a = a.over(a.Store.Of(user))
+	mp, err := a.instantiate(psj)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +297,8 @@ func (a *Authorizer) MaskPlanFor(user string, psj *algebra.PSJ) (*MaskPlan, erro
 // recorded after every phase. It is what Explain displays and the oracle
 // MaskPlanFor is tested against.
 func (a *Authorizer) ReferencePlan(user string, psj *algebra.PSJ) (*MaskPlan, error) {
-	mp, err := a.instantiate(user, psj)
+	a = a.over(a.Store.Of(user))
+	mp, err := a.instantiate(psj)
 	if err != nil {
 		return nil, err
 	}
@@ -312,10 +329,10 @@ func (a *Authorizer) ReferencePlan(user string, psj *algebra.PSJ) (*MaskPlan, er
 	return a.compile(mp, psj, groupSelections(psj.Preds), mr, true)
 }
 
-// instantiate starts a MaskPlan for psj: the user's permitted views
-// instantiated against the relations the query scans and, under
-// Options.ExtendedMasks, the wide plan.
-func (a *Authorizer) instantiate(user string, psj *algebra.PSJ) (*MaskPlan, error) {
+// instantiate starts a MaskPlan for psj: the views of a's store (the
+// user's part) instantiated against the relations the query scans and,
+// under Options.ExtendedMasks, the wide plan.
+func (a *Authorizer) instantiate(psj *algebra.PSJ) (*MaskPlan, error) {
 	if len(psj.Scans) == 0 {
 		return nil, fmt.Errorf("query scans no relations")
 	}
@@ -331,8 +348,8 @@ func (a *Authorizer) instantiate(user string, psj *algebra.PSJ) (*MaskPlan, erro
 	for _, s := range psj.Scans {
 		scanCount[s.Rel]++
 	}
-	mp.Inst = a.Store.Instantiate(user, scanCount, a.Opt)
-	mp.Views = mp.Inst.Views()
+	mp.Inst = a.Store.Instantiate(scanCount, a.Opt)
+	mp.Views = mp.Inst.views
 	return mp, nil
 }
 
@@ -395,7 +412,7 @@ func (a *Authorizer) compile(mp *MaskPlan, psj *algebra.PSJ, sels []selection, m
 		mr.DropDangling(inst)
 		mr.DedupeLoose()
 	}
-	mp.Mask = NewMask(mr, inst, out)
+	mp.Mask = NewMask(mr, out)
 	if a.Opt.Subsume {
 		mp.Mask.Subsume()
 	}

@@ -67,8 +67,3 @@ func (c Cell) render(name func(VarID) string) string {
 	}
 	return b.String()
 }
-
-// equal reports structural cell equality (used by replication removal).
-func (c Cell) equal(d Cell) bool {
-	return c.Star == d.Star && c.Var == d.Var && c.Cons.Equal(d.Cons)
-}

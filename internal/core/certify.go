@@ -35,6 +35,7 @@ type Certification struct {
 // operators, no masking. It consults neither the cache nor the closure,
 // which hold no answer.
 func (a *Authorizer) Certify(quality string, def *cview.Def) (*Certification, error) {
+	a = a.over(a.Store.Of(quality))
 	an, err := cview.Analyze(def, a.Store.Schema())
 	if err != nil {
 		return nil, err

@@ -343,15 +343,16 @@ func (c *Closure) removeLocked(key string) {
 	}
 }
 
-// cacheKey identifies an entry: the ids of user's definitions that take
-// part in psj (participants) in grant order, psj's normal form and the
-// option fields that shape the mask — never the user name, since the
-// mask depends on the definitions alone, and the ids name them: the key
-// determines the plan. It is injective: each id is a uvarint, and the
-// list ends in a zero byte, which begins no id's encoding (ids start at
-// 1); the PSJ renders its constants as literals, so 5 and "5" key
-// apart. RetrievePlan computes it once per read, in one buffer.
-func cacheKey(st *Store, user string, psj *algebra.PSJ, opt Options) string {
+// cacheKey identifies an entry: the ids of the definitions of st, the
+// user's part (Store.Of), that take part in psj (participants) in grant
+// order, psj's normal form and the option fields that shape the mask.
+// The ids name the definitions the mask depends on alone: the key
+// determines the plan, variable names included. It is injective: each
+// id is a uvarint, and the list ends in a zero byte, which begins no
+// id's encoding (ids start at 1); the PSJ renders its constants as
+// literals, so 5 and "5" key apart. RetrievePlan computes it once per
+// read, in one buffer.
+func cacheKey(st *Store, psj *algebra.PSJ, opt Options) string {
 	var b strings.Builder
 	b.Grow(32 * (3 + len(psj.Cols) + len(psj.Preds) + len(psj.Scans)))
 	var last uint64
@@ -364,7 +365,7 @@ func cacheKey(st *Store, user string, psj *algebra.PSJ, opt Options) string {
 		}
 		return n
 	}
-	st.participants(user, scans, opt, func(id uint64, _ *StoredView, _ int) {
+	st.participants(scans, opt, func(id uint64, _ *StoredView, _ int) {
 		if id == last {
 			return // another branch of the same view
 		}

@@ -58,7 +58,7 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 	psj := &algebra.PSJ{Scans: []algebra.Scan{{Rel: "R", Alias: "R"}}, Cols: []string{"R.A"}}
 	st := keyStore(t, []string{"V"}, map[string][]string{"u": {"V"}})
 	base := DefaultOptions()
-	want := cacheKey(st, "u", psj, base)
+	want := cacheKey(st.Of("u"), psj, base)
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
@@ -72,7 +72,7 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 		default:
 			t.Fatalf("Options.%s: unhandled kind %s", name, f.Kind())
 		}
-		moved := cacheKey(st, "u", psj, opt) != want
+		moved := cacheKey(st.Of("u"), psj, opt) != want
 		if why, ok := unkeyed[name]; ok {
 			if moved {
 				t.Errorf("Options.%s is listed as unkeyed (%s) but changes the key", name, why)
@@ -121,11 +121,11 @@ func TestCacheKeyInjective(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	for _, c := range cases {
-		if cacheKey(st, c.userA, c.psjA, opt) == cacheKey(st, c.userB, c.psjB, opt) {
-			t.Errorf("%s: both requests key %q", c.name, cacheKey(st, c.userA, c.psjA, opt))
+		if cacheKey(st.Of(c.userA), c.psjA, opt) == cacheKey(st.Of(c.userB), c.psjB, opt) {
+			t.Errorf("%s: both requests key %q", c.name, cacheKey(st.Of(c.userA), c.psjA, opt))
 		}
 	}
-	if a, b := cacheKey(st, "u", psj(), opt), cacheKey(st, "v", psj(), opt); a != b {
+	if a, b := cacheKey(st.Of("u"), psj(), opt), cacheKey(st.Of("v"), psj(), opt); a != b {
 		t.Errorf("u and v hold A, and v's RS does not take part, but they key %q and %q", a, b)
 	}
 	// A view dropped and redefined under the same name is another
@@ -138,7 +138,7 @@ func TestCacheKeyInjective(t *testing.T) {
 	if err := redef.Permit("A", "u"); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := cacheKey(st, "u", psj(), opt), cacheKey(redef, "u", psj(), opt); a == b {
+	if a, b := cacheKey(st.Of("u"), psj(), opt), cacheKey(redef.Of("u"), psj(), opt); a == b {
 		t.Errorf("A dropped and redefined keys as before: %q", a)
 	}
 }

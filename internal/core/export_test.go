@@ -5,6 +5,12 @@ import (
 	"authdb/internal/relation"
 )
 
+// Clone returns a deep copy of the meta-tuple.
+func (m *MetaTuple) Clone() *MetaTuple { return m.clone() }
+
+// Views returns the instantiated (entirety-complete, permitted) views.
+func (inst *Instance) Views() []string { return inst.views }
+
 // DecideTraced runs the step Retrieve ends with: execute psj's actual
 // side for mp, with mp's pushdown atoms fused when prune is set and the
 // mask has something to prune, and mask the answer. The actual side's

@@ -83,11 +83,13 @@ type Instance struct {
 	views []string
 }
 
-// Instantiate builds the instance for user against a query scanning the
-// given relations with the given multiplicities: each branch that takes
-// part (participants), in grant order, in as many fresh copies as
-// participants names.
-func (s *Store) Instantiate(user string, scanCount map[string]int, opt Options) *Instance {
+// Instantiate builds the instance of the store's views — the user's
+// part, Store.Of — against a query scanning the given relations with the
+// given multiplicities: each branch that takes part (participants), in
+// the store's order, in as many fresh copies as participants names. A
+// variable's name is shifted past the variables of the branches
+// instantiated before, so the participating branches alone fix it.
+func (s *Store) Instantiate(scanCount map[string]int, opt Options) *Instance {
 	inst := &Instance{
 		store: s,
 		byRel: make(map[string][]*MetaTuple),
@@ -95,10 +97,12 @@ func (s *Store) Instantiate(user string, scanCount map[string]int, opt Options) 
 		ivs:   make(map[VarID]interval.Interval),
 		occs:  make(map[VarID][]CompRef),
 	}
-	s.participants(user, func(rel string) int { return scanCount[rel] }, opt, func(_ uint64, v *StoredView, copies int) {
+	base := 0
+	s.participants(func(rel string) int { return scanCount[rel] }, opt, func(_ uint64, v *StoredView, copies int) {
 		for cpy := 0; cpy < copies; cpy++ {
-			inst.addView(v, cpy)
+			inst.addView(v, cpy, base)
 		}
+		base += len(v.VarIv)
 		if n := len(inst.views); n == 0 || inst.views[n-1] != v.Name {
 			inst.views = append(inst.views, v.Name)
 		}
@@ -109,16 +113,17 @@ func (s *Store) Instantiate(user string, scanCount map[string]int, opt Options) 
 	return inst
 }
 
-// participants calls f, in grant order, for each branch of user's views
-// that takes part in a query scanning each relation scans(rel) times,
-// with its view's definition id (viewEntry) and its number of copies:
-// up to opt.ViewCopies when the query scans its relations repeatedly. A
-// branch with a membership tuple over a relation the query never scans
-// is pruned (§5: "defined in these relations in their entirety"), each
-// disjunct on its own. Instantiate builds from it and cacheKey is written from it, so the key names
-// exactly the definitions a mask is computed from.
-func (s *Store) participants(user string, scans func(rel string) int, opt Options, f func(id uint64, v *StoredView, copies int)) {
-	for _, e := range s.perm(user).views {
+// participants calls f, in the store's order, for each branch of its
+// views that takes part in a query scanning each relation scans(rel)
+// times, with its view's definition id (viewEntry) and its number of
+// copies: up to opt.ViewCopies when the query scans its relations
+// repeatedly. A branch with a membership tuple over a relation the query
+// never scans is pruned (§5: "defined in these relations in their
+// entirety"), each disjunct on its own. Instantiate builds from it and
+// cacheKey is written from it, so the key names exactly the definitions a
+// mask is computed from.
+func (s *Store) participants(scans func(rel string) int, opt Options, f func(id uint64, v *StoredView, copies int)) {
+	for _, e := range s.order {
 		for _, v := range e.branches {
 			maxScans := 1
 			for _, t := range v.Tuples {
@@ -141,8 +146,9 @@ func (s *Store) participants(user string, scans func(rel string) int, opt Option
 	}
 }
 
-// addView instantiates one copy of a stored view with fresh variables.
-func (inst *Instance) addView(v *StoredView, cpy int) {
+// addView instantiates one copy of a stored view with fresh variables,
+// named past base variables.
+func (inst *Instance) addView(v *StoredView, cpy, base int) {
 	vars := make(map[string]VarID, len(v.VarIv))
 	suffix := strings.Repeat("'", cpy)
 	idOf := func(local string) VarID {
@@ -152,7 +158,7 @@ func (inst *Instance) addView(v *StoredView, cpy int) {
 		inst.next++
 		id := inst.next
 		vars[local] = id
-		inst.names[id] = local + suffix
+		inst.names[id] = shifted(local, base) + suffix
 		iv, ok := v.VarIv[local]
 		if !ok {
 			iv = interval.Full()
@@ -204,30 +210,11 @@ func (inst *Instance) VarName(v VarID) string {
 	return fmt.Sprintf("v%d", v)
 }
 
-// Views returns the instantiated (entirety-complete, permitted) views.
-func (inst *Instance) Views() []string { return append([]string(nil), inst.views...) }
-
 // dangling reports whether variable v dangles in a meta-tuple with the
 // given provenance: some stored tuple mentioning v is absent.
 func (inst *Instance) dangling(v VarID, m *MetaTuple) bool {
 	for _, ref := range inst.occs[v] {
 		if !m.hasComp(ref) {
-			return true
-		}
-	}
-	return false
-}
-
-// hasDangling reports whether any variable of m — in a cell or in a
-// symbolic comparison — dangles.
-func (inst *Instance) hasDangling(m *MetaTuple) bool {
-	for _, c := range m.Cells {
-		if c.Var != 0 && inst.dangling(c.Var, m) {
-			return true
-		}
-	}
-	for _, c := range m.Cmps {
-		if inst.dangling(c.X, m) || inst.dangling(c.Y, m) {
 			return true
 		}
 	}
@@ -261,8 +248,8 @@ func (inst *Instance) needs(m *MetaTuple) []CompRef {
 // with attributes qualified by the scan alias. Tuples are cloned so each
 // scan (and each authorization run) mutates its own copies; variable
 // identities are shared deliberately — two scans of EMPLOYEE both carrying
-// EST's x4 is exactly how the view's cross-occurrence join condition is
-// expressed (Example 3).
+// EST's variable (Figure 1's x4) is exactly how the view's
+// cross-occurrence join condition is expressed (Example 3).
 func (inst *Instance) MetaRelFor(rel, alias string) *MetaRel {
 	rs := inst.store.sch.Lookup(rel)
 	if rs == nil {

@@ -11,19 +11,18 @@ func TestEntirityPruning(t *testing.T) {
 	f := workload.Paper()
 	// A PROJECT-only request: ELP spans three relations and must be
 	// dropped entirely; PSA survives (Brown) — §5 Example 1's pruning.
-	inst := f.Store.Instantiate("Brown", map[string]int{"PROJECT": 1}, core.DefaultOptions())
+	inst := f.Store.Of("Brown").Instantiate(map[string]int{"PROJECT": 1}, core.DefaultOptions())
 	views := inst.Views()
 	if len(views) != 1 || views[0] != "PSA" {
 		t.Fatalf("Brown's instantiated views = %v, want [PSA]", views)
 	}
 	// Klein has ELP (spans EMPLOYEE, ASSIGNMENT, PROJECT) and EST
 	// (EMPLOYEE only): only the full three-relation query admits ELP.
-	inst = f.Store.Instantiate("Klein", map[string]int{"PROJECT": 1}, core.DefaultOptions())
+	inst = f.Store.Of("Klein").Instantiate(map[string]int{"PROJECT": 1}, core.DefaultOptions())
 	if len(inst.Views()) != 0 {
 		t.Fatalf("Klein's PROJECT-only views = %v, want none", inst.Views())
 	}
-	inst = f.Store.Instantiate("Klein",
-		map[string]int{"PROJECT": 1, "EMPLOYEE": 1, "ASSIGNMENT": 1}, core.DefaultOptions())
+	inst = f.Store.Of("Klein").Instantiate(map[string]int{"PROJECT": 1, "EMPLOYEE": 1, "ASSIGNMENT": 1}, core.DefaultOptions())
 	if len(inst.Views()) != 2 {
 		t.Fatalf("Klein's full-query views = %v, want [ELP EST]", inst.Views())
 	}
@@ -31,7 +30,7 @@ func TestEntirityPruning(t *testing.T) {
 
 func TestMetaRelForUnknownRelation(t *testing.T) {
 	f := workload.Paper()
-	inst := f.Store.Instantiate("Brown", map[string]int{"PROJECT": 1}, core.DefaultOptions())
+	inst := f.Store.Of("Brown").Instantiate(map[string]int{"PROJECT": 1}, core.DefaultOptions())
 	mr := inst.MetaRelFor("NOPE", "NOPE")
 	if len(mr.Tuples) != 0 {
 		t.Fatal("unknown relation must yield an empty meta-relation")
@@ -41,7 +40,7 @@ func TestMetaRelForUnknownRelation(t *testing.T) {
 func TestSelfJoinInference(t *testing.T) {
 	f := workload.Paper()
 	opt := core.DefaultOptions()
-	inst := f.Store.Instantiate("Brown", map[string]int{"EMPLOYEE": 2}, opt)
+	inst := f.Store.Of("Brown").Instantiate(map[string]int{"EMPLOYEE": 2}, opt)
 	mr := inst.MetaRelFor("EMPLOYEE", "EMPLOYEE:1")
 	merged := 0
 	for _, mt := range mr.Tuples {
@@ -71,7 +70,7 @@ func TestSelfJoinRequiresKeyStars(t *testing.T) {
 		view VC (R.K, R.B);
 		permit VA to u; permit VB to u; permit VC to u;
 	`)
-	inst := f.Store.Instantiate("u", map[string]int{"R": 1}, core.DefaultOptions())
+	inst := f.Store.Of("u").Instantiate(map[string]int{"R": 1}, core.DefaultOptions())
 	mr := inst.MetaRelFor("R", "R")
 	for _, mt := range mr.Tuples {
 		if len(mt.Views) != 2 {
@@ -106,7 +105,7 @@ func TestSelfJoinNeedsDeclaredKey(t *testing.T) {
 		view VC (R.K, R.B);
 		permit VA to u; permit VC to u;
 	`)
-	inst := f.Store.Instantiate("u", map[string]int{"R": 1}, core.DefaultOptions())
+	inst := f.Store.Of("u").Instantiate(map[string]int{"R": 1}, core.DefaultOptions())
 	for _, mt := range inst.MetaRelFor("R", "R").Tuples {
 		if len(mt.Views) == 2 {
 			t.Fatal("self-joins require a declared key as the lossless-join witness")
@@ -122,7 +121,7 @@ func TestSelfJoinSkipsConflictingConstants(t *testing.T) {
 		view VB (R.K, R.A) where R.A = 2;
 		permit VA to u; permit VB to u;
 	`)
-	inst := f.Store.Instantiate("u", map[string]int{"R": 1}, core.DefaultOptions())
+	inst := f.Store.Of("u").Instantiate(map[string]int{"R": 1}, core.DefaultOptions())
 	for _, mt := range inst.MetaRelFor("R", "R").Tuples {
 		if len(mt.Views) == 2 {
 			t.Fatal("contradictory constants make the join vacuous; no merge expected")
@@ -140,7 +139,7 @@ func TestViewCopiesForRepeatedScans(t *testing.T) {
 	opt := core.DefaultOptions()
 	opt.SelfJoins = false
 	opt.ViewCopies = 2
-	inst := f.Store.Instantiate("u", map[string]int{"R": 2}, opt)
+	inst := f.Store.Of("u").Instantiate(map[string]int{"R": 2}, opt)
 	mr := inst.MetaRelFor("R", "R:1")
 	if len(mr.Tuples) != 2 {
 		t.Fatalf("expected 2 instantiated copies, got %d", len(mr.Tuples))
@@ -158,7 +157,7 @@ func TestViewCopiesForRepeatedScans(t *testing.T) {
 		t.Fatalf("copies share variables: %v", vars)
 	}
 	opt.ViewCopies = 1
-	inst = f.Store.Instantiate("u", map[string]int{"R": 2}, opt)
+	inst = f.Store.Of("u").Instantiate(map[string]int{"R": 2}, opt)
 	if got := len(inst.MetaRelFor("R", "R:1").Tuples); got != 1 {
 		t.Fatalf("ViewCopies=1 instantiated %d tuples", got)
 	}
@@ -166,9 +165,9 @@ func TestViewCopiesForRepeatedScans(t *testing.T) {
 
 func TestVarNameFallback(t *testing.T) {
 	f := workload.Paper()
-	inst := f.Store.Instantiate("Klein",
-		map[string]int{"PROJECT": 1, "EMPLOYEE": 1, "ASSIGNMENT": 1}, core.DefaultOptions())
-	// Known variables resolve to their stored names.
+	inst := f.Store.Of("Klein").Instantiate(map[string]int{"PROJECT": 1, "EMPLOYEE": 1, "ASSIGNMENT": 1}, core.DefaultOptions())
+	// Known variables resolve to their display names: Klein's ELP comes
+	// first, so its x1..x3 keep their names and EST's x1 is x4.
 	names := map[string]bool{}
 	for v := core.VarID(1); v <= 4; v++ {
 		names[inst.VarName(v)] = true

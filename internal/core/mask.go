@@ -116,8 +116,6 @@ type Mask struct {
 	// under §6(3), whose mask is written over the wide (pre-projection)
 	// answer, the requested columns' positions in it.
 	Out []int
-	// names resolves variable display names for rendering.
-	names func(VarID) string
 	// exec caches the compiled application order (star counts, reveal
 	// templates, tuples sorted most-revealing-first); built lazily on
 	// first use, atomically so masks shared across concurrent readers
@@ -210,21 +208,16 @@ func (m *Mask) bestIndex(ex *maskExec, t relation.Tuple) int {
 	return -1
 }
 
-// NewMask wraps the final meta-relation; inst may be nil. out lists the
-// delivered columns' positions in mr (Mask.Out); nil delivers every
-// column.
-func NewMask(mr *MetaRel, inst *Instance, out []int) *Mask {
+// NewMask wraps the final meta-relation. out lists the delivered
+// columns' positions in mr (Mask.Out); nil delivers every column.
+func NewMask(mr *MetaRel, out []int) *Mask {
 	if out == nil {
 		out = make([]int, len(mr.Attrs))
 		for k := range out {
 			out[k] = k
 		}
 	}
-	m := &Mask{Attrs: mr.Attrs, Tuples: mr.Tuples, Out: out}
-	if inst != nil {
-		m.names = inst.VarName
-	}
-	return m
+	return &Mask{Attrs: mr.Attrs, Tuples: mr.Tuples, Out: out}
 }
 
 // MaskStats counts the delivered relation — the rows the user receives,

@@ -28,7 +28,7 @@ func TestDisplayNames(t *testing.T) {
 func maskOver(attrs []string, tuples ...*core.MetaTuple) *core.Mask {
 	mr := core.NewMetaRel(attrs)
 	mr.Tuples = tuples
-	return core.NewMask(mr, nil, nil)
+	return core.NewMask(mr, nil)
 }
 
 func cellsTuple(cells ...core.Cell) *core.MetaTuple {
@@ -241,7 +241,7 @@ func TestEvalOnPaperMetaTuple(t *testing.T) {
 	// tuples of relation PROJECT for which sponsor = Acme, and a
 	// projection of NUMBER, SPONSOR and BUDGET" (§3).
 	f := workload.Paper()
-	inst := f.Store.Instantiate("Brown", map[string]int{"PROJECT": 1}, core.DefaultOptions())
+	inst := f.Store.Of("Brown").Instantiate(map[string]int{"PROJECT": 1}, core.DefaultOptions())
 	mr := inst.MetaRelFor("PROJECT", "PROJECT")
 	var psa *core.MetaTuple
 	for _, mt := range mr.Tuples {

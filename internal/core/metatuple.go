@@ -46,9 +46,6 @@ type MetaTuple struct {
 	Cmps []VarCmp
 }
 
-// Clone returns a deep copy of the meta-tuple.
-func (m *MetaTuple) Clone() *MetaTuple { return m.clone() }
-
 // clone returns a deep copy.
 func (m *MetaTuple) clone() *MetaTuple {
 	return &MetaTuple{

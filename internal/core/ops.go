@@ -119,7 +119,7 @@ func (p *productParts) tuple(lc, rc []Cell) *MetaTuple {
 func (r *MetaRel) DropDangling(inst *Instance) {
 	kept := r.Tuples[:0]
 	for _, t := range r.Tuples {
-		if !inst.hasDangling(t) {
+		if len(inst.needs(t)) == 0 {
 			kept = append(kept, t)
 		}
 	}
@@ -203,7 +203,7 @@ func selectAttrConst(t *MetaTuple, i int, lam interval.Interval, inst *Instance,
 			if lam.Implies(q.Cells[i].Cons) {
 				q.setVarCons(q.Cells[i].Var, interval.Full())
 				q.Cells[i].Cons = interval.Full()
-				q.normalizeVar(q.Cells[i].Var, i, inst)
+				q.foldFreeVar(i, inst)
 			}
 			return q
 		}
@@ -227,7 +227,7 @@ func selectAttrConst(t *MetaTuple, i int, lam interval.Interval, inst *Instance,
 		// clears — on every occurrence, since the variable is one value.
 		q.setVarCons(cell.Var, interval.Full())
 		cell.Cons = interval.Full()
-		q.normalizeVar(cell.Var, i, inst)
+		q.foldFreeVar(i, inst)
 	case mu.Implies(lam):
 		// Keep unmodified.
 	default:
@@ -250,17 +250,16 @@ func (m *MetaTuple) setVarCons(v VarID, iv interval.Interval) {
 	}
 }
 
-// normalizeVar drops a variable that no longer expresses anything: a
-// single in-tuple occurrence, not symbolically locked, and not dangling
-// (all its defining meta-tuples are part of this combination). Such a cell
-// degenerates to its interval, possibly the blank ⊔, letting later
-// projections remove it (§4.2: "clearing selection predicates ensures that
-// more meta-tuples will survive future projections").
-func (m *MetaTuple) normalizeVar(v VarID, at int, inst *Instance) {
-	if v == 0 || m.lockedVar(v) {
-		return
-	}
-	if m.varOccurrences(v) != 1 || inst.dangling(v, m) {
+// foldFreeVar drops the variable of cell at when it no longer expresses
+// anything: a single in-tuple occurrence, not symbolically locked, and
+// not dangling (all its defining meta-tuples are part of this
+// combination). Such a cell degenerates to its interval, possibly the
+// blank ⊔, letting later projections remove it (§4.2: "clearing
+// selection predicates ensures that more meta-tuples will survive future
+// projections").
+func (m *MetaTuple) foldFreeVar(at int, inst *Instance) {
+	v := m.Cells[at].Var
+	if v == 0 || m.lockedVar(v) || m.varOccurrences(v) != 1 || inst.dangling(v, m) {
 		return
 	}
 	m.Cells[at].Var = 0
@@ -345,12 +344,6 @@ func selectAttrAttr(t *MetaTuple, i, j int, op value.Cmp, inst *Instance, fourCa
 		}
 		return decideByIntervals(q, ci.Cons, cj.Cons, op)
 	}
-}
-
-// foldFreeVar replaces a free variable cell (single occurrence, unlocked,
-// non-dangling) by its interval.
-func (m *MetaTuple) foldFreeVar(at int, inst *Instance) {
-	m.normalizeVar(m.Cells[at].Var, at, inst)
 }
 
 // conjoinEquality narrows both cells to the intersection of their

@@ -120,7 +120,7 @@ func TestProposition1Product(t *testing.T) {
 		f := numFixture(rng, 12)
 		randSingleRelView(t, f, rng, 1, "R", []string{"A", "B", "C"})
 		randSingleRelView(t, f, rng, 2, "S", []string{"D", "E"})
-		inst := f.Store.Instantiate("u", map[string]int{"R": 1, "S": 1}, core.DefaultOptions())
+		inst := f.Store.Of("u").Instantiate(map[string]int{"R": 1, "S": 1}, core.DefaultOptions())
 		a := inst.MetaRelFor("R", "R")
 		b := inst.MetaRelFor("S", "S")
 		prod := metaProduct(t, a, b, false)
@@ -150,7 +150,7 @@ func TestProposition2Selection(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		f := numFixture(rng, 12)
 		randSingleRelView(t, f, rng, 1, "R", attrs)
-		inst := f.Store.Instantiate("u", map[string]int{"R": 1}, core.DefaultOptions())
+		inst := f.Store.Of("u").Instantiate(map[string]int{"R": 1}, core.DefaultOptions())
 		mr := inst.MetaRelFor("R", "R")
 		attr := "R." + attrs[rng.Intn(len(attrs))]
 		op := value.Comparators[rng.Intn(len(value.Comparators))]
@@ -255,7 +255,7 @@ func TestProposition3Projection(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		f := numFixture(rng, 12)
 		randSingleRelView(t, f, rng, 1, "R", attrs)
-		inst := f.Store.Instantiate("u", map[string]int{"R": 1}, core.DefaultOptions())
+		inst := f.Store.Of("u").Instantiate(map[string]int{"R": 1}, core.DefaultOptions())
 		mr := inst.MetaRelFor("R", "R")
 		drop := rng.Intn(len(attrs))
 		var cols []string
@@ -345,7 +345,7 @@ func TestPaddingAddsOperandSubviews(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	f := numFixture(rng, 6)
 	randSingleRelView(t, f, rng, 1, "R", []string{"A", "B", "C"})
-	inst := f.Store.Instantiate("u", map[string]int{"R": 1, "S": 1}, core.DefaultOptions())
+	inst := f.Store.Of("u").Instantiate(map[string]int{"R": 1, "S": 1}, core.DefaultOptions())
 	a := inst.MetaRelFor("R", "R")
 	b := inst.MetaRelFor("S", "S") // u has no views over S: empty
 	if len(b.Tuples) != 0 {
@@ -379,7 +379,7 @@ func TestSelectionRequiresStar(t *testing.T) {
 		view V (R.A);
 		permit V to u;
 	`)
-	inst := f.Store.Instantiate("u", map[string]int{"R": 1}, core.DefaultOptions())
+	inst := f.Store.Of("u").Instantiate(map[string]int{"R": 1}, core.DefaultOptions())
 	mr := inst.MetaRelFor("R", "R")
 	atom := algebra.Atom{L: "R.B", Op: value.GE, R: algebra.ConstOp(value.Int(0))}
 	for _, refined := range []bool{false, true} {
@@ -414,7 +414,7 @@ func TestFourCaseUnit(t *testing.T) {
 			view V (P.N, P.BUDGET) where P.BUDGET >= 300000 and P.BUDGET <= 600000;
 			permit V to u;
 		`)
-		inst := f.Store.Instantiate("u", map[string]int{"P": 1}, core.DefaultOptions())
+		inst := f.Store.Of("u").Instantiate(map[string]int{"P": 1}, core.DefaultOptions())
 		return inst, inst.MetaRelFor("P", "P")
 	}
 	sel := func(lo, hi int64) *core.MetaRel {

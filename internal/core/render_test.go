@@ -13,8 +13,7 @@ import (
 
 func TestMetaRelRender(t *testing.T) {
 	f := workload.Paper()
-	inst := f.Store.Instantiate("Klein",
-		map[string]int{"EMPLOYEE": 1, "ASSIGNMENT": 1, "PROJECT": 1}, core.DefaultOptions())
+	inst := f.Store.Of("Klein").Instantiate(map[string]int{"EMPLOYEE": 1, "ASSIGNMENT": 1, "PROJECT": 1}, core.DefaultOptions())
 	mr := inst.MetaRelFor("PROJECT", "PROJECT")
 	var b strings.Builder
 	mr.Render(&b, "PROJECT':", inst)
@@ -32,7 +31,7 @@ func TestMetaRelRender(t *testing.T) {
 
 func TestCellRendering(t *testing.T) {
 	f := workload.Paper()
-	inst := f.Store.Instantiate("Brown", map[string]int{"PROJECT": 1}, core.DefaultOptions())
+	inst := f.Store.Of("Brown").Instantiate(map[string]int{"PROJECT": 1}, core.DefaultOptions())
 	mr := inst.MetaRelFor("PROJECT", "PROJECT")
 	var b strings.Builder
 	mr.Render(&b, "", inst)
@@ -65,7 +64,7 @@ func TestSelectAttrAttrIntervalDecisions(t *testing.T) {
 			}
 		}
 		f.MustExec(stmt + "; permit V to u;")
-		inst := f.Store.Instantiate("u", map[string]int{"R": 1}, core.DefaultOptions())
+		inst := f.Store.Of("u").Instantiate(map[string]int{"R": 1}, core.DefaultOptions())
 		return inst, inst.MetaRelFor("R", "R")
 	}
 	sel := func(inst *core.Instance, mr *core.MetaRel, op value.Cmp) int {

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -83,11 +84,13 @@ type viewEntry struct {
 // mutation never writes to a map or slice it did not build, so clones
 // share everything they have not changed since.
 type Store struct {
-	sch      *relation.DBSchema
-	views    map[string]*viewEntry
-	order    []string
-	perms    *permTable
-	varCount int
+	sch   *relation.DBSchema
+	views map[string]*viewEntry
+	order []*viewEntry
+	perms *permTable
+	// restricted marks a store Of built for owner.
+	restricted bool
+	owner      string
 }
 
 // defIDs counts the definitions ever stored by any store in the process;
@@ -120,16 +123,19 @@ func (s *Store) Clone(sch *relation.DBSchema) *Store {
 
 // Of returns the part of the meta-database user's permits name: only the
 // views user is permitted, in grant order, and only user's PERMISSION
-// rows. It is read-only; it shares the scheme and the stored branches
-// with s.
+// rows. It is read-only; it shares the scheme, the grant list and the
+// stored branches with s. On a store Of built for user it returns that
+// store, so a caller may restrict a store it was handed again at no cost.
 func (s *Store) Of(user string) *Store {
+	if s.restricted && s.owner == user {
+		return s
+	}
 	r := s.perm(user)
-	o := &Store{sch: s.sch, views: make(map[string]*viewEntry, len(r.views)), perms: new(permTable)}
+	o := &Store{sch: s.sch, views: make(map[string]*viewEntry, len(r.views)), order: r.views,
+		perms: new(permTable).with(user, r), restricted: true, owner: user}
 	for _, e := range r.views {
 		o.views[e.def.Name] = e
-		o.order = append(o.order, e.def.Name)
 	}
-	o.setPerm(user, r)
 	return o
 }
 
@@ -142,8 +148,15 @@ func (s *Store) setPerm(user string, r permRec) { s.perms = s.perms.with(user, r
 // Schema returns the database scheme the store is defined over.
 func (s *Store) Schema() *relation.DBSchema { return s.sch }
 
-// ViewNames returns the defined views in definition order.
-func (s *Store) ViewNames() []string { return append([]string(nil), s.order...) }
+// ViewNames returns the defined views in definition order (in grant
+// order on a store built by Of).
+func (s *Store) ViewNames() []string {
+	var out []string
+	for _, e := range s.order {
+		out = append(out, e.def.Name)
+	}
+	return out
+}
 
 // Branches returns every compiled branch of a view (one for conjunctive
 // views, one per disjunct otherwise), or nil.
@@ -189,7 +202,7 @@ func (s *Store) DefineView(def *cview.Def) error {
 	}
 	entry := &viewEntry{def: def}
 	for bi := range def.Branches() {
-		v, used, err := s.compile(def.Branch(bi))
+		v, err := s.compile(def.Branch(bi))
 		if err != nil {
 			return err
 		}
@@ -198,13 +211,11 @@ func (s *Store) DefineView(def *cview.Def) error {
 		if bi > 0 {
 			v.Key = fmt.Sprintf("%s#%d", def.Name, bi)
 		}
-		// Variable names must stay unique across branches.
-		s.varCount += used
 		entry.branches = append(entry.branches, v)
 	}
 	s.views = maps.Clone(s.views)
 	s.views[def.Name] = entry
-	s.order = append(slices.Clip(s.order), def.Name)
+	s.order = append(slices.Clip(s.order), entry)
 	entry.id = defIDs.Add(1)
 	return nil
 }
@@ -216,7 +227,7 @@ func (s *Store) DropView(name string) bool {
 	}
 	s.views = maps.Clone(s.views)
 	delete(s.views, name)
-	s.order = slices.DeleteFunc(slices.Clone(s.order), func(n string) bool { return n == name })
+	s.order = slices.DeleteFunc(slices.Clone(s.order), func(e *viewEntry) bool { return e.def.Name == name })
 	var held []permEntry
 	s.perms.each(func(u string, r permRec) {
 		if r.index(name) >= 0 {
@@ -256,24 +267,19 @@ func (s *Store) Revoke(view, user string) bool {
 }
 
 // ViewsFor returns the views permitted to user, in grant order.
-func (s *Store) ViewsFor(user string) []string {
-	var out []string
-	for _, e := range s.perm(user).views {
-		out = append(out, e.def.Name)
-	}
-	return out
-}
+func (s *Store) ViewsFor(user string) []string { return s.Of(user).ViewNames() }
 
 // compile translates a conjunctive view definition into stored meta-tuples
 // following §3: membership subformulas become meta-tuples (projected
 // positions starred, once-occurring variables blanked); equality
 // comparisons are substituted away; the remaining comparisons become
 // COMPARISON entries (constant ones folded to intervals, symbolic ones
-// kept). It returns the number of variable names consumed.
-func (s *Store) compile(def *cview.Def) (*StoredView, int, error) {
+// kept). Variables are named x1, x2, … within the branch; a rendering
+// shifts them past the variables it has rendered before (shifted).
+func (s *Store) compile(def *cview.Def) (*StoredView, error) {
 	an, err := cview.Analyze(def, s.sch)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	v := &StoredView{
 		Name:    def.Name,
@@ -320,7 +326,7 @@ func (s *Store) compile(def *cview.Def) (*StoredView, int, error) {
 			cv, cok := consts[ra]
 			dv, dok := consts[rb]
 			if cok && dok && !cv.Equal(dv) {
-				return nil, 0, fmt.Errorf("view %s: contradictory equalities (%s vs %s)", def.Name, cv, dv)
+				return nil, fmt.Errorf("view %s: contradictory equalities (%s vs %s)", def.Name, cv, dv)
 			}
 			union(ra, rb)
 			r := find(ra)
@@ -332,7 +338,7 @@ func (s *Store) compile(def *cview.Def) (*StoredView, int, error) {
 		} else {
 			r := find(lq)
 			if prev, ok := consts[r]; ok && !prev.Equal(c.R.Const) {
-				return nil, 0, fmt.Errorf("view %s: attribute %s equated to both %s and %s", def.Name, lq, prev, c.R.Const)
+				return nil, fmt.Errorf("view %s: attribute %s equated to both %s and %s", def.Name, lq, prev, c.R.Const)
 			}
 			consts[r] = c.R.Const
 		}
@@ -360,9 +366,9 @@ func (s *Store) compile(def *cview.Def) (*StoredView, int, error) {
 	}
 
 	// Allocate variable names in condition order, so the compiled form
-	// matches the paper's figure (x1, x2, x3 for ELP; x4 for EST; …).
+	// matches the paper's figure (x1, x2, x3 for ELP; x4 for EST once
+	// shifted past ELP's three; …).
 	varName := make(map[string]string) // root -> variable
-	next := 0
 	alloc := func(root string) string {
 		if n, ok := varName[root]; ok {
 			return n
@@ -370,8 +376,7 @@ func (s *Store) compile(def *cview.Def) (*StoredView, int, error) {
 		if _, ok := consts[root]; ok {
 			return "" // substituted by a constant
 		}
-		next++
-		n := fmt.Sprintf("x%d", s.varCount+next)
+		n := fmt.Sprintf("x%d", len(v.VarIv)+1)
 		varName[root] = n
 		v.VarIv[n] = interval.Full()
 		return n
@@ -402,14 +407,14 @@ func (s *Store) compile(def *cview.Def) (*StoredView, int, error) {
 		if !c.R.IsCol {
 			if lIsConst {
 				if !c.Op.Eval(lc, c.R.Const) {
-					return nil, 0, fmt.Errorf("view %s: condition %s is contradictory", def.Name, c)
+					return nil, fmt.Errorf("view %s: condition %s is contradictory", def.Name, c)
 				}
 				continue
 			}
 			x := varName[lr]
 			iv := interval.Intersect(v.VarIv[x], interval.FromCmp(c.Op, c.R.Const))
 			if iv.IsEmpty() {
-				return nil, 0, fmt.Errorf("view %s: conditions on %s are contradictory", def.Name, c.L.Qualified())
+				return nil, fmt.Errorf("view %s: conditions on %s are contradictory", def.Name, c.L.Qualified())
 			}
 			v.VarIv[x] = iv
 			continue
@@ -419,27 +424,27 @@ func (s *Store) compile(def *cview.Def) (*StoredView, int, error) {
 		switch {
 		case lIsConst && rIsConst:
 			if !c.Op.Eval(lc, rc) {
-				return nil, 0, fmt.Errorf("view %s: condition %s is contradictory", def.Name, c)
+				return nil, fmt.Errorf("view %s: condition %s is contradictory", def.Name, c)
 			}
 		case lIsConst:
 			y := varName[rr]
 			iv := interval.Intersect(v.VarIv[y], interval.FromCmp(c.Op.Flip(), lc))
 			if iv.IsEmpty() {
-				return nil, 0, fmt.Errorf("view %s: conditions on %s are contradictory", def.Name, c.R.Col.Qualified())
+				return nil, fmt.Errorf("view %s: conditions on %s are contradictory", def.Name, c.R.Col.Qualified())
 			}
 			v.VarIv[y] = iv
 		case rIsConst:
 			x := varName[lr]
 			iv := interval.Intersect(v.VarIv[x], interval.FromCmp(c.Op, rc))
 			if iv.IsEmpty() {
-				return nil, 0, fmt.Errorf("view %s: conditions on %s are contradictory", def.Name, c.L.Qualified())
+				return nil, fmt.Errorf("view %s: conditions on %s are contradictory", def.Name, c.L.Qualified())
 			}
 			v.VarIv[x] = iv
 		case lr == rr:
 			// Same group on both sides: A θ A is contradictory unless θ
 			// admits equality.
 			if c.Op == value.LT || c.Op == value.GT || c.Op == value.NE {
-				return nil, 0, fmt.Errorf("view %s: condition %s is contradictory", def.Name, c)
+				return nil, fmt.Errorf("view %s: condition %s is contradictory", def.Name, c)
 			}
 		default:
 			v.VarCmps = append(v.VarCmps, StoredVarCmp{X: varName[lr], Op: c.Op, Y: varName[rr]})
@@ -471,7 +476,27 @@ func (s *Store) compile(def *cview.Def) (*StoredView, int, error) {
 			}
 		}
 	}
-	return v, next, nil
+	return v, nil
+}
+
+// shifted returns the display name of branch-local variable x (x1, x2,
+// …) when base variables are rendered before its branch.
+func shifted(x string, base int) string {
+	n, _ := strconv.Atoi(x[1:])
+	return "x" + strconv.Itoa(n+base)
+}
+
+// eachBranch calls f for every branch of the store's views in order,
+// with the number of variables in the branches before it (shifted): on
+// the whole store, Figure 1's numbering in definition order.
+func (s *Store) eachBranch(f func(v *StoredView, base int)) {
+	base := 0
+	for _, e := range s.order {
+		for _, v := range e.branches {
+			f(v, base)
+			base += len(v.VarIv)
+		}
+	}
 }
 
 // Calculus renders a compiled branch as a domain relational calculus
@@ -545,30 +570,28 @@ func (s *Store) RenderMeta(w io.Writer, rel string) {
 		return
 	}
 	var rows [][]string
-	for _, name := range s.order {
-		for _, v := range s.views[name].branches {
-			for _, t := range v.Tuples {
-				if t.Rel != rel {
-					continue
-				}
-				row := []string{v.Key}
-				for _, c := range t.Cells {
-					row = append(row, renderStoredCell(c))
-				}
-				rows = append(rows, row)
+	s.eachBranch(func(v *StoredView, base int) {
+		for _, t := range v.Tuples {
+			if t.Rel != rel {
+				continue
 			}
+			row := []string{v.Key}
+			for _, c := range t.Cells {
+				row = append(row, renderStoredCell(c, base))
+			}
+			rows = append(rows, row)
 		}
-	}
+	})
 	relation.RenderTable(w, rel+"'", append([]string{"VIEW"}, rs.Attrs...), rows, false)
 }
 
-func renderStoredCell(c StoredCell) string {
+func renderStoredCell(c StoredCell, base int) string {
 	s := ""
 	switch {
 	case c.Const != nil:
 		s = c.Const.String()
 	case c.Var != "":
-		s = c.Var
+		s = shifted(c.Var, base)
 	}
 	if c.Star {
 		s += "*"
@@ -581,34 +604,18 @@ func renderStoredCell(c StoredCell) string {
 // labelled with its branch's Key as RenderMeta labels them.
 func (s *Store) RenderComparison(w io.Writer) {
 	var rows [][]string
-	for _, name := range s.order {
-		for _, v := range s.views[name].branches {
-			vars := make([]string, 0, len(v.VarIv))
-			for x := range v.VarIv {
-				vars = append(vars, x)
-			}
-			sort.Strings(vars)
-			for _, x := range vars {
-				for _, cond := range comparisonRows(x, v.VarIv[x]) {
-					rows = append(rows, append([]string{v.Key}, cond...))
-				}
-			}
-			for _, c := range v.VarCmps {
-				rows = append(rows, []string{v.Key, c.X, c.Op.String(), c.Y})
+	s.eachBranch(func(v *StoredView, base int) {
+		for k := 1; k <= len(v.VarIv); k++ {
+			x := fmt.Sprintf("x%d", k)
+			for _, c := range v.VarIv[x].Comparisons() {
+				rows = append(rows, []string{v.Key, shifted(x, base), c.Op.String(), c.V.String()})
 			}
 		}
-	}
+		for _, c := range v.VarCmps {
+			rows = append(rows, []string{v.Key, shifted(c.X, base), c.Op.String(), shifted(c.Y, base)})
+		}
+	})
 	relation.RenderTable(w, "COMPARISON", []string{"VIEW", "X", "COMPARE", "Y"}, rows, false)
-}
-
-// comparisonRows decomposes an interval back into COMPARISON triples.
-func comparisonRows(x string, iv interval.Interval) [][]string {
-	cs := iv.Comparisons()
-	out := make([][]string, len(cs))
-	for i, c := range cs {
-		out[i] = []string{x, c.Op.String(), c.V.String()}
-	}
-	return out
 }
 
 // RenderPermission writes the PERMISSION relation in grant order.

@@ -32,7 +32,9 @@ func storedTupleString(v *core.StoredView, ti int) string {
 }
 
 // TestFigure1Compilation checks the compiled meta-tuples against Figure 1
-// cell for cell: stars, variables, constants, and blanks.
+// cell for cell: stars, variables, constants, and blanks. A branch stores
+// its variables under branch-local names, so EST's Figure 1 x4 is stored
+// as x1 (TestVarNamesGloballySequential checks the rendered names).
 func TestFigure1Compilation(t *testing.T) {
 	f := workload.Paper()
 	want := map[string][]struct {
@@ -46,8 +48,8 @@ func TestFigure1Compilation(t *testing.T) {
 			{"ASSIGNMENT", "(x1*, x2*)"},
 		},
 		"EST": {
-			{"EMPLOYEE", "(*, x4*, )"},
-			{"EMPLOYEE", "(*, x4*, )"},
+			{"EMPLOYEE", "(*, x1*, )"},
+			{"EMPLOYEE", "(*, x1*, )"},
 		},
 		"PSA": {{"PROJECT", "(*, Acme*, *)"}},
 	}
@@ -80,10 +82,10 @@ func TestFigure1Compilation(t *testing.T) {
 	if !iv.Lo.Bounded || iv.Lo.V.AsInt() != 250000 || iv.Hi.Bounded {
 		t.Fatalf("x3 interval = %v", iv)
 	}
-	// x4 links EST's two tuples.
+	// EST's x1 (Figure 1's x4) links its two tuples.
 	est := f.Store.Branches("EST")[0]
-	if occs := est.VarOccs["x4"]; len(occs) != 2 {
-		t.Fatalf("x4 occurrences = %v", occs)
+	if occs := est.VarOccs["x1"]; len(occs) != 2 {
+		t.Fatalf("x1 occurrences = %v", occs)
 	}
 }
 
@@ -164,7 +166,9 @@ func TestRightsFor(t *testing.T) {
 }
 
 // TestRenderRights: Figure 1's renderers over Store.Of("Brown") print
-// Brown's rows and grants only; an unknown user's tables are empty.
+// Brown's rows and grants only, numbering the variables of Brown's views
+// alone (EST's Figure 1 x4 is Brown's x1); an unknown user's tables are
+// empty.
 func TestRenderRights(t *testing.T) {
 	f := workload.Paper()
 	render := func(s *core.Store) string {
@@ -177,12 +181,12 @@ func TestRenderRights(t *testing.T) {
 		return b.String()
 	}
 	out := render(f.Store.Of("Brown"))
-	for _, want := range []string{"SAE", "PSA", "Acme*", "EST", "x4*", "| Brown | SAE  |"} {
+	for _, want := range []string{"SAE", "PSA", "Acme*", "EST", "| EST  | *    | x1*   |", "| Brown | SAE  |"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Brown's rights miss %q:\n%s", want, out)
 		}
 	}
-	for _, hidden := range []string{"ELP", "Klein", "250000"} {
+	for _, hidden := range []string{"ELP", "Klein", "250000", "x4"} {
 		if strings.Contains(out, hidden) {
 			t.Fatalf("Brown's rights show %q:\n%s", hidden, out)
 		}
@@ -347,16 +351,36 @@ func TestUsersSorted(t *testing.T) {
 }
 
 func TestVarNamesGloballySequential(t *testing.T) {
-	// Figure 1 numbers variables across views in definition order:
-	// ELP gets x1..x3, EST gets x4.
+	// Figure 1 numbers variables across views in definition order: ELP
+	// gets x1..x3, EST gets x4. Each branch stores its own x1, x2, …; the
+	// rendering shifts them past the branches rendered before.
 	f := workload.Paper()
-	if _, ok := f.Store.Branches("EST")[0].VarIv["x4"]; !ok {
+	if _, ok := f.Store.Branches("EST")[0].VarIv["x1"]; !ok || len(f.Store.Branches("EST")[0].VarIv) != 1 {
 		t.Fatalf("EST variables: %v", f.Store.Branches("EST")[0].VarIv)
 	}
 	for _, x := range []string{"x1", "x2", "x3"} {
 		if _, ok := f.Store.Branches("ELP")[0].VarIv[x]; !ok {
 			t.Fatalf("ELP misses %s: %v", x, f.Store.Branches("ELP")[0].VarIv)
 		}
+	}
+	var b strings.Builder
+	f.Store.RenderMeta(&b, "EMPLOYEE")
+	if !strings.Contains(b.String(), "| EST  | *    | x4*   |") {
+		t.Fatalf("Figure 1 renders EST without x4:\n%s", b.String())
+	}
+}
+
+// TestRenumberAfterDrop: the rendering numbers what the store holds, so
+// after ELP is dropped Figure 1's EST prints its variable as x1, not x4
+// with a gap where ELP's x1..x3 were.
+func TestRenumberAfterDrop(t *testing.T) {
+	f := workload.Paper()
+	s := f.Store.Clone(f.Store.Schema())
+	s.DropView("ELP")
+	var b strings.Builder
+	s.RenderMeta(&b, "EMPLOYEE")
+	if out := b.String(); !strings.Contains(out, "| EST  | *    | x1*   |") || strings.Contains(out, "x4") {
+		t.Fatalf("after dropping ELP, EMPLOYEE' is:\n%s", out)
 	}
 }
 

@@ -245,6 +245,8 @@ type Session struct {
 	// session's own successful mutations re-pin to the new head so a
 	// snapshot session always reads its writes.
 	pinned *dbVersion
+	// mine is the user's part of ofStore, the store last read; see own.
+	ofStore, mine *core.Store
 }
 
 // NewSession opens a session for user; admin sessions may define schema,
@@ -252,6 +254,16 @@ type Session struct {
 // guard.DefaultLimits; see SetLimits.
 func (e *Engine) NewSession(user string, admin bool) *Session {
 	return &Session{eng: e, user: user, admin: admin, limits: guard.DefaultLimits()}
+}
+
+// own returns the session user's part of st (core.Store.Of), which every
+// read of the user's takes its meta side from, rebuilt only when a
+// definition change or a snapshot reset has published another store.
+func (s *Session) own(st *core.Store) *core.Store {
+	if st != s.ofStore {
+		s.ofStore, s.mine = st, st.Of(s.user)
+	}
+	return s.mine
 }
 
 // User returns the session's user name.
@@ -518,7 +530,7 @@ func (s *Session) RetrieveContext(ctx context.Context, def *cview.Def) (*Result,
 		}
 		return &Result{Relation: ans, AtLSN: v.lsn}, nil
 	}
-	auth := core.NewAuthorizer(v.store, v.source, s.eng.opt)
+	auth := core.NewAuthorizer(s.own(v.store), v.source, s.eng.opt)
 	auth.Guard = g
 	auth.Closure = s.eng.closures.Load()
 	d, err := auth.Retrieve(s.user, def)
@@ -559,7 +571,7 @@ func (e *Engine) Certify(quality, query string) (*core.Certification, error) {
 func (s *Session) explain(ctx context.Context, def *cview.Def) (*Result, error) {
 	g := guard.New(ctx, s.limits)
 	v := s.readVersion()
-	auth := core.NewAuthorizer(v.store, v.source, s.eng.opt)
+	auth := core.NewAuthorizer(s.own(v.store), v.source, s.eng.opt)
 	auth.Guard = g
 	var paths algebra.Trace
 	tr := &paths
@@ -768,8 +780,8 @@ func (s *Session) covered(rel string, cand *relation.Relation) (*relation.Relati
 		return vr.Head(), nil
 	}
 	out := relation.New(cand.Attrs)
-	store := s.eng.wstore
-	for _, vn := range store.ViewsFor(s.user) {
+	store := s.own(s.eng.wstore)
+	for _, vn := range store.ViewNames() {
 		for _, v := range store.Branches(vn) {
 			for i, st := range v.Tuples {
 				if out.Len() == cand.Len() {
@@ -813,7 +825,7 @@ func (s *Session) show(p parser.Show) (*Result, error) {
 	v := s.readVersion()
 	st := v.store
 	if !s.admin {
-		st = st.Of(s.user)
+		st = s.own(st)
 	}
 	var b strings.Builder
 	switch p.What {

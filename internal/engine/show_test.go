@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -135,15 +136,34 @@ func hasRow(rows [][]string, row []string) bool {
 	return slices.ContainsFunc(rows, func(r []string) bool { return slices.Equal(r, row) })
 }
 
+// varNumber matches a rendered variable's number.
+var varNumber = regexp.MustCompile(`x[0-9]+`)
+
+// unnumbered returns tables with every variable's number erased.
+func unnumbered(tables map[string][][]string) map[string][][]string {
+	for _, rows := range tables {
+		for _, r := range rows {
+			for i := range r {
+				r[i] = varNumber.ReplaceAllString(r[i], "x")
+			}
+		}
+	}
+	return tables
+}
+
 // TestShowRights: `show rights U` is `show meta` restricted to U — its R'
-// and COMPARISON rows are exactly the meta rows of U's views, and its
-// PERMISSION table exactly U's grants.
+// and COMPARISON rows are exactly the meta rows of U's views, up to the
+// variables' numbers, and its PERMISSION table exactly U's grants. The
+// numbers count U's views alone: Brown's EST prints Figure 1's x4 as x1.
 func TestShowRights(t *testing.T) {
 	e := paperEngine(t)
 	admin := e.NewSession("admin", true)
-	meta := showTables(execText(t, admin, `show meta`))
+	if rows := showTables(execText(t, admin, `show rights Brown`))["EMPLOYEE'"]; !hasRow(rows, []string{"EST", "*", "x1*", ""}) {
+		t.Fatalf("Brown's EMPLOYEE' rows = %v, want EST's (*, x1*, )", rows)
+	}
+	meta := unnumbered(showTables(execText(t, admin, `show meta`)))
 	for _, user := range []string{"Brown", "Klein"} {
-		rights := showTables(execText(t, admin, `show rights `+user))
+		rights := unnumbered(showTables(execText(t, admin, `show rights `+user)))
 		views := map[string]bool{}
 		var grants [][]string
 		for _, r := range meta["PERMISSION"] {

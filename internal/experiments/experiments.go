@@ -56,13 +56,9 @@ func (r result) String() string {
 	return fmt.Sprintf("%s (%d/%d)", r.outcome, r.revealed, r.cells)
 }
 
-// expSysR demonstrates the §1 System R claim: with permission granted on a
-// view V of A and B (but not on A or B), System R rejects every query that
-// addresses A or B directly — even requests entirely within V — while the
-// masking model delivers the permitted portion.
-func SysR(w io.Writer) {
-	header(w, "E6: System R (views as access windows) vs masking")
-	f := workload.Paper()
+// sysrOf loads f's views and grants into a System R catalog, every view
+// defined and granted by the administrator "dba".
+func sysrOf(f *workload.Fixture) *sysr.System {
 	sr := sysr.New(f.Schema, f.Source, "dba")
 	for _, name := range f.Store.ViewNames() {
 		if err := sr.DefineView("dba", f.Store.ViewDef(name)); err != nil {
@@ -76,6 +72,17 @@ func SysR(w io.Writer) {
 			}
 		}
 	}
+	return sr
+}
+
+// expSysR demonstrates the §1 System R claim: with permission granted on a
+// view V of A and B (but not on A or B), System R rejects every query that
+// addresses A or B directly — even requests entirely within V — while the
+// masking model delivers the permitted portion.
+func SysR(w io.Writer) {
+	header(w, "E6: System R (views as access windows) vs masking")
+	f := workload.Paper()
+	sr := sysrOf(f)
 	auth := core.NewAuthorizer(f.Store, f.Source, core.DefaultOptions())
 
 	queries := []struct {
@@ -113,19 +120,7 @@ func SysR(w io.Writer) {
 	cfg := workload.DefaultGen()
 	cfg.Views, cfg.Relations, cfg.RowsPerRel = 6, 4, 128
 	g := workload.Generate(cfg)
-	gsr := sysr.New(g.Schema, g.Source, "dba")
-	for _, name := range g.Store.ViewNames() {
-		if err := gsr.DefineView("dba", g.Store.ViewDef(name)); err != nil {
-			panic(err)
-		}
-	}
-	for _, u := range g.Store.Users() {
-		for _, v := range g.Store.ViewsFor(u) {
-			if err := gsr.GrantSelect("dba", u, v, false); err != nil {
-				panic(err)
-			}
-		}
-	}
+	gsr := sysrOf(g)
 	gauth := core.NewAuthorizer(g.Store, g.Source, core.DefaultOptions())
 	qs := workload.GenQueries(cfg, workload.QueryConfig{Seed: 7, Count: 40, JoinWidth: 2, ExtraAttrProb: 0.3, RangeFraction: 0.6, InsideProb: 0.6}, g.ViewDefsFor("u0")...)
 	var srDenied, mFull, mPartial, mDenied int

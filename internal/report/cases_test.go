@@ -21,7 +21,7 @@ func TestCasesMatchMetaSelect(t *testing.T) {
 		permit V to u;
 	`)
 	for _, c := range budgetCases {
-		inst := f.Store.Instantiate("u", map[string]int{"PROJECT": 1}, core.DefaultOptions())
+		inst := f.Store.Of("u").Instantiate(map[string]int{"PROJECT": 1}, core.DefaultOptions())
 		mr := inst.MetaRelFor("PROJECT", "PROJECT")
 		if cons := mr.Tuples[0].Cells[1].Cons; !cons.Equal(budgetMu) {
 			t.Fatalf("view's BUDGET cell = %s, want %s", cons, budgetMu)
