@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build cross fmt vet staticcheck test race chaos examples loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply bench-acl
+.PHONY: check build cross fmt vet staticcheck test race allocs chaos examples loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply bench-acl
 
 check: build cross fmt vet staticcheck race
 
@@ -41,6 +41,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation budgets: every test that bounds the allocations of a
+# path with testing.AllocsPerRun — a cold read of each acl_cold
+# statement, a closure hit and its reply, and the relation, wire, guard
+# and engine steps beneath them. Allocation counts are the same on every
+# machine, so they gate where timings cannot. Run without -race.
+allocs:
+	$(GO) test -count=1 -run '^(TestColdACLAllocBound|TestClosureHitReplyAllocs|TestClosureHitConvertAllocs)$$' .
+	$(GO) test -count=1 -run '^(TestSlabRowsAreDisjoint|TestLookupEqAllocatesNothing|TestRenderTableAllocs|TestVersionedInsertAllocs|TestVersionedOfAllocatesNoMap)$$' ./internal/relation
+	$(GO) test -count=1 -run '^(TestAppendResponseAllocs|TestDecodeRequestAllocs|TestDecodeResponseAllocs)$$' ./internal/wire
+	$(GO) test -count=1 -run '^TestNewAllocatesOnlyTheGuard$$' ./internal/guard
+	$(GO) test -count=1 -run '^(TestPublishAllocsIndependentOfRelations|TestObserveExecAllocsNothing)$$' ./internal/engine
 
 # The jepsen-lite failover suite under the race detector: five seeded
 # network-chaos schedules (partitions, latency, mid-message cuts,

@@ -12,11 +12,13 @@
 //   - EvalNaive: literal evaluation of the paper's
 //     products→selections→projections normal form, the meta side's §4.1
 //     reference and the test oracle;
-//   - EvalPSJ: predicate pushdown, secondary-index access paths, and
+//   - Stream: predicate pushdown, secondary-index access paths, and
 //     index nested-loop equi-joins probing hash indexes keyed by
-//     value.Value (a base relation's, or a materialized scan's) — the
-//     one evaluator for the actual relations, which retrieval and update
-//     authorization both run.
+//     value.Value (a base relation's, or a materialized scan's), whose
+//     last step hands the answer's rows to a Sink instead of building the
+//     answer — the one evaluator for the actual relations, which
+//     retrieval masks as it streams; EvalPSJ collects its rows into a
+//     relation, for update authorization and every other caller.
 //
 // Both evaluators produce identical relations; the test suite cross-checks
 // them and the benchmark harness measures the gap (experiment E9).
@@ -208,26 +210,25 @@ func EvalNaive(p *PSJ, src Source, g *guard.Guard) (*relation.Relation, error) {
 		}
 		idx[i] = j
 	}
-	return guardedProject(cur, idx, g)
-}
-
-// guardedProduct is relation.Product with per-output-row accounting. A
-// nil guard accounts nothing.
-func guardedProduct(l, r *relation.Relation, g *guard.Guard) (*relation.Relation, error) {
-	attrs := append(append([]string(nil), l.Attrs...), r.Attrs...)
-	out := relation.New(attrs)
-	for _, a := range l.Tuples() {
-		for _, b := range r.Tuples() {
-			if err := g.Add(1); err != nil {
-				return nil, err
-			}
-			row := make(relation.Tuple, 0, len(a)+len(b))
-			// Pairs of rows of two sets are distinct: the no-dedup Append
-			// path applies.
-			out.Append(append(append(row, a...), b...))
+	var out collector
+	project := projection(cur.Attrs, idx, cur.Len(), g, &out)
+	for _, t := range cur.Tuples() {
+		if err := project(t); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return out.out, nil
+}
+
+// guardedProduct is relation.Product with per-output-row accounting, its
+// rows carved from one slab. A nil guard accounts nothing.
+func guardedProduct(l, r *relation.Relation, g *guard.Guard) (*relation.Relation, error) {
+	var out collector
+	out.Open(append(append([]string(nil), l.Attrs...), r.Attrs...), l.Len()*r.Len())
+	if err := product(l, r, g, out.add); err != nil {
+		return nil, err
+	}
+	return out.out, nil
 }
 
 // guardedSelect is relation.Select with per-input-row accounting (the
@@ -242,32 +243,6 @@ func guardedSelect(in *relation.Relation, pred func(relation.Tuple) bool, g *gua
 			// Selections of a proper set are duplicate-free, so the
 			// no-dedup Append path applies.
 			out.Append(t)
-		}
-	}
-	return out, nil
-}
-
-// guardedProject is relation.Project with per-input-row accounting. The
-// output is sized by the input and its rows are carved from one slab; a
-// row that collapses onto an earlier one is reused for the next.
-func guardedProject(in *relation.Relation, idx []int, g *guard.Guard) (*relation.Relation, error) {
-	attrs := make([]string, len(idx))
-	for i, j := range idx {
-		attrs[i] = in.Attrs[j]
-	}
-	tuples := in.Tuples()
-	out := relation.NewSized(attrs, len(tuples))
-	slab := relation.NewSlab(len(idx))
-	for n, t := range tuples {
-		if err := g.Add(1); err != nil {
-			return nil, err
-		}
-		row := slab.Row(len(tuples) - n)
-		for i, j := range idx {
-			row[i] = t[j]
-		}
-		if out.Adopt(row) {
-			slab.Keep()
 		}
 	}
 	return out, nil

@@ -13,8 +13,34 @@ import (
 // candidate: below it materializing the scan first costs as little.
 const indexJoinMinInner = 64
 
-// EvalPSJ evaluates a PSJ query choosing an access path per scan and a
-// strategy per join step, recording its decisions in tr (nil disables).
+// Sink takes the rows of a streamed answer (Stream): Open once, with
+// the answer's attributes and the number of rows the executor expects
+// to hand over, then Row for each projected row, in the order EvalPSJ
+// returns them. The expectation sizes the sink's storage: after a lone
+// scan it is the number of rows the access path reads, an upper bound;
+// after a join, one row per outer row, or the product's size. The row
+// is valid only during the call and must not be modified, since the
+// executor reuses its storage, and a row may repeat: the projection
+// deduplicates nothing on the way.
+type Sink interface {
+	Open(attrs []string, rows int)
+	Row(t relation.Tuple)
+}
+
+// EvalPSJ evaluates a PSJ query into a relation: Stream, with a sink
+// that carves the projected rows from one slab and keeps each distinct
+// row once, in first-occurrence order. opt has no effect.
+func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*relation.Relation, error) {
+	var c collector
+	if err := Stream(p, src, g, tr, &c); err != nil {
+		return nil, err
+	}
+	return c.out, nil
+}
+
+// Stream evaluates a PSJ query choosing an access path per scan and a
+// strategy per join step, recording its decisions in tr (nil disables),
+// and hands the answer's rows to sink.
 //
 // Per scan: an equality-with-constant atom is served from the relation's
 // lazily built secondary hash index; otherwise comparison-with-constant
@@ -25,17 +51,26 @@ const indexJoinMinInner = 64
 // nested-loop join: it probes either a base relation's persistent hash
 // index, checking the scan's own atoms per candidate, or — the trace's
 // "hash join" — the value-keyed index of the materialized scan. A step
-// no equality connects is a guarded cartesian product. All paths
-// account rows against the same guard. opt has no effect.
+// no equality connects is a guarded cartesian product.
 //
 // A scan is lazy: only the start of the join is materialized up front.
 // A later scan that is joined in by an equality from an outer at most a
 // quarter of its estimate is never materialized at all — the index join
 // reads just the candidates its probes return — and any other is
 // materialized when it is joined in.
-func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*relation.Relation, error) {
+//
+// Each step feeds its rows through the global atoms that became
+// resolvable with it. A step before the last materializes the rows that
+// pass, carved from one slab. The last step — the last join, or a lone
+// scan's access path — feeds them on through the atoms still
+// outstanding and the projection to sink, so the answer is never built
+// here. The guard is charged one unit per probed or scanned candidate,
+// per row entering each selection and per projected row, as when every
+// step was materialized, so a budget trips on the same plans with the
+// same error.
+func Stream(p *PSJ, src Source, g *guard.Guard, tr *Trace, sink Sink) error {
 	if len(p.Scans) == 0 {
-		return nil, fmt.Errorf("empty query")
+		return fmt.Errorf("empty query")
 	}
 	// Each scan starts as the shared base rename, so index lookups on it
 	// hit the base relation's persistent per-revision cache.
@@ -43,7 +78,7 @@ func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*r
 	for i, s := range p.Scans {
 		base, err := src(s.Rel)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		base = base.Rename(relation.QualifyAttrs(s.Alias, base.Attrs))
 		parts[i] = &scanPart{base: base, rel: base, est: base.Len(),
@@ -72,76 +107,212 @@ func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*r
 			start = i
 		}
 	}
-	if err := parts[start].materialize(g); err != nil {
-		return nil, err
-	}
-	cur := parts[start].rel
-	used := make([]bool, len(parts))
-	used[start] = true
 	remainingEq, remainingOther := splitEq(global)
-	for joined := 1; joined < len(parts); joined++ {
-		next, eqs := pickNext(cur, parts, used, remainingEq)
-		sp := parts[next]
-		var err error
-		kind := JoinProduct
-		switch {
-		case len(eqs) > 0 && sp.est >= indexJoinMinInner && cur.Len()*4 <= sp.est:
-			// A small outer probes the base relation's persistent index;
-			// the scan's own atoms, if any, filter the candidates, so the
-			// scan itself is never materialized.
-			kind = JoinIndex
-			var probed int
-			cur, probed, err = indexJoin(cur, sp.base, eqs, sp.local, g)
-			sp.tr.Path, sp.tr.Atoms, sp.tr.Out = PathIndexProbe, atomStrings(sp.local), probed
-		case len(eqs) > 0:
-			kind = JoinHash
-			if err = sp.materialize(g); err == nil {
-				cur, _, err = indexJoin(cur, sp.rel, eqs, nil, g)
-			}
-		default:
-			if err = sp.materialize(g); err == nil {
-				cur, err = guardedProduct(cur, sp.rel, g)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		remainingEq = removeAtoms(remainingEq, eqs)
-		used[next] = true
-		tr.join(JoinTrace{Kind: kind, With: p.Scans[next].Alias, On: atomStrings(eqs), Out: cur.Len()})
-		// Apply any remaining predicates that became resolvable.
-		remainingEq, err = applyResolvable(&cur, remainingEq, g)
-		if err != nil {
-			return nil, err
-		}
-		remainingOther, err = applyResolvable(&cur, remainingOther, g)
-		if err != nil {
-			return nil, err
-		}
+	var err error
+	if len(parts) == 1 {
+		err = scanOnly(p, parts[0], remainingEq, remainingOther, g, sink)
+	} else {
+		err = joinAll(p, parts, start, remainingEq, remainingOther, g, tr, sink)
+	}
+	if err != nil {
+		return err
 	}
 	for _, sp := range parts {
 		tr.scan(sp.tr)
 	}
-	rest := append(append([]Atom(nil), remainingEq...), remainingOther...)
-	if len(rest) > 0 {
-		pred, err := CompilePred(cur.Attrs, rest)
-		if err != nil {
-			return nil, err
+	return nil
+}
+
+// scanOnly streams a plan of one scan: its access path is the last step.
+func scanOnly(p *PSJ, sp *scanPart, remainingEq, remainingOther []Atom, g *guard.Guard, sink Sink) error {
+	ap, err := sp.scan()
+	if err != nil {
+		return err
+	}
+	pl, perr := lastPipe(sp.base.Attrs, len(ap.run), &remainingEq, &remainingOther, p.Cols, g, sink)
+	if err := sp.read(ap, g, pl.push); err != nil {
+		return err
+	}
+	return perr
+}
+
+// joinAll runs the join steps from parts[start], materialized, until
+// the last, which streams to sink through lastPipe.
+func joinAll(p *PSJ, parts []*scanPart, start int, remainingEq, remainingOther []Atom, g *guard.Guard, tr *Trace, sink Sink) error {
+	if err := parts[start].materialize(g); err != nil {
+		return err
+	}
+	cur := parts[start].rel
+	used := make([]bool, len(parts))
+	used[start] = true
+	for joined := 1; joined < len(parts); joined++ {
+		next, eqs := pickNext(cur, parts, used, remainingEq)
+		sp := parts[next]
+		remainingEq = removeAtoms(remainingEq, eqs)
+		used[next] = true
+		attrs := append(append([]string(nil), cur.Attrs...), sp.base.Attrs...)
+		rows := cur.Len()
+		if len(eqs) == 0 {
+			rows *= sp.est
 		}
-		cur, err = guardedSelect(cur, pred, g)
+		var pl *pipe
+		var perr error
+		var b collector
+		if joined == len(parts)-1 {
+			pl, perr = lastPipe(attrs, rows, &remainingEq, &remainingOther, p.Cols, g, sink)
+		} else {
+			b.Open(attrs, rows)
+			pl = &pipe{g: g, sels: resolvable(attrs, &remainingEq, &remainingOther), emit: b.add}
+		}
+		kind, err := sp.join(cur, eqs, g, pl.push)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		tr.join(JoinTrace{Kind: kind, With: p.Scans[next].Alias, On: atomStrings(eqs), Out: pl.rows})
+		if perr != nil {
+			return perr
+		}
+		cur = b.out
+	}
+	return nil
+}
+
+// pipe carries a step's rows on from its source: through sels, each
+// charging the guard one unit per row entering it, to emit. rows counts
+// the rows the source produced.
+type pipe struct {
+	g    *guard.Guard
+	sels []func(relation.Tuple) bool
+	emit func(relation.Tuple) error
+	rows int
+}
+
+func (pl *pipe) push(t relation.Tuple) error {
+	pl.rows++
+	for _, sel := range pl.sels {
+		if err := pl.g.Add(1); err != nil {
+			return err
+		}
+		if !sel(t) {
+			return nil
 		}
 	}
-	idx := make([]int, len(p.Cols))
-	for i, c := range p.Cols {
-		j, err := resolve(cur.Attrs, c)
+	return pl.emit(t)
+}
+
+// resolvable returns the selections of the atoms of each list that attrs
+// resolve, one per list that has any, and leaves the others outstanding
+// in the list. A list's ready atoms that fail to compile together (an
+// ambiguous name) stay outstanding, after the rest.
+func resolvable(attrs []string, lists ...*[]Atom) []func(relation.Tuple) bool {
+	var sels []func(relation.Tuple) bool
+	for _, list := range lists {
+		var ready, notReady []Atom
+		for _, a := range *list {
+			if hasAttr(attrs, a.L) && (!a.R.IsAttr || hasAttr(attrs, a.R.Attr)) {
+				ready = append(ready, a)
+			} else {
+				notReady = append(notReady, a)
+			}
+		}
+		if len(ready) > 0 {
+			if pred, err := CompilePred(attrs, ready); err == nil {
+				sels = append(sels, pred)
+			} else {
+				notReady = append(notReady, ready...)
+			}
+		}
+		*list = notReady
+	}
+	return sels
+}
+
+// lastPipe is the pipe of the last step, whose rows are over attrs and
+// number about rows: the selections resolvable now, one more for every
+// atom still outstanding, then the projection onto cols, charging one
+// unit per row, to sink.
+//
+// When the outstanding atoms or the columns do not resolve, it returns
+// the error beside a pipe that ends before them: the step still runs
+// and charges what it did before the error was found.
+func lastPipe(attrs []string, rows int, eq, other *[]Atom, cols []string, g *guard.Guard, sink Sink) (*pipe, error) {
+	pl := &pipe{g: g, sels: resolvable(attrs, eq, other), emit: func(relation.Tuple) error { return nil }}
+	if rest := append(append([]Atom(nil), *eq...), *other...); len(rest) > 0 {
+		pred, err := CompilePred(attrs, rest)
 		if err != nil {
-			return nil, err
+			return pl, err
+		}
+		pl.sels = append(pl.sels, pred)
+	}
+	idx := make([]int, len(cols))
+	for i, c := range cols {
+		j, err := resolve(attrs, c)
+		if err != nil {
+			return pl, err
 		}
 		idx[i] = j
 	}
-	return guardedProject(cur, idx, g)
+	pl.emit = projection(attrs, idx, rows, g, sink)
+	return pl, nil
+}
+
+// projection opens sink over the attributes at idx, expecting rows rows,
+// and returns the function that charges one guard unit per row and
+// hands the row's cells at idx to sink, in one reused row.
+func projection(attrs []string, idx []int, rows int, g *guard.Guard, sink Sink) func(relation.Tuple) error {
+	out := make([]string, len(idx))
+	for i, j := range idx {
+		out[i] = attrs[j]
+	}
+	sink.Open(out, rows)
+	row := make(relation.Tuple, len(idx))
+	return func(t relation.Tuple) error {
+		if err := g.Add(1); err != nil {
+			return err
+		}
+		for i, j := range idx {
+			row[i] = t[j]
+		}
+		sink.Row(row)
+		return nil
+	}
+}
+
+// collector materializes rows into a relation, carving each from one
+// slab sized by the rows expected, growing with the rows kept beyond
+// them. As a Sink it keeps each distinct row once, in first-occurrence
+// order, the answer EvalPSJ returns; add appends a row the caller knows
+// is new (pairs of rows of two sets, and selections of them, are
+// distinct).
+type collector struct {
+	out  *relation.Relation
+	slab relation.Slab
+	rows int
+}
+
+// Open starts the relation over attrs, with room for rows rows.
+func (c *collector) Open(attrs []string, rows int) {
+	c.out, c.slab, c.rows = relation.NewSized(attrs, rows), relation.NewSlab(len(attrs)), rows
+}
+
+// Row adopts a copy of t unless the relation holds it.
+func (c *collector) Row(t relation.Tuple) {
+	if c.out.Adopt(c.copyOf(t)) {
+		c.slab.Keep()
+	}
+}
+
+func (c *collector) add(t relation.Tuple) error {
+	c.out.Append(c.copyOf(t))
+	c.slab.Keep()
+	return nil
+}
+
+// copyOf copies t into the slab's next row, not yet kept.
+func (c *collector) copyOf(t relation.Tuple) relation.Tuple {
+	row := c.slab.Expecting(c.rows, c.out.Len())
+	copy(row, t)
+	return row
 }
 
 // scanPart is one scan on its way into the join: the shared base rename,
@@ -156,19 +327,97 @@ type scanPart struct {
 	tr        ScanTrace
 }
 
-// materialize filters a pending scan by its local atoms through the
-// access path applyLocal chooses; a materialized part is left alone.
+// scan returns how the part's rows are read: a materialized part's as
+// they stand (no path), else through the access path accessPath
+// chooses.
+func (sp *scanPart) scan() (access, error) {
+	if sp.rel != nil {
+		return access{run: sp.rel.Tuples()}, nil
+	}
+	return accessPath(sp.base, sp.local)
+}
+
+// read feeds push the rows of ap that pass its residual atoms. Reading a
+// materialized part is free; through an access path each row read
+// charges the guard one unit, and the path goes in the scan's trace.
+// The rows are the base's own tuples.
+func (sp *scanPart) read(ap access, g *guard.Guard, push func(relation.Tuple) error) error {
+	if ap.path == "" {
+		for _, t := range ap.run {
+			if err := push(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	pred, err := CompilePred(sp.base.Attrs, ap.rest)
+	if err != nil {
+		return err
+	}
+	n := 0
+	for _, t := range ap.run {
+		if err := g.Add(1); err != nil {
+			return err
+		}
+		if pred(t) {
+			n++
+			if err := push(t); err != nil {
+				return err
+			}
+		}
+	}
+	sp.tr.Path, sp.tr.Atoms, sp.tr.Out = ap.path, ap.served, n
+	return nil
+}
+
+// materialize filters a pending scan by its local atoms (scan, read); a
+// materialized part is left alone.
 func (sp *scanPart) materialize(g *guard.Guard) error {
 	if sp.rel != nil {
 		return nil
 	}
-	out, path, served, err := applyLocal(sp.base, sp.local, g)
+	ap, err := sp.scan()
+	if err != nil {
+		return err
+	}
+	out := relation.New(sp.base.Attrs)
+	err = sp.read(ap, g, func(t relation.Tuple) error {
+		// Selections of a proper set are duplicate-free, so the no-dedup
+		// Append path applies.
+		out.Append(t)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
 	sp.rel, sp.est = out, out.Len()
-	sp.tr.Path, sp.tr.Atoms, sp.tr.Out = path, served, out.Len()
 	return nil
+}
+
+// join feeds push the rows of one join step of cur with the part,
+// choosing the method by eqs and the estimates, and returns its trace
+// label.
+func (sp *scanPart) join(cur *relation.Relation, eqs []Atom, g *guard.Guard, push func(relation.Tuple) error) (string, error) {
+	switch {
+	case len(eqs) > 0 && sp.est >= indexJoinMinInner && cur.Len()*4 <= sp.est:
+		// A small outer probes the base relation's persistent index; the
+		// scan's own atoms, if any, filter the candidates, so the scan
+		// itself is never materialized.
+		probed, err := indexJoin(cur, sp.base, eqs, sp.local, g, push)
+		sp.tr.Path, sp.tr.Atoms, sp.tr.Out = PathIndexProbe, atomStrings(sp.local), probed
+		return JoinIndex, err
+	case len(eqs) > 0:
+		if err := sp.materialize(g); err != nil {
+			return JoinHash, err
+		}
+		_, err := indexJoin(cur, sp.rel, eqs, nil, g, push)
+		return JoinHash, err
+	default:
+		if err := sp.materialize(g); err != nil {
+			return JoinProduct, err
+		}
+		return JoinProduct, product(cur, sp.rel, g, push)
+	}
 }
 
 // estimate sizes a pending scan without reading it: the run its hash-eq
@@ -194,48 +443,43 @@ func hashEqAtom(atoms []Atom) int {
 	return -1
 }
 
-// applyLocal filters one scan by its local atoms, choosing an access
-// path: the first equality-with-constant atom is served from the
-// secondary hash index; failing that, every <,≤,>,≥-with-constant atom
-// on one attribute folds into a single ordered-index range lookup; and
-// failing that the scan is full. Residual atoms are evaluated per
-// retrieved row either way. It reports the path taken and the atoms the
-// access path itself served.
-func applyLocal(part *relation.Relation, atoms []Atom, g *guard.Guard) (*relation.Relation, string, []string, error) {
-	if out, served, err := tryHashPath(part, atoms, g); out != nil || err != nil {
-		return out, PathHashEq, served, err
-	}
-	if out, served, err := tryRangePath(part, atoms, g); out != nil || err != nil {
-		return out, PathIndexRange, served, err
-	}
-	pred, err := CompilePred(part.Attrs, atoms)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	out, err := guardedSelect(part, pred, g)
-	return out, PathFullScan, nil, err
+// access is a scan's access path: the rows it reads, the atoms left to
+// check on each, the path's trace label and the atoms it served.
+type access struct {
+	run    []relation.Tuple
+	rest   []Atom
+	path   string
+	served []string
 }
 
-// tryHashPath serves the first equality-with-constant atom from the hash
-// index; a nil relation with nil error means no such atom exists.
-func tryHashPath(part *relation.Relation, atoms []Atom, g *guard.Guard) (*relation.Relation, []string, error) {
-	eqAt := hashEqAtom(atoms)
-	if eqAt < 0 {
-		return nil, nil, nil
+// accessPath chooses how to read the rows of part passing atoms: the
+// first equality-with-constant atom is served from the secondary hash
+// index; failing that, every <,≤,>,≥-with-constant atom on one attribute
+// folds into a single ordered-index range lookup; and failing that the
+// scan is full.
+func accessPath(part *relation.Relation, atoms []Atom) (access, error) {
+	if eqAt := hashEqAtom(atoms); eqAt >= 0 {
+		eqIdx, err := resolve(part.Attrs, atoms[eqAt].L)
+		if err != nil {
+			return access{}, err
+		}
+		return access{
+			run:    part.LookupEq(eqIdx, atoms[eqAt].R.Const),
+			rest:   append(append([]Atom(nil), atoms[:eqAt]...), atoms[eqAt+1:]...),
+			path:   PathHashEq,
+			served: []string{atoms[eqAt].String()},
+		}, nil
 	}
-	eqIdx, err := resolve(part.Attrs, atoms[eqAt].L)
-	if err != nil {
-		return nil, nil, err
+	if ap, ok, err := rangePath(part, atoms); ok || err != nil {
+		return ap, err
 	}
-	rest := append(append([]Atom(nil), atoms[:eqAt]...), atoms[eqAt+1:]...)
-	out, err := filterRun(part, part.LookupEq(eqIdx, atoms[eqAt].R.Const), rest, g)
-	return out, []string{atoms[eqAt].String()}, err
+	return access{run: part.Tuples(), rest: atoms, path: PathFullScan}, nil
 }
 
-// tryRangePath folds every <,≤,>,≥-with-constant atom on the attribute
-// of the first such atom into one ordered-index range lookup; a nil
-// relation with nil error means no range atom exists.
-func tryRangePath(part *relation.Relation, atoms []Atom, g *guard.Guard) (*relation.Relation, []string, error) {
+// rangePath folds every <,≤,>,≥-with-constant atom on the attribute of
+// the first such atom into one ordered-index range lookup; it reports
+// false when no range atom exists.
+func rangePath(part *relation.Relation, atoms []Atom) (access, bool, error) {
 	isRange := func(op value.Cmp) bool {
 		return op == value.LT || op == value.LE || op == value.GT || op == value.GE
 	}
@@ -244,32 +488,31 @@ func tryRangePath(part *relation.Relation, atoms []Atom, g *guard.Guard) (*relat
 		if !a.R.IsAttr && isRange(a.Op) {
 			j, err := resolve(part.Attrs, a.L)
 			if err != nil {
-				return nil, nil, err
+				return access{}, false, err
 			}
 			at = j
 			break
 		}
 	}
 	if at < 0 {
-		return nil, nil, nil
+		return access{}, false, nil
 	}
 	var lo, hi *relation.RangeEnd
-	var served []string
-	var rest []Atom
+	ap := access{path: PathIndexRange}
 	for _, a := range atoms {
 		use := false
 		if !a.R.IsAttr && isRange(a.Op) {
 			j, err := resolve(part.Attrs, a.L)
 			if err != nil {
-				return nil, nil, err
+				return access{}, false, err
 			}
 			use = j == at
 		}
 		if !use {
-			rest = append(rest, a)
+			ap.rest = append(ap.rest, a)
 			continue
 		}
-		served = append(served, a.String())
+		ap.served = append(ap.served, a.String())
 		v := a.R.Const
 		switch a.Op {
 		case value.GE:
@@ -282,8 +525,8 @@ func tryRangePath(part *relation.Relation, atoms []Atom, g *guard.Guard) (*relat
 			hi = tighterHi(hi, &relation.RangeEnd{V: v, Open: true})
 		}
 	}
-	out, err := filterRun(part, part.LookupRange(at, lo, hi), rest, g)
-	return out, served, err
+	ap.run = part.LookupRange(at, lo, hi)
+	return ap, true, nil
 }
 
 // tighterLo keeps the more restrictive lower bound (higher value; open
@@ -310,32 +553,6 @@ func tighterHi(cur, cand *relation.RangeEnd) *relation.RangeEnd {
 		return cand
 	}
 	return cur
-}
-
-// filterRun materializes an index run through the residual atoms,
-// accounting every retrieved tuple against the guard.
-func filterRun(part *relation.Relation, run []relation.Tuple, rest []Atom, g *guard.Guard) (*relation.Relation, error) {
-	pred := func(relation.Tuple) bool { return true }
-	if len(rest) > 0 {
-		var err error
-		pred, err = CompilePred(part.Attrs, rest)
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := relation.New(part.Attrs)
-	for _, t := range run {
-		if err := g.Add(1); err != nil {
-			return nil, err
-		}
-		if pred(t) {
-			// The run is a subslice of one relation's distinct tuples, so
-			// the filtered output is duplicate-free: the no-dedup Append
-			// path applies.
-			out.Append(t)
-		}
-	}
-	return out, nil
 }
 
 // atomScan reports which single scan an atom is local to, if any.
@@ -461,34 +678,6 @@ outer:
 	return out
 }
 
-// applyResolvable filters *cur by every atom fully resolvable against its
-// attributes and returns the atoms that remain outstanding.
-func applyResolvable(cur **relation.Relation, atoms []Atom, g *guard.Guard) ([]Atom, error) {
-	var ready, notReady []Atom
-	for _, a := range atoms {
-		ok := hasAttr((*cur).Attrs, a.L) && (!a.R.IsAttr || hasAttr((*cur).Attrs, a.R.Attr))
-		if ok {
-			ready = append(ready, a)
-		} else {
-			notReady = append(notReady, a)
-		}
-	}
-	if len(ready) > 0 {
-		pred, err := CompilePred((*cur).Attrs, ready)
-		if err == nil {
-			sel, serr := guardedSelect(*cur, pred, g)
-			if serr != nil {
-				return nil, serr
-			}
-			*cur = sel
-		} else {
-			// Ambiguity means the atom was not truly resolvable; defer it.
-			notReady = append(notReady, ready...)
-		}
-	}
-	return notReady, nil
-}
-
 // joinCols resolves the equality atoms of a join into column index pairs
 // (li in l, ri in r), flipping atoms written in the other orientation.
 func joinCols(l, r *relation.Relation, eqs []Atom) (li, ri []int) {
@@ -511,34 +700,57 @@ func joinCols(l, r *relation.Relation, eqs []Atom) (li, ri []int) {
 // residual — atoms over r alone, so a filtered scan of r need never be
 // materialized. The index is keyed by value.Value, so a probe hits only
 // equal values of the same kind. When r is a base relation the index
-// amortizes across every query that joins through it. Every probed
-// candidate is accounted against the guard, and the count is returned.
-func indexJoin(l, r *relation.Relation, eqs, residual []Atom, g *guard.Guard) (*relation.Relation, int, error) {
+// amortizes across every query that joins through it. Each joined row
+// goes to push, in one reused row. Every probed candidate is accounted
+// against the guard, and the count is returned.
+func indexJoin(l, r *relation.Relation, eqs, residual []Atom, g *guard.Guard, push func(relation.Tuple) error) (int, error) {
 	li, ri := joinCols(l, r, eqs)
 	keep, err := CompilePred(r.Attrs, residual)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	out := relation.New(append(append([]string(nil), l.Attrs...), r.Attrs...))
+	row := make(relation.Tuple, len(l.Attrs)+len(r.Attrs))
 	probed := 0
 	for _, t := range l.Tuples() {
 		if err := g.Check(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		run := r.LookupEq(ri[0], t[li[0]])
 		probed += len(run)
+		copy(row, t)
 		for _, u := range run {
 			if err := g.Add(1); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 			if !restEqsMatch(t, u, li, ri) || !keep(u) {
 				continue
 			}
-			row := make(relation.Tuple, 0, len(t)+len(u))
-			out.Append(append(append(row, t...), u...))
+			copy(row[len(t):], u)
+			if err := push(row); err != nil {
+				return 0, err
+			}
 		}
 	}
-	return out, probed, nil
+	return probed, nil
+}
+
+// product feeds push every pair of a row of l and a row of r, in one
+// reused row, accounting each against the guard.
+func product(l, r *relation.Relation, g *guard.Guard, push func(relation.Tuple) error) error {
+	row := make(relation.Tuple, len(l.Attrs)+len(r.Attrs))
+	for _, a := range l.Tuples() {
+		copy(row, a)
+		for _, b := range r.Tuples() {
+			if err := g.Add(1); err != nil {
+				return err
+			}
+			copy(row[len(a):], b)
+			if err := push(row); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // restEqsMatch verifies the equality columns beyond the first (the one

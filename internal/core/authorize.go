@@ -211,13 +211,25 @@ func (a *Authorizer) Explain(user string, def *cview.Def, tr *algebra.Trace) (*D
 
 // decide evaluates the actual side of psj and masks it with mp, the one
 // step every path from a MaskPlan to a Decision takes. prune lets the
-// pushdown fuse (MaskPlan.actualPSJ).
+// pushdown fuse (MaskPlan.actualPSJ). Under an ungrouped mask the
+// executor streams its answer rows through the mask (deliverer), so the
+// unmasked answer is never built; a grouped mask needs the whole answer
+// to pick each group's representative, and masks it with Apply.
 func (a *Authorizer) decide(psj *algebra.PSJ, mp *MaskPlan, metaTuples int, prune bool, tr *algebra.Trace) (*Decision, error) {
-	ans, err := a.evalActual(mp.actualPSJ(psj, prune), a.Source, tr)
+	p := mp.actualPSJ(psj, prune)
+	d := &Decision{MaskPlan: mp, PSJ: psj, PushdownApplied: prune && mp.fuses(), MetaTuples: metaTuples}
+	if !mp.Mask.compiled().grouped {
+		dl := mp.Mask.deliverer()
+		if err := algebra.Stream(p, a.Source, a.Guard, tr, dl); err != nil {
+			return nil, err
+		}
+		d.Masked, d.Stats = dl.relation()
+		return d, nil
+	}
+	ans, err := a.evalActual(p, a.Source, tr)
 	if err != nil {
 		return nil, err
 	}
-	d := &Decision{MaskPlan: mp, PSJ: psj, PushdownApplied: prune && mp.fuses(), MetaTuples: metaTuples}
 	d.Masked, d.Stats = mp.Mask.Apply(ans)
 	// Sorted once here, the delivered relation converts without a sort on
 	// every closure hit until a refresh appends behind it.

@@ -55,8 +55,8 @@ import (
 // removes it.
 //
 // One-mask-tuple-per-row soundness is preserved by construction: a
-// refresh masks the appended window through Apply's own row loop
-// (applyInto), adopting into the accumulator, so the materialized
+// refresh masks the appended window through the sink a cold read masks
+// with (deliverer), adopting into the accumulator, so the materialized
 // masked relation is identical to applying the mask row by row, and no
 // row ever discloses the union of several tuples' reveals.
 //
@@ -263,8 +263,8 @@ func (c *Closure) Lookup(a *Authorizer, key string, psj *algebra.PSJ, revs []*re
 	// unlocked: the window and the old revision are immutable.
 	tail := revs[0].Suffix(base)
 	src := algebra.MapSource(map[string]*relation.Relation{psj.Scans[0].Rel: tail})
-	tailAns, err := a.evalActual(plan.actualPSJ(psj, true), src, nil)
-	if err != nil {
+	dl := plan.Mask.deliverer()
+	if err := algebra.Stream(plan.actualPSJ(psj, true), src, a.Guard, nil, dl); err != nil {
 		return nil, nil, err
 	}
 
@@ -285,7 +285,7 @@ func (c *Closure) Lookup(a *Authorizer, key string, psj *algebra.PSJ, revs []*re
 	}
 	// A window row that projects onto an answer row already seen masks
 	// to a row vm holds, and Adopt refuses it.
-	plan.Mask.applyInto(e.vm, tailAns.Tuples(), &e.stats)
+	dl.adoptInto(e.vm, &e.stats)
 	e.revs = append([]*relation.Relation(nil), revs...)
 	if head := e.vm.Head(); head != e.masked {
 		e.masked, e.reply = head, new(ReplySection)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -283,23 +284,7 @@ func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
 	}
 	var stats MaskStats
 	out := relation.NewSized(attrs, len(tuples))
-	m.applyInto(out, tuples, &stats)
-	return out, stats
-}
-
-// adopter takes a masked row unless it holds one equal to it: a
-// relation built by Apply, or the closure's accumulator a refresh
-// extends (relation.Versioned).
-type adopter interface{ Adopt(relation.Tuple) bool }
-
-// applyInto is Apply's row loop: it masks each of tuples through its
-// best tuple, adopts the row into out and counts each row out takes in
-// stats. The tuples are answer rows of an ungrouped mask, or a grouped
-// mask's representatives.
-func (m *Mask) applyInto(out adopter, tuples []relation.Tuple, stats *MaskStats) {
-	ex := m.compiled()
-	width := len(m.Out)
-	slab := relation.NewSlab(width)
+	slab := relation.NewSlab(len(m.Out))
 	for n, t := range tuples {
 		bi := m.bestIndex(ex, t)
 		if bi < 0 {
@@ -309,7 +294,127 @@ func (m *Mask) applyInto(out adopter, tuples []relation.Tuple, stats *MaskStats)
 		maskRow(row, t, ex.reveal[bi], ex.out)
 		if out.Adopt(row) {
 			slab.Keep()
-			stats.count(ex.stars[bi], width)
+			stats.count(ex.stars[bi], len(m.Out))
+		}
+	}
+	return out, stats
+}
+
+// deliverer is the algebra.Sink of a read under an ungrouped mask: it
+// masks each answer row, as the executor streams it, through its best
+// tuple (bestIndex, maskRow, as Apply does) into one slab, carrying that
+// tuple's star count, and drops a row no tuple reveals. Neither the
+// unmasked answer nor a membership set for it is built. Rows arrive
+// with repeats, since the projection deduplicates nothing, and two
+// answer rows can mask to one delivered row: relation and adoptInto
+// drop both kinds of duplicate, the first occurrence winning. A row
+// equal to the last one kept is dropped at once; rows that each sort
+// after the last kept need no sort at all.
+type deliverer struct {
+	m     *Mask
+	ex    *maskExec
+	attrs []string
+	slab  relation.Slab
+	rows  []maskedRow
+	// expect is the number of rows the executor expects to hand over.
+	expect int
+	// unsorted records that a kept row sorts before the one kept before
+	// it: rows that come in canonical order, as an index run in key
+	// order does, need no sort.
+	unsorted bool
+}
+
+// maskedRow is a delivered row and the star count of the tuple that
+// delivered it.
+type maskedRow struct {
+	t     relation.Tuple
+	stars int
+}
+
+// deliverer returns a sink for the mask, which must be ungrouped.
+func (m *Mask) deliverer() *deliverer {
+	return &deliverer{m: m, ex: m.compiled(), slab: relation.NewSlab(len(m.Out))}
+}
+
+// Open takes the answer's attributes, of which the delivered relation
+// carries the ones Out lists, in its order, and the rows expected, which
+// size the slab.
+func (d *deliverer) Open(attrs []string, rows int) {
+	d.attrs, d.expect = attrs, rows
+	if d.ex.out != nil {
+		d.attrs = make([]string, len(d.ex.out))
+		for j, k := range d.ex.out {
+			d.attrs[j] = attrs[k]
+		}
+	}
+}
+
+// Row masks one answer row.
+func (d *deliverer) Row(t relation.Tuple) {
+	bi := d.m.bestIndex(d.ex, t)
+	if bi < 0 {
+		return
+	}
+	row := d.slab.Expecting(d.expect, len(d.rows))
+	maskRow(row, t, d.ex.reveal[bi], d.ex.out)
+	if n := len(d.rows); n > 0 {
+		switch c := d.rows[n-1].t.Compare(row); {
+		case c == 0:
+			return
+		case c > 0:
+			d.unsorted = true
+		}
+	}
+	d.slab.Keep()
+	if d.rows == nil {
+		d.rows = make([]maskedRow, 0, max(min(d.expect, relation.MaxPresize), 1))
+	}
+	d.rows = append(d.rows, maskedRow{row, d.ex.stars[bi]})
+}
+
+// relation returns the delivered relation of a fresh decision and its
+// stats: the kept rows sorted once, stably, each run of equal rows
+// reduced to its first, which gives Apply's set semantics, tie-breaks
+// included, and Canonicalize's order. When that drops a row, the rows
+// left are copied into one array of exactly their cells, so no slab
+// storage of a dropped row stays reachable. The relation is marked
+// canonical, with no membership set.
+func (d *deliverer) relation() (*relation.Relation, MaskStats) {
+	uniq := d.rows
+	if d.unsorted {
+		slices.SortStableFunc(d.rows, func(a, b maskedRow) int { return a.t.Compare(b.t) })
+		uniq = d.rows[:0]
+		for _, r := range d.rows {
+			if len(uniq) == 0 || !uniq[len(uniq)-1].t.Equal(r.t) {
+				uniq = append(uniq, r)
+			}
+		}
+	}
+	width := len(d.m.Out)
+	var cells []value.Value
+	if len(uniq) < len(d.rows) {
+		cells = make([]value.Value, len(uniq)*width)
+	}
+	tuples := make([]relation.Tuple, len(uniq))
+	var stats MaskStats
+	for i, r := range uniq {
+		tuples[i] = r.t
+		if cells != nil {
+			tuples[i] = cells[i*width : (i+1)*width : (i+1)*width]
+			copy(tuples[i], r.t)
+		}
+		stats.count(r.stars, width)
+	}
+	return relation.NewCanonical(d.attrs, tuples), stats
+}
+
+// adoptInto adopts the kept rows into out, a closure entry's
+// accumulator, in the order they arrived, counting in stats each row
+// out takes.
+func (d *deliverer) adoptInto(out *relation.Versioned, stats *MaskStats) {
+	for _, r := range d.rows {
+		if out.Adopt(r.t) {
+			stats.count(r.stars, len(d.m.Out))
 		}
 	}
 }

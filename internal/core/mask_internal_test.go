@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -178,41 +179,128 @@ func TestApplyMatchesReference(t *testing.T) {
 	}
 }
 
+// maskFuzzCase is one input of FuzzMaskApply: a mask, an answer over
+// attrs, the answer as the executor streams it to a sink (stream) with
+// the rows it announces (expect), and a cut splitting the answer into a
+// prefix Apply masks and a window a closure refresh streams (window).
+type maskFuzzCase struct {
+	m              *Mask
+	ans            *relation.Relation
+	stream, window []relation.Tuple
+	expect, cut    int
+}
+
+// fuzzAttrs are the answer columns of FuzzMaskApply's cases.
+var fuzzAttrs = []string{"R.A", "R.B", "R.C", "R.D"}
+
+// newMaskFuzzCase draws the case of seed.
+func newMaskFuzzCase(seed int64) maskFuzzCase {
+	rng := rand.New(rand.NewSource(seed))
+	attrs := fuzzAttrs
+	m := randMask(rng, attrs)
+	// A variable shared by two cells makes a tuple match only rows
+	// agreeing on them.
+	if mt := m.Tuples[0]; rng.Intn(2) == 0 {
+		mt.Cells[rng.Intn(len(attrs))].Var = 1
+		mt.Cells[rng.Intn(len(attrs))].Var = 1
+	}
+	switch rng.Intn(4) {
+	case 0:
+		m.Out = []int{0, 1, 2, 3}
+	case 1:
+		m.Out = rng.Perm(len(attrs))
+	case 2:
+		m.Out = rng.Perm(len(attrs))[:1+rng.Intn(len(attrs)-1)]
+	default: // a column delivered twice, as retrieve (R.A, R.A) does
+		m.Out = rng.Perm(len(attrs))[:1+rng.Intn(len(attrs))]
+		m.Out = append(m.Out, m.Out[0])
+	}
+	c := maskFuzzCase{m: m, ans: randAnswer(rng, attrs, rng.Intn(24))}
+	c.stream = answerStream(rng, c.ans.Tuples(), rng.Intn(4) == 0)
+	c.expect = rng.Intn(len(c.stream) + 1)
+	c.cut = rng.Intn(c.ans.Len() + 1)
+	c.window = answerStream(rng, c.ans.Suffix(c.cut).Tuples(), false)
+	return c
+}
+
+// answerStream is rows as the executor streams them to a sink, whose
+// projection deduplicates nothing on the way: each row in order, a third
+// of them followed by a repeat of a row already streamed, and, with
+// collapse, every row followed by the first, as when many rows project
+// onto one.
+func answerStream(rng *rand.Rand, rows []relation.Tuple, collapse bool) []relation.Tuple {
+	var out []relation.Tuple
+	for i, t := range rows {
+		out = append(out, t)
+		if collapse {
+			out = append(out, rows[0])
+		}
+		if rng.Intn(3) == 0 {
+			out = append(out, rows[rng.Intn(i+1)])
+		}
+	}
+	return out
+}
+
+// deliver streams rows through the mask's sink, each in a buffer that is
+// overwritten after the call, as the executor reuses its row.
+func deliver(m *Mask, rows []relation.Tuple, expect int) *deliverer {
+	dl := m.deliverer()
+	dl.Open(fuzzAttrs, expect)
+	buf := make(relation.Tuple, len(fuzzAttrs))
+	for _, t := range rows {
+		copy(buf, t)
+		dl.Row(buf)
+		for k := range buf {
+			buf[k] = value.Int(-1)
+		}
+	}
+	return dl
+}
+
+// sameRows fails unless got holds want's rows in want's order.
+func sameRows(t *testing.T, what string, got, want *relation.Relation) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d rows, want %d:\n%s\nvs\n%s", what, got.Len(), want.Len(), got, want)
+	}
+	for i, row := range got.Tuples() {
+		if !row.Equal(want.Tuples()[i]) {
+			t.Fatalf("%s: row %d is %v, want %v", what, i, row, want.Tuples()[i])
+		}
+	}
+}
+
+// Seeds of FuzzMaskApply drawing the shapes the sink must get right
+// (TestMaskFuzzSeedShapes checks they still do): an answer of many rows
+// whose stream collapses every other row onto its first, and two answer
+// rows that mask to one delivered row through different mask tuples.
+const (
+	seedCollapse  = 24
+	seedTwoTuples = 26
+)
+
 // FuzzMaskApply checks Apply on random masks, delivered-column lists and
 // answers against a reference it shares no code with: referenceApply
 // when Out is every column in order, and the separate §6(3) application
 // ApplyExtended when Out permutes the columns, leaves some out or repeats
 // one. The delivered rows, their order and the stats must agree. An
-// ungrouped mask is also applied the way a closure refresh delivers an
-// answer: Apply on a prefix, then applyInto over the rest, adopting into
-// the prefix's accumulator; the rows and stats must be Apply's on the
-// whole answer.
+// ungrouped mask also delivers the answer as a cold read does, streamed
+// with repeats through the sink (deliverer), whose relation must hold
+// Apply's rows in canonical order with Apply's stats; and as a closure
+// refresh does: Apply on a prefix, then the rest streamed through the
+// sink and adopted into the prefix's accumulator, whose rows and stats
+// must be Apply's on the whole answer.
 func FuzzMaskApply(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
 	}
-	attrs := []string{"R.A", "R.B", "R.C", "R.D"}
+	f.Add(int64(seedCollapse))
+	f.Add(int64(seedTwoTuples))
+	attrs := fuzzAttrs
 	f.Fuzz(func(t *testing.T, seed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		m := randMask(rng, attrs)
-		// A variable shared by two cells makes a tuple match only rows
-		// agreeing on them.
-		if mt := m.Tuples[0]; rng.Intn(2) == 0 {
-			mt.Cells[rng.Intn(len(attrs))].Var = 1
-			mt.Cells[rng.Intn(len(attrs))].Var = 1
-		}
-		switch rng.Intn(4) {
-		case 0:
-			m.Out = []int{0, 1, 2, 3}
-		case 1:
-			m.Out = rng.Perm(len(attrs))
-		case 2:
-			m.Out = rng.Perm(len(attrs))[:1+rng.Intn(len(attrs)-1)]
-		default: // a column delivered twice, as retrieve (R.A, R.A) does
-			m.Out = rng.Perm(len(attrs))[:1+rng.Intn(len(attrs))]
-			m.Out = append(m.Out, m.Out[0])
-		}
-		ans := randAnswer(rng, attrs, rng.Intn(24))
+		c := newMaskFuzzCase(seed)
+		m, ans := c.m, c.ans
 
 		var want *relation.Relation
 		var wantStats MaskStats
@@ -229,14 +317,7 @@ func FuzzMaskApply(f *testing.F) {
 		if strings.Join(got.Attrs, ",") != strings.Join(want.Attrs, ",") {
 			t.Fatalf("out %v: attributes %v, want %v", m.Out, got.Attrs, want.Attrs)
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("out %v: %d rows, want %d:\n%s\nvs\n%s", m.Out, got.Len(), want.Len(), got, want)
-		}
-		for i, row := range got.Tuples() {
-			if !row.Equal(want.Tuples()[i]) {
-				t.Fatalf("out %v: row %d is %v, want %v", m.Out, i, row, want.Tuples()[i])
-			}
-		}
+		sameRows(t, fmt.Sprintf("out %v", m.Out), got, want)
 		if gotStats != wantStats {
 			t.Fatalf("out %v: stats %+v, want %+v", m.Out, gotStats, wantStats)
 		}
@@ -244,25 +325,75 @@ func FuzzMaskApply(f *testing.F) {
 		if m.compiled().grouped {
 			return
 		}
-		cut := rng.Intn(ans.Len() + 1)
+		canon := got.Clone()
+		canon.Canonicalize()
+		sunk, sunkStats := deliver(m, c.stream, c.expect).relation()
+		if strings.Join(sunk.Attrs, ",") != strings.Join(got.Attrs, ",") {
+			t.Fatalf("out %v: sink attributes %v, want %v", m.Out, sunk.Attrs, got.Attrs)
+		}
+		sameRows(t, fmt.Sprintf("out %v, sink", m.Out), sunk, canon)
+		if sunkStats != gotStats {
+			t.Fatalf("out %v: sink stats %+v, want %+v", m.Out, sunkStats, gotStats)
+		}
+
 		prefix := relation.New(attrs)
-		for _, row := range ans.Tuples()[:cut] {
+		for _, row := range ans.Tuples()[:c.cut] {
 			prefix.Insert(row) //nolint:errcheck
 		}
 		pre, stats := m.Apply(prefix)
 		vm := relation.VersionedOf(pre)
-		m.applyInto(vm, ans.Suffix(cut).Tuples(), &stats)
-		parts := vm.Head()
-		if parts.Len() != got.Len() {
-			t.Fatalf("out %v, cut %d: %d rows in two parts, want %d:\n%s\nvs\n%s", m.Out, cut, parts.Len(), got.Len(), parts, got)
-		}
-		for i, row := range parts.Tuples() {
-			if !row.Equal(got.Tuples()[i]) {
-				t.Fatalf("out %v, cut %d: row %d in two parts is %v, want %v", m.Out, cut, i, row, got.Tuples()[i])
-			}
-		}
+		deliver(m, c.window, 0).adoptInto(vm, &stats)
+		sameRows(t, fmt.Sprintf("out %v, cut %d, two parts", m.Out, c.cut), vm.Head(), got)
 		if stats != gotStats {
-			t.Fatalf("out %v, cut %d: stats in two parts %+v, want %+v", m.Out, cut, stats, gotStats)
+			t.Fatalf("out %v, cut %d: stats in two parts %+v, want %+v", m.Out, c.cut, stats, gotStats)
 		}
 	})
+}
+
+// TestMaskFuzzSeedShapes checks that FuzzMaskApply's named seeds still
+// draw the shapes they are there for.
+func TestMaskFuzzSeedShapes(t *testing.T) {
+	c := newMaskFuzzCase(seedCollapse)
+	first := 0
+	for _, row := range c.stream {
+		if c.ans.Len() > 0 && row.Equal(c.ans.Tuples()[0]) {
+			first++
+		}
+	}
+	ex := c.m.compiled()
+	if ex.grouped || c.ans.Len() < 8 || first < c.ans.Len() || c.m.bestIndex(ex, c.ans.Tuples()[0]) < 0 {
+		t.Errorf("seed %d: %d answer rows, the first streamed %d times, grouped %v; want an ungrouped mask over at least 8 rows collapsing onto the first, which it delivers",
+			seedCollapse, c.ans.Len(), first, ex.grouped)
+	}
+	if !twoTuplesOneRow(newMaskFuzzCase(seedTwoTuples)) {
+		t.Errorf("seed %d: no two answer rows mask to one delivered row through different tuples", seedTwoTuples)
+	}
+}
+
+// twoTuplesOneRow reports whether the case's mask is ungrouped and two of
+// its answer rows mask to one delivered row through different tuples.
+func twoTuplesOneRow(c maskFuzzCase) bool {
+	ex := c.m.compiled()
+	if ex.grouped {
+		return false
+	}
+	rows := c.ans.Tuples()
+	masked := func(t relation.Tuple) (relation.Tuple, int) {
+		bi := c.m.bestIndex(ex, t)
+		if bi < 0 {
+			return nil, bi
+		}
+		row := make(relation.Tuple, len(c.m.Out))
+		maskRow(row, t, ex.reveal[bi], ex.out)
+		return row, bi
+	}
+	for i := range rows {
+		a, ai := masked(rows[i])
+		for j := i + 1; j < len(rows) && a != nil; j++ {
+			if b, bj := masked(rows[j]); b != nil && ai != bj && a.Equal(b) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -71,11 +71,11 @@ type Relation struct {
 // New creates an empty relation over the given attributes.
 func New(attrs []string) *Relation { return NewSized(attrs, 0) }
 
-// NewSized is New with room for n tuples (at most maxPresize), so a
+// NewSized is New with room for n tuples (at most MaxPresize), so a
 // relation built from an input of known length grows neither its tuple
 // slice nor its set.
 func NewSized(attrs []string, n int) *Relation {
-	r := newRelation(append([]string(nil), attrs...), make([]Tuple, 0, min(n, maxPresize)))
+	r := newRelation(append([]string(nil), attrs...), make([]Tuple, 0, min(n, MaxPresize)))
 	r.hasMemb = true
 	return r
 }
@@ -90,6 +90,17 @@ func newRelation(attrs []string, tuples []Tuple) *Relation {
 	}{r: Relation{Attrs: attrs, tuples: tuples}}
 	rc.r.idx = &rc.c
 	return &rc.r
+}
+
+// NewCanonical returns a relation over attrs holding tuples, which the
+// caller guarantees are distinct and in canonical order: it takes
+// ownership of the slice and marks the relation canonical, as
+// Canonicalize would. It has no membership set until an operation
+// needs one.
+func NewCanonical(attrs []string, tuples []Tuple) *Relation {
+	r := newRelation(append([]string(nil), attrs...), tuples)
+	r.canonical = true
+	return r
 }
 
 // FromSchema creates an empty relation matching a relation scheme.

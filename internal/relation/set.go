@@ -150,11 +150,11 @@ func setOf(tuples []Tuple) tupleSet {
 	return s
 }
 
-// maxPresize bounds the rows a builder reserves before it knows how many
+// MaxPresize bounds the rows a builder reserves before it knows how many
 // it keeps (NewSized, a Slab chunk). A projection that collapses a large
 // input, or a mask that drops most rows, then holds at most this much
 // unused room however large the input was.
-const maxPresize = 1024
+const MaxPresize = 1024
 
 // Slab carves tuples of one arity out of shared backing arrays, so a
 // relation built row by row costs one allocation instead of one per row.
@@ -173,14 +173,25 @@ func NewSlab(arity int) Slab { return Slab{arity: arity} }
 
 // Row returns the next row, its cells unspecified: the caller overwrites
 // every one. left is how many more rows the caller may keep, this one
-// included; a new chunk is sized by it (up to maxPresize rows), so a
+// included; a new chunk is sized by it (up to MaxPresize rows), so a
 // build that keeps fewer rows than it visits wastes at most the tail of
 // one chunk.
 func (s *Slab) Row(left int) Tuple {
 	if len(s.free) < s.arity {
-		s.free = make([]value.Value, min(max(left, 1), maxPresize)*s.arity)
+		s.free = make([]value.Value, min(max(left, 1), MaxPresize)*s.arity)
 	}
 	return Tuple(s.free[:s.arity:s.arity])
+}
+
+// Expecting is Row for a builder that expects rows rows in all and has
+// kept kept of them: a chunk holds the rows still expected, and once all
+// are kept, as many again as were kept (at least 8), so an expectation
+// that falls short costs a doubling, not a chunk per row.
+func (s *Slab) Expecting(rows, kept int) Tuple {
+	if rows > kept {
+		return s.Row(rows - kept)
+	}
+	return s.Row(max(kept, 8))
 }
 
 // Keep commits the row the last Row returned.
