@@ -44,11 +44,11 @@ race:
 
 # The allocation budgets: every test that bounds the allocations of a
 # path with testing.AllocsPerRun — a cold read of each acl_cold
-# statement, a closure hit and its reply, and the relation, wire, guard
-# and engine steps beneath them. Allocation counts are the same on every
+# statement, a closure hit and its reply, a closure refresh, and the
+# relation, wire, guard and engine steps beneath them. Allocation counts are the same on every
 # machine, so they gate where timings cannot. Run without -race.
 allocs:
-	$(GO) test -count=1 -run '^(TestColdACLAllocBound|TestClosureHitReplyAllocs|TestClosureHitConvertAllocs)$$' .
+	$(GO) test -count=1 -run '^(TestColdACLAllocBound|TestClosureHitReplyAllocs|TestClosureHitConvertAllocs|TestClosureRefreshAllocs)$$' .
 	$(GO) test -count=1 -run '^(TestSlabRowsAreDisjoint|TestLookupEqAllocatesNothing|TestRenderTableAllocs|TestVersionedInsertAllocs|TestVersionedOfAllocatesNoMap)$$' ./internal/relation
 	$(GO) test -count=1 -run '^(TestAppendResponseAllocs|TestDecodeRequestAllocs|TestDecodeResponseAllocs)$$' ./internal/wire
 	$(GO) test -count=1 -run '^TestNewAllocatesOnlyTheGuard$$' ./internal/guard

@@ -211,29 +211,16 @@ func (a *Authorizer) Explain(user string, def *cview.Def, tr *algebra.Trace) (*D
 
 // decide evaluates the actual side of psj and masks it with mp, the one
 // step every path from a MaskPlan to a Decision takes. prune lets the
-// pushdown fuse (MaskPlan.actualPSJ). Under an ungrouped mask the
-// executor streams its answer rows through the mask (deliverer), so the
-// unmasked answer is never built; a grouped mask needs the whole answer
-// to pick each group's representative, and masks it with Apply.
+// pushdown fuse (MaskPlan.actualPSJ). The executor streams its answer
+// rows through the mask (deliverer), so the unmasked answer is never
+// built, and the delivered relation is canonical from birth.
 func (a *Authorizer) decide(psj *algebra.PSJ, mp *MaskPlan, metaTuples int, prune bool, tr *algebra.Trace) (*Decision, error) {
-	p := mp.actualPSJ(psj, prune)
-	d := &Decision{MaskPlan: mp, PSJ: psj, PushdownApplied: prune && mp.fuses(), MetaTuples: metaTuples}
-	if !mp.Mask.compiled().grouped {
-		dl := mp.Mask.deliverer()
-		if err := algebra.Stream(p, a.Source, a.Guard, tr, dl); err != nil {
-			return nil, err
-		}
-		d.Masked, d.Stats = dl.relation()
-		return d, nil
-	}
-	ans, err := a.evalActual(p, a.Source, tr)
-	if err != nil {
+	dl := mp.Mask.deliverer()
+	if err := algebra.Stream(mp.actualPSJ(psj, prune), a.Source, a.Guard, tr, dl); err != nil {
 		return nil, err
 	}
-	d.Masked, d.Stats = mp.Mask.Apply(ans)
-	// Sorted once here, the delivered relation converts without a sort on
-	// every closure hit until a refresh appends behind it.
-	d.Masked.Canonicalize()
+	d := &Decision{MaskPlan: mp, PSJ: psj, PushdownApplied: prune && mp.fuses(), MetaTuples: metaTuples}
+	d.Masked, d.Stats = dl.relation()
 	return d, nil
 }
 
@@ -257,13 +244,6 @@ func (mp *MaskPlan) actualPSJ(psj *algebra.PSJ, prune bool) *algebra.PSJ {
 // mask tuple, so masking would drop them anyway and pruning early
 // changes nothing delivered. A full grant has nothing to prune.
 func (mp *MaskPlan) fuses() bool { return len(mp.Pushdown) > 0 && !mp.FullyAuthorized }
-
-// evalActual evaluates an actual-side plan against src on the indexed
-// executor under the authorizer's guard, recording access paths in tr
-// when it is non-nil.
-func (a *Authorizer) evalActual(p *algebra.PSJ, src algebra.Source, tr *algebra.Trace) (*relation.Relation, error) {
-	return algebra.EvalPSJ(p, src, a.Guard, algebra.ExecOptions{UseIndexes: true}, tr)
-}
 
 // scanRevs resolves the revision each of the plan's scans reads, in
 // scan order; nil when any scan fails to resolve.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"authdb/internal/algebra"
 	"authdb/internal/cview"
 	"authdb/internal/relation"
 )
@@ -46,7 +47,7 @@ func (a *Authorizer) Certify(quality string, def *cview.Def) (*Certification, er
 	}
 	// Certification delivers the full answer, so the mask may never prune
 	// rows from it — uncertified rows are annotated, not withheld.
-	ans, err := a.evalActual(mp.actualPSJ(an.PSJ, false), a.Source, nil)
+	ans, err := algebra.EvalPSJ(mp.actualPSJ(an.PSJ, false), a.Source, a.Guard, algebra.ExecOptions{UseIndexes: true}, nil)
 	if err != nil {
 		return nil, err
 	}

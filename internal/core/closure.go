@@ -41,12 +41,12 @@ import (
 // (relation.ExtendsByAppend — the common insert-only churn, and a delete
 // that removed only rows appended since), only the appended window is
 // evaluated through the actual-side plan the entry's plan builds
-// (MaskPlan.actualPSJ), its rows are masked through the retained
-// compiled mask, and the masked accumulator grows in place. An
+// (MaskPlan.actualPSJ), streamed through the mask's deliverer, and
+// merged into the entry's delivered rows (deliverer.merge). An
 // ungrouped mask delivers each answer row on its own, so a window row
-// that repeats an answer row masks to a row the accumulator already
-// holds. A grouped mask (§6(3) leaving a column
-// out) picks one row per group across the whole answer, which a window
+// that repeats an answer row masks to a row the entry already holds,
+// and the merge drops it. A grouped mask (§6(3) leaving a column out)
+// picks one row per group across the whole answer, which a window
 // cannot revise; like a delete of a stamped row, reallocation and
 // multi-scan plans, it falls back to recomputing the actual side, and
 // Lookup hands back the entry's plan so the meta pipeline is skipped.
@@ -55,10 +55,10 @@ import (
 // removes it.
 //
 // One-mask-tuple-per-row soundness is preserved by construction: a
-// refresh masks the appended window through the sink a cold read masks
-// with (deliverer), adopting into the accumulator, so the materialized
-// masked relation is identical to applying the mask row by row, and no
-// row ever discloses the union of several tuples' reveals.
+// refresh masks the appended window through the step a cold read
+// delivers with (deliverer), so every resident row is a row that step
+// delivered, and no row ever discloses the union of several tuples'
+// reveals.
 //
 // The closure is engine-global while stores and revisions are
 // per-version: keys stay coherent because definition ids are unique
@@ -81,8 +81,8 @@ type Closure struct {
 }
 
 // closureEntry is one resident materialization: the mask plan, the
-// revision stamps, the delivered relation, its statistics, its
-// accumulator and its encoded reply section — what the key and the
+// revision stamps, the delivered relation, its statistics and its
+// encoded reply section — what the key and the
 // stamps cannot rebuild. The plan survives data churn; the rest is
 // keyed to the stamped revisions. Every field is read and written under
 // Closure.mu.
@@ -93,25 +93,18 @@ type closureEntry struct {
 	// revs pins the scanned relation revisions the result was built
 	// against, in scan order.
 	revs []*relation.Relation
-	// masked is the served delivered relation, to be treated as
-	// read-only by every consumer (the same contract as published MVCC
-	// revisions — read via Tuples, Sorted, Len; never Insert or
-	// Contains). It keeps no membership set: Store releases it, or hands
-	// it to vm. It is in canonical order when stored (Retrieve
-	// canonicalizes it), so Sorted serves it without a copy; a refresh
-	// appends rows behind that prefix, so each read of a refreshed
-	// result sorts a copy. stats counts it.
+	// masked is the served delivered relation, immutable (the same
+	// contract as published MVCC revisions — read via Tuples, Sorted,
+	// Len; never Insert or Contains). It is canonical with no membership
+	// set, as every delivered relation is, so Sorted serves it without a
+	// copy; a refresh replaces it with a merged successor. stats counts
+	// it.
 	masked *relation.Relation
 	stats  MaskStats
 	// reply holds masked's encoded reply section, empty until the first
 	// reply reads the entry. It belongs to masked: wherever masked is
 	// replaced, so is reply.
 	reply *ReplySection
-	// vm accumulates the delivered relation grow-only (MVCC-style:
-	// published heads are immutable, appends build successors); present
-	// only for single-scan plans with an ungrouped mask, the ones that
-	// refresh.
-	vm *relation.Versioned
 }
 
 // DefaultClosureCap bounds an engine's mask closure. Entries hold
@@ -243,7 +236,7 @@ func (c *Closure) Lookup(a *Authorizer, key string, psj *algebra.PSJ, revs []*re
 		c.mu.Unlock()
 		return d, nil, nil
 	}
-	if e.vm == nil || len(revs) != 1 || !relation.ExtendsByAppend(e.revs[0], revs[0]) {
+	if len(revs) != 1 || e.plan.Mask.compiled().grouped || !relation.ExtendsByAppend(e.revs[0], revs[0]) {
 		// Data moved beyond repair for this entry, but the plan is the
 		// definitions' alone: the recompute runs the actual side through
 		// it. The entry stays resident meanwhile — readers pinned to its
@@ -254,19 +247,19 @@ func (c *Closure) Lookup(a *Authorizer, key string, psj *algebra.PSJ, revs []*re
 		c.mu.Unlock()
 		return nil, plan, nil
 	}
-	oldRev := e.revs[0]
-	base := oldRev.Len()
-	plan := e.plan
+	oldRev, masked, stats, plan := e.revs[0], e.masked, e.stats, e.plan
 	c.mu.Unlock()
 
-	// Evaluate just the appended window through the retained plan,
-	// unlocked: the window and the old revision are immutable.
-	tail := revs[0].Suffix(base)
+	// Evaluate just the appended window through the retained plan and
+	// merge its delivered rows into the entry's, unlocked: the window,
+	// the old revision and the entry's rows are immutable.
+	tail := revs[0].Suffix(oldRev.Len())
 	src := algebra.MapSource(map[string]*relation.Relation{psj.Scans[0].Rel: tail})
 	dl := plan.Mask.deliverer()
 	if err := algebra.Stream(plan.actualPSJ(psj, true), src, a.Guard, nil, dl); err != nil {
 		return nil, nil, err
 	}
+	masked, stats = dl.merge(masked, stats)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -283,13 +276,13 @@ func (c *Closure) Lookup(a *Authorizer, key string, psj *algebra.PSJ, revs []*re
 		c.planHits++
 		return nil, plan, nil
 	}
-	// A window row that projects onto an answer row already seen masks
-	// to a row vm holds, and Adopt refuses it.
-	dl.adoptInto(e.vm, &e.stats)
+	// The entry still holds the rows merged into: only a refresh past
+	// oldRev or a Store replaces them.
 	e.revs = append([]*relation.Relation(nil), revs...)
-	if head := e.vm.Head(); head != e.masked {
-		e.masked, e.reply = head, new(ReplySection)
+	if masked != e.masked {
+		e.masked, e.reply = masked, new(ReplySection)
 	}
+	e.stats = stats
 	c.refreshes++
 	c.hits++
 	return decisionFor(e, psj), nil, nil
@@ -297,12 +290,9 @@ func (c *Closure) Lookup(a *Authorizer, key string, psj *algebra.PSJ, revs []*re
 
 // Store materializes a freshly computed decision under key, the one
 // its Lookup missed: its mask plan, the revision stamps, the delivered
-// relation and its statistics, and — for single-scan plans with an
-// ungrouped mask — the masked accumulator.
-// Store takes ownership of d.Masked in the MVCC sense: its published
-// prefix stays immutable, later refreshes extend the shared backing
-// array past it. It gives d the entry's empty reply
-// section, so the reply to this very retrieve builds it.
+// relation and its statistics. A refresh never modifies d.Masked; it
+// replaces it with a merged successor. Store gives d the entry's empty
+// reply section, so the reply to this very retrieve builds it.
 func (c *Closure) Store(key string, revs []*relation.Relation, d *Decision) {
 	if c == nil || d == nil {
 		return
@@ -315,13 +305,6 @@ func (c *Closure) Store(key string, revs []*relation.Relation, d *Decision) {
 		reply:  new(ReplySection),
 	}
 	d.Reply = e.reply
-	if len(revs) == 1 && !d.Mask.compiled().grouped {
-		e.vm = relation.VersionedOf(d.Masked)
-	} else {
-		// Nothing ever inserts into a result that cannot be refreshed, and
-		// readers never probe its membership: drop the set.
-		d.Masked.ReleaseMembership()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {

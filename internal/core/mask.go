@@ -154,11 +154,17 @@ type maskExec struct {
 
 // compiled returns the mask's compiled form, building it on first use.
 // A concurrent race builds identical values; the last store wins and
-// every caller proceeds with a correct copy.
+// every caller proceeds with a correct copy. It is small enough to
+// inline, so the deliverer reads it per row instead of keeping a copy.
 func (m *Mask) compiled() *maskExec {
 	if e := m.exec.Load(); e != nil {
 		return e
 	}
+	return m.compile()
+}
+
+// compile builds and stores the mask's compiled form.
+func (m *Mask) compile() *maskExec {
 	e := &maskExec{
 		stars:     make([]int, len(m.Tuples)),
 		reveal:    make([][]bool, len(m.Tuples)),
@@ -257,65 +263,45 @@ func (s *MaskStats) count(revealed, width int) {
 // the §4.2 self-join refinement produces a single merged tuple that
 // reveals the union by itself.
 //
-// The answer carries the mask's columns; the delivered relation carries
-// the ones Out lists, in its order. A grouped mask (§6(3) with a column left out) delivers each
-// group of answer rows sharing their delivered values once, through the
-// pre-image whose best tuple reveals the most, the first on ties: the
-// delivered row is still the projection of a tuple of one inferred
-// permitted subview.
-//
-// Star counts and reveal templates come precomputed from the compiled
-// form rather than being recounted inside the row loop. The output is
-// sized by the answer and its rows are carved from one slab. The stats
-// count a row when the output accepts it: two answer rows can mask to
-// the same delivered row.
+// Apply feeds the answer's rows to the deliverer, the one delivery step
+// every read takes, and returns its relation: canonical, as every
+// delivered relation is.
 func (m *Mask) Apply(ans *relation.Relation) (*relation.Relation, MaskStats) {
-	ex := m.compiled()
-	tuples := ans.Tuples()
-	attrs := ans.Attrs
-	if ex.out != nil {
-		attrs = make([]string, len(ex.out))
-		for j, k := range ex.out {
-			attrs[j] = ans.Attrs[k]
-		}
+	d := m.deliverer()
+	d.Open(ans.Attrs, ans.Len())
+	for _, t := range ans.Tuples() {
+		d.Row(t)
 	}
-	if ex.grouped {
-		tuples = m.representatives(ex, tuples)
-	}
-	var stats MaskStats
-	out := relation.NewSized(attrs, len(tuples))
-	slab := relation.NewSlab(len(m.Out))
-	for n, t := range tuples {
-		bi := m.bestIndex(ex, t)
-		if bi < 0 {
-			continue
-		}
-		row := slab.Row(len(tuples) - n)
-		maskRow(row, t, ex.reveal[bi], ex.out)
-		if out.Adopt(row) {
-			slab.Keep()
-			stats.count(ex.stars[bi], len(m.Out))
-		}
-	}
-	return out, stats
+	return d.relation()
 }
 
-// deliverer is the algebra.Sink of a read under an ungrouped mask: it
-// masks each answer row, as the executor streams it, through its best
-// tuple (bestIndex, maskRow, as Apply does) into one slab, carrying that
-// tuple's star count, and drops a row no tuple reveals. Neither the
-// unmasked answer nor a membership set for it is built. Rows arrive
-// with repeats, since the projection deduplicates nothing, and two
-// answer rows can mask to one delivered row: relation and adoptInto
+// deliverer is the algebra.Sink every delivery goes through: it masks
+// each answer row, as the executor streams it, through its best tuple
+// (bestIndex, maskRow) into one slab, and drops a row no tuple reveals.
+// Neither the unmasked answer nor a membership set for it is built.
+// Rows arrive with repeats, since the projection deduplicates nothing,
+// and two answer rows can mask to one delivered row: relation and merge
 // drop both kinds of duplicate, the first occurrence winning. A row
 // equal to the last one kept is dropped at once; rows that each sort
 // after the last kept need no sort at all.
+//
+// The answer carries the mask's columns; the delivered relation carries
+// the ones Out lists, in its order. A grouped mask (§6(3) with a column
+// left out) delivers each group of answer rows sharing their delivered
+// values once, through the pre-image whose best tuple stars the most
+// delivered columns, the first to arrive on ties: the delivered row is
+// still the projection of a tuple of one inferred permitted subview.
 type deliverer struct {
 	m     *Mask
-	ex    *maskExec
 	attrs []string
 	slab  relation.Slab
-	rows  []maskedRow
+	// rows are the kept rows in arrival order. Under a grouped mask each
+	// is a group's delivered values, unmasked until sorted masks it
+	// through the group's best tuple.
+	rows []maskedRow
+	// groups holds, under a grouped mask, the groups' delivered values,
+	// each at its group's position in rows.
+	groups *relation.Relation
 	// expect is the number of rows the executor expects to hand over.
 	expect int
 	// unsorted records that a kept row sorts before the one kept before
@@ -324,39 +310,49 @@ type deliverer struct {
 	unsorted bool
 }
 
-// maskedRow is a delivered row and the star count of the tuple that
-// delivered it.
+// maskedRow is a delivered row and the position in Mask.Tuples of the
+// tuple that delivers it, -1 for a group no member's tuple reveals.
 type maskedRow struct {
-	t     relation.Tuple
-	stars int
+	t    relation.Tuple
+	best int
 }
 
-// deliverer returns a sink for the mask, which must be ungrouped.
+// deliverer returns a sink for the mask.
 func (m *Mask) deliverer() *deliverer {
-	return &deliverer{m: m, ex: m.compiled(), slab: relation.NewSlab(len(m.Out))}
+	return &deliverer{m: m, slab: relation.NewSlab(len(m.Out))}
 }
 
 // Open takes the answer's attributes, of which the delivered relation
 // carries the ones Out lists, in its order, and the rows expected, which
 // size the slab.
 func (d *deliverer) Open(attrs []string, rows int) {
+	ex := d.m.compiled()
 	d.attrs, d.expect = attrs, rows
-	if d.ex.out != nil {
-		d.attrs = make([]string, len(d.ex.out))
-		for j, k := range d.ex.out {
+	if ex.out != nil {
+		d.attrs = make([]string, len(ex.out))
+		for j, k := range ex.out {
 			d.attrs[j] = attrs[k]
 		}
 	}
+	if ex.grouped {
+		d.groups = relation.NewSized(d.attrs, rows)
+	}
 }
 
-// Row masks one answer row.
+// Row masks one answer row or, under a grouped mask, files it under its
+// group.
 func (d *deliverer) Row(t relation.Tuple) {
-	bi := d.m.bestIndex(d.ex, t)
+	ex := d.m.compiled()
+	bi := d.m.bestIndex(ex, t)
+	if ex.grouped {
+		d.group(ex, t, bi)
+		return
+	}
 	if bi < 0 {
 		return
 	}
 	row := d.slab.Expecting(d.expect, len(d.rows))
-	maskRow(row, t, d.ex.reveal[bi], d.ex.out)
+	maskRow(row, t, ex.reveal[bi], ex.out)
 	if n := len(d.rows); n > 0 {
 		switch c := d.rows[n-1].t.Compare(row); {
 		case c == 0:
@@ -365,88 +361,126 @@ func (d *deliverer) Row(t relation.Tuple) {
 			d.unsorted = true
 		}
 	}
+	d.keep(row, bi)
+}
+
+// group files answer row t, whose best tuple is bi, under the group of
+// rows sharing its delivered values: a new group keeps t's values, and
+// an old one takes bi when it stars more delivered columns than the
+// group's best so far.
+func (d *deliverer) group(ex *maskExec, t relation.Tuple, bi int) {
+	key := d.slab.Expecting(d.expect, len(d.rows))
+	for j, k := range ex.out {
+		key[j] = t[k]
+	}
+	if gi := d.groups.Find(key); gi >= 0 {
+		if g := &d.rows[gi]; bi >= 0 && (g.best < 0 || ex.stars[bi] > ex.stars[g.best]) {
+			g.best = bi
+		}
+		return
+	}
+	d.groups.Adopt(key)
+	d.keep(key, bi)
+}
+
+// keep commits row, the slab's last, delivered by tuple bi.
+func (d *deliverer) keep(row relation.Tuple, bi int) {
 	d.slab.Keep()
 	if d.rows == nil {
 		d.rows = make([]maskedRow, 0, max(min(d.expect, relation.MaxPresize), 1))
 	}
-	d.rows = append(d.rows, maskedRow{row, d.ex.stars[bi]})
+	d.rows = append(d.rows, maskedRow{row, bi})
+}
+
+// sorted returns the delivered rows: under a grouped mask, each group's
+// values masked through its best tuple, a group none reveals dropped;
+// then sorted once, stably, each run of equal rows reduced to its first.
+// That gives set semantics, the first occurrence winning, and canonical
+// order.
+func (d *deliverer) sorted(ex *maskExec) []maskedRow {
+	rows := d.rows
+	if ex.grouped {
+		rows = rows[:0]
+		for _, r := range d.rows {
+			if r.best >= 0 {
+				maskRow(r.t, r.t, ex.reveal[r.best], nil)
+				rows = append(rows, r)
+			}
+		}
+		d.unsorted = true
+	}
+	if !d.unsorted {
+		return rows
+	}
+	slices.SortStableFunc(rows, func(a, b maskedRow) int { return a.t.Compare(b.t) })
+	uniq := rows[:0]
+	for _, r := range rows {
+		if len(uniq) == 0 || !uniq[len(uniq)-1].t.Equal(r.t) {
+			uniq = append(uniq, r)
+		}
+	}
+	return uniq
 }
 
 // relation returns the delivered relation of a fresh decision and its
-// stats: the kept rows sorted once, stably, each run of equal rows
-// reduced to its first, which gives Apply's set semantics, tie-breaks
-// included, and Canonicalize's order. When that drops a row, the rows
-// left are copied into one array of exactly their cells, so no slab
-// storage of a dropped row stays reachable. The relation is marked
-// canonical, with no membership set.
+// stats.
 func (d *deliverer) relation() (*relation.Relation, MaskStats) {
-	uniq := d.rows
-	if d.unsorted {
-		slices.SortStableFunc(d.rows, func(a, b maskedRow) int { return a.t.Compare(b.t) })
-		uniq = d.rows[:0]
-		for _, r := range d.rows {
-			if len(uniq) == 0 || !uniq[len(uniq)-1].t.Equal(r.t) {
-				uniq = append(uniq, r)
+	return d.merge(nil, MaskStats{})
+}
+
+// merge returns base, a canonical delivered relation that stats count
+// (nil for none), with the delivered rows merged in, in one linear pass,
+// and its stats: a row equal to one of base is dropped, and the stats
+// count only the rows taken. base is left as it is; when nothing is
+// taken it is returned itself. When a row is dropped, the rows taken are
+// copied into one array of exactly their cells, so no slab storage of a
+// dropped row stays reachable. The relation is marked canonical, with no
+// membership set.
+func (d *deliverer) merge(base *relation.Relation, stats MaskStats) (*relation.Relation, MaskStats) {
+	ex := d.m.compiled()
+	rows := d.sorted(ex)
+	var old []relation.Tuple
+	if base != nil {
+		old = base.Tuples()
+	}
+	taken := rows
+	if len(old) > 0 {
+		taken = rows[:0]
+		i := 0
+		for _, r := range rows {
+			for i < len(old) && old[i].Compare(r.t) < 0 {
+				i++
+			}
+			if i == len(old) || !old[i].Equal(r.t) {
+				taken = append(taken, r)
 			}
 		}
 	}
+	if base != nil && len(taken) == 0 {
+		return base, stats
+	}
 	width := len(d.m.Out)
 	var cells []value.Value
-	if len(uniq) < len(d.rows) {
-		cells = make([]value.Value, len(uniq)*width)
+	if len(taken) < len(d.rows) {
+		cells = make([]value.Value, len(taken)*width)
 	}
-	tuples := make([]relation.Tuple, len(uniq))
-	var stats MaskStats
-	for i, r := range uniq {
-		tuples[i] = r.t
+	tuples := make([]relation.Tuple, 0, len(old)+len(taken))
+	i := 0
+	for _, r := range taken {
+		t := r.t
 		if cells != nil {
-			tuples[i] = cells[i*width : (i+1)*width : (i+1)*width]
-			copy(tuples[i], r.t)
+			t, cells = cells[:width:width], cells[width:]
+			copy(t, r.t)
 		}
-		stats.count(r.stars, width)
+		for i < len(old) && old[i].Compare(t) < 0 {
+			tuples = append(tuples, old[i])
+			i++
+		}
+		tuples = append(tuples, t)
+		stats.count(ex.stars[r.best], width)
 	}
+	tuples = append(tuples, old[i:]...)
 	return relation.NewCanonical(d.attrs, tuples), stats
-}
-
-// adoptInto adopts the kept rows into out, a closure entry's
-// accumulator, in the order they arrived, counting in stats each row
-// out takes.
-func (d *deliverer) adoptInto(out *relation.Versioned, stats *MaskStats) {
-	for _, r := range d.rows {
-		if out.Adopt(r.t) {
-			stats.count(r.stars, len(d.m.Out))
-		}
-	}
-}
-
-// representatives returns, per group of tuples sharing their delivered
-// values and in order of first appearance, the member whose best tuple
-// stars the most delivered columns — the first on ties, the first member
-// when none reveals anything.
-func (m *Mask) representatives(ex *maskExec, tuples []relation.Tuple) []relation.Tuple {
-	// keys holds each group's delivered values at the group's position.
-	keys := relation.NewSized(make([]string, len(ex.out)), len(tuples))
-	slab := relation.NewSlab(len(ex.out))
-	var reps []relation.Tuple
-	var best []int
-	for n, t := range tuples {
-		key := slab.Row(len(tuples) - n)
-		for j, k := range ex.out {
-			key[j] = t[k]
-		}
-		bi := m.bestIndex(ex, t)
-		gi := keys.Find(key)
-		if gi < 0 {
-			keys.Adopt(key)
-			slab.Keep()
-			reps, best = append(reps, t), append(best, bi)
-			continue
-		}
-		if bi >= 0 && (best[gi] < 0 || ex.stars[bi] > ex.stars[best[gi]]) {
-			reps[gi], best[gi] = t, bi
-		}
-	}
-	return reps
 }
 
 // maskRow fills row with the delivered cells of t that revealed marks

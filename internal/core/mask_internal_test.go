@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -258,45 +259,55 @@ func deliver(m *Mask, rows []relation.Tuple, expect int) *deliverer {
 	return dl
 }
 
-// sameRows fails unless got holds want's rows in want's order.
+// sameRows fails unless got holds want's rows in canonical order, the
+// order of every delivered relation.
 func sameRows(t *testing.T, what string, got, want *relation.Relation) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d rows, want %d:\n%s\nvs\n%s", what, got.Len(), want.Len(), got, want)
 	}
-	for i, row := range got.Tuples() {
-		if !row.Equal(want.Tuples()[i]) {
-			t.Fatalf("%s: row %d is %v, want %v", what, i, row, want.Tuples()[i])
+	for i, row := range want.Sorted() {
+		if !got.Tuples()[i].Equal(row) {
+			t.Fatalf("%s: row %d is %v, want %v", what, i, got.Tuples()[i], row)
 		}
 	}
 }
 
 // Seeds of FuzzMaskApply drawing the shapes the sink must get right
 // (TestMaskFuzzSeedShapes checks they still do): an answer of many rows
-// whose stream collapses every other row onto its first, and two answer
-// rows that mask to one delivered row through different mask tuples.
+// whose stream collapses every other row onto its first, two answer
+// rows that mask to one delivered row through different mask tuples,
+// a window row that masks to a row the prefix delivers, which the merge
+// must drop, and a group under a grouped mask two of whose rows' best
+// tuples star as many delivered columns but reveal different ones, so
+// the first to arrive must win.
 const (
-	seedCollapse  = 24
-	seedTwoTuples = 26
+	seedCollapse     = 24
+	seedTwoTuples    = 26
+	seedWindowRepeat = 62
+	seedGroupTie     = 79
 )
 
 // FuzzMaskApply checks Apply on random masks, delivered-column lists and
 // answers against a reference it shares no code with: referenceApply
 // when Out is every column in order, and the separate §6(3) application
 // ApplyExtended when Out permutes the columns, leaves some out or repeats
-// one. The delivered rows, their order and the stats must agree. An
-// ungrouped mask also delivers the answer as a cold read does, streamed
-// with repeats through the sink (deliverer), whose relation must hold
-// Apply's rows in canonical order with Apply's stats; and as a closure
-// refresh does: Apply on a prefix, then the rest streamed through the
-// sink and adopted into the prefix's accumulator, whose rows and stats
-// must be Apply's on the whole answer.
+// one. The delivered rows, in canonical order, and the stats must agree.
+// The answer is also delivered as a cold read delivers it, streamed with
+// repeats through the sink (deliverer), grouped masks included, whose
+// relation must hold the same rows in the same order with the same
+// stats. An ungrouped mask delivers it as a closure refresh does too:
+// Apply on a prefix, then the rest streamed through the sink and merged
+// into the prefix's delivered relation, which must stay as it was, while
+// the merged rows and stats must be Apply's on the whole answer.
 func FuzzMaskApply(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
 	}
 	f.Add(int64(seedCollapse))
 	f.Add(int64(seedTwoTuples))
+	f.Add(int64(seedWindowRepeat))
+	f.Add(int64(seedGroupTie))
 	attrs := fuzzAttrs
 	f.Fuzz(func(t *testing.T, seed int64) {
 		c := newMaskFuzzCase(seed)
@@ -322,30 +333,31 @@ func FuzzMaskApply(f *testing.F) {
 			t.Fatalf("out %v: stats %+v, want %+v", m.Out, gotStats, wantStats)
 		}
 
-		if m.compiled().grouped {
-			return
-		}
-		canon := got.Clone()
-		canon.Canonicalize()
 		sunk, sunkStats := deliver(m, c.stream, c.expect).relation()
 		if strings.Join(sunk.Attrs, ",") != strings.Join(got.Attrs, ",") {
 			t.Fatalf("out %v: sink attributes %v, want %v", m.Out, sunk.Attrs, got.Attrs)
 		}
-		sameRows(t, fmt.Sprintf("out %v, sink", m.Out), sunk, canon)
+		sameRows(t, fmt.Sprintf("out %v, sink", m.Out), sunk, want)
 		if sunkStats != gotStats {
 			t.Fatalf("out %v: sink stats %+v, want %+v", m.Out, sunkStats, gotStats)
 		}
 
+		if m.compiled().grouped {
+			return // a window cannot revise a group: grouped entries never refresh
+		}
 		prefix := relation.New(attrs)
 		for _, row := range ans.Tuples()[:c.cut] {
 			prefix.Insert(row) //nolint:errcheck
 		}
 		pre, stats := m.Apply(prefix)
-		vm := relation.VersionedOf(pre)
-		deliver(m, c.window, 0).adoptInto(vm, &stats)
-		sameRows(t, fmt.Sprintf("out %v, cut %d, two parts", m.Out, c.cut), vm.Head(), got)
-		if stats != gotStats {
-			t.Fatalf("out %v, cut %d: stats in two parts %+v, want %+v", m.Out, c.cut, stats, gotStats)
+		preRows := slices.Clone(pre.Tuples())
+		merged, mergedStats := deliver(m, c.window, 0).merge(pre, stats)
+		sameRows(t, fmt.Sprintf("out %v, cut %d, two parts", m.Out, c.cut), merged, want)
+		if mergedStats != gotStats {
+			t.Fatalf("out %v, cut %d: stats in two parts %+v, want %+v", m.Out, c.cut, mergedStats, gotStats)
+		}
+		if !slices.EqualFunc(pre.Tuples(), preRows, relation.Tuple.Equal) {
+			t.Fatalf("out %v, cut %d: the merge changed the prefix's rows", m.Out, c.cut)
 		}
 	})
 }
@@ -368,29 +380,80 @@ func TestMaskFuzzSeedShapes(t *testing.T) {
 	if !twoTuplesOneRow(newMaskFuzzCase(seedTwoTuples)) {
 		t.Errorf("seed %d: no two answer rows mask to one delivered row through different tuples", seedTwoTuples)
 	}
+	if !windowRepeatsPrefix(newMaskFuzzCase(seedWindowRepeat)) {
+		t.Errorf("seed %d: no window row masks to a row the prefix delivers", seedWindowRepeat)
+	}
+	if !groupTie(newMaskFuzzCase(seedGroupTie)) {
+		t.Errorf("seed %d: no group holds two rows whose best tuples tie on stars and reveal different columns", seedGroupTie)
+	}
+}
+
+// groupTie reports whether the case's mask is grouped and two answer
+// rows sharing their delivered values have best tuples that star as many
+// delivered columns but mask them to different rows.
+func groupTie(c maskFuzzCase) bool {
+	ex := c.m.compiled()
+	if !ex.grouped {
+		return false
+	}
+	rows := c.ans.Tuples()
+	for i := range rows {
+		a, ai := c.masked(rows[i])
+		for j := i + 1; j < len(rows) && a != nil; j++ {
+			same := true
+			for _, k := range ex.out {
+				same = same && rows[i][k].Equal(rows[j][k])
+			}
+			if b, bj := c.masked(rows[j]); same && b != nil && ex.stars[ai] == ex.stars[bj] && !a.Equal(b) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// masked returns the delivered row of answer row t under the case's
+// mask and the tuple delivering it, or nil and -1 when none reveals it.
+func (c maskFuzzCase) masked(t relation.Tuple) (relation.Tuple, int) {
+	ex := c.m.compiled()
+	bi := c.m.bestIndex(ex, t)
+	if bi < 0 {
+		return nil, bi
+	}
+	row := make(relation.Tuple, len(c.m.Out))
+	maskRow(row, t, ex.reveal[bi], ex.out)
+	return row, bi
+}
+
+// windowRepeatsPrefix reports whether the case's mask is ungrouped and a
+// row of its window masks to a row that a row of its prefix masks to.
+func windowRepeatsPrefix(c maskFuzzCase) bool {
+	if c.m.compiled().grouped {
+		return false
+	}
+	rows := c.ans.Tuples()
+	for _, p := range rows[:c.cut] {
+		a, _ := c.masked(p)
+		for _, w := range rows[c.cut:] {
+			if b, _ := c.masked(w); a != nil && b != nil && a.Equal(b) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // twoTuplesOneRow reports whether the case's mask is ungrouped and two of
 // its answer rows mask to one delivered row through different tuples.
 func twoTuplesOneRow(c maskFuzzCase) bool {
-	ex := c.m.compiled()
-	if ex.grouped {
+	if c.m.compiled().grouped {
 		return false
 	}
 	rows := c.ans.Tuples()
-	masked := func(t relation.Tuple) (relation.Tuple, int) {
-		bi := c.m.bestIndex(ex, t)
-		if bi < 0 {
-			return nil, bi
-		}
-		row := make(relation.Tuple, len(c.m.Out))
-		maskRow(row, t, ex.reveal[bi], ex.out)
-		return row, bi
-	}
 	for i := range rows {
-		a, ai := masked(rows[i])
+		a, ai := c.masked(rows[i])
 		for j := i + 1; j < len(rows) && a != nil; j++ {
-			if b, bj := masked(rows[j]); b != nil && ai != bj && a.Equal(b) {
+			if b, bj := c.masked(rows[j]); b != nil && ai != bj && a.Equal(b) {
 				return true
 			}
 		}

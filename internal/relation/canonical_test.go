@@ -56,8 +56,10 @@ func TestCanonicalMarkFollowsOrder(t *testing.T) {
 					r.Append(tp)
 				}
 			case 3, 4:
-				op = "Canonicalize"
-				r.Canonicalize()
+				op = "NewCanonical"
+				tuples := slices.Clone(r.Tuples())
+				slices.SortFunc(tuples, Tuple.Compare)
+				r = NewCanonical(r.Attrs, tuples)
 			case 5:
 				op = "Clone"
 				r = r.Clone()

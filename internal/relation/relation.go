@@ -60,10 +60,10 @@ type Relation struct {
 	memb    tupleSet
 	hasMemb bool
 	// canonical records that tuples are in canonical order, so Sorted
-	// need not check: Canonicalize sets it, Insert, Adopt and Append
-	// clear it, and every relation built anew (each Versioned revision
-	// included) starts without it. Delete and Clone keep the order and
-	// the mark. It sits in hasMemb's padding.
+	// need not check: NewCanonical sets it, Insert, Adopt and Append
+	// clear it, and every other relation built anew (each Versioned
+	// revision included) starts without it. Clone keeps the order and the
+	// mark. It sits in hasMemb's padding.
 	canonical bool
 	idx       *indexCache
 }
@@ -94,9 +94,9 @@ func newRelation(attrs []string, tuples []Tuple) *Relation {
 
 // NewCanonical returns a relation over attrs holding tuples, which the
 // caller guarantees are distinct and in canonical order: it takes
-// ownership of the slice and marks the relation canonical, as
-// Canonicalize would. It has no membership set until an operation
-// needs one.
+// ownership of the slice and marks the relation canonical, so every
+// Sorted returns the tuples without a check or a copy. It has no
+// membership set until an operation needs one.
 func NewCanonical(attrs []string, tuples []Tuple) *Relation {
 	r := newRelation(append([]string(nil), attrs...), tuples)
 	r.canonical = true
@@ -233,14 +233,13 @@ func (r *Relation) Clone() *Relation {
 }
 
 // Sorted returns the tuples in canonical (lexicographic) order without
-// mutating the relation. A canonical relation — a masked answer is
-// canonicalized when the closure stores it — returns its own tuples
-// with cap == len, neither checked, copied nor sorted: the caller must
-// not modify them, and its appends cannot reach a backing array a later
-// Versioned insert extends. Any other relation that happens to be in
-// order is returned the same way after a check; otherwise (a refresh
-// appended rows behind the canonical prefix, or a base relation in
-// insertion order) it sorts a copy.
+// mutating the relation. A canonical relation — every delivered
+// relation is one — returns its own tuples with cap == len, neither
+// checked, copied nor sorted: the caller must not modify them, and its
+// appends cannot reach a backing array a later Versioned insert
+// extends. Any other relation that happens to be in order is returned
+// the same way after a check; otherwise (a base relation in insertion
+// order) it sorts a copy.
 func (r *Relation) Sorted() []Tuple {
 	if r.canonical || slices.IsSortedFunc(r.tuples, Tuple.Compare) {
 		return r.tuples[:len(r.tuples):len(r.tuples)]
@@ -248,20 +247,6 @@ func (r *Relation) Sorted() []Tuple {
 	out := slices.Clone(r.tuples)
 	slices.SortFunc(out, Tuple.Compare)
 	return out
-}
-
-// Canonicalize puts the tuples into canonical order in place and marks
-// the relation canonical, so every later Sorted returns them without a
-// check or a copy until an insert or an append clears the mark. It
-// invalidates the membership set (positions moved) and the secondary
-// indexes, so it is for a relation still owned by its builder, never a
-// published revision. Tuples are a set and Compare is 0 only for Equal
-// tuples, so the order is unique and an unstable sort is enough.
-func (r *Relation) Canonicalize() {
-	slices.SortFunc(r.tuples, Tuple.Compare)
-	r.canonical = true
-	r.ReleaseMembership()
-	r.idx.bump()
 }
 
 // Equal reports set equality with s: same attribute list and same tuples.

@@ -230,55 +230,46 @@ func TestSortedOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestCanonicalize checks that sorting in place keeps membership and the
-// indexes right: Contains, Insert, an index lookup and a Versioned adopted
-// afterwards all still find every tuple.
-func TestCanonicalize(t *testing.T) {
+// TestNewCanonical checks that a relation built canonical, with no
+// membership set, keeps membership and the indexes right: Contains,
+// Insert, an index lookup and a Versioned adopted afterwards all find
+// every tuple.
+func TestNewCanonical(t *testing.T) {
 	build := func() (*Relation, []Tuple) {
-		r := New([]string{"A", "B"})
 		var in []Tuple
 		for _, i := range []int64{5, 3, 9, 1, 7} {
-			tp := Tuple{vi(i), vi(i % 2)}
-			r.MustInsert(tp...)
-			in = append(in, tp)
+			in = append(in, Tuple{vi(i), vi(i % 2)})
 		}
-		return r, in
+		tuples := slices.Clone(in)
+		slices.SortFunc(tuples, Tuple.Compare)
+		return NewCanonical([]string{"A", "B"}, tuples), in
 	}
 	r, in := build()
-	if n := len(r.LookupEq(1, vi(1))); n != 5 {
-		t.Fatalf("index lookup before Canonicalize found %d tuples, want 5", n)
-	}
-	r.Canonicalize()
-	if !slices.IsSortedFunc(r.Tuples(), Tuple.Compare) {
-		t.Fatalf("Canonicalize left %v out of order", r.Tuples())
-	}
-	// Same length, so only Canonicalize's invalidation rebuilds the index.
 	hits := r.LookupEq(1, vi(1))
 	if len(hits) != 5 || !slices.IsSortedFunc(hits, Tuple.Compare) {
-		t.Fatalf("index lookup after Canonicalize = %v, want the 5 odd tuples in order", hits)
+		t.Fatalf("index lookup on a canonical relation = %v, want the 5 odd tuples in order", hits)
 	}
 	for _, tp := range in {
 		if !r.Contains(tp) {
-			t.Fatalf("Contains(%v) false after Canonicalize", tp)
+			t.Fatalf("Contains(%v) false on a canonical relation", tp)
 		}
 	}
 	if ok, _ := r.Insert(in[2]); ok {
-		t.Fatal("Insert admitted a duplicate after Canonicalize")
+		t.Fatal("Insert admitted a duplicate into a canonical relation")
 	}
 	if ok, _ := r.Insert(Tuple{vi(4), vi(0)}); !ok || !r.Contains(Tuple{vi(4), vi(0)}) {
-		t.Fatal("Insert of a new tuple after Canonicalize was lost")
+		t.Fatal("Insert of a new tuple into a canonical relation was lost")
 	}
 
 	r, in = build()
-	r.Canonicalize()
 	v := VersionedOf(r)
 	for _, tp := range in {
 		if !v.Contains(tp) {
-			t.Fatalf("VersionedOf(...).Contains(%v) false after Canonicalize", tp)
+			t.Fatalf("VersionedOf(...).Contains(%v) false on a canonical relation", tp)
 		}
 	}
 	if ok, _ := v.Insert(in[0]); ok {
-		t.Fatal("Versioned insert admitted a duplicate after Canonicalize")
+		t.Fatal("Versioned insert admitted a duplicate into a canonical relation")
 	}
 }
 

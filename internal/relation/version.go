@@ -66,28 +66,17 @@ func (v *Versioned) Insert(t Tuple) (bool, error) {
 	if len(t) != len(v.head.Attrs) {
 		return false, fmt.Errorf("arity mismatch: tuple has %d values, relation %d attributes", len(t), len(v.head.Attrs))
 	}
-	return v.insert(t, true), nil
-}
-
-// Adopt is Insert without the copy, with Relation.Adopt's ownership
-// contract. The arity must match.
-func (v *Versioned) Adopt(t Tuple) bool { return v.insert(t, false) }
-
-func (v *Versioned) insert(t Tuple, clone bool) bool {
 	old := v.head
 	pos, h, taken := v.memb.find(old.tuples, t)
 	if pos >= 0 {
-		return false
-	}
-	if clone {
-		t = t.Clone()
+		return false, nil
 	}
 	v.memb.add(h, taken, len(old.tuples), len(old.tuples))
 	// Shares old's backing array when capacity allows: the single-writer
 	// contract guarantees only the newest revision's frontier is ever
 	// appended to, so older heads' prefixes are never overwritten.
-	v.head = newRelation(old.Attrs, append(old.tuples, t))
-	return true
+	v.head = newRelation(old.Attrs, append(old.tuples, t.Clone()))
+	return true, nil
 }
 
 // Delete removes the tuples satisfying pred by publishing a successor
