@@ -217,35 +217,62 @@ func TestColdGuardUnits(t *testing.T) {
 }
 
 // TestColdACLAllocBound bounds the allocations of one cold read of each
-// statement class by principal u7, about a tenth above what it
-// allocates. Before membership keyed on value hashes and masked rows came
-// from one slab per relation, every answer and masked row cost a clone
-// plus a rendered key string (org_list 2174, group_join 1651); before the
-// last step streamed through the mask, the last join made a row at a
-// time and the answer was built with a membership set of its own before
-// masking (parent: org_list 131, group_join 794, point 123).
+// statement class by principal u7, and the bytes they take, each about a
+// tenth above what the read allocates. Before membership keyed on value
+// hashes and masked rows came from one slab per relation, every answer
+// and masked row cost a clone plus a rendered key string (org_list 2174,
+// group_join 1651); before the last step streamed through the mask, the
+// last join made a row at a time and the answer was built with a
+// membership set of its own before masking (org_list 131, group_join
+// 794, point 123). The parent's figures are from before NewCanonical
+// took its attribute list without a copy and before a cell held its
+// string by id in 16 pointer-free bytes rather than inline in 32.
 func TestColdACLAllocBound(t *testing.T) {
 	auth, acl := coldACL(t)
 	const u = 7
 	for _, c := range []struct {
 		q           int
 		max, parent float64
+		maxBytes    float64
+		parentBytes float64
 	}{
-		{fixture.QOrgList, 123, 131},
-		{fixture.QGroupJoin, 594, 794},
-		{fixture.QPoint, 134, 123},
+		{fixture.QOrgList, 122, 112, 55_830, 71_888},
+		{fixture.QGroupJoin, 593, 540, 139_330, 171_848},
+		{fixture.QPoint, 133, 122, 8_040, 8_080},
 	} {
 		def := workload.MustQuery(acl.Query(u, c.q))
-		allocs := testing.AllocsPerRun(20, func() {
+		read := func() {
 			if _, err := auth.Retrieve(fixture.Principal(u), def); err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%s: %.0f allocations", fixture.ACLQueryNames[c.q], allocs)
+		}
+		name := fixture.ACLQueryNames[c.q]
+		allocs := testing.AllocsPerRun(20, read)
+		bytes := bytesPerRun(20, read)
+		t.Logf("%s: %.0f allocations, %.0f bytes", name, allocs, bytes)
 		if allocs > c.max {
-			t.Errorf("%s allocated %.0f objects, want at most %.0f (parent %.0f)", fixture.ACLQueryNames[c.q], allocs, c.max, c.parent)
+			t.Errorf("%s allocated %.0f objects, want at most %.0f (parent %.0f)", name, allocs, c.max, c.parent)
+		}
+		if bytes > c.maxBytes {
+			t.Errorf("%s allocated %.0f bytes, want at most %.0f (parent %.0f)", name, bytes, c.maxBytes, c.parentBytes)
 		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for the bytes f allocates: their
+// average over runs calls, after one call that is not counted, on one
+// processor.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return float64((ms.TotalAlloc - before) / uint64(runs))
 }
 
 // parentClosureHeap is the heap, in bytes, that TestClosureResidentHeap's
@@ -257,10 +284,10 @@ func TestColdACLAllocBound(t *testing.T) {
 // on amd64.
 const parentClosureHeap int64 = 16_562_896
 
-// closureHeapBound is TestClosureResidentHeap's limit: the 4.59 MB its
-// entries hold once a delivered relation keeps no membership set,
-// measured with go1.24.0 on linux/amd64, plus a tenth.
-const closureHeapBound int64 = 5_050_000
+// closureHeapBound is TestClosureResidentHeap's limit: the 2.97 MB its
+// entries hold once a delivered relation keeps no membership set and a
+// cell is 16 bytes, measured with go1.24.0 on linux/amd64, plus a tenth.
+const closureHeapBound int64 = 3_270_000
 
 // TestClosureResidentHeap bounds what a full closure keeps resident: 85
 // principals of the benchmark's ACL database, three statements each,
@@ -320,7 +347,7 @@ func TestClosureResidentHeap(t *testing.T) {
 	t.Logf("closure heap: %.2f MB for %d entries, %.2f MB of them reply sections (parent %.2f MB)",
 		float64(growth)/1e6, len(keys), float64(st.ReplyBytes)/1e6, float64(parentClosureHeap)/1e6)
 	if growth > closureHeapBound {
-		t.Errorf("closure heap %d B, want at most %d B (4.59 MB measured with go1.24.0, plus a tenth; this is %s)",
+		t.Errorf("closure heap %d B, want at most %d B (2.97 MB measured with go1.24.0, plus a tenth; this is %s)",
 			growth, closureHeapBound, runtime.Version())
 	}
 }
@@ -1063,6 +1090,9 @@ func TestClosureRefreshAllocs(t *testing.T) {
 		small, large, smallAfter, largeAfter, smallHit, largeHit)
 	if small != large {
 		t.Errorf("a refresh allocated %.0f objects over 200 resident rows but %.0f over 2000", small, large)
+	}
+	if small > 58 {
+		t.Errorf("a refresh allocated %.0f objects, want at most 58 (59 while NewCanonical copied its attribute list)", small)
 	}
 	if smallAfter != smallHit || largeAfter != largeHit {
 		t.Errorf("the hit after a refresh allocated %.0f and %.0f objects, a hit before any refresh %.0f and %.0f", smallAfter, largeAfter, smallHit, largeHit)

@@ -17,6 +17,7 @@ import (
 	"authdb/internal/guard"
 	"authdb/internal/metrics"
 	"authdb/internal/parser"
+	"authdb/internal/value"
 )
 
 // ErrNotAuthorized reports that the session's principal lacks the
@@ -72,6 +73,19 @@ func (e *Engine) registerMetrics() {
 	})
 	e.met.GaugeFunc("authdb_mask_closure_reply_bytes", func() float64 {
 		return float64(e.MaskClosureStats().ReplyBytes)
+	})
+	// The process-wide string intern table behind every string cell
+	// (internal/value): it only grows, so these say what the process has
+	// ever parsed. Its size depends on every principal's data, so like
+	// every series here it is the operator's alone (\stats is
+	// administrator-only, /metrics listens on the operator's address).
+	e.met.GaugeFunc("authdb_value_strings", func() float64 {
+		n, _ := value.Interned()
+		return float64(n)
+	})
+	e.met.GaugeFunc("authdb_value_string_bytes", func() float64 {
+		_, b := value.Interned()
+		return float64(b)
 	})
 	// Replication lag is an LSN delta, so both ends of a stream expose
 	// their position: applied, durable, and the snapshot generation.

@@ -3,8 +3,10 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"authdb/internal/core"
 	"authdb/internal/engine"
@@ -145,5 +147,46 @@ func TestStatsIgnoreHiddenRows(t *testing.T) {
 	}
 	if with, without := read(true), read(false); with != without {
 		t.Fatalf("Example 1 reads %+v with the hidden row, %+v without", with, without)
+	}
+}
+
+// TestValueGauges: the intern table's gauges count a string the first
+// time any statement parses it, and like every series they reach only
+// an administrator: their size depends on data no user's views cover.
+func TestValueGauges(t *testing.T) {
+	e := paperEngine(t)
+	admin := e.NewSession("admin", true)
+	ctx := context.Background()
+	gauges := func() (n, bytes float64) {
+		t.Helper()
+		res, err := admin.Dispatch(ctx, `\stats`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(res.Text, "\n") {
+			name, v, _ := strings.Cut(line, " ")
+			f, _ := strconv.ParseFloat(v, 64)
+			switch name {
+			case "authdb_value_strings":
+				n = f
+			case "authdb_value_string_bytes":
+				bytes = f
+			}
+		}
+		if n == 0 || bytes == 0 {
+			t.Fatalf("\\stats lacks the value gauges:\n%s", res.Text)
+		}
+		return n, bytes
+	}
+	n0, b0 := gauges()
+	fresh := "gauge-" + strconv.FormatInt(time.Now().UnixNano(), 36)
+	if _, err := admin.Exec(`insert into PROJECT values (` + fresh + `, Acme, 1)`); err != nil {
+		t.Fatal(err)
+	}
+	if n1, b1 := gauges(); n1 != n0+1 || b1 != b0+float64(len(fresh)) {
+		t.Errorf("after interning %q the gauges read %v strings, %v bytes; before %v, %v", fresh, n1, b1, n0, b0)
+	}
+	if _, err := e.NewSession("Brown", false).Dispatch(ctx, `\stats`); !errors.Is(err, engine.ErrNotAuthorized) {
+		t.Fatalf("user \\stats error = %v, want ErrNotAuthorized", err)
 	}
 }

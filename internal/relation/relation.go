@@ -94,11 +94,13 @@ func newRelation(attrs []string, tuples []Tuple) *Relation {
 
 // NewCanonical returns a relation over attrs holding tuples, which the
 // caller guarantees are distinct and in canonical order: it takes
-// ownership of the slice and marks the relation canonical, so every
+// ownership of both slices and marks the relation canonical, so every
 // Sorted returns the tuples without a check or a copy. It has no
-// membership set until an operation needs one.
+// membership set until an operation needs one. No relation writes its
+// attribute list after it is built, so attrs may be one another
+// relation holds.
 func NewCanonical(attrs []string, tuples []Tuple) *Relation {
-	r := newRelation(append([]string(nil), attrs...), tuples)
+	r := newRelation(attrs, tuples)
 	r.canonical = true
 	return r
 }

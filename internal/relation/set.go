@@ -1,14 +1,6 @@
 package relation
 
-import (
-	"hash/maphash"
-
-	"authdb/internal/value"
-)
-
-// hashSeed keys string hashing. It differs per process; no output is
-// ever produced by iterating a set, so it cannot change any order.
-var hashSeed = maphash.MakeSeed()
+import "authdb/internal/value"
 
 // Per-kind tags keep Int(1), String("1") and Null apart in the hash.
 const (
@@ -27,13 +19,16 @@ func mix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// hashValue is a kind-tagged 64-bit hash of one value.
+// hashValue is a kind-tagged 64-bit hash of one value. A string hashes
+// by its process-local id, which depends on the order strings arrived
+// in; no output is ever produced by iterating a set, so it cannot change
+// any order.
 func hashValue(v value.Value) uint64 {
 	switch v.Kind() {
 	case value.KindInt:
 		return mix64(uint64(v.AsInt()) ^ tagInt)
 	case value.KindString:
-		return maphash.String(hashSeed, v.AsString()) ^ tagStr
+		return mix64(v.LocalID() ^ tagStr)
 	default:
 		return tagNull
 	}

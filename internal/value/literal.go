@@ -1,5 +1,7 @@
 package value
 
+import "strings"
+
 // Literal renders v as a statement-language literal that reparses to an
 // equal value: integers in decimal, strings bare when they lex as a
 // single identifier and double-quoted otherwise. The null value has no
@@ -8,10 +10,11 @@ package value
 func Literal(v Value) string {
 	switch v.kind {
 	case KindString:
-		if bareWord(v.s) {
-			return v.s
+		s := lookup(v.i)
+		if bareWord(s) {
+			return s
 		}
-		return `"` + v.s + `"`
+		return `"` + s + `"`
 	default:
 		return v.String()
 	}
@@ -24,14 +27,7 @@ func Representable(v Value) bool {
 	if v.kind == KindNull {
 		return false
 	}
-	if v.kind == KindString {
-		for i := 0; i < len(v.s); i++ {
-			if v.s[i] == '"' {
-				return false
-			}
-		}
-	}
-	return true
+	return v.kind != KindString || !strings.Contains(lookup(v.i), `"`)
 }
 
 // bareWord mirrors the statement lexer's identifier rule for an ASCII

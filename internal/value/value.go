@@ -45,10 +45,16 @@ func (k Kind) String() string {
 
 // Value is a single constant from an attribute domain. The zero Value is
 // the null value. Values are comparable with == and usable as map keys.
+//
+// A Value is 16 bytes and holds no pointer, so the collector never scans
+// a cell: an integer is its payload, and a string is the id of its one
+// copy in the process-wide intern table (intern.go). Each distinct
+// string has one id, so == and map keys mean what they meant when the
+// string was held inline. An id depends on the order strings arrived in
+// and is never ordered, stored or sent: Compare orders by contents.
 type Value struct {
 	kind Kind
 	i    int64
-	s    string
 }
 
 // Null returns the null value.
@@ -57,8 +63,9 @@ func Null() Value { return Value{} }
 // Int returns an integer value.
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
-// String returns a string value.
-func String(s string) Value { return Value{kind: KindString, s: s} }
+// String returns a string value. The first String of a given content
+// copies it into the intern table, so s may alias a larger buffer.
+func String(s string) Value { return Value{kind: KindString, i: intern(s)} }
 
 // Kind reports the domain of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -67,10 +74,26 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsInt returns the integer payload; it is 0 for non-integer values.
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return v.i
+}
 
 // AsString returns the string payload; it is "" for non-string values.
-func (v Value) AsString() string { return v.s }
+func (v Value) AsString() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return lookup(v.i)
+}
+
+// LocalID returns a key, for hashing, that two values of one kind share
+// exactly when they are equal: an integer's payload, a string's id. It
+// is process-local: a string's id depends on the order strings arrived
+// in, so the key must never be ordered, stored, sent or rendered.
+func (v Value) LocalID() uint64 { return uint64(v.i) }
 
 // Compare imposes a deterministic total order over all values, kind-major
 // (null < int < string) and natural within a kind. The total order is what
@@ -93,7 +116,9 @@ func (v Value) Compare(w Value) int {
 			return 1
 		}
 	case KindString:
-		return strings.Compare(v.s, w.s)
+		if v.i != w.i {
+			return strings.Compare(lookup(v.i), lookup(w.i))
+		}
 	}
 	return 0
 }
@@ -113,6 +138,6 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	default:
-		return v.s
+		return lookup(v.i)
 	}
 }
