@@ -49,7 +49,7 @@ race:
 # machine, so they gate where timings cannot. Run without -race.
 allocs:
 	$(GO) test -count=1 -run '^(TestColdACLAllocBound|TestClosureHitReplyAllocs|TestClosureHitConvertAllocs|TestClosureRefreshAllocs)$$' .
-	$(GO) test -count=1 -run '^(TestSlabRowsAreDisjoint|TestLookupEqAllocatesNothing|TestRenderTableAllocs|TestVersionedInsertAllocs|TestVersionedOfAllocatesNoMap)$$' ./internal/relation
+	$(GO) test -count=1 -run '^(TestSlabRowsAreDisjoint|TestLookupEqAllocatesNothing|TestRenderTableAllocs|TestVersionedInsertAllocs|TestRelationFootprint)$$' ./internal/relation
 	$(GO) test -count=1 -run '^(TestAppendResponseAllocs|TestDecodeRequestAllocs|TestDecodeResponseAllocs)$$' ./internal/wire
 	$(GO) test -count=1 -run '^TestNewAllocatesOnlyTheGuard$$' ./internal/guard
 	$(GO) test -count=1 -run '^(TestPublishAllocsIndependentOfRelations|TestObserveExecAllocsNothing)$$' ./internal/engine

@@ -38,15 +38,13 @@ func TestFixturesSatisfyDeclaredKeys(t *testing.T) {
 					continue
 				}
 				keyed++
-				keys := relation.New(rs.KeyAttrs())
-				for _, tp := range f.Rels[name].Tuples() {
+				keys := relation.NewSet(rs.KeyAttrs(), 0)
+				for _, tp := range f.Rels[name].Head().Tuples() {
 					k := make(relation.Tuple, len(rs.Key))
 					for i, j := range rs.Key {
 						k[i] = tp[j]
 					}
-					if added, err := keys.Insert(k); err != nil {
-						t.Fatal(err)
-					} else if !added {
+					if !keys.Add(k) {
 						t.Errorf("%s: two rows share the key %v", name, k)
 					}
 				}

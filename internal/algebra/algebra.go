@@ -217,33 +217,32 @@ func EvalNaive(p *PSJ, src Source, g *guard.Guard) (*relation.Relation, error) {
 			return nil, err
 		}
 	}
-	return out.out, nil
+	return out.set.Relation(), nil
 }
 
 // guardedProduct is relation.Product with per-output-row accounting, its
 // rows carved from one slab. A nil guard accounts nothing.
 func guardedProduct(l, r *relation.Relation, g *guard.Guard) (*relation.Relation, error) {
-	var out collector
-	out.Open(append(append([]string(nil), l.Attrs...), r.Attrs...), l.Len()*r.Len())
+	var out distinctRows
+	out.open(append(append([]string(nil), l.Attrs...), r.Attrs...), l.Len()*r.Len())
 	if err := product(l, r, g, out.add); err != nil {
 		return nil, err
 	}
-	return out.out, nil
+	return out.relation(), nil
 }
 
 // guardedSelect is relation.Select with per-input-row accounting (the
 // scan over the input is the work being bounded).
 func guardedSelect(in *relation.Relation, pred func(relation.Tuple) bool, g *guard.Guard) (*relation.Relation, error) {
-	out := relation.New(in.Attrs)
+	// Selections of a set are distinct: no membership check.
+	var kept []relation.Tuple
 	for _, t := range in.Tuples() {
 		if err := g.Add(1); err != nil {
 			return nil, err
 		}
 		if pred(t) {
-			// Selections of a proper set are duplicate-free, so the
-			// no-dedup Append path applies.
-			out.Append(t)
+			kept = append(kept, t)
 		}
 	}
-	return out, nil
+	return relation.NewDistinct(in.Attrs, kept), nil
 }

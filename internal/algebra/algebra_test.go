@@ -13,6 +13,16 @@ import (
 
 func vi(i int64) value.Value { return value.Int(i) }
 
+// rel returns a relation over attrs holding the distinct ones of tuples,
+// in first-occurrence order.
+func rel(attrs []string, tuples ...relation.Tuple) *relation.Relation {
+	s := relation.NewSet(attrs, len(tuples))
+	for _, t := range tuples {
+		s.Add(t)
+	}
+	return s.Relation()
+}
+
 // fixture builds a small two-relation database:
 //
 //	R(A, B): (1,10) (2,20) (3,30)
@@ -22,16 +32,10 @@ func fixture() (*relation.DBSchema, Source) {
 	sch.Add(relation.MustSchema("R", []string{"A", "B"})) //nolint:errcheck
 	sch.Add(relation.MustSchema("S", []string{"B", "C"})) //nolint:errcheck
 	sch.Add(relation.MustSchema("T", []string{"D"}, "D")) //nolint:errcheck
-	r := relation.New([]string{"A", "B"})
-	r.MustInsert(vi(1), vi(10))
-	r.MustInsert(vi(2), vi(20))
-	r.MustInsert(vi(3), vi(30))
-	s := relation.New([]string{"B", "C"})
-	s.MustInsert(vi(10), value.String("x"))
-	s.MustInsert(vi(20), value.String("y"))
-	s.MustInsert(vi(40), value.String("z"))
-	tt := relation.New([]string{"D"})
-	tt.MustInsert(vi(1))
+	r := rel([]string{"A", "B"}, relation.Tuple{vi(1), vi(10)}, relation.Tuple{vi(2), vi(20)}, relation.Tuple{vi(3), vi(30)})
+	s := rel([]string{"B", "C"},
+		relation.Tuple{vi(10), value.String("x")}, relation.Tuple{vi(20), value.String("y")}, relation.Tuple{vi(40), value.String("z")})
+	tt := rel([]string{"D"}, relation.Tuple{vi(1)})
 	return sch, MapSource(map[string]*relation.Relation{"R": r, "S": s, "T": tt})
 }
 
@@ -67,8 +71,7 @@ func TestSelectProjectProduct(t *testing.T) {
 	if out.Len() != 2 {
 		t.Fatalf("join rows = %d, want 2\n%s", out.Len(), out)
 	}
-	if !out.Contains(relation.Tuple{vi(1), value.String("x")}) ||
-		!out.Contains(relation.Tuple{vi(2), value.String("y")}) {
+	if !out.Equal(rel(out.Attrs, relation.Tuple{vi(1), value.String("x")}, relation.Tuple{vi(2), value.String("y")})) {
 		t.Fatalf("join content wrong\n%s", out)
 	}
 }

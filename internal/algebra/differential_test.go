@@ -54,7 +54,7 @@ func genRel(rng *rand.Rand, name string, arity, rows int) *relation.Relation {
 	for j := range attrs {
 		attrs[j] = fmt.Sprintf("A%d", j)
 	}
-	r := relation.New(attrs)
+	r := relation.NewSet(attrs, rows)
 	for i := 0; i < rows; i++ {
 		t := make(relation.Tuple, arity)
 		t[0] = value.Int(int64(i))
@@ -69,9 +69,9 @@ func genRel(rng *rand.Rand, name string, arity, rows int) *relation.Relation {
 			pair := collidingPairs[rng.Intn(2)]
 			t[1], t[3] = value.String(pair[0]), value.String(pair[1])
 		}
-		r.MustInsert(t...)
+		r.Add(t)
 	}
-	return r
+	return r.Relation()
 }
 
 var diffOps = []value.Cmp{value.EQ, value.NE, value.LT, value.LE, value.GT, value.GE}
@@ -399,7 +399,7 @@ func nestedLoop(c diffCase) (*relation.Relation, error) {
 			return nil, err
 		}
 	}
-	out := relation.New(c.plan.Cols)
+	out := relation.NewSet(c.plan.Cols, 0)
 	row := make(relation.Tuple, 0, len(attrs))
 	var walk func(k int)
 	walk = func(k int) {
@@ -409,7 +409,7 @@ func nestedLoop(c diffCase) (*relation.Relation, error) {
 				for i, j := range idx {
 					p[i] = row[j]
 				}
-				out.Adopt(p)
+				out.Add(p)
 			}
 			return
 		}
@@ -421,7 +421,7 @@ func nestedLoop(c diffCase) (*relation.Relation, error) {
 		}
 	}
 	walk(0)
-	return out, nil
+	return out.Relation(), nil
 }
 
 // relationsEqualExact reports whether two relations are identical tuple

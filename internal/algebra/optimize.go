@@ -35,7 +35,7 @@ func EvalPSJ(p *PSJ, src Source, g *guard.Guard, opt ExecOptions, tr *Trace) (*r
 	if err := Stream(p, src, g, tr, &c); err != nil {
 		return nil, err
 	}
-	return c.out, nil
+	return c.set.Relation(), nil
 }
 
 // Stream evaluates a PSJ query choosing an access path per scan and a
@@ -157,11 +157,12 @@ func joinAll(p *PSJ, parts []*scanPart, start int, remainingEq, remainingOther [
 		}
 		var pl *pipe
 		var perr error
-		var b collector
-		if joined == len(parts)-1 {
+		var b distinctRows
+		last := joined == len(parts)-1
+		if last {
 			pl, perr = lastPipe(attrs, rows, &remainingEq, &remainingOther, p.Cols, g, sink)
 		} else {
-			b.Open(attrs, rows)
+			b.open(attrs, rows)
 			pl = &pipe{g: g, sels: resolvable(attrs, &remainingEq, &remainingOther), emit: b.add}
 		}
 		kind, err := sp.join(cur, eqs, g, pl.push)
@@ -172,7 +173,9 @@ func joinAll(p *PSJ, parts []*scanPart, start int, remainingEq, remainingOther [
 		if perr != nil {
 			return perr
 		}
-		cur = b.out
+		if !last {
+			cur = b.relation()
+		}
 	}
 	return nil
 }
@@ -278,41 +281,58 @@ func projection(attrs []string, idx []int, rows int, g *guard.Guard, sink Sink) 
 	}
 }
 
-// collector materializes rows into a relation, carving each from one
-// slab sized by the rows expected, growing with the rows kept beyond
-// them. As a Sink it keeps each distinct row once, in first-occurrence
-// order, the answer EvalPSJ returns; add appends a row the caller knows
-// is new (pairs of rows of two sets, and selections of them, are
-// distinct).
+// collector is the Sink EvalPSJ materializes an answer with: it keeps
+// each distinct row once, in first-occurrence order, carving each from
+// one slab sized by the rows expected, growing with the rows kept beyond
+// them.
 type collector struct {
-	out  *relation.Relation
+	set  relation.Set
 	slab relation.Slab
 	rows int
 }
 
-// Open starts the relation over attrs, with room for rows rows.
+// Open starts the set over attrs, with room for rows rows.
 func (c *collector) Open(attrs []string, rows int) {
-	c.out, c.slab, c.rows = relation.NewSized(attrs, rows), relation.NewSlab(len(attrs)), rows
+	c.set, c.slab, c.rows = relation.NewSet(attrs, rows), relation.NewSlab(len(attrs)), rows
 }
 
-// Row adopts a copy of t unless the relation holds it.
+// Row adopts a copy of t unless the set holds it.
 func (c *collector) Row(t relation.Tuple) {
-	if c.out.Adopt(c.copyOf(t)) {
+	row := c.slab.Expecting(c.rows, c.set.Len())
+	copy(row, t)
+	if c.set.Add(row) {
 		c.slab.Keep()
 	}
 }
 
-func (c *collector) add(t relation.Tuple) error {
-	c.out.Append(c.copyOf(t))
-	c.slab.Keep()
+// distinctRows materializes rows the caller knows are distinct — pairs
+// of rows of two sets, and selections of them — carving each from one
+// slab as collector does, with no membership check.
+type distinctRows struct {
+	attrs  []string
+	tuples []relation.Tuple
+	slab   relation.Slab
+	rows   int
+}
+
+// open starts the rows over attrs, with room for rows of them.
+func (b *distinctRows) open(attrs []string, rows int) {
+	*b = distinctRows{attrs: attrs, tuples: make([]relation.Tuple, 0, min(rows, relation.MaxPresize)),
+		slab: relation.NewSlab(len(attrs)), rows: rows}
+}
+
+// add keeps a copy of t.
+func (b *distinctRows) add(t relation.Tuple) error {
+	row := b.slab.Expecting(b.rows, len(b.tuples))
+	copy(row, t)
+	b.slab.Keep()
+	b.tuples = append(b.tuples, row)
 	return nil
 }
 
-// copyOf copies t into the slab's next row, not yet kept.
-func (c *collector) copyOf(t relation.Tuple) relation.Tuple {
-	row := c.slab.Expecting(c.rows, c.out.Len())
-	copy(row, t)
-	return row
+// relation returns the rows kept as a relation.
+func (b *distinctRows) relation() *relation.Relation {
+	return relation.NewDistinct(b.attrs, b.tuples)
 }
 
 // scanPart is one scan on its way into the join: the shared base rename,
@@ -380,17 +400,16 @@ func (sp *scanPart) materialize(g *guard.Guard) error {
 	if err != nil {
 		return err
 	}
-	out := relation.New(sp.base.Attrs)
+	// Selections of a set are distinct: no membership check.
+	var kept []relation.Tuple
 	err = sp.read(ap, g, func(t relation.Tuple) error {
-		// Selections of a proper set are duplicate-free, so the no-dedup
-		// Append path applies.
-		out.Append(t)
+		kept = append(kept, t)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	sp.rel, sp.est = out, out.Len()
+	sp.rel, sp.est = relation.NewDistinct(sp.base.Attrs, kept), len(kept)
 	return nil
 }
 

@@ -93,12 +93,10 @@ type closureEntry struct {
 	// revs pins the scanned relation revisions the result was built
 	// against, in scan order.
 	revs []*relation.Relation
-	// masked is the served delivered relation, immutable (the same
-	// contract as published MVCC revisions — read via Tuples, Sorted,
-	// Len; never Insert or Contains). It is canonical with no membership
-	// set, as every delivered relation is, so Sorted serves it without a
-	// copy; a refresh replaces it with a merged successor. stats counts
-	// it.
+	// masked is the served delivered relation, immutable like every
+	// relation. It is canonical, as every delivered relation is, so
+	// Sorted serves it without a copy; a refresh replaces it with a
+	// merged successor. stats counts it.
 	masked *relation.Relation
 	stats  MaskStats
 	// reply holds masked's encoded reply section, empty until the first

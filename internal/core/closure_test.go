@@ -14,28 +14,17 @@ import (
 	"authdb/internal/workload"
 )
 
-// mvccFixture wraps a fixture's relations in Versioned lineages so data
-// churn follows the engine's MVCC discipline the closure relies on:
-// every mutation publishes a successor revision (a fresh *Relation),
-// never mutating a pointer the closure may have stamped.
+// mvccFixture churns a fixture's data through its Versioned lineages,
+// the engine's MVCC discipline the closure relies on: every change
+// publishes a successor revision (a fresh *Relation), never mutating a
+// pointer the closure may have stamped.
 type mvccFixture struct {
 	f    *workload.Fixture
 	vers map[string]*relation.Versioned
 }
 
 func newMVCCFixture(f *workload.Fixture) *mvccFixture {
-	m := &mvccFixture{f: f, vers: make(map[string]*relation.Versioned)}
-	for name, r := range f.Rels {
-		m.vers[name] = relation.VersionedOf(r)
-	}
-	m.sync()
-	return m
-}
-
-func (m *mvccFixture) sync() {
-	for name, v := range m.vers {
-		m.f.Rels[name] = v.Head()
-	}
+	return &mvccFixture{f: f, vers: f.Rels}
 }
 
 func (m *mvccFixture) insert(rel string, vals ...int64) {
@@ -46,13 +35,10 @@ func (m *mvccFixture) insert(rel string, vals ...int64) {
 	if _, err := m.vers[rel].Insert(t); err != nil {
 		panic(err)
 	}
-	m.sync()
 }
 
 func (m *mvccFixture) deleteWhere(rel string, pred func(relation.Tuple) bool) int {
-	n := m.vers[rel].Delete(pred)
-	m.sync()
-	return n
+	return m.vers[rel].Delete(pred)
 }
 
 // compareDecisions fails unless the two decisions agree on everything a

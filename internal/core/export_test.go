@@ -70,7 +70,7 @@ func (m *Mask) ApplyExtended(wide *relation.Relation, outIdx []int, outAttrs []s
 		}
 	}
 	var stats MaskStats
-	out := relation.New(outAttrs)
+	out := relation.NewSet(outAttrs, 0)
 	for _, g := range groups {
 		if g.count == 0 {
 			continue
@@ -82,9 +82,9 @@ func (m *Mask) ApplyExtended(wide *relation.Relation, outIdx []int, outAttrs []s
 			}
 		}
 		// Groups differing only in withheld cells mask to one row.
-		if out.Adopt(row) {
+		if out.Add(row) {
 			stats.count(g.count, len(row))
 		}
 	}
-	return out, stats
+	return out.Relation(), stats
 }

@@ -301,7 +301,7 @@ type deliverer struct {
 	rows []maskedRow
 	// groups holds, under a grouped mask, the groups' delivered values,
 	// each at its group's position in rows.
-	groups *relation.Relation
+	groups relation.Set
 	// expect is the number of rows the executor expects to hand over.
 	expect int
 	// unsorted records that a kept row sorts before the one kept before
@@ -335,7 +335,7 @@ func (d *deliverer) Open(attrs []string, rows int) {
 		}
 	}
 	if ex.grouped {
-		d.groups = relation.NewSized(d.attrs, rows)
+		d.groups = relation.NewSet(d.attrs, rows)
 	}
 }
 
@@ -379,7 +379,7 @@ func (d *deliverer) group(ex *maskExec, t relation.Tuple, bi int) {
 		}
 		return
 	}
-	d.groups.Adopt(key)
+	d.groups.Add(key)
 	d.keep(key, bi)
 }
 
@@ -434,8 +434,7 @@ func (d *deliverer) relation() (*relation.Relation, MaskStats) {
 // count only the rows taken. base is left as it is; when nothing is
 // taken it is returned itself. When a row is dropped, the rows taken are
 // copied into one array of exactly their cells, so no slab storage of a
-// dropped row stays reachable. The relation is marked canonical, with no
-// membership set.
+// dropped row stays reachable. The relation is marked canonical.
 func (d *deliverer) merge(base *relation.Relation, stats MaskStats) (*relation.Relation, MaskStats) {
 	ex := d.m.compiled()
 	rows := d.sorted(ex)

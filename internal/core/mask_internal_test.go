@@ -19,7 +19,7 @@ import (
 // tie-breaks included.
 func referenceApply(m *Mask, ans *relation.Relation) (*relation.Relation, MaskStats) {
 	var stats MaskStats
-	out := relation.New(ans.Attrs)
+	out := relation.NewSet(ans.Attrs, 0)
 	width := ans.Arity()
 	for _, t := range ans.Tuples() {
 		var best *MetaTuple
@@ -61,14 +61,14 @@ func referenceApply(m *Mask, ans *relation.Relation) (*relation.Relation, MaskSt
 				row[k] = value.Null()
 			}
 		}
-		if ok, _ := out.Insert(row); !ok {
+		if !out.Add(row) {
 			continue
 		}
 		stats.Rows++
 		stats.Cells += width
 		stats.RevealedCells += cells
 	}
-	return out, stats
+	return out.Relation(), stats
 }
 
 // randMask builds a mask of one to six tuples over attrs: random stars
@@ -108,7 +108,7 @@ var collidingPairs = [2][2]value.Value{
 // of small integers, some holding a colliding pair in two adjacent
 // cells.
 func randAnswer(rng *rand.Rand, attrs []string, rows int) *relation.Relation {
-	ans := relation.New(attrs)
+	ans := relation.NewSet(attrs, rows)
 	for r := 0; r < rows; r++ {
 		t := make(relation.Tuple, len(attrs))
 		for k := range t {
@@ -117,9 +117,9 @@ func randAnswer(rng *rand.Rand, attrs []string, rows int) *relation.Relation {
 		if rng.Intn(3) == 0 {
 			copy(t[rng.Intn(len(t)-1):], collidingPairs[rng.Intn(2)][:])
 		}
-		ans.Insert(t) //nolint:errcheck
+		ans.Add(t)
 	}
-	return ans
+	return ans.Relation()
 }
 
 // TestApplyMatchesReference fuzzes randomized masks — overlapping
@@ -345,11 +345,7 @@ func FuzzMaskApply(f *testing.F) {
 		if m.compiled().grouped {
 			return // a window cannot revise a group: grouped entries never refresh
 		}
-		prefix := relation.New(attrs)
-		for _, row := range ans.Tuples()[:c.cut] {
-			prefix.Insert(row) //nolint:errcheck
-		}
-		pre, stats := m.Apply(prefix)
+		pre, stats := m.Apply(relation.NewDistinct(attrs, ans.Tuples()[:c.cut]))
 		preRows := slices.Clone(pre.Tuples())
 		merged, mergedStats := deliver(m, c.window, 0).merge(pre, stats)
 		sameRows(t, fmt.Sprintf("out %v, cut %d, two parts", m.Out, c.cut), merged, want)

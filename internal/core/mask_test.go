@@ -84,8 +84,7 @@ func TestMatchesSymbolicCmp(t *testing.T) {
 func TestApplySingleTuplePerRow(t *testing.T) {
 	// Two mask tuples revealing disjoint columns: merging them per row
 	// would leak the correlation, so only the better one applies.
-	ans := relation.New([]string{"A", "B"})
-	ans.MustInsert(value.Int(1), value.Int(2))
+	ans := relation.NewDistinct([]string{"A", "B"}, []relation.Tuple{{value.Int(1), value.Int(2)}})
 	m := maskOver([]string{"A", "B"},
 		cellsTuple(core.Cell{Star: true, Cons: interval.Full()}, core.Cell{Cons: interval.Full()}),
 		cellsTuple(core.Cell{Cons: interval.Full()}, core.Cell{Star: true, Cons: interval.Full()}),
@@ -107,9 +106,7 @@ func TestApplySingleTuplePerRow(t *testing.T) {
 }
 
 func TestApplyDropsUnmatchedRows(t *testing.T) {
-	ans := relation.New([]string{"A"})
-	ans.MustInsert(value.Int(1))
-	ans.MustInsert(value.Int(5))
+	ans := relation.NewDistinct([]string{"A"}, []relation.Tuple{{value.Int(1)}, {value.Int(5)}})
 	m := maskOver([]string{"A"},
 		cellsTuple(core.Cell{Star: true, Cons: interval.FromCmp(value.GE, value.Int(3))}),
 	)
@@ -124,9 +121,7 @@ func TestApplyDropsUnmatchedRows(t *testing.T) {
 // TestApplyCountsDeliveredRows: two answer rows that differ only in a
 // withheld cell mask to one delivered row, and the stats count it once.
 func TestApplyCountsDeliveredRows(t *testing.T) {
-	ans := relation.New([]string{"A", "B"})
-	ans.MustInsert(value.Int(5), value.Int(1))
-	ans.MustInsert(value.Int(5), value.Int(2))
+	ans := relation.NewDistinct([]string{"A", "B"}, []relation.Tuple{{value.Int(5), value.Int(1)}, {value.Int(5), value.Int(2)}})
 	m := maskOver([]string{"A", "B"},
 		cellsTuple(core.Cell{Star: true, Cons: interval.Full()}, core.Cell{Cons: interval.Full()}),
 	)
@@ -252,7 +247,7 @@ func TestEvalOnPaperMetaTuple(t *testing.T) {
 	if psa == nil {
 		t.Fatal("PSA tuple not instantiated")
 	}
-	base := f.Rels["PROJECT"].Rename([]string{"PROJECT.NUMBER", "PROJECT.SPONSOR", "PROJECT.BUDGET"})
+	base := f.Rels["PROJECT"].Head().Rename([]string{"PROJECT.NUMBER", "PROJECT.SPONSOR", "PROJECT.BUDGET"})
 	got := psa.EvalOn(base)
 	if got.Len() != 1 || got.Arity() != 3 {
 		t.Fatalf("PSA(D):\n%s", got)

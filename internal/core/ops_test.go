@@ -108,7 +108,7 @@ func metaProduct(t *testing.T, a, b *core.MetaRel, padding bool) *core.MetaRel {
 // qualified returns the fixture relation renamed with alias-qualified
 // attributes, as the evaluators see scans.
 func qualified(f *workload.Fixture, rel, alias string) *relation.Relation {
-	base := f.Rels[rel]
+	base := f.Rels[rel].Head()
 	return base.Rename(relation.QualifyAttrs(alias, base.Attrs))
 }
 

@@ -280,22 +280,23 @@ func TestPerturbationSoundness(t *testing.T) {
 func cloneFixture(f *workload.Fixture) *workload.Fixture {
 	out := &workload.Fixture{
 		Schema: f.Schema,
-		Rels:   make(map[string]*relation.Relation, len(f.Rels)),
+		Rels:   make(map[string]*relation.Versioned, len(f.Rels)),
 		Store:  f.Store,
 	}
 	for k, v := range f.Rels {
-		out.Rels[k] = v.Clone()
+		out.Rels[k] = relation.VersionedOf(v.Head().Clone())
 	}
 	return out
 }
 
-// mutateCell changes one random payload cell of one tuple (rebuilding the
-// tuple under set semantics); it reports whether a mutation happened.
+// mutateCell changes one random payload cell of one tuple (a delete and
+// an insert, under set semantics); it reports whether a mutation
+// happened.
 func mutateCell(f *workload.Fixture, rng *rand.Rand) bool {
 	names := []string{"R", "S"}
 	name := names[rng.Intn(len(names))]
 	rel := f.Rels[name]
-	tuples := rel.Tuples()
+	tuples := rel.Head().Tuples()
 	if len(tuples) == 0 {
 		return false
 	}
@@ -303,14 +304,10 @@ func mutateCell(f *workload.Fixture, rng *rand.Rand) bool {
 	col := rng.Intn(len(old))
 	mutated := old.Clone()
 	mutated[col] = value.Int(old[col].AsInt() + 1 + int64(rng.Intn(3)))
-	next := relation.New(rel.Attrs)
-	for _, t := range tuples {
-		if !t.Equal(old) {
-			next.MustInsert(t...)
-		}
+	rel.Delete(old.Equal)
+	if _, err := rel.Insert(mutated); err != nil {
+		panic(err)
 	}
-	next.MustInsert(mutated...)
-	f.Rels[name] = next
 	return true
 }
 

@@ -45,7 +45,7 @@ func (s *Session) retrieveAgg(ctx context.Context, p parser.Retrieve) (*Result, 
 
 	// keys holds each group's key at the group's position; accs[g] folds
 	// group g, one accumulator per aggregated column.
-	keys := relation.New(make([]string, len(groupIdx)))
+	keys := relation.NewSet(make([]string, len(groupIdx)), 0)
 	var accs [][]aggAccum
 	key := make(relation.Tuple, len(groupIdx))
 rows:
@@ -59,7 +59,7 @@ rows:
 		g := keys.Find(key)
 		if g < 0 {
 			g = keys.Len()
-			keys.Adopt(key.Clone())
+			keys.Add(key.Clone())
 			acc := make([]aggAccum, len(foldIdx))
 			for k, fi := range foldIdx {
 				acc[k].fn = aggAt[fi]
@@ -80,8 +80,9 @@ rows:
 			attrs[i] = a
 		}
 	}
-	out := relation.New(attrs)
-	for g, key := range keys.Tuples() {
+	// Each group's key is its own, so the rows are distinct.
+	rows := make([]relation.Tuple, 0, keys.Len())
+	for g, key := range keys.Relation().Tuples() {
 		row := make(relation.Tuple, in.Arity())
 		for j, gi := range groupIdx {
 			row[gi] = key[j]
@@ -89,8 +90,9 @@ rows:
 		for k, fi := range foldIdx {
 			row[fi] = accs[g][k].result()
 		}
-		out.Adopt(row)
+		rows = append(rows, row)
 	}
+	out := relation.NewDistinct(attrs, rows)
 	// The base Decision comes along for its outcome, but not its reply
 	// section: that encodes the base relation, not out.
 	return &Result{Relation: out, Permits: base.Permits, Decision: base.Decision, AtLSN: base.AtLSN}, nil

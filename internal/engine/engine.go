@@ -642,9 +642,7 @@ func (s *Session) insert(p parser.Insert) (*Result, error) {
 			return "", nil, fmt.Errorf("relation %s expects %d values, got %d", p.Rel, vr.Arity(), len(t))
 		}
 		if !s.admin {
-			one := relation.New(vr.Head().Attrs)
-			one.Append(t)
-			cov, err := s.covered(p.Rel, one)
+			cov, err := s.covered(p.Rel, relation.NewDistinct(vr.Head().Attrs, []relation.Tuple{t}))
 			if err != nil {
 				return "", nil, err
 			}
@@ -687,7 +685,7 @@ func (s *Session) delete(p parser.Delete) (*Result, error) {
 				return "", nil, err
 			}
 			if cov.Len() < matched.Len() {
-				logged = byValue(p.Rel, cov)
+				logged = byValue(p.Rel, cov.Relation())
 			}
 			pred = cov.Contains
 		}
@@ -767,7 +765,7 @@ func byValue(rel string, r *relation.Relation) parser.Delete {
 // relations, projects the tuple on that occurrence. Each such occurrence
 // is evaluated once, until every candidate is covered. Runs inside the
 // writer's critical section, against the writer state.
-func (s *Session) covered(rel string, cand *relation.Relation) (*relation.Relation, error) {
+func (s *Session) covered(rel string, cand *relation.Relation) (*relation.Set, error) {
 	// The covering occurrence reads "", a name no relation can take.
 	src := func(name string) (*relation.Relation, error) {
 		if name == "" {
@@ -779,13 +777,13 @@ func (s *Session) covered(rel string, cand *relation.Relation) (*relation.Relati
 		}
 		return vr.Head(), nil
 	}
-	out := relation.New(cand.Attrs)
+	out := relation.NewSet(cand.Attrs, cand.Len())
 	store := s.own(s.eng.wstore)
 	for _, vn := range store.ViewNames() {
 		for _, v := range store.Branches(vn) {
 			for i, st := range v.Tuples {
 				if out.Len() == cand.Len() {
-					return out, nil
+					return &out, nil
 				}
 				if st.Rel != rel || !allStarred(st) {
 					continue
@@ -799,12 +797,12 @@ func (s *Session) covered(rel string, cand *relation.Relation) (*relation.Relati
 					return nil, err
 				}
 				for _, t := range ans.Tuples() {
-					out.Insert(t) //nolint:errcheck // the projection has cand's arity
+					out.Add(t)
 				}
 			}
 		}
 	}
-	return out, nil
+	return &out, nil
 }
 
 // allStarred reports whether a meta-tuple stars every attribute.

@@ -8,6 +8,7 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/engine"
 	"authdb/internal/parser"
+	"authdb/internal/relation"
 	"authdb/internal/value"
 	"authdb/internal/workload"
 )
@@ -53,8 +54,10 @@ func TestEngineRelationSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the snapshot must not affect the engine.
-	r.MustInsert(value.String("Snapshot"), value.String("writer"), value.Int(1))
+	// A lineage started at the snapshot must not affect the engine.
+	if _, err := relation.VersionedOf(r).Insert(relation.Tuple{value.String("Snapshot"), value.String("writer"), value.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
 	r2, _ := e.Relation("EMPLOYEE")
 	if r2.Len() != 3 {
 		t.Fatal("snapshot shares state")

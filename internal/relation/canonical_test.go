@@ -7,12 +7,14 @@ import (
 	"unsafe"
 )
 
-// TestCanonicalMarkFollowsOrder runs random sequences of every operation
-// that builds, reorders or extends a relation and checks after each step
-// that Sorted is the tuples in canonical order, and that a relation
-// marked canonical really is in that order and hands back its own
-// backing array: the mark is trusted without a check, so a path that
-// breaks the order and keeps the mark would serve rows out of order.
+// TestCanonicalMarkFollowsOrder runs random sequences of every way a
+// relation is built — the constructors, the Set builder, Rename, Clone,
+// Suffix, the read-only Select, Project and a Versioned lineage — and
+// checks after each step that Sorted is the tuples in canonical order,
+// and that a relation marked canonical really is in that order and
+// hands back its own backing array: the mark is trusted without a
+// check, so a path that breaks the order and keeps the mark would serve
+// rows out of order.
 func TestCanonicalMarkFollowsOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	randTuple := func() Tuple {
@@ -40,21 +42,27 @@ func TestCanonicalMarkFollowsOrder(t *testing.T) {
 		}
 	}
 	for run := 0; run < 200; run++ {
-		r := New([]string{"A", "B"})
+		r := NewDistinct([]string{"A", "B"}, nil)
 		for step := 0; step < 60; step++ {
 			var op string
-			switch rng.Intn(8) {
-			case 0:
-				op = "Insert"
-				r.Insert(randTuple()) //nolint:errcheck // arity is correct
-			case 1:
-				op = "Adopt"
-				r.Adopt(randTuple())
-			case 2:
-				op = "Append"
-				if tp := randTuple(); !r.Contains(tp) {
-					r.Append(tp)
+			switch rng.Intn(10) {
+			case 0, 1:
+				// The builder adds new rows after the relation's own, in
+				// arrival order.
+				op = "Set"
+				s := NewSet(r.Attrs, r.Len())
+				for _, tp := range r.Tuples() {
+					s.Add(tp)
 				}
+				for n := rng.Intn(4); n > 0; n-- {
+					s.Add(randTuple())
+				}
+				r = s.Relation()
+			case 2:
+				op = "NewDistinct"
+				tuples := slices.Clone(r.Tuples())
+				rng.Shuffle(len(tuples), func(i, j int) { tuples[i], tuples[j] = tuples[j], tuples[i] })
+				r = NewDistinct(r.Attrs, tuples)
 			case 3, 4:
 				op = "NewCanonical"
 				tuples := slices.Clone(r.Tuples())
@@ -67,11 +75,24 @@ func TestCanonicalMarkFollowsOrder(t *testing.T) {
 				op = "Rename"
 				r = r.Rename([]string{"X.A", "X.B"})
 			case 7:
+				op = "Suffix"
+				r = r.Suffix(rng.Intn(r.Len() + 1))
+			case 8:
+				if rng.Intn(2) == 0 {
+					op = "Select"
+					k := rng.Int63n(12)
+					r = r.Select(func(tp Tuple) bool { return !tp[1].Equal(vi(k)) })
+				} else {
+					op = "Project"
+					r = r.Project([]int{1, 0})
+				}
+			case 9:
 				// Versioned appends and deletes publish new heads; the
-				// relation given up to the lineage is not touched again.
+				// relation a lineage starts at is not written.
 				op = "Versioned"
+				before := slices.Clone(r.Tuples())
 				v := VersionedOf(r)
-				check(step, op+" adopted", v.Head())
+				check(step, op+" start", v.Head())
 				for n := rng.Intn(4); n > 0; n-- {
 					if rng.Intn(4) == 0 {
 						k := rng.Int63n(12)
@@ -81,24 +102,35 @@ func TestCanonicalMarkFollowsOrder(t *testing.T) {
 					}
 					check(step, op+" head", v.Head())
 				}
-				r = v.Head().Clone()
+				check(step, op+" start after", r)
+				if !slices.EqualFunc(r.Tuples(), before, Tuple.Equal) {
+					t.Fatalf("step %d: the relation a lineage started at changed", step)
+				}
+				r = v.Head()
 			}
 			check(step, op, r)
 		}
 	}
 }
 
-// TestCanonicalMarkCostsNoSpace pins the mark in hasMemb's padding: a
-// Relation is as large as the same fields without it.
-func TestCanonicalMarkCostsNoSpace(t *testing.T) {
-	type without struct {
-		Attrs   []string
-		tuples  []Tuple
-		memb    tupleSet
-		hasMemb bool
-		idx     *indexCache
+// TestRelationFootprint pins what a relation costs: its header's size,
+// one allocation for a relation built from a known-distinct slice (the
+// relation and its index cache are one object), and at most one for the
+// builder's hand-over.
+func TestRelationFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Relation{}); got != 64 {
+		t.Fatalf("a Relation takes %d bytes, want 64", got)
 	}
-	if got, want := unsafe.Sizeof(Relation{}), unsafe.Sizeof(without{}); got != want {
-		t.Fatalf("a Relation takes %d bytes, %d without the canonical mark", got, want)
+	attrs := []string{"A"}
+	tuples := ints(1, 2, 3)
+	if allocs := testing.AllocsPerRun(100, func() { NewDistinct(attrs, tuples) }); allocs != 1 {
+		t.Fatalf("NewDistinct allocated %.0f objects, want 1", allocs)
+	}
+	s := NewSet(attrs, len(tuples))
+	for _, tp := range tuples {
+		s.Add(tp)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Relation() }); allocs > 1 {
+		t.Fatalf("Set.Relation allocated %.0f objects, want at most 1", allocs)
 	}
 }

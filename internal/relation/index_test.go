@@ -6,11 +6,17 @@ import (
 	"authdb/internal/value"
 )
 
-func TestLookupEq(t *testing.T) {
-	r := New([]string{"A", "B"})
-	for i := int64(0); i < 10; i++ {
-		r.MustInsert(vi(i), vi(i%3))
+// mod returns n tuples (i, i mod m).
+func mod(n, m int64) []Tuple {
+	out := make([]Tuple, n)
+	for i := range out {
+		out[i] = Tuple{vi(int64(i)), vi(int64(i) % m)}
 	}
+	return out
+}
+
+func TestLookupEq(t *testing.T) {
+	r := NewDistinct([]string{"A", "B"}, mod(10, 3))
 	got := r.LookupEq(1, vi(1))
 	if len(got) != 3 {
 		t.Fatalf("lookup returned %d tuples, want 3", len(got))
@@ -35,10 +41,11 @@ func TestLookupEq(t *testing.T) {
 // hit or miss, allocates nothing — the index is keyed by the value, not
 // by a string rendered from it.
 func TestLookupEqAllocatesNothing(t *testing.T) {
-	r := New([]string{"A", "B"})
+	var tuples []Tuple
 	for i := int64(0); i < 64; i++ {
-		r.MustInsert(vi(i), vs("k"+string(rune('a'+i%4))))
+		tuples = append(tuples, Tuple{vi(i), vs("k" + string(rune('a'+i%4)))})
 	}
+	r := NewDistinct([]string{"A", "B"}, tuples)
 	r.LookupEq(1, vs("ka"))
 	for _, v := range []value.Value{vs("kb"), vs("zz"), vi(3)} {
 		if allocs := testing.AllocsPerRun(100, func() { r.LookupEq(1, v) }); allocs != 0 {
@@ -48,9 +55,7 @@ func TestLookupEqAllocatesNothing(t *testing.T) {
 }
 
 func TestLookupEqKindDistinct(t *testing.T) {
-	r := New([]string{"A"})
-	r.MustInsert(vi(1))
-	r.MustInsert(vs("1"))
+	r := build([]string{"A"}, Tuple{vi(1)}, Tuple{vs("1")})
 	if len(r.LookupEq(0, vi(1))) != 1 {
 		t.Fatal("Int(1) lookup must not match String(\"1\")")
 	}
@@ -59,24 +64,8 @@ func TestLookupEqKindDistinct(t *testing.T) {
 	}
 }
 
-func TestIndexInvalidation(t *testing.T) {
-	r := New([]string{"A"})
-	r.MustInsert(vi(1))
-	if len(r.LookupEq(0, vi(1))) != 1 {
-		t.Fatal("initial lookup")
-	}
-	r.MustInsert(vi(1)) // duplicate: no change, index may stay
-	r.MustInsert(vi(2))
-	if len(r.LookupEq(0, vi(2))) != 1 {
-		t.Fatal("index not refreshed after insert")
-	}
-}
-
 func TestLookupRange(t *testing.T) {
-	r := New([]string{"A", "B"})
-	for i := int64(0); i < 10; i++ {
-		r.MustInsert(vi(i), vi(i%3))
-	}
+	r := NewDistinct([]string{"A", "B"}, mod(10, 3))
 	got := r.LookupRange(0, &RangeEnd{V: vi(3)}, &RangeEnd{V: vi(6), Open: true})
 	if len(got) != 3 {
 		t.Fatalf("[3,6) returned %d tuples, want 3", len(got))
@@ -101,10 +90,7 @@ func TestLookupRange(t *testing.T) {
 }
 
 func TestLookupRangeEmpty(t *testing.T) {
-	r := New([]string{"A"})
-	for i := int64(0); i < 5; i++ {
-		r.MustInsert(vi(i))
-	}
+	r := NewDistinct([]string{"A"}, ints(0, 1, 2, 3, 4))
 	cases := []struct {
 		lo, hi *RangeEnd
 	}{
@@ -119,7 +105,7 @@ func TestLookupRangeEmpty(t *testing.T) {
 			t.Fatalf("case %d: empty range returned %v", k, got)
 		}
 	}
-	empty := New([]string{"A"})
+	empty := NewDistinct([]string{"A"}, nil)
 	if got := empty.LookupRange(0, nil, nil); len(got) != 0 {
 		t.Fatal("empty relation range must be empty")
 	}
@@ -127,11 +113,7 @@ func TestLookupRangeEmpty(t *testing.T) {
 
 func TestLookupRangeKindBoundary(t *testing.T) {
 	// The total order is kind-major: null < every int < every string.
-	r := New([]string{"A"})
-	r.MustInsert(vi(5))
-	r.MustInsert(vi(100))
-	r.MustInsert(vs("5"))
-	r.MustInsert(vs("abc"))
+	r := build([]string{"A"}, Tuple{vi(5)}, Tuple{vi(100)}, Tuple{vs("5")}, Tuple{vs("abc")})
 	// An int-bounded upper range never captures strings.
 	if got := r.LookupRange(0, nil, &RangeEnd{V: vi(1000)}); len(got) != 2 {
 		t.Fatalf("int range caught strings: %v", got)
@@ -149,10 +131,7 @@ func TestLookupRangeKindBoundary(t *testing.T) {
 // TestLookupRangeBounds checks every one-sided bound, open and closed,
 // and the point range an equality reads.
 func TestLookupRangeBounds(t *testing.T) {
-	r := New([]string{"A"})
-	for i := int64(0); i < 6; i++ {
-		r.MustInsert(vi(i))
-	}
+	r := NewDistinct([]string{"A"}, ints(0, 1, 2, 3, 4, 5))
 	three := vi(3)
 	for _, c := range []struct {
 		name   string
@@ -172,10 +151,7 @@ func TestLookupRangeBounds(t *testing.T) {
 }
 
 func TestDistinctCount(t *testing.T) {
-	r := New([]string{"A", "B"})
-	for i := int64(0); i < 12; i++ {
-		r.MustInsert(vi(i), vi(i%4))
-	}
+	r := NewDistinct([]string{"A", "B"}, mod(12, 4))
 	if got := r.DistinctCount(0); got != 12 {
 		t.Fatalf("DistinctCount(0) = %d, want 12", got)
 	}
@@ -185,30 +161,16 @@ func TestDistinctCount(t *testing.T) {
 	if got := r.DistinctCount(-1); got != 0 {
 		t.Fatalf("DistinctCount(-1) = %d, want 0", got)
 	}
-	if got := New([]string{"A"}).DistinctCount(0); got != 0 {
+	if got := NewDistinct([]string{"A"}, nil).DistinctCount(0); got != 0 {
 		t.Fatalf("empty DistinctCount = %d, want 0", got)
 	}
 }
 
-// TestOrderedIndexAppendInterleave pins the lazy-rebuild contract: Append
-// marks indexes stale (it must not eagerly rebuild), and the next lookup
-// — hash or ordered — sees every appended tuple. Run under -race with the
-// concurrent read phase at the end.
+// TestOrderedIndexAppendInterleave checks that concurrent readers of one
+// relation build and share its indexes: every lookup, hash or ordered,
+// sees every tuple. Run under -race.
 func TestOrderedIndexAppendInterleave(t *testing.T) {
-	r := New([]string{"A"})
-	for i := int64(0); i < 8; i++ {
-		r.Append(Tuple{vi(i)})
-		if got := r.LookupRange(0, &RangeEnd{V: vi(i)}, nil); len(got) != 1 {
-			t.Fatalf("after append %d: range missed the new tuple (%v)", i, got)
-		}
-		if got := r.LookupEq(0, vi(i)); len(got) != 1 {
-			t.Fatalf("after append %d: hash index stale", i)
-		}
-		if got := r.DistinctCount(0); got != int(i)+1 {
-			t.Fatalf("after append %d: DistinctCount = %d", i, got)
-		}
-	}
-	// With the data quiescent, concurrent readers share the built entries.
+	r := NewDistinct([]string{"A"}, ints(0, 1, 2, 3, 4, 5, 6, 7))
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func() {
@@ -216,6 +178,10 @@ func TestOrderedIndexAppendInterleave(t *testing.T) {
 			for k := 0; k < 50; k++ {
 				if got := r.LookupRange(0, &RangeEnd{V: vi(2)}, &RangeEnd{V: vi(5)}); len(got) != 4 {
 					t.Errorf("concurrent range got %d tuples", len(got))
+					return
+				}
+				if got := r.LookupEq(0, vi(int64(k%8))); len(got) != 1 {
+					t.Errorf("concurrent lookup got %d tuples", len(got))
 					return
 				}
 				if r.DistinctCount(0) != 8 {
@@ -230,48 +196,35 @@ func TestOrderedIndexAppendInterleave(t *testing.T) {
 	}
 }
 
+// TestOrderedIndexSharedThroughRename: a rename holds its base's tuples,
+// so an ordered index built through it serves the base too.
 func TestOrderedIndexSharedThroughRename(t *testing.T) {
-	r := New([]string{"A"})
-	r.MustInsert(vi(7))
+	r := build([]string{"A"}, ints(7, 8)...)
 	q := r.Rename([]string{"X.A"})
-	if len(q.LookupRange(0, &RangeEnd{V: vi(0)}, nil)) != 1 {
+	if len(q.LookupRange(0, &RangeEnd{V: vi(0)}, nil)) != 2 {
 		t.Fatal("renamed view misses shared tuples")
 	}
-	// Same point-in-time contract as the hash index: after a base
-	// mutation, the base must not serve the entry built through the
-	// rename's older snapshot, and the snapshot keeps its own view.
-	r.MustInsert(vi(8))
-	if len(q.LookupRange(0, &RangeEnd{V: vi(0)}, nil)) != 1 {
-		t.Fatal("snapshot lost its own tuples")
+	if _, ok := r.idx.ord[0]; !ok {
+		t.Fatal("the ordered index built through the rename is not the base's")
 	}
-	if len(r.LookupRange(0, &RangeEnd{V: vi(0)}, nil)) != 2 {
-		t.Fatal("base served a stale ordered index built through the rename snapshot")
-	}
-	if q.DistinctCount(0) != 1 || r.DistinctCount(0) != 2 {
-		t.Fatal("distinct counts must follow each reader's snapshot")
+	if len(r.LookupRange(0, &RangeEnd{V: vi(8)}, nil)) != 1 || q.DistinctCount(0) != 2 || r.DistinctCount(0) != 2 {
+		t.Fatal("base and rename disagree on the shared tuples")
 	}
 }
 
+// TestIndexSharedThroughRename: the same for the hash index, and a
+// rename taken later shares it too.
 func TestIndexSharedThroughRename(t *testing.T) {
-	r := New([]string{"A"})
-	r.MustInsert(vi(7))
+	r := build([]string{"A"}, ints(7)...)
 	q := r.Rename([]string{"X.A"})
 	if len(q.LookupEq(0, vi(7))) != 1 {
 		t.Fatal("renamed view misses shared tuples")
 	}
-	// A Rename is a point-in-time view: it holds the slice header as of
-	// its creation. The invariant the shared cache must keep is that the
-	// BASE never serves an index built from the rename's older snapshot.
-	r.MustInsert(vi(8))
-	if len(q.LookupEq(0, vi(7))) != 1 {
-		t.Fatal("snapshot lost its own tuples")
+	if _, ok := r.idx.byAttr[0]; !ok {
+		t.Fatal("the hash index built through the rename is not the base's")
 	}
-	if len(r.LookupEq(0, vi(8))) != 1 {
-		t.Fatal("base served a stale index built through the rename snapshot")
-	}
-	// And a rename taken after the mutation sees everything.
 	q2 := r.Rename([]string{"Y.A"})
-	if len(q2.LookupEq(0, vi(8))) != 1 {
-		t.Fatal("fresh rename misses new tuples")
+	if len(q2.LookupEq(0, vi(7))) != 1 || len(r.LookupEq(0, vi(7))) != 1 || len(r.idx.byAttr) != 1 {
+		t.Fatal("a later rename or the base did not share the index")
 	}
 }

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"fmt"
 	"slices"
 
 	"authdb/internal/value"
@@ -46,44 +45,29 @@ func (t Tuple) Compare(u Tuple) int {
 // names; intermediate and answer relations use qualified names such as
 // "EMPLOYEE:1.NAME".
 //
-// The membership set (backing Insert's duplicate check and Contains) is
-// maintained eagerly by Insert and Delete but invalidated by Append; the
-// first subsequent operation that needs it rebuilds it. Rebuilding
-// mutates the relation, so a relation that may have a stale set must not
-// be shared across goroutines; relations populated purely by Insert
-// always have a current set and are safe for concurrent reads.
+// A relation is immutable once a constructor returns it: no method adds,
+// removes or reorders a tuple. Set semantics belong to the builder (Set),
+// and a base relation changes only through Versioned, which publishes
+// each change as a new relation. Any relation may therefore be read from
+// many goroutines at once, and an index built for it (index.go) stays
+// valid for every reader of its tuples.
 type Relation struct {
 	Attrs  []string
 	tuples []Tuple
-	// memb holds the membership set, valid only while hasMemb is true
-	// (otherwise rebuild before use).
-	memb    tupleSet
-	hasMemb bool
 	// canonical records that tuples are in canonical order, so Sorted
-	// need not check: NewCanonical sets it, Insert, Adopt and Append
-	// clear it, and every other relation built anew (each Versioned
-	// revision included) starts without it. Clone keeps the order and the
-	// mark. It sits in hasMemb's padding.
+	// need not check: NewCanonical sets it, Clone copies it, and every
+	// other relation starts without it.
 	canonical bool
 	idx       *indexCache
 }
 
-// New creates an empty relation over the given attributes.
-func New(attrs []string) *Relation { return NewSized(attrs, 0) }
-
-// NewSized is New with room for n tuples (at most MaxPresize), so a
-// relation built from an input of known length grows neither its tuple
-// slice nor its set.
-func NewSized(attrs []string, n int) *Relation {
-	r := newRelation(append([]string(nil), attrs...), make([]Tuple, 0, min(n, MaxPresize)))
-	r.hasMemb = true
-	return r
-}
-
-// newRelation allocates a relation over attrs and tuples together with
-// its own empty index cache: one object, not two. Its membership set is
-// stale.
-func newRelation(attrs []string, tuples []Tuple) *Relation {
+// NewDistinct returns a relation over attrs holding tuples, which the
+// caller guarantees are distinct: it takes ownership of both slices. No
+// relation writes its attribute list after it is built, so attrs may be
+// one another relation holds. Products of two sets, and selections of a
+// set, are distinct by construction. The relation and its empty index
+// cache are one allocation.
+func NewDistinct(attrs []string, tuples []Tuple) *Relation {
 	rc := &struct {
 		r Relation
 		c indexCache
@@ -92,21 +76,14 @@ func newRelation(attrs []string, tuples []Tuple) *Relation {
 	return &rc.r
 }
 
-// NewCanonical returns a relation over attrs holding tuples, which the
-// caller guarantees are distinct and in canonical order: it takes
-// ownership of both slices and marks the relation canonical, so every
-// Sorted returns the tuples without a check or a copy. It has no
-// membership set until an operation needs one. No relation writes its
-// attribute list after it is built, so attrs may be one another
-// relation holds.
+// NewCanonical is NewDistinct for tuples the caller also guarantees are
+// in canonical order: it marks the relation canonical, so every Sorted
+// returns the tuples without a check or a copy.
 func NewCanonical(attrs []string, tuples []Tuple) *Relation {
-	r := newRelation(attrs, tuples)
+	r := NewDistinct(attrs, tuples)
 	r.canonical = true
 	return r
 }
-
-// FromSchema creates an empty relation matching a relation scheme.
-func FromSchema(s *Schema) *Relation { return New(s.Attrs) }
 
 // Arity returns the number of attributes.
 func (r *Relation) Arity() int { return len(r.Attrs) }
@@ -139,87 +116,10 @@ func (r *Relation) AttrIndex(a string) int {
 	return found
 }
 
-// ensureMemb rebuilds the membership set after Append invalidated it.
-func (r *Relation) ensureMemb() {
-	if !r.hasMemb {
-		r.memb = setOf(r.tuples)
-		r.hasMemb = true
-	}
-}
-
-// Insert adds a copy of a tuple under set semantics; it reports whether
-// the tuple was new. The tuple's arity must match the relation's.
-func (r *Relation) Insert(t Tuple) (bool, error) {
-	if len(t) != len(r.Attrs) {
-		return false, fmt.Errorf("arity mismatch: tuple has %d values, relation %d attributes", len(t), len(r.Attrs))
-	}
-	return r.insert(t, true), nil
-}
-
-// Adopt is Insert without the copy: when t is new, the relation takes
-// ownership of it, so the caller must not modify t afterwards (a
-// duplicate stays the caller's — a Slab row can be reused). The arity
-// must match.
-func (r *Relation) Adopt(t Tuple) bool { return r.insert(t, false) }
-
-func (r *Relation) insert(t Tuple, clone bool) bool {
-	r.ensureMemb()
-	pos, h, taken := r.memb.find(r.tuples, t)
-	if pos >= 0 {
-		return false
-	}
-	if clone {
-		t = t.Clone()
-	}
-	r.memb.add(h, taken, len(r.tuples), cap(r.tuples))
-	r.tuples = append(r.tuples, t)
-	r.canonical = false
-	r.idx.bump()
-	return true
-}
-
-// Append adds a tuple the caller guarantees is not already present —
-// outputs of products, joins, and selections over proper sets are unique
-// by construction — skipping the duplicate check and taking ownership of
-// t (no clone). The membership set goes stale and is rebuilt lazily by
-// the next Insert or Contains. The arity must match.
-func (r *Relation) Append(t Tuple) {
-	r.tuples = append(r.tuples, t)
-	r.canonical = false
-	r.ReleaseMembership()
-	r.idx.bump()
-}
-
-// ReleaseMembership frees the membership set of a relation that is done
-// being built. Reads through Tuples, Len, Sorted and the secondary
-// indexes are unaffected; the next Insert or Contains rebuilds the set
-// (and therefore mutates r, like after Append).
-func (r *Relation) ReleaseMembership() { r.memb, r.hasMemb = tupleSet{}, false }
-
-// MustInsert inserts and panics on arity mismatch; for fixtures.
-func (r *Relation) MustInsert(vals ...value.Value) {
-	if _, err := r.Insert(Tuple(vals)); err != nil {
-		panic(err)
-	}
-}
-
-// Find returns the position of the tuple in Tuples, or -1 when it is
-// absent. After an Append, the first call rebuilds the membership set
-// (and therefore mutates r).
-func (r *Relation) Find(t Tuple) int {
-	r.ensureMemb()
-	pos, _, _ := r.memb.find(r.tuples, t)
-	return pos
-}
-
-// Contains reports set membership of the tuple, as Find does.
-func (r *Relation) Contains(t Tuple) bool { return r.Find(t) >= 0 }
-
-// Clone returns a deep copy with its own membership set, its tuples
-// carved from one backing array. It only reads r.
+// Clone returns a deep copy, its tuples carved from one backing array.
 func (r *Relation) Clone() *Relation {
-	out := newRelation(append([]string(nil), r.Attrs...), make([]Tuple, 0, len(r.tuples)))
-	out.hasMemb, out.canonical = true, r.canonical
+	out := NewDistinct(append([]string(nil), r.Attrs...), make([]Tuple, 0, len(r.tuples)))
+	out.canonical = r.canonical
 	cells := 0
 	for _, t := range r.tuples {
 		cells += len(t)
@@ -230,7 +130,6 @@ func (r *Relation) Clone() *Relation {
 		out.tuples = append(out.tuples, Tuple(free[:n:n]))
 		free = free[n:]
 	}
-	out.memb = setOf(out.tuples)
 	return out
 }
 
@@ -253,20 +152,7 @@ func (r *Relation) Sorted() []Tuple {
 
 // Equal reports set equality with s: same attribute list and same tuples.
 func (r *Relation) Equal(s *Relation) bool {
-	if len(r.Attrs) != len(s.Attrs) || len(r.tuples) != len(s.tuples) {
-		return false
-	}
-	for i := range r.Attrs {
-		if r.Attrs[i] != s.Attrs[i] {
-			return false
-		}
-	}
-	for _, t := range r.tuples {
-		if !s.Contains(t) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(r.Attrs, s.Attrs) && slices.EqualFunc(r.Sorted(), s.Sorted(), Tuple.Equal)
 }
 
 // Project returns the projection of r onto the attributes at the given
@@ -276,50 +162,51 @@ func (r *Relation) Project(idx []int) *Relation {
 	for i, j := range idx {
 		attrs[i] = r.Attrs[j]
 	}
-	out := New(attrs)
+	out := NewSet(attrs, len(r.tuples))
 	row := make(Tuple, len(idx))
 	for _, t := range r.tuples {
 		for i, j := range idx {
 			row[i] = t[j]
 		}
-		out.Insert(row) //nolint:errcheck // arity is correct by construction
-	}
-	return out
-}
-
-// Select returns the tuples satisfying pred.
-func (r *Relation) Select(pred func(Tuple) bool) *Relation {
-	out := New(r.Attrs)
-	for _, t := range r.tuples {
-		if pred(t) {
-			out.Insert(t) //nolint:errcheck // arity is correct by construction
+		if out.Add(row) {
+			row = make(Tuple, len(idx))
 		}
 	}
-	return out
+	return out.Relation()
+}
+
+// Select returns the tuples satisfying pred, sharing their storage with
+// r.
+func (r *Relation) Select(pred func(Tuple) bool) *Relation {
+	var out []Tuple
+	for _, t := range r.tuples {
+		if pred(t) {
+			out = append(out, t)
+		}
+	}
+	return NewDistinct(r.Attrs, out)
 }
 
 // Product returns the cartesian product r × s with concatenated attribute
 // lists.
 func (r *Relation) Product(s *Relation) *Relation {
 	attrs := append(append([]string(nil), r.Attrs...), s.Attrs...)
-	out := New(attrs)
+	out := make([]Tuple, 0, len(r.tuples)*len(s.tuples))
 	for _, a := range r.tuples {
 		for _, b := range s.tuples {
 			row := make(Tuple, 0, len(a)+len(b))
-			row = append(append(row, a...), b...)
-			out.Insert(row) //nolint:errcheck // arity is correct by construction
+			out = append(out, append(append(row, a...), b...))
 		}
 	}
-	return out
+	return NewDistinct(attrs, out)
 }
 
-// Rename returns a shallow-ish copy of r with a new attribute list (same
-// arity), used to qualify base relations with query aliases.
+// Rename returns a view of r under a new attribute list (same arity),
+// used to qualify base relations with query aliases. It shares r's
+// tuples and index cache.
 func (r *Relation) Rename(attrs []string) *Relation {
 	if len(attrs) != len(r.Attrs) {
 		panic("relation: Rename arity mismatch")
 	}
-	// The view shares r's tuples and index cache but not its membership
-	// set, which r's later inserts would extend past the view's length.
 	return &Relation{Attrs: append([]string(nil), attrs...), tuples: r.tuples, idx: r.idx}
 }

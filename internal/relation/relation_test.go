@@ -14,6 +14,25 @@ import (
 func vi(i int64) value.Value  { return value.Int(i) }
 func vs(s string) value.Value { return value.String(s) }
 
+// build returns a relation over attrs holding the distinct ones of
+// tuples in first-occurrence order, built through a Set.
+func build(attrs []string, tuples ...Tuple) *Relation {
+	s := NewSet(attrs, len(tuples))
+	for _, t := range tuples {
+		s.Add(t)
+	}
+	return s.Relation()
+}
+
+// ints returns one single-attribute tuple per value.
+func ints(vals ...int64) []Tuple {
+	out := make([]Tuple, len(vals))
+	for i, v := range vals {
+		out[i] = Tuple{vi(v)}
+	}
+	return out
+}
+
 func TestNewSchemaValidation(t *testing.T) {
 	if _, err := NewSchema("", []string{"A"}); err == nil {
 		t.Error("empty relation name accepted")
@@ -87,50 +106,51 @@ func TestQualification(t *testing.T) {
 	}
 }
 
+// TestInsertSetSemantics checks the builder: Add keeps a row once, in
+// first-occurrence order, Find and Contains see what it kept, and the
+// relation handed over is left as it is by later Adds.
 func TestInsertSetSemantics(t *testing.T) {
-	r := New([]string{"A", "B"})
-	added, err := r.Insert(Tuple{vi(1), vs("x")})
-	if err != nil || !added {
-		t.Fatalf("first insert: %v %v", added, err)
+	s := NewSet([]string{"A", "B"}, 0)
+	if !s.Add(Tuple{vi(1), vs("x")}) {
+		t.Fatal("first Add refused")
 	}
-	added, err = r.Insert(Tuple{vi(1), vs("x")})
-	if err != nil || added {
-		t.Fatalf("duplicate insert: %v %v", added, err)
+	if s.Add(Tuple{vi(1), vs("x")}) {
+		t.Fatal("duplicate Add accepted")
 	}
-	if _, err := r.Insert(Tuple{vi(1)}); err == nil {
-		t.Error("arity mismatch accepted")
+	if !s.Add(Tuple{vi(2), vs("x")}) || s.Len() != 2 {
+		t.Fatalf("second row lost: Len = %d", s.Len())
 	}
-	if r.Len() != 1 || !r.Contains(Tuple{vi(1), vs("x")}) {
-		t.Error("set semantics broken")
+	if s.Find(Tuple{vi(2), vs("x")}) != 1 || s.Find(Tuple{vi(3), vs("x")}) != -1 {
+		t.Fatal("Find does not report first-occurrence positions")
+	}
+	if !s.Contains(Tuple{vi(1), vs("x")}) || s.Contains(Tuple{vi(1), vs("y")}) {
+		t.Fatal("Contains wrong")
+	}
+	r := s.Relation()
+	s.Add(Tuple{vi(3), vs("y")})
+	if r.Len() != 2 || s.Len() != 3 || !s.Relation().Tuples()[2].Equal(Tuple{vi(3), vs("y")}) {
+		t.Fatalf("an Add after the hand-over changed the relation (%d rows) or was lost (%d)", r.Len(), s.Len())
 	}
 }
 
 func TestInsertDistinguishesKinds(t *testing.T) {
 	// Int(1) and String("1") render identically but are distinct values;
-	// the set index must not conflate them.
-	r := New([]string{"A"})
-	r.MustInsert(vi(1))
-	r.MustInsert(vs("1"))
-	if r.Len() != 2 {
+	// the set must not conflate them.
+	if r := build([]string{"A"}, Tuple{vi(1)}, Tuple{vs("1")}); r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (kind-distinct tuples)", r.Len())
 	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	r := New([]string{"A"})
-	r.MustInsert(vi(1))
+	r := build([]string{"A"}, ints(2, 1)...)
 	c := r.Clone()
-	c.MustInsert(vi(2))
-	if r.Len() != 1 || c.Len() != 2 {
-		t.Error("Clone shares state")
+	if !c.Equal(r) || &c.Tuples()[0][0] == &r.Tuples()[0][0] || &c.Attrs[0] == &r.Attrs[0] {
+		t.Error("Clone shares storage or differs")
 	}
 }
 
 func TestProjectSelectProduct(t *testing.T) {
-	r := New([]string{"A", "B"})
-	r.MustInsert(vi(1), vs("x"))
-	r.MustInsert(vi(2), vs("x"))
-	r.MustInsert(vi(3), vs("y"))
+	r := build([]string{"A", "B"}, Tuple{vi(1), vs("x")}, Tuple{vi(2), vs("x")}, Tuple{vi(3), vs("y")})
 
 	p := r.Project([]int{1})
 	if p.Len() != 2 { // duplicates collapse
@@ -140,9 +160,7 @@ func TestProjectSelectProduct(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Select len = %d, want 2", s.Len())
 	}
-	q := New([]string{"C"})
-	q.MustInsert(vi(7))
-	q.MustInsert(vi(8))
+	q := build([]string{"C"}, ints(7, 8)...)
 	prod := r.Product(q)
 	if prod.Len() != 6 || prod.Arity() != 3 {
 		t.Fatalf("Product: len=%d arity=%d", prod.Len(), prod.Arity())
@@ -150,19 +168,12 @@ func TestProjectSelectProduct(t *testing.T) {
 }
 
 func TestEqualAndSorted(t *testing.T) {
-	a := New([]string{"A"})
-	b := New([]string{"A"})
-	for _, i := range []int64{3, 1, 2} {
-		a.MustInsert(vi(i))
-	}
-	for _, i := range []int64{1, 2, 3} {
-		b.MustInsert(vi(i))
-	}
+	a := build([]string{"A"}, ints(3, 1, 2)...)
+	b := build([]string{"A"}, ints(1, 2, 3)...)
 	if !a.Equal(b) {
 		t.Error("set equality must ignore insertion order")
 	}
-	b.MustInsert(vi(4))
-	if a.Equal(b) {
+	if a.Equal(build([]string{"A"}, ints(1, 2, 3, 4)...)) {
 		t.Error("different sets compare equal")
 	}
 	sorted := a.Sorted()
@@ -171,7 +182,7 @@ func TestEqualAndSorted(t *testing.T) {
 			t.Error("Sorted not ascending")
 		}
 	}
-	if New([]string{"B"}).Equal(New([]string{"A"})) {
+	if NewDistinct([]string{"B"}, nil).Equal(NewDistinct([]string{"A"}, nil)) {
 		t.Error("attribute lists must match for equality")
 	}
 }
@@ -181,7 +192,7 @@ func TestEqualAndSorted(t *testing.T) {
 // caller's append then reallocates instead of writing into the backing
 // array a later Versioned insert extends.
 func TestSortedSharesCanonicalPrefix(t *testing.T) {
-	v := VersionedOf(NewSized([]string{"A"}, 16))
+	v := VersionedOf(NewDistinct([]string{"A"}, make([]Tuple, 0, 16)))
 	for _, i := range []int64{1, 2, 3, 4} {
 		v.Insert(Tuple{vi(i)}) //nolint:errcheck // arity is correct
 	}
@@ -213,10 +224,7 @@ func TestSortedSharesCanonicalPrefix(t *testing.T) {
 // TestSortedOutOfOrder checks that Sorted sorts a copy of a relation out
 // of order and leaves the relation's own order as it was.
 func TestSortedOutOfOrder(t *testing.T) {
-	r := New([]string{"A"})
-	for _, i := range []int64{3, 1, 2} {
-		r.MustInsert(vi(i))
-	}
+	r := build([]string{"A"}, ints(3, 1, 2)...)
 	got := r.Sorted()
 	for i, want := range []int64{1, 2, 3} {
 		if !got[i].Equal(Tuple{vi(want)}) {
@@ -230,38 +238,21 @@ func TestSortedOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestNewCanonical checks that a relation built canonical, with no
-// membership set, keeps membership and the indexes right: Contains,
-// Insert, an index lookup and a Versioned adopted afterwards all find
-// every tuple.
+// TestNewCanonical checks that a relation built canonical serves its
+// indexes right, and that a Versioned started at it finds every tuple
+// and leaves it as it was.
 func TestNewCanonical(t *testing.T) {
-	build := func() (*Relation, []Tuple) {
-		var in []Tuple
-		for _, i := range []int64{5, 3, 9, 1, 7} {
-			in = append(in, Tuple{vi(i), vi(i % 2)})
-		}
-		tuples := slices.Clone(in)
-		slices.SortFunc(tuples, Tuple.Compare)
-		return NewCanonical([]string{"A", "B"}, tuples), in
+	var in []Tuple
+	for _, i := range []int64{5, 3, 9, 1, 7} {
+		in = append(in, Tuple{vi(i), vi(i % 2)})
 	}
-	r, in := build()
+	tuples := slices.Clone(in)
+	slices.SortFunc(tuples, Tuple.Compare)
+	r := NewCanonical([]string{"A", "B"}, tuples)
 	hits := r.LookupEq(1, vi(1))
 	if len(hits) != 5 || !slices.IsSortedFunc(hits, Tuple.Compare) {
 		t.Fatalf("index lookup on a canonical relation = %v, want the 5 odd tuples in order", hits)
 	}
-	for _, tp := range in {
-		if !r.Contains(tp) {
-			t.Fatalf("Contains(%v) false on a canonical relation", tp)
-		}
-	}
-	if ok, _ := r.Insert(in[2]); ok {
-		t.Fatal("Insert admitted a duplicate into a canonical relation")
-	}
-	if ok, _ := r.Insert(Tuple{vi(4), vi(0)}); !ok || !r.Contains(Tuple{vi(4), vi(0)}) {
-		t.Fatal("Insert of a new tuple into a canonical relation was lost")
-	}
-
-	r, in = build()
 	v := VersionedOf(r)
 	for _, tp := range in {
 		if !v.Contains(tp) {
@@ -271,10 +262,16 @@ func TestNewCanonical(t *testing.T) {
 	if ok, _ := v.Insert(in[0]); ok {
 		t.Fatal("Versioned insert admitted a duplicate into a canonical relation")
 	}
+	if ok, _ := v.Insert(Tuple{vi(4), vi(0)}); !ok || !v.Contains(Tuple{vi(4), vi(0)}) {
+		t.Fatal("Versioned insert of a new tuple was lost")
+	}
+	if r.Len() != 5 || !r.canonical || !slices.IsSortedFunc(r.Tuples(), Tuple.Compare) {
+		t.Fatal("the relation a lineage started at changed")
+	}
 }
 
 func TestAttrIndexSuffixFallback(t *testing.T) {
-	r := New([]string{"EMPLOYEE.NAME", "PROJECT.NAME", "PROJECT.BUDGET"})
+	r := NewDistinct([]string{"EMPLOYEE.NAME", "PROJECT.NAME", "PROJECT.BUDGET"}, nil)
 	if r.AttrIndex("PROJECT.BUDGET") != 2 {
 		t.Error("exact lookup failed")
 	}
@@ -287,8 +284,7 @@ func TestAttrIndexSuffixFallback(t *testing.T) {
 }
 
 func TestRename(t *testing.T) {
-	r := New([]string{"A"})
-	r.MustInsert(vi(1))
+	r := build([]string{"A"}, ints(1)...)
 	renamed := r.Rename([]string{"X.A"})
 	if renamed.Attrs[0] != "X.A" || renamed.Len() != 1 {
 		t.Error("Rename wrong")
@@ -317,8 +313,7 @@ func TestTupleCompare(t *testing.T) {
 }
 
 func TestRender(t *testing.T) {
-	r := New([]string{"EMPLOYEE.NAME", "EMPLOYEE.SALARY"})
-	r.MustInsert(vs("Jones"), vi(26000))
+	r := build([]string{"EMPLOYEE.NAME", "EMPLOYEE.SALARY"}, Tuple{vs("Jones"), vi(26000)})
 	var b bytes.Buffer
 	r.Render(&b, "EMPLOYEE")
 	out := b.String()
@@ -336,9 +331,7 @@ func TestRender(t *testing.T) {
 // reader: a header row, then one record per tuple in Sorted order,
 // each field the value's text and a null an empty field.
 func TestCSVRoundTrip(t *testing.T) {
-	r := New([]string{"A", "B", "C"})
-	r.MustInsert(vi(2), vs("bq-45"), vi(-7))
-	r.MustInsert(vi(1), vs("Acme, Inc."), value.Null())
+	r := build([]string{"A", "B", "C"}, Tuple{vi(2), vs("bq-45"), vi(-7)}, Tuple{vi(1), vs("Acme, Inc."), value.Null()})
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ type hashPos struct {
 	pos int
 }
 
-// tupleSet is the membership set behind a relation's set semantics: the
+// tupleSet is the membership set behind Set and Versioned: the
 // positions of its tuples in a tuple slice the caller passes in, keyed
 // by tupleHash. Every hash hit is confirmed with Tuple.Equal; a distinct
 // tuple whose hash is already taken goes to the overflow list. A lookup
@@ -145,8 +145,58 @@ func setOf(tuples []Tuple) tupleSet {
 	return s
 }
 
+// Set builds a relation under set semantics: Add keeps a row unless an
+// equal one is held, in first-occurrence order, and Relation hands the
+// rows over. It is the one place a relation is deduplicated as it is
+// built; Versioned keeps the same membership set for a base relation.
+type Set struct {
+	attrs  []string
+	tuples []Tuple
+	memb   tupleSet
+}
+
+// NewSet returns an empty set over attrs with room for n rows (at most
+// MaxPresize), so a set built from an input of known length grows
+// neither its rows nor its membership set. attrs goes to the relation
+// Relation returns.
+func NewSet(attrs []string, n int) Set {
+	return Set{attrs: attrs, tuples: make([]Tuple, 0, min(n, MaxPresize))}
+}
+
+// Add adopts t and reports true unless an equal row is held: the set
+// takes ownership of a new t, so the caller must not modify it
+// afterwards, while a duplicate stays the caller's (a Slab row can be
+// reused). t's arity must be the set's.
+func (s *Set) Add(t Tuple) bool {
+	pos, h, taken := s.memb.find(s.tuples, t)
+	if pos >= 0 {
+		return false
+	}
+	s.memb.add(h, taken, len(s.tuples), cap(s.tuples))
+	s.tuples = append(s.tuples, t)
+	return true
+}
+
+// Find returns the position of t among the rows in the order they were
+// added, or -1 when it is absent.
+func (s *Set) Find(t Tuple) int {
+	pos, _, _ := s.memb.find(s.tuples, t)
+	return pos
+}
+
+// Contains reports whether a row equal to t is held.
+func (s *Set) Contains(t Tuple) bool { return s.Find(t) >= 0 }
+
+// Len returns the number of rows held.
+func (s *Set) Len() int { return len(s.tuples) }
+
+// Relation returns a relation over the rows held, in the order they
+// were added. Rows added later extend the set past it and leave it as
+// it is, as a Versioned insert leaves a published revision.
+func (s *Set) Relation() *Relation { return NewDistinct(s.attrs, s.tuples) }
+
 // MaxPresize bounds the rows a builder reserves before it knows how many
-// it keeps (NewSized, a Slab chunk). A projection that collapses a large
+// it keeps (NewSet, a Slab chunk). A projection that collapses a large
 // input, or a mask that drops most rows, then holds at most this much
 // unused room however large the input was.
 const MaxPresize = 1024

@@ -117,87 +117,72 @@ func sameAs(t *testing.T, step int, op string, got []Tuple, m *refRel) {
 	}
 }
 
-// runMembership drives relations and versioned relations through seeded
+// runMembership drives sets and versioned relations through seeded
 // random operations and checks every result, and the tuples after each
 // operation, against the rendered-key reference.
 func runMembership(t *testing.T, seed int64, steps int) {
 	const arity = 3
 	g := memberGen{rand.New(rand.NewSource(seed))}
 	attrs := []string{"A", "B", "C"}
-	type relPair struct {
-		r *Relation
+	type setPair struct {
+		s *Set
 		m *refRel
 	}
 	type verPair struct {
 		v *Versioned
 		m *refRel
 	}
-	rels := []relPair{{New(attrs), newRef()}}
+	newSet := func() setPair {
+		s := NewSet(attrs, g.rng.Intn(8))
+		return setPair{&s, newRef()}
+	}
+	sets := []setPair{newSet()}
 	vers := []verPair{{NewVersioned(attrs), newRef()}}
 	slab := NewSlab(arity)
 	for step := 0; step < steps; step++ {
-		if len(rels) == 0 {
-			rels = append(rels, relPair{New(attrs), newRef()})
+		if len(sets) == 0 {
+			sets = append(sets, newSet())
 		}
-		p := rels[g.rng.Intn(len(rels))]
+		k := g.rng.Intn(len(sets))
+		p := sets[k]
 		var op string
-		switch k := g.rng.Intn(13); k {
-		case 0, 1:
-			op = "Insert"
-			tp := g.probe(p.m, arity)
-			if got, err := p.r.Insert(tp); err != nil || got != p.m.insert(tp) {
-				t.Fatalf("step %d: Insert(%v) = %v, %v; reference disagrees", step, tp, got, err)
-			}
-		case 2, 3:
-			op = "Adopt"
+		switch g.rng.Intn(12) {
+		case 0, 1, 2, 3:
+			op = "Add"
 			tp := g.probe(p.m, arity)
 			row := slab.Row(steps - step)
 			copy(row, tp)
-			got := p.r.Adopt(row)
+			got := p.s.Add(row)
 			if got != p.m.insert(tp) {
-				t.Fatalf("step %d: Adopt(%v) = %v; reference disagrees", step, tp, got)
+				t.Fatalf("step %d: Add(%v) = %v; reference disagrees", step, tp, got)
 			}
 			if got {
 				slab.Keep()
 			}
-		case 4:
-			op = "Append"
-			if tp := g.probe(p.m, arity); p.m.insert(tp) {
-				p.r.Append(tp.Clone())
-			}
-		case 5, 6:
+		case 4, 5:
 			op = "Find"
 			tp := g.probe(p.m, arity)
-			if got, want := p.r.Find(tp), slices.IndexFunc(p.m.tuples, tp.Equal); got != want {
+			if got, want := p.s.Find(tp), slices.IndexFunc(p.m.tuples, tp.Equal); got != want {
 				t.Fatalf("step %d: Find(%v) = %d, reference %d", step, tp, got, want)
 			}
+			if got, want := p.s.Contains(tp), p.m.keys[refKey(tp)]; got != want {
+				t.Fatalf("step %d: Contains(%v) = %v, reference %v", step, tp, got, want)
+			}
+		case 6:
+			op = "Relation"
+			r := p.s.Relation()
+			sameAs(t, step, op, r.Rename([]string{"X.A", "X.B", "X.C"}).Tuples(), p.m)
+			if len(sets) < 4 {
+				c := NewSet(attrs, r.Len())
+				for _, tp := range r.Clone().Tuples() {
+					c.Add(tp)
+				}
+				sets = append(sets, setPair{&c, p.m.clone()})
+			}
 		case 7:
-			op = "Clone"
-			if len(rels) < 4 {
-				rels = append(rels, relPair{p.r.Clone(), p.m.clone()})
-			}
-		case 8:
-			op = "Rename"
-			view := p.r.Rename([]string{"X.A", "X.B", "X.C"})
-			sameAs(t, step, op, view.Tuples(), p.m)
-			for range 4 {
-				tp := g.probe(p.m, arity)
-				if got, want := view.Contains(tp), p.m.keys[refKey(tp)]; got != want {
-					t.Fatalf("step %d: renamed Contains(%v) = %v, reference %v", step, tp, got, want)
-				}
-			}
-		case 9:
-			op = "ReleaseMembership"
-			p.r.ReleaseMembership()
-		case 10:
 			op = "VersionedOf"
-			for i := range rels {
-				if rels[i] == p {
-					rels = append(rels[:i], rels[i+1:]...)
-					break
-				}
-			}
-			vers = append(vers, verPair{VersionedOf(p.r), p.m})
+			sets = append(sets[:k], sets[k+1:]...)
+			vers = append(vers, verPair{VersionedOf(p.s.Relation()), p.m})
 			if len(vers) > 3 {
 				vers = vers[1:]
 			}
@@ -226,7 +211,7 @@ func runMembership(t *testing.T, seed int64, steps int) {
 			sameAs(t, step, op, vp.v.Head().Tuples(), vp.m)
 			continue
 		}
-		sameAs(t, step, op, p.r.Tuples(), p.m)
+		sameAs(t, step, op, p.s.Relation().Tuples(), p.m)
 	}
 }
 

@@ -4,48 +4,40 @@ import "fmt"
 
 // Versioned is the MVCC wrapper around a base relation: a lineage of
 // immutable revisions plus the writer-owned bookkeeping that makes each
-// mutation cheap. Head returns the current revision; Insert and Delete
-// never modify a published revision, they build a successor and advance
-// the head, so any goroutine that captured an earlier Head keeps a
-// stable snapshot for as long as it holds the pointer.
+// change cheap. Head returns the current revision; Insert and Delete
+// publish a successor and advance the head, so any goroutine that
+// captured an earlier Head keeps a stable snapshot for as long as it
+// holds the pointer. It is the only way a base relation changes.
 //
 // Contract: a Versioned has a single serialized writer (the engine's
 // statement lock). Inserts extend the newest revision's tuple slice via
 // append — the backing array is shared with older revisions, which is
 // safe precisely because the append frontier only ever advances at the
 // newest revision and readers of an older head see only its own prefix.
-// Deletes build a fresh slice (never compacting shared storage, unlike
-// Relation.Delete). Published revisions must be treated as immutable:
-// read them through Tuples, Len, Sorted, the index cache, or Clone —
-// never through Insert, Append, Delete, or Contains, whose lazy
-// membership-set rebuild mutates the struct.
+// Deletes build a fresh slice, never compacting shared storage.
 //
 // The duplicate-check membership set lives here, owned by the writer,
 // instead of on the revisions: sharing one set across revisions would
-// race with concurrent readers, and copying it per mutation would cost
-// O(n) — exactly what copy-on-write avoids. Each mutated revision gets
-// a fresh secondary-index cache; a pinned reader keeps the indexes it
-// already built for its revision.
+// race with concurrent readers, and copying it per change would cost
+// O(n) — exactly what copy-on-write avoids. Each revision gets a fresh
+// secondary-index cache; a pinned reader keeps the indexes it already
+// built for its revision.
 type Versioned struct {
 	head *Relation
-	// memb is the membership set of head's tuples, like Relation.memb.
+	// memb is the membership set of head's tuples, as a Set keeps one.
 	memb tupleSet
 }
 
 // NewVersioned creates an empty versioned relation over the attributes.
 func NewVersioned(attrs []string) *Versioned {
-	return &Versioned{head: New(attrs)}
+	return &Versioned{head: NewDistinct(append([]string(nil), attrs...), nil)}
 }
 
-// VersionedOf adopts r as the initial head revision, taking ownership:
-// the caller must not mutate r afterwards. The writer-owned membership
-// set is r's own (built only if an Append left it stale); r gives it up,
-// since the set moves on with later revisions.
+// VersionedOf starts a lineage at r, whose tuples must be distinct: r
+// is the initial head revision, and the writer-owned membership set is
+// built from its tuples. r itself is not written.
 func VersionedOf(r *Relation) *Versioned {
-	r.ensureMemb()
-	m := r.memb
-	r.ReleaseMembership()
-	return &Versioned{head: r, memb: m}
+	return &Versioned{head: r, memb: setOf(r.tuples)}
 }
 
 // Head returns the current revision. The returned relation is immutable;
@@ -75,7 +67,7 @@ func (v *Versioned) Insert(t Tuple) (bool, error) {
 	// Shares old's backing array when capacity allows: the single-writer
 	// contract guarantees only the newest revision's frontier is ever
 	// appended to, so older heads' prefixes are never overwritten.
-	v.head = newRelation(old.Attrs, append(old.tuples, t.Clone()))
+	v.head = NewDistinct(old.Attrs, append(old.tuples, t.Clone()))
 	return true, nil
 }
 
@@ -100,7 +92,7 @@ func (v *Versioned) Delete(pred func(Tuple) bool) int {
 	if removed == 0 {
 		return 0
 	}
-	v.head = newRelation(old.Attrs, kept)
+	v.head = NewDistinct(old.Attrs, kept)
 	return removed
 }
 
@@ -151,5 +143,5 @@ func (r *Relation) Suffix(from int) *Relation {
 	if from > len(r.tuples) {
 		from = len(r.tuples)
 	}
-	return newRelation(r.Attrs, r.tuples[from:])
+	return NewDistinct(r.Attrs, r.tuples[from:])
 }

@@ -109,12 +109,7 @@ func TestVersionedCopyOnWrite(t *testing.T) {
 // TestVersionedOfAdoptsRelation checks that VersionedOf builds its
 // membership set from the adopted revision.
 func TestVersionedOfAdoptsRelation(t *testing.T) {
-	r := New([]string{"X"})
-	for i := int64(0); i < 5; i++ {
-		if _, err := r.Insert(vt(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r := NewDistinct([]string{"X"}, ints(0, 1, 2, 3, 4))
 	v := VersionedOf(r)
 	if v.Len() != 5 || v.Arity() != 1 {
 		t.Fatalf("adopted len=%d arity=%d", v.Len(), v.Arity())
@@ -124,35 +119,6 @@ func TestVersionedOfAdoptsRelation(t *testing.T) {
 	}
 	if ok, _ := v.Insert(vt(7)); !ok {
 		t.Fatal("fresh tuple rejected")
-	}
-}
-
-// TestVersionedOfAllocatesNoMap: adopting an Insert-built relation takes
-// over its membership set instead of building a second one, so the only
-// allocation is the Versioned itself; an Append-built relation still
-// gets its set built once.
-func TestVersionedOfAllocatesNoMap(t *testing.T) {
-	const runs = 20
-	rels := make([]*Relation, runs+1) // AllocsPerRun adds a warm-up call
-	for k := range rels {
-		rels[k] = New([]string{"X"})
-		for i := int64(0); i < 64; i++ {
-			rels[k].MustInsert(vt(i)...)
-		}
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		VersionedOf(rels[next])
-		next++
-	})
-	if allocs > 1 {
-		t.Fatalf("VersionedOf allocated %.0f objects, want only the Versioned", allocs)
-	}
-	r := New([]string{"X"})
-	r.Append(vt(1))
-	v := VersionedOf(r)
-	if !v.Contains(vt(1)) || v.Contains(vt(2)) {
-		t.Fatal("membership of an Append-built relation lost")
 	}
 }
 
@@ -317,15 +283,16 @@ func FuzzVersionedLineage(f *testing.F) {
 				} else {
 					pred = func(tp Tuple) bool { return tp[0].AsInt()%4 == int64(arg%4) }
 				}
-				gone := h.Select(pred)
-				want := h.Len() - gone.Len()
+				want := h.Len() - h.Select(pred).Len()
 				v.Delete(pred)
 				if v.Len() != want {
 					t.Fatalf("step %d: delete left %d rows, want %d", step, v.Len(), want)
 				}
+				// A kept row the predicate takes is gone now, or went
+				// since its head was kept.
 				for _, k := range heads {
 					for _, r := range k.rows {
-						k.broken = k.broken || gone.Contains(r)
+						k.broken = k.broken || pred(r)
 					}
 				}
 			case 2:
@@ -384,21 +351,22 @@ func TestVersionedArityMismatch(t *testing.T) {
 }
 
 // TestVersionedPinnedReadersRace drives one writer (inserts and deletes
-// advancing the head) against many readers pinned at whatever revision
+// advancing the head, the inserts appending into the backing array the
+// pinned heads share) against many readers pinned at whatever revision
 // they captured; under -race this proves published revisions are never
-// written again. Each reader verifies its revision is internally
-// consistent: the same contents however many times it is re-read.
+// written again. Each reader calls every read method on its revision,
+// directly and through a Rename and a Suffix, and checks that the
+// revision reads the same however many times it is read.
 func TestVersionedPinnedReadersRace(t *testing.T) {
 	v := NewVersioned([]string{"A", "B"})
 	for i := int64(0); i < 64; i++ {
-		if _, err := v.Insert(vt(i, i)); err != nil {
+		if _, err := v.Insert(vt(i, i%7)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	var mu sync.Mutex // serializes the writer role only
 	heads := make(chan *Relation, 1024)
-	done := make(chan struct{})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -410,7 +378,7 @@ func TestVersionedPinnedReadersRace(t *testing.T) {
 			if i%17 == 0 {
 				v.Delete(func(tp Tuple) bool { return tp[0].AsInt() == i-60 })
 			}
-			v.Insert(vt(i, i)) //nolint:errcheck
+			v.Insert(vt(i, i%7)) //nolint:errcheck
 			h := v.Head()
 			mu.Unlock()
 			select {
@@ -420,24 +388,37 @@ func TestVersionedPinnedReadersRace(t *testing.T) {
 		}
 	}()
 
+	// reads renders what every read method returns for r.
+	reads := func(r *Relation) []string {
+		out := tuplesOf(r)
+		for k := int64(0); k < 7; k++ {
+			out = append(out, fmt.Sprint(len(r.LookupEq(1, value.Int(k)))))
+		}
+		lo, hi := &RangeEnd{V: value.Int(10)}, &RangeEnd{V: value.Int(900), Open: true}
+		for _, tp := range r.LookupRange(0, lo, hi) {
+			out = append(out, tp[0].String())
+		}
+		return append(out, fmt.Sprint(r.DistinctCount(0), r.DistinctCount(1)))
+	}
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for h := range heads {
-				first := tuplesOf(h)
-				for k := 0; k < 3; k++ {
-					select {
-					case <-done:
-					default:
+				views := []*Relation{h, h.Rename([]string{"X.A", "X.B"}), h.Suffix(h.Len() / 2)}
+				for _, view := range views {
+					first := reads(view)
+					for k := 0; k < 2; k++ {
+						if again := reads(view); !slices.Equal(first, again) {
+							panic(fmt.Sprintf("pinned revision changed between reads: %d vs %d results", len(first), len(again)))
+						}
 					}
-					if again := tuplesOf(h); !sameTuples(first, again) {
-						panic(fmt.Sprintf("pinned revision changed between reads: %d vs %d tuples", len(first), len(again)))
-					}
+				}
+				if want := tuplesOf(h); !slices.Equal(tuplesOf(views[1]), want) {
+					panic("a rename reads other tuples than its revision")
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	close(done)
 }

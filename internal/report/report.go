@@ -25,7 +25,7 @@ func Figure1(w io.Writer) {
 	header(w, "Figure 1: Database Extended with Access Permissions")
 	f := workload.Paper()
 	for _, rel := range []string{"EMPLOYEE", "PROJECT", "ASSIGNMENT"} {
-		f.Rels[rel].Render(w, rel)
+		f.Rels[rel].Head().Render(w, rel)
 		f.Store.RenderMeta(w, rel)
 		fmt.Fprintln(w)
 	}

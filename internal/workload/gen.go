@@ -73,7 +73,7 @@ func Generate(cfg GenConfig) *Fixture {
 		if err := f.Schema.Add(rs); err != nil {
 			panic(err)
 		}
-		r := relation.FromSchema(rs)
+		r := relation.NewVersioned(rs.Attrs)
 		for row := 0; row < cfg.RowsPerRel; row++ {
 			t := make(relation.Tuple, cfg.AttrsPerRel)
 			t[0] = value.Int(int64(row))
@@ -81,7 +81,9 @@ func Generate(cfg GenConfig) *Fixture {
 			for j := 2; j < cfg.AttrsPerRel; j++ {
 				t[j] = value.Int(int64(rng.Intn(cfg.RowsPerRel)))
 			}
-			r.MustInsert(t...)
+			if _, err := r.Insert(t); err != nil {
+				panic(err)
+			}
 		}
 		f.Rels[RelName(i)] = r
 	}

@@ -13,20 +13,22 @@ import (
 )
 
 // Fixture bundles a database scheme, its relation instances, and an
-// authorization store.
+// authorization store. Each relation changes through its Versioned, as
+// the engine's do.
 type Fixture struct {
 	Schema *relation.DBSchema
-	Rels   map[string]*relation.Relation
+	Rels   map[string]*relation.Versioned
 	Store  *core.Store
 }
 
-// Source adapts the fixture's relations for the algebra evaluators.
+// Source adapts the fixture's relations for the algebra evaluators: it
+// returns a relation's current revision.
 func (f *Fixture) Source(name string) (*relation.Relation, error) {
 	r, ok := f.Rels[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown relation %s", name)
 	}
-	return r, nil
+	return r.Head(), nil
 }
 
 // MustExec applies a script of statements to the fixture (DDL, DML, view
@@ -53,7 +55,7 @@ func (f *Fixture) apply(s parser.Stmt) error {
 		if err := f.Schema.Add(rs); err != nil {
 			return err
 		}
-		f.Rels[s.Name] = relation.FromSchema(rs)
+		f.Rels[s.Name] = relation.NewVersioned(rs.Attrs)
 		return nil
 	case parser.Insert:
 		r, ok := f.Rels[s.Rel]
@@ -76,7 +78,7 @@ func NewFixture() *Fixture {
 	sch := relation.NewDBSchema()
 	return &Fixture{
 		Schema: sch,
-		Rels:   make(map[string]*relation.Relation),
+		Rels:   make(map[string]*relation.Versioned),
 		Store:  core.NewStore(sch),
 	}
 }
