@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build cross fmt vet staticcheck test race allocs chaos examples loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply bench-acl
+.PHONY: check build cross fmt vet staticcheck test race allocs examples loc fuzz fuzz-wire fuzz-wal fuzz-render fuzz-parser fuzz-mask fuzz-snapshot bench benchgo bench-reply bench-acl
 
 check: build cross fmt vet staticcheck race
 
@@ -54,15 +54,6 @@ allocs:
 	$(GO) test -count=1 -run '^TestNewAllocatesOnlyTheGuard$$' ./internal/guard
 	$(GO) test -count=1 -run '^(TestPublishAllocsIndependentOfRelations|TestObserveExecAllocsNothing)$$' ./internal/engine
 
-# The jepsen-lite failover suite under the race detector: five seeded
-# network-chaos schedules (partitions, latency, mid-message cuts,
-# promotion of a replica while the old primary still takes writes) plus
-# a deliberately un-fenced run that must trip the dual-primary check.
-# Set CHAOS_SEED to replay one schedule; set CHAOS_HISTORY_DIR to dump
-# per-schedule operation histories (CI uploads them on failure).
-chaos:
-	$(GO) test -race -v -run 'TestChaos' ./internal/chaosnet
-
 # Runs each example program once; any that exits non-zero fails the
 # target, naming it.
 examples:
@@ -87,18 +78,16 @@ loc:
 fuzz:
 	$(GO) test ./internal/engine -fuzz FuzzSessionExec -fuzztime 30s
 
-# Fuzz the wire-protocol decoder (seeded with every message type,
-# replication kinds included, plus malformed frames): a frame accepted
-# as a control message or a reply re-encodes to the same bytes. Then
-# the control messages' round trip (each built from fuzzed fields
-# decodes from its encoding to itself, and only as its own kind), the
-# Response codec (both properties), and the REPL_BATCH codec (both
-# properties).
+# Fuzz the wire-protocol decoder (seeded with every message type, the
+# retired replication tags, and malformed frames): a frame accepted as a
+# control message or a reply re-encodes to the same bytes. Then the
+# control messages' round trip (each built from fuzzed fields decodes
+# from its encoding to itself, and only as its own kind) and the
+# Response codec (both properties).
 fuzz-wire:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzControlCodec$$' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseCodec$$' -fuzztime 30s
-	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzReplBatch$$' -fuzztime 30s
 
 # Fuzz WAL replay: any log bytes replay without a panic, and the
 # replayed records, appended to a fresh log, reproduce exactly the
@@ -125,10 +114,9 @@ fuzz-mask:
 
 # Fuzz the snapshot round trip, and with it the durable format itself (a
 # generation is the snapshot files): a state of fuzzed strings and
-# integers, rendered as snapshot statements (ReplSnapshot) and replayed
-# into a fresh engine (ResetFromSnapshot), renders to the same
-# statements and the same snapshot files, and every tuple comes back
-# with its kinds.
+# integers, rendered as the statements that rebuild it and replayed
+# into a fresh engine, renders to the same statements and the same
+# snapshot files, and every tuple comes back with its kinds.
 fuzz-snapshot:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime 30s
 

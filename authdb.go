@@ -247,9 +247,9 @@ func (db *DB) Metrics() *metrics.Registry {
 	return db.eng.Metrics()
 }
 
-// Engine exposes the underlying engine for in-process subsystems (the
-// network server's replication hub, the replica applier). Not part of
-// the stable embedding surface.
+// Engine exposes the underlying engine for in-process tooling (the
+// benchmark harness, tests that read the engine's counters). Not part
+// of the stable embedding surface.
 func (db *DB) Engine() *engine.Engine { return db.eng }
 
 // SetGroupCommit has no effect. Group commit is the only journaling

@@ -26,10 +26,9 @@
 //	\end               close the snapshot block (reads follow the head again)
 //	\quit              exit
 //
-// Subcommands: `authdb serve` runs the database as a network server
-// (see cmd/authdb/serve.go and DESIGN.md §11); `authdb promote` flips a
-// replica into the serving primary (DESIGN.md §13). Any other
-// positional argument is a usage error.
+// Subcommand: `authdb serve` runs the database as a network server (see
+// cmd/authdb/serve.go and DESIGN.md §11). Any other positional argument
+// is a usage error.
 //
 // Everything else is a statement; end statements with ';' or a newline.
 package main
@@ -48,13 +47,8 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "serve":
-			os.Exit(runServe(os.Args[2:]))
-		case "promote":
-			os.Exit(runPromote(os.Args[2:]))
-		}
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		os.Exit(runServe(os.Args[2:]))
 	}
 	os.Exit(run(os.Args[1:], os.Stdin))
 }
@@ -70,7 +64,7 @@ func run(args []string, stdin io.Reader) int {
 	paper := fs.Bool("paper", false, "preload the paper's Figure 1 example database")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "authdb: unexpected argument %q\nusage: authdb [flags] | authdb serve [flags] | authdb promote [flags]\n", fs.Arg(0))
+		fmt.Fprintf(os.Stderr, "authdb: unexpected argument %q\nusage: authdb [flags] | authdb serve [flags]\n", fs.Arg(0))
 		return 2
 	}
 

@@ -14,6 +14,7 @@ func TestRunRejectsPositionalArguments(t *testing.T) {
 		{[]string{"-paper"}, 0},
 		{[]string{"serv"}, 2},
 		{[]string{"bench"}, 2},
+		{[]string{"promote"}, 2},
 		{[]string{"-paper", "promote"}, 2},
 	} {
 		if got := run(tc.args, strings.NewReader(`\quit`+"\n")); got != tc.want {

@@ -9,18 +9,7 @@ package main
 //	authdb serve [-addr HOST:PORT] [-metrics-addr HOST:PORT] [-db DIR]
 //	             [-paper] [-load FILE] [-max-conns N] [-idle-timeout D]
 //	             [-grace D] [-admin-token T] [-max-intermediate-rows N]
-//	             [-max-result-rows N] [-stmt-timeout D] [-replica]
-//	             [-advertise HOST:PORT] [-peers HOST:PORT[,...]]
-//	             [-ready-max-lag N]
-//
-// -peers lists the other cluster members. With -replica this node
-// follows them (DESIGN.md §12) and serves read-only masked answers;
-// writes are refused with READ_ONLY naming the primary. A fenced
-// primary rejoins through the same peers (DESIGN.md §13). Every
-// follower presents -admin-token, so a cluster shares one. -advertise
-// sets the address other nodes are told to reach this node at;
-// -ready-max-lag bounds the replication lag (in LSNs) at which /readyz
-// still reports ready.
+//	             [-max-result-rows N] [-stmt-timeout D]
 
 import (
 	"context"
@@ -28,12 +17,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"authdb"
-	"authdb/internal/replica"
 	"authdb/internal/server"
 	"authdb/internal/workload"
 )
@@ -42,7 +29,7 @@ func runServe(args []string) int {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	def := authdb.DefaultLimits()
 	addr := fs.String("addr", "127.0.0.1:6544", "wire-protocol listen address")
-	metricsAddr := fs.String("metrics-addr", "", "HTTP /metrics and /healthz listen address (empty: disabled)")
+	metricsAddr := fs.String("metrics-addr", "", "HTTP /metrics, /healthz and /readyz listen address (empty: disabled)")
 	dbdir := fs.String("db", "", "durable database directory to open or create (empty: in-memory)")
 	paper := fs.Bool("paper", false, "preload the paper's Figure 1 example database")
 	load := fs.String("load", "", "execute this statement script before serving")
@@ -53,18 +40,7 @@ func runServe(args []string) int {
 	maxInter := fs.Int64("max-intermediate-rows", def.MaxIntermediateRows, "per-statement intermediate-row budget (0: unlimited)")
 	maxResult := fs.Int64("max-result-rows", def.MaxResultRows, "per-statement result-row cap (0: unlimited)")
 	stmtTimeout := fs.Duration("stmt-timeout", def.Timeout, "per-statement wall-clock bound (0: unlimited)")
-	isReplica := fs.Bool("replica", false, "start read-only and follow -peers")
-	advertise := fs.String("advertise", "", "address other nodes should reach this node at (empty: the listen address)")
-	peers := fs.String("peers", "", "comma-separated addresses of the other cluster members: followed with -replica, and rejoined through after a fence")
-	readyMaxLag := fs.Int("ready-max-lag", 0, "replication lag in LSNs at which /readyz still reports ready (0: default)")
 	fs.Parse(args)
-
-	if *isReplica && (*paper || *load != "") {
-		// Local mutations on a replica would shift its LSN sequence away
-		// from the primary's and corrupt the stream position.
-		fmt.Fprintln(os.Stderr, "-replica is incompatible with -paper and -load: replicas take every statement from the primary")
-		return 1
-	}
 
 	var db *authdb.DB
 	if *dbdir != "" {
@@ -94,17 +70,12 @@ func runServe(args []string) int {
 	}
 
 	srv := server.New(db, server.Config{
-		Addr:            *addr,
-		MetricsAddr:     *metricsAddr,
-		MaxConns:        *maxConns,
-		IdleTimeout:     *idle,
-		Grace:           *grace,
-		AdminToken:      *token,
-		Replica:         *isReplica,
-		AdvertiseAddr:   *advertise,
-		Peers:           splitAddrs(*peers),
-		Follow:          replica.Tuning{Logf: func(f string, a ...any) { fmt.Printf(f+"\n", a...) }},
-		ReadyMaxLagLSNs: *readyMaxLag,
+		Addr:        *addr,
+		MetricsAddr: *metricsAddr,
+		MaxConns:    *maxConns,
+		IdleTimeout: *idle,
+		Grace:       *grace,
+		AdminToken:  *token,
 		Limits: authdb.Limits{
 			MaxIntermediateRows: *maxInter,
 			MaxResultRows:       *maxResult,
@@ -126,23 +97,10 @@ func runServe(args []string) int {
 	fmt.Printf("%s: draining (grace %s)\n", got, *grace)
 	ctx, cancel := context.WithTimeout(context.Background(), *grace+30*time.Second)
 	defer cancel()
-	// srv.Shutdown also stops the node's follower, if it runs one.
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "shutdown:", err)
 		return 1
 	}
 	fmt.Println("drained")
 	return 0
-}
-
-// splitAddrs parses a comma-separated address list, dropping empty
-// entries.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -96,8 +96,8 @@ type Store struct {
 // defIDs counts the definitions ever stored by any store in the process;
 // each takes the next value as its id. One counter for every store keeps
 // ids unique across stores that do not descend from one another — a
-// replica's rebuilt store, a clone that is abandoned while its parent
-// goes on — so a closure shared by all of them never confuses two
+// clone that is abandoned while its parent goes on, and the parent's
+// next clone — so a closure shared by all of them never confuses two
 // definitions.
 var defIDs atomic.Uint64
 

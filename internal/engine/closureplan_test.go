@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"authdb/internal/core"
 	"authdb/internal/engine"
 	"authdb/internal/workload"
 )
@@ -212,61 +211,6 @@ func TestClosurePinnedReaderAcrossRedefinition(t *testing.T) {
 	}
 	if !strings.Contains(renderResult(fresh), "sv-72|Apex") || strings.Contains(renderResult(fresh), "Acme") {
 		t.Fatalf("fresh reader did not read the redefined PSA:\n%s", renderResult(fresh))
-	}
-}
-
-// TestClosureSnapshotReaderAcrossReset: definition ids are unique across
-// stores, not only along one chain of clones. A snapshot session pinned
-// before ResetFromSnapshot goes on reading its old store and writes
-// entries keyed on that store's ids into the closure the rebuilt store
-// uses. The rebuilt store defines the same views in the same order, PSA
-// over Apex instead of Acme, so ids counted per store would give the new
-// PSA the old one's id and Brown's fresh read would take the pinned
-// reader's mask. It must answer as an engine without a closure does.
-func TestClosureSnapshotReaderAcrossReset(t *testing.T) {
-	ctx := context.Background()
-	script := strings.Replace(workload.PaperScript, "PROJECT.SPONSOR = Acme", "PROJECT.SPONSOR = Apex", 1)
-	e := paperEngine(t)
-	pinned := e.NewSession("Brown", false)
-	if _, err := pinned.Dispatch(ctx, `\begin snapshot`); err != nil {
-		t.Fatal(err)
-	}
-	old, err := pinned.Exec(workload.Example1Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ResetFromSnapshot([]string{script}, e.LSN(), nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := pinned.Exec(workload.Example1Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderResult(got) != renderResult(old) {
-		t.Fatalf("pinned reader lost its version's answer:\n%s\nwant\n%s", renderResult(got), renderResult(old))
-	}
-	if st := e.MaskClosureStats(); st.Entries != 1 {
-		t.Fatalf("the pinned read left %d entries in the rebuilt closure, want 1", st.Entries)
-	}
-
-	ref := engine.New(core.DefaultOptions())
-	ref.SetMaskClosureEnabled(false)
-	if _, err := ref.NewSession("admin", true).ExecScript(script); err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.NewSession("Brown", false).Exec(workload.Example1Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := e.NewSession("Brown", false).Exec(workload.Example1Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderResult(fresh) != renderResult(want) {
-		t.Fatalf("fresh reader after the reset:\n%s\nwant the closure-off answer\n%s", renderResult(fresh), renderResult(want))
-	}
-	if renderResult(fresh) == renderResult(old) {
-		t.Fatalf("the rebuilt PSA answers as the old one did:\n%s", renderResult(fresh))
 	}
 }
 

@@ -1,11 +1,10 @@
-// Log sequence numbers, WAL group commit, and the commit feed.
+// Log sequence numbers and WAL group commit.
 //
 // Every applied mutating statement gets the next LSN — a counter over
 // the engine's entire statement history, persisted as the LSN file of
 // each snapshot generation plus the position in the generation's WAL.
 // Two engines that applied the same statement prefix therefore agree on
-// the LSN, which is what lets a replica resume a replication stream
-// from its own persisted position.
+// the LSN, and a reopen continues the count where it stopped.
 //
 // Journaling has one path. The statement's record is staged on a queue
 // under the engine lock, which fixes the WAL order to the apply order.
@@ -19,10 +18,8 @@
 // async-commit session skips the wait; its statements become durable
 // at the next WaitDurable, synchronous commit, checkpoint or Close.
 //
-// A statement is acknowledged only after it is durable, and only
-// durable statements are published to the commit feed — a replica can
-// never observe a statement the primary could still lose. Readers may
-// see a statement whose sync is still in flight.
+// A statement is acknowledged only after it is durable. Readers may see
+// a statement whose sync is still in flight.
 //
 // The WAL record is a statement's only write: a statement touches no
 // snapshot file; a checkpoint folds the log into the next generation.
@@ -34,89 +31,16 @@ import (
 	"authdb/internal/parser"
 )
 
-// Commit is one durably journaled statement, as delivered to commit
-// subscribers in LSN order.
-type Commit struct {
-	LSN  uint64
-	Stmt string
-}
-
-// CommitSub is a subscription to the engine's commit feed. The channel
-// is closed when the subscriber falls behind (its buffer overflows) or
-// is unsubscribed; a replication follower treats closure as a
-// disconnect and re-attaches from its last durable position.
-type CommitSub struct {
-	ch     chan Commit
-	closed bool
-}
-
-// C returns the subscription's delivery channel.
-func (s *CommitSub) C() <-chan Commit { return s.ch }
-
-// SubscribeCommits registers a subscriber with the given buffer; every
-// statement made durable after the call is delivered in LSN order.
-// Statements durable before the call are on disk (the WAL of the
-// current generation, or the snapshot) — subscribe first, then read
-// disk, and the two sources overlap rather than gap.
-func (e *Engine) SubscribeCommits(buf int) *CommitSub {
-	if buf <= 0 {
-		buf = 1024
-	}
-	sub := &CommitSub{ch: make(chan Commit, buf)}
-	e.pubMu.Lock()
-	e.subs[sub] = struct{}{}
-	e.pubMu.Unlock()
-	return sub
-}
-
-// UnsubscribeCommits removes the subscription and closes its channel.
-func (e *Engine) UnsubscribeCommits(sub *CommitSub) {
-	e.pubMu.Lock()
-	defer e.pubMu.Unlock()
-	if _, ok := e.subs[sub]; ok {
-		delete(e.subs, sub)
-		if !sub.closed {
-			sub.closed = true
-			close(sub.ch)
-		}
-	}
-}
-
-// hasSubs reports whether any commit subscriber is attached.
-func (e *Engine) hasSubs() bool {
-	e.pubMu.Lock()
-	defer e.pubMu.Unlock()
-	return len(e.subs) > 0
-}
-
-// publishCommits delivers a durable batch to every subscriber. A
-// subscriber whose buffer is full is disconnected (channel closed) —
-// the slow-follower policy: it re-attaches and catches up from disk
-// instead of stalling the publisher.
-func (e *Engine) publishCommits(batch []Commit) {
-	e.pubMu.Lock()
-	defer e.pubMu.Unlock()
-	for sub := range e.subs {
-		for _, c := range batch {
-			select {
-			case sub.ch <- c:
-			default:
-				delete(e.subs, sub)
-				sub.closed = true
-				close(sub.ch)
-				e.met.Counter("authdb_repl_slow_subscriber_disconnects_total").Inc()
-			}
-			if sub.closed {
-				break
-			}
-		}
-	}
+// commit is one journaled statement awaiting its WAL write.
+type commit struct {
+	lsn  uint64
+	stmt string
 }
 
 // LSN returns the engine's current log sequence number: the count of
 // mutating statements applied over its entire history. It reads the
 // published head version rather than the internal counter, so the value
-// is always consistent with what ReplSnapshot and retrieves observe — a
+// is always consistent with what checkpoints and retrieves observe — a
 // commit becomes visible here only once its version is published, not
 // while its WAL record is still being written inside the critical
 // section.
@@ -131,7 +55,7 @@ func (e *Engine) DurableLSN() uint64 { return e.durableLSN.Load() }
 func (e *Engine) Generation() uint64 { return e.snapGen.Load() }
 
 // Mutating reports whether the statement changes state (and so is
-// journaled, replicated, and rejected on read-only replicas).
+// journaled).
 func Mutating(p parser.Stmt) bool {
 	switch p.(type) {
 	case parser.CreateRelation, parser.Insert, parser.Delete,
@@ -162,11 +86,8 @@ func (e *Engine) brokenNow() error {
 // next LSN and stages the record, leaving the durability wait on
 // s.pendingLSN for ExecStmtContext to collect after the engine lock is
 // released. Callers hold e.mu for writing and have already applied the
-// mutation. In-memory engines count LSNs (so replicas of every flavor
-// agree on positions) and are trivially durable; with subscribers
-// attached they still feed the commit stream, so an in-memory primary
-// can serve followers (which bootstrap by snapshot — there is no WAL
-// tail to read).
+// mutation. In-memory engines count LSNs too (so every engine agrees on
+// positions) and are trivially durable.
 func (s *Session) logStmt(p parser.Stmt) error {
 	e := s.eng
 	if e.dur != nil {
@@ -176,36 +97,26 @@ func (s *Session) logStmt(p parser.Stmt) error {
 	}
 	// Rendering fails only on a broken invariant (ExecStmtContext refused
 	// every statement without a literal form): the change is applied but
-	// unlogged. The LSN is taken first, so a follower sees the gap and
-	// recovers by snapshot; a durable engine takes no further mutations.
+	// unlogged, and a durable engine takes no further mutations.
 	lsn := e.lsn.Add(1)
 	if e.dur == nil {
 		e.durableLSN.Store(lsn)
-	}
-	if e.dur != nil || e.hasSubs() {
+	} else {
 		text, err := parser.Render(p)
 		if err != nil {
 			e.setBroken(err)
 			return fmt.Errorf("journaling statement: %w", err)
 		}
-		c := Commit{LSN: lsn, Stmt: text}
-		if e.dur != nil {
-			e.commitMu.Lock()
-			e.commitQ = append(e.commitQ, c)
-			e.commitMu.Unlock()
-		} else {
-			e.publishCommits([]Commit{c})
-		}
-	}
-	if !s.applier {
-		e.noteOriginWrite()
+		e.commitMu.Lock()
+		e.commitQ = append(e.commitQ, commit{lsn: lsn, stmt: text})
+		e.commitMu.Unlock()
 	}
 	s.pendingLSN = lsn
 	return nil
 }
 
-// flushLocked writes every staged record to the WAL with one sync,
-// advances the durable LSN, and publishes the batch to the commit feed.
+// flushLocked writes every staged record to the WAL with one sync and
+// advances the durable LSN.
 // Callers hold e.walMu, which orders the batches: the queue is taken
 // and written under it, so a record never lands in a generation that no
 // longer owns it. On failure the engine is marked broken.
@@ -224,7 +135,7 @@ func (e *Engine) flushLocked() error {
 	if err == nil {
 		stmts := make([]string, len(batch))
 		for i, c := range batch {
-			stmts[i] = c.Stmt
+			stmts[i] = c.stmt
 		}
 		err = e.walH.AppendBatch(stmts)
 	}
@@ -232,10 +143,9 @@ func (e *Engine) flushLocked() error {
 		e.setBroken(err)
 		return err
 	}
-	e.durableLSN.Store(batch[len(batch)-1].LSN)
+	e.durableLSN.Store(batch[len(batch)-1].lsn)
 	e.met.Counter("authdb_wal_appends_total").Add(int64(len(batch)))
 	e.met.Counter("authdb_wal_group_commits_total").Inc()
-	e.publishCommits(batch)
 	return nil
 }
 
@@ -282,8 +192,8 @@ func (e *Engine) WaitDurable(lsn uint64) error {
 			return fmt.Errorf("journaling statement: %w", err)
 		}
 		if e.durableLSN.Load() < lsn {
-			// The counter was set without staging (a snapshot install
-			// whose checkpoint failed): nothing will make lsn durable.
+			// The counter moved without staging: nothing will make lsn
+			// durable.
 			return fmt.Errorf("waiting for lsn %d: not durable and not staged", lsn)
 		}
 	}

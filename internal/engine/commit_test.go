@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -21,8 +22,8 @@ import (
 
 // TestAsyncBatchSharesOneSync: on a durable engine with default
 // settings, an async-commit session's n statements followed by one
-// WaitDurable cost exactly one WAL sync — the batching the replication
-// applier relies on.
+// WaitDurable cost exactly one WAL sync — the batching a bulk loader
+// relies on.
 func TestAsyncBatchSharesOneSync(t *testing.T) {
 	const n = 50
 	dir := t.TempDir()
@@ -69,15 +70,14 @@ func TestAsyncBatchSharesOneSync(t *testing.T) {
 
 // TestCheckpointDrainsStagedRecords: a checkpoint writes the records
 // an async session staged into the generation it retires, so the new
-// generation's WAL starts empty and the commit feed carries each
-// statement once.
+// generation's WAL starts empty, its LSN file counts each statement
+// once, and a reopen continues from that count.
 func TestCheckpointDrainsStagedRecords(t *testing.T) {
 	dir := t.TempDir()
 	e, err := OpenDurable(dir, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := e.SubscribeCommits(64)
 	async := e.NewSession("admin", true)
 	async.SetAsyncCommit(true)
 	if _, err := async.ExecScript("relation R (K) key (K);\ninsert into R values (k1);\n"); err != nil {
@@ -89,7 +89,7 @@ func TestCheckpointDrainsStagedRecords(t *testing.T) {
 	if err := e.WaitDurable(e.LSN()); err != nil {
 		t.Fatal(err)
 	}
-	gen := e.Generation()
+	gen, want := e.Generation(), fingerprint(t, e)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +100,16 @@ func TestCheckpointDrainsStagedRecords(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("the checkpointed generation's WAL holds %d records, want 0: %q", len(recs), recs)
 	}
-	for want := uint64(1); want <= 2; want++ {
-		if c := <-sub.C(); c.LSN != want {
-			t.Fatalf("commit feed delivered lsn %d, want %d", c.LSN, want)
-		}
+	if lsn, err := readSnapLSN(faultfs.OS(), filepath.Join(dir, snapName(gen))); err != nil || lsn != 2 {
+		t.Fatalf("the checkpointed generation embodies lsn %d (%v), want 2", lsn, err)
 	}
-	select {
-	case c := <-sub.C():
-		t.Fatalf("commit feed delivered lsn %d twice", c.LSN)
-	default:
+	back, err := OpenDurable(dir, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if back.LSN() != 2 || fingerprint(t, back) != want {
+		t.Fatalf("reopened at lsn %d, want 2 and the checkpointed state", back.LSN())
 	}
 }
 
@@ -376,8 +377,9 @@ func TestConcurrentAcksSurviveSyncFailure(t *testing.T) {
 // constant without a literal form (a string with a double quote, a
 // null), which only code can build. On an in-memory engine and on a
 // durable one, each must be refused before it changes anything: the
-// state and the LSN stay put, the commit feed has no gap, and the next
-// ordinary insert succeeds and survives a reopen.
+// state and the LSN stay put, the log has no gap (the next ordinary
+// insert takes the next LSN and, on the durable engine, the next WAL
+// record), and that insert survives a reopen.
 func TestRefuseUnjournalableStatement(t *testing.T) {
 	quoted := value.String(`say "hi"`)
 	bad := []parser.Stmt{
@@ -400,8 +402,6 @@ func TestRefuseUnjournalableStatement(t *testing.T) {
 			if _, err := admin.ExecScript(`relation R (A, B) key (A); insert into R values (1, x);`); err != nil {
 				t.Fatal(err)
 			}
-			sub := e.SubscribeCommits(16)
-			defer e.UnsubscribeCommits(sub)
 			before, lsn := fingerprint(t, e), e.LSN()
 			for _, p := range bad {
 				if _, err := admin.ExecStmtContext(context.Background(), p); err == nil || !strings.Contains(err.Error(), "no literal form") {
@@ -414,20 +414,24 @@ func TestRefuseUnjournalableStatement(t *testing.T) {
 			if _, err := admin.Exec(`insert into R values (3, y)`); err != nil {
 				t.Fatalf("ordinary insert after the refusals: %v", err)
 			}
-			select {
-			case c := <-sub.C():
-				if c.LSN != lsn+1 || c.Stmt != "insert into R values (3, y)" {
-					t.Fatalf("commit feed delivered %+v, want lsn %d", c, lsn+1)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("the ordinary insert never reached the commit feed")
+			if e.LSN() != lsn+1 {
+				t.Fatalf("the ordinary insert took lsn %d, want %d", e.LSN(), lsn+1)
 			}
 			if !durable {
 				return
 			}
-			want := fingerprint(t, e)
+			want, gen := fingerprint(t, e), e.Generation()
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
+			}
+			// The opening checkpoint left generation gen's WAL empty at
+			// lsn 0, so its records are lsns 1, 2, ….
+			recs, err := walStmts(filepath.Join(dir, walName(gen)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uint64(len(recs)) != lsn+1 || recs[lsn] != "insert into R values (3, y)" {
+				t.Fatalf("WAL records %q, want %d ending with the ordinary insert", recs, lsn+1)
 			}
 			back, err := OpenDurable(dir, core.DefaultOptions())
 			if err != nil {
@@ -438,6 +442,199 @@ func TestRefuseUnjournalableStatement(t *testing.T) {
 				t.Fatalf("reopened state:\n%s\nwant:\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestLSNPersistsAcrossReopen: the LSN counts mutating statements over
+// the engine's entire history — checkpoints and reopens must continue
+// the count, never restart it.
+func TestLSNPersistsAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	e, err := OpenDurable(dir, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.LSN(); got != 0 {
+		t.Fatalf("fresh engine LSN = %d, want 0", got)
+	}
+	admin := e.NewSession("admin", true)
+	for _, stmt := range durableScenario {
+		if _, err := admin.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	want := uint64(len(durableScenario))
+	if got := e.LSN(); got != want {
+		t.Fatalf("LSN = %d, want %d", got, want)
+	}
+	if got := e.DurableLSN(); got != want {
+		t.Fatalf("DurableLSN = %d, want %d", got, want)
+	}
+
+	// A checkpoint rotates the generation but not the count.
+	gen := e.Generation()
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Generation() != gen+1 {
+		t.Fatalf("generation = %d after checkpoint, want %d", e.Generation(), gen+1)
+	}
+	if got := e.LSN(); got != want {
+		t.Fatalf("LSN = %d after checkpoint, want %d", got, want)
+	}
+	if _, err := admin.Exec(`insert into EMPLOYEE values (Adams, clerk, 20000)`); err != nil {
+		t.Fatal(err)
+	}
+	want++
+	e.Close()
+
+	back, err := OpenDurable(dir, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if got := back.LSN(); got != want {
+		t.Fatalf("LSN = %d after reopen, want %d", got, want)
+	}
+	if got := back.DurableLSN(); got != want {
+		t.Fatalf("DurableLSN = %d after reopen, want %d", got, want)
+	}
+}
+
+// sortedFingerprint canonicalizes an engine fingerprint up to row
+// order, for comparing states built by concurrent writers whose
+// interleaving (and hence stored row order) legitimately differs.
+func sortedFingerprint(t *testing.T, e *Engine) string {
+	lines := strings.Split(fingerprint(t, e), "\n")
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// TestGroupCommitEquivalence runs the same inserts from 8 concurrent
+// writers, which share fsyncs while checkpoints rotate the log under
+// them, and from one session, which pays one per statement: the final
+// states, LSNs, and the states recovered by a reopen must be identical
+// — sharing a sync changes the fsync schedule, never the contents. One
+// of the concurrent writers commits asynchronously and waits once at
+// the end, so checkpoints also meet records staged but not yet written.
+func TestGroupCommitEquivalence(t *testing.T) {
+	const writers, perWriter = 8, 25
+	stmt := func(w, i int) string { return fmt.Sprintf("insert into WRITES values (w%d_%d, v)", w, i) }
+	run := func(concurrent bool) (string, uint64, string) {
+		dir := t.TempDir()
+		e, err := OpenDurable(dir, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		admin := e.NewSession("admin", true)
+		if _, err := admin.Exec(`relation WRITES (K, V) key (K)`); err != nil {
+			t.Fatal(err)
+		}
+		if concurrent {
+			stop := make(chan struct{})
+			checkpointed := make(chan struct{})
+			go func() {
+				defer close(checkpointed)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := e.Checkpoint(); err != nil {
+						t.Errorf("checkpoint: %v", err)
+						return
+					}
+				}
+			}()
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					sess := e.NewSession("admin", true)
+					sess.SetAsyncCommit(w == 0)
+					for i := 0; i < perWriter; i++ {
+						if _, err := sess.Exec(stmt(w, i)); err != nil {
+							t.Errorf("%s: %v", stmt(w, i), err)
+							return
+						}
+					}
+					if err := e.WaitDurable(e.LSN()); err != nil {
+						t.Error(err)
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(stop)
+			<-checkpointed
+		} else {
+			for w := 0; w < writers; w++ {
+				for i := 0; i < perWriter; i++ {
+					if _, err := admin.Exec(stmt(w, i)); err != nil {
+						t.Fatalf("%s: %v", stmt(w, i), err)
+					}
+				}
+			}
+		}
+		state := sortedFingerprint(t, e)
+		lsn := e.LSN()
+		e.Close()
+		back, err := OpenDurable(dir, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer back.Close()
+		if back.LSN() != lsn {
+			t.Fatalf("concurrent=%v: reopen LSN = %d, want %d", concurrent, back.LSN(), lsn)
+		}
+		return state, lsn, sortedFingerprint(t, back)
+	}
+
+	oneState, oneLSN, oneReopen := run(false)
+	manyState, manyLSN, manyReopen := run(true)
+	if oneLSN != manyLSN {
+		t.Fatalf("LSN differs: one session %d, %d writers %d", oneLSN, writers, manyLSN)
+	}
+	if wantLSN := uint64(1 + writers*perWriter); oneLSN != wantLSN {
+		t.Fatalf("LSN = %d, want %d", oneLSN, wantLSN)
+	}
+	if oneState != manyState {
+		t.Fatal("final states differ between one session and concurrent writers")
+	}
+	if oneReopen != oneState || manyReopen != manyState {
+		t.Fatal("reopened state differs from the live state")
+	}
+}
+
+// TestReplicationGauges: the LSN, durable LSN, and snapshot generation
+// ride the metrics registry for /metrics and \stats, and no replication
+// series does.
+func TestReplicationGauges(t *testing.T) {
+	e, err := OpenDurable(t.TempDir(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	admin := e.NewSession("admin", true)
+	if _, err := admin.Exec(`relation R (K) key (K)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := admin.Exec(`insert into R values (k)`); err != nil {
+		t.Fatal(err)
+	}
+	txt := e.Metrics().Text()
+	for _, want := range []string{
+		"authdb_wal_lsn 2",
+		"authdb_wal_durable_lsn 2",
+		"authdb_snapshot_generation 1",
+	} {
+		if !strings.Contains(txt, want) {
+			t.Errorf("metrics missing %q:\n%s", want, txt)
+		}
+	}
+	if strings.Contains(txt, "authdb_repl_") {
+		t.Errorf("metrics carry a replication series:\n%s", txt)
 	}
 }
 

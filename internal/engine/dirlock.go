@@ -10,9 +10,7 @@ import (
 // Without it a second OpenDurable of a directory another process still
 // holds could take the opening checkpoint, rotate the generation, and
 // remove the first engine's open WAL — the first engine keeps
-// acknowledging writes into an unlinked inode (a durability hole) and
-// WALTail, reading the rotated layout, reports an empty yet "complete"
-// log to replication followers, silently stalling them.
+// acknowledging writes into an unlinked inode (a durability hole).
 const lockFileName = "LOCK"
 
 // acquireDirLock takes an exclusive advisory lock on dir for the

@@ -5,8 +5,8 @@
 //	snap-NNNNNN/     one snapshot: the Save layout's schema.authdb,
 //	                 data.authdb and views.authdb, an LSN file
 //	                 recording the log sequence number the snapshot
-//	                 embodies, an EPOCH file, and a MANIFEST with the
-//	                 CRC-32 and size of every file
+//	                 embodies, and a MANIFEST with the CRC-32 and size
+//	                 of every file
 //	wal-NNNNNN.log   statements applied after snap-NNNNNN was taken
 //
 // The statements are the one durable form of the state: a generation is
@@ -126,9 +126,9 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options) (e *Engine, err 
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Recovery adjusted the LSN counter (and possibly the epoch history)
-	// after the last publish; republish so the head version's LSN stamp
-	// matches before the opening checkpoint renders it.
+	// Recovery adjusted the LSN counter after the last publish; republish
+	// so the head version's LSN stamp matches before the opening
+	// checkpoint renders it.
 	e.publishLocked()
 	if committed {
 		wl, idle, err := wal.Reopen(fs, filepath.Join(dir, walName(gen)))
@@ -148,10 +148,13 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options) (e *Engine, err 
 
 // loadGeneration loads a committed snapshot generation: the MANIFEST
 // vouches for every file open reads, the three scripts replay through
-// loadState, and the LSN and EPOCH files restore the counters. A
-// generation of earlier builds, whose tuples are in a page store (a
-// ROOT file) or in CSV files (a data/ directory), is refused with the
-// upgrade path before anything is written.
+// loadState, and the LSN file restores the counter. A generation that
+// also holds an EPOCH file (the fencing history builds with replication
+// wrote) opens the same way: the MANIFEST still vouches for that file,
+// and nothing reads it. A generation of earlier builds whose tuples
+// are in a page store (a ROOT file) or in CSV files (a data/
+// directory) is refused with the upgrade path before anything is
+// written.
 func loadGeneration(fs faultfs.FS, snapDir string, opt core.Options) (*Engine, error) {
 	if _, err := fs.Stat(filepath.Join(snapDir, "ROOT")); err == nil {
 		return nil, fmt.Errorf("holds a ROOT: %w", errPageLayout)
@@ -174,12 +177,6 @@ func loadGeneration(fs faultfs.FS, snapDir string, opt core.Options) (*Engine, e
 		return nil, err
 	}
 	e.lsn.Store(lsn)
-	hist, err := readSnapEpoch(fs, snapDir)
-	if err != nil {
-		return nil, err
-	}
-	e.epochHist = hist
-	e.epoch.Store(hist[len(hist)-1].Epoch)
 	return e, nil
 }
 
@@ -249,7 +246,7 @@ func verifyManifest(fs faultfs.FS, snapDir string) error {
 		}
 		listed[rel] = true
 	}
-	for _, name := range []string{"schema.authdb", dataName, "views.authdb", lsnName, epochName} {
+	for _, name := range []string{"schema.authdb", dataName, "views.authdb", lsnName} {
 		if !listed[name] {
 			return fmt.Errorf("manifest does not list %s", name)
 		}
@@ -299,23 +296,21 @@ func (e *Engine) Checkpoint() error {
 // engine's attachment is unchanged.
 func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	next := gen + 1
-	// Flush everything staged into the old generation's WAL (publishing
-	// it to the commit feed) before the log rotates out from under it.
+	// Flush everything staged into the old generation's WAL before the
+	// log rotates out from under it.
 	// New records cannot be staged while we hold e.mu.
 	if err := e.drainCommits(); err != nil {
 		return fmt.Errorf("journaling staged statements: %w", err)
 	}
 	// The generation is the head rendered as the Save layout's three
-	// scripts, plus the LSN file pinning the statement count it embodies
-	// and the EPOCH file pinning the fencing-epoch history (epoch.go);
-	// those two are part of the generation (and its MANIFEST), not of
-	// the flat Save export.
+	// scripts, plus the LSN file pinning the statement count it
+	// embodies, which is part of the generation (and its MANIFEST), not
+	// of the flat Save export.
 	files, err := e.head.Load().snapshotFiles()
 	if err != nil {
 		return err
 	}
 	files[lsnName] = []byte(fmt.Sprintf("%d\n", e.lsn.Load()))
-	files[epochName] = renderEpochHist(e.epochHist)
 
 	// Build the snapshot in a temp directory: contents, MANIFEST, fsyncs.
 	tmp := filepath.Join(dir, snapName(next)+".tmp")
@@ -392,7 +387,6 @@ func (e *Engine) attachLocked(fs faultfs.FS, dir string, gen uint64, wl *wal.Log
 	e.walMu.Unlock()
 	e.dur = &durable{fs: fs, dir: dir, gen: gen}
 	e.snapGen.Store(gen)
-	e.snapBase.Store(e.lsn.Load())
 	e.durableLSN.Store(e.lsn.Load())
 }
 

@@ -529,6 +529,71 @@ func TestPagedRoot2Fixture(t *testing.T) {
 	}
 }
 
+// epochFixture is a durable directory that a build with replication
+// wrote with gen.sh beside it: its committed generation carries an
+// EPOCH file listed in the MANIFEST, and its WAL holds no record.
+const epochFixture = "testdata/epoch-generation"
+
+// TestOpenEpochGeneration opens epochFixture: the generation opens as
+// it is, holding its scripts' state at its LSN, with the EPOCH file
+// ignored, and the next checkpoint writes a generation of the same
+// scripts and LSN with no EPOCH file, which opens the same again.
+func TestOpenEpochGeneration(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, filepath.Join(epochFixture, "db"), dir)
+	snap := filepath.Join(dir, "snap-000002")
+	if _, err := os.Stat(filepath.Join(snap, "EPOCH")); err != nil {
+		t.Fatalf("the fixture's generation holds no EPOCH: %v", err)
+	}
+	var want bytes.Buffer
+	for _, name := range []string{dataName, "schema.authdb", "views.authdb"} {
+		b, err := os.ReadFile(filepath.Join(snap, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "-- %s --\n%s", name, b)
+	}
+	wantLSN, err := readSnapLSN(faultfs.OS(), snap)
+	if err != nil || wantLSN == 0 {
+		t.Fatalf("the fixture's LSN: %d, %v", wantLSN, err)
+	}
+	opened := func(step string) *Engine {
+		t.Helper()
+		e, err := OpenDurable(dir, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if got := fingerprint(t, e); got != want.String() || e.LSN() != wantLSN {
+			e.Close()
+			t.Fatalf("%s: lsn %d, state\n%s\nwant lsn %d, state\n%s", step, e.LSN(), got, wantLSN, want.String())
+		}
+		return e
+	}
+
+	e := opened("open")
+	if e.Generation() != 2 {
+		t.Fatalf("an idle open moved to generation %d, want 2", e.Generation())
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	next := filepath.Join(dir, snapName(e.Generation()))
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(next, "EPOCH")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the checkpoint wrote an EPOCH file (%v)", err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(next, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(manifest), "EPOCH") {
+		t.Fatalf("the checkpoint's MANIFEST lists EPOCH:\n%s", manifest)
+	}
+	opened("reopen after the checkpoint").Close()
+}
+
 // TestPagedRefusesVersion1Root puts a ROOT of the first page format into
 // an otherwise whole statement generation: the ROOT alone must refuse
 // the open with the upgrade path, before the scripts beside it load and
@@ -862,67 +927,6 @@ func TestPagedDeletesMatchMemory(t *testing.T) {
 	compare(e, "after the WAL-replayed delete")
 }
 
-// TestPagedRebuildCrashSweep fails each filesystem operation in turn
-// while a checkpointed durable directory adopts a replication snapshot
-// — the rebuild and the checkpoint that commits it — then reopens: the
-// directory must hold exactly the old state or the new one. The
-// adoption must therefore never write into the committed generation.
-func TestPagedRebuildCrashSweep(t *testing.T) {
-	snapshot := func(prefix string) ([]string, uint64, string) {
-		src := New(core.DefaultOptions())
-		script := "relation R (A, B) key (A);\n"
-		for i := 0; i < 400; i++ {
-			script += fmt.Sprintf("insert into R values (%s%04d, %d);\n", prefix, i, i)
-		}
-		if _, err := src.NewSession("admin", true).ExecScript(script); err != nil {
-			t.Fatal(err)
-		}
-		stmts, lsn, err := src.ReplSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stmts, lsn, fingerprint(t, src)
-	}
-	oldStmts, oldLSN, oldFP := snapshot("old")
-	newStmts, newLSN, newFP := snapshot("new")
-
-	base := t.TempDir()
-	for k := 0; ; k++ {
-		if k > 1000 {
-			t.Fatal("sweep did not terminate; fault never stopped tripping")
-		}
-		dir := filepath.Join(base, fmt.Sprintf("crash-%d", k))
-		fs := faultfs.NewFaulty(faultfs.OS())
-		e, err := OpenDurableFS(fs, dir, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.ResetFromSnapshot(oldStmts, oldLSN, nil); err != nil {
-			t.Fatal(err)
-		}
-		fs.Arm(k)
-		resetErr := e.ResetFromSnapshot(newStmts, newLSN, nil)
-		tripped := fs.Tripped()
-		e.Close()
-
-		re, err := OpenDurable(dir, core.DefaultOptions())
-		if err != nil {
-			t.Fatalf("k=%d: reopen failed: %v", k, err)
-		}
-		got := fingerprint(t, re)
-		re.Close()
-		if got != oldFP && got != newFP {
-			t.Fatalf("k=%d: reopened state is neither the old nor the new one", k)
-		}
-		if !tripped {
-			if resetErr != nil || got != newFP {
-				t.Fatalf("k=%d: fault-free adoption: err %v, new state %v", k, resetErr, got == newFP)
-			}
-			break
-		}
-	}
-}
-
 // stmtChurn generates seeded statements over relations R0..R3: relation
 // definitions, inserts with payloads of up to 600 bytes, and deletes — by key (often of a row inserted
 // since the last checkpoint), by range, and unqualified.
@@ -970,11 +974,12 @@ func checkGenerationIsHead(t *testing.T, dir string, e *Engine, step string) {
 }
 
 // TestReopenEqualsHead runs seeded statement sequences on a durable
-// directory, taking checkpoints, adopting snapshots and reopening
-// between them, beside an in-memory engine fed the same statements.
-// After every checkpoint and adoption the committed generation must
-// hold exactly the head, and after every step, reopens included, the
-// state must equal the reference.
+// directory, taking checkpoints and reopening between them, beside an
+// in-memory engine fed the same statements. After every checkpoint the
+// committed generation must hold exactly the head, after every step,
+// reopens included, the state must equal the reference, and now and
+// then the head's statements, replayed into a fresh engine, must
+// rebuild the reference too.
 func TestReopenEqualsHead(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		dir := t.TempDir()
@@ -1011,18 +1016,10 @@ func TestReopenEqualsHead(t *testing.T) {
 				}
 				check(fmt.Sprintf("checkpoint at op %d", op))
 			case n < 8:
-				// Adopt a snapshot a few statements ahead of this engine.
-				for i := g.rng.Intn(4); i > 0; i-- {
-					exec(ref, g.next())
+				// The head's statements rebuild the state they render.
+				if sortedFingerprint(t, replayed(t, e)) != sortedFingerprint(t, ref) {
+					t.Fatalf("seed %d: the head's statements replayed at op %d differ from the reference", seed, op)
 				}
-				stmts, lsn, err := ref.ReplSnapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := e.ResetFromSnapshot(stmts, lsn, nil); err != nil {
-					t.Fatalf("seed %d: adopting a snapshot: %v", seed, err)
-				}
-				check(fmt.Sprintf("snapshot adoption at op %d", op))
 			case n < 10:
 				if err := e.Close(); err != nil {
 					t.Fatal(err)
@@ -1165,6 +1162,24 @@ func rewriteSnapFile(t *testing.T, snap, name string, data []byte) {
 	}
 }
 
+// addSnapFile writes a file the generation did not hold into a
+// committed generation and lists it in the MANIFEST, the way a
+// checkpoint would have.
+func addSnapFile(t *testing.T, snap, name string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(snap, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(snap, manifestName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := fmt.Fprintf(f, "%08x %d %s\n", crc32.ChecksumIEEE(data), len(data), name); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // committedDir opens a fresh durable directory, commits a generation
 // holding one relation, closes it, and returns the directory and the
 // committed generation's path.
@@ -1189,28 +1204,26 @@ func committedDir(t *testing.T) (dir, snap string) {
 }
 
 // TestOpenRejectsMalformedEpochAndLSN damages a committed generation's
-// EPOCH or LSN file behind a MANIFEST that vouches for the damage: the
-// open must fail rather than restart the epoch history at {1, 0} or
-// the LSN count at zero.
+// LSN file behind a MANIFEST that vouches for the damage: the open must
+// fail rather than restart the LSN count at zero. An EPOCH file, which
+// builds with replication wrote and nothing reads now, opens whatever
+// it holds.
 func TestOpenRejectsMalformedEpochAndLSN(t *testing.T) {
-	for _, tc := range []struct{ file, content string }{
-		{epochName, "3 40 junk\n"},
-		{epochName, "1x 0\n"},
-		{epochName, "1\n"},
-		{epochName, "-1 0\n"},
-		{epochName, ""},
-		{lsnName, "12x\n"},
-		{lsnName, "12 13\n"},
-		{lsnName, "-3\n"},
-		{lsnName, ""},
-	} {
+	for _, content := range []string{"12x\n", "12 13\n", "-3\n", ""} {
 		dir, snap := committedDir(t)
-		rewriteSnapFile(t, snap, tc.file, []byte(tc.content))
+		rewriteSnapFile(t, snap, lsnName, []byte(content))
 		if e, err := OpenDurable(dir, core.DefaultOptions()); err == nil {
 			e.Close()
-			t.Fatalf("%s %q: open succeeded", tc.file, tc.content)
+			t.Fatalf("LSN %q: open succeeded", content)
 		}
 	}
+	dir, snap := committedDir(t)
+	addSnapFile(t, snap, "EPOCH", []byte("3 40 junk\n"))
+	e, err := OpenDurable(dir, core.DefaultOptions())
+	if err != nil {
+		t.Fatalf("a malformed EPOCH file refused the open: %v", err)
+	}
+	e.Close()
 }
 
 // dropManifestLine removes name's line from a committed generation's
@@ -1236,38 +1249,39 @@ func dropManifestLine(t *testing.T, snap, name string) {
 	}
 }
 
-// TestOpenRefusesGenerationWithoutEpochOrLSN strips EPOCH, or LSN, from
-// a committed generation, from its MANIFEST and from the directory
-// alike, so the MANIFEST vouches for the rest. Every generation holds
-// both files, so the open must fail naming the missing one, not reopen
-// at epoch 1 (unfenced) or resume the count at LSN 0.
+// TestOpenRefusesGenerationWithoutEpochOrLSN strips LSN from a
+// committed generation, from its MANIFEST and from the directory alike,
+// so the MANIFEST vouches for the rest. Every generation holds the
+// file, so the open must fail naming it, not resume the count at LSN 0.
+// No generation needs an EPOCH file: one written without it opens.
 func TestOpenRefusesGenerationWithoutEpochOrLSN(t *testing.T) {
-	for _, name := range []string{epochName, lsnName} {
-		dir, snap := committedDir(t)
-		dropManifestLine(t, snap, name)
-		if err := os.Remove(filepath.Join(snap, name)); err != nil {
-			t.Fatal(err)
-		}
-		e, err := OpenDurable(dir, core.DefaultOptions())
-		if err == nil {
-			epoch, lsn := e.Epoch(), e.LSN()
-			e.Close()
-			t.Fatalf("without %s: opened at epoch %d, lsn %d", name, epoch, lsn)
-		}
-		if !strings.Contains(err.Error(), name) {
-			t.Fatalf("without %s: error %q does not name the file", name, err)
-		}
+	dir, snap := committedDir(t)
+	if _, err := os.Stat(filepath.Join(snap, "EPOCH")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a new generation holds an EPOCH file (%v)", err)
+	}
+	dropManifestLine(t, snap, lsnName)
+	if err := os.Remove(filepath.Join(snap, lsnName)); err != nil {
+		t.Fatal(err)
+	}
+	e, err := OpenDurable(dir, core.DefaultOptions())
+	if err == nil {
+		lsn := e.LSN()
+		e.Close()
+		t.Fatalf("without %s: opened at lsn %d", lsnName, lsn)
+	}
+	if !strings.Contains(err.Error(), lsnName) {
+		t.Fatalf("without %s: error %q does not name the file", lsnName, err)
 	}
 }
 
 // TestOpenRefusesManifestWithoutFile drops one file's line from a
 // committed generation's MANIFEST and leaves the file in place: the
-// open reads every one of the five, so the MANIFEST must vouch for each
+// open reads every one of the four, so the MANIFEST must vouch for each
 // and the open must fail naming the unlisted file. For views.authdb the
 // unlisted file is also rewritten to grant a view to mallory, which an
 // open that checked only the listed lines would load.
 func TestOpenRefusesManifestWithoutFile(t *testing.T) {
-	for _, name := range []string{"schema.authdb", dataName, "views.authdb", lsnName, epochName} {
+	for _, name := range []string{"schema.authdb", dataName, "views.authdb", lsnName} {
 		dir, snap := committedDir(t)
 		dropManifestLine(t, snap, name)
 		if name == "views.authdb" {

@@ -43,9 +43,8 @@ import (
 // e.mu, mutate the writer-side state (vrels/wsch/wstore) copy-on-write,
 // and publish the successor version with one pointer swap.
 type Engine struct {
-	// mu serializes writers (statements, checkpoints, epoch changes,
-	// snapshot resets). Retrievals do not take it in any mode — they
-	// read the pinned head version.
+	// mu serializes writers (statements, checkpoints). Retrievals do not
+	// take it in any mode — they read the pinned head version.
 	mu sync.RWMutex
 	// head is the current database version; see version.go.
 	head atomic.Pointer[dbVersion]
@@ -89,37 +88,17 @@ type Engine struct {
 	lsn        atomic.Uint64
 	durableLSN atomic.Uint64
 	snapGen    atomic.Uint64
-	// snapBase is the LSN the committed snapshot embodies; the WAL of
-	// the current generation holds statements snapBase+1..durableLSN.
-	snapBase atomic.Uint64
-
-	// Fencing epochs (epoch.go): epoch mirrors the last entry of
-	// epochHist for lock-free reads (batch stamping, metrics); epochHist
-	// is guarded by e.mu. roleReadOnly fences every non-applier session's
-	// writes when the node is (or was demoted to) a replica.
-	epoch        atomic.Uint64
-	epochHist    []EpochEntry
-	roleReadOnly atomic.Bool
-	// originEpochWrites counts locally originated (non-applier) mutations
-	// per epoch; the chaos harness's dual-primary check reads it.
-	originMu          sync.Mutex
-	originEpochWrites map[uint64]uint64
 
 	// Group commit (commit.go): records staged under e.mu and awaiting
 	// one shared fsync; writing is set while a waiter writes them and
 	// closed when it is done. The WAL handle is written under walMu.
 	commitMu  sync.Mutex
-	commitQ   []Commit
+	commitQ   []commit
 	writing   chan struct{}
 	brokenErr error // set at the first journaling failure; guarded by commitMu
 
 	walMu sync.Mutex
 	walH  *wal.Log
-
-	// Commit feed (commit.go): followers subscribing to durably
-	// journaled statements for replication.
-	pubMu sync.Mutex
-	subs  map[*CommitSub]struct{}
 }
 
 // New creates an empty engine with the given authorization options and
@@ -127,16 +106,13 @@ type Engine struct {
 func New(opt core.Options) *Engine {
 	sch := relation.NewDBSchema()
 	e := &Engine{
-		wsch:      sch,
-		opt:       opt,
-		met:       metrics.NewRegistry(),
-		subs:      make(map[*CommitSub]struct{}),
-		epochHist: []EpochEntry{{Epoch: 1, StartLSN: 0}},
+		wsch: sch,
+		opt:  opt,
+		met:  metrics.NewRegistry(),
 	}
 	e.execMet = newExecMetrics(e.met)
 	e.wstore = core.NewStore(sch)
 	e.closures.Store(core.NewClosure(0))
-	e.epoch.Store(1)
 	e.publishLocked() // version 1: the empty database
 	e.registerMetrics()
 	return e
@@ -228,14 +204,9 @@ type Session struct {
 	limits guard.Limits
 	// asyncCommit makes mutating statements return as soon as they are
 	// applied and staged for the WAL, without waiting for the shared
-	// fsync; the replication applier uses it to batch a whole REPL_BATCH
-	// into one sync (it calls Engine.WaitDurable before acknowledging).
+	// fsync; a bulk loader pairs it with Engine.WaitDurable to make a
+	// whole batch durable with one sync.
 	asyncCommit bool
-	// applier marks the session as a replication applier: it bypasses
-	// the engine's role fence (a demoted node must still apply the new
-	// primary's stream) and its writes are not counted as locally
-	// originated by the dual-primary check.
-	applier bool
 	// pendingLSN is the LSN of the statement being executed, set by
 	// logStmt and waited for by ExecStmtContext after the engine lock
 	// is released.
@@ -258,7 +229,7 @@ func (e *Engine) NewSession(user string, admin bool) *Session {
 
 // own returns the session user's part of st (core.Store.Of), which every
 // read of the user's takes its meta side from, rebuilt only when a
-// definition change or a snapshot reset has published another store.
+// definition change has published another store.
 func (s *Session) own(st *core.Store) *core.Store {
 	if st != s.ofStore {
 		s.ofStore, s.mine = st, st.Of(s.user)
@@ -279,11 +250,6 @@ func (s *Session) SetLimits(l guard.Limits) { s.limits = l }
 // checkpoint or Close, whichever comes first; pair the session with
 // WaitDurable to make a batch durable with one sync.
 func (s *Session) SetAsyncCommit(on bool) { s.asyncCommit = on }
-
-// SetApplier marks the session as a replication applier: exempt from
-// the engine's role fence (SetRoleReadOnly) and from the origin-write
-// accounting — its statements originate on the primary, not here.
-func (s *Session) SetApplier(on bool) { s.applier = on }
 
 // Limits returns the session's per-statement resource limits.
 func (s *Session) Limits() guard.Limits { return s.limits }
@@ -344,11 +310,8 @@ func (s *Session) ExecStmtContext(ctx context.Context, p parser.Stmt) (res *Resu
 	if ctx != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", guard.ErrCanceled, ctx.Err())
 	}
-	if !s.applier && s.eng.roleReadOnly.Load() && Mutating(p) {
-		return nil, fmt.Errorf("%w: %s is a write", ErrReadOnly, stmtKind(p))
-	}
-	// Every change is journaled as statement text (the WAL, the commit
-	// feed, a snapshot's data.authdb): refuse one that has none before
+	// Every change is journaled as statement text (the WAL, a
+	// snapshot's data.authdb): refuse one that has none before
 	// it changes anything.
 	if err := parser.CheckLiterals(p); err != nil {
 		return nil, err
@@ -430,7 +393,7 @@ func (s *Session) requireAdmin(what string) error {
 // the writer lock, and only while the durable log is healthy, apply
 // changes the writer state and returns the result text and the
 // statement that repeats the change when replayed as an administrator
-// (recovery and replicas apply the journal that way). That statement is
+// (recovery applies the journal that way). That statement is
 // journaled (logStmt) and the change then published for readers; apply
 // returns no statement when nothing changed (a duplicate insert, a delete
 // removing nothing) to do neither. Publishing follows a journaling

@@ -30,13 +30,6 @@ var ErrNotAuthorized = errors.New("not authorized")
 // statement failed but the engine keeps serving. Test with errors.Is.
 var ErrInternal = errors.New("internal error")
 
-// ErrReadOnly reports a mutating statement on an engine fenced
-// read-only (SetRoleReadOnly) — a replica serving reads while the
-// primary owns the statement log. Test
-// with errors.Is; the wire protocol maps it to READ_ONLY and names the
-// primary.
-var ErrReadOnly = errors.New("read-only replica")
-
 // Metrics exposes the engine's metrics registry; the network server
 // registers its own series (connections, protocol errors) on the same
 // registry so one scrape shows the whole process.
@@ -87,8 +80,7 @@ func (e *Engine) registerMetrics() {
 		_, b := value.Interned()
 		return float64(b)
 	})
-	// Replication lag is an LSN delta, so both ends of a stream expose
-	// their position: applied, durable, and the snapshot generation.
+	// The log's position: applied, durable, and the snapshot generation.
 	e.met.GaugeFunc("authdb_wal_lsn", func() float64 {
 		return float64(e.lsn.Load())
 	})
@@ -97,9 +89,6 @@ func (e *Engine) registerMetrics() {
 	})
 	e.met.GaugeFunc("authdb_snapshot_generation", func() float64 {
 		return float64(e.snapGen.Load())
-	})
-	e.met.GaugeFunc("authdb_repl_epoch", func() float64 {
-		return float64(e.epoch.Load())
 	})
 	e.met.GaugeFunc("authdb_db_version", func() float64 {
 		seq, _ := e.DBVersion()

@@ -47,8 +47,8 @@ const dataName = "data.authdb"
 
 // snapshotFiles joins render's sections into the flat layout's
 // scripts: schema.authdb, data.authdb and views.authdb, where a blank
-// line follows each view. Save, a durable generation, an epoch
-// quarantine and the tests' state fingerprints all hold these files.
+// line follows each view. Save, a durable generation and the tests'
+// state fingerprints all hold these files.
 func (v *dbVersion) snapshotFiles() (map[string][]byte, error) {
 	s, err := v.render()
 	if err != nil {
@@ -121,13 +121,8 @@ func (e *Engine) Save(dir string) error {
 	if err := refuseDurable(dir); err != nil {
 		return err
 	}
-	return e.head.Load().save(faultfs.OS(), dir)
-}
-
-// save writes the version's snapshotFiles into dir through fs, the way
-// Save describes; epoch quarantines dump their state/ with it too.
-func (v *dbVersion) save(fs faultfs.FS, dir string) error {
-	files, err := v.snapshotFiles()
+	fs := faultfs.OS()
+	files, err := e.head.Load().snapshotFiles()
 	if err != nil {
 		return err
 	}

@@ -21,12 +21,11 @@
 //     guarantees acknowledged mutations survive the drain.
 //   - Observability: the engine's metrics registry gains the server's
 //     connection and protocol series and is exposed over HTTP at
-//     /metrics (Prometheus text format) with a /healthz that reports
-//     draining.
+//     /metrics (Prometheus text format), with a /healthz and a /readyz
+//     that report draining.
 package server
 
 import (
-	"bufio"
 	"context"
 	"crypto/subtle"
 	"errors"
@@ -39,7 +38,6 @@ import (
 
 	"authdb"
 	"authdb/internal/metrics"
-	"authdb/internal/replica"
 	"authdb/internal/wire"
 )
 
@@ -67,7 +65,8 @@ type Config struct {
 	// Addr is the wire-protocol listen address ("host:port");
 	// empty means "127.0.0.1:0".
 	Addr string
-	// MetricsAddr, when non-empty, serves HTTP /metrics and /healthz.
+	// MetricsAddr, when non-empty, serves HTTP /metrics, /healthz and
+	// /readyz.
 	MetricsAddr string
 	// MaxConns caps concurrently served connections (accept
 	// backpressure beyond it); <= 0 means DefaultMaxConns.
@@ -83,35 +82,9 @@ type Config struct {
 	// authdb.DefaultLimits()).
 	Limits authdb.Limits
 	// AdminToken, when non-empty, is required of administrator
-	// handshakes and of replication streams. When empty, administrator
-	// connections are accepted as-is; only deploy that on a trusted
-	// network.
+	// handshakes. When empty, administrator connections are accepted
+	// as-is; only deploy that on a trusted network.
 	AdminToken string
-	// Replica starts the node read-only, following Peers: every session
-	// is read-only and mutating statements fail with the READ_ONLY code
-	// naming the leader (Peers[0] until the first handshake). Start
-	// refuses a replica with no peers.
-	Replica bool
-	// AdvertiseAddr is the wire address this node hands out in leader
-	// hints (READ_ONLY/STALE_PRIMARY errors, replication fences); empty
-	// means the actual listen address. Set it when clients reach the
-	// node through a proxy or a different interface.
-	AdvertiseAddr string
-	// Peers lists the other nodes' wire addresses. A replica follows
-	// them, and a fenced ex-primary rejoins through them (the announced
-	// leader first). Either way the follower presents AdminToken, so a
-	// cluster shares one admin token.
-	Peers []string
-	// Follow tunes the follower at boot and at every rejoin (zero: defaults).
-	Follow replica.Tuning
-	// ReadyMaxLagLSNs is the /readyz threshold: a replica lagging more
-	// LSNs than this answers 503. <= 0 means 1024.
-	ReadyMaxLagLSNs int
-	// UnsafeNoFencing disables epoch fencing on this node — promotion
-	// skips the epoch bump and the hub skips every epoch check. Exists
-	// solely so the chaos harness can demonstrate the split-brain its
-	// checks must catch; never enable in production.
-	UnsafeNoFencing bool
 }
 
 // Server serves one database over the wire protocol.
@@ -139,24 +112,7 @@ type Server struct {
 	// Per-request series, resolved once (see metrics.Vec).
 	requests func() *metrics.Counter
 	errCodes *metrics.Vec[metrics.Counter]
-
-	// hub owns the replication follower streams (see internal/replica);
-	// connections whose first frame is a REPL_HELLO are routed to it.
-	hub *replica.Hub
-
-	// Role state. A server is either the serving primary or a read-only
-	// replica; the role can flip at runtime (Promote, or a fence
-	// demotion) and is enforced engine-wide via SetRoleReadOnly so
-	// existing sessions feel it too.
-	roleMu     sync.Mutex
-	isReplica  bool
-	fenced     bool   // demoted by a fence: answer STALE_PRIMARY, not READ_ONLY
-	leaderAddr string // best-known leader, for hints ("" when unknown)
-	rep        *replica.Replica
 }
-
-// Hub exposes the server's replication hub (follower streams).
-func (s *Server) Hub() *replica.Hub { return s.hub }
 
 // New builds a server for db; call Start to begin serving.
 func New(db *authdb.DB, cfg Config) *Server {
@@ -184,178 +140,22 @@ func New(db *authdb.DB, cfg Config) *Server {
 		requests:    met.LazyCounter("authdb_server_requests_total"),
 		errCodes:    met.CounterVec("authdb_server_errors_total", "code"),
 	}
-	s.hub = replica.NewHub(db.Engine())
-	s.hub.SetUnsafeNoFencing(cfg.UnsafeNoFencing)
-	s.hub.SetOnFence(s.demote)
-	if cfg.Replica {
-		// Born a replica: the engine-wide role fence makes every session
-		// read-only, including ones opened before a later promotion flips
-		// the role back.
-		s.isReplica = true
-		db.Engine().SetRoleReadOnly(true)
-	}
-	met.GaugeFunc("authdb_role", func() float64 { return roleBit(s.Role() == "primary") }, "role", "primary")
-	met.GaugeFunc("authdb_role", func() float64 { return roleBit(s.Role() == "replica") }, "role", "replica")
 	s.baseCtx, s.cancelInflight = context.WithCancel(context.Background())
 	return s
 }
 
-func roleBit(on bool) float64 {
-	if on {
-		return 1
-	}
-	return 0
-}
-
-// Role reports the node's current role: "primary" or "replica".
-func (s *Server) Role() string {
-	s.roleMu.Lock()
-	defer s.roleMu.Unlock()
-	if s.isReplica {
-		return "replica"
-	}
-	return "primary"
-}
-
-// leaderLocked is the node's best knowledge of the current leader's
-// address: its own advertise address when primary, the followed (or
-// fence-announced) leader when a replica, "" when unknown.
-func (s *Server) leaderLocked() string {
-	if !s.isReplica {
-		return s.advertise()
-	}
-	if s.rep != nil {
-		if l := s.rep.Leader(); l != "" {
-			return l
-		}
-	}
-	return s.leaderAddr
-}
-
-// advertise is the address this node hands out in leader hints.
-func (s *Server) advertise() string {
-	if s.cfg.AdvertiseAddr != "" {
-		return s.cfg.AdvertiseAddr
-	}
-	if s.ln != nil {
-		return s.ln.Addr().String()
-	}
-	return s.cfg.Addr
-}
-
-// Promote turns a replica into the serving primary: stop the follower
-// loop (draining its applier), bump the fencing epoch — durably, so
-// the claim survives a crash — and lift the engine's role fence. The
-// old primary learns it was superseded the moment it next touches this
-// node or any follower that adopted the new epoch. Promoting a primary
-// is a harmless no-op.
-func (s *Server) Promote(ctx context.Context) (uint64, error) {
-	s.roleMu.Lock()
-	defer s.roleMu.Unlock()
-	if !s.isReplica {
-		return s.db.Engine().Epoch(), nil
-	}
-	if s.rep != nil {
-		if err := s.rep.Stop(ctx); err != nil {
-			return 0, fmt.Errorf("stopping follower loop: %w", err)
-		}
-		s.rep = nil
-	}
-	epoch := s.db.Engine().Epoch()
-	if !s.cfg.UnsafeNoFencing {
-		var err error
-		if epoch, err = s.db.Engine().BumpEpoch(); err != nil {
-			return 0, fmt.Errorf("bumping epoch: %w", err)
-		}
-	}
-	s.db.Engine().SetRoleReadOnly(false)
-	s.isReplica = false
-	s.fenced = false
-	s.leaderAddr = ""
-	s.met.Counter("authdb_failover_total", "kind", "promote").Inc()
-	return epoch, nil
-}
-
-// demote is the hub's fence callback: a follower (or new primary) on a
-// higher epoch told this node it has been superseded. Re-fence the
-// engine read-only, remember the announced leader, and rejoin the
-// cluster as a follower so the divergence-quarantine handshake runs
-// against the new primary.
-func (s *Server) demote(epoch uint64, leader string) {
-	s.roleMu.Lock()
-	defer s.roleMu.Unlock()
-	if s.isReplica {
-		return
-	}
-	s.db.Engine().SetRoleReadOnly(true)
-	s.isReplica = true
-	s.fenced = true
-	s.leaderAddr = leader
-	s.met.Counter("authdb_failover_total", "kind", "demote").Inc()
-	// Followers of the dead timeline must re-home, not keep tailing us.
-	s.hub.DropFollowers()
-	if s.draining.Load() {
-		return
-	}
-	// Rejoin as a follower over the known peers, the announced leader
-	// first. Without peers (or a leader) the node stays a fenced,
-	// read-only island until an operator intervenes.
-	var addrs []string
-	if leader != "" {
-		addrs = append(addrs, leader)
-	}
-	if addrs = append(addrs, s.cfg.Peers...); len(addrs) > 0 {
-		s.follow(addrs)
-	}
-}
-
-// follow starts the node's follower over addrs, presenting the node's
-// own admin token. Callers hold roleMu. A born replica and a fenced
-// ex-primary both follow through here.
-func (s *Server) follow(addrs []string) {
-	s.rep = replica.Start(s.db.Engine(), replica.Config{
-		Primaries: addrs,
-		Token:     s.cfg.AdminToken,
-		Tuning:    s.cfg.Follow,
-	})
-}
-
-// stopFollower stops the node's follower, if it has one.
-func (s *Server) stopFollower(ctx context.Context) {
-	s.roleMu.Lock()
-	rep := s.rep
-	s.rep = nil
-	s.roleMu.Unlock()
-	if rep != nil {
-		rep.Stop(ctx)
-	}
-}
-
 // Start listens on the configured addresses and begins serving in
 // background goroutines; it returns once both listeners are bound, so
-// Addr reports the actual port even for ":0". A replica starts
-// following its peers here.
+// Addr reports the actual port even for ":0".
 func (s *Server) Start() error {
-	if s.cfg.Replica && len(s.cfg.Peers) == 0 {
-		return errors.New("server: a replica needs peers to follow")
-	}
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
 	}
 	s.ln = ln
-	// Follow before /readyz is up, so a born replica never reports itself
-	// fenced; the first peer is the leader hint until the first handshake.
-	if s.cfg.Replica {
-		s.roleMu.Lock()
-		s.leaderAddr = s.cfg.Peers[0]
-		s.follow(s.cfg.Peers)
-		s.roleMu.Unlock()
-	}
 	if s.cfg.MetricsAddr != "" {
 		if err := s.startMetrics(); err != nil {
 			ln.Close()
-			s.stopFollower(context.Background())
 			return err
 		}
 	}
@@ -450,14 +250,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	// Stop the follower loop (if this node is a replica) so its applier
-	// finishes cleanly before the engine quiesces.
-	s.stopFollower(ctx)
-	// Drain follower streams first: each stops at its current batch and
-	// gets a bounded window to ack what was already sent, so a restart
-	// of the fleet resumes with no re-sent work. Must run before
-	// kickAll, which would kill the ack readers.
-	s.hub.Shutdown(ctx)
 	s.kickAll()
 
 	done := make(chan struct{})
@@ -499,20 +291,12 @@ func (s *Server) handle(nc net.Conn) {
 	bw := newWriter(nc)
 
 	nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	// The first frame's tag decides the connection's protocol: a Hello
-	// opens a statement session, a REPL_HELLO a replication stream
-	// served by the hub; any other frame, or a hello that does not
-	// decode (a protocol-6 peer's JSON included), closes it unanswered.
-	first, err := wire.ReadFrame(br)
-	if err != nil {
-		return
-	}
-	if wire.MsgKind(first) == wire.KindReplHello {
-		s.handleRepl(nc, br, first)
-		return
-	}
+	// The first frame must be a Hello; any other frame, or a hello that
+	// does not decode (a protocol-6 peer's JSON included), closes the
+	// connection unanswered.
 	var hello wire.Hello
-	if err := wire.Decode(first, &hello); err != nil {
+	err := wire.ReadMsg(br, &hello)
+	if err != nil {
 		return
 	}
 	sess, herr := s.authenticate(hello)
@@ -543,7 +327,7 @@ func (s *Server) handle(nc net.Conn) {
 			// lost), so closing is the error signal.
 			return
 		}
-		resp := s.execute(sess, hello.Admin, req)
+		resp := s.execute(sess, req)
 		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		frame, err = wire.AppendResponseFrame(frame[:0], &resp)
 		if err == nil {
@@ -565,40 +349,6 @@ func (s *Server) handle(nc net.Conn) {
 	}
 }
 
-// handleRepl authenticates a replication handshake and hands the
-// connection to the hub for the life of the stream.
-func (s *Server) handleRepl(nc net.Conn, br *bufio.Reader, first []byte) {
-	var hello wire.ReplHello
-	if wire.Decode(first, &hello) != nil {
-		return
-	}
-	if hello.Proto != wire.ProtoVersion {
-		s.hub.Refuse(nc, &wire.Error{Code: wire.CodeProtocol,
-			Message: fmt.Sprintf("protocol version %d, server speaks %d", hello.Proto, wire.ProtoVersion)})
-		return
-	}
-	// Replication reads everything unmasked; it carries the same
-	// authority as an administrator connection.
-	if s.cfg.AdminToken != "" &&
-		subtle.ConstantTimeCompare([]byte(hello.Token), []byte(s.cfg.AdminToken)) != 1 {
-		s.hub.Refuse(nc, &wire.Error{Code: wire.CodeNotAuthorized, Message: "bad replication token"})
-		return
-	}
-	// A replica does not feed followers (no chained replication — a
-	// cycle of replicas would tail each other forever); point the dialer
-	// at the leader instead.
-	s.roleMu.Lock()
-	isRep, leader := s.isReplica, s.leaderLocked()
-	s.roleMu.Unlock()
-	if isRep {
-		s.hub.Refuse(nc, &wire.Error{Code: wire.CodeReadOnly, Retryable: true, Leader: leader,
-			Message: "node is a replica; replicate from the leader"})
-		return
-	}
-	s.met.Counter("authdb_server_repl_streams_total").Inc()
-	s.hub.HandleConn(nc, br, hello)
-}
-
 // authenticate validates the hello and opens the connection's session
 // with the server's per-connection limits.
 func (s *Server) authenticate(h wire.Hello) (*authdb.Session, *wire.Error) {
@@ -613,14 +363,12 @@ func (s *Server) authenticate(h wire.Hello) (*authdb.Session, *wire.Error) {
 		subtle.ConstantTimeCompare([]byte(h.Token), []byte(s.cfg.AdminToken)) != 1 {
 		return nil, &wire.Error{Code: wire.CodeNotAuthorized, Message: "bad admin token"}
 	}
-	// Replica read-onlyness is the engine-wide role fence, so promotion
-	// and demotion reach sessions opened before the role changed.
 	return s.db.SessionFor(h.User, h.Admin).SetLimits(s.cfg.Limits), nil
 }
 
 // execute runs one request on the connection's session under the
 // server's drain context plus the request's own deadline.
-func (s *Server) execute(sess *authdb.Session, admin bool, req wire.Request) wire.Response {
+func (s *Server) execute(sess *authdb.Session, req wire.Request) wire.Response {
 	if s.draining.Load() {
 		return wire.Response{ID: req.ID, Error: &wire.Error{
 			Code: wire.CodeShuttingDown, Message: "server is shutting down", Retryable: true}}
@@ -632,43 +380,11 @@ func (s *Server) execute(sess *authdb.Session, admin bool, req wire.Request) wir
 		defer cancel()
 	}
 	s.requests().Inc()
-	if strings.TrimSpace(req.Stmt) == `\promote` {
-		return s.executePromote(ctx, admin, req.ID)
-	}
 	resp, err := sess.Reply(ctx, req.ID, req.Stmt)
 	if err != nil {
 		we := wire.ErrorFor(err)
-		if we.Code == wire.CodeReadOnly {
-			s.roleMu.Lock()
-			fenced, leader := s.fenced, s.leaderLocked()
-			s.roleMu.Unlock()
-			we.Leader = leader
-			if fenced {
-				// A fenced ex-primary refusing a write is not merely
-				// read-only — it was superseded; the distinct code tells
-				// clients their leader cache is stale, not just wrong.
-				we.Code = wire.CodeStalePrimary
-			}
-			if leader != "" {
-				we.Message = fmt.Sprintf("%s; send writes to the primary at %s", we.Message, leader)
-			}
-		}
 		s.errCodes.With(we.Code).Inc()
 		return wire.Response{ID: req.ID, Error: we}
 	}
 	return resp
-}
-
-// executePromote serves the admin-only \promote statement.
-func (s *Server) executePromote(ctx context.Context, admin bool, id uint64) wire.Response {
-	if !admin {
-		return wire.Response{ID: id, Error: &wire.Error{
-			Code: wire.CodeNotAuthorized, Message: "\\promote requires an administrator connection"}}
-	}
-	epoch, err := s.Promote(ctx)
-	if err != nil {
-		return wire.Response{ID: id, Error: wire.ErrorFor(err)}
-	}
-	text := fmt.Sprintf("promoted to primary (epoch %d)", epoch)
-	return wire.Response{ID: id, Text: text}
 }

@@ -22,7 +22,6 @@ import (
 
 	"authdb"
 	"authdb/bench/fixture"
-	"authdb/internal/replica"
 	"authdb/internal/server"
 	"authdb/internal/wire"
 	"authdb/internal/workload"
@@ -463,49 +462,30 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	}
 
-	// A replica announcing version 8, version 7, whose hello carried a
-	// name, version 6, which would send JSON acks, version 5, which would read
-	// JSON batches, version 4, which would expect its snapshot inside the
-	// reply, version 3, which would expect a CSV snapshot, or version 2,
-	// is refused at its handshake too.
-	for _, proto := range []int{8, 7, 6, 5, 4, 3, 2} {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		if err := wire.WriteMsg(nc, &wire.ReplHello{Proto: proto, Token: "s3cret"}); err != nil {
-			t.Fatal(err)
-		}
-		var replReply wire.ReplHelloReply
-		if err := wire.ReadMsg(bufio.NewReader(nc), &replReply); err != nil {
-			t.Fatal(err)
-		}
-		if replReply.Error == nil || replReply.Error.Code != wire.CodeProtocol {
-			t.Errorf("proto %d replication hello reply = %+v, want %s", proto, replReply, wire.CodeProtocol)
-		}
-	}
-
-	// What a protocol-7 replica really sends: a REPL_HELLO with its name
-	// after From. The server refuses it with PROTOCOL when it decodes in
-	// this version's layout (an empty name) and closes it unanswered when it
-	// does not; either way no stream opens.
+	// What a replication follower of earlier builds sends first: a
+	// REPL_HELLO, tag 0xfb, in protocol 9's layout (Proto, Token, From,
+	// Epoch, Leader) and in protocol 7's, which had a name after From.
+	// No message has the tag now, so the server closes the connection
+	// unanswered and no stream opens.
 	str := func(p []byte, s string) []byte { return append(binary.AppendUvarint(p, uint64(len(s))), s...) }
-	v7ReplHello := func(name string) string {
-		p := binary.AppendVarint([]byte{byte(wire.KindReplHello)}, 7)
+	replHello := func(proto int64, name ...string) string {
+		p := binary.AppendVarint([]byte{0xfb}, proto)
 		p = binary.AppendUvarint(str(p, "s3cret"), 0) // Token, From
-		p = binary.AppendUvarint(str(p, name), 1)     // Name, Epoch
-		return string(str(p, ""))                     // Leader
+		for _, n := range name {
+			p = str(p, n)
+		}
+		p = binary.AppendUvarint(p, 1) // Epoch
+		return string(str(p, ""))      // Leader
 	}
 	// What a protocol-6 peer really sends: a JSON hello or repl_hello.
 	// Neither opens with a tag, so the server closes the connection
-	// without a reply, as it does on a REPL_HELLO cut short.
+	// without a reply, as it does on a hello cut short.
 	for _, first := range []string{
-		v7ReplHello(""),
-		v7ReplHello("r1"),
+		replHello(wire.ProtoVersion),
+		replHello(7, "r1"),
 		`{"proto":6,"user":"u"}`,
 		`{"kind":"repl_hello","proto":6,"token":"s3cret","from":0,"epoch":1}`,
-		string([]byte{byte(wire.KindReplHello), 14}),
+		string([]byte{byte(wire.KindHello), 14}),
 	} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -523,8 +503,8 @@ func TestHandshakeRejections(t *testing.T) {
 				break
 			}
 		}
-		if err != io.EOF || replies > 1 {
-			t.Errorf("first frame %q: %d replies, then %v; want at most one, then the connection closed", first, replies, err)
+		if err != io.EOF || replies > 0 {
+			t.Errorf("first frame %q: %d replies, then %v; want none, and the connection closed", first, replies, err)
 		}
 	}
 
@@ -619,7 +599,9 @@ func TestStatsOverWire(t *testing.T) {
 	}
 }
 
-// TestMetricsHTTP scrapes /metrics and /healthz.
+// TestMetricsHTTP scrapes /metrics, /healthz and /readyz: the metrics
+// carry the server's and the engine's series and no replication or role
+// series, and both probes answer ok.
 func TestMetricsHTTP(t *testing.T) {
 	db := paperDB(t)
 	s := startServer(t, db, server.Config{MetricsAddr: "127.0.0.1:0"})
@@ -644,14 +626,21 @@ func TestMetricsHTTP(t *testing.T) {
 			t.Errorf("/metrics missing %s", want)
 		}
 	}
-	hz, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	for _, gone := range []string{"authdb_repl_", "authdb_role", "authdb_failover_"} {
+		if strings.Contains(string(body), gone) {
+			t.Errorf("/metrics carries a %s series", gone)
+		}
 	}
-	hzBody, _ := io.ReadAll(hz.Body)
-	hz.Body.Close()
-	if hz.StatusCode != 200 || !strings.Contains(string(hzBody), "ok") {
-		t.Errorf("/healthz = %d %q, want 200 ok", hz.StatusCode, hzBody)
+	for _, probe := range []string{"/healthz", "/readyz"} {
+		hz, err := http.Get(base + probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hzBody, _ := io.ReadAll(hz.Body)
+		hz.Body.Close()
+		if hz.StatusCode != 200 || string(hzBody) != "ok\n" {
+			t.Errorf("%s = %d %q, want 200 ok", probe, hz.StatusCode, hzBody)
+		}
 	}
 }
 
@@ -735,55 +724,5 @@ func TestGracefulShutdownDurability(t *testing.T) {
 	}
 	if got := len(res.Table.Rows); got != acked {
 		t.Errorf("recovered %d acknowledged rows, want %d", got, acked)
-	}
-}
-
-// TestReplicaConfigFollowsPeers: a server configured as a replica
-// follows its peers from Start alone. It bootstraps the primary's
-// state, refuses writes with READ_ONLY naming the peer it follows, and
-// reports ready. A replica with no peers is refused at Start.
-func TestReplicaConfigFollowsPeers(t *testing.T) {
-	pdb := paperDB(t)
-	paddr := startServer(t, pdb, server.Config{AdminToken: "s3cret"}).Addr().String()
-
-	if err := server.New(authdb.Open(), server.Config{Replica: true}).Start(); err == nil {
-		t.Fatal("a replica with no peers started")
-	}
-
-	rdb := authdb.Open()
-	rsrv := startServer(t, rdb, server.Config{
-		Replica: true, Peers: []string{paddr}, AdminToken: "s3cret", MetricsAddr: "127.0.0.1:0",
-		Follow: replica.Tuning{BackoffMin: 10 * time.Millisecond, BackoffMax: 100 * time.Millisecond},
-	})
-	raddr := rsrv.Addr().String()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get("http://" + rsrv.MetricsAddr().String() + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			if !strings.Contains(string(body), "role=replica") {
-				t.Fatalf("/readyz body %q, want role=replica", body)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica /readyz never ready: %d %q", resp.StatusCode, body)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	want := exec(t, dial(t, paddr, client.WithUser("Brown")), workload.Example1Query).Rendered
-	if got := exec(t, dial(t, raddr, client.WithUser("Brown")), workload.Example1Query).Rendered; got != want {
-		t.Errorf("replica answers Brown\n%s\nprimary\n%s", got, want)
-	}
-	_, err := dial(t, raddr, client.WithAdmin("root", "s3cret")).
-		Exec(context.Background(), "insert into EMPLOYEE values (Nobody, 1, 1)")
-	var se *client.ServerError
-	if !errors.As(err, &se) || se.Code != wire.CodeReadOnly || se.Leader != paddr {
-		t.Fatalf("write on the replica: %v, want %s naming %s", err, wire.CodeReadOnly, paddr)
 	}
 }

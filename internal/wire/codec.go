@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"unsafe"
 
-	"authdb/internal/engine"
 	"authdb/internal/relation"
 	"authdb/internal/value"
 )
@@ -672,28 +671,14 @@ func (d *decoder) table(front bool) *Table {
 type Kind byte
 
 // The tags. They lie above 0x7f, so no JSON text opens with one: a
-// protocol-6 peer's handshake, request, ack or fence is refused by its
-// first byte. REPL_BATCH keeps protocol 6's tag and layout.
+// protocol-6 peer's handshake or request is refused by its first byte.
+// 0xfb to 0xff name no message: a peer's replication frames, which
+// older builds sent with those tags, are refused the same way.
 const (
 	KindHello Kind = 0xf8 + iota
 	KindHelloReply
 	KindRequest
-	KindReplHello
-	KindReplHelloReply
-	KindReplAck
-	KindReplFence
-	KindReplBatch
 )
-
-// MsgKind returns the kind a control message's payload names, zero for
-// an empty payload. It reads the first byte only: the kind it returns
-// is the tag Decode checks, not a promise that the rest decodes.
-func MsgKind(p []byte) Kind {
-	if len(p) == 0 {
-		return 0
-	}
-	return Kind(p[0])
-}
 
 // Msg is a control message: any message but the Response. Its payload
 // is its tag, then its fields, as its walk method lists them to a
@@ -740,16 +725,11 @@ type walker struct {
 // fields walks vs in order and returns the walker after them. A Kind
 // is the tag, written or checked; a pointer is a field, by its type:
 //
-//	*uint64               uvarint
-//	*int, *int64          zigzag varint, refused outside the type
-//	*string               str: uvarint length, then the bytes
-//	*[]string             uvarint count, then each str
-//	*bool                 byte 0 or 1
-//	**Error               bool: present, then its fields (Error.body)
-//	*[]engine.EpochEntry  uvarint count, then each epoch and start LSN
-//	                      as uvarints
-//
-// An empty list decodes as nil.
+//	*uint64         uvarint
+//	*int, *int64    zigzag varint, refused outside the type
+//	*string         str: uvarint length, then the bytes
+//	*bool           byte 0 or 1
+//	**Error         bool: present, then its fields (Error.body)
 func (w walker) fields(vs ...any) walker {
 	for _, v := range vs {
 		if w.decoding {
@@ -767,18 +747,11 @@ func (w walker) fields(vs ...any) walker {
 			w.buf = binary.AppendVarint(w.buf, *v)
 		case *string:
 			w.buf = appendStr(w.buf, *v)
-		case *[]string:
-			w.buf = appendStrs(w.buf, *v)
 		case *bool:
 			w.buf = append(w.buf, bit(*v, 1))
 		case **Error:
 			if w.buf = append(w.buf, bit(*v != nil, 1)); *v != nil {
 				w = (*v).body(w)
-			}
-		case *[]engine.EpochEntry:
-			w.buf = binary.AppendUvarint(w.buf, uint64(len(*v)))
-			for _, e := range *v {
-				w.buf = binary.AppendUvarint(binary.AppendUvarint(w.buf, e.Epoch), e.StartLSN)
 			}
 		}
 	}
@@ -804,8 +777,6 @@ func (w *walker) field(v any) {
 		*v = d.varint()
 	case *string:
 		*v = d.str()
-	case *[]string:
-		*v = d.strs()
 	case *bool:
 		b := d.byte()
 		if *v = b == 1; b > 1 {
@@ -817,14 +788,6 @@ func (w *walker) field(v any) {
 		if *v = nil; present {
 			*v = new(Error)
 			*w = (*v).body(*w)
-		}
-	case *[]engine.EpochEntry:
-		*v = nil
-		if n := d.count(2); n > 0 {
-			*v = make([]engine.EpochEntry, n)
-			for i := range *v {
-				(*v)[i] = engine.EpochEntry{Epoch: d.uvarint(), StartLSN: d.uvarint()}
-			}
 		}
 	}
 }

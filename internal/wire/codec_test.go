@@ -449,8 +449,6 @@ func TestDecodeRequestAllocs(t *testing.T) {
 	}
 
 	for _, m := range []struct{ in, out Msg }{
-		{&ReplBatch{From: 3, Epoch: 2, Stmts: []string{"insert into R values (x)", "", "permit V to U"}}, new(ReplBatch)},
-		{&ReplBatch{From: 4, Stmts: []string{"one"}}, new(ReplBatch)},
 		{&HelloReply{Server: "authdb/1", Error: &Error{Code: CodeProtocol, Message: "m", Leader: "h:1"}}, new(HelloReply)},
 		{&Hello{Proto: ProtoVersion, User: "Brown", Token: "t"}, new(Hello)},
 	} {

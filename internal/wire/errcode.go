@@ -28,14 +28,6 @@ const (
 	CodeShuttingDown = "SHUTTING_DOWN"
 	// CodeProtocol: a malformed frame or handshake.
 	CodeProtocol = "PROTOCOL"
-	// CodeReadOnly: a mutating statement reached a read-only replica; the
-	// message names the primary to send writes to. Deterministic here —
-	// clients must redial the primary, not retry.
-	CodeReadOnly = "READ_ONLY"
-	// CodeStalePrimary: the node was the primary but has been fenced by a
-	// higher epoch (a replica was promoted over it); it now refuses
-	// writes. Error.Leader carries the new leader when known.
-	CodeStalePrimary = "STALE_PRIMARY"
 	// CodeExec: any other execution failure (unknown relation or view,
 	// arity mismatch, duplicate definitions, …). Deterministic.
 	CodeExec = "EXEC"
@@ -56,8 +48,6 @@ func ErrorFor(err error) *Error {
 		return &Error{Code: CodeBudget, Message: err.Error()}
 	case errors.Is(err, engine.ErrNotAuthorized):
 		return &Error{Code: CodeNotAuthorized, Message: err.Error()}
-	case errors.Is(err, engine.ErrReadOnly):
-		return &Error{Code: CodeReadOnly, Message: err.Error()}
 	case errors.Is(err, engine.ErrInternal):
 		return &Error{Code: CodeInternal, Message: err.Error()}
 	default:

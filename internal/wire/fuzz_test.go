@@ -8,13 +8,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"authdb/internal/engine"
 )
 
 // seedFrames builds the seed corpus: one well-formed frame per message
-// type (replication kinds included), plus malformed inputs a hostile or
-// broken peer could send.
+// type, plus malformed inputs a hostile or broken peer could send.
 func seedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	frame := func(v any) []byte {
@@ -33,26 +30,30 @@ func seedFrames(tb testing.TB) [][]byte {
 		frame(&Request{ID: 9, Stmt: "retrieve (EMPLOYEE.NAME) where EMPLOYEE.NAME = \"a\xffb\"", TimeoutMS: 100}),
 		frame(&Response{ID: 9, Table: &Table{Columns: []string{"NAME"}, Rows: [][]string{{"Brown"}, {"-"}}},
 			Permits: []string{"permit (NAME)"}, Error: &Error{Code: CodeExec, Message: "nope"}}),
-		frame(&ReplHello{Proto: ProtoVersion, Token: "t", From: 41,
-			Epoch: 3, Leader: "127.0.0.1:4100"}),
-		frame(&ReplHelloReply{Snapshot: true, SnapshotStmts: 2, SnapshotLSN: 41, Gen: 3}),
-		frame(&ReplHelloReply{Snapshot: true, Epoch: 4,
-			EpochHist: []engine.EpochEntry{{Epoch: 1, StartLSN: 0}, {Epoch: 4, StartLSN: 41}},
-			Diverged:  true, Fork: 41, SnapshotStmts: 7, SnapshotLSN: 50}),
-		frame(&ReplHelloReply{Error: &Error{Code: CodeProtocol, Message: "bad token", Line: -1, Retryable: true}}),
-		frame(&ReplBatch{From: 42, Epoch: 2, Stmts: []string{"insert into R values (x)", "permit V to U"}}),
-		// A snapshot batch: From zero, statements without LSNs.
-		frame(&ReplBatch{Epoch: 4, Stmts: []string{"relation R (A)", `insert into R values ("5")`}}),
-		frame(&ReplAck{Applied: 43}),
-		frame(&ReplFence{Epoch: 5, Leader: "127.0.0.1:4100"}),
-		frame(&Response{ID: 3, Error: &Error{Code: CodeStalePrimary,
-			Message: "fenced at epoch 5", Leader: "127.0.0.1:4100"}}),
+		// The replication messages protocol 9 had, as their senders
+		// wrote them: a REPL_HELLO, three REPL_HELLO_REPLYs (a snapshot,
+		// a diverged follower's, a refusal), two REPL_BATCHes (a stream
+		// batch and a snapshot batch, From zero), a REPL_ACK and a
+		// REPL_FENCE. No message has their tags now, so every decoder
+		// refuses them.
+		framed(frameOf(byte(0xfb), zz(ProtoVersion), "t", 41, 3, "127.0.0.1:4100")),
+		framed(frameOf(byte(0xfc), byte(1), 2, 41, 3, byte(0), 1, 0, byte(0), 0)),
+		framed(frameOf(byte(0xfc), byte(1), 7, 50, 0, byte(0), 4, 2, 1, 0, 4, 41, byte(1), 41)),
+		framed(frameOf(byte(0xfc), byte(0), 0, 0, 0, byte(1), CodeProtocol, "bad token", zz(-1), zz(0), "", byte(1), 0, 0, byte(0), 0)),
+		framed(frameOf(byte(0xff), 42, 2, zz(0), 2, "insert into R values (x)", "permit V to U")),
+		framed(frameOf(byte(0xff), 0, 4, zz(0), 2, "relation R (A)", `insert into R values ("5")`)),
+		framed(frameOf(byte(0xfd), 43)),
+		framed(frameOf(byte(0xfe), 5, "127.0.0.1:4100")),
+		// An error reply whose leader str is not empty: the server always
+		// sends it empty, but the frame layout still holds the field.
+		frame(&Response{ID: 3, Error: &Error{Code: CodeExec,
+			Message: "m", Leader: "127.0.0.1:4100"}}),
 		// A table of one column and no rows, and one with a withheld cell.
 		frame(&Response{ID: 4, Table: &Table{Columns: []string{"A"}}, FullyAuthorized: true}),
 		frame(&Response{ID: 5, Table: &Table{Columns: []string{"A", "B"}, Rows: [][]string{{"x", "-"}}}, Denied: true}),
 		// Two frames back to back.
-		append(frame(&ReplBatch{From: 1, Stmts: []string{"a"}}),
-			frame(&ReplAck{Applied: 1})...),
+		append(frame(&Request{ID: 1, Stmt: "a"}),
+			frame(&Hello{Proto: ProtoVersion, User: "u"})...),
 		// Malformed: truncated header, truncated payload, a payload
 		// neither a control message nor a reply, oversize length word,
 		// an unknown tag.
@@ -61,19 +62,19 @@ func seedFrames(tb testing.TB) [][]byte {
 		{0x03, 0x00, 0x00, 0x00, 'x', 'y', 'z'},
 		{0xff, 0xff, 0xff, 0xff},
 		framed(frameOf(byte(KindHello-1), 1, "u")),
-		// A protocol-6 peer's JSON hello, an ack with a non-minimal
-		// varint, a hello with an admin byte of 2, and a fence with a
-		// trailing byte.
+		// A protocol-6 peer's JSON hello, a request with a non-minimal
+		// varint, a hello with an admin byte of 2, and a hello reply with
+		// a trailing byte.
 		framed([]byte(`{"proto":6,"user":"u"}`)),
-		framed(frameOf(byte(KindReplAck), raw("\x81\x00"))),
+		framed(frameOf(byte(KindRequest), raw("\x81\x00"), "s", zz(0))),
 		framed(frameOf(byte(KindHello), zz(7), "u", byte(2), "")),
-		framed(frameOf(byte(KindReplFence), 5, "l", byte(0))),
+		framed(frameOf(byte(KindHelloReply), "authdb", byte(0), byte(0))),
 	}
 }
 
 // FuzzDecode feeds arbitrary bytes through the frame reader and decodes
-// every frame both as each control message, the way a server or a hub
-// does, and as a reply, the way a client does, checking nothing panics,
+// every frame both as each control message, the way a server does,
+// and as a reply, the way a client does, checking nothing panics,
 // limits hold, and an accepted frame re-encodes to its own bytes.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range seedFrames(f) {
@@ -92,7 +93,7 @@ func TestDecodeCorpus(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	in := ReplBatch{From: 7, Epoch: 2, SentUnixNano: -1, Stmts: []string{"insert into R values (x, y)", "insert into R values (\"a\xffb\", \"\x01<&>\")"}}
+	in := Request{ID: 7, Stmt: "insert into R values (\"a\xffb\", \"\x01<&>\")", TimeoutMS: -1}
 	if err := WriteMsg(&buf, &in); err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +101,25 @@ func TestDecodeCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MsgKind(payload); got != KindReplBatch {
-		t.Fatalf("MsgKind = %#x, want %#x", got, KindReplBatch)
+	if got := kindOf(payload); got != KindRequest {
+		t.Fatalf("tag %#x, want %#x", got, KindRequest)
 	}
-	var out ReplBatch
+	var out Request
 	if err := Decode(payload, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}
+}
+
+// kindOf returns the kind a payload's tag byte names, zero for an empty
+// payload.
+func kindOf(p []byte) Kind {
+	if len(p) == 0 {
+		return 0
+	}
+	return Kind(p[0])
 }
 
 // kinds holds every control message kind, each with an empty message.
@@ -120,11 +130,6 @@ var kinds = []struct {
 	{KindHello, func() Msg { return new(Hello) }},
 	{KindHelloReply, func() Msg { return new(HelloReply) }},
 	{KindRequest, func() Msg { return new(Request) }},
-	{KindReplHello, func() Msg { return new(ReplHello) }},
-	{KindReplHelloReply, func() Msg { return new(ReplHelloReply) }},
-	{KindReplAck, func() Msg { return new(ReplAck) }},
-	{KindReplFence, func() Msg { return new(ReplFence) }},
-	{KindReplBatch, func() Msg { return new(ReplBatch) }},
 }
 
 // decodeStream is the shared fuzz body: read frames until the input
@@ -156,8 +161,8 @@ func checkMsg(t *testing.T, payload []byte, m Msg, k Kind) {
 		}
 		return
 	}
-	if MsgKind(payload) != k {
-		t.Fatalf("Decode accepted %q, of kind %#x, as %T", payload, MsgKind(payload), m)
+	if kindOf(payload) != k {
+		t.Fatalf("Decode accepted %q, of kind %#x, as %T", payload, kindOf(payload), m)
 	}
 	if again := Append(nil, m); !bytes.Equal(again, payload) {
 		t.Fatalf("Decode accepted %q as %T, which re-encodes to %q", payload, m, again)
@@ -165,29 +170,18 @@ func checkMsg(t *testing.T, payload []byte, m Msg, k Kind) {
 }
 
 // fuzzMsgs builds one message of every control kind from fuzzed
-// fields, in the form each decodes to: an empty list is nil. The bits
-// of flags set the booleans, whether an error is carried, and (the top
-// four) the length of the epoch history.
+// fields. The bits of flags set the booleans and whether an error is
+// carried.
 func fuzzMsgs(a, b, c string, x, y int64, flags uint16) []Msg {
 	bit := func(k int) bool { return flags&(1<<k) != 0 }
 	var e *Error
 	if bit(0) {
 		e = &Error{Code: a, Message: b, Line: int(x), Col: int(y), Leader: c, Retryable: bit(1)}
 	}
-	var hist []engine.EpochEntry
-	for i := uint64(0); i < uint64(flags>>12); i++ {
-		hist = append(hist, engine.EpochEntry{Epoch: uint64(x) + i, StartLSN: uint64(y) * i})
-	}
 	return []Msg{
 		&Hello{Proto: int(x), User: a, Admin: bit(2), Token: b},
 		&HelloReply{Server: c, Error: e},
 		&Request{ID: uint64(x), Stmt: a, TimeoutMS: y},
-		&ReplHello{Proto: int(y), Token: a, From: uint64(x), Epoch: uint64(y), Leader: c},
-		&ReplHelloReply{Snapshot: bit(3), SnapshotStmts: uint64(x), SnapshotLSN: uint64(y), Gen: uint64(x ^ y),
-			Error: e, Epoch: uint64(y), EpochHist: hist, Diverged: bit(4), Fork: uint64(x)},
-		&ReplAck{Applied: uint64(y)},
-		&ReplFence{Epoch: uint64(x), Leader: c},
-		&ReplBatch{From: uint64(x), Epoch: uint64(y), SentUnixNano: x - y, Stmts: strings.Split(b, "\n")},
 	}
 }
 
@@ -202,8 +196,8 @@ func FuzzControlCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b, c string, x, y int64, flags uint16) {
 		for i, in := range fuzzMsgs(a, b, c, x, y, flags) {
 			payload := Append(nil, in)
-			if MsgKind(payload) != kinds[i].kind {
-				t.Fatalf("%T encodes to kind %#x, want %#x", in, MsgKind(payload), kinds[i].kind)
+			if kindOf(payload) != kinds[i].kind {
+				t.Fatalf("%T encodes to kind %#x, want %#x", in, kindOf(payload), kinds[i].kind)
 			}
 			for _, k := range kinds {
 				out := k.new()
@@ -382,8 +376,8 @@ func FuzzResponseCodec(f *testing.F) {
 		{frameOf(1, byte(flagTable), 0, 1), "", "", "", 5, 1<<3 | 1<<5 | 1<<6, 0, 0},
 		{frameOf(1, byte(flagPermits), 0), "", "", "", 6, 1 << 8, 0, 0},
 		{frameOf(1, byte(flagFull|flagDenied)), "", "", "", 7, 1 | 1<<3, 0, 0},
-		{frameOf(0, byte(flagError), "READ_ONLY", "m", zz(-3), zz(math.MaxInt64), "127.0.0.1:4100", byte(1)),
-			"READ_ONLY", "replica", "127.0.0.1:4100", math.MaxUint64, 1<<9 | 1<<10, 3, 17},
+		{frameOf(0, byte(flagError), "EXEC", "m", zz(-3), zz(math.MaxInt64), "127.0.0.1:4100", byte(1)),
+			"EXEC", "m", "127.0.0.1:4100", math.MaxUint64, 1<<9 | 1<<10, 3, 17},
 		{frameOf(1, byte(flagError), "X", "m", zz(0), zz(math.MinInt64), "", byte(2)), "PARSE", "bad", "", 8, 1 << 9, math.MinInt, math.MaxInt},
 		{frameOf(1, byte(flagFront)), "", "", "", 0, all, 0, 0},
 		{frameOf(raw("\x80\x00"), byte(0)), "", "", "", 0, 0, 0, 0},

@@ -12,7 +12,7 @@
 // (codec.go): varints and varint-prefixed strings, so a string travels
 // byte for byte. A Response (AppendResponse, DecodeResponse) is known
 // by its place after a Request. Every other message is a control
-// message (Msg): its payload opens with a tag byte naming it (MsgKind),
+// message (Msg): its payload opens with a tag byte naming it (Kind),
 // then its fields in the order its walk method visits them, one method
 // serving as both its encoder (Append) and its decoder (Decode).
 // WriteMsg and ReadMsg pick the codec by the message's type.
@@ -241,9 +241,9 @@ type Error struct {
 	Col  int
 	// Retryable reports the failure is transient.
 	Retryable bool
-	// Leader, set on READ_ONLY and STALE_PRIMARY failures when the node
-	// knows (or believes it knows) the current leader's wire address,
-	// lets clients redirect writes without re-polling every node.
+	// Leader is always empty. It named a replicated cluster's primary
+	// and stays in the frame layout, as an empty str, until the
+	// protocol's next version drops it.
 	Leader string
 }
 

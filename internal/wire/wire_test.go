@@ -65,7 +65,6 @@ func TestErrorFor(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", guard.ErrCanceled), CodeCanceled, true},
 		{fmt.Errorf("wrapped: %w", guard.ErrBudgetExceeded), CodeBudget, false},
 		{fmt.Errorf("wrapped: %w", engine.ErrNotAuthorized), CodeNotAuthorized, false},
-		{fmt.Errorf("wrapped: %w", engine.ErrReadOnly), CodeReadOnly, false},
 		{fmt.Errorf("wrapped: %w", engine.ErrInternal), CodeInternal, false},
 		{fmt.Errorf("unknown relation NOPE"), CodeExec, false},
 	}

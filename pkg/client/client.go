@@ -13,11 +13,10 @@
 // a server restart, an idle-timeout close, a network blip — the next
 // Exec transparently reconnects, and read-only statements are retried
 // once. Mutating statements are never auto-retried after the request
-// may have reached the server: with replicas replaying the statement
-// WAL, a duplicate apply would fan out to the whole fleet, so a
-// mutation whose response was lost fails with ErrUnknownOutcome and
-// the caller decides (re-check state, or resubmit knowing duplicate
-// inserts are ignored by the engine).
+// may have reached the server: a duplicate apply would land in the
+// statement WAL twice, so a mutation whose response was lost fails with
+// ErrUnknownOutcome and the caller decides (re-check state, or resubmit
+// knowing duplicate inserts are ignored by the engine).
 package client
 
 import (
@@ -40,19 +39,17 @@ var ErrClosed = errors.New("client: closed")
 
 // ErrUnknownOutcome reports that a mutating statement's request may
 // have reached the server but the connection died before the response:
-// the statement may or may not have been applied (and journaled, and
-// replicated). The client does not retry — the caller must re-check
-// state or knowingly resubmit. Test with errors.Is.
+// the statement may or may not have been applied (and journaled). The
+// client does not retry — the caller must re-check state or knowingly
+// resubmit. Test with errors.Is.
 var ErrUnknownOutcome = errors.New("client: outcome unknown (request sent, connection lost before the response)")
 
 // ServerError is a structured statement failure from the server, the
 // error a reply frame carries. Branch on Code (see internal/wire for the
 // inventory: PARSE, CANCELED, BUDGET_EXCEEDED, NOT_AUTHORIZED,
 // SHUTTING_DOWN, EXEC, …), never on message text; Retryable reports
-// whether the same request could succeed later. Leader is the server's
-// best hint at the current primary's address, set on READ_ONLY and
-// STALE_PRIMARY refusals; cluster clients follow it automatically. Its
-// Error method renders "CODE: message".
+// whether the same request could succeed later. Its Error method
+// renders "CODE: message".
 type ServerError = wire.Error
 
 // Result is the outcome of one statement.
@@ -104,12 +101,12 @@ func WithDialTimeout(d time.Duration) Option {
 // consecutive failure, is capped at max, and resets to min after any
 // successful handshake.
 func WithBackoff(min, max time.Duration) Option {
-	return func(c *Client) { c.redial.Min, c.redial.Max = min, max }
+	return func(c *Client) { c.redial.min, c.redial.max = min, max }
 }
 
 // WithDialer overrides how connections are established (tests inject
-// failing or partitioned connections). addr is the target the client
-// chose from its address list.
+// failing or partitioned connections). addr is the address Dial was
+// given.
 func WithDialer(dial func(ctx context.Context, addr string) (net.Conn, error)) Option {
 	return func(c *Client) { c.dialFn = dial }
 }
@@ -124,58 +121,25 @@ type Client struct {
 	token       string
 	dialTimeout time.Duration
 	dialFn      func(ctx context.Context, addr string) (net.Conn, error)
+	addr        string
 
-	// followHints is set by DialCluster: only cluster-aware clients
-	// transparently re-target leader hints. A plain Dial client keeps
-	// surfacing READ_ONLY/STALE_PRIMARY refusals (with the hint on the
-	// ServerError) so callers pinned to one node see exactly what that
-	// node answered.
-	followHints bool
-
-	mu      sync.Mutex
-	nc      net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	nextID  uint64
-	closed  bool
-	redial  wire.Redial // the addresses, a pending leader hint, the backoff
-	curAddr string      // address of the live connection
+	mu     sync.Mutex
+	nc     net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	nextID uint64
+	closed bool
+	redial redial // the wait between reconnect attempts
 }
 
 // Dial connects to addr and authenticates. The default principal is the
-// non-administrator "guest"; set one with WithUser or WithAdmin. A Dial
-// client is pinned to its address: it does not follow leader hints (use
-// DialCluster for that), so replica write refusals surface as
-// *ServerError with the hint in its Leader field.
+// non-administrator "guest"; set one with WithUser or WithAdmin.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	c, err := DialCluster([]string{addr}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	c.followHints = false
-	return c, nil
-}
-
-// DialCluster connects to the first reachable address and
-// authenticates. The client remembers the whole list: when a
-// connection breaks it rotates through the addresses under jittered
-// exponential backoff, and when a node answers READ_ONLY or
-// STALE_PRIMARY with a leader hint the client re-targets the hinted
-// address — so a mutating workload follows a failover without caller
-// involvement. The at-most-once contract is unchanged: a mutation
-// whose request may have reached a server still fails with
-// ErrUnknownOutcome rather than being retried elsewhere (a leader
-// refusal is a deterministic pre-apply answer, so following it is
-// safe).
-func DialCluster(addrs []string, opts ...Option) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("client: no addresses")
-	}
 	c := &Client{
 		user:        "guest",
 		dialTimeout: 10 * time.Second,
-		redial:      wire.Redial{Addrs: append([]string(nil), addrs...), Min: 50 * time.Millisecond, Max: 2 * time.Second},
-		followHints: true,
+		addr:        addr,
+		redial:      redial{min: 50 * time.Millisecond, max: 2 * time.Second},
 	}
 	for _, o := range opts {
 		o(c)
@@ -186,29 +150,18 @@ func DialCluster(addrs []string, opts ...Option) (*Client, error) {
 			return d.DialContext(ctx, "tcp", addr)
 		}
 	}
-	var lastErr error
-	for range addrs {
-		if err := c.connect(context.Background()); err != nil {
-			lastErr = err
-			var se *ServerError
-			if errors.As(err, &se) {
-				return nil, err // rejected handshake: rotation won't help
-			}
-			c.redial.Rotate()
-			continue
-		}
-		return c, nil
+	if err := c.connect(context.Background()); err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	return c, nil
 }
 
 // connect dials and runs the handshake; callers hold c.mu (or own c
 // exclusively, as in Dial).
 func (c *Client) connect(ctx context.Context) error {
-	addr := c.redial.Next()
-	nc, err := c.dialFn(ctx, addr)
+	nc, err := c.dialFn(ctx, c.addr)
 	if err != nil {
-		return fmt.Errorf("client: dial %s: %w", addr, err)
+		return fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
 	nc.SetDeadline(time.Now().Add(c.dialTimeout))
 	br, bw := bufio.NewReader(nc), bufio.NewWriterSize(nc, 4096)
@@ -232,16 +185,8 @@ func (c *Client) connect(ctx context.Context) error {
 	}
 	nc.SetDeadline(time.Time{})
 	c.nc, c.br, c.bw = nc, br, bw
-	c.curAddr = addr
-	c.redial.Reset() // reset the reconnect backoff after any successful handshake
+	c.redial.reset() // reset the reconnect backoff after any successful handshake
 	return nil
-}
-
-// Addr returns the address of the current (or last) connection.
-func (c *Client) Addr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.curAddr
 }
 
 // Exec executes one statement (or the `\stats` meta-command) under ctx:
@@ -258,9 +203,10 @@ func (c *Client) Exec(ctx context.Context, stmt string) (*Result, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
+	// Three attempts: a connection found broken, a redial that fails,
+	// and one more.
 	var lastErr error
-	maxAttempts := 2 + len(c.redial.Addrs)
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt := 0; attempt < 3; attempt++ {
 		if ctx.Err() != nil {
 			if lastErr != nil {
 				return nil, lastErr
@@ -274,11 +220,10 @@ func (c *Client) Exec(ctx context.Context, stmt string) (*Result, error) {
 					return nil, err // rejected handshake: retry won't help
 				}
 				lastErr = err
-				c.redial.Rotate() // the next attempt tries another node
 				select {
 				case <-ctx.Done():
 					return nil, lastErr
-				case <-time.After(c.redial.Delay()):
+				case <-time.After(c.redial.next()):
 				}
 				continue
 			}
@@ -289,19 +234,6 @@ func (c *Client) Exec(ctx context.Context, stmt string) (*Result, error) {
 		}
 		var se *ServerError
 		if errors.As(err, &se) {
-			// A leader refusal is answered before the statement touches
-			// the engine, so re-running it on the hinted leader cannot
-			// double-apply: a cluster-aware client follows the hint.
-			// Anything else is final.
-			if c.followHints &&
-				(se.Code == wire.CodeReadOnly || se.Code == wire.CodeStalePrimary) &&
-				se.Leader != "" && se.Leader != c.curAddr {
-				c.redial.Hint(se.Leader)
-				c.nc.Close()
-				c.nc = nil
-				lastErr = err
-				continue
-			}
 			return nil, err // the server answered; the connection is fine
 		}
 		// Transport failure: drop the connection.
@@ -309,8 +241,8 @@ func (c *Client) Exec(ctx context.Context, stmt string) (*Result, error) {
 		c.nc = nil
 		if sent && mutatingStmt(stmt) {
 			// The request was (possibly partially) on the wire when the
-			// connection died: the server may have executed, journaled,
-			// and replicated it. Retrying could apply it twice.
+			// connection died: the server may have executed and journaled
+			// it. Retrying could apply it twice.
 			return nil, fmt.Errorf("%w: %v", ErrUnknownOutcome, err)
 		}
 		lastErr = err

@@ -291,3 +291,84 @@ func TestMutatingStmtClassifier(t *testing.T) {
 		}
 	}
 }
+
+// TestReconnectBackoffDoublesCapsAndResets pins the client's use of its
+// reconnect wait, whose doubling, cap and jitter TestRedial pins:
+// WithBackoff sets its bounds, a backoff wait is abandoned when the
+// context dies, and a successful handshake resets the backoff.
+func TestReconnectBackoffDoublesCapsAndResets(t *testing.T) {
+	s := startStub(t)
+	var down atomic.Bool
+	dialer := func(ctx context.Context, addr string) (net.Conn, error) {
+		if down.Load() {
+			return nil, errors.New("injected dial failure")
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+	c, err := Dial(s.ln.Addr().String(), WithUser("u"), WithDialer(dialer), WithBackoff(time.Hour, 8*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.redial.min != time.Hour || c.redial.max != 8*time.Hour {
+		t.Fatalf("backoff bounds = %v, %v; want 1h, 8h", c.redial.min, c.redial.max)
+	}
+
+	// A failed redial waits about an hour, unless the context dies.
+	inject(t, c).failRead.Store(true)
+	down.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := c.Exec(ctx, `retrieve (R.A)`); err == nil {
+		t.Fatal("read with every dial failing succeeded")
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("Exec returned after %v: the backoff wait ignored the dead context", el)
+	}
+
+	// A successful handshake resets the backoff: grown to its 8h cap, it
+	// draws around the 1h minimum again after the reconnect.
+	c.redial.next()
+	c.redial.next()
+	down.Store(false)
+	if _, err := c.Exec(context.Background(), `retrieve (R.A)`); err != nil {
+		t.Fatalf("read across reconnect: %v", err)
+	}
+	if d := c.redial.next(); d >= 3*time.Hour/2 {
+		t.Fatalf("wait after a successful reconnect = %v, want one drawn around the 1h minimum", d)
+	}
+}
+
+// TestReconnectSurvivesInjectedDialFailures is the fault-injecting
+// dialer test: a broken connection plus a failing redial must end in a
+// successful retry (for reads) once the dialer recovers, with the
+// backoff machinery in between.
+func TestReconnectSurvivesInjectedDialFailures(t *testing.T) {
+	s := startStub(t)
+	var dialCount atomic.Int64
+	dialer := func(ctx context.Context, addr string) (net.Conn, error) {
+		if dialCount.Add(1) == 2 {
+			return nil, errors.New("injected dial failure")
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+	c, err := Dial(s.ln.Addr().String(), WithUser("u"),
+		WithDialer(dialer), WithBackoff(time.Millisecond, 4*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fc := inject(t, c)
+	fc.failRead.Store(true) // kill the live connection on first use
+
+	res, err := c.Exec(context.Background(), `retrieve (R.A)`)
+	if err != nil || res.Text != "ok" {
+		t.Fatalf("read across dial failures = %v, %v; want success", res, err)
+	}
+	if n := dialCount.Load(); n != 3 {
+		t.Fatalf("dialer called %d times, want 3 (initial, injected failure, recovery)", n)
+	}
+}
